@@ -1,0 +1,311 @@
+// Package atlas maintains LIFEGUARD's historical path atlas (§4.1.2): the
+// regularly-refreshed forward and reverse paths between every vantage point
+// and every monitored target, plus a responsiveness database that lets
+// isolation distinguish "this router is cut off" from "this router never
+// answers probes". The refresher implements the §5.4 cost optimizations:
+// re-confirming an unchanged path is much cheaper than measuring one from
+// scratch, and per-round caching reuses reverse measurements across
+// converging paths.
+package atlas
+
+import (
+	"net/netip"
+	"sort"
+	"time"
+
+	"lifeguard/internal/probe"
+	"lifeguard/internal/simclock"
+	"lifeguard/internal/topo"
+)
+
+// PathRecord is one historical measurement of a path.
+type PathRecord struct {
+	At      time.Duration
+	Hops    []probe.Hop
+	Reached bool
+}
+
+// ASPath returns the distinct ASes of the record's responsive hops.
+func (r *PathRecord) ASPath() topo.Path {
+	var out topo.Path
+	for _, h := range r.Hops {
+		if h.Star {
+			continue
+		}
+		if len(out) == 0 || out[len(out)-1] != h.AS {
+			out = append(out, h.AS)
+		}
+	}
+	return out
+}
+
+type pairKey struct {
+	vp     topo.RouterID
+	target netip.Addr
+}
+
+// Config tunes the atlas.
+type Config struct {
+	// RefreshInterval is the period between automatic refresh rounds
+	// once Start is called. Default 15 minutes of virtual time.
+	RefreshInterval time.Duration
+	// MaxHistory bounds records kept per (vp, target, direction).
+	// Default 32.
+	MaxHistory int
+	// FullMeasureCost is the option-probe cost of measuring a reverse
+	// path from scratch (§5.4 cites ~35 for prior work); the prober
+	// already charges its incremental cost, and the atlas tops it up to
+	// FullMeasureCost when the path is new or changed. Default 35.
+	FullMeasureCost int
+}
+
+func (c Config) withDefaults() Config {
+	if c.RefreshInterval == 0 {
+		c.RefreshInterval = 15 * time.Minute
+	}
+	if c.MaxHistory == 0 {
+		c.MaxHistory = 32
+	}
+	if c.FullMeasureCost == 0 {
+		c.FullMeasureCost = 35
+	}
+	return c
+}
+
+// Atlas is the path atlas. Construct with New, register vantage points and
+// targets, then call RefreshAll (or Start for periodic refresh).
+type Atlas struct {
+	top *topo.Topology
+	pr  *probe.Prober
+	clk *simclock.Scheduler
+	cfg Config
+
+	vps     []topo.RouterID
+	targets []netip.Addr
+
+	forward map[pairKey][]PathRecord // vp -> target
+	reverse map[pairKey][]PathRecord // target -> vp
+
+	// resp records whether an address has ever answered a probe and when
+	// it last did.
+	resp map[netip.Addr]respEntry
+
+	// PathsRefreshed counts reverse-path refreshes performed, for the
+	// §5.4 throughput measurement.
+	PathsRefreshed int
+
+	ticker  simclock.EventID
+	started bool
+}
+
+type respEntry struct {
+	ever   bool
+	lastOK time.Duration
+}
+
+// New returns an empty atlas.
+func New(top *topo.Topology, pr *probe.Prober, clk *simclock.Scheduler, cfg Config) *Atlas {
+	return &Atlas{
+		top: top, pr: pr, clk: clk, cfg: cfg.withDefaults(),
+		forward: make(map[pairKey][]PathRecord),
+		reverse: make(map[pairKey][]PathRecord),
+		resp:    make(map[netip.Addr]respEntry),
+	}
+}
+
+// AddVP registers a vantage point router.
+func (a *Atlas) AddVP(r topo.RouterID) { a.vps = append(a.vps, r) }
+
+// AddTarget registers a monitored destination address.
+func (a *Atlas) AddTarget(addr netip.Addr) { a.targets = append(a.targets, addr) }
+
+// VPs returns the registered vantage points.
+func (a *Atlas) VPs() []topo.RouterID { return a.vps }
+
+// Targets returns the monitored destinations.
+func (a *Atlas) Targets() []netip.Addr { return a.targets }
+
+// targetRouter resolves the router that stands for a target address.
+func (a *Atlas) targetRouter(addr netip.Addr) (topo.RouterID, bool) {
+	if r, ok := a.top.RouterByAddr(addr); ok {
+		return r.ID, true
+	}
+	owner, ok := topo.OwnerOf(addr)
+	if !ok {
+		return 0, false
+	}
+	as := a.top.AS(owner)
+	if as == nil || len(as.Routers) == 0 {
+		return 0, false
+	}
+	return as.Routers[0], true
+}
+
+// NoteResponsive records an externally-observed probe outcome for addr.
+func (a *Atlas) NoteResponsive(addr netip.Addr, ok bool) {
+	e := a.resp[addr]
+	if ok {
+		e.ever = true
+		e.lastOK = a.clk.Now()
+	}
+	a.resp[addr] = e
+}
+
+// EverResponsive reports whether addr has ever answered a probe. Isolation
+// uses it to exclude configured-silent routers from blame (§4.1.2).
+func (a *Atlas) EverResponsive(addr netip.Addr) bool { return a.resp[addr].ever }
+
+// RefreshPair measures and records the forward and reverse paths for one
+// (vantage point, target) pair.
+func (a *Atlas) RefreshPair(vp topo.RouterID, target netip.Addr) {
+	now := a.clk.Now()
+	k := pairKey{vp: vp, target: target}
+
+	fwd := a.pr.Traceroute(vp, target)
+	a.recordHops(fwd.Hops)
+	a.append(a.forward, k, PathRecord{At: now, Hops: fwd.Hops, Reached: fwd.ReachedDst})
+
+	if tr, ok := a.targetRouter(target); ok {
+		rev, ok := a.pr.ReverseTraceroute(tr, vp)
+		if ok {
+			// Reverse-traceroute hops are discovered via IP options, not
+			// ICMP echo, so they do not feed the ping-responsiveness DB.
+			// Charge the from-scratch premium when the path is new or
+			// different from the last record (§5.4 amortization).
+			hist := a.reverse[k]
+			if len(hist) == 0 || !samePath(hist[len(hist)-1].Hops, rev.Hops) {
+				a.pr.Charge(a.cfg.FullMeasureCost - 10)
+			}
+			a.append(a.reverse, k, PathRecord{At: now, Hops: rev.Hops, Reached: true})
+			a.PathsRefreshed++
+		}
+	}
+}
+
+// RefreshAll refreshes every (vp, target) pair once.
+func (a *Atlas) RefreshAll() {
+	for _, vp := range a.vps {
+		for _, t := range a.targets {
+			a.RefreshPair(vp, t)
+		}
+	}
+}
+
+// Start schedules periodic RefreshAll rounds on the virtual clock,
+// beginning immediately.
+func (a *Atlas) Start() {
+	if a.started {
+		return
+	}
+	a.started = true
+	var tick func()
+	tick = func() {
+		if !a.started {
+			return
+		}
+		a.RefreshAll()
+		a.ticker = a.clk.After(a.cfg.RefreshInterval, tick)
+	}
+	a.RefreshAll()
+	a.ticker = a.clk.After(a.cfg.RefreshInterval, tick)
+}
+
+// Stop halts periodic refreshing.
+func (a *Atlas) Stop() {
+	if a.started {
+		a.started = false
+		a.clk.Cancel(a.ticker)
+	}
+}
+
+func (a *Atlas) append(m map[pairKey][]PathRecord, k pairKey, rec PathRecord) {
+	h := append(m[k], rec)
+	if len(h) > a.cfg.MaxHistory {
+		h = h[len(h)-a.cfg.MaxHistory:]
+	}
+	m[k] = h
+}
+
+func (a *Atlas) recordHops(hops []probe.Hop) {
+	for _, h := range hops {
+		if !h.Star {
+			a.NoteResponsive(h.Addr, true)
+		}
+	}
+}
+
+func samePath(a, b []probe.Hop) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Star != b[i].Star || a[i].Router != b[i].Router {
+			return false
+		}
+	}
+	return true
+}
+
+// Forward returns the recorded vp→target measurements, oldest first.
+func (a *Atlas) Forward(vp topo.RouterID, target netip.Addr) []PathRecord {
+	return a.forward[pairKey{vp: vp, target: target}]
+}
+
+// Reverse returns the recorded target→vp measurements, oldest first.
+func (a *Atlas) Reverse(vp topo.RouterID, target netip.Addr) []PathRecord {
+	return a.reverse[pairKey{vp: vp, target: target}]
+}
+
+// HistoricalHops returns the union of routers seen on any recorded path
+// (both directions) between vp and target, deduplicated, in first-seen
+// order across records from newest to oldest. These are the candidate
+// failure locations isolation probes.
+func (a *Atlas) HistoricalHops(vp topo.RouterID, target netip.Addr) []probe.Hop {
+	var out []probe.Hop
+	seen := make(map[topo.RouterID]bool)
+	add := func(recs []PathRecord) {
+		for i := len(recs) - 1; i >= 0; i-- {
+			for _, h := range recs[i].Hops {
+				if h.Star || seen[h.Router] {
+					continue
+				}
+				seen[h.Router] = true
+				out = append(out, h)
+			}
+		}
+	}
+	add(a.forward[pairKey{vp: vp, target: target}])
+	add(a.reverse[pairKey{vp: vp, target: target}])
+	return out
+}
+
+// LatestReverseBefore returns the most recent reverse record strictly older
+// than cutoff, plus all older ones (newest first), for the §4.1.2 expanding
+// suspect-set analysis.
+func (a *Atlas) LatestReverseBefore(vp topo.RouterID, target netip.Addr, cutoff time.Duration) []PathRecord {
+	recs := a.reverse[pairKey{vp: vp, target: target}]
+	var out []PathRecord
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].At < cutoff {
+			out = append(out, recs[i])
+		}
+	}
+	return out
+}
+
+// RefreshRatePerMinute reports average reverse-path refreshes per virtual
+// minute since the atlas started measuring.
+func (a *Atlas) RefreshRatePerMinute() float64 {
+	mins := a.clk.Now().Minutes()
+	if mins <= 0 {
+		return 0
+	}
+	return float64(a.PathsRefreshed) / mins
+}
+
+// SortedTargets returns targets in deterministic address order (test aid).
+func (a *Atlas) SortedTargets() []netip.Addr {
+	out := append([]netip.Addr(nil), a.targets...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}

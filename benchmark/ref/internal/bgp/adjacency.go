@@ -1,0 +1,76 @@
+package bgp
+
+import (
+	"fmt"
+	"net/netip"
+
+	"lifeguard/internal/topo"
+)
+
+// Adjacency (session) failures. Unlike the silent data-plane failures
+// LIFEGUARD exists for, a failed BGP session is *visible* to the protocol:
+// both sides withdraw everything learned over it and the Internet
+// re-converges on its own. These produce the short, self-healing outages
+// that dominate Fig. 1's event count (while contributing little downtime) —
+// exactly the class the §4.2 maturity threshold avoids poisoning.
+
+// SetAdjacencyDown fails or restores the BGP session between adjacent ASes
+// a and b. On failure each side drops every route learned from the other
+// and stops exporting to it; on restore each side re-advertises its full
+// table. The topology relationship itself is untouched.
+//
+// Note this affects only the control plane; callers modelling a physical
+// link cut should also install the matching data-plane rules (the facade's
+// Network.FailAdjacency does both).
+func (e *Engine) SetAdjacencyDown(a, b topo.ASN, down bool) {
+	if !e.top.Adjacent(a, b) {
+		panic(fmt.Sprintf("bgp: SetAdjacencyDown(%d, %d): not adjacent", a, b))
+	}
+	e.speakers[a].setNeighborDown(b, down)
+	e.speakers[b].setNeighborDown(a, down)
+}
+
+// AdjacencyDown reports whether the session between a and b is failed.
+func (e *Engine) AdjacencyDown(a, b topo.ASN) bool {
+	return e.speakers[a].neighborDown(b)
+}
+
+func (s *Speaker) setNeighborDown(n topo.ASN, down bool) {
+	i := s.nbrIndex(n)
+	st := &s.out[i]
+	if st.down == down {
+		return
+	}
+	st.down = down
+	if down {
+		// Session loss: everything learned from n evaporates at once,
+		// and our send state toward n resets (no withdrawals cross a
+		// dead session).
+		st.pending = nil
+		clear(st.lastAdv)
+		var changed []netip.Prefix
+		for prefix, rb := range s.adjIn {
+			if idx := rb.find(n); idx >= 0 {
+				rb.remove(idx)
+				changed = append(changed, prefix)
+			}
+		}
+		// Re-decide in prefix order, not adjIn iteration order, so the
+		// resulting update schedule is identical across runs.
+		sortPrefixes(changed)
+		for _, prefix := range changed {
+			if s.decide(prefix) {
+				s.markAllPending(prefix)
+			}
+		}
+		return
+	}
+	// Session re-established: advertise the full table to n.
+	for prefix := range s.best {
+		st.markPending(prefix)
+	}
+	for prefix := range s.origin {
+		st.markPending(prefix)
+	}
+	s.kick(i)
+}

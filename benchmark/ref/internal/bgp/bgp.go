@@ -1,0 +1,277 @@
+// Package bgp implements the interdomain routing substrate: a discrete-event
+// path-vector protocol engine with the pieces LIFEGUARD's remediation relies
+// on — per-neighbor adj-RIB-in, the standard decision process over
+// Gao–Rexford local preferences, valley-free export filtering, AS-path loop
+// prevention (which poisoning exploits), MRAI batching (which shapes
+// convergence time and path exploration), prepending, selective per-neighbor
+// advertisement, and community propagation.
+//
+// One speaker models one AS. Router-level detail lives in the data plane;
+// route selection is AS-granular, matching how the paper reasons about
+// poisoning ("BGP uses AS-level topology abstractions", §3).
+package bgp
+
+import (
+	"net/netip"
+	"time"
+
+	"lifeguard/internal/obs"
+	"lifeguard/internal/topo"
+)
+
+// Community is an opaque BGP community value attached by the origin.
+type Community uint32
+
+// LocalPref values derived from the business relationship of the neighbor a
+// route was learned from (Gao–Rexford economics: prefer routes you are paid
+// to carry).
+const (
+	prefOriginated = 1000
+	prefCustomer   = 300
+	prefPeer       = 200
+	prefProvider   = 100
+	prefBackup     = 50 // routes demoted by an ActionLowerPref community
+)
+
+// Route is one entry of an adj-RIB-in (or, after selection, a loc-RIB).
+type Route struct {
+	Prefix netip.Prefix
+	// Path is the AS path as received: Path[0] is the neighbor that sent
+	// the route (and therefore the forwarding next hop), the origin is
+	// last. Poisons and prepends appear verbatim.
+	Path topo.Path
+	// From is the neighbor AS the route was learned from. For originated
+	// routes From is the owning AS itself.
+	From topo.ASN
+	// Rel is the relationship of From as seen by the receiving AS at
+	// import time (RelNone for originated routes).
+	Rel         topo.Rel
+	LocalPref   int
+	MED         int
+	Communities []Community
+	// Originated marks locally-originated routes.
+	Originated bool
+
+	// exportPath caches Path prepended with the owning speaker's ASN (see
+	// Route.exportedTo). A Route instance belongs to exactly one speaker's
+	// loc-RIB (or is its originated route), so the cache never crosses
+	// speakers.
+	exportPath topo.Path
+	// expID is the interned handle of exportPath, cached alongside it so
+	// per-flush dedup against lastAdv is a 32-bit compare.
+	expID pathID
+	// pid/cid are the interned handles of Path and Communities for routes
+	// materialized from a compact adj-RIB-in entry (zero for originated
+	// routes, whose equality is checked field-wise).
+	pid pathID
+	cid commID
+}
+
+// exportedTo returns Path prepended with self plus its interned handle,
+// computed once: Path never mutates after construction and every neighbor
+// receives the same prepended path, so one allocation (and one arena
+// round-trip) serves all exports of this route.
+func (r *Route) exportedTo(a *arena, self topo.ASN) (topo.Path, pathID) {
+	if r.exportPath == nil {
+		r.exportPath = r.Path.Prepend(self)
+		r.expID = a.internPath(r.exportPath)
+	}
+	return r.exportPath, r.expID
+}
+
+// NextHop returns the neighbor AS traffic is forwarded to, and false for
+// originated routes (local delivery).
+func (r *Route) NextHop() (topo.ASN, bool) {
+	if r.Originated || len(r.Path) == 0 {
+		return 0, false
+	}
+	return r.Path[0], true
+}
+
+// better reports whether a is preferred over b by the BGP decision process:
+// higher local-pref, then shorter AS path, then lower MED, then lowest
+// neighbor ASN as the deterministic tiebreak.
+func better(a, b *Route) bool {
+	if b == nil {
+		return true
+	}
+	if a == nil {
+		return false
+	}
+	if a.LocalPref != b.LocalPref {
+		return a.LocalPref > b.LocalPref
+	}
+	if len(a.Path) != len(b.Path) {
+		return len(a.Path) < len(b.Path)
+	}
+	if a.MED != b.MED {
+		return a.MED < b.MED
+	}
+	return a.From < b.From
+}
+
+// OriginConfig controls how an AS announces one of its own prefixes. The
+// zero value announces the plain single-ASN path to every neighbor.
+type OriginConfig struct {
+	// Pattern is the AS path to announce, origin conventions apply: the
+	// announcing AS must appear first (it is the next hop) and last (it
+	// is the registered origin); poisons sit in between. nil means the
+	// plain [self] path. [self self self] is the prepended baseline of
+	// §3.1.1; [self A self] poisons A.
+	Pattern topo.Path
+	// PerNeighbor overrides Pattern for specific neighbors — the
+	// selective-poisoning primitive of §3.1.2. An entry with a nil path
+	// is invalid; use Withhold for selective advertising.
+	PerNeighbor map[topo.ASN]topo.Path
+	// Withhold suppresses the announcement to the listed neighbors
+	// entirely (selective advertising, §2.3).
+	Withhold map[topo.ASN]bool
+	// Communities are attached to the announcement and propagate until
+	// an AS with StripCommunities drops them.
+	Communities []Community
+	// PerNeighborCommunities overrides Communities for specific
+	// neighbors — how an operator tags an action community on just one
+	// session ("treat my route via you as backup").
+	PerNeighborCommunities map[topo.ASN][]Community
+	// MED is advertised to all neighbors (meaningful only to multi-link
+	// neighbors; carried for completeness).
+	MED int
+}
+
+// sanitized returns a deep copy of c. Announce applies it at the API
+// boundary, so the engine's internals (export, lastAdv dedup, deliveries)
+// can alias the config's paths and community slices freely without a caller
+// mutating them underneath — and the hot flush path needs no per-message
+// defensive clones.
+func (c OriginConfig) sanitized() OriginConfig {
+	c.Pattern = c.Pattern.Clone()
+	if c.PerNeighbor != nil {
+		m := make(map[topo.ASN]topo.Path, len(c.PerNeighbor))
+		for n, p := range c.PerNeighbor {
+			m[n] = p.Clone()
+		}
+		c.PerNeighbor = m
+	}
+	if c.Withhold != nil {
+		m := make(map[topo.ASN]bool, len(c.Withhold))
+		for n, v := range c.Withhold {
+			m[n] = v
+		}
+		c.Withhold = m
+	}
+	c.Communities = append([]Community(nil), c.Communities...)
+	if c.PerNeighborCommunities != nil {
+		m := make(map[topo.ASN][]Community, len(c.PerNeighborCommunities))
+		for n, cs := range c.PerNeighborCommunities {
+			m[n] = append([]Community(nil), cs...)
+		}
+		c.PerNeighborCommunities = m
+	}
+	return c
+}
+
+// pattern returns the effective path pattern announced to neighbor n.
+func (c *OriginConfig) pattern(self, n topo.ASN) (topo.Path, bool) {
+	if c.Withhold[n] {
+		return nil, false
+	}
+	if p, ok := c.PerNeighbor[n]; ok {
+		return p, true
+	}
+	if c.Pattern != nil {
+		return c.Pattern, true
+	}
+	return topo.Path{self}, true
+}
+
+// EffectivePattern returns the AS path this config announces to neighbor n
+// (self is the origin), and false when the announcement is withheld from n.
+// External systems (e.g. the wire bridge) use it to mirror the simulator's
+// announcements onto real BGP sessions.
+func (c *OriginConfig) EffectivePattern(self, n topo.ASN) (topo.Path, bool) {
+	p, ok := c.pattern(self, n)
+	if !ok {
+		return nil, false
+	}
+	return p.Clone(), true
+}
+
+// EffectiveCommunities returns the communities announced to neighbor n.
+func (c *OriginConfig) EffectiveCommunities(n topo.ASN) []Community {
+	cs := c.Communities
+	if per, ok := c.PerNeighborCommunities[n]; ok {
+		cs = per
+	}
+	return append([]Community(nil), cs...)
+}
+
+// BestChange is emitted through Engine.OnBestChange whenever any AS's
+// selected route for a prefix changes. A nil Path means the AS lost its
+// route. Route collectors and convergence instrumentation consume these.
+type BestChange struct {
+	At     time.Duration
+	AS     topo.ASN
+	Prefix netip.Prefix
+	Path   topo.Path // nil when the route was lost
+}
+
+// Config tunes the engine's timing model.
+type Config struct {
+	// MRAI is the mean minimum route advertisement interval per neighbor
+	// session. Default 30s, jittered ±MRAIJitter.
+	MRAI       time.Duration
+	MRAIJitter float64 // fraction of MRAI, default 0.25
+	// PropDelay is the mean one-way message propagation+processing delay
+	// between adjacent speakers. Default 50ms, jittered ±PropJitter.
+	PropDelay  time.Duration
+	PropJitter float64 // fraction, default 0.5
+	// Seed feeds the engine's private RNG; runs with equal seeds replay
+	// identically.
+	Seed int64
+	// Dampening enables RFC 2439 route-flap dampening at every speaker.
+	Dampening DampeningConfig
+	// Obs receives the engine's metrics (update counts, decision runs,
+	// MRAI deferrals, dampening activity, loc-RIB and LPM sizes). nil
+	// disables instrumentation at the cost of one branch per site;
+	// enabled or not, protocol behaviour is identical.
+	Obs *obs.Registry
+	// ShardWorkers, when > 0, runs the engine's event loop sharded by
+	// speaker: events are batched into barrier windows shorter than the
+	// minimum propagation delay, each window's speakers run concurrently
+	// (on up to ShardWorkers goroutines), and their effects merge back in
+	// deterministic order. Results are byte-identical for every worker
+	// count ≥ 1 under a given seed; 0 selects the classic single-threaded
+	// loop, whose event interleaving (and thus rng stream) differs from
+	// the sharded model's. See shard.go for the window-safety argument.
+	ShardWorkers int
+}
+
+func (c Config) withDefaults() Config {
+	if c.MRAI == 0 {
+		c.MRAI = 30 * time.Second
+	}
+	if c.MRAIJitter == 0 {
+		c.MRAIJitter = 0.25
+	}
+	if c.PropDelay == 0 {
+		c.PropDelay = 50 * time.Millisecond
+	}
+	if c.PropJitter == 0 {
+		c.PropJitter = 0.5
+	}
+	c.Dampening = c.Dampening.withDefaults()
+	return c
+}
+
+// update is the wire message between speakers. A nil path is a withdrawal.
+// The sender resolves the interned handles at flush time and ships both
+// forms: the slices feed import policy (loop checks walk the path), the
+// handles land in the receiver's compact adj-RIB-in without re-interning.
+type update struct {
+	prefix      netip.Prefix
+	path        topo.Path
+	communities []Community
+	med         int
+	pid         pathID
+	cid         commID
+}

@@ -1,0 +1,501 @@
+package bgp
+
+import (
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"time"
+
+	"lifeguard/internal/simclock"
+	"lifeguard/internal/topo"
+)
+
+// Engine owns one Speaker per AS and drives protocol dynamics over a
+// simclock.Scheduler.
+type Engine struct {
+	top   *topo.Topology
+	clk   *simclock.Scheduler
+	cfg   Config
+	rng   *rand.Rand
+	arena *arena
+	// asns is the sorted ASN table; a speaker's idx indexes it and every
+	// dense per-AS slice below.
+	asns     []topo.ASN
+	speakers map[topo.ASN]*Speaker
+	obs      engineObs
+	// shard is non-nil when Config.ShardWorkers > 0 (see shard.go).
+	shard *shardState
+
+	// OnBestChange, if set, observes every loc-RIB change engine-wide.
+	OnBestChange func(BestChange)
+
+	// OnOriginChange, if set, observes every Announce/Withdraw an origin
+	// makes (cfg is nil for withdrawals). The wire bridge uses it to
+	// mirror crafted announcements onto real sessions.
+	OnOriginChange func(asn topo.ASN, prefix netip.Prefix, cfg *OriginConfig)
+
+	// pendingEvents counts scheduled BGP events (message deliveries and
+	// armed MRAI timers); zero means the control plane is quiescent.
+	pendingEvents int
+
+	// updatesSent counts announcements+withdrawals sent per AS — the raw
+	// material for the Table 2 update-load analysis — densely indexed by
+	// speaker idx (it replaces a per-AS map; read it via UpdatesSentBy /
+	// TotalUpdatesSent). Barrier workers increment distinct indices, so
+	// the slice needs no lock.
+	updatesSent []int64
+}
+
+// New builds an engine over the topology. No routes exist until Originate or
+// Announce is called. With cfg.ShardWorkers > 0 the event loop runs sharded
+// by speaker (see shard.go); New panics if the jitter configuration leaves
+// no safe barrier window.
+func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
+	cfg = cfg.withDefaults()
+	e := &Engine{
+		top:         top,
+		clk:         clk,
+		cfg:         cfg,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		arena:       newArena(),
+		asns:        top.ASNs(),
+		speakers:    make(map[topo.ASN]*Speaker, top.NumASes()),
+		obs:         newEngineObs(cfg.Obs),
+		updatesSent: make([]int64, top.NumASes()),
+	}
+	for i, asn := range e.asns {
+		e.speakers[asn] = newSpeaker(e, asn, i)
+	}
+	if cfg.ShardWorkers > 0 {
+		e.initShard()
+	}
+	return e
+}
+
+// Topology returns the topology the engine routes over.
+func (e *Engine) Topology() *topo.Topology { return e.top }
+
+// Clock returns the scheduler driving the engine.
+func (e *Engine) Clock() *simclock.Scheduler { return e.clk }
+
+// Speaker returns the speaker for asn, or nil if the AS does not exist.
+func (e *Engine) Speaker(asn topo.ASN) *Speaker { return e.speakers[asn] }
+
+// UpdatesSentBy reports how many updates (announcements + withdrawals) asn
+// has sent; 0 for an unknown AS.
+func (e *Engine) UpdatesSentBy(asn topo.ASN) int {
+	s := e.speakers[asn]
+	if s == nil {
+		return 0
+	}
+	return int(e.updatesSent[s.idx])
+}
+
+// TotalUpdatesSent reports the engine-wide update count.
+func (e *Engine) TotalUpdatesSent() int {
+	total := 0
+	for _, c := range e.updatesSent {
+		total += int(c)
+	}
+	return total
+}
+
+// RIBSizes reports the aggregate routing-state footprint: selected loc-RIB
+// routes and compact adj-RIB-in entries across every speaker. The scale
+// benchmarks divide memory by these to normalize across topology sizes.
+func (e *Engine) RIBSizes() (locRIB, adjEntries int) {
+	for _, asn := range e.asns {
+		s := e.speakers[asn]
+		locRIB += len(s.best)
+		for _, rb := range s.adjIn {
+			adjEntries += len(rb.entries)
+		}
+	}
+	return locRIB, adjEntries
+}
+
+// Originate announces prefix from asn with the plain [asn] path.
+func (e *Engine) Originate(asn topo.ASN, prefix netip.Prefix) {
+	e.Announce(asn, prefix, OriginConfig{})
+}
+
+// Announce installs (or replaces) the origin configuration for prefix at asn
+// and propagates the resulting updates. Use it for baseline prepending,
+// poisoning, selective poisoning, and selective advertising alike.
+//
+// Announce panics on an invalid request (unknown AS, malformed pattern, or
+// unusable prefix) — convenient for tests and experiment scripts where an
+// invalid announcement is a programming error. Operational callers that
+// must survive bad input use AnnounceErr; the two are otherwise identical.
+func (e *Engine) Announce(asn topo.ASN, prefix netip.Prefix, cfg OriginConfig) {
+	if err := e.AnnounceErr(asn, prefix, cfg); err != nil {
+		panic(err)
+	}
+}
+
+// AnnounceErr is Announce with an error contract instead of panics. It
+// rejects an unknown AS, a pattern violating the §3.1.1 origin conventions
+// (for Pattern and every PerNeighbor override), and a prefix that is not a
+// masked IPv4 prefix (the address plan is IPv4-only, and the loc-RIB and
+// LPM index key by the masked form). On error nothing is installed and no
+// update propagates. The config is deep-copied before installation, so the
+// caller may reuse or mutate it afterwards.
+func (e *Engine) AnnounceErr(asn topo.ASN, prefix netip.Prefix, cfg OriginConfig) error {
+	s := e.speakers[asn]
+	if s == nil {
+		return fmt.Errorf("bgp: Announce from unknown AS %d", asn)
+	}
+	if err := validatePrefix(prefix); err != nil {
+		return err
+	}
+	if err := validatePattern(asn, cfg.Pattern); err != nil {
+		return err
+	}
+	for n, p := range cfg.PerNeighbor {
+		if err := validatePattern(asn, p); err != nil {
+			return fmt.Errorf("per-neighbor %d: %w", n, err)
+		}
+	}
+	cfg = cfg.sanitized()
+	s.announce(prefix, cfg)
+	if e.OnOriginChange != nil {
+		e.OnOriginChange(asn, prefix, &cfg)
+	}
+	return nil
+}
+
+// AnnounceForged installs an origin configuration whose advertised pattern
+// claims a different origin — path[len-1] is the forged origin, while
+// path[0] must still be asn itself (neighbors drop updates whose first hop
+// is not the sender). This is the adversarial hook the chaos hijack faults
+// build on: a rogue AS forging the victim's origin so origin-based filters
+// and detectors see an apparently legitimate announcement one hop longer.
+// Everything downstream of installation (export policy, MRAI, interning)
+// is the ordinary Announce machinery; only the §3.1.1 origin-convention
+// check is bypassed. Withdraw reverts it like any other origin.
+func (e *Engine) AnnounceForged(asn topo.ASN, prefix netip.Prefix, path topo.Path) error {
+	s := e.speakers[asn]
+	if s == nil {
+		return fmt.Errorf("bgp: AnnounceForged from unknown AS %d", asn)
+	}
+	if err := validatePrefix(prefix); err != nil {
+		return err
+	}
+	if len(path) == 0 {
+		return fmt.Errorf("bgp: AnnounceForged needs a non-empty path")
+	}
+	if path[0] != asn {
+		return fmt.Errorf("bgp: forged path %v must still start with the announcing AS %d", path, asn)
+	}
+	cfg := OriginConfig{Pattern: path}.sanitized()
+	s.announce(prefix, cfg)
+	if e.OnOriginChange != nil {
+		e.OnOriginChange(asn, prefix, &cfg)
+	}
+	return nil
+}
+
+// validatePrefix enforces the RIB keying contract: announced prefixes are
+// masked IPv4 prefixes. Anything else would be unreachable (IPv6 has no
+// routers in the address plan) or would alias its masked form in lookups
+// while remaining a distinct exact-match key.
+func validatePrefix(p netip.Prefix) error {
+	if !p.IsValid() || !p.Addr().Is4() {
+		return fmt.Errorf("bgp: prefix %v is not a valid IPv4 prefix", p)
+	}
+	if p != p.Masked() {
+		return fmt.Errorf("bgp: prefix %v has host bits set (use %v)", p, p.Masked())
+	}
+	return nil
+}
+
+// validatePattern enforces the §3.1.1 conventions: the origin must be both
+// the first AS (next hop for neighbors) and the last AS (registered origin).
+func validatePattern(self topo.ASN, p topo.Path) error {
+	if p == nil {
+		return nil
+	}
+	if len(p) == 0 {
+		return fmt.Errorf("bgp: empty path pattern for AS %d", self)
+	}
+	if p[0] != self || p[len(p)-1] != self {
+		return fmt.Errorf("bgp: pattern %v must start and end with origin %d", p, self)
+	}
+	return nil
+}
+
+// Withdraw removes asn's origin configuration for prefix and propagates
+// withdrawals. Like Announce it panics on an unknown AS (it used to no-op
+// silently, hiding typos in experiment scripts); withdrawing a prefix the
+// AS does not originate remains a harmless no-op. Operational callers use
+// WithdrawErr.
+func (e *Engine) Withdraw(asn topo.ASN, prefix netip.Prefix) {
+	if err := e.WithdrawErr(asn, prefix); err != nil {
+		panic(err)
+	}
+}
+
+// WithdrawErr is Withdraw with an error contract instead of panics: an
+// unknown AS is an error; withdrawing a non-originated prefix is a no-op.
+func (e *Engine) WithdrawErr(asn topo.ASN, prefix netip.Prefix) error {
+	s := e.speakers[asn]
+	if s == nil {
+		return fmt.Errorf("bgp: Withdraw from unknown AS %d", asn)
+	}
+	s.withdrawOrigin(prefix)
+	if e.OnOriginChange != nil {
+		e.OnOriginChange(asn, prefix, nil)
+	}
+	return nil
+}
+
+// OriginAnnouncement is one locally-originated prefix and its announcement
+// policy, as enumerated by Origins.
+type OriginAnnouncement struct {
+	Prefix netip.Prefix
+	Config OriginConfig
+}
+
+// Origins enumerates asn's locally-originated prefixes in sorted prefix
+// order, each with a deep copy of its installed (sanitized) config. Chaos
+// router-crash faults use it to capture the announcement set before a
+// withdraw-all and replay it verbatim on restart; nil for an unknown AS.
+func (e *Engine) Origins(asn topo.ASN) []OriginAnnouncement {
+	s := e.speakers[asn]
+	if s == nil {
+		return nil
+	}
+	prefixes := make([]netip.Prefix, 0, len(s.origin))
+	for p := range s.origin {
+		prefixes = append(prefixes, p)
+	}
+	sortPrefixes(prefixes)
+	out := make([]OriginAnnouncement, len(prefixes))
+	for i, p := range prefixes {
+		out[i] = OriginAnnouncement{Prefix: p, Config: s.origin[p].cfg.sanitized()}
+	}
+	return out
+}
+
+// ReannounceOrigins re-announces every prefix asn already originates with
+// its installed config, in sorted prefix order, and returns how many were
+// re-sent. This is the deferred re-announce at the end of a graceful
+// restart: the origin state survived the control-plane outage (stale-route
+// retention), and replaying it refreshes neighbors without ever having
+// withdrawn — routes that did not change produce no routing churn beyond
+// the refresh updates themselves. Zero for an unknown AS.
+func (e *Engine) ReannounceOrigins(asn topo.ASN) int {
+	anns := e.Origins(asn)
+	for _, a := range anns {
+		e.Announce(asn, a.Prefix, a.Config)
+	}
+	return len(anns)
+}
+
+// SetLinkExtraDelay adds d of control-plane propagation delay to every BGP
+// message crossing the a–b adjacency (both directions); d = 0 removes the
+// slowdown, and a negative d panics — it is always a caller bug, never a
+// removal request. The delay is applied after the per-message jitter draw,
+// so toggling it never perturbs the engine's rng stream — chaos "update
+// delay" faults compose with otherwise-identical runs. Panics if a and b
+// are not adjacent, matching SetAdjacencyDown.
+func (e *Engine) SetLinkExtraDelay(a, b topo.ASN, d time.Duration) {
+	if d < 0 {
+		panic(fmt.Sprintf("bgp: SetLinkExtraDelay(%d, %d): negative delay %v", a, b, d))
+	}
+	if !e.top.Adjacent(a, b) {
+		panic(fmt.Sprintf("bgp: SetLinkExtraDelay(%d, %d): not adjacent", a, b))
+	}
+	sa, sb := e.speakers[a], e.speakers[b]
+	sa.out[sa.nbrIndex(b)].extra = d
+	sb.out[sb.nbrIndex(a)].extra = d
+}
+
+// LinkExtraDelay returns the extra control-plane delay currently installed
+// on the a→b direction (zero when none, or when the ASes are not adjacent).
+func (e *Engine) LinkExtraDelay(a, b topo.ASN) time.Duration {
+	s := e.speakers[a]
+	if s == nil {
+		return 0
+	}
+	i := s.nbrIndex(b)
+	if i < 0 {
+		return 0
+	}
+	return s.out[i].extra
+}
+
+// BestRoute returns asn's selected route for an exact prefix.
+func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
+	s := e.speakers[asn]
+	if s == nil {
+		return nil, false
+	}
+	r, ok := s.best[prefix]
+	return r, ok
+}
+
+// Lookup performs longest-prefix match for addr in asn's loc-RIB. It reads
+// the speaker's compiled LPM index (see lpm.go), so a miss or hit costs a
+// bounded trie walk with no allocations — this is the data plane's
+// per-forwarding-hop primitive. The full IPv4 length range /0../32 matches,
+// default routes included; non-IPv4 addresses (which the address plan never
+// routes) report no route.
+func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
+	s := e.speakers[asn]
+	if s == nil {
+		return nil, false
+	}
+	key, ok := v4Key(addr)
+	if !ok {
+		return nil, false
+	}
+	s.compileLPM()
+	r := s.lpm.lookup(key)
+	return r, r != nil
+}
+
+// ASPathTo returns asn's current AS-level path toward addr (LPM), nil if it
+// has no route. The returned path is the RIB path, poisons included.
+func (e *Engine) ASPathTo(asn topo.ASN, addr netip.Addr) topo.Path {
+	r, ok := e.Lookup(asn, addr)
+	if !ok {
+		return nil
+	}
+	return r.Path.Clone()
+}
+
+// Quiescent reports whether no BGP messages or MRAI flushes are pending.
+func (e *Engine) Quiescent() bool { return e.pendingEvents == 0 }
+
+// Converge steps the scheduler until the control plane is quiescent or the
+// step budget is exhausted; it reports whether quiescence was reached. Other
+// scheduled events (monitors, probes) run as encountered.
+func (e *Engine) Converge(maxSteps int) bool {
+	for i := 0; i < maxSteps; i++ {
+		if e.Quiescent() {
+			return true
+		}
+		if !e.clk.Step() {
+			return e.Quiescent()
+		}
+	}
+	return e.Quiescent()
+}
+
+// nowFor reports virtual time from s's point of view: the event being
+// processed inside a barrier window, the scheduler's clock otherwise.
+func (e *Engine) nowFor(s *Speaker) time.Duration {
+	if s.inWindow {
+		return s.now
+	}
+	return e.clk.Now()
+}
+
+// rngFor returns the stream protocol dynamics for s draw from: the
+// per-speaker stream in sharded mode (workers cannot share one), the
+// engine-global stream in the classic loop.
+func (e *Engine) rngFor(s *Speaker) *rand.Rand {
+	if s.rng != nil {
+		return s.rng
+	}
+	return e.rng
+}
+
+// jitterFor returns d scaled by a uniform factor in [1-j, 1+j], drawn from
+// s's stream.
+func (e *Engine) jitterFor(s *Speaker, d time.Duration, j float64) time.Duration {
+	if j <= 0 {
+		return d
+	}
+	f := 1 + j*(2*e.rngFor(s).Float64()-1)
+	return time.Duration(float64(d) * f)
+}
+
+// deliver schedules u from s toward its i-th neighbor, preserving per-pair
+// FIFO order via the session's lastDelivery watermark.
+func (e *Engine) deliver(s *Speaker, i int, u update) {
+	e.updatesSent[s.idx]++
+	if ss := s.stats; ss != nil && s.inWindow {
+		ss.updatesSent++
+	} else {
+		e.obs.updatesSent.Inc()
+	}
+	st := &s.out[i]
+	at := e.nowFor(s) + e.jitterFor(s, e.cfg.PropDelay, e.cfg.PropJitter) + st.extra
+	if at <= st.lastDelivery {
+		at = st.lastDelivery + time.Microsecond
+	}
+	st.lastDelivery = at
+	to := s.neighbors[i]
+	if e.shard != nil {
+		e.emit(s, engEvent{kind: evDeliver, at: at, sp: to, from: s.asn, u: u}, true)
+		return
+	}
+	dst := e.speakers[to]
+	from := s.asn
+	e.pendingEvents++
+	e.clk.At(at, func() {
+		e.pendingEvents--
+		if dst.neighborDown(from) {
+			return // the session died while the message was in flight
+		}
+		dst.receive(from, u)
+	})
+}
+
+// schedPhase arms s's neighbor-i advertisement timer at the next tick of a
+// free-running MRAI timer: a uniform phase in [0, MRAI).
+func (e *Engine) schedPhase(s *Speaker, i int) {
+	d := time.Duration(e.rngFor(s).Float64() * float64(e.cfg.MRAI))
+	if e.shard != nil {
+		e.emit(s, engEvent{kind: evTimer, at: e.nowFor(s) + d, sp: s.asn, nbr: int32(i)}, true)
+		return
+	}
+	e.pendingEvents++
+	e.clk.After(d, func() {
+		e.pendingEvents--
+		s.timerFired(i)
+	})
+}
+
+// schedMRAI arms s's neighbor-i timer one jittered MRAI interval out.
+func (e *Engine) schedMRAI(s *Speaker, i int) {
+	d := e.jitterFor(s, e.cfg.MRAI, e.cfg.MRAIJitter)
+	if e.shard != nil {
+		e.emit(s, engEvent{kind: evTimer, at: e.nowFor(s) + d, sp: s.asn, nbr: int32(i)}, true)
+		return
+	}
+	e.pendingEvents++
+	e.clk.After(d, func() {
+		e.pendingEvents--
+		s.timerFired(i)
+	})
+}
+
+// schedReuse arms a dampening reuse check d from now. Reuse timers are
+// long-lived wall-clock state, not in-flight protocol work, so they do not
+// count toward Quiescent().
+func (e *Engine) schedReuse(s *Speaker, k dampKey, d time.Duration) {
+	if e.shard != nil {
+		e.emit(s, engEvent{kind: evReuse, at: e.nowFor(s) + d, sp: s.asn, from: k.from, u: update{prefix: k.prefix}}, false)
+		return
+	}
+	e.clk.After(d, func() { s.reuseCheck(k) })
+}
+
+// notifyBest publishes a loc-RIB change. The path is cloned here, behind
+// the nil check, so runs without an observer pay no per-change allocation.
+// Inside a barrier window the change is buffered and delivered — globally
+// time-sorted — at the merge.
+func (e *Engine) notifyBest(s *Speaker, prefix netip.Prefix, path topo.Path) {
+	if e.OnBestChange == nil {
+		return
+	}
+	bc := BestChange{At: e.nowFor(s), AS: s.asn, Prefix: prefix, Path: path.Clone()}
+	if s.inWindow {
+		s.notifs = append(s.notifs, bc)
+		return
+	}
+	e.OnBestChange(bc)
+}

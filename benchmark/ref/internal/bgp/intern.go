@@ -1,0 +1,147 @@
+package bgp
+
+import (
+	"sync"
+
+	"lifeguard/internal/topo"
+)
+
+// AS-path and community interning. At Internet scale the same AS path is
+// offered to a speaker by many neighbors and stored by thousands of
+// speakers; materializing a []ASN per adj-RIB-in entry multiplies the
+// dominant memory term by the mean path length. The engine instead keeps
+// one global arena of canonical paths and hands out 32-bit handles: RIB
+// entries store handles, and topo.Path values are materialized only at API
+// boundaries (Best/AdjIn/BestChange) or when a message needs the slice for
+// import policy.
+//
+// Handles are used strictly for equality ("is this the same path I already
+// advertised / already store?"), never for ordering or output, so the
+// numeric handle values — which depend on interning order — can never leak
+// into a run's results. That makes the arena safe to share across the
+// sharded engine's barrier workers under a plain RWMutex: two runs may
+// assign different ids, but every id comparison they feed is between ids
+// of the same run.
+
+// pathID is a handle into the engine arena's path table. 0 means "no path"
+// (a withdrawal); the empty path (an originated route) interns like any
+// other and gets a nonzero id.
+type pathID uint32
+
+// commID is a handle into the arena's community-set table. 0 means "no
+// communities" (nil or empty).
+type commID uint32
+
+// arena is the engine-global intern table for AS paths and community sets.
+type arena struct {
+	mu       sync.RWMutex
+	paths    []topo.Path // paths[id-1] is the canonical slice for id
+	pathIdx  map[string]pathID
+	comms    [][]Community
+	commsIdx map[string]commID
+}
+
+func newArena() *arena {
+	return &arena{
+		pathIdx:  make(map[string]pathID),
+		commsIdx: make(map[string]commID),
+	}
+}
+
+// pathKey encodes p as 4 bytes per hop into buf (reused across calls);
+// topo.ASN is 32-bit, so the key must carry the full width or distinct
+// paths above 65535 would alias.
+func pathKey(buf []byte, p topo.Path) []byte {
+	buf = buf[:0]
+	for _, a := range p {
+		buf = append(buf, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	}
+	return buf
+}
+
+// internPath returns the canonical id for p, interning it on first sight.
+// p must be immutable from the caller's side (the arena aliases it); every
+// interned path in this engine is either a sanitized origin pattern or a
+// freshly-built export path, both of which never mutate.
+func (a *arena) internPath(p topo.Path) pathID {
+	if p == nil {
+		return 0
+	}
+	var scratch [64]byte
+	key := pathKey(scratch[:0], p)
+	a.mu.RLock()
+	id, ok := a.pathIdx[string(key)]
+	a.mu.RUnlock()
+	if ok {
+		return id
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if id, ok := a.pathIdx[string(key)]; ok {
+		return id
+	}
+	a.paths = append(a.paths, p)
+	id = pathID(len(a.paths))
+	a.pathIdx[string(key)] = id
+	return id
+}
+
+// path materializes the canonical slice for id; callers must treat it as
+// read-only. id 0 returns nil.
+func (a *arena) path(id pathID) topo.Path {
+	if id == 0 {
+		return nil
+	}
+	a.mu.RLock()
+	p := a.paths[id-1]
+	a.mu.RUnlock()
+	return p
+}
+
+// internComms returns the canonical id for cs (order-sensitive, matching
+// the element-wise equality updates always used). Empty sets are id 0.
+func (a *arena) internComms(cs []Community) commID {
+	if len(cs) == 0 {
+		return 0
+	}
+	var scratch [32]byte
+	key := scratch[:0]
+	for _, c := range cs {
+		key = append(key, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
+	}
+	a.mu.RLock()
+	id, ok := a.commsIdx[string(key)]
+	a.mu.RUnlock()
+	if ok {
+		return id
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if id, ok := a.commsIdx[string(key)]; ok {
+		return id
+	}
+	a.comms = append(a.comms, cs)
+	id = commID(len(a.comms))
+	a.commsIdx[string(key)] = id
+	return id
+}
+
+// communities materializes the canonical set for id (read-only; nil for 0).
+func (a *arena) communities(id commID) []Community {
+	if id == 0 {
+		return nil
+	}
+	a.mu.RLock()
+	cs := a.comms[id-1]
+	a.mu.RUnlock()
+	return cs
+}
+
+// PathArenaSize reports how many distinct AS paths the engine has interned —
+// the denominator of the memory win the arena buys (total adj-RIB-in entries
+// divided by this is the sharing factor).
+func (e *Engine) PathArenaSize() int {
+	e.arena.mu.RLock()
+	defer e.arena.mu.RUnlock()
+	return len(e.arena.paths)
+}

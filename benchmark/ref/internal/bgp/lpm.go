@@ -1,0 +1,151 @@
+package bgp
+
+import "net/netip"
+
+// Compiled longest-prefix-match index. Every simulated probe is forwarded
+// hop-by-hop, and every hop does one LPM lookup in the transit AS's loc-RIB,
+// so this is the hottest read path in the repository. The index is a binary
+// trie keyed on the 32-bit big-endian IPv4 address: a node at depth d
+// corresponds to a /d prefix, and a best route is hung at the node of its
+// prefix. Lookup walks at most 32 child pointers and remembers the deepest
+// route passed — no netip.Prefix construction, no map probes, no
+// allocations.
+//
+// The trie is maintained incrementally by Speaker.decide: every loc-RIB
+// install goes through insert and every loc-RIB delete through remove, so
+// the index is always exactly the loc-RIB (invariant checked against a
+// brute-force match over KnownPrefixes in lpm_quick_test.go). Structure and
+// contents are a pure function of the loc-RIB — no ordering, randomness, or
+// wall-clock input — so determinism of a run is unaffected.
+//
+// Unlike the map-probe loop it replaces (which scanned /32../8 only), the
+// trie matches the full /0../32 range: default routes and other sub-/8
+// aggregates are routable.
+
+// lpmNode is one trie node. route is non-nil when a selected route's prefix
+// terminates here.
+type lpmNode struct {
+	child [2]*lpmNode
+	route *Route
+}
+
+// lpmIndex is one speaker's index over its loc-RIB. The zero value is an
+// empty index ready for use.
+type lpmIndex struct {
+	root  lpmNode
+	len   int // number of routes in the index
+	nodes int // live trie nodes below the root (the size gauge reads this)
+
+	// Nodes are carved from slabs and recycled through a free list, so
+	// installing a /24 costs well under one heap allocation on average and
+	// steady-state announce/withdraw churn costs none.
+	slab []lpmNode
+	free []*lpmNode
+}
+
+// lpmSlabSize is the node-slab granularity: one slab covers a fresh /24
+// insert (at most 32 new nodes), and a speaker with a handful of routes
+// wastes at most a few hundred bytes.
+const lpmSlabSize = 32
+
+func (x *lpmIndex) newNode() *lpmNode {
+	x.nodes++
+	if n := len(x.free); n > 0 {
+		nd := x.free[n-1]
+		x.free = x.free[:n-1]
+		*nd = lpmNode{}
+		return nd
+	}
+	if len(x.slab) == 0 {
+		x.slab = make([]lpmNode, lpmSlabSize)
+	}
+	nd := &x.slab[0]
+	x.slab = x.slab[1:]
+	return nd
+}
+
+// v4Key flattens an IPv4 (or 4-in-6 mapped) address to its 32-bit key;
+// ok=false for other address families, which the IPv4-only address plan
+// never routes.
+func v4Key(a netip.Addr) (uint32, bool) {
+	a = a.Unmap()
+	if !a.Is4() {
+		return 0, false
+	}
+	b := a.As4()
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), true
+}
+
+// insert hangs r at p, replacing any route already there. Prefixes are
+// masked at the Announce boundary, so only the top p.Bits() bits of the
+// address are significant.
+func (x *lpmIndex) insert(p netip.Prefix, r *Route) {
+	key, ok := v4Key(p.Addr())
+	if !ok {
+		return
+	}
+	n := &x.root
+	for depth := 0; depth < p.Bits(); depth++ {
+		b := (key >> (31 - depth)) & 1
+		if n.child[b] == nil {
+			n.child[b] = x.newNode()
+		}
+		n = n.child[b]
+	}
+	if n.route == nil {
+		x.len++
+	}
+	n.route = r
+}
+
+// remove deletes the route at p, if any, and prunes the now-empty tail of
+// its path back onto the free list, so announce/withdraw churn cannot grow
+// the trie without bound.
+func (x *lpmIndex) remove(p netip.Prefix) {
+	key, ok := v4Key(p.Addr())
+	if !ok {
+		return
+	}
+	bits := p.Bits()
+	var path [32]*lpmNode // path[d] is the node at depth d on the way down
+	n := &x.root
+	for depth := 0; depth < bits; depth++ {
+		path[depth] = n
+		n = n.child[(key>>(31-depth))&1]
+		if n == nil {
+			return
+		}
+	}
+	if n.route == nil {
+		return
+	}
+	n.route = nil
+	x.len--
+	for depth := bits - 1; depth >= 0; depth-- {
+		if n.route != nil || n.child[0] != nil || n.child[1] != nil {
+			break
+		}
+		parent := path[depth]
+		parent.child[(key>>(31-depth))&1] = nil
+		x.free = append(x.free, n)
+		x.nodes--
+		n = parent
+	}
+}
+
+// lookup returns the longest-prefix-match route for key, or nil if no
+// prefix (not even a default route) covers it.
+func (x *lpmIndex) lookup(key uint32) *Route {
+	n := &x.root
+	best := n.route // a /0 default route lives at the root
+	for depth := 0; depth < 32; depth++ {
+		n = n.child[(key>>(31-depth))&1]
+		if n == nil {
+			break
+		}
+		if n.route != nil {
+			best = n.route
+		}
+	}
+	return best
+}

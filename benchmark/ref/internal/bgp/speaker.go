@@ -1,0 +1,681 @@
+package bgp
+
+import (
+	"math/rand"
+	"net/netip"
+	"sort"
+	"time"
+
+	"lifeguard/internal/topo"
+)
+
+// Speaker is the BGP process of one AS.
+type Speaker struct {
+	e   *Engine
+	asn topo.ASN
+	// idx is this speaker's position in the engine's sorted ASN table —
+	// the index into the engine's dense per-AS slices.
+	idx int
+
+	// adjIn holds the latest accepted offer per prefix per neighbor, in
+	// compact delta-encoded form (see rib.go): handles and selection
+	// scalars only, sorted by neighbor.
+	adjIn map[netip.Prefix]*prefixRIB
+	// best is the loc-RIB: the selected route per prefix, materialized
+	// (the one representation the data plane and public API consume).
+	best map[netip.Prefix]*Route
+	// lpm is the compiled longest-prefix-match index over best. It is
+	// compiled on the speaker's first data-plane lookup and maintained
+	// incrementally by decide from then on (lpmLive): pure control-plane
+	// runs — convergence at Internet scale — never pay for a trie nobody
+	// walks. Engine.Lookup — the data-plane hot path — reads it instead
+	// of probing best per candidate length.
+	lpm     lpmIndex
+	lpmLive bool
+	// origin holds locally-originated prefixes: the (sanitized) announcement
+	// policy plus the originated loc-RIB route, built once per Announce so
+	// decide does not reallocate it on every update.
+	origin map[netip.Prefix]*originEntry
+	// out tracks per-neighbor send state, indexed by position in neighbors
+	// (dense — the per-AS maps this replaces cost a map header per
+	// neighbor pair engine-wide).
+	out []outState
+	// damp tracks RFC 2439 flap state per (neighbor, prefix).
+	damp map[dampKey]*dampState
+	// commActions maps this AS's action communities (§2.3) to behaviour.
+	commActions map[Community]CommunityAction
+
+	neighbors []topo.ASN // sorted, cached
+	// flushBuf is the scratch slice flush sorts pending prefixes into;
+	// flush never nests (deliveries are scheduled, not synchronous), so one
+	// buffer per speaker removes a per-flush allocation.
+	flushBuf []netip.Prefix
+
+	// Sharded-mode state (see shard.go). rng and stats are non-nil only
+	// when the engine runs sharded; the remaining fields are live only
+	// while the speaker executes a barrier window on a worker.
+	rng      *rand.Rand
+	stats    *speakerStats
+	inWindow bool
+	now      time.Duration // virtual time of the event being processed
+	winEnd   time.Duration // exclusive end of the current window
+	localQ   localHeap
+	localSeq uint64
+	emits    []engEvent
+	notifs   []BestChange
+	dirty    map[netip.Prefix]bool
+	dirtyBuf []netip.Prefix
+	pendDiff int
+	active   bool
+}
+
+// originEntry pairs an origin policy with its pre-built loc-RIB route, the
+// cached plain [self] pattern, and the interned handles of every path /
+// community set the policy can announce — so per-flush exports allocate and
+// intern nothing.
+type originEntry struct {
+	cfg   OriginConfig
+	route *Route
+	plain topo.Path // the [self] path announced when cfg.Pattern is nil
+
+	plainID   pathID
+	patternID pathID // 0 when cfg.Pattern is nil
+	perNbrID  map[topo.ASN]pathID
+	commsID   commID
+	perNbrCID map[topo.ASN]commID
+}
+
+// export is one computed announcement: the wire slices plus their interned
+// handles (pid 0 never reaches deliver — ok=false withdraws instead).
+type export struct {
+	path  topo.Path
+	comms []Community
+	med   int
+	pid   pathID
+	cid   commID
+}
+
+// pattern returns the effective path (with handle) announced to neighbor n.
+func (ent *originEntry) pattern(n topo.ASN) (topo.Path, pathID, bool) {
+	c := &ent.cfg
+	if c.Withhold[n] {
+		return nil, 0, false
+	}
+	if p, ok := c.PerNeighbor[n]; ok {
+		return p, ent.perNbrID[n], true
+	}
+	if c.Pattern != nil {
+		return c.Pattern, ent.patternID, true
+	}
+	return ent.plain, ent.plainID, true
+}
+
+// advRecord remembers what was last advertised to a neighbor for a prefix —
+// two interned handles instead of a path and community slice.
+type advRecord struct {
+	pid pathID
+	cid commID
+}
+
+// outState is one neighbor session's send-side state. lastDelivery (the
+// per-directed-pair FIFO watermark), extra (chaos-installed propagation
+// delay) and down (failed session) moved here from engine-wide maps keyed
+// by AS pair.
+type outState struct {
+	// pending is nil between advertisement rounds: flush drops the map
+	// once drained rather than keeping a full-table-sized husk per
+	// neighbor session (at 10k ASes those husks were a double-digit
+	// share of the heap).
+	pending      map[netip.Prefix]bool
+	timerArmed   bool
+	lastAdv      map[netip.Prefix]advRecord
+	lastDelivery time.Duration
+	extra        time.Duration
+	down         bool
+}
+
+// markPending queues p for the next flush toward this session.
+func (st *outState) markPending(p netip.Prefix) {
+	if st.pending == nil {
+		st.pending = make(map[netip.Prefix]bool, 4)
+	}
+	st.pending[p] = true
+}
+
+func newSpeaker(e *Engine, asn topo.ASN, idx int) *Speaker {
+	s := &Speaker{
+		e:         e,
+		asn:       asn,
+		idx:       idx,
+		adjIn:     make(map[netip.Prefix]*prefixRIB),
+		best:      make(map[netip.Prefix]*Route),
+		origin:    make(map[netip.Prefix]*originEntry),
+		damp:      make(map[dampKey]*dampState),
+		neighbors: e.top.Neighbors(asn),
+	}
+	s.out = make([]outState, len(s.neighbors))
+	for i := range s.out {
+		s.out[i] = outState{lastAdv: make(map[netip.Prefix]advRecord)}
+	}
+	return s
+}
+
+// nbrIndex returns n's position in the sorted neighbor list, or -1.
+func (s *Speaker) nbrIndex(n topo.ASN) int {
+	i := sort.Search(len(s.neighbors), func(i int) bool { return s.neighbors[i] >= n })
+	if i < len(s.neighbors) && s.neighbors[i] == n {
+		return i
+	}
+	return -1
+}
+
+// neighborDown reports whether the session to n is failed (false when n is
+// not a neighbor at all).
+func (s *Speaker) neighborDown(n topo.ASN) bool {
+	i := s.nbrIndex(n)
+	return i >= 0 && s.out[i].down
+}
+
+// ASN returns the speaker's AS number.
+func (s *Speaker) ASN() topo.ASN { return s.asn }
+
+// Best returns the selected route for an exact prefix.
+func (s *Speaker) Best(p netip.Prefix) (*Route, bool) {
+	r, ok := s.best[p]
+	return r, ok
+}
+
+// AdjIn returns the per-neighbor routes known for p, materialized from the
+// compact store. The returned map and routes are the caller's to keep; the
+// path and community slices alias the engine's canonical interned copies
+// and must be treated as read-only.
+func (s *Speaker) AdjIn(p netip.Prefix) map[topo.ASN]*Route {
+	rb := s.adjIn[p]
+	out := make(map[topo.ASN]*Route, len(entriesOf(rb)))
+	for i := range entriesOf(rb) {
+		ent := &rb.entries[i]
+		out[ent.nbr] = s.materialize(p, ent)
+	}
+	return out
+}
+
+func entriesOf(rb *prefixRIB) []adjEntry {
+	if rb == nil {
+		return nil
+	}
+	return rb.entries
+}
+
+// materialize builds the full Route for a compact entry.
+func (s *Speaker) materialize(p netip.Prefix, ent *adjEntry) *Route {
+	return &Route{
+		Prefix:      p,
+		Path:        s.e.arena.path(ent.path),
+		From:        ent.nbr,
+		Rel:         ent.rel,
+		LocalPref:   int(ent.lpref),
+		MED:         int(ent.med),
+		Communities: s.e.arena.communities(ent.comms),
+		pid:         ent.path,
+		cid:         ent.comms,
+	}
+}
+
+// KnownPrefixes returns the prefixes with a selected route, sorted.
+func (s *Speaker) KnownPrefixes() []netip.Prefix {
+	out := make([]netip.Prefix, 0, len(s.best))
+	for p := range s.best {
+		out = append(out, p)
+	}
+	sortPrefixes(out)
+	return out
+}
+
+// sortPrefixes orders prefixes by address then length. Every slice collected
+// from a map of prefixes must pass through here before it drives decisions
+// or output, so that map iteration order never leaks into a run.
+func sortPrefixes(ps []netip.Prefix) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].Addr() != ps[j].Addr() {
+			return ps[i].Addr().Less(ps[j].Addr())
+		}
+		return ps[i].Bits() < ps[j].Bits()
+	})
+}
+
+// announce installs an origin config (already sanitized by the engine) and
+// propagates resulting changes.
+func (s *Speaker) announce(prefix netip.Prefix, cfg OriginConfig) {
+	ent := &originEntry{
+		cfg:   cfg,
+		plain: topo.Path{s.asn},
+		route: &Route{
+			Prefix:      prefix,
+			Path:        topo.Path{},
+			From:        s.asn,
+			LocalPref:   prefOriginated,
+			Communities: cfg.Communities,
+			Originated:  true,
+		},
+	}
+	a := s.e.arena
+	ent.plainID = a.internPath(ent.plain)
+	if cfg.Pattern != nil {
+		ent.patternID = a.internPath(cfg.Pattern)
+	}
+	if len(cfg.PerNeighbor) > 0 {
+		ent.perNbrID = make(map[topo.ASN]pathID, len(cfg.PerNeighbor))
+		for n, p := range cfg.PerNeighbor {
+			ent.perNbrID[n] = a.internPath(p)
+		}
+	}
+	ent.commsID = a.internComms(cfg.Communities)
+	if len(cfg.PerNeighborCommunities) > 0 {
+		ent.perNbrCID = make(map[topo.ASN]commID, len(cfg.PerNeighborCommunities))
+		for n, cs := range cfg.PerNeighborCommunities {
+			ent.perNbrCID[n] = a.internComms(cs)
+		}
+	}
+	s.origin[prefix] = ent
+	s.decide(prefix)
+	// Even when the loc-RIB didn't change (origin routes always win),
+	// the exported pattern may have: re-advertise everywhere.
+	s.markAllPending(prefix)
+}
+
+func (s *Speaker) withdrawOrigin(prefix netip.Prefix) {
+	if _, ok := s.origin[prefix]; !ok {
+		return
+	}
+	delete(s.origin, prefix)
+	s.decide(prefix)
+	s.markAllPending(prefix)
+}
+
+// receive applies one update from a neighbor and, in the classic engine,
+// immediately runs the decision process. The sharded engine calls
+// applyUpdate directly and batches decisions per window (see settleDirty).
+func (s *Speaker) receive(from topo.ASN, u update) {
+	if s.applyUpdate(from, u) {
+		if s.decide(u.prefix) {
+			s.markAllPending(u.prefix)
+		}
+	}
+}
+
+// applyUpdate folds one update into the adj-RIB-in and reports whether the
+// stored offer changed (i.e. whether a decision run could change the
+// loc-RIB).
+func (s *Speaker) applyUpdate(from topo.ASN, u update) bool {
+	if st := s.stats; st != nil && s.inWindow {
+		st.updatesReceived++
+		if u.path == nil {
+			st.withdrawalsReceived++
+		}
+	} else {
+		s.e.obs.updatesReceived.Inc()
+		if u.path == nil {
+			s.e.obs.withdrawalsReceived.Inc()
+		}
+	}
+	rb := s.adjIn[u.prefix]
+	idx := -1
+	if rb != nil {
+		idx = rb.find(from)
+	}
+	if u.path == nil || !s.importOK(from, u.path) {
+		// Withdrawal, or a route rejected by import policy: either way
+		// the neighbor no longer offers a usable route.
+		if idx < 0 {
+			return false
+		}
+		// Losing a known route is a genuine change, so it counts as a
+		// flap (RFC 2439 §4.4.3).
+		if s.e.cfg.Dampening.Enabled {
+			s.noteFlap(dampKey{from: from, prefix: u.prefix})
+		}
+		rb.remove(idx)
+		return true
+	}
+	rel := s.e.top.Rel(s.asn, from)
+	lpref := localPref(rel)
+	if s.communityAction(u.communities) == ActionLowerPref {
+		lpref = prefBackup
+	}
+	// Flush always ships interned handles alongside the slices; an update
+	// injected without them (tests, external bridges) is interned here, on
+	// defensive copies since the arena aliases what it is handed.
+	pid, cid := u.pid, u.cid
+	if pid == 0 {
+		pid = s.e.arena.internPath(u.path.Clone())
+	}
+	if cid == 0 && len(u.communities) > 0 {
+		cid = s.e.arena.internComms(append([]Community(nil), u.communities...))
+	}
+	ent := adjEntry{
+		nbr:   from,
+		rel:   rel,
+		plen:  uint16(len(u.path)),
+		lpref: int32(lpref),
+		med:   int32(u.med),
+		path:  pid,
+		comms: cid,
+	}
+	if idx >= 0 {
+		old := &rb.entries[idx]
+		if old.path == ent.path && old.comms == ent.comms {
+			// Duplicate re-advertisement: RFC 2439 §4.4.3 counts only
+			// updates that *change* an existing route, so no penalty.
+			// (MED-only changes are invisible here, as they were under
+			// the materialized representation's routesEqual.)
+			return false
+		}
+		// A replacement announcement for a known route is a flap; the
+		// first announcement from this neighbor is not.
+		if s.e.cfg.Dampening.Enabled {
+			s.noteFlap(dampKey{from: from, prefix: u.prefix})
+		}
+		*old = ent
+		return true
+	}
+	if rb == nil {
+		rb = &prefixRIB{}
+		s.adjIn[u.prefix] = rb
+	}
+	rb.insert(ent)
+	return true
+}
+
+func localPref(rel topo.Rel) int {
+	switch rel {
+	case topo.RelCustomer:
+		return prefCustomer
+	case topo.RelPeer:
+		return prefPeer
+	default:
+		return prefProvider
+	}
+}
+
+// importOK applies loop prevention and the §7.1 policy quirks.
+func (s *Speaker) importOK(from topo.ASN, path topo.Path) bool {
+	if len(path) == 0 || path[0] != from {
+		return false
+	}
+	as := s.e.top.AS(s.asn)
+	// MaxOwnASOccurs == 0 disables loop detection entirely (§7.1).
+	if as.MaxOwnASOccurs > 0 && path.Count(s.asn) >= as.MaxOwnASOccurs {
+		return false
+	}
+	if as.FilterPeersFromCustomers && s.e.top.Rel(s.asn, from) == topo.RelCustomer {
+		for _, a := range path {
+			if s.e.top.Rel(s.asn, a) == topo.RelPeer {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// decide runs the decision process for prefix; reports whether the loc-RIB
+// changed. Only a changed winner is materialized into a *Route.
+func (s *Speaker) decide(prefix netip.Prefix) bool {
+	if st := s.stats; st != nil && s.inWindow {
+		st.decisionRuns++
+	} else {
+		s.e.obs.decisionRuns.Inc()
+	}
+	old := s.best[prefix]
+	var newBest *Route
+	if ent, ok := s.origin[prefix]; ok {
+		// Originated routes carry prefOriginated, above every imported
+		// local-pref tier: they always win.
+		newBest = ent.route
+	} else {
+		rb := s.adjIn[prefix]
+		win := -1
+		for i := range entriesOf(rb) {
+			ent := &rb.entries[i]
+			if s.e.cfg.Dampening.Enabled && s.Suppressed(ent.nbr, prefix) {
+				continue
+			}
+			if win < 0 || entryBetter(ent, &rb.entries[win]) {
+				win = i
+			}
+		}
+		if win >= 0 {
+			w := &rb.entries[win]
+			if old != nil && !old.Originated && old.From == w.nbr &&
+				old.pid == w.path && old.cid == w.comms {
+				return false // same winner, same route
+			}
+			newBest = s.materialize(prefix, w)
+		}
+	}
+	if routesEqual(old, newBest) {
+		return false
+	}
+	nodesBefore := s.lpm.nodes
+	if newBest == nil {
+		delete(s.best, prefix)
+		if s.lpmLive {
+			s.lpm.remove(prefix)
+		}
+		s.statLocRIB(-1)
+		s.e.notifyBest(s, prefix, nil)
+	} else {
+		s.best[prefix] = newBest
+		if s.lpmLive {
+			s.lpm.insert(prefix, newBest)
+		}
+		if old == nil {
+			s.statLocRIB(1)
+		}
+		s.e.notifyBest(s, prefix, newBest.Path)
+	}
+	if s.lpmLive {
+		s.statLPMNodes(int64(s.lpm.nodes - nodesBefore))
+	}
+	return true
+}
+
+// compileLPM builds the trie from the loc-RIB the first time the data
+// plane looks anything up; decide keeps it current afterwards. The trie's
+// shape is a function of the prefix set alone, so lazy compilation yields
+// the exact index eager maintenance would have.
+func (s *Speaker) compileLPM() {
+	if s.lpmLive {
+		return
+	}
+	s.lpmLive = true
+	for p, r := range s.best {
+		s.lpm.insert(p, r)
+	}
+	s.statLPMNodes(int64(s.lpm.nodes))
+}
+
+func routesEqual(a, b *Route) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.From != b.From || !a.Path.Equal(b.Path) || a.Originated != b.Originated {
+		return false
+	}
+	if len(a.Communities) != len(b.Communities) {
+		return false
+	}
+	for i := range a.Communities {
+		if a.Communities[i] != b.Communities[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *Speaker) markAllPending(prefix netip.Prefix) {
+	for i := range s.out {
+		s.out[i].markPending(prefix)
+	}
+	for i := range s.out {
+		s.kick(i)
+	}
+}
+
+// kick schedules a flush toward neighbor i unless an advertisement timer is
+// already running; in that case the pending prefixes ride along when it
+// expires. The per-neighbor MRAI timer is modelled as free-running: a
+// freshly-kicked session flushes at the timer's next tick, a uniform phase
+// away — this is what spreads update propagation over tens of seconds per
+// hop and gives realistic global convergence times.
+func (s *Speaker) kick(i int) {
+	st := &s.out[i]
+	if st.timerArmed {
+		if ss := s.stats; ss != nil && s.inWindow {
+			ss.mraiDeferrals++
+		} else {
+			s.e.obs.mraiDeferrals.Inc()
+		}
+		return
+	}
+	st.timerArmed = true
+	s.e.schedPhase(s, i)
+}
+
+// timerFired handles an expired phase or MRAI timer for neighbor i — the
+// shared body of the classic closures and the sharded typed events.
+func (s *Speaker) timerFired(i int) {
+	st := &s.out[i]
+	st.timerArmed = false
+	if len(st.pending) > 0 {
+		s.flushAndArm(i)
+	}
+}
+
+func (s *Speaker) flushAndArm(i int) {
+	if s.flush(i) == 0 {
+		return
+	}
+	s.out[i].timerArmed = true
+	s.e.schedMRAI(s, i)
+}
+
+// flush sends the pending prefixes to neighbor i, deduplicating against
+// what was last advertised; it returns the number of messages sent.
+func (s *Speaker) flush(i int) int {
+	st := &s.out[i]
+	n := s.neighbors[i]
+	if st.down {
+		st.pending = nil
+		return 0
+	}
+	if len(st.pending) == 0 {
+		return 0
+	}
+	prefixes := s.flushBuf[:0]
+	for p := range st.pending {
+		prefixes = append(prefixes, p)
+	}
+	sortPrefixes(prefixes)
+	s.flushBuf = prefixes
+	// Everything queued goes out below. Steady-state rounds keep their
+	// small map (clearing is cheap, reallocating is GC churn); a
+	// full-table burst round drops its map wholesale, since clearing a
+	// burst-capacity husk on every later round costs O(capacity) and the
+	// husk would otherwise stay resident per session for the whole run.
+	if len(prefixes) > 64 {
+		st.pending = nil
+	} else {
+		clear(st.pending)
+	}
+	sent := 0
+	for _, p := range prefixes {
+		ex, ok := s.exportTo(n, p)
+		last, had := st.lastAdv[p]
+		if !ok {
+			if had {
+				delete(st.lastAdv, p)
+				s.e.deliver(s, i, update{prefix: p})
+				sent++
+			}
+			continue
+		}
+		if had && last.pid == ex.pid && last.cid == ex.cid {
+			continue
+		}
+		st.lastAdv[p] = advRecord{pid: ex.pid, cid: ex.cid}
+		s.e.deliver(s, i, update{
+			prefix:      p,
+			path:        ex.path,
+			communities: ex.comms,
+			med:         ex.med,
+			pid:         ex.pid,
+			cid:         ex.cid,
+		})
+		sent++
+	}
+	return sent
+}
+
+// exportTo computes the announcement of prefix p to neighbor n, applying
+// origin patterns, valley-free export policy, split horizon, and community
+// stripping. ok=false means "no announcement" (neighbor should hold no
+// route from us).
+func (s *Speaker) exportTo(n topo.ASN, p netip.Prefix) (export, bool) {
+	if ent, isOrigin := s.origin[p]; isOrigin {
+		cfg := &ent.cfg
+		pat, pid, announce := ent.pattern(n)
+		if !announce {
+			return export{}, false
+		}
+		cs, cid := cfg.Communities, ent.commsID
+		if per, ok := cfg.PerNeighborCommunities[n]; ok {
+			cs, cid = per, ent.perNbrCID[n]
+		}
+		// The config was deep-copied at the Announce boundary and paths
+		// and community slices are immutable from there on, so the
+		// per-flush defensive clones are gone from this hot path.
+		return export{path: pat, comms: cs, med: cfg.MED, pid: pid, cid: cid}, true
+	}
+	b := s.best[p]
+	if b == nil || b.From == n {
+		return export{}, false
+	}
+	// Valley-free export: routes learned from peers or providers are
+	// exported only to customers.
+	relToN := s.e.top.Rel(s.asn, n)
+	if relToN != topo.RelCustomer && b.Rel != topo.RelCustomer {
+		return export{}, false
+	}
+	// Action communities this AS defines (§2.3) can further restrict
+	// export.
+	if blockExport(s.communityAction(b.Communities), relToN) {
+		return export{}, false
+	}
+	out, pid := b.exportedTo(s.e.arena, s.asn)
+	c, cid := b.Communities, b.cid
+	if s.e.top.AS(s.asn).StripCommunities {
+		c, cid = nil, 0
+	}
+	return export{path: out, comms: c, med: 0, pid: pid, cid: cid}, true
+}
+
+// statLocRIB and statLPMNodes route the loc-RIB gauges through the window
+// buffer when the speaker runs on a barrier worker.
+func (s *Speaker) statLocRIB(delta int64) {
+	if st := s.stats; st != nil && s.inWindow {
+		st.locRIBRoutes += delta
+		return
+	}
+	s.e.obs.locRIBRoutes.Add(delta)
+}
+
+func (s *Speaker) statLPMNodes(delta int64) {
+	if delta == 0 {
+		return
+	}
+	if st := s.stats; st != nil && s.inWindow {
+		st.lpmNodes += delta
+		return
+	}
+	s.e.obs.lpmNodes.Add(delta)
+}

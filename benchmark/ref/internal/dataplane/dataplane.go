@@ -1,0 +1,523 @@
+// Package dataplane forwards packets hop-by-hop over the router graph,
+// driven by the BGP engine's instantaneous RIBs. Its defining feature is the
+// failure injector: rules that silently drop matching packets at an AS, a
+// router, or a (directed) link while leaving the control plane untouched —
+// the "router advertises a route but fails to deliver packets" condition the
+// paper studies. Unidirectional failures are expressed by scoping a rule to
+// a destination prefix or direction, which is what makes traceroute mislead
+// and LIFEGUARD's spoofed-probe isolation necessary.
+package dataplane
+
+import (
+	"fmt"
+	"net/netip"
+
+	"lifeguard/internal/bgp"
+	"lifeguard/internal/obs"
+	"lifeguard/internal/topo"
+)
+
+// RIB is the routing state the data plane consults; *bgp.Engine satisfies it.
+type RIB interface {
+	Lookup(asn topo.ASN, addr netip.Addr) (*bgp.Route, bool)
+}
+
+// DropReason explains why a packet stopped.
+type DropReason int
+
+// Reason is the historical name of DropReason, kept for callers predating
+// the traffic subsystem.
+type Reason = DropReason
+
+// Packet outcomes. New reasons are appended — the numeric values of
+// existing reasons are part of the accounting compatibility surface, and
+// the drops-by-reason counter array in planeObs must grow with the enum
+// (TestDropCountersCoverEveryReason pins that).
+const (
+	Delivered DropReason = iota
+	NoRoute              // an on-path AS had no route to the destination
+	Blackhole            // matched a failure rule
+	TTLExpired
+	ForwardLoop // forwarding loop guard (beyond TTL accounting)
+)
+
+// String names the reason. Unknown values render as "dropreason(N)" —
+// stable across enum growth, so forward-compatible consumers can log them
+// without aliasing distinct unknown reasons to one string.
+func (r DropReason) String() string {
+	switch r {
+	case Delivered:
+		return "delivered"
+	case NoRoute:
+		return "no-route"
+	case Blackhole:
+		return "blackhole"
+	case TTLExpired:
+		return "ttl-expired"
+	case ForwardLoop:
+		return "forward-loop"
+	default:
+		return fmt.Sprintf("dropreason(%d)", int(r))
+	}
+}
+
+// Packet is a forwarded datagram. Src is the claimed source address and is
+// spoofable: forwarding consults only Dst, but replies go to Src.
+type Packet struct {
+	Src netip.Addr
+	Dst netip.Addr
+	TTL int // hops remaining; 0 means the default of 64
+}
+
+// DefaultTTL is used when Packet.TTL is zero.
+const DefaultTTL = 64
+
+// Hop records one router the packet transited.
+type Hop struct {
+	Router topo.RouterID
+	AS     topo.ASN
+	Addr   netip.Addr
+}
+
+// Result reports a packet's fate. Hops lists every router traversed, in
+// order, up to and including the router where the packet stopped.
+type Result struct {
+	Reason DropReason
+	Hops   []Hop
+	// LastAS/LastRouter locate where the packet stopped (delivery router
+	// for Delivered, drop point otherwise). Valid when len(Hops) > 0.
+	LastAS     topo.ASN
+	LastRouter topo.RouterID
+}
+
+// Delivered reports whether the packet reached its destination.
+func (r *Result) Delivered() bool { return r.Reason == Delivered }
+
+// String renders the fate on one line: the reason, where the packet
+// stopped, and how many hops it took to get there.
+func (r *Result) String() string {
+	if len(r.Hops) == 0 {
+		return r.Reason.String()
+	}
+	return fmt.Sprintf("%s at AS%d (router %d) after %d hops",
+		r.Reason, r.LastAS, r.LastRouter, len(r.Hops))
+}
+
+// ASPath returns the distinct ASes traversed, in order.
+func (r *Result) ASPath() topo.Path {
+	var p topo.Path
+	for _, h := range r.Hops {
+		if len(p) == 0 || p[len(p)-1] != h.AS {
+			p = append(p, h.AS)
+		}
+	}
+	return p
+}
+
+// FailureID names an installed failure rule.
+type FailureID int
+
+// Rule describes one silent data-plane failure. Zero-valued matchers are
+// wildcards; a rule drops a packet when all its non-zero matchers agree.
+type Rule struct {
+	// AtAS drops packets forwarded by any router of this AS.
+	AtAS topo.ASN
+	// AtRouter drops packets transiting one router (HasRouter gates it,
+	// since RouterID 0 is valid).
+	AtRouter  topo.RouterID
+	HasRouter bool
+	// FromRouter/ToRouter drop packets crossing a specific router link in
+	// that direction.
+	FromRouter, ToRouter topo.RouterID
+	HasLink              bool
+	// FromAS/ToAS drop packets crossing any border link from FromAS to
+	// ToAS (directed AS-level link failure; install the mirror rule too
+	// for a bidirectional failure).
+	FromAS, ToAS topo.ASN
+	// DstWithin/SrcWithin restrict the rule to matching destinations or
+	// (claimed) sources. This is how unidirectional AS failures are
+	// expressed: "AS X drops everything destined to prefix P".
+	DstWithin, SrcWithin netip.Prefix
+	// TransitOnly exempts packets destined to the failed AS itself, for
+	// modelling faults that only affect through-traffic.
+	TransitOnly bool
+	// DropProb, when in (0, 1), makes the rule probabilistic: a matching
+	// packet is dropped only for that fraction of packets. The decision is
+	// a pure hash of (ProbSeed, per-packet sequence number), so a run is
+	// still a deterministic replay — the same packet stream meets the same
+	// fate regardless of rule iteration order or how many routers of the
+	// matched AS the packet crosses. Zero means always drop (the classic
+	// deterministic rule); >= 1 also always drops.
+	DropProb float64
+	// ProbSeed decorrelates concurrent probabilistic rules; two rules with
+	// different seeds drop independent packet subsets.
+	ProbSeed uint64
+}
+
+// BlackholeAS returns a rule dropping all traffic forwarded by asn.
+func BlackholeAS(asn topo.ASN) Rule { return Rule{AtAS: asn} }
+
+// BlackholeASTowards returns a rule where asn silently drops traffic
+// destined to dst — the canonical unidirectional ("reverse path") failure.
+func BlackholeASTowards(asn topo.ASN, dst netip.Prefix) Rule {
+	return Rule{AtAS: asn, DstWithin: dst}
+}
+
+// BlackholeRouter returns a rule dropping all traffic through one router.
+func BlackholeRouter(id topo.RouterID) Rule {
+	return Rule{AtRouter: id, HasRouter: true}
+}
+
+// DropASLink returns a rule dropping traffic crossing from AS a to AS b.
+func DropASLink(a, b topo.ASN) Rule { return Rule{FromAS: a, ToAS: b} }
+
+// DropRouterLink returns a rule dropping traffic crossing the router link
+// a→b.
+func DropRouterLink(a, b topo.RouterID) Rule {
+	return Rule{FromRouter: a, ToRouter: b, HasLink: true}
+}
+
+// LossyAS returns a probabilistic rule: asn drops each forwarded packet
+// independently with probability prob (seed decorrelates concurrent lossy
+// rules). See Rule.DropProb for the determinism contract.
+func LossyAS(asn topo.ASN, prob float64, seed uint64) Rule {
+	return Rule{AtAS: asn, DropProb: prob, ProbSeed: seed}
+}
+
+// Plane forwards packets. It is cheap to construct and holds no per-packet
+// state, so a single Plane serves an entire simulation.
+type Plane struct {
+	top      *topo.Topology
+	rib      RIB
+	failures map[FailureID]Rule
+	nextID   FailureID
+	// seq numbers every packet injected via Forward; probabilistic rules
+	// hash it so their verdicts are per-packet, order-independent pure
+	// functions (see Rule.DropProb).
+	seq uint64
+	// pathCache memoizes intraPath results. Intra-AS shortest paths are a
+	// pure function of the immutable topology, and probes re-walk the same
+	// router pairs constantly, so the BFS (and its per-hop allocations)
+	// runs once per pair for the lifetime of the plane. The simulation
+	// core is single-goroutine, like the engine it consults.
+	pathCache map[[2]topo.RouterID][]topo.RouterID
+	// batch is ForwardBatch's per-call scratch (see batch.go).
+	batch batchState
+
+	obs planeObs
+}
+
+// planeObs holds the plane's metric handles; all nil (one branch per
+// packet) until Instrument is called.
+type planeObs struct {
+	forwarded *obs.Counter
+	// drops is indexed by Reason; the Delivered slot stays nil.
+	drops [ForwardLoop + 1]*obs.Counter
+}
+
+// Instrument registers the plane's metrics: packets injected, and drops
+// broken down by reason (no-route, blackhole, ttl-expired, forward-loop).
+// Counting happens outside the forwarding walk, so instrumented and
+// uninstrumented planes forward identically.
+func (pl *Plane) Instrument(reg *obs.Registry) {
+	reg.Describe("lifeguard_dataplane_packets_forwarded_total", "packets injected into the data plane")
+	reg.Describe("lifeguard_dataplane_packets_dropped_total", "packets that did not reach their destination, by reason")
+	pl.obs.forwarded = reg.Counter("lifeguard_dataplane_packets_forwarded_total")
+	for r := NoRoute; r <= ForwardLoop; r++ {
+		pl.obs.drops[r] = reg.Counter("lifeguard_dataplane_packets_dropped_total", obs.L("reason", r.String()))
+	}
+}
+
+// New returns a data plane over the topology, consulting rib at each AS.
+func New(top *topo.Topology, rib RIB) *Plane {
+	return &Plane{
+		top:       top,
+		rib:       rib,
+		failures:  make(map[FailureID]Rule),
+		pathCache: make(map[[2]topo.RouterID][]topo.RouterID),
+	}
+}
+
+// AddFailure installs a failure rule and returns its handle.
+//
+// ID lifecycle contract: FailureIDs are allocated from a counter that is
+// monotone over the Plane's whole lifetime. Neither RemoveFailure nor
+// ClearFailures ever recycles an ID, so a stale handle kept across heavy
+// inject/heal churn (the chaos engine's steady state) can never silently
+// alias a newer, unrelated rule — RemoveFailure on a freed ID reports
+// false forever. dataplane's TestFailureIDsNeverReused pins this.
+func (pl *Plane) AddFailure(r Rule) FailureID {
+	pl.nextID++
+	pl.failures[pl.nextID] = r
+	return pl.nextID
+}
+
+// RemoveFailure uninstalls a rule; it reports whether the rule existed.
+// The freed ID is retired, never reused (see AddFailure).
+func (pl *Plane) RemoveFailure(id FailureID) bool {
+	if _, ok := pl.failures[id]; !ok {
+		return false
+	}
+	delete(pl.failures, id)
+	return true
+}
+
+// ClearFailures removes all rules. The ID counter is not reset: handles
+// freed here stay retired (see AddFailure).
+func (pl *Plane) ClearFailures() { clear(pl.failures) }
+
+// Failure returns the rule installed under id, if it is still active.
+// Chaos healing uses it to verify a handle names the rule the caller
+// thinks it does before removing it.
+func (pl *Plane) Failure(id FailureID) (Rule, bool) {
+	r, ok := pl.failures[id]
+	return r, ok
+}
+
+// ActiveFailures reports the number of installed rules.
+func (pl *Plane) ActiveFailures() int { return len(pl.failures) }
+
+// matchCtx carries the packet context rules are evaluated against.
+type matchCtx struct {
+	pkt   Packet
+	dstAS topo.ASN // owner of the destination address block
+	seq   uint64   // per-packet sequence number for probabilistic rules
+}
+
+func (pl *Plane) dropAtRouter(c *matchCtx, r topo.RouterID) bool {
+	as := pl.top.Router(r).AS
+	for _, rule := range pl.failures {
+		if rule.HasLink || (rule.FromAS != 0 || rule.ToAS != 0) {
+			continue // link rules checked at crossings
+		}
+		if rule.AtAS != 0 && rule.AtAS != as {
+			continue
+		}
+		if rule.HasRouter && rule.AtRouter != r {
+			continue
+		}
+		if rule.AtAS == 0 && !rule.HasRouter {
+			continue // empty rule matches nothing
+		}
+		if !rule.pktMatch(c) {
+			continue
+		}
+		if rule.TransitOnly && c.dstAS == as {
+			continue
+		}
+		return true
+	}
+	return false
+}
+
+func (pl *Plane) dropAtCrossing(c *matchCtx, from, to topo.RouterID) bool {
+	fromAS, toAS := pl.top.Router(from).AS, pl.top.Router(to).AS
+	for _, rule := range pl.failures {
+		switch {
+		case rule.HasLink:
+			if rule.FromRouter != from || rule.ToRouter != to {
+				continue
+			}
+		case rule.FromAS != 0 || rule.ToAS != 0:
+			if rule.FromAS != fromAS || rule.ToAS != toAS {
+				continue
+			}
+		default:
+			continue
+		}
+		if !rule.pktMatch(c) {
+			continue
+		}
+		return true
+	}
+	return false
+}
+
+func (r *Rule) pktMatch(c *matchCtx) bool {
+	if r.DstWithin.IsValid() && !r.DstWithin.Contains(c.pkt.Dst) {
+		return false
+	}
+	if r.SrcWithin.IsValid() && !r.SrcWithin.Contains(c.pkt.Src) {
+		return false
+	}
+	if r.DropProb > 0 && r.DropProb < 1 {
+		// Threshold comparison on a hash of (seed, packet seq) mapped to
+		// [0, 1): deterministic per packet, independent across rules with
+		// different seeds, and identical at every router the packet
+		// crosses (per-packet loss, not per-hop loss).
+		u := float64(splitmix64(r.ProbSeed^c.seq)>>11) / (1 << 53)
+		return u < r.DropProb
+	}
+	return true
+}
+
+// splitmix64 is the SplitMix64 finalizer — a cheap, high-quality bijective
+// hash used to turn (rule seed, packet sequence) into a drop verdict.
+func splitmix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
+// Forward injects pkt at router "from" (the sender's gateway) and walks it
+// to its fate. The sender's own router does not consume TTL.
+func (pl *Plane) Forward(from topo.RouterID, pkt Packet) Result {
+	res := pl.forward(from, pkt)
+	pl.obs.forwarded.Inc()
+	if res.Reason != Delivered {
+		pl.obs.drops[res.Reason].Inc()
+	}
+	return res
+}
+
+func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
+	ttl := pkt.TTL
+	if ttl <= 0 {
+		ttl = DefaultTTL
+	}
+	pl.seq++
+	c := &matchCtx{pkt: pkt, seq: pl.seq}
+	if owner, ok := topo.OwnerOf(pkt.Dst); ok {
+		c.dstAS = owner
+	}
+
+	// One up-front block sized for typical inter-domain walks keeps hop
+	// recording to a single allocation for almost every packet.
+	res := Result{Hops: make([]Hop, 0, 16)}
+	cur := from
+	first := true
+	step := func(r topo.RouterID) Reason {
+		// Record the hop, spend TTL, apply router-scoped rules.
+		rt := pl.top.Router(r)
+		res.Hops = append(res.Hops, Hop{Router: r, AS: rt.AS, Addr: rt.Addr})
+		res.LastAS, res.LastRouter = rt.AS, r
+		if !first {
+			ttl--
+			if ttl <= 0 {
+				return TTLExpired
+			}
+		}
+		first = false
+		if pl.dropAtRouter(c, r) {
+			return Blackhole
+		}
+		return Delivered
+	}
+
+	if rsn := step(cur); rsn != Delivered {
+		res.Reason = rsn
+		return res
+	}
+
+	for {
+		if len(res.Hops) > 4*DefaultTTL {
+			res.Reason = ForwardLoop
+			return res
+		}
+		curAS := pl.top.Router(cur).AS
+		route, ok := pl.rib.Lookup(curAS, pkt.Dst)
+		if !ok {
+			res.Reason = NoRoute
+			return res
+		}
+		if route.Originated {
+			// Local delivery: walk to the destination router, or to
+			// the AS hub standing in for prefix-hosted addresses.
+			target := pl.hostRouter(curAS, pkt.Dst)
+			for _, r := range pl.intraPath(cur, target) {
+				if rsn := step(r); rsn != Delivered {
+					res.Reason = rsn
+					return res
+				}
+			}
+			res.Reason = Delivered
+			return res
+		}
+		nextAS, _ := route.NextHop()
+		borders := pl.top.BorderRouters(curAS, nextAS)
+		if len(borders) == 0 {
+			panic(fmt.Sprintf("dataplane: AS %d routes to non-adjacent AS %d", curAS, nextAS))
+		}
+		egress, ingress := borders[0][0], borders[0][1]
+		for _, r := range pl.intraPath(cur, egress) {
+			if rsn := step(r); rsn != Delivered {
+				res.Reason = rsn
+				return res
+			}
+		}
+		if pl.dropAtCrossing(c, egress, ingress) {
+			res.Reason = Blackhole
+			return res
+		}
+		if rsn := step(ingress); rsn != Delivered {
+			res.Reason = rsn
+			return res
+		}
+		cur = ingress
+	}
+}
+
+// hostRouter resolves the router that terminates dst inside asn: the exact
+// router if dst is an interface address, otherwise the AS hub (first
+// router), which stands in for hosts of announced prefixes.
+func (pl *Plane) hostRouter(asn topo.ASN, dst netip.Addr) topo.RouterID {
+	if r, ok := pl.top.RouterByAddr(dst); ok && r.AS == asn {
+		return r.ID
+	}
+	as := pl.top.AS(asn)
+	if len(as.Routers) == 0 {
+		panic(fmt.Sprintf("dataplane: AS %d has no routers", asn))
+	}
+	return as.Routers[0]
+}
+
+// intraPath returns the routers strictly after "from" on the shortest
+// intra-AS path from → to (empty when from == to). BFS over intra-AS links;
+// ties break by adjacency order, which is fixed at Build time. Results are
+// memoized in pathCache; callers iterate the returned slice but must not
+// mutate it.
+func (pl *Plane) intraPath(from, to topo.RouterID) []topo.RouterID {
+	if from == to {
+		return nil
+	}
+	key := [2]topo.RouterID{from, to}
+	if p, ok := pl.pathCache[key]; ok {
+		return p
+	}
+	asn := pl.top.Router(from).AS
+	if pl.top.Router(to).AS != asn {
+		panic("dataplane: intraPath across ASes")
+	}
+	prev := map[topo.RouterID]topo.RouterID{from: from}
+	queue := []topo.RouterID{from}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if cur == to {
+			break
+		}
+		for _, n := range pl.top.RouterNeighbors(cur) {
+			if pl.top.Router(n).AS != asn {
+				continue
+			}
+			if _, seen := prev[n]; !seen {
+				prev[n] = cur
+				queue = append(queue, n)
+			}
+		}
+	}
+	if _, ok := prev[to]; !ok {
+		panic(fmt.Sprintf("dataplane: no intra-AS path %d -> %d in AS %d", from, to, asn))
+	}
+	var rev []topo.RouterID
+	for cur := to; cur != from; cur = prev[cur] {
+		rev = append(rev, cur)
+	}
+	out := make([]topo.RouterID, len(rev))
+	for i := range rev {
+		out[i] = rev[len(rev)-1-i]
+	}
+	pl.pathCache[key] = out
+	return out
+}

@@ -1,0 +1,271 @@
+// Package monitor implements LIFEGUARD's reachability monitoring (§2.1):
+// vantage points send a pair of pings to each watched target every round,
+// and a target is declared down for a vantage point after a run of
+// consecutive all-failed rounds — the same rule the paper's EC2 study used
+// (pairs every 30s, four consecutive dropped pairs ⇒ outage, so the minimum
+// detectable outage is 90 seconds). Outage begin/end events drive failure
+// isolation and the availability accounting.
+package monitor
+
+import (
+	"net/netip"
+	"time"
+
+	"lifeguard/internal/atlas"
+	"lifeguard/internal/obs"
+	"lifeguard/internal/probe"
+	"lifeguard/internal/simclock"
+	"lifeguard/internal/topo"
+)
+
+// Config tunes detection.
+type Config struct {
+	// Interval between rounds. Default 30s.
+	Interval time.Duration
+	// FailThreshold is the number of consecutive failed rounds that
+	// declares an outage. Default 4.
+	FailThreshold int
+	// PingsPerRound is how many pings form one round; the round fails
+	// only if all of them fail. Default 2 (a "pair of pings").
+	PingsPerRound int
+}
+
+func (c Config) withDefaults() Config {
+	if c.Interval == 0 {
+		c.Interval = 30 * time.Second
+	}
+	if c.FailThreshold == 0 {
+		c.FailThreshold = 4
+	}
+	if c.PingsPerRound == 0 {
+		c.PingsPerRound = 2
+	}
+	return c
+}
+
+// Outage describes one detected outage between a vantage point and target.
+type Outage struct {
+	VP     topo.RouterID
+	Target netip.Addr
+	// Start is when the first failed round was sent; End is when a round
+	// succeeded again (zero while ongoing).
+	Start, End time.Duration
+}
+
+// Duration returns the outage length (ongoing outages measure to now).
+func (o *Outage) Duration(now time.Duration) time.Duration {
+	if o.End > 0 {
+		return o.End - o.Start
+	}
+	return now - o.Start
+}
+
+type pairKey struct {
+	vp     topo.RouterID
+	src    netip.Addr // zero: use the vp router's own address
+	target netip.Addr
+}
+
+type pairState struct {
+	consecFails int
+	firstFail   time.Duration
+	current     *Outage
+}
+
+// Monitor drives periodic reachability rounds.
+type Monitor struct {
+	pr  *probe.Prober
+	clk *simclock.Scheduler
+	cfg Config
+
+	// Atlas, when set, receives responsiveness observations.
+	Atlas *atlas.Atlas
+
+	// OnOutage fires when an outage is declared (after FailThreshold
+	// rounds); OnRecovery fires when a declared outage heals.
+	OnOutage   func(o *Outage)
+	OnRecovery func(o *Outage)
+	// OnRound fires after every completed monitoring round — the
+	// heartbeat a failsafe watchdog uses to detect monitor loss.
+	OnRound func()
+
+	pairs []pairKey
+	state map[pairKey]*pairState
+
+	// History accumulates all declared outages, resolved or not.
+	History []*Outage
+
+	ticker  simclock.EventID
+	started bool
+
+	obs monitorObs
+}
+
+// monitorObs holds the monitor's metric handles; the zero value (all-nil
+// handles) is the uninstrumented state.
+type monitorObs struct {
+	rounds     *obs.Counter
+	outages    *obs.Counter
+	recoveries *obs.Counter
+}
+
+// Instrument registers the monitor's metrics with reg. A nil registry
+// leaves the monitor uninstrumented.
+func (m *Monitor) Instrument(reg *obs.Registry) {
+	reg.Describe("lifeguard_monitor_ping_rounds_total",
+		"monitoring rounds executed per watched (vantage point, target) pair")
+	reg.Describe("lifeguard_monitor_outages_detected_total",
+		"outages declared after FailThreshold consecutive failed rounds")
+	reg.Describe("lifeguard_monitor_recoveries_total",
+		"declared outages that subsequently healed")
+	m.obs.rounds = reg.Counter("lifeguard_monitor_ping_rounds_total")
+	m.obs.outages = reg.Counter("lifeguard_monitor_outages_detected_total")
+	m.obs.recoveries = reg.Counter("lifeguard_monitor_recoveries_total")
+}
+
+// New returns a monitor with no watched pairs.
+func New(pr *probe.Prober, clk *simclock.Scheduler, cfg Config) *Monitor {
+	return &Monitor{
+		pr: pr, clk: clk, cfg: cfg.withDefaults(),
+		state: make(map[pairKey]*pairState),
+	}
+}
+
+// Watch adds a (vantage point, target) pair to the monitored set.
+func (m *Monitor) Watch(vp topo.RouterID, target netip.Addr) {
+	m.watch(pairKey{vp: vp, target: target})
+}
+
+// WatchFrom monitors target from vp using src as the probe source address —
+// the deployment mode where the vantage point's pings carry the production
+// prefix, so the monitored reachability is exactly what poisoning repairs.
+func (m *Monitor) WatchFrom(vp topo.RouterID, src, target netip.Addr) {
+	m.watch(pairKey{vp: vp, src: src, target: target})
+}
+
+func (m *Monitor) watch(k pairKey) {
+	if _, dup := m.state[k]; dup {
+		return
+	}
+	m.pairs = append(m.pairs, k)
+	m.state[k] = &pairState{}
+}
+
+// Start begins periodic rounds, the first immediately.
+func (m *Monitor) Start() {
+	if m.started {
+		return
+	}
+	m.started = true
+	var tick func()
+	tick = func() {
+		if !m.started {
+			return
+		}
+		m.Round()
+		m.ticker = m.clk.After(m.cfg.Interval, tick)
+	}
+	tick()
+}
+
+// Stop halts monitoring.
+func (m *Monitor) Stop() {
+	if m.started {
+		m.started = false
+		m.clk.Cancel(m.ticker)
+	}
+}
+
+// SetInterval retunes the round cadence. The new interval takes effect
+// when the next round re-arms, so an in-flight wait completes on the old
+// cadence — a hitless retune, no round is dropped or duplicated.
+func (m *Monitor) SetInterval(d time.Duration) {
+	if d > 0 {
+		m.cfg.Interval = d
+	}
+}
+
+// Interval returns the current round cadence.
+func (m *Monitor) Interval() time.Duration { return m.cfg.Interval }
+
+// Round performs one monitoring round over all pairs immediately.
+func (m *Monitor) Round() {
+	for _, k := range m.pairs {
+		m.roundFor(k)
+	}
+	if m.OnRound != nil {
+		m.OnRound()
+	}
+}
+
+func (m *Monitor) roundFor(k pairKey) {
+	m.obs.rounds.Inc()
+	ok := false
+	responded := false
+	for i := 0; i < m.cfg.PingsPerRound; i++ {
+		var rep probe.PingReport
+		if k.src.IsValid() {
+			rep = m.pr.PingFromAddr(k.vp, k.src, k.target)
+		} else {
+			rep = m.pr.Ping(k.vp, k.target)
+		}
+		if rep.Responded {
+			responded = true
+		}
+		if rep.OK {
+			ok = true
+			break // no need to burn the second ping of the pair
+		}
+	}
+	if m.Atlas != nil && responded {
+		m.Atlas.NoteResponsive(k.target, true)
+	}
+	st := m.state[k]
+	if ok {
+		if st.current != nil {
+			st.current.End = m.clk.Now()
+			m.obs.recoveries.Inc()
+			if m.OnRecovery != nil {
+				m.OnRecovery(st.current)
+			}
+			st.current = nil
+		}
+		st.consecFails = 0
+		return
+	}
+	if st.consecFails == 0 {
+		st.firstFail = m.clk.Now()
+	}
+	st.consecFails++
+	if st.consecFails == m.cfg.FailThreshold && st.current == nil {
+		o := &Outage{VP: k.vp, Target: k.target, Start: st.firstFail}
+		st.current = o
+		m.obs.outages.Inc()
+		m.History = append(m.History, o)
+		if m.OnOutage != nil {
+			m.OnOutage(o)
+		}
+	}
+}
+
+// Ongoing returns the currently-declared outages.
+func (m *Monitor) Ongoing() []*Outage {
+	var out []*Outage
+	for _, k := range m.pairs {
+		if st := m.state[k]; st.current != nil {
+			out = append(out, st.current)
+		}
+	}
+	return out
+}
+
+// Down reports whether any monitored pair between vp and target (whatever
+// its source address) is currently in a declared outage.
+func (m *Monitor) Down(vp topo.RouterID, target netip.Addr) bool {
+	for _, k := range m.pairs {
+		if k.vp == vp && k.target == target && m.state[k].current != nil {
+			return true
+		}
+	}
+	return false
+}

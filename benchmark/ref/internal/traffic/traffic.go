@@ -1,0 +1,400 @@
+// Package traffic models millions of concurrent user flows crossing the
+// simulated internetwork, so outages and repairs can be scored the way the
+// LIFEGUARD paper frames them: not "when did probes converge" but "how many
+// user-seconds of connectivity were lost".
+//
+// The model is a constant-size flow population behind a set of vantage
+// ASes. Every flow targets one monitored destination address and, each
+// sim-clock epoch, exchanges one forward packet (vantage production address
+// -> destination) and — if that is delivered — one reply (destination ->
+// vantage). A flow is served for the epoch only when both directions
+// deliver; otherwise the epoch's seconds are charged to the drop reason
+// that killed it. Reply-direction drops are first-class because LIFEGUARD's
+// core observation is that reverse-path failures are both common and
+// invisible to forward-only probing.
+//
+// Determinism and sharding. All randomness (initial vantage assignment and
+// per-epoch churn) comes from one SplitMix64 stream per destination, seeded
+// from Config.Seed and the destination's global index in Config.Dests —
+// never from the shard layout. A generator configured with
+// ShardIndex/ShardCount owns the destinations whose global index hashes to
+// its shard and produces per-epoch reports covering only those flows;
+// MergeEpochs folds any sharding of the same Config back into reports
+// byte-identical to an unsharded run. That is the same merge contract the
+// runner and experiment suites commit to: output is invariant to
+// parallelism.
+//
+// Allocation discipline. Flow state is a dense array of vantage indices
+// (two bytes per flow), and the packet/result buffers for batched
+// forwarding are reused across epochs, so steady-state epochs allocate
+// nothing per flow.
+package traffic
+
+import (
+	"fmt"
+	"net/netip"
+	"time"
+
+	"lifeguard/internal/dataplane"
+	"lifeguard/internal/obs"
+	"lifeguard/internal/simclock"
+	"lifeguard/internal/topo"
+)
+
+// Dest is one monitored destination in the flow population's mix.
+type Dest struct {
+	// Addr is the user-facing address flows exchange packets with,
+	// typically topo.ProductionAddr of the monitored AS.
+	Addr netip.Addr
+	// Weight is the destination's relative share of the flow population.
+	// Zero means 1.
+	Weight int
+}
+
+// Config sizes and seeds a flow population.
+type Config struct {
+	// Seed drives every random choice. Two generators with equal Config
+	// produce byte-identical epoch reports.
+	Seed uint64
+	// Flows is the total modelled flow count across all destinations and
+	// shards.
+	Flows int
+	// Vantages are the ASes the user populations sit behind. Flows source
+	// from each vantage's production address and inject at its hub router.
+	Vantages []topo.ASN
+	// Dests is the destination mix. Order matters: a destination's global
+	// index seeds its random stream and decides its shard.
+	Dests []Dest
+	// Epoch is the accounting interval; every flow exchanges one packet
+	// pair per epoch. Must be a whole number of seconds. Zero means 10s.
+	Epoch time.Duration
+	// Churn is the per-epoch probability that a flow departs and is
+	// replaced by a fresh arrival (possibly behind a different vantage).
+	Churn float64
+	// ShardIndex/ShardCount select the slice of destinations this
+	// generator simulates: those with global index ≡ ShardIndex (mod
+	// ShardCount). Zero ShardCount means the whole population.
+	ShardIndex, ShardCount int
+	// SinglePacket forwards every packet through Plane.Forward instead of
+	// ForwardBatch. The reports are identical either way (that is
+	// ForwardBatch's contract); this is the baseline mode lgbench uses to
+	// measure the batching win.
+	SinglePacket bool
+}
+
+func (cfg *Config) epoch() time.Duration {
+	if cfg.Epoch == 0 {
+		return 10 * time.Second
+	}
+	return cfg.Epoch
+}
+
+// Deps wires a Generator to a rig. Obs and Journal may be nil.
+type Deps struct {
+	Top     *topo.Topology
+	Clk     *simclock.Scheduler
+	Plane   *dataplane.Plane
+	Obs     *obs.Registry
+	Journal *obs.Journal
+}
+
+// stream is a SplitMix64 sequence; one per destination, so results never
+// depend on which shard (or worker) simulates the destination.
+type stream struct{ state uint64 }
+
+func (s *stream) next() uint64 {
+	s.state += 0x9E3779B97F4A7C15
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// float returns a uniform float64 in [0, 1).
+func (s *stream) float() float64 { return float64(s.next()>>11) / (1 << 53) }
+
+// destState is one destination's slice of the population.
+type destState struct {
+	global int        // index in Config.Dests
+	addr   netip.Addr //
+	hub    topo.RouterID
+	rng    stream
+	flows  []uint16 // vantage index per flow; the whole per-flow state
+}
+
+// Generator owns one shard of the flow population.
+type Generator struct {
+	cfg   Config
+	top   *topo.Topology
+	clk   *simclock.Scheduler
+	plane *dataplane.Plane
+
+	hubs  []topo.RouterID // injection router per vantage
+	srcs  []netip.Addr    // production address per vantage
+	dests []destState     // this shard's destinations
+	flows int             // flows in this shard
+
+	epoch  int
+	pkts   []dataplane.Packet
+	res    []dataplane.Result
+	counts []int64 // per-vantage scratch, reused per destination
+
+	obs     generatorObs
+	journal *obs.Journal
+}
+
+// generatorObs holds the generator's metric handles; all nil-safe, so an
+// uninstrumented generator records nothing.
+type generatorObs struct {
+	epochs  *obs.Counter
+	served  *obs.Counter
+	lost    *obs.Counter
+	packets *obs.Counter
+	// userSeconds is indexed by dataplane.DropReason. The Delivered slot
+	// stays nil: delivered flows lose no user-seconds.
+	userSeconds [int(dataplane.ForwardLoop) + 1]*obs.Counter
+	active      *obs.Gauge
+}
+
+// New validates cfg and builds the shard's flow population. The population
+// is assigned deterministically: destination flow counts by largest
+// remainder over the weights, vantages by each destination's own stream.
+func New(d Deps, cfg Config) (*Generator, error) {
+	if d.Top == nil || d.Clk == nil || d.Plane == nil {
+		return nil, fmt.Errorf("traffic: Deps.Top, Clk and Plane are required")
+	}
+	if cfg.Flows <= 0 {
+		return nil, fmt.Errorf("traffic: Flows must be positive, got %d", cfg.Flows)
+	}
+	if len(cfg.Vantages) == 0 || len(cfg.Vantages) > 1<<16 {
+		return nil, fmt.Errorf("traffic: need 1..65536 vantages, got %d", len(cfg.Vantages))
+	}
+	if len(cfg.Dests) == 0 {
+		return nil, fmt.Errorf("traffic: need at least one destination")
+	}
+	if e := cfg.epoch(); e < time.Second || e%time.Second != 0 {
+		return nil, fmt.Errorf("traffic: Epoch must be a whole number of seconds, got %v", e)
+	}
+	if cfg.Churn < 0 || cfg.Churn > 1 {
+		return nil, fmt.Errorf("traffic: Churn must be in [0,1], got %g", cfg.Churn)
+	}
+	if cfg.ShardCount == 0 {
+		cfg.ShardCount = 1
+	}
+	if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount {
+		return nil, fmt.Errorf("traffic: ShardIndex %d outside [0,%d)", cfg.ShardIndex, cfg.ShardCount)
+	}
+
+	g := &Generator{
+		cfg:     cfg,
+		top:     d.Top,
+		clk:     d.Clk,
+		plane:   d.Plane,
+		counts:  make([]int64, len(cfg.Vantages)),
+		journal: d.Journal,
+	}
+	for _, v := range cfg.Vantages {
+		as := d.Top.AS(v)
+		if as == nil || len(as.Routers) == 0 {
+			return nil, fmt.Errorf("traffic: vantage AS%d not in topology", v)
+		}
+		g.hubs = append(g.hubs, as.Routers[0])
+		g.srcs = append(g.srcs, topo.ProductionAddr(v))
+	}
+
+	// Global flow counts per destination (largest remainder), computed
+	// identically on every shard so shard membership is the only
+	// difference between two shards of the same Config.
+	counts := apportion(cfg.Flows, cfg.Dests)
+	for i, dst := range cfg.Dests {
+		if i%cfg.ShardCount != cfg.ShardIndex {
+			continue
+		}
+		owner, ok := topo.OwnerOf(dst.Addr)
+		if !ok {
+			return nil, fmt.Errorf("traffic: destination %v outside the address plan", dst.Addr)
+		}
+		as := d.Top.AS(owner)
+		if as == nil || len(as.Routers) == 0 {
+			return nil, fmt.Errorf("traffic: destination %v owner AS%d not in topology", dst.Addr, owner)
+		}
+		ds := destState{
+			global: i,
+			addr:   dst.Addr,
+			hub:    as.Routers[0],
+			rng:    stream{state: cfg.Seed + uint64(i)*0x9E3779B9},
+			flows:  make([]uint16, counts[i]),
+		}
+		for f := range ds.flows {
+			ds.flows[f] = uint16(ds.rng.next() % uint64(len(cfg.Vantages)))
+		}
+		g.flows += len(ds.flows)
+		g.dests = append(g.dests, ds)
+	}
+	g.Instrument(d.Obs)
+	return g, nil
+}
+
+// apportion splits total flows over the destinations proportionally to
+// their weights, by largest remainder — deterministic and exact.
+func apportion(total int, dests []Dest) []int {
+	weights := make([]int, len(dests))
+	sum := 0
+	for i, d := range dests {
+		w := d.Weight
+		if w <= 0 {
+			w = 1
+		}
+		weights[i] = w
+		sum += w
+	}
+	counts := make([]int, len(dests))
+	rems := make([]int, len(dests))
+	assigned := 0
+	for i, w := range weights {
+		counts[i] = total * w / sum
+		rems[i] = total * w % sum
+		assigned += counts[i]
+	}
+	// Hand the rounding leftovers to destinations in decreasing remainder
+	// order, ties broken by index — stable regardless of shard layout.
+	for assigned < total {
+		best := 0
+		for i, r := range rems {
+			if r > rems[best] {
+				best = i
+			}
+		}
+		counts[best]++
+		rems[best] = -1
+		assigned++
+	}
+	return counts
+}
+
+// Instrument registers the generator's metrics on reg. Nil reg is allowed.
+func (g *Generator) Instrument(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	g.obs.epochs = reg.Counter("lifeguard_traffic_epochs_total")
+	g.obs.served = reg.Counter("lifeguard_traffic_flow_epochs_served_total")
+	g.obs.lost = reg.Counter("lifeguard_traffic_flow_epochs_lost_total")
+	g.obs.packets = reg.Counter("lifeguard_traffic_packets_total")
+	for r := dataplane.NoRoute; r <= dataplane.ForwardLoop; r++ {
+		g.obs.userSeconds[r] = reg.Counter("lifeguard_traffic_user_seconds_lost_total",
+			obs.L("reason", r.String()))
+	}
+	g.obs.active = reg.Gauge("lifeguard_traffic_active_flows")
+	g.obs.active.Set(int64(g.flows))
+}
+
+// Flows reports the number of flows this shard models.
+func (g *Generator) Flows() int { return g.flows }
+
+// Epoch reports the accounting interval.
+func (g *Generator) Epoch() time.Duration { return g.cfg.epoch() }
+
+// RunEpoch closes one accounting epoch at the clock's current time: churns
+// the population, exchanges every flow's packet pair against the current
+// RIB and failure table, and returns the shard's report. It never advances
+// the clock — the caller owns time, typically alternating
+// clk.RunFor(Epoch()) with RunEpoch() so routing events interleave with
+// accounting.
+func (g *Generator) RunEpoch() EpochReport {
+	epochSecs := int64(g.cfg.epoch() / time.Second)
+	rep := EpochReport{
+		Epoch:   g.epoch,
+		VTime:   g.clk.Now(),
+		Seconds: epochSecs,
+	}
+	nvan := len(g.cfg.Vantages)
+	for di := range g.dests {
+		d := &g.dests[di]
+		// Churn: each departing flow is replaced by an arrival with a
+		// freshly drawn vantage, keeping the population size constant.
+		if g.cfg.Churn > 0 {
+			for i := range d.flows {
+				if d.rng.float() < g.cfg.Churn {
+					d.flows[i] = uint16(d.rng.next() % uint64(nvan))
+				}
+			}
+		}
+		clear(g.counts)
+		for _, v := range d.flows {
+			g.counts[v]++
+		}
+		for vi := 0; vi < nvan; vi++ {
+			n := g.counts[vi]
+			if n == 0 {
+				continue
+			}
+			// Forward leg: n user packets from the vantage toward the
+			// destination.
+			fwdDelivered := int64(0)
+			for _, r := range g.forwardN(g.hubs[vi], dataplane.Packet{Src: g.srcs[vi], Dst: d.addr}, n) {
+				if r.Delivered() {
+					fwdDelivered++
+				} else {
+					rep.LostByReason[r.Reason]++
+				}
+			}
+			rep.Packets += n
+			// Reply leg, only for flows whose forward packet arrived.
+			// This is where reverse-path failures show up.
+			served := int64(0)
+			if fwdDelivered > 0 {
+				for _, r := range g.forwardN(d.hub, dataplane.Packet{Src: d.addr, Dst: g.srcs[vi]}, fwdDelivered) {
+					if r.Delivered() {
+						served++
+					} else {
+						rep.LostByReason[r.Reason]++
+					}
+				}
+				rep.Packets += fwdDelivered
+			}
+			rep.Flows += n
+			rep.Served += served
+		}
+	}
+	rep.Lost = rep.Flows - rep.Served
+	rep.UserSecondsLost = rep.Lost * epochSecs
+
+	g.epoch++
+	g.obs.epochs.Inc()
+	g.obs.served.Add(rep.Served)
+	g.obs.lost.Add(rep.Lost)
+	g.obs.packets.Add(rep.Packets)
+	for r := dataplane.NoRoute; r <= dataplane.ForwardLoop; r++ {
+		g.obs.userSeconds[r].Add(rep.LostByReason[r] * epochSecs)
+	}
+	if g.journal.Enabled() {
+		g.journal.Record(g.clk.Now(), "traffic", "epoch",
+			obs.F("epoch", rep.Epoch),
+			obs.F("flows", rep.Flows),
+			obs.F("served", rep.Served),
+			obs.F("lost", rep.Lost),
+			obs.F("user_seconds_lost", rep.UserSecondsLost))
+	}
+	return rep
+}
+
+// forwardN pushes n copies of pkt into the plane at from and returns the
+// results, in a buffer reused across calls. In batched mode all n packets
+// go through one ForwardBatch call, which collapses them to a single walk;
+// SinglePacket mode pays the full walk per packet.
+func (g *Generator) forwardN(from topo.RouterID, pkt dataplane.Packet, n int64) []dataplane.Result {
+	g.pkts = g.pkts[:0]
+	for i := int64(0); i < n; i++ {
+		g.pkts = append(g.pkts, pkt)
+	}
+	if g.cfg.SinglePacket {
+		g.res = g.res[:0]
+		for _, p := range g.pkts {
+			g.res = append(g.res, g.plane.Forward(from, p))
+		}
+		return g.res
+	}
+	g.res = g.plane.ForwardBatch(from, g.pkts, g.res[:0])
+	return g.res
+}
