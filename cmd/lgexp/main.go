@@ -50,10 +50,8 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "trial workers (0 = GOMAXPROCS, 1 = sequential)")
 		timeout   = flag.Duration("timeout", 0, "per-trial wall-clock timeout (0 = none)")
 		obsPath   = flag.String("obs", "", "write the merged metrics snapshot (JSON) to this file; empty disables instrumentation")
-		shard     = flag.Int("shard", 0, "BGP engine shard workers (0 = classic loop; any N >= 1 is byte-identical to every other N >= 1)")
 	)
 	flag.Parse()
-	experiments.SetEngineShardWorkers(*shard)
 
 	if *list {
 		for _, e := range experiments.All() {

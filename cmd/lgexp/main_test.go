@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"lifeguard/internal/experiments"
 )
 
 // TestReportsByteIdenticalAcrossParallelism is the end-to-end determinism
@@ -40,6 +42,34 @@ func TestReportsByteIdenticalAcrossParallelism(t *testing.T) {
 		if got := render(par); !bytes.Equal(got, want) {
 			t.Errorf("stdout differs between -parallel 1 and -parallel %d:\n--- parallel ---\n%s\n--- sequential ---\n%s", par, got, want)
 		}
+	}
+}
+
+// TestEveryExperimentDeterministic holds every registered experiment, not a
+// hand-picked few, to both contracts at once: the report is byte-identical
+// run sequentially and uninstrumented, and on 4 workers with -obs on. Two
+// seeds give every experiment at least two trials for the pool to reorder.
+func TestEveryExperimentDeterministic(t *testing.T) {
+	render := func(t *testing.T, id string, parallel int, obsPath string) []byte {
+		t.Helper()
+		var out, chatter bytes.Buffer
+		opts := options{ids: []string{id}, seed: 1, seeds: 2, parallel: parallel, obsPath: obsPath}
+		if err := writeReports(context.Background(), &out, &chatter, opts); err != nil {
+			t.Fatalf("parallel=%d obs=%q: %v", parallel, obsPath, err)
+		}
+		return out.Bytes()
+	}
+	for _, e := range append(experiments.All(), experiments.Ablations()...) {
+		t.Run(e.ID, func(t *testing.T) {
+			want := render(t, e.ID, 1, "")
+			if len(want) == 0 {
+				t.Fatal("sequential run produced no output")
+			}
+			got := render(t, e.ID, 4, filepath.Join(t.TempDir(), "metrics.json"))
+			if !bytes.Equal(got, want) {
+				t.Errorf("stdout differs between (-parallel 1, obs off) and (-parallel 4, obs on):\n--- parallel+obs ---\n%s\n--- sequential ---\n%s", got, want)
+			}
+		})
 	}
 }
 

@@ -53,13 +53,6 @@ var Allowlist = []string{
 	// against hung simulations; trials themselves stay on the virtual
 	// clock, and the runner never influences their results.
 	"lifeguard/internal/runner",
-	// lgbench measures real wall-clock time by definition — its output is
-	// the machine's speed, not a simulation result.
-	"lifeguard/cmd/lgbench",
-	// scalebench times topology generation and convergence on the host
-	// clock — like lgbench, its output *is* wall-clock — while the
-	// simulations it drives stay on their own simclocks.
-	"lifeguard/internal/scalebench",
 	// The HTTP exporter serves live operators: /healthz uptime and request
 	// timestamps are wall-clock readings about the host process. The obs
 	// core (registry, journal, encoders) is NOT allowlisted — it records

@@ -15,17 +15,19 @@ import (
 
 // Sharded event loop. The classic engine schedules every protocol event as
 // its own simclock closure, which serializes the whole Internet through one
-// heap and spends most of a large run's wall clock on scheduler overhead.
-// The sharded engine instead keeps protocol events in a typed heap of its
-// own, pumps them in *barrier windows*, and runs each window's speakers
-// concurrently:
+// heap. That heap is not where the time goes — on one worker the two loops
+// measure the same wall clock at 2k and 10k ASes (DESIGN.md §6) — so what
+// the sharded engine buys is the second core: it keeps protocol events in a
+// typed heap of its own, pumps them in *barrier windows*, and runs each
+// window's speakers concurrently:
 //
 //   - One simclock event (the pump) is armed at the typed heap's earliest
 //     time, so the engine still interleaves correctly — and deterministically
 //     — with everything else on the scheduler (monitors, probes, chaos
 //     timelines).
-//   - A window spans [t0, t0+W) where W = (1-PropJitter)·PropDelay − 1µs,
-//     clamped down so it never crosses the next external simclock event.
+//   - A window spans [t0, t0+W) where W = (1-PropJitter)·PropDelay − 1µs
+//     (negative PropJitter counts as 0, as in jitterFor), clamped down so
+//     it never crosses the next external simclock event.
 //     Every cross-speaker message emitted at time t inside the window is
 //     delivered at t + jitter·PropDelay + extra ≥ t0 + (1-PropJitter)·
 //     PropDelay > t0 + W (extra delays are non-negative — SetLinkExtraDelay
@@ -148,7 +150,10 @@ type shardState struct {
 // initShard validates the timing model leaves a usable barrier window and
 // equips every speaker with its own rng stream and stats buffer.
 func (e *Engine) initShard() {
-	w := time.Duration((1 - e.cfg.PropJitter) * float64(e.cfg.PropDelay))
+	// Negative jitter means "none" (jitterFor): the earliest delivery is
+	// then PropDelay itself, never later.
+	j := max(e.cfg.PropJitter, 0)
+	w := time.Duration((1 - j) * float64(e.cfg.PropDelay))
 	w -= time.Microsecond // FIFO bumps advance deliveries by 1µs
 	if w <= 0 {
 		panic(fmt.Sprintf("bgp: ShardWorkers requires (1-PropJitter)*PropDelay > 1µs; PropDelay %v with PropJitter %v leaves no safe barrier window",

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -28,18 +29,23 @@ func shardTestTopo(t *testing.T) *topogen.Result {
 	return gen
 }
 
-// ribDigest flattens every speaker's loc-RIB (plus its update counter) into
-// a canonical string, so two runs can be compared byte-for-byte.
-func ribDigest(e *Engine) string {
-	var b strings.Builder
+// writeRIB flattens every speaker's loc-RIB (plus its update counter) into
+// canonical text, so two runs can be compared byte-for-byte.
+func writeRIB(w io.Writer, e *Engine) {
 	for _, asn := range e.top.ASNs() {
 		s := e.Speaker(asn)
-		fmt.Fprintf(&b, "AS%d sent=%d\n", asn, e.UpdatesSentBy(asn))
+		fmt.Fprintf(w, "AS%d sent=%d\n", asn, e.UpdatesSentBy(asn))
 		for _, p := range s.KnownPrefixes() {
 			r, _ := s.Best(p)
-			fmt.Fprintf(&b, "  %v via %v lp=%d\n", p, r.Path, r.LocalPref)
+			fmt.Fprintf(w, "  %v via %v lp=%d\n", p, r.Path, r.LocalPref)
 		}
 	}
+}
+
+// ribDigest is writeRIB as a string, for sizes where holding it is cheap.
+func ribDigest(e *Engine) string {
+	var b strings.Builder
+	writeRIB(&b, e)
 	return b.String()
 }
 
@@ -79,23 +85,35 @@ func churn(t *testing.T, e *Engine, gen *topogen.Result) {
 
 // TestShardedWorkerCountInvariance is the sharded engine's core contract:
 // for a fixed seed, every ShardWorkers >= 1 produces byte-identical loc-RIBs
-// and per-AS update counts.
+// and per-AS update counts. PropJitter -1 is the repo's "no jitter"
+// convention (experiments and the rig determinism test pass it): the
+// barrier window must be sized for it, not for (1-(-1))·PropDelay.
 func TestShardedWorkerCountInvariance(t *testing.T) {
 	gen := shardTestTopo(t)
-	run := func(workers int) string {
-		clk := simclock.New()
-		e := New(gen.Top, clk, Config{Seed: 11, ShardWorkers: workers})
-		churn(t, e, gen)
-		return ribDigest(e)
-	}
-	ref := run(1)
-	for _, workers := range []int{2, 4, 8} {
-		if got := run(workers); got != ref {
-			t.Fatalf("ShardWorkers=%d diverged from ShardWorkers=1", workers)
-		}
-	}
-	if ref == "" {
-		t.Fatal("empty digest: no routes propagated")
+	for _, tc := range []struct {
+		name       string
+		propJitter float64
+	}{
+		{"default jitter", 0},
+		{"no jitter", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) string {
+				clk := simclock.New()
+				e := New(gen.Top, clk, Config{Seed: 11, PropJitter: tc.propJitter, ShardWorkers: workers})
+				churn(t, e, gen)
+				return ribDigest(e)
+			}
+			ref := run(1)
+			for _, workers := range []int{2, 4, 8} {
+				if got := run(workers); got != ref {
+					t.Fatalf("ShardWorkers=%d diverged from ShardWorkers=1", workers)
+				}
+			}
+			if ref == "" {
+				t.Fatal("empty digest: no routes propagated")
+			}
+		})
 	}
 }
 

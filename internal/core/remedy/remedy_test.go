@@ -134,6 +134,9 @@ func TestDecideAndRepairPolicy(t *testing.T) {
 func TestPoisonPatternShape(t *testing.T) {
 	n := nettest.Fig2(t)
 	c := newController(t, n)
+	// Without a live failure the first sentinel check un-poisons, and
+	// whether that lands before or after convergence is an rng accident.
+	n.Plane.AddFailure(dataplane.BlackholeASTowards(nettest.A, topo.Block(nettest.O)))
 	c.Poison(nettest.A, n.Top.Router(n.Hub(nettest.E)).Addr)
 	n.Converge(t)
 	r, ok := n.Eng.BestRoute(nettest.B, c.Config().Production)

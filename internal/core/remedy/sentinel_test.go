@@ -62,6 +62,9 @@ func TestNonAdjacentSentinelSacrificesBackup(t *testing.T) {
 	})
 	c.AnnounceBaseline()
 	n.Converge(t)
+	// A live failure keeps the sentinel check from un-poisoning before the
+	// poison has converged.
+	n.Plane.AddFailure(dataplane.BlackholeASTowards(nettest.A, topo.Block(nettest.O)))
 	c.Poison(nettest.A, n.Top.Router(n.Hub(nettest.E)).Addr)
 	n.Converge(t)
 

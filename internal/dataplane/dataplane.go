@@ -25,10 +25,6 @@ type RIB interface {
 // DropReason explains why a packet stopped.
 type DropReason int
 
-// Reason is the historical name of DropReason, kept for callers predating
-// the traffic subsystem.
-type Reason = DropReason
-
 // Packet outcomes. New reasons are appended — the numeric values of
 // existing reasons are part of the accounting compatibility surface, and
 // the drops-by-reason counter array in planeObs must grow with the enum
@@ -211,7 +207,7 @@ type Plane struct {
 // packet) until Instrument is called.
 type planeObs struct {
 	forwarded *obs.Counter
-	// drops is indexed by Reason; the Delivered slot stays nil.
+	// drops is indexed by DropReason; the Delivered slot stays nil.
 	drops [ForwardLoop + 1]*obs.Counter
 }
 
@@ -387,7 +383,7 @@ func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
 	res := Result{Hops: make([]Hop, 0, 16)}
 	cur := from
 	first := true
-	step := func(r topo.RouterID) Reason {
+	step := func(r topo.RouterID) DropReason {
 		// Record the hop, spend TTL, apply router-scoped rules.
 		rt := pl.top.Router(r)
 		res.Hops = append(res.Hops, Hop{Router: r, AS: rt.AS, Addr: rt.Addr})

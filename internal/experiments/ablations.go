@@ -265,10 +265,9 @@ func dampeningNet(seed int64, reg *obs.Registry) (*net, topo.ASN) {
 	}
 	clk := simclock.New()
 	eng := bgp.New(gen.Top, clk, bgp.Config{
-		Seed:         seed,
-		Dampening:    bgp.DampeningConfig{Enabled: true},
-		Obs:          reg,
-		ShardWorkers: engineShardWorkers,
+		Seed:      seed,
+		Dampening: bgp.DampeningConfig{Enabled: true},
+		Obs:       reg,
 	})
 	for _, asn := range gen.Top.ASNs() {
 		eng.Originate(asn, topo.Block(asn))

@@ -38,18 +38,6 @@ func (n *net) converge() {
 	}
 }
 
-// engineShardWorkers is the bgp.Config.ShardWorkers value every experiment
-// engine is built with. 0 (the default) keeps the classic loop — and the
-// seed-pinned numbers in EXPERIMENTS.md, which were recorded under it. Any
-// value >= 1 selects the sharded loop, whose results are identical for every
-// worker count but form a separate deterministic universe from classic.
-var engineShardWorkers int
-
-// SetEngineShardWorkers selects the engine execution model for subsequently
-// built experiment networks (see cmd/lgexp's -shard flag). Call it before
-// RunSuite, never concurrently with running trials.
-func SetEngineShardWorkers(n int) { engineShardWorkers = n }
-
 // build assembles a converged internetwork of the given size. reg, when
 // non-nil, instruments every subsystem of the assembled network.
 func build(seed int64, cfg topogen.Config, reg *obs.Registry) *net {
@@ -59,7 +47,7 @@ func build(seed int64, cfg topogen.Config, reg *obs.Registry) *net {
 		panic(fmt.Sprintf("experiments: topogen: %v", err))
 	}
 	clk := simclock.New()
-	eng := bgp.New(gen.Top, clk, bgp.Config{Seed: seed, Obs: reg, ShardWorkers: engineShardWorkers})
+	eng := bgp.New(gen.Top, clk, bgp.Config{Seed: seed, Obs: reg})
 	for _, asn := range gen.Top.ASNs() {
 		eng.Originate(asn, topo.Block(asn))
 	}
@@ -87,7 +75,7 @@ func buildWithOrigin(seed int64, cfg topogen.Config, providers int, reg *obs.Reg
 		panic(fmt.Sprintf("experiments: topogen: %v", err))
 	}
 	clk := simclock.New()
-	eng := bgp.New(gen.Top, clk, bgp.Config{Seed: seed, Obs: reg, ShardWorkers: engineShardWorkers})
+	eng := bgp.New(gen.Top, clk, bgp.Config{Seed: seed, Obs: reg})
 	for _, asn := range gen.Top.ASNs() {
 		eng.Originate(asn, topo.Block(asn))
 	}

@@ -61,7 +61,7 @@ func (e Experiment) RunParallel(ctx context.Context, seed int64, cfg runner.Conf
 type span struct{ start, n int }
 
 // RunSuite runs several experiments across consecutive seeds as one flat
-// trial pool — the sharding axis lgexp and lgbench use. The returned
+// trial pool — the sharding axis lgexp uses. The returned
 // results are indexed [experiment][seed offset], reduced in deterministic
 // order regardless of how the pool interleaved the trials. A failing
 // trial (panic, timeout, error) aborts the suite with the runner's typed

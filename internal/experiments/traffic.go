@@ -29,8 +29,7 @@ import (
 
 const (
 	// trafficFlows is the modelled population size per mode (split across
-	// the shards). lgbench scales this up to millions; the experiment
-	// keeps it CI-sized.
+	// the shards), kept CI-sized.
 	trafficFlows = 120_000
 	// trafficShards fixes the destination sharding. Two is enough to keep
 	// the merge path honest without doubling trial cost further.

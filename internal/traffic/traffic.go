@@ -77,8 +77,8 @@ type Config struct {
 	ShardIndex, ShardCount int
 	// SinglePacket forwards every packet through Plane.Forward instead of
 	// ForwardBatch. The reports are identical either way (that is
-	// ForwardBatch's contract); this is the baseline mode lgbench uses to
-	// measure the batching win.
+	// ForwardBatch's contract); this is the reference the batched path is
+	// tested against.
 	SinglePacket bool
 }
 

@@ -161,13 +161,13 @@ type NetworkOptions struct {
 	// SkipConverge leaves initial convergence to the caller.
 	SkipConverge bool
 	// Obs, when non-nil, instruments every subsystem of the assembled
-	// network (BGP engine, data plane, prober, and any System wired over
+	// network (BGP engine, data plane, prober, and any Session wired over
 	// it). Metrics are a pure function of the simulation, so enabling
 	// them cannot change behaviour — only add one nil-check branch per
 	// instrumented site.
 	Obs *obs.Registry
 	// Journal, when non-nil, receives sim-time event records from a
-	// System wired over the network.
+	// Session wired over the network.
 	Journal *obs.Journal
 }
 

@@ -2,6 +2,7 @@ package lifeguard
 
 import (
 	"fmt"
+	"net/netip"
 	"time"
 
 	"lifeguard/internal/atlas"
@@ -76,6 +77,29 @@ type HijackConfig struct {
 	DisableAutoMitigate bool
 }
 
+// Config is the part of a session's configuration that predates tenants:
+// what to monitor, from where, and how the subsystems are tuned.
+type Config struct {
+	// Origin is the AS whose prefixes LIFEGUARD manages.
+	Origin ASN
+	// VPs are the vantage-point routers used for monitoring and
+	// isolation (the PlanetLab role in the paper).
+	VPs []RouterID
+	// Targets are the destinations monitored for reachability.
+	Targets []netip.Addr
+
+	// Monitor, Atlas, Isolation and Remedy tune the subsystems; zero
+	// values select paper-calibrated defaults.
+	Monitor   monitor.Config
+	Atlas     atlas.Config
+	Isolation isolation.Config
+	Remedy    remedy.Config
+
+	// DisableAutoRepair turns the system into a pure observer: outages
+	// are detected and isolated but never poisoned.
+	DisableAutoRepair bool
+}
+
 // SessionConfig parameterizes one tenant's Session over a shared Rig.
 type SessionConfig struct {
 	Config
@@ -85,9 +109,8 @@ type SessionConfig struct {
 	Hijack HijackConfig
 
 	// Tenant labels the session's obs partition and journal records.
-	// Defaults to "AS<origin>". The single-session compatibility System
-	// leaves it empty: metrics stay unscoped and journal records keep the
-	// historical "system" subsystem, byte-identical to the pre-Rig facade.
+	// Defaults to "AS<origin>". NewSystem leaves it empty: metrics stay
+	// unscoped and journal records keep the historical "system" subsystem.
 	Tenant string
 
 	// Failsafe tunes the monitor-loss watchdog.
@@ -149,6 +172,80 @@ type Session struct {
 	lastRound time.Duration
 	watchdog  simclock.EventID
 	maxDelay  time.Duration
+}
+
+// EventKind classifies Session history entries.
+type EventKind int
+
+// Session event kinds. New kinds are appended — the numeric values of
+// existing kinds are part of the journal compatibility surface.
+const (
+	EventOutage EventKind = iota
+	EventIsolated
+	EventRepair
+	EventUnpoison
+	EventRecovered
+	EventControlCrash
+	EventControlRestore
+	EventFailsafeEnter
+	EventFailsafeExit
+	EventHijackDetected
+	EventHijackMitigated
+	EventHijackCleared
+)
+
+// String names the event kind. Unknown values render as "eventkind(N)" —
+// stable across enum growth, so forward-compatible consumers can log them
+// without aliasing distinct unknown kinds to one string.
+func (k EventKind) String() string {
+	switch k {
+	case EventOutage:
+		return "outage"
+	case EventIsolated:
+		return "isolated"
+	case EventRepair:
+		return "repair"
+	case EventUnpoison:
+		return "unpoison"
+	case EventRecovered:
+		return "recovered"
+	case EventControlCrash:
+		return "control-crash"
+	case EventControlRestore:
+		return "control-restore"
+	case EventFailsafeEnter:
+		return "failsafe-enter"
+	case EventFailsafeExit:
+		return "failsafe-exit"
+	case EventHijackDetected:
+		return "hijack-detected"
+	case EventHijackMitigated:
+		return "hijack-mitigated"
+	case EventHijackCleared:
+		return "hijack-cleared"
+	default:
+		return fmt.Sprintf("eventkind(%d)", int(k))
+	}
+}
+
+// Event is one entry of a session's history log.
+type Event struct {
+	At     time.Duration
+	Kind   EventKind
+	VP     RouterID
+	Target netip.Addr
+	// Report is set for EventIsolated.
+	Report *isolation.Report
+	// Action is set for EventRepair (it may be a refusal such as
+	// NoAlternate).
+	Action remedy.Action
+	// Avoided is set for EventRepair/EventUnpoison when a poison was
+	// involved.
+	Avoided ASN
+	// Alarm is set for the hijack events (EventHijackDetected, -Mitigated,
+	// -Cleared); Mitigation additionally for EventHijackMitigated.
+	Alarm      *hijack.Alarm
+	Mitigation *hijack.Mitigation
 }
 
 // newSession wires a session over the network without starting it.
@@ -272,10 +369,18 @@ func NewSession(n *Network, cfg SessionConfig) *Session {
 	return newSession(n, cfg)
 }
 
+// NewSystem wires the single-tenant form: one unlabelled session welded to
+// one Network, with unscoped metrics and the historical "system" journal
+// subsystem that the experiments' and CLIs' recorded outputs carry. Call
+// Start to begin monitoring, then advance the network clock.
+func NewSystem(n *Network, cfg Config) *Session {
+	return newSession(n, SessionConfig{Config: cfg})
+}
+
 // Config returns the session's effective configuration.
 func (s *Session) Config() SessionConfig { return s.cfg }
 
-// Tenant returns the session's tenant label ("" for a compat System).
+// Tenant returns the session's tenant label ("" for a NewSystem session).
 func (s *Session) Tenant() string { return s.cfg.Tenant }
 
 // Origin returns the AS the session speaks for.
