@@ -268,9 +268,6 @@ func (c *Controller) DecideAndRepair(rep *isolation.Report, outageStart time.Dur
 		return NotPoisonable
 	}
 	if c.active != nil {
-		if c.active.Avoided == rep.Blamed {
-			return AlreadyActive
-		}
 		// One repair at a time: the paper assumes a single failure.
 		return AlreadyActive
 	}

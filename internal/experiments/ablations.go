@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"math/rand"
 	"time"
 
+	"lifeguard"
 	"lifeguard/internal/bgp"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/obs"
 	"lifeguard/internal/outage"
-	"lifeguard/internal/simclock"
 	"lifeguard/internal/splice"
 	"lifeguard/internal/topo"
 	"lifeguard/internal/topogen"
@@ -110,21 +109,22 @@ func AblationPrecheck(seed int64) *Result { return ablationPrecheck(seed, nil) }
 
 func ablationPrecheck(seed int64, reg *obs.Registry) *Result {
 	r := newResult("abl-precheck", "alternate-path precheck value")
-	n := buildWithOrigin(seed, topogen.Config{NumTransit: 15, NumStub: 40}, 1, reg)
-	prod := topo.ProductionPrefix(n.origin)
-	n.eng.Announce(n.origin, prod, bgp.OriginConfig{Pattern: topo.Path{n.origin, n.origin, n.origin}})
-	n.converge()
+	n, rng := world(seed, topogen.Config{NumTransit: 15, NumStub: 40}, 1, bgp.Config{}, reg)
+	origin := n.Gen.Origin
+	prod := topo.ProductionPrefix(origin)
+	n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: topo.Path{origin, origin, origin}})
+	converge(n)
 
 	// For every (victim stub, transit on its path) pair: would poisoning
 	// that transit sever the victim? The precheck predicts it; poisoning
 	// confirms it.
-	victims := sample(n.rng, n.gen.Stubs, 30)
+	victims := sample(rng, n.Gen.Stubs, 30)
 	var cases, severed, predicted, agree int
 	for _, v := range victims {
-		if v == n.origin {
+		if v == origin {
 			continue
 		}
-		path := n.eng.ASPathTo(v, topo.ProductionAddr(n.origin))
+		path := n.Eng.ASPathTo(v, topo.ProductionAddr(origin))
 		for _, a := range transitHops(path) {
 			if a == v {
 				continue
@@ -134,18 +134,18 @@ func ablationPrecheck(seed int64, reg *obs.Registry) *Result {
 			if pred {
 				predicted++
 			}
-			since := n.clk.Now()
-			n.eng.Announce(n.origin, prod, bgp.OriginConfig{Pattern: topo.Path{n.origin, a, n.origin}})
-			n.converge()
-			_, ok := n.eng.BestRoute(v, prod)
+			since := n.Clk.Now()
+			n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: topo.Path{origin, a, origin}})
+			converge(n)
+			_, ok := n.Eng.BestRoute(v, prod)
 			if !ok {
 				severed++
 			}
 			if pred == !ok {
 				agree++
 			}
-			n.eng.Announce(n.origin, prod, bgp.OriginConfig{Pattern: topo.Path{n.origin, n.origin, n.origin}})
-			n.converge()
+			n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: topo.Path{origin, origin, origin}})
+			converge(n)
 			_ = since
 		}
 	}
@@ -179,25 +179,26 @@ type dampeningPart struct {
 
 func dampeningSweep(seed int64, period time.Duration, reg *obs.Registry) *dampeningPart {
 	n, victim := dampeningNet(seed, reg)
-	prod := topo.ProductionPrefix(n.origin)
-	base := topo.Path{n.origin, n.origin, n.origin}
-	n.eng.Announce(n.origin, prod, bgp.OriginConfig{Pattern: base})
-	n.converge()
-	p := &dampeningPart{period: period, cycles: 6, asesTotal: n.top.NumASes() - 1}
+	origin := n.Gen.Origin
+	prod := topo.ProductionPrefix(origin)
+	base := topo.Path{origin, origin, origin}
+	n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: base})
+	converge(n)
+	p := &dampeningPart{period: period, cycles: 6, asesTotal: n.Top.NumASes() - 1}
 	sampleState := func() {
 		suppressing, unreachable := 0, 0
-		for _, asn := range n.top.ASNs() {
-			if asn == n.origin {
+		for _, asn := range n.Top.ASNs() {
+			if asn == origin {
 				continue
 			}
-			s := n.eng.Speaker(asn)
-			for _, nb := range n.top.Neighbors(asn) {
+			s := n.Eng.Speaker(asn)
+			for _, nb := range n.Top.Neighbors(asn) {
 				if s.Suppressed(nb, prod) {
 					suppressing++
 					break
 				}
 			}
-			if _, ok := n.eng.BestRoute(asn, prod); !ok {
+			if _, ok := n.Eng.BestRoute(asn, prod); !ok {
 				unreachable++
 			}
 		}
@@ -205,13 +206,13 @@ func dampeningSweep(seed int64, period time.Duration, reg *obs.Registry) *dampen
 		p.maxUnreachable = max(p.maxUnreachable, unreachable)
 	}
 	for i := 0; i < p.cycles; i++ {
-		n.clk.RunFor(period)
-		n.eng.Announce(n.origin, prod, bgp.OriginConfig{Pattern: topo.Path{n.origin, victim, n.origin}})
-		n.converge()
+		n.Clk.RunFor(period)
+		n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: topo.Path{origin, victim, origin}})
+		converge(n)
 		sampleState()
-		n.clk.RunFor(period)
-		n.eng.Announce(n.origin, prod, bgp.OriginConfig{Pattern: base})
-		n.converge()
+		n.Clk.RunFor(period)
+		n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: base})
+		converge(n)
 		sampleState()
 	}
 	return p
@@ -256,35 +257,19 @@ func AblationDampening(seed int64) *Result { return dampeningScenario.Run(seed) 
 
 // dampeningNet builds a small dampening-enabled internetwork with an origin
 // and a poison victim on collector paths.
-func dampeningNet(seed int64, reg *obs.Registry) (*net, topo.ASN) {
-	gen, err := topogen.GenerateWithOrigin(topogen.Config{
-		Seed: seed, NumTier1: 3, NumTransit: 10, NumStub: 25,
-	}, 1)
-	if err != nil {
-		panic(err)
-	}
-	clk := simclock.New()
-	eng := bgp.New(gen.Top, clk, bgp.Config{
-		Seed:      seed,
-		Dampening: bgp.DampeningConfig{Enabled: true},
-		Obs:       reg,
-	})
-	for _, asn := range gen.Top.ASNs() {
-		eng.Originate(asn, topo.Block(asn))
-	}
-	n := &net{gen: gen, top: gen.Top, clk: clk, eng: eng, origin: gen.Origin,
-		muxes: gen.Top.Providers(gen.Origin)}
-	n.rng = rand.New(rand.NewSource(seed))
-	n.converge()
+func dampeningNet(seed int64, reg *obs.Registry) (*lifeguard.Network, topo.ASN) {
+	n, _ := world(seed, topogen.Config{NumTier1: 3, NumTransit: 10, NumStub: 25}, 1,
+		bgp.Config{Dampening: bgp.DampeningConfig{Enabled: true}}, reg)
 	// Victim: any transit that is not the origin's provider.
-	for _, tr := range gen.Transit {
-		if tr != n.muxes[0] {
+	mux := n.Top.Providers(n.Gen.Origin)[0]
+	for _, tr := range n.Gen.Transit {
+		if tr != mux {
 			return n, tr
 		}
 	}
-	return n, gen.Transit[0]
+	return n, n.Gen.Transit[0]
 }
 
-func canReachAvoiding(n *net, src, avoid topo.ASN) bool {
-	return splice.CanReach(n.top, src, n.origin, splice.Avoid1(avoid))
+func canReachAvoiding(n *lifeguard.Network, src, avoid topo.ASN) bool {
+	return splice.CanReach(n.Top, src, n.Gen.Origin, splice.Avoid1(avoid))
 }

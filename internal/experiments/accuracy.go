@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"math/rand"
 	"net/netip"
 	"time"
 
+	"lifeguard"
 	"lifeguard/internal/atlas"
+	"lifeguard/internal/bgp"
 	"lifeguard/internal/core/isolation"
 	"lifeguard/internal/dataplane"
 	"lifeguard/internal/metrics"
@@ -18,7 +21,8 @@ import (
 // vantage points, targets, a warmed atlas, and an isolator over a synthetic
 // internetwork.
 type isoRig struct {
-	n       *net
+	n       *lifeguard.Network
+	rng     *rand.Rand
 	atl     *atlas.Atlas
 	iso     *isolation.Isolator
 	vps     []topo.RouterID
@@ -26,26 +30,26 @@ type isoRig struct {
 }
 
 func buildIsoRig(seed int64, reg *obs.Registry) *isoRig {
-	n := build(seed, topogen.Config{NumTransit: 35, NumStub: 110}, reg)
-	rig := &isoRig{n: n}
-	rig.atl = atlas.New(n.top, n.prober, n.clk, atlas.Config{})
-	for _, s := range sample(n.rng, n.gen.Stubs, 8) {
-		vp := n.hub(s)
+	n, rng := world(seed, topogen.Config{NumTransit: 35, NumStub: 110}, 0, bgp.Config{}, reg)
+	rig := &isoRig{n: n, rng: rng}
+	rig.atl = atlas.New(n.Top, n.Prober, n.Clk, atlas.Config{})
+	for _, s := range sample(rng, n.Gen.Stubs, 8) {
+		vp := n.Hub(s)
 		rig.vps = append(rig.vps, vp)
 		rig.atl.AddVP(vp)
 	}
-	targetASes := sample(n.rng, append(append([]topo.ASN(nil), n.gen.Stubs...), n.gen.Transit...), 20)
+	targetASes := sample(rng, append(append([]topo.ASN(nil), n.Gen.Stubs...), n.Gen.Transit...), 20)
 	for _, t := range targetASes {
-		addr := n.top.Router(n.hub(t)).Addr
+		addr := n.RouterAddr(n.Hub(t))
 		rig.targets = append(rig.targets, addr)
 		rig.atl.AddTarget(addr)
 	}
 	// Two atlas rounds of history.
 	rig.atl.RefreshAll()
-	n.clk.RunFor(15 * time.Minute)
+	n.Clk.RunFor(15 * time.Minute)
 	rig.atl.RefreshAll()
-	n.clk.RunFor(time.Minute)
-	rig.iso = isolation.New(n.top, n.prober, rig.atl, n.clk, isolation.Config{})
+	n.Clk.RunFor(time.Minute)
+	rig.iso = isolation.New(n.Top, n.Prober, rig.atl, n.Clk, isolation.Config{})
 	rig.iso.Instrument(reg)
 	return rig
 }
@@ -79,10 +83,10 @@ func (f *injectedFailure) matches(rep *isolation.Report) bool {
 // returning ground truth, or ok=false when no sensible placement exists.
 func (rig *isoRig) inject(ev outage.Event, vp topo.RouterID, target netip.Addr) (injectedFailure, bool) {
 	n := rig.n
-	vpAS := n.top.Router(vp).AS
+	vpAS := n.Top.Router(vp).AS
 	tgtOwner, _ := topo.OwnerOf(target)
-	fwd := n.eng.ASPathTo(vpAS, target)
-	rev := n.eng.ASPathTo(tgtOwner, n.top.Router(vp).Addr)
+	fwd := n.Eng.ASPathTo(vpAS, target)
+	rev := n.Eng.ASPathTo(tgtOwner, n.Top.Router(vp).Addr)
 	pick := func(p topo.Path) (topo.ASN, topo.ASN, bool) {
 		// Choose a transit hop (not either edge AS); return it and the
 		// next AS toward the victim side (for link failures).
@@ -99,7 +103,7 @@ func (rig *isoRig) inject(ev outage.Event, vp topo.RouterID, target netip.Addr) 
 		if len(cands) == 0 {
 			return 0, 0, false
 		}
-		i := cands[n.rng.Intn(len(cands))]
+		i := cands[rig.rng.Intn(len(cands))]
 		next := p[len(p)-1]
 		if i+1 < len(p) {
 			next = p[i+1]
@@ -108,14 +112,14 @@ func (rig *isoRig) inject(ev outage.Event, vp topo.RouterID, target netip.Addr) 
 	}
 
 	f := injectedFailure{dir: ev.Direction, kind: ev.Kind}
-	add := func(rule dataplane.Rule) { f.ids = append(f.ids, n.plane.AddFailure(rule)) }
+	add := func(rule dataplane.Rule) { f.ids = append(f.ids, n.Plane.AddFailure(rule)) }
 	// AS-internal faults hit one router inside the AS (a corrupted line
 	// card, §2.1), so forward traceroutes die *inside* the faulty AS —
 	// the case where traceroute-only diagnosis gets the AS right. Link
 	// faults and reverse faults are where it goes wrong.
 	internalRule := func(x topo.ASN, towards topo.ASN) dataplane.Rule {
 		return dataplane.Rule{
-			AtRouter: n.hub(x), HasRouter: true,
+			AtRouter: n.Hub(x), HasRouter: true,
 			DstWithin: topo.Block(towards),
 		}
 	}
@@ -126,7 +130,7 @@ func (rig *isoRig) inject(ev outage.Event, vp topo.RouterID, target netip.Addr) 
 			return f, false
 		}
 		f.as = x
-		if ev.Kind == outage.ASLink && n.top.Adjacent(x, next) {
+		if ev.Kind == outage.ASLink && n.Top.Adjacent(x, next) {
 			f.isLink, f.next = true, next
 			add(dataplane.DropASLink(x, next))
 		} else {
@@ -138,7 +142,7 @@ func (rig *isoRig) inject(ev outage.Event, vp topo.RouterID, target netip.Addr) 
 			return f, false
 		}
 		f.as = x
-		if ev.Kind == outage.ASLink && n.top.Adjacent(x, next) {
+		if ev.Kind == outage.ASLink && n.Top.Adjacent(x, next) {
 			f.isLink, f.next = true, next
 			add(dataplane.DropASLink(x, next))
 		} else {
@@ -158,7 +162,7 @@ func (rig *isoRig) inject(ev outage.Event, vp topo.RouterID, target netip.Addr) 
 
 func (rig *isoRig) clear(f injectedFailure) {
 	for _, id := range f.ids {
-		rig.n.plane.RemoveFailure(id)
+		rig.n.Plane.RemoveFailure(id)
 	}
 }
 
@@ -186,9 +190,9 @@ func accuracy(seed int64, reg *obs.Registry) *Result {
 		if episodes >= 120 {
 			break
 		}
-		vp := rig.vps[n.rng.Intn(len(rig.vps))]
-		target := rig.targets[n.rng.Intn(len(rig.targets))]
-		if n.top.Router(vp).AS == mustOwner(target) {
+		vp := rig.vps[rig.rng.Intn(len(rig.vps))]
+		target := rig.targets[rig.rng.Intn(len(rig.targets))]
+		if n.Top.Router(vp).AS == mustOwner(target) {
 			continue
 		}
 		f, ok := rig.inject(ev, vp, target)
@@ -197,7 +201,7 @@ func accuracy(seed int64, reg *obs.Registry) *Result {
 		}
 		// The failure must actually break the monitored pair; partial
 		// placements that don't are skipped (as in the paper's criteria).
-		if n.prober.Ping(vp, target).OK {
+		if n.Prober.Ping(vp, target).OK {
 			rig.clear(f)
 			continue
 		}
@@ -255,14 +259,14 @@ func scalability(seed int64, reg *obs.Registry) *Result {
 	n := rig.n
 
 	// Steady-state refresh cost: probes per reverse path, amortized.
-	n.prober.ResetSent()
+	n.Prober.ResetSent()
 	before := rig.atl.PathsRefreshed
 	rounds := 3
 	for i := 0; i < rounds; i++ {
 		rig.atl.RefreshAll()
-		n.clk.RunFor(15 * time.Minute)
+		n.Clk.RunFor(15 * time.Minute)
 	}
-	probes := n.prober.ResetSent()
+	probes := n.Prober.ResetSent()
 	refreshed := rig.atl.PathsRefreshed - before
 	probesPerPath := float64(probes) / float64(refreshed)
 	// Throughput at the paper's implied packet budget: 225 paths/min at
@@ -282,14 +286,14 @@ func scalability(seed int64, reg *obs.Registry) *Result {
 		ev.Direction = outage.Reverse
 		vp := rig.vps[done%len(rig.vps)]
 		target := rig.targets[(done*3)%len(rig.targets)]
-		if n.top.Router(vp).AS == mustOwner(target) {
+		if n.Top.Router(vp).AS == mustOwner(target) {
 			continue
 		}
 		f, ok := rig.inject(ev, vp, target)
 		if !ok {
 			continue
 		}
-		if n.prober.Ping(vp, target).OK {
+		if n.Prober.Ping(vp, target).OK {
 			rig.clear(f)
 			continue
 		}

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math/rand"
 	"time"
 
+	"lifeguard"
+	"lifeguard/internal/bgp"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/obs"
 	"lifeguard/internal/outage"
@@ -28,21 +31,21 @@ func altPaths(seed int64, reg *obs.Registry) *Result {
 	r := newResult("sec2.2", "policy-compliant alternate paths during outages")
 	// PlanetLab-like conditions: sites are multihomed academic edge
 	// networks, and the transit mesh is well peered.
-	n := build(seed, topogen.Config{NumTransit: 30, NumStub: 90,
-		TransitPeerProb: 0.12, StubMultihomeProb: 0.75}, reg)
+	n, rng := world(seed, topogen.Config{NumTransit: 30, NumStub: 90,
+		TransitPeerProb: 0.12, StubMultihomeProb: 0.75}, 0, bgp.Config{}, reg)
 
 	// Site mix mirrors PlanetLab: mostly multihomed academic networks,
 	// with a minority of single-homed sites.
 	var multihomed, singlehomed []topo.ASN
-	for _, s := range n.gen.Stubs {
-		if len(n.top.Providers(s)) >= 2 {
+	for _, s := range n.Gen.Stubs {
+		if len(n.Top.Providers(s)) >= 2 {
 			multihomed = append(multihomed, s)
 		} else {
 			singlehomed = append(singlehomed, s)
 		}
 	}
-	sites := sample(n.rng, multihomed, 34)
-	sites = append(sites, sample(n.rng, singlehomed, 16)...)
+	sites := sample(rng, multihomed, 34)
+	sites = append(sites, sample(rng, singlehomed, 16)...)
 	type sitePair struct{ s, d int }
 
 	// One week-equivalent of mesh traceroutes: every ordered site pair.
@@ -55,7 +58,7 @@ func altPaths(seed int64, reg *obs.Registry) *Result {
 			if i == j {
 				continue
 			}
-			tr := n.prober.Traceroute(n.hub(s), n.top.Router(n.hub(d)).Addr)
+			tr := n.Prober.Traceroute(n.Hub(s), n.RouterAddr(n.Hub(d)))
 			if !tr.ReachedDst {
 				continue
 			}
@@ -70,12 +73,12 @@ func altPaths(seed int64, reg *obs.Registry) *Result {
 	// mesh rounds — on the order of a million traceroutes. Enrich the
 	// observed-subpath index (only the index; splice candidates still
 	// come from the site mesh) with paths from every stub to the sites.
-	for _, s := range n.gen.Stubs {
-		for _, d := range n.gen.Stubs {
+	for _, s := range n.Gen.Stubs {
+		for _, d := range n.Gen.Stubs {
 			if s == d {
 				continue
 			}
-			tr := n.prober.Traceroute(n.hub(s), n.top.Router(n.hub(d)).Addr)
+			tr := n.Prober.Traceroute(n.Hub(s), n.RouterAddr(n.Hub(d)))
 			if tr.ReachedDst {
 				obs.AddASPath(splice.HopPath(tr.Hops).ASPath())
 			}
@@ -88,8 +91,8 @@ func altPaths(seed int64, reg *obs.Registry) *Result {
 	var all, allWithAlt, long, longWithAlt, persist, persistChecked int
 	var reachable int // diagnostic upper bound: a valley-free path exists
 	for _, ev := range events {
-		i := n.rng.Intn(len(sites))
-		j := n.rng.Intn(len(sites))
+		i := rng.Intn(len(sites))
+		j := rng.Intn(len(sites))
 		if i == j {
 			continue
 		}
@@ -98,7 +101,7 @@ func altPaths(seed int64, reg *obs.Registry) *Result {
 			continue
 		}
 		d := sites[j]
-		failAS, ok := chooseFailureAS(n, path, ev.Duration)
+		failAS, ok := chooseFailureAS(n, rng, path, ev.Duration)
 		if !ok {
 			continue
 		}
@@ -107,7 +110,7 @@ func altPaths(seed int64, reg *obs.Registry) *Result {
 		if isLong {
 			long++
 		}
-		if splice.CanReach(n.top, sites[i], d, splice.Avoid1(failAS)) {
+		if splice.CanReach(n.Top, sites[i], d, splice.Avoid1(failAS)) {
 			reachable++
 		}
 		alt, found := splice.Splice(fromSite[sites[i]], toSite[d], failAS, obs)
@@ -152,7 +155,7 @@ func altPaths(seed int64, reg *obs.Registry) *Result {
 // (where a stub has little or no diversity), long outages in interior
 // transit (where diversity is high). This is the empirical pattern behind
 // the paper's §2.2 finding that alternate availability grows with duration.
-func chooseFailureAS(n *net, path topo.Path, d time.Duration) (topo.ASN, bool) {
+func chooseFailureAS(n *lifeguard.Network, rng *rand.Rand, path topo.Path, d time.Duration) (topo.ASN, bool) {
 	// path: src-side first, destination AS last.
 	if len(path) < 3 {
 		return 0, false
@@ -169,7 +172,7 @@ func chooseFailureAS(n *net, path topo.Path, d time.Duration) (topo.ASN, bool) {
 	} else if d >= 10*time.Minute {
 		pAccess = 0.35
 	}
-	if n.rng.Float64() < pAccess {
+	if rng.Float64() < pAccess {
 		return accessProvider, true
 	}
 	// Long-lasting problems occur outside the largest networks (§7.1
@@ -177,7 +180,7 @@ func chooseFailureAS(n *net, path topo.Path, d time.Duration) (topo.ASN, bool) {
 	if d >= 10*time.Minute {
 		var nonT1 []topo.ASN
 		for _, a := range interior {
-			if n.top.AS(a).Tier != 1 {
+			if n.Top.AS(a).Tier != 1 {
 				nonT1 = append(nonT1, a)
 			}
 		}
@@ -185,12 +188,12 @@ func chooseFailureAS(n *net, path topo.Path, d time.Duration) (topo.ASN, bool) {
 			interior = nonT1
 		}
 	}
-	return interior[n.rng.Intn(len(interior))], true
+	return interior[rng.Intn(len(interior))], true
 }
 
 // stillValid re-walks the spliced path hop sequence against the data plane
 // to confirm adjacent hops remain connected and off the failed AS.
-func stillValid(n *net, alt splice.HopPath, failAS topo.ASN) bool {
+func stillValid(n *lifeguard.Network, alt splice.HopPath, failAS topo.ASN) bool {
 	for _, h := range alt {
 		if !h.Star && h.AS == failAS {
 			return false
@@ -206,8 +209,8 @@ func stillValid(n *net, alt splice.HopPath, failAS topo.ASN) bool {
 		if prev != nil && *prev != cur {
 			// same-AS hops are intra-connected by construction; check
 			// AS boundaries only, cheaply, via topology adjacency.
-			a, b := n.top.Router(*prev).AS, n.top.Router(cur).AS
-			if a != b && !n.top.Adjacent(a, b) {
+			a, b := n.Top.Router(*prev).AS, n.Top.Router(cur).AS
+			if a != b && !n.Top.Adjacent(a, b) {
 				return false
 			}
 		}

@@ -27,23 +27,25 @@ func Baselines(seed int64) *Result { return baselines(seed, nil) }
 
 func baselines(seed int64, reg *obs.Registry) *Result {
 	r := newResult("sec2.3-baselines", "remediation techniques vs remote reverse failures")
-	n := buildWithOrigin(seed, topogen.Config{
+	n, rng := world(seed, topogen.Config{
 		NumTransit: 25, NumStub: 80,
 		TransitPeerProb: 0.10, StubMultihomeProb: 0.65,
-	}, 2, reg)
-	prod := topo.ProductionPrefix(n.origin)
-	base := topo.Path{n.origin, n.origin, n.origin}
+	}, 2, bgp.Config{}, reg)
+	origin := n.Gen.Origin
+	muxes := n.Top.Providers(origin)
+	prod := topo.ProductionPrefix(origin)
+	base := topo.Path{origin, origin, origin}
 	baseline := func() {
-		n.eng.Announce(n.origin, prod, bgp.OriginConfig{Pattern: base})
-		n.converge()
+		n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: base})
+		converge(n)
 	}
 	baseline()
 
 	// The victim reaches the origin via a path through its production
 	// route; delivery is tested end to end on the data plane.
 	victimOK := func(v topo.ASN) bool {
-		res := n.plane.Forward(n.hub(v), dataplane.Packet{
-			Src: n.top.Router(n.hub(v)).Addr, Dst: topo.ProductionAddr(n.origin),
+		res := n.Plane.Forward(n.Hub(v), dataplane.Packet{
+			Src: n.RouterAddr(n.Hub(v)), Dst: topo.ProductionAddr(origin),
 		})
 		return res.Delivered()
 	}
@@ -66,13 +68,13 @@ func baselines(seed int64, reg *obs.Registry) *Result {
 		viaFail bool
 	}
 	pathSnapshot := func(failAS topo.ASN) map[topo.ASN]snap {
-		out := make(map[topo.ASN]snap, n.top.NumASes())
-		for _, asn := range n.top.ASNs() {
-			if rt, ok := n.eng.BestRoute(asn, prod); ok {
+		out := make(map[topo.ASN]snap, n.Top.NumASes())
+		for _, asn := range n.Top.ASNs() {
+			if rt, ok := n.Eng.BestRoute(asn, prod); ok {
 				nh, _ := rt.NextHop()
 				via := false
 				for _, a := range rt.Path {
-					if a == n.origin {
+					if a == origin {
 						break
 					}
 					if a == failAS {
@@ -86,12 +88,12 @@ func baselines(seed int64, reg *obs.Registry) *Result {
 	}
 
 	scenarios := 0
-	for _, v := range sample(n.rng, n.gen.Stubs, 40) {
-		if scenarios >= 25 || v == n.origin {
+	for _, v := range sample(rng, n.Gen.Stubs, 40) {
+		if scenarios >= 25 || v == origin {
 			continue
 		}
 		baseline()
-		path := n.eng.ASPathTo(v, topo.ProductionAddr(n.origin))
+		path := n.Eng.ASPathTo(v, topo.ProductionAddr(origin))
 		hops := transitHops(path)
 		if len(hops) < 2 {
 			continue
@@ -100,7 +102,7 @@ func baselines(seed int64, reg *obs.Registry) *Result {
 		// the origin's).
 		failAS := hops[len(hops)/2]
 		isMux := false
-		for _, m := range n.muxes {
+		for _, m := range muxes {
 			if failAS == m {
 				isMux = true
 			}
@@ -114,14 +116,14 @@ func baselines(seed int64, reg *obs.Registry) *Result {
 			sideMux = path[len(path)-2] // the AS just before the origin pattern
 		}
 		for i := len(path) - 1; i >= 0; i-- {
-			if path[i] == n.origin {
+			if path[i] == origin {
 				continue
 			}
 			sideMux = path[i]
 			break
 		}
 		var otherMux topo.ASN
-		for _, m := range n.muxes {
+		for _, m := range muxes {
 			if m != sideMux {
 				otherMux = m
 			}
@@ -129,17 +131,17 @@ func baselines(seed int64, reg *obs.Registry) *Result {
 		if otherMux == 0 || sideMux == 0 {
 			continue
 		}
-		fid := n.plane.AddFailure(dataplane.BlackholeASTowards(failAS, topo.Block(n.origin)))
+		fid := n.Plane.AddFailure(dataplane.BlackholeASTowards(failAS, topo.Block(origin)))
 		if victimOK(v) {
-			n.plane.RemoveFailure(fid)
+			n.Plane.RemoveFailure(fid)
 			continue // the failure didn't actually break this victim
 		}
 		scenarios++
 		before := pathSnapshot(failAS)
 
 		apply := func(name string, cfg bgp.OriginConfig) {
-			n.eng.Announce(n.origin, prod, cfg)
-			n.converge()
+			n.Eng.Announce(origin, prod, cfg)
+			converge(n)
 			wins[name].Observe(victimOK(v))
 			// Collateral: ASes whose working route (one NOT through the
 			// faulty AS) was forced to change. ASes that were routing
@@ -165,19 +167,19 @@ func baselines(seed int64, reg *obs.Registry) *Result {
 		apply("prepending", bgp.OriginConfig{
 			Pattern: base,
 			PerNeighbor: map[topo.ASN]topo.Path{
-				sideMux: {n.origin, n.origin, n.origin, n.origin, n.origin, n.origin, n.origin},
+				sideMux: {origin, origin, origin, origin, origin, origin, origin},
 			},
 		})
 		apply("selective poisoning", bgp.OriginConfig{
 			Pattern: base,
 			PerNeighbor: map[topo.ASN]topo.Path{
-				sideMux: {n.origin, failAS, n.origin},
+				sideMux: {origin, failAS, origin},
 			},
 		})
 		apply("poisoning", bgp.OriginConfig{
-			Pattern: topo.Path{n.origin, failAS, n.origin},
+			Pattern: topo.Path{origin, failAS, origin},
 		})
-		n.plane.RemoveFailure(fid)
+		n.Plane.RemoveFailure(fid)
 	}
 
 	tab := &metrics.Table{

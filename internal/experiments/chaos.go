@@ -6,9 +6,9 @@ import (
 	"net/netip"
 	"time"
 
-	"lifeguard/internal/atlas"
+	"lifeguard"
+	"lifeguard/internal/bgp"
 	"lifeguard/internal/chaos"
-	"lifeguard/internal/core/isolation"
 	"lifeguard/internal/core/remedy"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/obs"
@@ -22,7 +22,7 @@ import (
 // internal/chaos, swept over fault intensity. Each trial builds a BGP-Mux
 // deployment (a multihomed origin watching remote targets), schedules
 // outage-calibrated faults on the monitored reverse paths, lets a
-// clock-driven monitor race them with poisoning repairs, and runs the
+// lifeguard.Session race them with poisoning repairs, and runs the
 // chaos invariant checker over the whole timeline: any forwarding loop,
 // RIB inconsistency, or failure to converge back to baseline is a
 // violation, and the experiment demands zero.
@@ -37,15 +37,14 @@ const chaosFaults = 8
 
 // chaosPart is one intensity level's trial outcome.
 type chaosPart struct {
-	intensity        float64
-	faults           int
-	injected, healed int
-	barriers         int
-	violations       int
-	// episodes are monitor-observed reachability losses on the monitored
-	// pairs; recovered counts those that ended, repaired those that ended
-	// while a poison was active (the repair beat the scripted heal), and
-	// ttrSum accumulates recovered durations in seconds.
+	intensity  float64
+	faults     int
+	violations int
+	// episodes are monitor-declared outages (four consecutive failed ping
+	// pairs, §2.1) on the monitored pairs; recovered counts those that
+	// ended, repaired those that ended while a poison was active (the
+	// repair beat the scripted heal), and ttrSum accumulates recovered
+	// durations in seconds.
 	episodes  int
 	recovered int
 	repaired  int
@@ -72,125 +71,72 @@ var chaosScenario = Scenario{
 // Chaos runs the fault-injection stress sweep; see chaosScenario.
 func Chaos(seed int64) *Result { return chaosScenario.Run(seed) }
 
-// chaosPair is one monitored origin→target pair.
-type chaosPair struct {
-	as   topo.ASN
-	addr netip.Addr
+// watchStubs starts the shipped repair loop for n's origin: a Session whose
+// one vantage point, the origin hub, watches the hub of each stub AS
+// (pinging from the production prefix, so reply traffic rides the
+// poisonable announcement). A short outage-age gate and a tight sentinel
+// keep the loop responsive at the compressed timescales of a scripted run;
+// repair=false makes it a pure observer. It returns after two atlas rounds,
+// so isolation has reverse-path history, together with the reachability
+// probes to assert at all-healed chaos barriers: the forward direction to
+// every target, and the reverse direction back into the production prefix.
+func watchStubs(n *lifeguard.Network, stubs []topo.ASN, repair bool) (*lifeguard.Session, []chaos.ReachProbe) {
+	origin := n.Gen.Origin
+	vp := n.Hub(origin)
+	var targets []netip.Addr
+	var reach []chaos.ReachProbe
+	for _, t := range stubs {
+		addr := n.RouterAddr(n.Hub(t))
+		targets = append(targets, addr)
+		reach = append(reach,
+			chaos.ReachProbe{From: vp, To: addr},
+			chaos.ReachProbe{From: n.Hub(t), To: topo.ProductionAddr(origin)})
+	}
+	ses := lifeguard.NewSystem(n, lifeguard.Config{
+		Origin: origin, VPs: []topo.RouterID{vp}, Targets: targets,
+		Remedy:            remedy.Config{MinOutageAge: time.Minute, SentinelInterval: time.Minute},
+		DisableAutoRepair: !repair,
+	})
+	ses.Start()
+	n.Clk.RunFor(16 * time.Minute)
+	return ses, reach
 }
 
 func chaosTrial(seed int64, intensity float64, reg *obs.Registry) chaosPart {
-	n := buildWithOrigin(seed, topogen.Config{NumTransit: 15, NumStub: 30}, 3, reg)
-
-	// The repair engine owns the origin's announcements. A short outage-age
-	// gate and a tight sentinel keep the repair loop responsive at the
-	// compressed timescales of a scripted run.
-	ctrl := remedy.New(n.eng, n.prober, n.clk, remedy.Config{
-		Origin:           n.origin,
-		MinOutageAge:     time.Minute,
-		SentinelInterval: time.Minute,
-	})
-	ctrl.Instrument(reg)
-	ctrl.AnnounceBaseline()
-	n.converge()
-
-	// The measurement deployment: the origin hub watches two remote stub
-	// targets (pinging from the production prefix, as the System does, so
-	// reply traffic rides the poisonable announcement), with a warmed
-	// atlas so isolation has reverse-path history.
-	vp := n.hub(n.origin)
-	src := topo.ProductionAddr(n.origin)
-	var pairs []chaosPair
-	atl := atlas.New(n.top, n.prober, n.clk, atlas.Config{})
-	atl.AddVP(vp)
-	for _, t := range sample(n.rng, n.gen.Stubs, 2) {
-		addr := n.top.Router(n.hub(t)).Addr
-		atl.AddTarget(addr)
-		pairs = append(pairs, chaosPair{as: t, addr: addr})
-	}
-	atl.RefreshAll()
-	n.clk.RunFor(15 * time.Minute)
-	atl.RefreshAll()
-	n.clk.RunFor(time.Minute)
-	iso := isolation.New(n.top, n.prober, atl, n.clk, isolation.Config{})
-	iso.Instrument(reg)
-
-	script := chaosScript(n, pairs, seed, intensity)
-
-	part := chaosPart{intensity: intensity}
-	for _, st := range script.Steps {
-		if !st.Check {
-			part.faults++
-		}
-	}
-
-	// The monitor: a clock-driven poller pinging each target every 30s.
-	// On sustained loss it isolates and hands the report to the remedy
-	// engine — the System loop, inlined so the trial stays self-contained.
-	type episode struct {
-		open    bool
-		start   time.Duration
-		lastIso time.Duration
-	}
-	states := make([]episode, len(pairs))
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		now := n.clk.Now()
-		for i := range pairs {
-			st := &states[i]
-			ok := n.prober.PingFromAddr(vp, src, pairs[i].addr).OK
-			switch {
-			case !ok && !st.open:
-				st.open, st.start, st.lastIso = true, now, now
-				part.episodes++
-			case !ok && st.open:
-				if ctrl.Active() == nil && now-st.lastIso >= 2*time.Minute {
-					st.lastIso = now
-					rep := iso.Isolate(vp, pairs[i].addr)
-					ctrl.DecideAndRepair(rep, st.start)
-				}
-			case ok && st.open:
-				st.open = false
-				part.recovered++
-				part.ttrSum += (now - st.start).Seconds()
-				if a := ctrl.Active(); a != nil && a.Victim == pairs[i].addr {
-					// Reachability to this victim returned while its
-					// poison was still up: the repair beat the heal.
-					part.repaired++
-				}
-			}
-		}
-		n.clk.After(30*time.Second, tick)
-	}
-	n.clk.After(30*time.Second, tick)
-
-	// Reachability probes asserted at all-healed barriers: the forward
-	// direction to every target, and the reverse direction back into the
-	// production prefix.
-	var reach []chaos.ReachProbe
-	for _, p := range pairs {
-		reach = append(reach, chaos.ReachProbe{From: vp, To: p.addr})
-		reach = append(reach, chaos.ReachProbe{From: n.hub(p.as), To: src})
-	}
-
-	tgt := &chaos.Target{Top: n.top, Clk: n.clk, Eng: n.eng, Plane: n.plane}
-	runner, err := chaos.NewRunner(tgt, script, chaos.Options{Obs: reg, Reach: reach})
+	n, rng := world(seed, topogen.Config{NumTransit: 15, NumStub: 30}, 3, bgp.Config{}, reg)
+	stubs := sample(rng, n.Gen.Stubs, 2)
+	ses, reach := watchStubs(n, stubs, true)
+	rep, err := n.RunChaos(chaosScript(n, stubs, seed, intensity), chaos.Options{Obs: reg, Reach: reach})
 	if err != nil {
 		panic(fmt.Sprintf("chaos experiment: %v", err))
 	}
-	rep, err := runner.Run()
-	if err != nil {
-		panic(fmt.Sprintf("chaos experiment: run: %v", err))
-	}
-	stopped = true
 
-	part.injected, part.healed = rep.Injected, rep.Healed
-	part.barriers = rep.Barriers
-	part.violations = len(rep.Violations)
-	part.poisons = len(ctrl.History)
+	part := chaosPart{
+		intensity:  intensity,
+		faults:     rep.Faults,
+		violations: len(rep.Violations),
+		episodes:   len(ses.Monitor.History),
+		poisons:    len(ses.Remedy.History),
+	}
+	for _, o := range ses.Monitor.History {
+		if o.End > 0 {
+			part.recovered++
+			part.ttrSum += (o.End - o.Start).Seconds()
+		}
+	}
+	// A recovery logged while the victim's own poison was still up means
+	// the repair beat the scripted heal.
+	var poisoned netip.Addr
+	for _, e := range ses.History {
+		switch {
+		case e.Kind == lifeguard.EventRepair && e.Action == remedy.Poisoned:
+			poisoned = e.Target
+		case e.Kind == lifeguard.EventUnpoison:
+			poisoned = netip.Addr{}
+		case e.Kind == lifeguard.EventRecovered && e.Target == poisoned:
+			part.repaired++
+		}
+	}
 	return part
 }
 
@@ -200,7 +146,8 @@ func chaosTrial(seed int64, intensity float64, reg *obs.Registry) chaosPart {
 // placement luck. Silent faults (one-way drops, reverse blackholes,
 // packet loss) are LIFEGUARD's target; full bidirectional link outages
 // become visible session resets BGP heals on its own — the contrast case.
-func chaosScript(n *net, pairs []chaosPair, seed int64, intensity float64) *chaos.Script {
+func chaosScript(n *lifeguard.Network, stubs []topo.ASN, seed int64, intensity float64) *chaos.Script {
+	origin := n.Gen.Origin
 	trialSeed := seed*31 + int64(intensity*8)
 	events := outage.Generate(outage.Config{
 		Seed: trialSeed,
@@ -212,19 +159,19 @@ func chaosScript(n *net, pairs []chaosPair, seed int64, intensity float64) *chao
 		MeanInterarrival: time.Duration(float64(5*time.Minute) / intensity),
 	})
 	rng := rand.New(rand.NewSource(trialSeed ^ 0x0C4A05))
-	avoid := map[topo.ASN]bool{n.origin: true}
-	for _, m := range n.muxes {
+	avoid := map[topo.ASN]bool{origin: true}
+	for _, m := range n.Top.Providers(origin) {
 		avoid[m] = true
 	}
-	for _, p := range pairs {
-		avoid[p.as] = true
+	for _, t := range stubs {
+		avoid[t] = true
 	}
 
 	var s chaos.Script
 	for _, ev := range events {
-		pair := pairs[rng.Intn(len(pairs))]
+		target := stubs[rng.Intn(len(stubs))]
 		// The reverse path the monitored replies ride, origin-side last.
-		rev := n.eng.ASPathTo(pair.as, topo.ProductionAddr(n.origin))
+		rev := n.Eng.ASPathTo(target, topo.ProductionAddr(origin))
 		var cands []int
 		for i, a := range rev {
 			if !avoid[a] {
@@ -236,14 +183,14 @@ func chaosScript(n *net, pairs []chaosPair, seed int64, intensity float64) *chao
 		}
 		i := cands[rng.Intn(len(cands))]
 		x := rev[i]
-		next := n.origin
+		next := origin
 		if i+1 < len(rev) {
 			next = rev[i+1]
 		}
 
 		var f chaos.Fault
 		switch {
-		case ev.Kind == outage.ASLink && n.top.Adjacent(x, next):
+		case ev.Kind == outage.ASLink && n.Top.Adjacent(x, next):
 			if ev.Direction == outage.Bidirectional && !ev.Partial {
 				f = &chaos.SessionReset{A: x, B: next}
 			} else {
@@ -252,7 +199,7 @@ func chaosScript(n *net, pairs []chaosPair, seed int64, intensity float64) *chao
 		case ev.Partial:
 			f = &chaos.PacketLoss{AS: x, Prob: 0.5 + 0.4*rng.Float64(), Seed: rng.Uint64()}
 		default:
-			f = &chaos.BlackholeTowards{AS: x, Dst: topo.Block(n.origin)}
+			f = &chaos.BlackholeTowards{AS: x, Dst: topo.Block(origin)}
 		}
 		s.Steps = append(s.Steps, chaos.Step{At: ev.Start, Fault: f, For: ev.Duration})
 	}

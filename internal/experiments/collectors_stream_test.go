@@ -19,8 +19,8 @@ func recordStreams(seed int64) string {
 	n := rig.n
 	if len(rig.victims) > 0 {
 		a := rig.victims[0]
-		n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: topo.Path{n.origin, a, n.origin}})
-		n.converge()
+		n.Eng.Announce(n.Gen.Origin, rig.prod, bgp.OriginConfig{Pattern: topo.Path{n.Gen.Origin, a, n.Gen.Origin}})
+		converge(n)
 	}
 	var sb strings.Builder
 	for _, p := range rig.coll.Peers() {

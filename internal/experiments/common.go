@@ -4,94 +4,45 @@ import (
 	"fmt"
 	"math/rand"
 
+	"lifeguard"
 	"lifeguard/internal/bgp"
-	"lifeguard/internal/dataplane"
 	"lifeguard/internal/obs"
-	"lifeguard/internal/probe"
-	"lifeguard/internal/simclock"
 	"lifeguard/internal/topo"
 	"lifeguard/internal/topogen"
 )
 
-// net bundles the simulated internetwork an experiment runs over.
-type net struct {
-	gen    *topogen.Result
-	top    *topo.Topology
-	clk    *simclock.Scheduler
-	eng    *bgp.Engine
-	plane  *dataplane.Plane
-	prober *probe.Prober
-	rng    *rand.Rand
-	reg    *obs.Registry // nil when the trial runs uninstrumented
-
-	// origin, when built with buildWithOrigin, is the multihomed stub AS
-	// playing the LIFEGUARD/BGP-Mux role; muxes are its providers.
-	origin topo.ASN
-	muxes  []topo.ASN
+// world generates a synthetic internetwork and assembles a converged
+// lifeguard.Network over it, returning it with the trial's sampling rng.
+// providers > 0 adds a fresh multihomed origin stub (n.Gen.Origin) attached
+// to that many distinct transit ASes — the BGP-Mux deployment shape of §5
+// (one AS, announcements via several university muxes). reg, when non-nil,
+// instruments every subsystem of the network and of any Session over it.
+func world(seed int64, cfg topogen.Config, providers int, bgpCfg bgp.Config, reg *obs.Registry) (*lifeguard.Network, *rand.Rand) {
+	cfg.Seed = seed
+	var gen *topogen.Result
+	var err error
+	if providers > 0 {
+		gen, err = topogen.GenerateWithOrigin(cfg, providers)
+	} else {
+		gen, err = topogen.Generate(cfg)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("experiments: topogen: %v", err))
+	}
+	n, err := lifeguard.AssembleNetwork(gen.Top, lifeguard.NetworkOptions{Seed: seed, BGP: bgpCfg, Obs: reg})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	n.Gen = gen
+	return n, rand.New(rand.NewSource(seed ^ 0x5EED))
 }
 
-func (n *net) hub(asn topo.ASN) topo.RouterID { return n.top.AS(asn).Routers[0] }
-
-func (n *net) converge() {
-	if !n.eng.Converge(500_000_000) {
+// converge drains the control plane. A trial over a half-converged world
+// has no meaningful result, so a blown budget panics instead of reporting.
+func converge(n *lifeguard.Network) {
+	if !n.Converge() {
 		panic("experiments: BGP did not converge")
 	}
-}
-
-// build assembles a converged internetwork of the given size. reg, when
-// non-nil, instruments every subsystem of the assembled network.
-func build(seed int64, cfg topogen.Config, reg *obs.Registry) *net {
-	cfg.Seed = seed
-	gen, err := topogen.Generate(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: topogen: %v", err))
-	}
-	clk := simclock.New()
-	eng := bgp.New(gen.Top, clk, bgp.Config{Seed: seed, Obs: reg})
-	for _, asn := range gen.Top.ASNs() {
-		eng.Originate(asn, topo.Block(asn))
-	}
-	n := &net{
-		gen: gen, top: gen.Top, clk: clk, eng: eng,
-		plane: dataplane.New(gen.Top, eng),
-		rng:   rand.New(rand.NewSource(seed ^ 0x5EED)),
-		reg:   reg,
-	}
-	n.plane.Instrument(reg)
-	n.prober = probe.New(gen.Top, n.plane, clk, probe.Config{})
-	n.prober.Instrument(reg)
-	n.converge()
-	return n
-}
-
-// buildWithOrigin builds an internetwork plus a fresh multihomed origin
-// stub attached to `providers` distinct transit ASes — the BGP-Mux
-// deployment shape of §5 (one AS, announcements via several university
-// muxes).
-func buildWithOrigin(seed int64, cfg topogen.Config, providers int, reg *obs.Registry) *net {
-	cfg.Seed = seed
-	gen, err := topogen.GenerateWithOrigin(cfg, providers)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: topogen: %v", err))
-	}
-	clk := simclock.New()
-	eng := bgp.New(gen.Top, clk, bgp.Config{Seed: seed, Obs: reg})
-	for _, asn := range gen.Top.ASNs() {
-		eng.Originate(asn, topo.Block(asn))
-	}
-	n := &net{
-		gen: gen, top: gen.Top, clk: clk, eng: eng,
-		plane:  dataplane.New(gen.Top, eng),
-		rng:    rand.New(rand.NewSource(seed ^ 0x5EED)),
-		reg:    reg,
-		origin: gen.Origin,
-		muxes:  gen.Top.Providers(gen.Origin),
-	}
-	n.plane.Instrument(reg)
-	n.prober = probe.New(gen.Top, n.plane, clk, probe.Config{})
-	n.prober.Instrument(reg)
-	n.converge()
-	return n
 }
 
 // sample returns k distinct elements of xs in deterministic shuffled order.

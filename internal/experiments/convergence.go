@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"time"
 
+	"lifeguard"
 	"lifeguard/internal/bgp"
 	"lifeguard/internal/collectors"
 	"lifeguard/internal/metrics"
@@ -21,7 +22,7 @@ import (
 
 // convRig is the Fig. 6 deployment each convergence trial reconstructs.
 type convRig struct {
-	n              *net
+	n              *lifeguard.Network
 	prod           netip.Prefix
 	coll           *collectors.Collector
 	victims        []topo.ASN
@@ -29,37 +30,39 @@ type convRig struct {
 }
 
 func buildConvRig(seed int64, reg *obs.Registry) *convRig {
-	n := buildWithOrigin(seed, topogen.Config{NumTransit: 30, NumStub: 100}, 1, reg)
+	n, rng := world(seed, topogen.Config{NumTransit: 30, NumStub: 100}, 1, bgp.Config{}, reg)
+	origin := n.Gen.Origin
 	rig := &convRig{
 		n:    n,
-		prod: topo.ProductionPrefix(n.origin),
+		prod: topo.ProductionPrefix(origin),
 	}
-	rig.plain = topo.Path{n.origin}
-	rig.prepend = topo.Path{n.origin, n.origin, n.origin}
+	rig.plain = topo.Path{origin}
+	rig.prepend = topo.Path{origin, origin, origin}
 
-	peerSet := sample(n.rng, append(append([]topo.ASN(nil), n.gen.Stubs...), n.gen.Transit...), 50)
-	rig.coll = collectors.New(n.eng)
+	peerSet := sample(rng, append(append([]topo.ASN(nil), n.Gen.Stubs...), n.Gen.Transit...), 50)
+	rig.coll = collectors.New(n.Eng)
 	rig.coll.Instrument(reg)
 	for _, p := range peerSet {
-		if p != n.origin {
+		if p != origin {
 			rig.coll.AddPeer(p)
 		}
 	}
 
-	n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: rig.plain})
-	n.converge()
+	n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: rig.plain})
+	converge(n)
 
 	tier1 := make(map[topo.ASN]bool)
-	for _, t := range n.gen.Tier1s {
+	for _, t := range n.Gen.Tier1s {
 		tier1[t] = true
 	}
-	for _, a := range rig.coll.HarvestASes(rig.prod, n.origin) {
-		if !tier1[a] && a != n.muxes[0] {
+	mux := n.Top.Providers(origin)[0]
+	for _, a := range rig.coll.HarvestASes(rig.prod, origin) {
+		if !tier1[a] && a != mux {
 			rig.victims = append(rig.victims, a)
 		}
 	}
 	if len(rig.victims) > 25 {
-		rig.victims = sample(n.rng, rig.victims, 25)
+		rig.victims = sample(rng, rig.victims, 25)
 	}
 	return rig
 }
@@ -88,17 +91,18 @@ type convPart struct {
 func convergenceSweep(seed int64, usePrepend bool, reg *obs.Registry) *convPart {
 	rig := buildConvRig(seed, reg)
 	n := rig.n
+	origin := n.Gen.Origin
 	baseline := rig.plain
 	if usePrepend {
 		baseline = rig.prepend
 	}
 	p := &convPart{poisons: len(rig.victims)}
 	for _, a := range rig.victims {
-		n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: baseline})
-		n.converge()
-		since := n.clk.Now()
-		n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: topo.Path{n.origin, a, n.origin}})
-		n.converge()
+		n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: baseline})
+		converge(n)
+		since := n.Clk.Now()
+		n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: topo.Path{origin, a, origin}})
+		converge(n)
 		if g, ok := rig.coll.GlobalConvergenceTime(rig.prod, since); ok {
 			p.global.AddDuration(g)
 		}
@@ -210,7 +214,7 @@ func Convergence(seed int64) *Result { return convergenceScenario.Run(seed) }
 
 // lossRig is the §5.2 loss deployment each loss trial reconstructs.
 type lossRig struct {
-	n       *net
+	n       *lifeguard.Network
 	prod    netip.Prefix
 	prepend topo.Path
 	sites   []topo.ASN
@@ -218,13 +222,14 @@ type lossRig struct {
 }
 
 func buildLossRig(seed int64, reg *obs.Registry) *lossRig {
-	n := buildWithOrigin(seed, topogen.Config{NumTransit: 30, NumStub: 100}, 1, reg)
-	rig := &lossRig{n: n, prod: topo.ProductionPrefix(n.origin)}
-	rig.prepend = topo.Path{n.origin, n.origin, n.origin}
-	n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: rig.prepend})
-	n.converge()
+	n, rng := world(seed, topogen.Config{NumTransit: 30, NumStub: 100}, 1, bgp.Config{}, reg)
+	origin := n.Gen.Origin
+	rig := &lossRig{n: n, prod: topo.ProductionPrefix(origin)}
+	rig.prepend = topo.Path{origin, origin, origin}
+	n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: rig.prepend})
+	converge(n)
 
-	rig.sites = sample(n.rng, n.gen.Stubs, 40)
+	rig.sites = sample(rng, n.Gen.Stubs, 40)
 	rig.victims = harvestForLoss(n, rig.sites)
 	if len(rig.victims) > 20 {
 		rig.victims = rig.victims[:20]
@@ -247,25 +252,26 @@ type lossPart struct {
 func lossSweep(seed int64, shard, shards int, reg *obs.Registry) *lossPart {
 	rig := buildLossRig(seed, reg)
 	n := rig.n
+	origin := n.Gen.Origin
 	p := &lossPart{}
-	srcAddr := topo.ProductionAddr(n.origin)
-	hub := n.hub(n.origin)
+	srcAddr := topo.ProductionAddr(origin)
+	hub := n.Hub(origin)
 
 	for i, a := range rig.victims {
 		if i%shards != shard {
 			continue
 		}
-		n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: rig.prepend})
-		n.converge()
+		n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: rig.prepend})
+		converge(n)
 		// Sites cut off entirely by this poison are excluded, as in the
 		// paper.
 		cut := make(map[topo.ASN]bool)
-		n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: topo.Path{n.origin, a, n.origin}})
+		n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: topo.Path{origin, a, origin}})
 
 		sent, lost := 0, 0
 		spike := false
-		for !n.eng.Quiescent() {
-			n.clk.RunFor(10 * time.Second)
+		for !n.Eng.Quiescent() {
+			n.Clk.RunFor(10 * time.Second)
 			roundSent, roundLost := 0, 0
 			for _, s := range rig.sites {
 				if s == a || cut[s] {
@@ -286,7 +292,7 @@ func lossSweep(seed int64, shard, shards int, reg *obs.Registry) *lossPart {
 		// Determine and retroactively exclude cut-off sites.
 		excluded := 0
 		for _, s := range rig.sites {
-			if _, ok := n.eng.BestRoute(s, rig.prod); !ok {
+			if _, ok := n.Eng.BestRoute(s, rig.prod); !ok {
 				cut[s] = true
 				excluded++
 			}
@@ -363,16 +369,18 @@ func ConvergenceLoss(seed int64) *Result { return lossScenario.Run(seed) }
 
 // harvestForLoss picks poison victims: transit ASes on the reverse paths
 // from the measurement sites to the origin.
-func harvestForLoss(n *net, sites []topo.ASN) []topo.ASN {
+func harvestForLoss(n *lifeguard.Network, sites []topo.ASN) []topo.ASN {
 	tier1 := make(map[topo.ASN]bool)
-	for _, t := range n.gen.Tier1s {
+	for _, t := range n.Gen.Tier1s {
 		tier1[t] = true
 	}
+	origin := n.Gen.Origin
+	mux := n.Top.Providers(origin)[0]
 	seen := make(map[topo.ASN]bool)
 	var out []topo.ASN
 	for _, s := range sites {
-		for _, h := range transitHops(n.eng.ASPathTo(s, topo.ProductionAddr(n.origin))) {
-			if !seen[h] && !tier1[h] && h != n.muxes[0] && h != s {
+		for _, h := range transitHops(n.Eng.ASPathTo(s, topo.ProductionAddr(origin))) {
+			if !seen[h] && !tier1[h] && h != mux && h != s {
 				seen[h] = true
 				out = append(out, h)
 			}
@@ -383,7 +391,7 @@ func harvestForLoss(n *net, sites []topo.ASN) []topo.ASN {
 
 // pingSite sends one production-sourced ping to the site hub and reports
 // bidirectional success.
-func pingSite(n *net, hub topo.RouterID, srcAddr netip.Addr, site topo.ASN) bool {
-	dst := n.top.Router(n.hub(site)).Addr
-	return n.prober.PingFromAddr(hub, srcAddr, dst).OK
+func pingSite(n *lifeguard.Network, hub topo.RouterID, srcAddr netip.Addr, site topo.ASN) bool {
+	dst := n.RouterAddr(n.Hub(site))
+	return n.Prober.PingFromAddr(hub, srcAddr, dst).OK
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"lifeguard"
 	"lifeguard/internal/bgp"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/obs"
@@ -18,22 +19,24 @@ func ForwardDiversity(seed int64) *Result { return forwardDiversity(seed, nil) }
 
 func forwardDiversity(seed int64, reg *obs.Registry) *Result {
 	r := newResult("sec2.3", "forward-path provider diversity")
-	n := buildWithOrigin(seed, topogen.Config{NumTransit: 35, NumStub: 120}, 5, reg)
+	n, rng := world(seed, topogen.Config{NumTransit: 35, NumStub: 120}, 5, bgp.Config{}, reg)
+	origin := n.Gen.Origin
+	muxes := n.Top.Providers(origin)
 
 	// Target ASes mirror the paper's 114 feed ASes: networks that peer
 	// with route collectors are well-connected, so restrict to transit
 	// ASes and multihomed stubs.
-	targets := sample(n.rng, feedLikeASes(n), 114)
+	targets := sample(rng, feedLikeASes(n), 114)
 	var cases, avoidable int
 	for _, t := range targets {
-		if t == n.origin {
+		if t == origin {
 			continue
 		}
 		prefix := topo.Block(t)
 		// Paths to t as seen via each provider.
 		var paths []topo.Path
-		for _, mux := range n.muxes {
-			if rt, ok := n.eng.BestRoute(mux, prefix); ok {
+		for _, mux := range muxes {
+			if rt, ok := n.Eng.BestRoute(mux, prefix); ok {
 				paths = append(paths, rt.Path.Prepend(mux))
 			}
 		}
@@ -71,10 +74,10 @@ func forwardDiversity(seed int64, reg *obs.Registry) *Result {
 
 // feedLikeASes returns the ASes plausible as route-collector feeds: all
 // transits plus multihomed stubs.
-func feedLikeASes(n *net) []topo.ASN {
-	out := append([]topo.ASN(nil), n.gen.Transit...)
-	for _, s := range n.gen.Stubs {
-		if len(n.top.Providers(s)) >= 2 {
+func feedLikeASes(n *lifeguard.Network) []topo.ASN {
+	out := append([]topo.ASN(nil), n.Gen.Transit...)
+	for _, s := range n.Gen.Stubs {
+		if len(n.Top.Providers(s)) >= 2 {
 			out = append(out, s)
 		}
 	}
@@ -99,41 +102,43 @@ func Selective(seed int64) *Result { return selective(seed, nil) }
 
 func selective(seed int64, reg *obs.Registry) *Result {
 	r := newResult("sec5.2-selective", "selective poisoning of first-hop AS links")
-	n := buildWithOrigin(seed, topogen.Config{NumTransit: 35, NumStub: 120}, 5, reg)
-	prod := topo.ProductionPrefix(n.origin)
+	n, rng := world(seed, topogen.Config{NumTransit: 35, NumStub: 120}, 5, bgp.Config{}, reg)
+	origin := n.Gen.Origin
+	muxes := n.Top.Providers(origin)
+	prod := topo.ProductionPrefix(origin)
 
-	baselinePattern := topo.Path{n.origin, n.origin, n.origin}
+	baselinePattern := topo.Path{origin, origin, origin}
 	announceBaseline := func() {
-		n.eng.Announce(n.origin, prod, bgp.OriginConfig{Pattern: baselinePattern})
-		n.converge()
+		n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: baselinePattern})
+		converge(n)
 	}
 	announceBaseline()
 
-	peers := sample(n.rng, feedLikeASes(n), 60)
+	peers := sample(rng, feedLikeASes(n), 60)
 	var cases, avoided, keptRoute int
 	for _, peer := range peers {
-		if peer == n.origin {
+		if peer == origin {
 			continue
 		}
-		base, ok := n.eng.BestRoute(peer, prod)
+		base, ok := n.Eng.BestRoute(peer, prod)
 		if !ok || len(base.Path) == 0 {
 			continue
 		}
 		baseNext := base.Path[0]
-		if baseNext == n.origin {
+		if baseNext == origin {
 			continue // directly adjacent: no link to steer around
 		}
 		cases++
-		for _, keep := range n.muxes {
+		for _, keep := range muxes {
 			per := make(map[topo.ASN]topo.Path)
-			for _, m := range n.muxes {
+			for _, m := range muxes {
 				if m != keep {
-					per[m] = topo.Path{n.origin, peer, n.origin}
+					per[m] = topo.Path{origin, peer, origin}
 				}
 			}
-			n.eng.Announce(n.origin, prod, bgp.OriginConfig{Pattern: baselinePattern, PerNeighbor: per})
-			n.converge()
-			rt, ok := n.eng.BestRoute(peer, prod)
+			n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: baselinePattern, PerNeighbor: per})
+			converge(n)
+			rt, ok := n.Eng.BestRoute(peer, prod)
 			if ok {
 				keptRoute++
 			}

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"math/rand"
 	"net/netip"
 	"time"
 
+	"lifeguard"
 	"lifeguard/internal/bgp"
 	"lifeguard/internal/collectors"
 	"lifeguard/internal/metrics"
@@ -43,7 +45,8 @@ import (
 // with the plain baseline, collectors over a peer sample, and the
 // harvested poison victims.
 type efficacyRig struct {
-	n        *net
+	n        *lifeguard.Network
+	rng      *rand.Rand
 	prod     netip.Prefix
 	baseline topo.Path
 	coll     *collectors.Collector
@@ -51,35 +54,36 @@ type efficacyRig struct {
 }
 
 func buildEfficacyRig(seed int64, reg *obs.Registry) *efficacyRig {
-	n := buildWithOrigin(seed, topogen.Config{
+	n, rng := world(seed, topogen.Config{
 		NumTransit: 30, NumStub: 100,
 		TransitPeerProb: 0.12, StubMultihomeProb: 0.72, TransitExtraProviderProb: 0.8,
-	}, 1, reg)
-	rig := &efficacyRig{n: n, prod: topo.ProductionPrefix(n.origin)}
-	gtProvider := n.muxes[0]
+	}, 1, bgp.Config{}, reg)
+	origin := n.Gen.Origin
+	rig := &efficacyRig{n: n, rng: rng, prod: topo.ProductionPrefix(origin)}
+	gtProvider := n.Top.Providers(origin)[0]
 
 	// Route collectors peer with a broad sample of ASes. (First draw on
 	// the rig's rng stream.)
-	peerSet := sample(n.rng, append(append([]topo.ASN(nil), n.gen.Stubs...), n.gen.Transit...), 60)
-	rig.coll = collectors.New(n.eng)
+	peerSet := sample(rng, append(append([]topo.ASN(nil), n.Gen.Stubs...), n.Gen.Transit...), 60)
+	rig.coll = collectors.New(n.Eng)
 	rig.coll.Instrument(reg)
 	for _, p := range peerSet {
-		if p != n.origin {
+		if p != origin {
 			rig.coll.AddPeer(p)
 		}
 	}
 
-	rig.baseline = topo.Path{n.origin, n.origin, n.origin}
-	n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: rig.baseline})
-	n.converge()
+	rig.baseline = topo.Path{origin, origin, origin}
+	n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: rig.baseline})
+	converge(n)
 
 	// Harvest ASes on peer paths, excluding Tier-1s and the origin's
 	// provider (the paper excluded Tier-1s and Cogent).
 	tier1 := make(map[topo.ASN]bool)
-	for _, t := range n.gen.Tier1s {
+	for _, t := range n.Gen.Tier1s {
 		tier1[t] = true
 	}
-	for _, a := range rig.coll.HarvestASes(rig.prod, n.origin) {
+	for _, a := range rig.coll.HarvestASes(rig.prod, origin) {
 		if !tier1[a] && a != gtProvider {
 			rig.victims = append(rig.victims, a)
 		}
@@ -91,7 +95,7 @@ func buildEfficacyRig(seed int64, reg *obs.Registry) *efficacyRig {
 // trial calls it too — discarding the result — so its later draws land on
 // the same stream positions as in a sequential run of all three studies.
 func (rig *efficacyRig) sampleSimOrigins() []topo.ASN {
-	return sample(rig.n.rng, rig.n.gen.Stubs, 25)
+	return sample(rig.rng, rig.n.Gen.Stubs, 25)
 }
 
 // efficacyTestbedPart is the testbed trial's partial result.
@@ -106,13 +110,14 @@ type efficacyTestbedPart struct {
 func efficacyTestbed(seed int64, reg *obs.Registry) *efficacyTestbedPart {
 	rig := buildEfficacyRig(seed, reg)
 	n := rig.n
+	origin := n.Gen.Origin
 	p := &efficacyTestbedPart{victims: len(rig.victims)}
 	for _, a := range rig.victims {
-		since := n.clk.Now()
-		n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: topo.Path{n.origin, a, n.origin}})
-		n.converge()
+		since := n.Clk.Now()
+		n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: topo.Path{origin, a, origin}})
+		converge(n)
 		rep := rig.coll.ConvergenceReport(rig.prod, since, a)
-		reach := splice.Reach(n.top, n.origin, splice.Avoid1(a))
+		reach := splice.Reach(n.Top, origin, splice.Avoid1(a))
 		for _, pc := range rep {
 			if !pc.WasOnPath || pc.Peer == a {
 				continue
@@ -121,14 +126,14 @@ func efficacyTestbed(seed int64, reg *obs.Registry) *efficacyTestbedPart {
 			got := pc.FinalPath != nil
 			if got {
 				p.foundAlt++
-			} else if isStubWithOnlyProvider(n.top, pc.Peer, a) {
+			} else if isStubWithOnlyProvider(n.Top, pc.Peer, a) {
 				p.stubOnlyProvider++
 			}
 			// Validation: actual outcome vs static prediction.
 			p.agree.Observe(got == reach[pc.Peer])
 		}
-		n.eng.Announce(n.origin, rig.prod, bgp.OriginConfig{Pattern: rig.baseline})
-		n.converge()
+		n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: rig.baseline})
+		converge(n)
 	}
 	return p
 }
@@ -144,11 +149,11 @@ func efficacySim(seed int64, reg *obs.Registry) *efficacySimPart {
 	p := &efficacySimPart{}
 	origins := rig.sampleSimOrigins()
 	for _, o := range origins {
-		for _, src := range n.top.ASNs() {
+		for _, src := range n.Top.ASNs() {
 			if src == o {
 				continue
 			}
-			path := n.eng.ASPathTo(src, topo.ProductionAddr(o))
+			path := n.Eng.ASPathTo(src, topo.ProductionAddr(o))
 			hops := transitHops(path)
 			if len(path) < 3 || len(hops) == 0 {
 				continue
@@ -157,7 +162,7 @@ func efficacySim(seed int64, reg *obs.Registry) *efficacySimPart {
 			// a single-homed destination can never avoid it.
 			for _, h := range hops[:max(0, len(hops)-1)] {
 				p.simCases++
-				if splice.CanReach(n.top, src, o, splice.Avoid1(h)) {
+				if splice.CanReach(n.Top, src, o, splice.Avoid1(h)) {
 					p.simAlt++
 				}
 			}
@@ -179,18 +184,18 @@ func efficacyIso(seed int64, reg *obs.Registry) *efficacyIsoPart {
 
 	// Failure locations drawn per the outage model on monitored paths.
 	events := outage.Generate(outage.Config{Seed: seed, N: 1500})
-	sites := sample(n.rng, n.gen.Stubs, 20)
+	sites := sample(rig.rng, n.Gen.Stubs, 20)
 	for i, ev := range events {
 		src := sites[i%len(sites)]
 		dst := sites[(i+7)%len(sites)]
 		if src == dst {
 			continue
 		}
-		path := n.eng.ASPathTo(src, topo.ProductionAddr(dst))
+		path := n.Eng.ASPathTo(src, topo.ProductionAddr(dst))
 		if len(path) < 3 {
 			continue
 		}
-		failAS, ok := chooseFailureAS(n, path, ev.Duration)
+		failAS, ok := chooseFailureAS(n, rig.rng, path, ev.Duration)
 		if !ok || failAS == dst || failAS == src {
 			continue
 		}
@@ -201,7 +206,7 @@ func efficacyIso(seed int64, reg *obs.Registry) *efficacyIsoPart {
 			continue
 		}
 		p.isoCases++
-		if splice.CanReach(n.top, src, dst, splice.Avoid1(failAS)) {
+		if splice.CanReach(n.Top, src, dst, splice.Avoid1(failAS)) {
 			p.isoAlt++
 		}
 	}

@@ -5,10 +5,9 @@ import (
 	"net/netip"
 	"time"
 
-	"lifeguard/internal/atlas"
+	"lifeguard"
+	"lifeguard/internal/bgp"
 	"lifeguard/internal/chaos"
-	"lifeguard/internal/core/isolation"
-	"lifeguard/internal/core/remedy"
 	"lifeguard/internal/metrics"
 	"lifeguard/internal/obs"
 	"lifeguard/internal/topo"
@@ -21,8 +20,8 @@ import (
 // served. A flow population behind remote vantage ASes exchanges packet
 // pairs with the origin's production prefix every epoch while a scripted
 // reverse-path blackhole runs for 20 minutes; the experiment replays the
-// identical timeline with the LIFEGUARD monitor→isolate→poison loop armed
-// and disarmed, and reports user-seconds lost in each world. The flow
+// identical timeline with a lifeguard.Session's auto-repair armed and
+// disarmed, and reports user-seconds lost in each world. The flow
 // population is sharded over destination addresses across runner trials
 // (two shards per mode); per-epoch reports merge in trial order, so the
 // rendered result is byte-identical at any -parallel level.
@@ -34,9 +33,9 @@ const (
 	// trafficShards fixes the destination sharding. Two is enough to keep
 	// the merge path honest without doubling trial cost further.
 	trafficShards = 2
-	// trafficEpoch is the accounting interval; it doubles as the monitor
-	// poll period so served-traffic accounting and detection share a
-	// timescale.
+	// trafficEpoch is the accounting interval; it equals the monitor's
+	// default round interval so served-traffic accounting and detection
+	// share a timescale.
 	trafficEpoch = 30 * time.Second
 )
 
@@ -88,48 +87,21 @@ func trafficDests(origin topo.ASN) []traffic.Dest {
 }
 
 func trafficTrial(seed int64, repair bool, shard int, reg *obs.Registry) trafficPart {
-	n := buildWithOrigin(seed, topogen.Config{NumTransit: 12, NumStub: 24}, 3, reg)
-
-	// Both worlds run the full monitor/remedy stack — the norepair world
-	// simply never pulls the repair trigger — so the only difference
-	// between them is the poison.
-	ctrl := remedy.New(n.eng, n.prober, n.clk, remedy.Config{
-		Origin:           n.origin,
-		MinOutageAge:     time.Minute,
-		SentinelInterval: time.Minute,
-	})
-	ctrl.Instrument(reg)
-	ctrl.AnnounceBaseline()
-	n.converge()
+	n, rng := world(seed, topogen.Config{NumTransit: 12, NumStub: 24}, 3, bgp.Config{}, reg)
 
 	// The user populations sit behind four remote stubs; the same stubs
 	// are the monitor's targets, so the monitored reverse paths are
-	// exactly the paths the flows' forward packets ride.
-	vantages := sample(n.rng, n.gen.Stubs, 4)
-	vp := n.hub(n.origin)
-	src := topo.ProductionAddr(n.origin)
-	atl := atlas.New(n.top, n.prober, n.clk, atlas.Config{})
-	atl.AddVP(vp)
-	var targets []netip.Addr
-	for _, t := range vantages {
-		addr := n.top.Router(n.hub(t)).Addr
-		atl.AddTarget(addr)
-		targets = append(targets, addr)
-	}
-	atl.RefreshAll()
-	n.clk.RunFor(15 * time.Minute)
-	atl.RefreshAll()
-	n.clk.RunFor(time.Minute)
-	iso := isolation.New(n.top, n.prober, atl, n.clk, isolation.Config{})
-	iso.Instrument(reg)
+	// exactly the paths the flows' forward packets ride. Both worlds run
+	// the full Session — the norepair world detects and isolates but never
+	// poisons — so the only difference between them is the poison.
+	vantages := sample(rng, n.Gen.Stubs, 4)
+	ses, reach := watchStubs(n, vantages, repair)
 
-	gen, err := traffic.New(traffic.Deps{
-		Top: n.top, Clk: n.clk, Plane: n.plane, Obs: reg,
-	}, traffic.Config{
+	// Vantages default to the monitored targets' ASes, in target order.
+	gen, err := ses.AttachTraffic(lifeguard.TrafficConfig{
 		Seed:       uint64(seed) ^ 0x7AFF1C,
 		Flows:      trafficFlows,
-		Vantages:   vantages,
-		Dests:      trafficDests(n.origin),
+		Dests:      trafficDests(n.Gen.Origin),
 		Epoch:      trafficEpoch,
 		Churn:      0.02,
 		ShardIndex: shard,
@@ -139,66 +111,22 @@ func trafficTrial(seed int64, repair bool, shard int, reg *obs.Registry) traffic
 		panic(fmt.Sprintf("traffic experiment: %v", err))
 	}
 
-	// The inlined System loop from the chaos experiment: poll each target,
-	// open an episode on loss, isolate and (in the repair world) hand the
-	// report to the remedy engine.
-	type episode struct {
-		open    bool
-		start   time.Duration
-		lastIso time.Duration
-	}
-	states := make([]episode, len(targets))
+	// Epochs close on the monitor's cadence, one event behind its round,
+	// so an epoch's packets see any poison that round just installed.
 	part := trafficPart{repair: repair, shard: shard, flows: gen.Flows()}
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		now := n.clk.Now()
-		for i := range targets {
-			st := &states[i]
-			ok := n.prober.PingFromAddr(vp, src, targets[i]).OK
-			switch {
-			case !ok && !st.open:
-				st.open, st.start, st.lastIso = true, now, now
-			case !ok && st.open:
-				if repair && ctrl.Active() == nil && now-st.lastIso >= 2*time.Minute {
-					st.lastIso = now
-					rep := iso.Isolate(vp, targets[i])
-					ctrl.DecideAndRepair(rep, st.start)
-				}
-			case ok && st.open:
-				st.open = false
-			}
-		}
-		// Close the traffic epoch after the poll so an epoch's packets see
-		// any poison the monitor just installed.
+	var epoch func()
+	epoch = func() {
 		part.eps = append(part.eps, gen.RunEpoch())
-		n.clk.After(trafficEpoch, tick)
+		n.Clk.After(trafficEpoch, epoch)
 	}
-	n.clk.After(trafficEpoch, tick)
+	n.Clk.After(trafficEpoch, epoch)
 
-	script := trafficScript(n, vantages)
-	var reach []chaos.ReachProbe
-	for _, addr := range targets {
-		reach = append(reach, chaos.ReachProbe{From: vp, To: addr})
-	}
-	for _, v := range vantages {
-		reach = append(reach, chaos.ReachProbe{From: n.hub(v), To: src})
-	}
-	tgt := &chaos.Target{Top: n.top, Clk: n.clk, Eng: n.eng, Plane: n.plane}
-	runner, err := chaos.NewRunner(tgt, script, chaos.Options{Obs: reg, Reach: reach})
+	rep, err := n.RunChaos(trafficScript(n, vantages), chaos.Options{Obs: reg, Reach: reach})
 	if err != nil {
 		panic(fmt.Sprintf("traffic experiment: %v", err))
 	}
-	rep, err := runner.Run()
-	if err != nil {
-		panic(fmt.Sprintf("traffic experiment: run: %v", err))
-	}
-	stopped = true
 
-	part.poisons = len(ctrl.History)
+	part.poisons = len(ses.Remedy.History)
 	part.violations = len(rep.Violations)
 	return part
 }
@@ -208,9 +136,10 @@ func trafficTrial(seed int64, repair bool, shard int, reg *obs.Registry) traffic
 // origin's block — for 20 minutes, then demands convergence back to
 // baseline. The faulted AS is derived from routing state, identically on
 // every shard and in both repair worlds.
-func trafficScript(n *net, vantages []topo.ASN) *chaos.Script {
-	avoid := map[topo.ASN]bool{n.origin: true}
-	for _, m := range n.muxes {
+func trafficScript(n *lifeguard.Network, vantages []topo.ASN) *chaos.Script {
+	origin := n.Gen.Origin
+	avoid := map[topo.ASN]bool{origin: true}
+	for _, m := range n.Top.Providers(origin) {
 		avoid[m] = true
 	}
 	for _, v := range vantages {
@@ -218,7 +147,7 @@ func trafficScript(n *net, vantages []topo.ASN) *chaos.Script {
 	}
 	var fault topo.ASN
 	for _, v := range vantages {
-		rev := n.eng.ASPathTo(v, topo.ProductionAddr(n.origin))
+		rev := n.Eng.ASPathTo(v, topo.ProductionAddr(origin))
 		for _, a := range rev {
 			if !avoid[a] {
 				fault = a
@@ -235,7 +164,7 @@ func trafficScript(n *net, vantages []topo.ASN) *chaos.Script {
 	var s chaos.Script
 	s.Steps = append(s.Steps, chaos.Step{
 		At:    5 * time.Minute,
-		Fault: &chaos.BlackholeTowards{AS: fault, Dst: topo.Block(n.origin)},
+		Fault: &chaos.BlackholeTowards{AS: fault, Dst: topo.Block(origin)},
 		For:   20 * time.Minute,
 	})
 	s.Steps = append(s.Steps, chaos.Step{At: s.End() + 10*time.Minute, Check: true})

@@ -587,6 +587,7 @@ func (s *Session) handleOutage(o *monitor.Outage) {
 		decideAt = t
 	}
 	var decide func()
+	waiting := false // an AlreadyActive verdict has been logged for this outage
 	decide = func() {
 		if !s.Monitor.Down(o.VP, o.Target) {
 			return // healed while we waited
@@ -599,10 +600,20 @@ func (s *Session) handleOutage(o *monitor.Outage) {
 			return
 		}
 		action := s.Remedy.DecideAndRepair(rep, o.Start)
-		s.log(Event{
-			At: s.Net.Clk.Now(), Kind: EventRepair, VP: o.VP, Target: o.Target,
-			Report: rep, Action: action, Avoided: rep.Blamed,
-		})
+		if !(waiting && action == remedy.AlreadyActive) {
+			s.log(Event{
+				At: s.Net.Clk.Now(), Kind: EventRepair, VP: o.VP, Target: o.Target,
+				Report: rep, Action: action, Avoided: rep.Blamed,
+			})
+		}
+		if action == remedy.AlreadyActive {
+			// Another pair's poison is up (one repair at a time). If this
+			// outage outlives it, it still needs its own decision: ask
+			// again a round later, from the stored report, logging the
+			// wait once.
+			waiting = true
+			s.Net.Clk.After(s.Monitor.Interval(), decide)
+		}
 	}
 	s.Net.Clk.At(decideAt, decide)
 }

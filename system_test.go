@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lifeguard"
+	"lifeguard/internal/core/remedy"
 )
 
 // TestVisibleFailureSelfHealsWithoutPoisoning exercises the §4.2 decision
@@ -152,6 +153,86 @@ func TestStopStartLifecycle(t *testing.T) {
 	r, ok := n.Eng.BestRoute(asE, lifeguard.ProductionPrefix(asO))
 	if !ok || r.Path[0] != asD {
 		t.Fatalf("restart clobbered the poisoned announcement: E routes %+v", r)
+	}
+}
+
+// TestOutageBehindAnotherPoisonIsDecidedAgain pins the one-repair-at-a-time
+// hand-over: two Fig. 2 diamonds hang off the origin's provider, and both
+// near-side transits blackhole the reverse path at once. The first pair to
+// decide poisons its transit; the second is told AlreadyActive. When the
+// first failure heals and its poison is withdrawn, the second pair — still
+// down behind its own failure — must get its own poison rather than be
+// dropped after that single decision.
+func TestOutageBehindAnotherPoisonIsDecidedAgain(t *testing.T) {
+	const (
+		o, b           lifeguard.ASN = 10, 20
+		a1, c1, d1, e1 lifeguard.ASN = 31, 41, 51, 61
+		a2, c2, d2, e2 lifeguard.ASN = 32, 42, 52, 62
+	)
+	tb := lifeguard.NewTopologyBuilder()
+	for _, asn := range []lifeguard.ASN{o, b, a1, c1, d1, e1, a2, c2, d2, e2} {
+		tb.AddAS(asn, "")
+		tb.AddRouter(asn, "")
+	}
+	for _, r := range [][2]lifeguard.ASN{
+		{o, b},
+		{b, a1}, {b, c1}, {c1, d1}, {a1, e1}, {d1, e1},
+		{b, a2}, {b, c2}, {c2, d2}, {a2, e2}, {d2, e2},
+	} {
+		tb.Provider(r[0], r[1])
+		tb.ConnectAS(r[0], r[1])
+	}
+	// The peering lets the helper vantage point in C1 reach E2.
+	tb.Peer(e1, e2)
+	tb.ConnectAS(e1, e2)
+	top, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := lifeguard.AssembleNetwork(top, lifeguard.NetworkOptions{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, t2 := n.RouterAddr(n.Hub(e1)), n.RouterAddr(n.Hub(e2))
+	sys := lifeguard.NewSystem(n, lifeguard.Config{
+		Origin:  o,
+		VPs:     []lifeguard.RouterID{n.Hub(o), n.Hub(c1)},
+		Targets: []netip.Addr{t1, t2},
+	})
+	sys.Start()
+	n.Clk.RunFor(3 * time.Minute)
+
+	f1 := n.InjectFailure(lifeguard.BlackholeASTowards(a1, lifeguard.Block(o)))
+	n.InjectFailure(lifeguard.BlackholeASTowards(a2, lifeguard.Block(o)))
+	n.Clk.RunFor(20 * time.Minute)
+
+	if r := sys.Remedy.Active(); r == nil || r.Avoided != a1 {
+		t.Fatalf("active repair = %+v, want the first target's poison of AS%d", r, a1)
+	}
+	if !sys.Monitor.Down(n.Hub(o), t2) {
+		t.Fatal("second pair should still be down behind its own failure")
+	}
+
+	// The first failure heals; the sentinel withdraws its poison, and the
+	// waiting pair is decided again.
+	n.HealFailure(f1)
+	n.Clk.RunFor(20 * time.Minute)
+
+	var actions []remedy.Action
+	for _, e := range sys.EventsOfKind(lifeguard.EventRepair) {
+		if e.Target == t2 {
+			actions = append(actions, e.Action)
+		}
+	}
+	// One event per distinct verdict, however many rounds the wait lasted.
+	if len(actions) != 2 || actions[0] != remedy.AlreadyActive || actions[1] != remedy.Poisoned {
+		t.Fatalf("second pair's repair decisions = %v, want [already-active poisoned]", actions)
+	}
+	if r := sys.Remedy.Active(); r == nil || r.Avoided != a2 {
+		t.Fatalf("active repair = %+v, want a poison of AS%d", r, a2)
+	}
+	if sys.Monitor.Down(n.Hub(o), t2) {
+		t.Fatal("second pair did not recover once its own poison went in")
 	}
 }
 
