@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"net/netip"
 
 	"lifeguard/internal/topo"
 )
@@ -46,31 +45,35 @@ func (s *Speaker) setNeighborDown(n topo.ASN, down bool) {
 		// Session loss: everything learned from n evaporates at once,
 		// and our send state toward n resets (no withdrawals cross a
 		// dead session).
-		st.pending = nil
+		st.pending.reset()
 		clear(st.lastAdv)
-		var changed []netip.Prefix
-		for prefix, rb := range s.adjIn {
+		// Re-decide in prefix order, not id order, so the resulting update
+		// schedule does not depend on when each prefix was first announced.
+		for _, id := range s.e.prefixes.order {
+			if int(id) >= len(s.adjIn) {
+				continue
+			}
+			rb := &s.adjIn[id]
 			if idx := rb.find(n); idx >= 0 {
 				rb.remove(idx)
-				changed = append(changed, prefix)
-			}
-		}
-		// Re-decide in prefix order, not adjIn iteration order, so the
-		// resulting update schedule is identical across runs.
-		sortPrefixes(changed)
-		for _, prefix := range changed {
-			if s.decide(prefix) {
-				s.markAllPending(prefix)
+				if s.decide(id) {
+					s.markAllPending(id)
+				}
 			}
 		}
 		return
 	}
 	// Session re-established: advertise the full table to n.
-	for prefix := range s.best {
-		st.markPending(prefix)
+	size := s.e.prefixes.size()
+	for id, r := range s.best {
+		if r != nil {
+			st.pending.add(prefixID(id), size)
+		}
 	}
-	for prefix := range s.origin {
-		st.markPending(prefix)
+	for id, ent := range s.origin {
+		if ent != nil {
+			st.pending.add(prefixID(id), size)
+		}
 	}
 	s.kick(i)
 }

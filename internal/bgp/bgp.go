@@ -88,28 +88,6 @@ func (r *Route) NextHop() (topo.ASN, bool) {
 	return r.Path[0], true
 }
 
-// better reports whether a is preferred over b by the BGP decision process:
-// higher local-pref, then shorter AS path, then lower MED, then lowest
-// neighbor ASN as the deterministic tiebreak.
-func better(a, b *Route) bool {
-	if b == nil {
-		return true
-	}
-	if a == nil {
-		return false
-	}
-	if a.LocalPref != b.LocalPref {
-		return a.LocalPref > b.LocalPref
-	}
-	if len(a.Path) != len(b.Path) {
-		return len(a.Path) < len(b.Path)
-	}
-	if a.MED != b.MED {
-		return a.MED < b.MED
-	}
-	return a.From < b.From
-}
-
 // OriginConfig controls how an AS announces one of its own prefixes. The
 // zero value announces the plain single-ASN path to every neighbor.
 type OriginConfig struct {
@@ -267,11 +245,16 @@ func (c Config) withDefaults() Config {
 // The sender resolves the interned handles at flush time and ships both
 // forms: the slices feed import policy (loop checks walk the path), the
 // handles land in the receiver's compact adj-RIB-in without re-interning.
+// The prefix travels as its table id; prefix itself is set only on an update
+// injected from outside a flush (id 0), which applyUpdate interns.
 type update struct {
 	prefix      netip.Prefix
 	path        topo.Path
 	communities []Community
-	med         int
-	pid         pathID
-	cid         commID
+	// The four 32-bit fields pack into 16 bytes: the update (and the
+	// sharded loop's event around it) stays the size it was without id.
+	id  prefixID
+	med int32
+	pid pathID
+	cid commID
 }

@@ -54,8 +54,8 @@ func (c DampeningConfig) withDefaults() DampeningConfig {
 
 // dampKey identifies one dampened (neighbor, prefix) pair at a speaker.
 type dampKey struct {
-	from   topo.ASN
-	prefix netip.Prefix
+	from topo.ASN
+	id   prefixID
 }
 
 // dampState tracks one pair's figure of merit.
@@ -133,21 +133,27 @@ func (s *Speaker) reuseCheck(k dampKey) {
 		return
 	}
 	st.suppressed = false
-	if s.decide(k.prefix) {
-		s.markAllPending(k.prefix)
+	if s.decide(k.id) {
+		s.markAllPending(k.id)
 	}
 }
 
 // Suppressed reports whether the route from neighbor for prefix is
 // currently dampened at this speaker.
 func (s *Speaker) Suppressed(from topo.ASN, prefix netip.Prefix) bool {
-	st := s.damp[dampKey{from: from, prefix: prefix}]
+	id, ok := s.e.prefixes.lookup(prefix)
+	return ok && s.suppressed(from, id)
+}
+
+func (s *Speaker) suppressed(from topo.ASN, id prefixID) bool {
+	st := s.damp[dampKey{from: from, id: id}]
 	return st != nil && st.suppressed
 }
 
 // Penalty returns the current decayed penalty for the pair (0 if none).
 func (s *Speaker) Penalty(from topo.ASN, prefix netip.Prefix) float64 {
-	st := s.damp[dampKey{from: from, prefix: prefix}]
+	id, _ := s.e.prefixes.lookup(prefix)
+	st := s.damp[dampKey{from: from, id: id}]
 	if st == nil {
 		return 0
 	}

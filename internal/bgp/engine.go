@@ -18,6 +18,9 @@ type Engine struct {
 	cfg   Config
 	rng   *rand.Rand
 	arena *arena
+	// prefixes interns every prefix the engine has seen; per-speaker RIB
+	// state is indexed by its ids (see prefixtab.go).
+	prefixes *prefixTable
 	// asns is the sorted ASN table; a speaker's idx indexes it and every
 	// dense per-AS slice below.
 	asns     []topo.ASN
@@ -58,6 +61,7 @@ func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		arena:       newArena(),
+		prefixes:    newPrefixTable(),
 		asns:        top.ASNs(),
 		speakers:    make(map[topo.ASN]*Speaker, top.NumASes()),
 		obs:         newEngineObs(cfg.Obs),
@@ -65,6 +69,13 @@ func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
 	}
 	for i, asn := range e.asns {
 		e.speakers[asn] = newSpeaker(e, asn, i)
+	}
+	for _, asn := range e.asns {
+		s := e.speakers[asn]
+		s.peers = make([]*Speaker, len(s.neighbors))
+		for i, n := range s.neighbors {
+			s.peers[i] = e.speakers[n]
+		}
 	}
 	if cfg.ShardWorkers > 0 {
 		e.initShard()
@@ -106,9 +117,9 @@ func (e *Engine) TotalUpdatesSent() int {
 func (e *Engine) RIBSizes() (locRIB, adjEntries int) {
 	for _, asn := range e.asns {
 		s := e.speakers[asn]
-		locRIB += len(s.best)
-		for _, rb := range s.adjIn {
-			adjEntries += len(rb.entries)
+		locRIB += s.nBest
+		for i := range s.adjIn {
+			adjEntries += len(s.adjIn[i].entries)
 		}
 	}
 	return locRIB, adjEntries
@@ -265,14 +276,11 @@ func (e *Engine) Origins(asn topo.ASN) []OriginAnnouncement {
 	if s == nil {
 		return nil
 	}
-	prefixes := make([]netip.Prefix, 0, len(s.origin))
-	for p := range s.origin {
-		prefixes = append(prefixes, p)
-	}
-	sortPrefixes(prefixes)
-	out := make([]OriginAnnouncement, len(prefixes))
-	for i, p := range prefixes {
-		out[i] = OriginAnnouncement{Prefix: p, Config: s.origin[p].cfg.sanitized()}
+	out := []OriginAnnouncement{}
+	for _, id := range e.prefixes.order {
+		if ent := s.originAt(id); ent != nil {
+			out = append(out, OriginAnnouncement{Prefix: e.prefixes.pfx[id], Config: ent.cfg.sanitized()})
+		}
 	}
 	return out
 }
@@ -331,8 +339,7 @@ func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
 	if s == nil {
 		return nil, false
 	}
-	r, ok := s.best[prefix]
-	return r, ok
+	return s.Best(prefix)
 }
 
 // Lookup performs longest-prefix match for addr in asn's loc-RIB. It reads
@@ -427,12 +434,11 @@ func (e *Engine) deliver(s *Speaker, i int, u update) {
 		at = st.lastDelivery + time.Microsecond
 	}
 	st.lastDelivery = at
-	to := s.neighbors[i]
 	if e.shard != nil {
-		e.emit(s, engEvent{kind: evDeliver, at: at, sp: to, from: s.asn, u: u}, true)
+		e.emit(s, engEvent{kind: evDeliver, at: at, sp: s.neighbors[i], from: s.asn, u: u}, true)
 		return
 	}
-	dst := e.speakers[to]
+	dst := s.peers[i]
 	from := s.asn
 	e.pendingEvents++
 	e.clk.At(at, func() {
@@ -478,7 +484,7 @@ func (e *Engine) schedMRAI(s *Speaker, i int) {
 // count toward Quiescent().
 func (e *Engine) schedReuse(s *Speaker, k dampKey, d time.Duration) {
 	if e.shard != nil {
-		e.emit(s, engEvent{kind: evReuse, at: e.nowFor(s) + d, sp: s.asn, from: k.from, u: update{prefix: k.prefix}}, false)
+		e.emit(s, engEvent{kind: evReuse, at: e.nowFor(s) + d, sp: s.asn, from: k.from, u: update{id: k.id}}, false)
 		return
 	}
 	e.clk.After(d, func() { s.reuseCheck(k) })

@@ -11,9 +11,9 @@ import (
 )
 
 // bruteLookup is the oracle for Engine.Lookup: a linear longest-match scan
-// over the loc-RIB, with none of the index's incremental bookkeeping. The
-// scan keeps the strictly longest containing prefix, so map iteration order
-// cannot influence the result.
+// over the loc-RIB slice, with none of the index's incremental bookkeeping.
+// The scan keeps the strictly longest containing prefix, so id order cannot
+// influence the result.
 func bruteLookup(s *Speaker, addr netip.Addr) *Route {
 	a := addr.Unmap()
 	if !a.Is4() {
@@ -21,8 +21,9 @@ func bruteLookup(s *Speaker, addr netip.Addr) *Route {
 	}
 	var bestLen = -1
 	var r *Route
-	for p, route := range s.best {
-		if p.Contains(a) && p.Bits() > bestLen {
+	for id, route := range s.best {
+		p := s.e.prefixes.pfx[id]
+		if route != nil && p.Contains(a) && p.Bits() > bestLen {
 			bestLen, r = p.Bits(), route
 		}
 	}

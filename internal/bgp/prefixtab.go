@@ -1,0 +1,132 @@
+package bgp
+
+import (
+	"net/netip"
+	"slices"
+	"sort"
+)
+
+// Prefix interning. Every per-speaker, per-prefix structure — adj-RIB-in,
+// loc-RIB, origin policies, the per-session lastAdv and pending sets, the
+// sharded loop's dirty set — is a slice indexed by a dense prefix id, so the
+// per-update path never hashes a 32-byte netip.Prefix. One table per engine
+// maps prefix ↔ id and ranks the ids in (addr, bits) order.
+//
+// Ids depend on interning order and are used only as indices and for
+// equality; whatever drives decisions or output is first ordered by rank,
+// which is a function of the prefix *set* alone. A flush therefore visits
+// its pending prefixes in exactly the order the map-keyed engine's sorted
+// scan did, and every rng draw and output follows.
+//
+// Growth rule: the table grows only on the scheduler goroutine, outside
+// barrier windows — at Announce, and for an update injected without an id
+// (applyUpdate panics if that happens inside a window). Barrier workers only
+// read pfx and rank, so reads need no lock. Interning a prefix may renumber
+// the ranks of existing ids but never their relative order. Speakers grow
+// their own slices lazily to the table's size on first write past the end.
+
+// prefixID is a handle into the engine's prefix table. 0 means "not
+// interned"; slot 0 of every id-indexed slice stays empty.
+type prefixID uint32
+
+// prefixTable is the engine-wide intern table for prefixes.
+type prefixTable struct {
+	ids   map[netip.Prefix]prefixID
+	pfx   []netip.Prefix // pfx[id]
+	rank  []uint32       // rank[id] is id's position in order
+	order []prefixID     // every id, sorted by (addr, bits)
+}
+
+func newPrefixTable() *prefixTable {
+	return &prefixTable{
+		ids:  make(map[netip.Prefix]prefixID),
+		pfx:  make([]netip.Prefix, 1),
+		rank: make([]uint32, 1),
+	}
+}
+
+// prefixLess orders prefixes by address, then length.
+func prefixLess(a, b netip.Prefix) bool {
+	if a.Addr() != b.Addr() {
+		return a.Addr().Less(b.Addr())
+	}
+	return a.Bits() < b.Bits()
+}
+
+// size is one past the highest id: the length an id-indexed slice needs to
+// hold every interned prefix.
+func (t *prefixTable) size() int { return len(t.pfx) }
+
+// lookup returns p's id without interning it.
+func (t *prefixTable) lookup(p netip.Prefix) (prefixID, bool) {
+	id, ok := t.ids[p]
+	return id, ok
+}
+
+// intern returns p's id, assigning the next one on first sight.
+func (t *prefixTable) intern(p netip.Prefix) prefixID {
+	if id, ok := t.ids[p]; ok {
+		return id
+	}
+	id := prefixID(len(t.pfx))
+	t.ids[p] = id
+	t.pfx = append(t.pfx, p)
+	t.rank = append(t.rank, 0)
+	at := sort.Search(len(t.order), func(i int) bool { return prefixLess(p, t.pfx[t.order[i]]) })
+	t.order = slices.Insert(t.order, at, id)
+	for i := at; i < len(t.order); i++ {
+		t.rank[t.order[i]] = uint32(i)
+	}
+	return id
+}
+
+// growTo extends an id-indexed slice with zero values to length n, the
+// prefix table's size at the time of the write that found it too short.
+func growTo[T any](s []T, n int) []T {
+	return append(s, make([]T, n-len(s))...)
+}
+
+// sortByRank orders ids by prefix. Every id list that drives decisions or
+// output passes through here (or is read off order directly), so neither
+// interning order nor insertion order ever leaks into a run.
+func (t *prefixTable) sortByRank(ids []prefixID) {
+	rank := t.rank
+	slices.SortFunc(ids, func(a, b prefixID) int { return int(rank[a]) - int(rank[b]) })
+}
+
+// idSet is an insertion-ordered set of prefix ids: the list plus a dedupe
+// bitset. It backs the per-session pending set and the sharded loop's dirty
+// set.
+type idSet struct {
+	ids  []prefixID
+	mark []uint64
+}
+
+// add inserts id; n is the prefix table's size, which the bitset grows to
+// when id lies past its end.
+func (s *idSet) add(id prefixID, n int) {
+	w := int(id >> 6)
+	if w >= len(s.mark) {
+		s.mark = growTo(s.mark, (n+63)>>6)
+	}
+	bit := uint64(1) << (id & 63)
+	if s.mark[w]&bit != 0 {
+		return
+	}
+	s.mark[w] |= bit
+	s.ids = append(s.ids, id)
+}
+
+// reset empties the set. The marks go with the list: a mark left behind
+// would silently swallow the id's next add. A burst-sized list is released
+// rather than kept as a husk per session for the rest of the run.
+func (s *idSet) reset() {
+	for _, id := range s.ids {
+		s.mark[id>>6] &^= 1 << (id & 63)
+	}
+	if cap(s.ids) > 64 {
+		s.ids = nil
+	} else {
+		s.ids = s.ids[:0]
+	}
+}

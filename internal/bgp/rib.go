@@ -55,8 +55,9 @@ func (rb *prefixRIB) remove(i int) {
 	rb.entries = append(rb.entries[:i], rb.entries[i+1:]...)
 }
 
-// entryBetter mirrors better() over compact entries: higher local-pref,
-// then shorter AS path, then lower MED, then lowest neighbor ASN.
+// entryBetter is the BGP decision process over compact entries: higher
+// local-pref, then shorter AS path, then lower MED, then lowest neighbor ASN
+// as the deterministic tiebreak.
 func entryBetter(a, b *adjEntry) bool {
 	if a.lpref != b.lpref {
 		return a.lpref > b.lpref

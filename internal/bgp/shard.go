@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net/netip"
 	"sort"
 	"time"
 
@@ -74,7 +73,7 @@ type engEvent struct {
 	sp      topo.ASN // owner: the speaker that will process the event
 	from    topo.ASN // evDeliver: sender; evReuse: dampened neighbor
 	nbr     int32    // evTimer: neighbor index
-	u       update   // evDeliver: payload; evReuse: u.prefix identifies the pair
+	u       update   // evDeliver: payload; evReuse: u.id identifies the pair
 }
 
 func evLess(a, b *engEvent) bool {
@@ -166,7 +165,6 @@ func (e *Engine) initShard() {
 		// multiplier spreads consecutive ASNs across seed space.
 		s.rng = rand.New(&splitmix{state: uint64(e.cfg.Seed + int64(asn)*0x9E3779B9)})
 		s.stats = &speakerStats{}
-		s.dirty = make(map[netip.Prefix]bool)
 	}
 }
 
@@ -353,8 +351,8 @@ func (s *Speaker) runWindow() {
 				if s.neighborDown(ev.from) {
 					break // the session died while the message was in flight
 				}
-				if s.applyUpdate(ev.from, ev.u) {
-					s.dirty[ev.u.prefix] = true
+				if id, changed := s.applyUpdate(ev.from, ev.u); changed {
+					s.dirty.add(id, s.e.prefixes.size())
 				}
 			case evTimer:
 				// A flush exports loc-RIB routes: settle deferred
@@ -363,7 +361,7 @@ func (s *Speaker) runWindow() {
 				s.timerFired(int(ev.nbr))
 			case evReuse:
 				s.settleDirty()
-				s.reuseCheck(dampKey{from: ev.from, prefix: ev.u.prefix})
+				s.reuseCheck(dampKey{from: ev.from, id: ev.u.id})
 			}
 		}
 		// Settling can kick sessions whose phase timer lands back inside
@@ -378,22 +376,17 @@ func (s *Speaker) runWindow() {
 }
 
 // settleDirty runs the decision process for every prefix touched since the
-// last settle, in sorted prefix order so map iteration never leaks into the
-// update schedule.
+// last settle, in sorted prefix order so neither arrival order nor prefix
+// ids leak into the update schedule.
 func (s *Speaker) settleDirty() {
-	if len(s.dirty) == 0 {
+	if len(s.dirty.ids) == 0 {
 		return
 	}
-	buf := s.dirtyBuf[:0]
-	for p := range s.dirty {
-		buf = append(buf, p)
-	}
-	sortPrefixes(buf)
-	s.dirtyBuf = buf
-	clear(s.dirty)
-	for _, p := range buf {
-		if s.decide(p) {
-			s.markAllPending(p)
+	s.e.prefixes.sortByRank(s.dirty.ids)
+	for _, id := range s.dirty.ids {
+		if s.decide(id) {
+			s.markAllPending(id)
 		}
 	}
+	s.dirty.reset()
 }

@@ -87,20 +87,39 @@ func churn(t *testing.T, e *Engine, gen *topogen.Result) {
 // for a fixed seed, every ShardWorkers >= 1 produces byte-identical loc-RIBs
 // and per-AS update counts. PropJitter -1 is the repo's "no jitter"
 // convention (experiments and the rig determinism test pass it): the
-// barrier window must be sized for it, not for (1-(-1))·PropDelay.
+// barrier window must be sized for it, not for (1-(-1))·PropDelay. The
+// "table grows between barriers" case starts churn while an earlier prefix
+// is still propagating: churn's prefixes are then interned with barriers
+// already run, so speakers hold RIB slices shorter than the prefix table.
 func TestShardedWorkerCountInvariance(t *testing.T) {
 	gen := shardTestTopo(t)
 	for _, tc := range []struct {
 		name       string
 		propJitter float64
+		midFlight  bool
 	}{
-		{"default jitter", 0},
-		{"no jitter", -1},
+		{"default jitter", 0, false},
+		{"no jitter", -1, false},
+		{"table grows between barriers", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(workers int) string {
 				clk := simclock.New()
 				e := New(gen.Top, clk, Config{Seed: 11, PropJitter: tc.propJitter, ShardWorkers: workers})
+				if tc.midFlight {
+					early := gen.Stubs[10]
+					e.Originate(early, topo.ProductionPrefix(early))
+					e.Converge(20) // a few barriers, far short of quiescence
+					grown := 0
+					for _, asn := range gen.Top.ASNs() {
+						if len(e.Speaker(asn).best) > 0 {
+							grown++
+						}
+					}
+					if e.Quiescent() || grown == 0 {
+						t.Fatalf("want the first prefix mid-propagation: quiescent=%v, %d speakers hold it", e.Quiescent(), grown)
+					}
+				}
 				churn(t, e, gen)
 				return ribDigest(e)
 			}
@@ -206,13 +225,7 @@ func TestShardedPathInterning(t *testing.T) {
 	if !e.Converge(100_000_000) {
 		t.Fatal("convergence did not quiesce")
 	}
-	entries := 0
-	for _, asn := range e.top.ASNs() {
-		s := e.Speaker(asn)
-		for _, rb := range s.adjIn {
-			entries += len(rb.entries)
-		}
-	}
+	_, entries := e.RIBSizes()
 	arena := e.PathArenaSize()
 	if entries == 0 || arena == 0 {
 		t.Fatalf("no routes: entries=%d arena=%d", entries, arena)

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -19,11 +20,14 @@ type Speaker struct {
 
 	// adjIn holds the latest accepted offer per prefix per neighbor, in
 	// compact delta-encoded form (see rib.go): handles and selection
-	// scalars only, sorted by neighbor.
-	adjIn map[netip.Prefix]*prefixRIB
-	// best is the loc-RIB: the selected route per prefix, materialized
-	// (the one representation the data plane and public API consume).
-	best map[netip.Prefix]*Route
+	// scalars only, sorted by neighbor. Like best it is indexed by prefix
+	// id (see prefixtab.go); the two grow together, lazily (growRIB).
+	adjIn []prefixRIB
+	// best is the loc-RIB: the selected route per prefix id, materialized
+	// (the one representation the data plane and public API consume); nil
+	// where no route is selected. nBest counts the non-nil slots.
+	best  []*Route
+	nBest int
 	// lpm is the compiled longest-prefix-match index over best. It is
 	// compiled on the speaker's first data-plane lookup and maintained
 	// incrementally by decide from then on (lpmLive): pure control-plane
@@ -34,8 +38,10 @@ type Speaker struct {
 	lpmLive bool
 	// origin holds locally-originated prefixes: the (sanitized) announcement
 	// policy plus the originated loc-RIB route, built once per Announce so
-	// decide does not reallocate it on every update.
-	origin map[netip.Prefix]*originEntry
+	// decide does not reallocate it on every update. Indexed by prefix id;
+	// it grows only at speakers that originate something, so a transit
+	// speaker's stays empty.
+	origin []*originEntry
 	// out tracks per-neighbor send state, indexed by position in neighbors
 	// (dense — the per-AS maps this replaces cost a map header per
 	// neighbor pair engine-wide).
@@ -46,10 +52,12 @@ type Speaker struct {
 	commActions map[Community]CommunityAction
 
 	neighbors []topo.ASN // sorted, cached
-	// flushBuf is the scratch slice flush sorts pending prefixes into;
-	// flush never nests (deliveries are scheduled, not synchronous), so one
-	// buffer per speaker removes a per-flush allocation.
-	flushBuf []netip.Prefix
+	// nbrRel and peers cache, per neighbor index, the relationship of the
+	// neighbor as seen from here and its speaker: the topology is immutable
+	// after Build, and export and delivery would otherwise pay map lookups
+	// per (prefix, neighbor).
+	nbrRel []topo.Rel
+	peers  []*Speaker
 
 	// Sharded-mode state (see shard.go). rng and stats are non-nil only
 	// when the engine runs sharded; the remaining fields are live only
@@ -63,8 +71,7 @@ type Speaker struct {
 	localSeq uint64
 	emits    []engEvent
 	notifs   []BestChange
-	dirty    map[netip.Prefix]bool
-	dirtyBuf []netip.Prefix
+	dirty    idSet
 	pendDiff int
 	active   bool
 }
@@ -90,19 +97,21 @@ type originEntry struct {
 type export struct {
 	path  topo.Path
 	comms []Community
-	med   int
+	med   int32
 	pid   pathID
 	cid   commID
 }
 
-// pattern returns the effective path (with handle) announced to neighbor n.
+// pattern returns the effective path (with handle) announced to neighbor n;
+// ok=false when nothing is. A nil per-neighbor path is a withdrawal on the
+// wire, so it counts as withheld: an export never carries path handle 0.
 func (ent *originEntry) pattern(n topo.ASN) (topo.Path, pathID, bool) {
 	c := &ent.cfg
 	if c.Withhold[n] {
 		return nil, 0, false
 	}
 	if p, ok := c.PerNeighbor[n]; ok {
-		return p, ent.perNbrID[n], true
+		return p, ent.perNbrID[n], p != nil
 	}
 	if c.Pattern != nil {
 		return c.Pattern, ent.patternID, true
@@ -111,7 +120,8 @@ func (ent *originEntry) pattern(n topo.ASN) (topo.Path, pathID, bool) {
 }
 
 // advRecord remembers what was last advertised to a neighbor for a prefix —
-// two interned handles instead of a path and community slice.
+// two interned handles instead of a path and community slice. pid 0 means
+// nothing is advertised (an export never carries path handle 0).
 type advRecord struct {
 	pid pathID
 	cid commID
@@ -122,42 +132,55 @@ type advRecord struct {
 // delay) and down (failed session) moved here from engine-wide maps keyed
 // by AS pair.
 type outState struct {
-	// pending is nil between advertisement rounds: flush drops the map
-	// once drained rather than keeping a full-table-sized husk per
-	// neighbor session (at 10k ASes those husks were a double-digit
-	// share of the heap).
-	pending      map[netip.Prefix]bool
-	timerArmed   bool
-	lastAdv      map[netip.Prefix]advRecord
+	// pending is the set of prefix ids queued for the next flush.
+	pending    idSet
+	timerArmed bool
+	// lastAdv is indexed by prefix id and grows on the first advertisement
+	// past its end; a session that never advertises keeps it nil.
+	lastAdv      []advRecord
 	lastDelivery time.Duration
 	extra        time.Duration
 	down         bool
 }
 
-// markPending queues p for the next flush toward this session.
-func (st *outState) markPending(p netip.Prefix) {
-	if st.pending == nil {
-		st.pending = make(map[netip.Prefix]bool, 4)
-	}
-	st.pending[p] = true
-}
-
+// newSpeaker builds asn's speaker; New fills peers once every speaker exists.
 func newSpeaker(e *Engine, asn topo.ASN, idx int) *Speaker {
 	s := &Speaker{
 		e:         e,
 		asn:       asn,
 		idx:       idx,
-		adjIn:     make(map[netip.Prefix]*prefixRIB),
-		best:      make(map[netip.Prefix]*Route),
-		origin:    make(map[netip.Prefix]*originEntry),
 		damp:      make(map[dampKey]*dampState),
 		neighbors: e.top.Neighbors(asn),
 	}
 	s.out = make([]outState, len(s.neighbors))
-	for i := range s.out {
-		s.out[i] = outState{lastAdv: make(map[netip.Prefix]advRecord)}
+	s.nbrRel = make([]topo.Rel, len(s.neighbors))
+	for i, n := range s.neighbors {
+		s.nbrRel[i] = e.top.Rel(asn, n)
 	}
 	return s
+}
+
+// growRIB extends adjIn and best to the prefix table's current size.
+func (s *Speaker) growRIB() {
+	n := s.e.prefixes.size()
+	s.adjIn = growTo(s.adjIn, n)
+	s.best = growTo(s.best, n)
+}
+
+// bestAt returns the selected route for id, nil when there is none.
+func (s *Speaker) bestAt(id prefixID) *Route {
+	if int(id) < len(s.best) {
+		return s.best[id]
+	}
+	return nil
+}
+
+// originAt returns the origin entry for id, nil when s does not originate it.
+func (s *Speaker) originAt(id prefixID) *originEntry {
+	if int(id) < len(s.origin) {
+		return s.origin[id]
+	}
+	return nil
 }
 
 // nbrIndex returns n's position in the sorted neighbor list, or -1.
@@ -181,8 +204,9 @@ func (s *Speaker) ASN() topo.ASN { return s.asn }
 
 // Best returns the selected route for an exact prefix.
 func (s *Speaker) Best(p netip.Prefix) (*Route, bool) {
-	r, ok := s.best[p]
-	return r, ok
+	id, _ := s.e.prefixes.lookup(p)
+	r := s.bestAt(id)
+	return r, r != nil
 }
 
 // AdjIn returns the per-neighbor routes known for p, materialized from the
@@ -190,20 +214,16 @@ func (s *Speaker) Best(p netip.Prefix) (*Route, bool) {
 // path and community slices alias the engine's canonical interned copies
 // and must be treated as read-only.
 func (s *Speaker) AdjIn(p netip.Prefix) map[topo.ASN]*Route {
-	rb := s.adjIn[p]
-	out := make(map[topo.ASN]*Route, len(entriesOf(rb)))
-	for i := range entriesOf(rb) {
-		ent := &rb.entries[i]
+	var entries []adjEntry
+	if id, ok := s.e.prefixes.lookup(p); ok && int(id) < len(s.adjIn) {
+		entries = s.adjIn[id].entries
+	}
+	out := make(map[topo.ASN]*Route, len(entries))
+	for i := range entries {
+		ent := &entries[i]
 		out[ent.nbr] = s.materialize(p, ent)
 	}
 	return out
-}
-
-func entriesOf(rb *prefixRIB) []adjEntry {
-	if rb == nil {
-		return nil
-	}
-	return rb.entries
 }
 
 // materialize builds the full Route for a compact entry.
@@ -223,29 +243,20 @@ func (s *Speaker) materialize(p netip.Prefix, ent *adjEntry) *Route {
 
 // KnownPrefixes returns the prefixes with a selected route, sorted.
 func (s *Speaker) KnownPrefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(s.best))
-	for p := range s.best {
-		out = append(out, p)
-	}
-	sortPrefixes(out)
-	return out
-}
-
-// sortPrefixes orders prefixes by address then length. Every slice collected
-// from a map of prefixes must pass through here before it drives decisions
-// or output, so that map iteration order never leaks into a run.
-func sortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Addr() != ps[j].Addr() {
-			return ps[i].Addr().Less(ps[j].Addr())
+	t := s.e.prefixes
+	out := make([]netip.Prefix, 0, s.nBest)
+	for _, id := range t.order {
+		if s.bestAt(id) != nil {
+			out = append(out, t.pfx[id])
 		}
-		return ps[i].Bits() < ps[j].Bits()
-	})
+	}
+	return out
 }
 
 // announce installs an origin config (already sanitized by the engine) and
 // propagates resulting changes.
 func (s *Speaker) announce(prefix netip.Prefix, cfg OriginConfig) {
+	id := s.e.prefixes.intern(prefix)
 	ent := &originEntry{
 		cfg:   cfg,
 		plain: topo.Path{s.asn},
@@ -276,37 +287,41 @@ func (s *Speaker) announce(prefix netip.Prefix, cfg OriginConfig) {
 			ent.perNbrCID[n] = a.internComms(cs)
 		}
 	}
-	s.origin[prefix] = ent
-	s.decide(prefix)
+	if int(id) >= len(s.origin) {
+		s.origin = growTo(s.origin, s.e.prefixes.size())
+	}
+	s.origin[id] = ent
+	s.decide(id)
 	// Even when the loc-RIB didn't change (origin routes always win),
 	// the exported pattern may have: re-advertise everywhere.
-	s.markAllPending(prefix)
+	s.markAllPending(id)
 }
 
 func (s *Speaker) withdrawOrigin(prefix netip.Prefix) {
-	if _, ok := s.origin[prefix]; !ok {
+	id, _ := s.e.prefixes.lookup(prefix)
+	if s.originAt(id) == nil {
 		return
 	}
-	delete(s.origin, prefix)
-	s.decide(prefix)
-	s.markAllPending(prefix)
+	s.origin[id] = nil
+	s.decide(id)
+	s.markAllPending(id)
 }
 
 // receive applies one update from a neighbor and, in the classic engine,
 // immediately runs the decision process. The sharded engine calls
 // applyUpdate directly and batches decisions per window (see settleDirty).
 func (s *Speaker) receive(from topo.ASN, u update) {
-	if s.applyUpdate(from, u) {
-		if s.decide(u.prefix) {
-			s.markAllPending(u.prefix)
+	if id, changed := s.applyUpdate(from, u); changed {
+		if s.decide(id) {
+			s.markAllPending(id)
 		}
 	}
 }
 
-// applyUpdate folds one update into the adj-RIB-in and reports whether the
-// stored offer changed (i.e. whether a decision run could change the
-// loc-RIB).
-func (s *Speaker) applyUpdate(from topo.ASN, u update) bool {
+// applyUpdate folds one update into the adj-RIB-in and reports the prefix id
+// it landed on and whether the stored offer changed (i.e. whether a decision
+// run could change the loc-RIB).
+func (s *Speaker) applyUpdate(from topo.ASN, u update) (prefixID, bool) {
 	if st := s.stats; st != nil && s.inWindow {
 		st.updatesReceived++
 		if u.path == nil {
@@ -318,24 +333,35 @@ func (s *Speaker) applyUpdate(from topo.ASN, u update) bool {
 			s.e.obs.withdrawalsReceived.Inc()
 		}
 	}
-	rb := s.adjIn[u.prefix]
+	// Flush always ships the prefix id; an update injected without one
+	// (tests, external bridges) carries the prefix itself and is interned
+	// here. That grows the table, which only the scheduler goroutine may do.
+	id := u.id
+	if id == 0 {
+		if s.inWindow {
+			panic(fmt.Sprintf("bgp: AS %d received an update for %v without a prefix id inside a barrier window", s.asn, u.prefix))
+		}
+		id = s.e.prefixes.intern(u.prefix)
+	}
+	var rb *prefixRIB
 	idx := -1
-	if rb != nil {
+	if int(id) < len(s.adjIn) {
+		rb = &s.adjIn[id]
 		idx = rb.find(from)
 	}
 	if u.path == nil || !s.importOK(from, u.path) {
 		// Withdrawal, or a route rejected by import policy: either way
 		// the neighbor no longer offers a usable route.
 		if idx < 0 {
-			return false
+			return id, false
 		}
 		// Losing a known route is a genuine change, so it counts as a
 		// flap (RFC 2439 §4.4.3).
 		if s.e.cfg.Dampening.Enabled {
-			s.noteFlap(dampKey{from: from, prefix: u.prefix})
+			s.noteFlap(dampKey{from: from, id: id})
 		}
 		rb.remove(idx)
-		return true
+		return id, true
 	}
 	rel := s.e.top.Rel(s.asn, from)
 	lpref := localPref(rel)
@@ -357,7 +383,7 @@ func (s *Speaker) applyUpdate(from topo.ASN, u update) bool {
 		rel:   rel,
 		plen:  uint16(len(u.path)),
 		lpref: int32(lpref),
-		med:   int32(u.med),
+		med:   u.med,
 		path:  pid,
 		comms: cid,
 	}
@@ -368,22 +394,22 @@ func (s *Speaker) applyUpdate(from topo.ASN, u update) bool {
 			// updates that *change* an existing route, so no penalty.
 			// (MED-only changes are invisible here, as they were under
 			// the materialized representation's routesEqual.)
-			return false
+			return id, false
 		}
 		// A replacement announcement for a known route is a flap; the
 		// first announcement from this neighbor is not.
 		if s.e.cfg.Dampening.Enabled {
-			s.noteFlap(dampKey{from: from, prefix: u.prefix})
+			s.noteFlap(dampKey{from: from, id: id})
 		}
 		*old = ent
-		return true
+		return id, true
 	}
 	if rb == nil {
-		rb = &prefixRIB{}
-		s.adjIn[u.prefix] = rb
+		s.growRIB()
+		rb = &s.adjIn[id]
 	}
 	rb.insert(ent)
-	return true
+	return id, true
 }
 
 func localPref(rel topo.Rel) int {
@@ -419,56 +445,62 @@ func (s *Speaker) importOK(from topo.ASN, path topo.Path) bool {
 
 // decide runs the decision process for prefix; reports whether the loc-RIB
 // changed. Only a changed winner is materialized into a *Route.
-func (s *Speaker) decide(prefix netip.Prefix) bool {
+func (s *Speaker) decide(id prefixID) bool {
 	if st := s.stats; st != nil && s.inWindow {
 		st.decisionRuns++
 	} else {
 		s.e.obs.decisionRuns.Inc()
 	}
-	old := s.best[prefix]
+	old := s.bestAt(id)
 	var newBest *Route
-	if ent, ok := s.origin[prefix]; ok {
+	if ent := s.originAt(id); ent != nil {
 		// Originated routes carry prefOriginated, above every imported
 		// local-pref tier: they always win.
 		newBest = ent.route
-	} else {
-		rb := s.adjIn[prefix]
+	} else if int(id) < len(s.adjIn) {
+		entries := s.adjIn[id].entries
 		win := -1
-		for i := range entriesOf(rb) {
-			ent := &rb.entries[i]
-			if s.e.cfg.Dampening.Enabled && s.Suppressed(ent.nbr, prefix) {
+		for i := range entries {
+			ent := &entries[i]
+			if s.e.cfg.Dampening.Enabled && s.suppressed(ent.nbr, id) {
 				continue
 			}
-			if win < 0 || entryBetter(ent, &rb.entries[win]) {
+			if win < 0 || entryBetter(ent, &entries[win]) {
 				win = i
 			}
 		}
 		if win >= 0 {
-			w := &rb.entries[win]
+			w := &entries[win]
 			if old != nil && !old.Originated && old.From == w.nbr &&
 				old.pid == w.path && old.cid == w.comms {
 				return false // same winner, same route
 			}
-			newBest = s.materialize(prefix, w)
+			newBest = s.materialize(s.e.prefixes.pfx[id], w)
 		}
 	}
 	if routesEqual(old, newBest) {
 		return false
 	}
+	prefix := s.e.prefixes.pfx[id]
 	nodesBefore := s.lpm.nodes
 	if newBest == nil {
-		delete(s.best, prefix)
+		s.best[id] = nil
+		s.nBest--
 		if s.lpmLive {
 			s.lpm.remove(prefix)
 		}
 		s.statLocRIB(-1)
 		s.e.notifyBest(s, prefix, nil)
 	} else {
-		s.best[prefix] = newBest
+		if int(id) >= len(s.best) {
+			s.growRIB()
+		}
+		s.best[id] = newBest
 		if s.lpmLive {
 			s.lpm.insert(prefix, newBest)
 		}
 		if old == nil {
+			s.nBest++
 			s.statLocRIB(1)
 		}
 		s.e.notifyBest(s, prefix, newBest.Path)
@@ -488,8 +520,10 @@ func (s *Speaker) compileLPM() {
 		return
 	}
 	s.lpmLive = true
-	for p, r := range s.best {
-		s.lpm.insert(p, r)
+	for id, r := range s.best {
+		if r != nil {
+			s.lpm.insert(s.e.prefixes.pfx[id], r)
+		}
 	}
 	s.statLPMNodes(int64(s.lpm.nodes))
 }
@@ -512,9 +546,10 @@ func routesEqual(a, b *Route) bool {
 	return true
 }
 
-func (s *Speaker) markAllPending(prefix netip.Prefix) {
+func (s *Speaker) markAllPending(id prefixID) {
+	n := s.e.prefixes.size()
 	for i := range s.out {
-		s.out[i].markPending(prefix)
+		s.out[i].pending.add(id, n)
 	}
 	for i := range s.out {
 		s.kick(i)
@@ -546,7 +581,7 @@ func (s *Speaker) kick(i int) {
 func (s *Speaker) timerFired(i int) {
 	st := &s.out[i]
 	st.timerArmed = false
-	if len(st.pending) > 0 {
+	if len(st.pending.ids) > 0 {
 		s.flushAndArm(i)
 	}
 }
@@ -563,48 +598,39 @@ func (s *Speaker) flushAndArm(i int) {
 // what was last advertised; it returns the number of messages sent.
 func (s *Speaker) flush(i int) int {
 	st := &s.out[i]
-	n := s.neighbors[i]
 	if st.down {
-		st.pending = nil
+		st.pending.reset()
 		return 0
 	}
-	if len(st.pending) == 0 {
-		return 0
-	}
-	prefixes := s.flushBuf[:0]
-	for p := range st.pending {
-		prefixes = append(prefixes, p)
-	}
-	sortPrefixes(prefixes)
-	s.flushBuf = prefixes
-	// Everything queued goes out below. Steady-state rounds keep their
-	// small map (clearing is cheap, reallocating is GC churn); a
-	// full-table burst round drops its map wholesale, since clearing a
-	// burst-capacity husk on every later round costs O(capacity) and the
-	// husk would otherwise stay resident per session for the whole run.
-	if len(prefixes) > 64 {
-		st.pending = nil
-	} else {
-		clear(st.pending)
-	}
+	// Flush never nests (deliveries are scheduled, not synchronous), so the
+	// pending list is sorted and walked in place and emptied afterwards.
+	ids := st.pending.ids
+	s.e.prefixes.sortByRank(ids)
 	sent := 0
-	for _, p := range prefixes {
-		ex, ok := s.exportTo(n, p)
-		last, had := st.lastAdv[p]
+	for _, id := range ids {
+		ex, ok := s.exportTo(i, id)
+		var last advRecord
+		if int(id) < len(st.lastAdv) {
+			last = st.lastAdv[id]
+		}
 		if !ok {
-			if had {
-				delete(st.lastAdv, p)
-				s.e.deliver(s, i, update{prefix: p})
+			if last.pid != 0 {
+				st.lastAdv[id] = advRecord{}
+				s.e.deliver(s, i, update{id: id})
 				sent++
 			}
 			continue
 		}
-		if had && last.pid == ex.pid && last.cid == ex.cid {
+		adv := advRecord{pid: ex.pid, cid: ex.cid}
+		if last == adv {
 			continue
 		}
-		st.lastAdv[p] = advRecord{pid: ex.pid, cid: ex.cid}
+		if int(id) >= len(st.lastAdv) {
+			st.lastAdv = growTo(st.lastAdv, s.e.prefixes.size())
+		}
+		st.lastAdv[id] = adv
 		s.e.deliver(s, i, update{
-			prefix:      p,
+			id:          id,
 			path:        ex.path,
 			communities: ex.comms,
 			med:         ex.med,
@@ -613,15 +639,17 @@ func (s *Speaker) flush(i int) int {
 		})
 		sent++
 	}
+	st.pending.reset()
 	return sent
 }
 
-// exportTo computes the announcement of prefix p to neighbor n, applying
-// origin patterns, valley-free export policy, split horizon, and community
-// stripping. ok=false means "no announcement" (neighbor should hold no
-// route from us).
-func (s *Speaker) exportTo(n topo.ASN, p netip.Prefix) (export, bool) {
-	if ent, isOrigin := s.origin[p]; isOrigin {
+// exportTo computes the announcement of prefix id to the i-th neighbor,
+// applying origin patterns, valley-free export policy, split horizon, and
+// community stripping. ok=false means "no announcement" (neighbor should
+// hold no route from us).
+func (s *Speaker) exportTo(i int, id prefixID) (export, bool) {
+	n := s.neighbors[i]
+	if ent := s.originAt(id); ent != nil {
 		cfg := &ent.cfg
 		pat, pid, announce := ent.pattern(n)
 		if !announce {
@@ -634,15 +662,15 @@ func (s *Speaker) exportTo(n topo.ASN, p netip.Prefix) (export, bool) {
 		// The config was deep-copied at the Announce boundary and paths
 		// and community slices are immutable from there on, so the
 		// per-flush defensive clones are gone from this hot path.
-		return export{path: pat, comms: cs, med: cfg.MED, pid: pid, cid: cid}, true
+		return export{path: pat, comms: cs, med: int32(cfg.MED), pid: pid, cid: cid}, true
 	}
-	b := s.best[p]
+	b := s.bestAt(id)
 	if b == nil || b.From == n {
 		return export{}, false
 	}
 	// Valley-free export: routes learned from peers or providers are
 	// exported only to customers.
-	relToN := s.e.top.Rel(s.asn, n)
+	relToN := s.nbrRel[i]
 	if relToN != topo.RelCustomer && b.Rel != topo.RelCustomer {
 		return export{}, false
 	}

@@ -9,8 +9,10 @@
 package dataplane
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"lifeguard/internal/bgp"
 	"lifeguard/internal/obs"
@@ -183,9 +185,12 @@ func LossyAS(asn topo.ASN, prob float64, seed uint64) Rule {
 // Plane forwards packets. It is cheap to construct and holds no per-packet
 // state, so a single Plane serves an entire simulation.
 type Plane struct {
-	top      *topo.Topology
-	rib      RIB
-	failures map[FailureID]Rule
+	top *topo.Topology
+	rib RIB
+	// failures holds the active rules in ascending ID order (AddFailure
+	// appends ever-larger IDs), so the per-router rule scan walks a slice
+	// rather than paying a map iterator on every hop.
+	failures []activeRule
 	nextID   FailureID
 	// seq numbers every packet injected via Forward; probabilistic rules
 	// hash it so their verdicts are per-packet, order-independent pure
@@ -201,6 +206,12 @@ type Plane struct {
 	batch batchState
 
 	obs planeObs
+}
+
+// activeRule is one installed rule under its handle.
+type activeRule struct {
+	id   FailureID
+	rule Rule
 }
 
 // planeObs holds the plane's metric handles; all nil (one branch per
@@ -229,7 +240,6 @@ func New(top *topo.Topology, rib RIB) *Plane {
 	return &Plane{
 		top:       top,
 		rib:       rib,
-		failures:  make(map[FailureID]Rule),
 		pathCache: make(map[[2]topo.RouterID][]topo.RouterID),
 	}
 }
@@ -244,30 +254,41 @@ func New(top *topo.Topology, rib RIB) *Plane {
 // false forever. dataplane's TestFailureIDsNeverReused pins this.
 func (pl *Plane) AddFailure(r Rule) FailureID {
 	pl.nextID++
-	pl.failures[pl.nextID] = r
+	pl.failures = append(pl.failures, activeRule{id: pl.nextID, rule: r})
 	return pl.nextID
+}
+
+// findFailure returns id's position in failures, false when it is not active.
+func (pl *Plane) findFailure(id FailureID) (int, bool) {
+	return slices.BinarySearchFunc(pl.failures, id, func(a activeRule, id FailureID) int {
+		return cmp.Compare(a.id, id)
+	})
 }
 
 // RemoveFailure uninstalls a rule; it reports whether the rule existed.
 // The freed ID is retired, never reused (see AddFailure).
 func (pl *Plane) RemoveFailure(id FailureID) bool {
-	if _, ok := pl.failures[id]; !ok {
+	i, ok := pl.findFailure(id)
+	if !ok {
 		return false
 	}
-	delete(pl.failures, id)
+	pl.failures = slices.Delete(pl.failures, i, i+1)
 	return true
 }
 
 // ClearFailures removes all rules. The ID counter is not reset: handles
 // freed here stay retired (see AddFailure).
-func (pl *Plane) ClearFailures() { clear(pl.failures) }
+func (pl *Plane) ClearFailures() { pl.failures = pl.failures[:0] }
 
 // Failure returns the rule installed under id, if it is still active.
 // Chaos healing uses it to verify a handle names the rule the caller
 // thinks it does before removing it.
 func (pl *Plane) Failure(id FailureID) (Rule, bool) {
-	r, ok := pl.failures[id]
-	return r, ok
+	i, ok := pl.findFailure(id)
+	if !ok {
+		return Rule{}, false
+	}
+	return pl.failures[i].rule, true
 }
 
 // ActiveFailures reports the number of installed rules.
@@ -282,7 +303,8 @@ type matchCtx struct {
 
 func (pl *Plane) dropAtRouter(c *matchCtx, r topo.RouterID) bool {
 	as := pl.top.Router(r).AS
-	for _, rule := range pl.failures {
+	for i := range pl.failures {
+		rule := &pl.failures[i].rule
 		if rule.HasLink || (rule.FromAS != 0 || rule.ToAS != 0) {
 			continue // link rules checked at crossings
 		}
@@ -308,7 +330,8 @@ func (pl *Plane) dropAtRouter(c *matchCtx, r topo.RouterID) bool {
 
 func (pl *Plane) dropAtCrossing(c *matchCtx, from, to topo.RouterID) bool {
 	fromAS, toAS := pl.top.Router(from).AS, pl.top.Router(to).AS
-	for _, rule := range pl.failures {
+	for i := range pl.failures {
+		rule := &pl.failures[i].rule
 		switch {
 		case rule.HasLink:
 			if rule.FromRouter != from || rule.ToRouter != to {

@@ -130,14 +130,15 @@ func (b *Builder) ConnectAS(a, c ASN) (RouterID, RouterID) {
 // Build validates and freezes the topology.
 func (b *Builder) Build() (*Topology, error) {
 	t := &Topology{
-		ases:         b.ases,
-		asList:       append([]ASN(nil), b.asOrder...),
-		routers:      b.routers,
-		links:        b.links,
-		rels:         b.rels,
-		routerAdj:    make(map[RouterID][]RouterID),
-		asBorder:     make(map[ASPair][]Link),
-		addrToRouter: make(map[netip.Addr]RouterID, len(b.routers)),
+		ases:          b.ases,
+		asList:        append([]ASN(nil), b.asOrder...),
+		routers:       b.routers,
+		links:         b.links,
+		rels:          b.rels,
+		routerAdj:     make(map[RouterID][]RouterID),
+		asBorder:      make(map[ASPair][]Link),
+		borderRouters: make(map[[2]ASN][][2]RouterID),
+		addrToRouter:  make(map[netip.Addr]RouterID, len(b.routers)),
 	}
 	sortASNs(t.asList)
 	for i := range t.routers {
@@ -154,6 +155,9 @@ func (b *Builder) Build() (*Topology, error) {
 		if ra.AS != rb.AS {
 			pair := MakeASPair(ra.AS, rb.AS)
 			t.asBorder[pair] = append(t.asBorder[pair], l)
+			ab, ba := [2]ASN{ra.AS, rb.AS}, [2]ASN{rb.AS, ra.AS}
+			t.borderRouters[ab] = append(t.borderRouters[ab], [2]RouterID{l.A, l.B})
+			t.borderRouters[ba] = append(t.borderRouters[ba], [2]RouterID{l.B, l.A})
 			if t.rels[ra.AS][rb.AS] == RelNone {
 				return nil, fmt.Errorf("topo: inter-AS link %d-%d without relationship %d-%d",
 					l.A, l.B, ra.AS, rb.AS)

@@ -201,6 +201,9 @@ type Topology struct {
 	routerAdj map[RouterID][]RouterID
 	// asBorder[pair] lists the router-level links realizing an AS adjacency.
 	asBorder map[ASPair][]Link
+	// borderRouters[{a, b}] is asBorder oriented from a's side, built once
+	// so the data plane's per-AS-hop lookup allocates nothing.
+	borderRouters map[[2]ASN][][2]RouterID
 
 	addrToRouter map[netip.Addr]RouterID
 }
@@ -293,15 +296,8 @@ func (t *Topology) IntraASNeighbors(id RouterID) []RouterID {
 }
 
 // BorderRouters returns, for AS a, the router pairs (local, remote) that
-// connect a to neighbor b.
+// connect a to neighbor b, in link creation order. The slice is shared:
+// callers must not modify it.
 func (t *Topology) BorderRouters(a, b ASN) [][2]RouterID {
-	var out [][2]RouterID
-	for _, l := range t.BorderLinks(a, b) {
-		la, lb := l.A, l.B
-		if t.routers[la].AS != a {
-			la, lb = lb, la
-		}
-		out = append(out, [2]RouterID{la, lb})
-	}
-	return out
+	return t.borderRouters[[2]ASN{a, b}]
 }
