@@ -8,7 +8,7 @@ GO      ?= go
 BIN     := bin
 LGLINT  := $(BIN)/lglint
 
-.PHONY: all build test lint lint-fix-check lint-sarif race debug-test daemon-smoke fuzz-smoke bench-all lglint lglint-bin clean
+.PHONY: all build test lint lint-fix-check lint-sarif race debug-test daemon-smoke fuzz-smoke bench-all bench-gate lglint lglint-bin clean
 
 all: build test lint
 
@@ -60,10 +60,13 @@ lint-sarif: lglint
 # The packages with real concurrency: the sharded engine's barrier workers,
 # the wire-level session FSM, the monitoring pipeline, and the parallel
 # trial runner (plus the experiments that fan out on it). The dataplane
-# rides along to hold ForwardBatch to the intraPath aliasing contract
-# (cached paths are shared, read-only) under the detector.
+# rides along to hold Forward and ForwardBatch to the aliasing contracts
+# (cached intra-AS paths and cached walks are shared, read-only) under the
+# detector, and the prober and atlas because they are what reads those
+# shared Results; bgp's TestShardedWorkerCountInvariance holds RIBVersion's
+# window folding with 4 barrier workers.
 race:
-	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./internal/dataplane/...
+	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./internal/dataplane/... ./internal/probe/... ./internal/atlas/...
 
 # debug-test reruns the simulation-bearing packages with the simclockdebug
 # ownership assertion compiled in: any scheduler touched from two
@@ -90,9 +93,12 @@ daemon-smoke:
 	@grep -q '"metrics"' $(BIN)/daemon_smoke.out || { echo "daemon-smoke: no final snapshot on stdout"; exit 1; }
 	@echo "daemon-smoke: healthz+metrics served; clean SIGTERM exit with final snapshot"
 
-# A quick fuzz pass over the BGP-4 wire codec; CI runs this on every push.
+# A quick fuzz pass over the BGP-4 wire codec and over the walk cache
+# (random forwards, announcements and rule changes against the uncached
+# walk); CI runs this on every push.
 fuzz-smoke:
 	$(GO) test -fuzz=Fuzz -fuzztime=30s ./internal/bgp/wire/
+	$(GO) test -run '^$$' -fuzz=FuzzWalkCache -fuzztime=20s ./internal/dataplane/
 
 # bench-all is a 1x pass over every Go benchmark in the repo (-short skips
 # the 10k-AS ConvergenceScale case). Performance is judged by the paired
@@ -100,6 +106,13 @@ fuzz-smoke:
 # BENCHMARK.json), not by these.
 bench-all:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
+
+# bench-gate runs the repository benchmark's repair and converge workloads
+# for 8 s each and fails on any change in their simulated results
+# (sim_latency_s, updates_per_op: exact) or a 5 % move in allocs_per_op;
+# ops_per_s is printed as advisory. See scripts/bench-gate.sh.
+bench-gate:
+	bash scripts/bench-gate.sh
 
 clean:
 	rm -rf $(BIN)

@@ -47,6 +47,11 @@ type Engine struct {
 	// TotalUpdatesSent). Barrier workers increment distinct indices, so
 	// the slice needs no lock.
 	updatesSent []int64
+
+	// ribVersion counts loc-RIB changes engine-wide (see RIBVersion).
+	// Barrier workers count into their speaker's stats buffer and the
+	// merge folds the sum in, so it is only ever written single-threaded.
+	ribVersion uint64
 }
 
 // New builds an engine over the topology. No routes exist until Originate or
@@ -361,6 +366,14 @@ func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 	r := s.lpm.lookup(key)
 	return r, r != nil
 }
+
+// RIBVersion advances by one for every loc-RIB change at any speaker
+// (Speaker.decide is the only place a selected route is written). Between
+// two equal readings no Lookup result can have changed, which is what lets
+// the data plane keep forwarding walks across calls. Changes made inside a
+// sharded barrier window become visible when the window merges — before any
+// other scheduler event, and so before any reader, runs.
+func (e *Engine) RIBVersion() uint64 { return e.ribVersion }
 
 // ASPathTo returns asn's current AS-level path toward addr (LPM), nil if it
 // has no route. The returned path is the RIB path, poisons included.

@@ -34,11 +34,15 @@ type speakerStats struct {
 	dampSuppressions    int64
 	locRIBRoutes        int64
 	lpmNodes            int64
+	// ribChanges is not a metric: it is the window's share of
+	// Engine.ribVersion, buffered here for the same reason.
+	ribChanges uint64
 }
 
-// flushStats folds a window's buffered deltas into the registry and resets
-// the buffer.
+// flushStats folds a window's buffered deltas into the registry (and the
+// RIB version) and resets the buffer.
 func (e *Engine) flushStats(st *speakerStats) {
+	e.ribVersion += st.ribChanges
 	if st.updatesSent != 0 {
 		e.obs.updatesSent.Add(st.updatesSent)
 	}

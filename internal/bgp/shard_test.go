@@ -91,6 +91,12 @@ func churn(t *testing.T, e *Engine, gen *topogen.Result) {
 // "table grows between barriers" case starts churn while an earlier prefix
 // is still propagating: churn's prefixes are then interned with barriers
 // already run, so speakers hold RIB slices shorter than the prefix table.
+//
+// Every run also holds RIBVersion to the number of loc-RIB changes
+// OnBestChange reported — the count the classic loop keeps directly and the
+// sharded loop must reassemble from per-speaker window buffers at each
+// merge — both a few barriers in and at the end; workers 0 (the classic
+// loop itself) runs the same check. `make race` runs this with 4 workers.
 func TestShardedWorkerCountInvariance(t *testing.T) {
 	gen := shardTestTopo(t)
 	for _, tc := range []struct {
@@ -106,10 +112,19 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 			run := func(workers int) string {
 				clk := simclock.New()
 				e := New(gen.Top, clk, Config{Seed: 11, PropJitter: tc.propJitter, ShardWorkers: workers})
+				var changes uint64
+				e.OnBestChange = func(BestChange) { changes++ }
+				checkVersion := func(when string) {
+					t.Helper()
+					if v := e.RIBVersion(); v != changes || v == 0 {
+						t.Fatalf("ShardWorkers=%d %s: RIBVersion %d after %d loc-RIB changes", workers, when, v, changes)
+					}
+				}
 				if tc.midFlight {
 					early := gen.Stubs[10]
 					e.Originate(early, topo.ProductionPrefix(early))
 					e.Converge(20) // a few barriers, far short of quiescence
+					checkVersion("mid-propagation")
 					grown := 0
 					for _, asn := range gen.Top.ASNs() {
 						if len(e.Speaker(asn).best) > 0 {
@@ -121,8 +136,10 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 					}
 				}
 				churn(t, e, gen)
-				return ribDigest(e)
+				checkVersion("after churn")
+				return fmt.Sprintf("%sribversion=%d\n", ribDigest(e), e.RIBVersion())
 			}
+			run(0)
 			ref := run(1)
 			for _, workers := range []int{2, 4, 8} {
 				if got := run(workers); got != ref {

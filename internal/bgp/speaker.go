@@ -481,6 +481,11 @@ func (s *Speaker) decide(id prefixID) bool {
 	if routesEqual(old, newBest) {
 		return false
 	}
+	if st := s.stats; st != nil && s.inWindow {
+		st.ribChanges++
+	} else {
+		s.e.ribVersion++
+	}
 	prefix := s.e.prefixes.pfx[id]
 	nodesBefore := s.lpm.nodes
 	if newBest == nil {

@@ -1,56 +1,37 @@
 package dataplane
 
-import (
-	"net/netip"
+import "lifeguard/internal/topo"
 
-	"lifeguard/internal/topo"
-)
-
-// batchKey identifies the full input of one forwarding walk injected at a
-// fixed router, when no probabilistic rule is installed: the walk is then a
-// pure function of (from, Dst, Src, TTL) — Dst drives every LPM lookup and
-// intra-AS path, Src and Dst drive rule matching, TTL bounds the walk — so
-// two packets with equal keys meet byte-identical fates.
-type batchKey struct {
-	dst, src netip.Addr
-	ttl      int
+// batchTally counts one ForwardBatch call's results by fate and by cache
+// outcome, so the call pays one atomic add per counter instead of three per
+// packet (which put instrumented traffic runs well over the 5 % obs
+// contract).
+type batchTally struct {
+	byReason  [ForwardLoop + 1]int64
+	byOutcome [walkMiss + 1]int64
 }
 
-// batchState is the per-Plane scratch ForwardBatch reuses across calls so a
-// steady state of large batches allocates nothing per packet.
-type batchState struct {
-	memo map[batchKey]int // packet key -> index of the first result
+func (t *batchTally) note(r *Result, how walkOutcome) {
+	t.byReason[r.Reason]++
+	t.byOutcome[how]++
 }
-
-// hasProbRules reports whether any installed rule carries a fractional
-// DropProb. Probabilistic verdicts hash the per-packet sequence number, so
-// identical packets may meet different fates and the batch memo must stand
-// down.
-func (pl *Plane) hasProbRules() bool {
-	for i := range pl.failures {
-		if p := pl.failures[i].rule.DropProb; p > 0 && p < 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// batchTally counts one ForwardBatch call's results by fate, so the call
-// pays one atomic add per counter instead of two per packet (which put
-// instrumented traffic runs well over the 5 % obs contract).
-type batchTally [ForwardLoop + 1]int64
 
 // countBatch folds a call's tally into the plane's metric handles — the
 // same totals len(pkts) Forward calls would have added.
 func (pl *Plane) countBatch(t *batchTally) {
 	var n int64
-	for reason, c := range t {
+	for reason, c := range t.byReason {
 		n += c
 		if c > 0 && DropReason(reason) != Delivered {
 			pl.obs.drops[reason].Add(c)
 		}
 	}
 	pl.obs.forwarded.Add(n)
+	for how, c := range t.byOutcome {
+		if c > 0 {
+			pl.obs.cacheOutcomes[how].Add(c)
+		}
+	}
 }
 
 // ForwardBatch injects every packet of pkts at router "from", in order, and
@@ -60,58 +41,39 @@ func (pl *Plane) countBatch(t *batchTally) {
 // the results, the obs counters, and the plane's per-packet sequence
 // numbering are byte-identical to len(pkts) single Forward calls.
 //
-// The amortization: within one call the RIB and the failure table cannot
-// change (the simulation core is single-goroutine), so when no
-// probabilistic rule is installed a walk is a pure function of the packet
-// header. Repeated packets — all packets of one flow, and every flow
-// sharing a (source, destination) pair — skip the LPM lookups, intra-AS
-// BFS paths, and per-router rule matching entirely and reuse the first
-// walk's Result. With a fractional-DropProb rule installed the memo stands
-// down and every packet walks individually, preserving per-packet loss.
-//
-// Aliasing contract (mirrors intraPath): results of identical packets
-// within one batch share one Hops backing array, and no result's Hops may
-// be mutated by the caller. ForwardBatch itself only ever reads the memoed
-// slices, so the contract holds under the race detector.
+// Every packet goes through the same cached walk as Forward. What the batch
+// adds is that a packet repeating its predecessor's header — all packets of
+// one flow, which is how the traffic engine fills a batch — reuses the
+// predecessor's Result without a cache lookup, and that the counters are
+// added once per call. With a fractional-DropProb rule installed the cache
+// stands down and so does the shortcut: every packet walks individually,
+// preserving per-packet loss.
 func (pl *Plane) ForwardBatch(from topo.RouterID, pkts []Packet, res []Result) []Result {
 	if res == nil {
 		res = make([]Result, 0, len(pkts))
 	}
-
-	var tally batchTally
-	if pl.hasProbRules() {
-		// Per-packet fates: no memo, just the plain loop.
-		for _, pkt := range pkts {
-			r := pl.forward(from, pkt)
-			tally[r.Reason]++
-			res = append(res, r)
-		}
-		pl.countBatch(&tally)
-		return res
-	}
-
-	if pl.batch.memo == nil {
-		pl.batch.memo = make(map[batchKey]int, 64)
-	}
-	memo := pl.batch.memo
-	clear(memo)
+	var (
+		tally  batchTally
+		prev   Packet
+		last   Result
+		repeat bool // last came through the cache, so it answers prev's header again
+	)
 	for _, pkt := range pkts {
-		key := batchKey{dst: pkt.Dst, src: pkt.Src, ttl: pkt.TTL}
-		if i, ok := memo[key]; ok {
-			// The walk already ran this batch: advance the per-packet
-			// sequence number exactly as forward would have (verdict
-			// hashes must stay aligned with the single-packet execution)
-			// and reuse the Result, Hops backing shared.
+		if repeat && pkt == prev {
+			// What a lookup would have found: a hit, with the sequence
+			// number advanced as a walk would have (probabilistic verdicts
+			// installed later must stay aligned with single-packet
+			// execution).
 			pl.seq++
-			r := res[i]
-			res = append(res, r)
-			tally[r.Reason]++
+			tally.note(&last, walkHit)
+			res = append(res, last)
 			continue
 		}
-		r := pl.forward(from, pkt)
-		memo[key] = len(res)
-		res = append(res, r)
-		tally[r.Reason]++
+		var how walkOutcome
+		last, how = pl.walk(from, pkt)
+		prev, repeat = pkt, how != walkBypass
+		tally.note(&last, how)
+		res = append(res, last)
 	}
 	pl.countBatch(&tally)
 	return res

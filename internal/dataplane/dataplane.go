@@ -22,6 +22,9 @@ import (
 // RIB is the routing state the data plane consults; *bgp.Engine satisfies it.
 type RIB interface {
 	Lookup(asn topo.ASN, addr netip.Addr) (*bgp.Route, bool)
+	// RIBVersion advances whenever any Lookup result may have changed; the
+	// walk cache is valid only while it holds still (see walkcache.go).
+	RIBVersion() uint64
 }
 
 // DropReason explains why a packet stopped.
@@ -79,6 +82,10 @@ type Hop struct {
 
 // Result reports a packet's fate. Hops lists every router traversed, in
 // order, up to and including the router where the packet stopped.
+//
+// Aliasing contract (mirrors intraPath): Hops may share its backing array
+// with the plane's walk cache and with other Results for the same header,
+// so callers read it and never write through it.
 type Result struct {
 	Reason DropReason
 	Hops   []Hop
@@ -182,8 +189,11 @@ func LossyAS(asn topo.ASN, prob float64, seed uint64) Rule {
 	return Rule{AtAS: asn, DropProb: prob, ProbSeed: seed}
 }
 
-// Plane forwards packets. It is cheap to construct and holds no per-packet
-// state, so a single Plane serves an entire simulation.
+// Plane forwards packets. It is cheap to construct, and a single Plane
+// serves an entire simulation. Besides the installed rules it carries the
+// per-packet sequence counter and two memos — intra-AS paths (valid forever)
+// and whole walks (valid for one routing-and-rules epoch) — all owned by
+// the single goroutine that drives the simulation.
 type Plane struct {
 	top *topo.Topology
 	rib RIB
@@ -192,6 +202,11 @@ type Plane struct {
 	// rather than paying a map iterator on every hop.
 	failures []activeRule
 	nextID   FailureID
+	// ruleVersion advances on every change to failures; probRules counts
+	// the installed rules with a fractional DropProb. Both feed the walk
+	// cache: the first invalidates it, the second stands it down.
+	ruleVersion uint64
+	probRules   int
 	// seq numbers every packet injected via Forward; probabilistic rules
 	// hash it so their verdicts are per-packet, order-independent pure
 	// functions (see Rule.DropProb).
@@ -202,8 +217,8 @@ type Plane struct {
 	// runs once per pair for the lifetime of the plane. The simulation
 	// core is single-goroutine, like the engine it consults.
 	pathCache map[[2]topo.RouterID][]topo.RouterID
-	// batch is ForwardBatch's per-call scratch (see batch.go).
-	batch batchState
+	// walks memoizes whole forwarding walks (see walkcache.go).
+	walks walkCache
 
 	obs planeObs
 }
@@ -220,18 +235,31 @@ type planeObs struct {
 	forwarded *obs.Counter
 	// drops is indexed by DropReason; the Delivered slot stays nil.
 	drops [ForwardLoop + 1]*obs.Counter
+	// Walk-cache traffic, indexed by walkOutcome (the bypass slot stays
+	// nil) and by flushCause.
+	cacheOutcomes [walkMiss + 1]*obs.Counter
+	cacheFlushes  [flushFull + 1]*obs.Counter
 }
 
-// Instrument registers the plane's metrics: packets injected, and drops
-// broken down by reason (no-route, blackhole, ttl-expired, forward-loop).
-// Counting happens outside the forwarding walk, so instrumented and
-// uninstrumented planes forward identically.
+// Instrument registers the plane's metrics: packets injected, drops broken
+// down by reason (no-route, blackhole, ttl-expired, forward-loop), and the
+// walk cache's hits, misses and flushes by cause. Counting happens outside
+// the forwarding walk, so instrumented and uninstrumented planes forward
+// identically.
 func (pl *Plane) Instrument(reg *obs.Registry) {
 	reg.Describe("lifeguard_dataplane_packets_forwarded_total", "packets injected into the data plane")
 	reg.Describe("lifeguard_dataplane_packets_dropped_total", "packets that did not reach their destination, by reason")
+	reg.Describe("lifeguard_dataplane_walk_cache_hits_total", "packets whose fate was answered from the walk cache")
+	reg.Describe("lifeguard_dataplane_walk_cache_misses_total", "packets walked hop by hop and stored in the walk cache")
+	reg.Describe("lifeguard_dataplane_walk_cache_flushes_total", "walk-cache invalidations, by cause (rib change, rule change, size cap)")
 	pl.obs.forwarded = reg.Counter("lifeguard_dataplane_packets_forwarded_total")
 	for r := NoRoute; r <= ForwardLoop; r++ {
 		pl.obs.drops[r] = reg.Counter("lifeguard_dataplane_packets_dropped_total", obs.L("reason", r.String()))
+	}
+	pl.obs.cacheOutcomes[walkHit] = reg.Counter("lifeguard_dataplane_walk_cache_hits_total")
+	pl.obs.cacheOutcomes[walkMiss] = reg.Counter("lifeguard_dataplane_walk_cache_misses_total")
+	for c, name := range flushCauseNames {
+		pl.obs.cacheFlushes[c] = reg.Counter("lifeguard_dataplane_walk_cache_flushes_total", obs.L("cause", name))
 	}
 }
 
@@ -241,6 +269,7 @@ func New(top *topo.Topology, rib RIB) *Plane {
 		top:       top,
 		rib:       rib,
 		pathCache: make(map[[2]topo.RouterID][]topo.RouterID),
+		walks:     walkCache{entries: make(map[walkKey]Result)},
 	}
 }
 
@@ -255,6 +284,10 @@ func New(top *topo.Topology, rib RIB) *Plane {
 func (pl *Plane) AddFailure(r Rule) FailureID {
 	pl.nextID++
 	pl.failures = append(pl.failures, activeRule{id: pl.nextID, rule: r})
+	pl.ruleVersion++
+	if r.probabilistic() {
+		pl.probRules++
+	}
 	return pl.nextID
 }
 
@@ -272,13 +305,21 @@ func (pl *Plane) RemoveFailure(id FailureID) bool {
 	if !ok {
 		return false
 	}
+	if pl.failures[i].rule.probabilistic() {
+		pl.probRules--
+	}
 	pl.failures = slices.Delete(pl.failures, i, i+1)
+	pl.ruleVersion++
 	return true
 }
 
 // ClearFailures removes all rules. The ID counter is not reset: handles
 // freed here stay retired (see AddFailure).
-func (pl *Plane) ClearFailures() { pl.failures = pl.failures[:0] }
+func (pl *Plane) ClearFailures() {
+	pl.failures = pl.failures[:0]
+	pl.ruleVersion++
+	pl.probRules = 0
+}
 
 // Failure returns the rule installed under id, if it is still active.
 // Chaos healing uses it to verify a handle names the rule the caller
@@ -352,6 +393,10 @@ func (pl *Plane) dropAtCrossing(c *matchCtx, from, to topo.RouterID) bool {
 	return false
 }
 
+// probabilistic reports whether the rule's verdict varies packet by packet
+// (a fractional DropProb) rather than being a function of the header.
+func (r *Rule) probabilistic() bool { return r.DropProb > 0 && r.DropProb < 1 }
+
 func (r *Rule) pktMatch(c *matchCtx) bool {
 	if r.DstWithin.IsValid() && !r.DstWithin.Contains(c.pkt.Dst) {
 		return false
@@ -359,7 +404,7 @@ func (r *Rule) pktMatch(c *matchCtx) bool {
 	if r.SrcWithin.IsValid() && !r.SrcWithin.Contains(c.pkt.Src) {
 		return false
 	}
-	if r.DropProb > 0 && r.DropProb < 1 {
+	if r.probabilistic() {
 		// Threshold comparison on a hash of (seed, packet seq) mapped to
 		// [0, 1): deterministic per packet, independent across rules with
 		// different seeds, and identical at every router the packet
@@ -379,10 +424,14 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Forward injects pkt at router "from" (the sender's gateway) and walks it
-// to its fate. The sender's own router does not consume TTL.
+// Forward injects pkt at router "from" (the sender's gateway) and reports
+// its fate. The sender's own router does not consume TTL. The fate comes
+// from the walk cache when the routing-and-rules epoch still holds and is
+// walked hop by hop otherwise; the two are indistinguishable to the caller
+// except that Result.Hops is shared (see Result).
 func (pl *Plane) Forward(from topo.RouterID, pkt Packet) Result {
-	res := pl.forward(from, pkt)
+	res, how := pl.walk(from, pkt)
+	pl.obs.cacheOutcomes[how].Inc()
 	pl.obs.forwarded.Inc()
 	if res.Reason != Delivered {
 		pl.obs.drops[res.Reason].Inc()
@@ -390,6 +439,8 @@ func (pl *Plane) Forward(from topo.RouterID, pkt Packet) Result {
 	return res
 }
 
+// forward is the uncached hop-by-hop walk, the reference every cached
+// answer must equal.
 func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
 	ttl := pkt.TTL
 	if ttl <= 0 {

@@ -1,0 +1,332 @@
+package dataplane
+
+import (
+	"math/rand"
+	"net/netip"
+	"reflect"
+	"testing"
+
+	"lifeguard/internal/bgp"
+	"lifeguard/internal/obs"
+	"lifeguard/internal/simclock"
+	"lifeguard/internal/topo"
+	"lifeguard/internal/topogen"
+)
+
+// walkWorld is a converged topogen internetwork with two planes over one
+// engine: cached goes through the public Forward/ForwardBatch, ref only ever
+// runs the uncached hop-by-hop forward. Every rule change is applied to
+// both, so their FailureIDs and per-packet sequence numbers stay in step and
+// any difference in fate is the cache's fault.
+type walkWorld struct {
+	gen         *topogen.Result
+	clk         *simclock.Scheduler
+	eng         *bgp.Engine
+	cached, ref *Plane
+	froms       []topo.RouterID // injection routers the op stream draws from
+	addrs       []netip.Addr    // header addresses the op stream draws from
+	rules       []FailureID
+}
+
+func newWalkWorld(t testing.TB, cfg topogen.Config) *walkWorld {
+	t.Helper()
+	gen, err := topogen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := simclock.New()
+	eng := bgp.New(gen.Top, clk, bgp.Config{Seed: cfg.Seed})
+	for _, asn := range gen.Top.ASNs() {
+		eng.Originate(asn, topo.Block(asn))
+	}
+	if !eng.Converge(500_000_000) {
+		t.Fatal("no convergence")
+	}
+	w := &walkWorld{gen: gen, clk: clk, eng: eng, cached: New(gen.Top, eng), ref: New(gen.Top, eng)}
+	w.cached.Instrument(obs.New())
+	// Small pools, so headers repeat and the cache has something to hit.
+	for _, asn := range append(append([]topo.ASN{}, gen.Stubs[:5]...), gen.Transit[:2]...) {
+		hub := gen.Top.AS(asn).Routers[0]
+		w.froms = append(w.froms, hub)
+		w.addrs = append(w.addrs, gen.Top.Router(hub).Addr, topo.ProductionAddr(asn))
+	}
+	w.addrs = append(w.addrs,
+		topo.RouterAddr(topo.MaxASN, 0),    // in the plan, owned by nobody: no route
+		netip.Addr{},                       // unset source, as hijack probes send
+		netip.MustParseAddr("2001:db8::1"), // never routed; bypasses the cache
+	)
+	return w
+}
+
+// forward sends one packet through both planes and fails on any difference
+// in fate, hop record or sequence numbering.
+func (w *walkWorld) forward(t testing.TB, from topo.RouterID, pkt Packet) {
+	t.Helper()
+	got := w.cached.Forward(from, pkt)
+	want := w.ref.forward(from, pkt)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("from %d %+v:\ncached %+v\nwalked %+v", from, pkt, got, want)
+	}
+	if w.cached.seq != w.ref.seq {
+		t.Fatalf("from %d %+v: cached plane at seq %d, walked plane at %d", from, pkt, w.cached.seq, w.ref.seq)
+	}
+}
+
+// addRule installs r on both planes.
+func (w *walkWorld) addRule(t testing.TB, r Rule) {
+	t.Helper()
+	id := w.cached.AddFailure(r)
+	if rid := w.ref.AddFailure(r); rid != id {
+		t.Fatalf("planes out of step: rule ids %d and %d", id, rid)
+	}
+	w.rules = append(w.rules, id)
+}
+
+// run interprets data as a stream of operations against the world. Each
+// operation consumes one opcode byte and the operand bytes it needs; a
+// stream that runs dry reads zeros. The same interpreter backs the seeded
+// test and the fuzz target.
+func (w *walkWorld) run(t testing.TB, data []byte) {
+	t.Helper()
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	pick := func(n int) int { return next() % n }
+	packet := func() (topo.RouterID, Packet) {
+		return w.froms[pick(len(w.froms))], Packet{
+			Dst: w.addrs[pick(len(w.addrs))],
+			Src: w.addrs[pick(len(w.addrs))],
+			TTL: pick(71),
+		}
+	}
+	top, gen := w.gen.Top, w.gen
+	for len(data) > 0 {
+		switch op := next() % 16; {
+		case op < 8:
+			from, pkt := packet()
+			w.forward(t, from, pkt)
+		case op == 8:
+			// A batch the way traffic builds one — runs of one header —
+			// against the same packets walked singly.
+			from, pkt := packet()
+			var pkts []Packet
+			for range 1 + pick(4) {
+				pkts = append(pkts, pkt)
+			}
+			_, other := packet()
+			pkts = append(pkts, other, pkt)
+			got := w.cached.ForwardBatch(from, pkts, nil)
+			for i, p := range pkts {
+				if want := w.ref.forward(from, p); !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("batch packet %d from %d %+v:\ncached %+v\nwalked %+v", i, from, p, got[i], want)
+				}
+			}
+			if w.cached.seq != w.ref.seq {
+				t.Fatalf("batch: cached plane at seq %d, walked plane at %d", w.cached.seq, w.ref.seq)
+			}
+		case op == 9:
+			// A few scheduler events: forwards then land mid-convergence.
+			for range 1 + pick(12) {
+				w.clk.Step()
+			}
+		case op == 10:
+			// Poison a transit AS on a stub's block, or undo it.
+			o := gen.Stubs[pick(5)]
+			cfg := bgp.OriginConfig{}
+			if a := pick(len(gen.Transit) + 1); a < len(gen.Transit) {
+				cfg.Pattern = topo.Path{o, gen.Transit[a], o}
+			}
+			w.eng.Announce(o, topo.Block(o), cfg)
+		case op == 11:
+			o := gen.Stubs[pick(5)]
+			if pick(2) == 0 {
+				w.eng.Withdraw(o, topo.Block(o))
+			} else {
+				w.eng.Originate(o, topo.Block(o))
+			}
+		case op == 12:
+			a, b := gen.Transit[pick(len(gen.Transit))], gen.Stubs[pick(5)]
+			switch pick(5) {
+			case 0:
+				w.addRule(t, BlackholeAS(a))
+			case 1:
+				w.addRule(t, BlackholeASTowards(a, topo.Block(b)))
+			case 2:
+				if nb := top.Neighbors(a); len(nb) > 0 {
+					w.addRule(t, DropASLink(a, nb[pick(len(nb))]))
+				}
+			case 3:
+				w.addRule(t, BlackholeRouter(top.AS(a).Routers[0]))
+			case 4:
+				w.addRule(t, Rule{AtAS: a, SrcWithin: topo.Block(b), TransitOnly: true})
+			}
+		case op == 13:
+			w.addRule(t, LossyAS(gen.Transit[pick(len(gen.Transit))], float64(1+pick(9))/10, uint64(next())))
+		case op == 14 && len(w.rules) > 0:
+			i := pick(len(w.rules))
+			id := w.rules[i]
+			w.rules = append(w.rules[:i], w.rules[i+1:]...)
+			if !w.cached.RemoveFailure(id) || !w.ref.RemoveFailure(id) {
+				t.Fatalf("rule %d not installed", id)
+			}
+		case op == 15 && pick(4) == 0:
+			w.cached.ClearFailures()
+			w.ref.ClearFailures()
+			w.rules = w.rules[:0]
+		}
+	}
+}
+
+// TestCachedForwardMatchesWalk drives a long seeded operation stream —
+// forwards with random headers and TTLs interleaved with poison/unpoison
+// announcements stepped a few events at a time, withdrawals, and rule
+// add/remove both deterministic and lossy — and holds every cached answer to
+// the uncached walk on the same state. It also checks the stream really
+// exercised the cache: hits, misses, and both kinds of epoch flush.
+func TestCachedForwardMatchesWalk(t *testing.T) {
+	w := newWalkWorld(t, topogen.Config{Seed: 7, NumTransit: 12, NumStub: 48})
+	data := make([]byte, 40_000)
+	rand.New(rand.NewSource(16)).Read(data)
+	w.run(t, data)
+
+	o := &w.cached.obs
+	for name, c := range map[string]*obs.Counter{
+		"hits": o.cacheOutcomes[walkHit], "misses": o.cacheOutcomes[walkMiss],
+		"rib flushes": o.cacheFlushes[flushRIB], "rules flushes": o.cacheFlushes[flushRules],
+	} {
+		if c.Value() == 0 {
+			t.Errorf("stream produced no cache %s", name)
+		}
+	}
+	if h, m := o.cacheOutcomes[walkHit].Value(), o.cacheOutcomes[walkMiss].Value(); h+m > o.forwarded.Value() {
+		t.Errorf("%d hits + %d misses exceed %d packets forwarded", h, m, o.forwarded.Value())
+	}
+}
+
+// FuzzWalkCache hands the same interpreter to the fuzzer, on a world small
+// enough to rebuild per input.
+func FuzzWalkCache(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 5, 0, 0, 0, 1, 5}) // the same header twice
+	f.Add([]byte{0, 1, 2, 3, 64, 0, 1, 2, 3, 1, 0, 1, 2, 3, 70})
+	f.Add([]byte{10, 0, 1, 9, 3, 0, 2, 0, 0, 0, 9, 11, 0, 2, 0, 0, 0, 10, 0, 200})
+	f.Add([]byte{12, 0, 1, 0, 0, 0, 0, 0, 0, 13, 1, 4, 9, 0, 0, 0, 0, 0, 14, 1, 0, 0, 0, 0, 0, 15, 0})
+	f.Add([]byte{8, 0, 2, 0, 0, 3, 1, 1, 1, 8, 0, 2, 0, 0, 3, 1, 1, 1})
+	seeded := make([]byte, 600)
+	rand.New(rand.NewSource(16)).Read(seeded)
+	f.Add(seeded)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		newWalkWorld(t, topogen.Config{Seed: 3, NumTier1: 3, NumTransit: 4, NumStub: 8}).run(t, data)
+	})
+}
+
+// loopRIB routes every destination around a two-AS cycle, the forwarding
+// loop a real RIB only shows mid-convergence: no walk ever ends for a
+// reason other than running out of TTL.
+type loopRIB struct{ a, b *bgp.Route }
+
+func (r loopRIB) Lookup(asn topo.ASN, _ netip.Addr) (*bgp.Route, bool) {
+	if asn == 1 {
+		return r.a, true
+	}
+	return r.b, true
+}
+
+func (loopRIB) RIBVersion() uint64 { return 0 }
+
+// TestTTLPrefixOfFullWalk pins the argument that lets TTL stay out of the
+// cache key: for every k, the fate at TTL k is the first k+1 hops of the
+// default-TTL walk, expired, when that walk is longer than k, and the
+// default-TTL walk itself otherwise — whatever way the walk ends. The cached
+// plane is asked in traceroute order (k = 1, 2, …) and then backwards, so
+// both the "one stored walk answers all" and the "stored walk expired too
+// early, walk again" branches run.
+func TestTTLPrefixOfFullWalk(t *testing.T) {
+	w := newWalkWorld(t, topogen.Config{Seed: 7, NumTransit: 12, NumStub: 48})
+	top := w.gen.Top
+	from := top.AS(w.gen.Stubs[0]).Routers[0]
+	pkt := Packet{Src: top.Router(from).Addr, Dst: topo.ProductionAddr(w.gen.Stubs[9])}
+	path, _ := w.ref.forward(from, pkt), w.cached.forward(from, pkt)
+	if !path.Delivered() || len(path.Hops) < 4 {
+		t.Fatalf("want a multi-hop delivered walk to cut, got %v", &path)
+	}
+	mid := path.Hops[len(path.Hops)/2]
+	var crossing [2]Hop // the first inter-AS link of the walk
+	for i := 1; i < len(path.Hops); i++ {
+		if path.Hops[i-1].AS != path.Hops[i].AS {
+			crossing = [2]Hop{path.Hops[i-1], path.Hops[i]}
+			break
+		}
+	}
+
+	check := func(t *testing.T, cached, ref *Plane, from topo.RouterID, pkt Packet, wantReason DropReason) {
+		t.Helper()
+		// Uncached on both planes, so their sequence numbers stay in step.
+		full, _ := ref.forward(from, pkt), cached.forward(from, pkt)
+		if full.Reason != wantReason {
+			t.Fatalf("default-TTL walk ended %v, the case wants %v", full.Reason, wantReason)
+		}
+		ks := make([]int, 0, 140)
+		for k := 1; k <= 70; k++ {
+			ks = append(ks, k)
+		}
+		for k := 70; k >= 1; k-- {
+			ks = append(ks, k)
+		}
+		for _, k := range ks {
+			p := pkt
+			p.TTL = k
+			got, walked := cached.Forward(from, p), ref.forward(from, p)
+			if !reflect.DeepEqual(got, walked) || cached.seq != ref.seq {
+				t.Fatalf("TTL %d: cached %+v (seq %d), walked %+v (seq %d)", k, got, cached.seq, walked, ref.seq)
+			}
+			// The 64-hop default walk says nothing about TTLs beyond it
+			// when it expired itself (only the loop case does).
+			if full.Reason == TTLExpired && k > DefaultTTL {
+				continue
+			}
+			want := full
+			if len(full.Hops) > k {
+				last := full.Hops[k]
+				want = Result{Reason: TTLExpired, Hops: full.Hops[:k+1], LastAS: last.AS, LastRouter: last.Router}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("TTL %d: got %+v, prefix rule says %+v", k, got, want)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		rule   *Rule
+		dst    netip.Addr
+		reason DropReason
+	}{
+		{"delivered", nil, pkt.Dst, Delivered},
+		{"blackholed at router", &Rule{AtRouter: mid.Router, HasRouter: true}, pkt.Dst, Blackhole},
+		{"blackholed at crossing", &Rule{FromAS: crossing[0].AS, ToAS: crossing[1].AS}, pkt.Dst, Blackhole},
+		{"no route", nil, topo.RouterAddr(topo.MaxASN, 0), NoRoute},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w.cached.ClearFailures()
+			w.ref.ClearFailures()
+			if tc.rule != nil {
+				w.cached.AddFailure(*tc.rule)
+				w.ref.AddFailure(*tc.rule)
+			}
+			check(t, w.cached, w.ref, from, Packet{Src: pkt.Src, Dst: tc.dst}, tc.reason)
+		})
+	}
+
+	t.Run("forwarding loop", func(t *testing.T) {
+		ltop, _, _ := lineNet(t)
+		rib := loopRIB{a: &bgp.Route{Path: topo.Path{2, 3}}, b: &bgp.Route{Path: topo.Path{1, 3}}}
+		src := hub(ltop, 1)
+		check(t, New(ltop, rib), New(ltop, rib), src,
+			Packet{Src: ltop.Router(src).Addr, Dst: ltop.Router(hub(ltop, 3)).Addr}, TTLExpired)
+	})
+}

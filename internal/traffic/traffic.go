@@ -75,11 +75,6 @@ type Config struct {
 	// generator simulates: those with global index ≡ ShardIndex (mod
 	// ShardCount). Zero ShardCount means the whole population.
 	ShardIndex, ShardCount int
-	// SinglePacket forwards every packet through Plane.Forward instead of
-	// ForwardBatch. The reports are identical either way (that is
-	// ForwardBatch's contract); this is the reference the batched path is
-	// tested against.
-	SinglePacket bool
 }
 
 func (cfg *Config) epoch() time.Duration {
@@ -380,20 +375,12 @@ func (g *Generator) RunEpoch() EpochReport {
 }
 
 // forwardN pushes n copies of pkt into the plane at from and returns the
-// results, in a buffer reused across calls. In batched mode all n packets
-// go through one ForwardBatch call, which collapses them to a single walk;
-// SinglePacket mode pays the full walk per packet.
+// results, in a buffer reused across calls. All n packets go through one
+// ForwardBatch call, which answers the repeats from the first one's walk.
 func (g *Generator) forwardN(from topo.RouterID, pkt dataplane.Packet, n int64) []dataplane.Result {
 	g.pkts = g.pkts[:0]
 	for i := int64(0); i < n; i++ {
 		g.pkts = append(g.pkts, pkt)
-	}
-	if g.cfg.SinglePacket {
-		g.res = g.res[:0]
-		for _, p := range g.pkts {
-			g.res = append(g.res, g.plane.Forward(from, p))
-		}
-		return g.res
 	}
 	g.res = g.plane.ForwardBatch(from, g.pkts, g.res[:0])
 	return g.res

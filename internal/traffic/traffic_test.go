@@ -146,25 +146,6 @@ func TestShardMergeIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesSinglePacket pins that the batched fast path and the
-// one-Forward-per-packet baseline produce identical accounting.
-func TestBatchedMatchesSinglePacket(t *testing.T) {
-	var runs [2][]EpochReport
-	for i, single := range []bool{false, true} {
-		r := newRig(t)
-		cfg := popConfig(r)
-		cfg.SinglePacket = single
-		g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = runEpochs(t, r, g)
-	}
-	if !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Fatalf("batched and single-packet accounting diverged:\n%+v\n%+v", runs[0], runs[1])
-	}
-}
-
 // TestOutageAccounting checks the shape of the numbers: full availability
 // before the fault, blackhole-attributed loss during it (forward leg), and
 // recovery after repair — plus a reverse-path fault that forward delivery

@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# bench-gate: the repository benchmark as a behaviour gate (make bench-gate).
+#
+# Runs the two workloads that between them execute every layer — repair and
+# converge — at seed 1 for 8 host-seconds each and fails unless the two
+# simulated metrics equal the committed values below to the last digit
+# (they depend on the seed alone, so any difference is a behaviour change,
+# not noise) and allocs_per_op is within 5 % of its committed value.
+# ops_per_s is printed but never judged here: on a shared runner it is
+# advisory; the paired driver run is what rules on speed.
+#
+# When a change moves these on purpose, re-record the table in the same
+# commit and say why in CHANGES.md.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+#        workload  sim_latency_s      updates_per_op      allocs_per_op
+expect=("repair    382.1728918139953  1427.4567307692307  18094.2"
+        "converge  246.383297183625   1.946382            8.389969")
+
+field() { # field <json> <metric>: the metric's value, as printed
+	sed -n "s/.*\"$2\":{\"value\":\([-+0-9.eE]*\).*/\1/p" <<<"$1"
+}
+
+fail=0
+for row in "${expect[@]}"; do
+	read -r wl lat upd allocs <<<"$row"
+	json=$(bash benchmark/run.sh --workload "$wl" --seed 1 --seconds 8 --trace 0 | tail -n 1)
+	gotLat=$(field "$json" sim_latency_s)
+	gotUpd=$(field "$json" updates_per_op)
+	gotAllocs=$(field "$json" allocs_per_op)
+	echo "bench-gate: $wl ops_per_s=$(field "$json" ops_per_s) (advisory) allocs_per_op=$gotAllocs sim_latency_s=$gotLat updates_per_op=$gotUpd"
+	if [[ "$json" != *'"correct":true'* ]]; then
+		echo "bench-gate: $wl: run reported failed operations" >&2
+		fail=1
+	fi
+	if [[ "$gotLat" != "$lat" ]]; then
+		echo "bench-gate: $wl: sim_latency_s $gotLat, committed $lat" >&2
+		fail=1
+	fi
+	if [[ "$gotUpd" != "$upd" ]]; then
+		echo "bench-gate: $wl: updates_per_op $gotUpd, committed $upd" >&2
+		fail=1
+	fi
+	if ! awk -v g="$gotAllocs" -v w="$allocs" 'BEGIN { d = g / w - 1; exit !(d < 0.05 && d > -0.05) }'; then
+		echo "bench-gate: $wl: allocs_per_op $gotAllocs, committed $allocs (more than 5 % apart)" >&2
+		fail=1
+	fi
+done
+exit $fail
