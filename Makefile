@@ -93,12 +93,16 @@ daemon-smoke:
 	@grep -q '"metrics"' $(BIN)/daemon_smoke.out || { echo "daemon-smoke: no final snapshot on stdout"; exit 1; }
 	@echo "daemon-smoke: healthz+metrics served; clean SIGTERM exit with final snapshot"
 
-# A quick fuzz pass over the BGP-4 wire codec and over the walk cache
-# (random forwards, announcements and rule changes against the uncached
-# walk); CI runs this on every push.
+# A quick fuzz pass over the BGP-4 wire codec, the walk cache (random
+# forwards, announcements and rule changes against the uncached walk), the
+# scheduler (random op programs against the container/heap reference model)
+# and the chaos script parser (no panics; accepted scripts round-trip); CI
+# runs this on every push.
 fuzz-smoke:
 	$(GO) test -fuzz=Fuzz -fuzztime=30s ./internal/bgp/wire/
 	$(GO) test -run '^$$' -fuzz=FuzzWalkCache -fuzztime=20s ./internal/dataplane/
+	$(GO) test -run '^$$' -fuzz=FuzzScheduler -fuzztime=15s ./internal/simclock/
+	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/chaos/
 
 # bench-all is a 1x pass over every Go benchmark in the repo (-short skips
 # the 10k-AS ConvergenceScale case). Performance is judged by the paired
@@ -107,8 +111,8 @@ fuzz-smoke:
 bench-all:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-gate runs the repository benchmark's repair and converge workloads
-# for 8 s each and fails on any change in their simulated results
+# bench-gate runs the repository benchmark's repair, converge and churn
+# workloads for 8 s each and fails on any change in their simulated results
 # (sim_latency_s, updates_per_op: exact) or a 5 % move in allocs_per_op;
 # ops_per_s is printed as advisory. See scripts/bench-gate.sh.
 bench-gate:

@@ -25,7 +25,10 @@ type Engine struct {
 	// dense per-AS slice below.
 	asns     []topo.ASN
 	speakers map[topo.ASN]*Speaker
-	obs      engineObs
+	// byIdx is speakers in asns order: a timer event names its speaker by
+	// idx and resolves it here.
+	byIdx []*Speaker
+	obs   engineObs
 	// shard is non-nil when Config.ShardWorkers > 0 (see shard.go).
 	shard *shardState
 
@@ -40,6 +43,17 @@ type Engine struct {
 	// pendingEvents counts scheduled BGP events (message deliveries and
 	// armed MRAI timers); zero means the control plane is quiescent.
 	pendingEvents int
+
+	// The classic loop's events carry no closure: an update in flight is
+	// parked in the inflight slab and its delivery event carries the slot; a
+	// timer event carries (speaker idx, neighbor idx). fireDeliver and
+	// fireTimer are the two callbacks, bound once in New. A slot is taken in
+	// deliver and returned to inflightFree when its event fires — delivery
+	// events are never cancelled, so every slot comes back.
+	inflight     []inflightUpdate
+	inflightFree []uint32
+	fireDeliver  func(slot uint64)
+	fireTimer    func(packed uint64)
 
 	// updatesSent counts announcements+withdrawals sent per AS — the raw
 	// material for the Table 2 update-load analysis — densely indexed by
@@ -72,9 +86,13 @@ func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
 		obs:         newEngineObs(cfg.Obs),
 		updatesSent: make([]int64, top.NumASes()),
 	}
+	e.byIdx = make([]*Speaker, len(e.asns))
 	for i, asn := range e.asns {
-		e.speakers[asn] = newSpeaker(e, asn, i)
+		e.byIdx[i] = newSpeaker(e, asn, i)
+		e.speakers[asn] = e.byIdx[i]
 	}
+	e.fireDeliver = e.deliverArrived
+	e.fireTimer = e.timerExpired
 	for _, asn := range e.asns {
 		s := e.speakers[asn]
 		s.peers = make([]*Speaker, len(s.neighbors))
@@ -363,7 +381,7 @@ func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 		return nil, false
 	}
 	s.compileLPM()
-	r := s.lpm.lookup(key)
+	r := s.bestAt(s.lpm.lookup(key))
 	return r, r != nil
 }
 
@@ -451,45 +469,65 @@ func (e *Engine) deliver(s *Speaker, i int, u update) {
 		e.emit(s, engEvent{kind: evDeliver, at: at, sp: s.neighbors[i], from: s.asn, u: u}, true)
 		return
 	}
-	dst := s.peers[i]
-	from := s.asn
 	e.pendingEvents++
-	e.clk.At(at, func() {
-		e.pendingEvents--
-		if dst.neighborDown(from) {
-			return // the session died while the message was in flight
-		}
-		dst.receive(from, u)
-	})
+	e.clk.AtCall(at, e.fireDeliver, e.park(inflightUpdate{dst: s.peers[i], from: s.asn, u: u}))
+}
+
+// inflightUpdate is one update between deliver and its arrival.
+type inflightUpdate struct {
+	dst  *Speaker
+	from topo.ASN
+	u    update
+}
+
+// park stores m in a free inflight slot and returns the slot.
+func (e *Engine) park(m inflightUpdate) uint64 {
+	if n := len(e.inflightFree); n > 0 {
+		slot := e.inflightFree[n-1]
+		e.inflightFree = e.inflightFree[:n-1]
+		e.inflight[slot] = m
+		return uint64(slot)
+	}
+	e.inflight = append(e.inflight, m)
+	return uint64(len(e.inflight) - 1)
+}
+
+// deliverArrived is the classic loop's delivery event.
+func (e *Engine) deliverArrived(slot uint64) {
+	m := e.inflight[slot]
+	e.inflight[slot] = inflightUpdate{}
+	e.inflightFree = append(e.inflightFree, uint32(slot))
+	e.pendingEvents--
+	if m.dst.neighborDown(m.from) {
+		return // the session died while the message was in flight
+	}
+	m.dst.receive(m.from, m.u)
 }
 
 // schedPhase arms s's neighbor-i advertisement timer at the next tick of a
 // free-running MRAI timer: a uniform phase in [0, MRAI).
 func (e *Engine) schedPhase(s *Speaker, i int) {
-	d := time.Duration(e.rngFor(s).Float64() * float64(e.cfg.MRAI))
-	if e.shard != nil {
-		e.emit(s, engEvent{kind: evTimer, at: e.nowFor(s) + d, sp: s.asn, nbr: int32(i)}, true)
-		return
-	}
-	e.pendingEvents++
-	e.clk.After(d, func() {
-		e.pendingEvents--
-		s.timerFired(i)
-	})
+	e.schedTimer(s, i, time.Duration(e.rngFor(s).Float64()*float64(e.cfg.MRAI)))
 }
 
 // schedMRAI arms s's neighbor-i timer one jittered MRAI interval out.
 func (e *Engine) schedMRAI(s *Speaker, i int) {
-	d := e.jitterFor(s, e.cfg.MRAI, e.cfg.MRAIJitter)
+	e.schedTimer(s, i, e.jitterFor(s, e.cfg.MRAI, e.cfg.MRAIJitter))
+}
+
+func (e *Engine) schedTimer(s *Speaker, i int, d time.Duration) {
 	if e.shard != nil {
 		e.emit(s, engEvent{kind: evTimer, at: e.nowFor(s) + d, sp: s.asn, nbr: int32(i)}, true)
 		return
 	}
 	e.pendingEvents++
-	e.clk.After(d, func() {
-		e.pendingEvents--
-		s.timerFired(i)
-	})
+	e.clk.AfterCall(d, e.fireTimer, uint64(s.idx)<<32|uint64(i))
+}
+
+// timerExpired is the classic loop's phase/MRAI timer event.
+func (e *Engine) timerExpired(packed uint64) {
+	e.pendingEvents--
+	e.byIdx[packed>>32].timerFired(int(uint32(packed)))
 }
 
 // schedReuse arms a dampening reuse check d from now. Reuse timers are

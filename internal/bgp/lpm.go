@@ -6,34 +6,37 @@ import "net/netip"
 // hop-by-hop, and every hop does one LPM lookup in the transit AS's loc-RIB,
 // so this is the hottest read path in the repository. The index is a binary
 // trie keyed on the 32-bit big-endian IPv4 address: a node at depth d
-// corresponds to a /d prefix, and a best route is hung at the node of its
-// prefix. Lookup walks at most 32 child pointers and remembers the deepest
-// route passed — no netip.Prefix construction, no map probes, no
-// allocations.
+// corresponds to a /d prefix, and a prefix with a selected route hangs its
+// id at its node. Lookup walks at most 32 child pointers and remembers the
+// deepest id passed — no netip.Prefix construction, no map probes, no
+// allocations — and the route is the loc-RIB's entry for that id.
 //
-// The trie is maintained incrementally by Speaker.decide: every loc-RIB
-// install goes through insert and every loc-RIB delete through remove, so
-// the index is always exactly the loc-RIB (invariant checked against a
-// brute-force match over KnownPrefixes in lpm_quick_test.go). Structure and
-// contents are a pure function of the loc-RIB — no ordering, randomness, or
-// wall-clock input — so determinism of a run is unaffected.
+// The trie is maintained incrementally by Speaker.decide: a prefix gaining
+// its first route goes through insert and one losing its last through
+// remove. Because a leaf names the prefix, not the route, a *replaced* best
+// — almost every loc-RIB change in a poison cycle — does not touch the trie
+// at all. The index is always exactly the loc-RIB's prefix set (invariant
+// checked against a brute-force match over KnownPrefixes in
+// lpm_quick_test.go). Structure and contents are a pure function of the
+// loc-RIB — no ordering, randomness, or wall-clock input — so determinism
+// of a run is unaffected.
 //
 // Unlike the map-probe loop it replaces (which scanned /32../8 only), the
 // trie matches the full /0../32 range: default routes and other sub-/8
 // aggregates are routable.
 
-// lpmNode is one trie node. route is non-nil when a selected route's prefix
-// terminates here.
+// lpmNode is one trie node. id is non-zero when a prefix with a selected
+// route terminates here.
 type lpmNode struct {
 	child [2]*lpmNode
-	route *Route
+	id    prefixID
 }
 
 // lpmIndex is one speaker's index over its loc-RIB. The zero value is an
 // empty index ready for use.
 type lpmIndex struct {
 	root  lpmNode
-	len   int // number of routes in the index
+	len   int // number of prefixes in the index
 	nodes int // live trie nodes below the root (the size gauge reads this)
 
 	// Nodes are carved from slabs and recycled through a free list, so
@@ -76,10 +79,9 @@ func v4Key(a netip.Addr) (uint32, bool) {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), true
 }
 
-// insert hangs r at p, replacing any route already there. Prefixes are
-// masked at the Announce boundary, so only the top p.Bits() bits of the
-// address are significant.
-func (x *lpmIndex) insert(p netip.Prefix, r *Route) {
+// insert hangs p's id at p. Prefixes are masked at the Announce boundary,
+// so only the top p.Bits() bits of the address are significant.
+func (x *lpmIndex) insert(p netip.Prefix, id prefixID) {
 	key, ok := v4Key(p.Addr())
 	if !ok {
 		return
@@ -92,13 +94,13 @@ func (x *lpmIndex) insert(p netip.Prefix, r *Route) {
 		}
 		n = n.child[b]
 	}
-	if n.route == nil {
+	if n.id == 0 {
 		x.len++
 	}
-	n.route = r
+	n.id = id
 }
 
-// remove deletes the route at p, if any, and prunes the now-empty tail of
+// remove deletes p, if present, and prunes the now-empty tail of
 // its path back onto the free list, so announce/withdraw churn cannot grow
 // the trie without bound.
 func (x *lpmIndex) remove(p netip.Prefix) {
@@ -116,13 +118,13 @@ func (x *lpmIndex) remove(p netip.Prefix) {
 			return
 		}
 	}
-	if n.route == nil {
+	if n.id == 0 {
 		return
 	}
-	n.route = nil
+	n.id = 0
 	x.len--
 	for depth := bits - 1; depth >= 0; depth-- {
-		if n.route != nil || n.child[0] != nil || n.child[1] != nil {
+		if n.id != 0 || n.child[0] != nil || n.child[1] != nil {
 			break
 		}
 		parent := path[depth]
@@ -133,18 +135,18 @@ func (x *lpmIndex) remove(p netip.Prefix) {
 	}
 }
 
-// lookup returns the longest-prefix-match route for key, or nil if no
-// prefix (not even a default route) covers it.
-func (x *lpmIndex) lookup(key uint32) *Route {
+// lookup returns the id of the longest indexed prefix covering key, or 0 if
+// none (not even a default route) does.
+func (x *lpmIndex) lookup(key uint32) prefixID {
 	n := &x.root
-	best := n.route // a /0 default route lives at the root
+	best := n.id // a /0 default route lives at the root
 	for depth := 0; depth < 32; depth++ {
 		n = n.child[(key>>(31-depth))&1]
 		if n == nil {
 			break
 		}
-		if n.route != nil {
-			best = n.route
+		if n.id != 0 {
+			best = n.id
 		}
 	}
 	return best

@@ -127,25 +127,25 @@ func TestLPMIndexPruning(t *testing.T) {
 	var x lpmIndex
 	p := netip.MustParsePrefix("10.0.0.0/24")
 	q := netip.MustParsePrefix("10.0.0.0/8")
-	rp, rq := &Route{Prefix: p}, &Route{Prefix: q}
-	x.insert(p, rp)
-	x.insert(q, rq)
+	const ip, iq prefixID = 1, 2
+	x.insert(p, ip)
+	x.insert(q, iq)
 	if x.len != 2 {
 		t.Fatalf("len = %d, want 2", x.len)
 	}
 	key, _ := v4Key(netip.MustParseAddr("10.0.0.1"))
-	if got := x.lookup(key); got != rp {
-		t.Fatalf("lookup = %v, want the /24 route", got)
+	if got := x.lookup(key); got != ip {
+		t.Fatalf("lookup = %v, want the /24's id", got)
 	}
 	x.remove(p)
-	if got := x.lookup(key); got != rq {
-		t.Fatalf("lookup after /24 removal = %v, want the /8 route", got)
+	if got := x.lookup(key); got != iq {
+		t.Fatalf("lookup after /24 removal = %v, want the /8's id", got)
 	}
 	// The /24's sixteen exclusive nodes (depths 9..24) were recycled.
 	if len(x.free) != 16 {
 		t.Fatalf("free list has %d nodes after prune, want 16", len(x.free))
 	}
-	x.insert(p, rp)
+	x.insert(p, ip)
 	if len(x.free) != 0 {
 		t.Fatalf("free list has %d nodes after re-insert, want 0 (reused)", len(x.free))
 	}
@@ -154,8 +154,8 @@ func TestLPMIndexPruning(t *testing.T) {
 	if x.len != 0 {
 		t.Fatalf("len = %d after removing all, want 0", x.len)
 	}
-	if got := x.lookup(key); got != nil {
-		t.Fatalf("lookup on empty index = %v, want nil", got)
+	if got := x.lookup(key); got != 0 {
+		t.Fatalf("lookup on empty index = %v, want 0", got)
 	}
 	// Removing an absent prefix is a no-op.
 	x.remove(p)

@@ -12,11 +12,12 @@ import (
 	"lifeguard/internal/topo"
 )
 
-// Sharded event loop. The classic engine schedules every protocol event as
-// its own simclock closure, which serializes the whole Internet through one
-// heap. That heap is not where the time goes — on one worker the two loops
-// measure the same wall clock at 2k and 10k ASes (DESIGN.md §6) — so what
-// the sharded engine buys is the second core: it keeps protocol events in a
+// Sharded event loop. The classic engine schedules every protocol event on
+// the simclock heap, which serializes the whole Internet through one queue.
+// Since that queue stores events by value (closure-free deliveries and
+// timers, see Engine.deliver) the classic loop is the faster and smaller of
+// the two on one worker at 200, 2k and 10k ASes (DESIGN.md §6), so all the
+// sharded engine can buy is the second core: it keeps protocol events in a
 // typed heap of its own, pumps them in *barrier windows*, and runs each
 // window's speakers concurrently:
 //

@@ -28,8 +28,9 @@ type Speaker struct {
 	// where no route is selected. nBest counts the non-nil slots.
 	best  []*Route
 	nBest int
-	// lpm is the compiled longest-prefix-match index over best. It is
-	// compiled on the speaker's first data-plane lookup and maintained
+	// lpm is the compiled longest-prefix-match index over the prefixes that
+	// have a best route (a leaf holds the prefix id, which best resolves).
+	// It is compiled on the speaker's first data-plane lookup and maintained
 	// incrementally by decide from then on (lpmLive): pure control-plane
 	// runs — convergence at Internet scale — never pay for a trie nobody
 	// walks. Engine.Lookup — the data-plane hot path — reads it instead
@@ -501,11 +502,11 @@ func (s *Speaker) decide(id prefixID) bool {
 			s.growRIB()
 		}
 		s.best[id] = newBest
-		if s.lpmLive {
-			s.lpm.insert(prefix, newBest)
-		}
 		if old == nil {
 			s.nBest++
+			if s.lpmLive {
+				s.lpm.insert(prefix, id)
+			}
 			s.statLocRIB(1)
 		}
 		s.e.notifyBest(s, prefix, newBest.Path)
@@ -527,7 +528,7 @@ func (s *Speaker) compileLPM() {
 	s.lpmLive = true
 	for id, r := range s.best {
 		if r != nil {
-			s.lpm.insert(s.e.prefixes.pfx[id], r)
+			s.lpm.insert(s.e.prefixes.pfx[id], prefixID(id))
 		}
 	}
 	s.statLPMNodes(int64(s.lpm.nodes))
@@ -582,7 +583,7 @@ func (s *Speaker) kick(i int) {
 }
 
 // timerFired handles an expired phase or MRAI timer for neighbor i — the
-// shared body of the classic closures and the sharded typed events.
+// shared body of the classic loop's timer event and the sharded typed events.
 func (s *Speaker) timerFired(i int) {
 	st := &s.out[i]
 	st.timerArmed = false

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,7 @@ func TestParseErrors(t *testing.T) {
 		"at 10s for 1m frobnicate 1 2",
 		"at 10s for 1m linkdown 1",
 		"at 10s for 1m loss 1 huh 3",
+		"at 10s for 1m loss 1 NaN 3", // parses as a float, equals nothing
 		"at 10s for 1m blackhole 1 not-a-prefix",
 		"at 10s for 1m linkdown 9999999999 2", // overflows 32-bit ASN space
 	} {
@@ -317,10 +319,12 @@ func TestRunnerDeterministic(t *testing.T) {
 
 func TestValidateRejectsBadScript(t *testing.T) {
 	tgt, _ := fig2Target(t)
+	nan := math.NaN()
 	for _, s := range []*Script{
 		{Steps: []Step{{At: 0, Fault: &LinkDown{A: nettest.O, B: nettest.E}}}},    // not adjacent
 		{Steps: []Step{{At: 0, Fault: &RouterCrash{AS: 99}}}},                     // unknown AS
 		{Steps: []Step{{At: 0, Fault: &PacketLoss{AS: nettest.B, Prob: 1.5}}}},    // bad prob
+		{Steps: []Step{{At: 0, Fault: &PacketLoss{AS: nettest.B, Prob: nan}}}},    // no prob at all
 		{Steps: []Step{{At: 0, Fault: &UpdateDelay{A: nettest.B, B: nettest.A}}}}, // zero delay
 		{Steps: []Step{{At: 0}}}, // neither fault nor check
 	} {

@@ -119,7 +119,7 @@ func (f *PacketLoss) Validate(t *Target) error {
 	if err := requireAS(t, f.AS); err != nil {
 		return err
 	}
-	if f.Prob <= 0 || f.Prob >= 1 {
+	if !(f.Prob > 0 && f.Prob < 1) { // written so that NaN fails too
 		return fmt.Errorf("chaos: loss probability %v outside (0, 1)", f.Prob)
 	}
 	return nil

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -121,6 +122,9 @@ func parseFault(f []string) (Fault, error) {
 		prob, err := strconv.ParseFloat(args[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad probability %q: %v", args[1], err)
+		}
+		if math.IsNaN(prob) {
+			return nil, fmt.Errorf("bad probability %q: not a number", args[1])
 		}
 		seed, err := strconv.ParseUint(args[2], 10, 64)
 		if err != nil {

@@ -17,22 +17,41 @@ func TestOwnerGuardSameGoroutineOK(t *testing.T) {
 	}
 }
 
+// TestOwnerGuardCrossGoroutinePanics holds every entry point that reads or
+// writes the queue to the owner check, both scheduling forms included.
 func TestOwnerGuardCrossGoroutinePanics(t *testing.T) {
-	s := New()
-	s.After(time.Second, func() {}) // claims ownership on this goroutine
-
-	got := make(chan any, 1)
-	go func() {
-		defer func() { got <- recover() }()
-		s.Step()
-	}()
-	r := <-got
-	if r == nil {
-		t.Fatal("cross-goroutine Step did not panic under simclockdebug")
+	entries := []struct {
+		name string
+		call func(*Scheduler)
+	}{
+		{"At", func(s *Scheduler) { s.At(time.Hour, func() {}) }},
+		{"After", func(s *Scheduler) { s.After(time.Hour, func() {}) }},
+		{"AtCall", func(s *Scheduler) { s.AtCall(time.Hour, func(uint64) {}, 0) }},
+		{"AfterCall", func(s *Scheduler) { s.AfterCall(time.Hour, func(uint64) {}, 0) }},
+		{"Cancel", func(s *Scheduler) { s.Cancel(1) }},
+		{"Step", func(s *Scheduler) { s.Step() }},
+		{"Run", func(s *Scheduler) { s.Run() }},
+		{"RunUntil", func(s *Scheduler) { s.RunUntil(time.Minute) }},
+		{"RunFor", func(s *Scheduler) { s.RunFor(time.Minute) }},
+		{"NextAt", func(s *Scheduler) { s.NextAt() }},
 	}
-	msg, ok := r.(string)
-	if !ok || !strings.Contains(msg, "goroutine") {
-		t.Fatalf("unexpected panic payload: %v", r)
+	for _, e := range entries {
+		s := New()
+		s.After(time.Second, func() {}) // claims ownership on this goroutine
+
+		got := make(chan any, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			e.call(s)
+		}()
+		r := <-got
+		if r == nil {
+			t.Errorf("cross-goroutine %s did not panic under simclockdebug", e.name)
+			continue
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "goroutine") {
+			t.Errorf("%s: unexpected panic payload: %v", e.name, r)
+		}
 	}
 }
 

@@ -2,10 +2,11 @@
 # bench-gate: the repository benchmark as a behaviour gate (make bench-gate).
 #
 # Runs the two workloads that between them execute every layer — repair and
-# converge — at seed 1 for 8 host-seconds each and fails unless the two
-# simulated metrics equal the committed values below to the last digit
-# (they depend on the seed alone, so any difference is a behaviour change,
-# not noise) and allocs_per_op is within 5 % of its committed value.
+# converge — plus churn, the poison/unpoison cycle on its own, at seed 1 for
+# 8 host-seconds each and fails unless the two simulated metrics equal the
+# committed values below to the last digit (they depend on the seed alone,
+# so any difference is a behaviour change, not noise) and allocs_per_op is
+# within 5 % of its committed value.
 # ops_per_s is printed but never judged here: on a shared runner it is
 # advisory; the paired driver run is what rules on speed.
 #
@@ -15,8 +16,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 #        workload  sim_latency_s      updates_per_op      allocs_per_op
-expect=("repair    382.1728918139953  1427.4567307692307  18094.2"
-        "converge  246.383297183625   1.946382            8.389969")
+expect=("repair    382.1728918139953  1427.4567307692307  5517.38"
+        "converge  246.383297183625   1.946382            4.019978"
+        "churn     198.12868835567502 3498.65             2743.61")
 
 field() { # field <json> <metric>: the metric's value, as printed
 	sed -n "s/.*\"$2\":{\"value\":\([-+0-9.eE]*\).*/\1/p" <<<"$1"
