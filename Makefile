@@ -57,14 +57,13 @@ lint-sarif: lglint
 	if [ $$st -ge 2 ]; then exit $$st; fi
 	@echo "lint-sarif: wrote $(BIN)/lglint.sarif"
 
-# The packages with real concurrency: the sharded engine's barrier workers,
-# the wire-level session FSM, the monitoring pipeline, and the parallel
-# trial runner (plus the experiments that fan out on it). The dataplane
-# rides along to hold Forward and ForwardBatch to the aliasing contracts
-# (cached intra-AS paths and cached walks are shared, read-only) under the
-# detector, and the prober and atlas because they are what reads those
-# shared Results; bgp's TestShardedWorkerCountInvariance holds RIBVersion's
-# window folding with 4 barrier workers.
+# The packages with real concurrency: the wire-level session FSM (under
+# internal/bgp, whose path arena also keeps a lock for off-loop readers),
+# the monitoring pipeline, and the parallel trial runner (plus the
+# experiments that fan out on it). The dataplane rides along to hold Forward
+# and ForwardBatch to the aliasing contracts (cached intra-AS paths and
+# cached walks are shared, read-only) under the detector, and the prober and
+# atlas because they are what reads those shared Results.
 race:
 	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./internal/dataplane/... ./internal/probe/... ./internal/atlas/...
 

@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"lifeguard/internal/simclock"
@@ -53,17 +52,14 @@ func BenchmarkConvergenceFullTable(b *testing.B) {
 }
 
 // BenchmarkConvergenceScale fills a 200-prefix table on Internet-shaped
-// topologies of 200, 2k and 10k ASes under the classic loop (workers=0) and
-// the sharded loop on one and four workers. The prefix table is held fixed
-// so the scaling axis is topology size alone. It fails if the workers=1 and
-// workers=4 runs disagree on any loc-RIB entry or per-AS update count — the
-// sharded loop's contract at the sizes the unit tests do not reach.
+// topologies of 200, 2k and 10k ASes. The prefix table is held fixed so the
+// scaling axis is topology size alone.
 func BenchmarkConvergenceScale(b *testing.B) {
 	const prefixes = 200
 	for _, ases := range []int{200, 2000, 10000} {
 		b.Run(fmt.Sprintf("ases=%d", ases), func(b *testing.B) {
 			if ases > 2000 && testing.Short() {
-				b.Skip("tens of seconds and >2 GB per run")
+				b.Skip("tens of seconds and >1 GB per run")
 			}
 			// ~20% transit with the mean transit-peer degree held at ~2:
 			// a fixed pair probability would grow lateral edges — and
@@ -88,31 +84,17 @@ func BenchmarkConvergenceScale(b *testing.B) {
 			// at its stub count.
 			n := min(prefixes, len(gen.Stubs))
 			stride := len(gen.Stubs) / n
-			digest := map[int]uint64{}
-			for _, workers := range []int{0, 1, 4} {
-				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					b.ReportAllocs()
-					var e *Engine
-					for i := 0; i < b.N; i++ {
-						e = New(gen.Top, simclock.New(), Config{Seed: 1, ShardWorkers: workers})
-						for k := 0; k < n; k++ {
-							o := gen.Stubs[k*stride]
-							e.Originate(o, topo.ProductionPrefix(o))
-						}
-						if !e.Converge(2_000_000_000) {
-							b.Fatal("no convergence")
-						}
-					}
-					b.StopTimer()
-					h := fnv.New64a()
-					writeRIB(h, e)
-					digest[workers] = h.Sum64()
-				})
-			}
-			d1, ok1 := digest[1]
-			d4, ok4 := digest[4]
-			if ok1 && ok4 && d1 != d4 {
-				b.Fatalf("workers=1 digest %016x != workers=4 digest %016x", d1, d4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := New(gen.Top, simclock.New(), Config{Seed: 1})
+				for k := 0; k < n; k++ {
+					o := gen.Stubs[k*stride]
+					e.Originate(o, topo.ProductionPrefix(o))
+				}
+				if !e.Converge(2_000_000_000) {
+					b.Fatal("no convergence")
+				}
 			}
 		})
 	}

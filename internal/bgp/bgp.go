@@ -193,7 +193,8 @@ type BestChange struct {
 	Path   topo.Path // nil when the route was lost
 }
 
-// Config tunes the engine's timing model.
+// Config tunes the engine's timing model. A jitter fraction below zero
+// means "no jitter"; New rejects one above 1.
 type Config struct {
 	// MRAI is the mean minimum route advertisement interval per neighbor
 	// session. Default 30s, jittered ±MRAIJitter.
@@ -213,15 +214,6 @@ type Config struct {
 	// disables instrumentation at the cost of one branch per site;
 	// enabled or not, protocol behaviour is identical.
 	Obs *obs.Registry
-	// ShardWorkers, when > 0, runs the engine's event loop sharded by
-	// speaker: events are batched into barrier windows shorter than the
-	// minimum propagation delay, each window's speakers run concurrently
-	// (on up to ShardWorkers goroutines), and their effects merge back in
-	// deterministic order. Results are byte-identical for every worker
-	// count ≥ 1 under a given seed; 0 selects the classic single-threaded
-	// loop, whose event interleaving (and thus rng stream) differs from
-	// the sharded model's. See shard.go for the window-safety argument.
-	ShardWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -246,13 +238,13 @@ func (c Config) withDefaults() Config {
 // forms: the slices feed import policy (loop checks walk the path), the
 // handles land in the receiver's compact adj-RIB-in without re-interning.
 // The prefix travels as its table id; prefix itself is set only on an update
-// injected from outside a flush (id 0), which applyUpdate interns.
+// injected from outside a flush (id 0), which receive interns.
 type update struct {
 	prefix      netip.Prefix
 	path        topo.Path
 	communities []Community
-	// The four 32-bit fields pack into 16 bytes: the update (and the
-	// sharded loop's event around it) stays the size it was without id.
+	// The four 32-bit fields pack into 16 bytes: the update, and the
+	// inflight slot around it, stays the size it was without id.
 	id  prefixID
 	med int32
 	pid pathID

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 
 	"lifeguard/internal/simclock"
@@ -469,24 +470,42 @@ func TestSplitHorizonNoEcho(t *testing.T) {
 	}
 }
 
+// TestDeterministicReplay re-runs identical configurations; any hidden
+// dependence on map iteration or allocation order shows up as a differing
+// loc-RIB or per-AS update count.
 func TestDeterministicReplay(t *testing.T) {
-	run := func() (int, topo.Path) {
-		top := fig2Topo(t)
-		clk := simclock.New()
-		e := New(top, clk, Config{Seed: 7})
-		p := topo.ProductionPrefix(10)
-		e.Announce(10, p, OriginConfig{Pattern: topo.Path{10, 10, 10}})
-		e.Converge(1_000_000)
-		e.Announce(10, p, OriginConfig{Pattern: topo.Path{10, 30, 10}})
-		e.Converge(1_000_000)
-		total := e.TotalUpdatesSent()
-		r, _ := e.BestRoute(60, p)
-		return total, r.Path
-	}
-	t1, p1 := run()
-	t2, p2 := run()
-	if t1 != t2 || !p1.Equal(p2) {
-		t.Fatalf("replay diverged: (%d,%v) vs (%d,%v)", t1, p1, t2, p2)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) *Engine
+	}{
+		{"fig2 poison", func(t *testing.T) *Engine {
+			e := New(fig2Topo(t), simclock.New(), Config{Seed: 7})
+			p := topo.ProductionPrefix(10)
+			e.Announce(10, p, OriginConfig{Pattern: topo.Path{10, 10, 10}})
+			e.Converge(1_000_000)
+			e.Announce(10, p, OriginConfig{Pattern: topo.Path{10, 30, 10}})
+			e.Converge(1_000_000)
+			return e
+		}},
+		{"churn", func(t *testing.T) *Engine {
+			gen := hundredASTopo(t)
+			e := New(gen.Top, simclock.New(), Config{Seed: 3})
+			churn(t, e, gen)
+			return e
+		}},
+		{"dampening flaps", func(t *testing.T) *Engine {
+			gen := hundredASTopo(t)
+			e := New(gen.Top, simclock.New(), Config{Seed: 5, Dampening: DampeningConfig{Enabled: true}})
+			dampeningFlaps(t, e, gen)
+			return e
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, second := ribDigest(tc.run(t)), ribDigest(tc.run(t))
+			if first != second || !strings.Contains(first, " via ") {
+				t.Fatal("replay diverged, or propagated no routes")
+			}
+		})
 	}
 }
 

@@ -79,7 +79,7 @@ func (d *dampState) decayedPenalty(now time.Duration, half time.Duration) float6
 // (0 when not suppressed).
 func (s *Speaker) noteFlap(k dampKey) {
 	cfg := s.e.cfg.Dampening
-	now := s.e.nowFor(s)
+	now := s.e.clk.Now()
 	st := s.damp[k]
 	if st == nil {
 		st = &dampState{updatedAt: now}
@@ -90,18 +90,10 @@ func (s *Speaker) noteFlap(k dampKey) {
 		st.penalty = cfg.MaxPenalty
 	}
 	st.updatedAt = now
-	if ss := s.stats; ss != nil && s.inWindow {
-		ss.dampPenalties++
-	} else {
-		s.e.obs.dampPenalties.Inc()
-	}
+	s.e.obs.dampPenalties.Inc()
 	if !st.suppressed && st.penalty >= cfg.SuppressAt {
 		st.suppressed = true
-		if ss := s.stats; ss != nil && s.inWindow {
-			ss.dampSuppressions++
-		} else {
-			s.e.obs.dampSuppressions.Inc()
-		}
+		s.e.obs.dampSuppressions.Inc()
 		// Schedule the reuse check for when the penalty decays to the
 		// reuse threshold.
 		s.e.schedReuse(s, k, reuseDelay(st.penalty, cfg))
@@ -127,7 +119,7 @@ func (s *Speaker) reuseCheck(k dampKey) {
 	if st == nil || !st.suppressed {
 		return
 	}
-	if p := st.decayedPenalty(s.e.nowFor(s), cfg.HalfLife); p > cfg.ReuseAt {
+	if p := st.decayedPenalty(s.e.clk.Now(), cfg.HalfLife); p > cfg.ReuseAt {
 		// Not yet (another flap bumped it); re-arm.
 		s.e.schedReuse(s, k, reuseDelay(p, cfg))
 		return
@@ -157,5 +149,5 @@ func (s *Speaker) Penalty(from topo.ASN, prefix netip.Prefix) float64 {
 	if st == nil {
 		return 0
 	}
-	return st.decayedPenalty(s.e.nowFor(s), s.e.cfg.Dampening.HalfLife)
+	return st.decayedPenalty(s.e.clk.Now(), s.e.cfg.Dampening.HalfLife)
 }

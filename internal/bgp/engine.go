@@ -29,8 +29,6 @@ type Engine struct {
 	// idx and resolves it here.
 	byIdx []*Speaker
 	obs   engineObs
-	// shard is non-nil when Config.ShardWorkers > 0 (see shard.go).
-	shard *shardState
 
 	// OnBestChange, if set, observes every loc-RIB change engine-wide.
 	OnBestChange func(BestChange)
@@ -44,7 +42,7 @@ type Engine struct {
 	// armed MRAI timers); zero means the control plane is quiescent.
 	pendingEvents int
 
-	// The classic loop's events carry no closure: an update in flight is
+	// Protocol events carry no closure: an update in flight is
 	// parked in the inflight slab and its delivery event carries the slot; a
 	// timer event carries (speaker idx, neighbor idx). fireDeliver and
 	// fireTimer are the two callbacks, bound once in New. A slot is taken in
@@ -58,22 +56,21 @@ type Engine struct {
 	// updatesSent counts announcements+withdrawals sent per AS — the raw
 	// material for the Table 2 update-load analysis — densely indexed by
 	// speaker idx (it replaces a per-AS map; read it via UpdatesSentBy /
-	// TotalUpdatesSent). Barrier workers increment distinct indices, so
-	// the slice needs no lock.
+	// TotalUpdatesSent).
 	updatesSent []int64
 
 	// ribVersion counts loc-RIB changes engine-wide (see RIBVersion).
-	// Barrier workers count into their speaker's stats buffer and the
-	// merge folds the sum in, so it is only ever written single-threaded.
 	ribVersion uint64
 }
 
 // New builds an engine over the topology. No routes exist until Originate or
-// Announce is called. With cfg.ShardWorkers > 0 the event loop runs sharded
-// by speaker (see shard.go); New panics if the jitter configuration leaves
-// no safe barrier window.
+// Announce is called. New panics on a jitter fraction above 1: it could draw
+// a negative delay, which the scheduler would only reject mid-run.
 func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
+	if max(cfg.PropJitter, cfg.MRAIJitter) > 1 {
+		panic(fmt.Sprintf("bgp: Config has PropJitter %v, MRAIJitter %v: a jitter fraction may not exceed 1", cfg.PropJitter, cfg.MRAIJitter))
+	}
 	e := &Engine{
 		top:         top,
 		clk:         clk,
@@ -99,9 +96,6 @@ func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
 		for i, n := range s.neighbors {
 			s.peers[i] = e.speakers[n]
 		}
-	}
-	if cfg.ShardWorkers > 0 {
-		e.initShard()
 	}
 	return e
 }
@@ -388,9 +382,7 @@ func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 // RIBVersion advances by one for every loc-RIB change at any speaker
 // (Speaker.decide is the only place a selected route is written). Between
 // two equal readings no Lookup result can have changed, which is what lets
-// the data plane keep forwarding walks across calls. Changes made inside a
-// sharded barrier window become visible when the window merges — before any
-// other scheduler event, and so before any reader, runs.
+// the data plane keep forwarding walks across calls.
 func (e *Engine) RIBVersion() uint64 { return e.ribVersion }
 
 // ASPathTo returns asn's current AS-level path toward addr (LPM), nil if it
@@ -421,32 +413,12 @@ func (e *Engine) Converge(maxSteps int) bool {
 	return e.Quiescent()
 }
 
-// nowFor reports virtual time from s's point of view: the event being
-// processed inside a barrier window, the scheduler's clock otherwise.
-func (e *Engine) nowFor(s *Speaker) time.Duration {
-	if s.inWindow {
-		return s.now
-	}
-	return e.clk.Now()
-}
-
-// rngFor returns the stream protocol dynamics for s draw from: the
-// per-speaker stream in sharded mode (workers cannot share one), the
-// engine-global stream in the classic loop.
-func (e *Engine) rngFor(s *Speaker) *rand.Rand {
-	if s.rng != nil {
-		return s.rng
-	}
-	return e.rng
-}
-
-// jitterFor returns d scaled by a uniform factor in [1-j, 1+j], drawn from
-// s's stream.
-func (e *Engine) jitterFor(s *Speaker, d time.Duration, j float64) time.Duration {
+// jitter returns d scaled by a uniform factor in [1-j, 1+j].
+func (e *Engine) jitter(d time.Duration, j float64) time.Duration {
 	if j <= 0 {
 		return d
 	}
-	f := 1 + j*(2*e.rngFor(s).Float64()-1)
+	f := 1 + j*(2*e.rng.Float64()-1)
 	return time.Duration(float64(d) * f)
 }
 
@@ -454,21 +426,13 @@ func (e *Engine) jitterFor(s *Speaker, d time.Duration, j float64) time.Duration
 // FIFO order via the session's lastDelivery watermark.
 func (e *Engine) deliver(s *Speaker, i int, u update) {
 	e.updatesSent[s.idx]++
-	if ss := s.stats; ss != nil && s.inWindow {
-		ss.updatesSent++
-	} else {
-		e.obs.updatesSent.Inc()
-	}
+	e.obs.updatesSent.Inc()
 	st := &s.out[i]
-	at := e.nowFor(s) + e.jitterFor(s, e.cfg.PropDelay, e.cfg.PropJitter) + st.extra
+	at := e.clk.Now() + e.jitter(e.cfg.PropDelay, e.cfg.PropJitter) + st.extra
 	if at <= st.lastDelivery {
 		at = st.lastDelivery + time.Microsecond
 	}
 	st.lastDelivery = at
-	if e.shard != nil {
-		e.emit(s, engEvent{kind: evDeliver, at: at, sp: s.neighbors[i], from: s.asn, u: u}, true)
-		return
-	}
 	e.pendingEvents++
 	e.clk.AtCall(at, e.fireDeliver, e.park(inflightUpdate{dst: s.peers[i], from: s.asn, u: u}))
 }
@@ -492,7 +456,7 @@ func (e *Engine) park(m inflightUpdate) uint64 {
 	return uint64(len(e.inflight) - 1)
 }
 
-// deliverArrived is the classic loop's delivery event.
+// deliverArrived is the delivery event.
 func (e *Engine) deliverArrived(slot uint64) {
 	m := e.inflight[slot]
 	e.inflight[slot] = inflightUpdate{}
@@ -507,24 +471,20 @@ func (e *Engine) deliverArrived(slot uint64) {
 // schedPhase arms s's neighbor-i advertisement timer at the next tick of a
 // free-running MRAI timer: a uniform phase in [0, MRAI).
 func (e *Engine) schedPhase(s *Speaker, i int) {
-	e.schedTimer(s, i, time.Duration(e.rngFor(s).Float64()*float64(e.cfg.MRAI)))
+	e.schedTimer(s, i, time.Duration(e.rng.Float64()*float64(e.cfg.MRAI)))
 }
 
 // schedMRAI arms s's neighbor-i timer one jittered MRAI interval out.
 func (e *Engine) schedMRAI(s *Speaker, i int) {
-	e.schedTimer(s, i, e.jitterFor(s, e.cfg.MRAI, e.cfg.MRAIJitter))
+	e.schedTimer(s, i, e.jitter(e.cfg.MRAI, e.cfg.MRAIJitter))
 }
 
 func (e *Engine) schedTimer(s *Speaker, i int, d time.Duration) {
-	if e.shard != nil {
-		e.emit(s, engEvent{kind: evTimer, at: e.nowFor(s) + d, sp: s.asn, nbr: int32(i)}, true)
-		return
-	}
 	e.pendingEvents++
 	e.clk.AfterCall(d, e.fireTimer, uint64(s.idx)<<32|uint64(i))
 }
 
-// timerExpired is the classic loop's phase/MRAI timer event.
+// timerExpired is the phase/MRAI timer event.
 func (e *Engine) timerExpired(packed uint64) {
 	e.pendingEvents--
 	e.byIdx[packed>>32].timerFired(int(uint32(packed)))
@@ -534,25 +494,14 @@ func (e *Engine) timerExpired(packed uint64) {
 // long-lived wall-clock state, not in-flight protocol work, so they do not
 // count toward Quiescent().
 func (e *Engine) schedReuse(s *Speaker, k dampKey, d time.Duration) {
-	if e.shard != nil {
-		e.emit(s, engEvent{kind: evReuse, at: e.nowFor(s) + d, sp: s.asn, from: k.from, u: update{id: k.id}}, false)
-		return
-	}
 	e.clk.After(d, func() { s.reuseCheck(k) })
 }
 
 // notifyBest publishes a loc-RIB change. The path is cloned here, behind
 // the nil check, so runs without an observer pay no per-change allocation.
-// Inside a barrier window the change is buffered and delivered — globally
-// time-sorted — at the merge.
 func (e *Engine) notifyBest(s *Speaker, prefix netip.Prefix, path topo.Path) {
 	if e.OnBestChange == nil {
 		return
 	}
-	bc := BestChange{At: e.nowFor(s), AS: s.asn, Prefix: prefix, Path: path.Clone()}
-	if s.inWindow {
-		s.notifs = append(s.notifs, bc)
-		return
-	}
-	e.OnBestChange(bc)
+	e.OnBestChange(BestChange{At: e.clk.Now(), AS: s.asn, Prefix: prefix, Path: path.Clone()})
 }

@@ -19,60 +19,6 @@ type engineObs struct {
 	lpmNodes            *obs.Gauge
 }
 
-// speakerStats buffers one speaker's metric deltas for the duration of a
-// barrier window. Workers may not touch the shared obs registry (its
-// counters are not the hot path's bottleneck, but racing on them would
-// still be a data race); each speaker accumulates locally and the merge
-// step folds the deltas in deterministic speaker order.
-type speakerStats struct {
-	updatesSent         int64
-	updatesReceived     int64
-	withdrawalsReceived int64
-	decisionRuns        int64
-	mraiDeferrals       int64
-	dampPenalties       int64
-	dampSuppressions    int64
-	locRIBRoutes        int64
-	lpmNodes            int64
-	// ribChanges is not a metric: it is the window's share of
-	// Engine.ribVersion, buffered here for the same reason.
-	ribChanges uint64
-}
-
-// flushStats folds a window's buffered deltas into the registry (and the
-// RIB version) and resets the buffer.
-func (e *Engine) flushStats(st *speakerStats) {
-	e.ribVersion += st.ribChanges
-	if st.updatesSent != 0 {
-		e.obs.updatesSent.Add(st.updatesSent)
-	}
-	if st.updatesReceived != 0 {
-		e.obs.updatesReceived.Add(st.updatesReceived)
-	}
-	if st.withdrawalsReceived != 0 {
-		e.obs.withdrawalsReceived.Add(st.withdrawalsReceived)
-	}
-	if st.decisionRuns != 0 {
-		e.obs.decisionRuns.Add(st.decisionRuns)
-	}
-	if st.mraiDeferrals != 0 {
-		e.obs.mraiDeferrals.Add(st.mraiDeferrals)
-	}
-	if st.dampPenalties != 0 {
-		e.obs.dampPenalties.Add(st.dampPenalties)
-	}
-	if st.dampSuppressions != 0 {
-		e.obs.dampSuppressions.Add(st.dampSuppressions)
-	}
-	if st.locRIBRoutes != 0 {
-		e.obs.locRIBRoutes.Add(st.locRIBRoutes)
-	}
-	if st.lpmNodes != 0 {
-		e.obs.lpmNodes.Add(st.lpmNodes)
-	}
-	*st = speakerStats{}
-}
-
 func newEngineObs(reg *obs.Registry) engineObs {
 	reg.Describe("lifeguard_bgp_updates_sent_total", "BGP update messages (announcements and withdrawals) sent engine-wide")
 	reg.Describe("lifeguard_bgp_updates_received_total", "BGP update messages delivered to speakers")

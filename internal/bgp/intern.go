@@ -18,10 +18,8 @@ import (
 // Handles are used strictly for equality ("is this the same path I already
 // advertised / already store?"), never for ordering or output, so the
 // numeric handle values — which depend on interning order — can never leak
-// into a run's results. That makes the arena safe to share across the
-// sharded engine's barrier workers under a plain RWMutex: two runs may
-// assign different ids, but every id comparison they feed is between ids
-// of the same run.
+// into a run's results. The event loop interns from one goroutine; the
+// RWMutex keeps PathArenaSize, a public read, safe to call from another.
 
 // pathID is a handle into the engine arena's path table. 0 means "no path"
 // (a withdrawal); the empty path (an originated route) interns like any

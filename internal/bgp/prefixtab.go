@@ -7,10 +7,10 @@ import (
 )
 
 // Prefix interning. Every per-speaker, per-prefix structure — adj-RIB-in,
-// loc-RIB, origin policies, the per-session lastAdv and pending sets, the
-// sharded loop's dirty set — is a slice indexed by a dense prefix id, so the
-// per-update path never hashes a 32-byte netip.Prefix. One table per engine
-// maps prefix ↔ id and ranks the ids in (addr, bits) order.
+// loc-RIB, origin policies, the per-session lastAdv and pending sets — is a
+// slice indexed by a dense prefix id, so the per-update path never hashes a
+// 32-byte netip.Prefix. One table per engine maps prefix ↔ id and ranks the
+// ids in (addr, bits) order.
 //
 // Ids depend on interning order and are used only as indices and for
 // equality; whatever drives decisions or output is first ordered by rank,
@@ -18,12 +18,10 @@ import (
 // its pending prefixes in exactly the order the map-keyed engine's sorted
 // scan did, and every rng draw and output follows.
 //
-// Growth rule: the table grows only on the scheduler goroutine, outside
-// barrier windows — at Announce, and for an update injected without an id
-// (applyUpdate panics if that happens inside a window). Barrier workers only
-// read pfx and rank, so reads need no lock. Interning a prefix may renumber
-// the ranks of existing ids but never their relative order. Speakers grow
-// their own slices lazily to the table's size on first write past the end.
+// Growth rule: the table grows at Announce, and in receive for an update
+// injected without an id. Interning a prefix may renumber the ranks of
+// existing ids but never their relative order. Speakers grow their own
+// slices lazily to the table's size on first write past the end.
 
 // prefixID is a handle into the engine's prefix table. 0 means "not
 // interned"; slot 0 of every id-indexed slice stays empty.
@@ -95,8 +93,7 @@ func (t *prefixTable) sortByRank(ids []prefixID) {
 }
 
 // idSet is an insertion-ordered set of prefix ids: the list plus a dedupe
-// bitset. It backs the per-session pending set and the sharded loop's dirty
-// set.
+// bitset. It backs the per-session pending set.
 type idSet struct {
 	ids  []prefixID
 	mark []uint64

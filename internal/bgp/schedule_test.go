@@ -1,0 +1,219 @@
+package bgp
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"lifeguard/internal/simclock"
+	"lifeguard/internal/topo"
+	"lifeguard/internal/topogen"
+)
+
+// hundredASTopo builds a small Internet-like topology: big enough that many
+// speakers are mid-update at once, small enough to converge quickly.
+func hundredASTopo(t *testing.T) *topogen.Result {
+	t.Helper()
+	gen, err := topogen.Generate(topogen.Config{
+		NumTier1:   5,
+		NumTransit: 25,
+		NumStub:    70,
+		Seed:       42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
+// bestPaths lists (AS, prefix, best path) for every selected route in
+// canonical text: the routing outcome alone.
+func bestPaths(e *Engine) string {
+	var b strings.Builder
+	for _, asn := range e.top.ASNs() {
+		s := e.Speaker(asn)
+		for _, p := range s.KnownPrefixes() {
+			r, _ := s.Best(p)
+			fmt.Fprintf(&b, "AS%d %v via %v\n", asn, p, r.Path)
+		}
+	}
+	return b.String()
+}
+
+// ribDigest is bestPaths plus every AS's update count — what the schedule
+// left behind as well as where it ended — so two runs can be compared
+// byte-for-byte.
+func ribDigest(e *Engine) string {
+	var b strings.Builder
+	b.WriteString(bestPaths(e))
+	for _, asn := range e.top.ASNs() {
+		fmt.Fprintf(&b, "AS%d sent=%d\n", asn, e.UpdatesSentBy(asn))
+	}
+	return b.String()
+}
+
+// churn exercises announcement, convergence, poisoning, session failure and
+// recovery, and withdrawal — the full event mix.
+func churn(t *testing.T, e *Engine, gen *topogen.Result) {
+	t.Helper()
+	origins := gen.Stubs[:4]
+	for _, asn := range origins {
+		e.Originate(asn, topo.ProductionPrefix(asn))
+	}
+	if !e.Converge(100_000_000) {
+		t.Fatal("initial convergence did not quiesce")
+	}
+	// Poison: origin 0 inserts a transit AS into its announced path.
+	o := origins[0]
+	e.Announce(o, topo.ProductionPrefix(o), OriginConfig{
+		Pattern: topo.Path{o, gen.Transit[0], o},
+	})
+	if !e.Converge(100_000_000) {
+		t.Fatal("post-poison convergence did not quiesce")
+	}
+	// Session failure between two tier-1s (clique: always adjacent),
+	// then recovery.
+	a, b := gen.Tier1s[0], gen.Tier1s[1]
+	e.SetAdjacencyDown(a, b, true)
+	if !e.Converge(100_000_000) {
+		t.Fatal("post-failure convergence did not quiesce")
+	}
+	e.SetAdjacencyDown(a, b, false)
+	// Withdraw one origin entirely.
+	e.Withdraw(origins[1], topo.ProductionPrefix(origins[1]))
+	if !e.Converge(100_000_000) {
+		t.Fatal("final convergence did not quiesce")
+	}
+}
+
+// dampeningFlaps re-announces one prefix with rotating poisons faster than
+// the penalty decays, then lets the reuse timers fire.
+func dampeningFlaps(t *testing.T, e *Engine, gen *topogen.Result) {
+	t.Helper()
+	o := gen.Stubs[0]
+	p := topo.ProductionPrefix(o)
+	for i := 0; i < 6; i++ {
+		e.Announce(o, p, OriginConfig{Pattern: topo.Path{o, gen.Transit[i%3], o}})
+		if !e.Converge(100_000_000) {
+			t.Fatal("convergence did not quiesce")
+		}
+		e.Clock().RunFor(2 * time.Minute)
+	}
+	e.Clock().RunFor(3 * time.Hour)
+}
+
+// TestRIBVersionCountsBestChanges holds RIBVersion to the number of loc-RIB
+// changes OnBestChange reported, mid-propagation and at quiescence. The data
+// plane's walk cache treats two equal readings as "no Lookup result can have
+// changed" (FuzzWalkCache's epoch argument), so a change that did not advance
+// the version would serve stale walks. PropJitter -1 is the repo's "no
+// jitter" convention (experiments and the rig determinism test pass it).
+func TestRIBVersionCountsBestChanges(t *testing.T) {
+	gen := hundredASTopo(t)
+	for _, tc := range []struct {
+		name       string
+		propJitter float64
+	}{
+		{"default jitter", 0},
+		{"no jitter", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(gen.Top, simclock.New(), Config{Seed: 11, PropJitter: tc.propJitter})
+			var changes uint64
+			e.OnBestChange = func(BestChange) { changes++ }
+			checkVersion := func(when string) {
+				t.Helper()
+				if v := e.RIBVersion(); v != changes || v == 0 {
+					t.Fatalf("%s: RIBVersion %d after %d loc-RIB changes", when, v, changes)
+				}
+			}
+			early := gen.Stubs[10]
+			e.Originate(early, topo.ProductionPrefix(early))
+			e.Converge(200) // far short of quiescence
+			if e.Quiescent() {
+				t.Fatal("want the first prefix still propagating")
+			}
+			checkVersion("mid-propagation")
+			churn(t, e, gen)
+			checkVersion("after churn")
+		})
+	}
+}
+
+// TestQuiescentStateIndependentOfSchedule: Gao–Rexford policies with the
+// deterministic tie-break have a unique stable state, so whatever order the
+// seed and jitter deliver updates in, churn must end on the same best paths.
+// The update counts must differ somewhere, or the schedules never did.
+func TestQuiescentStateIndependentOfSchedule(t *testing.T) {
+	gen := hundredASTopo(t)
+	var want string
+	sent := map[int]bool{}
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, jitter := range []float64{0, -1, 0.9} {
+			e := New(gen.Top, simclock.New(), Config{Seed: seed, PropJitter: jitter})
+			churn(t, e, gen)
+			got := bestPaths(e)
+			if want == "" {
+				want = got
+			}
+			if got == "" || got != want {
+				t.Fatalf("seed %d PropJitter %v: quiescent best paths differ from seed 1's", seed, jitter)
+			}
+			sent[e.TotalUpdatesSent()] = true
+		}
+	}
+	if len(sent) < 2 {
+		t.Fatalf("every run sent the same number of updates (%v): the schedules did not differ", sent)
+	}
+}
+
+// TestPathInterning checks the arena is actually shared: across a ~100-AS
+// topology with several origins, the number of distinct interned paths must
+// be far below the number of adj-RIB-in entries.
+func TestPathInterning(t *testing.T) {
+	gen := hundredASTopo(t)
+	e := New(gen.Top, simclock.New(), Config{Seed: 2})
+	for _, asn := range gen.Stubs[:4] {
+		e.Originate(asn, topo.ProductionPrefix(asn))
+	}
+	if !e.Converge(100_000_000) {
+		t.Fatal("convergence did not quiesce")
+	}
+	_, entries := e.RIBSizes()
+	arena := e.PathArenaSize()
+	if entries == 0 || arena == 0 {
+		t.Fatalf("no routes: entries=%d arena=%d", entries, arena)
+	}
+	if arena*2 > entries {
+		t.Fatalf("interning ineffective: %d distinct paths for %d entries", arena, entries)
+	}
+}
+
+// TestJitterAboveOneRejected: New, not a simclock "scheduling before now"
+// panic mid-convergence, must reject a jitter fraction above 1.
+func TestJitterAboveOneRejected(t *testing.T) {
+	top := lineTopo(t)
+	for _, tc := range []struct {
+		cfg  Config
+		want string // substring of New's panic; "" means accepted
+	}{
+		{Config{PropJitter: 3}, "PropJitter 3"},
+		{Config{MRAIJitter: 1.5}, "MRAIJitter 1.5"},
+		{Config{PropJitter: 1, MRAIJitter: 1}, ""},
+		{Config{PropJitter: -1, MRAIJitter: -1}, ""},
+	} {
+		got := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			New(top, simclock.New(), tc.cfg)
+			return ""
+		}()
+		if (got == "") != (tc.want == "") || !strings.Contains(got, tc.want) {
+			t.Errorf("%+v: New panicked with %q, want %q", tc.cfg, got, tc.want)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package bgp
 
 import (
-	"fmt"
-	"math/rand"
 	"net/netip"
 	"sort"
 	"time"
@@ -59,22 +57,6 @@ type Speaker struct {
 	// per (prefix, neighbor).
 	nbrRel []topo.Rel
 	peers  []*Speaker
-
-	// Sharded-mode state (see shard.go). rng and stats are non-nil only
-	// when the engine runs sharded; the remaining fields are live only
-	// while the speaker executes a barrier window on a worker.
-	rng      *rand.Rand
-	stats    *speakerStats
-	inWindow bool
-	now      time.Duration // virtual time of the event being processed
-	winEnd   time.Duration // exclusive end of the current window
-	localQ   localHeap
-	localSeq uint64
-	emits    []engEvent
-	notifs   []BestChange
-	dirty    idSet
-	pendDiff int
-	active   bool
 }
 
 // originEntry pairs an origin policy with its pre-built loc-RIB route, the
@@ -308,40 +290,19 @@ func (s *Speaker) withdrawOrigin(prefix netip.Prefix) {
 	s.markAllPending(id)
 }
 
-// receive applies one update from a neighbor and, in the classic engine,
-// immediately runs the decision process. The sharded engine calls
-// applyUpdate directly and batches decisions per window (see settleDirty).
+// receive applies one update from a neighbor: it folds the update into the
+// adj-RIB-in and, when the stored offer changed, runs the decision process
+// and queues the result for export.
 func (s *Speaker) receive(from topo.ASN, u update) {
-	if id, changed := s.applyUpdate(from, u); changed {
-		if s.decide(id) {
-			s.markAllPending(id)
-		}
-	}
-}
-
-// applyUpdate folds one update into the adj-RIB-in and reports the prefix id
-// it landed on and whether the stored offer changed (i.e. whether a decision
-// run could change the loc-RIB).
-func (s *Speaker) applyUpdate(from topo.ASN, u update) (prefixID, bool) {
-	if st := s.stats; st != nil && s.inWindow {
-		st.updatesReceived++
-		if u.path == nil {
-			st.withdrawalsReceived++
-		}
-	} else {
-		s.e.obs.updatesReceived.Inc()
-		if u.path == nil {
-			s.e.obs.withdrawalsReceived.Inc()
-		}
+	s.e.obs.updatesReceived.Inc()
+	if u.path == nil {
+		s.e.obs.withdrawalsReceived.Inc()
 	}
 	// Flush always ships the prefix id; an update injected without one
 	// (tests, external bridges) carries the prefix itself and is interned
-	// here. That grows the table, which only the scheduler goroutine may do.
+	// here.
 	id := u.id
 	if id == 0 {
-		if s.inWindow {
-			panic(fmt.Sprintf("bgp: AS %d received an update for %v without a prefix id inside a barrier window", s.asn, u.prefix))
-		}
 		id = s.e.prefixes.intern(u.prefix)
 	}
 	var rb *prefixRIB
@@ -354,7 +315,7 @@ func (s *Speaker) applyUpdate(from topo.ASN, u update) (prefixID, bool) {
 		// Withdrawal, or a route rejected by import policy: either way
 		// the neighbor no longer offers a usable route.
 		if idx < 0 {
-			return id, false
+			return
 		}
 		// Losing a known route is a genuine change, so it counts as a
 		// flap (RFC 2439 §4.4.3).
@@ -362,55 +323,57 @@ func (s *Speaker) applyUpdate(from topo.ASN, u update) (prefixID, bool) {
 			s.noteFlap(dampKey{from: from, id: id})
 		}
 		rb.remove(idx)
-		return id, true
-	}
-	rel := s.e.top.Rel(s.asn, from)
-	lpref := localPref(rel)
-	if s.communityAction(u.communities) == ActionLowerPref {
-		lpref = prefBackup
-	}
-	// Flush always ships interned handles alongside the slices; an update
-	// injected without them (tests, external bridges) is interned here, on
-	// defensive copies since the arena aliases what it is handed.
-	pid, cid := u.pid, u.cid
-	if pid == 0 {
-		pid = s.e.arena.internPath(u.path.Clone())
-	}
-	if cid == 0 && len(u.communities) > 0 {
-		cid = s.e.arena.internComms(append([]Community(nil), u.communities...))
-	}
-	ent := adjEntry{
-		nbr:   from,
-		rel:   rel,
-		plen:  uint16(len(u.path)),
-		lpref: int32(lpref),
-		med:   u.med,
-		path:  pid,
-		comms: cid,
-	}
-	if idx >= 0 {
-		old := &rb.entries[idx]
-		if old.path == ent.path && old.comms == ent.comms {
-			// Duplicate re-advertisement: RFC 2439 §4.4.3 counts only
-			// updates that *change* an existing route, so no penalty.
-			// (MED-only changes are invisible here, as they were under
-			// the materialized representation's routesEqual.)
-			return id, false
+	} else {
+		rel := s.e.top.Rel(s.asn, from)
+		lpref := localPref(rel)
+		if s.communityAction(u.communities) == ActionLowerPref {
+			lpref = prefBackup
 		}
-		// A replacement announcement for a known route is a flap; the
-		// first announcement from this neighbor is not.
-		if s.e.cfg.Dampening.Enabled {
-			s.noteFlap(dampKey{from: from, id: id})
+		// Flush always ships interned handles alongside the slices; an update
+		// injected without them (tests, external bridges) is interned here, on
+		// defensive copies since the arena aliases what it is handed.
+		pid, cid := u.pid, u.cid
+		if pid == 0 {
+			pid = s.e.arena.internPath(u.path.Clone())
 		}
-		*old = ent
-		return id, true
+		if cid == 0 && len(u.communities) > 0 {
+			cid = s.e.arena.internComms(append([]Community(nil), u.communities...))
+		}
+		ent := adjEntry{
+			nbr:   from,
+			rel:   rel,
+			plen:  uint16(len(u.path)),
+			lpref: int32(lpref),
+			med:   u.med,
+			path:  pid,
+			comms: cid,
+		}
+		if idx >= 0 {
+			old := &rb.entries[idx]
+			if old.path == ent.path && old.comms == ent.comms {
+				// Duplicate re-advertisement: RFC 2439 §4.4.3 counts only
+				// updates that *change* an existing route, so no penalty.
+				// (MED-only changes are invisible here, as they were under
+				// the materialized representation's routesEqual.)
+				return
+			}
+			// A replacement announcement for a known route is a flap; the
+			// first announcement from this neighbor is not.
+			if s.e.cfg.Dampening.Enabled {
+				s.noteFlap(dampKey{from: from, id: id})
+			}
+			*old = ent
+		} else {
+			if rb == nil {
+				s.growRIB()
+				rb = &s.adjIn[id]
+			}
+			rb.insert(ent)
+		}
 	}
-	if rb == nil {
-		s.growRIB()
-		rb = &s.adjIn[id]
+	if s.decide(id) {
+		s.markAllPending(id)
 	}
-	rb.insert(ent)
-	return id, true
 }
 
 func localPref(rel topo.Rel) int {
@@ -447,11 +410,7 @@ func (s *Speaker) importOK(from topo.ASN, path topo.Path) bool {
 // decide runs the decision process for prefix; reports whether the loc-RIB
 // changed. Only a changed winner is materialized into a *Route.
 func (s *Speaker) decide(id prefixID) bool {
-	if st := s.stats; st != nil && s.inWindow {
-		st.decisionRuns++
-	} else {
-		s.e.obs.decisionRuns.Inc()
-	}
+	s.e.obs.decisionRuns.Inc()
 	old := s.bestAt(id)
 	var newBest *Route
 	if ent := s.originAt(id); ent != nil {
@@ -482,11 +441,7 @@ func (s *Speaker) decide(id prefixID) bool {
 	if routesEqual(old, newBest) {
 		return false
 	}
-	if st := s.stats; st != nil && s.inWindow {
-		st.ribChanges++
-	} else {
-		s.e.ribVersion++
-	}
+	s.e.ribVersion++
 	prefix := s.e.prefixes.pfx[id]
 	nodesBefore := s.lpm.nodes
 	if newBest == nil {
@@ -495,7 +450,7 @@ func (s *Speaker) decide(id prefixID) bool {
 		if s.lpmLive {
 			s.lpm.remove(prefix)
 		}
-		s.statLocRIB(-1)
+		s.e.obs.locRIBRoutes.Dec()
 		s.e.notifyBest(s, prefix, nil)
 	} else {
 		if int(id) >= len(s.best) {
@@ -507,12 +462,12 @@ func (s *Speaker) decide(id prefixID) bool {
 			if s.lpmLive {
 				s.lpm.insert(prefix, id)
 			}
-			s.statLocRIB(1)
+			s.e.obs.locRIBRoutes.Inc()
 		}
 		s.e.notifyBest(s, prefix, newBest.Path)
 	}
 	if s.lpmLive {
-		s.statLPMNodes(int64(s.lpm.nodes - nodesBefore))
+		s.e.obs.lpmNodes.Add(int64(s.lpm.nodes - nodesBefore))
 	}
 	return true
 }
@@ -531,7 +486,7 @@ func (s *Speaker) compileLPM() {
 			s.lpm.insert(s.e.prefixes.pfx[id], prefixID(id))
 		}
 	}
-	s.statLPMNodes(int64(s.lpm.nodes))
+	s.e.obs.lpmNodes.Add(int64(s.lpm.nodes))
 }
 
 func routesEqual(a, b *Route) bool {
@@ -571,19 +526,14 @@ func (s *Speaker) markAllPending(id prefixID) {
 func (s *Speaker) kick(i int) {
 	st := &s.out[i]
 	if st.timerArmed {
-		if ss := s.stats; ss != nil && s.inWindow {
-			ss.mraiDeferrals++
-		} else {
-			s.e.obs.mraiDeferrals.Inc()
-		}
+		s.e.obs.mraiDeferrals.Inc()
 		return
 	}
 	st.timerArmed = true
 	s.e.schedPhase(s, i)
 }
 
-// timerFired handles an expired phase or MRAI timer for neighbor i — the
-// shared body of the classic loop's timer event and the sharded typed events.
+// timerFired handles an expired phase or MRAI timer for neighbor i.
 func (s *Speaker) timerFired(i int) {
 	st := &s.out[i]
 	st.timerArmed = false
@@ -691,25 +641,4 @@ func (s *Speaker) exportTo(i int, id prefixID) (export, bool) {
 		c, cid = nil, 0
 	}
 	return export{path: out, comms: c, med: 0, pid: pid, cid: cid}, true
-}
-
-// statLocRIB and statLPMNodes route the loc-RIB gauges through the window
-// buffer when the speaker runs on a barrier worker.
-func (s *Speaker) statLocRIB(delta int64) {
-	if st := s.stats; st != nil && s.inWindow {
-		st.locRIBRoutes += delta
-		return
-	}
-	s.e.obs.locRIBRoutes.Add(delta)
-}
-
-func (s *Speaker) statLPMNodes(delta int64) {
-	if delta == 0 {
-		return
-	}
-	if st := s.stats; st != nil && s.inWindow {
-		st.lpmNodes += delta
-		return
-	}
-	s.e.obs.lpmNodes.Add(delta)
 }

@@ -75,9 +75,9 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 func (s *Scheduler) Len() int { return len(s.heap) }
 
 // NextAt reports the virtual time of the earliest pending event without
-// running it; ok is false when nothing is scheduled. Components that batch
-// work between scheduler events (the sharded BGP engine's barrier windows)
-// use it to avoid running past the next externally-visible instant.
+// running it; ok is false when nothing is scheduled. A driver that steps the
+// clock itself (the benchmark's traced runs) uses it to stop at a virtual
+// deadline without running the event past it.
 func (s *Scheduler) NextAt() (time.Duration, bool) {
 	s.owner.check()
 	if len(s.heap) == 0 {
