@@ -21,7 +21,8 @@
 // Reports go to stdout; timing and progress chatter go to stderr, so
 // stdout is byte-identical for a fixed configuration at every -parallel
 // level (diff it to audit the determinism contract). The exit status is 0
-// when every trial upheld every invariant, 3 when violations were found.
+// when every trial upheld every invariant, 3 when violations were found,
+// 1 on a runtime error and 2 on a flag value no run can use.
 package main
 
 import (
@@ -80,6 +81,16 @@ func main() {
 		writeFaultList(os.Stdout)
 		return
 	}
+	switch {
+	case *faults < 1:
+		badFlag("-faults must be at least 1, got %d", *faults)
+	case *trials < 1:
+		badFlag("-trials must be at least 1, got %d", *trials)
+	case *stub < 2:
+		// Every trial probes reachability between, or stages a hijack
+		// across, the first two stubs.
+		badFlag("-stub must be at least 2, got %d", *stub)
+	}
 
 	opts := options{
 		seed: *seed, intensity: *intensity, faults: *faults,
@@ -104,6 +115,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lgchaos: %d invariant violations\n", violations)
 		os.Exit(3)
 	}
+}
+
+// badFlag rejects a flag value before anything is generated from it.
+func badFlag(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "lgchaos: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // trialOut is one trial's rendered report plus the private registry it

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -201,5 +202,41 @@ func TestListFaults(t *testing.T) {
 		if !found {
 			t.Fatalf("fault list is missing %q:\n%s", want, a.String())
 		}
+	}
+}
+
+// TestBadFlagValuesExitTwo runs the built binary with flag values that used
+// to die in a makeslice or index-out-of-range panic: each is a usage error —
+// exit 2 and one line naming the flag, never a stack trace.
+func TestBadFlagValuesExitTwo(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "lgchaos")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args    []string
+		wantMsg string
+	}{
+		{[]string{"-faults", "-1"}, "-faults"},
+		{[]string{"-faults", "0"}, "-faults"},
+		{[]string{"-trials", "0"}, "-trials"},
+		{[]string{"-stub", "1", "-transit", "1"}, "-stub"},
+		{[]string{"-hijack", "-stub", "1"}, "-stub"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, tc.args...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if got := cmd.ProcessState.ExitCode(); got != 2 {
+				t.Fatalf("exit %d (%v), want 2\nstderr: %s", got, err, stderr.String())
+			}
+			if strings.Contains(stderr.String(), "goroutine ") {
+				t.Fatalf("stack trace on stderr:\n%s", stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.wantMsg) {
+				t.Fatalf("stderr does not name %s: %q", tc.wantMsg, stderr.String())
+			}
+		})
 	}
 }

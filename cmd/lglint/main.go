@@ -12,19 +12,6 @@
 //
 // or simply `make lint`, which also runs the standard vet passes.
 //
-// It also runs standalone, with output modes and fixes the vet protocol
-// has no room for:
-//
-//	bin/lglint ./...                 # plain findings, exit 1 if any
-//	bin/lglint -json ./...           # machine-readable findings
-//	bin/lglint -sarif ./... > l.sarif   # for github/codeql-action/upload-sarif
-//	bin/lglint -github ./...         # ::error workflow annotations
-//	bin/lglint -fix ./...            # apply suggested fixes
-//	bin/lglint -fix -dry-run ./...   # preview fixes as unified diffs
-//
-// Standalone exit codes: 0 no findings, 1 findings reported, 2 usage or
-// load error.
-//
 // Per-package analyzers:
 //
 //	simclockcheck  no wall-clock time outside the allowlist (use simclock)

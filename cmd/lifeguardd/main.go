@@ -68,14 +68,28 @@ exit codes:
   0  run completed, or was shut down cleanly by SIGINT/SIGTERM; the final
      metrics snapshot (JSON) is the last thing printed to stdout
   1  runtime error (generation, simulation, or HTTP server failure)
-  2  bad usage (unknown flag)
+  2  bad usage (unknown flag, or a value no run can use)
 `)
 	}
 	flag.Parse()
+	switch {
+	case !(*hours > 0): // also rejects NaN
+		badFlag("-hours must be greater than 0, got %v", *hours)
+	case *failures < 0:
+		badFlag("-failures must not be negative, got %d", *failures)
+	case *tenants < 1:
+		badFlag("-tenants must be at least 1, got %d", *tenants)
+	}
 	if err := run(*seed, *hours, *failures, *tenants, *transits, *stubs, *httpAddr, *journal); err != nil {
 		fmt.Fprintln(os.Stderr, "lifeguardd:", err)
 		os.Exit(1)
 	}
+}
+
+// badFlag rejects a flag value before anything is generated from it.
+func badFlag(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "lifeguardd: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // tenantView is one live session plus the daemon's bookkeeping for it.
@@ -96,9 +110,6 @@ func run(seed int64, hours float64, failures, tenants, transits, stubs int, http
 	}, lifeguard.NetworkOptions{Obs: reg, Journal: j})
 	if err != nil {
 		return err
-	}
-	if tenants < 1 {
-		tenants = 1
 	}
 	if max := len(n.Gen.Stubs) - 6; tenants > max {
 		return fmt.Errorf("%d tenants need more stubs (have %d, can host %d)", tenants, len(n.Gen.Stubs), max)
@@ -206,14 +217,17 @@ func run(seed int64, hours float64, failures, tenants, transits, stubs int, http
 		script = append(script, scripted{at: at, heal: at + 35*time.Minute, as: victim, origin: origin})
 	}
 
+	// The warm-up above has already advanced the clock, so a dense script
+	// has faults due in the past; those strike now — late, not fatal.
+	now := n.Clk.Now()
 	for i := range script {
 		sc := &script[i]
-		n.Clk.At(sc.at, func() {
+		n.Clk.After(max(sc.at-now, 0), func() {
 			sc.id = n.InjectFailure(lifeguard.BlackholeASTowards(sc.as, lifeguard.Block(sc.origin)))
 			fmt.Printf("[%8s] FAULT    AS%d silently drops traffic toward AS%d's prefixes\n",
 				fmtD(n.Clk.Now()), sc.as, sc.origin)
 		})
-		n.Clk.At(sc.heal, func() {
+		n.Clk.After(sc.heal-now, func() {
 			n.HealFailure(sc.id)
 			fmt.Printf("[%8s] FIXED    AS%d's fault repaired by its operators\n",
 				fmtD(n.Clk.Now()), sc.as)

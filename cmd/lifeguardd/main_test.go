@@ -158,3 +158,38 @@ func TestHitlessReloadSignal(t *testing.T) {
 		t.Fatalf("want 1 hitless reload, saw %d (stderr: %s)", c, stderr.String())
 	}
 }
+
+// TestFlagValuesNeverPanic runs the built daemon with flag values that used
+// to die in a scheduler or divide-by-zero panic. A value no run can use is
+// a usage error (exit 2, one line naming the flag); a script denser than
+// the warm-up is late, not fatal.
+func TestFlagValuesNeverPanic(t *testing.T) {
+	bin := buildDaemon(t)
+	for _, tc := range []struct {
+		args     []string
+		wantExit int
+		wantMsg  string
+	}{
+		{[]string{"-hours", "-1"}, 2, "-hours"},
+		{[]string{"-hours", "0"}, 2, "-hours"},
+		{[]string{"-failures", "-1"}, 2, "-failures"},
+		{[]string{"-tenants", "0"}, 2, "-tenants"},
+		{[]string{"-tenants", "2", "-hours", "1", "-failures", "1000"}, 0, ""},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, tc.args...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if got := cmd.ProcessState.ExitCode(); got != tc.wantExit {
+				t.Fatalf("exit %d (%v), want %d\nstderr: %s", got, err, tc.wantExit, stderr.String())
+			}
+			if strings.Contains(stderr.String(), "goroutine ") {
+				t.Fatalf("stack trace on stderr:\n%s", stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.wantMsg) {
+				t.Fatalf("stderr does not name %s: %q", tc.wantMsg, stderr.String())
+			}
+		})
+	}
+}

@@ -1,8 +1,8 @@
 // Package analysis is a deliberately small, dependency-free re-creation of
 // the golang.org/x/tools/go/analysis model: an Analyzer inspects one
 // type-checked package at a time and reports position-tagged diagnostics,
-// optionally with machine-applicable suggested fixes, and may exchange
-// serializable facts with runs of the same analyzer on other packages.
+// and may exchange serializable facts with runs of the same analyzer on
+// other packages.
 //
 // The repository cannot vendor x/tools (stdlib-only policy), and the subset
 // we need — per-package syntax + types, diagnostics, facts along the package
@@ -16,8 +16,6 @@
 //     suite runs under the build cache with full export data, exactly like
 //     the standard vet passes; facts ride in the vetx files the protocol
 //     already ships between packages (see cmd/lglint).
-//   - cmd/lglint also has a standalone loader (built on `go list`) for the
-//     modes vet cannot drive: -fix, -json, -sarif, -github.
 //   - analysistest/ runs an analyzer over testdata packages — including
 //     testdata-local dependency packages, analyzed first so facts flow —
 //     and matches diagnostics against `// want "regexp"` comments.
@@ -75,14 +73,7 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Report records a fully-formed diagnostic (the way to attach
-// SuggestedFixes). The Analyzer field is stamped by the pass.
-func (p *Pass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
-	*p.diags = append(*p.diags, d)
+	*p.diags = append(*p.diags, Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // ExportObjectFact states fact about obj, a package-level object (or method
@@ -128,33 +119,12 @@ func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
 	return p.facts.importFact(p.Analyzer, pkg, nil, fact)
 }
 
-// A TextEdit replaces the source text in [Pos, End) with NewText. Pos ==
-// End is a pure insertion.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
-}
-
-// A SuggestedFix is one machine-applicable resolution of a diagnostic: a
-// set of non-overlapping edits, all within the diagnostic's file. Applying
-// the fix must make the diagnostic disappear on re-analysis — the round-trip
-// the -fix testdata tests pin.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
 // A Diagnostic is a single finding. Analyzer is the short analyzer name, or
 // DirectiveCheckerName for problems with suppression directives themselves.
 type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-
-	// SuggestedFixes, when non-empty, are alternative machine-applicable
-	// resolutions; drivers apply the first one.
-	SuggestedFixes []SuggestedFix
 }
 
 // Run executes the given analyzers over one type-checked package, applies

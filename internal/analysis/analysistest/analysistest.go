@@ -63,57 +63,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	}
 }
 
-// RunFix pins the -fix round trip for one testdata package: it runs the
-// analyzer, applies every suggested fix in memory, re-runs the analyzer on
-// the fixed sources, and fails if any diagnostic that offered a fix is
-// still reported (or the fixed source no longer parses/typechecks).
-func RunFix(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
-	t.Helper()
-	root := filepath.Join(dir, "testdata", "src")
-	l := &loader{root: root, analyzer: a, facts: analysis.NewFactSet(), loaded: map[string]*loadedPkg{}}
-	p, err := l.load(pkg)
-	if err != nil {
-		t.Fatalf("loading %s: %v", pkg, err)
-	}
-	diags, err := analysis.Run([]*analysis.Analyzer{a}, l.fset(), p.files, p.pkg, p.info, l.facts)
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, pkg, err)
-	}
-	hadFix := 0
-	for _, d := range diags {
-		if len(d.SuggestedFixes) > 0 {
-			hadFix++
-		}
-	}
-	if hadFix == 0 {
-		t.Fatalf("RunFix(%s, %s): no diagnostic offered a fix; nothing to round-trip", a.Name, pkg)
-	}
-
-	fixed, conflicts, err := analysis.ApplyFixes(l.fset(), diags, nil)
-	if err != nil {
-		t.Fatalf("applying fixes: %v", err)
-	}
-	for _, c := range conflicts {
-		t.Errorf("%s: fix conflict: %s", c.Pos, c.Message)
-	}
-
-	// Re-run on the fixed sources (unfixed files pass through unchanged).
-	l2 := &loader{root: root, analyzer: a, facts: analysis.NewFactSet(), loaded: map[string]*loadedPkg{}, overlay: fixed}
-	p2, err := l2.load(pkg)
-	if err != nil {
-		t.Fatalf("reloading %s after fixes: %v", pkg, err)
-	}
-	diags2, err := analysis.Run([]*analysis.Analyzer{a}, l2.fset(), p2.files, p2.pkg, p2.info, l2.facts)
-	if err != nil {
-		t.Fatalf("re-running %s after fixes on %s: %v", a.Name, pkg, err)
-	}
-	for _, d := range diags2 {
-		if len(d.SuggestedFixes) > 0 {
-			t.Errorf("%s: diagnostic survives its own fix: %s", l2.fset().Position(d.Pos), d.Message)
-		}
-	}
-}
-
 // loadedPkg is one typechecked testdata package.
 type loadedPkg struct {
 	files []*ast.File
@@ -129,7 +78,6 @@ type loader struct {
 	analyzer *analysis.Analyzer
 	facts    *analysis.FactSet
 	loaded   map[string]*loadedPkg
-	overlay  map[string][]byte // filename → replacement content (RunFix)
 
 	fsetOnce *token.FileSet
 	exports  map[string]string // import path → export-data file
@@ -168,13 +116,7 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 	var files []*ast.File
 	imports := map[string]bool{}
 	for _, name := range names {
-		var src any
-		if l.overlay != nil {
-			if data, ok := l.overlay[name]; ok {
-				src = data
-			}
-		}
-		f, err := parser.ParseFile(l.fset(), name, src, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset(), name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %v", name, err)
 		}

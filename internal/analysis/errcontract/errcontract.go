@@ -15,19 +15,15 @@
 // path. Three shapes are flagged:
 //
 //   - the call as a bare statement (or under go/defer): the error is
-//     discarded outright; the suggested fix wraps the call in
-//     `if err := ...; err != nil { panic(err) }`;
+//     discarded outright;
 //   - the error assigned to _: explicitly discarded — if that is truly
 //     intended, say why with //lint:ignore lglint/errcontract <reason>;
 //   - the error assigned to a variable whose definition reaches no use:
-//     checked-looking but dead; the suggested fix inserts a check after
-//     the assignment.
+//     checked-looking but dead.
 package errcontract
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -175,14 +171,7 @@ func checkCall(pass *analysis.Pass, flow *dataflow.Flow, call *ast.CallExpr, par
 	}
 	switch p := parent.(type) {
 	case *ast.ExprStmt:
-		d := analysis.Diagnostic{
-			Pos:     call.Pos(),
-			Message: fmt.Sprintf("result of %s is an error contract: the error is discarded; check it or suppress with a reason", name),
-		}
-		if fix, ok := wrapInCheckFix(pass, call, p); ok {
-			d.SuggestedFixes = []analysis.SuggestedFix{fix}
-		}
-		pass.Report(d)
+		pass.Reportf(call.Pos(), "result of %s is an error contract: the error is discarded; check it or suppress with a reason", name)
 	case *ast.GoStmt, *ast.DeferStmt:
 		pass.Reportf(call.Pos(), "result of %s is an error contract: go/defer discards the error", name)
 	case *ast.AssignStmt:
@@ -223,64 +212,7 @@ func checkAssigned(pass *analysis.Pass, flow *dataflow.Flow, call *ast.CallExpr,
 	if len(flow.UsesReachedBy(def)) > 0 {
 		return
 	}
-	d := analysis.Diagnostic{
-		Pos:     call.Pos(),
-		Message: fmt.Sprintf("result of %s is an error contract: %s is assigned but never read on any path", name, id.Name),
-	}
-	if fix, ok := insertCheckFix(pass, id.Name, as); ok {
-		d.SuggestedFixes = []analysis.SuggestedFix{fix}
-	}
-	pass.Report(d)
-}
-
-// wrapInCheckFix turns a bare contract-call statement into
-// `if err := call(...); err != nil { panic(err) }` using insert-only
-// edits, so no original source text needs to be reproduced.
-func wrapInCheckFix(pass *analysis.Pass, call *ast.CallExpr, stmt *ast.ExprStmt) (analysis.SuggestedFix, bool) {
-	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	n := sig.Results().Len()
-	if n == 0 || (sig.Variadic() && call.Ellipsis.IsValid()) {
-		return analysis.SuggestedFix{}, false
-	}
-	lhs := "err"
-	if n > 1 {
-		lhs = strings.Repeat("_, ", n-1) + "err"
-	}
-	indent := indentFor(pass, stmt.Pos())
-	return analysis.SuggestedFix{
-		Message: "wrap the call in an error check",
-		TextEdits: []analysis.TextEdit{
-			{Pos: stmt.Pos(), End: stmt.Pos(), NewText: []byte("if " + lhs + " := ")},
-			{Pos: stmt.End(), End: stmt.End(), NewText: []byte("; err != nil {\n" + indent + "\tpanic(err)\n" + indent + "}")},
-		},
-	}, true
-}
-
-// insertCheckFix appends `if <name> != nil { panic(<name>) }` after the
-// assignment, making the dead error variable live.
-func insertCheckFix(pass *analysis.Pass, name string, stmt *ast.AssignStmt) (analysis.SuggestedFix, bool) {
-	indent := indentFor(pass, stmt.Pos())
-	check := "\n" + indent + "if " + name + " != nil {\n" + indent + "\tpanic(" + name + ")\n" + indent + "}"
-	return analysis.SuggestedFix{
-		Message: "check the assigned error",
-		TextEdits: []analysis.TextEdit{
-			{Pos: stmt.End(), End: stmt.End(), NewText: []byte(check)},
-		},
-	}, true
-}
-
-// indentFor reproduces the leading indentation of the line containing pos,
-// assuming gofmt's tab indentation (a statement at column N sits behind
-// N-1 tabs).
-func indentFor(pass *analysis.Pass, pos token.Pos) string {
-	col := pass.Fset.Position(pos).Column
-	if col < 1 {
-		col = 1
-	}
-	return strings.Repeat("\t", col-1)
+	pass.Reportf(call.Pos(), "result of %s is an error contract: %s is assigned but never read on any path", name, id.Name)
 }
 
 // calleeObj resolves the called function's object, seeing through

@@ -9,7 +9,3 @@ import (
 func TestErrcontract(t *testing.T) {
 	analysistest.Run(t, ".", Analyzer, "a", "api", "b", "clean", "ignore")
 }
-
-func TestErrcontractFix(t *testing.T) {
-	analysistest.RunFix(t, ".", Analyzer, "fixable")
-}

@@ -7,8 +7,9 @@
 // time must flow through internal/simclock's virtual clock.
 //
 // A small allowlist covers the packages that legitimately touch the real
-// clock: the wire-level BGP session FSM (deadlines and keepalives on real
-// net.Conns) and its test substrate. Anything else needs a
+// clock: the trial runner's per-trial watchdog and the HTTP exporter's
+// uptime and request timestamps, neither of which a simulated result can
+// observe. Anything else needs a
 // //lint:ignore lglint/simclockcheck <reason> with a written justification.
 package simclockcheck
 
@@ -39,16 +40,6 @@ var forbidden = map[string]bool{
 // entry or lives below it; the external-test variant of a package inherits
 // its allowlisting.
 var Allowlist = []string{
-	// The wire-level BGP-4 FSM talks to real routers over real TCP: hold
-	// timers, handshake deadlines, and keepalive ticks are wall-clock by
-	// definition (RFC 4271 §8), and the simulator never imports it.
-	"lifeguard/internal/bgp/session",
-	// The shared test substrate wires simulated components to real wire
-	// sessions and needs watchdog timeouts against deadlocked goroutines.
-	"lifeguard/internal/nettest",
-	// lgpeer is an operator tool that peers with real BGP speakers
-	// (gobgp, routers); its -linger/-hold windows are real-world time.
-	"lifeguard/cmd/lgpeer",
 	// The trial runner's per-trial timeout is a wall-clock watchdog
 	// against hung simulations; trials themselves stay on the virtual
 	// clock, and the runner never influences their results.

@@ -59,24 +59,13 @@ func Main(analyzers ...*Analyzer) {
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
 	versionFlag := fs.String("V", "", "print version and exit (cmd/go passes -V=full)")
 	flagsFlag := fs.Bool("flags", false, "print analyzer flags as JSON and exit")
-	var opts StandaloneOptions
-	fs.BoolVar(&opts.JSON, "json", false, "standalone: emit findings as a JSON array on stdout")
-	fs.BoolVar(&opts.SARIF, "sarif", false, "standalone: emit a SARIF 2.1.0 log on stdout")
-	fs.BoolVar(&opts.GitHub, "github", false, "standalone: emit GitHub ::error annotations on stdout")
-	fs.BoolVar(&opts.Fix, "fix", false, "standalone: apply suggested fixes to the source files")
-	fs.BoolVar(&opts.DryRun, "dry-run", false, "with -fix: print unified diffs instead of writing files")
 	enable := make(map[string]*bool, len(analyzers))
 	for _, a := range analyzers {
 		enable[a.Name] = fs.Bool(a.Name, false, firstLine(a.Doc))
 	}
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] [-<analyzer>...] <packages|package.cfg>\n\n", progname)
-		fmt.Fprintf(os.Stderr, "%s runs two ways:\n", progname)
-		fmt.Fprintf(os.Stderr, "  as a vet tool:   go vet -vettool=$(which %s) ./...   (or `make lint`)\n", progname)
-		fmt.Fprintf(os.Stderr, "  standalone:      %s [-json|-sarif|-github] [-fix [-dry-run]] ./...\n\n", progname)
-		fmt.Fprintf(os.Stderr, "Standalone exit codes: 0 no findings, 1 findings reported,\n")
-		fmt.Fprintf(os.Stderr, "2 usage or load error. -fix does not change the exit code: a run\n")
-		fmt.Fprintf(os.Stderr, "that had anything to fix still exits 1.\n\n")
+		fmt.Fprintf(os.Stderr, "%s is a vet tool; run via go vet -vettool:\n\n", progname)
+		fmt.Fprintf(os.Stderr, "  go vet -vettool=$(which %s) [-<analyzer>...] ./...   (or `make lint`)\n\n", progname)
 		fmt.Fprintf(os.Stderr, "Analyzers (all enabled unless specific ones are requested):\n\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, firstLine(a.Doc))
@@ -118,7 +107,9 @@ func Main(analyzers ...*Analyzer) {
 		os.Exit(0)
 	}
 
-	if fs.NArg() == 0 {
+	// cmd/go hands the tool exactly one package config; anything else is a
+	// person at a shell.
+	if fs.NArg() != 1 || !strings.HasSuffix(fs.Arg(0), ".cfg") {
 		fs.Usage()
 		os.Exit(2)
 	}
@@ -139,10 +130,7 @@ func Main(analyzers ...*Analyzer) {
 		}
 	}
 
-	if fs.NArg() == 1 && strings.HasSuffix(fs.Arg(0), ".cfg") {
-		os.Exit(runUnit(progname, fs.Arg(0), selected))
-	}
-	os.Exit(RunStandalone(progname, selected, fs.Args(), opts))
+	os.Exit(runUnit(progname, fs.Arg(0), selected))
 }
 
 func runUnit(progname, cfgFile string, analyzers []*Analyzer) int {
@@ -277,25 +265,11 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// Typecheck builds go/types information for the files of one package using
-// an export-data importer resolved through the provided lookup. importMap
-// canonicalizes source-level import paths (nil means identity); the gc
-// importer requires canonical paths. It is shared by the vet driver (lookup
-// built from the .cfg) and analysistest (lookup built from `go list -export`).
-func Typecheck(fset *token.FileSet, files []*ast.File, path, goVersion string, importMap func(path string) string, lookup func(path string) (io.ReadCloser, error)) (*types.Package, *types.Info, error) {
-	gc := importer.ForCompiler(fset, "gc", lookup)
-	return TypecheckImporter(fset, files, path, goVersion, importerFunc(func(p string) (*types.Package, error) {
-		if importMap != nil {
-			p = importMap(p)
-		}
-		return gc.Import(p)
-	}))
-}
-
-// TypecheckImporter is Typecheck with the import step fully delegated:
-// analysistest uses it to resolve testdata-local dependency packages from
-// source (so facts can flow between testdata packages) while everything
-// else comes from compiler export data.
+// TypecheckImporter builds go/types information for the files of one
+// package, resolving imports through imp. The vet driver passes an
+// export-data importer built from the .cfg; analysistest passes one that
+// also resolves testdata-local dependency packages from source (so facts
+// can flow between testdata packages).
 func TypecheckImporter(fset *token.FileSet, files []*ast.File, path, goVersion string, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -318,20 +292,22 @@ func TypecheckImporter(fset *token.FileSet, files []*ast.File, path, goVersion s
 }
 
 func typecheck(fset *token.FileSet, files []*ast.File, cfg *vetConfig) (*types.Package, *types.Info, error) {
-	importMap := func(path string) string {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			return mapped
-		}
-		return path
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := cfg.PackageFile[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
-	}
-	return Typecheck(fset, files, cfg.ImportPath, cfg.GoVersion, importMap, lookup)
+	})
+	// The gc importer requires canonical paths; ImportMap canonicalizes the
+	// source-level ones.
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if mapped, ok := cfg.ImportMap[path]; ok {
+			path = mapped
+		}
+		return gc.Import(path)
+	})
+	return TypecheckImporter(fset, files, cfg.ImportPath, cfg.GoVersion, imp)
 }
 
 var goVersionRE = regexp.MustCompile(`^go\d+\.\d+`)

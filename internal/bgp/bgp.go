@@ -162,27 +162,6 @@ func (c *OriginConfig) pattern(self, n topo.ASN) (topo.Path, bool) {
 	return topo.Path{self}, true
 }
 
-// EffectivePattern returns the AS path this config announces to neighbor n
-// (self is the origin), and false when the announcement is withheld from n.
-// External systems (e.g. the wire bridge) use it to mirror the simulator's
-// announcements onto real BGP sessions.
-func (c *OriginConfig) EffectivePattern(self, n topo.ASN) (topo.Path, bool) {
-	p, ok := c.pattern(self, n)
-	if !ok {
-		return nil, false
-	}
-	return p.Clone(), true
-}
-
-// EffectiveCommunities returns the communities announced to neighbor n.
-func (c *OriginConfig) EffectiveCommunities(n topo.ASN) []Community {
-	cs := c.Communities
-	if per, ok := c.PerNeighborCommunities[n]; ok {
-		cs = per
-	}
-	return append([]Community(nil), cs...)
-}
-
 // BestChange is emitted through Engine.OnBestChange whenever any AS's
 // selected route for a prefix changes. A nil Path means the AS lost its
 // route. Route collectors and convergence instrumentation consume these.

@@ -33,11 +33,6 @@ type Engine struct {
 	// OnBestChange, if set, observes every loc-RIB change engine-wide.
 	OnBestChange func(BestChange)
 
-	// OnOriginChange, if set, observes every Announce/Withdraw an origin
-	// makes (cfg is nil for withdrawals). The wire bridge uses it to
-	// mirror crafted announcements onto real sessions.
-	OnOriginChange func(asn topo.ASN, prefix netip.Prefix, cfg *OriginConfig)
-
 	// pendingEvents counts scheduled BGP events (message deliveries and
 	// armed MRAI timers); zero means the control plane is quiescent.
 	pendingEvents int
@@ -186,9 +181,6 @@ func (e *Engine) AnnounceErr(asn topo.ASN, prefix netip.Prefix, cfg OriginConfig
 	}
 	cfg = cfg.sanitized()
 	s.announce(prefix, cfg)
-	if e.OnOriginChange != nil {
-		e.OnOriginChange(asn, prefix, &cfg)
-	}
 	return nil
 }
 
@@ -217,9 +209,6 @@ func (e *Engine) AnnounceForged(asn topo.ASN, prefix netip.Prefix, path topo.Pat
 	}
 	cfg := OriginConfig{Pattern: path}.sanitized()
 	s.announce(prefix, cfg)
-	if e.OnOriginChange != nil {
-		e.OnOriginChange(asn, prefix, &cfg)
-	}
 	return nil
 }
 
@@ -271,9 +260,6 @@ func (e *Engine) WithdrawErr(asn topo.ASN, prefix netip.Prefix) error {
 		return fmt.Errorf("bgp: Withdraw from unknown AS %d", asn)
 	}
 	s.withdrawOrigin(prefix)
-	if e.OnOriginChange != nil {
-		e.OnOriginChange(asn, prefix, nil)
-	}
 	return nil
 }
 

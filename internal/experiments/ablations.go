@@ -98,15 +98,9 @@ var thresholdScenario = Scenario{
 	},
 }
 
-// AblationThreshold regenerates the threshold sweep (sequential reference
-// path over thresholdScenario).
-func AblationThreshold(seed int64) *Result { return thresholdScenario.Run(seed) }
-
-// AblationPrecheck measures what the §4.2 alternate-path precheck buys:
+// ablationPrecheck measures what the §4.2 alternate-path precheck buys:
 // without it, a poison against an AS that is some victim's only path cuts
 // that victim off entirely (worse than the outage, which was partial).
-func AblationPrecheck(seed int64) *Result { return ablationPrecheck(seed, nil) }
-
 func ablationPrecheck(seed int64, reg *obs.Registry) *Result {
 	r := newResult("abl-precheck", "alternate-path precheck value")
 	n, rng := world(seed, topogen.Config{NumTransit: 15, NumStub: 40}, 1, bgp.Config{}, reg)
@@ -250,10 +244,6 @@ var dampeningScenario = Scenario{
 		return r
 	},
 }
-
-// AblationDampening regenerates the pacing sweep (sequential reference
-// path over dampeningScenario).
-func AblationDampening(seed int64) *Result { return dampeningScenario.Run(seed) }
 
 // dampeningNet builds a small dampening-enabled internetwork with an origin
 // and a poison victim on collector paths.

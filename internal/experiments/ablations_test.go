@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestAblationThresholdShape(t *testing.T) {
-	r := AblationThreshold(1)
+	r := runID(t, "abl-threshold", 1)
 	// Poisoning immediately wastes most poisons on self-healing blips.
 	inRange(t, r, "wasted_frac_0s", 0.5, 0.9)
 	// The paper's ~5 min threshold cuts waste sharply...
@@ -23,7 +23,7 @@ func TestAblationThresholdShape(t *testing.T) {
 }
 
 func TestAblationPrecheckShape(t *testing.T) {
-	r := AblationPrecheck(1)
+	r := runID(t, "abl-precheck", 1)
 	// A substantial share of naive poisons sever their own victim —
 	// that is exactly what the precheck prevents.
 	inRange(t, r, "frac_severed_without_precheck", 0.15, 0.70)
@@ -34,7 +34,7 @@ func TestAblationPrecheckShape(t *testing.T) {
 }
 
 func TestAblationDampeningShape(t *testing.T) {
-	r := AblationDampening(1)
+	r := runID(t, "abl-dampening", 1)
 	fast := r.Values["frac_suppressing_5m0s"]
 	slow := r.Values["frac_suppressing_1h30m0s"]
 	if fast <= slow {

@@ -166,13 +166,11 @@ func (rig *isoRig) clear(f injectedFailure) {
 	}
 }
 
-// Accuracy regenerates the §5.3 evaluation: inject ground-truth failures,
+// accuracy regenerates the §5.3 evaluation: inject ground-truth failures,
 // run isolation, and compare (a) the blamed AS against the injected one —
 // the analogue of "consistent with traceroutes from the far side" (93%) —
 // and (b) LIFEGUARD's blame against what traceroute alone would conclude
 // (different in 40% of poisoning-candidate cases).
-func Accuracy(seed int64) *Result { return accuracy(seed, nil) }
-
 func accuracy(seed int64, reg *obs.Registry) *Result {
 	r := newResult("tab1-accuracy", "failure isolation accuracy")
 	rig := buildIsoRig(seed, reg)
@@ -247,12 +245,10 @@ func accuracy(seed int64, reg *obs.Registry) *Result {
 	return r
 }
 
-// Scalability regenerates the §5.4 overhead numbers: atlas refresh
+// scalability regenerates the §5.4 overhead numbers: atlas refresh
 // throughput and amortized cost, and per-isolation probe count and latency
 // (paper: ~10 option probes + ~2 traceroutes per refreshed path, 225
 // paths/min average; ~280 probes and ~140 s per isolated outage).
-func Scalability(seed int64) *Result { return scalability(seed, nil) }
-
 func scalability(seed int64, reg *obs.Registry) *Result {
 	r := newResult("sec5.4", "measurement overhead and throughput")
 	rig := buildIsoRig(seed, reg)

@@ -14,7 +14,7 @@ import (
 	"lifeguard/internal/topogen"
 )
 
-// AltPaths regenerates the §2.2 analysis: during outages between a mesh of
+// altPaths regenerates the §2.2 analysis: during outages between a mesh of
 // measurement sites, how often do the observed traceroutes contain a
 // working, policy-compliant spliced path around the failed AS? The paper
 // found alternates for 49% of all outages, 83% of outages lasting at least
@@ -25,8 +25,6 @@ import (
 // diversity is high), while short blips cluster at the destination's access
 // providers (where a single-homed stub has no alternative) — that location
 // skew is what makes alternate-path availability grow with outage duration.
-func AltPaths(seed int64) *Result { return altPaths(seed, nil) }
-
 func altPaths(seed int64, reg *obs.Registry) *Result {
 	r := newResult("sec2.2", "policy-compliant alternate paths during outages")
 	// PlanetLab-like conditions: sites are multihomed academic edge

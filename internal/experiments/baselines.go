@@ -9,7 +9,7 @@ import (
 	"lifeguard/internal/topogen"
 )
 
-// Baselines quantifies §2.3's argument: the traditional announcement-based
+// baselines quantifies §2.3's argument: the traditional announcement-based
 // route-control techniques act on the *next-hop provider*, not on the AS
 // actually causing the problem, so they usually fail to repair a remote
 // reverse-path failure — which is exactly what poisoning fixes.
@@ -23,8 +23,6 @@ import (
 //   - prepending: make that side's announcement much longer;
 //   - selective poisoning of the faulty AS (via the other provider);
 //   - full poisoning of the faulty AS.
-func Baselines(seed int64) *Result { return baselines(seed, nil) }
-
 func baselines(seed int64, reg *obs.Registry) *Result {
 	r := newResult("sec2.3-baselines", "remediation techniques vs remote reverse failures")
 	n, rng := world(seed, topogen.Config{

@@ -68,9 +68,6 @@ var chaosScenario = Scenario{
 	Reduce: reduceChaos,
 }
 
-// Chaos runs the fault-injection stress sweep; see chaosScenario.
-func Chaos(seed int64) *Result { return chaosScenario.Run(seed) }
-
 // watchStubs starts the shipped repair loop for n's origin: a Session whose
 // one vantage point, the origin hub, watches the hub of each stub AS
 // (pinging from the production prefix, so reply traffic rides the

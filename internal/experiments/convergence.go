@@ -208,10 +208,6 @@ var convergenceScenario = Scenario{
 	},
 }
 
-// Convergence regenerates Fig. 6 and the §5.2 global-convergence numbers
-// (sequential reference path over convergenceScenario).
-func Convergence(seed int64) *Result { return convergenceScenario.Run(seed) }
-
 // lossRig is the §5.2 loss deployment each loss trial reconstructs.
 type lossRig struct {
 	n       *lifeguard.Network
@@ -362,10 +358,6 @@ var lossScenario = Scenario{
 		return r
 	},
 }
-
-// ConvergenceLoss regenerates the §5.2 loss measurement (sequential
-// reference path over lossScenario).
-func ConvergenceLoss(seed int64) *Result { return lossScenario.Run(seed) }
 
 // harvestForLoss picks poison victims: transit ASes on the reverse paths
 // from the measurement sites to the origin.

@@ -9,14 +9,12 @@ import (
 	"lifeguard/internal/topogen"
 )
 
-// ForwardDiversity regenerates the §2.3 forward-path study: an origin with
+// forwardDiversity regenerates the §2.3 forward-path study: an origin with
 // five providers (the university BGP-Mux sites) inspects the BGP paths each
 // provider offers to ~114 destination ASes. If the last AS link before a
 // destination on the preferred route failed silently, could the origin
 // avoid it by egressing via a different provider? The paper: yes in 90% of
 // cases.
-func ForwardDiversity(seed int64) *Result { return forwardDiversity(seed, nil) }
-
 func forwardDiversity(seed int64, reg *obs.Registry) *Result {
 	r := newResult("sec2.3", "forward-path provider diversity")
 	n, rng := world(seed, topogen.Config{NumTransit: 35, NumStub: 120}, 5, bgp.Config{}, reg)
@@ -93,13 +91,11 @@ func containsLink(p topo.Path, a, b topo.ASN) bool {
 	return false
 }
 
-// Selective regenerates the §5.2 selective-poisoning study: with the origin
+// selective regenerates the §5.2 selective-poisoning study: with the origin
 // announcing via five muxes, can it steer a given peer AS off its current
 // first-hop AS link by poisoning the peer via all muxes but one, without
 // cutting the peer off? The paper avoided 73% of the first-hop links of its
 // 114 feed ASes this way (vs. 90% for forward paths).
-func Selective(seed int64) *Result { return selective(seed, nil) }
-
 func selective(seed int64, reg *obs.Registry) *Result {
 	r := newResult("sec5.2-selective", "selective poisoning of first-hop AS links")
 	n, rng := world(seed, topogen.Config{NumTransit: 35, NumStub: 120}, 5, bgp.Config{}, reg)

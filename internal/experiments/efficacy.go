@@ -253,10 +253,6 @@ var efficacyScenario = Scenario{
 	},
 }
 
-// Efficacy regenerates the §5.1 effectiveness results (sequential
-// reference path over the three-trial scenario above).
-func Efficacy(seed int64) *Result { return efficacyScenario.Run(seed) }
-
 // isStubWithOnlyProvider reports whether peer is a stub whose sole provider
 // is a — the captive case the paper identifies as the dominant reason
 // poisoning cuts a network off.

@@ -25,6 +25,16 @@ func inRange(t *testing.T, r *Result, key string, lo, hi float64) {
 	}
 }
 
+// runID regenerates one experiment the way lgexp names it: by id.
+func runID(t *testing.T, id string, seed int64) *Result {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	return e.Run(seed)
+}
+
 func TestFig1Shape(t *testing.T) {
 	r := Fig1(1)
 	inRange(t, r, "frac_events_le_10min", 0.88, 0.97)   // paper: >90%
@@ -44,7 +54,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestAltPathsShape(t *testing.T) {
-	r := AltPaths(1)
+	r := runID(t, "alt", 1)
 	inRange(t, r, "frac_with_alternate", 0.40, 0.62)       // paper: 49%
 	inRange(t, r, "frac_with_alternate_ge_1h", 0.60, 0.95) // paper: 83%
 	if r.Values["frac_with_alternate_ge_1h"] <= r.Values["frac_with_alternate"] {
@@ -54,13 +64,13 @@ func TestAltPathsShape(t *testing.T) {
 }
 
 func TestForwardDiversityShape(t *testing.T) {
-	r := ForwardDiversity(1)
+	r := runID(t, "fwd", 1)
 	inRange(t, r, "frac_forward_avoidable", 0.78, 0.97) // paper: 90%
 	inRange(t, r, "cases", 60, 114)
 }
 
 func TestEfficacyShape(t *testing.T) {
-	r := Efficacy(1)
+	r := runID(t, "efficacy", 1)
 	inRange(t, r, "frac_peers_found_alternate", 0.65, 0.95) // paper: 77%
 	inRange(t, r, "frac_sim_alternate", 0.70, 0.95)         // paper: 90%
 	inRange(t, r, "frac_isolated_alternate", 0.70, 1.0)     // paper: 94%
@@ -72,7 +82,7 @@ func TestEfficacyShape(t *testing.T) {
 }
 
 func TestConvergenceShape(t *testing.T) {
-	r := Convergence(1)
+	r := runID(t, "fig6", 1)
 	// Prepending: unaffected peers converge instantly with one update.
 	inRange(t, r, "prepend_nochange_frac_instant", 0.95, 1.0)       // paper: >95%
 	inRange(t, r, "prepend_nochange_frac_single_update", 0.95, 1.0) // paper: 97%
@@ -98,19 +108,19 @@ func TestConvergenceShape(t *testing.T) {
 }
 
 func TestConvergenceLossShape(t *testing.T) {
-	r := ConvergenceLoss(1)
+	r := runID(t, "loss", 1)
 	inRange(t, r, "frac_loss_under_2pct", 0.90, 1.0)  // paper: 98%
 	inRange(t, r, "frac_with_spike_round", 0.0, 0.15) // paper: 2%
 	inRange(t, r, "poisonings", 5, 25)
 }
 
 func TestSelectiveShape(t *testing.T) {
-	r := Selective(1)
+	r := runID(t, "selective", 1)
 	inRange(t, r, "frac_links_avoided", 0.55, 0.95) // paper: 73%
 }
 
 func TestAccuracyShape(t *testing.T) {
-	r := Accuracy(1)
+	r := runID(t, "accuracy", 1)
 	inRange(t, r, "frac_blame_correct", 0.85, 1.0)           // paper: 93%
 	inRange(t, r, "frac_differs_from_traceroute", 0.2, 0.55) // paper: 40%
 	inRange(t, r, "frac_direction_correct", 0.80, 1.0)
@@ -118,7 +128,7 @@ func TestAccuracyShape(t *testing.T) {
 }
 
 func TestScalabilityShape(t *testing.T) {
-	r := Scalability(1)
+	r := runID(t, "scale", 1)
 	// Same order of magnitude as the paper's 280 probes / 140 s; our
 	// synthetic paths are shorter than Internet paths.
 	inRange(t, r, "probes_per_isolation", 40, 400)
@@ -141,7 +151,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestBaselinesShape(t *testing.T) {
-	r := Baselines(1)
+	r := runID(t, "baselines", 1)
 	inRange(t, r, "scenarios", 10, 30)
 	// Poisoning must dominate on repair rate...
 	inRange(t, r, "frac_poisoning", 0.9, 1.0)
@@ -160,7 +170,7 @@ func TestBaselinesShape(t *testing.T) {
 }
 
 func TestChaosShape(t *testing.T) {
-	r := Chaos(1)
+	r := runID(t, "chaos", 1)
 	// The hard contract: the invariant checker saw nothing — no loops, no
 	// RIB inconsistencies, every timeline converged back to baseline.
 	inRange(t, r, "violations_total", 0, 0)
@@ -176,7 +186,7 @@ func TestChaosShape(t *testing.T) {
 }
 
 func TestTrafficShape(t *testing.T) {
-	r := Traffic(1)
+	r := runID(t, "traffic", 1)
 	// The hard contracts: a clean timeline (no invariant violations) and
 	// the headline contrast — the armed repair loop forfeits strictly
 	// fewer user-seconds than waiting out the same fault.
@@ -208,7 +218,7 @@ func TestTrafficParallelIdentical(t *testing.T) {
 }
 
 func TestMultitenantShape(t *testing.T) {
-	r := Multitenant(1)
+	r := runID(t, "multitenant", 1)
 	// Every placed tenant detects its own failure, and most repair it
 	// with a poison; what a tenant's policy refuses it refuses solo too.
 	inRange(t, r, "repair_frac_n1", 1, 1)
@@ -226,7 +236,7 @@ func TestMultitenantShape(t *testing.T) {
 }
 
 func TestHijackShape(t *testing.T) {
-	r := Hijack(1)
+	r := runID(t, "hijack", 1)
 	for _, d := range hijackDistances {
 		key := func(s string) string { return fmt.Sprintf("%s_d%d", s, d) }
 		if _, ok := r.Values[key("detect_s")]; !ok {
@@ -290,8 +300,8 @@ func TestDeterministicResults(t *testing.T) {
 			t.Fatalf("Fig1 value %s differs across runs: %v vs %v", k, v, b.Values[k])
 		}
 	}
-	c := Convergence(3)
-	d := Convergence(3)
+	c := runID(t, "fig6", 3)
+	d := runID(t, "fig6", 3)
 	if c.Values["global_p50_prepend_s"] != d.Values["global_p50_prepend_s"] {
 		t.Fatal("Convergence not deterministic")
 	}

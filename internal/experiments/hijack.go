@@ -55,9 +55,6 @@ var hijackScenario = Scenario{
 	Reduce: reduceHijack,
 }
 
-// Hijack runs the rogue-placement sweep; see hijackScenario.
-func Hijack(seed int64) *Result { return hijackScenario.Run(seed) }
-
 // hjReachFraction measures the fraction of routered ASes (owner and rogue
 // excluded) whose data plane delivers traffic for probe to the owner.
 func hjReachFraction(n *lifeguard.Network, owner, rogue lifeguard.ASN, probe lifeguard.Addr) float64 {

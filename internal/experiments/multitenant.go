@@ -50,9 +50,6 @@ var multitenantScenario = Scenario{
 	Reduce: reduceMultitenant,
 }
 
-// Multitenant runs the tenant-count sweep; see multitenantScenario.
-func Multitenant(seed int64) *Result { return multitenantScenario.Run(seed) }
-
 // mtScenario is one tenant: an origin monitoring one target with one
 // avoidable transit to blame. Origins and targets are pairwise disjoint
 // across tenants, so the concurrent failures are independent by

@@ -70,9 +70,6 @@ var trafficScenario = Scenario{
 	Reduce: reduceTraffic,
 }
 
-// Traffic runs the user-seconds-lost sweep; see trafficScenario.
-func Traffic(seed int64) *Result { return trafficScenario.Run(seed) }
-
 // trafficDests spreads the monitored destinations over the origin's
 // production /24 — one routed prefix, several user-facing addresses, so
 // destination sharding has something to cut across.

@@ -280,9 +280,6 @@ func (t *Topology) BorderLinks(a, b ASN) []Link {
 // RouterNeighbors returns the routers adjacent to id.
 func (t *Topology) RouterNeighbors(id RouterID) []RouterID { return t.routerAdj[id] }
 
-// Links returns all router-level links.
-func (t *Topology) Links() []Link { return t.links }
-
 // IntraASNeighbors returns the routers adjacent to id within the same AS.
 func (t *Topology) IntraASNeighbors(id RouterID) []RouterID {
 	self := t.routers[id].AS

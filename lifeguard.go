@@ -9,8 +9,7 @@
 // scratch: a deterministic discrete-event BGP internetwork simulator
 // (topology, path-vector routing with Gao–Rexford policies, a hop-by-hop
 // data plane with silent-failure injection, measurement primitives, a path
-// atlas), the paper's failure-isolation and remediation engines, and a
-// wire-level BGP-4 codec + session for speaking to real routers.
+// atlas) and the paper's failure-isolation and remediation engines.
 //
 // Typical use:
 //
