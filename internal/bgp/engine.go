@@ -54,8 +54,11 @@ type Engine struct {
 	// TotalUpdatesSent).
 	updatesSent []int64
 
-	// ribVersion counts loc-RIB changes engine-wide (see RIBVersion).
+	// ribVersion counts loc-RIB changes engine-wide (see RIBVersion);
+	// fwdVersion counts, per speaker idx, the ones that changed what a
+	// packet does there (see FwdVersion).
 	ribVersion uint64
+	fwdVersion []uint64
 }
 
 // New builds an engine over the topology. No routes exist until Originate or
@@ -77,6 +80,7 @@ func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
 		speakers:    make(map[topo.ASN]*Speaker, top.NumASes()),
 		obs:         newEngineObs(cfg.Obs),
 		updatesSent: make([]int64, top.NumASes()),
+		fwdVersion:  make([]uint64, top.NumASes()),
 	}
 	e.byIdx = make([]*Speaker, len(e.asns))
 	for i, asn := range e.asns {
@@ -367,9 +371,19 @@ func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 
 // RIBVersion advances by one for every loc-RIB change at any speaker
 // (Speaker.decide is the only place a selected route is written). Between
-// two equal readings no Lookup result can have changed, which is what lets
-// the data plane keep forwarding walks across calls.
+// two equal readings no Lookup result can have changed, so the data plane's
+// walk cache answers without its per-AS check (FwdVersion) while it holds.
 func (e *Engine) RIBVersion() uint64 { return e.ribVersion }
+
+// FwdVersion counts the loc-RIB changes at the i-th AS of Topology.ASNs()
+// that changed how that AS forwards: a prefix gaining or losing its route
+// (which reshapes the longest-prefix match), or a route changing its
+// next-hop AS or whether it is Originated. It stays put through the far more
+// common change that rewrites only the path attribute behind the same next
+// hop — over a prepended O-O-O baseline, all a poison O-A-O does at an AS
+// that did not route through A (§3.1.1) — so a forwarding walk stays valid
+// while the FwdVersion of every AS it crossed holds still.
+func (e *Engine) FwdVersion(i int) uint64 { return e.fwdVersion[i] }
 
 // ASPathTo returns asn's current AS-level path toward addr (LPM), nil if it
 // has no route. The returned path is the RIB path, poisons included.

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +139,112 @@ func TestRIBVersionCountsBestChanges(t *testing.T) {
 			churn(t, e, gen)
 			checkVersion("after churn")
 		})
+	}
+}
+
+// TestFwdVersionCountsForwardingChanges holds each AS's FwdVersion to the
+// number of OnBestChange callbacks at that AS that changed what a packet
+// does there: the prefix gained or lost its route, the route became or
+// ceased to be Originated, or its next-hop AS changed. The data plane's walk
+// cache keeps a walk while the FwdVersion of every AS it crossed holds still,
+// so an uncounted change would serve stale walks; and the version must stay
+// behind RIBVersion, or it spares the cache nothing.
+func TestFwdVersionCountsForwardingChanges(t *testing.T) {
+	gen := hundredASTopo(t)
+	e := New(gen.Top, simclock.New(), Config{Seed: 11})
+	type slot struct {
+		as     topo.ASN
+		prefix netip.Prefix
+	}
+	// Where each (AS, prefix) sends a packet: 0 nowhere (no route), the AS
+	// itself for an originated route, the next-hop AS otherwise. The
+	// callback's Path cannot say which (an originated route's is empty), so
+	// it reads the route just written.
+	sendsTo := map[slot]topo.ASN{}
+	want := map[topo.ASN]uint64{}
+	e.OnBestChange = func(c BestChange) {
+		var to topo.ASN
+		if r, ok := e.BestRoute(c.AS, c.Prefix); ok {
+			to = c.AS
+			if nh, ok := r.NextHop(); ok {
+				to = nh
+			}
+		}
+		k := slot{c.AS, c.Prefix}
+		if to != sendsTo[k] {
+			want[c.AS]++
+		}
+		sendsTo[k] = to
+	}
+	check := func(when string) {
+		t.Helper()
+		var total uint64
+		for i, asn := range gen.Top.ASNs() {
+			if got := e.FwdVersion(i); got != want[asn] {
+				t.Fatalf("%s: AS%d FwdVersion %d after %d forwarding changes", when, asn, got, want[asn])
+			}
+			total += want[asn]
+		}
+		if total == 0 || total >= e.RIBVersion() {
+			t.Fatalf("%s: %d forwarding changes of %d loc-RIB changes: want some, and fewer", when, total, e.RIBVersion())
+		}
+	}
+	// The prepended baseline a poison is laid over (§3.1.1), so that the
+	// poison below rewrites paths without moving next hops at most ASes.
+	o := gen.Stubs[0]
+	e.Announce(o, topo.ProductionPrefix(o), OriginConfig{Pattern: topo.Path{o, o, o}})
+	if !e.Converge(100_000_000) {
+		t.Fatal("baseline did not quiesce")
+	}
+	early := gen.Stubs[10]
+	e.Originate(early, topo.ProductionPrefix(early))
+	e.Converge(200) // far short of quiescence
+	if e.Quiescent() {
+		t.Fatal("want the prefix still propagating")
+	}
+	check("mid-propagation")
+	churn(t, e, gen)
+	check("after churn")
+	// An AS starts originating a prefix it had learned, then stops.
+	thief := gen.Stubs[20]
+	e.Originate(thief, topo.ProductionPrefix(o))
+	e.Converge(100_000_000)
+	e.Withdraw(thief, topo.ProductionPrefix(o))
+	e.Converge(100_000_000)
+	check("after a second origin came and went")
+}
+
+// TestPoisonMovesOnlyTheASesThatRoutedThroughIt is §3.1.1 on the fig. 2
+// diamond: over the prepended O-O-O baseline, poisoning O-A-O rewrites the
+// path attribute everywhere but changes forwarding only at A, which loses
+// the route, and at the ASes that routed through A — E moves to D, captive F
+// loses the route. B, C and D, which reached O without A, forward as before:
+// their loc-RIBs were rewritten and their FwdVersion did not move.
+func TestPoisonMovesOnlyTheASesThatRoutedThroughIt(t *testing.T) {
+	const O, B, A, C, D, E, F = topo.ASN(10), topo.ASN(20), topo.ASN(30), topo.ASN(40), topo.ASN(50), topo.ASN(60), topo.ASN(70)
+	top := fig2Topo(t)
+	e, _ := newEngine(t, top)
+	prod := topo.ProductionPrefix(O)
+	e.Announce(O, prod, OriginConfig{Pattern: topo.Path{O, O, O}})
+	converge(t, e)
+
+	before := map[topo.ASN]uint64{}
+	for i, asn := range top.ASNs() {
+		before[asn] = e.FwdVersion(i)
+	}
+	rewritten := map[topo.ASN]bool{}
+	e.OnBestChange = func(c BestChange) { rewritten[c.AS] = true }
+	e.Announce(O, prod, OriginConfig{Pattern: topo.Path{O, A, O}})
+	converge(t, e)
+
+	routedThroughA := map[topo.ASN]bool{A: true, E: true, F: true}
+	for i, asn := range top.ASNs() {
+		if !rewritten[asn] && asn != O { // O's own route is originated either way
+			t.Errorf("AS%d: the poison did not rewrite its route", asn)
+		}
+		if moved := e.FwdVersion(i) != before[asn]; moved != routedThroughA[asn] {
+			t.Errorf("AS%d: FwdVersion moved = %v, routed through A = %v", asn, moved, routedThroughA[asn])
+		}
 	}
 }
 

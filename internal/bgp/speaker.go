@@ -442,6 +442,9 @@ func (s *Speaker) decide(id prefixID) bool {
 		return false
 	}
 	s.e.ribVersion++
+	if !sameForwarding(old, newBest) {
+		s.e.fwdVersion[s.idx]++
+	}
 	prefix := s.e.prefixes.pfx[id]
 	nodesBefore := s.lpm.nodes
 	if newBest == nil {
@@ -505,6 +508,19 @@ func routesEqual(a, b *Route) bool {
 		}
 	}
 	return true
+}
+
+// sameForwarding reports whether a packet meeting selected route a fares
+// as one meeting b: the data plane reads of a route only that it exists and
+// where it sends the packet next — NextHop, which is no AS at all for an
+// originated route (deliver here) and a real neighbor for any other.
+func sameForwarding(a, b *Route) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	na, _ := a.NextHop()
+	nb, _ := b.NextHop()
+	return na == nb
 }
 
 func (s *Speaker) markAllPending(id prefixID) {

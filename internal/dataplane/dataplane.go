@@ -22,9 +22,14 @@ import (
 // RIB is the routing state the data plane consults; *bgp.Engine satisfies it.
 type RIB interface {
 	Lookup(asn topo.ASN, addr netip.Addr) (*bgp.Route, bool)
-	// RIBVersion advances whenever any Lookup result may have changed; the
-	// walk cache is valid only while it holds still (see walkcache.go).
+	// RIBVersion advances whenever any Lookup result may have changed.
 	RIBVersion() uint64
+	// FwdVersion advances whenever a Lookup at the i-th AS of
+	// Topology.ASNs() may forward a packet differently: a change of which
+	// route matches an address, of its next-hop AS or of Originated. A
+	// cached walk is valid while it holds still at every AS the walk
+	// crossed (see walkcache.go).
+	FwdVersion(i int) uint64
 }
 
 // DropReason explains why a packet stopped.
@@ -192,7 +197,7 @@ func LossyAS(asn topo.ASN, prob float64, seed uint64) Rule {
 // Plane forwards packets. It is cheap to construct, and a single Plane
 // serves an entire simulation. Besides the installed rules it carries the
 // per-packet sequence counter and two memos — intra-AS paths (valid forever)
-// and whole walks (valid for one routing-and-rules epoch) — all owned by
+// and whole walks (each valid until an AS it crossed changes) — all owned by
 // the single goroutine that drives the simulation.
 type Plane struct {
 	top *topo.Topology
@@ -202,10 +207,15 @@ type Plane struct {
 	// rather than paying a map iterator on every hop.
 	failures []activeRule
 	nextID   FailureID
-	// ruleVersion advances on every change to failures; probRules counts
-	// the installed rules with a fractional DropProb. Both feed the walk
-	// cache: the first invalidates it, the second stands it down.
+	// routerAS maps a router to its AS's position in top.ASNs(), the dense
+	// index shared with the RIB's FwdVersion and with ruleVer.
+	routerAS []int32
+	// ruleVersion advances on every change to failures and ruleVer[i] on
+	// every change to a rule with AS i in its scope; probRules counts the
+	// installed rules with a fractional DropProb. All feed the walk cache:
+	// the versions invalidate entries, probRules stands it down.
 	ruleVersion uint64
+	ruleVer     []uint64
 	probRules   int
 	// seq numbers every packet injected via Forward; probabilistic rules
 	// hash it so their verdicts are per-packet, order-independent pure
@@ -218,7 +228,7 @@ type Plane struct {
 	// core is single-goroutine, like the engine it consults.
 	pathCache map[[2]topo.RouterID][]topo.RouterID
 	// walks memoizes whole forwarding walks (see walkcache.go).
-	walks walkCache
+	walks map[walkKey]*walkEntry
 
 	obs planeObs
 }
@@ -236,40 +246,71 @@ type planeObs struct {
 	// drops is indexed by DropReason; the Delivered slot stays nil.
 	drops [ForwardLoop + 1]*obs.Counter
 	// Walk-cache traffic, indexed by walkOutcome (the bypass slot stays
-	// nil) and by flushCause.
+	// nil); entries re-walked because an AS they crossed changed; and
+	// whole-cache drops at walkCacheCap.
 	cacheOutcomes [walkMiss + 1]*obs.Counter
-	cacheFlushes  [flushFull + 1]*obs.Counter
+	cacheStale    *obs.Counter
+	cacheFull     *obs.Counter
 }
 
 // Instrument registers the plane's metrics: packets injected, drops broken
 // down by reason (no-route, blackhole, ttl-expired, forward-loop), and the
-// walk cache's hits, misses and flushes by cause. Counting happens outside
-// the forwarding walk, so instrumented and uninstrumented planes forward
-// identically.
+// walk cache's hits, misses, stale entries and size-cap flushes. Counting
+// happens outside the forwarding walk, so instrumented and uninstrumented
+// planes forward identically.
 func (pl *Plane) Instrument(reg *obs.Registry) {
 	reg.Describe("lifeguard_dataplane_packets_forwarded_total", "packets injected into the data plane")
 	reg.Describe("lifeguard_dataplane_packets_dropped_total", "packets that did not reach their destination, by reason")
 	reg.Describe("lifeguard_dataplane_walk_cache_hits_total", "packets whose fate was answered from the walk cache")
 	reg.Describe("lifeguard_dataplane_walk_cache_misses_total", "packets walked hop by hop and stored in the walk cache")
-	reg.Describe("lifeguard_dataplane_walk_cache_flushes_total", "walk-cache invalidations, by cause (rib change, rule change, size cap)")
+	reg.Describe("lifeguard_dataplane_walk_cache_stale_total", "cached walks re-walked (and counted as misses) because a route or rule changed at an AS they crossed")
+	reg.Describe("lifeguard_dataplane_walk_cache_flushes_total", "times the whole walk cache was dropped, by cause (full: it reached its size cap)")
 	pl.obs.forwarded = reg.Counter("lifeguard_dataplane_packets_forwarded_total")
 	for r := NoRoute; r <= ForwardLoop; r++ {
 		pl.obs.drops[r] = reg.Counter("lifeguard_dataplane_packets_dropped_total", obs.L("reason", r.String()))
 	}
 	pl.obs.cacheOutcomes[walkHit] = reg.Counter("lifeguard_dataplane_walk_cache_hits_total")
 	pl.obs.cacheOutcomes[walkMiss] = reg.Counter("lifeguard_dataplane_walk_cache_misses_total")
-	for c, name := range flushCauseNames {
-		pl.obs.cacheFlushes[c] = reg.Counter("lifeguard_dataplane_walk_cache_flushes_total", obs.L("cause", name))
-	}
+	pl.obs.cacheStale = reg.Counter("lifeguard_dataplane_walk_cache_stale_total")
+	pl.obs.cacheFull = reg.Counter("lifeguard_dataplane_walk_cache_flushes_total", obs.L("cause", "full"))
 }
 
 // New returns a data plane over the topology, consulting rib at each AS.
 func New(top *topo.Topology, rib RIB) *Plane {
-	return &Plane{
+	pl := &Plane{
 		top:       top,
 		rib:       rib,
+		routerAS:  make([]int32, top.NumRouters()),
+		ruleVer:   make([]uint64, top.NumASes()),
 		pathCache: make(map[[2]topo.RouterID][]topo.RouterID),
-		walks:     walkCache{entries: make(map[walkKey]Result)},
+		walks:     make(map[walkKey]*walkEntry),
+	}
+	for i, asn := range top.ASNs() {
+		for _, r := range top.AS(asn).Routers {
+			pl.routerAS[r] = int32(i)
+		}
+	}
+	return pl
+}
+
+// touchRule advances the rule version of every AS in r's scope — AtAS, the
+// AS of AtRouter, both ends of an AS link and of a router link — so that
+// the cached walks that crossed one of them are re-walked. An AS or router
+// the topology does not have can match no hop and is skipped.
+func (pl *Plane) touchRule(r *Rule) {
+	pl.ruleVersion++
+	for _, asn := range [...]topo.ASN{r.AtAS, r.FromAS, r.ToAS} {
+		if i, ok := slices.BinarySearch(pl.top.ASNs(), asn); ok {
+			pl.ruleVer[i]++
+		}
+	}
+	for _, rt := range [...]struct {
+		set bool
+		id  topo.RouterID
+	}{{r.HasRouter, r.AtRouter}, {r.HasLink, r.FromRouter}, {r.HasLink, r.ToRouter}} {
+		if rt.set && int(rt.id) < len(pl.routerAS) {
+			pl.ruleVer[pl.routerAS[rt.id]]++
+		}
 	}
 }
 
@@ -284,7 +325,7 @@ func New(top *topo.Topology, rib RIB) *Plane {
 func (pl *Plane) AddFailure(r Rule) FailureID {
 	pl.nextID++
 	pl.failures = append(pl.failures, activeRule{id: pl.nextID, rule: r})
-	pl.ruleVersion++
+	pl.touchRule(&r)
 	if r.probabilistic() {
 		pl.probRules++
 	}
@@ -308,16 +349,18 @@ func (pl *Plane) RemoveFailure(id FailureID) bool {
 	if pl.failures[i].rule.probabilistic() {
 		pl.probRules--
 	}
+	pl.touchRule(&pl.failures[i].rule)
 	pl.failures = slices.Delete(pl.failures, i, i+1)
-	pl.ruleVersion++
 	return true
 }
 
 // ClearFailures removes all rules. The ID counter is not reset: handles
 // freed here stay retired (see AddFailure).
 func (pl *Plane) ClearFailures() {
+	for i := range pl.failures {
+		pl.touchRule(&pl.failures[i].rule)
+	}
 	pl.failures = pl.failures[:0]
-	pl.ruleVersion++
 	pl.probRules = 0
 }
 
@@ -426,7 +469,7 @@ func splitmix64(x uint64) uint64 {
 
 // Forward injects pkt at router "from" (the sender's gateway) and reports
 // its fate. The sender's own router does not consume TTL. The fate comes
-// from the walk cache when the routing-and-rules epoch still holds and is
+// from the walk cache while no AS on the cached walk has changed and is
 // walked hop by hop otherwise; the two are indistinguishable to the caller
 // except that Result.Hops is shared (see Result).
 func (pl *Plane) Forward(from topo.RouterID, pkt Packet) Result {

@@ -148,7 +148,8 @@ func TestProbabilisticLossDeterministic(t *testing.T) {
 // per-call rule scan: probRules counts exactly the installed rules with a
 // fractional DropProb through add, remove and clear, and the walk cache
 // stands down while it is non-zero and answers again once it is back to
-// zero.
+// zero — out of the entry it already had, since every rule here sits at
+// AS 9, which the walk never crosses.
 func TestProbRuleCountTracksRules(t *testing.T) {
 	top, _, pl := lineNet(t)
 	src := hub(top, 1)
@@ -182,8 +183,8 @@ func TestProbRuleCountTracksRules(t *testing.T) {
 	if pl.probRules != 0 {
 		t.Fatalf("probRules = %d after removing both", pl.probRules)
 	}
-	if outcome() != walkMiss || outcome() != walkHit {
-		t.Fatal("cache did not re-engage after the last fractional rule was removed")
+	if outcome() != walkHit {
+		t.Fatal("cache did not re-engage, entry intact, after the last fractional rule was removed")
 	}
 
 	pl.AddFailure(LossyAS(9, 0.5, 4))
@@ -191,7 +192,7 @@ func TestProbRuleCountTracksRules(t *testing.T) {
 	if pl.probRules != 0 {
 		t.Fatalf("probRules = %d after ClearFailures", pl.probRules)
 	}
-	if outcome() != walkMiss || outcome() != walkHit {
-		t.Fatal("cache did not re-engage after ClearFailures")
+	if outcome() != walkHit {
+		t.Fatal("cache did not re-engage, entry intact, after ClearFailures")
 	}
 }

@@ -13,17 +13,25 @@ import (
 // drives every LPM lookup and intra-AS path, Src and Dst drive rule
 // matching, TTL bounds the walk. LIFEGUARD's steady state — monitor rounds,
 // atlas traceroutes, isolation probes — asks for the same few thousand
-// walks over and over across long stretches where neither changes, so the
-// plane keeps them.
+// walks over and over, so the plane keeps them.
 //
-// Epoch contract. An entry is valid for one (RIB version, rule version)
-// pair. RIB.RIBVersion advances on every loc-RIB write at any AS;
-// ruleVersion advances in AddFailure, RemoveFailure and ClearFailures.
-// Nothing else a walk reads can change: the topology (routers, border
-// links, intra-AS paths) is immutable after Build, and every chaos fault
-// acts through one of those two doors. A mismatch on either version drops
-// the whole cache — invalidating per destination was measured and bought
-// nothing (DESIGN.md §12).
+// Validity contract. A cached walk lives until an AS it crossed changes.
+// Each entry carries one stamp per AS run of its Hops — every AS a recorded
+// hop sits in, not only those whose RIB was consulted: a walk blackholed at
+// an ingress router never looks its AS up, yet the rule that stopped it
+// lives there. An AS's stamp is RIB.FwdVersion plus the plane's rule version
+// for that AS; both only grow, so an unchanged sum means neither moved. The
+// first advances when a loc-RIB write at that AS changes what a packet does
+// there (a route appearing or vanishing, its next hop, Originated) and not
+// when only the path attribute behind the same next hop is rewritten, which
+// is most of what a poison does (§3.1.1). The second advances in AddFailure,
+// RemoveFailure and ClearFailures for every AS in the rule's scope. Nothing
+// else a walk reads can change: the topology (routers, border links,
+// intra-AS paths) is immutable after Build, and every chaos fault acts
+// through one of those two doors. A hit is answered once the entry's stamps
+// have been checked; an entry whose stamps moved is re-walked and replaced,
+// alone. The global (RIBVersion, ruleVersion) pair survives as a shortcut:
+// an entry last checked at the current sum needs no check.
 //
 // TTL is not part of the key. step spends TTL before it applies a router's
 // rules and the injecting router spends none, so a packet with TTL k sees
@@ -37,7 +45,7 @@ import (
 // it. Either way pl.seq advances exactly as it would on a walk.
 
 // walkCacheCap bounds the cache; reaching it drops every entry. An entry
-// with its 16-hop array is ~0.6 KB, so the bound is ~10 MB — several times
+// with its 16-hop array is ~0.7 KB, so the bound is ~12 MB — several times
 // the distinct headers of the largest workload in the tree.
 const walkCacheCap = 1 << 14
 
@@ -49,10 +57,19 @@ type walkKey struct {
 	dst, src uint32
 }
 
-// walkCache holds the walks of one epoch.
-type walkCache struct {
-	ribVersion, ruleVersion uint64
-	entries                 map[walkKey]Result
+// asStamp is the stamp of one AS (by dense index, see Plane.routerAS) as a
+// walk through it found it.
+type asStamp struct {
+	as int32
+	v  uint64
+}
+
+// walkEntry is one stored walk: the Result at max(TTL, DefaultTTL), a stamp
+// per AS run of its Hops, and the epoch at which those stamps last held.
+type walkEntry struct {
+	full    Result
+	stamps  []asStamp
+	checked uint64
 }
 
 // walkOutcome says how walk produced a Result; it indexes the hit/miss
@@ -65,24 +82,37 @@ const (
 	walkMiss
 )
 
-// flushCause labels a cache invalidation.
-type flushCause uint8
+// epoch sums the two global versions; both only grow, so two equal readings
+// mean no route and no rule changed anywhere in between.
+func (pl *Plane) epoch() uint64 { return pl.rib.RIBVersion() + pl.ruleVersion }
 
-const (
-	flushRIB flushCause = iota
-	flushRules
-	flushFull
-)
+// stamp is the current stamp of the AS with dense index as.
+func (pl *Plane) stamp(as int32) uint64 { return pl.rib.FwdVersion(int(as)) + pl.ruleVer[as] }
 
-var flushCauseNames = [flushFull + 1]string{"rib", "rules", "full"}
-
-// flushWalks drops every cached walk.
-func (pl *Plane) flushWalks(cause flushCause) {
-	if len(pl.walks.entries) == 0 {
-		return
+// stampRuns appends to buf the current stamp of every AS run of hops.
+func (pl *Plane) stampRuns(buf []asStamp, hops []Hop) []asStamp {
+	prev := int32(-1)
+	for i := range hops {
+		if as := pl.routerAS[hops[i].Router]; as != prev {
+			buf = append(buf, asStamp{as: as, v: pl.stamp(as)})
+			prev = as
+		}
 	}
-	clear(pl.walks.entries)
-	pl.obs.cacheFlushes[cause].Inc()
+	return buf
+}
+
+// current reports whether no AS e's walk crossed has changed since the walk.
+func (pl *Plane) current(e *walkEntry, epoch uint64) bool {
+	if e.checked == epoch {
+		return true
+	}
+	for _, s := range e.stamps {
+		if pl.stamp(s.as) != s.v {
+			return false
+		}
+	}
+	e.checked = epoch
+	return true
 }
 
 // v4 returns the IPv4 address a as an integer.
@@ -102,41 +132,44 @@ func (full *Result) atTTL(k int) (Result, bool) {
 	return *full, full.Reason != TTLExpired
 }
 
-// walk reports pkt's fate injected at from: out of the cache when the epoch
-// still holds and the header is there, by walking (and storing) otherwise.
+// walk reports pkt's fate injected at from: out of the cache when the header
+// is there and no AS on its walk has changed, by walking (and storing)
+// otherwise.
 func (pl *Plane) walk(from topo.RouterID, pkt Packet) (Result, walkOutcome) {
 	if pl.probRules > 0 || !pkt.Dst.Is4() || !pkt.Src.Is4() {
 		return pl.forward(from, pkt), walkBypass
-	}
-	c := &pl.walks
-	if v := pl.rib.RIBVersion(); v != c.ribVersion {
-		pl.flushWalks(flushRIB)
-		c.ribVersion = v
-	}
-	if pl.ruleVersion != c.ruleVersion {
-		pl.flushWalks(flushRules)
-		c.ruleVersion = pl.ruleVersion
 	}
 	ttl := pkt.TTL
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
+	epoch := pl.epoch()
 	key := walkKey{from: from, dst: v4(pkt.Dst), src: v4(pkt.Src)}
-	if full, ok := c.entries[key]; ok {
-		if res, ok := full.atTTL(ttl); ok {
+	e := pl.walks[key]
+	if e != nil {
+		if !pl.current(e, epoch) {
+			pl.obs.cacheStale.Inc()
+		} else if res, ok := e.full.atTTL(ttl); ok {
 			pl.seq++
 			return res, walkHit
 		}
 	}
 	pkt.TTL = max(ttl, DefaultTTL)
 	full := pl.forward(from, pkt)
+	if e == nil {
+		if len(pl.walks) >= walkCacheCap {
+			clear(pl.walks)
+			pl.obs.cacheFull.Inc()
+		}
+		e = new(walkEntry)
+		pl.walks[key] = e
+	}
 	// Clip so that an append through any handed-out Result reallocates
 	// instead of scribbling on the shared array.
 	full.Hops = slices.Clip(full.Hops)
-	if len(c.entries) >= walkCacheCap {
-		pl.flushWalks(flushFull)
-	}
-	c.entries[key] = full
+	e.full = full
+	e.stamps = pl.stampRuns(e.stamps[:0], full.Hops)
+	e.checked = epoch
 	res, _ := full.atTTL(ttl)
 	return res, walkMiss
 }

@@ -26,6 +26,18 @@ type walkWorld struct {
 	froms       []topo.RouterID // injection routers the op stream draws from
 	addrs       []netip.Addr    // header addresses the op stream draws from
 	rules       []FailureID
+	// round is a fixed set of headers the op stream replays whole, the way
+	// a monitor round does, so that the same walks are asked for again
+	// after changes that did and did not touch them.
+	round []roundPacket
+	// kept counts answers out of an entry stored in an earlier epoch: the
+	// state changed somewhere, the stamps were checked, the walk stood.
+	kept int
+}
+
+type roundPacket struct {
+	from topo.RouterID
+	pkt  Packet
 }
 
 func newWalkWorld(t testing.TB, cfg topogen.Config) *walkWorld {
@@ -50,6 +62,14 @@ func newWalkWorld(t testing.TB, cfg topogen.Config) *walkWorld {
 		w.froms = append(w.froms, hub)
 		w.addrs = append(w.addrs, gen.Top.Router(hub).Addr, topo.ProductionAddr(asn))
 	}
+	for i, from := range w.froms {
+		for _, j := range []int{i + 1, i + 3} {
+			w.round = append(w.round, roundPacket{from, Packet{
+				Src: gen.Top.Router(from).Addr,
+				Dst: w.addrs[2*(j%len(w.froms))+1],
+			}})
+		}
+	}
 	w.addrs = append(w.addrs,
 		topo.RouterAddr(topo.MaxASN, 0),    // in the plan, owned by nobody: no route
 		netip.Addr{},                       // unset source, as hijack probes send
@@ -62,7 +82,16 @@ func newWalkWorld(t testing.TB, cfg topogen.Config) *walkWorld {
 // in fate, hop record or sequence numbering.
 func (w *walkWorld) forward(t testing.TB, from topo.RouterID, pkt Packet) {
 	t.Helper()
+	hits := w.cached.obs.cacheOutcomes[walkHit]
+	before, behind := hits.Value(), false
+	if pkt.Dst.Is4() && pkt.Src.Is4() {
+		e := w.cached.walks[walkKey{from: from, dst: v4(pkt.Dst), src: v4(pkt.Src)}]
+		behind = e != nil && e.checked != w.cached.epoch()
+	}
 	got := w.cached.Forward(from, pkt)
+	if behind && hits.Value() > before {
+		w.kept++
+	}
 	want := w.ref.forward(from, pkt)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("from %d %+v:\ncached %+v\nwalked %+v", from, pkt, got, want)
@@ -107,9 +136,13 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 	top, gen := w.gen.Top, w.gen
 	for len(data) > 0 {
 		switch op := next() % 16; {
-		case op < 8:
+		case op < 5:
 			from, pkt := packet()
 			w.forward(t, from, pkt)
+		case op < 8:
+			for _, p := range w.round {
+				w.forward(t, p.from, p.pkt)
+			}
 		case op == 8:
 			// A batch the way traffic builds one — runs of one header —
 			// against the same packets walked singly.
@@ -174,7 +207,7 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 			if !w.cached.RemoveFailure(id) || !w.ref.RemoveFailure(id) {
 				t.Fatalf("rule %d not installed", id)
 			}
-		case op == 15 && pick(4) == 0:
+		case op == 15 && pick(2) == 0:
 			w.cached.ClearFailures()
 			w.ref.ClearFailures()
 			w.rules = w.rules[:0]
@@ -183,11 +216,13 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 }
 
 // TestCachedForwardMatchesWalk drives a long seeded operation stream —
-// forwards with random headers and TTLs interleaved with poison/unpoison
-// announcements stepped a few events at a time, withdrawals, and rule
-// add/remove both deterministic and lossy — and holds every cached answer to
-// the uncached walk on the same state. It also checks the stream really
-// exercised the cache: hits, misses, and both kinds of epoch flush.
+// forwards with random headers and TTLs and replays of one fixed round of
+// headers, interleaved with poison/unpoison announcements stepped a few
+// events at a time, withdrawals, and rule add/remove/clear both deterministic
+// and lossy — and holds every cached answer to the uncached walk on the same
+// state. It also checks the stream really exercised the cache: hits, misses,
+// entries re-walked because a change touched their walk, and entries that
+// answered again after a change that did not.
 func TestCachedForwardMatchesWalk(t *testing.T) {
 	w := newWalkWorld(t, topogen.Config{Seed: 7, NumTransit: 12, NumStub: 48})
 	data := make([]byte, 40_000)
@@ -197,11 +232,14 @@ func TestCachedForwardMatchesWalk(t *testing.T) {
 	o := &w.cached.obs
 	for name, c := range map[string]*obs.Counter{
 		"hits": o.cacheOutcomes[walkHit], "misses": o.cacheOutcomes[walkMiss],
-		"rib flushes": o.cacheFlushes[flushRIB], "rules flushes": o.cacheFlushes[flushRules],
+		"stale entries": o.cacheStale,
 	} {
 		if c.Value() == 0 {
 			t.Errorf("stream produced no cache %s", name)
 		}
+	}
+	if w.kept == 0 {
+		t.Error("no cached walk outlived a change elsewhere")
 	}
 	if h, m := o.cacheOutcomes[walkHit].Value(), o.cacheOutcomes[walkMiss].Value(); h+m > o.forwarded.Value() {
 		t.Errorf("%d hits + %d misses exceed %d packets forwarded", h, m, o.forwarded.Value())
@@ -216,6 +254,8 @@ func FuzzWalkCache(f *testing.F) {
 	f.Add([]byte{10, 0, 1, 9, 3, 0, 2, 0, 0, 0, 9, 11, 0, 2, 0, 0, 0, 10, 0, 200})
 	f.Add([]byte{12, 0, 1, 0, 0, 0, 0, 0, 0, 13, 1, 4, 9, 0, 0, 0, 0, 0, 14, 1, 0, 0, 0, 0, 0, 15, 0})
 	f.Add([]byte{8, 0, 2, 0, 0, 3, 1, 1, 1, 8, 0, 2, 0, 0, 3, 1, 1, 1})
+	// The round, replayed after a poison, a rule, its removal and a clear.
+	f.Add([]byte{5, 10, 0, 1, 9, 11, 5, 12, 0, 1, 0, 5, 14, 0, 5, 12, 0, 1, 3, 15, 0, 5})
 	seeded := make([]byte, 600)
 	rand.New(rand.NewSource(16)).Read(seeded)
 	f.Add(seeded)
@@ -236,7 +276,8 @@ func (r loopRIB) Lookup(asn topo.ASN, _ netip.Addr) (*bgp.Route, bool) {
 	return r.b, true
 }
 
-func (loopRIB) RIBVersion() uint64 { return 0 }
+func (loopRIB) RIBVersion() uint64    { return 0 }
+func (loopRIB) FwdVersion(int) uint64 { return 0 }
 
 // TestTTLPrefixOfFullWalk pins the argument that lets TTL stay out of the
 // cache key: for every k, the fate at TTL k is the first k+1 hops of the

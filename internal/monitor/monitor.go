@@ -60,13 +60,13 @@ func (o *Outage) Duration(now time.Duration) time.Duration {
 	return now - o.Start
 }
 
-type pairKey struct {
+// pair is one watched (vantage point, source, target) and its detection
+// state, kept together so a round touches each pair once and hashes nothing.
+type pair struct {
 	vp     topo.RouterID
 	src    netip.Addr // zero: use the vp router's own address
 	target netip.Addr
-}
 
-type pairState struct {
 	consecFails int
 	firstFail   time.Duration
 	current     *Outage
@@ -89,8 +89,7 @@ type Monitor struct {
 	// heartbeat a failsafe watchdog uses to detect monitor loss.
 	OnRound func()
 
-	pairs []pairKey
-	state map[pairKey]*pairState
+	pairs []*pair
 
 	// History accumulates all declared outages, resolved or not.
 	History []*Outage
@@ -125,30 +124,28 @@ func (m *Monitor) Instrument(reg *obs.Registry) {
 
 // New returns a monitor with no watched pairs.
 func New(pr *probe.Prober, clk *simclock.Scheduler, cfg Config) *Monitor {
-	return &Monitor{
-		pr: pr, clk: clk, cfg: cfg.withDefaults(),
-		state: make(map[pairKey]*pairState),
-	}
+	return &Monitor{pr: pr, clk: clk, cfg: cfg.withDefaults()}
 }
 
 // Watch adds a (vantage point, target) pair to the monitored set.
 func (m *Monitor) Watch(vp topo.RouterID, target netip.Addr) {
-	m.watch(pairKey{vp: vp, target: target})
+	m.watch(vp, netip.Addr{}, target)
 }
 
 // WatchFrom monitors target from vp using src as the probe source address —
 // the deployment mode where the vantage point's pings carry the production
 // prefix, so the monitored reachability is exactly what poisoning repairs.
 func (m *Monitor) WatchFrom(vp topo.RouterID, src, target netip.Addr) {
-	m.watch(pairKey{vp: vp, src: src, target: target})
+	m.watch(vp, src, target)
 }
 
-func (m *Monitor) watch(k pairKey) {
-	if _, dup := m.state[k]; dup {
-		return
+func (m *Monitor) watch(vp topo.RouterID, src, target netip.Addr) {
+	for _, p := range m.pairs {
+		if p.vp == vp && p.src == src && p.target == target {
+			return
+		}
 	}
-	m.pairs = append(m.pairs, k)
-	m.state[k] = &pairState{}
+	m.pairs = append(m.pairs, &pair{vp: vp, src: src, target: target})
 }
 
 // Start begins periodic rounds, the first immediately.
@@ -190,24 +187,24 @@ func (m *Monitor) Interval() time.Duration { return m.cfg.Interval }
 
 // Round performs one monitoring round over all pairs immediately.
 func (m *Monitor) Round() {
-	for _, k := range m.pairs {
-		m.roundFor(k)
+	for _, p := range m.pairs {
+		m.roundFor(p)
 	}
 	if m.OnRound != nil {
 		m.OnRound()
 	}
 }
 
-func (m *Monitor) roundFor(k pairKey) {
+func (m *Monitor) roundFor(p *pair) {
 	m.obs.rounds.Inc()
 	ok := false
 	responded := false
 	for i := 0; i < m.cfg.PingsPerRound; i++ {
 		var rep probe.PingReport
-		if k.src.IsValid() {
-			rep = m.pr.PingFromAddr(k.vp, k.src, k.target)
+		if p.src.IsValid() {
+			rep = m.pr.PingFromAddr(p.vp, p.src, p.target)
 		} else {
-			rep = m.pr.Ping(k.vp, k.target)
+			rep = m.pr.Ping(p.vp, p.target)
 		}
 		if rep.Responded {
 			responded = true
@@ -218,28 +215,27 @@ func (m *Monitor) roundFor(k pairKey) {
 		}
 	}
 	if m.Atlas != nil && responded {
-		m.Atlas.NoteResponsive(k.target, true)
+		m.Atlas.NoteResponsive(p.target, true)
 	}
-	st := m.state[k]
 	if ok {
-		if st.current != nil {
-			st.current.End = m.clk.Now()
+		if p.current != nil {
+			p.current.End = m.clk.Now()
 			m.obs.recoveries.Inc()
 			if m.OnRecovery != nil {
-				m.OnRecovery(st.current)
+				m.OnRecovery(p.current)
 			}
-			st.current = nil
+			p.current = nil
 		}
-		st.consecFails = 0
+		p.consecFails = 0
 		return
 	}
-	if st.consecFails == 0 {
-		st.firstFail = m.clk.Now()
+	if p.consecFails == 0 {
+		p.firstFail = m.clk.Now()
 	}
-	st.consecFails++
-	if st.consecFails == m.cfg.FailThreshold && st.current == nil {
-		o := &Outage{VP: k.vp, Target: k.target, Start: st.firstFail}
-		st.current = o
+	p.consecFails++
+	if p.consecFails == m.cfg.FailThreshold && p.current == nil {
+		o := &Outage{VP: p.vp, Target: p.target, Start: p.firstFail}
+		p.current = o
 		m.obs.outages.Inc()
 		m.History = append(m.History, o)
 		if m.OnOutage != nil {
@@ -251,9 +247,9 @@ func (m *Monitor) roundFor(k pairKey) {
 // Ongoing returns the currently-declared outages.
 func (m *Monitor) Ongoing() []*Outage {
 	var out []*Outage
-	for _, k := range m.pairs {
-		if st := m.state[k]; st.current != nil {
-			out = append(out, st.current)
+	for _, p := range m.pairs {
+		if p.current != nil {
+			out = append(out, p.current)
 		}
 	}
 	return out
@@ -262,8 +258,8 @@ func (m *Monitor) Ongoing() []*Outage {
 // Down reports whether any monitored pair between vp and target (whatever
 // its source address) is currently in a declared outage.
 func (m *Monitor) Down(vp topo.RouterID, target netip.Addr) bool {
-	for _, k := range m.pairs {
-		if k.vp == vp && k.target == target && m.state[k].current != nil {
+	for _, p := range m.pairs {
+		if p.vp == vp && p.target == target && p.current != nil {
 			return true
 		}
 	}

@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 #        workload  sim_latency_s      updates_per_op      allocs_per_op
-expect=("repair    382.1728918139953  1427.4567307692307  5517.38"
+expect=("repair    382.1728918139953  1427.4567307692307  2626.79"
         "converge  246.383297183625   1.946382            4.019978"
         "churn     198.12868835567502 3498.65             2743.61")
 
