@@ -63,17 +63,18 @@ func (s *Speaker) setNeighborDown(n topo.ASN, down bool) {
 		}
 		return
 	}
-	// Session re-established: advertise the full table to n.
+	// Session re-established: advertise the full table to n — every selected
+	// route (originated ones included: an origin's route is its best) that
+	// export policy lets n have. A speaker with nothing for n only ticks.
 	size := s.e.prefixes.size()
 	for id, r := range s.best {
-		if r != nil {
+		if r != nil && s.hasNews(i, prefixID(id)) {
 			st.pending.add(prefixID(id), size)
 		}
 	}
-	for id, ent := range s.origin {
-		if ent != nil {
-			st.pending.add(prefixID(id), size)
-		}
+	if len(st.pending.ids) > 0 {
+		s.kick(i)
+	} else {
+		s.idleKick(i)
 	}
-	s.kick(i)
 }

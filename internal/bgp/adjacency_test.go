@@ -168,3 +168,28 @@ func TestSessionFailureIsVisibleUnlikeSilentFailure(t *testing.T) {
 		t.Fatal("routes changed with no visible event")
 	}
 }
+
+// TestUpdateInFlightDiesWithItsSession: an update already on the wire when
+// its session fails must not be applied on arrival — the receiver has just
+// dropped everything it learned over that session.
+func TestUpdateInFlightDiesWithItsSession(t *testing.T) {
+	e, clk := newEngine(t, lineTopo(t))
+	p := topo.ProductionPrefix(1)
+	e.Originate(1, p)
+	for e.UpdatesSentBy(1) == 0 {
+		if !clk.Step() {
+			t.Fatal("AS1 never flushed")
+		}
+	}
+	if _, ok := e.BestRoute(2, p); ok || e.Quiescent() {
+		t.Fatal("want AS1's update still in flight")
+	}
+	e.SetAdjacencyDown(1, 2, true)
+	converge(t, e)
+	if r, ok := e.BestRoute(2, p); ok {
+		t.Fatalf("AS2 installed %v from a session that was down when it arrived", r)
+	}
+	if in := e.Speaker(2).AdjIn(p); len(in) != 0 {
+		t.Fatalf("AS2 adj-RIB-in holds %v", in)
+	}
+}

@@ -8,22 +8,26 @@ import (
 	"lifeguard/internal/topogen"
 )
 
-// TestPoisonCycleAllocations pins the classic loop's per-update cost in heap
-// objects. Deliveries and timers ride the scheduler's argument form and the
-// in-flight slab, so a warmed poison → converge → unpoison → converge cycle
-// allocates only what a changed best route needs (one materialized *Route)
-// plus the two Announce calls' own origin entries — well under one object
-// per update sent (0.79 on this graph). With a closure and a *event per
-// delivery and per timer, as before, the same cycle measured 9.2.
-func TestPoisonCycleAllocations(t *testing.T) {
+// warmedPoisonCycle fills a 25-transit, 80-stub graph over the prepended
+// baseline of §3.1.1 and returns the engine with one poison → converge →
+// unpoison → converge cycle, already run once (which interns the poisoned
+// paths and sizes the event heap and the slab). The cycle reports how many
+// scheduler events it stepped through.
+func warmedPoisonCycle(t *testing.T) (*Engine, func() (events int)) {
+	t.Helper()
 	gen, err := topogen.Generate(topogen.Config{Seed: 1, NumTransit: 25, NumStub: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(gen.Top, simclock.New(), Config{Seed: 1})
+	clk := simclock.New()
+	e := New(gen.Top, clk, Config{Seed: 1})
+	events := 0
 	converge := func() {
-		if !e.Converge(50_000_000) {
-			t.Fatal("no convergence")
+		for !e.Quiescent() {
+			if !clk.Step() {
+				t.Fatal("no convergence")
+			}
+			events++
 		}
 	}
 	for _, o := range gen.Stubs {
@@ -40,13 +44,27 @@ func TestPoisonCycleAllocations(t *testing.T) {
 		t.Fatalf("no transit path to poison: %v", r)
 	}
 	poisoned := OriginConfig{Pattern: topo.Path{origin, r.Path[0], origin}}
-	cycle := func() {
+	cycle := func() int {
+		events = 0
 		e.Announce(origin, pfx, poisoned)
 		converge()
 		e.Announce(origin, pfx, baseline)
 		converge()
+		return events
 	}
-	cycle() // interns the poisoned paths, sizes the event heap and the slab
+	cycle()
+	return e, cycle
+}
+
+// TestPoisonCycleAllocations pins the classic loop's per-update cost in heap
+// objects. Deliveries and timers ride the scheduler's argument form and the
+// in-flight slab, so a warmed poison → converge → unpoison → converge cycle
+// allocates only what a changed best route needs (one materialized *Route)
+// plus the two Announce calls' own origin entries — well under one object
+// per update sent (0.79 on this graph). With a closure and a *event per
+// delivery and per timer, as before, the same cycle measured 9.2.
+func TestPoisonCycleAllocations(t *testing.T) {
+	e, cycle := warmedPoisonCycle(t)
 	before := e.TotalUpdatesSent()
 	cycle()
 	updates := e.TotalUpdatesSent() - before
@@ -54,10 +72,34 @@ func TestPoisonCycleAllocations(t *testing.T) {
 		t.Fatalf("cycle sent only %d updates: not a poison cycle", updates)
 	}
 	const ceiling = 1.0
-	allocs := testing.AllocsPerRun(5, cycle)
+	allocs := testing.AllocsPerRun(5, func() { cycle() })
 	if per := allocs / float64(updates); per > ceiling {
 		t.Errorf("poison cycle: %.0f allocs for %d updates = %.2f per update, want <= %.1f", allocs, updates, per, ceiling)
 	} else {
 		t.Logf("poison cycle: %.0f allocs for %d updates = %.2f per update", allocs, updates, per)
+	}
+}
+
+// TestPoisonCycleEventsPerUpdate pins the same cycle's cost in scheduler
+// events. An update costs its delivery, and a flush that sends costs at most
+// the phase tick that led to it and the MRAI expiry that follows — at most
+// three events per update, fewer where a flush carries several or rides an
+// MRAI expiry (3.00 on this graph, where nearly every flush carries one). A
+// session that was kicked with nothing to send costs none: with an armed
+// timer for every kicked session this cycle measured 4.15 events per update,
+// and the benchmark's churn workload 5.2.
+func TestPoisonCycleEventsPerUpdate(t *testing.T) {
+	e, cycle := warmedPoisonCycle(t)
+	before := e.TotalUpdatesSent()
+	events := cycle()
+	updates := e.TotalUpdatesSent() - before
+	if updates < 100 {
+		t.Fatalf("cycle sent only %d updates: not a poison cycle", updates)
+	}
+	const ceiling = 3.0
+	if per := float64(events) / float64(updates); per > ceiling {
+		t.Errorf("poison cycle: %d events for %d updates = %.2f per update, want <= %.1f", events, updates, per, ceiling)
+	} else {
+		t.Logf("poison cycle: %d events for %d updates = %.2f per update", events, updates, per)
 	}
 }

@@ -79,6 +79,16 @@ func (r *Route) exportedTo(a *arena, self topo.ASN) (topo.Path, pathID) {
 	return r.exportPath, r.expID
 }
 
+// exportIs reports whether the path exportedTo would return is the interned
+// path pid, without building or interning it when it is not cached yet.
+func (r *Route) exportIs(a *arena, self topo.ASN, pid pathID) bool {
+	if r.exportPath != nil {
+		return r.expID == pid
+	}
+	p := a.path(pid)
+	return len(p) == len(r.Path)+1 && p[0] == self && p[1:].Equal(r.Path)
+}
+
 // NextHop returns the neighbor AS traffic is forwarded to, and false for
 // originated routes (local delivery).
 func (r *Route) NextHop() (topo.ASN, bool) {

@@ -34,7 +34,8 @@ type Engine struct {
 	OnBestChange func(BestChange)
 
 	// pendingEvents counts scheduled BGP events (message deliveries and
-	// armed MRAI timers); zero means the control plane is quiescent.
+	// armed phase/MRAI timers); zero means the control plane is quiescent.
+	// Idle ticks are remembered, not scheduled, and are not counted.
 	pendingEvents int
 
 	// Protocol events carry no closure: an update in flight is
@@ -92,8 +93,10 @@ func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
 	for _, asn := range e.asns {
 		s := e.speakers[asn]
 		s.peers = make([]*Speaker, len(s.neighbors))
+		s.peerIdx = make([]int32, len(s.neighbors))
 		for i, n := range s.neighbors {
 			s.peers[i] = e.speakers[n]
+			s.peerIdx[i] = int32(s.peers[i].nbrIndex(asn))
 		}
 	}
 	return e
@@ -395,7 +398,10 @@ func (e *Engine) ASPathTo(asn topo.ASN, addr netip.Addr) topo.Path {
 	return r.Path.Clone()
 }
 
-// Quiescent reports whether no BGP messages or MRAI flushes are pending.
+// Quiescent reports whether no BGP message is in flight and no timer that
+// will flush is armed. A remembered idle tick (Speaker.idleKick) is neither:
+// it stands for a timer with nothing to send, so Converge returns at the
+// last event that could still change a route, not up to one MRAI later.
 func (e *Engine) Quiescent() bool { return e.pendingEvents == 0 }
 
 // Converge steps the scheduler until the control plane is quiescent or the
@@ -434,14 +440,16 @@ func (e *Engine) deliver(s *Speaker, i int, u update) {
 	}
 	st.lastDelivery = at
 	e.pendingEvents++
-	e.clk.AtCall(at, e.fireDeliver, e.park(inflightUpdate{dst: s.peers[i], from: s.asn, u: u}))
+	e.clk.AtCall(at, e.fireDeliver, e.park(inflightUpdate{dst: s.peers[i], ri: s.peerIdx[i], u: u}))
 }
 
-// inflightUpdate is one update between deliver and its arrival.
+// inflightUpdate is one update between deliver and its arrival: the
+// receiver and the index, in the receiver's neighbor list, of the session it
+// arrives on (the sender is dst.neighbors[ri]).
 type inflightUpdate struct {
-	dst  *Speaker
-	from topo.ASN
-	u    update
+	dst *Speaker
+	ri  int32
+	u   update
 }
 
 // park stores m in a free inflight slot and returns the slot.
@@ -462,16 +470,17 @@ func (e *Engine) deliverArrived(slot uint64) {
 	e.inflight[slot] = inflightUpdate{}
 	e.inflightFree = append(e.inflightFree, uint32(slot))
 	e.pendingEvents--
-	if m.dst.neighborDown(m.from) {
+	if m.dst.out[m.ri].down {
 		return // the session died while the message was in flight
 	}
-	m.dst.receive(m.from, m.u)
+	m.dst.receive(int(m.ri), m.u)
 }
 
-// schedPhase arms s's neighbor-i advertisement timer at the next tick of a
-// free-running MRAI timer: a uniform phase in [0, MRAI).
-func (e *Engine) schedPhase(s *Speaker, i int) {
-	e.schedTimer(s, i, time.Duration(e.rng.Float64()*float64(e.cfg.MRAI)))
+// phase draws the distance to the next tick of a free-running MRAI timer: a
+// uniform phase in [0, MRAI). The draw is separate from the event because a
+// session with nothing to send takes the one without the other (idleKick).
+func (e *Engine) phase() time.Duration {
+	return time.Duration(e.rng.Float64() * float64(e.cfg.MRAI))
 }
 
 // schedMRAI arms s's neighbor-i timer one jittered MRAI interval out.

@@ -115,7 +115,7 @@ func TestInjectedUpdateSharesInternedSlot(t *testing.T) {
 	s2 := e.Speaker(2)
 	size := e.prefixes.size()
 
-	s2.receive(1, update{prefix: p, path: topo.Path{1, 1, 1}})
+	s2.receive(s2.nbrIndex(1), update{prefix: p, path: topo.Path{1, 1, 1}})
 	if got := e.prefixes.size(); got != size {
 		t.Fatalf("injected update for a known prefix grew the table: %d -> %d", size, got)
 	}
@@ -125,7 +125,7 @@ func TestInjectedUpdateSharesInternedSlot(t *testing.T) {
 	}
 
 	q := topo.SentinelPrefix(1)
-	s2.receive(1, update{prefix: q, path: topo.Path{1}})
+	s2.receive(s2.nbrIndex(1), update{prefix: q, path: topo.Path{1}})
 	id, ok := e.prefixes.lookup(q)
 	if !ok {
 		t.Fatal("injected update for a new prefix was not interned")

@@ -12,6 +12,9 @@ import (
 type Speaker struct {
 	e   *Engine
 	asn topo.ASN
+	// as is the topology's record of this AS (its policy quirks), cached:
+	// import and export read it per update and per (prefix, neighbor).
+	as *topo.AS
 	// idx is this speaker's position in the engine's sorted ASN table —
 	// the index into the engine's dense per-AS slices.
 	idx int
@@ -51,12 +54,14 @@ type Speaker struct {
 	commActions map[Community]CommunityAction
 
 	neighbors []topo.ASN // sorted, cached
-	// nbrRel and peers cache, per neighbor index, the relationship of the
-	// neighbor as seen from here and its speaker: the topology is immutable
-	// after Build, and export and delivery would otherwise pay map lookups
-	// per (prefix, neighbor).
-	nbrRel []topo.Rel
-	peers  []*Speaker
+	// nbrRel, peers and peerIdx cache, per neighbor index, the relationship
+	// of the neighbor as seen from here, its speaker, and this AS's index in
+	// that speaker's neighbor list: the topology is immutable after Build,
+	// and export, delivery and import would otherwise pay a map lookup or a
+	// binary search per (prefix, neighbor).
+	nbrRel  []topo.Rel
+	peers   []*Speaker
+	peerIdx []int32
 }
 
 // originEntry pairs an origin policy with its pre-built loc-RIB route, the
@@ -110,14 +115,31 @@ type advRecord struct {
 	cid commID
 }
 
+// differs reports whether export ex (ok=false: no announcement) is news to a
+// neighbor last sent r. A withdrawal is news only if something is advertised.
+func (r advRecord) differs(ex export, ok bool) bool {
+	if !ok {
+		return r.pid != 0
+	}
+	return r != advRecord{pid: ex.pid, cid: ex.cid}
+}
+
 // outState is one neighbor session's send-side state. lastDelivery (the
 // per-directed-pair FIFO watermark), extra (chaos-installed propagation
 // delay) and down (failed session) moved here from engine-wide maps keyed
 // by AS pair.
 type outState struct {
-	// pending is the set of prefix ids queued for the next flush.
-	pending    idSet
+	// pending is the set of prefix ids queued for the next flush: the ones
+	// that had news for this neighbor when they were marked (see hasNews).
+	pending idSet
+	// timerArmed says a phase or MRAI timer event is in the scheduler and
+	// will flush; it is the only representation of a timer that will.
 	timerArmed bool
+	// quietUntil is the session's remembered tick: the instant of the phase
+	// timer drawn for a kick that had nothing to send (see idleKick). No
+	// event stands behind it. While it lies ahead the session behaves as if
+	// that timer were armed; once passed it means nothing.
+	quietUntil time.Duration
 	// lastAdv is indexed by prefix id and grows on the first advertisement
 	// past its end; a session that never advertises keeps it nil.
 	lastAdv      []advRecord
@@ -126,11 +148,20 @@ type outState struct {
 	down         bool
 }
 
+// advertised returns what the session last advertised for id.
+func (st *outState) advertised(id prefixID) advRecord {
+	if int(id) < len(st.lastAdv) {
+		return st.lastAdv[id]
+	}
+	return advRecord{}
+}
+
 // newSpeaker builds asn's speaker; New fills peers once every speaker exists.
 func newSpeaker(e *Engine, asn topo.ASN, idx int) *Speaker {
 	s := &Speaker{
 		e:         e,
 		asn:       asn,
+		as:        e.top.AS(asn),
 		idx:       idx,
 		damp:      make(map[dampKey]*dampState),
 		neighbors: e.top.Neighbors(asn),
@@ -290,10 +321,11 @@ func (s *Speaker) withdrawOrigin(prefix netip.Prefix) {
 	s.markAllPending(id)
 }
 
-// receive applies one update from a neighbor: it folds the update into the
-// adj-RIB-in and, when the stored offer changed, runs the decision process
-// and queues the result for export.
-func (s *Speaker) receive(from topo.ASN, u update) {
+// receive applies one update arriving on the session with neighbor ri: it
+// folds the update into the adj-RIB-in and, when the stored offer changed,
+// runs the decision process and queues the result for export.
+func (s *Speaker) receive(ri int, u update) {
+	from := s.neighbors[ri]
 	s.e.obs.updatesReceived.Inc()
 	if u.path == nil {
 		s.e.obs.withdrawalsReceived.Inc()
@@ -324,7 +356,7 @@ func (s *Speaker) receive(from topo.ASN, u update) {
 		}
 		rb.remove(idx)
 	} else {
-		rel := s.e.top.Rel(s.asn, from)
+		rel := s.nbrRel[ri]
 		lpref := localPref(rel)
 		if s.communityAction(u.communities) == ActionLowerPref {
 			lpref = prefBackup
@@ -392,7 +424,7 @@ func (s *Speaker) importOK(from topo.ASN, path topo.Path) bool {
 	if len(path) == 0 || path[0] != from {
 		return false
 	}
-	as := s.e.top.AS(s.asn)
+	as := s.as
 	// MaxOwnASOccurs == 0 disables loop detection entirely (§7.1).
 	if as.MaxOwnASOccurs > 0 && path.Count(s.asn) >= as.MaxOwnASOccurs {
 		return false
@@ -523,14 +555,45 @@ func sameForwarding(a, b *Route) bool {
 	return na == nb
 }
 
+// markAllPending offers prefix id to every neighbor session after its export
+// may have changed: a session with news queues the prefix and is kicked, one
+// without still consumes its tick (idleKick) but queues and schedules
+// nothing.
 func (s *Speaker) markAllPending(id prefixID) {
 	n := s.e.prefixes.size()
 	for i := range s.out {
-		s.out[i].pending.add(id, n)
+		if s.hasNews(i, id) {
+			s.out[i].pending.add(id, n)
+			s.kick(i)
+		} else {
+			s.idleKick(i)
+		}
 	}
-	for i := range s.out {
-		s.kick(i)
+}
+
+// hasNews reports whether a flush toward neighbor i would send anything for
+// prefix id as things stand: the session is up and the export differs from
+// what was last advertised. It compares exports, never loc-RIB routes — an
+// origin's pattern can change under an unchanged originated route. For a
+// learned route it answers what flush's exportTo and differs would, without
+// building the export path: a route selected now may be replaced before any
+// flush sends it, and the arena never forgets a path it was handed.
+func (s *Speaker) hasNews(i int, id prefixID) bool {
+	st := &s.out[i]
+	if st.down {
+		return false
 	}
+	last := st.advertised(id)
+	if s.originAt(id) != nil {
+		ex, ok := s.exportTo(i, id) // every handle was interned at Announce
+		return last.differs(ex, ok)
+	}
+	b := s.bestAt(id)
+	if !s.mayExport(i, b) {
+		return last.pid != 0
+	}
+	_, cid := s.exportComms(b)
+	return last.pid == 0 || last.cid != cid || !b.exportIs(s.e.arena, s.asn, last.pid)
 }
 
 // kick schedules a flush toward neighbor i unless an advertisement timer is
@@ -538,7 +601,9 @@ func (s *Speaker) markAllPending(id prefixID) {
 // expires. The per-neighbor MRAI timer is modelled as free-running: a
 // freshly-kicked session flushes at the timer's next tick, a uniform phase
 // away — this is what spreads update propagation over tens of seconds per
-// hop and gives realistic global convergence times.
+// hop and gives realistic global convergence times. A remembered tick still
+// ahead (idleKick) is that timer already running: the flush is scheduled at
+// its instant, not at a fresh draw.
 func (s *Speaker) kick(i int) {
 	st := &s.out[i]
 	if st.timerArmed {
@@ -546,7 +611,29 @@ func (s *Speaker) kick(i int) {
 		return
 	}
 	st.timerArmed = true
-	s.e.schedPhase(s, i)
+	d := st.quietUntil - s.e.clk.Now()
+	if d > 0 {
+		s.e.obs.mraiDeferrals.Inc()
+	} else {
+		d = s.e.phase()
+	}
+	s.e.schedTimer(s, i, d)
+}
+
+// idleKick is kick for a session with nothing to send. The session's
+// free-running timer ticks all the same, so its phase is drawn exactly where
+// kick would have drawn it — the engine's rng stream does not depend on who
+// had news — but the tick is remembered in quietUntil instead of scheduled:
+// an event whose flush could only send nothing is not worth a heap slot.
+func (s *Speaker) idleKick(i int) {
+	st := &s.out[i]
+	now := s.e.clk.Now()
+	if st.timerArmed || st.quietUntil > now {
+		s.e.obs.mraiDeferrals.Inc()
+		return
+	}
+	st.quietUntil = now + s.e.phase()
+	s.e.obs.idleTicks.Inc()
 }
 
 // timerFired handles an expired phase or MRAI timer for neighbor i.
@@ -570,10 +657,8 @@ func (s *Speaker) flushAndArm(i int) {
 // what was last advertised; it returns the number of messages sent.
 func (s *Speaker) flush(i int) int {
 	st := &s.out[i]
-	if st.down {
-		st.pending.reset()
-		return 0
-	}
+	// A down session has nothing pending: losing it reset the list, and
+	// hasNews queues nothing toward it until it returns.
 	// Flush never nests (deliveries are scheduled, not synchronous), so the
 	// pending list is sorted and walked in place and emptied afterwards.
 	ids := st.pending.ids
@@ -581,26 +666,19 @@ func (s *Speaker) flush(i int) int {
 	sent := 0
 	for _, id := range ids {
 		ex, ok := s.exportTo(i, id)
-		var last advRecord
-		if int(id) < len(st.lastAdv) {
-			last = st.lastAdv[id]
-		}
-		if !ok {
-			if last.pid != 0 {
-				st.lastAdv[id] = advRecord{}
-				s.e.deliver(s, i, update{id: id})
-				sent++
-			}
+		if !st.advertised(id).differs(ex, ok) {
 			continue
 		}
-		adv := advRecord{pid: ex.pid, cid: ex.cid}
-		if last == adv {
+		sent++
+		if !ok {
+			st.lastAdv[id] = advRecord{}
+			s.e.deliver(s, i, update{id: id})
 			continue
 		}
 		if int(id) >= len(st.lastAdv) {
 			st.lastAdv = growTo(st.lastAdv, s.e.prefixes.size())
 		}
-		st.lastAdv[id] = adv
+		st.lastAdv[id] = advRecord{pid: ex.pid, cid: ex.cid}
 		s.e.deliver(s, i, update{
 			id:          id,
 			path:        ex.path,
@@ -609,7 +687,6 @@ func (s *Speaker) flush(i int) int {
 			pid:         ex.pid,
 			cid:         ex.cid,
 		})
-		sent++
 	}
 	st.pending.reset()
 	return sent
@@ -620,8 +697,8 @@ func (s *Speaker) flush(i int) int {
 // community stripping. ok=false means "no announcement" (neighbor should
 // hold no route from us).
 func (s *Speaker) exportTo(i int, id prefixID) (export, bool) {
-	n := s.neighbors[i]
 	if ent := s.originAt(id); ent != nil {
+		n := s.neighbors[i]
 		cfg := &ent.cfg
 		pat, pid, announce := ent.pattern(n)
 		if !announce {
@@ -637,24 +714,35 @@ func (s *Speaker) exportTo(i int, id prefixID) (export, bool) {
 		return export{path: pat, comms: cs, med: int32(cfg.MED), pid: pid, cid: cid}, true
 	}
 	b := s.bestAt(id)
-	if b == nil || b.From == n {
+	if !s.mayExport(i, b) {
 		return export{}, false
+	}
+	out, pid := b.exportedTo(s.e.arena, s.asn)
+	c, cid := s.exportComms(b)
+	return export{path: out, comms: c, med: 0, pid: pid, cid: cid}, true
+}
+
+// mayExport applies split horizon, valley-free export policy and this AS's
+// action communities to learned route b (nil: no route) toward neighbor i.
+func (s *Speaker) mayExport(i int, b *Route) bool {
+	if b == nil || b.From == s.neighbors[i] {
+		return false
 	}
 	// Valley-free export: routes learned from peers or providers are
 	// exported only to customers.
 	relToN := s.nbrRel[i]
 	if relToN != topo.RelCustomer && b.Rel != topo.RelCustomer {
-		return export{}, false
+		return false
 	}
 	// Action communities this AS defines (§2.3) can further restrict
 	// export.
-	if blockExport(s.communityAction(b.Communities), relToN) {
-		return export{}, false
+	return !blockExport(s.communityAction(b.Communities), relToN)
+}
+
+// exportComms returns the communities learned route b is exported with.
+func (s *Speaker) exportComms(b *Route) ([]Community, commID) {
+	if s.as.StripCommunities {
+		return nil, 0
 	}
-	out, pid := b.exportedTo(s.e.arena, s.asn)
-	c, cid := b.Communities, b.cid
-	if s.e.top.AS(s.asn).StripCommunities {
-		c, cid = nil, 0
-	}
-	return export{path: out, comms: c, med: 0, pid: pid, cid: cid}, true
+	return b.Communities, b.cid
 }

@@ -17,8 +17,8 @@ cd "$(dirname "$0")/.."
 
 #        workload  sim_latency_s      updates_per_op      allocs_per_op
 expect=("repair    382.1728918139953  1427.4567307692307  2626.79"
-        "converge  246.383297183625   1.946382            4.019978"
-        "churn     198.12868835567502 3498.65             2743.61")
+        "converge  246.383297183625   1.946382            3.723628"
+        "churn     198.1138306302584  3498.65             2743.61")
 
 field() { # field <json> <metric>: the metric's value, as printed
 	sed -n "s/.*\"$2\":{\"value\":\([-+0-9.eE]*\).*/\1/p" <<<"$1"
