@@ -44,6 +44,13 @@ type pairKey struct {
 	target netip.Addr
 }
 
+// pairState is everything the atlas keeps for one (vp, target): both
+// directions' measurements, oldest first, and the traceroute it repeats.
+type pairState struct {
+	fwd, rev []PathRecord
+	tracer   probe.Tracer
+}
+
 // Config tunes the atlas.
 type Config struct {
 	// RefreshInterval is the period between automatic refresh rounds
@@ -83,12 +90,11 @@ type Atlas struct {
 	vps     []topo.RouterID
 	targets []netip.Addr
 
-	forward map[pairKey][]PathRecord // vp -> target
-	reverse map[pairKey][]PathRecord // target -> vp
+	pairs map[pairKey]*pairState
 
 	// resp records whether an address has ever answered a probe and when
 	// it last did.
-	resp map[netip.Addr]respEntry
+	resp map[netip.Addr]*Responsiveness
 
 	// PathsRefreshed counts reverse-path refreshes performed, for the
 	// §5.4 throughput measurement.
@@ -98,18 +104,26 @@ type Atlas struct {
 	started bool
 }
 
-type respEntry struct {
+// Responsiveness is one address's row in the responsiveness database. A
+// caller that observes the same address again and again (a monitor pair,
+// every round) holds the row and notes into it directly.
+type Responsiveness struct {
 	ever   bool
 	lastOK time.Duration
+}
+
+// Note records that the address answered a probe at virtual time now.
+func (r *Responsiveness) Note(now time.Duration) {
+	r.ever = true
+	r.lastOK = now
 }
 
 // New returns an empty atlas.
 func New(top *topo.Topology, pr *probe.Prober, clk *simclock.Scheduler, cfg Config) *Atlas {
 	return &Atlas{
 		top: top, pr: pr, clk: clk, cfg: cfg.withDefaults(),
-		forward: make(map[pairKey][]PathRecord),
-		reverse: make(map[pairKey][]PathRecord),
-		resp:    make(map[netip.Addr]respEntry),
+		pairs: make(map[pairKey]*pairState),
+		resp:  make(map[netip.Addr]*Responsiveness),
 	}
 }
 
@@ -141,29 +155,49 @@ func (a *Atlas) targetRouter(addr netip.Addr) (topo.RouterID, bool) {
 	return as.Routers[0], true
 }
 
+// Responsiveness returns addr's row in the responsiveness database, adding
+// an empty one (never answered) on first sight.
+func (a *Atlas) Responsiveness(addr netip.Addr) *Responsiveness {
+	r := a.resp[addr]
+	if r == nil {
+		r = new(Responsiveness)
+		a.resp[addr] = r
+	}
+	return r
+}
+
 // NoteResponsive records an externally-observed probe outcome for addr.
 func (a *Atlas) NoteResponsive(addr netip.Addr, ok bool) {
-	e := a.resp[addr]
-	if ok {
-		e.ever = true
-		e.lastOK = a.clk.Now()
+	if r := a.Responsiveness(addr); ok {
+		r.Note(a.clk.Now())
 	}
-	a.resp[addr] = e
 }
 
 // EverResponsive reports whether addr has ever answered a probe. Isolation
 // uses it to exclude configured-silent routers from blame (§4.1.2).
-func (a *Atlas) EverResponsive(addr netip.Addr) bool { return a.resp[addr].ever }
+func (a *Atlas) EverResponsive(addr netip.Addr) bool {
+	r := a.resp[addr]
+	return r != nil && r.ever
+}
+
+// pair returns the record of (vp, target), nil if it was never refreshed.
+func (a *Atlas) pair(vp topo.RouterID, target netip.Addr) *pairState {
+	return a.pairs[pairKey{vp: vp, target: target}]
+}
 
 // RefreshPair measures and records the forward and reverse paths for one
 // (vantage point, target) pair.
 func (a *Atlas) RefreshPair(vp topo.RouterID, target netip.Addr) {
 	now := a.clk.Now()
-	k := pairKey{vp: vp, target: target}
+	ps := a.pair(vp, target)
+	if ps == nil {
+		ps = &pairState{tracer: a.pr.Tracer(vp, target)}
+		a.pairs[pairKey{vp: vp, target: target}] = ps
+	}
 
-	fwd := a.pr.Traceroute(vp, target)
+	fwd := ps.tracer.Trace()
 	a.recordHops(fwd.Hops)
-	a.append(a.forward, k, PathRecord{At: now, Hops: fwd.Hops, Reached: fwd.ReachedDst})
+	ps.fwd = a.appendRecord(ps.fwd, PathRecord{At: now, Hops: fwd.Hops, Reached: fwd.ReachedDst})
 
 	if tr, ok := a.targetRouter(target); ok {
 		rev, ok := a.pr.ReverseTraceroute(tr, vp)
@@ -172,11 +206,10 @@ func (a *Atlas) RefreshPair(vp topo.RouterID, target netip.Addr) {
 			// ICMP echo, so they do not feed the ping-responsiveness DB.
 			// Charge the from-scratch premium when the path is new or
 			// different from the last record (§5.4 amortization).
-			hist := a.reverse[k]
-			if len(hist) == 0 || !samePath(hist[len(hist)-1].Hops, rev.Hops) {
+			if len(ps.rev) == 0 || !samePath(ps.rev[len(ps.rev)-1].Hops, rev.Hops) {
 				a.pr.Charge(a.cfg.FullMeasureCost - 10)
 			}
-			a.append(a.reverse, k, PathRecord{At: now, Hops: rev.Hops, Reached: true})
+			ps.rev = a.appendRecord(ps.rev, PathRecord{At: now, Hops: rev.Hops, Reached: true})
 			a.PathsRefreshed++
 		}
 	}
@@ -218,12 +251,14 @@ func (a *Atlas) Stop() {
 	}
 }
 
-func (a *Atlas) append(m map[pairKey][]PathRecord, k pairKey, rec PathRecord) {
-	h := append(m[k], rec)
+// appendRecord adds rec to one direction's history, dropping the oldest
+// records beyond MaxHistory.
+func (a *Atlas) appendRecord(h []PathRecord, rec PathRecord) []PathRecord {
+	h = append(h, rec)
 	if len(h) > a.cfg.MaxHistory {
 		h = h[len(h)-a.cfg.MaxHistory:]
 	}
-	m[k] = h
+	return h
 }
 
 func (a *Atlas) recordHops(hops []probe.Hop) {
@@ -248,12 +283,18 @@ func samePath(a, b []probe.Hop) bool {
 
 // Forward returns the recorded vp→target measurements, oldest first.
 func (a *Atlas) Forward(vp topo.RouterID, target netip.Addr) []PathRecord {
-	return a.forward[pairKey{vp: vp, target: target}]
+	if ps := a.pair(vp, target); ps != nil {
+		return ps.fwd
+	}
+	return nil
 }
 
 // Reverse returns the recorded target→vp measurements, oldest first.
 func (a *Atlas) Reverse(vp topo.RouterID, target netip.Addr) []PathRecord {
-	return a.reverse[pairKey{vp: vp, target: target}]
+	if ps := a.pair(vp, target); ps != nil {
+		return ps.rev
+	}
+	return nil
 }
 
 // HistoricalHops returns the union of routers seen on any recorded path
@@ -274,8 +315,10 @@ func (a *Atlas) HistoricalHops(vp topo.RouterID, target netip.Addr) []probe.Hop 
 			}
 		}
 	}
-	add(a.forward[pairKey{vp: vp, target: target}])
-	add(a.reverse[pairKey{vp: vp, target: target}])
+	if ps := a.pair(vp, target); ps != nil {
+		add(ps.fwd)
+		add(ps.rev)
+	}
 	return out
 }
 
@@ -283,7 +326,7 @@ func (a *Atlas) HistoricalHops(vp topo.RouterID, target netip.Addr) []probe.Hop 
 // than cutoff, plus all older ones (newest first), for the §4.1.2 expanding
 // suspect-set analysis.
 func (a *Atlas) LatestReverseBefore(vp topo.RouterID, target netip.Addr, cutoff time.Duration) []PathRecord {
-	recs := a.reverse[pairKey{vp: vp, target: target}]
+	recs := a.Reverse(vp, target)
 	var out []PathRecord
 	for i := len(recs) - 1; i >= 0; i-- {
 		if recs[i].At < cutoff {

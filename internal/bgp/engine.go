@@ -375,7 +375,8 @@ func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 // RIBVersion advances by one for every loc-RIB change at any speaker
 // (Speaker.decide is the only place a selected route is written). Between
 // two equal readings no Lookup result can have changed, so the data plane's
-// walk cache answers without its per-AS check (FwdVersion) while it holds.
+// walk cache answers without its per-entry checks (FwdVersion, DstVersion)
+// while it holds.
 func (e *Engine) RIBVersion() uint64 { return e.ribVersion }
 
 // FwdVersion counts the loc-RIB changes at the i-th AS of Topology.ASNs()
@@ -387,6 +388,24 @@ func (e *Engine) RIBVersion() uint64 { return e.ribVersion }
 // that did not route through A (§3.1.1) — so a forwarding walk stays valid
 // while the FwdVersion of every AS it crossed holds still.
 func (e *Engine) FwdVersion(i int) uint64 { return e.fwdVersion[i] }
+
+// DstVersion moves whenever Lookup(asn, addr) forwards differently at any
+// AS. It is the sum, over every interned prefix covering addr, of the
+// forwarding changes decide has counted for that prefix at any speaker (the
+// same changes FwdVersion counts per AS): whichever prefix an AS matches
+// addr by is one of them, and so is any more-specific whose first route
+// anywhere would reshape the match — it is counted from the moment it is
+// interned, routed or not, which is why the sum runs over the prefix table
+// and not over the one prefix addr matches today. The terms only grow, so
+// two equal readings mean no AS forwards addr differently; a non-IPv4
+// address, which nothing routes, reads 0.
+func (e *Engine) DstVersion(addr netip.Addr) uint64 {
+	key, ok := v4Key(addr)
+	if !ok {
+		return 0
+	}
+	return e.prefixes.cover.sumCovering(key, e.prefixes.fwd)
+}
 
 // ASPathTo returns asn's current AS-level path toward addr (LPM), nil if it
 // has no route. The returned path is the RIB path, poisons included.

@@ -32,7 +32,8 @@ type lpmNode struct {
 	id    prefixID
 }
 
-// lpmIndex is one speaker's index over its loc-RIB. The zero value is an
+// lpmIndex is one speaker's index over its loc-RIB (or, in the prefix
+// table, the engine's over every interned prefix). The zero value is an
 // empty index ready for use.
 type lpmIndex struct {
 	root  lpmNode
@@ -150,4 +151,19 @@ func (x *lpmIndex) lookup(key uint32) prefixID {
 		}
 	}
 	return best
+}
+
+// sumCovering adds up v[id] over every indexed prefix covering key, a /0 at
+// the root included: one walk down, collecting every id it passes.
+func (x *lpmIndex) sumCovering(key uint32, v []uint64) uint64 {
+	n := &x.root
+	sum := v[n.id] // slot 0 of an id-indexed slice is empty
+	for depth := 0; depth < 32; depth++ {
+		n = n.child[(key>>(31-depth))&1]
+		if n == nil {
+			break
+		}
+		sum += v[n.id]
+	}
+	return sum
 }

@@ -33,6 +33,12 @@ type prefixTable struct {
 	pfx   []netip.Prefix // pfx[id]
 	rank  []uint32       // rank[id] is id's position in order
 	order []prefixID     // every id, sorted by (addr, bits)
+	// fwd[id] counts the loc-RIB changes for id, at any speaker, that
+	// changed how that speaker forwards; cover indexes every interned
+	// prefix, routed or not. Engine.DstVersion sums the first along the
+	// second.
+	fwd   []uint64
+	cover lpmIndex
 }
 
 func newPrefixTable() *prefixTable {
@@ -40,6 +46,7 @@ func newPrefixTable() *prefixTable {
 		ids:  make(map[netip.Prefix]prefixID),
 		pfx:  make([]netip.Prefix, 1),
 		rank: make([]uint32, 1),
+		fwd:  make([]uint64, 1),
 	}
 }
 
@@ -70,6 +77,8 @@ func (t *prefixTable) intern(p netip.Prefix) prefixID {
 	t.ids[p] = id
 	t.pfx = append(t.pfx, p)
 	t.rank = append(t.rank, 0)
+	t.fwd = append(t.fwd, 0)
+	t.cover.insert(p, id)
 	at := sort.Search(len(t.order), func(i int) bool { return prefixLess(p, t.pfx[t.order[i]]) })
 	t.order = slices.Insert(t.order, at, id)
 	for i := at; i < len(t.order); i++ {

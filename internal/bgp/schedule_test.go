@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +143,21 @@ func TestRIBVersionCountsBestChanges(t *testing.T) {
 	}
 }
 
+// forwardsTo turns a route lookup at asn into where asn sends the packet: 0
+// nowhere (no route), asn itself for an originated route, the next-hop AS
+// otherwise.
+func forwardsTo(asn topo.ASN) func(*Route, bool) topo.ASN {
+	return func(r *Route, ok bool) topo.ASN {
+		if !ok {
+			return 0
+		}
+		if nh, ok := r.NextHop(); ok {
+			return nh
+		}
+		return asn
+	}
+}
+
 // TestFwdVersionCountsForwardingChanges holds each AS's FwdVersion to the
 // number of OnBestChange callbacks at that AS that changed what a packet
 // does there: the prefix gained or lost its route, the route became or
@@ -156,20 +172,13 @@ func TestFwdVersionCountsForwardingChanges(t *testing.T) {
 		as     topo.ASN
 		prefix netip.Prefix
 	}
-	// Where each (AS, prefix) sends a packet: 0 nowhere (no route), the AS
-	// itself for an originated route, the next-hop AS otherwise. The
-	// callback's Path cannot say which (an originated route's is empty), so
-	// it reads the route just written.
+	// Where each (AS, prefix) sends a packet. The callback's Path cannot
+	// say (an originated route's is empty), so it reads the route just
+	// written.
 	sendsTo := map[slot]topo.ASN{}
 	want := map[topo.ASN]uint64{}
 	e.OnBestChange = func(c BestChange) {
-		var to topo.ASN
-		if r, ok := e.BestRoute(c.AS, c.Prefix); ok {
-			to = c.AS
-			if nh, ok := r.NextHop(); ok {
-				to = nh
-			}
-		}
+		to := forwardsTo(c.AS)(e.BestRoute(c.AS, c.Prefix))
 		k := slot{c.AS, c.Prefix}
 		if to != sendsTo[k] {
 			want[c.AS]++
@@ -244,6 +253,125 @@ func TestPoisonMovesOnlyTheASesThatRoutedThroughIt(t *testing.T) {
 		}
 		if moved := e.FwdVersion(i) != before[asn]; moved != routedThroughA[asn] {
 			t.Errorf("AS%d: FwdVersion moved = %v, routed through A = %v", asn, moved, routedThroughA[asn])
+		}
+	}
+}
+
+// TestDstVersionMovesWithForwardingAnywhere holds DstVersion(addr) to the
+// number of OnBestChange callbacks, at any AS, that changed what a packet
+// does there for a prefix covering addr — every covering prefix, not only
+// the one addr matches, and also one first interned after addr was last
+// read — and checks the use the walk cache makes of it against Lookup
+// itself: if any AS forwards addr differently than at the last reading, the
+// version has moved. Then the other direction, where it is exact: a fig. 2
+// poison moves it for the production /24's addresses and for no other.
+func TestDstVersionMovesWithForwardingAnywhere(t *testing.T) {
+	gen := hundredASTopo(t)
+	e := New(gen.Top, simclock.New(), Config{Seed: 11})
+	type slot struct {
+		as     topo.ASN
+		prefix netip.Prefix
+	}
+	sendsTo := map[slot]topo.ASN{}
+	changes := map[netip.Prefix]uint64{}
+	e.OnBestChange = func(c BestChange) {
+		to := forwardsTo(c.AS)(e.BestRoute(c.AS, c.Prefix))
+		k := slot{c.AS, c.Prefix}
+		if to != sendsTo[k] {
+			changes[c.Prefix]++
+		}
+		sendsTo[k] = to
+	}
+	// Addresses under one prefix, under two, and under one that does not
+	// exist yet when they are first read.
+	late := gen.Stubs[10]
+	var addrs []netip.Addr
+	for _, asn := range append(gen.Stubs[:5:5], late) {
+		addrs = append(addrs, topo.ProductionAddr(asn), topo.SentinelProbeAddr(asn), topo.RouterAddr(asn, 0))
+	}
+	// Where every AS sends a packet for addr (0: nowhere).
+	forwarding := func(addr netip.Addr) []topo.ASN {
+		out := make([]topo.ASN, 0, gen.Top.NumASes())
+		for _, asn := range gen.Top.ASNs() {
+			out = append(out, forwardsTo(asn)(e.Lookup(asn, addr)))
+		}
+		return out
+	}
+	lastVer, lastFwd := map[netip.Addr]uint64{}, map[netip.Addr][]topo.ASN{}
+	moved := 0
+	check := func(when string) {
+		t.Helper()
+		for _, addr := range addrs {
+			var want uint64
+			for p, n := range changes {
+				if p.Contains(addr) {
+					want += n
+				}
+			}
+			got, fwd := e.DstVersion(addr), forwarding(addr)
+			if got != want {
+				t.Fatalf("%s: DstVersion(%v) = %d after %d forwarding changes on the prefixes covering it", when, addr, got, want)
+			}
+			if last, seen := lastFwd[addr]; seen && !slices.Equal(last, fwd) {
+				moved++
+				if got == lastVer[addr] {
+					t.Fatalf("%s: some AS forwards %v differently and DstVersion held still at %d", when, addr, got)
+				}
+			}
+			lastVer[addr], lastFwd[addr] = got, fwd
+		}
+	}
+	for _, asn := range gen.Stubs[:5] {
+		e.Originate(asn, topo.Block(asn))
+	}
+	o := gen.Stubs[0]
+	e.Announce(o, topo.ProductionPrefix(o), OriginConfig{Pattern: topo.Path{o, o, o}})
+	if !e.Converge(100_000_000) {
+		t.Fatal("baseline did not quiesce")
+	}
+	check("baseline")
+	// late's prefixes are first interned here, after its addresses were read.
+	e.Originate(late, topo.Block(late))
+	e.Converge(200) // far short of quiescence
+	if e.Quiescent() {
+		t.Fatal("want the prefix still propagating")
+	}
+	check("mid-propagation")
+	churn(t, e, gen)
+	check("after churn")
+	// A more-specific of an address's only prefix appears at another AS,
+	// and goes: the longest match changes shape under the address.
+	thief := gen.Stubs[20]
+	e.Originate(thief, topo.ProductionPrefix(late))
+	e.Converge(100_000_000)
+	check("a more-specific appeared elsewhere")
+	e.Withdraw(thief, topo.ProductionPrefix(late))
+	e.Converge(100_000_000)
+	check("and went")
+	if moved == 0 {
+		t.Fatal("no address was ever forwarded differently: the soundness check never ran")
+	}
+
+	const O, A = topo.ASN(10), topo.ASN(30)
+	top := fig2Topo(t)
+	e, _ = newEngine(t, top)
+	for _, asn := range top.ASNs() {
+		e.Originate(asn, topo.Block(asn))
+	}
+	e.Announce(O, topo.ProductionPrefix(O), OriginConfig{Pattern: topo.Path{O, O, O}})
+	e.Announce(O, topo.SentinelPrefix(O), OriginConfig{})
+	converge(t, e)
+	before := map[netip.Addr]uint64{}
+	for _, asn := range top.ASNs() {
+		for _, addr := range []netip.Addr{topo.ProductionAddr(asn), topo.SentinelProbeAddr(asn), topo.RouterAddr(asn, 0)} {
+			before[addr] = e.DstVersion(addr)
+		}
+	}
+	e.Announce(O, topo.ProductionPrefix(O), OriginConfig{Pattern: topo.Path{O, A, O}})
+	converge(t, e)
+	for addr, v := range before {
+		if moved := e.DstVersion(addr) != v; moved != (addr == topo.ProductionAddr(O)) {
+			t.Errorf("poisoning O's production prefix: DstVersion(%v) moved = %v", addr, moved)
 		}
 	}
 }

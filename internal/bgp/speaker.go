@@ -476,6 +476,7 @@ func (s *Speaker) decide(id prefixID) bool {
 	s.e.ribVersion++
 	if !sameForwarding(old, newBest) {
 		s.e.fwdVersion[s.idx]++
+		s.e.prefixes.fwd[id]++
 	}
 	prefix := s.e.prefixes.pfx[id]
 	nodesBefore := s.lpm.nodes

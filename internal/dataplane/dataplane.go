@@ -26,10 +26,13 @@ type RIB interface {
 	RIBVersion() uint64
 	// FwdVersion advances whenever a Lookup at the i-th AS of
 	// Topology.ASNs() may forward a packet differently: a change of which
-	// route matches an address, of its next-hop AS or of Originated. A
-	// cached walk is valid while it holds still at every AS the walk
-	// crossed (see walkcache.go).
+	// route matches an address, of its next-hop AS or of Originated.
 	FwdVersion(i int) uint64
+	// DstVersion advances whenever a Lookup of addr may forward a packet
+	// differently at any AS. A cached walk toward addr is valid while
+	// either FwdVersion holds still at every AS the walk crossed or
+	// DstVersion(addr) holds still (see walkcache.go).
+	DstVersion(addr netip.Addr) uint64
 }
 
 // DropReason explains why a packet stopped.
@@ -197,7 +200,7 @@ func LossyAS(asn topo.ASN, prob float64, seed uint64) Rule {
 // Plane forwards packets. It is cheap to construct, and a single Plane
 // serves an entire simulation. Besides the installed rules it carries the
 // per-packet sequence counter and two memos — intra-AS paths (valid forever)
-// and whole walks (each valid until an AS it crossed changes) — all owned by
+// and whole walks (each valid until something it read changes) — all owned by
 // the single goroutine that drives the simulation.
 type Plane struct {
 	top *topo.Topology
@@ -208,15 +211,11 @@ type Plane struct {
 	failures []activeRule
 	nextID   FailureID
 	// routerAS maps a router to its AS's position in top.ASNs(), the dense
-	// index shared with the RIB's FwdVersion and with ruleVer.
+	// index shared with the RIB's FwdVersion.
 	routerAS []int32
-	// ruleVersion advances on every change to failures and ruleVer[i] on
-	// every change to a rule with AS i in its scope; probRules counts the
-	// installed rules with a fractional DropProb. All feed the walk cache:
-	// the versions invalidate entries, probRules stands it down.
-	ruleVersion uint64
-	ruleVer     []uint64
-	probRules   int
+	// probRules counts the installed rules with a fractional DropProb;
+	// while there are any the walk cache stands down.
+	probRules int
 	// seq numbers every packet injected via Forward; probabilistic rules
 	// hash it so their verdicts are per-packet, order-independent pure
 	// functions (see Rule.DropProb).
@@ -227,8 +226,10 @@ type Plane struct {
 	// runs once per pair for the lifetime of the plane. The simulation
 	// core is single-goroutine, like the engine it consults.
 	pathCache map[[2]topo.RouterID][]topo.RouterID
-	// walks memoizes whole forwarding walks (see walkcache.go).
+	// walks memoizes whole forwarding walks (see walkcache.go); gen counts
+	// the times it was emptied, which is when a Flow's entry goes stale.
 	walks map[walkKey]*walkEntry
+	gen   uint64
 
 	obs planeObs
 }
@@ -246,16 +247,21 @@ type planeObs struct {
 	// drops is indexed by DropReason; the Delivered slot stays nil.
 	drops [ForwardLoop + 1]*obs.Counter
 	// Walk-cache traffic, indexed by walkOutcome (the bypass slot stays
-	// nil); entries re-walked because an AS they crossed changed; and
-	// whole-cache drops at walkCacheCap.
-	cacheOutcomes [walkMiss + 1]*obs.Counter
-	cacheStale    *obs.Counter
-	cacheFull     *obs.Counter
+	// nil); entries re-walked because what they read changed; entries that
+	// stood although an AS they crossed changed (not for their
+	// destination); entries a rule change killed; and whole-cache drops at
+	// walkCacheCap.
+	cacheOutcomes  [walkMiss + 1]*obs.Counter
+	cacheStale     *obs.Counter
+	cacheKept      *obs.Counter
+	cacheRuleKills *obs.Counter
+	cacheFull      *obs.Counter
 }
 
 // Instrument registers the plane's metrics: packets injected, drops broken
 // down by reason (no-route, blackhole, ttl-expired, forward-loop), and the
-// walk cache's hits, misses, stale entries and size-cap flushes. Counting
+// walk cache's hits, misses, stale and kept entries, rule kills and size-cap
+// flushes. Counting
 // happens outside the forwarding walk, so instrumented and uninstrumented
 // planes forward identically.
 func (pl *Plane) Instrument(reg *obs.Registry) {
@@ -263,7 +269,9 @@ func (pl *Plane) Instrument(reg *obs.Registry) {
 	reg.Describe("lifeguard_dataplane_packets_dropped_total", "packets that did not reach their destination, by reason")
 	reg.Describe("lifeguard_dataplane_walk_cache_hits_total", "packets whose fate was answered from the walk cache")
 	reg.Describe("lifeguard_dataplane_walk_cache_misses_total", "packets walked hop by hop and stored in the walk cache")
-	reg.Describe("lifeguard_dataplane_walk_cache_stale_total", "cached walks re-walked (and counted as misses) because a route or rule changed at an AS they crossed")
+	reg.Describe("lifeguard_dataplane_walk_cache_stale_total", "cached walks re-walked (and counted as misses) because what they read changed: their destination's forwarding at some AS and an AS they crossed, or a rule that admits their header at an AS they crossed")
+	reg.Describe("lifeguard_dataplane_walk_cache_kept_total", "cached walks that stood although an AS they crossed changed its forwarding, because no AS changed it for their destination")
+	reg.Describe("lifeguard_dataplane_walk_cache_rule_kills_total", "cached walks marked dead by a failure rule being installed or removed")
 	reg.Describe("lifeguard_dataplane_walk_cache_flushes_total", "times the whole walk cache was dropped, by cause (full: it reached its size cap)")
 	pl.obs.forwarded = reg.Counter("lifeguard_dataplane_packets_forwarded_total")
 	for r := NoRoute; r <= ForwardLoop; r++ {
@@ -272,6 +280,8 @@ func (pl *Plane) Instrument(reg *obs.Registry) {
 	pl.obs.cacheOutcomes[walkHit] = reg.Counter("lifeguard_dataplane_walk_cache_hits_total")
 	pl.obs.cacheOutcomes[walkMiss] = reg.Counter("lifeguard_dataplane_walk_cache_misses_total")
 	pl.obs.cacheStale = reg.Counter("lifeguard_dataplane_walk_cache_stale_total")
+	pl.obs.cacheKept = reg.Counter("lifeguard_dataplane_walk_cache_kept_total")
+	pl.obs.cacheRuleKills = reg.Counter("lifeguard_dataplane_walk_cache_rule_kills_total")
 	pl.obs.cacheFull = reg.Counter("lifeguard_dataplane_walk_cache_flushes_total", obs.L("cause", "full"))
 }
 
@@ -281,7 +291,6 @@ func New(top *topo.Topology, rib RIB) *Plane {
 		top:       top,
 		rib:       rib,
 		routerAS:  make([]int32, top.NumRouters()),
-		ruleVer:   make([]uint64, top.NumASes()),
 		pathCache: make(map[[2]topo.RouterID][]topo.RouterID),
 		walks:     make(map[walkKey]*walkEntry),
 	}
@@ -293,15 +302,17 @@ func New(top *topo.Topology, rib RIB) *Plane {
 	return pl
 }
 
-// touchRule advances the rule version of every AS in r's scope — AtAS, the
-// AS of AtRouter, both ends of an AS link and of a router link — so that
-// the cached walks that crossed one of them are re-walked. An AS or router
-// the topology does not have can match no hop and is skipped.
+// touchRule kills the cached walks that installing or removing r can
+// change: those whose header r's DstWithin/SrcWithin admit and that crossed
+// an AS in r's scope — AtAS, the AS of AtRouter, both ends of an AS link and
+// of a router link. An AS or router the topology does not have can match no
+// hop and is skipped. Every live entry is in pl.walks (see walkcache.go), so
+// the scan reaches the ones Flows hold too.
 func (pl *Plane) touchRule(r *Rule) {
-	pl.ruleVersion++
+	scope := make([]int32, 0, 6)
 	for _, asn := range [...]topo.ASN{r.AtAS, r.FromAS, r.ToAS} {
 		if i, ok := slices.BinarySearch(pl.top.ASNs(), asn); ok {
-			pl.ruleVer[i]++
+			scope = append(scope, int32(i))
 		}
 	}
 	for _, rt := range [...]struct {
@@ -309,7 +320,19 @@ func (pl *Plane) touchRule(r *Rule) {
 		id  topo.RouterID
 	}{{r.HasRouter, r.AtRouter}, {r.HasLink, r.FromRouter}, {r.HasLink, r.ToRouter}} {
 		if rt.set && int(rt.id) < len(pl.routerAS) {
-			pl.ruleVer[pl.routerAS[rt.id]]++
+			scope = append(scope, pl.routerAS[rt.id])
+		}
+	}
+	if len(scope) == 0 {
+		return
+	}
+	for key, e := range pl.walks {
+		if !e.live || !r.admits(addr4(key.src), addr4(key.dst)) {
+			continue
+		}
+		if slices.ContainsFunc(e.stamps, func(s asStamp) bool { return slices.Contains(scope, s.as) }) {
+			e.live = false
+			pl.obs.cacheRuleKills.Inc()
 		}
 	}
 }
@@ -440,11 +463,15 @@ func (pl *Plane) dropAtCrossing(c *matchCtx, from, to topo.RouterID) bool {
 // (a fractional DropProb) rather than being a function of the header.
 func (r *Rule) probabilistic() bool { return r.DropProb > 0 && r.DropProb < 1 }
 
+// admits reports whether the rule's DstWithin/SrcWithin let a header
+// through to its other matchers.
+func (r *Rule) admits(src, dst netip.Addr) bool {
+	return (!r.DstWithin.IsValid() || r.DstWithin.Contains(dst)) &&
+		(!r.SrcWithin.IsValid() || r.SrcWithin.Contains(src))
+}
+
 func (r *Rule) pktMatch(c *matchCtx) bool {
-	if r.DstWithin.IsValid() && !r.DstWithin.Contains(c.pkt.Dst) {
-		return false
-	}
-	if r.SrcWithin.IsValid() && !r.SrcWithin.Contains(c.pkt.Src) {
+	if !r.admits(c.pkt.Src, c.pkt.Dst) {
 		return false
 	}
 	if r.probabilistic() {
@@ -469,16 +496,12 @@ func splitmix64(x uint64) uint64 {
 
 // Forward injects pkt at router "from" (the sender's gateway) and reports
 // its fate. The sender's own router does not consume TTL. The fate comes
-// from the walk cache while no AS on the cached walk has changed and is
+// from the walk cache while nothing the cached walk read has changed and is
 // walked hop by hop otherwise; the two are indistinguishable to the caller
 // except that Result.Hops is shared (see Result).
 func (pl *Plane) Forward(from topo.RouterID, pkt Packet) Result {
 	res, how := pl.walk(from, pkt)
-	pl.obs.cacheOutcomes[how].Inc()
-	pl.obs.forwarded.Inc()
-	if res.Reason != Delivered {
-		pl.obs.drops[res.Reason].Inc()
-	}
+	pl.note(&res, how)
 	return res
 }
 

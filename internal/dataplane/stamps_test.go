@@ -1,11 +1,13 @@
 package dataplane
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
 	"lifeguard/internal/bgp"
+	"lifeguard/internal/obs"
 	"lifeguard/internal/simclock"
 	"lifeguard/internal/topo"
 )
@@ -172,11 +174,12 @@ func TestWalkStoppedAtIngressIsStampedThere(t *testing.T) {
 }
 
 // TestRuleChangesTouchExactlyTheirScope: installing, removing or clearing a
-// rule advances the rule version of every AS the rule names — directly, or
-// through a router — and of no other, so the walks re-checked are the ones
-// that crossed its scope.
+// rule kills exactly the stored walks that crossed an AS the rule names —
+// directly, or through a router — with a header its address matchers admit,
+// and every other walk goes on answering out of its entry. Seen from
+// outside, one door at a time, over every hub-to-hub walk of the diamond.
 func TestRuleChangesTouchExactlyTheirScope(t *testing.T) {
-	top, _, pl := fig2Net(t)
+	top, _, _ := fig2Net(t)
 	bOut, aIn := borderLink(top, 20, 30)
 	for _, tc := range []struct {
 		name  string
@@ -185,61 +188,120 @@ func TestRuleChangesTouchExactlyTheirScope(t *testing.T) {
 	}{
 		{"AS", BlackholeAS(30), []topo.ASN{30}},
 		{"AS towards", BlackholeASTowards(40, topo.Block(10)), []topo.ASN{40}},
+		{"AS from", Rule{AtAS: 20, SrcWithin: topo.Block(50)}, []topo.ASN{20}},
 		{"router", BlackholeRouter(hub(top, 50)), []topo.ASN{50}},
 		{"AS link", DropASLink(20, 40), []topo.ASN{20, 40}},
+		{"AS link towards", Rule{FromAS: 30, ToAS: 60, DstWithin: topo.ProductionPrefix(10), SrcWithin: topo.Block(70)}, []topo.ASN{30, 60}},
 		{"router link", DropRouterLink(bOut, aIn), []topo.ASN{20, 30}},
 		{"lossy AS", LossyAS(60, 0.5, 1), []topo.ASN{60}},
 		{"unknown AS and router", Rule{AtAS: 9, AtRouter: 1 << 20, HasRouter: true}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			moved := func(change func()) []topo.ASN {
-				before, global := slices.Clone(pl.ruleVer), pl.ruleVersion
-				change()
-				if pl.ruleVersion == global {
-					t.Error("the global rule version did not move")
-				}
-				var out []topo.ASN
-				for i, asn := range top.ASNs() {
-					if pl.ruleVer[i] != before[i] {
-						out = append(out, asn)
+			top, _, pl := fig2Net(t)
+			pl.Instrument(obs.New())
+			var walks []roundPacket
+			for _, a := range top.ASNs() {
+				src := top.Router(hub(top, a)).Addr
+				walks = append(walks, roundPacket{hub(top, a), Packet{Src: src, Dst: topo.ProductionAddr(10)}})
+				for _, b := range top.ASNs() {
+					if a != b {
+						walks = append(walks, roundPacket{hub(top, a), Packet{Src: src, Dst: top.Router(hub(top, b)).Addr}})
 					}
 				}
-				return out
+			}
+			// stored is each header's walk as the cache last stored it;
+			// dead marks the ones a change has killed since.
+			stored, dead := make([]Result, len(walks)), make([]bool, len(walks))
+			for i, w := range walks {
+				stored[i] = ask(t, pl, w.from, w.pkt, walkMiss, "cold")
 			}
 			var id FailureID
+			killed, spared := 0, 0
 			for _, step := range []struct {
-				name   string
-				change func()
+				name     string
+				change   func()
+				installs bool
 			}{
-				{"AddFailure", func() { id = pl.AddFailure(tc.rule) }},
-				{"RemoveFailure", func() { pl.RemoveFailure(id) }},
-				{"AddFailure again", func() { id = pl.AddFailure(tc.rule) }},
-				{"ClearFailures", pl.ClearFailures},
+				{"AddFailure", func() { id = pl.AddFailure(tc.rule) }, true},
+				{"RemoveFailure", func() { pl.RemoveFailure(id) }, false},
+				{"AddFailure again", func() { id = pl.AddFailure(tc.rule) }, true},
+				{"ClearFailures", pl.ClearFailures, false},
 			} {
-				if got := moved(step.change); !slices.Equal(got, tc.scope) {
-					t.Errorf("%s moved the rule version of %v, want %v", step.name, got, tc.scope)
+				// The change kills the live walks that crossed its scope
+				// with a header it admits, judged on the walks as stored
+				// (and on the matchers themselves, not through Rule.admits,
+				// which is part of what is being tested).
+				kills := int64(0)
+				for i, w := range walks {
+					admitted := (!tc.rule.DstWithin.IsValid() || tc.rule.DstWithin.Contains(w.pkt.Dst)) &&
+						(!tc.rule.SrcWithin.IsValid() || tc.rule.SrcWithin.Contains(w.pkt.Src))
+					crossed := slices.ContainsFunc(stored[i].Hops, func(h Hop) bool { return slices.Contains(tc.scope, h.AS) })
+					if !dead[i] && admitted && crossed {
+						dead[i] = true
+						kills++
+					}
 				}
+				before := pl.obs.cacheRuleKills.Value()
+				step.change()
+				if got := pl.obs.cacheRuleKills.Value() - before; got != kills {
+					t.Errorf("%s counted %d rule kills, want %d", step.name, got, kills)
+				}
+				for i, w := range walks {
+					if step.installs && tc.rule.probabilistic() {
+						// A fractional DropProb stands the cache down
+						// while installed (fates are per packet, so there
+						// is no walk to compare); what it killed is found
+						// dead afterwards.
+						if _, how := pl.walk(w.from, w.pkt); how != walkBypass {
+							t.Fatalf("%s: outcome %d with a lossy rule installed, want the cache stood down", step.name, how)
+						}
+						continue
+					}
+					want := walkHit
+					if dead[i] {
+						want = walkMiss
+					}
+					res := ask(t, pl, w.from, w.pkt, want, fmt.Sprintf("%s, to %v", step.name, w.pkt.Dst))
+					if dead[i] {
+						stored[i], dead[i] = res, false
+						killed++
+					} else {
+						spared++
+					}
+				}
+			}
+			if spared == 0 || (killed == 0) != (tc.scope == nil) {
+				t.Errorf("%d walks re-walked and %d answered from the cache: want some spared, and some killed iff the rule has a scope", killed, spared)
 			}
 		})
 	}
 }
 
-// TestRuleOffTheWalkLeavesItCached is the scope rule seen from outside:
-// rules at ASes a walk does not cross, added and lifted, cost it nothing;
-// one on its path costs it one walk each way.
+// TestRuleOffTheWalkLeavesItCached is the scope rule seen from one walk:
+// rules at ASes it does not cross, and rules at ASes it does cross whose
+// address matchers do not admit its header, added and lifted, cost it
+// nothing; one on its path that admits it costs it one walk each way.
 func TestRuleOffTheWalkLeavesItCached(t *testing.T) {
 	top, _, pl := fig2Net(t)
 	from := hub(top, 50) // D reaches O through C and B
 	pkt := Packet{Src: top.Router(from).Addr, Dst: topo.ProductionAddr(10)}
 	ask(t, pl, from, pkt, walkMiss, "cold")
 	aOut, eIn := borderLink(top, 30, 60)
-	for _, r := range []Rule{BlackholeAS(30), BlackholeRouter(hub(top, 70)), DropASLink(30, 60), DropRouterLink(aOut, eIn)} {
+	cOut, bIn := borderLink(top, 40, 20)
+	for _, r := range []Rule{
+		BlackholeAS(30), BlackholeRouter(hub(top, 70)), DropASLink(30, 60), DropRouterLink(aOut, eIn),
+		// On the walk, but for other packets: to another destination, from
+		// another source.
+		BlackholeASTowards(40, topo.Block(70)),
+		{AtRouter: hub(top, 20), HasRouter: true, SrcWithin: topo.Block(60)},
+		{FromAS: 40, ToAS: 20, DstWithin: topo.ProductionPrefix(10), SrcWithin: topo.ProductionPrefix(50)},
+		{FromRouter: cOut, ToRouter: bIn, HasLink: true, DstWithin: topo.SentinelPrefix(10).Masked(), SrcWithin: topo.Block(10)},
+	} {
 		id := pl.AddFailure(r)
 		ask(t, pl, from, pkt, walkHit, "rule elsewhere installed")
 		pl.RemoveFailure(id)
 		ask(t, pl, from, pkt, walkHit, "rule elsewhere removed")
 	}
-	cOut, bIn := borderLink(top, 40, 20)
 	for _, r := range []Rule{BlackholeAS(40), BlackholeRouter(hub(top, 20)), DropASLink(40, 20), DropRouterLink(cOut, bIn)} {
 		id := pl.AddFailure(r)
 		if res := ask(t, pl, from, pkt, walkMiss, "rule on the walk installed"); res.Reason != Blackhole {
@@ -249,5 +311,135 @@ func TestRuleOffTheWalkLeavesItCached(t *testing.T) {
 		if res := ask(t, pl, from, pkt, walkMiss, "rule on the walk removed"); !res.Delivered() {
 			t.Fatalf("%+v removed: %v, want delivered", r, &res)
 		}
+	}
+}
+
+// TestWalkStandsWhileItsDestinationHoldsStill is the route half of the
+// rule, both questions: a walk whose ASes changed their forwarding for some
+// other prefix is kept, and the keeping re-baselines its stamps, so that a
+// later change for its own destination at an AS it does not cross meets
+// unmoved stamps and costs it nothing either.
+func TestWalkStandsWhileItsDestinationHoldsStill(t *testing.T) {
+	const O, A, D, E, F = topo.ASN(10), topo.ASN(30), topo.ASN(50), topo.ASN(60), topo.ASN(70)
+	top, e, pl := fig2Net(t)
+	pl.Instrument(obs.New())
+	toO := func(from topo.ASN) (topo.RouterID, Packet) {
+		return hub(top, from), Packet{Src: top.Router(hub(top, from)).Addr, Dst: topo.ProductionAddr(O)}
+	}
+	counters := func() [2]int64 { return [2]int64{pl.obs.cacheStale.Value(), pl.obs.cacheKept.Value()} }
+	fromD, pktD := toO(D) // D reaches O through C and B
+	fromE, pktE := toO(E) // E through A and B
+	ask(t, pl, fromD, pktD, walkMiss, "cold")
+	ask(t, pl, fromE, pktE, walkMiss, "cold")
+
+	// F announces a prefix of its own: every AS gains a route, so every
+	// stamp of both walks moves, for a prefix neither is headed to.
+	e.Announce(F, topo.ProductionPrefix(F), bgp.OriginConfig{})
+	settle(t, e)
+	ask(t, pl, fromD, pktD, walkHit, "another prefix appeared at every AS")
+	ask(t, pl, fromE, pktE, walkHit, "another prefix appeared at every AS")
+	if got, want := counters(), [2]int64{0, 2}; got != want {
+		t.Fatalf("stale, kept = %v, want %v", got, want)
+	}
+
+	// The poison moves the destination's forwarding at A, E and F: off D's
+	// walk, whose re-baselined stamps hold still; on E's.
+	e.Announce(O, topo.ProductionPrefix(O), bgp.OriginConfig{Pattern: topo.Path{O, A, O}})
+	settle(t, e)
+	ask(t, pl, fromD, pktD, walkHit, "destination rerouted at ASes off the walk")
+	if res := ask(t, pl, fromE, pktE, walkMiss, "destination rerouted at an AS on the walk"); res.ASPath().Contains(A) {
+		t.Fatalf("E under poison: via %v, want around A", res.ASPath())
+	}
+	if got, want := counters(), [2]int64{1, 2}; got != want {
+		t.Fatalf("stale, kept = %v, want %v", got, want)
+	}
+}
+
+// TestMoreSpecificReshapesTheMatch: an address reached by its covering
+// block gets a more-specific, originated elsewhere. No route of the block
+// changed anywhere; the walk must still be redone, and again when the
+// more-specific goes.
+func TestMoreSpecificReshapesTheMatch(t *testing.T) {
+	const O, C, D = topo.ASN(10), topo.ASN(40), topo.ASN(50)
+	top, e, pl := fig2Net(t)
+	from := hub(top, D)
+	pkt := Packet{Src: top.Router(from).Addr, Dst: topo.NonAdjacentProbeAddr(O)}
+	if res := ask(t, pl, from, pkt, walkMiss, "cold"); res.LastAS != O {
+		t.Fatalf("by the block: %v, want delivered at O", &res)
+	}
+	e.Announce(C, topo.NonAdjacentSentinelPrefix(O), bgp.OriginConfig{})
+	settle(t, e)
+	if res := ask(t, pl, from, pkt, walkMiss, "more-specific at C"); res.LastAS != C || !res.Delivered() {
+		t.Fatalf("with C originating a more-specific: %v, want delivered at C", &res)
+	}
+	ask(t, pl, from, pkt, walkHit, "asked again")
+	e.Withdraw(C, topo.NonAdjacentSentinelPrefix(O))
+	settle(t, e)
+	if res := ask(t, pl, from, pkt, walkMiss, "more-specific withdrawn"); res.LastAS != O {
+		t.Fatalf("by the block again: %v, want delivered at O", &res)
+	}
+}
+
+// TestWalkCacheBoundedWithHandles pins the cache's growth bound with
+// handles in play: four times walkCacheCap distinct headers go through a
+// plane on which a thousand Flows are held, the map never exceeds the cap,
+// and after every overflow — and after a rule change that the handles'
+// entries must feel wherever they are — each handle still answers what the
+// uncached walk on a twin plane does, out of the entry the map holds.
+func TestWalkCacheBoundedWithHandles(t *testing.T) {
+	res, pl, ref := twinPlanes(t)
+	reg := obs.New()
+	pl.Instrument(reg)
+	top := res.Top
+	type held struct {
+		flow Flow
+		roundPacket
+	}
+	var handles []held
+	for i := 0; len(handles) < 1000; i++ {
+		from := top.AS(res.Stubs[i%len(res.Stubs)]).Routers[0]
+		pkt := Packet{Src: addr4(240<<24 | uint32(i)), Dst: topo.ProductionAddr(res.Stubs[(i/len(res.Stubs)+i+1)%len(res.Stubs)])}
+		handles = append(handles, held{pl.Flow(from, pkt.Src, pkt.Dst), roundPacket{from, pkt}})
+	}
+	askHandles := func(when string) {
+		t.Helper()
+		for i := range handles {
+			h := &handles[i]
+			got, want := h.flow.Forward(0), ref.forward(h.from, h.pkt)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: handle %d from %d %+v:\ncached %+v\nwalked %+v", when, i, h.from, h.pkt, got, want)
+			}
+			if h.flow.e != pl.walks[walkKey{from: h.from, dst: v4(h.pkt.Dst), src: v4(h.pkt.Src)}] {
+				t.Fatalf("%s: handle %d holds an entry the cache does not", when, i)
+			}
+		}
+	}
+	askHandles("cold")
+	transit := res.Transit[0]
+	var rule, refRule FailureID
+	for n := 0; n < 4*walkCacheCap; n++ {
+		from := top.AS(res.Stubs[n%len(res.Stubs)]).Routers[0]
+		pkt := Packet{Src: addr4(250<<24 | uint32(n)), Dst: topo.ProductionAddr(res.Stubs[(n+7)%len(res.Stubs)])}
+		if got, want := pl.Forward(from, pkt), ref.forward(from, pkt); !reflect.DeepEqual(got, want) {
+			t.Fatalf("header %d: cached %+v, walked %+v", n, got, want)
+		}
+		if len(pl.walks) > walkCacheCap {
+			t.Fatalf("after %d headers the cache holds %d entries, cap %d", n+1, len(pl.walks), walkCacheCap)
+		}
+		if n%(walkCacheCap/2) == walkCacheCap/4 {
+			// Between two overflows and straight after one, alternately: a
+			// rule comes or goes under the handles.
+			if rule == 0 {
+				rule, refRule = pl.AddFailure(BlackholeAS(transit)), ref.AddFailure(BlackholeAS(transit))
+			} else {
+				pl.RemoveFailure(rule)
+				ref.RemoveFailure(refRule)
+				rule = 0
+			}
+			askHandles(fmt.Sprintf("after %d headers", n+1))
+		}
+	}
+	if got := pl.obs.cacheFull.Value(); got < 3 {
+		t.Fatalf("%d overflows over 4x the cap, want at least 3", got)
 	}
 }

@@ -15,23 +15,52 @@ import (
 // atlas traceroutes, isolation probes — asks for the same few thousand
 // walks over and over, so the plane keeps them.
 //
-// Validity contract. A cached walk lives until an AS it crossed changes.
-// Each entry carries one stamp per AS run of its Hops — every AS a recorded
-// hop sits in, not only those whose RIB was consulted: a walk blackholed at
-// an ingress router never looks its AS up, yet the rule that stopped it
-// lives there. An AS's stamp is RIB.FwdVersion plus the plane's rule version
-// for that AS; both only grow, so an unchanged sum means neither moved. The
-// first advances when a loc-RIB write at that AS changes what a packet does
-// there (a route appearing or vanishing, its next hop, Originated) and not
-// when only the path attribute behind the same next hop is rewritten, which
-// is most of what a poison does (§3.1.1). The second advances in AddFailure,
-// RemoveFailure and ClearFailures for every AS in the rule's scope. Nothing
-// else a walk reads can change: the topology (routers, border links,
-// intra-AS paths) is immutable after Build, and every chaos fault acts
-// through one of those two doors. A hit is answered once the entry's stamps
-// have been checked; an entry whose stamps moved is re-walked and replaced,
-// alone. The global (RIBVersion, ruleVersion) pair survives as a shortcut:
-// an entry last checked at the current sum needs no check.
+// Validity contract. A cached walk is redone only when something it read
+// changed. It read two things, and each has its own door.
+//
+// Routes. A walk reads Lookup(AS, Dst) at the ASes it crosses, so it is
+// stale only if some AS it crossed forwards Dst differently. Two counters
+// bound that from either side, and an entry records both when it is stored:
+// one stamp per AS run of its Hops (RIB.FwdVersion: that AS changed how it
+// forwards some prefix) and RIB.DstVersion(Dst) (some AS changed how it
+// forwards Dst). Speaker.decide bumps both for the one event that matters —
+// a route for a prefix covering Dst appearing, vanishing, or changing its
+// next hop or Originated at a crossed AS — and neither when only the path
+// attribute behind the same next hop is rewritten, which is most of what a
+// poison does (§3.1.1). Both only grow, so the entry stands if either all
+// its AS stamps or the destination version is unchanged. The check asks the
+// per-AS question first (slice reads) and the destination question only when
+// a stamp has moved; when the destination then says "not for Dst", the
+// stamps are re-baselined, so that a later change for Dst at an AS off the
+// walk does not meet the old stamps and condemn it. The shape of the
+// longest-prefix match needs no separate guard: a more-specific of Dst
+// getting its first route at an AS is a forwarding change for that prefix,
+// and DstVersion sums over every interned prefix covering Dst, not over the
+// one Dst matches today. RIBVersion survives as a shortcut: an entry last
+// checked at the current reading needs no check.
+//
+// Rules. A walk reads the failure table at every router it visits and every
+// link it crosses. AddFailure, RemoveFailure and ClearFailures find the
+// walks the rule can have stopped or can now stop — stored walks whose
+// header the rule's DstWithin/SrcWithin admit and whose stamps name an AS in
+// the rule's scope — and mark them dead on the spot; no version is kept.
+// The stamps cover every AS a recorded hop sits in, not only those whose RIB
+// was consulted: a walk blackholed at an ingress router never looks its AS
+// up, yet the rule that stopped it lives there.
+//
+// Nothing else a walk reads can change: the topology (routers, border
+// links, intra-AS paths) is immutable after Build, and every chaos fault
+// acts through one of those doors. An entry that fails its check is
+// re-walked in place, alone.
+//
+// Handles. A caller that will ask for the same header again holds a Flow,
+// which remembers the header's entry and skips the map lookup; Forward and
+// ForwardBatch make a Flow for the one packet, so past the lookup there is
+// one path (Flow.walk). The eager rule kill must reach every entry a handle
+// can answer from, so no live entry is ever outside the map: entries are
+// re-walked in place, never replaced, and the one event that empties the
+// map (the size cap) advances a generation that every handle compares
+// before trusting its pointer.
 //
 // TTL is not part of the key. step spends TTL before it applies a router's
 // rules and the injecting router spends none, so a packet with TTL k sees
@@ -57,19 +86,23 @@ type walkKey struct {
 	dst, src uint32
 }
 
-// asStamp is the stamp of one AS (by dense index, see Plane.routerAS) as a
-// walk through it found it.
+// asStamp is RIB.FwdVersion of one AS (by dense index, see Plane.routerAS)
+// as a walk through it found it.
 type asStamp struct {
 	as int32
 	v  uint64
 }
 
-// walkEntry is one stored walk: the Result at max(TTL, DefaultTTL), a stamp
-// per AS run of its Hops, and the epoch at which those stamps last held.
+// walkEntry is one header's slot: the Result at max(TTL, DefaultTTL), a
+// stamp per AS run of its Hops, the destination's version, and the
+// RIBVersion at which those last held. live is false for a slot not walked
+// yet and for a walk a rule change killed.
 type walkEntry struct {
 	full    Result
 	stamps  []asStamp
+	dstVer  uint64
 	checked uint64
+	live    bool
 }
 
 // walkOutcome says how walk produced a Result; it indexes the hit/miss
@@ -82,34 +115,40 @@ const (
 	walkMiss
 )
 
-// epoch sums the two global versions; both only grow, so two equal readings
-// mean no route and no rule changed anywhere in between.
-func (pl *Plane) epoch() uint64 { return pl.rib.RIBVersion() + pl.ruleVersion }
-
-// stamp is the current stamp of the AS with dense index as.
-func (pl *Plane) stamp(as int32) uint64 { return pl.rib.FwdVersion(int(as)) + pl.ruleVer[as] }
-
 // stampRuns appends to buf the current stamp of every AS run of hops.
 func (pl *Plane) stampRuns(buf []asStamp, hops []Hop) []asStamp {
 	prev := int32(-1)
 	for i := range hops {
 		if as := pl.routerAS[hops[i].Router]; as != prev {
-			buf = append(buf, asStamp{as: as, v: pl.stamp(as)})
+			buf = append(buf, asStamp{as: as, v: pl.rib.FwdVersion(int(as))})
 			prev = as
 		}
 	}
 	return buf
 }
 
-// current reports whether no AS e's walk crossed has changed since the walk.
-func (pl *Plane) current(e *walkEntry, epoch uint64) bool {
+// current reports whether e's walk toward dst still stands: no rule change
+// killed it, and either no AS it crossed has changed its forwarding or none
+// anywhere has changed it for dst.
+func (pl *Plane) current(e *walkEntry, dst netip.Addr, epoch uint64) bool {
+	if !e.live {
+		return false
+	}
 	if e.checked == epoch {
 		return true
 	}
-	for _, s := range e.stamps {
-		if pl.stamp(s.as) != s.v {
+	for i := range e.stamps {
+		if s := e.stamps[i]; pl.rib.FwdVersion(int(s.as)) == s.v {
+			continue
+		}
+		if pl.rib.DstVersion(dst) != e.dstVer {
 			return false
 		}
+		for j := i; j < len(e.stamps); j++ {
+			e.stamps[j].v = pl.rib.FwdVersion(int(e.stamps[j].as))
+		}
+		pl.obs.cacheKept.Inc()
+		break
 	}
 	e.checked = epoch
 	return true
@@ -119,6 +158,13 @@ func (pl *Plane) current(e *walkEntry, epoch uint64) bool {
 func v4(a netip.Addr) uint32 {
 	b := a.As4()
 	return binary.BigEndian.Uint32(b[:])
+}
+
+// addr4 is v4's inverse.
+func addr4(u uint32) netip.Addr {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], u)
+	return netip.AddrFrom4(b)
 }
 
 // atTTL derives the fate of the same header sent with TTL k from a stored
@@ -132,44 +178,103 @@ func (full *Result) atTTL(k int) (Result, bool) {
 	return *full, full.Reason != TTLExpired
 }
 
-// walk reports pkt's fate injected at from: out of the cache when the header
-// is there and no AS on its walk has changed, by walking (and storing)
-// otherwise.
-func (pl *Plane) walk(from topo.RouterID, pkt Packet) (Result, walkOutcome) {
-	if pl.probRules > 0 || !pkt.Dst.Is4() || !pkt.Src.Is4() {
-		return pl.forward(from, pkt), walkBypass
-	}
-	ttl := pkt.TTL
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
-	epoch := pl.epoch()
-	key := walkKey{from: from, dst: v4(pkt.Dst), src: v4(pkt.Src)}
+// entry returns key's slot, making an empty one (and room for it, by
+// dropping every entry at walkCacheCap) when the header has none.
+func (pl *Plane) entry(key walkKey) *walkEntry {
 	e := pl.walks[key]
-	if e != nil {
-		if !pl.current(e, epoch) {
-			pl.obs.cacheStale.Inc()
-		} else if res, ok := e.full.atTTL(ttl); ok {
-			pl.seq++
-			return res, walkHit
-		}
-	}
-	pkt.TTL = max(ttl, DefaultTTL)
-	full := pl.forward(from, pkt)
 	if e == nil {
 		if len(pl.walks) >= walkCacheCap {
 			clear(pl.walks)
+			pl.gen++
 			pl.obs.cacheFull.Inc()
 		}
 		e = new(walkEntry)
 		pl.walks[key] = e
 	}
+	return e
+}
+
+// walk reports pkt's fate injected at from: a Flow made for the one packet.
+func (pl *Plane) walk(from topo.RouterID, pkt Packet) (Result, walkOutcome) {
+	f := pl.Flow(from, pkt.Src, pkt.Dst)
+	return f.walk(pkt.TTL)
+}
+
+// note counts one packet's fate and how the cache produced it.
+func (pl *Plane) note(res *Result, how walkOutcome) {
+	pl.obs.cacheOutcomes[how].Inc()
+	pl.obs.forwarded.Inc()
+	if res.Reason != Delivered {
+		pl.obs.drops[res.Reason].Inc()
+	}
+}
+
+// Flow is a caller's hold on one header — packets injected at one router
+// with one source and destination — for callers that send it again and
+// again (a monitor pair every round, a traceroute at every TTL). It keeps
+// the header's walk-cache slot, so Forward skips the lookup that
+// Plane.Forward pays; in every other respect the two are the same call. A
+// Flow is bound to the Plane that made it and, like the Plane, to one
+// goroutine.
+type Flow struct {
+	pl       *Plane
+	e        *walkEntry // the header's slot, nil until first asked for
+	gen      uint64     // pl.gen when e was resolved
+	src, dst netip.Addr
+	from     topo.RouterID
+	keyed    bool // both addresses IPv4: the header has a slot
+}
+
+// Flow returns a handle on the header (src, dst) injected at from.
+func (pl *Plane) Flow(from topo.RouterID, src, dst netip.Addr) Flow {
+	return Flow{pl: pl, from: from, src: src, dst: dst, keyed: dst.Is4() && src.Is4()}
+}
+
+// Forward is Plane.Forward for the flow's header with the given TTL (0: the
+// default): same fate, same counters, same sequence numbering, same sharing
+// of Result.Hops.
+func (f *Flow) Forward(ttl int) Result {
+	res, how := f.walk(ttl)
+	f.pl.note(&res, how)
+	return res
+}
+
+// walk reports the fate of the flow's header at the given TTL: by walking
+// when the header cannot be keyed or fates are not functions of the header,
+// out of the header's slot otherwise — from the stored walk while that
+// stands, by walking (and storing) when it does not. Every packet the plane
+// forwards comes through here.
+func (f *Flow) walk(ttl int) (Result, walkOutcome) {
+	pl := f.pl
+	if pl.probRules > 0 || !f.keyed {
+		return pl.forward(f.from, Packet{Src: f.src, Dst: f.dst, TTL: ttl}), walkBypass
+	}
+	if f.e == nil || f.gen != pl.gen {
+		f.e = pl.entry(walkKey{from: f.from, dst: v4(f.dst), src: v4(f.src)})
+		f.gen = pl.gen // after entry, which may have advanced it
+	}
+	e := f.e
+	if ttl <= 0 {
+		ttl = DefaultTTL
+	}
+	epoch := pl.rib.RIBVersion()
+	if pl.current(e, f.dst, epoch) {
+		if res, ok := e.full.atTTL(ttl); ok {
+			pl.seq++
+			return res, walkHit
+		}
+	} else if e.stamps != nil {
+		pl.obs.cacheStale.Inc()
+	}
+	full := pl.forward(f.from, Packet{Src: f.src, Dst: f.dst, TTL: max(ttl, DefaultTTL)})
 	// Clip so that an append through any handed-out Result reallocates
 	// instead of scribbling on the shared array.
 	full.Hops = slices.Clip(full.Hops)
 	e.full = full
 	e.stamps = pl.stampRuns(e.stamps[:0], full.Hops)
+	e.dstVer = pl.rib.DstVersion(f.dst)
 	e.checked = epoch
+	e.live = true
 	res, _ := full.atTTL(ttl)
 	return res, walkMiss
 }

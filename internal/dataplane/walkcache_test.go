@@ -14,10 +14,10 @@ import (
 )
 
 // walkWorld is a converged topogen internetwork with two planes over one
-// engine: cached goes through the public Forward/ForwardBatch, ref only ever
-// runs the uncached hop-by-hop forward. Every rule change is applied to
-// both, so their FailureIDs and per-packet sequence numbers stay in step and
-// any difference in fate is the cache's fault.
+// engine: cached goes through the public Forward/ForwardBatch and through
+// held Flows, ref only ever runs the uncached hop-by-hop forward. Every rule
+// change is applied to both, so their FailureIDs and per-packet sequence
+// numbers stay in step and any difference in fate is the cache's fault.
 type walkWorld struct {
 	gen         *topogen.Result
 	clk         *simclock.Scheduler
@@ -28,11 +28,14 @@ type walkWorld struct {
 	rules       []FailureID
 	// round is a fixed set of headers the op stream replays whole, the way
 	// a monitor round does, so that the same walks are asked for again
-	// after changes that did and did not touch them.
+	// after changes that did and did not touch them; flows are the handles
+	// a monitor would hold on them, made once and kept across everything
+	// the stream does, cache overflows included.
 	round []roundPacket
-	// kept counts answers out of an entry stored in an earlier epoch: the
-	// state changed somewhere, the stamps were checked, the walk stood.
-	kept int
+	flows []Flow
+	// unseen numbers the never-repeated headers that push the cache over
+	// its cap, and so counts the overflows.
+	unseen uint32
 }
 
 type roundPacket struct {
@@ -64,10 +67,12 @@ func newWalkWorld(t testing.TB, cfg topogen.Config) *walkWorld {
 	}
 	for i, from := range w.froms {
 		for _, j := range []int{i + 1, i + 3} {
-			w.round = append(w.round, roundPacket{from, Packet{
+			p := roundPacket{from, Packet{
 				Src: gen.Top.Router(from).Addr,
 				Dst: w.addrs[2*(j%len(w.froms))+1],
-			}})
+			}}
+			w.round = append(w.round, p)
+			w.flows = append(w.flows, w.cached.Flow(p.from, p.pkt.Src, p.pkt.Dst))
 		}
 	}
 	w.addrs = append(w.addrs,
@@ -78,26 +83,40 @@ func newWalkWorld(t testing.TB, cfg topogen.Config) *walkWorld {
 	return w
 }
 
+// same fails unless the cached plane's answer is the uncached walk's, hop
+// for hop, and the two planes have numbered as many packets.
+func (w *walkWorld) same(t testing.TB, how string, from topo.RouterID, pkt Packet, got, want Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s from %d %+v:\ncached %+v\nwalked %+v", how, from, pkt, got, want)
+	}
+	if w.cached.seq != w.ref.seq {
+		t.Fatalf("%s from %d %+v: cached plane at seq %d, walked plane at %d", how, from, pkt, w.cached.seq, w.ref.seq)
+	}
+}
+
 // forward sends one packet through both planes and fails on any difference
 // in fate, hop record or sequence numbering.
 func (w *walkWorld) forward(t testing.TB, from topo.RouterID, pkt Packet) {
 	t.Helper()
-	hits := w.cached.obs.cacheOutcomes[walkHit]
-	before, behind := hits.Value(), false
-	if pkt.Dst.Is4() && pkt.Src.Is4() {
-		e := w.cached.walks[walkKey{from: from, dst: v4(pkt.Dst), src: v4(pkt.Src)}]
-		behind = e != nil && e.checked != w.cached.epoch()
+	w.same(t, "keyed", from, pkt, w.cached.Forward(from, pkt), w.ref.forward(from, pkt))
+}
+
+// viaFlow sends the i-th round header at the given TTL through the handle
+// held on it and holds the answer to the uncached walk. While the cache is
+// up, the handle must be answering out of the very entry the header's key
+// finds: a handle left holding an entry the map has dropped is one the
+// eager rule kill cannot reach.
+func (w *walkWorld) viaFlow(t testing.TB, i, ttl int) {
+	t.Helper()
+	p, f := w.round[i], &w.flows[i]
+	p.pkt.TTL = ttl
+	w.same(t, "flow", p.from, p.pkt, f.Forward(ttl), w.ref.forward(p.from, p.pkt))
+	if w.cached.probRules == 0 && f.e != w.cached.walks[walkKey{from: p.from, dst: v4(p.pkt.Dst), src: v4(p.pkt.Src)}] {
+		t.Fatalf("flow from %d %+v holds an entry the cache does not", p.from, p.pkt)
 	}
-	got := w.cached.Forward(from, pkt)
-	if behind && hits.Value() > before {
-		w.kept++
-	}
-	want := w.ref.forward(from, pkt)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("from %d %+v:\ncached %+v\nwalked %+v", from, pkt, got, want)
-	}
-	if w.cached.seq != w.ref.seq {
-		t.Fatalf("from %d %+v: cached plane at seq %d, walked plane at %d", from, pkt, w.cached.seq, w.ref.seq)
+	if len(w.cached.walks) > walkCacheCap {
+		t.Fatalf("cache holds %d entries, cap %d", len(w.cached.walks), walkCacheCap)
 	}
 }
 
@@ -135,13 +154,23 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 	}
 	top, gen := w.gen.Top, w.gen
 	for len(data) > 0 {
-		switch op := next() % 16; {
-		case op < 5:
+		switch op := next() % 18; {
+		case op < 4:
 			from, pkt := packet()
 			w.forward(t, from, pkt)
+		case op == 4:
+			// One round header at some TTL, through its handle.
+			w.viaFlow(t, pick(len(w.round)), pick(71))
 		case op < 8:
-			for _, p := range w.round {
+			// The round: every header by key and through its handle — the
+			// same entry, so the second is a hit whatever the first was.
+			for i, p := range w.round {
 				w.forward(t, p.from, p.pkt)
+				hits := w.cached.obs.cacheOutcomes[walkHit].Value()
+				w.viaFlow(t, i, 0)
+				if w.cached.probRules == 0 && w.cached.obs.cacheOutcomes[walkHit].Value() != hits+1 {
+					t.Fatalf("round header %d: asked by key, then through its handle, and the handle walked", i)
+				}
 			}
 		case op == 8:
 			// A batch the way traffic builds one — runs of one header —
@@ -183,8 +212,26 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 				w.eng.Originate(o, topo.Block(o))
 			}
 		case op == 12:
-			a, b := gen.Transit[pick(len(gen.Transit))], gen.Stubs[pick(5)]
-			switch pick(5) {
+			// A more-specific of half the cached destinations comes or
+			// goes, at its owner or at a transit AS that draws the traffic
+			// to itself: the longest-prefix match changes shape under
+			// walks whose own prefix did not move.
+			b := gen.Stubs[pick(5)]
+			who := b
+			if pick(2) == 1 {
+				who = gen.Transit[pick(len(gen.Transit))]
+			}
+			if pick(3) == 0 {
+				w.eng.Withdraw(who, topo.ProductionPrefix(b))
+			} else {
+				w.eng.Announce(who, topo.ProductionPrefix(b), bgp.OriginConfig{})
+			}
+		case op == 13:
+			// Rules whose address matchers admit all, some or none of the
+			// cached headers: sources are hub addresses unless a random
+			// packet says otherwise, destinations both kinds.
+			a, b, c := gen.Transit[pick(len(gen.Transit))], gen.Stubs[pick(5)], gen.Stubs[pick(5)]
+			switch pick(8) {
 			case 0:
 				w.addRule(t, BlackholeAS(a))
 			case 1:
@@ -197,32 +244,55 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 				w.addRule(t, BlackholeRouter(top.AS(a).Routers[0]))
 			case 4:
 				w.addRule(t, Rule{AtAS: a, SrcWithin: topo.Block(b), TransitOnly: true})
+			case 5:
+				w.addRule(t, Rule{AtAS: a, DstWithin: topo.ProductionPrefix(b), SrcWithin: topo.Block(c)})
+			case 6:
+				if nb := top.Neighbors(a); len(nb) > 0 {
+					w.addRule(t, Rule{FromAS: nb[pick(len(nb))], ToAS: a, DstWithin: topo.Block(b)})
+				}
+			case 7:
+				w.addRule(t, Rule{AtRouter: top.AS(b).Routers[0], HasRouter: true, SrcWithin: topo.ProductionPrefix(c)})
 			}
-		case op == 13:
+		case op == 14:
 			w.addRule(t, LossyAS(gen.Transit[pick(len(gen.Transit))], float64(1+pick(9))/10, uint64(next())))
-		case op == 14 && len(w.rules) > 0:
+		case op == 15 && len(w.rules) > 0:
 			i := pick(len(w.rules))
 			id := w.rules[i]
 			w.rules = append(w.rules[:i], w.rules[i+1:]...)
 			if !w.cached.RemoveFailure(id) || !w.ref.RemoveFailure(id) {
 				t.Fatalf("rule %d not installed", id)
 			}
-		case op == 15 && pick(2) == 0:
+		case op == 16 && pick(2) == 0:
 			w.cached.ClearFailures()
 			w.ref.ClearFailures()
 			w.rules = w.rules[:0]
+		case op == 17 && w.unseen < 8:
+			// The cache overflows with the round's handles live: fill it
+			// to the cap with slots no header owns, then ask for a header
+			// it has never seen. Filling costs a millisecond, so a stream
+			// gets a handful of these and no more.
+			for i := 0; len(w.cached.walks) < walkCacheCap; i++ {
+				w.cached.walks[walkKey{from: topo.RouterID(1<<30 + i)}] = new(walkEntry)
+			}
+			w.unseen++
+			w.forward(t, w.froms[0], Packet{Src: addr4(250<<24 | w.unseen), Dst: w.addrs[1]})
+			if w.cached.probRules == 0 && len(w.cached.walks) != 1 {
+				t.Fatalf("cache holds %d entries after overflowing, want the newcomer alone", len(w.cached.walks))
+			}
 		}
 	}
 }
 
 // TestCachedForwardMatchesWalk drives a long seeded operation stream —
 // forwards with random headers and TTLs and replays of one fixed round of
-// headers, interleaved with poison/unpoison announcements stepped a few
-// events at a time, withdrawals, and rule add/remove/clear both deterministic
-// and lossy — and holds every cached answer to the uncached walk on the same
-// state. It also checks the stream really exercised the cache: hits, misses,
-// entries re-walked because a change touched their walk, and entries that
-// answered again after a change that did not.
+// headers by key and through held handles, interleaved with poison/unpoison
+// announcements stepped a few events at a time, withdrawals, more-specifics
+// coming and going, rule add/remove/clear both deterministic and lossy with
+// and without address matchers, and cache overflows — and holds every cached
+// answer to the uncached walk on the same state. It also checks the stream
+// really exercised every branch of the validity rule: hits, misses, entries
+// re-walked because what they read changed, entries that stood through a
+// change at an AS they crossed, entries a rule change killed, and overflows.
 func TestCachedForwardMatchesWalk(t *testing.T) {
 	w := newWalkWorld(t, topogen.Config{Seed: 7, NumTransit: 12, NumStub: 48})
 	data := make([]byte, 40_000)
@@ -232,14 +302,12 @@ func TestCachedForwardMatchesWalk(t *testing.T) {
 	o := &w.cached.obs
 	for name, c := range map[string]*obs.Counter{
 		"hits": o.cacheOutcomes[walkHit], "misses": o.cacheOutcomes[walkMiss],
-		"stale entries": o.cacheStale,
+		"stale entries": o.cacheStale, "kept entries": o.cacheKept,
+		"rule kills": o.cacheRuleKills, "overflows": o.cacheFull,
 	} {
 		if c.Value() == 0 {
 			t.Errorf("stream produced no cache %s", name)
 		}
-	}
-	if w.kept == 0 {
-		t.Error("no cached walk outlived a change elsewhere")
 	}
 	if h, m := o.cacheOutcomes[walkHit].Value(), o.cacheOutcomes[walkMiss].Value(); h+m > o.forwarded.Value() {
 		t.Errorf("%d hits + %d misses exceed %d packets forwarded", h, m, o.forwarded.Value())
@@ -252,10 +320,17 @@ func FuzzWalkCache(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 5, 0, 0, 0, 1, 5}) // the same header twice
 	f.Add([]byte{0, 1, 2, 3, 64, 0, 1, 2, 3, 1, 0, 1, 2, 3, 70})
 	f.Add([]byte{10, 0, 1, 9, 3, 0, 2, 0, 0, 0, 9, 11, 0, 2, 0, 0, 0, 10, 0, 200})
-	f.Add([]byte{12, 0, 1, 0, 0, 0, 0, 0, 0, 13, 1, 4, 9, 0, 0, 0, 0, 0, 14, 1, 0, 0, 0, 0, 0, 15, 0})
+	f.Add([]byte{13, 0, 1, 0, 0, 0, 0, 0, 0, 0, 14, 1, 4, 9, 0, 0, 0, 0, 0, 15, 1, 0, 0, 0, 0, 0, 16, 0})
 	f.Add([]byte{8, 0, 2, 0, 0, 3, 1, 1, 1, 8, 0, 2, 0, 0, 3, 1, 1, 1})
 	// The round, replayed after a poison, a rule, its removal and a clear.
-	f.Add([]byte{5, 10, 0, 1, 9, 11, 5, 12, 0, 1, 0, 5, 14, 0, 5, 12, 0, 1, 3, 15, 0, 5})
+	f.Add([]byte{5, 10, 0, 1, 9, 11, 5, 13, 0, 1, 0, 0, 5, 15, 0, 5, 13, 0, 1, 0, 3, 16, 0, 5})
+	// The round around a more-specific announced at a transit AS and
+	// withdrawn, stepped to the end each time.
+	f.Add([]byte{5, 12, 1, 1, 0, 1, 9, 200, 9, 200, 9, 200, 5, 12, 1, 1, 0, 0, 9, 200, 9, 200, 5})
+	// Rules that admit the round's destination, its source, and neither.
+	f.Add([]byte{5, 13, 0, 1, 2, 5, 5, 13, 0, 2, 0, 6, 0, 5, 13, 0, 0, 3, 7, 5, 16, 0, 5})
+	// An overflow between two rounds, then a rule the handles must feel.
+	f.Add([]byte{5, 17, 5, 13, 0, 0, 0, 0, 5, 4, 3, 9, 17, 4, 3, 2, 16, 0, 5})
 	seeded := make([]byte, 600)
 	rand.New(rand.NewSource(16)).Read(seeded)
 	f.Add(seeded)
@@ -276,8 +351,9 @@ func (r loopRIB) Lookup(asn topo.ASN, _ netip.Addr) (*bgp.Route, bool) {
 	return r.b, true
 }
 
-func (loopRIB) RIBVersion() uint64    { return 0 }
-func (loopRIB) FwdVersion(int) uint64 { return 0 }
+func (loopRIB) RIBVersion() uint64           { return 0 }
+func (loopRIB) FwdVersion(int) uint64        { return 0 }
+func (loopRIB) DstVersion(netip.Addr) uint64 { return 0 }
 
 // TestTTLPrefixOfFullWalk pins the argument that lets TTL stay out of the
 // cache key: for every k, the fate at TTL k is the first k+1 hops of the

@@ -60,12 +60,18 @@ func (o *Outage) Duration(now time.Duration) time.Duration {
 	return now - o.Start
 }
 
-// pair is one watched (vantage point, source, target) and its detection
-// state, kept together so a round touches each pair once and hashes nothing.
+// pair is one watched (vantage point, source, target), the ping it sends
+// every round and its detection state, kept together so a round touches
+// each pair once and hashes nothing.
 type pair struct {
 	vp     topo.RouterID
 	src    netip.Addr // zero: use the vp router's own address
 	target netip.Addr
+	pinger probe.Pinger
+	// resp is the target's row in respOf's responsiveness database, looked
+	// up when the target answers and Monitor.Atlas is not respOf.
+	resp   *atlas.Responsiveness
+	respOf *atlas.Atlas
 
 	consecFails int
 	firstFail   time.Duration
@@ -145,7 +151,13 @@ func (m *Monitor) watch(vp topo.RouterID, src, target netip.Addr) {
 			return
 		}
 	}
-	m.pairs = append(m.pairs, &pair{vp: vp, src: src, target: target})
+	p := &pair{vp: vp, src: src, target: target}
+	if src.IsValid() {
+		p.pinger = m.pr.PingerFromAddr(vp, src, target)
+	} else {
+		p.pinger = m.pr.Pinger(vp, target)
+	}
+	m.pairs = append(m.pairs, p)
 }
 
 // Start begins periodic rounds, the first immediately.
@@ -200,12 +212,7 @@ func (m *Monitor) roundFor(p *pair) {
 	ok := false
 	responded := false
 	for i := 0; i < m.cfg.PingsPerRound; i++ {
-		var rep probe.PingReport
-		if p.src.IsValid() {
-			rep = m.pr.PingFromAddr(p.vp, p.src, p.target)
-		} else {
-			rep = m.pr.Ping(p.vp, p.target)
-		}
+		rep := p.pinger.Ping()
 		if rep.Responded {
 			responded = true
 		}
@@ -215,7 +222,10 @@ func (m *Monitor) roundFor(p *pair) {
 		}
 	}
 	if m.Atlas != nil && responded {
-		m.Atlas.NoteResponsive(p.target, true)
+		if p.respOf != m.Atlas {
+			p.resp, p.respOf = m.Atlas.Responsiveness(p.target), m.Atlas
+		}
+		p.resp.Note(m.clk.Now())
 	}
 	if ok {
 		if p.current != nil {

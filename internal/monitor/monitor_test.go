@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"lifeguard/internal/atlas"
+	"lifeguard/internal/dataplane"
 	"lifeguard/internal/nettest"
 	"lifeguard/internal/topo"
 )
@@ -149,4 +151,35 @@ func TestOutageDurationHelper(t *testing.T) {
 		t.Fatal("resolved duration wrong")
 	}
 	_ = topo.ASN(0) // keep import
+}
+
+// TestRoundsFeedTheResponsivenessDB: a pair whose target answers notes it in
+// the atlas the monitor points at — the one it points at now, although the
+// pair holds the target's row rather than looking it up every round — and a
+// target that cannot be reached notes nothing.
+func TestRoundsFeedTheResponsivenessDB(t *testing.T) {
+	n, m := setup(t)
+	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
+	newAtlas := func() *atlas.Atlas { return atlas.New(n.Top, n.Prober, n.Clk, atlas.Config{}) }
+	first := newAtlas()
+	m.Atlas = first
+
+	id := n.Plane.AddFailure(dataplane.BlackholeAS(nettest.TargetAS))
+	m.Round()
+	if first.EverResponsive(target) {
+		t.Fatal("a target no probe reached was noted responsive")
+	}
+	n.Plane.RemoveFailure(id)
+	m.Round()
+	if !first.EverResponsive(target) {
+		t.Fatal("an answering target was not noted")
+	}
+	// The reverse path failing does not stop the target answering.
+	second := newAtlas()
+	m.Atlas = second
+	n.ReverseFailure()
+	m.Round()
+	if !second.EverResponsive(target) {
+		t.Fatal("after the monitor's atlas was replaced, the answer went to the old one")
+	}
 }

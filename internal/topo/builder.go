@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 )
 
@@ -138,16 +137,8 @@ func (b *Builder) Build() (*Topology, error) {
 		routerAdj:     make(map[RouterID][]RouterID),
 		asBorder:      make(map[ASPair][]Link),
 		borderRouters: make(map[[2]ASN][][2]RouterID),
-		addrToRouter:  make(map[netip.Addr]RouterID, len(b.routers)),
 	}
 	sortASNs(t.asList)
-	for i := range t.routers {
-		r := &t.routers[i]
-		if _, dup := t.addrToRouter[r.Addr]; dup {
-			return nil, fmt.Errorf("topo: duplicate router address %v", r.Addr)
-		}
-		t.addrToRouter[r.Addr] = r.ID
-	}
 	for _, l := range t.links {
 		ra, rb := &t.routers[l.A], &t.routers[l.B]
 		t.routerAdj[l.A] = append(t.routerAdj[l.A], l.B)

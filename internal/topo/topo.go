@@ -204,8 +204,6 @@ type Topology struct {
 	// borderRouters[{a, b}] is asBorder oriented from a's side, built once
 	// so the data plane's per-AS-hop lookup allocates nothing.
 	borderRouters map[[2]ASN][][2]RouterID
-
-	addrToRouter map[netip.Addr]RouterID
 }
 
 // AS returns the AS record for asn, or nil if unknown.
@@ -223,13 +221,21 @@ func (t *Topology) NumRouters() int { return len(t.routers) }
 // Router returns the router record for id.
 func (t *Topology) Router(id RouterID) *Router { return &t.routers[id] }
 
-// RouterByAddr resolves an interface address to its router.
+// RouterByAddr resolves an interface address to its router, by arithmetic:
+// Builder.AddRouter is the only place a router gets an address, and it is
+// always RouterAddr(asn, its index in the AS's Routers).
 func (t *Topology) RouterByAddr(a netip.Addr) (*Router, bool) {
-	id, ok := t.addrToRouter[a]
+	asn, ok := OwnerOf(a)
 	if !ok {
 		return nil, false
 	}
-	return &t.routers[id], true
+	as := t.ases[asn]
+	b := a.As4()
+	idx := int(b[2])<<8 | int(b[3])
+	if as == nil || idx >= len(as.Routers) {
+		return nil, false
+	}
+	return &t.routers[as.Routers[idx]], true
 }
 
 // Rel reports the relationship of neighbor as seen from asn.
