@@ -64,3 +64,15 @@ func blockExport(relToNeighbor Rel) bool {
 func usable(b *Route) bool {
 	return b.Rel == RelCustomer
 }
+
+// entry is a route in compact form (the engine's adjEntry): its rel field is
+// the learned route's relationship as much as Route.Rel is.
+type entry struct {
+	rel  Rel
+	path uint32
+}
+
+// mayExport is the engine's policy over a compact entry.
+func mayExport(b *entry, relToN Rel) bool {
+	return relToN == RelCustomer || b.rel == RelCustomer
+}

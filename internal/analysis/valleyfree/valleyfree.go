@@ -15,8 +15,9 @@
 //
 // Heuristic: a function whose name contains "export" and whose body
 // consults relationship state — it reads a Rel field from a route-shaped
-// struct (one with both Path and Rel fields) or compares an expression
-// against RelCustomer — must contain both guards:
+// struct (one with both Path and Rel fields, in either case: the engine's
+// loc-RIB stores the compact adjEntry{rel, path, …}, not a Route) or
+// compares an expression against RelCustomer — must contain both guards:
 //
 //   - route side: a ==/!= comparison (or a switch) between a route's .Rel
 //     field and RelCustomer;
@@ -130,10 +131,11 @@ func isRelCustomer(e ast.Expr) bool {
 	return false
 }
 
-// isRouteRel reports whether sel reads the Rel field of a route-shaped
-// value: a struct (or pointer to one) that has both Path and Rel fields.
+// isRouteRel reports whether sel reads the Rel (or rel) field of a
+// route-shaped value: a struct (or pointer to one) that has both a Path and
+// a Rel field, exported or not.
 func isRouteRel(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	if sel.Sel.Name != "Rel" {
+	if !strings.EqualFold(sel.Sel.Name, "Rel") {
 		return false
 	}
 	return isRouteShaped(pass.TypesInfo.TypeOf(sel.X))
@@ -152,10 +154,10 @@ func isRouteShaped(t types.Type) bool {
 	}
 	var hasPath, hasRel bool
 	for i := 0; i < st.NumFields(); i++ {
-		switch st.Field(i).Name() {
-		case "Path":
+		switch strings.ToLower(st.Field(i).Name()) {
+		case "path":
 			hasPath = true
-		case "Rel":
+		case "rel":
 			hasRel = true
 		}
 	}

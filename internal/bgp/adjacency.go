@@ -67,8 +67,8 @@ func (s *Speaker) setNeighborDown(n topo.ASN, down bool) {
 	// route (originated ones included: an origin's route is its best) that
 	// export policy lets n have. A speaker with nothing for n only ticks.
 	size := s.e.prefixes.size()
-	for id, r := range s.best {
-		if r != nil && s.hasNews(i, prefixID(id)) {
+	for id := range s.best {
+		if s.best[id].kind != locNone && s.hasNews(i, prefixID(id)) {
 			st.pending.add(prefixID(id), size)
 		}
 	}

@@ -33,7 +33,10 @@ const (
 	prefBackup     = 50 // routes demoted by an ActionLowerPref community
 )
 
-// Route is one entry of an adj-RIB-in (or, after selection, a loc-RIB).
+// Route is the public form of one adj-RIB-in or loc-RIB entry. The engine
+// stores neither as a Route (see rib.go): one is built for the caller that
+// asks and is immutable from then on — a pointer held across a routing
+// change keeps describing the route as it was.
 type Route struct {
 	Prefix netip.Prefix
 	// Path is the AS path as received: Path[0] is the neighbor that sent
@@ -51,42 +54,6 @@ type Route struct {
 	Communities []Community
 	// Originated marks locally-originated routes.
 	Originated bool
-
-	// exportPath caches Path prepended with the owning speaker's ASN (see
-	// Route.exportedTo). A Route instance belongs to exactly one speaker's
-	// loc-RIB (or is its originated route), so the cache never crosses
-	// speakers.
-	exportPath topo.Path
-	// expID is the interned handle of exportPath, cached alongside it so
-	// per-flush dedup against lastAdv is a 32-bit compare.
-	expID pathID
-	// pid/cid are the interned handles of Path and Communities for routes
-	// materialized from a compact adj-RIB-in entry (zero for originated
-	// routes, whose equality is checked field-wise).
-	pid pathID
-	cid commID
-}
-
-// exportedTo returns Path prepended with self plus its interned handle,
-// computed once: Path never mutates after construction and every neighbor
-// receives the same prepended path, so one allocation (and one arena
-// round-trip) serves all exports of this route.
-func (r *Route) exportedTo(a *arena, self topo.ASN) (topo.Path, pathID) {
-	if r.exportPath == nil {
-		r.exportPath = r.Path.Prepend(self)
-		r.expID = a.internPath(r.exportPath)
-	}
-	return r.exportPath, r.expID
-}
-
-// exportIs reports whether the path exportedTo would return is the interned
-// path pid, without building or interning it when it is not cached yet.
-func (r *Route) exportIs(a *arena, self topo.ASN, pid pathID) bool {
-	if r.exportPath != nil {
-		return r.expID == pid
-	}
-	p := a.path(pid)
-	return len(p) == len(r.Path)+1 && p[0] == self && p[1:].Equal(r.Path)
 }
 
 // NextHop returns the neighbor AS traffic is forwarded to, and false for
@@ -156,20 +123,6 @@ func (c OriginConfig) sanitized() OriginConfig {
 		c.PerNeighborCommunities = m
 	}
 	return c
-}
-
-// pattern returns the effective path pattern announced to neighbor n.
-func (c *OriginConfig) pattern(self, n topo.ASN) (topo.Path, bool) {
-	if c.Withhold[n] {
-		return nil, false
-	}
-	if p, ok := c.PerNeighbor[n]; ok {
-		return p, true
-	}
-	if c.Pattern != nil {
-		return c.Pattern, true
-	}
-	return topo.Path{self}, true
 }
 
 // BestChange is emitted through Engine.OnBestChange whenever any AS's

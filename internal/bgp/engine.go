@@ -343,7 +343,10 @@ func (e *Engine) LinkExtraDelay(a, b topo.ASN) time.Duration {
 	return s.out[i].extra
 }
 
-// BestRoute returns asn's selected route for an exact prefix.
+// BestRoute returns asn's selected route for an exact prefix: Speaker.Best,
+// with its contract — one pointer per route between changes, and a caller on
+// the goroutine that owns the scheduler, because the read may remember the
+// Route it builds.
 func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
 	s := e.speakers[asn]
 	if s == nil {
@@ -354,10 +357,15 @@ func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
 
 // Lookup performs longest-prefix match for addr in asn's loc-RIB. It reads
 // the speaker's compiled LPM index (see lpm.go), so a miss or hit costs a
-// bounded trie walk with no allocations — this is the data plane's
-// per-forwarding-hop primitive. The full IPv4 length range /0../32 matches,
-// default routes included; non-IPv4 addresses (which the address plan never
-// routes) report no route.
+// bounded trie walk and, but for the first read of a route since it changed,
+// no allocation — this is the data plane's per-forwarding-hop primitive. The
+// full IPv4 length range /0../32 matches, default routes included; non-IPv4
+// addresses (which the address plan never routes) report no route. The Route
+// returned is the one BestRoute returns for the matched prefix, pointer for
+// pointer. Lookup is a writer twice over — the first call at an AS compiles
+// its LPM index, and the first after a route changed builds and remembers
+// that Route — so it too belongs to the goroutine that owns the scheduler
+// (the scheduler's owner guard is the contract; the engine takes no lock).
 func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 	s := e.speakers[asn]
 	if s == nil {
@@ -368,7 +376,7 @@ func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 		return nil, false
 	}
 	s.compileLPM()
-	r := s.bestAt(s.lpm.lookup(key))
+	r := s.route(s.lpm.lookup(key))
 	return r, r != nil
 }
 
@@ -525,11 +533,16 @@ func (e *Engine) schedReuse(s *Speaker, k dampKey, d time.Duration) {
 	e.clk.After(d, func() { s.reuseCheck(k) })
 }
 
-// notifyBest publishes a loc-RIB change. The path is cloned here, behind
-// the nil check, so runs without an observer pay no per-change allocation.
-func (e *Engine) notifyBest(s *Speaker, prefix netip.Prefix, path topo.Path) {
+// notifyBest publishes a loc-RIB change to slot nw. The path is resolved and
+// cloned here, behind the nil check, so runs without an observer pay nothing
+// per change.
+func (e *Engine) notifyBest(s *Speaker, prefix netip.Prefix, nw *locEntry) {
 	if e.OnBestChange == nil {
 		return
 	}
-	e.OnBestChange(BestChange{At: e.clk.Now(), AS: s.asn, Prefix: prefix, Path: path.Clone()})
+	var path topo.Path
+	if nw.kind == locLearned {
+		path = e.arena.path(nw.ent.path).Clone()
+	}
+	e.OnBestChange(BestChange{At: e.clk.Now(), AS: s.asn, Prefix: prefix, Path: path})
 }

@@ -46,15 +46,17 @@ func newArena() *arena {
 	}
 }
 
-// pathKey encodes p as 4 bytes per hop into buf (reused across calls);
-// topo.ASN is 32-bit, so the key must carry the full width or distinct
-// paths above 65535 would alias.
+// pathKey appends p to buf at 4 bytes per hop; topo.ASN is 32-bit, so the key
+// must carry the full width or distinct paths above 65535 would alias.
 func pathKey(buf []byte, p topo.Path) []byte {
-	buf = buf[:0]
 	for _, a := range p {
-		buf = append(buf, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		buf = asnKey(buf, a)
 	}
 	return buf
+}
+
+func asnKey(buf []byte, a topo.ASN) []byte {
+	return append(buf, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
 }
 
 // internPath returns the canonical id for p, interning it on first sight.
@@ -67,19 +69,43 @@ func (a *arena) internPath(p topo.Path) pathID {
 	}
 	var scratch [64]byte
 	key := pathKey(scratch[:0], p)
+	if id, ok := a.probePath(key); ok {
+		return id
+	}
+	return a.addPath(key, p)
+}
+
+// internPrepended returns the canonical id for path(tail) prepended with
+// self — the path a speaker exports a learned route with. The key is built
+// from the two parts; the path itself only if the arena has never seen it.
+// Most exports are of a path seen before (every unpoison, every step back
+// of a path exploration), and those allocate nothing.
+func (a *arena) internPrepended(self topo.ASN, tail pathID) pathID {
+	t := a.path(tail)
+	var scratch [64]byte
+	key := pathKey(asnKey(scratch[:0], self), t)
+	if id, ok := a.probePath(key); ok {
+		return id
+	}
+	return a.addPath(key, t.Prepend(self))
+}
+
+func (a *arena) probePath(key []byte) (pathID, bool) {
 	a.mu.RLock()
 	id, ok := a.pathIdx[string(key)]
 	a.mu.RUnlock()
-	if ok {
-		return id
-	}
+	return id, ok
+}
+
+// addPath interns p under key unless a racing caller already has.
+func (a *arena) addPath(key []byte, p topo.Path) pathID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if id, ok := a.pathIdx[string(key)]; ok {
 		return id
 	}
 	a.paths = append(a.paths, p)
-	id = pathID(len(a.paths))
+	id := pathID(len(a.paths))
 	a.pathIdx[string(key)] = id
 	return id
 }

@@ -20,14 +20,14 @@ func bruteLookup(s *Speaker, addr netip.Addr) *Route {
 		return nil
 	}
 	var bestLen = -1
-	var r *Route
-	for id, route := range s.best {
+	var win prefixID
+	for id := range s.best {
 		p := s.e.prefixes.pfx[id]
-		if route != nil && p.Contains(a) && p.Bits() > bestLen {
-			bestLen, r = p.Bits(), route
+		if s.best[id].kind != locNone && p.Contains(a) && p.Bits() > bestLen {
+			bestLen, win = p.Bits(), prefixID(id)
 		}
 	}
-	return r
+	return s.route(win)
 }
 
 // addrInside returns a random address covered by p.

@@ -130,7 +130,7 @@ func TestInjectedUpdateSharesInternedSlot(t *testing.T) {
 	if !ok {
 		t.Fatal("injected update for a new prefix was not interned")
 	}
-	if r := s2.bestAt(id); r == nil || r.Prefix != q {
+	if r := s2.route(id); r == nil || r.Prefix != q {
 		t.Fatalf("injected route not selected in its slot: %v", r)
 	}
 	e.Originate(1, q)

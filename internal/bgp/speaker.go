@@ -21,14 +21,20 @@ type Speaker struct {
 
 	// adjIn holds the latest accepted offer per prefix per neighbor, in
 	// compact delta-encoded form (see rib.go): handles and selection
-	// scalars only, sorted by neighbor. Like best it is indexed by prefix
-	// id (see prefixtab.go); the two grow together, lazily (growRIB).
+	// scalars only, sorted by neighbor, in arrays carved from slab. Like
+	// best it is indexed by prefix id (see prefixtab.go); the two grow
+	// together, lazily (growRIB).
 	adjIn []prefixRIB
-	// best is the loc-RIB: the selected route per prefix id, materialized
-	// (the one representation the data plane and public API consume); nil
-	// where no route is selected. nBest counts the non-nil slots.
-	best  []*Route
+	slab  adjSlab
+	// best is the loc-RIB: one pointer-free slot per prefix id (see rib.go),
+	// kind locNone where no route is selected. nBest counts the others.
+	best  []locEntry
 	nBest int
+	// routes remembers the *Route built from a slot for a caller of
+	// Best/BestRoute/Lookup (see route), so two reads between changes return
+	// one pointer; decide clears a slot's when it rewrites the slot. It
+	// grows on first read, so a speaker nobody reads keeps it nil.
+	routes []*Route
 	// lpm is the compiled longest-prefix-match index over the prefixes that
 	// have a best route (a leaf holds the prefix id, which best resolves).
 	// It is compiled on the speaker's first data-plane lookup and maintained
@@ -64,13 +70,11 @@ type Speaker struct {
 	peerIdx []int32
 }
 
-// originEntry pairs an origin policy with its pre-built loc-RIB route, the
-// cached plain [self] pattern, and the interned handles of every path /
-// community set the policy can announce — so per-flush exports allocate and
-// intern nothing.
+// originEntry pairs an origin policy with the cached plain [self] pattern
+// and the interned handles of every path / community set the policy can
+// announce — so per-flush exports allocate and intern nothing.
 type originEntry struct {
 	cfg   OriginConfig
-	route *Route
 	plain topo.Path // the [self] path announced when cfg.Pattern is nil
 
 	plainID   pathID
@@ -168,9 +172,14 @@ func newSpeaker(e *Engine, asn topo.ASN, idx int) *Speaker {
 	}
 	s.out = make([]outState, len(s.neighbors))
 	s.nbrRel = make([]topo.Rel, len(s.neighbors))
+	providers := 0
 	for i, n := range s.neighbors {
 		s.nbrRel[i] = e.top.Rel(asn, n)
+		if s.nbrRel[i] == topo.RelProvider {
+			providers++
+		}
 	}
+	s.slab = adjSlab{first: max(1, providers), most: max(1, len(s.neighbors))}
 	return s
 }
 
@@ -181,12 +190,35 @@ func (s *Speaker) growRIB() {
 	s.best = growTo(s.best, n)
 }
 
-// bestAt returns the selected route for id, nil when there is none.
-func (s *Speaker) bestAt(id prefixID) *Route {
+// bestAt returns the loc-RIB slot for id; the zero slot (locNone) when the
+// loc-RIB has not grown that far.
+func (s *Speaker) bestAt(id prefixID) locEntry {
 	if int(id) < len(s.best) {
 		return s.best[id]
 	}
-	return nil
+	return locEntry{}
+}
+
+// route returns the selected route for id as a *Route, nil when there is
+// none: built from the slot on the first call after the slot changed,
+// remembered for the calls that follow.
+func (s *Speaker) route(id prefixID) *Route {
+	le := s.bestAt(id)
+	if le.kind == locNone {
+		return nil
+	}
+	if int(id) >= len(s.routes) {
+		s.routes = growTo(s.routes, s.e.prefixes.size())
+	}
+	r := s.routes[id]
+	if r == nil {
+		r = s.materialize(s.e.prefixes.pfx[id], &le.ent)
+		if le.kind == locOriginated {
+			r.Path, r.Originated = topo.Path{}, true
+		}
+		s.routes[id] = r
+	}
+	return r
 }
 
 // originAt returns the origin entry for id, nil when s does not originate it.
@@ -216,10 +248,14 @@ func (s *Speaker) neighborDown(n topo.ASN) bool {
 // ASN returns the speaker's AS number.
 func (s *Speaker) ASN() topo.ASN { return s.asn }
 
-// Best returns the selected route for an exact prefix.
+// Best returns the selected route for an exact prefix. Two calls with no
+// change to that route between them return the same pointer. Like Lookup it
+// may write (it remembers the Route it builds), so it belongs to the
+// goroutine that owns the engine's scheduler, whose owner guard is the
+// contract.
 func (s *Speaker) Best(p netip.Prefix) (*Route, bool) {
 	id, _ := s.e.prefixes.lookup(p)
-	r := s.bestAt(id)
+	r := s.route(id)
 	return r, r != nil
 }
 
@@ -250,8 +286,6 @@ func (s *Speaker) materialize(p netip.Prefix, ent *adjEntry) *Route {
 		LocalPref:   int(ent.lpref),
 		MED:         int(ent.med),
 		Communities: s.e.arena.communities(ent.comms),
-		pid:         ent.path,
-		cid:         ent.comms,
 	}
 }
 
@@ -260,7 +294,7 @@ func (s *Speaker) KnownPrefixes() []netip.Prefix {
 	t := s.e.prefixes
 	out := make([]netip.Prefix, 0, s.nBest)
 	for _, id := range t.order {
-		if s.bestAt(id) != nil {
+		if s.bestAt(id).kind != locNone {
 			out = append(out, t.pfx[id])
 		}
 	}
@@ -274,14 +308,6 @@ func (s *Speaker) announce(prefix netip.Prefix, cfg OriginConfig) {
 	ent := &originEntry{
 		cfg:   cfg,
 		plain: topo.Path{s.asn},
-		route: &Route{
-			Prefix:      prefix,
-			Path:        topo.Path{},
-			From:        s.asn,
-			LocalPref:   prefOriginated,
-			Communities: cfg.Communities,
-			Originated:  true,
-		},
 	}
 	a := s.e.arena
 	ent.plainID = a.internPath(ent.plain)
@@ -400,7 +426,7 @@ func (s *Speaker) receive(ri int, u update) {
 				s.growRIB()
 				rb = &s.adjIn[id]
 			}
-			rb.insert(ent)
+			rb.insert(ent, &s.slab)
 		}
 	}
 	if s.decide(id) {
@@ -440,15 +466,15 @@ func (s *Speaker) importOK(from topo.ASN, path topo.Path) bool {
 }
 
 // decide runs the decision process for prefix; reports whether the loc-RIB
-// changed. Only a changed winner is materialized into a *Route.
+// changed. The winner is copied into the prefix's slot; nothing is allocated.
 func (s *Speaker) decide(id prefixID) bool {
 	s.e.obs.decisionRuns.Inc()
 	old := s.bestAt(id)
-	var newBest *Route
+	var nw locEntry
 	if ent := s.originAt(id); ent != nil {
 		// Originated routes carry prefOriginated, above every imported
 		// local-pref tier: they always win.
-		newBest = ent.route
+		nw = locEntry{kind: locOriginated, ent: adjEntry{nbr: s.asn, lpref: prefOriginated, comms: ent.commsID}}
 	} else if int(id) < len(s.adjIn) {
 		entries := s.adjIn[id].entries
 		win := -1
@@ -462,46 +488,41 @@ func (s *Speaker) decide(id prefixID) bool {
 			}
 		}
 		if win >= 0 {
-			w := &entries[win]
-			if old != nil && !old.Originated && old.From == w.nbr &&
-				old.pid == w.path && old.cid == w.comms {
-				return false // same winner, same route
-			}
-			newBest = s.materialize(s.e.prefixes.pfx[id], w)
+			nw = locEntry{kind: locLearned, ent: entries[win]}
 		}
 	}
-	if routesEqual(old, newBest) {
+	if old.sameRoute(&nw) {
 		return false
 	}
 	s.e.ribVersion++
-	if !sameForwarding(old, newBest) {
+	if !old.sameForwarding(&nw) {
 		s.e.fwdVersion[s.idx]++
 		s.e.prefixes.fwd[id]++
 	}
 	prefix := s.e.prefixes.pfx[id]
 	nodesBefore := s.lpm.nodes
-	if newBest == nil {
-		s.best[id] = nil
+	if int(id) >= len(s.best) {
+		s.growRIB() // only to install a route: old is locNone, nw is not
+	}
+	s.best[id] = nw
+	if int(id) < len(s.routes) {
+		s.routes[id] = nil
+	}
+	switch {
+	case nw.kind == locNone:
 		s.nBest--
 		if s.lpmLive {
 			s.lpm.remove(prefix)
 		}
 		s.e.obs.locRIBRoutes.Dec()
-		s.e.notifyBest(s, prefix, nil)
-	} else {
-		if int(id) >= len(s.best) {
-			s.growRIB()
+	case old.kind == locNone:
+		s.nBest++
+		if s.lpmLive {
+			s.lpm.insert(prefix, id)
 		}
-		s.best[id] = newBest
-		if old == nil {
-			s.nBest++
-			if s.lpmLive {
-				s.lpm.insert(prefix, id)
-			}
-			s.e.obs.locRIBRoutes.Inc()
-		}
-		s.e.notifyBest(s, prefix, newBest.Path)
+		s.e.obs.locRIBRoutes.Inc()
 	}
+	s.e.notifyBest(s, prefix, &nw)
 	if s.lpmLive {
 		s.e.obs.lpmNodes.Add(int64(s.lpm.nodes - nodesBefore))
 	}
@@ -517,43 +538,12 @@ func (s *Speaker) compileLPM() {
 		return
 	}
 	s.lpmLive = true
-	for id, r := range s.best {
-		if r != nil {
+	for id := range s.best {
+		if s.best[id].kind != locNone {
 			s.lpm.insert(s.e.prefixes.pfx[id], prefixID(id))
 		}
 	}
 	s.e.obs.lpmNodes.Add(int64(s.lpm.nodes))
-}
-
-func routesEqual(a, b *Route) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.From != b.From || !a.Path.Equal(b.Path) || a.Originated != b.Originated {
-		return false
-	}
-	if len(a.Communities) != len(b.Communities) {
-		return false
-	}
-	for i := range a.Communities {
-		if a.Communities[i] != b.Communities[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameForwarding reports whether a packet meeting selected route a fares
-// as one meeting b: the data plane reads of a route only that it exists and
-// where it sends the packet next — NextHop, which is no AS at all for an
-// originated route (deliver here) and a real neighbor for any other.
-func sameForwarding(a, b *Route) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	na, _ := a.NextHop()
-	nb, _ := b.NextHop()
-	return na == nb
 }
 
 // markAllPending offers prefix id to every neighbor session after its export
@@ -590,11 +580,21 @@ func (s *Speaker) hasNews(i int, id prefixID) bool {
 		return last.differs(ex, ok)
 	}
 	b := s.bestAt(id)
-	if !s.mayExport(i, b) {
+	if !s.mayExport(i, &b) {
 		return last.pid != 0
 	}
-	_, cid := s.exportComms(b)
-	return last.pid == 0 || last.cid != cid || !b.exportIs(s.e.arena, s.asn, last.pid)
+	return last.pid == 0 || last.cid != s.exportComms(&b) || !s.exportIs(&b, last.pid)
+}
+
+// exportIs reports whether learned slot b is exported with the interned path
+// pid, without building or interning that path when b has not been exported
+// yet.
+func (s *Speaker) exportIs(b *locEntry, pid pathID) bool {
+	if b.exp != 0 {
+		return b.exp == pid
+	}
+	p, tail := s.e.arena.path(pid), s.e.arena.path(b.ent.path)
+	return len(p) == len(tail)+1 && p[0] == s.asn && p[1:].Equal(tail)
 }
 
 // kick schedules a flush toward neighbor i unless an advertisement timer is
@@ -714,36 +714,44 @@ func (s *Speaker) exportTo(i int, id prefixID) (export, bool) {
 		// per-flush defensive clones are gone from this hot path.
 		return export{path: pat, comms: cs, med: int32(cfg.MED), pid: pid, cid: cid}, true
 	}
-	b := s.bestAt(id)
-	if !s.mayExport(i, b) {
+	if int(id) >= len(s.best) || !s.mayExport(i, &s.best[id]) {
 		return export{}, false
 	}
-	out, pid := b.exportedTo(s.e.arena, s.asn)
-	c, cid := s.exportComms(b)
-	return export{path: out, comms: c, med: 0, pid: pid, cid: cid}, true
+	b := &s.best[id]
+	if b.exp == 0 {
+		// Every neighbor receives the same prepended path, so one arena
+		// round-trip serves all exports of this route.
+		b.exp = s.e.arena.internPrepended(s.asn, b.ent.path)
+	}
+	cid := s.exportComms(b)
+	return export{path: s.e.arena.path(b.exp), comms: s.e.arena.communities(cid), med: 0, pid: b.exp, cid: cid}, true
 }
 
 // mayExport applies split horizon, valley-free export policy and this AS's
-// action communities to learned route b (nil: no route) toward neighbor i.
-func (s *Speaker) mayExport(i int, b *Route) bool {
-	if b == nil || b.From == s.neighbors[i] {
+// action communities to learned slot b (locNone: no route) toward neighbor i.
+func (s *Speaker) mayExport(i int, b *locEntry) bool {
+	if b.kind == locNone || b.ent.nbr == s.neighbors[i] {
 		return false
 	}
 	// Valley-free export: routes learned from peers or providers are
 	// exported only to customers.
 	relToN := s.nbrRel[i]
-	if relToN != topo.RelCustomer && b.Rel != topo.RelCustomer {
+	if relToN != topo.RelCustomer && b.ent.rel != topo.RelCustomer {
 		return false
 	}
 	// Action communities this AS defines (§2.3) can further restrict
-	// export.
-	return !blockExport(s.communityAction(b.Communities), relToN)
+	// export; an AS that defines none does not read the arena to learn so.
+	if len(s.commActions) == 0 {
+		return true
+	}
+	return !blockExport(s.communityAction(s.e.arena.communities(b.ent.comms)), relToN)
 }
 
-// exportComms returns the communities learned route b is exported with.
-func (s *Speaker) exportComms(b *Route) ([]Community, commID) {
+// exportComms returns the handle of the community set learned slot b is
+// exported with.
+func (s *Speaker) exportComms(b *locEntry) commID {
 	if s.as.StripCommunities {
-		return nil, 0
+		return 0
 	}
-	return b.Communities, b.cid
+	return b.ent.comms
 }

@@ -139,6 +139,7 @@ func (b *Builder) Build() (*Topology, error) {
 		borderRouters: make(map[[2]ASN][][2]RouterID),
 	}
 	sortASNs(t.asList)
+	t.indexByRel()
 	for _, l := range t.links {
 		ra, rb := &t.routers[l.A], &t.routers[l.B]
 		t.routerAdj[l.A] = append(t.routerAdj[l.A], l.B)

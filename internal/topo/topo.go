@@ -8,6 +8,7 @@ package topo
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -196,6 +197,9 @@ type Topology struct {
 	links   []Link
 
 	rels map[ASN]map[ASN]Rel
+	// byRel[asn][rel-1] lists asn's neighbors with that relationship, sorted
+	// (see indexByRel): splice.Reach asks per visited AS.
+	byRel map[ASN]*[3][]ASN
 
 	// routerAdj is the undirected router-level adjacency list.
 	routerAdj map[RouterID][]RouterID
@@ -254,7 +258,10 @@ func (t *Topology) Neighbors(asn ASN) []ASN {
 	return out
 }
 
-// Customers returns asn's customer ASNs in ascending order.
+// Customers returns asn's customer ASNs in ascending order. Like Providers
+// and Peers it returns the topology's own list, computed at Build: read it,
+// or append to it (which copies), but do not reorder or overwrite it in
+// place.
 func (t *Topology) Customers(asn ASN) []ASN { return t.neighborsWithRel(asn, RelCustomer) }
 
 // Providers returns asn's provider ASNs in ascending order.
@@ -264,14 +271,35 @@ func (t *Topology) Providers(asn ASN) []ASN { return t.neighborsWithRel(asn, Rel
 func (t *Topology) Peers(asn ASN) []ASN { return t.neighborsWithRel(asn, RelPeer) }
 
 func (t *Topology) neighborsWithRel(asn ASN, want Rel) []ASN {
-	var out []ASN
-	for n, r := range t.rels[asn] {
-		if r == want {
-			out = append(out, n)
-		}
+	if l := t.byRel[asn]; l != nil {
+		return l[want-1]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nil
+}
+
+// indexByRel computes, once, what Customers, Providers and Peers return: per
+// AS its neighbors partitioned by relationship, each part in ascending order.
+// The three parts of an AS share one array and are clipped to their length,
+// so a caller's append to one reallocates instead of writing into the next;
+// an empty part is nil.
+func (t *Topology) indexByRel() {
+	t.byRel = make(map[ASN]*[3][]ASN, len(t.rels))
+	for asn := range t.rels {
+		nbrs := t.Neighbors(asn)
+		parts, store := new([3][]ASN), make([]ASN, 0, len(nbrs))
+		for rel := RelCustomer; rel <= RelProvider; rel++ {
+			from := len(store)
+			for _, n := range nbrs {
+				if t.rels[asn][n] == rel {
+					store = append(store, n)
+				}
+			}
+			if len(store) > from {
+				parts[rel-1] = slices.Clip(store[from:])
+			}
+		}
+		t.byRel[asn] = parts
+	}
 }
 
 // Adjacent reports whether two ASes have a relationship.

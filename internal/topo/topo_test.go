@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -53,6 +54,43 @@ func TestNeighborsAndRoleLists(t *testing.T) {
 	}
 	if p := top.Peers(1); len(p) != 0 {
 		t.Fatalf("Peers(1) = %v", p)
+	}
+}
+
+// TestRoleListsSurviveAppend holds Customers/Providers/Peers to their
+// contract now that they return the topology's own lists: a caller that
+// appends to one call's result must not change what the next call — for the
+// same relationship or the one stored after it — returns.
+func TestRoleListsSurviveAppend(t *testing.T) {
+	b := NewBuilder()
+	for asn := ASN(1); asn <= 6; asn++ {
+		b.AddAS(asn, "")
+	}
+	b.Provider(2, 1) // 1's customers: 2, 3
+	b.Provider(3, 1)
+	b.Peer(1, 4) // 1's peers: 4, 5
+	b.Peer(1, 5)
+	b.Provider(1, 6) // 1's provider: 6
+	top, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := map[string]func(ASN) []ASN{"Customers": top.Customers, "Peers": top.Peers, "Providers": top.Providers}
+	want := map[string][]ASN{"Customers": {2, 3}, "Peers": {4, 5}, "Providers": {6}}
+	for name, list := range lists {
+		got := list(1)
+		if !slices.Equal(got, want[name]) {
+			t.Fatalf("%s(1) = %v, want %v", name, got, want[name])
+		}
+		_ = append(got, 99)
+		for other, l := range lists {
+			if again := l(1); !slices.Equal(again, want[other]) {
+				t.Errorf("after append to %s(1): %s(1) = %v, want %v", name, other, again, want[other])
+			}
+		}
+	}
+	if top.Peers(2) != nil || top.Customers(7) != nil {
+		t.Errorf("an empty role list should be nil: Peers(2) = %v, Customers(7) = %v", top.Peers(2), top.Customers(7))
 	}
 }
 
