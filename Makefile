@@ -81,10 +81,11 @@ fuzz-smoke:
 bench-all:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-gate runs the repository benchmark's repair, converge and churn
-# workloads for 8 s each and fails on any change in their simulated results
-# (sim_latency_s, updates_per_op: exact) or a 5 % move in allocs_per_op;
-# ops_per_s is printed as advisory. See scripts/bench-gate.sh.
+# bench-gate runs the repository benchmark's four workloads (repair,
+# converge, churn, traffic) for 8 s each and fails on any change in their
+# simulated results (sim_latency_s, updates_per_op: exact) or a 5 % move in
+# allocs_per_op (traffic's is printed only); ops_per_s is printed as
+# advisory. See scripts/bench-gate.sh.
 bench-gate:
 	bash scripts/bench-gate.sh
 

@@ -3,6 +3,7 @@ package bgp
 import (
 	"testing"
 
+	"lifeguard/internal/obs"
 	"lifeguard/internal/simclock"
 	"lifeguard/internal/topo"
 	"lifeguard/internal/topogen"
@@ -105,4 +106,51 @@ func TestPoisonCycleEventsPerUpdate(t *testing.T) {
 	} else {
 		t.Logf("poison cycle: %d events for %d updates = %.2f per update", events, updates, per)
 	}
+}
+
+// TestInflightSlabBounded pins the in-flight slab as a high-water mark, not a
+// log: over 60 poison/unpoison cycles it never holds more slots than the
+// largest number of updates the test itself sees in flight at once (sent
+// minus received, sampled after every scheduler event — the count only rises
+// inside a flush, which is one event), and at every quiescent point every
+// slot is back on the free list.
+func TestInflightSlabBounded(t *testing.T) {
+	gen := hundredASTopo(t)
+	clk := simclock.New()
+	e := New(gen.Top, clk, Config{Seed: 11, Obs: obs.New()})
+	peak := 0
+	converge := func(when string) {
+		t.Helper()
+		for !e.Quiescent() {
+			if !clk.Step() {
+				t.Fatalf("%s: no convergence", when)
+			}
+			flying := int(e.obs.updatesSent.Value() - e.obs.updatesReceived.Value())
+			peak = max(peak, flying)
+			if len(e.inflight) > peak {
+				t.Fatalf("%s: slab holds %d slots, at most %d updates were ever in flight", when, len(e.inflight), peak)
+			}
+		}
+		if len(e.inflightFree) != len(e.inflight) {
+			t.Fatalf("%s: quiescent with %d of %d slots free", when, len(e.inflightFree), len(e.inflight))
+		}
+	}
+	for _, o := range gen.Stubs[:8] {
+		e.Announce(o, topo.ProductionPrefix(o), OriginConfig{Pattern: topo.Path{o, o, o}})
+	}
+	converge("fill")
+	filled := len(e.inflight)
+	origin := gen.Stubs[0]
+	pfx := topo.ProductionPrefix(origin)
+	for i := 0; i < 60; i++ {
+		victim := gen.Transit[i%len(gen.Transit)]
+		e.Announce(origin, pfx, OriginConfig{Pattern: topo.Path{origin, victim, origin}})
+		converge("poison")
+		e.Announce(origin, pfx, OriginConfig{Pattern: topo.Path{origin, origin, origin}})
+		converge("unpoison")
+	}
+	if peak < 10 {
+		t.Fatalf("at most %d updates in flight at once: the cycles exercised nothing", peak)
+	}
+	t.Logf("slab %d slots after the fill, %d after 60 cycles; peak in flight %d", filled, len(e.inflight), peak)
 }

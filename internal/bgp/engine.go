@@ -144,6 +144,15 @@ func (e *Engine) RIBSizes() (locRIB, adjEntries int) {
 	return locRIB, adjEntries
 }
 
+// intern returns p's id, growing the prefix table, and with it the trie whose
+// size the lpm_nodes gauge reports, on first sight.
+func (e *Engine) intern(p netip.Prefix) prefixID {
+	before := e.prefixes.cover.nodes
+	id := e.prefixes.intern(p)
+	e.obs.lpmNodes.Add(int64(e.prefixes.cover.nodes - before))
+	return id
+}
+
 // Originate announces prefix from asn with the plain [asn] path.
 func (e *Engine) Originate(asn topo.ASN, prefix netip.Prefix) {
 	e.Announce(asn, prefix, OriginConfig{})
@@ -355,17 +364,17 @@ func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
 	return s.Best(prefix)
 }
 
-// Lookup performs longest-prefix match for addr in asn's loc-RIB. It reads
-// the speaker's compiled LPM index (see lpm.go), so a miss or hit costs a
-// bounded trie walk and, but for the first read of a route since it changed,
-// no allocation — this is the data plane's per-forwarding-hop primitive. The
-// full IPv4 length range /0../32 matches, default routes included; non-IPv4
-// addresses (which the address plan never routes) report no route. The Route
-// returned is the one BestRoute returns for the matched prefix, pointer for
-// pointer. Lookup is a writer twice over — the first call at an AS compiles
-// its LPM index, and the first after a route changed builds and remembers
-// that Route — so it too belongs to the goroutine that owns the scheduler
-// (the scheduler's owner guard is the contract; the engine takes no lock).
+// Lookup performs longest-prefix match for addr in asn's loc-RIB: one bounded
+// walk down the engine's trie over every interned prefix (see lpm.go), keeping
+// the deepest prefix asn holds a route for, so a miss or hit costs, but for
+// the first read of a route since it changed, no allocation — this is the data
+// plane's per-forwarding-hop primitive. The full IPv4 length range /0../32
+// matches, default routes included; non-IPv4 addresses (which the address
+// plan never routes) report no route. The Route returned is the one BestRoute
+// returns for the matched prefix, pointer for pointer. Like BestRoute, Lookup
+// may write — the first call after a route changed builds and remembers that
+// Route — so it too belongs to the goroutine that owns the scheduler (the
+// scheduler's owner guard is the contract; the engine takes no lock).
 func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 	s := e.speakers[asn]
 	if s == nil {
@@ -375,8 +384,7 @@ func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 	if !ok {
 		return nil, false
 	}
-	s.compileLPM()
-	r := s.route(s.lpm.lookup(key))
+	r := s.route(e.prefixes.cover.longest(key, s.best))
 	return r, r != nil
 }
 

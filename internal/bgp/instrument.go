@@ -30,7 +30,7 @@ func newEngineObs(reg *obs.Registry) engineObs {
 	reg.Describe("lifeguard_bgp_dampening_penalties_total", "RFC 2439 flap penalties applied")
 	reg.Describe("lifeguard_bgp_dampening_suppressions_total", "routes newly suppressed by dampening")
 	reg.Describe("lifeguard_bgp_locrib_routes", "selected routes across all loc-RIBs")
-	reg.Describe("lifeguard_bgp_lpm_nodes", "live nodes across all compiled LPM tries")
+	reg.Describe("lifeguard_bgp_lpm_nodes", "nodes of the engine's longest-prefix-match trie over every interned prefix")
 	return engineObs{
 		updatesSent:         reg.Counter("lifeguard_bgp_updates_sent_total"),
 		updatesReceived:     reg.Counter("lifeguard_bgp_updates_received_total"),

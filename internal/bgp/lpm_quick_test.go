@@ -11,9 +11,9 @@ import (
 )
 
 // bruteLookup is the oracle for Engine.Lookup: a linear longest-match scan
-// over the loc-RIB slice, with none of the index's incremental bookkeeping.
-// The scan keeps the strictly longest containing prefix, so id order cannot
-// influence the result.
+// over the loc-RIB slice that never looks at the trie. The scan keeps the
+// strictly longest containing prefix, so id order cannot influence the
+// result.
 func bruteLookup(s *Speaker, addr netip.Addr) *Route {
 	a := addr.Unmap()
 	if !a.Is4() {
@@ -41,11 +41,12 @@ func addrInside(p netip.Prefix, rng *rand.Rand) netip.Addr {
 
 // TestLPMMatchesBruteForce is a quick-check-style invariant test: under
 // seeded randomized origin churn (plain announcements, poisoned patterns,
-// withdrawals) over a generated internetwork, every speaker's compiled LPM
-// index must agree with a brute-force longest-match over its loc-RIB for
-// both covered and uncovered addresses. This is the safety net for the
-// incremental insert/remove maintenance in decide: any divergence between
-// the trie and the map it indexes shows up here.
+// withdrawals) over a generated internetwork, Lookup at every speaker must
+// agree with a brute-force longest-match over its loc-RIB for both covered
+// and uncovered addresses. This is the safety net for reading one
+// engine-wide trie through each speaker's own slots: a match kept for a
+// prefix the speaker has no route for, or a routed one passed over, shows
+// up here.
 func TestLPMMatchesBruteForce(t *testing.T) {
 	res, err := topogen.Generate(topogen.Config{Seed: 11, NumTier1: 3, NumTransit: 8, NumStub: 10})
 	if err != nil {

@@ -1,9 +1,12 @@
 package bgp
 
 import (
+	"fmt"
+	"hash/fnv"
 	"net/netip"
 	"testing"
 
+	"lifeguard/internal/obs"
 	"lifeguard/internal/simclock"
 	"lifeguard/internal/topo"
 )
@@ -120,9 +123,10 @@ func TestLookupLongestMatchAndMisses(t *testing.T) {
 	}
 }
 
-// TestLPMIndexPruning exercises the trie's node recycling directly: a
-// withdraw returns the route's exclusive tail to the free list, and a
-// re-announce reuses it without growing the slab.
+// TestLPMIndexPruning exercises the trie directly on nested prefixes read
+// through a loc-RIB that lacks some of them: a prefix without a route is
+// pruned from the match, never from the trie, and the match falls through to
+// the deepest covering prefix that has one.
 func TestLPMIndexPruning(t *testing.T) {
 	var x lpmIndex
 	p := netip.MustParsePrefix("10.0.0.0/24")
@@ -130,36 +134,245 @@ func TestLPMIndexPruning(t *testing.T) {
 	const ip, iq prefixID = 1, 2
 	x.insert(p, ip)
 	x.insert(q, iq)
-	if x.len != 2 {
-		t.Fatalf("len = %d, want 2", x.len)
+	// The /8's eight nodes are the head of the /24's path.
+	if x.nodes != 24 {
+		t.Fatalf("nodes = %d, want 24", x.nodes)
 	}
-	key, _ := v4Key(netip.MustParseAddr("10.0.0.1"))
-	if got := x.lookup(key); got != ip {
-		t.Fatalf("lookup = %v, want the /24's id", got)
+	inP, _ := v4Key(netip.MustParseAddr("10.0.0.1"))
+	inQ, _ := v4Key(netip.MustParseAddr("10.9.0.1"))
+	out, _ := v4Key(netip.MustParseAddr("11.0.0.1"))
+	routed := locEntry{kind: locLearned}
+	cases := []struct {
+		name string
+		best []locEntry // indexed by prefix id; slot 0 stays empty
+		key  uint32
+		want prefixID
+	}{
+		{"both routed, inside the /24", []locEntry{{}, routed, routed}, inP, ip},
+		{"both routed, inside the /8 only", []locEntry{{}, routed, routed}, inQ, iq},
+		{"both routed, outside both", []locEntry{{}, routed, routed}, out, 0},
+		{"/24 has no route: falls through to the /8", []locEntry{{}, {}, routed}, inP, iq},
+		{"/8 has no route: the /24 still matches", []locEntry{{}, routed, {}}, inP, ip},
+		{"/8 has no route: nothing covers the rest of it", []locEntry{{}, routed, {}}, inQ, 0},
+		{"neither has a route", []locEntry{{}, {}, {}}, inP, 0},
+		{"loc-RIB ends before the /8's id", []locEntry{{}, routed}, inQ, 0},
+		{"loc-RIB ends before the /8's id, /24 in reach", []locEntry{{}, routed}, inP, ip},
+		{"empty loc-RIB", nil, inP, 0},
 	}
-	x.remove(p)
-	if got := x.lookup(key); got != iq {
-		t.Fatalf("lookup after /24 removal = %v, want the /8's id", got)
+	for _, c := range cases {
+		if got := x.longest(c.key, c.best); got != c.want {
+			t.Errorf("%s: longest = %v, want %v", c.name, got, c.want)
+		}
 	}
-	// The /24's sixteen exclusive nodes (depths 9..24) were recycled.
-	if len(x.free) != 16 {
-		t.Fatalf("free list has %d nodes after prune, want 16", len(x.free))
-	}
+	// Re-inserting an indexed prefix adds no node.
 	x.insert(p, ip)
-	if len(x.free) != 0 {
-		t.Fatalf("free list has %d nodes after re-insert, want 0 (reused)", len(x.free))
+	if x.nodes != 24 {
+		t.Fatalf("nodes = %d after re-insert, want 24", x.nodes)
 	}
-	x.remove(q)
-	x.remove(p)
-	if x.len != 0 {
-		t.Fatalf("len = %d after removing all, want 0", x.len)
+}
+
+// forkNet builds the smallest world in which ASes hold different subsets of
+// one prefix set: origin 1 is a customer of 2 and of 4, which share nothing
+// else; 3 is single-homed behind 2 (its captive once 2 is poisoned) and 6
+// behind 4.
+func forkNet(t *testing.T) *Engine {
+	t.Helper()
+	b := topo.NewBuilder()
+	for _, asn := range []topo.ASN{1, 2, 3, 4, 6} {
+		b.AddAS(asn, "")
 	}
-	if got := x.lookup(key); got != 0 {
-		t.Fatalf("lookup on empty index = %v, want 0", got)
+	b.Provider(1, 2)
+	b.Provider(1, 4)
+	b.Provider(3, 2)
+	b.Provider(6, 4)
+	top, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Removing an absent prefix is a no-op.
-	x.remove(p)
-	if x.len != 0 {
-		t.Fatalf("len = %d after redundant remove, want 0", x.len)
+	return New(top, simclock.New(), Config{Seed: 1})
+}
+
+// TestLookupFallsThroughWhatThisASLacks pins the one thing Lookup adds to
+// the engine-wide trie: which of the prefixes on the way down count is the
+// asking speaker's business. Every answer is also held to bruteLookup.
+func TestLookupFallsThroughWhatThisASLacks(t *testing.T) {
+	var none netip.Prefix
+	// expect asserts Lookup(asn, addr) matches want (none: no route).
+	expect := func(t *testing.T, e *Engine, asn topo.ASN, addr netip.Addr, want netip.Prefix) {
+		t.Helper()
+		got, ok := e.Lookup(asn, addr)
+		if brute := bruteLookup(e.Speaker(asn), addr); got != brute {
+			t.Errorf("AS%d Lookup(%v) = %v; brute force says %v", asn, addr, got, brute)
+		}
+		switch {
+		case want == none && ok:
+			t.Errorf("AS%d Lookup(%v) = %v; want no route", asn, addr, got.Prefix)
+		case want != none && (!ok || got.Prefix != want):
+			t.Errorf("AS%d Lookup(%v) = %v, %v; want %v", asn, addr, got, ok, want)
+		}
+	}
+	prod, sentinel, addr := topo.ProductionPrefix(1), topo.SentinelPrefix(1), topo.ProductionAddr(1)
+
+	t.Run("captive falls through to the sentinel", func(t *testing.T) {
+		e := forkNet(t)
+		e.Announce(1, sentinel, OriginConfig{})
+		e.Announce(1, prod, OriginConfig{Pattern: topo.Path{1, 1, 1}})
+		converge(t, e)
+		for _, asn := range e.asns {
+			expect(t, e, asn, addr, prod)
+		}
+		// Poisoning 2 takes the /24 from 2 and its captive 3, nobody else.
+		e.Announce(1, prod, OriginConfig{Pattern: topo.Path{1, 2, 1}})
+		converge(t, e)
+		for _, asn := range []topo.ASN{2, 3} {
+			expect(t, e, asn, addr, sentinel)
+		}
+		for _, asn := range []topo.ASN{1, 4, 6} {
+			expect(t, e, asn, addr, prod)
+		}
+	})
+
+	t.Run("selective more-specific matches only where it arrived", func(t *testing.T) {
+		e := forkNet(t)
+		half := netip.PrefixFrom(prod.Addr(), 25)
+		e.Announce(1, prod, OriginConfig{})
+		e.Announce(1, half, OriginConfig{Withhold: map[topo.ASN]bool{2: true}})
+		converge(t, e)
+		for _, asn := range []topo.ASN{1, 4, 6} {
+			expect(t, e, asn, addr, half)
+		}
+		for _, asn := range []topo.ASN{2, 3} {
+			expect(t, e, asn, addr, prod)
+		}
+	})
+
+	t.Run("withdrawn everywhere stays in the trie and is skipped", func(t *testing.T) {
+		e := forkNet(t)
+		e.Announce(1, sentinel, OriginConfig{})
+		e.Announce(1, prod, OriginConfig{})
+		converge(t, e)
+		e.Withdraw(1, prod)
+		converge(t, e)
+		if _, ok := e.prefixes.lookup(prod); !ok {
+			t.Fatal("the prefix table un-interned a prefix")
+		}
+		for _, asn := range e.asns {
+			expect(t, e, asn, addr, sentinel)
+		}
+		e.Withdraw(1, sentinel)
+		converge(t, e)
+		for _, asn := range e.asns {
+			expect(t, e, asn, addr, none)
+		}
+	})
+
+	t.Run("loc-RIB shorter than the prefix table", func(t *testing.T) {
+		e := forkNet(t)
+		// Announced, nothing delivered: only the origin's loc-RIB has grown.
+		e.Announce(1, sentinel, OriginConfig{})
+		if s := e.Speaker(3); len(s.best) != 0 {
+			t.Fatalf("AS3 loc-RIB has %d slots before any update arrived", len(s.best))
+		}
+		expect(t, e, 1, addr, sentinel)
+		expect(t, e, 3, addr, none)
+		converge(t, e)
+		// A second, deeper prefix the others have not heard of yet: its id
+		// lies past the end of their loc-RIBs.
+		e.Announce(1, prod, OriginConfig{})
+		if s := e.Speaker(3); len(s.best) >= e.prefixes.size() {
+			t.Fatalf("AS3 loc-RIB has %d slots, prefix table %d: want it shorter", len(s.best), e.prefixes.size())
+		}
+		expect(t, e, 1, addr, prod)
+		for _, asn := range []topo.ASN{2, 3, 4, 6} {
+			expect(t, e, asn, addr, sentinel)
+		}
+	})
+
+	t.Run("default route at the root", func(t *testing.T) {
+		e := forkNet(t)
+		dflt := netip.MustParsePrefix("0.0.0.0/0")
+		e.Announce(1, dflt, OriginConfig{Withhold: map[topo.ASN]bool{4: true}})
+		converge(t, e)
+		far := netip.MustParseAddr("203.0.113.9")
+		for _, asn := range []topo.ASN{1, 2, 3} {
+			expect(t, e, asn, far, dflt)
+			expect(t, e, asn, addr, dflt)
+		}
+		for _, asn := range []topo.ASN{4, 6} {
+			expect(t, e, asn, far, none)
+		}
+	})
+}
+
+// countNodes counts the trie nodes below n by walking them.
+func countNodes(n *lpmNode) int {
+	total := 0
+	for _, c := range n.child {
+		if c != nil {
+			total += 1 + countNodes(c)
+		}
+	}
+	return total
+}
+
+// TestLPMNodesGaugeIsTheOneTrie holds lifeguard_bgp_lpm_nodes to the
+// engine's one trie: after every step of a fill, a poison cycle and a
+// withdrawal it equals the trie's node count (counted here by walking it), it
+// reads the same whether or not anybody ever called Lookup — nothing is
+// compiled on first use — and a run with the registry on produces the update
+// stream, byte for byte, of the same run without one.
+func TestLPMNodesGaugeIsTheOneTrie(t *testing.T) {
+	gen := hundredASTopo(t)
+	run := func(reg *obs.Registry, lookups bool) (gauge []int64, digest uint64) {
+		e := New(gen.Top, simclock.New(), Config{Seed: 11, Obs: reg})
+		h := fnv.New64a()
+		e.OnBestChange = func(c BestChange) {
+			fmt.Fprintf(h, "%d AS%d %v %v\n", c.At, c.AS, c.Prefix, c.Path)
+		}
+		step := func() {
+			t.Helper()
+			converge(t, e)
+			if lookups {
+				for _, asn := range gen.Top.ASNs() {
+					for _, o := range gen.Stubs[:4] {
+						r, _ := e.Lookup(asn, topo.ProductionAddr(o))
+						fmt.Fprintf(h, "AS%d -> %v\n", asn, r)
+					}
+				}
+			}
+			if want := countNodes(&e.prefixes.cover.root); e.prefixes.cover.nodes != want {
+				t.Fatalf("trie says %d nodes, walking it finds %d", e.prefixes.cover.nodes, want)
+			}
+			if reg != nil && e.obs.lpmNodes.Value() != int64(e.prefixes.cover.nodes) {
+				t.Fatalf("gauge reads %d, the trie has %d nodes", e.obs.lpmNodes.Value(), e.prefixes.cover.nodes)
+			}
+			gauge = append(gauge, e.obs.lpmNodes.Value())
+			fmt.Fprintf(h, "sent=%d\n", e.TotalUpdatesSent())
+		}
+		step() // empty table
+		for _, o := range gen.Stubs[:4] {
+			e.Announce(o, topo.SentinelPrefix(o), OriginConfig{})
+			e.Announce(o, topo.ProductionPrefix(o), OriginConfig{Pattern: topo.Path{o, o, o}})
+			step()
+		}
+		o, pfx := gen.Stubs[0], topo.ProductionPrefix(gen.Stubs[0])
+		e.Announce(o, pfx, OriginConfig{Pattern: topo.Path{o, gen.Transit[0], o}})
+		step()
+		e.Announce(o, pfx, OriginConfig{Pattern: topo.Path{o, o, o}})
+		step()
+		e.Withdraw(o, pfx) // routed nowhere, still interned: the gauge stays
+		step()
+		return gauge, h.Sum64()
+	}
+	read, readDigest := run(obs.New(), true)
+	unread, _ := run(obs.New(), false)
+	if fmt.Sprint(read) != fmt.Sprint(unread) {
+		t.Errorf("gauge with Lookups %v, without %v", read, unread)
+	}
+	if read[0] != 0 || read[len(read)-1] <= read[1] || read[len(read)-1] != read[len(read)-2] {
+		t.Errorf("gauge %v: want 0 on an empty table, growth through the fill, no change at the withdrawal", read)
+	}
+	if _, dark := run(nil, true); dark != readDigest {
+		t.Errorf("stream digest %#x with the registry on, %#x with it off", readDigest, dark)
 	}
 }

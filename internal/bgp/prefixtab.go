@@ -34,9 +34,10 @@ type prefixTable struct {
 	rank  []uint32       // rank[id] is id's position in order
 	order []prefixID     // every id, sorted by (addr, bits)
 	// fwd[id] counts the loc-RIB changes for id, at any speaker, that
-	// changed how that speaker forwards; cover indexes every interned
-	// prefix, routed or not. Engine.DstVersion sums the first along the
-	// second.
+	// changed how that speaker forwards; cover is the engine's one LPM trie,
+	// over every interned prefix, routed or not. Engine.DstVersion sums the
+	// first along the second; Engine.Lookup reads the second through one
+	// speaker's loc-RIB.
 	fwd   []uint64
 	cover lpmIndex
 }

@@ -35,15 +35,6 @@ type Speaker struct {
 	// one pointer; decide clears a slot's when it rewrites the slot. It
 	// grows on first read, so a speaker nobody reads keeps it nil.
 	routes []*Route
-	// lpm is the compiled longest-prefix-match index over the prefixes that
-	// have a best route (a leaf holds the prefix id, which best resolves).
-	// It is compiled on the speaker's first data-plane lookup and maintained
-	// incrementally by decide from then on (lpmLive): pure control-plane
-	// runs — convergence at Internet scale — never pay for a trie nobody
-	// walks. Engine.Lookup — the data-plane hot path — reads it instead
-	// of probing best per candidate length.
-	lpm     lpmIndex
-	lpmLive bool
 	// origin holds locally-originated prefixes: the (sanitized) announcement
 	// policy plus the originated loc-RIB route, built once per Announce so
 	// decide does not reallocate it on every update. Indexed by prefix id;
@@ -304,7 +295,7 @@ func (s *Speaker) KnownPrefixes() []netip.Prefix {
 // announce installs an origin config (already sanitized by the engine) and
 // propagates resulting changes.
 func (s *Speaker) announce(prefix netip.Prefix, cfg OriginConfig) {
-	id := s.e.prefixes.intern(prefix)
+	id := s.e.intern(prefix)
 	ent := &originEntry{
 		cfg:   cfg,
 		plain: topo.Path{s.asn},
@@ -356,12 +347,11 @@ func (s *Speaker) receive(ri int, u update) {
 	if u.path == nil {
 		s.e.obs.withdrawalsReceived.Inc()
 	}
-	// Flush always ships the prefix id; an update injected without one
-	// (tests, external bridges) carries the prefix itself and is interned
-	// here.
+	// Flush always ships the prefix id; an update injected without one (only
+	// tests do) carries the prefix itself and is interned here.
 	id := u.id
 	if id == 0 {
-		id = s.e.prefixes.intern(u.prefix)
+		id = s.e.intern(u.prefix)
 	}
 	var rb *prefixRIB
 	idx := -1
@@ -388,8 +378,8 @@ func (s *Speaker) receive(ri int, u update) {
 			lpref = prefBackup
 		}
 		// Flush always ships interned handles alongside the slices; an update
-		// injected without them (tests, external bridges) is interned here, on
-		// defensive copies since the arena aliases what it is handed.
+		// injected without them (only tests do) is interned here, on defensive
+		// copies since the arena aliases what it is handed.
 		pid, cid := u.pid, u.cid
 		if pid == 0 {
 			pid = s.e.arena.internPath(u.path.Clone())
@@ -499,8 +489,6 @@ func (s *Speaker) decide(id prefixID) bool {
 		s.e.fwdVersion[s.idx]++
 		s.e.prefixes.fwd[id]++
 	}
-	prefix := s.e.prefixes.pfx[id]
-	nodesBefore := s.lpm.nodes
 	if int(id) >= len(s.best) {
 		s.growRIB() // only to install a route: old is locNone, nw is not
 	}
@@ -511,39 +499,13 @@ func (s *Speaker) decide(id prefixID) bool {
 	switch {
 	case nw.kind == locNone:
 		s.nBest--
-		if s.lpmLive {
-			s.lpm.remove(prefix)
-		}
 		s.e.obs.locRIBRoutes.Dec()
 	case old.kind == locNone:
 		s.nBest++
-		if s.lpmLive {
-			s.lpm.insert(prefix, id)
-		}
 		s.e.obs.locRIBRoutes.Inc()
 	}
-	s.e.notifyBest(s, prefix, &nw)
-	if s.lpmLive {
-		s.e.obs.lpmNodes.Add(int64(s.lpm.nodes - nodesBefore))
-	}
+	s.e.notifyBest(s, s.e.prefixes.pfx[id], &nw)
 	return true
-}
-
-// compileLPM builds the trie from the loc-RIB the first time the data
-// plane looks anything up; decide keeps it current afterwards. The trie's
-// shape is a function of the prefix set alone, so lazy compilation yields
-// the exact index eager maintenance would have.
-func (s *Speaker) compileLPM() {
-	if s.lpmLive {
-		return
-	}
-	s.lpmLive = true
-	for id := range s.best {
-		if s.best[id].kind != locNone {
-			s.lpm.insert(s.e.prefixes.pfx[id], prefixID(id))
-		}
-	}
-	s.e.obs.lpmNodes.Add(int64(s.lpm.nodes))
 }
 
 // markAllPending offers prefix id to every neighbor session after its export
