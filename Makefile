@@ -32,13 +32,14 @@ lint: lglint
 
 # The packages with real concurrency: internal/bgp (whose path arena keeps
 # a lock for off-loop readers), the monitoring pipeline, and the parallel
-# trial runner (plus the experiments that fan out on it). The dataplane
+# trial runner (plus the experiments and lgchaos trials that fan out on it
+# and merge their per-trial registries through it). The dataplane
 # rides along to hold Forward and ForwardBatch to the aliasing contracts
 # (cached intra-AS paths and cached walks are shared, read-only) under the
 # detector, and the prober and atlas because they are what reads those
 # shared Results.
 race:
-	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./internal/dataplane/... ./internal/probe/... ./internal/atlas/...
+	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./cmd/lgchaos/... ./internal/dataplane/... ./internal/probe/... ./internal/atlas/...
 
 # debug-test reruns the simulation-bearing packages with the simclockdebug
 # ownership assertion compiled in: any scheduler touched from two

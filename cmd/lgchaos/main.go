@@ -123,12 +123,10 @@ func badFlag(format string, args ...any) {
 	os.Exit(2)
 }
 
-// trialOut is one trial's rendered report plus the private registry it
-// reported into (nil when the run is uninstrumented).
+// trialOut is one trial's rendered report.
 type trialOut struct {
 	text       string
 	violations int
-	reg        *obs.Registry
 }
 
 // writeReports runs the trials on the runner pool and renders each report
@@ -158,11 +156,7 @@ func writeReports(ctx context.Context, out, errw io.Writer, opts options) (int, 
 		dst = obs.New()
 	}
 
-	outs, err := runner.Map(ctx, opts.trials, cfg, func(_ context.Context, i int) (trialOut, error) {
-		var reg *obs.Registry
-		if dst.Enabled() {
-			reg = obs.New()
-		}
+	outs, err := runner.Map(ctx, opts.trials, cfg, dst, func(_ context.Context, i int, reg *obs.Registry) (trialOut, error) {
 		if opts.hijack {
 			return runHijackTrial(opts, opts.seed+int64(i), reg)
 		}
@@ -176,7 +170,6 @@ func writeReports(ctx context.Context, out, errw io.Writer, opts options) (int, 
 	for _, o := range outs {
 		fmt.Fprint(out, o.text)
 		violations += o.violations
-		dst.Merge(o.reg)
 	}
 
 	if opts.obsPath != "" {
@@ -233,7 +226,7 @@ func runTrial(opts options, seed int64, reg *obs.Registry) (trialOut, error) {
 		text += "  " + line + "\n"
 	}
 	text += rep.String() + "\n"
-	return trialOut{text: text, violations: len(rep.Violations), reg: reg}, nil
+	return trialOut{text: text, violations: len(rep.Violations)}, nil
 }
 
 // runHijackTrial drives the hijack-plane smoke: one generated
@@ -305,7 +298,7 @@ func runHijackTrial(opts options, seed int64, reg *obs.Registry) (trialOut, erro
 		text += "  VIOLATION: alarm or counter-announcements outlived the attack\n"
 	}
 	ses.Stop()
-	return trialOut{text: text, violations: violations, reg: reg}, nil
+	return trialOut{text: text, violations: violations}, nil
 }
 
 // writeFaultList prints the chaos script vocabulary, one keyword per line,
@@ -331,9 +324,9 @@ func splitLines(s string) []string {
 	return out
 }
 
-// writeSnapshot dumps the merged registry as JSON. Per-trial registries
-// merge in trial-index order, so for a fixed configuration the file is
-// byte-identical at every -parallel level.
+// writeSnapshot dumps the merged registry as JSON. runner.Map merges the
+// per-trial registries in trial-index order, so for a fixed configuration
+// the file is byte-identical at every -parallel level.
 func writeSnapshot(path string, reg *obs.Registry) error {
 	f, err := os.Create(path)
 	if err != nil {

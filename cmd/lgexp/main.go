@@ -138,7 +138,7 @@ func writeReports(ctx context.Context, out, errw io.Writer, opts options) error 
 	//lint:ignore lglint/simclockcheck wall-clock progress report for the operator; no result depends on it
 	start := time.Now()
 	fmt.Fprintf(errw, "lgexp: %d experiments x %d seeds = %d trials on %d workers\n",
-		len(todo), opts.seeds, experiments.SuiteTrialCount(todo, opts.seed, opts.seeds), cfg.Workers())
+		len(todo), opts.seeds, experiments.SuiteTrialCount(todo, opts.seeds), cfg.Workers())
 
 	// Metrics go to a side file, never stdout: the report stream stays
 	// byte-identical whether or not instrumentation is on (-obs set), and

@@ -24,7 +24,7 @@
 //
 //	errcontract    errors from *Err contract functions must be checked
 //	failureid      FailureIDs must not be reused after Heal*/Remove*
-//	obsregistry    obs handles must be created before runner.Map/Reduce fan-out
+//	obsregistry    obs handles must be created before runner.Map fan-out
 //	journaltaint   no wall-clock/RNG-derived values in the journal or reports
 //
 // A finding can be suppressed, with a mandatory written reason, by

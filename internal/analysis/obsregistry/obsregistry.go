@@ -1,8 +1,8 @@
 // Package obsregistry enforces the observability registry's fan-out
 // discipline: metric handles (Counter/Gauge/Histogram) and Describe
-// registrations must be created before trials fan out through
-// runner.Map/Reduce, never inside the per-trial closure against a
-// registry captured from outside. Handle creation on a shared registry
+// registrations must be created before trials fan out through runner.Map
+// (or any other Map/Reduce-named fan-out), never inside the per-trial
+// closure against a registry captured from outside. Handle creation on a shared registry
 // inside the closure makes first-touch ordering depend on trial
 // scheduling — exactly the nondeterminism the obs subsystem's sorted
 // snapshots exist to rule out — and turns every trial's hot path into a
@@ -12,8 +12,9 @@
 // taking a func-typed parameter; at call sites — local or across packages
 // via the fact — it inspects function-literal arguments and flags handle
 // creation on registries that escape into the closure from the enclosing
-// scope. A registry created inside the closure (per-trial, merged later)
-// is fine.
+// scope. A registry declared inside the closure is fine: the one runner.Map
+// hands each trial as a parameter (merged into the caller's in trial
+// order), or one the closure creates itself.
 package obsregistry
 
 import (
@@ -33,9 +34,9 @@ func (*FanOut) AFact() {}
 var Analyzer = &analysis.Analyzer{
 	Name: "obsregistry",
 	Doc: "flag obs registry handle creation inside fan-out trial closures (cross-package via facts)\n" +
-		"\nCounter/Gauge/Histogram/Describe on a registry captured by a runner.Map/Reduce" +
+		"\nCounter/Gauge/Histogram/Describe on a registry captured by a runner.Map" +
 		" closure makes series creation order depend on trial scheduling. Create handles" +
-		" before the fan-out, or give each trial its own registry and merge.",
+		" before the fan-out, or use the per-trial registry runner.Map hands the trial.",
 	FactTypes: []analysis.Fact{(*FanOut)(nil)},
 	Run:       run,
 }

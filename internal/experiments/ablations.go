@@ -67,35 +67,28 @@ func thresholdSweep(seed int64, th time.Duration) *thresholdPart {
 // about to heal anyway (pure churn); too patient forfeits avoidable
 // downtime. The paper picks ~5 minutes from the Fig. 5 residuals; this
 // quantifies the trade-off.
-var thresholdScenario = Scenario{
-	Trials: func(seed int64) []Trial {
-		trials := make([]Trial, len(ablationThresholds))
-		for i, th := range ablationThresholds {
-			th := th
-			trials[i] = Trial{Name: "threshold=" + th.String(), Run: func(_ *obs.Registry) any { return thresholdSweep(seed, th) }}
-		}
-		return trials
-	},
-	Reduce: func(_ int64, parts []any) *Result {
-		r := newResult("abl-threshold", "poison-maturity threshold trade-off")
-		tab := &metrics.Table{
-			Title:  "ablation — when to poison",
-			Header: []string{"threshold (min)", "poisons", "wasted (healed first)", "wasted frac", "downtime avoided"},
-		}
-		for _, pa := range parts {
-			p := pa.(*thresholdPart)
-			tab.AddRow(p.threshold.Minutes(), p.poisons, p.wasted, frac(p.wasted, p.poisons), p.saved/p.total)
-			key := p.threshold.String()
-			r.Values["poisons_"+key] = float64(p.poisons)
-			r.Values["wasted_frac_"+key] = frac(p.wasted, p.poisons)
-			r.Values["avoided_"+key] = p.saved / p.total
-		}
-		r.addTable(tab)
-		r.notef("the paper's ~5 min threshold: nearly all long-tail downtime is still avoided while poison volume drops ~%.0fx vs poisoning immediately",
-			r.Values["poisons_0s"]/r.Values["poisons_5m0s"])
-		r.notef("thresholds beyond ~10 min stop paying: wasted-poison rate stays low but avoided downtime declines")
-		return r
-	},
+var thresholdScenario = sweep(ablationThresholds,
+	func(seed int64, th time.Duration, _ *obs.Registry) *thresholdPart { return thresholdSweep(seed, th) },
+	reduceThreshold)
+
+func reduceThreshold(parts []*thresholdPart) *Result {
+	r := newResult("abl-threshold", "poison-maturity threshold trade-off")
+	tab := &metrics.Table{
+		Title:  "ablation — when to poison",
+		Header: []string{"threshold (min)", "poisons", "wasted (healed first)", "wasted frac", "downtime avoided"},
+	}
+	for _, p := range parts {
+		tab.AddRow(p.threshold.Minutes(), p.poisons, p.wasted, frac(p.wasted, p.poisons), p.saved/p.total)
+		key := p.threshold.String()
+		r.Values["poisons_"+key] = float64(p.poisons)
+		r.Values["wasted_frac_"+key] = frac(p.wasted, p.poisons)
+		r.Values["avoided_"+key] = p.saved / p.total
+	}
+	r.addTable(tab)
+	r.notef("the paper's ~5 min threshold: nearly all long-tail downtime is still avoided while poison volume drops ~%.0fx vs poisoning immediately",
+		r.Values["poisons_0s"]/r.Values["poisons_5m0s"])
+	r.notef("thresholds beyond ~10 min stop paying: wasted-poison rate stays low but avoided downtime declines")
+	return r
 }
 
 // ablationPrecheck measures what the §4.2 alternate-path precheck buys:
@@ -128,7 +121,6 @@ func ablationPrecheck(seed int64, reg *obs.Registry) *Result {
 			if pred {
 				predicted++
 			}
-			since := n.Clk.Now()
 			n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: topo.Path{origin, a, origin}})
 			converge(n)
 			_, ok := n.Eng.BestRoute(v, prod)
@@ -140,7 +132,6 @@ func ablationPrecheck(seed int64, reg *obs.Registry) *Result {
 			}
 			n.Eng.Announce(origin, prod, bgp.OriginConfig{Pattern: topo.Path{origin, origin, origin}})
 			converge(n)
-			_ = since
 		}
 	}
 	tab := &metrics.Table{
@@ -216,33 +207,24 @@ func dampeningSweep(seed int64, period time.Duration, reg *obs.Registry) *dampen
 // dampening-enabled internetwork — one trial per period — and measures
 // how many ASes end up suppressing the production prefix: the §5
 // rationale for 90-minute announcement pacing.
-var dampeningScenario = Scenario{
-	Trials: func(seed int64) []Trial {
-		trials := make([]Trial, len(ablationPeriods))
-		for i, period := range ablationPeriods {
-			period := period
-			trials[i] = Trial{Name: "period=" + period.String(), Run: func(reg *obs.Registry) any { return dampeningSweep(seed, period, reg) }}
-		}
-		return trials
-	},
-	Reduce: func(_ int64, parts []any) *Result {
-		r := newResult("abl-dampening", "repair pacing vs route-flap dampening")
-		tab := &metrics.Table{
-			Title:  "ablation — poison/unpoison cycle period vs suppression",
-			Header: []string{"cycle period", "cycles", "peak ASes suppressing", "peak frac suppressing", "peak frac unreachable"},
-		}
-		for _, pa := range parts {
-			p := pa.(*dampeningPart)
-			fracSupp := float64(p.maxSuppressing) / float64(p.asesTotal)
-			fracUnreach := float64(p.maxUnreachable) / float64(p.asesTotal)
-			tab.AddRow(p.period.String(), p.cycles, p.maxSuppressing, fracSupp, fracUnreach)
-			r.Values["frac_suppressing_"+p.period.String()] = fracSupp
-			r.Values["frac_unreachable_"+p.period.String()] = fracUnreach
-		}
-		r.addTable(tab)
-		r.notef("fast repair cycling trips RFC 2439 dampening internetwork-wide (5-minute cycling peaks at total unreachability); the paper's 90-minute pacing keeps the impact marginal")
-		return r
-	},
+var dampeningScenario = sweep(ablationPeriods, dampeningSweep, reduceDampening)
+
+func reduceDampening(parts []*dampeningPart) *Result {
+	r := newResult("abl-dampening", "repair pacing vs route-flap dampening")
+	tab := &metrics.Table{
+		Title:  "ablation — poison/unpoison cycle period vs suppression",
+		Header: []string{"cycle period", "cycles", "peak ASes suppressing", "peak frac suppressing", "peak frac unreachable"},
+	}
+	for _, p := range parts {
+		fracSupp := float64(p.maxSuppressing) / float64(p.asesTotal)
+		fracUnreach := float64(p.maxUnreachable) / float64(p.asesTotal)
+		tab.AddRow(p.period.String(), p.cycles, p.maxSuppressing, fracSupp, fracUnreach)
+		r.Values["frac_suppressing_"+p.period.String()] = fracSupp
+		r.Values["frac_unreachable_"+p.period.String()] = fracUnreach
+	}
+	r.addTable(tab)
+	r.notef("fast repair cycling trips RFC 2439 dampening internetwork-wide (5-minute cycling peaks at total unreachability); the paper's 90-minute pacing keeps the impact marginal")
+	return r
 }
 
 // dampeningNet builds a small dampening-enabled internetwork with an origin

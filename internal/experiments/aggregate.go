@@ -43,39 +43,6 @@ func (a *Aggregate) Add(r *Result) {
 	}
 }
 
-// Merge folds another aggregate in — the reduction step when per-seed
-// aggregates are produced by parallel trials. Merging b's per-key samples
-// after a's mirrors sequential Add order, so the rendered statistics are
-// bit-identical to a single sequential pass.
-func (a *Aggregate) Merge(b *Aggregate) {
-	if b.n == 0 {
-		return
-	}
-	a.id, a.title = b.id, b.title
-	a.n += b.n
-	for k, s := range b.perKey {
-		dst := a.perKey[k]
-		if dst == nil {
-			dst = &metrics.Sample{}
-			a.perKey[k] = dst
-		}
-		dst.Merge(s)
-	}
-}
-
-// Seeds reports how many results have been folded in.
-func (a *Aggregate) Seeds() int { return a.n }
-
-// Min returns the smallest observed value for key and whether the key was
-// ever observed.
-func (a *Aggregate) Min(key string) (float64, bool) {
-	s, ok := a.perKey[key]
-	if !ok {
-		return 0, false
-	}
-	return s.Min(), true
-}
-
 // String renders the report: one line per key with mean, min, and max over
 // the seeds where the key was present, annotated when coverage is partial.
 func (a *Aggregate) String() string {

@@ -109,10 +109,7 @@ func baselines(seed int64, reg *obs.Registry) *Result {
 			continue
 		}
 		// Which of the origin's providers carries the failing side?
-		sideMux := path[len(path)-1]
-		if len(path) >= 2 {
-			sideMux = path[len(path)-2] // the AS just before the origin pattern
-		}
+		var sideMux topo.ASN
 		for i := len(path) - 1; i >= 0; i-- {
 			if path[i] == origin {
 				continue

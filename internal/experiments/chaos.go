@@ -53,21 +53,6 @@ type chaosPart struct {
 	poisons int
 }
 
-var chaosScenario = Scenario{
-	Trials: func(seed int64) []Trial {
-		var ts []Trial
-		for _, in := range chaosIntensities {
-			in := in
-			ts = append(ts, Trial{
-				Name: fmt.Sprintf("intensity=%g", in),
-				Run:  func(reg *obs.Registry) any { return chaosTrial(seed, in, reg) },
-			})
-		}
-		return ts
-	},
-	Reduce: reduceChaos,
-}
-
 // watchStubs starts the shipped repair loop for n's origin: a Session whose
 // one vantage point, the origin hub, watches the hub of each stub AS
 // (pinging from the production prefix, so reply traffic rides the
@@ -206,7 +191,7 @@ func chaosScript(n *lifeguard.Network, stubs []topo.ASN, seed int64, intensity f
 	return &s
 }
 
-func reduceChaos(_ int64, parts []any) *Result {
+func reduceChaos(parts []chaosPart) *Result {
 	r := newResult("chaos", "scripted fault timelines vs the repair loop")
 	tab := &metrics.Table{
 		Title:  "chaos — repair vs fault intensity (zero-violation contract)",
@@ -214,8 +199,7 @@ func reduceChaos(_ int64, parts []any) *Result {
 	}
 	var faults, episodes, recovered, repaired, poisons, violations int
 	var ttrSum float64
-	for _, p := range parts {
-		c := p.(chaosPart)
+	for _, c := range parts {
 		mean := 0.0
 		if c.recovered > 0 {
 			mean = c.ttrSum / float64(c.recovered) / 60

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lifeguard/internal/bgp"
+	"lifeguard/internal/obs"
 	"lifeguard/internal/runner"
 	"lifeguard/internal/topo"
 )
@@ -40,8 +41,8 @@ func TestCollectorStreamsIdenticalAcrossParallelism(t *testing.T) {
 	const trials = 3
 	record := func(par int) []string {
 		t.Helper()
-		outs, err := runner.Map(context.Background(), trials, runner.Config{Parallelism: par},
-			func(_ context.Context, i int) (string, error) {
+		outs, err := runner.Map(context.Background(), trials, runner.Config{Parallelism: par}, nil,
+			func(_ context.Context, i int, _ *obs.Registry) (string, error) {
 				return recordStreams(int64(i + 1)), nil
 			})
 		if err != nil {

@@ -58,9 +58,21 @@ func sample[T any](rng *rand.Rand, xs []T, k int) []T {
 	return out
 }
 
-// transitHops returns the path's transit ASes: everything except the first
-// (the viewer's neighbor may be kept via keepFirst=false) and the origin's
-// trailing pattern.
+// poisonCandidate is the paper's victim filter for n's origin: any AS but a
+// Tier-1 or the origin's first provider (the paper excluded Tier-1s and
+// Cogent, its testbed's provider).
+func poisonCandidate(n *lifeguard.Network) func(topo.ASN) bool {
+	tier1 := make(map[topo.ASN]bool)
+	for _, t := range n.Gen.Tier1s {
+		tier1[t] = true
+	}
+	mux := n.Top.Providers(n.Gen.Origin)[0]
+	return func(a topo.ASN) bool { return !tier1[a] && a != mux }
+}
+
+// transitHops returns the ASes a path crosses before its origin: every hop
+// up to the first occurrence of the path's last AS, so the origin's
+// trailing pattern (prepends, poisons) is dropped.
 func transitHops(p topo.Path) []topo.ASN {
 	if len(p) == 0 {
 		return nil

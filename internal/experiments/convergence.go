@@ -51,13 +51,9 @@ func buildConvRig(seed int64, reg *obs.Registry) *convRig {
 	n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: rig.plain})
 	converge(n)
 
-	tier1 := make(map[topo.ASN]bool)
-	for _, t := range n.Gen.Tier1s {
-		tier1[t] = true
-	}
-	mux := n.Top.Providers(origin)[0]
+	poisonable := poisonCandidate(n)
 	for _, a := range rig.coll.HarvestASes(rig.prod, origin) {
-		if !tier1[a] && a != mux {
+		if poisonable(a) {
 			rig.victims = append(rig.victims, a)
 		}
 	}
@@ -136,76 +132,70 @@ func convergenceSweep(seed int64, usePrepend bool, reg *obs.Registry) *convPart 
 // numbers. The paper: with prepending, >95% of unaffected peers converge
 // instantly and 97% emit a single update; without prepending only ~64%
 // emit a single update; global convergence medians 91s (prepend) vs 133s.
-var convergenceScenario = Scenario{
-	Trials: func(seed int64) []Trial {
-		return []Trial{
-			{Name: "prepend", Run: func(reg *obs.Registry) any { return convergenceSweep(seed, true, reg) }},
-			{Name: "noprepend", Run: func(reg *obs.Registry) any { return convergenceSweep(seed, false, reg) }},
-		}
-	},
-	Reduce: func(_ int64, parts []any) *Result {
-		pre := parts[0].(*convPart)
-		pla := parts[1].(*convPart)
-		r := newResult("fig6", "convergence after poisoned announcements")
+// The two trials are the prepend and the no-prepend sweep, in that order.
+var convergenceScenario = sweep([]bool{true, false}, convergenceSweep, reduceConvergence)
 
-		buckets := map[string]*convBucket{
-			"prepend-change":      &pre.change,
-			"prepend-no-change":   &pre.noChange,
-			"noprepend-change":    &pla.change,
-			"noprepend-no-change": &pla.noChange,
-		}
+func reduceConvergence(parts []*convPart) *Result {
+	pre, pla := parts[0], parts[1]
+	r := newResult("fig6", "convergence after poisoned announcements")
 
-		tab := &metrics.Table{
-			Title:  "Fig. 6 — per-peer convergence after poisoning",
-			Header: []string{"bucket", "peers", "frac instant", "frac single-update", "p50 (s)", "p95 (s)"},
-		}
-		for _, key := range []string{"prepend-no-change", "noprepend-no-change", "prepend-change", "noprepend-change"} {
-			b := buckets[key]
-			tab.AddRow(key, b.settle.N(), b.instant.Fraction(), b.singleUpdate.Fraction(),
-				b.settle.Percentile(50), b.settle.Percentile(95))
-		}
-		r.addTable(tab)
+	buckets := map[string]*convBucket{
+		"prepend-change":      &pre.change,
+		"prepend-no-change":   &pre.noChange,
+		"noprepend-change":    &pla.change,
+		"noprepend-no-change": &pla.noChange,
+	}
 
-		gt := &metrics.Table{
-			Title:  "§5.2 — global convergence time (s)",
-			Header: []string{"baseline", "p50", "p75", "p90"},
+	tab := &metrics.Table{
+		Title:  "Fig. 6 — per-peer convergence after poisoning",
+		Header: []string{"bucket", "peers", "frac instant", "frac single-update", "p50 (s)", "p95 (s)"},
+	}
+	for _, key := range []string{"prepend-no-change", "noprepend-no-change", "prepend-change", "noprepend-change"} {
+		b := buckets[key]
+		tab.AddRow(key, b.settle.N(), b.instant.Fraction(), b.singleUpdate.Fraction(),
+			b.settle.Percentile(50), b.settle.Percentile(95))
+	}
+	r.addTable(tab)
+
+	gt := &metrics.Table{
+		Title:  "§5.2 — global convergence time (s)",
+		Header: []string{"baseline", "p50", "p75", "p90"},
+	}
+	gt.AddRow("prepend (O-O-O)", pre.global.Percentile(50), pre.global.Percentile(75), pre.global.Percentile(90))
+	gt.AddRow("no prepend (O)", pla.global.Percentile(50), pla.global.Percentile(75), pla.global.Percentile(90))
+	r.addTable(gt)
+
+	// U — updates per router per poison, the Table 2 parameter (paper:
+	// 2.03 for routers that had been routing via the poisoned AS, 1.07
+	// for the rest; both ≈1 extra update of pure overhead).
+	uOf := func(b *convBucket) float64 {
+		if b.singleUpdate.Total == 0 {
+			return 0
 		}
-		gt.AddRow("prepend (O-O-O)", pre.global.Percentile(50), pre.global.Percentile(75), pre.global.Percentile(90))
-		gt.AddRow("no prepend (O)", pla.global.Percentile(50), pla.global.Percentile(75), pla.global.Percentile(90))
-		r.addTable(gt)
+		return b.updatesTotal / float64(b.singleUpdate.Total)
+	}
+	r.Values["U_change_prepend"] = uOf(&pre.change)
+	r.Values["U_nochange_prepend"] = uOf(&pre.noChange)
+	r.Values["U_nochange_noprepend"] = uOf(&pla.noChange)
 
-		// U — updates per router per poison, the Table 2 parameter (paper:
-		// 2.03 for routers that had been routing via the poisoned AS, 1.07
-		// for the rest; both ≈1 extra update of pure overhead).
-		uOf := func(b *convBucket) float64 {
-			if b.singleUpdate.Total == 0 {
-				return 0
-			}
-			return b.updatesTotal / float64(b.singleUpdate.Total)
-		}
-		r.Values["U_change_prepend"] = uOf(&pre.change)
-		r.Values["U_nochange_prepend"] = uOf(&pre.noChange)
-		r.Values["U_nochange_noprepend"] = uOf(&pla.noChange)
+	r.Values["poisons"] = float64(pre.poisons)
+	r.Values["prepend_nochange_frac_instant"] = pre.noChange.instant.Fraction()
+	r.Values["prepend_nochange_frac_single_update"] = pre.noChange.singleUpdate.Fraction()
+	r.Values["noprepend_nochange_frac_single_update"] = pla.noChange.singleUpdate.Fraction()
+	r.Values["global_p50_prepend_s"] = pre.global.Percentile(50)
+	r.Values["global_p50_noprepend_s"] = pla.global.Percentile(50)
+	r.Values["global_p90_prepend_s"] = pre.global.Percentile(90)
 
-		r.Values["poisons"] = float64(pre.poisons)
-		r.Values["prepend_nochange_frac_instant"] = pre.noChange.instant.Fraction()
-		r.Values["prepend_nochange_frac_single_update"] = pre.noChange.singleUpdate.Fraction()
-		r.Values["noprepend_nochange_frac_single_update"] = pla.noChange.singleUpdate.Fraction()
-		r.Values["global_p50_prepend_s"] = pre.global.Percentile(50)
-		r.Values["global_p50_noprepend_s"] = pla.global.Percentile(50)
-		r.Values["global_p90_prepend_s"] = pre.global.Percentile(90)
-
-		r.notef("paper: >95%% of unaffected peers converge instantly with prepending; measured %.0f%%",
-			pre.noChange.instant.Fraction()*100)
-		r.notef("paper: 97%% single-update (prepend) vs 64%% (no prepend) for unaffected peers; measured %.0f%% vs %.0f%%",
-			pre.noChange.singleUpdate.Fraction()*100,
-			pla.noChange.singleUpdate.Fraction()*100)
-		r.notef("paper: global convergence median 91s (prepend) vs 133s (no prepend); measured %.0fs vs %.0fs",
-			pre.global.Percentile(50), pla.global.Percentile(50))
-		r.notef("paper Table 2 parameter U: 2.03 updates/router (was on path) vs 1.07 (was not); measured %.2f vs %.2f",
-			r.Values["U_change_prepend"], r.Values["U_nochange_prepend"])
-		return r
-	},
+	r.notef("paper: >95%% of unaffected peers converge instantly with prepending; measured %.0f%%",
+		pre.noChange.instant.Fraction()*100)
+	r.notef("paper: 97%% single-update (prepend) vs 64%% (no prepend) for unaffected peers; measured %.0f%% vs %.0f%%",
+		pre.noChange.singleUpdate.Fraction()*100,
+		pla.noChange.singleUpdate.Fraction()*100)
+	r.notef("paper: global convergence median 91s (prepend) vs 133s (no prepend); measured %.0fs vs %.0fs",
+		pre.global.Percentile(50), pla.global.Percentile(50))
+	r.notef("paper Table 2 parameter U: 2.03 updates/router (was on path) vs 1.07 (was not); measured %.2f vs %.2f",
+		r.Values["U_change_prepend"], r.Values["U_nochange_prepend"])
+	return r
 }
 
 // lossRig is the §5.2 loss deployment each loss trial reconstructs.
@@ -321,58 +311,49 @@ func lossSweep(seed int64, shard, shards int, reg *obs.Registry) *lossPart {
 // only 2% of poisonings had any 10-second round above 10% loss. The two
 // trials sweep interleaved victim shards; the reduce merges their
 // accumulators in trial order.
-var lossScenario = Scenario{
-	Trials: func(seed int64) []Trial {
-		return []Trial{
-			{Name: "shard0", Run: func(reg *obs.Registry) any { return lossSweep(seed, 0, 2, reg) }},
-			{Name: "shard1", Run: func(reg *obs.Registry) any { return lossSweep(seed, 1, 2, reg) }},
-		}
-	},
-	Reduce: func(_ int64, parts []any) *Result {
-		merged := &lossPart{}
-		for _, pa := range parts {
-			p := pa.(*lossPart)
-			merged.lossRates.Merge(&p.lossRates)
-			merged.spikes.Merge(p.spikes)
-			merged.under1.Merge(p.under1)
-			merged.under2.Merge(p.under2)
-		}
+var lossScenario = sweep([]int{0, 1},
+	func(seed int64, shard int, reg *obs.Registry) *lossPart { return lossSweep(seed, shard, 2, reg) },
+	reduceLoss)
 
-		r := newResult("sec5.2-loss", "packet loss during post-poisoning convergence")
-		tab := &metrics.Table{
-			Title:  "§5.2 — loss during convergence",
-			Header: []string{"poisonings", "frac <1% loss", "frac <2% loss", "frac w/ >10% round"},
-		}
-		tab.AddRow(merged.lossRates.N(), merged.under1.Fraction(), merged.under2.Fraction(), merged.spikes.Fraction())
-		r.addTable(tab)
+func reduceLoss(parts []*lossPart) *Result {
+	merged := &lossPart{}
+	for _, p := range parts {
+		merged.lossRates.Merge(&p.lossRates)
+		merged.spikes.Merge(p.spikes)
+		merged.under1.Merge(p.under1)
+		merged.under2.Merge(p.under2)
+	}
 
-		r.Values["poisonings"] = float64(merged.lossRates.N())
-		r.Values["frac_loss_under_1pct"] = merged.under1.Fraction()
-		r.Values["frac_loss_under_2pct"] = merged.under2.Fraction()
-		r.Values["frac_with_spike_round"] = merged.spikes.Fraction()
-		r.Values["median_loss_rate"] = merged.lossRates.Percentile(50)
+	r := newResult("sec5.2-loss", "packet loss during post-poisoning convergence")
+	tab := &metrics.Table{
+		Title:  "§5.2 — loss during convergence",
+		Header: []string{"poisonings", "frac <1% loss", "frac <2% loss", "frac w/ >10% round"},
+	}
+	tab.AddRow(merged.lossRates.N(), merged.under1.Fraction(), merged.under2.Fraction(), merged.spikes.Fraction())
+	r.addTable(tab)
 
-		r.notef("paper: <1%% loss after 60%% of poisonings; measured %.0f%%", merged.under1.Fraction()*100)
-		r.notef("paper: <2%% loss for 98%% of poisonings; measured %.0f%%", merged.under2.Fraction()*100)
-		r.notef("paper: only 2%% of poisonings had any 10s round over 10%% loss; measured %.0f%%", merged.spikes.Fraction()*100)
-		return r
-	},
+	r.Values["poisonings"] = float64(merged.lossRates.N())
+	r.Values["frac_loss_under_1pct"] = merged.under1.Fraction()
+	r.Values["frac_loss_under_2pct"] = merged.under2.Fraction()
+	r.Values["frac_with_spike_round"] = merged.spikes.Fraction()
+	r.Values["median_loss_rate"] = merged.lossRates.Percentile(50)
+
+	r.notef("paper: <1%% loss after 60%% of poisonings; measured %.0f%%", merged.under1.Fraction()*100)
+	r.notef("paper: <2%% loss for 98%% of poisonings; measured %.0f%%", merged.under2.Fraction()*100)
+	r.notef("paper: only 2%% of poisonings had any 10s round over 10%% loss; measured %.0f%%", merged.spikes.Fraction()*100)
+	return r
 }
 
 // harvestForLoss picks poison victims: transit ASes on the reverse paths
 // from the measurement sites to the origin.
 func harvestForLoss(n *lifeguard.Network, sites []topo.ASN) []topo.ASN {
-	tier1 := make(map[topo.ASN]bool)
-	for _, t := range n.Gen.Tier1s {
-		tier1[t] = true
-	}
+	poisonable := poisonCandidate(n)
 	origin := n.Gen.Origin
-	mux := n.Top.Providers(origin)[0]
 	seen := make(map[topo.ASN]bool)
 	var out []topo.ASN
 	for _, s := range sites {
 		for _, h := range transitHops(n.Eng.ASPathTo(s, topo.ProductionAddr(origin))) {
-			if !seen[h] && !tier1[h] && h != mux && h != s {
+			if !seen[h] && poisonable(h) && h != s {
 				seen[h] = true
 				out = append(out, h)
 			}

@@ -60,7 +60,6 @@ func buildEfficacyRig(seed int64, reg *obs.Registry) *efficacyRig {
 	}, 1, bgp.Config{}, reg)
 	origin := n.Gen.Origin
 	rig := &efficacyRig{n: n, rng: rng, prod: topo.ProductionPrefix(origin)}
-	gtProvider := n.Top.Providers(origin)[0]
 
 	// Route collectors peer with a broad sample of ASes. (First draw on
 	// the rig's rng stream.)
@@ -79,12 +78,9 @@ func buildEfficacyRig(seed int64, reg *obs.Registry) *efficacyRig {
 
 	// Harvest ASes on peer paths, excluding Tier-1s and the origin's
 	// provider (the paper excluded Tier-1s and Cogent).
-	tier1 := make(map[topo.ASN]bool)
-	for _, t := range n.Gen.Tier1s {
-		tier1[t] = true
-	}
+	poisonable := poisonCandidate(n)
 	for _, a := range rig.coll.HarvestASes(rig.prod, origin) {
-		if !tier1[a] && a != gtProvider {
+		if poisonable(a) {
 			rig.victims = append(rig.victims, a)
 		}
 	}
@@ -213,44 +209,62 @@ func efficacyIso(seed int64, reg *obs.Registry) *efficacyIsoPart {
 	return p
 }
 
-var efficacyScenario = Scenario{
-	Trials: func(seed int64) []Trial {
-		return []Trial{
-			{Name: "testbed", Run: func(reg *obs.Registry) any { return efficacyTestbed(seed, reg) }},
-			{Name: "simulation", Run: func(reg *obs.Registry) any { return efficacySim(seed, reg) }},
-			{Name: "isolated", Run: func(reg *obs.Registry) any { return efficacyIso(seed, reg) }},
-		}
-	},
-	Reduce: func(_ int64, parts []any) *Result {
-		tb := parts[0].(*efficacyTestbedPart)
-		sim := parts[1].(*efficacySimPart)
-		iso := parts[2].(*efficacyIsoPart)
+// efficacyStudy names one of the three sub-studies; each is one trial.
+type efficacyStudy int
 
-		r := newResult("tab1-efficacy", "poisoning efficacy")
-		tab := &metrics.Table{
-			Title:  "Table 1 / §5.1 — do routes around a poisoned AS exist?",
-			Header: []string{"study", "cases", "alternate found", "fraction"},
-		}
-		tab.AddRow("testbed poisons (peers on path)", tb.casesOnPath, tb.foundAlt, frac(tb.foundAlt, tb.casesOnPath))
-		tab.AddRow("large-scale simulation", sim.simCases, sim.simAlt, frac(sim.simAlt, sim.simCases))
-		tab.AddRow("isolated failures", iso.isoCases, iso.isoAlt, frac(iso.isoAlt, iso.isoCases))
-		r.addTable(tab)
+const (
+	studyTestbed efficacyStudy = iota
+	studySim
+	studyIso
+)
 
-		r.Values["poisons"] = float64(tb.victims)
-		r.Values["frac_peers_found_alternate"] = frac(tb.foundAlt, tb.casesOnPath)
-		r.Values["frac_failures_stub_only_provider"] = frac(tb.stubOnlyProvider, tb.casesOnPath-tb.foundAlt)
-		r.Values["frac_sim_alternate"] = frac(sim.simAlt, sim.simCases)
-		r.Values["frac_isolated_alternate"] = frac(iso.isoAlt, iso.isoCases)
-		r.Values["sim_vs_testbed_agreement"] = tb.agree.Fraction()
+// efficacyPart is one study's partial result: only that study's field is
+// set.
+type efficacyPart struct {
+	tb  *efficacyTestbedPart
+	sim *efficacySimPart
+	iso *efficacyIsoPart
+}
 
-		r.notef("paper: 77%% of on-path collector peers found alternates; measured %.0f%%", frac(tb.foundAlt, tb.casesOnPath)*100)
-		r.notef("paper: two-thirds of no-alternate cases were a stub's only provider; measured %.0f%%",
-			frac(tb.stubOnlyProvider, tb.casesOnPath-tb.foundAlt)*100)
-		r.notef("paper: alternates in 90%% of 10M simulated cases; measured %.0f%% of %d", frac(sim.simAlt, sim.simCases)*100, sim.simCases)
-		r.notef("paper: alternates for 94%% of isolated failures; measured %.0f%%", frac(iso.isoAlt, iso.isoCases)*100)
-		r.notef("paper: simulation matched testbed outcomes in 92.5%% of cases; measured %.1f%%", tb.agree.Percent())
-		return r
-	},
+func efficacyTrial(seed int64, study efficacyStudy, reg *obs.Registry) efficacyPart {
+	switch study {
+	case studyTestbed:
+		return efficacyPart{tb: efficacyTestbed(seed, reg)}
+	case studySim:
+		return efficacyPart{sim: efficacySim(seed, reg)}
+	}
+	return efficacyPart{iso: efficacyIso(seed, reg)}
+}
+
+var efficacyScenario = sweep([]efficacyStudy{studyTestbed, studySim, studyIso}, efficacyTrial, reduceEfficacy)
+
+func reduceEfficacy(parts []efficacyPart) *Result {
+	tb, sim, iso := parts[studyTestbed].tb, parts[studySim].sim, parts[studyIso].iso
+
+	r := newResult("tab1-efficacy", "poisoning efficacy")
+	tab := &metrics.Table{
+		Title:  "Table 1 / §5.1 — do routes around a poisoned AS exist?",
+		Header: []string{"study", "cases", "alternate found", "fraction"},
+	}
+	tab.AddRow("testbed poisons (peers on path)", tb.casesOnPath, tb.foundAlt, frac(tb.foundAlt, tb.casesOnPath))
+	tab.AddRow("large-scale simulation", sim.simCases, sim.simAlt, frac(sim.simAlt, sim.simCases))
+	tab.AddRow("isolated failures", iso.isoCases, iso.isoAlt, frac(iso.isoAlt, iso.isoCases))
+	r.addTable(tab)
+
+	r.Values["poisons"] = float64(tb.victims)
+	r.Values["frac_peers_found_alternate"] = frac(tb.foundAlt, tb.casesOnPath)
+	r.Values["frac_failures_stub_only_provider"] = frac(tb.stubOnlyProvider, tb.casesOnPath-tb.foundAlt)
+	r.Values["frac_sim_alternate"] = frac(sim.simAlt, sim.simCases)
+	r.Values["frac_isolated_alternate"] = frac(iso.isoAlt, iso.isoCases)
+	r.Values["sim_vs_testbed_agreement"] = tb.agree.Fraction()
+
+	r.notef("paper: 77%% of on-path collector peers found alternates; measured %.0f%%", frac(tb.foundAlt, tb.casesOnPath)*100)
+	r.notef("paper: two-thirds of no-alternate cases were a stub's only provider; measured %.0f%%",
+		frac(tb.stubOnlyProvider, tb.casesOnPath-tb.foundAlt)*100)
+	r.notef("paper: alternates in 90%% of 10M simulated cases; measured %.0f%% of %d", frac(sim.simAlt, sim.simCases)*100, sim.simCases)
+	r.notef("paper: alternates for 94%% of isolated failures; measured %.0f%%", frac(iso.isoAlt, iso.isoCases)*100)
+	r.notef("paper: simulation matched testbed outcomes in 92.5%% of cases; measured %.1f%%", tb.agree.Percent())
+	return r
 }
 
 // isStubWithOnlyProvider reports whether peer is a stub whose sole provider

@@ -68,59 +68,46 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// Trial is one independent unit of an experiment. Its Run closure builds
-// every piece of simulated state it needs — topology, engine, virtual
-// clock — from the scenario's seed, shares nothing mutable with any other
-// trial, and returns a partial result for the scenario's Reduce. Because a
-// trial is self-contained and single-threaded, the simclock
+// scenario is one experiment's trials for a seed plus their reduction.
+// Trials are independent: each builds every piece of simulated state it
+// needs — topology, engine, virtual clock — from the seed, shares nothing
+// mutable with any other trial, and runs single-threaded, so the simclock
 // single-ownership invariant holds whether trials run sequentially or on
-// runner workers.
-type Trial struct {
-	// Name labels the trial for diagnostics ("testbed", "period=5m0s").
-	Name string
-	// Run performs the trial. It may panic on simulation bugs (the
-	// runner captures the stack); it must be deterministic. reg, when
-	// non-nil, is the trial's private metrics registry: the simulated
-	// network the trial builds reports into it, and the caller merges
-	// the per-trial registries in trial-index order. Metrics are
-	// observe-only, so a nil reg yields the same trial output.
-	Run func(reg *obs.Registry) any
+// runner workers. reduce sees the parts in trial order, so the Result is
+// byte-identical however the trials were scheduled. Only sweep builds one.
+type scenario struct {
+	trials int
+	run    func(seed int64, trial int, reg *obs.Registry) any
+	reduce func(parts []any) *Result
 }
 
-// Scenario decomposes an experiment into independent per-seed trials plus
-// a deterministic reduction. The contract mirrors internal/runner's:
-// Reduce sees parts in trial order (parts[i] from Trials(seed)[i]), so
-// the reduced Result is byte-identical however the trials were scheduled.
-type Scenario struct {
-	// Trials returns the trial set for one seed, in reduction order. It
-	// must be cheap — all heavy work belongs inside Trial.Run.
-	Trials func(seed int64) []Trial
-	// Reduce merges the trial outputs into the rendered Result. It must
-	// be pure: no clock, no rand, no state beyond parts.
-	Reduce func(seed int64, parts []any) *Result
-}
-
-// Run executes the scenario sequentially on the calling goroutine — the
-// reference path every parallel execution is measured against.
-func (s Scenario) Run(seed int64) *Result {
-	trials := s.Trials(seed)
-	parts := make([]any, len(trials))
-	for i := range trials {
-		parts[i] = trials[i].Run(nil)
-	}
-	return s.Reduce(seed, parts)
-}
-
-// single wraps a monolithic run function as a one-trial scenario: the
-// experiment's work is not subdividable without changing its random
-// streams, so the whole run is the unit of parallelism.
-func single(run func(seed int64, reg *obs.Registry) *Result) Scenario {
-	return Scenario{
-		Trials: func(seed int64) []Trial {
-			return []Trial{{Name: "all", Run: func(reg *obs.Registry) any { return run(seed, reg) }}}
+// sweep is the one experiment shape: one trial per x, run(seed, x, reg)
+// each, reduced in xs order. run may panic on simulation bugs (the runner
+// captures the stack) and must be deterministic; reg, when non-nil, is the
+// trial's private registry, and a nil reg yields the same part. reduce must
+// be pure: no clock, no rand, no state beyond parts. This is the only place
+// a trial's part is asserted back to its type.
+func sweep[X, P any](xs []X, run func(seed int64, x X, reg *obs.Registry) P, reduce func(parts []P) *Result) scenario {
+	return scenario{
+		trials: len(xs),
+		run:    func(seed int64, i int, reg *obs.Registry) any { return run(seed, xs[i], reg) },
+		reduce: func(parts []any) *Result {
+			typed := make([]P, len(parts))
+			for i, p := range parts {
+				typed[i] = p.(P)
+			}
+			return reduce(typed)
 		},
-		Reduce: func(_ int64, parts []any) *Result { return parts[0].(*Result) },
 	}
+}
+
+// single sweeps a monolithic run function as one trial: the experiment's
+// work is not subdividable without changing its random streams, so the
+// whole run is the unit of parallelism.
+func single(run func(seed int64, reg *obs.Registry) *Result) scenario {
+	return sweep([]struct{}{{}},
+		func(seed int64, _ struct{}, reg *obs.Registry) *Result { return run(seed, reg) },
+		func(parts []*Result) *Result { return parts[0] })
 }
 
 // noObs adapts an experiment with no simulated network underneath (pure
@@ -130,15 +117,12 @@ func noObs(run func(seed int64) *Result) func(int64, *obs.Registry) *Result {
 	return func(seed int64, _ *obs.Registry) *Result { return run(seed) }
 }
 
-// Experiment couples an ID with its scenario.
+// Experiment couples an ID with its scenario; RunSuite runs it.
 type Experiment struct {
 	ID       string
 	Brief    string
-	Scenario Scenario
+	scenario scenario
 }
-
-// Run regenerates the artifact sequentially; see Scenario.Run.
-func (e Experiment) Run(seed int64) *Result { return e.Scenario.Run(seed) }
 
 // All lists every experiment in paper order.
 func All() []Experiment {
@@ -155,9 +139,9 @@ func All() []Experiment {
 		{"scale", "atlas refresh and isolation overhead (§5.4)", single(scalability)},
 		{"tab2", "Internet-wide update load from poisoning (Table 2, §5.4)", single(noObs(Table2))},
 		{"baselines", "traditional route-control techniques vs remote failures (§2.3)", single(baselines)},
-		{"chaos", "scripted fault timelines vs the repair loop, by intensity", chaosScenario},
-		{"multitenant", "per-tenant repair pipelines on a shared rig, by tenant count", multitenantScenario},
-		{"hijack", "hijack detection and auto-mitigation vs rogue placement", hijackScenario},
+		{"chaos", "scripted fault timelines vs the repair loop, by intensity", sweep(chaosIntensities, chaosTrial, reduceChaos)},
+		{"multitenant", "per-tenant repair pipelines on a shared rig, by tenant count", sweep(multitenantCounts, multitenantTrial, reduceMultitenant)},
+		{"hijack", "hijack detection and auto-mitigation vs rogue placement", sweep(hijackDistances, hijackTrial, reduceHijack)},
 		{"traffic", "user-seconds lost through outage→repair, with and without LIFEGUARD", trafficScenario},
 	}
 }

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
-
-	"lifeguard/internal/runner"
 )
 
 // The experiment tests assert the paper's qualitative shape — who wins, by
@@ -32,7 +29,7 @@ func runID(t *testing.T, id string, seed int64) *Result {
 	if !ok {
 		t.Fatalf("no experiment %q", id)
 	}
-	return e.Run(seed)
+	return runSeq(t, e, seed)
 }
 
 func TestFig1Shape(t *testing.T) {
@@ -205,18 +202,6 @@ func TestTrafficShape(t *testing.T) {
 	inRange(t, r, "availability_repair", r.Values["availability_norepair"], 1.0)
 }
 
-func TestTrafficParallelIdentical(t *testing.T) {
-	e, _ := ByID("traffic")
-	seq := e.Run(2).String()
-	par, err := e.RunParallel(context.Background(), 2, runner.Config{Parallelism: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != par.String() {
-		t.Fatalf("traffic report differs sequential vs parallel:\n%s\n---\n%s", seq, par.String())
-	}
-}
-
 func TestMultitenantShape(t *testing.T) {
 	r := runID(t, "multitenant", 1)
 	// Every placed tenant detects its own failure, and most repair it
@@ -264,7 +249,7 @@ func TestAllRunnableAndRendered(t *testing.T) {
 		t.Skip("full sweep is covered by individual shape tests")
 	}
 	for _, e := range All() {
-		res := e.Run(2) // a different seed than the shape tests
+		res := runSeq(t, e, 2) // a different seed than the shape tests
 		if res.ID == "" || len(res.Tables) == 0 {
 			t.Fatalf("%s: empty result", e.ID)
 		}

@@ -40,21 +40,6 @@ type hjPart struct {
 	mitigated, cleared          bool
 }
 
-var hijackScenario = Scenario{
-	Trials: func(seed int64) []Trial {
-		var ts []Trial
-		for _, d := range hijackDistances {
-			d := d
-			ts = append(ts, Trial{
-				Name: fmt.Sprintf("distance=%d", d),
-				Run:  func(reg *obs.Registry) any { return hijackTrial(seed, d, reg) },
-			})
-		}
-		return ts
-	},
-	Reduce: reduceHijack,
-}
-
 // hjReachFraction measures the fraction of routered ASes (owner and rogue
 // excluded) whose data plane delivers traffic for probe to the owner.
 func hjReachFraction(n *lifeguard.Network, owner, rogue lifeguard.ASN, probe lifeguard.Addr) float64 {
@@ -80,9 +65,6 @@ func hjReachFraction(n *lifeguard.Network, owner, rogue lifeguard.ASN, probe lif
 }
 
 func hijackTrial(seed int64, distance int, reg *obs.Registry) hjPart {
-	if reg == nil {
-		reg = obs.New()
-	}
 	n, err := lifeguard.GenerateInternet(
 		lifeguard.InternetConfig{Seed: seed, NumTransit: 12, NumStub: 30},
 		lifeguard.NetworkOptions{
@@ -148,14 +130,13 @@ func hijackTrial(seed int64, distance int, reg *obs.Registry) hjPart {
 	return part
 }
 
-func reduceHijack(_ int64, parts []any) *Result {
+func reduceHijack(parts []hjPart) *Result {
 	r := newResult("hijack", "hijack detection and auto-mitigation vs rogue placement")
 	tab := &metrics.Table{
 		Title:  "hijack — sub-prefix attack vs the session hijack plane, by rogue distance",
 		Header: []string{"rogue distance", "detect (s)", "mitigate (s)", "reach attack", "reach mitigated", "cleared"},
 	}
-	for _, p := range parts {
-		h := p.(hjPart)
+	for _, h := range parts {
 		if !h.placed {
 			continue
 		}

@@ -35,21 +35,6 @@ type mtPart struct {
 	ttrSum    float64
 }
 
-var multitenantScenario = Scenario{
-	Trials: func(seed int64) []Trial {
-		var ts []Trial
-		for _, count := range multitenantCounts {
-			count := count
-			ts = append(ts, Trial{
-				Name: fmt.Sprintf("tenants=%d", count),
-				Run:  func(reg *obs.Registry) any { return multitenantTrial(seed, count, reg) },
-			})
-		}
-		return ts
-	},
-	Reduce: reduceMultitenant,
-}
-
 // mtScenario is one tenant: an origin monitoring one target with one
 // avoidable transit to blame. Origins and targets are pairwise disjoint
 // across tenants, so the concurrent failures are independent by
@@ -93,9 +78,6 @@ func mtFindScenarios(n *lifeguard.Network, helper lifeguard.ASN, count int) []mt
 }
 
 func multitenantTrial(seed int64, count int, reg *obs.Registry) mtPart {
-	if reg == nil {
-		reg = obs.New()
-	}
 	n, err := lifeguard.GenerateInternet(
 		lifeguard.InternetConfig{Seed: seed, NumTransit: 12, NumStub: 30},
 		lifeguard.NetworkOptions{
@@ -164,14 +146,13 @@ func multitenantTrial(seed int64, count int, reg *obs.Registry) mtPart {
 	return part
 }
 
-func reduceMultitenant(_ int64, parts []any) *Result {
+func reduceMultitenant(parts []mtPart) *Result {
 	r := newResult("multitenant", "per-tenant repair pipelines on a shared rig")
 	tab := &metrics.Table{
 		Title:  "multitenant — N concurrent tenant outages on one rig",
 		Header: []string{"tenants", "detected", "poisoned", "recovered", "unpoisoned", "mean outage→poison (min)"},
 	}
-	for _, p := range parts {
-		m := p.(mtPart)
+	for _, m := range parts {
 		mean := 0.0
 		if m.poisoned > 0 {
 			mean = m.ttrSum / float64(m.poisoned) / 60

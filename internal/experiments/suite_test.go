@@ -10,8 +10,8 @@ import (
 )
 
 // cheapIDs are multi-trial experiments fast enough to run repeatedly in
-// the equivalence tests (the heavyweight artifacts share the same
-// Scenario machinery, so they inherit the guarantee).
+// the equivalence tests (the heavyweight artifacts share the same sweep
+// machinery, so they inherit the guarantee).
 var cheapIDs = []string{"fig1", "fig5", "tab2", "abl-threshold", "abl-dampening"}
 
 func cheapExperiments(t *testing.T) []Experiment {
@@ -27,27 +27,20 @@ func cheapExperiments(t *testing.T) []Experiment {
 	return exps
 }
 
-// TestRunParallelMatchesRun asserts the core determinism contract: for a
-// fixed seed, the rendered report is byte-identical at every parallelism
-// level — parallelism changes wall-clock only, never output.
-func TestRunParallelMatchesRun(t *testing.T) {
-	for _, e := range cheapExperiments(t) {
-		want := e.Run(3).String()
-		for _, par := range []int{1, 2, 8} {
-			got, err := e.RunParallel(context.Background(), 3, runner.Config{Parallelism: par}, nil)
-			if err != nil {
-				t.Fatalf("%s parallel=%d: %v", e.ID, par, err)
-			}
-			if got.String() != want {
-				t.Errorf("%s parallel=%d: output differs from sequential run", e.ID, par)
-			}
-		}
+// runSeq regenerates one experiment for one seed on the runner's sequential
+// reference path.
+func runSeq(tb testing.TB, e Experiment, seed int64) *Result {
+	tb.Helper()
+	res, err := RunSuite(context.Background(), []Experiment{e}, seed, 1, runner.Config{Parallelism: 1}, nil)
+	if err != nil {
+		tb.Fatalf("%s seed %d: %v", e.ID, seed, err)
 	}
+	return res[0][0]
 }
 
-// TestRunSuiteMatchesSequential asserts the same contract for the flat
-// experiments×seeds pool lgexp runs: every (experiment, seed) cell must
-// match an isolated sequential Run.
+// TestRunSuiteMatchesSequential asserts the determinism contract for the
+// flat experiments×seeds pool lgexp runs: every (experiment, seed) cell
+// must match an isolated sequential run.
 func TestRunSuiteMatchesSequential(t *testing.T) {
 	exps := cheapExperiments(t)
 	const baseSeed, seeds = 1, 2
@@ -63,7 +56,7 @@ func TestRunSuiteMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: got %d seed cells, want %d", e.ID, len(results[ei]), seeds)
 		}
 		for s := 0; s < seeds; s++ {
-			want := e.Run(baseSeed + int64(s)).String()
+			want := runSeq(t, e, baseSeed+int64(s)).String()
 			if got := results[ei][s].String(); got != want {
 				t.Errorf("%s seed %d: suite output differs from sequential run", e.ID, baseSeed+int64(s))
 			}
@@ -75,28 +68,27 @@ func TestSuiteTrialCount(t *testing.T) {
 	exps := cheapExperiments(t)
 	// fig1=1, fig5=1, tab2=1, abl-threshold=6, abl-dampening=4 trials per
 	// seed.
-	if got := SuiteTrialCount(exps, 1, 2); got != 2*(1+1+1+6+4) {
+	if got := SuiteTrialCount(exps, 2); got != 2*(1+1+1+6+4) {
 		t.Fatalf("SuiteTrialCount = %d, want %d", got, 2*(1+1+1+6+4))
 	}
 }
 
-// TestRunParallelPropagatesTrialPanic asserts a panicking trial surfaces
-// as a runner.TrialError instead of crashing or hanging the pool.
-func TestRunParallelPropagatesTrialPanic(t *testing.T) {
+// TestRunSuitePropagatesTrialPanic asserts a panicking trial surfaces as a
+// runner.TrialError instead of crashing or hanging the pool.
+func TestRunSuitePropagatesTrialPanic(t *testing.T) {
 	e := Experiment{
 		ID:    "boom",
 		Brief: "panics",
-		Scenario: Scenario{
-			Trials: func(seed int64) []Trial {
-				return []Trial{
-					{Name: "ok", Run: func(_ *obs.Registry) any { return 1 }},
-					{Name: "bad", Run: func(_ *obs.Registry) any { panic("synthetic trial failure") }},
+		scenario: sweep([]bool{false, true},
+			func(_ int64, bad bool, _ *obs.Registry) int {
+				if bad {
+					panic("synthetic trial failure")
 				}
+				return 1
 			},
-			Reduce: func(_ int64, parts []any) *Result { return newResult("boom", "unreachable") },
-		},
+			func([]int) *Result { return newResult("boom", "unreachable") }),
 	}
-	_, err := e.RunParallel(context.Background(), 1, runner.Config{Parallelism: 4}, nil)
+	_, err := RunSuite(context.Background(), []Experiment{e}, 1, 1, runner.Config{Parallelism: 4}, nil)
 	if err == nil {
 		t.Fatal("expected error from panicking trial")
 	}

@@ -49,25 +49,27 @@ type trafficPart struct {
 	violations int
 }
 
-var trafficScenario = Scenario{
-	Trials: func(seed int64) []Trial {
-		var ts []Trial
-		for _, repair := range []bool{true, false} {
-			for shard := 0; shard < trafficShards; shard++ {
-				repair, shard := repair, shard
-				name := "norepair"
-				if repair {
-					name = "repair"
-				}
-				ts = append(ts, Trial{
-					Name: fmt.Sprintf("%s/shard=%d", name, shard),
-					Run:  func(reg *obs.Registry) any { return trafficTrial(seed, repair, shard, reg) },
-				})
-			}
-		}
-		return ts
+// trafficCell is one trial's (mode, shard): every repair shard, then every
+// norepair shard.
+type trafficCell struct {
+	repair bool
+	shard  int
+}
+
+var trafficScenario = sweep(trafficCells(),
+	func(seed int64, c trafficCell, reg *obs.Registry) trafficPart {
+		return trafficTrial(seed, c.repair, c.shard, reg)
 	},
-	Reduce: reduceTraffic,
+	reduceTraffic)
+
+func trafficCells() []trafficCell {
+	var cs []trafficCell
+	for _, repair := range []bool{true, false} {
+		for shard := range trafficShards {
+			cs = append(cs, trafficCell{repair, shard})
+		}
+	}
+	return cs
 }
 
 // trafficDests spreads the monitored destinations over the origin's
@@ -168,15 +170,14 @@ func trafficScript(n *lifeguard.Network, vantages []topo.ASN) *chaos.Script {
 	return &s
 }
 
-func reduceTraffic(_ int64, parts []any) *Result {
+func reduceTraffic(parts []trafficPart) *Result {
 	r := newResult("traffic", "user-seconds lost through outage→repair, with and without LIFEGUARD")
 
 	// Parts arrive in trial order: repair shards first, then norepair.
 	byMode := map[bool][][]traffic.EpochReport{}
 	flows := map[bool]int{}
 	poisons, violations := 0, 0
-	for _, p := range parts {
-		t := p.(trafficPart)
+	for _, t := range parts {
 		byMode[t.repair] = append(byMode[t.repair], t.eps)
 		flows[t.repair] += t.flows
 		poisons += t.poisons

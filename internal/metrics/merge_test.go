@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -94,30 +93,5 @@ func TestCounterMerge(t *testing.T) {
 	a.Merge(Counter{Hits: 1, Total: 3})
 	if a.Hits != 3 || a.Total != 8 {
 		t.Fatalf("merged counter = %+v", a)
-	}
-}
-
-func TestTableMerge(t *testing.T) {
-	a := &Table{Title: "whole", Header: []string{"x", "y"}}
-	a.AddRow("r1", 1.0)
-	b := &Table{Header: []string{"x", "y"}}
-	b.AddRow("r2", 2.0)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.NumRows() != 2 {
-		t.Fatalf("rows = %d, want 2", a.NumRows())
-	}
-	out := a.String()
-	if i1, i2 := strings.Index(out, "r1"), strings.Index(out, "r2"); i1 < 0 || i2 < 0 || i1 > i2 {
-		t.Fatalf("merged rows missing or out of order:\n%s", out)
-	}
-
-	c := &Table{Header: []string{"different"}}
-	if err := a.Merge(c); err == nil {
-		t.Fatal("header mismatch must be rejected")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("nil merge: %v", err)
 	}
 }

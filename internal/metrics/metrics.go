@@ -248,26 +248,6 @@ func (t *Table) AddRow(cells ...any) {
 // NumRows reports the number of data rows added so far.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// Merge appends o's rows, in order, after t's. Both tables must agree on
-// the header (the shape contract of a sharded experiment whose trials each
-// render a slice of one table); a mismatch is an error so a misassembled
-// reduction fails loudly instead of rendering misaligned columns.
-func (t *Table) Merge(o *Table) error {
-	if o == nil {
-		return nil
-	}
-	if len(t.Header) != len(o.Header) {
-		return fmt.Errorf("metrics: merging tables with different headers: %v vs %v", t.Header, o.Header)
-	}
-	for i := range t.Header {
-		if t.Header[i] != o.Header[i] {
-			return fmt.Errorf("metrics: merging tables with different headers: %v vs %v", t.Header, o.Header)
-		}
-	}
-	t.rows = append(t.rows, o.rows...)
-	return nil
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	var b strings.Builder

@@ -13,8 +13,9 @@
 //     trial. Each trial therefore runs single-threaded on one worker, and
 //     the simclock single-ownership invariant holds per trial.
 //   - Map returns results indexed by trial, regardless of completion
-//     order. Reduce folds them 0..n-1. Parallelism changes wall-clock
-//     time and nothing else.
+//     order, and merges each trial's private metrics registry into the
+//     caller's in trial-index order. Parallelism changes wall-clock time
+//     and nothing else.
 //   - A panicking trial is captured as a *TrialError carrying the panic
 //     value and stack; the first (lowest-indexed) real failure is
 //     returned after the pool drains, and the surrounding context is
@@ -54,38 +55,6 @@ type Config struct {
 	// goroutine is abandoned (it finishes into the void) and the trial
 	// is reported as a *TrialError wrapping ErrTimeout.
 	Timeout time.Duration
-	// Obs, when non-nil, receives process-level runner metrics: trial
-	// counts and per-trial wall-clock durations. These measure the host
-	// machine, not the simulation, so they belong in a process registry —
-	// never in the deterministic per-trial registries that experiments
-	// merge.
-	Obs *obs.Registry
-}
-
-// runnerObs holds the pool's metric handles; the zero value (all-nil) is
-// the uninstrumented state.
-type runnerObs struct {
-	trials   *obs.Counter
-	failures *obs.Counter
-	seconds  *obs.Histogram
-}
-
-// trialSecondsBuckets spans quick unit-style trials through multi-minute
-// suite simulations.
-var trialSecondsBuckets = []float64{0.001, 0.01, 0.1, 1, 10, 60, 600}
-
-func newRunnerObs(reg *obs.Registry) runnerObs {
-	reg.Describe("lifeguard_runner_trials_total",
-		"trials executed by the pool (including failed ones)")
-	reg.Describe("lifeguard_runner_trial_failures_total",
-		"trials that returned an error, panicked, or timed out")
-	reg.Describe("lifeguard_runner_trial_seconds",
-		"per-trial wall-clock duration in seconds (host time, not sim time)")
-	return runnerObs{
-		trials:   reg.Counter("lifeguard_runner_trials_total"),
-		failures: reg.Counter("lifeguard_runner_trial_failures_total"),
-		seconds:  reg.Histogram("lifeguard_runner_trial_seconds", trialSecondsBuckets),
-	}
 }
 
 // Workers reports the effective worker ceiling: Parallelism, or
@@ -128,9 +97,13 @@ func (e *TrialError) Error() string {
 func (e *TrialError) Unwrap() error { return e.Err }
 
 // Map runs trials 0..n-1 on the pool and returns their results indexed by
-// trial. On failure it returns the lowest-indexed non-cancellation error
-// (always a *TrialError) along with whatever results completed.
-func Map[T any](ctx context.Context, n int, cfg Config, trial func(ctx context.Context, trial int) (T, error)) ([]T, error) {
+// trial. When dst is non-nil each trial gets a private registry (nil
+// otherwise), and after the pool drains the private registries are merged
+// into dst in trial-index order, so dst's snapshot is byte-identical at
+// every parallelism level. On failure it returns the lowest-indexed
+// non-cancellation error (always a *TrialError) along with whatever results
+// completed, and leaves dst untouched.
+func Map[T any](ctx context.Context, n int, cfg Config, dst *obs.Registry, trial func(ctx context.Context, trial int, reg *obs.Registry) (T, error)) ([]T, error) {
 	if n < 0 {
 		panic(fmt.Sprintf("runner: negative trial count %d", n))
 	}
@@ -138,26 +111,42 @@ func Map[T any](ctx context.Context, n int, cfg Config, trial func(ctx context.C
 	if n == 0 {
 		return results, ctx.Err()
 	}
-	errs := make([]error, n)
+	regs := make([]*obs.Registry, n)
+	if dst.Enabled() {
+		for i := range regs {
+			regs[i] = obs.New()
+		}
+	}
+	if err := execute(ctx, cfg, results, regs, trial); err != nil {
+		return results, err
+	}
+	for _, reg := range regs {
+		dst.Merge(reg)
+	}
+	return results, nil
+}
 
-	ro := newRunnerObs(cfg.Obs)
+// execute fills results[i] with trial i, run against regs[i].
+func execute[T any](ctx context.Context, cfg Config, results []T, regs []*obs.Registry, trial func(ctx context.Context, trial int, reg *obs.Registry) (T, error)) error {
+	n := len(results)
 	workers := cfg.workers(n)
 	if workers == 1 {
 		// Sequential reference path: no goroutines, stop at the first
 		// failure exactly like a plain loop would.
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
-				return results, fmt.Errorf("runner: %w", err)
+				return fmt.Errorf("runner: %w", err)
 			}
-			v, err := runTrial(ctx, cfg.Timeout, ro, i, trial)
+			v, err := runTrial(ctx, cfg.Timeout, i, regs[i], trial)
 			results[i] = v
 			if err != nil {
-				return results, err
+				return err
 			}
 		}
-		return results, nil
+		return nil
 	}
 
+	errs := make([]error, n)
 	poolCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	feed := make(chan int)
@@ -167,7 +156,7 @@ func Map[T any](ctx context.Context, n int, cfg Config, trial func(ctx context.C
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				v, err := runTrial(poolCtx, cfg.Timeout, ro, i, trial)
+				v, err := runTrial(poolCtx, cfg.Timeout, i, regs[i], trial)
 				// Distinct indices per trial: no write overlaps.
 				results[i] = v
 				errs[i] = err
@@ -189,29 +178,13 @@ dispatch:
 	wg.Wait()
 
 	if err := firstError(errs); err != nil {
-		return results, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
 		// The parent context died before every trial was dispatched.
-		return results, fmt.Errorf("runner: %w", err)
+		return fmt.Errorf("runner: %w", err)
 	}
-	return results, nil
-}
-
-// Reduce runs the trials via Map and folds the results in strict trial
-// order: acc = merge(acc, i, result[i]) for i = 0..n-1. Because the fold
-// order is fixed, any deterministic merge yields output byte-identical to
-// a sequential run at every parallelism level.
-func Reduce[A, T any](ctx context.Context, n int, cfg Config, init A, trial func(ctx context.Context, trial int) (T, error), merge func(acc A, trial int, v T) A) (A, error) {
-	vals, err := Map(ctx, n, cfg, trial)
-	if err != nil {
-		return init, err
-	}
-	acc := init
-	for i, v := range vals {
-		acc = merge(acc, i, v)
-	}
-	return acc, nil
+	return nil
 }
 
 // firstError picks the error to surface: the lowest-indexed failure that
@@ -236,15 +209,7 @@ func firstError(errs []error) error {
 
 // runTrial executes one trial with panic capture and, when configured,
 // a wall-clock watchdog.
-func runTrial[T any](ctx context.Context, timeout time.Duration, ro runnerObs, i int, trial func(ctx context.Context, trial int) (T, error)) (v T, err error) {
-	start := time.Now()
-	defer func() {
-		ro.trials.Inc()
-		if err != nil {
-			ro.failures.Inc()
-		}
-		ro.seconds.Observe(time.Since(start).Seconds())
-	}()
+func runTrial[T any](ctx context.Context, timeout time.Duration, i int, reg *obs.Registry, trial func(ctx context.Context, trial int, reg *obs.Registry) (T, error)) (T, error) {
 	type outcome struct {
 		v   T
 		err error
@@ -259,7 +224,7 @@ func runTrial[T any](ctx context.Context, timeout time.Duration, ro runnerObs, i
 				}
 			}
 		}()
-		v, err := trial(ctx, i)
+		v, err := trial(ctx, i, reg)
 		if err != nil {
 			err = &TrialError{Trial: i, Err: err}
 		}
