@@ -8,7 +8,7 @@ GO      ?= go
 BIN     := bin
 LGLINT  := $(BIN)/lglint
 
-.PHONY: all build test lint race debug-test daemon-smoke fuzz-smoke bench-all bench-gate lglint lglint-bin clean
+.PHONY: all build test lint race debug-test daemon-smoke fuzz-smoke bench-all bench-gate parity lglint lglint-bin clean
 
 all: build test lint
 
@@ -89,6 +89,15 @@ bench-all:
 # advisory. See scripts/bench-gate.sh.
 bench-gate:
 	bash scripts/bench-gate.sh
+
+# parity builds lgexp, lgchaos, lifeguardd and the examples from REV and
+# from the working tree, runs the recorded commands with both, and fails
+# unless every stdout and -obs snapshot is byte-identical — the ROADMAP's
+# check for a behaviour-preserving change (REV: its parent commit). See
+# scripts/parity.sh.
+parity:
+	@test -n "$(REV)" || { echo "usage: make parity REV=<rev>"; exit 2; }
+	bash scripts/parity.sh $(REV)
 
 clean:
 	rm -rf $(BIN)

@@ -51,33 +51,18 @@ type pairState struct {
 	tracer   probe.Tracer
 }
 
-// Config tunes the atlas.
-type Config struct {
-	// RefreshInterval is the period between automatic refresh rounds
-	// once Start is called. Default 15 minutes of virtual time.
-	RefreshInterval time.Duration
-	// MaxHistory bounds records kept per (vp, target, direction).
-	// Default 32.
-	MaxHistory int
-	// FullMeasureCost is the option-probe cost of measuring a reverse
-	// path from scratch (§5.4 cites ~35 for prior work); the prober
-	// already charges its incremental cost, and the atlas tops it up to
-	// FullMeasureCost when the path is new or changed. Default 35.
-	FullMeasureCost int
-}
-
-func (c Config) withDefaults() Config {
-	if c.RefreshInterval == 0 {
-		c.RefreshInterval = 15 * time.Minute
-	}
-	if c.MaxHistory == 0 {
-		c.MaxHistory = 32
-	}
-	if c.FullMeasureCost == 0 {
-		c.FullMeasureCost = 35
-	}
-	return c
-}
+const (
+	// refreshInterval is the period between automatic refresh rounds once
+	// Start is called, in virtual time.
+	refreshInterval = 15 * time.Minute
+	// maxHistory bounds the records kept per (vp, target, direction).
+	maxHistory = 32
+	// fullMeasureCost is the option-probe cost of measuring a reverse path
+	// from scratch (§5.4 cites ~35 for prior work). The prober already
+	// charges its amortized 10 per reverse traceroute; the atlas tops that
+	// up to fullMeasureCost when the path is new or changed.
+	fullMeasureCost = 35
+)
 
 // Atlas is the path atlas. Construct with New, register vantage points and
 // targets, then call RefreshAll (or Start for periodic refresh).
@@ -85,7 +70,6 @@ type Atlas struct {
 	top *topo.Topology
 	pr  *probe.Prober
 	clk *simclock.Scheduler
-	cfg Config
 
 	vps     []topo.RouterID
 	targets []netip.Addr
@@ -119,9 +103,9 @@ func (r *Responsiveness) Note(now time.Duration) {
 }
 
 // New returns an empty atlas.
-func New(top *topo.Topology, pr *probe.Prober, clk *simclock.Scheduler, cfg Config) *Atlas {
+func New(top *topo.Topology, pr *probe.Prober, clk *simclock.Scheduler) *Atlas {
 	return &Atlas{
-		top: top, pr: pr, clk: clk, cfg: cfg.withDefaults(),
+		top: top, pr: pr, clk: clk,
 		pairs: make(map[pairKey]*pairState),
 		resp:  make(map[netip.Addr]*Responsiveness),
 	}
@@ -207,7 +191,7 @@ func (a *Atlas) RefreshPair(vp topo.RouterID, target netip.Addr) {
 			// Charge the from-scratch premium when the path is new or
 			// different from the last record (§5.4 amortization).
 			if len(ps.rev) == 0 || !samePath(ps.rev[len(ps.rev)-1].Hops, rev.Hops) {
-				a.pr.Charge(a.cfg.FullMeasureCost - 10)
+				a.pr.Charge(fullMeasureCost - 10)
 			}
 			ps.rev = a.appendRecord(ps.rev, PathRecord{At: now, Hops: rev.Hops, Reached: true})
 			a.PathsRefreshed++
@@ -237,10 +221,10 @@ func (a *Atlas) Start() {
 			return
 		}
 		a.RefreshAll()
-		a.ticker = a.clk.After(a.cfg.RefreshInterval, tick)
+		a.ticker = a.clk.After(refreshInterval, tick)
 	}
 	a.RefreshAll()
-	a.ticker = a.clk.After(a.cfg.RefreshInterval, tick)
+	a.ticker = a.clk.After(refreshInterval, tick)
 }
 
 // Stop halts periodic refreshing.
@@ -252,11 +236,11 @@ func (a *Atlas) Stop() {
 }
 
 // appendRecord adds rec to one direction's history, dropping the oldest
-// records beyond MaxHistory.
+// records beyond maxHistory.
 func (a *Atlas) appendRecord(h []PathRecord, rec PathRecord) []PathRecord {
 	h = append(h, rec)
-	if len(h) > a.cfg.MaxHistory {
-		h = h[len(h)-a.cfg.MaxHistory:]
+	if len(h) > maxHistory {
+		h = h[len(h)-maxHistory:]
 	}
 	return h
 }

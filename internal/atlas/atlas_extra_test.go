@@ -10,7 +10,7 @@ import (
 )
 
 func TestVPsAndTargetsAccessors(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	if got := a.VPs(); len(got) != 1 || got[0] != n.Hub(nettest.VP1AS) {
 		t.Fatalf("VPs = %v", got)
 	}
@@ -20,7 +20,7 @@ func TestVPsAndTargetsAccessors(t *testing.T) {
 }
 
 func TestSortedTargets(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	// Add a second, lower-addressed target out of order.
 	low := n.Top.Router(n.Hub(nettest.TransitA)).Addr
 	a.AddTarget(low)
@@ -31,7 +31,7 @@ func TestSortedTargets(t *testing.T) {
 }
 
 func TestTargetRouterResolution(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	// Router address resolves to that router.
 	r3 := n.Hub(nettest.TransitB)
 	if got, ok := a.targetRouter(n.Top.Router(r3).Addr); !ok || got != r3 {
@@ -52,7 +52,7 @@ func TestTargetRouterResolution(t *testing.T) {
 }
 
 func TestSamePathDisambiguation(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	vp := n.Hub(nettest.VP1AS)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	a.RefreshAll()
@@ -77,7 +77,7 @@ func TestRefreshRateZeroAtStart(t *testing.T) {
 	// A fresh scheduler (clock at 0) yields rate 0, no division by zero.
 	// Note nettest's clock has advanced during convergence, so build the
 	// atlas against a brand-new scheduler via the zero-time branch.
-	a := New(n.Top, n.Prober, n.Clk, Config{})
+	a := New(n.Top, n.Prober, n.Clk)
 	if n.Clk.Now() > 0 {
 		if got := a.RefreshRatePerMinute(); got != 0 {
 			t.Fatalf("no refreshes yet, rate = %v", got)
@@ -90,7 +90,7 @@ func TestRefreshRateZeroAtStart(t *testing.T) {
 }
 
 func TestNoteResponsiveNegativeObservation(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	addr := n.Top.Router(n.Hub(nettest.TransitA)).Addr
 	a.NoteResponsive(addr, false) // a failed probe proves nothing
 	if a.EverResponsive(addr) {

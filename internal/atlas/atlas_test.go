@@ -8,17 +8,17 @@ import (
 	"lifeguard/internal/topo"
 )
 
-func setup(t *testing.T, cfg Config) (*nettest.Net, *Atlas) {
+func setup(t *testing.T) (*nettest.Net, *Atlas) {
 	t.Helper()
 	n := nettest.Fig4(t)
-	a := New(n.Top, n.Prober, n.Clk, cfg)
+	a := New(n.Top, n.Prober, n.Clk)
 	a.AddVP(n.Hub(nettest.VP1AS))
 	a.AddTarget(n.Top.Router(n.Hub(nettest.TargetAS)).Addr)
 	return n, a
 }
 
 func TestRefreshRecordsBothDirections(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	vp := n.Hub(nettest.VP1AS)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	a.RefreshAll()
@@ -39,7 +39,7 @@ func TestRefreshRecordsBothDirections(t *testing.T) {
 }
 
 func TestResponsivenessDB(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	hub2 := n.Hub(nettest.TransitA)
 	if a.EverResponsive(n.Top.Router(hub2).Addr) {
 		t.Fatal("nothing probed yet")
@@ -51,7 +51,7 @@ func TestResponsivenessDB(t *testing.T) {
 	// A configured-silent router never becomes responsive.
 	silent := n.Hub(nettest.TransitB)
 	n.Top.Router(silent).Responsive = false
-	a2 := New(n.Top, n.Prober, n.Clk, Config{})
+	a2 := New(n.Top, n.Prober, n.Clk)
 	a2.AddVP(n.Hub(nettest.VP1AS))
 	a2.AddTarget(n.Top.Router(n.Hub(nettest.TargetAS)).Addr)
 	a2.RefreshAll()
@@ -61,7 +61,7 @@ func TestResponsivenessDB(t *testing.T) {
 }
 
 func TestHistoricalHopsUnion(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	a.RefreshAll()
 	vp := n.Hub(nettest.VP1AS)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
@@ -85,52 +85,66 @@ func TestHistoricalHopsUnion(t *testing.T) {
 	}
 }
 
+// TestMaxHistoryBound: past maxHistory refreshes, each direction keeps
+// exactly the newest maxHistory records, oldest first.
 func TestMaxHistoryBound(t *testing.T) {
-	n, a := setup(t, Config{MaxHistory: 3})
-	for i := 0; i < 6; i++ {
+	n, a := setup(t)
+	var times []time.Duration
+	for i := 0; i < maxHistory+3; i++ {
+		times = append(times, n.Clk.Now())
 		a.RefreshAll()
 		n.Clk.RunFor(time.Minute)
 	}
 	vp := n.Hub(nettest.VP1AS)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
-	if got := len(a.Forward(vp, target)); got != 3 {
-		t.Fatalf("history length = %d, want 3", got)
-	}
-	recs := a.Forward(vp, target)
-	for i := 1; i < len(recs); i++ {
-		if recs[i].At < recs[i-1].At {
-			t.Fatal("history out of order")
+	for _, dir := range []struct {
+		name string
+		recs []PathRecord
+	}{{"forward", a.Forward(vp, target)}, {"reverse", a.Reverse(vp, target)}} {
+		name, recs := dir.name, dir.recs
+		if len(recs) != maxHistory {
+			t.Fatalf("%s history length = %d, want %d", name, len(recs), maxHistory)
+		}
+		for i, rec := range recs {
+			if want := times[3+i]; rec.At != want {
+				t.Fatalf("%s record %d at %v, want %v: the oldest three must be the ones dropped", name, i, rec.At, want)
+			}
 		}
 	}
 }
 
+// TestAmortizedRefreshCost: a path measured for the first time costs the
+// from-scratch fullMeasureCost; re-confirming it unchanged costs only the
+// prober's amortized 10, and the traceroute is the same either way.
 func TestAmortizedRefreshCost(t *testing.T) {
-	_, a := setup(t, Config{FullMeasureCost: 35})
+	_, a := setup(t)
 	a.RefreshAll() // first measurement: full cost
 	first := a.pr.ResetSent()
 	a.RefreshAll() // unchanged path: incremental cost only
 	second := a.pr.ResetSent()
-	if second >= first {
-		t.Fatalf("steady-state refresh (%d probes) should be cheaper than initial (%d)", second, first)
+	if first-second != fullMeasureCost-10 {
+		t.Fatalf("initial refresh %d probes, steady-state %d: the premium is %d, want %d",
+			first, second, first-second, fullMeasureCost-10)
 	}
 }
 
 func TestPeriodicRefreshAndStop(t *testing.T) {
-	n, a := setup(t, Config{RefreshInterval: 10 * time.Minute})
+	n, a := setup(t)
+	start := n.Clk.Now()
 	a.Start()
-	n.Clk.RunUntil(35 * time.Minute)
-	if a.PathsRefreshed != 4 { // t=0,10,20,30
+	n.Clk.RunUntil(start + 3*refreshInterval + refreshInterval/2)
+	if a.PathsRefreshed != 4 { // start + 0, 1, 2, 3 intervals
 		t.Fatalf("PathsRefreshed = %d, want 4", a.PathsRefreshed)
 	}
 	a.Stop()
-	n.Clk.RunUntil(2 * time.Hour)
+	n.Clk.RunFor(10 * refreshInterval)
 	if a.PathsRefreshed != 4 {
 		t.Fatalf("refresh continued after Stop: %d", a.PathsRefreshed)
 	}
 }
 
 func TestLatestReverseBefore(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	vp := n.Hub(nettest.VP1AS)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	base := n.Clk.Now()
@@ -149,7 +163,7 @@ func TestLatestReverseBefore(t *testing.T) {
 }
 
 func TestReverseRefreshFailsDuringFailure(t *testing.T) {
-	n, a := setup(t, Config{})
+	n, a := setup(t)
 	a.RefreshAll()
 	n.ReverseFailure()
 	before := a.PathsRefreshed
@@ -168,11 +182,12 @@ func TestReverseRefreshFailsDuringFailure(t *testing.T) {
 }
 
 func TestRefreshRate(t *testing.T) {
-	n, a := setup(t, Config{RefreshInterval: time.Minute})
+	n, a := setup(t)
 	a.Start()
-	n.Clk.RunUntil(10 * time.Minute)
-	rate := a.RefreshRatePerMinute()
-	if rate < 0.9 || rate > 1.3 {
-		t.Fatalf("refresh rate = %v paths/min, want ~1.1", rate)
+	n.Clk.RunUntil(10 * refreshInterval)
+	// One pair refreshed every refreshInterval.
+	want := 1 / refreshInterval.Minutes()
+	if rate := a.RefreshRatePerMinute(); rate < 0.9*want || rate > 1.3*want {
+		t.Fatalf("refresh rate = %v paths/min, want ~%v", rate, want)
 	}
 }

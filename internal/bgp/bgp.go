@@ -135,6 +135,16 @@ type BestChange struct {
 	Path   topo.Path // nil when the route was lost
 }
 
+// propDelay is the mean one-way message propagation+processing delay
+// between adjacent speakers, jittered ±Config.PropJitter.
+const propDelay = 50 * time.Millisecond
+
+// MaxConvergeSteps is the scheduler-step budget of a full control-plane
+// drain (Engine.Converge): network assembly, Network.Converge and every
+// chaos barrier spend at most this many steps before reporting that the
+// control plane is still busy.
+const MaxConvergeSteps = 200_000_000
+
 // Config tunes the engine's timing model. A jitter fraction below zero
 // means "no jitter"; New rejects one above 1.
 type Config struct {
@@ -142,15 +152,13 @@ type Config struct {
 	// session. Default 30s, jittered ±MRAIJitter.
 	MRAI       time.Duration
 	MRAIJitter float64 // fraction of MRAI, default 0.25
-	// PropDelay is the mean one-way message propagation+processing delay
-	// between adjacent speakers. Default 50ms, jittered ±PropJitter.
-	PropDelay  time.Duration
-	PropJitter float64 // fraction, default 0.5
+	PropJitter float64 // fraction of the 50ms propagation delay, default 0.5
 	// Seed feeds the engine's private RNG; runs with equal seeds replay
 	// identically.
 	Seed int64
-	// Dampening enables RFC 2439 route-flap dampening at every speaker.
-	Dampening DampeningConfig
+	// Dampening enables RFC 2439 route-flap dampening at every speaker,
+	// with the Cisco default parameters (dampening.go).
+	Dampening bool
 	// Obs receives the engine's metrics (update counts, decision runs,
 	// MRAI deferrals, dampening activity, loc-RIB and LPM sizes). nil
 	// disables instrumentation at the cost of one branch per site;
@@ -165,13 +173,9 @@ func (c Config) withDefaults() Config {
 	if c.MRAIJitter == 0 {
 		c.MRAIJitter = 0.25
 	}
-	if c.PropDelay == 0 {
-		c.PropDelay = 50 * time.Millisecond
-	}
 	if c.PropJitter == 0 {
 		c.PropJitter = 0.5
 	}
-	c.Dampening = c.Dampening.withDefaults()
 	return c
 }
 

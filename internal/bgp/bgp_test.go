@@ -495,7 +495,7 @@ func TestDeterministicReplay(t *testing.T) {
 		}},
 		{"dampening flaps", func(t *testing.T) *Engine {
 			gen := hundredASTopo(t)
-			e := New(gen.Top, simclock.New(), Config{Seed: 5, Dampening: DampeningConfig{Enabled: true}})
+			e := New(gen.Top, simclock.New(), Config{Seed: 5, Dampening: true})
 			dampeningFlaps(t, e, gen)
 			return e
 		}},

@@ -14,43 +14,21 @@ import (
 // poisons and unpoisons too eagerly gets its prefix suppressed by remote
 // ASes — the ablation benchmark quantifies that trade-off.
 
-// DampeningConfig tunes the RFC 2439 parameters. Values follow the
-// classic Cisco defaults.
-type DampeningConfig struct {
-	Enabled bool
-	// Penalty added per flap (an update that changes an existing route,
-	// or a withdrawal). Default 1000.
-	FlapPenalty float64
-	// SuppressAt is the penalty above which the route is suppressed.
-	// Default 2000.
-	SuppressAt float64
-	// ReuseAt is the penalty below which a suppressed route is usable
-	// again. Default 750.
-	ReuseAt float64
-	// HalfLife of the exponential decay. Default 15 minutes.
-	HalfLife time.Duration
-	// MaxPenalty caps accumulation. Default 12000.
-	MaxPenalty float64
-}
-
-func (c DampeningConfig) withDefaults() DampeningConfig {
-	if c.FlapPenalty == 0 {
-		c.FlapPenalty = 1000
-	}
-	if c.SuppressAt == 0 {
-		c.SuppressAt = 2000
-	}
-	if c.ReuseAt == 0 {
-		c.ReuseAt = 750
-	}
-	if c.HalfLife == 0 {
-		c.HalfLife = 15 * time.Minute
-	}
-	if c.MaxPenalty == 0 {
-		c.MaxPenalty = 12000
-	}
-	return c
-}
+// The RFC 2439 parameters, at the classic Cisco defaults.
+const (
+	// flapPenalty is added per flap (an update that changes an existing
+	// route, or a withdrawal).
+	flapPenalty = 1000
+	// suppressAt is the penalty above which the route is suppressed.
+	suppressAt = 2000
+	// reuseAt is the penalty below which a suppressed route is usable
+	// again.
+	reuseAt = 750
+	// halfLife is the half-life of the exponential decay.
+	halfLife = 15 * time.Minute
+	// maxPenalty caps accumulation.
+	maxPenalty = 12000
+)
 
 // dampKey identifies one dampened (neighbor, prefix) pair at a speaker.
 type dampKey struct {
@@ -66,46 +44,45 @@ type dampState struct {
 }
 
 // decayedPenalty returns the penalty decayed to virtual time now.
-func (d *dampState) decayedPenalty(now time.Duration, half time.Duration) float64 {
+func (d *dampState) decayedPenalty(now time.Duration) float64 {
 	dt := now - d.updatedAt
 	if dt <= 0 {
 		return d.penalty
 	}
-	return d.penalty * math.Exp2(-float64(dt)/float64(half))
+	return d.penalty * math.Exp2(-float64(dt)/float64(halfLife))
 }
 
 // noteFlap records a flap and reports whether the pair is now suppressed.
 // It also handles reuse scheduling via the returned projected reuse delay
 // (0 when not suppressed).
 func (s *Speaker) noteFlap(k dampKey) {
-	cfg := s.e.cfg.Dampening
 	now := s.e.clk.Now()
 	st := s.damp[k]
 	if st == nil {
 		st = &dampState{updatedAt: now}
 		s.damp[k] = st
 	}
-	st.penalty = st.decayedPenalty(now, cfg.HalfLife) + cfg.FlapPenalty
-	if st.penalty > cfg.MaxPenalty {
-		st.penalty = cfg.MaxPenalty
+	st.penalty = st.decayedPenalty(now) + flapPenalty
+	if st.penalty > maxPenalty {
+		st.penalty = maxPenalty
 	}
 	st.updatedAt = now
 	s.e.obs.dampPenalties.Inc()
-	if !st.suppressed && st.penalty >= cfg.SuppressAt {
+	if !st.suppressed && st.penalty >= suppressAt {
 		st.suppressed = true
 		s.e.obs.dampSuppressions.Inc()
 		// Schedule the reuse check for when the penalty decays to the
 		// reuse threshold.
-		s.e.schedReuse(s, k, reuseDelay(st.penalty, cfg))
+		s.e.schedReuse(s, k, reuseDelay(st.penalty))
 	}
 }
 
 // reuseDelay projects how long until penalty decays to the reuse
 // threshold, floored at one second so a marginal overshoot cannot re-arm
 // at the same virtual instant forever.
-func reuseDelay(penalty float64, cfg DampeningConfig) time.Duration {
-	halfLives := math.Log2(penalty / cfg.ReuseAt)
-	d := time.Duration(halfLives * float64(cfg.HalfLife))
+func reuseDelay(penalty float64) time.Duration {
+	halfLives := math.Log2(penalty / reuseAt)
+	d := time.Duration(halfLives * float64(halfLife))
 	if d < time.Second {
 		d = time.Second
 	}
@@ -114,14 +91,13 @@ func reuseDelay(penalty float64, cfg DampeningConfig) time.Duration {
 
 // reuseCheck releases a suppressed pair once its penalty has decayed.
 func (s *Speaker) reuseCheck(k dampKey) {
-	cfg := s.e.cfg.Dampening
 	st := s.damp[k]
 	if st == nil || !st.suppressed {
 		return
 	}
-	if p := st.decayedPenalty(s.e.clk.Now(), cfg.HalfLife); p > cfg.ReuseAt {
+	if p := st.decayedPenalty(s.e.clk.Now()); p > reuseAt {
 		// Not yet (another flap bumped it); re-arm.
-		s.e.schedReuse(s, k, reuseDelay(p, cfg))
+		s.e.schedReuse(s, k, reuseDelay(p))
 		return
 	}
 	st.suppressed = false
@@ -149,5 +125,5 @@ func (s *Speaker) Penalty(from topo.ASN, prefix netip.Prefix) float64 {
 	if st == nil {
 		return 0
 	}
-	return st.decayedPenalty(s.e.clk.Now(), s.e.cfg.Dampening.HalfLife)
+	return st.decayedPenalty(s.e.clk.Now())
 }

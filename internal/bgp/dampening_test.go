@@ -22,7 +22,7 @@ func dampNet(t *testing.T) (*Engine, *simclock.Scheduler) {
 		t.Fatal(err)
 	}
 	clk := simclock.New()
-	e := New(top, clk, Config{Seed: 5, Dampening: DampeningConfig{Enabled: true}})
+	e := New(top, clk, Config{Seed: 5, Dampening: true})
 	return e, clk
 }
 
@@ -171,14 +171,13 @@ func TestDuplicateReadvertisementNotPenalized(t *testing.T) {
 
 func TestPenaltyDecay(t *testing.T) {
 	st := dampState{penalty: 2000, updatedAt: 0}
-	half := 15 * time.Minute
-	if got := st.decayedPenalty(15*time.Minute, half); got < 990 || got > 1010 {
+	if got := st.decayedPenalty(halfLife); got < 990 || got > 1010 {
 		t.Fatalf("one half-life: %v", got)
 	}
-	if got := st.decayedPenalty(30*time.Minute, half); got < 495 || got > 505 {
+	if got := st.decayedPenalty(2 * halfLife); got < 495 || got > 505 {
 		t.Fatalf("two half-lives: %v", got)
 	}
-	if got := st.decayedPenalty(0, half); got != 2000 {
+	if got := st.decayedPenalty(0); got != 2000 {
 		t.Fatalf("no time: %v", got)
 	}
 }

@@ -469,7 +469,7 @@ func (e *Engine) deliver(s *Speaker, i int, u update) {
 	e.updatesSent[s.idx]++
 	e.obs.updatesSent.Inc()
 	st := &s.out[i]
-	at := e.clk.Now() + e.jitter(e.cfg.PropDelay, e.cfg.PropJitter) + st.extra
+	at := e.clk.Now() + e.jitter(propDelay, e.cfg.PropJitter) + st.extra
 	if at <= st.lastDelivery {
 		at = st.lastDelivery + time.Microsecond
 	}

@@ -367,7 +367,7 @@ func (s *Speaker) receive(ri int, u update) {
 		}
 		// Losing a known route is a genuine change, so it counts as a
 		// flap (RFC 2439 §4.4.3).
-		if s.e.cfg.Dampening.Enabled {
+		if s.e.cfg.Dampening {
 			s.noteFlap(dampKey{from: from, id: id})
 		}
 		rb.remove(idx)
@@ -407,7 +407,7 @@ func (s *Speaker) receive(ri int, u update) {
 			}
 			// A replacement announcement for a known route is a flap; the
 			// first announcement from this neighbor is not.
-			if s.e.cfg.Dampening.Enabled {
+			if s.e.cfg.Dampening {
 				s.noteFlap(dampKey{from: from, id: id})
 			}
 			*old = ent
@@ -470,7 +470,7 @@ func (s *Speaker) decide(id prefixID) bool {
 		win := -1
 		for i := range entries {
 			ent := &entries[i]
-			if s.e.cfg.Dampening.Enabled && s.suppressed(ent.nbr, id) {
+			if s.e.cfg.Dampening && s.suppressed(ent.nbr, id) {
 				continue
 			}
 			if win < 0 || entryBetter(ent, &entries[win]) {

@@ -81,7 +81,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestGenerateScriptDeterministic(t *testing.T) {
 	tgt, _ := fig2Target(t)
-	cfg := GenConfig{Seed: 7, N: 6, Intensity: 2, Avoid: []topo.ASN{nettest.O}}
+	cfg := GenConfig{Seed: 7, N: 6, Intensity: 2}
 	s1, err := GenerateScript(tgt.Top, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,23 +101,28 @@ func TestGenerateScriptDeterministic(t *testing.T) {
 	if s3.String() == s1.String() {
 		t.Fatal("different seeds produced identical scripts")
 	}
-	// Every generated fault must be valid for the topology and must not
-	// touch the avoided AS.
+	// Every generated fault must be valid for the topology.
 	if err := s1.Validate(tgt); err != nil {
 		t.Fatalf("generated script invalid: %v", err)
 	}
-	if strings.Contains(" "+s1.String(), " 10 ") {
-		t.Fatalf("avoided AS %d appears as a site:\n%s", nettest.O, s1)
-	}
-	// Generated scripts always heal and end on a barrier.
-	last := s1.Steps[len(s1.Steps)-1]
-	if !last.Check {
-		t.Fatal("generated script does not end with a check")
-	}
-	for _, st := range s1.Steps {
-		if !st.Check && st.For <= 0 {
-			t.Fatalf("generated fault %v never heals", st.Fault)
+	// Generated scripts schedule N faults that all heal within the
+	// duration cap, and end on one barrier settle after the last heal.
+	faults, lastHeal := 0, time.Duration(0)
+	for _, st := range s1.Steps[:len(s1.Steps)-1] {
+		if st.Check {
+			t.Fatalf("unexpected mid-script check at %v", st.At)
 		}
+		faults++
+		if st.For <= 0 || st.For > maxFaultDuration {
+			t.Fatalf("generated fault %v lasts %v, want (0, %v]", st.Fault, st.For, maxFaultDuration)
+		}
+		lastHeal = max(lastHeal, st.At+st.For)
+	}
+	if faults != cfg.N {
+		t.Fatalf("%d faults, want %d", faults, cfg.N)
+	}
+	if last := s1.Steps[len(s1.Steps)-1]; !last.Check || last.At != lastHeal+settle {
+		t.Fatalf("final step %+v, want a check at the last heal %v + %v", last, lastHeal, settle)
 	}
 }
 
@@ -281,7 +286,7 @@ func TestRunnerCatchesSilentBlackhole(t *testing.T) {
 func TestRunnerDeterministic(t *testing.T) {
 	run := func() (string, string) {
 		tgt, n := fig2Target(t)
-		s, err := GenerateScript(tgt.Top, GenConfig{Seed: 11, N: 4, Intensity: 4, Avoid: []topo.ASN{nettest.O}})
+		s, err := GenerateScript(tgt.Top, GenConfig{Seed: 11, N: 4, Intensity: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,8 @@ import (
 // GenConfig parameterizes the stochastic script generator. Timing, kind,
 // direction, and partiality come from internal/outage's calibrated
 // distributions (EC2 duration tail, 38% link share, §4.1 direction mix);
-// this config only adds what a *live* injection needs: sites, intensity,
-// and barrier placement.
+// this config only adds what a *live* injection needs: how many faults and
+// how densely packed.
 type GenConfig struct {
 	// Seed drives both the outage workload and the site/parameter draws.
 	Seed int64
@@ -22,20 +22,6 @@ type GenConfig struct {
 	// Intensity scales fault density: mean interarrival is divided by it,
 	// so 2.0 packs faults twice as tight. Default 1.
 	Intensity float64
-	// Outage overrides the calibrated outage distributions. Zero values
-	// keep the paper-calibrated defaults, except MaxDuration which the
-	// generator caps at 10 minutes by default so scripts stay runnable
-	// (the EC2 tail reaches 72h).
-	Outage outage.Config
-	// Avoid lists ASes never picked as fault sites (typically the origin
-	// and vantage points, which the paper assumes stay up).
-	Avoid []topo.ASN
-	// CheckEvery inserts an invariant barrier after every k-th fault's
-	// heal time. 0 means only the implicit final barrier the Runner adds.
-	CheckEvery int
-	// Settle is the quiet gap between a heal and the barrier it triggers,
-	// and between the last heal and the end of the script. Default 2m.
-	Settle time.Duration
 }
 
 func (c GenConfig) withDefaults() GenConfig {
@@ -45,18 +31,19 @@ func (c GenConfig) withDefaults() GenConfig {
 	if c.Intensity == 0 {
 		c.Intensity = 1
 	}
-	if c.Settle == 0 {
-		c.Settle = 2 * time.Minute
-	}
-	if c.Outage.MaxDuration == 0 {
-		c.Outage.MaxDuration = 10 * time.Minute
-	}
-	if c.Outage.MeanInterarrival == 0 {
-		c.Outage.MeanInterarrival = 5 * time.Minute
-	}
-	c.Outage.MeanInterarrival = time.Duration(float64(c.Outage.MeanInterarrival) / c.Intensity)
 	return c
 }
+
+const (
+	// maxFaultDuration caps generated outages so scripts stay runnable
+	// (the EC2 tail reaches 72h).
+	maxFaultDuration = 10 * time.Minute
+	// meanInterarrival spaces faults at Intensity 1: the outage model's own
+	// default.
+	meanInterarrival = 5 * time.Minute
+	// settle is the quiet gap between the last heal and the final barrier.
+	settle = 2 * time.Minute
+)
 
 // GenerateScript samples a fault timeline for the topology. Each outage
 // event's (kind, direction, partiality, duration) maps onto the fault
@@ -74,25 +61,18 @@ func (c GenConfig) withDefaults() GenConfig {
 // and adjacency orderings.
 func GenerateScript(top *topo.Topology, cfg GenConfig) (*Script, error) {
 	cfg = cfg.withDefaults()
-	ocfg := cfg.Outage
-	ocfg.Seed = cfg.Seed
-	ocfg.N = cfg.N
-	events := outage.Generate(ocfg)
+	events := outage.Generate(outage.Config{
+		Seed:             cfg.Seed,
+		N:                cfg.N,
+		MaxDuration:      maxFaultDuration,
+		MeanInterarrival: time.Duration(float64(meanInterarrival) / cfg.Intensity),
+	})
 
-	avoid := make(map[topo.ASN]bool, len(cfg.Avoid))
-	for _, a := range cfg.Avoid {
-		avoid[a] = true
-	}
-	var sites []topo.ASN
-	for _, asn := range top.ASNs() {
-		if !avoid[asn] {
-			sites = append(sites, asn)
-		}
-	}
+	sites := top.ASNs()
 	var links [][2]topo.ASN
 	for _, a := range sites {
 		for _, b := range top.Neighbors(a) {
-			if a < b && !avoid[b] {
+			if a < b {
 				links = append(links, [2]topo.ASN{a, b})
 			}
 		}
@@ -108,14 +88,11 @@ func GenerateScript(top *topo.Topology, cfg GenConfig) (*Script, error) {
 	// workload so tweaking one distribution never reshuffles the other.
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5F4A7C15))
 	var s Script
-	for i, ev := range events {
+	for _, ev := range events {
 		f := faultFor(ev, rng, sites, links)
 		s.Steps = append(s.Steps, Step{At: ev.Start, Fault: f, For: ev.Duration})
-		if cfg.CheckEvery > 0 && (i+1)%cfg.CheckEvery == 0 {
-			s.Steps = append(s.Steps, Step{At: ev.End() + cfg.Settle, Check: true})
-		}
 	}
-	s.Steps = append(s.Steps, Step{At: s.End() + cfg.Settle, Check: true})
+	s.Steps = append(s.Steps, Step{At: s.End() + settle, Check: true})
 	sortSteps(s.Steps)
 	return &s, nil
 }

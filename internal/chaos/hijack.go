@@ -152,6 +152,10 @@ func requireHijackable(t *Target, rogue topo.ASN, p netip.Prefix) error {
 	return nil
 }
 
+// originOf and coveringOriginOf read the engine's origin tables directly,
+// not through a hijack.Table: a Table drops multi-origin prefixes by
+// design, and fault validation must still see that such a prefix is taken.
+
 // originOf scans the engine's origin tables for the AS originating prefix
 // exactly. Ambiguous prefixes (already originated by more than one AS —
 // e.g. a previous hijack) report the lowest ASN, which is fine for the

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
-	"sort"
 	"time"
 
 	"lifeguard/internal/dataplane"
+	"lifeguard/internal/hijack"
 	"lifeguard/internal/obs"
 	"lifeguard/internal/topo"
 )
@@ -71,62 +71,13 @@ type checker struct {
 	baseline   uint64
 	violations []Violation
 
-	// owners is the pre-chaos prefix→origin table for the origin-
-	// authenticity check, snapshotted at arm time; ownerPrefixes holds its
-	// keys most-specific-first so covering lookups are deterministic.
-	owners        map[netip.Prefix]topo.ASN
-	ownerPrefixes []netip.Prefix
-}
-
-// armOwners snapshots which AS legitimately originates which prefix, taken
-// over the converged pre-chaos network. A prefix originated by more than
-// one AS at arm time (anycast-style) has no single owner and is excluded
-// from the authenticity check.
-func (c *checker) armOwners() {
-	c.owners = make(map[netip.Prefix]topo.ASN)
-	ambiguous := make(map[netip.Prefix]bool)
-	for _, asn := range c.tgt.Top.ASNs() {
-		for _, o := range c.tgt.Eng.Origins(asn) {
-			if prev, dup := c.owners[o.Prefix]; dup && prev != asn {
-				ambiguous[o.Prefix] = true
-				continue
-			}
-			c.owners[o.Prefix] = asn
-		}
-	}
-	c.ownerPrefixes = c.ownerPrefixes[:0]
-	for p := range c.owners {
-		if ambiguous[p] {
-			delete(c.owners, p)
-			continue
-		}
-		c.ownerPrefixes = append(c.ownerPrefixes, p)
-	}
-	// Most-specific first, address as the tiebreak: ownerOf's first
-	// containing hit is then the longest covering owner.
-	sort.Slice(c.ownerPrefixes, func(i, j int) bool {
-		a, b := c.ownerPrefixes[i], c.ownerPrefixes[j]
-		if a.Bits() != b.Bits() {
-			return a.Bits() > b.Bits()
-		}
-		return a.Addr().Less(b.Addr())
-	})
-}
-
-// ownerOf resolves the legitimate origin for prefix p: an exact table hit,
-// else the owner of the longest covering less-specific (so an owner's own
-// de-aggregated more-specifics — the hijack responder's mitigation — count
-// as authentic). False when p falls under no owned space.
-func (c *checker) ownerOf(p netip.Prefix) (topo.ASN, bool) {
-	if asn, ok := c.owners[p]; ok {
-		return asn, true
-	}
-	for _, op := range c.ownerPrefixes {
-		if op.Bits() < p.Bits() && op.Contains(p.Addr()) {
-			return c.owners[op], true
-		}
-	}
-	return 0, false
+	// owners is the pre-chaos prefix-ownership table for the origin-
+	// authenticity check, snapshotted at arm time. A prefix originated by
+	// more than one AS then (anycast-style) has no single owner and is out
+	// of the check; a covering owner vouches for its more-specifics, so an
+	// owner's own de-aggregated halves — the hijack responder's mitigation
+	// — count as authentic.
+	owners *hijack.Table
 }
 
 // checkOriginAuth asserts origin authenticity over every loc-RIB: the AS a
@@ -144,7 +95,7 @@ func (c *checker) checkOriginAuth() {
 			if !ok {
 				continue
 			}
-			owner, ok := c.ownerOf(p)
+			owner, _, ok := c.owners.Owner(p)
 			if !ok {
 				continue
 			}

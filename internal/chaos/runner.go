@@ -6,15 +6,13 @@ import (
 	"strings"
 	"time"
 
+	"lifeguard/internal/bgp"
+	"lifeguard/internal/hijack"
 	"lifeguard/internal/obs"
 )
 
 // Options tunes a chaos run.
 type Options struct {
-	// ConvergeBudget bounds the scheduler steps each barrier may spend
-	// draining the control plane. Default 200 million (matches the
-	// facade's assembly budget).
-	ConvergeBudget int
 	// Reach lists data-plane reachability probes asserted at all-healed
 	// barriers.
 	Reach []ReachProbe
@@ -90,9 +88,6 @@ func NewRunner(tgt *Target, script *Script, opts Options) (*Runner, error) {
 	if err := script.Validate(tgt); err != nil {
 		return nil, err
 	}
-	if opts.ConvergeBudget == 0 {
-		opts.ConvergeBudget = 200_000_000
-	}
 	r := &Runner{
 		tgt:    tgt,
 		script: script,
@@ -128,11 +123,11 @@ func (r *Runner) Run() (*Report, error) {
 	rep := &Report{Start: r.tgt.Clk.Now()}
 
 	// Arm: the baseline fingerprint is taken over a drained control plane.
-	if !r.tgt.Eng.Converge(r.opts.ConvergeBudget) {
+	if !r.tgt.Eng.Converge(bgp.MaxConvergeSteps) {
 		return nil, fmt.Errorf("chaos: control plane did not converge while arming")
 	}
 	r.chk.baseline = r.chk.fingerprint()
-	r.chk.armOwners()
+	r.chk.owners = hijack.TableFromEngine(r.tgt.Eng)
 	rep.BaselineFingerprint = r.chk.baseline
 	r.tgt.journal("arm", obs.F("fingerprint", fmt.Sprintf("%016x", r.chk.baseline)))
 
@@ -210,9 +205,9 @@ func (r *Runner) barrier(final bool) {
 	r.barriers++
 	r.mBarrier.Inc()
 	before := len(r.chk.violations)
-	if !r.tgt.Eng.Converge(r.opts.ConvergeBudget) {
+	if !r.tgt.Eng.Converge(bgp.MaxConvergeSteps) {
 		r.chk.report(InvConvergence,
-			fmt.Sprintf("control plane still busy after %d steps", r.opts.ConvergeBudget))
+			fmt.Sprintf("control plane still busy after %d steps", bgp.MaxConvergeSteps))
 	}
 	r.chk.checkLoops()
 	r.chk.checkRIB()

@@ -14,7 +14,7 @@ import (
 // probing, and blame — against a warmed atlas.
 func BenchmarkIsolateReverseFailure(b *testing.B) {
 	n := nettest.Fig4(b)
-	atl := atlas.New(n.Top, n.Prober, n.Clk, atlas.Config{})
+	atl := atlas.New(n.Top, n.Prober, n.Clk)
 	atl.AddVP(n.Hub(nettest.VP1AS))
 	atl.AddVP(n.Hub(nettest.VP5AS))
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
@@ -22,7 +22,7 @@ func BenchmarkIsolateReverseFailure(b *testing.B) {
 	atl.RefreshAll()
 	n.Clk.RunFor(15 * time.Minute)
 	atl.RefreshAll()
-	iso := isolation.New(n.Top, n.Prober, atl, n.Clk, isolation.Config{})
+	iso := isolation.New(n.Top, n.Prober, atl, n.Clk)
 	n.ReverseFailure()
 	vp := n.Hub(nettest.VP1AS)
 	b.ResetTimer()

@@ -84,25 +84,15 @@ type Report struct {
 	EstimatedDuration time.Duration
 }
 
-// Config tunes the isolator.
-type Config struct {
-	// PerProbeLatency converts probe count to estimated isolation wall
-	// time (probe RTTs plus rate-limit pacing). Default 500ms.
-	PerProbeLatency time.Duration
-	// MaxHistoricalRecords bounds how many old atlas paths the §4.1.2
-	// suspect-set expansion examines. Default 5.
-	MaxHistoricalRecords int
-}
-
-func (c Config) withDefaults() Config {
-	if c.PerProbeLatency == 0 {
-		c.PerProbeLatency = 500 * time.Millisecond
-	}
-	if c.MaxHistoricalRecords == 0 {
-		c.MaxHistoricalRecords = 5
-	}
-	return c
-}
+const (
+	// perProbeLatency converts a probe count to estimated isolation wall
+	// time (probe RTTs plus rate-limit pacing): ~280 probes in ~140s for a
+	// reverse outage (§5.4).
+	perProbeLatency = 500 * time.Millisecond
+	// maxHistoricalRecords bounds how many old atlas paths the §4.1.2
+	// suspect-set expansion examines.
+	maxHistoricalRecords = 5
+)
 
 // Isolator runs failure isolation using a prober, a path atlas, and the
 // atlas's other vantage points as spoofing helpers.
@@ -111,7 +101,6 @@ type Isolator struct {
 	pr  *probe.Prober
 	atl *atlas.Atlas
 	clk *simclock.Scheduler
-	cfg Config
 
 	obs isolatorObs
 }
@@ -147,8 +136,8 @@ func (iso *Isolator) Instrument(reg *obs.Registry) {
 }
 
 // New returns an isolator. Vantage points are taken from the atlas.
-func New(top *topo.Topology, pr *probe.Prober, atl *atlas.Atlas, clk *simclock.Scheduler, cfg Config) *Isolator {
-	return &Isolator{top: top, pr: pr, atl: atl, clk: clk, cfg: cfg.withDefaults()}
+func New(top *topo.Topology, pr *probe.Prober, atl *atlas.Atlas, clk *simclock.Scheduler) *Isolator {
+	return &Isolator{top: top, pr: pr, atl: atl, clk: clk}
 }
 
 // Isolate diagnoses the outage between vp and target. It issues probes but
@@ -160,7 +149,7 @@ func (iso *Isolator) Isolate(vp topo.RouterID, target netip.Addr) *Report {
 	probesBefore := iso.pr.Sent
 	defer func() {
 		rep.ProbesUsed = iso.pr.Sent - probesBefore
-		rep.EstimatedDuration = time.Duration(rep.ProbesUsed) * iso.cfg.PerProbeLatency
+		rep.EstimatedDuration = time.Duration(rep.ProbesUsed) * perProbeLatency
 		if rep.Healed {
 			iso.obs.healed.Inc()
 		}
@@ -321,8 +310,8 @@ func (iso *Isolator) blameReverse(rep *Report, vp topo.RouterID, target netip.Ad
 	// past it that cannot. Older paths expand the suspect set when the
 	// newest is inconclusive.
 	recs := iso.atl.LatestReverseBefore(vp, target, iso.clk.Now())
-	if len(recs) > iso.cfg.MaxHistoricalRecords {
-		recs = recs[:iso.cfg.MaxHistoricalRecords]
+	if len(recs) > maxHistoricalRecords {
+		recs = recs[:maxHistoricalRecords]
 	}
 	for _, rec := range recs {
 		// rec.Hops runs target→vp: scan from the vp end toward the

@@ -24,7 +24,7 @@ type rig struct {
 func setup(t *testing.T) *rig {
 	t.Helper()
 	n := nettest.Fig4(t)
-	atl := atlas.New(n.Top, n.Prober, n.Clk, atlas.Config{})
+	atl := atlas.New(n.Top, n.Prober, n.Clk)
 	atl.AddVP(n.Hub(nettest.VP1AS))
 	atl.AddVP(n.Hub(nettest.VP5AS))
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
@@ -37,7 +37,7 @@ func setup(t *testing.T) *rig {
 	return &rig{
 		n:      n,
 		atl:    atl,
-		iso:    isolation.New(n.Top, n.Prober, atl, n.Clk, isolation.Config{}),
+		iso:    isolation.New(n.Top, n.Prober, atl, n.Clk),
 		vp:     n.Hub(nettest.VP1AS),
 		target: target,
 	}
@@ -140,14 +140,14 @@ func TestConfiguredSilentRouterNotBlamed(t *testing.T) {
 	for _, rid := range n.Top.AS(nettest.TransitB).Routers {
 		n.Top.Router(rid).Responsive = false
 	}
-	atl := atlas.New(n.Top, n.Prober, n.Clk, atlas.Config{})
+	atl := atlas.New(n.Top, n.Prober, n.Clk)
 	atl.AddVP(n.Hub(nettest.VP1AS))
 	atl.AddVP(n.Hub(nettest.VP5AS))
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	atl.AddTarget(target)
 	atl.RefreshAll()
 	n.Clk.RunFor(time.Minute)
-	iso := isolation.New(n.Top, n.Prober, atl, n.Clk, isolation.Config{})
+	iso := isolation.New(n.Top, n.Prober, atl, n.Clk)
 	n.ReverseFailure()
 	rep := iso.Isolate(n.Hub(nettest.VP1AS), target)
 	if rep.Direction != isolation.Reverse {

@@ -91,41 +91,17 @@ func (m SentinelMode) String() string {
 type Config struct {
 	// Origin is the AS LIFEGUARD speaks for.
 	Origin topo.ASN
-	// Production and Sentinel are the prefixes to manage; zero values
-	// default to the topo address plan for Origin.
-	Production, Sentinel netip.Prefix
 	// Mode selects the sentinel design. Default SentinelLessSpecific.
 	Mode SentinelMode
-	// PrependLength is the length of the baseline announcement pattern
-	// (O-O-O by default, length 3), chosen so a single poison keeps the
-	// path length unchanged.
-	PrependLength int
 	// MinOutageAge gates poisoning: outages younger than this are likely
 	// to resolve on their own (Fig. 5 analysis). Default 5 minutes.
 	MinOutageAge time.Duration
 	// SentinelInterval is how often the sentinel is probed while a
 	// poison is active. Default 2 minutes.
 	SentinelInterval time.Duration
-	// RequireAlternate, default true, refuses to poison when the static
-	// analysis finds no valley-free path around the blamed AS (§4.2
-	// "if no paths exist, LIFEGUARD does not attempt to poison").
-	DisableAlternateCheck bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.Production == (netip.Prefix{}) {
-		c.Production = topo.ProductionPrefix(c.Origin)
-	}
-	if c.Sentinel == (netip.Prefix{}) {
-		if c.Mode == SentinelNonAdjacent {
-			c.Sentinel = topo.NonAdjacentSentinelPrefix(c.Origin)
-		} else {
-			c.Sentinel = topo.SentinelPrefix(c.Origin)
-		}
-	}
-	if c.PrependLength == 0 {
-		c.PrependLength = 3
-	}
 	if c.MinOutageAge == 0 {
 		c.MinOutageAge = 5 * time.Minute
 	}
@@ -134,6 +110,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// prependLength is the length of the baseline announcement pattern, O-O-O:
+// long enough that a single poison (O-A-O) keeps the path length and the
+// next hop unchanged (§3.1.1).
+const prependLength = 3
 
 // Repair records one poisoning episode.
 type Repair struct {
@@ -154,6 +135,10 @@ type Controller struct {
 	pr  *probe.Prober
 	clk *simclock.Scheduler
 	cfg Config
+
+	// production and sentinel are the prefixes the controller manages, from
+	// the topo address plan for the origin and the sentinel mode.
+	production, sentinel netip.Prefix
 
 	// OnUnpoison, if set, fires when a repair is reverted.
 	OnUnpoison func(*Repair)
@@ -214,18 +199,31 @@ func New(eng *bgp.Engine, pr *probe.Prober, clk *simclock.Scheduler, cfg Config)
 	if eng.Topology().AS(cfg.Origin) == nil {
 		panic(fmt.Sprintf("remedy: unknown origin AS %d", cfg.Origin))
 	}
-	return &Controller{eng: eng, pr: pr, clk: clk, cfg: cfg}
+	c := &Controller{eng: eng, pr: pr, clk: clk, cfg: cfg,
+		production: topo.ProductionPrefix(cfg.Origin),
+		sentinel:   topo.SentinelPrefix(cfg.Origin),
+	}
+	if cfg.Mode == SentinelNonAdjacent {
+		c.sentinel = topo.NonAdjacentSentinelPrefix(cfg.Origin)
+	}
+	return c
 }
 
 // Config returns the effective configuration.
 func (c *Controller) Config() Config { return c.cfg }
+
+// Prefixes returns the production and sentinel prefixes the controller
+// announces.
+func (c *Controller) Prefixes() (production, sentinel netip.Prefix) {
+	return c.production, c.sentinel
+}
 
 // Active returns the in-progress repair, or nil.
 func (c *Controller) Active() *Repair { return c.active }
 
 // baseline returns the prepended baseline pattern (O-O-O for length 3).
 func (c *Controller) baseline() topo.Path {
-	p := make(topo.Path, c.cfg.PrependLength)
+	p := make(topo.Path, prependLength)
 	for i := range p {
 		p[i] = c.cfg.Origin
 	}
@@ -244,8 +242,8 @@ func (c *Controller) poisonPattern(avoid topo.ASN) topo.Path {
 // AnnounceBaseline (re)announces the production prefix with the prepended
 // baseline and the sentinel with the same unpoisoned pattern.
 func (c *Controller) AnnounceBaseline() {
-	c.eng.Announce(c.cfg.Origin, c.cfg.Production, bgp.OriginConfig{Pattern: c.baseline()})
-	c.eng.Announce(c.cfg.Origin, c.cfg.Sentinel, bgp.OriginConfig{Pattern: c.baseline()})
+	c.eng.Announce(c.cfg.Origin, c.production, bgp.OriginConfig{Pattern: c.baseline()})
+	c.eng.Announce(c.cfg.Origin, c.sentinel, bgp.OriginConfig{Pattern: c.baseline()})
 }
 
 // DecideAndRepair applies the §4.2 policy to an isolation report: poison
@@ -271,8 +269,7 @@ func (c *Controller) DecideAndRepair(rep *isolation.Report, outageStart time.Dur
 		// One repair at a time: the paper assumes a single failure.
 		return AlreadyActive
 	}
-	if !c.cfg.DisableAlternateCheck &&
-		!splice.CanReach(c.eng.Topology(), victimAS, c.cfg.Origin, splice.Avoid1(rep.Blamed)) {
+	if !splice.CanReach(c.eng.Topology(), victimAS, c.cfg.Origin, splice.Avoid1(rep.Blamed)) {
 		return NoAlternate
 	}
 	c.Poison(rep.Blamed, rep.Target)
@@ -286,7 +283,7 @@ func (c *Controller) Poison(asn topo.ASN, victim netip.Addr) *Repair {
 	c.active = r
 	c.History = append(c.History, r)
 	c.obs.poisons.Inc()
-	c.eng.Announce(c.cfg.Origin, c.cfg.Production, bgp.OriginConfig{Pattern: c.poisonPattern(asn)})
+	c.eng.Announce(c.cfg.Origin, c.production, bgp.OriginConfig{Pattern: c.poisonPattern(asn)})
 	c.armSentinel()
 	return r
 }
@@ -306,7 +303,7 @@ func (c *Controller) PoisonSelective(asn topo.ASN, keepVia topo.ASN, victim neti
 			per[p] = c.poisonPattern(asn)
 		}
 	}
-	c.eng.Announce(c.cfg.Origin, c.cfg.Production, bgp.OriginConfig{
+	c.eng.Announce(c.cfg.Origin, c.production, bgp.OriginConfig{
 		Pattern:     c.baseline(),
 		PerNeighbor: per,
 	})
@@ -357,9 +354,6 @@ func (c *Controller) Resume() {
 		c.armSentinel()
 	}
 }
-
-// Suspended reports whether sentinel checks are paused.
-func (c *Controller) Suspended() bool { return c.suspended }
 
 // armSentinel schedules periodic sentinel checks while a repair is active.
 // Suspended controllers don't arm; Resume re-arms for them.

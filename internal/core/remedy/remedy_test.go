@@ -22,7 +22,10 @@ func newController(t *testing.T, n *nettest.Net) *remedy.Controller {
 func TestBaselineAnnouncesPrependedPatterns(t *testing.T) {
 	n := nettest.Fig2(t)
 	c := newController(t, n)
-	prod := c.Config().Production
+	prod, sentinel := c.Prefixes()
+	if prod != topo.ProductionPrefix(nettest.O) || sentinel != topo.SentinelPrefix(nettest.O) {
+		t.Fatalf("prefixes %v, %v; want the address plan's production /24 and sentinel /23", prod, sentinel)
+	}
 	r, ok := n.Eng.BestRoute(nettest.B, prod)
 	if !ok {
 		t.Fatal("B has no production route")
@@ -30,7 +33,7 @@ func TestBaselineAnnouncesPrependedPatterns(t *testing.T) {
 	if !r.Path.Equal(topo.Path{nettest.O, nettest.O, nettest.O}) {
 		t.Fatalf("B sees %v, want the O-O-O baseline", r.Path)
 	}
-	if _, ok := n.Eng.BestRoute(nettest.F, c.Config().Sentinel); !ok {
+	if _, ok := n.Eng.BestRoute(nettest.F, sentinel); !ok {
 		t.Fatal("sentinel not propagated")
 	}
 }
@@ -38,7 +41,7 @@ func TestBaselineAnnouncesPrependedPatterns(t *testing.T) {
 func TestPoisonReroutesAndSentinelUnpoisons(t *testing.T) {
 	n := nettest.Fig2(t)
 	c := newController(t, n)
-	prod := c.Config().Production
+	prod, sentinel := c.Prefixes()
 
 	// A silently blackholes everything toward O's address space.
 	fid := n.Plane.AddFailure(dataplane.BlackholeASTowards(nettest.A, topo.Block(nettest.O)))
@@ -56,7 +59,7 @@ func TestPoisonReroutesAndSentinelUnpoisons(t *testing.T) {
 	if _, ok := n.Eng.BestRoute(nettest.F, prod); ok {
 		t.Fatal("captive F should lose the production route")
 	}
-	if _, ok := n.Eng.BestRoute(nettest.F, c.Config().Sentinel); !ok {
+	if _, ok := n.Eng.BestRoute(nettest.F, sentinel); !ok {
 		t.Fatal("F must keep the sentinel (Backup Property)")
 	}
 
@@ -139,7 +142,8 @@ func TestPoisonPatternShape(t *testing.T) {
 	n.Plane.AddFailure(dataplane.BlackholeASTowards(nettest.A, topo.Block(nettest.O)))
 	c.Poison(nettest.A, n.Top.Router(n.Hub(nettest.E)).Addr)
 	n.Converge(t)
-	r, ok := n.Eng.BestRoute(nettest.B, c.Config().Production)
+	prod, _ := c.Prefixes()
+	r, ok := n.Eng.BestRoute(nettest.B, prod)
 	if !ok {
 		t.Fatal("B lost the route")
 	}
@@ -171,7 +175,7 @@ func TestSelectivePoisoning(t *testing.T) {
 	c := remedy.New(n.Eng, n.Prober, n.Clk, remedy.Config{Origin: 1})
 	c.AnnounceBaseline()
 	n.Converge(t)
-	prod := c.Config().Production
+	prod, _ := c.Prefixes()
 
 	// Baseline: A prefers its short customer path via D2(3).
 	rA, _ := n.Eng.BestRoute(4, prod)

@@ -68,9 +68,13 @@ func TestNonAdjacentSentinelSacrificesBackup(t *testing.T) {
 	c.Poison(nettest.A, n.Top.Router(n.Hub(nettest.E)).Addr)
 	n.Converge(t)
 
+	prod, sentinel := c.Prefixes()
+	if sentinel != topo.NonAdjacentSentinelPrefix(nettest.O) {
+		t.Fatalf("sentinel %v, want the non-adjacent prefix %v", sentinel, topo.NonAdjacentSentinelPrefix(nettest.O))
+	}
 	// Captive F: no production route and — unlike the less-specific
 	// design — no covering backup either.
-	if _, ok := n.Eng.BestRoute(nettest.F, c.Config().Production); ok {
+	if _, ok := n.Eng.BestRoute(nettest.F, prod); ok {
 		t.Fatal("F should lose the production route")
 	}
 	if _, ok := n.Eng.BestRoute(nettest.F, topo.SentinelPrefix(nettest.O)); ok {

@@ -231,7 +231,7 @@ func reduceDampening(parts []*dampeningPart) *Result {
 // and a poison victim on collector paths.
 func dampeningNet(seed int64, reg *obs.Registry) (*lifeguard.Network, topo.ASN) {
 	n, _ := world(seed, topogen.Config{NumTier1: 3, NumTransit: 10, NumStub: 25}, 1,
-		bgp.Config{Dampening: bgp.DampeningConfig{Enabled: true}}, reg)
+		bgp.Config{Dampening: true}, reg)
 	// Victim: any transit that is not the origin's provider.
 	mux := n.Top.Providers(n.Gen.Origin)[0]
 	for _, tr := range n.Gen.Transit {

@@ -32,7 +32,7 @@ type isoRig struct {
 func buildIsoRig(seed int64, reg *obs.Registry) *isoRig {
 	n, rng := world(seed, topogen.Config{NumTransit: 35, NumStub: 110}, 0, bgp.Config{}, reg)
 	rig := &isoRig{n: n, rng: rng}
-	rig.atl = atlas.New(n.Top, n.Prober, n.Clk, atlas.Config{})
+	rig.atl = atlas.New(n.Top, n.Prober, n.Clk)
 	for _, s := range sample(rng, n.Gen.Stubs, 8) {
 		vp := n.Hub(s)
 		rig.vps = append(rig.vps, vp)
@@ -49,7 +49,7 @@ func buildIsoRig(seed int64, reg *obs.Registry) *isoRig {
 	n.Clk.RunFor(15 * time.Minute)
 	rig.atl.RefreshAll()
 	n.Clk.RunFor(time.Minute)
-	rig.iso = isolation.New(n.Top, n.Prober, rig.atl, n.Clk, isolation.Config{})
+	rig.iso = isolation.New(n.Top, n.Prober, rig.atl, n.Clk)
 	rig.iso.Instrument(reg)
 	return rig
 }

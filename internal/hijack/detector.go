@@ -10,20 +10,10 @@ import (
 	"lifeguard/internal/topo"
 )
 
-// DetectorConfig tunes the detection loop.
-type DetectorConfig struct {
-	// Interval is the scan period. ARTEMIS detects within seconds because
-	// it consumes streaming BGP feeds; the simulated equivalent is a short
-	// poll of the collector state. Default 10s.
-	Interval time.Duration
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Interval == 0 {
-		c.Interval = 10 * time.Second
-	}
-	return c
-}
+// scanInterval is the detection poll period. ARTEMIS detects within
+// seconds because it consumes streaming BGP feeds; the simulated
+// equivalent is a short poll of the collector state.
+const scanInterval = 10 * time.Second
 
 // Detector watches route-collector streams for announcements that
 // contradict the ownership table. It is the control-plane half of the
@@ -36,7 +26,6 @@ type Detector struct {
 	top *topo.Topology
 	clk *simclock.Scheduler
 	tbl *Table
-	cfg DetectorConfig
 
 	// OnAlarm fires when a new alarm is raised; OnClear when no collector
 	// peer holds an offending route any more. Both run on the simulation
@@ -57,10 +46,9 @@ type Detector struct {
 
 // NewDetector wires a detector over collector streams, checking against the
 // given ownership table.
-func NewDetector(col *collectors.Collector, top *topo.Topology, clk *simclock.Scheduler, tbl *Table, cfg DetectorConfig) *Detector {
+func NewDetector(col *collectors.Collector, top *topo.Topology, clk *simclock.Scheduler, tbl *Table) *Detector {
 	return &Detector{
 		col: col, top: top, clk: clk, tbl: tbl,
-		cfg:     cfg.withDefaults(),
 		active:  make(map[alarmKey]*Alarm),
 		mAlarms: func(Class) *obs.Counter { return nil },
 	}
@@ -82,8 +70,8 @@ func (d *Detector) Instrument(reg *obs.Registry) {
 	}
 }
 
-// Interval returns the effective scan period.
-func (d *Detector) Interval() time.Duration { return d.cfg.Interval }
+// Interval returns the scan period.
+func (d *Detector) Interval() time.Duration { return scanInterval }
 
 // Active returns the currently-raised alarms in deterministic order.
 func (d *Detector) Active() []*Alarm {
@@ -107,9 +95,9 @@ func (d *Detector) Start() {
 			return
 		}
 		d.Scan()
-		d.ticker = d.clk.After(d.cfg.Interval, tick)
+		d.ticker = d.clk.After(scanInterval, tick)
 	}
-	d.ticker = d.clk.After(d.cfg.Interval, tick)
+	d.ticker = d.clk.After(scanInterval, tick)
 }
 
 // Stop halts scanning; active alarms stay raised (they clear on the next
@@ -121,9 +109,6 @@ func (d *Detector) Stop() {
 	d.started = false
 	d.clk.Cancel(d.ticker)
 }
-
-// Started reports whether the scan loop is running.
-func (d *Detector) Started() bool { return d.started }
 
 // classify checks one announced path against the prefix's resolved owner.
 // The path is origin-last; exact says whether the prefix itself is listed in

@@ -12,6 +12,7 @@ package hijack
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -118,13 +119,14 @@ func NewTable() *Table {
 func (t *Table) Add(prefix netip.Prefix, owner topo.ASN) {
 	prefix = prefix.Masked()
 	if _, dup := t.owners[prefix]; !dup {
-		t.order = append(t.order, prefix)
-		sort.Slice(t.order, func(i, j int) bool {
-			if t.order[i].Bits() != t.order[j].Bits() {
-				return t.order[i].Bits() > t.order[j].Bits()
+		i := sort.Search(len(t.order), func(i int) bool {
+			p := t.order[i]
+			if p.Bits() != prefix.Bits() {
+				return p.Bits() < prefix.Bits()
 			}
-			return t.order[i].Addr().Less(t.order[j].Addr())
+			return prefix.Addr().Less(p.Addr())
 		})
+		t.order = slices.Insert(t.order, i, prefix)
 	}
 	t.owners[prefix] = owner
 }

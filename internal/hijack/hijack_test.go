@@ -8,6 +8,7 @@ import (
 	"lifeguard/internal/bgp"
 	"lifeguard/internal/collectors"
 	"lifeguard/internal/core/remedy"
+	"lifeguard/internal/dataplane"
 	"lifeguard/internal/hijack"
 	"lifeguard/internal/nettest"
 	"lifeguard/internal/topo"
@@ -30,10 +31,44 @@ func TestTableLookup(t *testing.T) {
 	}
 }
 
+// TestTableCoveringOwnerAnyInsertionOrder: whatever order nested entries
+// are added in, a covering lookup resolves to the longest covering entry.
+func TestTableCoveringOwnerAnyInsertionOrder(t *testing.T) {
+	entries := []struct {
+		prefix string
+		owner  topo.ASN
+	}{{"1.0.0.0/8", 1}, {"1.10.0.0/16", 10}, {"1.10.128.0/17", 11}, {"1.10.200.0/24", 12}}
+	queries := []struct {
+		prefix string
+		owner  topo.ASN
+	}{{"1.10.200.128/25", 12}, {"1.10.129.0/24", 11}, {"1.10.1.0/24", 10}, {"1.20.0.0/16", 1}}
+	var permute func(k int, order []int)
+	permute = func(k int, order []int) {
+		if k == len(order) {
+			tbl := hijack.NewTable()
+			for _, i := range order {
+				tbl.Add(netip.MustParsePrefix(entries[i].prefix), entries[i].owner)
+			}
+			for _, q := range queries {
+				if owner, exact, ok := tbl.Owner(netip.MustParsePrefix(q.prefix)); !ok || exact || owner != q.owner {
+					t.Fatalf("insertion order %v: Owner(%s) = %d/%v/%v, want %d/false/true", order, q.prefix, owner, exact, ok, q.owner)
+				}
+			}
+			return
+		}
+		for i := k; i < len(order); i++ {
+			order[k], order[i] = order[i], order[k]
+			permute(k+1, order)
+			order[k], order[i] = order[i], order[k]
+		}
+	}
+	permute(0, []int{0, 1, 2, 3})
+}
+
 // pipeline assembles the full detection+mitigation stack over Fig. 2 with
 // the origin's repair controller, collector peers at A, B and E, and an
 // ownership table snapshotted before any attack.
-func pipeline(t *testing.T, vantages ...topo.ASN) (*nettest.Net, *remedy.Controller, *hijack.Detector, *hijack.Responder) {
+func pipeline(t *testing.T) (*nettest.Net, *remedy.Controller, *hijack.Detector, *hijack.Responder) {
 	t.Helper()
 	n := nettest.Fig2(t)
 	ctl := remedy.New(n.Eng, n.Prober, n.Clk, remedy.Config{Origin: nettest.O})
@@ -42,10 +77,8 @@ func pipeline(t *testing.T, vantages ...topo.ASN) (*nettest.Net, *remedy.Control
 
 	col := collectors.New(n.Eng, nettest.A, nettest.B, nettest.E)
 	tbl := hijack.TableFromEngine(n.Eng)
-	det := hijack.NewDetector(col, n.Top, n.Clk, tbl, hijack.DetectorConfig{})
-	resp := hijack.NewResponder(det, ctl, n.Plane, hijack.ResponderConfig{
-		Owner: nettest.O, Vantages: vantages,
-	})
+	det := hijack.NewDetector(col, n.Top, n.Clk, tbl)
+	resp := hijack.NewResponder(det, ctl, n.Plane, nettest.O)
 	det.Start()
 	return n, ctl, det, resp
 }
@@ -123,7 +156,7 @@ func TestDetectExactAndForged(t *testing.T) {
 // from the owner's provider, and withdraws the counter-announcements when
 // the attack clears.
 func TestMitigateSubPrefix(t *testing.T) {
-	n, ctl, det, resp := pipeline(t) // default vantages: O's providers = {B}
+	n, ctl, det, resp := pipeline(t) // vantages: O's providers = {B}
 	sub := netip.MustParsePrefix("1.10.128.0/24")
 	n.Eng.Announce(nettest.F, sub, bgp.OriginConfig{})
 	n.Clk.RunFor(5 * time.Minute)
@@ -166,9 +199,10 @@ func TestMitigateSubPrefix(t *testing.T) {
 // TestMitigateExactByDeaggregation pins the ARTEMIS response to an exact
 // hijack: the two more-specific halves out-compete the rogue /16 by
 // longest-prefix match even at ASes whose BGP decision prefers the rogue.
-// Vantages A and E are exactly the captured ASes.
+// The responder verifies from O's provider B; A and E are exactly the
+// captured ASes, so the test checks both halves from them itself.
 func TestMitigateExactByDeaggregation(t *testing.T) {
-	n, _, _, resp := pipeline(t, nettest.A, nettest.E)
+	n, _, _, resp := pipeline(t)
 	victim := topo.Block(nettest.O)
 	n.Eng.Announce(nettest.F, victim, bgp.OriginConfig{})
 	n.Clk.RunFor(5 * time.Minute)
@@ -184,9 +218,19 @@ func TestMitigateExactByDeaggregation(t *testing.T) {
 	if m.Poisoned != 0 {
 		t.Fatalf("de-aggregation should not poison, got %d", m.Poisoned)
 	}
-	if !m.Verified() || m.Recovered != 2 {
-		t.Fatalf("captured vantages did not recover: verified=%v %d/%d",
+	if !m.Verified() || m.Recovered != 1 {
+		t.Fatalf("provider vantage did not recover: verified=%v %d/%d",
 			m.Verified(), m.Recovered, m.Vantages)
+	}
+	// One host in each half, outside the production and sentinel
+	// prefixes (which O's own more-specifics cover whatever the /16 does).
+	for _, dst := range []netip.Addr{netip.MustParseAddr("1.10.64.1"), netip.MustParseAddr("1.10.192.1")} {
+		for _, v := range []topo.ASN{nettest.A, nettest.E} {
+			res := n.Plane.Forward(n.Hub(v), dataplane.Packet{Dst: dst})
+			if !res.Delivered() || res.LastAS != nettest.O {
+				t.Fatalf("captured AS%d: %v ends at AS%d (%v), want O", v, dst, res.LastAS, res.Reason)
+			}
+		}
 	}
 }
 
@@ -200,8 +244,8 @@ func TestUnpoisonableRogueFallsBack(t *testing.T) {
 	ctl.AnnounceBaseline()
 	n.Converge(t)
 	col := collectors.New(n.Eng, nettest.A, nettest.B, nettest.E)
-	det := hijack.NewDetector(col, n.Top, n.Clk, hijack.TableFromEngine(n.Eng), hijack.DetectorConfig{})
-	resp := hijack.NewResponder(det, ctl, n.Plane, hijack.ResponderConfig{Owner: nettest.O})
+	det := hijack.NewDetector(col, n.Top, n.Clk, hijack.TableFromEngine(n.Eng))
+	resp := hijack.NewResponder(det, ctl, n.Plane, nettest.O)
 	det.Start()
 
 	sub := netip.MustParsePrefix("1.10.128.0/24")

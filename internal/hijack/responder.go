@@ -12,45 +12,13 @@ import (
 	"lifeguard/internal/topo"
 )
 
-// ResponderConfig tunes the auto-mitigation loop.
-type ResponderConfig struct {
-	// Owner is the AS the responder defends; alarms for other owners are
-	// ignored (each tenant mitigates only its own space).
-	Owner topo.ASN
-	// Vantages are the ASes whose data-plane view verifies recovery.
-	// Default: the owner's providers — customer-route preference makes
-	// them the first to flip back, so "all vantages recovered" is the
-	// earliest honest claim of mitigation. ASes without routers are
-	// skipped.
-	Vantages []topo.ASN
-	// VerifyInterval is the recovery-poll period. Default 30s.
-	VerifyInterval time.Duration
-	// VerifyBudget bounds the polls per mitigation (the attack may simply
+const (
+	// verifyInterval is the recovery-poll period.
+	verifyInterval = 30 * time.Second
+	// verifyBudget bounds the polls per mitigation (the attack may simply
 	// win at some vantages — sub-prefix recovery is partial by design).
-	// Default 20.
-	VerifyBudget int
-}
-
-func (c ResponderConfig) withDefaults(top *topo.Topology) ResponderConfig {
-	if len(c.Vantages) == 0 {
-		c.Vantages = top.Providers(c.Owner)
-	}
-	var vs []topo.ASN
-	for _, v := range c.Vantages {
-		if as := top.AS(v); as != nil && len(as.Routers) > 0 {
-			vs = append(vs, v)
-		}
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	c.Vantages = vs
-	if c.VerifyInterval == 0 {
-		c.VerifyInterval = 30 * time.Second
-	}
-	if c.VerifyBudget == 0 {
-		c.VerifyBudget = 20
-	}
-	return c
-}
+	verifyBudget = 20
+)
 
 // Mitigation records the response to one alarm.
 type Mitigation struct {
@@ -94,13 +62,19 @@ type Responder struct {
 	top *topo.Topology
 	pl  *dataplane.Plane
 	clk *simclock.Scheduler
-	cfg ResponderConfig
+
+	// owner is the AS the responder defends; alarms for other owners are
+	// ignored (each tenant mitigates only its own space).
+	owner topo.ASN
+	// vantages are the ASes whose data-plane view verifies recovery, in
+	// ASN order: the owner's providers with routers — customer-route
+	// preference makes them the first to flip back, so "all vantages
+	// recovered" is the earliest honest claim of mitigation.
+	vantages []topo.ASN
 
 	// OnMitigated fires when a mitigation verifies (every vantage
-	// recovered); OnWithdrawn when the cleared alarm's counter-
-	// announcements are removed.
+	// recovered).
 	OnMitigated func(*Mitigation)
-	OnWithdrawn func(*Mitigation)
 
 	byKey map[alarmKey]*Mitigation
 	// Mitigations lists every response ever mounted, in alarm order.
@@ -111,15 +85,21 @@ type Responder struct {
 }
 
 // NewResponder wires a responder onto det's hooks (preserving any already
-// installed) using ctl — which must speak for cfg.Owner — to announce.
-func NewResponder(det *Detector, ctl *remedy.Controller, pl *dataplane.Plane, cfg ResponderConfig) *Responder {
+// installed) defending owner, using ctl — which must speak for owner — to
+// announce.
+func NewResponder(det *Detector, ctl *remedy.Controller, pl *dataplane.Plane, owner topo.ASN) *Responder {
 	r := &Responder{
-		ctl: ctl, top: det.top, pl: pl, clk: det.clk,
-		cfg:        cfg.withDefaults(det.top),
+		ctl: ctl, top: det.top, pl: pl, clk: det.clk, owner: owner,
 		byKey:      make(map[alarmKey]*Mitigation),
 		mResponses: func(string) *obs.Counter { return nil },
 		mChecks:    func(bool) *obs.Counter { return nil },
 	}
+	for _, v := range det.top.Providers(owner) {
+		if as := det.top.AS(v); as != nil && len(as.Routers) > 0 {
+			r.vantages = append(r.vantages, v)
+		}
+	}
+	sort.Slice(r.vantages, func(i, j int) bool { return r.vantages[i] < r.vantages[j] })
 	prevAlarm := det.OnAlarm
 	det.OnAlarm = func(a *Alarm) {
 		if prevAlarm != nil {
@@ -156,20 +136,17 @@ func (r *Responder) Instrument(reg *obs.Registry) {
 	}
 }
 
-// Vantages returns the effective verification vantage set.
-func (r *Responder) Vantages() []topo.ASN { return r.cfg.Vantages }
-
 // handleAlarm mounts the class-appropriate counter-announcement and starts
 // the recovery poll.
 func (r *Responder) handleAlarm(a *Alarm) {
-	if a.Owner != r.cfg.Owner {
+	if a.Owner != r.owner {
 		return
 	}
 	k := alarmKey{class: a.Class, rogue: a.Rogue, prefix: a.Prefix}
 	if r.byKey[k] != nil {
 		return
 	}
-	m := &Mitigation{Alarm: a, StartedAt: r.clk.Now(), Vantages: len(r.cfg.Vantages)}
+	m := &Mitigation{Alarm: a, StartedAt: r.clk.Now(), Vantages: len(r.vantages)}
 	switch a.Class {
 	case SubPrefix:
 		// The hijacked more-specific is re-claimed by announcing its two
@@ -221,7 +198,7 @@ func (r *Responder) handleAlarm(a *Alarm) {
 func (r *Responder) armVerify(m *Mitigation) {
 	var tick func()
 	tick = func() {
-		if m.Withdrawn || m.Verified() || m.Checks >= r.cfg.VerifyBudget {
+		if m.Withdrawn || m.Verified() || m.Checks >= verifyBudget {
 			return
 		}
 		m.Checks++
@@ -235,9 +212,9 @@ func (r *Responder) armVerify(m *Mitigation) {
 			}
 			return
 		}
-		r.clk.After(r.cfg.VerifyInterval, tick)
+		r.clk.After(verifyInterval, tick)
 	}
-	r.clk.After(r.cfg.VerifyInterval, tick)
+	r.clk.After(verifyInterval, tick)
 }
 
 // CheckRecovery probes the contested prefix from every vantage hub and
@@ -246,15 +223,15 @@ func (r *Responder) armVerify(m *Mitigation) {
 func (r *Responder) CheckRecovery(m *Mitigation) bool {
 	probe := m.Alarm.Prefix.Masked().Addr().Next()
 	n := 0
-	for _, v := range r.cfg.Vantages {
+	for _, v := range r.vantages {
 		hub := r.top.AS(v).Routers[0]
 		res := r.pl.Forward(hub, dataplane.Packet{Dst: probe})
-		if res.Delivered() && res.LastAS == r.cfg.Owner {
+		if res.Delivered() && res.LastAS == r.owner {
 			n++
 		}
 	}
 	m.Recovered = n
-	return n == len(r.cfg.Vantages) && n > 0
+	return n == len(r.vantages) && n > 0
 }
 
 // handleClear withdraws the cleared alarm's counter-announcements.
@@ -269,7 +246,4 @@ func (r *Responder) handleClear(a *Alarm) {
 		r.ctl.WithdrawCounter(p)
 	}
 	m.Withdrawn = true
-	if r.OnWithdrawn != nil {
-		r.OnWithdrawn(m)
-	}
 }

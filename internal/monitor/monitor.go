@@ -18,30 +18,19 @@ import (
 	"lifeguard/internal/topo"
 )
 
-// Config tunes detection.
-type Config struct {
-	// Interval between rounds. Default 30s.
-	Interval time.Duration
-	// FailThreshold is the number of consecutive failed rounds that
-	// declares an outage. Default 4.
-	FailThreshold int
-	// PingsPerRound is how many pings form one round; the round fails
-	// only if all of them fail. Default 2 (a "pair of pings").
-	PingsPerRound int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval == 0 {
-		c.Interval = 30 * time.Second
-	}
-	if c.FailThreshold == 0 {
-		c.FailThreshold = 4
-	}
-	if c.PingsPerRound == 0 {
-		c.PingsPerRound = 2
-	}
-	return c
-}
+// The detection rule of the paper's EC2 study (§2.1): a pair of pings
+// every 30 seconds, and four consecutive rounds in which both failed
+// declare an outage.
+const (
+	// interval is the period between rounds.
+	interval = 30 * time.Second
+	// failThreshold is the number of consecutive failed rounds that
+	// declares an outage.
+	failThreshold = 4
+	// pingsPerRound is how many pings form one round; the round fails only
+	// if all of them fail (a "pair of pings").
+	pingsPerRound = 2
+)
 
 // Outage describes one detected outage between a vantage point and target.
 type Outage struct {
@@ -82,12 +71,11 @@ type pair struct {
 type Monitor struct {
 	pr  *probe.Prober
 	clk *simclock.Scheduler
-	cfg Config
 
 	// Atlas, when set, receives responsiveness observations.
 	Atlas *atlas.Atlas
 
-	// OnOutage fires when an outage is declared (after FailThreshold
+	// OnOutage fires when an outage is declared (after failThreshold
 	// rounds); OnRecovery fires when a declared outage heals.
 	OnOutage   func(o *Outage)
 	OnRecovery func(o *Outage)
@@ -129,8 +117,8 @@ func (m *Monitor) Instrument(reg *obs.Registry) {
 }
 
 // New returns a monitor with no watched pairs.
-func New(pr *probe.Prober, clk *simclock.Scheduler, cfg Config) *Monitor {
-	return &Monitor{pr: pr, clk: clk, cfg: cfg.withDefaults()}
+func New(pr *probe.Prober, clk *simclock.Scheduler) *Monitor {
+	return &Monitor{pr: pr, clk: clk}
 }
 
 // Watch adds a (vantage point, target) pair to the monitored set.
@@ -172,7 +160,7 @@ func (m *Monitor) Start() {
 			return
 		}
 		m.Round()
-		m.ticker = m.clk.After(m.cfg.Interval, tick)
+		m.ticker = m.clk.After(interval, tick)
 	}
 	tick()
 }
@@ -185,17 +173,8 @@ func (m *Monitor) Stop() {
 	}
 }
 
-// SetInterval retunes the round cadence. The new interval takes effect
-// when the next round re-arms, so an in-flight wait completes on the old
-// cadence — a hitless retune, no round is dropped or duplicated.
-func (m *Monitor) SetInterval(d time.Duration) {
-	if d > 0 {
-		m.cfg.Interval = d
-	}
-}
-
-// Interval returns the current round cadence.
-func (m *Monitor) Interval() time.Duration { return m.cfg.Interval }
+// Interval returns the round cadence.
+func (m *Monitor) Interval() time.Duration { return interval }
 
 // Round performs one monitoring round over all pairs immediately.
 func (m *Monitor) Round() {
@@ -211,7 +190,7 @@ func (m *Monitor) roundFor(p *pair) {
 	m.obs.rounds.Inc()
 	ok := false
 	responded := false
-	for i := 0; i < m.cfg.PingsPerRound; i++ {
+	for i := 0; i < pingsPerRound; i++ {
 		rep := p.pinger.Ping()
 		if rep.Responded {
 			responded = true
@@ -243,7 +222,7 @@ func (m *Monitor) roundFor(p *pair) {
 		p.firstFail = m.clk.Now()
 	}
 	p.consecFails++
-	if p.consecFails == m.cfg.FailThreshold && p.current == nil {
+	if p.consecFails == failThreshold && p.current == nil {
 		o := &Outage{VP: p.vp, Target: p.target, Start: p.firstFail}
 		p.current = o
 		m.obs.outages.Inc()

@@ -13,7 +13,7 @@ import (
 func setup(t *testing.T) (*nettest.Net, *Monitor) {
 	t.Helper()
 	n := nettest.Fig4(t)
-	m := New(n.Prober, n.Clk, Config{})
+	m := New(n.Prober, n.Clk)
 	m.Watch(n.Hub(nettest.VP1AS), n.Top.Router(n.Hub(nettest.TargetAS)).Addr)
 	return n, m
 }
@@ -122,7 +122,7 @@ func TestStopHaltsProbing(t *testing.T) {
 
 func TestPartialOutageOnlyAffectedVP(t *testing.T) {
 	n := nettest.Fig4(t)
-	m := New(n.Prober, n.Clk, Config{})
+	m := New(n.Prober, n.Clk)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	m.Watch(n.Hub(nettest.VP1AS), target)
 	m.Watch(n.Hub(nettest.VP5AS), target)
@@ -160,7 +160,7 @@ func TestOutageDurationHelper(t *testing.T) {
 func TestRoundsFeedTheResponsivenessDB(t *testing.T) {
 	n, m := setup(t)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
-	newAtlas := func() *atlas.Atlas { return atlas.New(n.Top, n.Prober, n.Clk, atlas.Config{}) }
+	newAtlas := func() *atlas.Atlas { return atlas.New(n.Top, n.Prober, n.Clk) }
 	first := newAtlas()
 	m.Atlas = first
 

@@ -15,7 +15,7 @@ import (
 // 90s observable floor).
 func TestMonitorRecoversInjectedDurations(t *testing.T) {
 	n := nettest.Fig4(t)
-	m := New(n.Prober, n.Clk, Config{})
+	m := New(n.Prober, n.Clk)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	m.Watch(n.Hub(nettest.VP1AS), target)
 	m.Start()
@@ -59,7 +59,7 @@ func TestMonitorRecoversInjectedDurations(t *testing.T) {
 // caught.
 func TestMonitorFloorsShortBlips(t *testing.T) {
 	n := nettest.Fig4(t)
-	m := New(n.Prober, n.Clk, Config{})
+	m := New(n.Prober, n.Clk)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	m.Watch(n.Hub(nettest.VP1AS), target)
 	m.Start()

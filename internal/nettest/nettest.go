@@ -53,7 +53,7 @@ func assemble(tb testing.TB, top *topo.Topology, seed int64) *Net {
 	pl := dataplane.New(top, eng)
 	n := &Net{
 		Top: top, Clk: clk, Eng: eng, Plane: pl,
-		Prober: probe.New(top, pl, clk, probe.Config{}),
+		Prober: probe.New(top, pl, clk),
 	}
 	n.Converge(tb)
 	return n

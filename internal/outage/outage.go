@@ -59,33 +59,11 @@ type Config struct {
 	// MinDuration is the observability floor. Default 90s (the EC2
 	// methodology's minimum).
 	MinDuration time.Duration
-	// ShortMean is the mean extra duration of short outages beyond
-	// MinDuration (exponential). Default 60s, putting the median outage
-	// near the 90s floor as the EC2 study found.
-	ShortMean time.Duration
-	// TailFraction is the fraction of outages drawn from the heavy tail.
-	// Default 0.09.
-	TailFraction float64
-	// TailXm and TailAlpha parameterize the (truncated) Pareto tail.
-	// Defaults: 6min and 0.75 — calibrated so that >10min outages carry
-	// ~80% of total downtime and, of outages that survive 5 minutes,
-	// roughly half persist at least 5 more (the paper reports 84% and
-	// 51%).
-	TailXm    time.Duration
-	TailAlpha float64
 	// MaxDuration truncates the tail. Default 72h.
 	MaxDuration time.Duration
 	// MeanInterarrival spaces event start times (exponential). Default
 	// 5 minutes.
 	MeanInterarrival time.Duration
-	// LinkFraction is the share of failures on inter-AS links. Default
-	// 0.38 (§3.1.2).
-	LinkFraction float64
-	// ForwardFraction / ReverseFraction split directionality; the
-	// remainder is bidirectional. Defaults 0.3 / 0.4.
-	ForwardFraction, ReverseFraction float64
-	// PartialFraction is the share of partial outages. Default 0.79.
-	PartialFraction float64
 }
 
 func (c Config) withDefaults() Config {
@@ -95,38 +73,38 @@ func (c Config) withDefaults() Config {
 	if c.MinDuration == 0 {
 		c.MinDuration = 90 * time.Second
 	}
-	if c.ShortMean == 0 {
-		c.ShortMean = 60 * time.Second
-	}
-	if c.TailFraction == 0 {
-		c.TailFraction = 0.09
-	}
-	if c.TailXm == 0 {
-		c.TailXm = 6 * time.Minute
-	}
-	if c.TailAlpha == 0 {
-		c.TailAlpha = 0.75
-	}
 	if c.MaxDuration == 0 {
 		c.MaxDuration = 72 * time.Hour
 	}
 	if c.MeanInterarrival == 0 {
 		c.MeanInterarrival = 5 * time.Minute
 	}
-	if c.LinkFraction == 0 {
-		c.LinkFraction = 0.38
-	}
-	if c.ForwardFraction == 0 {
-		c.ForwardFraction = 0.30
-	}
-	if c.ReverseFraction == 0 {
-		c.ReverseFraction = 0.40
-	}
-	if c.PartialFraction == 0 {
-		c.PartialFraction = 0.79
-	}
 	return c
 }
+
+// The EC2 outage mix (§2.1, §3.1.2, §4.1).
+const (
+	// shortMean is the mean extra duration of short outages beyond
+	// MinDuration (exponential), putting the median outage near the 90s
+	// floor as the EC2 study found.
+	shortMean = 60 * time.Second
+	// tailFraction is the fraction of outages drawn from the heavy tail.
+	tailFraction = 0.09
+	// tailXm and tailAlpha parameterize the (truncated) Pareto tail,
+	// calibrated so that >10min outages carry ~80% of total downtime and,
+	// of outages that survive 5 minutes, roughly half persist at least 5
+	// more (the paper reports 84% and 51%).
+	tailXm    = 6 * time.Minute
+	tailAlpha = 0.75
+	// linkFraction is the share of failures on inter-AS links (§3.1.2).
+	linkFraction = 0.38
+	// forwardFraction / reverseFraction split directionality; the
+	// remainder is bidirectional.
+	forwardFraction = 0.30
+	reverseFraction = 0.40
+	// partialFraction is the share of partial outages.
+	partialFraction = 0.79
+)
 
 // Generate produces a deterministic event sequence for the config.
 func Generate(cfg Config) []Event {
@@ -139,15 +117,15 @@ func Generate(cfg Config) []Event {
 		ev := Event{
 			Start:    clock,
 			Duration: drawDuration(rng, cfg),
-			Partial:  rng.Float64() < cfg.PartialFraction,
+			Partial:  rng.Float64() < partialFraction,
 		}
-		if rng.Float64() < cfg.LinkFraction {
+		if rng.Float64() < linkFraction {
 			ev.Kind = ASLink
 		}
 		switch u := rng.Float64(); {
-		case u < cfg.ForwardFraction:
+		case u < forwardFraction:
 			ev.Direction = Forward
-		case u < cfg.ForwardFraction+cfg.ReverseFraction:
+		case u < forwardFraction+reverseFraction:
 			ev.Direction = Reverse
 		default:
 			ev.Direction = Bidirectional
@@ -159,15 +137,15 @@ func Generate(cfg Config) []Event {
 
 func drawDuration(rng *rand.Rand, cfg Config) time.Duration {
 	var d time.Duration
-	if rng.Float64() < cfg.TailFraction {
+	if rng.Float64() < tailFraction {
 		// Pareto: xm * U^(-1/alpha).
 		u := rng.Float64()
 		if u < 1e-12 {
 			u = 1e-12
 		}
-		d = time.Duration(float64(cfg.TailXm) * math.Pow(u, -1/cfg.TailAlpha))
+		d = time.Duration(float64(tailXm) * math.Pow(u, -1/tailAlpha))
 	} else {
-		d = cfg.MinDuration + time.Duration(rng.ExpFloat64()*float64(cfg.ShortMean))
+		d = cfg.MinDuration + time.Duration(rng.ExpFloat64()*float64(shortMean))
 	}
 	if d < cfg.MinDuration {
 		d = cfg.MinDuration

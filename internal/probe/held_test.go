@@ -23,9 +23,9 @@ type heldWorld struct {
 }
 
 func newHeldWorld(t *testing.T) *heldWorld {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	pl := dataplane.New(f.top, f.eng)
-	return &heldWorld{fig4: f, twinPl: pl, twin: New(f.top, pl, f.clk, Config{})}
+	return &heldWorld{fig4: f, twinPl: pl, twin: New(f.top, pl, f.clk)}
 }
 
 // rule installs r on both planes and returns what lifts it again.
@@ -150,7 +150,7 @@ func TestTracerReplyFollowsTheHop(t *testing.T) {
 // the destination's host, which fig. 4 cannot do, so the helper is asked
 // directly.
 func TestReplyFlowIsHeldPerRouterAndSource(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	hub3, hub5 := f.top.AS(3).Routers[0], f.vp5
 	recv := f.top.Router(f.vp1).Addr
 	// AS2 drops what is sourced from AS4's production /24 and nothing else.

@@ -17,36 +17,19 @@ import (
 	"lifeguard/internal/topo"
 )
 
-// Config tunes probing behaviour.
-type Config struct {
-	// MaxTTL bounds traceroute depth. Default 32.
-	MaxTTL int
-	// StarLimit is how many consecutive unresponsive hops a traceroute
-	// tolerates before giving up. Default 3.
-	StarLimit int
-	// OptionProbeCost is the amortized number of IP-option packets a
-	// reverse traceroute costs (§5.4 reports ~10 with caching). Default 10.
-	OptionProbeCost int
-	// RateWindow is the window over which Router.RateLimitPerRound
-	// applies. Default 60s of virtual time.
-	RateWindow time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxTTL == 0 {
-		c.MaxTTL = 32
-	}
-	if c.StarLimit == 0 {
-		c.StarLimit = 3
-	}
-	if c.OptionProbeCost == 0 {
-		c.OptionProbeCost = 10
-	}
-	if c.RateWindow == 0 {
-		c.RateWindow = time.Minute
-	}
-	return c
-}
+const (
+	// maxTTL bounds traceroute depth.
+	maxTTL = 32
+	// starLimit is how many consecutive unresponsive hops a traceroute
+	// tolerates before giving up.
+	starLimit = 3
+	// optionProbeCost is the amortized number of IP-option packets a
+	// reverse traceroute costs (§5.4 reports ~10 with caching).
+	optionProbeCost = 10
+	// rateWindow is the window of virtual time over which
+	// Router.RateLimitPerRound applies.
+	rateWindow = time.Minute
+)
 
 // Prober issues measurements over a data plane. The Sent counter tallies
 // probe packets originated by the measurement hosts (echo requests, TTL
@@ -56,7 +39,6 @@ type Prober struct {
 	top *topo.Topology
 	pl  *dataplane.Plane
 	clk *simclock.Scheduler
-	cfg Config
 
 	// Sent counts probe packets issued since construction (or Reset).
 	Sent int
@@ -120,9 +102,9 @@ type rateState struct {
 }
 
 // New returns a Prober over the given plane.
-func New(top *topo.Topology, pl *dataplane.Plane, clk *simclock.Scheduler, cfg Config) *Prober {
+func New(top *topo.Topology, pl *dataplane.Plane, clk *simclock.Scheduler) *Prober {
 	return &Prober{
-		top: top, pl: pl, clk: clk, cfg: cfg.withDefaults(),
+		top: top, pl: pl, clk: clk,
 		rate: make(map[topo.RouterID]*rateState),
 	}
 }
@@ -158,7 +140,7 @@ func (p *Prober) responds(r *topo.Router) bool {
 		st = &rateState{windowStart: p.clk.Now()}
 		p.rate[r.ID] = st
 	}
-	if p.clk.Now()-st.windowStart >= p.cfg.RateWindow {
+	if p.clk.Now()-st.windowStart >= rateWindow {
 		st.windowStart = p.clk.Now()
 		st.count = 0
 	}
@@ -385,9 +367,9 @@ func (p *Prober) traceOnce(prim primitive, src topo.RouterID, dst netip.Addr, re
 // Trace runs the traceroute once.
 func (tr *Tracer) Trace() TracerouteReport {
 	tr.p.obs.probes[tr.prim].Inc()
-	// The hops are gathered on the stack, where a trace to the default
-	// MaxTTL fits, and copied out once at their final number.
-	var buf [32]Hop
+	// The hops are gathered on the stack, where a trace to maxTTL fits,
+	// and copied out once at their final number.
+	var buf [maxTTL]Hop
 	hops, reached := tr.trace(buf[:0])
 	rep := TracerouteReport{ReachedDst: reached}
 	if len(hops) > 0 {
@@ -402,7 +384,7 @@ func (tr *Tracer) Trace() TracerouteReport {
 func (tr *Tracer) trace(hops []Hop) ([]Hop, bool) {
 	p := tr.p
 	stars := 0
-	for ttl := 1; ttl <= p.cfg.MaxTTL; ttl++ {
+	for ttl := 1; ttl <= maxTTL; ttl++ {
 		p.charge(1)
 		fwd := tr.fwd.Forward(ttl)
 		switch fwd.Reason {
@@ -415,7 +397,7 @@ func (tr *Tracer) trace(hops []Hop) ([]Hop, bool) {
 			hops = append(hops, hop)
 			if hop.Star {
 				stars++
-				if stars >= p.cfg.StarLimit {
+				if stars >= starLimit {
 					return hops, false
 				}
 			} else {
@@ -458,7 +440,7 @@ func (p *Prober) ReverseTraceroute(from topo.RouterID, to topo.RouterID) (Tracer
 	if !p.routerResponds(from) {
 		return rep, false
 	}
-	p.charge(p.cfg.OptionProbeCost)
+	p.charge(optionProbeCost)
 	toAddr := p.top.Router(to).Addr
 	res := p.pl.Forward(from, dataplane.Packet{Src: p.top.Router(from).Addr, Dst: toAddr})
 	if !res.Delivered() {

@@ -14,7 +14,7 @@ func failureTowards(asn topo.ASN, p netip.Prefix) dataplane.Rule {
 }
 
 func TestPingFromAddr(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	// Announce a production prefix at AS1 so replies to it can route.
 	f.eng.Originate(1, topo.ProductionPrefix(1))
 	f.eng.Converge(1_000_000)
@@ -31,7 +31,7 @@ func TestPingFromAddr(t *testing.T) {
 }
 
 func TestPingFromAddrReverseScopedFailure(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.eng.Originate(1, topo.ProductionPrefix(1))
 	f.eng.Converge(1_000_000)
 	// AS3 drops only traffic toward the production /24 — the poisoned
@@ -48,7 +48,7 @@ func TestPingFromAddrReverseScopedFailure(t *testing.T) {
 }
 
 func TestPingFromAddrForwardLoss(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.eng.Originate(1, topo.ProductionPrefix(1))
 	f.eng.Converge(1_000_000)
 	f.pl.AddFailure(failureTowards(2, topo.Block(4)))
@@ -59,7 +59,7 @@ func TestPingFromAddrForwardLoss(t *testing.T) {
 }
 
 func TestPingFromAddrUnresponsiveTarget(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.eng.Originate(1, topo.ProductionPrefix(1))
 	f.eng.Converge(1_000_000)
 	f.top.Router(f.dst).Responsive = false
@@ -70,7 +70,7 @@ func TestPingFromAddrUnresponsiveTarget(t *testing.T) {
 }
 
 func TestCharge(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.pr.Charge(17)
 	if f.pr.Sent != 17 {
 		t.Fatalf("Sent = %d", f.pr.Sent)

@@ -2,7 +2,6 @@ package probe
 
 import (
 	"testing"
-	"time"
 
 	"lifeguard/internal/bgp"
 	"lifeguard/internal/dataplane"
@@ -28,7 +27,7 @@ type fig4 struct {
 	dst topo.RouterID // target router in AS4
 }
 
-func buildFig4(t *testing.T, cfg Config) *fig4 {
+func buildFig4(t *testing.T) *fig4 {
 	t.Helper()
 	b := topo.NewBuilder()
 	for asn := topo.ASN(1); asn <= 5; asn++ {
@@ -58,7 +57,7 @@ func buildFig4(t *testing.T, cfg Config) *fig4 {
 	pl := dataplane.New(top, eng)
 	return &fig4{
 		top: top, eng: eng, pl: pl, clk: clk,
-		pr:  New(top, pl, clk, cfg),
+		pr:  New(top, pl, clk),
 		vp1: top.AS(1).Routers[0],
 		vp5: top.AS(5).Routers[0],
 		dst: top.AS(4).Routers[0],
@@ -71,7 +70,7 @@ func (f *fig4) injectReverseFailure() dataplane.FailureID {
 }
 
 func TestPingRoundTrip(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	rep := f.pr.Ping(f.vp1, f.top.Router(f.dst).Addr)
 	if !rep.OK || !rep.ForwardOK || !rep.Responded || !rep.ReverseOK {
 		t.Fatalf("ping report = %+v", rep)
@@ -82,7 +81,7 @@ func TestPingRoundTrip(t *testing.T) {
 }
 
 func TestPingDetectsReverseFailure(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.injectReverseFailure()
 	rep := f.pr.Ping(f.vp1, f.top.Router(f.dst).Addr)
 	if rep.OK {
@@ -94,7 +93,7 @@ func TestPingDetectsReverseFailure(t *testing.T) {
 }
 
 func TestPingUnresponsiveTarget(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.top.Router(f.dst).Responsive = false
 	rep := f.pr.Ping(f.vp1, f.top.Router(f.dst).Addr)
 	if rep.OK || rep.Responded || !rep.ForwardOK {
@@ -103,7 +102,7 @@ func TestPingUnresponsiveTarget(t *testing.T) {
 }
 
 func TestPingPrefixHostAlwaysResponds(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.eng.Originate(4, topo.ProductionPrefix(4))
 	f.eng.Converge(1_000_000)
 	rep := f.pr.Ping(f.vp1, topo.ProductionAddr(4))
@@ -113,7 +112,7 @@ func TestPingPrefixHostAlwaysResponds(t *testing.T) {
 }
 
 func TestRateLimiting(t *testing.T) {
-	f := buildFig4(t, Config{RateWindow: time.Minute})
+	f := buildFig4(t)
 	f.top.Router(f.dst).RateLimitPerRound = 2
 	addr := f.top.Router(f.dst).Addr
 	for i := 0; i < 2; i++ {
@@ -124,15 +123,20 @@ func TestRateLimiting(t *testing.T) {
 	if rep := f.pr.Ping(f.vp1, addr); rep.OK || rep.Responded {
 		t.Fatalf("third ping should be rate-limited: %+v", rep)
 	}
-	// A new window restores the budget.
-	f.clk.RunFor(2 * time.Minute)
+	// The budget stays spent for the rest of the window...
+	f.clk.RunFor(rateWindow / 2)
+	if rep := f.pr.Ping(f.vp1, addr); rep.Responded {
+		t.Fatalf("ping inside the window should be rate-limited: %+v", rep)
+	}
+	// ...and a new window, rateWindow after the first reply, restores it.
+	f.clk.RunFor(rateWindow / 2)
 	if rep := f.pr.Ping(f.vp1, addr); !rep.OK {
 		t.Fatalf("ping after window should succeed: %+v", rep)
 	}
 }
 
 func TestTracerouteFullPath(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	rep := f.pr.Traceroute(f.vp1, f.top.Router(f.dst).Addr)
 	if !rep.ReachedDst {
 		t.Fatalf("traceroute did not reach dst: %+v", rep.Hops)
@@ -151,7 +155,7 @@ func TestTracerouteFullPath(t *testing.T) {
 // with a reverse failure in AS3, a plain traceroute truncates at AS2 and an
 // operator would wrongly blame the AS2→AS3 boundary.
 func TestTracerouteMisleadsOnReverseFailure(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.injectReverseFailure()
 	rep := f.pr.Traceroute(f.vp1, f.top.Router(f.dst).Addr)
 	if rep.ReachedDst {
@@ -167,7 +171,7 @@ func TestTracerouteMisleadsOnReverseFailure(t *testing.T) {
 }
 
 func TestSpoofedTracerouteMeasuresWorkingDirection(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.injectReverseFailure()
 	// Spoofing as VP5 redirects replies around the failure, revealing
 	// that the forward path is intact all the way to AS4.
@@ -181,7 +185,7 @@ func TestSpoofedTracerouteMeasuresWorkingDirection(t *testing.T) {
 }
 
 func TestSpoofedPingIsolatesDirection(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.injectReverseFailure()
 	addr := f.top.Router(f.dst).Addr
 	// Forward direction works: probes from vp1 spoofed as vp5 draw
@@ -197,7 +201,7 @@ func TestSpoofedPingIsolatesDirection(t *testing.T) {
 }
 
 func TestTracerouteIntoBlackhole(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	// Bidirectional blackhole of all transit in AS3.
 	f.pl.AddFailure(dataplane.Rule{AtAS: 3, TransitOnly: true})
 	rep := f.pr.Traceroute(f.vp1, f.top.Router(f.dst).Addr)
@@ -211,7 +215,7 @@ func TestTracerouteIntoBlackhole(t *testing.T) {
 }
 
 func TestTracerouteSkipsUnresponsiveMiddleHop(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	// Silence AS2's hub router; traceroute should star it and continue.
 	f.top.Router(f.top.AS(2).Routers[0]).Responsive = false
 	rep := f.pr.Traceroute(f.vp1, f.top.Router(f.dst).Addr)
@@ -230,7 +234,7 @@ func TestTracerouteSkipsUnresponsiveMiddleHop(t *testing.T) {
 }
 
 func TestReverseTraceroute(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	rep, ok := f.pr.ReverseTraceroute(f.dst, f.vp1)
 	if !ok || !rep.ReachedDst {
 		t.Fatalf("reverse traceroute failed: %v %v", rep, ok)
@@ -247,7 +251,7 @@ func TestReverseTraceroute(t *testing.T) {
 }
 
 func TestReverseTracerouteUnresponsiveSource(t *testing.T) {
-	f := buildFig4(t, Config{})
+	f := buildFig4(t)
 	f.top.Router(f.dst).Responsive = false
 	if _, ok := f.pr.ReverseTraceroute(f.dst, f.vp1); ok {
 		t.Fatal("should fail for unresponsive far end")
@@ -255,24 +259,24 @@ func TestReverseTracerouteUnresponsiveSource(t *testing.T) {
 }
 
 func TestProbeAccounting(t *testing.T) {
-	f := buildFig4(t, Config{OptionProbeCost: 10})
+	f := buildFig4(t)
 	f.pr.Ping(f.vp1, f.top.Router(f.dst).Addr)
 	if f.pr.Sent != 1 { // one echo request; the reply is not ours
 		t.Fatalf("ping cost = %d, want 1", f.pr.Sent)
 	}
 	f.pr.ResetSent()
 	f.pr.ReverseTraceroute(f.dst, f.vp1)
-	if f.pr.Sent != 10 {
-		t.Fatalf("reverse traceroute cost = %d, want 10", f.pr.Sent)
+	if f.pr.Sent != optionProbeCost {
+		t.Fatalf("reverse traceroute cost = %d, want %d", f.pr.Sent, optionProbeCost)
 	}
-	if got := f.pr.ResetSent(); got != 10 {
+	if got := f.pr.ResetSent(); got != optionProbeCost {
 		t.Fatalf("ResetSent = %d", got)
 	}
 	if f.pr.Sent != 0 {
 		t.Fatal("Sent not reset")
 	}
-	f.pr.Traceroute(f.vp1, f.top.Router(f.dst).Addr)
-	if f.pr.Sent < 4 { // one probe per TTL at minimum
-		t.Fatalf("traceroute cost = %d, suspiciously low", f.pr.Sent)
+	rep := f.pr.Traceroute(f.vp1, f.top.Router(f.dst).Addr)
+	if f.pr.Sent != len(rep.Hops) || len(rep.Hops) < 4 { // one probe per TTL
+		t.Fatalf("traceroute cost = %d for %d hops", f.pr.Sent, len(rep.Hops))
 	}
 }

@@ -8,42 +8,9 @@ import (
 	"lifeguard/internal/topo"
 )
 
-// TestZeroProbabilityFlags is the regression test for the withDefaults
-// zero-value trap: before the No* flags, requesting a probability of
-// exactly 0 was impossible — the bare zero value was indistinguishable from
-// "unset" and silently re-inflated to the default.
-func TestZeroProbabilityFlags(t *testing.T) {
-	res, err := Generate(Config{
-		Seed:                   7,
-		NoTransitPeering:       true,
-		NoStubMultihome:        true,
-		NoTransitExtraProvider: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range res.Transit {
-		for _, b := range res.Transit[i+1:] {
-			if res.Top.Rel(a, b) == topo.RelPeer {
-				t.Fatalf("NoTransitPeering: transits %d and %d peer", a, b)
-			}
-		}
-	}
-	for _, s := range res.Stubs {
-		if got := len(res.Top.Providers(s)); got != 1 {
-			t.Fatalf("NoStubMultihome: stub %d has %d providers, want 1", s, got)
-		}
-	}
-	for _, tr := range res.Transit {
-		if got := len(res.Top.Providers(tr)); got != 1 {
-			t.Fatalf("NoTransitExtraProvider: transit %d has %d providers, want 1", tr, got)
-		}
-	}
-}
-
-// TestDefaultProbsSurviveZeroValues pins the other half of the contract:
-// a zero-valued probability without its No* flag still means "default", so
-// every pre-existing caller keeps its topology byte-for-byte.
+// TestDefaultProbsSurviveZeroValues: a zero-valued probability means
+// "default", so a caller that leaves them unset gets the calibrated
+// topology byte-for-byte.
 func TestDefaultProbsSurviveZeroValues(t *testing.T) {
 	zero, err := Generate(Config{Seed: 8})
 	if err != nil {

@@ -26,10 +26,7 @@ import (
 // (GenerateWithOrigin).
 const maxASes = 65000
 
-// Config controls generation. Zero values select defaults; the No* flags
-// request an explicit zero where 0 would otherwise mean "default" (a
-// probability of exactly 0 is a meaningful request for no-peering or
-// strictly single-homed rigs).
+// Config controls generation. Zero values select defaults.
 type Config struct {
 	Seed int64
 	// NumTier1 is the size of the transit-free clique. Default 5.
@@ -39,29 +36,14 @@ type Config struct {
 	// NumStub is the number of edge ASes. Default 150.
 	NumStub int
 	// TransitExtraProviderProb is the chance a transit AS gets a second
-	// provider. Default 0.5; set NoTransitExtraProvider for exactly 0.
+	// provider. Default 0.5.
 	TransitExtraProviderProb float64
 	// StubMultihomeProb is the chance a stub gets a second provider
-	// (multihoming is what lets poisoning find alternates). Default 0.55;
-	// set NoStubMultihome for exactly 0.
+	// (multihoming is what lets poisoning find alternates). Default 0.55.
 	StubMultihomeProb float64
 	// TransitPeerProb is the probability that any given pair of transit
-	// ASes peers. Default 0.05; set NoTransitPeering for exactly 0.
+	// ASes peers. Default 0.05.
 	TransitPeerProb float64
-	// Tier1StripCommunities marks Tier-1s as community-stripping (the
-	// paper's §2.3 observation). Default true (set by NoTier1Strip).
-	NoTier1Strip bool
-
-	// NoTransitExtraProvider forces TransitExtraProviderProb to 0. A bare
-	// zero in the probability field still means "use the default", so
-	// existing callers are unaffected.
-	NoTransitExtraProvider bool
-	// NoStubMultihome forces StubMultihomeProb to 0 (every stub
-	// single-homed).
-	NoStubMultihome bool
-	// NoTransitPeering forces TransitPeerProb to 0 (a pure provider
-	// hierarchy with no lateral transit edges).
-	NoTransitPeering bool
 
 	// Large selects the flat-array generator for 10k+-AS topologies. It is
 	// a distinct shape model (same construction rules, different sampling
@@ -80,24 +62,13 @@ func (c Config) withDefaults() Config {
 	if c.NumStub == 0 {
 		c.NumStub = 150
 	}
-	// The No* flags exist because 0 in the probability fields means "use
-	// the default": they are the only way to request an explicit zero.
-	switch {
-	case c.NoTransitExtraProvider:
-		c.TransitExtraProviderProb = 0
-	case c.TransitExtraProviderProb == 0:
+	if c.TransitExtraProviderProb == 0 {
 		c.TransitExtraProviderProb = 0.5
 	}
-	switch {
-	case c.NoStubMultihome:
-		c.StubMultihomeProb = 0
-	case c.StubMultihomeProb == 0:
+	if c.StubMultihomeProb == 0 {
 		c.StubMultihomeProb = 0.55
 	}
-	switch {
-	case c.NoTransitPeering:
-		c.TransitPeerProb = 0
-	case c.TransitPeerProb == 0:
+	if c.TransitPeerProb == 0 {
 		c.TransitPeerProb = 0.05
 	}
 	return c
@@ -142,7 +113,7 @@ func Generate(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finish(b, res, cfg)
+	return finish(b, res)
 }
 
 // GenerateWithOrigin builds the same internetwork as Generate plus one
@@ -176,7 +147,7 @@ func GenerateWithOrigin(cfg Config, providers int) (*Result, error) {
 		b.ConnectAS(origin, p)
 	}
 	res.Origin = origin
-	return finish(b, res, cfg)
+	return finish(b, res)
 }
 
 // synth lays out the AS graph without building it, so callers can append
@@ -303,16 +274,15 @@ func synth(cfg Config) (*topo.Builder, *Result, *rand.Rand, topo.ASN, error) {
 	return b, res, rng, next, nil
 }
 
-// finish validates the builder and applies post-build policy flags.
-func finish(b *topo.Builder, res *Result, cfg Config) (*Result, error) {
+// finish validates the builder and marks the Tier-1s community-stripping
+// (the paper's §2.3 observation).
+func finish(b *topo.Builder, res *Result) (*Result, error) {
 	top, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.NoTier1Strip {
-		for _, t1 := range res.Tier1s {
-			top.AS(t1).StripCommunities = true
-		}
+	for _, t1 := range res.Tier1s {
+		top.AS(t1).StripCommunities = true
 	}
 	res.Top = top
 	return res, nil

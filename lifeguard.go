@@ -58,7 +58,7 @@ type (
 	FailureRule = dataplane.Rule
 	// FailureID names an injected failure.
 	FailureID = dataplane.FailureID
-	// BGPConfig tunes protocol dynamics (MRAI, propagation delay).
+	// BGPConfig tunes protocol dynamics (MRAI, jitter, dampening).
 	BGPConfig = bgp.Config
 	// ObsRegistry is the deterministic metrics registry (internal/obs).
 	ObsRegistry = obs.Registry
@@ -73,7 +73,7 @@ type (
 	ChaosStep = chaos.Step
 	// ChaosFault is one reversible injected failure.
 	ChaosFault = chaos.Fault
-	// ChaosOptions tunes a chaos run (converge budget, reach probes, obs).
+	// ChaosOptions tunes a chaos run (reach probes, obs).
 	ChaosOptions = chaos.Options
 	// ChaosReport summarizes a finished chaos run.
 	ChaosReport = chaos.Report
@@ -211,12 +211,12 @@ func AssembleNetwork(top *topo.Topology, o NetworkOptions) (*Network, error) {
 	for _, asn := range blocks {
 		eng.Originate(asn, topo.Block(asn))
 	}
-	if !o.SkipConverge && !eng.Converge(200_000_000) {
+	if !o.SkipConverge && !eng.Converge(bgp.MaxConvergeSteps) {
 		return nil, fmt.Errorf("lifeguard: initial BGP convergence did not complete")
 	}
 	pl := dataplane.New(top, eng)
 	pl.Instrument(o.Obs)
-	pr := probe.New(top, pl, clk, probe.Config{})
+	pr := probe.New(top, pl, clk)
 	pr.Instrument(o.Obs)
 	return &Network{
 		Top: top, Clk: clk, Eng: eng, Plane: pl,
@@ -239,7 +239,7 @@ func (n *Network) InjectFailure(r FailureRule) FailureID { return n.Plane.AddFai
 func (n *Network) HealFailure(id FailureID) bool { return n.Plane.RemoveFailure(id) }
 
 // Converge drains the BGP control plane (bounded); it reports success.
-func (n *Network) Converge() bool { return n.Eng.Converge(200_000_000) }
+func (n *Network) Converge() bool { return n.Eng.Converge(bgp.MaxConvergeSteps) }
 
 // ChaosTarget exposes the network to the chaos fault-injection engine.
 func (n *Network) ChaosTarget() *chaos.Target {

@@ -68,9 +68,9 @@ func (r *Rig) RemoveSession(origin ASN) bool {
 	}
 	s.Stop()
 	s.Remedy.Unpoison()
-	rcfg := s.Remedy.Config()
-	r.Net.Eng.Withdraw(origin, rcfg.Production)
-	r.Net.Eng.Withdraw(origin, rcfg.Sentinel)
+	production, sentinel := s.Remedy.Prefixes()
+	r.Net.Eng.Withdraw(origin, production)
+	r.Net.Eng.Withdraw(origin, sentinel)
 	delete(r.byOrigin, origin)
 	for i, cand := range r.sessions {
 		if cand == s {

@@ -340,11 +340,11 @@ func TestGracefulRestartForwardsThroughControlCrash(t *testing.T) {
 }
 
 // TestFailsafeTimingBoundedAndJournaled pins the failsafe contract: when
-// the monitor dies, the session enters FAILSAFE within the configured
-// bound (MissedRounds × interval + grace, 95s at the defaults), journals
-// the entry, suspends repair decisions for the duration, and exits on the
-// first completed round after the monitor returns — at which point the
-// deferred repair goes ahead.
+// the monitor dies, the session enters FAILSAFE within FailsafeMaxDelay
+// (three missed rounds + 5s grace, 95s), journals the entry, suspends
+// repair decisions for the duration, and exits on the first completed
+// round after the monitor returns — at which point the deferred repair
+// goes ahead.
 func TestFailsafeTimingBoundedAndJournaled(t *testing.T) {
 	n := fig2RigNetwork(t)
 	target := n.RouterAddr(n.Hub(asE))
@@ -368,12 +368,17 @@ func TestFailsafeTimingBoundedAndJournaled(t *testing.T) {
 	s.Monitor.Stop()
 	n.Clk.RunFor(5 * time.Minute)
 
-	maxDelay := s.Config().Failsafe.MaxDelay(s.Monitor.Interval())
+	maxDelay := lifeguard.FailsafeMaxDelay
+	if want := 3*s.Monitor.Interval() + 5*time.Second; maxDelay != want {
+		t.Fatalf("FailsafeMaxDelay = %v, want three monitor rounds + 5s = %v", maxDelay, want)
+	}
 	enters := s.EventsOfKind(lifeguard.EventFailsafeEnter)
 	if len(enters) != 1 {
 		t.Fatalf("%d FAILSAFE entries, want 1", len(enters))
 	}
-	if enters[0].At <= stopAt || enters[0].At > stopAt+maxDelay {
+	// The last round completed at most one interval before the stop, so
+	// the entry lands in [stop + bound − interval, stop + bound].
+	if enters[0].At < stopAt+maxDelay-s.Monitor.Interval() || enters[0].At > stopAt+maxDelay {
 		t.Fatalf("FAILSAFE entered at %v; monitor died at %v, bound %v", enters[0].At, stopAt, maxDelay)
 	}
 	if !s.InFailsafe() {
@@ -421,9 +426,8 @@ func TestFailsafeTimingBoundedAndJournaled(t *testing.T) {
 	}
 }
 
-// TestRigHitlessReload: adding and removing tenants on a live rig, and
-// retuning a tenant's monitor cadence, must not disturb the other
-// sessions' state — the daemon's config-reload contract.
+// TestRigHitlessReload: adding and removing tenants on a live rig must not
+// disturb the other sessions' state — the daemon's config-reload contract.
 func TestRigHitlessReload(t *testing.T) {
 	n := fig2RigNetwork(t)
 	rig := lifeguard.NewRig(n)
@@ -456,8 +460,6 @@ func TestRigHitlessReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Start()
-	// ...a cadence retune on the newcomer...
-	s2.Monitor.SetInterval(10 * time.Second)
 	outages1 := len(s1.Monitor.History)
 	// One more minute keeps us inside tenant 1's 5-minute poison
 	// maturity: the outage must still be open, untouched by the reload.

@@ -17,46 +17,19 @@ import (
 	"lifeguard/internal/topo"
 )
 
-// FailsafeConfig bounds how long a session may run blind before it stops
-// trusting itself. The contract mirrors the failsafe-timing specification
-// the design docs cite: with a monitor round expected every Interval, the
-// watchdog declares monitor loss after MissedRounds intervals plus Grace —
-// at the defaults (3 missed 30s rounds + 5s) no more than 95 seconds pass
-// between the last completed round and the FAILSAFE journal entry. While
-// in FAILSAFE the session suspends repair actions (poisoning on stale
+// FailsafeMaxDelay is the failsafe watchdog's detection bound: the longest
+// a monitor loss goes unnoticed, measured from the last completed round.
+// The contract mirrors the failsafe-timing specification the design docs
+// cite: three missed 30 s monitor rounds plus 5 s of grace for in-flight
+// probe latency, 3 × 30 s + 5 s = 95 s, before the FAILSAFE journal entry.
+// While in FAILSAFE the session suspends repair actions (poisoning on stale
 // reachability data is worse than not poisoning) and exits on the first
 // completed round after the monitor returns.
-type FailsafeConfig struct {
-	// MissedRounds is how many monitor intervals may elapse without a
-	// completed round before FAILSAFE is entered. Default 3.
-	MissedRounds int
-	// Grace is the additional timeout on top of the missed rounds,
-	// absorbing in-flight probe latency. Default 5s.
-	Grace time.Duration
-	// Disable turns the watchdog off entirely.
-	Disable bool
-}
-
-func (c FailsafeConfig) withDefaults() FailsafeConfig {
-	if c.MissedRounds == 0 {
-		c.MissedRounds = 3
-	}
-	if c.Grace == 0 {
-		c.Grace = 5 * time.Second
-	}
-	return c
-}
-
-// MaxDelay is the contractual detection bound: the longest a monitor loss
-// can go unnoticed, measured from the last completed round.
-func (c FailsafeConfig) MaxDelay(interval time.Duration) time.Duration {
-	c = c.withDefaults()
-	return time.Duration(c.MissedRounds)*interval + c.Grace
-}
+const FailsafeMaxDelay = 3*30*time.Second + 5*time.Second
 
 // HijackConfig enables the ARTEMIS-style hijack plane for a session: a
-// route-collector view feeding a detector, and (unless disabled) an
-// auto-responder that counter-announces and verifies recovery.
+// route-collector view feeding a detector, and an auto-responder that
+// counter-announces and verifies recovery from the origin's providers.
 type HijackConfig struct {
 	// Enable turns the hijack plane on. Off (the zero value), a session
 	// behaves exactly as before this subsystem existed.
@@ -65,16 +38,6 @@ type HijackConfig struct {
 	// consumes — the RouteViews/RIS peer set. Default: the origin's
 	// providers.
 	CollectorPeers []ASN
-	// ScanInterval is the detection poll period. Default 10s.
-	ScanInterval time.Duration
-	// Vantages are the ASes whose data-plane view verifies mitigation;
-	// default the origin's providers.
-	Vantages []ASN
-	// VerifyInterval is the recovery-poll period. Default 30s.
-	VerifyInterval time.Duration
-	// DisableAutoMitigate makes the hijack plane detection-only: alarms
-	// are raised and journaled but nothing is counter-announced.
-	DisableAutoMitigate bool
 }
 
 // Config is the part of a session's configuration that predates tenants:
@@ -88,12 +51,9 @@ type Config struct {
 	// Targets are the destinations monitored for reachability.
 	Targets []netip.Addr
 
-	// Monitor, Atlas, Isolation and Remedy tune the subsystems; zero
-	// values select paper-calibrated defaults.
-	Monitor   monitor.Config
-	Atlas     atlas.Config
-	Isolation isolation.Config
-	Remedy    remedy.Config
+	// Remedy tunes the repair engine; zero values select paper-calibrated
+	// defaults.
+	Remedy remedy.Config
 
 	// DisableAutoRepair turns the system into a pure observer: outages
 	// are detected and isolated but never poisoned.
@@ -112,9 +72,6 @@ type SessionConfig struct {
 	// Defaults to "AS<origin>". NewSystem leaves it empty: metrics stay
 	// unscoped and journal records keep the historical "system" subsystem.
 	Tenant string
-
-	// Failsafe tunes the monitor-loss watchdog.
-	Failsafe FailsafeConfig
 
 	// NoGracefulRestart disables graceful-restart semantics for
 	// CrashControl/Restart: the crash then withdraws every announcement
@@ -140,8 +97,7 @@ type Session struct {
 	Remedy   *remedy.Controller
 
 	// Collector, Hijack and HijackResponder form the session's hijack
-	// plane; all nil unless SessionConfig.Hijack.Enable was set
-	// (HijackResponder additionally nil under DisableAutoMitigate).
+	// plane; all nil unless SessionConfig.Hijack.Enable was set.
 	Collector       *collectors.Collector
 	Hijack          *hijack.Detector
 	HijackResponder *hijack.Responder
@@ -171,7 +127,6 @@ type Session struct {
 	failsafe  bool
 	lastRound time.Duration
 	watchdog  simclock.EventID
-	maxDelay  time.Duration
 }
 
 // EventKind classifies Session history entries.
@@ -251,7 +206,6 @@ type Event struct {
 // newSession wires a session over the network without starting it.
 func newSession(n *Network, cfg SessionConfig) *Session {
 	cfg.Remedy.Origin = cfg.Origin
-	cfg.Failsafe = cfg.Failsafe.withDefaults()
 	s := &Session{Net: n, cfg: cfg}
 
 	s.Obs = n.Obs
@@ -259,7 +213,7 @@ func newSession(n *Network, cfg SessionConfig) *Session {
 		s.Obs = n.Obs.Child(obs.L("tenant", cfg.Tenant))
 	}
 
-	s.Atlas = atlas.New(n.Top, n.Prober, n.Clk, cfg.Atlas)
+	s.Atlas = atlas.New(n.Top, n.Prober, n.Clk)
 	for _, vp := range cfg.VPs {
 		s.Atlas.AddVP(vp)
 	}
@@ -267,7 +221,7 @@ func newSession(n *Network, cfg SessionConfig) *Session {
 		s.Atlas.AddTarget(t)
 	}
 
-	s.Monitor = monitor.New(n.Prober, n.Clk, cfg.Monitor)
+	s.Monitor = monitor.New(n.Prober, n.Clk)
 	s.Monitor.Atlas = s.Atlas
 	for _, vp := range cfg.VPs {
 		for _, t := range cfg.Targets {
@@ -282,7 +236,7 @@ func newSession(n *Network, cfg SessionConfig) *Session {
 		}
 	}
 
-	s.Isolator = isolation.New(n.Top, n.Prober, s.Atlas, n.Clk, cfg.Isolation)
+	s.Isolator = isolation.New(n.Top, n.Prober, s.Atlas, n.Clk)
 	s.Remedy = remedy.New(n.Eng, n.Prober, n.Clk, cfg.Remedy)
 
 	// A nil registry makes every Instrument call a no-op, so wiring is
@@ -290,8 +244,6 @@ func newSession(n *Network, cfg SessionConfig) *Session {
 	s.Monitor.Instrument(s.Obs)
 	s.Isolator.Instrument(s.Obs)
 	s.Remedy.Instrument(s.Obs)
-
-	s.maxDelay = cfg.Failsafe.MaxDelay(s.Monitor.Interval())
 
 	s.Monitor.OnOutage = s.handleOutage
 	s.Monitor.OnRecovery = func(o *monitor.Outage) {
@@ -310,23 +262,20 @@ func newSession(n *Network, cfg SessionConfig) *Session {
 
 // wireHijack assembles the session's hijack plane: collector streams from
 // the configured peers, a detector checking them against an ownership table
-// snapshotted from the engine's pre-attack origins, and (unless detection-
-// only) a responder announcing through the session's remedy controller. The
+// snapshotted from the engine's pre-attack origins, and a responder
+// announcing through the session's remedy controller. The
 // detector's journal hook is installed before the responder chains onto
 // OnAlarm, so every alarm is journaled before mitigation reacts to it.
 func (s *Session) wireHijack() {
 	n := s.Net
-	hc := s.cfg.Hijack
-	peers := hc.CollectorPeers
+	peers := s.cfg.Hijack.CollectorPeers
 	if len(peers) == 0 {
 		peers = n.Top.Providers(s.cfg.Origin)
 	}
 	s.Collector = collectors.New(n.Eng, peers...)
 	s.Collector.Instrument(s.Obs)
 
-	tbl := hijack.TableFromEngine(n.Eng)
-	s.Hijack = hijack.NewDetector(s.Collector, n.Top, n.Clk, tbl,
-		hijack.DetectorConfig{Interval: hc.ScanInterval})
+	s.Hijack = hijack.NewDetector(s.Collector, n.Top, n.Clk, hijack.TableFromEngine(n.Eng))
 	s.Hijack.Instrument(s.Obs)
 	s.Hijack.OnAlarm = func(a *hijack.Alarm) {
 		s.log(Event{At: n.Clk.Now(), Kind: EventHijackDetected, Alarm: a},
@@ -341,14 +290,7 @@ func (s *Session) wireHijack() {
 			obs.F("active_for", a.ClearedAt-a.DetectedAt))
 	}
 
-	if hc.DisableAutoMitigate {
-		return
-	}
-	s.HijackResponder = hijack.NewResponder(s.Hijack, s.Remedy, n.Plane, hijack.ResponderConfig{
-		Owner:          s.cfg.Origin,
-		Vantages:       hc.Vantages,
-		VerifyInterval: hc.VerifyInterval,
-	})
+	s.HijackResponder = hijack.NewResponder(s.Hijack, s.Remedy, n.Plane, s.cfg.Origin)
 	s.HijackResponder.Instrument(s.Obs)
 	s.HijackResponder.OnMitigated = func(m *hijack.Mitigation) {
 		s.log(Event{At: n.Clk.Now(), Kind: EventHijackMitigated, Alarm: m.Alarm, Mitigation: m},
@@ -385,9 +327,6 @@ func (s *Session) Tenant() string { return s.cfg.Tenant }
 
 // Origin returns the AS the session speaks for.
 func (s *Session) Origin() ASN { return s.cfg.Origin }
-
-// Started reports whether the session is administratively running.
-func (s *Session) Started() bool { return s.started }
 
 // Crashed reports whether the control plane is currently crashed.
 func (s *Session) Crashed() bool { return s.crashed }
@@ -522,19 +461,19 @@ func (s *Session) onRound() {
 		s.failsafe = false
 		s.log(Event{At: now, Kind: EventFailsafeExit})
 	}
-	if s.cfg.Failsafe.Disable || !s.started {
+	if !s.started {
 		return
 	}
 	s.Net.Clk.Cancel(s.watchdog)
 	last := s.lastRound
-	s.watchdog = s.Net.Clk.At(now+s.maxDelay, func() {
+	s.watchdog = s.Net.Clk.At(now+FailsafeMaxDelay, func() {
 		if s.failsafe || !s.started || s.lastRound != last {
 			return
 		}
 		s.failsafe = true
 		s.log(Event{At: s.Net.Clk.Now(), Kind: EventFailsafeEnter},
 			obs.F("delay", s.Net.Clk.Now()-last),
-			obs.F("bound", s.maxDelay))
+			obs.F("bound", FailsafeMaxDelay))
 	})
 }
 
