@@ -67,16 +67,19 @@ daemon-smoke:
 	@echo "daemon-smoke: healthz+metrics served; clean SIGTERM exit with final snapshot"
 
 # A quick fuzz pass over the walk cache (random forwards, announcements and
-# rule changes against the uncached walk), the scheduler (random op programs
-# against the container/heap reference model) and the chaos script parser
-# (no panics; accepted scripts round-trip); CI runs this on every push.
+# rule changes against the uncached walk), the scheduler (random op
+# programs, with delays from 1 ms to 48 h and on either side of 2^k ns,
+# holding the radix heap to the container/heap reference model) and the
+# chaos script parser (no panics; accepted scripts round-trip); CI runs
+# this on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzWalkCache -fuzztime=20s ./internal/dataplane/
 	$(GO) test -run '^$$' -fuzz=FuzzScheduler -fuzztime=15s ./internal/simclock/
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/chaos/
 
 # bench-all is a 1x pass over every Go benchmark in the repo (-short skips
-# the 10k-AS ConvergenceScale case). Performance is judged by the paired
+# the 10k-AS ConvergenceScale case); CI runs it on every push so that a
+# benchmark that stops compiling or panics is seen. Performance is judged by the paired
 # harness in benchmark/ (bash benchmark/run.sh --workload <w>; see
 # BENCHMARK.json), not by these.
 bench-all:

@@ -3,6 +3,7 @@ package simclock
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -194,6 +195,22 @@ func play(s sched, prog []byte, check func() error) (log []string) {
 	// Delays are a few milliseconds so that events collide on an instant;
 	// two below zero so that After's clamp is exercised.
 	delay := func(b int) time.Duration { return time.Duration(b%16-2) * time.Millisecond }
+	// Millisecond delays keep the clock within seconds of zero, so on their
+	// own they never reach a bucket above 33. wide reaches the buckets where
+	// the simulator's own events live: b%8 < 5 picks a second, an MRAI
+	// interval (22.5 s, 30 s), an outage (15 min) or a soak (48 h);
+	// otherwise the delay lands 1 ns before, on, or 1 ns after the next
+	// multiple of 2^k past now (k = 16 + b/8, up to 47), where the bucket an
+	// event falls in changes.
+	wide := func(b int) time.Duration {
+		if b%8 < 5 {
+			return [...]time.Duration{time.Second, 22500 * time.Millisecond,
+				30 * time.Second, 15 * time.Minute, 48 * time.Hour}[b%8]
+		}
+		k := uint(16 + b/8)
+		now := s.Now()
+		return (now>>k+1)<<k + time.Duration(b%8-6) - now
+	}
 
 	type pend struct {
 		id EventID
@@ -270,9 +287,11 @@ func play(s sched, prog []byte, check func() error) (log []string) {
 	}
 
 	for pos < len(prog) {
-		switch op := next(); op % 10 {
+		switch op := next(); op % 11 {
 		case 0, 1, 2, 3:
 			schedule(op, delay(next()), next())
+		case 10: // 10, 21, 32, 43: the four forms, far ahead
+			schedule(op/11, wide(next()), next())
 		case 4:
 			if len(ids) > 0 {
 				cancel("any", ids[next()%len(ids)])
@@ -305,19 +324,58 @@ func play(s sched, prog []byte, check func() error) (log []string) {
 	return log
 }
 
-// invariants is the white-box half: every node of the heap sorts before its
-// children, and every vacated slot of the backing array is zero — a stale
-// slot would pin a fired callback and whatever it captured.
+// invariants is the white-box half: base ≤ now; every event sits in the
+// bucket its time names relative to base; every bucket is in seq order;
+// mask has a bit for exactly the non-empty buckets; n counts the events;
+// and every vacated slot — b[0][:head0], and every bucket past its length —
+// is zero: a stale slot would pin a fired callback and whatever it
+// captured.
 func (s *Scheduler) invariants() error {
-	for i := 1; i < len(s.heap); i++ {
-		if p := (i - 1) / arity; s.heap[i].before(&s.heap[p]) {
-			return fmt.Errorf("heap[%d] sorts before its parent heap[%d]", i, p)
+	if s.base > s.now {
+		return fmt.Errorf("base %v ahead of now %v", s.base, s.now)
+	}
+	if s.head0 > len(s.b[0]) || s.head0 > 0 && s.head0 == len(s.b[0]) {
+		return fmt.Errorf("head0 %d in a bucket 0 of length %d", s.head0, len(s.b[0]))
+	}
+	n := 0
+	for k, evs := range s.b {
+		lo := 0
+		if k == 0 {
+			lo = s.head0
+		}
+		live := evs[lo:]
+		if set := s.mask&(1<<k) != 0; set != (len(live) > 0) {
+			return fmt.Errorf("bucket %d holds %d events, mask bit %v", k, len(live), set)
+		}
+		for i, ev := range live {
+			if ev.at < s.base || bits.Len64(uint64(ev.at^s.base)) != k {
+				return fmt.Errorf("event at %v in bucket %d of base %v", ev.at, k, s.base)
+			}
+			if i > 0 && ev.seq <= live[i-1].seq {
+				return fmt.Errorf("bucket %d: seq %d after %d", k, ev.seq, live[i-1].seq)
+			}
+		}
+		n += len(live)
+		for i, ev := range evs[:lo] {
+			if err := vacant(k, i, ev); err != nil {
+				return err
+			}
+		}
+		for i, ev := range evs[len(evs):cap(evs)] {
+			if err := vacant(k, len(evs)+i, ev); err != nil {
+				return err
+			}
 		}
 	}
-	for i, ev := range s.heap[len(s.heap):cap(s.heap)] {
-		if ev.at != 0 || ev.seq != 0 || ev.fn != nil || ev.arg != 0 || ev.plain != nil {
-			return fmt.Errorf("vacated slot %d holds %+v", len(s.heap)+i, ev)
-		}
+	if n != s.n {
+		return fmt.Errorf("n = %d, buckets hold %d", s.n, n)
+	}
+	return nil
+}
+
+func vacant(k, i int, ev event) error {
+	if ev.at != 0 || ev.seq != 0 || ev.fn != nil || ev.arg != 0 || ev.plain != nil {
+		return fmt.Errorf("vacated slot b[%d][%d] holds %+v", k, i, ev)
 	}
 	return nil
 }
@@ -349,13 +407,14 @@ var oracleSeeds = [][]byte{
 	{0, 5, 0, 1, 5, 0, 2, 5, 0, 3, 5, 0, 6, 6, 6, 6},
 	// A callback that schedules at its own instant behind queued work.
 	{0, 4, 1, 0, 4, 0, 2, 4, 7, 7, 15},
-	// Cancel mid-heap where the event that fills the hole must sink: times
-	// 1..6 and 13 ms land at heap[0..6] in order, heap[5] and heap[6] under
-	// heap[1]; cancelling heap[1] puts the 13 ms event above the 6 ms one.
+	// A Cancel that empties a bucket: from base 0, times 1..6 and 13 ms
+	// land in buckets 20, 21, 22, 22, 23, 23, 24; the 2 ms event is alone
+	// in bucket 21 and is cancelled before RunFor drains the rest.
 	{0, 3, 0, 1, 4, 0, 2, 5, 0, 3, 6, 0, 0, 7, 0, 1, 8, 0, 2, 15, 0, 4, 1, 8, 15},
-	// ... and where it must rise: 1, 10, 2, 3, 4, 11, 12, 12, 12, 5 ms put
-	// the 5 ms event last, under heap[2]; cancelling heap[5] moves it under
-	// heap[1], the 10 ms event.
+	// A Cancel mid-bucket: of 1, 10, 2, 3, 4, 11, 12, 12, 12, 5 ms, the
+	// 10, 11 and three 12 ms events share bucket 24; the 11 ms one goes,
+	// and the copy-down must keep the rest in seq order for the split
+	// that later deals them out.
 	{0, 3, 0, 1, 12, 0, 2, 4, 0, 3, 5, 0, 0, 6, 0, 1, 13, 0, 2, 14, 0, 3, 14, 0, 0, 14, 0, 1, 7, 0, 4, 5, 8, 15},
 	// Self-cancel, cancel-the-top and cancel-other from inside callbacks.
 	{0, 3, 3, 1, 3, 4, 2, 6, 4, 3, 6, 5, 0, 8, 11, 8, 15},
@@ -365,6 +424,34 @@ var oracleSeeds = [][]byte{
 	{0, 7, 0, 9, 3, 1, 7, 0, 7, 9, 9, 0, 2, 2, 0, 6, 6},
 	// RunUntil into the past and RunFor over a gap.
 	{1, 9, 0, 7, 0, 7, 15, 8, 3, 7, 1, 8, 15},
+	// Same-instant FIFO across a split: 2^35 ns in all four forms, two from
+	// base 0 (bucket 36) and two after the 3 ms event has moved base; 30 s
+	// (bucket 35) fires first, then the split at 2^35 deals the four into
+	// bucket 0 in seq order, and the second one's callback queues a fifth
+	// behind them.
+	{10, 158, 0, 0, 5, 0, 21, 158, 1, 10, 2, 0, 6, 32, 158, 0, 43, 158, 0, 1, 2, 0, 6, 6, 6, 6, 6, 6, 6},
+	// A split into bucket 0 and higher buckets: once 30 s and 2^35−1 ns
+	// have fired, 2^35+1, 2^35 and 2^35−1+1 ms share bucket 36, and the
+	// split at 2^35 sends them to buckets 1, 0 and 20.
+	{10, 159, 0, 10, 158, 0, 10, 2, 0, 10, 157, 0, 6, 6, 0, 3, 0, 6, 6, 6, 6},
+	// Cancel of bucket 0's head, middle and tail, once with six events at
+	// base 0 and one popped ...
+	{0, 2, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 6, 4, 1, 4, 3, 4, 5, 6, 6},
+	// ... and once with a bucket 0 a split filled (five at 2^35, after
+	// 1 ms); RunFor(0) then pops the survivor at base.
+	{10, 158, 0, 21, 158, 0, 32, 158, 0, 43, 158, 0, 10, 158, 0, 0, 3, 0, 6, 6, 4, 1, 4, 3, 4, 4, 8, 0, 6, 6},
+	// Cancels that empty a bucket: 48 h alone in bucket 48, then bucket 0
+	// after a pop (head0 past its first slot), which must take At(now)
+	// again.
+	{10, 4, 0, 0, 2, 0, 0, 2, 0, 4, 0, 6, 4, 2, 0, 2, 0, 6, 6},
+	// RunUntil with its limit between base and the lowest bucket's
+	// earliest event (13 ms against 30 s: nothing moves, then At(13 ms)
+	// lands on base 0's buckets); later RunUntil 2 ms into the past with
+	// bucket 0 holding an event at now must not run it.
+	{10, 2, 0, 7, 15, 0, 2, 0, 7, 15, 0, 3, 0, 0, 3, 0, 6, 7, 0, 6, 6},
+	// NextAt (after every op) followed by At(now) while the next event is
+	// 48 h ahead, at base 0 and again at 3 ms.
+	{10, 4, 0, 0, 2, 0, 6, 0, 5, 0, 6, 10, 4, 0, 0, 2, 0, 0, 3, 0, 6, 6, 6, 6},
 }
 
 func TestSchedulerMatchesReference(t *testing.T) {

@@ -6,6 +6,8 @@ package simclock
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -28,13 +30,6 @@ type event struct {
 	plain func()
 }
 
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	return ev.seq < o.seq
-}
-
 func (ev *event) fire() {
 	if ev.plain != nil {
 		ev.plain()
@@ -42,12 +37,6 @@ func (ev *event) fire() {
 	}
 	ev.fn(ev.arg)
 }
-
-// arity is the heap's fan-out. Four children per node halve a binary heap's
-// depth — and with it the moves a push or a pop makes — for the same number
-// of comparisons per pop, and the four sit side by side in memory. (at, seq)
-// is a total order, so the arity cannot change which event fires next.
-const arity = 4
 
 // Scheduler is a discrete-event scheduler. The zero value is ready to use.
 // It is not safe for concurrent use; simulations are single-threaded by
@@ -58,9 +47,19 @@ const arity = 4
 // corrupting results silently.
 type Scheduler struct {
 	now time.Duration
-	// heap is an arity-ary min-heap on (at, seq): the children of heap[i]
-	// are heap[arity*i+1 : arity*i+1+arity].
-	heap    []event
+	// The queue is a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, 1990),
+	// valid because no event is ever scheduled before now. An event at t
+	// lives in b[bits.Len64(t^base)], so every event of b[j] sorts before
+	// every event of b[k] for j < k. b[0] holds the events at exactly base
+	// and is read FIFO from head0. Bit k of mask is set iff b[k] is
+	// non-empty, and n counts the events. Only a pop moves base, to the
+	// instant it is about to run, so base ≤ now always holds.
+	base  time.Duration
+	b     [64][]event
+	head0 int
+	mask  uint64
+	n     int
+
 	nextSeq uint64
 	owner   ownerGuard
 }
@@ -72,23 +71,28 @@ func New() *Scheduler { return &Scheduler{} }
 func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Len reports the number of pending events.
-func (s *Scheduler) Len() int { return len(s.heap) }
+func (s *Scheduler) Len() int { return s.n }
 
 // NextAt reports the virtual time of the earliest pending event without
 // running it; ok is false when nothing is scheduled. A driver that steps the
 // clock itself (the benchmark's traced runs) uses it to stop at a virtual
-// deadline without running the event past it.
+// deadline without running the event past it. It moves nothing: a base
+// moved past now would put a later At(now) below it.
 func (s *Scheduler) NextAt() (time.Duration, bool) {
 	s.owner.check()
-	if len(s.heap) == 0 {
+	switch {
+	case s.mask == 0:
 		return 0, false
+	case s.mask&1 != 0:
+		return s.base, true
 	}
-	return s.heap[0].at, true
+	return earliest(s.b[bits.TrailingZeros64(s.mask)]), true
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it always indicates a simulation bug, and silently reordering
-// events would destroy reproducibility.
+// panics: it always indicates a simulation bug, silently reordering events
+// would destroy reproducibility, and the queue relies on it (an event below
+// base would be filed in the wrong bucket).
 func (s *Scheduler) At(t time.Duration, fn func()) EventID {
 	return s.schedule(event{at: t, plain: fn})
 }
@@ -111,8 +115,9 @@ func (s *Scheduler) AfterCall(d time.Duration, fn func(uint64), arg uint64) Even
 	return s.AtCall(s.now+max(d, 0), fn, arg)
 }
 
-// schedule stamps ev with the next sequence number and sifts it up from the
-// end of the heap.
+// schedule stamps ev with the next sequence number and appends it to its
+// bucket. The stamp is the largest issued so far, so every bucket stays in
+// seq order.
 func (s *Scheduler) schedule(ev event) EventID {
 	s.owner.check()
 	if ev.fn == nil && ev.plain == nil {
@@ -123,80 +128,104 @@ func (s *Scheduler) schedule(ev event) EventID {
 	}
 	s.nextSeq++
 	ev.seq = s.nextSeq
-	s.heap = append(s.heap, event{})
-	s.up(len(s.heap)-1, ev)
+	s.put(ev)
+	s.n++
 	return EventID(ev.seq)
 }
 
-// up places ev at the hole i or above, moving larger ancestors down.
-func (s *Scheduler) up(i int, ev event) {
-	h := s.heap
-	for i > 0 {
-		p := (i - 1) / arity
-		if !ev.before(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ev
+// put files ev in the bucket its time names relative to base.
+func (s *Scheduler) put(ev event) {
+	k := bits.Len64(uint64(ev.at ^ s.base))
+	s.b[k] = append(s.b[k], ev)
+	s.mask |= 1 << k
 }
 
-// down places ev at the hole i or below, moving smaller children up.
-func (s *Scheduler) down(i int, ev event) {
-	h := s.heap
-	for {
-		first := arity*i + 1
-		if first >= len(h) {
-			break
-		}
-		kids := h[first:min(first+arity, len(h))]
-		least := 0
-		for c := 1; c < len(kids); c++ {
-			if kids[c].before(&kids[least]) {
-				least = c
-			}
-		}
-		least += first
-		if !h[least].before(&ev) {
-			break
-		}
-		h[i] = h[least]
-		i = least
+// earliest is the least at in a non-empty bucket.
+func earliest(evs []event) time.Duration {
+	m := evs[0].at
+	for i := 1; i < len(evs); i++ {
+		m = min(m, evs[i].at)
 	}
-	h[i] = ev
+	return m
 }
 
-// removeAt takes heap[i] out of the queue and returns it.
-func (s *Scheduler) removeAt(i int) event {
-	h := s.heap
-	n := len(h) - 1
-	ev, last := h[i], h[n]
-	// Zero the vacated slot: the backing array outlives the event, and a
-	// fired callback (and whatever it captured) must stay collectable.
-	h[n] = event{}
-	s.heap = h[:n]
-	if i < n {
-		// The last event fills the hole; it may belong on either side of it.
-		if i > 0 && last.before(&h[(i-1)/arity]) {
-			s.up(i, last)
-		} else {
-			s.down(i, last)
-		}
+// settle reports whether the earliest pending events are due by limit and,
+// if they are, makes b[0] hold them. When b[0] is empty it takes the lowest
+// non-empty bucket, moves base to that bucket's earliest event and deals
+// the bucket out, in order, into the buckets below it. Those are all empty
+// (it was the lowest), so each receives a seq-ordered run: b[0] then pops
+// in (at, seq) order.
+func (s *Scheduler) settle(limit time.Duration) bool {
+	if s.mask&1 != 0 {
+		return s.base <= limit
 	}
-	return ev
+	if s.mask == 0 {
+		return false
+	}
+	k := bits.TrailingZeros64(s.mask)
+	evs := s.b[k]
+	m := earliest(evs)
+	if m > limit {
+		return false
+	}
+	s.base = m
+	for i := range evs {
+		s.put(evs[i])
+	}
+	// Zero the dealt-out slots: the backing array outlives the events, and
+	// a fired callback (and whatever it captured) must stay collectable.
+	clear(evs)
+	s.emptied(k)
+	return true
+}
+
+// pop runs the head of b[0], which settle has just reported due.
+func (s *Scheduler) pop() {
+	ev := s.b[0][s.head0]
+	s.b[0][s.head0] = event{}
+	s.head0++
+	s.n--
+	if s.head0 == len(s.b[0]) {
+		s.emptied(0)
+	}
+	s.now = ev.at
+	ev.fire()
+}
+
+// emptied records that bucket k has no live event left.
+func (s *Scheduler) emptied(k int) {
+	s.b[k] = s.b[k][:0]
+	s.mask &^= 1 << k
+	if k == 0 {
+		s.head0 = 0
+	}
 }
 
 // Cancel removes a pending event. It reports whether the event was still
 // pending (false if already fired or previously cancelled). Cancel searches
-// the queue, so it costs O(pending events): the callers are ticker stops
-// and watchdog re-arms, a few per simulated minute, and in exchange no event
-// pays for an id index it will almost never need.
+// the buckets and closes the hole by shifting the later events left, which
+// keeps the bucket in seq order, so it costs O(pending events): the callers
+// are ticker stops and watchdog re-arms, a few per simulated minute, and in
+// exchange no event pays for an id index it will almost never need.
 func (s *Scheduler) Cancel(id EventID) bool {
 	s.owner.check()
-	for i := range s.heap {
-		if s.heap[i].seq == uint64(id) {
-			s.removeAt(i)
+	for m := s.mask; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		lo, evs := 0, s.b[k]
+		if k == 0 {
+			lo = s.head0
+		}
+		for i := lo; i < len(evs); i++ {
+			if evs[i].seq != uint64(id) {
+				continue
+			}
+			copy(evs[i:], evs[i+1:])
+			evs[len(evs)-1] = event{}
+			s.b[k] = evs[:len(evs)-1]
+			s.n--
+			if len(s.b[k]) == lo {
+				s.emptied(k)
+			}
 			return true
 		}
 	}
@@ -207,12 +236,10 @@ func (s *Scheduler) Cancel(id EventID) bool {
 // It reports whether an event was run.
 func (s *Scheduler) Step() bool {
 	s.owner.check()
-	if len(s.heap) == 0 {
+	if !s.settle(math.MaxInt64) {
 		return false
 	}
-	ev := s.removeAt(0)
-	s.now = ev.at
-	ev.fire()
+	s.pop()
 	return true
 }
 
@@ -226,8 +253,8 @@ func (s *Scheduler) Run() {
 // clock to exactly t (even if no event was pending at t).
 func (s *Scheduler) RunUntil(t time.Duration) {
 	s.owner.check()
-	for len(s.heap) > 0 && s.heap[0].at <= t {
-		s.Step()
+	for s.settle(t) {
+		s.pop()
 	}
 	if t > s.now {
 		s.now = t

@@ -123,10 +123,12 @@ type Session struct {
 	// crash, replayed on restore.
 	savedOrigins []bgp.OriginAnnouncement
 
-	// Failsafe watchdog state.
-	failsafe  bool
-	lastRound time.Duration
-	watchdog  simclock.EventID
+	// Failsafe watchdog state. watchdogFire is fireWatchdog bound once, so
+	// a re-arm costs no closure.
+	failsafe     bool
+	lastRound    time.Duration
+	watchdog     simclock.EventID
+	watchdogFire func(uint64)
 }
 
 // EventKind classifies Session history entries.
@@ -250,6 +252,7 @@ func newSession(n *Network, cfg SessionConfig) *Session {
 		s.log(Event{At: n.Clk.Now(), Kind: EventRecovered, VP: o.VP, Target: o.Target})
 	}
 	s.Monitor.OnRound = s.onRound
+	s.watchdogFire = s.fireWatchdog
 	s.Remedy.OnUnpoison = func(r *remedy.Repair) {
 		s.log(Event{At: n.Clk.Now(), Kind: EventUnpoison, Target: r.Victim, Avoided: r.Avoided})
 	}
@@ -465,16 +468,19 @@ func (s *Session) onRound() {
 		return
 	}
 	s.Net.Clk.Cancel(s.watchdog)
-	last := s.lastRound
-	s.watchdog = s.Net.Clk.At(now+FailsafeMaxDelay, func() {
-		if s.failsafe || !s.started || s.lastRound != last {
-			return
-		}
-		s.failsafe = true
-		s.log(Event{At: s.Net.Clk.Now(), Kind: EventFailsafeEnter},
-			obs.F("delay", s.Net.Clk.Now()-last),
-			obs.F("bound", FailsafeMaxDelay))
-	})
+	s.watchdog = s.Net.Clk.AtCall(now+FailsafeMaxDelay, s.watchdogFire, uint64(now))
+}
+
+// fireWatchdog enters FAILSAFE unless a round has completed since the one
+// at last that armed it.
+func (s *Session) fireWatchdog(last uint64) {
+	if s.failsafe || !s.started || s.lastRound != time.Duration(last) {
+		return
+	}
+	s.failsafe = true
+	s.log(Event{At: s.Net.Clk.Now(), Kind: EventFailsafeEnter},
+		obs.F("delay", s.Net.Clk.Now()-time.Duration(last)),
+		obs.F("bound", FailsafeMaxDelay))
 }
 
 func (s *Session) log(e Event, extra ...obs.Field) {
