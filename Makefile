@@ -34,7 +34,7 @@ lint: lglint
 # a lock for off-loop readers), the monitoring pipeline, and the parallel
 # trial runner (plus the experiments and lgchaos trials that fan out on it
 # and merge their per-trial registries through it). The dataplane
-# rides along to hold Forward and ForwardBatch to the aliasing contracts
+# rides along to hold Forward and Flow.ForwardN to the aliasing contracts
 # (cached intra-AS paths and cached walks are shared, read-only) under the
 # detector, and the prober and atlas because they are what reads those
 # shared Results.
@@ -66,8 +66,9 @@ daemon-smoke:
 	@grep -q '"metrics"' $(BIN)/daemon_smoke.out || { echo "daemon-smoke: no final snapshot on stdout"; exit 1; }
 	@echo "daemon-smoke: healthz+metrics served; clean SIGTERM exit with final snapshot"
 
-# A quick fuzz pass over the walk cache (random forwards, announcements and
-# rule changes against the uncached walk), the scheduler (random op
+# A quick fuzz pass over the walk cache (random forwards, runs of one
+# header through Flow.ForwardN, announcements and rule changes against the
+# uncached walk), the scheduler (random op
 # programs, with delays from 1 ms to 48 h and on either side of 2^k ns,
 # holding the radix heap to the container/heap reference model) and the
 # chaos script parser (no panics; accepted scripts round-trip); CI runs

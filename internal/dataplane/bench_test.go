@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"testing"
 
 	"lifeguard/internal/bgp"
@@ -66,12 +67,12 @@ func BenchmarkDataplaneForwardWithFailures(b *testing.B) {
 	}
 }
 
-// BenchmarkDataplaneForwardBatch measures the amortized per-packet cost of
-// ForwardBatch on flow-group shaped traffic: batches of 1024 packets spread
-// over 16 destinations (64 packets per flow group, the duplication the
-// traffic engine produces every epoch). Reported ns/op is per packet, so
-// the ratio to BenchmarkDataplaneForward is the batching win.
-func BenchmarkDataplaneForwardBatch(b *testing.B) {
+// BenchmarkFlowForwardN measures one run of a flow group — n packets of one
+// header through a held Flow, the way the traffic generator sends each
+// (destination, vantage) group every epoch. Reported ns/op is per run: on
+// the cached path it should stay flat in n, since the repeats are counted,
+// not walked.
+func BenchmarkFlowForwardN(b *testing.B) {
 	res, err := topogen.Generate(topogen.Config{Seed: 1, NumTransit: 25, NumStub: 80})
 	if err != nil {
 		b.Fatal(err)
@@ -86,21 +87,16 @@ func BenchmarkDataplaneForwardBatch(b *testing.B) {
 	}
 	pl := New(res.Top, eng)
 	src := res.Top.AS(res.Stubs[0]).Routers[0]
-	const batch = 1024
-	pkts := make([]Packet, 0, batch)
-	for i := 0; len(pkts) < batch; i++ {
-		s := res.Stubs[1+(i%16)*4]
-		dst := res.Top.Router(res.Top.AS(s).Routers[0]).Addr
-		for c := 0; c < batch/16 && len(pkts) < batch; c++ {
-			pkts = append(pkts, Packet{Src: topo.ProductionAddr(res.Stubs[0]), Dst: dst})
-		}
-	}
-	buf := make([]Result, 0, batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		buf = pl.ForwardBatch(src, pkts, buf[:0])
-		if !buf[0].Delivered() {
-			b.Fatalf("not delivered: %v", buf[0].Reason)
-		}
+	dst := res.Top.Router(res.Top.AS(res.Stubs[40]).Routers[0]).Addr
+	f := pl.Flow(src, topo.ProductionAddr(res.Stubs[0]), dst)
+	for _, n := range []int64{1, 64, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if fates := f.ForwardN(n); fates[Delivered] != n {
+					b.Fatalf("not delivered: %v", fates)
+				}
+			}
+		})
 	}
 }

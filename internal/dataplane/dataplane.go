@@ -501,7 +501,7 @@ func splitmix64(x uint64) uint64 {
 // except that Result.Hops is shared (see Result).
 func (pl *Plane) Forward(from topo.RouterID, pkt Packet) Result {
 	res, how := pl.walk(from, pkt)
-	pl.note(&res, how)
+	pl.note(&res, how, 1)
 	return res
 }
 

@@ -54,9 +54,11 @@ import (
 // re-walked in place, alone.
 //
 // Handles. A caller that will ask for the same header again holds a Flow,
-// which remembers the header's entry and skips the map lookup; Forward and
-// ForwardBatch make a Flow for the one packet, so past the lookup there is
-// one path (Flow.walk). The eager rule kill must reach every entry a handle
+// which remembers the header's entry and skips the map lookup; Plane.Forward
+// makes a Flow for the one packet, so past the lookup there is one path
+// (Flow.walk). Flow.ForwardN sends a run of one header — a traffic flow
+// group — by walking it once and counting the repeats as the hits they would
+// be. The eager rule kill must reach every entry a handle
 // can answer from, so no live entry is ever outside the map: entries are
 // re-walked in place, never replaced, and the one event that empties the
 // map (the size cap) advances a generation that every handle compares
@@ -200,12 +202,12 @@ func (pl *Plane) walk(from topo.RouterID, pkt Packet) (Result, walkOutcome) {
 	return f.walk(pkt.TTL)
 }
 
-// note counts one packet's fate and how the cache produced it.
-func (pl *Plane) note(res *Result, how walkOutcome) {
-	pl.obs.cacheOutcomes[how].Inc()
-	pl.obs.forwarded.Inc()
+// note counts k packets that met res's fate and how the cache produced them.
+func (pl *Plane) note(res *Result, how walkOutcome, k int64) {
+	pl.obs.cacheOutcomes[how].Add(k)
+	pl.obs.forwarded.Add(k)
 	if res.Reason != Delivered {
-		pl.obs.drops[res.Reason].Inc()
+		pl.obs.drops[res.Reason].Add(k)
 	}
 }
 
@@ -235,8 +237,33 @@ func (pl *Plane) Flow(from topo.RouterID, src, dst netip.Addr) Flow {
 // of Result.Hops.
 func (f *Flow) Forward(ttl int) Result {
 	res, how := f.walk(ttl)
-	f.pl.note(&res, how)
+	f.pl.note(&res, how, 1)
 	return res
+}
+
+// ForwardN sends n packets of the flow's header at the default TTL and
+// reports how many met each fate, indexed by DropReason. It is n calls of
+// Forward(0) — same fates, same counters, same sequence numbering — without
+// the n Results: once the header's slot has answered the first packet, it
+// holds the header's current walk, so every other packet would be a hit
+// with the same fate, and those n-1 are added, not walked. While fates are
+// per packet or the header has no slot, every packet walks.
+func (f *Flow) ForwardN(n int64) [ForwardLoop + 1]int64 {
+	var fates [ForwardLoop + 1]int64
+	pl := f.pl
+	for i := int64(0); i < n; i++ {
+		res, how := f.walk(0)
+		pl.note(&res, how, 1)
+		fates[res.Reason]++
+		if how != walkBypass {
+			rest := n - 1 - i
+			pl.seq += uint64(rest) // as rest walks would have numbered them
+			pl.note(&res, walkHit, rest)
+			fates[res.Reason] += rest
+			break
+		}
+	}
+	return fates
 }
 
 // walk reports the fate of the flow's header at the given TTL: by walking

@@ -14,8 +14,8 @@ import (
 )
 
 // walkWorld is a converged topogen internetwork with two planes over one
-// engine: cached goes through the public Forward/ForwardBatch and through
-// held Flows, ref only ever runs the uncached hop-by-hop forward. Every rule
+// engine: cached goes through the public Forward and through held Flows,
+// one packet or a run at a time, ref only ever runs the uncached hop-by-hop forward. Every rule
 // change is applied to both, so their FailureIDs and per-packet sequence
 // numbers stay in step and any difference in fate is the cache's fault.
 type walkWorld struct {
@@ -173,23 +173,27 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 				}
 			}
 		case op == 8:
-			// A batch the way traffic builds one — runs of one header —
-			// against the same packets walked singly.
+			// A flow group's run, the way traffic sends one: 0–300 packets of
+			// one header through a Flow — a fresh one or a round handle —
+			// against as many uncached walks.
 			from, pkt := packet()
-			var pkts []Packet
-			for range 1 + pick(4) {
-				pkts = append(pkts, pkt)
+			nf := w.cached.Flow(from, pkt.Src, pkt.Dst)
+			f := &nf
+			if pick(2) == 0 {
+				i := pick(len(w.round))
+				from, pkt, f = w.round[i].from, w.round[i].pkt, &w.flows[i]
 			}
-			_, other := packet()
-			pkts = append(pkts, other, pkt)
-			got := w.cached.ForwardBatch(from, pkts, nil)
-			for i, p := range pkts {
-				if want := w.ref.forward(from, p); !reflect.DeepEqual(got[i], want) {
-					t.Fatalf("batch packet %d from %d %+v:\ncached %+v\nwalked %+v", i, from, p, got[i], want)
-				}
+			n := int64(next() + pick(46))
+			got := f.ForwardN(n)
+			var want [ForwardLoop + 1]int64
+			for range n {
+				want[w.ref.forward(from, Packet{Src: pkt.Src, Dst: pkt.Dst}).Reason]++
+			}
+			if got != want {
+				t.Fatalf("run of %d from %d %+v: cached %v, walked %v", n, from, pkt, got, want)
 			}
 			if w.cached.seq != w.ref.seq {
-				t.Fatalf("batch: cached plane at seq %d, walked plane at %d", w.cached.seq, w.ref.seq)
+				t.Fatalf("run of %d: cached plane at seq %d, walked plane at %d", n, w.cached.seq, w.ref.seq)
 			}
 		case op == 9:
 			// A few scheduler events: forwards then land mid-convergence.

@@ -22,12 +22,17 @@
 // MergeEpochs folds any sharding of the same Config back into reports
 // byte-identical to an unsharded run. That is the same merge contract the
 // runner and experiment suites commit to: output is invariant to
-// parallelism.
+// parallelism. It holds while every packet's fate is a function of its
+// header. A fractional-DropProb rule (dataplane.LossyAS) draws its verdicts
+// from the plane's per-packet sequence number, and sharding changes which
+// packets share a plane, so under such a rule a merge is a different draw
+// from the unsharded run, not a copy of it.
 //
 // Allocation discipline. Flow state is a dense array of vantage indices
-// (two bytes per flow), and the packet/result buffers for batched
-// forwarding are reused across epochs, so steady-state epochs allocate
-// nothing per flow.
+// (two bytes per flow). A flow group — the flows of one (destination,
+// vantage) — is one dataplane.Flow per direction, held for the generator's
+// life and asked for its whole group at once, so steady-state epochs
+// allocate nothing.
 package traffic
 
 import (
@@ -47,7 +52,7 @@ type Dest struct {
 	// typically topo.ProductionAddr of the monitored AS.
 	Addr netip.Addr
 	// Weight is the destination's relative share of the flow population.
-	// Zero means 1.
+	// Zero means 1; negative is an error.
 	Weight int
 }
 
@@ -73,7 +78,9 @@ type Config struct {
 	Churn float64
 	// ShardIndex/ShardCount select the slice of destinations this
 	// generator simulates: those with global index ≡ ShardIndex (mod
-	// ShardCount). Zero ShardCount means the whole population.
+	// ShardCount). Zero ShardCount means the whole population. Merged
+	// shards equal the unsharded run only while fates are functions of the
+	// header: no fractional-DropProb rule live (see the package doc).
 	ShardIndex, ShardCount int
 }
 
@@ -110,28 +117,27 @@ func (s *stream) float() float64 { return float64(s.next()>>11) / (1 << 53) }
 
 // destState is one destination's slice of the population.
 type destState struct {
-	global int        // index in Config.Dests
-	addr   netip.Addr //
-	hub    topo.RouterID
+	global int // index in Config.Dests
 	rng    stream
 	flows  []uint16 // vantage index per flow; the whole per-flow state
+	// groups[v] carries the packets of the flows behind vantage v: the
+	// request from the vantage's hub, the reply from the destination's.
+	groups []flowGroup
 }
+
+// flowGroup holds the two headers every flow of one (destination, vantage)
+// sends, the way monitor's pair holds its Pinger.
+type flowGroup struct{ req, reply dataplane.Flow }
 
 // Generator owns one shard of the flow population.
 type Generator struct {
-	cfg   Config
-	top   *topo.Topology
-	clk   *simclock.Scheduler
-	plane *dataplane.Plane
+	cfg Config
+	clk *simclock.Scheduler
 
-	hubs  []topo.RouterID // injection router per vantage
-	srcs  []netip.Addr    // production address per vantage
-	dests []destState     // this shard's destinations
-	flows int             // flows in this shard
+	dests []destState // this shard's destinations
+	flows int         // flows in this shard
 
 	epoch  int
-	pkts   []dataplane.Packet
-	res    []dataplane.Result
 	counts []int64 // per-vantage scratch, reused per destination
 
 	obs     generatorObs
@@ -170,8 +176,13 @@ func New(d Deps, cfg Config) (*Generator, error) {
 	if e := cfg.epoch(); e < time.Second || e%time.Second != 0 {
 		return nil, fmt.Errorf("traffic: Epoch must be a whole number of seconds, got %v", e)
 	}
-	if cfg.Churn < 0 || cfg.Churn > 1 {
+	if !(cfg.Churn >= 0 && cfg.Churn <= 1) { // NaN fails both
 		return nil, fmt.Errorf("traffic: Churn must be in [0,1], got %g", cfg.Churn)
+	}
+	for i, dst := range cfg.Dests {
+		if dst.Weight < 0 {
+			return nil, fmt.Errorf("traffic: Dests[%d].Weight must not be negative, got %d", i, dst.Weight)
+		}
 	}
 	if cfg.ShardCount == 0 {
 		cfg.ShardCount = 1
@@ -182,19 +193,17 @@ func New(d Deps, cfg Config) (*Generator, error) {
 
 	g := &Generator{
 		cfg:     cfg,
-		top:     d.Top,
 		clk:     d.Clk,
-		plane:   d.Plane,
 		counts:  make([]int64, len(cfg.Vantages)),
 		journal: d.Journal,
 	}
-	for _, v := range cfg.Vantages {
+	hubs := make([]topo.RouterID, len(cfg.Vantages)) // injection router per vantage
+	for i, v := range cfg.Vantages {
 		as := d.Top.AS(v)
 		if as == nil || len(as.Routers) == 0 {
 			return nil, fmt.Errorf("traffic: vantage AS%d not in topology", v)
 		}
-		g.hubs = append(g.hubs, as.Routers[0])
-		g.srcs = append(g.srcs, topo.ProductionAddr(v))
+		hubs[i] = as.Routers[0]
 	}
 
 	// Global flow counts per destination (largest remainder), computed
@@ -215,13 +224,19 @@ func New(d Deps, cfg Config) (*Generator, error) {
 		}
 		ds := destState{
 			global: i,
-			addr:   dst.Addr,
-			hub:    as.Routers[0],
 			rng:    stream{state: cfg.Seed + uint64(i)*0x9E3779B9},
 			flows:  make([]uint16, counts[i]),
+			groups: make([]flowGroup, len(cfg.Vantages)),
 		}
 		for f := range ds.flows {
 			ds.flows[f] = uint16(ds.rng.next() % uint64(len(cfg.Vantages)))
+		}
+		for vi, v := range cfg.Vantages {
+			src := topo.ProductionAddr(v)
+			ds.groups[vi] = flowGroup{
+				req:   d.Plane.Flow(hubs[vi], src, dst.Addr),
+				reply: d.Plane.Flow(as.Routers[0], dst.Addr, src),
+			}
 		}
 		g.flows += len(ds.flows)
 		g.dests = append(g.dests, ds)
@@ -237,7 +252,7 @@ func apportion(total int, dests []Dest) []int {
 	sum := 0
 	for i, d := range dests {
 		w := d.Weight
-		if w <= 0 {
+		if w == 0 {
 			w = 1
 		}
 		weights[i] = w
@@ -303,53 +318,22 @@ func (g *Generator) RunEpoch() EpochReport {
 		VTime:   g.clk.Now(),
 		Seconds: epochSecs,
 	}
-	nvan := len(g.cfg.Vantages)
 	for di := range g.dests {
 		d := &g.dests[di]
-		// Churn: each departing flow is replaced by an arrival with a
-		// freshly drawn vantage, keeping the population size constant.
-		if g.cfg.Churn > 0 {
-			for i := range d.flows {
-				if d.rng.float() < g.cfg.Churn {
-					d.flows[i] = uint16(d.rng.next() % uint64(nvan))
-				}
-			}
-		}
-		clear(g.counts)
-		for _, v := range d.flows {
-			g.counts[v]++
-		}
-		for vi := 0; vi < nvan; vi++ {
-			n := g.counts[vi]
-			if n == 0 {
-				continue
-			}
-			// Forward leg: n user packets from the vantage toward the
-			// destination.
-			fwdDelivered := int64(0)
-			for _, r := range g.forwardN(g.hubs[vi], dataplane.Packet{Src: g.srcs[vi], Dst: d.addr}, n) {
-				if r.Delivered() {
-					fwdDelivered++
-				} else {
-					rep.LostByReason[r.Reason]++
-				}
-			}
-			rep.Packets += n
-			// Reply leg, only for flows whose forward packet arrived.
-			// This is where reverse-path failures show up.
-			served := int64(0)
-			if fwdDelivered > 0 {
-				for _, r := range g.forwardN(d.hub, dataplane.Packet{Src: d.addr, Dst: g.srcs[vi]}, fwdDelivered) {
-					if r.Delivered() {
-						served++
-					} else {
-						rep.LostByReason[r.Reason]++
-					}
-				}
-				rep.Packets += fwdDelivered
+		g.regroup(d)
+		for vi, n := range g.counts {
+			// Forward leg: the group's n requests toward the destination.
+			// Reply leg, only for flows whose request arrived: this is where
+			// reverse-path failures show up.
+			fg := &d.groups[vi]
+			req := fg.req.ForwardN(n)
+			reply := fg.reply.ForwardN(req[dataplane.Delivered])
+			for r := dataplane.NoRoute; r <= dataplane.ForwardLoop; r++ {
+				rep.LostByReason[r] += req[r] + reply[r]
 			}
 			rep.Flows += n
-			rep.Served += served
+			rep.Served += reply[dataplane.Delivered]
+			rep.Packets += n + req[dataplane.Delivered]
 		}
 	}
 	rep.Lost = rep.Flows - rep.Served
@@ -374,14 +358,19 @@ func (g *Generator) RunEpoch() EpochReport {
 	return rep
 }
 
-// forwardN pushes n copies of pkt into the plane at from and returns the
-// results, in a buffer reused across calls. All n packets go through one
-// ForwardBatch call, which answers the repeats from the first one's walk.
-func (g *Generator) forwardN(from topo.RouterID, pkt dataplane.Packet, n int64) []dataplane.Result {
-	g.pkts = g.pkts[:0]
-	for i := int64(0); i < n; i++ {
-		g.pkts = append(g.pkts, pkt)
+// regroup churns d's population — each departing flow is replaced by an
+// arrival with a freshly drawn vantage, keeping the size constant — and
+// counts its flows per vantage into g.counts.
+func (g *Generator) regroup(d *destState) {
+	if g.cfg.Churn > 0 {
+		for i := range d.flows {
+			if d.rng.float() < g.cfg.Churn {
+				d.flows[i] = uint16(d.rng.next() % uint64(len(g.cfg.Vantages)))
+			}
+		}
 	}
-	g.res = g.plane.ForwardBatch(from, g.pkts, g.res[:0])
-	return g.res
+	clear(g.counts)
+	for _, v := range d.flows {
+		g.counts[v]++
+	}
 }

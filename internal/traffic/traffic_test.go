@@ -1,8 +1,10 @@
 package traffic
 
 import (
+	"math"
 	"net/netip"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,15 +77,16 @@ func providerOf(t *testing.T, r *rig, from topo.ASN, addr netip.Addr) topo.ASN {
 // runEpochs plays a fixed timeline against g: three clean epochs, a
 // unidirectional blackhole toward the first destination for three epochs,
 // then repair and three more. Shards replaying this against their own rigs
-// see identical routing state at every epoch.
-func runEpochs(t *testing.T, r *rig, g *Generator) []EpochReport {
+// see identical routing state at every epoch. Each epoch is closed by
+// epoch(g): (*Generator).RunEpoch, or a reference to hold it to.
+func runEpochs(t *testing.T, r *rig, g *Generator, epoch func(*Generator) EpochReport) []EpochReport {
 	dst := topo.ProductionAddr(r.res.Stubs[8])
 	fault := providerOf(t, r, r.res.Stubs[0], dst)
 	var eps []EpochReport
 	step := func(n int) {
 		for i := 0; i < n; i++ {
 			r.clk.RunFor(g.Epoch())
-			eps = append(eps, g.RunEpoch())
+			eps = append(eps, epoch(g))
 		}
 	}
 	step(3)
@@ -103,7 +106,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs[i] = runEpochs(t, r, g)
+		runs[i] = runEpochs(t, r, g, (*Generator).RunEpoch)
 	}
 	if !reflect.DeepEqual(runs[0], runs[1]) {
 		t.Fatalf("two identical runs diverged:\n%+v\n%+v", runs[0], runs[1])
@@ -112,14 +115,18 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 // TestShardMergeIdentity is the sharding contract: three shards, each on
 // its own identical rig, merge to the exact report series of an unsharded
-// run — the property the runner-parallel experiment relies on.
+// run — the property the runner-parallel experiment relies on. The
+// timeline installs deterministic rules only: the contract covers fates
+// that are functions of the header. A lossy rule's verdicts hash the
+// plane's per-packet sequence number, and each shard numbers only its own
+// packets, so under one the merge is a different draw, not the same run.
 func TestShardMergeIdentity(t *testing.T) {
 	r := newRig(t)
 	g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, popConfig(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := runEpochs(t, r, g)
+	whole := runEpochs(t, r, g, (*Generator).RunEpoch)
 
 	var parts [][]EpochReport
 	total := 0
@@ -132,7 +139,7 @@ func TestShardMergeIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		total += sg.Flows()
-		parts = append(parts, runEpochs(t, sr, sg))
+		parts = append(parts, runEpochs(t, sr, sg, (*Generator).RunEpoch))
 	}
 	if total != g.Flows() {
 		t.Fatalf("shards model %d flows, whole population is %d", total, g.Flows())
@@ -157,7 +164,7 @@ func TestOutageAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := runEpochs(t, r, g)
+	eps := runEpochs(t, r, g, (*Generator).RunEpoch)
 	if len(eps) != 9 {
 		t.Fatalf("expected 9 epochs, got %d", len(eps))
 	}
@@ -266,12 +273,147 @@ func TestConfigValidation(t *testing.T) {
 		"no dests":         func(c *Config) { c.Dests = nil },
 		"fractional epoch": func(c *Config) { c.Epoch = 1500 * time.Millisecond },
 		"bad churn":        func(c *Config) { c.Churn = 1.5 },
+		"NaN churn":        func(c *Config) { c.Churn = math.NaN() },
+		"negative weight":  func(c *Config) { c.Dests[1].Weight = -1 },
 		"bad shard":        func(c *Config) { c.ShardIndex = 4; c.ShardCount = 4 },
 	} {
 		cfg := base
+		cfg.Dests = slices.Clone(base.Dests)
 		mut(&cfg)
 		if _, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, cfg); err == nil {
 			t.Errorf("%s: New accepted an invalid config", name)
+		}
+	}
+}
+
+// refEpoch is RunEpoch sent one packet at a time: every flow of a group
+// sends its request through Plane.Forward, then every flow whose request
+// arrived sends its reply — the per-packet semantics RunEpoch's runs keep.
+// The churn is RunEpoch's own.
+func refEpoch(r *rig) func(*Generator) EpochReport {
+	return func(g *Generator) EpochReport {
+		rep := EpochReport{Epoch: g.epoch, VTime: g.clk.Now(), Seconds: int64(g.Epoch() / time.Second)}
+		for di := range g.dests {
+			d := &g.dests[di]
+			dst := g.cfg.Dests[d.global].Addr
+			owner, _ := topo.OwnerOf(dst)
+			g.regroup(d)
+			for vi, n := range g.counts {
+				v := g.cfg.Vantages[vi]
+				src := topo.ProductionAddr(v)
+				delivered := int64(0)
+				for range n {
+					res := r.plane.Forward(r.res.Top.AS(v).Routers[0], dataplane.Packet{Src: src, Dst: dst})
+					if res.Delivered() {
+						delivered++
+					} else {
+						rep.LostByReason[res.Reason]++
+					}
+				}
+				for range delivered {
+					res := r.plane.Forward(r.res.Top.AS(owner).Routers[0], dataplane.Packet{Src: dst, Dst: src})
+					if res.Delivered() {
+						rep.Served++
+					} else {
+						rep.LostByReason[res.Reason]++
+					}
+				}
+				rep.Flows += n
+				rep.Packets += n + delivered
+			}
+		}
+		rep.Lost = rep.Flows - rep.Served
+		rep.UserSecondsLost = rep.Lost * rep.Seconds
+		g.epoch++
+		return rep
+	}
+}
+
+// TestRunEpochMatchesPerPacket holds RunEpoch, which sends each flow group
+// as two runs, to refEpoch on a twin rig: runEpochs' timeline, an epoch
+// under a reverse-path blackhole, and two under a lossy rule on the
+// transit path, where every packet draws its own fate. Reports and the
+// data plane's counters must be identical.
+func TestRunEpochMatchesPerPacket(t *testing.T) {
+	var (
+		eps  [2][]EpochReport
+		snap [2]string
+	)
+	for i, ref := range []bool{false, true} {
+		r := newRig(t)
+		reg := obs.New()
+		r.plane.Instrument(reg)
+		g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, popConfig(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := (*Generator).RunEpoch
+		if ref {
+			run = refEpoch(r)
+		}
+		eps[i] = runEpochs(t, r, g, run)
+		step := func() {
+			r.clk.RunFor(g.Epoch())
+			eps[i] = append(eps[i], run(g))
+		}
+
+		rev := r.plane.AddFailure(dataplane.BlackholeASTowards(
+			providerOf(t, r, r.res.Stubs[8], topo.ProductionAddr(r.res.Stubs[0])),
+			topo.ProductionPrefix(r.res.Stubs[0])))
+		step()
+		r.plane.RemoveFailure(rev)
+		r.plane.AddFailure(dataplane.LossyAS(
+			providerOf(t, r, r.res.Stubs[0], topo.ProductionAddr(r.res.Stubs[8])), 0.3, 5))
+		step()
+		step()
+
+		var b strings.Builder
+		if err := reg.Snapshot().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		snap[i] = b.String()
+	}
+	if !reflect.DeepEqual(eps[0], eps[1]) {
+		t.Fatalf("runs and single packets diverged:\nruns:   %+v\nsingle: %+v", eps[0], eps[1])
+	}
+	if snap[0] != snap[1] {
+		t.Fatalf("data plane counters diverged:\nruns:\n%s\nsingle:\n%s", snap[0], snap[1])
+	}
+	n := len(eps[0])
+	for _, e := range []EpochReport{eps[0][n-3], eps[0][n-2], eps[0][n-1]} {
+		if e.Lost == 0 || e.Served == 0 {
+			t.Fatalf("epoch %d lost %d of %d flows: the fault epochs must lose some and serve some", e.Epoch, e.Lost, e.Flows)
+		}
+	}
+}
+
+// BenchmarkRunEpoch measures one epoch shaped like the repository
+// benchmark's traffic workload: 150k flows behind 8 vantages toward 4
+// weighted destinations, churn 0.02. A steady-state epoch allocates
+// nothing.
+func BenchmarkRunEpoch(b *testing.B) {
+	r := newRig(b)
+	var dests []Dest
+	for i, s := range r.res.Stubs[8:12] {
+		dests = append(dests, Dest{Addr: topo.ProductionAddr(s), Weight: 1 + i%3})
+	}
+	g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, Config{
+		Seed:     1,
+		Flows:    150_000,
+		Vantages: r.res.Stubs[:8],
+		Dests:    dests,
+		Epoch:    30 * time.Second,
+		Churn:    0.02,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.RunEpoch() // warm the walk cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := g.RunEpoch(); rep.Lost != 0 {
+			b.Fatalf("clean epoch lost %d flows", rep.Lost)
 		}
 	}
 }

@@ -3,7 +3,8 @@
 #
 # Runs all four workloads — repair and converge, which between them execute
 # every layer, churn, the poison/unpoison cycle on its own, and traffic, the
-# data plane's batch path over longest-prefix match — at seed 1 for
+# data plane's run path (a flow group's packets sent as one Flow.ForwardN)
+# over longest-prefix match — at seed 1 for
 # 8 host-seconds each and fails unless the two simulated metrics equal the
 # committed values below to the last digit (they depend on the seed alone,
 # so any difference is a behaviour change, not noise) and allocs_per_op is
