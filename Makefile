@@ -1,10 +1,11 @@
 # LIFEGUARD reproduction — build, test, and static-analysis entry points.
 #
-# `make lint` is the gate CI enforces: the standard go vet passes plus the
-# repo's own lglint analyzer suite (determinism & concurrency invariants;
+# `make lint` is the gate CI enforces: gofmt, the standard go vet passes
+# plus the repo's own lglint analyzer suite (determinism & concurrency invariants;
 # see internal/analysis and DESIGN.md §"Static analysis & invariants").
 
 GO      ?= go
+GOFMT   ?= gofmt
 BIN     := bin
 LGLINT  := $(BIN)/lglint
 
@@ -26,7 +27,12 @@ lglint:
 lglint-bin: lglint
 	@echo $(LGLINT)
 
+# lint first fails on any tracked Go file gofmt would rewrite. Testdata is
+# left out on purpose: analyzer fixtures pin diagnostics to columns, and
+# reformatting would move them.
 lint: lglint
+	@out=$$(git ls-files -z '*.go' ':!:*/testdata/*' | xargs -0 $(GOFMT) -l); \
+	test -z "$$out" || { echo "gofmt -l: unformatted Go files:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) vet -vettool=$(LGLINT) ./...
 

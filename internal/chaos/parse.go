@@ -2,8 +2,7 @@ package chaos
 
 import (
 	"fmt"
-	"math"
-	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -18,19 +17,8 @@ import (
 //
 // where <time>/<duration> use Go duration syntax ("90s", "2m30s"), omitting
 // "for" schedules a fault that is never healed, "#" starts a comment, and
-// blank lines are ignored. Fault forms (see fault.go for semantics):
-//
-//	linkdown <asA> <asB>
-//	oneway <asFrom> <asTo>
-//	loss <as> <prob> <seed>
-//	sessionreset <asA> <asB>
-//	crash <as>
-//	crashcontrol <originAS>
-//	delay <asA> <asB> <duration>
-//	blackhole <as> <dstPrefix>
-//	hijack <rogueAS> <prefix>
-//	subhijack <rogueAS> <moreSpecificPrefix>
-//	forgedorigin <rogueAS> <victimAS> <prefix>
+// blank lines are ignored. The fault forms are the Usage lines of
+// Vocabulary (`lgchaos -list-faults`; see fault.go for semantics).
 //
 // Parse(s.String()) reproduces s (canonical order); errors carry the
 // 1-based line number.
@@ -92,99 +80,19 @@ func parseStep(f []string) (Step, error) {
 	return st, nil
 }
 
+// parseFault looks the keyword up in the vocabulary; the argument count is
+// the number of tokens its Usage names after the keyword.
 func parseFault(f []string) (Fault, error) {
 	kind, args := f[0], f[1:]
-	argc := map[string]int{
-		"linkdown": 2, "oneway": 2, "loss": 3,
-		"sessionreset": 2, "crash": 1, "crashcontrol": 1,
-		"delay": 3, "blackhole": 2,
-		"hijack": 2, "subhijack": 2, "forgedorigin": 3,
-	}
-	n, ok := argc[kind]
-	if !ok {
+	i := slices.IndexFunc(vocabulary, func(k faultKind) bool { return k.Kind == kind })
+	if i < 0 {
 		return nil, fmt.Errorf("unknown fault kind %q", kind)
 	}
-	if len(args) != n {
+	k := vocabulary[i]
+	if n := len(strings.Fields(k.Usage)) - 1; len(args) != n {
 		return nil, fmt.Errorf("%s wants %d args, got %d", kind, n, len(args))
 	}
-	switch kind {
-	case "linkdown":
-		a, b, err := twoASNs(args)
-		return &LinkDown{A: a, B: b}, err
-	case "oneway":
-		a, b, err := twoASNs(args)
-		return &OneWayLoss{From: a, To: b}, err
-	case "loss":
-		asn, err := parseASN(args[0])
-		if err != nil {
-			return nil, err
-		}
-		prob, err := strconv.ParseFloat(args[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad probability %q: %v", args[1], err)
-		}
-		if math.IsNaN(prob) {
-			return nil, fmt.Errorf("bad probability %q: not a number", args[1])
-		}
-		seed, err := strconv.ParseUint(args[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad seed %q: %v", args[2], err)
-		}
-		return &PacketLoss{AS: asn, Prob: prob, Seed: seed}, nil
-	case "sessionreset":
-		a, b, err := twoASNs(args)
-		return &SessionReset{A: a, B: b}, err
-	case "crash":
-		asn, err := parseASN(args[0])
-		return &RouterCrash{AS: asn}, err
-	case "crashcontrol":
-		asn, err := parseASN(args[0])
-		return &ControlCrash{AS: asn}, err
-	case "delay":
-		a, b, err := twoASNs(args[:2])
-		if err != nil {
-			return nil, err
-		}
-		d, err := time.ParseDuration(args[2])
-		if err != nil {
-			return nil, fmt.Errorf("bad delay %q: %v", args[2], err)
-		}
-		return &UpdateDelay{A: a, B: b, Delay: d}, nil
-	case "blackhole":
-		asn, err := parseASN(args[0])
-		if err != nil {
-			return nil, err
-		}
-		dst, err := netip.ParsePrefix(args[1])
-		if err != nil {
-			return nil, fmt.Errorf("bad prefix %q: %v", args[1], err)
-		}
-		return &BlackholeTowards{AS: asn, Dst: dst}, nil
-	case "hijack", "subhijack":
-		asn, err := parseASN(args[0])
-		if err != nil {
-			return nil, err
-		}
-		p, err := netip.ParsePrefix(args[1])
-		if err != nil {
-			return nil, fmt.Errorf("bad prefix %q: %v", args[1], err)
-		}
-		if kind == "hijack" {
-			return &OriginHijack{Rogue: asn, Prefix: p}, nil
-		}
-		return &SubPrefixHijack{Rogue: asn, Prefix: p}, nil
-	case "forgedorigin":
-		rogue, victim, err := twoASNs(args[:2])
-		if err != nil {
-			return nil, err
-		}
-		p, err := netip.ParsePrefix(args[2])
-		if err != nil {
-			return nil, fmt.Errorf("bad prefix %q: %v", args[2], err)
-		}
-		return &ForgedOrigin{Rogue: rogue, Victim: victim, Prefix: p}, nil
-	}
-	panic("unreachable")
+	return k.parse(args)
 }
 
 func twoASNs(args []string) (a, b topo.ASN, err error) {

@@ -144,8 +144,6 @@ type Controller struct {
 	OnUnpoison func(*Repair)
 
 	active *Repair
-	// History lists finished and active repairs.
-	History []*Repair
 
 	// counters tracks the hijack responder's counter-announcements (see
 	// counter.go); nil until the first CounterAnnounce.
@@ -281,7 +279,6 @@ func (c *Controller) DecideAndRepair(rep *isolation.Report, outageStart time.Dur
 func (c *Controller) Poison(asn topo.ASN, victim netip.Addr) *Repair {
 	r := &Repair{Avoided: asn, Victim: victim, Started: c.clk.Now()}
 	c.active = r
-	c.History = append(c.History, r)
 	c.obs.poisons.Inc()
 	c.eng.Announce(c.cfg.Origin, c.production, bgp.OriginConfig{Pattern: c.poisonPattern(asn)})
 	c.armSentinel()
@@ -295,7 +292,6 @@ func (c *Controller) Poison(asn topo.ASN, victim netip.Addr) *Repair {
 func (c *Controller) PoisonSelective(asn topo.ASN, keepVia topo.ASN, victim netip.Addr) *Repair {
 	r := &Repair{Avoided: asn, Selective: keepVia, Victim: victim, Started: c.clk.Now()}
 	c.active = r
-	c.History = append(c.History, r)
 	c.obs.selectivePoisons.Inc()
 	per := make(map[topo.ASN]topo.Path)
 	for _, p := range c.eng.Topology().Providers(c.cfg.Origin) {

@@ -84,6 +84,19 @@ func watchStubs(n *lifeguard.Network, stubs []topo.ASN, repair bool) (*lifeguard
 	return ses, reach
 }
 
+// poisonsInstalled counts the poisons ses's repair loop announced. A
+// watchStubs session poisons only through DecideAndRepair, whose every
+// verdict the session logs.
+func poisonsInstalled(ses *lifeguard.Session) int {
+	n := 0
+	for _, e := range ses.History {
+		if e.Kind == lifeguard.EventRepair && e.Action == remedy.Poisoned {
+			n++
+		}
+	}
+	return n
+}
+
 func chaosTrial(seed int64, intensity float64, reg *obs.Registry) chaosPart {
 	n, rng := world(seed, topogen.Config{NumTransit: 15, NumStub: 30}, 3, bgp.Config{}, reg)
 	stubs := sample(rng, n.Gen.Stubs, 2)
@@ -98,7 +111,7 @@ func chaosTrial(seed int64, intensity float64, reg *obs.Registry) chaosPart {
 		faults:     rep.Faults,
 		violations: len(rep.Violations),
 		episodes:   len(ses.Monitor.History),
-		poisons:    len(ses.Remedy.History),
+		poisons:    poisonsInstalled(ses),
 	}
 	for _, o := range ses.Monitor.History {
 		if o.End > 0 {

@@ -223,8 +223,7 @@ func buildLossRig(seed int64, reg *obs.Registry) *lossRig {
 	return rig
 }
 
-// lossPart is one victim shard's partial result; the accumulators merge
-// in trial order in the scenario reduce.
+// lossPart is the loss trial's result.
 type lossPart struct {
 	lossRates metrics.Sample
 	spikes    metrics.Counter
@@ -232,10 +231,9 @@ type lossPart struct {
 	under2    metrics.Counter
 }
 
-// lossSweep measures convergence-window loss for one contiguous shard of
-// the victim list. Each victim's cycle re-converges its baseline before
-// poisoning, so victims are independent and the list shards cleanly.
-func lossSweep(seed int64, shard, shards int, reg *obs.Registry) *lossPart {
+// lossSweep measures convergence-window loss for every victim in turn. Each
+// victim's cycle re-converges its baseline before poisoning.
+func lossSweep(seed int64, reg *obs.Registry) *lossPart {
 	rig := buildLossRig(seed, reg)
 	n := rig.n
 	origin := n.Gen.Origin
@@ -243,10 +241,7 @@ func lossSweep(seed int64, shard, shards int, reg *obs.Registry) *lossPart {
 	srcAddr := topo.ProductionAddr(origin)
 	hub := n.Hub(origin)
 
-	for i, a := range rig.victims {
-		if i%shards != shard {
-			continue
-		}
+	for _, a := range rig.victims {
 		n.Eng.Announce(origin, rig.prod, bgp.OriginConfig{Pattern: rig.prepend})
 		converge(n)
 		// Sites cut off entirely by this poison are excluded, as in the
@@ -308,39 +303,30 @@ func lossSweep(seed int64, shard, shards int, reg *obs.Registry) *lossPart {
 // convergence window after each poisoning, ping all measurement sites from
 // the production prefix every 10 virtual seconds and compute the loss rate.
 // The paper: loss under 1% for 60% of poisonings, under 2% for 98%, and
-// only 2% of poisonings had any 10-second round above 10% loss. The two
-// trials sweep interleaved victim shards; the reduce merges their
-// accumulators in trial order.
-var lossScenario = sweep([]int{0, 1},
-	func(seed int64, shard int, reg *obs.Registry) *lossPart { return lossSweep(seed, shard, 2, reg) },
-	reduceLoss)
+// only 2% of poisonings had any 10-second round above 10% loss. It is one
+// trial: one world, every victim in turn.
+var lossScenario = single(func(seed int64, reg *obs.Registry) *Result {
+	return reduceLoss(lossSweep(seed, reg))
+})
 
-func reduceLoss(parts []*lossPart) *Result {
-	merged := &lossPart{}
-	for _, p := range parts {
-		merged.lossRates.Merge(&p.lossRates)
-		merged.spikes.Merge(p.spikes)
-		merged.under1.Merge(p.under1)
-		merged.under2.Merge(p.under2)
-	}
-
+func reduceLoss(p *lossPart) *Result {
 	r := newResult("sec5.2-loss", "packet loss during post-poisoning convergence")
 	tab := &metrics.Table{
 		Title:  "§5.2 — loss during convergence",
 		Header: []string{"poisonings", "frac <1% loss", "frac <2% loss", "frac w/ >10% round"},
 	}
-	tab.AddRow(merged.lossRates.N(), merged.under1.Fraction(), merged.under2.Fraction(), merged.spikes.Fraction())
+	tab.AddRow(p.lossRates.N(), p.under1.Fraction(), p.under2.Fraction(), p.spikes.Fraction())
 	r.addTable(tab)
 
-	r.Values["poisonings"] = float64(merged.lossRates.N())
-	r.Values["frac_loss_under_1pct"] = merged.under1.Fraction()
-	r.Values["frac_loss_under_2pct"] = merged.under2.Fraction()
-	r.Values["frac_with_spike_round"] = merged.spikes.Fraction()
-	r.Values["median_loss_rate"] = merged.lossRates.Percentile(50)
+	r.Values["poisonings"] = float64(p.lossRates.N())
+	r.Values["frac_loss_under_1pct"] = p.under1.Fraction()
+	r.Values["frac_loss_under_2pct"] = p.under2.Fraction()
+	r.Values["frac_with_spike_round"] = p.spikes.Fraction()
+	r.Values["median_loss_rate"] = p.lossRates.Percentile(50)
 
-	r.notef("paper: <1%% loss after 60%% of poisonings; measured %.0f%%", merged.under1.Fraction()*100)
-	r.notef("paper: <2%% loss for 98%% of poisonings; measured %.0f%%", merged.under2.Fraction()*100)
-	r.notef("paper: only 2%% of poisonings had any 10s round over 10%% loss; measured %.0f%%", merged.spikes.Fraction()*100)
+	r.notef("paper: <1%% loss after 60%% of poisonings; measured %.0f%%", p.under1.Fraction()*100)
+	r.notef("paper: <2%% loss for 98%% of poisonings; measured %.0f%%", p.under2.Fraction()*100)
+	r.notef("paper: only 2%% of poisonings had any 10s round over 10%% loss; measured %.0f%%", p.spikes.Fraction()*100)
 	return r
 }
 

@@ -8,7 +8,8 @@ import (
 )
 
 // RunSuite is the one experiment driver: it runs several experiments across
-// consecutive seeds as one flat trial pool — the sharding axis lgexp uses.
+// consecutive seeds as one flat trial pool, the unit of parallelism lgexp
+// uses.
 // The returned results are indexed [experiment][seed offset], reduced in
 // deterministic order regardless of how the pool interleaved the trials, so
 // every report is byte-identical to a Parallelism 1 run. A failing trial

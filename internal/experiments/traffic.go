@@ -21,60 +21,32 @@ import (
 // pairs with the origin's production prefix every epoch while a scripted
 // reverse-path blackhole runs for 20 minutes; the experiment replays the
 // identical timeline with a lifeguard.Session's auto-repair armed and
-// disarmed, and reports user-seconds lost in each world. The flow
-// population is sharded over destination addresses across runner trials
-// (two shards per mode); per-epoch reports merge in trial order, so the
-// rendered result is byte-identical at any -parallel level.
+// disarmed, and reports user-seconds lost in each world. Each world is one
+// trial.
 
 const (
-	// trafficFlows is the modelled population size per mode (split across
-	// the shards), kept CI-sized.
+	// trafficFlows is the modelled population size per mode, kept
+	// CI-sized.
 	trafficFlows = 120_000
-	// trafficShards fixes the destination sharding. Two is enough to keep
-	// the merge path honest without doubling trial cost further.
-	trafficShards = 2
 	// trafficEpoch is the accounting interval; it equals the monitor's
 	// default round interval so served-traffic accounting and detection
 	// share a timescale.
 	trafficEpoch = 30 * time.Second
 )
 
-// trafficPart is one (mode, shard) trial outcome.
+// trafficPart is one world's trial outcome.
 type trafficPart struct {
-	repair     bool
-	shard      int
 	flows      int
 	eps        []traffic.EpochReport
 	poisons    int
 	violations int
 }
 
-// trafficCell is one trial's (mode, shard): every repair shard, then every
-// norepair shard.
-type trafficCell struct {
-	repair bool
-	shard  int
-}
-
-var trafficScenario = sweep(trafficCells(),
-	func(seed int64, c trafficCell, reg *obs.Registry) trafficPart {
-		return trafficTrial(seed, c.repair, c.shard, reg)
-	},
-	reduceTraffic)
-
-func trafficCells() []trafficCell {
-	var cs []trafficCell
-	for _, repair := range []bool{true, false} {
-		for shard := range trafficShards {
-			cs = append(cs, trafficCell{repair, shard})
-		}
-	}
-	return cs
-}
+// trafficScenario runs the repair world, then the norepair world.
+var trafficScenario = sweep([]bool{true, false}, trafficTrial, reduceTraffic)
 
 // trafficDests spreads the monitored destinations over the origin's
-// production /24 — one routed prefix, several user-facing addresses, so
-// destination sharding has something to cut across.
+// production /24: one routed prefix, several user-facing addresses.
 func trafficDests(origin topo.ASN) []traffic.Dest {
 	base := topo.ProductionAddr(origin).As4()
 	var dests []traffic.Dest
@@ -85,7 +57,7 @@ func trafficDests(origin topo.ASN) []traffic.Dest {
 	return dests
 }
 
-func trafficTrial(seed int64, repair bool, shard int, reg *obs.Registry) trafficPart {
+func trafficTrial(seed int64, repair bool, reg *obs.Registry) trafficPart {
 	n, rng := world(seed, topogen.Config{NumTransit: 12, NumStub: 24}, 3, bgp.Config{}, reg)
 
 	// The user populations sit behind four remote stubs; the same stubs
@@ -98,13 +70,11 @@ func trafficTrial(seed int64, repair bool, shard int, reg *obs.Registry) traffic
 
 	// Vantages default to the monitored targets' ASes, in target order.
 	gen, err := ses.AttachTraffic(lifeguard.TrafficConfig{
-		Seed:       uint64(seed) ^ 0x7AFF1C,
-		Flows:      trafficFlows,
-		Dests:      trafficDests(n.Gen.Origin),
-		Epoch:      trafficEpoch,
-		Churn:      0.02,
-		ShardIndex: shard,
-		ShardCount: trafficShards,
+		Seed:  uint64(seed) ^ 0x7AFF1C,
+		Flows: trafficFlows,
+		Dests: trafficDests(n.Gen.Origin),
+		Epoch: trafficEpoch,
+		Churn: 0.02,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("traffic experiment: %v", err))
@@ -112,7 +82,7 @@ func trafficTrial(seed int64, repair bool, shard int, reg *obs.Registry) traffic
 
 	// Epochs close on the monitor's cadence, one event behind its round,
 	// so an epoch's packets see any poison that round just installed.
-	part := trafficPart{repair: repair, shard: shard, flows: gen.Flows()}
+	part := trafficPart{flows: gen.Flows()}
 	var epoch func()
 	epoch = func() {
 		part.eps = append(part.eps, gen.RunEpoch())
@@ -125,7 +95,7 @@ func trafficTrial(seed int64, repair bool, shard int, reg *obs.Registry) traffic
 		panic(fmt.Sprintf("traffic experiment: %v", err))
 	}
 
-	part.poisons = len(ses.Remedy.History)
+	part.poisons = poisonsInstalled(ses)
 	part.violations = len(rep.Violations)
 	return part
 }
@@ -133,8 +103,8 @@ func trafficTrial(seed int64, repair bool, shard int, reg *obs.Registry) traffic
 // trafficScript injects the paper's canonical fault — an AS partway down
 // the monitored reverse path silently blackholing everything toward the
 // origin's block — for 20 minutes, then demands convergence back to
-// baseline. The faulted AS is derived from routing state, identically on
-// every shard and in both repair worlds.
+// baseline. The faulted AS is derived from routing state, identically in
+// both repair worlds.
 func trafficScript(n *lifeguard.Network, vantages []topo.ASN) *chaos.Script {
 	origin := n.Gen.Origin
 	avoid := map[topo.ASN]bool{origin: true}
@@ -173,42 +143,29 @@ func trafficScript(n *lifeguard.Network, vantages []topo.ASN) *chaos.Script {
 func reduceTraffic(parts []trafficPart) *Result {
 	r := newResult("traffic", "user-seconds lost through outage→repair, with and without LIFEGUARD")
 
-	// Parts arrive in trial order: repair shards first, then norepair.
-	byMode := map[bool][][]traffic.EpochReport{}
-	flows := map[bool]int{}
-	poisons, violations := 0, 0
-	for _, t := range parts {
-		byMode[t.repair] = append(byMode[t.repair], t.eps)
-		flows[t.repair] += t.flows
-		poisons += t.poisons
-		violations += t.violations
-	}
-	sums := map[bool]traffic.Summary{}
+	// Parts arrive in trial order: the repair world, then norepair.
 	tab := &metrics.Table{
 		Title:  "traffic — served user traffic vs repair (20-minute reverse-path blackhole)",
 		Header: []string{"mode", "flows", "epochs", "packets", "availability", "user-seconds lost"},
 	}
-	for _, repair := range []bool{true, false} {
-		merged, err := traffic.MergeEpochs(byMode[repair]...)
-		if err != nil {
-			panic(fmt.Sprintf("traffic experiment: merge: %v", err))
-		}
-		sum := traffic.Summarize(merged)
-		sums[repair] = sum
-		mode := "norepair"
-		if repair {
-			mode = "repair"
-		}
-		tab.AddRow(mode, flows[repair], sum.Epochs, sum.Packets,
+	var lost [2]int64
+	poisons, violations := 0, 0
+	for i, mode := range []string{"repair", "norepair"} {
+		p := parts[i]
+		sum := traffic.Summarize(p.eps)
+		lost[i] = sum.UserSecondsLost
+		poisons += p.poisons
+		violations += p.violations
+		tab.AddRow(mode, p.flows, sum.Epochs, sum.Packets,
 			sum.Availability(), sum.UserSecondsLost)
 		r.Values["user_seconds_lost_"+mode] = float64(sum.UserSecondsLost)
 		r.Values["availability_"+mode] = sum.Availability()
 	}
 	r.addTable(tab)
 
-	lostRepair := sums[true].UserSecondsLost
-	lostNone := sums[false].UserSecondsLost
-	r.Values["flows_total"] = float64(flows[true])
+	lostRepair, lostNone := lost[0], lost[1]
+	flows := parts[0].flows
+	r.Values["flows_total"] = float64(flows)
 	r.Values["poisons_total"] = float64(poisons)
 	r.Values["violations_total"] = float64(violations)
 	if lostNone > 0 {
@@ -216,7 +173,7 @@ func reduceTraffic(parts []trafficPart) *Result {
 	}
 
 	r.notef("%d flows behind 4 vantage ASes, %d invariant violations (want 0); the same fault timeline costs %d user-seconds without repair and %d with the poison loop armed",
-		flows[true], violations, lostNone, lostRepair)
+		flows, violations, lostNone, lostRepair)
 	r.notef("the paper's Fig. 5/6 claim is exactly this contrast: locating and poisoning around a persistent reverse-path failure restores most of the outage's user traffic that waiting for the provider would forfeit")
 	return r
 }

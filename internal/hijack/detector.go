@@ -34,8 +34,6 @@ type Detector struct {
 	OnClear func(*Alarm)
 
 	active map[alarmKey]*Alarm
-	// History lists every alarm ever raised, in detection order.
-	History []*Alarm
 
 	started bool
 	ticker  simclock.EventID
@@ -199,7 +197,6 @@ func (d *Detector) Scan() {
 			a.Latency = now - first
 		}
 		d.active[k] = a
-		d.History = append(d.History, a)
 		d.mAlarms(k.class).Inc()
 		if d.OnAlarm != nil {
 			d.OnAlarm(a)

@@ -83,24 +83,39 @@ func pipeline(t *testing.T) (*nettest.Net, *remedy.Controller, *hijack.Detector,
 	return n, ctl, det, resp
 }
 
+// recordAlarms chains onto det.OnAlarm and returns every alarm raised from
+// now on, in detection order.
+func recordAlarms(det *hijack.Detector) *[]*hijack.Alarm {
+	var alarms []*hijack.Alarm
+	next := det.OnAlarm
+	det.OnAlarm = func(a *hijack.Alarm) {
+		alarms = append(alarms, a)
+		if next != nil {
+			next(a)
+		}
+	}
+	return &alarms
+}
+
 // TestDetectSubPrefix runs the headline scenario: a rogue more-specific
 // appears in the collector streams and must be classified as a sub-prefix
 // hijack of the covering owner, with a positive detection latency, and the
 // alarm must clear once the rogue withdraws.
 func TestDetectSubPrefix(t *testing.T) {
 	n, _, det, _ := pipeline(t)
+	alarms := recordAlarms(det)
 	sub := netip.MustParsePrefix("1.10.128.0/24")
 	n.Clk.RunFor(1 * time.Minute)
-	if len(det.History) != 0 {
-		t.Fatalf("false alarms before the attack: %v", det.History[0])
+	if len(*alarms) != 0 {
+		t.Fatalf("false alarms before the attack: %v", (*alarms)[0])
 	}
 
 	n.Eng.Announce(nettest.F, sub, bgp.OriginConfig{})
 	n.Clk.RunFor(2 * time.Minute)
-	if len(det.History) != 1 {
-		t.Fatalf("%d alarms, want exactly 1", len(det.History))
+	if len(*alarms) != 1 {
+		t.Fatalf("%d alarms, want exactly 1", len(*alarms))
 	}
-	a := det.History[0]
+	a := (*alarms)[0]
 	if a.Class != hijack.SubPrefix || a.Rogue != nettest.F || a.Owner != nettest.O || a.Prefix != sub {
 		t.Fatalf("misclassified: %v", a)
 	}
@@ -126,11 +141,12 @@ func TestDetectSubPrefix(t *testing.T) {
 // adjacency.
 func TestDetectExactAndForged(t *testing.T) {
 	n, _, det, _ := pipeline(t)
+	alarms := recordAlarms(det)
 
 	n.Eng.Announce(nettest.F, topo.Block(nettest.O), bgp.OriginConfig{})
 	n.Clk.RunFor(1 * time.Minute)
-	if len(det.History) != 1 || det.History[0].Class != hijack.ExactPrefix || det.History[0].Rogue != nettest.F {
-		t.Fatalf("exact hijack not detected: %v", det.History)
+	if len(*alarms) != 1 || (*alarms)[0].Class != hijack.ExactPrefix || (*alarms)[0].Rogue != nettest.F {
+		t.Fatalf("exact hijack not detected: %v", *alarms)
 	}
 	n.Eng.Withdraw(nettest.F, topo.Block(nettest.O))
 	n.Clk.RunFor(1 * time.Minute)
@@ -141,10 +157,10 @@ func TestDetectExactAndForged(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Clk.RunFor(1 * time.Minute)
-	if len(det.History) != 2 {
-		t.Fatalf("%d alarms, want 2", len(det.History))
+	if len(*alarms) != 2 {
+		t.Fatalf("%d alarms, want 2", len(*alarms))
 	}
-	a := det.History[1]
+	a := (*alarms)[1]
 	if a.Class != hijack.ForgedOrigin || a.Rogue != nettest.F || a.Owner != nettest.D {
 		t.Fatalf("forged origin misclassified: %v", a)
 	}

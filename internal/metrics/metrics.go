@@ -30,22 +30,6 @@ func (s *Sample) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.vals) }
 
-// Merge appends all of o's observations to s, leaving o unchanged. This is
-// the accumulator half of the parallel trial runner's contract: a sample
-// assembled by merging fresh per-trial samples in trial order holds its
-// observations in exactly the order a single sequential run would have
-// added them, so every statistic — including order-sensitive float sums
-// like Mean — is bit-identical to the concatenated-sample result. (If s or
-// o has already been sorted by a percentile query, the multiset is still
-// identical, so rank statistics remain exact.)
-func (s *Sample) Merge(o *Sample) {
-	if o == nil || len(o.vals) == 0 {
-		return
-	}
-	s.vals = append(s.vals, o.vals...)
-	s.sorted = false
-}
-
 func (s *Sample) sort() {
 	if !s.sorted {
 		sort.Float64s(s.vals)
@@ -197,13 +181,6 @@ func (c *Counter) Observe(hit bool) {
 	if hit {
 		c.Hits++
 	}
-}
-
-// Merge folds o's tallies into c; observation order never mattered for a
-// counter, so merged and sequential accounting agree exactly.
-func (c *Counter) Merge(o Counter) {
-	c.Hits += o.Hits
-	c.Total += o.Total
 }
 
 // Fraction reports Hits/Total, or NaN when nothing was observed.

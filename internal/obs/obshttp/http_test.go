@@ -124,9 +124,9 @@ func TestPprofIndexServes(t *testing.T) {
 
 func TestParserRejectsMalformed(t *testing.T) {
 	bad := []string{
-		"lifeguard_x_total 1\n",                             // sample with no TYPE
-		"# TYPE lifeguard_x_total counter\nlifeguard_x_total{le=} 1\n", // label syntax
-		"# TYPE lifeguard_x_total wibble\n",                 // unknown type
+		"lifeguard_x_total 1\n", // sample with no TYPE
+		"# TYPE lifeguard_x_total counter\nlifeguard_x_total{le=} 1\n",                                           // label syntax
+		"# TYPE lifeguard_x_total wibble\n",                                                                      // unknown type
 		"# TYPE lifeguard_h histogram\nlifeguard_h_bucket{le=\"1\"} 2\nlifeguard_h_sum 1\nlifeguard_h_count 2\n", // no +Inf
 	}
 	for _, text := range bad {

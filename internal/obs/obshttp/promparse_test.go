@@ -128,10 +128,10 @@ func validateFamily(f *promFamily) error {
 	}
 	// Histogram: group by the non-le labels, then check each series.
 	type hist struct {
-		les    []float64
-		cums   []float64
-		sum    *float64
-		count  *float64
+		les   []float64
+		cums  []float64
+		sum   *float64
+		count *float64
 	}
 	groups := make(map[string]*hist)
 	for _, s := range f.samples {

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"fmt"
 	"time"
 
 	"lifeguard/internal/dataplane"
@@ -10,9 +9,7 @@ import (
 // nreasons sizes the by-reason arrays; index by dataplane.DropReason.
 const nreasons = int(dataplane.ForwardLoop) + 1
 
-// EpochReport is one shard's accounting for one epoch. All fields are
-// integers so that merging is exact and order-independent — the basis of
-// the byte-identical-at-any-parallelism contract.
+// EpochReport is a flow population's accounting for one epoch.
 type EpochReport struct {
 	// Epoch is the zero-based epoch index; VTime the sim-clock time the
 	// epoch closed at; Seconds its length.
@@ -38,38 +35,6 @@ func (r *EpochReport) Availability() float64 {
 		return 1
 	}
 	return float64(r.Served) / float64(r.Flows)
-}
-
-// MergeEpochs folds per-shard epoch series into the series an unsharded
-// generator with the same Config would have produced. Every part must
-// cover the same epochs (same index, close time, and length); integer
-// sums make the result independent of part order.
-func MergeEpochs(parts ...[]EpochReport) ([]EpochReport, error) {
-	if len(parts) == 0 {
-		return nil, nil
-	}
-	merged := append([]EpochReport(nil), parts[0]...)
-	for pi, part := range parts[1:] {
-		if len(part) != len(merged) {
-			return nil, fmt.Errorf("traffic: shard %d has %d epochs, shard 0 has %d",
-				pi+1, len(part), len(merged))
-		}
-		for i := range part {
-			m, p := &merged[i], &part[i]
-			if p.Epoch != m.Epoch || p.VTime != m.VTime || p.Seconds != m.Seconds {
-				return nil, fmt.Errorf("traffic: shard %d epoch %d timeline mismatch", pi+1, i)
-			}
-			m.Flows += p.Flows
-			m.Served += p.Served
-			m.Lost += p.Lost
-			m.Packets += p.Packets
-			for r := range m.LostByReason {
-				m.LostByReason[r] += p.LostByReason[r]
-			}
-			m.UserSecondsLost += p.UserSecondsLost
-		}
-	}
-	return merged, nil
 }
 
 // Summary totals an epoch series.

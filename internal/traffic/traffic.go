@@ -13,20 +13,13 @@
 // core observation is that reverse-path failures are both common and
 // invisible to forward-only probing.
 //
-// Determinism and sharding. All randomness (initial vantage assignment and
-// per-epoch churn) comes from one SplitMix64 stream per destination, seeded
-// from Config.Seed and the destination's global index in Config.Dests —
-// never from the shard layout. A generator configured with
-// ShardIndex/ShardCount owns the destinations whose global index hashes to
-// its shard and produces per-epoch reports covering only those flows;
-// MergeEpochs folds any sharding of the same Config back into reports
-// byte-identical to an unsharded run. That is the same merge contract the
-// runner and experiment suites commit to: output is invariant to
-// parallelism. It holds while every packet's fate is a function of its
-// header. A fractional-DropProb rule (dataplane.LossyAS) draws its verdicts
-// from the plane's per-packet sequence number, and sharding changes which
-// packets share a plane, so under such a rule a merge is a different draw
-// from the unsharded run, not a copy of it.
+// Determinism. All randomness (initial vantage assignment and per-epoch
+// churn) comes from one SplitMix64 stream per destination, seeded from
+// Config.Seed and the destination's index in Config.Dests, so two
+// generators with equal Config over identical rigs produce identical
+// reports. A generator models the whole population of its world: an
+// experiment that wants parallelism runs independent worlds, never slices
+// of one.
 //
 // Allocation discipline. Flow state is a dense array of vantage indices
 // (two bytes per flow). A flow group — the flows of one (destination,
@@ -61,14 +54,13 @@ type Config struct {
 	// Seed drives every random choice. Two generators with equal Config
 	// produce byte-identical epoch reports.
 	Seed uint64
-	// Flows is the total modelled flow count across all destinations and
-	// shards.
+	// Flows is the total modelled flow count across all destinations.
 	Flows int
 	// Vantages are the ASes the user populations sit behind. Flows source
 	// from each vantage's production address and inject at its hub router.
 	Vantages []topo.ASN
-	// Dests is the destination mix. Order matters: a destination's global
-	// index seeds its random stream and decides its shard.
+	// Dests is the destination mix. Order matters: a destination's index
+	// seeds its random stream.
 	Dests []Dest
 	// Epoch is the accounting interval; every flow exchanges one packet
 	// pair per epoch. Must be a whole number of seconds. Zero means 10s.
@@ -76,12 +68,6 @@ type Config struct {
 	// Churn is the per-epoch probability that a flow departs and is
 	// replaced by a fresh arrival (possibly behind a different vantage).
 	Churn float64
-	// ShardIndex/ShardCount select the slice of destinations this
-	// generator simulates: those with global index ≡ ShardIndex (mod
-	// ShardCount). Zero ShardCount means the whole population. Merged
-	// shards equal the unsharded run only while fates are functions of the
-	// header: no fractional-DropProb rule live (see the package doc).
-	ShardIndex, ShardCount int
 }
 
 func (cfg *Config) epoch() time.Duration {
@@ -100,8 +86,7 @@ type Deps struct {
 	Journal *obs.Journal
 }
 
-// stream is a SplitMix64 sequence; one per destination, so results never
-// depend on which shard (or worker) simulates the destination.
+// stream is a SplitMix64 sequence; one per destination.
 type stream struct{ state uint64 }
 
 func (s *stream) next() uint64 {
@@ -117,9 +102,8 @@ func (s *stream) float() float64 { return float64(s.next()>>11) / (1 << 53) }
 
 // destState is one destination's slice of the population.
 type destState struct {
-	global int // index in Config.Dests
-	rng    stream
-	flows  []uint16 // vantage index per flow; the whole per-flow state
+	rng   stream
+	flows []uint16 // vantage index per flow; the whole per-flow state
 	// groups[v] carries the packets of the flows behind vantage v: the
 	// request from the vantage's hub, the reply from the destination's.
 	groups []flowGroup
@@ -129,13 +113,13 @@ type destState struct {
 // sends, the way monitor's pair holds its Pinger.
 type flowGroup struct{ req, reply dataplane.Flow }
 
-// Generator owns one shard of the flow population.
+// Generator owns a world's flow population.
 type Generator struct {
 	cfg Config
 	clk *simclock.Scheduler
 
-	dests []destState // this shard's destinations
-	flows int         // flows in this shard
+	dests []destState // indexed like Config.Dests
+	flows int
 
 	epoch  int
 	counts []int64 // per-vantage scratch, reused per destination
@@ -157,7 +141,7 @@ type generatorObs struct {
 	active      *obs.Gauge
 }
 
-// New validates cfg and builds the shard's flow population. The population
+// New validates cfg and builds the flow population. The population
 // is assigned deterministically: destination flow counts by largest
 // remainder over the weights, vantages by each destination's own stream.
 func New(d Deps, cfg Config) (*Generator, error) {
@@ -184,13 +168,6 @@ func New(d Deps, cfg Config) (*Generator, error) {
 			return nil, fmt.Errorf("traffic: Dests[%d].Weight must not be negative, got %d", i, dst.Weight)
 		}
 	}
-	if cfg.ShardCount == 0 {
-		cfg.ShardCount = 1
-	}
-	if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount {
-		return nil, fmt.Errorf("traffic: ShardIndex %d outside [0,%d)", cfg.ShardIndex, cfg.ShardCount)
-	}
-
 	g := &Generator{
 		cfg:     cfg,
 		clk:     d.Clk,
@@ -206,14 +183,8 @@ func New(d Deps, cfg Config) (*Generator, error) {
 		hubs[i] = as.Routers[0]
 	}
 
-	// Global flow counts per destination (largest remainder), computed
-	// identically on every shard so shard membership is the only
-	// difference between two shards of the same Config.
 	counts := apportion(cfg.Flows, cfg.Dests)
 	for i, dst := range cfg.Dests {
-		if i%cfg.ShardCount != cfg.ShardIndex {
-			continue
-		}
 		owner, ok := topo.OwnerOf(dst.Addr)
 		if !ok {
 			return nil, fmt.Errorf("traffic: destination %v outside the address plan", dst.Addr)
@@ -223,7 +194,6 @@ func New(d Deps, cfg Config) (*Generator, error) {
 			return nil, fmt.Errorf("traffic: destination %v owner AS%d not in topology", dst.Addr, owner)
 		}
 		ds := destState{
-			global: i,
 			rng:    stream{state: cfg.Seed + uint64(i)*0x9E3779B9},
 			flows:  make([]uint16, counts[i]),
 			groups: make([]flowGroup, len(cfg.Vantages)),
@@ -267,7 +237,7 @@ func apportion(total int, dests []Dest) []int {
 		assigned += counts[i]
 	}
 	// Hand the rounding leftovers to destinations in decreasing remainder
-	// order, ties broken by index — stable regardless of shard layout.
+	// order, ties broken by index.
 	for assigned < total {
 		best := 0
 		for i, r := range rems {
@@ -299,7 +269,7 @@ func (g *Generator) Instrument(reg *obs.Registry) {
 	g.obs.active.Set(int64(g.flows))
 }
 
-// Flows reports the number of flows this shard models.
+// Flows reports the number of flows the generator models.
 func (g *Generator) Flows() int { return g.flows }
 
 // Epoch reports the accounting interval.
@@ -307,7 +277,7 @@ func (g *Generator) Epoch() time.Duration { return g.cfg.epoch() }
 
 // RunEpoch closes one accounting epoch at the clock's current time: churns
 // the population, exchanges every flow's packet pair against the current
-// RIB and failure table, and returns the shard's report. It never advances
+// RIB and failure table, and returns the epoch's report. It never advances
 // the clock — the caller owns time, typically alternating
 // clk.RunFor(Epoch()) with RunEpoch() so routing events interleave with
 // accounting.

@@ -63,7 +63,7 @@ func popConfig(r *rig) Config {
 // providerOf returns the last transit AS on the forwarding path from one
 // of the population's vantages to addr — a fault there blackholes the
 // destination for every vantage routing through it. Pure function of the
-// rig, so every shard derives the same fault.
+// rig, so twin rigs derive the same fault.
 func providerOf(t *testing.T, r *rig, from topo.ASN, addr netip.Addr) topo.ASN {
 	t.Helper()
 	probe := r.plane.Forward(r.res.Top.AS(from).Routers[0], dataplane.Packet{Dst: addr})
@@ -76,8 +76,8 @@ func providerOf(t *testing.T, r *rig, from topo.ASN, addr netip.Addr) topo.ASN {
 
 // runEpochs plays a fixed timeline against g: three clean epochs, a
 // unidirectional blackhole toward the first destination for three epochs,
-// then repair and three more. Shards replaying this against their own rigs
-// see identical routing state at every epoch. Each epoch is closed by
+// then repair and three more. Twin rigs replaying this see identical
+// routing state at every epoch. Each epoch is closed by
 // epoch(g): (*Generator).RunEpoch, or a reference to hold it to.
 func runEpochs(t *testing.T, r *rig, g *Generator, epoch func(*Generator) EpochReport) []EpochReport {
 	dst := topo.ProductionAddr(r.res.Stubs[8])
@@ -110,46 +110,6 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(runs[0], runs[1]) {
 		t.Fatalf("two identical runs diverged:\n%+v\n%+v", runs[0], runs[1])
-	}
-}
-
-// TestShardMergeIdentity is the sharding contract: three shards, each on
-// its own identical rig, merge to the exact report series of an unsharded
-// run — the property the runner-parallel experiment relies on. The
-// timeline installs deterministic rules only: the contract covers fates
-// that are functions of the header. A lossy rule's verdicts hash the
-// plane's per-packet sequence number, and each shard numbers only its own
-// packets, so under one the merge is a different draw, not the same run.
-func TestShardMergeIdentity(t *testing.T) {
-	r := newRig(t)
-	g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, popConfig(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := runEpochs(t, r, g, (*Generator).RunEpoch)
-
-	var parts [][]EpochReport
-	total := 0
-	for shard := 0; shard < 3; shard++ {
-		sr := newRig(t)
-		cfg := popConfig(sr)
-		cfg.ShardIndex, cfg.ShardCount = shard, 3
-		sg, err := New(Deps{Top: sr.res.Top, Clk: sr.clk, Plane: sr.plane}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += sg.Flows()
-		parts = append(parts, runEpochs(t, sr, sg, (*Generator).RunEpoch))
-	}
-	if total != g.Flows() {
-		t.Fatalf("shards model %d flows, whole population is %d", total, g.Flows())
-	}
-	merged, err := MergeEpochs(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, whole) {
-		t.Fatalf("sharded merge diverged from unsharded run:\nmerged: %+v\nwhole:  %+v", merged, whole)
 	}
 }
 
@@ -275,7 +235,6 @@ func TestConfigValidation(t *testing.T) {
 		"bad churn":        func(c *Config) { c.Churn = 1.5 },
 		"NaN churn":        func(c *Config) { c.Churn = math.NaN() },
 		"negative weight":  func(c *Config) { c.Dests[1].Weight = -1 },
-		"bad shard":        func(c *Config) { c.ShardIndex = 4; c.ShardCount = 4 },
 	} {
 		cfg := base
 		cfg.Dests = slices.Clone(base.Dests)
@@ -295,7 +254,7 @@ func refEpoch(r *rig) func(*Generator) EpochReport {
 		rep := EpochReport{Epoch: g.epoch, VTime: g.clk.Now(), Seconds: int64(g.Epoch() / time.Second)}
 		for di := range g.dests {
 			d := &g.dests[di]
-			dst := g.cfg.Dests[d.global].Addr
+			dst := g.cfg.Dests[di].Addr
 			owner, _ := topo.OwnerOf(dst)
 			g.regroup(d)
 			for vi, n := range g.counts {

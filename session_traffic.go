@@ -22,14 +22,8 @@ type (
 	TrafficSummary = traffic.Summary
 )
 
-// Traffic-report helpers re-exported from internal/traffic.
-var (
-	// MergeTrafficEpochs folds per-shard epoch series back into the
-	// unsharded series (byte-identical at any shard count).
-	MergeTrafficEpochs = traffic.MergeEpochs
-	// SummarizeTraffic totals an epoch series.
-	SummarizeTraffic = traffic.Summarize
-)
+// SummarizeTraffic totals an epoch series; re-exported from internal/traffic.
+var SummarizeTraffic = traffic.Summarize
 
 // AttachTraffic wires a flow-population generator to the session's rig and
 // tenant: packets forward on the shared data plane, metrics land in the
