@@ -76,13 +76,16 @@ daemon-smoke:
 # header through Flow.ForwardN, announcements and rule changes against the
 # uncached walk), the scheduler (random op
 # programs, with delays from 1 ms to 48 h and on either side of 2^k ns,
-# holding the radix heap to the container/heap reference model) and the
-# chaos script parser (no panics; accepted scripts round-trip); CI runs
-# this on every push.
+# holding the radix heap to the container/heap reference model), the
+# chaos script parser (no panics; accepted scripts round-trip) and the
+# traffic churn (any counts up to 2^31 and any rate in [0, 1], subnormals
+# included: population conserved, no negative count, draws exactly
+# 2·departures + non-empty vantages); CI runs this on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzWalkCache -fuzztime=20s ./internal/dataplane/
 	$(GO) test -run '^$$' -fuzz=FuzzScheduler -fuzztime=15s ./internal/simclock/
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/chaos/
+	$(GO) test -run '^$$' -fuzz=FuzzChurn -fuzztime=5s ./internal/traffic/
 
 # bench-all is a 1x pass over every Go benchmark in the repo (-short skips
 # the 10k-AS ConvergenceScale case); CI runs it on every push so that a

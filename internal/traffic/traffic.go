@@ -17,19 +17,24 @@
 // churn) comes from one SplitMix64 stream per destination, seeded from
 // Config.Seed and the destination's index in Config.Dests, so two
 // generators with equal Config over identical rigs produce identical
-// reports. A generator models the whole population of its world: an
-// experiment that wants parallelism runs independent worlds, never slices
-// of one.
+// reports. New draws one value per flow to place it behind a vantage. An
+// epoch's churn then draws per departing flow, not per flow: D departures
+// and the vantages that held flows cost 2·D + (non-empty vantages) draws,
+// Churn = 1 costs D (every flow leaves, no skipping), Churn = 0 none.
+// A generator models the whole population of its world: an experiment
+// that wants parallelism runs independent worlds, never slices of one.
 //
-// Allocation discipline. Flow state is a dense array of vantage indices
-// (two bytes per flow). A flow group — the flows of one (destination,
-// vantage) — is one dataplane.Flow per direction, held for the generator's
-// life and asked for its whole group at once, so steady-state epochs
-// allocate nothing.
+// Allocation discipline. A flow's fate depends only on its header, so the
+// population is one count per (destination, vantage); there is no
+// per-flow state. A flow group — the flows of one (destination, vantage)
+// — is one dataplane.Flow per direction, held for the generator's life and
+// asked for its whole group at once, so steady-state epochs allocate
+// nothing.
 package traffic
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"time"
 
@@ -97,16 +102,72 @@ func (s *stream) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// float returns a uniform float64 in [0, 1).
-func (s *stream) float() float64 { return float64(s.next()>>11) / (1 << 53) }
+// unit returns a uniform float64 in (0, 1], so its logarithm is finite.
+func (s *stream) unit() float64 { return float64(s.next()>>11+1) / (1 << 53) }
 
 // destState is one destination's slice of the population.
 type destState struct {
-	rng   stream
-	flows []uint16 // vantage index per flow; the whole per-flow state
+	rng    stream
+	counts []int64 // flows behind each vantage; the whole population state
 	// groups[v] carries the packets of the flows behind vantage v: the
 	// request from the vantage's hub, the reply from the destination's.
 	groups []flowGroup
+}
+
+// churn replaces each flow, independently with probability p, by an
+// arrival behind a uniformly drawn vantage, keeping the size constant. On
+// counts that law is D_v ~ Binomial(c_v, p) departures from each vantage,
+// then D = Σ D_v arrivals, each to a uniform vantage.
+func (d *destState) churn(p float64) {
+	if p > 0 {
+		d.arrive(d.depart(p))
+	}
+}
+
+// depart removes each vantage's departures and returns how many left. It
+// skips from one departing flow to the next: the gap is geometric,
+// 1 + ⌊ln U / ln(1−p)⌋ for U in (0, 1], so a vantage costs one draw per
+// departure plus the one that overshoots its count.
+func (d *destState) depart(p float64) int64 {
+	var total int64
+	if p == 1 { // every gap would be 1: all leave, and nothing is drawn
+		for v, c := range d.counts {
+			total += c
+			d.counts[v] = 0
+		}
+		return total
+	}
+	lq := math.Log1p(-p) // ln(1−p): finite, and nonzero for subnormal p
+	rng := d.rng
+	for v, c := range d.counts {
+		if c == 0 {
+			continue
+		}
+		left, k := c, int64(0) // flows not yet skipped over, departures
+		for {
+			gap := 1 + math.Floor(math.Log(rng.unit())/lq)
+			// Compared as floats: for tiny p the gap overflows to +Inf, and
+			// an out-of-range float→int64 conversion is implementation-dependent.
+			if !(gap <= float64(left)) {
+				break
+			}
+			left -= int64(gap)
+			k++
+		}
+		d.counts[v] = c - k
+		total += k
+	}
+	d.rng = rng
+	return total
+}
+
+// arrive places n arrivals, each behind a uniformly drawn vantage.
+func (d *destState) arrive(n int64) {
+	rng, counts := d.rng, d.counts
+	for range n {
+		counts[rng.next()%uint64(len(counts))]++
+	}
+	d.rng = rng
 }
 
 // flowGroup holds the two headers every flow of one (destination, vantage)
@@ -121,8 +182,7 @@ type Generator struct {
 	dests []destState // indexed like Config.Dests
 	flows int
 
-	epoch  int
-	counts []int64 // per-vantage scratch, reused per destination
+	epoch int
 
 	obs     generatorObs
 	journal *obs.Journal
@@ -151,8 +211,8 @@ func New(d Deps, cfg Config) (*Generator, error) {
 	if cfg.Flows <= 0 {
 		return nil, fmt.Errorf("traffic: Flows must be positive, got %d", cfg.Flows)
 	}
-	if len(cfg.Vantages) == 0 || len(cfg.Vantages) > 1<<16 {
-		return nil, fmt.Errorf("traffic: need 1..65536 vantages, got %d", len(cfg.Vantages))
+	if len(cfg.Vantages) == 0 {
+		return nil, fmt.Errorf("traffic: need at least one vantage")
 	}
 	if len(cfg.Dests) == 0 {
 		return nil, fmt.Errorf("traffic: need at least one destination")
@@ -171,7 +231,6 @@ func New(d Deps, cfg Config) (*Generator, error) {
 	g := &Generator{
 		cfg:     cfg,
 		clk:     d.Clk,
-		counts:  make([]int64, len(cfg.Vantages)),
 		journal: d.Journal,
 	}
 	hubs := make([]topo.RouterID, len(cfg.Vantages)) // injection router per vantage
@@ -183,7 +242,7 @@ func New(d Deps, cfg Config) (*Generator, error) {
 		hubs[i] = as.Routers[0]
 	}
 
-	counts := apportion(cfg.Flows, cfg.Dests)
+	sizes := apportion(cfg.Flows, cfg.Dests)
 	for i, dst := range cfg.Dests {
 		owner, ok := topo.OwnerOf(dst.Addr)
 		if !ok {
@@ -195,12 +254,10 @@ func New(d Deps, cfg Config) (*Generator, error) {
 		}
 		ds := destState{
 			rng:    stream{state: cfg.Seed + uint64(i)*0x9E3779B9},
-			flows:  make([]uint16, counts[i]),
+			counts: make([]int64, len(cfg.Vantages)),
 			groups: make([]flowGroup, len(cfg.Vantages)),
 		}
-		for f := range ds.flows {
-			ds.flows[f] = uint16(ds.rng.next() % uint64(len(cfg.Vantages)))
-		}
+		ds.arrive(int64(sizes[i]))
 		for vi, v := range cfg.Vantages {
 			src := topo.ProductionAddr(v)
 			ds.groups[vi] = flowGroup{
@@ -208,7 +265,7 @@ func New(d Deps, cfg Config) (*Generator, error) {
 				reply: d.Plane.Flow(as.Routers[0], dst.Addr, src),
 			}
 		}
-		g.flows += len(ds.flows)
+		g.flows += sizes[i]
 		g.dests = append(g.dests, ds)
 	}
 	g.Instrument(d.Obs)
@@ -290,8 +347,8 @@ func (g *Generator) RunEpoch() EpochReport {
 	}
 	for di := range g.dests {
 		d := &g.dests[di]
-		g.regroup(d)
-		for vi, n := range g.counts {
+		d.churn(g.cfg.Churn)
+		for vi, n := range d.counts {
 			// Forward leg: the group's n requests toward the destination.
 			// Reply leg, only for flows whose request arrived: this is where
 			// reverse-path failures show up.
@@ -326,21 +383,4 @@ func (g *Generator) RunEpoch() EpochReport {
 			obs.F("user_seconds_lost", rep.UserSecondsLost))
 	}
 	return rep
-}
-
-// regroup churns d's population — each departing flow is replaced by an
-// arrival with a freshly drawn vantage, keeping the size constant — and
-// counts its flows per vantage into g.counts.
-func (g *Generator) regroup(d *destState) {
-	if g.cfg.Churn > 0 {
-		for i := range d.flows {
-			if d.rng.float() < g.cfg.Churn {
-				d.flows[i] = uint16(d.rng.next() % uint64(len(g.cfg.Vantages)))
-			}
-		}
-	}
-	clear(g.counts)
-	for _, v := range d.flows {
-		g.counts[v]++
-	}
 }

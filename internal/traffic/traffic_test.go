@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
 	"reflect"
@@ -243,6 +244,21 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: New accepted an invalid config", name)
 		}
 	}
+
+	// Vantages are not bounded: 2^16+1 of them make a valid population.
+	cfg := base
+	cfg.Dests = base.Dests[:1]
+	cfg.Vantages = make([]topo.ASN, 1<<16+1)
+	for i := range cfg.Vantages {
+		cfg.Vantages[i] = r.res.Stubs[i%4]
+	}
+	g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, cfg)
+	if err != nil {
+		t.Fatalf("%d vantages: %v", len(cfg.Vantages), err)
+	}
+	if rep := g.RunEpoch(); rep.Flows != int64(cfg.Flows) {
+		t.Fatalf("%d vantages: epoch covered %d of %d flows", len(cfg.Vantages), rep.Flows, cfg.Flows)
+	}
 }
 
 // refEpoch is RunEpoch sent one packet at a time: every flow of a group
@@ -256,8 +272,8 @@ func refEpoch(r *rig) func(*Generator) EpochReport {
 			d := &g.dests[di]
 			dst := g.cfg.Dests[di].Addr
 			owner, _ := topo.OwnerOf(dst)
-			g.regroup(d)
-			for vi, n := range g.counts {
+			d.churn(g.cfg.Churn)
+			for vi, n := range d.counts {
 				v := g.cfg.Vantages[vi]
 				src := topo.ProductionAddr(v)
 				delivered := int64(0)
@@ -344,6 +360,299 @@ func TestRunEpochMatchesPerPacket(t *testing.T) {
 			t.Fatalf("epoch %d lost %d of %d flows: the fault epochs must lose some and serve some", e.Epoch, e.Lost, e.Flows)
 		}
 	}
+}
+
+// refRegroup is the per-flow churn counts replaced, kept as the law they
+// must follow: one draw per flow, and a flow that departs (probability p)
+// is replaced by an arrival behind a uniformly drawn vantage. dep and arr
+// accumulate the departures and arrivals per vantage.
+func refRegroup(rng *stream, flows []uint16, p float64, dep, arr []int64) {
+	for i, v := range flows {
+		if float64(rng.next()>>11)/(1<<53) < p {
+			w := uint16(rng.next() % uint64(len(dep)))
+			dep[v]++
+			arr[w]++
+			flows[i] = w
+		}
+	}
+}
+
+// invOdd returns the inverse of an odd m modulo 2^64 (Newton's iteration;
+// each step doubles the correct low bits, from 3).
+func invOdd(m uint64) uint64 {
+	x := m
+	for range 5 {
+		x *= 2 - m*x
+	}
+	return x
+}
+
+// drawsBetween counts the values a stream produced between two of its
+// states: each draw adds SplitMix64's odd increment to the state.
+func drawsBetween(before, after stream) uint64 {
+	return (after.state - before.state) * invOdd(0x9E3779B97F4A7C15)
+}
+
+// streamYielding returns a stream whose next draw is z, by running
+// SplitMix64's output mix backwards.
+func streamYielding(z uint64) stream {
+	unshift := func(y uint64, k uint) uint64 {
+		x := y
+		for range 64/k + 1 {
+			x = y ^ x>>k
+		}
+		return x
+	}
+	x := unshift(z, 31) * invOdd(0x94D049BB133111EB)
+	x = unshift(x, 27) * invOdd(0xBF58476D1CE4E5B9)
+	return stream{state: unshift(x, 30) - 0x9E3779B97F4A7C15}
+}
+
+// wantDraws is the churn's cost identity: per non-empty vantage one draw
+// per departure and one past its count, then one per arrival; Churn = 1
+// skips nothing, and Churn = 0 draws nothing.
+func wantDraws(before []int64, departed int64, p float64) uint64 {
+	switch {
+	case p == 0:
+		return 0
+	case p == 1:
+		return uint64(departed)
+	}
+	nonEmpty := 0
+	for _, c := range before {
+		if c > 0 {
+			nonEmpty++
+		}
+	}
+	return uint64(2*departed) + uint64(nonEmpty)
+}
+
+// churnStep runs d.churn(p) and checks what every epoch keeps: the
+// population's size, no negative count, and the draw identity. It returns
+// the epoch's departures and arrivals per vantage; departures are read off
+// a clone's depart, which consumes the stream as churn's first half does.
+func churnStep(t testing.TB, d *destState, p float64) (dep, arr []int64) {
+	t.Helper()
+	before, rng := slices.Clone(d.counts), d.rng
+	kept := slices.Clone(before)
+	var departed int64
+	if p > 0 {
+		probe := destState{rng: d.rng, counts: kept}
+		departed = probe.depart(p)
+	}
+	d.churn(p)
+
+	dep, arr = make([]int64, len(before)), make([]int64, len(before))
+	var total, was, arrived int64
+	for v, c := range d.counts {
+		dep[v], arr[v] = before[v]-kept[v], c-kept[v]
+		if c < 0 || dep[v] < 0 || dep[v] > before[v] || arr[v] < 0 {
+			t.Fatalf("churn %g: vantage %d went %d → %d with %d departures", p, v, before[v], c, dep[v])
+		}
+		total, was, arrived = total+c, was+before[v], arrived+arr[v]
+	}
+	if total != was || arrived != departed {
+		t.Fatalf("churn %g: population %d → %d, %d departures, %d arrivals", p, was, total, departed, arrived)
+	}
+	if got, want := drawsBetween(rng, d.rng), wantDraws(before, departed, p); got != want {
+		t.Fatalf("churn %g over %v: %d draws for %d departures, want %d", p, before, got, departed, want)
+	}
+	return dep, arr
+}
+
+// lawStats accumulates one churn law's per-vantage departures and
+// arrivals over many epochs.
+type lawStats struct {
+	dep, mean, varSum, sq, arr []float64 // Σ D_v, Σ c_v·p, Σ c_v·p(1−p), Σ (D_v − c_v·p)², Σ A_v
+}
+
+func newLawStats(nv int) *lawStats {
+	return &lawStats{make([]float64, nv), make([]float64, nv), make([]float64, nv), make([]float64, nv), make([]float64, nv)}
+}
+
+func (s *lawStats) add(before, dep, arr []int64, p float64) {
+	for v, c := range before {
+		m := float64(c) * p
+		s.dep[v] += float64(dep[v])
+		s.mean[v] += m
+		s.varSum[v] += m * (1 - p)
+		s.sq[v] += (float64(dep[v]) - m) * (float64(dep[v]) - m)
+		s.arr[v] += float64(arr[v])
+	}
+}
+
+// check holds the departures to Binomial(c_v, p) — mean within 4σ,
+// variance within [0.8, 1.25] of c_v·p(1−p) — and the arrivals to a
+// uniform draw over seven vantages (χ² with 6 degrees of freedom below its
+// 99.9 % point).
+func (s *lawStats) check(t *testing.T, who string) {
+	t.Helper()
+	const chi2Crit = 22.458
+	var arrived float64
+	for v := range s.dep {
+		if d := math.Abs(s.dep[v] - s.mean[v]); d > 4*math.Sqrt(s.varSum[v]) {
+			t.Errorf("%s: vantage %d: %.0f departures, want %.1f ± 4×%.1f", who, v, s.dep[v], s.mean[v], math.Sqrt(s.varSum[v]))
+		}
+		if s.varSum[v] > 0 {
+			if r := s.sq[v] / s.varSum[v]; r < 0.8 || r > 1.25 {
+				t.Errorf("%s: vantage %d: departure variance %.3f× the binomial's", who, v, r)
+			}
+		}
+		arrived += s.arr[v]
+	}
+	exp := arrived / float64(len(s.arr))
+	chi2 := 0.0
+	for _, a := range s.arr {
+		chi2 += (a - exp) * (a - exp) / exp
+	}
+	if chi2 > chi2Crit {
+		t.Errorf("%s: arrivals %v are not uniform: χ² = %.2f > %.2f", who, s.arr, chi2, chi2Crit)
+	}
+}
+
+// TestChurnMatchesPerFlowLaw holds the count churn to refRegroup, the
+// per-flow churn it replaced, from the same skewed start (one vantage
+// empty) over 2 000 chained epochs at three churn rates: both must show
+// binomial departures per vantage around c·p, uniform arrivals, and the
+// same mean departures per epoch, N·p.
+func TestChurnMatchesPerFlowLaw(t *testing.T) {
+	start := []int64{0, 3, 40, 500, 1200, 2500, 5757}
+	const flows, epochs = 10_000, 2000
+	for _, p := range []float64{0.02, 0.5, 1} {
+		t.Run(fmt.Sprint(p), func(t *testing.T) {
+			d := destState{rng: stream{state: 7}, counts: slices.Clone(start)}
+			ref, refFlows := stream{state: 7}, make([]uint16, 0, flows)
+			for v, c := range start {
+				for range c {
+					refFlows = append(refFlows, uint16(v))
+				}
+			}
+			got, want := newLawStats(len(start)), newLawStats(len(start))
+			for range epochs {
+				before := slices.Clone(d.counts)
+				dep, arr := churnStep(t, &d, p)
+				got.add(before, dep, arr, p)
+
+				refBefore := make([]int64, len(start))
+				for _, v := range refFlows {
+					refBefore[v]++
+				}
+				refDep, refArr := make([]int64, len(start)), make([]int64, len(start))
+				refRegroup(&ref, refFlows, p, refDep, refArr)
+				want.add(refBefore, refDep, refArr, p)
+			}
+			got.check(t, "counts")
+			want.check(t, "per-flow reference")
+
+			var dGot, dWant float64
+			for v := range start {
+				dGot += got.dep[v]
+				dWant += want.dep[v]
+			}
+			sigma := math.Sqrt(2 * flows * epochs * p * (1 - p))
+			if math.Abs(dGot-dWant) > 4*sigma {
+				t.Errorf("mean departures per epoch: counts %.2f, per-flow %.2f, N·p = %.0f (σ of the gap %.2f)",
+					dGot/epochs, dWant/epochs, flows*p, sigma/epochs)
+			}
+		})
+	}
+}
+
+// TestChurnDrawsPerEpoch pins the churn's cost through RunEpoch: each
+// destination's stream advances by exactly wantDraws per epoch — one
+// churn per destination per epoch, per departing flow, not per flow — and
+// without churn neither the streams nor the counts move.
+func TestChurnDrawsPerEpoch(t *testing.T) {
+	r := newRig(t)
+	for _, p := range []float64{0, 0.05, 0.5, 1} {
+		cfg := popConfig(r)
+		cfg.Churn = p
+		g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 3 {
+			var want []uint64
+			var before []destState
+			for _, d := range g.dests {
+				probe := destState{rng: d.rng, counts: slices.Clone(d.counts)}
+				var departed int64
+				if p > 0 {
+					departed = probe.depart(p)
+				}
+				want = append(want, wantDraws(d.counts, departed, p))
+				before = append(before, destState{rng: d.rng, counts: slices.Clone(d.counts)})
+			}
+			r.clk.RunFor(g.Epoch())
+			g.RunEpoch()
+			for i, d := range g.dests {
+				if got := drawsBetween(before[i].rng, d.rng); got != want[i] {
+					t.Fatalf("churn %g, destination %d: epoch drew %d values, want %d", p, i, got, want[i])
+				}
+				if p == 0 && !slices.Equal(d.counts, before[i].counts) {
+					t.Fatalf("no churn, destination %d: counts moved %v → %v", i, before[i].counts, d.counts)
+				}
+			}
+		}
+	}
+}
+
+// TestChurnEdgeProbabilities: churn rates at the ends of (0, 1) and the
+// extreme draws U = 1 and U = 2^-53 keep every count in range and the draw
+// identity exact. U = 1 makes ln U = 0, so the first flow departs whatever
+// p is; with ln(1−p) computed as ln of a rounded 1−p that would be 0/0.
+func TestChurnEdgeProbabilities(t *testing.T) {
+	for _, p := range []float64{5e-324, 1e-300, 1 - 0x1p-53} {
+		counts := []int64{0, 1, 2, 1000}
+		if p < 0.5 {
+			counts = append(counts, 1<<40)
+		}
+		for _, z := range []uint64{math.MaxUint64, 0} { // U = 1, U = 2^-53
+			for v, c := range counts {
+				if c == 0 {
+					continue
+				}
+				rng := streamYielding(z)
+				if probe := rng; probe.next() != z {
+					t.Fatalf("streamYielding(%#x) yields something else", z)
+				}
+				d := destState{rng: rng, counts: make([]int64, len(counts))}
+				d.counts[v] = c
+				dep, _ := churnStep(t, &d, p)
+				if z == math.MaxUint64 && dep[v] == 0 {
+					t.Errorf("churn %g, %d flows: U = 1 must make the first flow depart", p, c)
+				}
+			}
+		}
+		d := destState{rng: stream{state: 3}, counts: slices.Clone(counts)}
+		for range 50 {
+			churnStep(t, &d, p)
+		}
+	}
+}
+
+// FuzzChurn drives churn with any seed, three counts up to 2^31 and any
+// churn rate in [0, 1] (the input's bits taken modulo the bits of 1.0, so
+// subnormals, 0 and 1 are all reachable), holding every epoch to churnStep's
+// checks. Inputs expecting more than 2^16 departures are skipped to keep
+// each run short.
+func FuzzChurn(f *testing.F) {
+	f.Add(uint64(1), uint32(0), uint32(1), uint32(1<<31), math.Float64bits(5e-324))
+	f.Add(uint64(2), uint32(5), uint32(17), uint32(3), math.Float64bits(1))
+	f.Add(uint64(3), uint32(9), uint32(0), uint32(100), math.Float64bits(1-0x1p-53))
+	f.Add(uint64(4), uint32(1000), uint32(2000), uint32(3000), math.Float64bits(0.02))
+	f.Add(uint64(5), uint32(7), uint32(7), uint32(7), uint64(0))
+	f.Fuzz(func(t *testing.T, seed uint64, a, b, c uint32, pbits uint64) {
+		p := math.Float64frombits(pbits % (math.Float64bits(1) + 1))
+		counts := []int64{int64(a) % (1<<31 + 1), int64(b) % (1<<31 + 1), int64(c) % (1<<31 + 1)}
+		if float64(counts[0]+counts[1]+counts[2])*p > 1<<16 {
+			t.Skip("too many departures for a fuzz run")
+		}
+		d := destState{rng: stream{state: seed}, counts: counts}
+		for range 3 {
+			churnStep(t, &d, p)
+		}
+	})
 }
 
 // BenchmarkRunEpoch measures one epoch shaped like the repository
