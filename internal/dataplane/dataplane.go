@@ -213,9 +213,6 @@ type Plane struct {
 	// routerAS maps a router to its AS's position in top.ASNs(), the dense
 	// index shared with the RIB's FwdVersion.
 	routerAS []int32
-	// probRules counts the installed rules with a fractional DropProb;
-	// while there are any the walk cache stands down.
-	probRules int
 	// seq numbers every packet injected via Forward; probabilistic rules
 	// hash it so their verdicts are per-packet, order-independent pure
 	// functions (see Rule.DropProb).
@@ -349,9 +346,6 @@ func (pl *Plane) AddFailure(r Rule) FailureID {
 	pl.nextID++
 	pl.failures = append(pl.failures, activeRule{id: pl.nextID, rule: r})
 	pl.touchRule(&r)
-	if r.probabilistic() {
-		pl.probRules++
-	}
 	return pl.nextID
 }
 
@@ -369,9 +363,6 @@ func (pl *Plane) RemoveFailure(id FailureID) bool {
 	if !ok {
 		return false
 	}
-	if pl.failures[i].rule.probabilistic() {
-		pl.probRules--
-	}
 	pl.touchRule(&pl.failures[i].rule)
 	pl.failures = slices.Delete(pl.failures, i, i+1)
 	return true
@@ -384,7 +375,6 @@ func (pl *Plane) ClearFailures() {
 		pl.touchRule(&pl.failures[i].rule)
 	}
 	pl.failures = pl.failures[:0]
-	pl.probRules = 0
 }
 
 // Failure returns the rule installed under id, if it is still active.
@@ -406,9 +396,12 @@ type matchCtx struct {
 	pkt   Packet
 	dstAS topo.ASN // owner of the destination address block
 	seq   uint64   // per-packet sequence number for probabilistic rules
+	// losses, when set, takes the lossy rules met in place of their
+	// verdicts (see walkcache.go).
+	losses *[]lossPoint
 }
 
-func (pl *Plane) dropAtRouter(c *matchCtx, r topo.RouterID) bool {
+func (pl *Plane) dropAtRouter(c *matchCtx, r topo.RouterID, hop int) bool {
 	as := pl.top.Router(r).AS
 	for i := range pl.failures {
 		rule := &pl.failures[i].rule
@@ -424,10 +417,10 @@ func (pl *Plane) dropAtRouter(c *matchCtx, r topo.RouterID) bool {
 		if rule.AtAS == 0 && !rule.HasRouter {
 			continue // empty rule matches nothing
 		}
-		if !rule.pktMatch(c) {
+		if rule.TransitOnly && c.dstAS == as {
 			continue
 		}
-		if rule.TransitOnly && c.dstAS == as {
+		if !c.drops(rule, hop) {
 			continue
 		}
 		return true
@@ -435,7 +428,7 @@ func (pl *Plane) dropAtRouter(c *matchCtx, r topo.RouterID) bool {
 	return false
 }
 
-func (pl *Plane) dropAtCrossing(c *matchCtx, from, to topo.RouterID) bool {
+func (pl *Plane) dropAtCrossing(c *matchCtx, from, to topo.RouterID, hop int) bool {
 	fromAS, toAS := pl.top.Router(from).AS, pl.top.Router(to).AS
 	for i := range pl.failures {
 		rule := &pl.failures[i].rule
@@ -451,7 +444,7 @@ func (pl *Plane) dropAtCrossing(c *matchCtx, from, to topo.RouterID) bool {
 		default:
 			continue
 		}
-		if !rule.pktMatch(c) {
+		if !c.drops(rule, hop) {
 			continue
 		}
 		return true
@@ -470,19 +463,27 @@ func (r *Rule) admits(src, dst netip.Addr) bool {
 		(!r.SrcWithin.IsValid() || r.SrcWithin.Contains(src))
 }
 
-func (r *Rule) pktMatch(c *matchCtx) bool {
+// drops reports whether r, whose location the packet meets at Hops[hop],
+// drops it; a lossy r draws for c.seq, or is noted in c.losses and passed.
+func (c *matchCtx) drops(r *Rule, hop int) bool {
 	if !r.admits(c.pkt.Src, c.pkt.Dst) {
 		return false
 	}
-	if r.probabilistic() {
-		// Threshold comparison on a hash of (seed, packet seq) mapped to
-		// [0, 1): deterministic per packet, independent across rules with
-		// different seeds, and identical at every router the packet
-		// crosses (per-packet loss, not per-hop loss).
-		u := float64(splitmix64(r.ProbSeed^c.seq)>>11) / (1 << 53)
-		return u < r.DropProb
+	if !r.probabilistic() {
+		return true
 	}
-	return true
+	if c.losses != nil {
+		*c.losses = append(*c.losses, lossPoint{hop: hop, seed: r.ProbSeed, prob: r.DropProb})
+		return false
+	}
+	return lost(r.ProbSeed, c.seq, r.DropProb)
+}
+
+// lost is a lossy rule's verdict on the packet numbered seq: a hash of
+// (seed, seq) in [0, 1) against prob — per-packet, not per-hop, loss,
+// independent across rules with different seeds.
+func lost(seed, seq uint64, prob float64) bool {
+	return float64(splitmix64(seed^seq)>>11)/(1<<53) < prob
 }
 
 // splitmix64 is the SplitMix64 finalizer — a cheap, high-quality bijective
@@ -508,12 +509,18 @@ func (pl *Plane) Forward(from topo.RouterID, pkt Packet) Result {
 // forward is the uncached hop-by-hop walk, the reference every cached
 // answer must equal.
 func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
+	return pl.walkFrom(from, pkt, nil)
+}
+
+// walkFrom is forward, except that with losses set it passes the lossy rules
+// it meets and appends them to *losses in hop order.
+func (pl *Plane) walkFrom(from topo.RouterID, pkt Packet, losses *[]lossPoint) Result {
 	ttl := pkt.TTL
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
 	pl.seq++
-	c := &matchCtx{pkt: pkt, seq: pl.seq}
+	c := &matchCtx{pkt: pkt, seq: pl.seq, losses: losses}
 	if owner, ok := topo.OwnerOf(pkt.Dst); ok {
 		c.dstAS = owner
 	}
@@ -535,7 +542,7 @@ func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
 			}
 		}
 		first = false
-		if pl.dropAtRouter(c, r) {
+		if pl.dropAtRouter(c, r, len(res.Hops)-1) {
 			return Blackhole
 		}
 		return Delivered
@@ -582,7 +589,7 @@ func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
 				return res
 			}
 		}
-		if pl.dropAtCrossing(c, egress, ingress) {
+		if pl.dropAtCrossing(c, egress, ingress, len(res.Hops)-1) {
 			res.Reason = Blackhole
 			return res
 		}
@@ -596,23 +603,20 @@ func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
 
 // hostRouter resolves the router that terminates dst inside asn: the exact
 // router if dst is an interface address, otherwise the AS hub (first
-// router), which stands in for hosts of announced prefixes.
+// router), which stands in for hosts of announced prefixes. asn is the AS of
+// the router the packet is at, so it has a first router.
 func (pl *Plane) hostRouter(asn topo.ASN, dst netip.Addr) topo.RouterID {
 	if r, ok := pl.top.RouterByAddr(dst); ok && r.AS == asn {
 		return r.ID
 	}
-	as := pl.top.AS(asn)
-	if len(as.Routers) == 0 {
-		panic(fmt.Sprintf("dataplane: AS %d has no routers", asn))
-	}
-	return as.Routers[0]
+	return pl.top.AS(asn).Routers[0]
 }
 
 // intraPath returns the routers strictly after "from" on the shortest
 // intra-AS path from → to (empty when from == to). BFS over intra-AS links;
 // ties break by adjacency order, which is fixed at Build time. Results are
 // memoized in pathCache; callers iterate the returned slice but must not
-// mutate it.
+// mutate it. A "to" in another AS has no such path.
 func (pl *Plane) intraPath(from, to topo.RouterID) []topo.RouterID {
 	if from == to {
 		return nil
@@ -622,9 +626,6 @@ func (pl *Plane) intraPath(from, to topo.RouterID) []topo.RouterID {
 		return p
 	}
 	asn := pl.top.Router(from).AS
-	if pl.top.Router(to).AS != asn {
-		panic("dataplane: intraPath across ASes")
-	}
 	prev := map[topo.RouterID]topo.RouterID{from: from}
 	queue := []topo.RouterID{from}
 	for len(queue) > 0 {

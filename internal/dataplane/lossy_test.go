@@ -143,56 +143,3 @@ func TestProbabilisticLossDeterministic(t *testing.T) {
 		t.Fatalf("delivered %d/%d: not probabilistic", delivered, len(base))
 	}
 }
-
-// TestProbRuleCountTracksRules pins the bookkeeping that replaced the
-// per-call rule scan: probRules counts exactly the installed rules with a
-// fractional DropProb through add, remove and clear, and the walk cache
-// stands down while it is non-zero and answers again once it is back to
-// zero — out of the entry it already had, since every rule here sits at
-// AS 9, which the walk never crosses.
-func TestProbRuleCountTracksRules(t *testing.T) {
-	top, _, pl := lineNet(t)
-	src := hub(top, 1)
-	pkt := Packet{Src: top.Router(src).Addr, Dst: top.Router(hub(top, 3)).Addr}
-	outcome := func() walkOutcome {
-		t.Helper()
-		_, how := pl.walk(src, pkt)
-		return how
-	}
-
-	if outcome() != walkMiss || outcome() != walkHit {
-		t.Fatal("cache not engaged on a rule-free plane")
-	}
-	pl.AddFailure(BlackholeAS(9))     // deterministic: not counted
-	pl.AddFailure(LossyAS(9, 1.0, 1)) // DropProb >= 1 always drops: not counted
-	a := pl.AddFailure(LossyAS(9, 0.3, 2))
-	b := pl.AddFailure(LossyAS(9, 0.6, 3))
-	if pl.probRules != 2 {
-		t.Fatalf("probRules = %d with two fractional rules installed", pl.probRules)
-	}
-	if outcome() != walkBypass {
-		t.Fatal("cache consulted with a fractional rule live")
-	}
-	pl.RemoveFailure(a)
-	//lint:ignore lglint/failureid deliberately removing twice: the second must not decrement again
-	pl.RemoveFailure(a)
-	if pl.probRules != 1 || outcome() != walkBypass {
-		t.Fatalf("probRules = %d after removing one of two", pl.probRules)
-	}
-	pl.RemoveFailure(b)
-	if pl.probRules != 0 {
-		t.Fatalf("probRules = %d after removing both", pl.probRules)
-	}
-	if outcome() != walkHit {
-		t.Fatal("cache did not re-engage, entry intact, after the last fractional rule was removed")
-	}
-
-	pl.AddFailure(LossyAS(9, 0.5, 4))
-	pl.ClearFailures()
-	if pl.probRules != 0 {
-		t.Fatalf("probRules = %d after ClearFailures", pl.probRules)
-	}
-	if outcome() != walkHit {
-		t.Fatal("cache did not re-engage, entry intact, after ClearFailures")
-	}
-}

@@ -58,11 +58,11 @@ import (
 // makes a Flow for the one packet, so past the lookup there is one path
 // (Flow.walk). Flow.ForwardN sends a run of one header — a traffic flow
 // group — by walking it once and counting the repeats as the hits they would
-// be. The eager rule kill must reach every entry a handle
-// can answer from, so no live entry is ever outside the map: entries are
-// re-walked in place, never replaced, and the one event that empties the
-// map (the size cap) advances a generation that every handle compares
-// before trusting its pointer.
+// be (drawing each, if the walk passed lossy rules). The eager rule kill
+// must reach every entry a handle can answer from, so no live entry is ever
+// outside the map: entries are re-walked in place, never replaced, and the
+// one event that empties the map (the size cap) advances a generation that
+// every handle compares before trusting its pointer.
 //
 // TTL is not part of the key. step spends TTL before it applies a router's
 // rules and the injecting router spends none, so a packet with TTL k sees
@@ -71,9 +71,11 @@ import (
 // max(TTL, DefaultTTL) and answers any smaller TTL by truncating it, which
 // makes a traceroute one walk instead of one per TTL.
 //
-// A live fractional-DropProb rule makes fates per-packet and stands the
-// cache down; non-IPv4 headers (which the address plan never routes) bypass
-// it. Either way pl.seq advances exactly as it would on a walk.
+// A fractional-DropProb rule drops by a pure hash of (ProbSeed, seq), alike
+// at every router, so a stored walk passes such rules and lists them in hop
+// order; each packet draws its seq against the list and is cut at the first
+// drop, unless TTL stops it first. Non-IPv4 headers (which the address plan
+// never routes) bypass the cache. pl.seq advances exactly as on a walk.
 
 // walkCacheCap bounds the cache; reaching it drops every entry. An entry
 // with its 16-hop array is ~0.7 KB, so the bound is ~12 MB — several times
@@ -95,12 +97,21 @@ type asStamp struct {
 	v  uint64
 }
 
-// walkEntry is one header's slot: the Result at max(TTL, DefaultTTL), a
-// stamp per AS run of its Hops, the destination's version, and the
-// RIBVersion at which those last held. live is false for a slot not walked
-// yet and for a walk a rule change killed.
+// lossPoint is a probabilistic rule a stored walk passed: at Hops[hop], or
+// on the link out of it.
+type lossPoint struct {
+	hop  int
+	seed uint64
+	prob float64
+}
+
+// walkEntry is one header's slot: the Result at max(TTL, DefaultTTL), the
+// lossy rules it passed, a stamp per AS run of its Hops, the destination's
+// version, and the RIBVersion at which those last held. live is false for a
+// slot not walked yet and for a walk a rule change killed.
 type walkEntry struct {
 	full    Result
+	losses  []lossPoint
 	stamps  []asStamp
 	dstVer  uint64
 	checked uint64
@@ -112,7 +123,7 @@ type walkEntry struct {
 type walkOutcome uint8
 
 const (
-	walkBypass walkOutcome = iota // cache stood down or header not cacheable
+	walkBypass walkOutcome = iota // header not cacheable
 	walkHit
 	walkMiss
 )
@@ -178,6 +189,21 @@ func (full *Result) atTTL(k int) (Result, bool) {
 		return Result{Reason: TTLExpired, Hops: full.Hops[: k+1 : k+1], LastAS: h.AS, LastRouter: h.Router}, true
 	}
 	return *full, full.Reason != TTLExpired
+}
+
+// draw cuts *res, the fate at TTL k of the packet numbered seq, at the first
+// of e's lossy rules that drops it before hop k, where TTL stops it.
+func (e *walkEntry) draw(res *Result, k int, seq uint64) {
+	for _, p := range e.losses {
+		if p.hop >= k {
+			return
+		}
+		if lost(p.seed, seq, p.prob) {
+			h := e.full.Hops[p.hop]
+			*res = Result{Reason: Blackhole, Hops: e.full.Hops[: p.hop+1 : p.hop+1], LastAS: h.AS, LastRouter: h.Router}
+			return
+		}
+	}
 }
 
 // entry returns key's slot, making an empty one (and room for it, by
@@ -246,8 +272,9 @@ func (f *Flow) Forward(ttl int) Result {
 // Forward(0) — same fates, same counters, same sequence numbering — without
 // the n Results: once the header's slot has answered the first packet, it
 // holds the header's current walk, so every other packet would be a hit
-// with the same fate, and those n-1 are added, not walked. While fates are
-// per packet or the header has no slot, every packet walks.
+// with the same fate, and those n-1 are added, not walked — unless the walk
+// passed lossy rules, when each hit draws its own. A header with no slot
+// walks every packet.
 func (f *Flow) ForwardN(n int64) [ForwardLoop + 1]int64 {
 	var fates [ForwardLoop + 1]int64
 	pl := f.pl
@@ -255,7 +282,7 @@ func (f *Flow) ForwardN(n int64) [ForwardLoop + 1]int64 {
 		res, how := f.walk(0)
 		pl.note(&res, how, 1)
 		fates[res.Reason]++
-		if how != walkBypass {
+		if how != walkBypass && len(f.e.losses) == 0 {
 			rest := n - 1 - i
 			pl.seq += uint64(rest) // as rest walks would have numbered them
 			pl.note(&res, walkHit, rest)
@@ -267,13 +294,13 @@ func (f *Flow) ForwardN(n int64) [ForwardLoop + 1]int64 {
 }
 
 // walk reports the fate of the flow's header at the given TTL: by walking
-// when the header cannot be keyed or fates are not functions of the header,
-// out of the header's slot otherwise — from the stored walk while that
-// stands, by walking (and storing) when it does not. Every packet the plane
+// when the header cannot be keyed, out of the header's slot otherwise —
+// from the stored walk while that stands, by walking (and storing) when it
+// does not, then drawn against its lossy rules. Every packet the plane
 // forwards comes through here.
 func (f *Flow) walk(ttl int) (Result, walkOutcome) {
 	pl := f.pl
-	if pl.probRules > 0 || !f.keyed {
+	if !f.keyed {
 		return pl.forward(f.from, Packet{Src: f.src, Dst: f.dst, TTL: ttl}), walkBypass
 	}
 	if f.e == nil || f.gen != pl.gen {
@@ -288,12 +315,14 @@ func (f *Flow) walk(ttl int) (Result, walkOutcome) {
 	if pl.current(e, f.dst, epoch) {
 		if res, ok := e.full.atTTL(ttl); ok {
 			pl.seq++
+			e.draw(&res, ttl, pl.seq)
 			return res, walkHit
 		}
 	} else if e.stamps != nil {
 		pl.obs.cacheStale.Inc()
 	}
-	full := pl.forward(f.from, Packet{Src: f.src, Dst: f.dst, TTL: max(ttl, DefaultTTL)})
+	e.losses = e.losses[:0]
+	full := pl.walkFrom(f.from, Packet{Src: f.src, Dst: f.dst, TTL: max(ttl, DefaultTTL)}, &e.losses)
 	// Clip so that an append through any handed-out Result reallocates
 	// instead of scribbling on the shared array.
 	full.Hops = slices.Clip(full.Hops)
@@ -303,5 +332,6 @@ func (f *Flow) walk(ttl int) (Result, walkOutcome) {
 	e.checked = epoch
 	e.live = true
 	res, _ := full.atTTL(ttl)
+	e.draw(&res, ttl, pl.seq)
 	return res, walkMiss
 }

@@ -103,16 +103,16 @@ func (w *walkWorld) forward(t testing.TB, from topo.RouterID, pkt Packet) {
 }
 
 // viaFlow sends the i-th round header at the given TTL through the handle
-// held on it and holds the answer to the uncached walk. While the cache is
-// up, the handle must be answering out of the very entry the header's key
-// finds: a handle left holding an entry the map has dropped is one the
-// eager rule kill cannot reach.
+// held on it and holds the answer to the uncached walk. The handle must be
+// answering out of the very entry the header's key finds: a handle left
+// holding an entry the map has dropped is one the eager rule kill cannot
+// reach.
 func (w *walkWorld) viaFlow(t testing.TB, i, ttl int) {
 	t.Helper()
 	p, f := w.round[i], &w.flows[i]
 	p.pkt.TTL = ttl
 	w.same(t, "flow", p.from, p.pkt, f.Forward(ttl), w.ref.forward(p.from, p.pkt))
-	if w.cached.probRules == 0 && f.e != w.cached.walks[walkKey{from: p.from, dst: v4(p.pkt.Dst), src: v4(p.pkt.Src)}] {
+	if f.e != w.cached.walks[walkKey{from: p.from, dst: v4(p.pkt.Dst), src: v4(p.pkt.Src)}] {
 		t.Fatalf("flow from %d %+v holds an entry the cache does not", p.from, p.pkt)
 	}
 	if len(w.cached.walks) > walkCacheCap {
@@ -168,7 +168,7 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 				w.forward(t, p.from, p.pkt)
 				hits := w.cached.obs.cacheOutcomes[walkHit].Value()
 				w.viaFlow(t, i, 0)
-				if w.cached.probRules == 0 && w.cached.obs.cacheOutcomes[walkHit].Value() != hits+1 {
+				if w.cached.obs.cacheOutcomes[walkHit].Value() != hits+1 {
 					t.Fatalf("round header %d: asked by key, then through its handle, and the handle walked", i)
 				}
 			}
@@ -258,7 +258,19 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 				w.addRule(t, Rule{AtRouter: top.AS(b).Routers[0], HasRouter: true, SrcWithin: topo.ProductionPrefix(c)})
 			}
 		case op == 14:
-			w.addRule(t, LossyAS(gen.Transit[pick(len(gen.Transit))], float64(1+pick(9))/10, uint64(next())))
+			// A lossy rule in each shape it can take: at an AS, at an AS for
+			// through-traffic only, on an AS link into it, at its hub.
+			a := gen.Transit[pick(len(gen.Transit))]
+			r := LossyAS(a, float64(1+pick(9))/10, uint64(next()))
+			switch nb := top.Neighbors(a); pick(4) {
+			case 1:
+				r.TransitOnly = true
+			case 2:
+				r.AtAS, r.FromAS, r.ToAS = 0, nb[pick(len(nb))], a
+			case 3:
+				r.AtAS, r.AtRouter, r.HasRouter = 0, top.AS(a).Routers[0], true
+			}
+			w.addRule(t, r)
 		case op == 15 && len(w.rules) > 0:
 			i := pick(len(w.rules))
 			id := w.rules[i]
@@ -280,7 +292,7 @@ func (w *walkWorld) run(t testing.TB, data []byte) {
 			}
 			w.unseen++
 			w.forward(t, w.froms[0], Packet{Src: addr4(250<<24 | w.unseen), Dst: w.addrs[1]})
-			if w.cached.probRules == 0 && len(w.cached.walks) != 1 {
+			if len(w.cached.walks) != 1 {
 				t.Fatalf("cache holds %d entries after overflowing, want the newcomer alone", len(w.cached.walks))
 			}
 		}
@@ -335,6 +347,11 @@ func FuzzWalkCache(f *testing.F) {
 	f.Add([]byte{5, 13, 0, 1, 2, 5, 5, 13, 0, 2, 0, 6, 0, 5, 13, 0, 0, 3, 7, 5, 16, 0, 5})
 	// An overflow between two rounds, then a rule the handles must feel.
 	f.Add([]byte{5, 17, 5, 13, 0, 0, 0, 0, 5, 4, 3, 9, 17, 4, 3, 2, 16, 0, 5})
+	// A through-traffic-only lossy AS, then the round and a run of 230 on a
+	// round handle; lossy rules on an AS link and at a router, then a run of
+	// 120 on a fresh handle and the round.
+	f.Add([]byte{14, 0, 4, 7, 1, 5, 8, 0, 0, 0, 0, 0, 1, 200, 30})
+	f.Add([]byte{14, 1, 2, 3, 2, 0, 14, 0, 6, 5, 3, 8, 1, 2, 0, 0, 1, 120, 0, 5})
 	seeded := make([]byte, 600)
 	rand.New(rand.NewSource(16)).Read(seeded)
 	f.Add(seeded)
@@ -365,7 +382,9 @@ func (loopRIB) DstVersion(netip.Addr) uint64 { return 0 }
 // default-TTL walk itself otherwise — whatever way the walk ends. The cached
 // plane is asked in traceroute order (k = 1, 2, …) and then backwards, so
 // both the "one stored walk answers all" and the "stored walk expired too
-// early, walk again" branches run.
+// early, walk again" branches run. Under a lossy rule each packet has its
+// own fate, so there it is held to the uncached walk alone: a packet whose
+// TTL runs out at the rule's hop never meets the rule.
 func TestTTLPrefixOfFullWalk(t *testing.T) {
 	w := newWalkWorld(t, topogen.Config{Seed: 7, NumTransit: 12, NumStub: 48})
 	top := w.gen.Top
@@ -384,11 +403,12 @@ func TestTTLPrefixOfFullWalk(t *testing.T) {
 		}
 	}
 
+	const lossy DropReason = -1 // the case's rule draws each packet's fate
 	check := func(t *testing.T, cached, ref *Plane, from topo.RouterID, pkt Packet, wantReason DropReason) {
 		t.Helper()
 		// Uncached on both planes, so their sequence numbers stay in step.
 		full, _ := ref.forward(from, pkt), cached.forward(from, pkt)
-		if full.Reason != wantReason {
+		if wantReason != lossy && full.Reason != wantReason {
 			t.Fatalf("default-TTL walk ended %v, the case wants %v", full.Reason, wantReason)
 		}
 		ks := make([]int, 0, 140)
@@ -406,8 +426,9 @@ func TestTTLPrefixOfFullWalk(t *testing.T) {
 				t.Fatalf("TTL %d: cached %+v (seq %d), walked %+v (seq %d)", k, got, cached.seq, walked, ref.seq)
 			}
 			// The 64-hop default walk says nothing about TTLs beyond it
-			// when it expired itself (only the loop case does).
-			if full.Reason == TTLExpired && k > DefaultTTL {
+			// when it expired itself (only the loop case does), nor about
+			// another packet's draw.
+			if wantReason == lossy || full.Reason == TTLExpired && k > DefaultTTL {
 				continue
 			}
 			want := full
@@ -430,6 +451,8 @@ func TestTTLPrefixOfFullWalk(t *testing.T) {
 		{"delivered", nil, pkt.Dst, Delivered},
 		{"blackholed at router", &Rule{AtRouter: mid.Router, HasRouter: true}, pkt.Dst, Blackhole},
 		{"blackholed at crossing", &Rule{FromAS: crossing[0].AS, ToAS: crossing[1].AS}, pkt.Dst, Blackhole},
+		{"lossy at router", &Rule{AtRouter: mid.Router, HasRouter: true, DropProb: 0.5, ProbSeed: 1}, pkt.Dst, lossy},
+		{"lossy at crossing", &Rule{FromAS: crossing[0].AS, ToAS: crossing[1].AS, DropProb: 0.5, ProbSeed: 2}, pkt.Dst, lossy},
 		{"no route", nil, topo.RouterAddr(topo.MaxASN, 0), NoRoute},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

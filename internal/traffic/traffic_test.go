@@ -65,7 +65,7 @@ func popConfig(r *rig) Config {
 // of the population's vantages to addr — a fault there blackholes the
 // destination for every vantage routing through it. Pure function of the
 // rig, so twin rigs derive the same fault.
-func providerOf(t *testing.T, r *rig, from topo.ASN, addr netip.Addr) topo.ASN {
+func providerOf(t testing.TB, r *rig, from topo.ASN, addr netip.Addr) topo.ASN {
 	t.Helper()
 	probe := r.plane.Forward(r.res.Top.AS(from).Routers[0], dataplane.Packet{Dst: addr})
 	path := probe.ASPath()
@@ -655,11 +655,11 @@ func FuzzChurn(f *testing.F) {
 	})
 }
 
-// BenchmarkRunEpoch measures one epoch shaped like the repository
-// benchmark's traffic workload: 150k flows behind 8 vantages toward 4
-// weighted destinations, churn 0.02. A steady-state epoch allocates
-// nothing.
-func BenchmarkRunEpoch(b *testing.B) {
+// benchEpochs times steady-state epochs shaped like the repository
+// benchmark's traffic workload — 150k flows behind 8 vantages toward 4
+// weighted destinations, churn 0.02 — after install has set up the rig's
+// rules, and hands every report to check.
+func benchEpochs(b *testing.B, install func(*rig, []Dest), check func(EpochReport)) {
 	r := newRig(b)
 	var dests []Dest
 	for i, s := range r.res.Stubs[8:12] {
@@ -676,12 +676,37 @@ func BenchmarkRunEpoch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	install(r, dests)
 	g.RunEpoch() // warm the walk cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rep := g.RunEpoch(); rep.Lost != 0 {
+		check(g.RunEpoch())
+	}
+}
+
+// BenchmarkRunEpoch measures a clean epoch. It allocates nothing.
+func BenchmarkRunEpoch(b *testing.B) {
+	benchEpochs(b, func(*rig, []Dest) {}, func(rep EpochReport) {
+		if rep.Lost != 0 {
 			b.Fatalf("clean epoch lost %d flows", rep.Lost)
 		}
-	}
+	})
+}
+
+// BenchmarkRunEpochLossy measures an epoch with a LossyAS of 0.3 at the last
+// transit AS toward each of two destinations, where every packet across it
+// draws its own fate: one coin per packet per rule on its walk, where a clean
+// epoch answers each flow group with one cached walk.
+func BenchmarkRunEpochLossy(b *testing.B) {
+	benchEpochs(b, func(r *rig, dests []Dest) {
+		at := []topo.ASN{providerOf(b, r, r.res.Stubs[0], dests[0].Addr), providerOf(b, r, r.res.Stubs[0], dests[1].Addr)}
+		for i, asn := range at {
+			r.plane.AddFailure(dataplane.LossyAS(asn, 0.3, uint64(i+1)))
+		}
+	}, func(rep EpochReport) {
+		if rep.Lost == 0 {
+			b.Fatal("lossy epoch lost nothing")
+		}
+	})
 }
