@@ -110,21 +110,21 @@ func chaosTrial(seed int64, intensity float64, reg *obs.Registry) chaosPart {
 		intensity:  intensity,
 		faults:     rep.Faults,
 		violations: len(rep.Violations),
-		episodes:   len(ses.Monitor.History),
-		poisons:    poisonsInstalled(ses),
 	}
-	for _, o := range ses.Monitor.History {
-		if o.End > 0 {
-			part.recovered++
-			part.ttrSum += (o.End - o.Start).Seconds()
-		}
-	}
+	// One pass over the session's history, outages in declaration order.
 	// A recovery logged while the victim's own poison was still up means
 	// the repair beat the scripted heal.
 	var poisoned netip.Addr
 	for _, e := range ses.History {
 		switch {
+		case e.Kind == lifeguard.EventOutage:
+			part.episodes++
+			if o := e.Outage; o.End > 0 {
+				part.recovered++
+				part.ttrSum += (o.End - o.Start).Seconds()
+			}
 		case e.Kind == lifeguard.EventRepair && e.Action == remedy.Poisoned:
+			part.poisons++
 			poisoned = e.Target
 		case e.Kind == lifeguard.EventUnpoison:
 			poisoned = netip.Addr{}

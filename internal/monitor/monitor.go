@@ -33,20 +33,14 @@ const (
 )
 
 // Outage describes one detected outage between a vantage point and target.
+// OnOutage and OnRecovery are handed the same pointer, which is the outage's
+// identity; the monitor keeps it only while the outage is open.
 type Outage struct {
 	VP     topo.RouterID
 	Target netip.Addr
 	// Start is when the first failed round was sent; End is when a round
 	// succeeded again (zero while ongoing).
 	Start, End time.Duration
-}
-
-// Duration returns the outage length (ongoing outages measure to now).
-func (o *Outage) Duration(now time.Duration) time.Duration {
-	if o.End > 0 {
-		return o.End - o.Start
-	}
-	return now - o.Start
 }
 
 // pair is one watched (vantage point, source, target), the ping it sends
@@ -84,9 +78,6 @@ type Monitor struct {
 	OnRound func()
 
 	pairs []*pair
-
-	// History accumulates all declared outages, resolved or not.
-	History []*Outage
 
 	ticker  simclock.EventID
 	started bool
@@ -226,22 +217,10 @@ func (m *Monitor) roundFor(p *pair) {
 		o := &Outage{VP: p.vp, Target: p.target, Start: p.firstFail}
 		p.current = o
 		m.obs.outages.Inc()
-		m.History = append(m.History, o)
 		if m.OnOutage != nil {
 			m.OnOutage(o)
 		}
 	}
-}
-
-// Ongoing returns the currently-declared outages.
-func (m *Monitor) Ongoing() []*Outage {
-	var out []*Outage
-	for _, p := range m.pairs {
-		if p.current != nil {
-			out = append(out, p.current)
-		}
-	}
-	return out
 }
 
 // Down reports whether any monitored pair between vp and target (whatever

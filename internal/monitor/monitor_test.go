@@ -7,7 +7,6 @@ import (
 	"lifeguard/internal/atlas"
 	"lifeguard/internal/dataplane"
 	"lifeguard/internal/nettest"
-	"lifeguard/internal/topo"
 )
 
 func setup(t *testing.T) (*nettest.Net, *Monitor) {
@@ -18,53 +17,62 @@ func setup(t *testing.T) (*nettest.Net, *Monitor) {
 	return n, m
 }
 
+// recordOutages installs an OnOutage hook collecting every outage m
+// declares, in declaration order.
+func recordOutages(m *Monitor) *[]*Outage {
+	var declared []*Outage
+	m.OnOutage = func(o *Outage) { declared = append(declared, o) }
+	return &declared
+}
+
 func TestNoOutageOnHealthyPath(t *testing.T) {
 	n, m := setup(t)
+	declared := recordOutages(m)
 	m.Start()
 	n.Clk.RunUntil(10 * time.Minute)
-	if len(m.History) != 0 {
-		t.Fatalf("outages on healthy path: %+v", m.History)
+	if len(*declared) != 0 {
+		t.Fatalf("outages on healthy path: %+v", *declared)
 	}
 }
 
 func TestOutageDeclaredAfterThreshold(t *testing.T) {
 	n, m := setup(t)
-	var declared []*Outage
-	m.OnOutage = func(o *Outage) { declared = append(declared, o) }
+	declared := recordOutages(m)
 	m.Start()
 	n.Clk.RunUntil(5 * time.Minute)
 	failAt := n.Clk.Now()
 	n.ReverseFailure()
 	n.Clk.RunUntil(failAt + 3*30*time.Second + time.Second)
-	if len(declared) != 0 {
+	if len(*declared) != 0 {
 		t.Fatal("outage declared before 4 failed rounds")
 	}
 	n.Clk.RunUntil(failAt + 5*30*time.Second)
-	if len(declared) != 1 {
-		t.Fatalf("declared = %d, want 1", len(declared))
+	if len(*declared) != 1 {
+		t.Fatalf("declared = %d, want 1", len(*declared))
 	}
-	o := declared[0]
+	o := (*declared)[0]
 	if o.Start < failAt {
 		t.Fatalf("outage start %v before failure %v", o.Start, failAt)
 	}
 	if !m.Down(o.VP, o.Target) {
 		t.Fatal("Down should report true")
 	}
-	if got := m.Ongoing(); len(got) != 1 || got[0] != o {
-		t.Fatalf("Ongoing = %+v", got)
+	if o.End != 0 {
+		t.Fatalf("open outage has an end: %+v", o)
 	}
 }
 
 func TestRecoveryEndsOutage(t *testing.T) {
 	n, m := setup(t)
+	declared := recordOutages(m)
 	var recovered []*Outage
 	m.OnRecovery = func(o *Outage) { recovered = append(recovered, o) }
 	m.Start()
 	n.Clk.RunUntil(time.Minute)
 	id := n.ReverseFailure()
 	n.Clk.RunUntil(20 * time.Minute)
-	if len(m.History) != 1 {
-		t.Fatalf("history = %d, want 1", len(m.History))
+	if len(*declared) != 1 {
+		t.Fatalf("declared = %d, want 1", len(*declared))
 	}
 	n.Plane.RemoveFailure(id)
 	n.Clk.RunUntil(25 * time.Minute)
@@ -72,11 +80,14 @@ func TestRecoveryEndsOutage(t *testing.T) {
 		t.Fatalf("recovered = %d, want 1", len(recovered))
 	}
 	o := recovered[0]
+	if o != (*declared)[0] {
+		t.Fatal("OnRecovery was handed a different outage than OnOutage")
+	}
 	if o.End == 0 || o.End <= o.Start {
 		t.Fatalf("bad outage window: %+v", o)
 	}
 	// The measured duration must roughly match the injected ~19 minutes.
-	d := o.Duration(n.Clk.Now())
+	d := o.End - o.Start
 	if d < 15*time.Minute || d > 25*time.Minute {
 		t.Fatalf("duration = %v", d)
 	}
@@ -89,14 +100,15 @@ func TestMinimumObservableOutage(t *testing.T) {
 	// A blip shorter than threshold*interval never becomes an outage —
 	// the 90s floor of the paper's methodology.
 	n, m := setup(t)
+	declared := recordOutages(m)
 	m.Start()
 	n.Clk.RunUntil(time.Minute)
 	id := n.ReverseFailure()
 	n.Clk.RunFor(65 * time.Second) // two rounds fail
 	n.Plane.RemoveFailure(id)
 	n.Clk.RunUntil(30 * time.Minute)
-	if len(m.History) != 0 {
-		t.Fatalf("short blip declared as outage: %+v", m.History)
+	if len(*declared) != 0 {
+		t.Fatalf("short blip declared as outage: %+v", *declared)
 	}
 }
 
@@ -126,31 +138,20 @@ func TestPartialOutageOnlyAffectedVP(t *testing.T) {
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	m.Watch(n.Hub(nettest.VP1AS), target)
 	m.Watch(n.Hub(nettest.VP5AS), target)
+	declared := recordOutages(m)
 	m.Start()
 	n.Clk.RunUntil(time.Minute)
 	n.ReverseFailure() // only VP1's reverse direction breaks
 	n.Clk.RunUntil(10 * time.Minute)
-	if len(m.History) != 1 {
-		t.Fatalf("history = %+v, want exactly the VP1 outage", m.History)
+	if len(*declared) != 1 {
+		t.Fatalf("declared = %+v, want exactly the VP1 outage", *declared)
 	}
-	if m.History[0].VP != n.Hub(nettest.VP1AS) {
+	if (*declared)[0].VP != n.Hub(nettest.VP1AS) {
 		t.Fatal("wrong VP blamed")
 	}
 	if m.Down(n.Hub(nettest.VP5AS), target) {
 		t.Fatal("VP5 should be unaffected — this is a partial outage")
 	}
-}
-
-func TestOutageDurationHelper(t *testing.T) {
-	o := Outage{Start: time.Minute}
-	if o.Duration(3*time.Minute) != 2*time.Minute {
-		t.Fatal("ongoing duration wrong")
-	}
-	o.End = 2 * time.Minute
-	if o.Duration(100*time.Minute) != time.Minute {
-		t.Fatal("resolved duration wrong")
-	}
-	_ = topo.ASN(0) // keep import
 }
 
 // TestRoundsFeedTheResponsivenessDB: a pair whose target answers notes it in

@@ -18,6 +18,7 @@ func TestMonitorRecoversInjectedDurations(t *testing.T) {
 	m := New(n.Prober, n.Clk)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	m.Watch(n.Hub(nettest.VP1AS), target)
+	declared := recordOutages(m)
 	m.Start()
 
 	rng := rand.New(rand.NewSource(17))
@@ -36,17 +37,17 @@ func TestMonitorRecoversInjectedDurations(t *testing.T) {
 		episodes = append(episodes, episode{injected: d})
 	}
 
-	if len(m.History) != len(episodes) {
-		t.Fatalf("detected %d outages, injected %d", len(m.History), len(episodes))
+	if len(*declared) != len(episodes) {
+		t.Fatalf("detected %d outages, injected %d", len(*declared), len(episodes))
 	}
 	// The measured duration may be off by up to ~2 rounds on each side
 	// (detection quantization + recovery round).
 	const slack = 2 * 30 * time.Second
-	for i, o := range m.History {
+	for i, o := range *declared {
 		if o.End == 0 {
 			t.Fatalf("outage %d never recovered", i)
 		}
-		measured := o.Duration(n.Clk.Now())
+		measured := o.End - o.Start
 		injected := episodes[i].injected
 		if measured < injected-slack || measured > injected+slack {
 			t.Fatalf("outage %d: measured %v, injected %v", i, measured, injected)
@@ -62,6 +63,7 @@ func TestMonitorFloorsShortBlips(t *testing.T) {
 	m := New(n.Prober, n.Clk)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	m.Watch(n.Hub(nettest.VP1AS), target)
+	declared := recordOutages(m)
 	m.Start()
 	n.Clk.RunFor(time.Minute)
 
@@ -70,8 +72,8 @@ func TestMonitorFloorsShortBlips(t *testing.T) {
 	n.Clk.RunFor(60 * time.Second)
 	n.Plane.RemoveFailure(id)
 	n.Clk.RunFor(3 * time.Minute)
-	if len(m.History) != 0 {
-		t.Fatalf("60s blip detected: %+v", m.History)
+	if len(*declared) != 0 {
+		t.Fatalf("60s blip detected: %+v", *declared)
 	}
 
 	// 3-minute outage: 6 failed rounds — detected.
@@ -79,7 +81,7 @@ func TestMonitorFloorsShortBlips(t *testing.T) {
 	n.Clk.RunFor(3 * time.Minute)
 	n.Plane.RemoveFailure(id)
 	n.Clk.RunFor(3 * time.Minute)
-	if len(m.History) != 1 {
-		t.Fatalf("3m outage missed: %+v", m.History)
+	if len(*declared) != 1 {
+		t.Fatalf("3m outage missed: %+v", *declared)
 	}
 }

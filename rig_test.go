@@ -460,14 +460,14 @@ func TestRigHitlessReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Start()
-	outages1 := len(s1.Monitor.History)
+	outages1 := len(s1.EventsOfKind(lifeguard.EventOutage))
 	// One more minute keeps us inside tenant 1's 5-minute poison
 	// maturity: the outage must still be open, untouched by the reload.
 	n.Clk.RunFor(time.Minute)
 	if !s1.Monitor.Down(n.Hub(asO), target) {
 		t.Fatal("tenant 1 outage state lost across the reload")
 	}
-	if len(s1.Monitor.History) != outages1 {
+	if len(s1.EventsOfKind(lifeguard.EventOutage)) != outages1 {
 		t.Fatal("tenant 1 outage history perturbed by the reload")
 	}
 	if len(s2.EventsOfKind(lifeguard.EventOutage)) != 0 {

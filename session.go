@@ -118,6 +118,8 @@ type Session struct {
 
 	started bool
 	crashed bool
+	// removed is set by Rig.RemoveSession: pending repair decisions drop.
+	removed bool
 
 	// Graceful-restart state: announcements captured at a non-graceful
 	// crash, replayed on restore.
@@ -191,6 +193,10 @@ type Event struct {
 	Kind   EventKind
 	VP     RouterID
 	Target netip.Addr
+	// Outage is the monitor outage the event belongs to, set for
+	// EventOutage, EventIsolated, EventRepair and EventRecovered. Events of
+	// one outage carry the same pointer; its End is set on recovery.
+	Outage *monitor.Outage
 	// Report is set for EventIsolated.
 	Report *isolation.Report
 	// Action is set for EventRepair (it may be a refusal such as
@@ -249,7 +255,7 @@ func newSession(n *Network, cfg SessionConfig) *Session {
 
 	s.Monitor.OnOutage = s.handleOutage
 	s.Monitor.OnRecovery = func(o *monitor.Outage) {
-		s.log(Event{At: n.Clk.Now(), Kind: EventRecovered, VP: o.VP, Target: o.Target})
+		s.log(Event{At: n.Clk.Now(), Kind: EventRecovered, VP: o.VP, Target: o.Target, Outage: o})
 	}
 	s.Monitor.OnRound = s.onRound
 	s.watchdogFire = s.fireWatchdog
@@ -339,9 +345,10 @@ func (s *Session) InFailsafe() bool { return s.failsafe }
 
 // Start announces the origin's production and sentinel prefixes and begins
 // the atlas refresh and monitoring loops. Idempotent. Start after Stop is
-// well-defined: monitoring resumes from fresh per-pair state, and the
-// baseline is re-announced only when no repair is active — a poison
-// installed before the Stop stays installed, its sentinel still ticking.
+// well-defined: monitoring resumes from the per-pair state it stopped with,
+// so a repair the Stop deferred goes ahead, and the baseline is
+// re-announced only when no repair is active — a poison installed before
+// the Stop stays installed, its sentinel still ticking.
 func (s *Session) Start() {
 	if s.started {
 		return
@@ -359,8 +366,8 @@ func (s *Session) Start() {
 
 // Stop halts monitoring, atlas refresh, and the failsafe watchdog — an
 // administrative stop, not a crash, so no FAILSAFE entry results.
-// Idempotent. An active poison stays in place until its sentinel clears it
-// or Remedy.Unpoison is called.
+// Idempotent. Repair decisions wait for the next Start. An active poison
+// stays in place until its sentinel clears it or Remedy.Unpoison is called.
 func (s *Session) Stop() {
 	if !s.started {
 		return
@@ -449,11 +456,12 @@ func (s *Session) Restart() {
 	s.RestoreControl()
 }
 
-// repairsAllowed gates poison decisions on control-plane health: a crashed
+// repairsAllowed gates poison decisions on a running session and on
+// control-plane health: a stopped session acts on nothing, and a crashed
 // control plane or a tripped failsafe means the reachability picture is
 // stale, and acting on stale data is the failure mode the watchdog exists
 // to prevent.
-func (s *Session) repairsAllowed() bool { return !s.crashed && !s.failsafe }
+func (s *Session) repairsAllowed() bool { return s.started && !s.crashed && !s.failsafe }
 
 // onRound is the monitor's heartbeat: every completed round re-arms the
 // failsafe watchdog and clears FAILSAFE if it was entered.
@@ -492,18 +500,16 @@ func (s *Session) log(e Event, extra ...obs.Field) {
 			subsystem = "session"
 			fields = append(fields, obs.F("tenant", s.cfg.Tenant))
 		}
-		switch e.Kind {
-		case EventControlCrash, EventControlRestore, EventFailsafeEnter, EventFailsafeExit,
-			EventHijackDetected, EventHijackMitigated, EventHijackCleared:
-			// Lifecycle and hijack events carry no vp/target (hijack
-			// records carry their own fields from the wiring site).
-		default:
+		// The record is rendered from the fields the event has. Lifecycle
+		// and hijack events have no target; hijack records bring their own
+		// fields from the wiring site.
+		if e.Target.IsValid() {
 			fields = append(fields, obs.F("vp", e.VP), obs.F("target", e.Target))
 		}
 		if e.Kind == EventRepair {
-			fields = append(fields, obs.F("action", e.Action), obs.F("avoided", e.Avoided))
+			fields = append(fields, obs.F("action", e.Action))
 		}
-		if e.Kind == EventUnpoison {
+		if e.Kind == EventRepair || e.Kind == EventUnpoison {
 			fields = append(fields, obs.F("avoided", e.Avoided))
 		}
 		fields = append(fields, extra...)
@@ -516,10 +522,10 @@ func (s *Session) log(e Event, extra ...obs.Field) {
 // past the threshold.
 func (s *Session) handleOutage(o *monitor.Outage) {
 	now := s.Net.Clk.Now()
-	s.log(Event{At: now, Kind: EventOutage, VP: o.VP, Target: o.Target})
+	s.log(Event{At: now, Kind: EventOutage, VP: o.VP, Target: o.Target, Outage: o})
 
 	rep := s.Isolator.Isolate(o.VP, o.Target)
-	s.log(Event{At: now, Kind: EventIsolated, VP: o.VP, Target: o.Target, Report: rep})
+	s.log(Event{At: now, Kind: EventIsolated, VP: o.VP, Target: o.Target, Outage: o, Report: rep})
 	if rep.Healed || s.cfg.DisableAutoRepair {
 		return
 	}
@@ -534,13 +540,13 @@ func (s *Session) handleOutage(o *monitor.Outage) {
 	var decide func()
 	waiting := false // an AlreadyActive verdict has been logged for this outage
 	decide = func() {
-		if !s.Monitor.Down(o.VP, o.Target) {
-			return // healed while we waited
+		if s.removed || !s.Monitor.Down(o.VP, o.Target) {
+			return // removed, or healed while we waited
 		}
 		if !s.repairsAllowed() {
-			// Control crashed or failsafe tripped: the repair is
-			// deferred, not dropped — retry a round later, so the
-			// pipeline resumes once the monitor is healthy again.
+			// Stopped, control crashed or failsafe tripped: the repair
+			// is deferred, not dropped — retry a round later, so the
+			// pipeline resumes once the session is running again.
 			s.Net.Clk.After(s.Monitor.Interval(), decide)
 			return
 		}
@@ -548,7 +554,7 @@ func (s *Session) handleOutage(o *monitor.Outage) {
 		if !(waiting && action == remedy.AlreadyActive) {
 			s.log(Event{
 				At: s.Net.Clk.Now(), Kind: EventRepair, VP: o.VP, Target: o.Target,
-				Report: rep, Action: action, Avoided: rep.Blamed,
+				Outage: o, Report: rep, Action: action, Avoided: rep.Blamed,
 			})
 		}
 		if action == remedy.AlreadyActive {

@@ -1,0 +1,124 @@
+package lifeguard_test
+
+import (
+	"net/netip"
+	"testing"
+	"time"
+
+	"lifeguard"
+	"lifeguard/internal/core/remedy"
+)
+
+// outageThenLeave runs the rig-test world up to a declared, not yet
+// repaired outage for origin O, then hands the session to leave (Stop, or
+// a removal) and runs 20 minutes more with the failure still in place.
+// Nothing may come of the pending repair decision: no event, no probe, no
+// poison. It returns the network and the session for the caller's own
+// checks.
+func outageThenLeave(t *testing.T, leave func(*lifeguard.Rig, *lifeguard.Session)) (*lifeguard.Network, *lifeguard.Session) {
+	t.Helper()
+	n := fig2RigNetwork(t)
+	rig := lifeguard.NewRig(n)
+	s, err := rig.AddSession(lifeguard.SessionConfig{Config: lifeguard.Config{
+		Origin:  asO,
+		VPs:     []lifeguard.RouterID{n.Hub(asO), n.Hub(asC)},
+		Targets: []netip.Addr{n.RouterAddr(n.Hub(asE))},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.Start()
+	n.Clk.RunFor(time.Minute)
+	n.InjectFailure(lifeguard.BlackholeASTowards(asA, lifeguard.Block(asO)))
+	n.Clk.RunFor(3 * time.Minute)
+	if len(s.EventsOfKind(lifeguard.EventOutage)) == 0 || len(s.EventsOfKind(lifeguard.EventRepair)) != 0 {
+		t.Fatalf("want a declared, undecided outage before leaving; history %+v", s.History)
+	}
+
+	leave(rig, s)
+	logged, sent := len(s.History), n.Prober.Sent
+	n.Clk.RunFor(20 * time.Minute)
+	if len(s.History) != logged {
+		t.Fatalf("session logged after leaving: %+v", s.History[logged:])
+	}
+	if n.Prober.Sent != sent {
+		t.Fatalf("%d probes sent after the session left", n.Prober.Sent-sent)
+	}
+	if s.Remedy.Active() != nil {
+		t.Fatalf("session poisoned after leaving: %+v", s.Remedy.Active())
+	}
+	return n, s
+}
+
+// TestStoppedSessionDefersRepairUntilStarted: a repair decision falling due
+// while the session is stopped does nothing, and a Start with the failure
+// still in place lets it go ahead.
+func TestStoppedSessionDefersRepairUntilStarted(t *testing.T) {
+	n, s := outageThenLeave(t, func(_ *lifeguard.Rig, s *lifeguard.Session) { s.Stop() })
+	if r, ok := n.Eng.BestRoute(asE, lifeguard.ProductionPrefix(asO)); !ok || r.Path[0] != asA {
+		t.Fatalf("stopped session's announcement changed: E routes %+v", r)
+	}
+
+	s.Start()
+	n.Clk.RunFor(2 * time.Minute)
+	repairs := s.EventsOfKind(lifeguard.EventRepair)
+	if len(repairs) != 1 || repairs[0].Action != remedy.Poisoned {
+		t.Fatalf("restarted session's repairs = %+v, want one poison", repairs)
+	}
+}
+
+// TestRemovedSessionStaysGone: a removed tenant's pending repair decision
+// drops, so its withdrawn production prefix is never re-announced and
+// nothing of the session is left on the clock.
+func TestRemovedSessionStaysGone(t *testing.T) {
+	n, _ := outageThenLeave(t, func(rig *lifeguard.Rig, _ *lifeguard.Session) {
+		if !rig.RemoveSession(asO) {
+			t.Fatal("RemoveSession(asO) found no session")
+		}
+	})
+	if r, ok := n.Eng.BestRoute(asB, lifeguard.ProductionPrefix(asO)); ok {
+		t.Fatalf("removed tenant's production prefix routed again: B routes %+v", r)
+	}
+	if pending := n.Clk.Len(); pending != 0 {
+		t.Fatalf("%d events still scheduled on a rig whose one session was removed", pending)
+	}
+}
+
+// TestRemovedHijackTenantWithdrawsCounters: removing a tenant whose hijack
+// plane is mid-mitigation withdraws its counter-announcements with its
+// other prefixes.
+func TestRemovedHijackTenantWithdrawsCounters(t *testing.T) {
+	n := fig2HijackNetwork(t)
+	rig := lifeguard.NewRig(n)
+	s, err := rig.AddSession(lifeguard.SessionConfig{
+		Config: lifeguard.Config{Origin: asO},
+		Hijack: lifeguard.HijackConfig{
+			Enable:         true,
+			CollectorPeers: []lifeguard.ASN{asA, asB, asE},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.Start()
+	n.Clk.RunFor(time.Minute)
+	n.Eng.Announce(asF, netip.MustParsePrefix("1.10.128.0/24"), lifeguard.OriginConfig{})
+	n.Clk.RunFor(5 * time.Minute)
+	counters := s.Remedy.Counters()
+	if len(counters) == 0 {
+		t.Fatal("no counter-announcements mounted against the hijack")
+	}
+
+	rig.RemoveSession(asO)
+	n.Converge()
+	if got := s.Remedy.Counters(); len(got) != 0 {
+		t.Fatalf("removed tenant still tracks %d counter-announcements", len(got))
+	}
+	for _, o := range n.Eng.Origins(asO) {
+		for _, ca := range counters {
+			if o.Prefix == ca.Prefix {
+				t.Fatalf("removed tenant still originates its counter-announcement %v", o.Prefix)
+			}
+		}
+	}
+}

@@ -77,11 +77,11 @@ func TestVisibleFailureOutageIsShort(t *testing.T) {
 	n.FailAdjacency(asA, asE)
 	n.Clk.RunFor(30 * time.Minute)
 	var visibleDown time.Duration
-	for _, o := range sys.Monitor.History {
-		if o.End == 0 {
+	for _, e := range sys.EventsOfKind(lifeguard.EventOutage) {
+		if e.Outage.End == 0 {
 			t.Fatal("visible failure did not self-heal")
 		}
-		visibleDown += o.Duration(n.Clk.Now())
+		visibleDown += e.Outage.End - e.Outage.Start
 	}
 	if visibleDown > 10*time.Minute {
 		t.Fatalf("convergence outage lasted %v — should be minutes at most", visibleDown)
@@ -89,16 +89,16 @@ func TestVisibleFailureOutageIsShort(t *testing.T) {
 
 	// Silent failure: inject and wait the same 30 minutes; without
 	// LIFEGUARD it never heals.
-	seen := len(sys.Monitor.History)
+	seen := len(sys.EventsOfKind(lifeguard.EventOutage))
 	n.InjectFailure(lifeguard.BlackholeASTowards(asD, lifeguard.Block(asO)))
 	n.Clk.RunFor(30 * time.Minute)
-	silent := sys.Monitor.History[seen:]
+	silent := sys.EventsOfKind(lifeguard.EventOutage)[seen:]
 	if len(silent) == 0 {
 		t.Fatal("silent failure not detected")
 	}
-	for _, o := range silent {
-		if o.End != 0 {
-			t.Fatalf("silent failure 'healed' without intervention: %+v", o)
+	for _, e := range silent {
+		if e.Outage.End != 0 {
+			t.Fatalf("silent failure 'healed' without intervention: %+v", e.Outage)
 		}
 	}
 }
@@ -121,13 +121,16 @@ func TestStopStartLifecycle(t *testing.T) {
 	sys.Start()
 	sys.Start() // idempotent
 	n.Clk.RunFor(2 * time.Minute)
-	rounds := len(sys.Monitor.History)
+	if n.Prober.Sent == 0 {
+		t.Fatal("no probes sent while started")
+	}
 
 	sys.Stop()
 	sys.Stop() // idempotent
+	sent := n.Prober.Sent
 	n.Clk.RunFor(5 * time.Minute)
-	if len(sys.Monitor.History) != rounds {
-		t.Fatal("monitor kept running after Stop")
+	if n.Prober.Sent != sent {
+		t.Fatalf("monitor kept running after Stop: %d probes sent while stopped", n.Prober.Sent-sent)
 	}
 
 	// Start after Stop resumes detection end to end.
