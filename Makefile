@@ -36,12 +36,13 @@ lint: lglint
 	$(GO) vet ./...
 	$(GO) vet -vettool=$(LGLINT) ./...
 
-# The packages with real concurrency: internal/bgp (whose path arena keeps
-# a lock for off-loop readers), the monitoring pipeline, and the parallel
-# trial runner (plus the experiments and lgchaos trials that fan out on it
-# and merge their per-trial registries through it). The dataplane
-# rides along to hold Forward and Flow.ForwardN to the aliasing contracts
-# (cached intra-AS paths and cached walks are shared, read-only) under the
+# The packages with real concurrency: internal/bgp (an engine, its path
+# arena included, has no locks and belongs to one goroutine, so parallel
+# trials must share none), the monitoring pipeline, and the parallel trial
+# runner (plus the experiments and lgchaos trials that fan out on it and
+# merge their per-trial registries through it). The dataplane rides along
+# to hold Forward and Flow.ForwardN to the aliasing contracts (cached
+# intra-AS paths and cached walks are shared, read-only) under the
 # detector, and the prober and atlas because they are what reads those
 # shared Results.
 race:
@@ -74,7 +75,9 @@ daemon-smoke:
 
 # A quick fuzz pass over the walk cache (random forwards, runs of one
 # header through Flow.ForwardN, announcements and rule changes against the
-# uncached walk), the scheduler (random op
+# uncached walk), the held probes (held pings, traces and reverse traces
+# against the one-shot primitives on a twin plane, under route, rule and
+# router-flag changes), the scheduler (random op
 # programs, with delays from 1 ms to 48 h and on either side of 2^k ns,
 # holding the radix heap to the container/heap reference model), the
 # chaos script parser (no panics; accepted scripts round-trip) and the
@@ -83,6 +86,7 @@ daemon-smoke:
 # 2·departures + non-empty vantages); CI runs this on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzWalkCache -fuzztime=20s ./internal/dataplane/
+	$(GO) test -run '^$$' -fuzz=FuzzHeldProbes -fuzztime=10s ./internal/probe/
 	$(GO) test -run '^$$' -fuzz=FuzzScheduler -fuzztime=15s ./internal/simclock/
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz=FuzzChurn -fuzztime=5s ./internal/traffic/

@@ -10,6 +10,7 @@ package atlas
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,6 +24,13 @@ type PathRecord struct {
 	At      time.Duration
 	Hops    []probe.Hop
 	Reached bool
+}
+
+// Repeats reports whether r re-confirmed prev's path unchanged: a held probe
+// then hands back the hops it found last time, and the two records share
+// one stored path.
+func (r *PathRecord) Repeats(prev *PathRecord) bool {
+	return len(r.Hops) == len(prev.Hops) && (len(r.Hops) == 0 || &r.Hops[0] == &prev.Hops[0])
 }
 
 // ASPath returns the distinct ASes of the record's responsive hops.
@@ -45,10 +53,13 @@ type pairKey struct {
 }
 
 // pairState is everything the atlas keeps for one (vp, target): both
-// directions' measurements, oldest first, and the traceroute it repeats.
+// directions' measurements, oldest first, and the traceroute and reverse
+// traceroute it repeats (reverse is nil when the target stands for no
+// router to measure back from).
 type pairState struct {
 	fwd, rev []PathRecord
 	tracer   probe.Tracer
+	reverse  *probe.ReverseTracer
 }
 
 const (
@@ -76,8 +87,7 @@ type Atlas struct {
 
 	pairs map[pairKey]*pairState
 
-	// resp records whether an address has ever answered a probe and when
-	// it last did.
+	// resp records whether an address has ever answered a probe.
 	resp map[netip.Addr]*Responsiveness
 
 	// PathsRefreshed counts reverse-path refreshes performed, for the
@@ -88,19 +98,13 @@ type Atlas struct {
 	started bool
 }
 
-// Responsiveness is one address's row in the responsiveness database. A
-// caller that observes the same address again and again (a monitor pair,
-// every round) holds the row and notes into it directly.
+// Responsiveness is one address's row in the responsiveness database.
 type Responsiveness struct {
-	ever   bool
-	lastOK time.Duration
+	ever bool
 }
 
-// Note records that the address answered a probe at virtual time now.
-func (r *Responsiveness) Note(now time.Duration) {
-	r.ever = true
-	r.lastOK = now
-}
+// Note records that the address answered a probe.
+func (r *Responsiveness) Note() { r.ever = true }
 
 // New returns an empty atlas.
 func New(top *topo.Topology, pr *probe.Prober, clk *simclock.Scheduler) *Atlas {
@@ -153,7 +157,7 @@ func (a *Atlas) Responsiveness(addr netip.Addr) *Responsiveness {
 // NoteResponsive records an externally-observed probe outcome for addr.
 func (a *Atlas) NoteResponsive(addr netip.Addr, ok bool) {
 	if r := a.Responsiveness(addr); ok {
-		r.Note(a.clk.Now())
+		r.Note()
 	}
 }
 
@@ -170,32 +174,41 @@ func (a *Atlas) pair(vp topo.RouterID, target netip.Addr) *pairState {
 }
 
 // RefreshPair measures and records the forward and reverse paths for one
-// (vantage point, target) pair.
+// (vantage point, target) pair. A path re-confirmed unchanged is recorded
+// again, sharing the stored hops of the record before it.
 func (a *Atlas) RefreshPair(vp topo.RouterID, target netip.Addr) {
 	now := a.clk.Now()
 	ps := a.pair(vp, target)
 	if ps == nil {
 		ps = &pairState{tracer: a.pr.Tracer(vp, target)}
+		if tr, ok := a.targetRouter(target); ok {
+			rt := a.pr.ReverseTracer(tr, vp)
+			ps.reverse = &rt
+		}
 		a.pairs[pairKey{vp: vp, target: target}] = ps
 	}
 
 	fwd := ps.tracer.Trace()
-	a.recordHops(fwd.Hops)
-	ps.fwd = a.appendRecord(ps.fwd, PathRecord{At: now, Hops: fwd.Hops, Reached: fwd.ReachedDst})
+	rec := PathRecord{At: now, Hops: fwd.Hops, Reached: fwd.ReachedDst}
+	if n := len(ps.fwd); n == 0 || !rec.Repeats(&ps.fwd[n-1]) {
+		a.recordHops(fwd.Hops) // a repeat's hops are recorded already
+	}
+	ps.fwd = a.appendRecord(ps.fwd, rec)
 
-	if tr, ok := a.targetRouter(target); ok {
-		rev, ok := a.pr.ReverseTraceroute(tr, vp)
-		if ok {
-			// Reverse-traceroute hops are discovered via IP options, not
-			// ICMP echo, so they do not feed the ping-responsiveness DB.
-			// Charge the from-scratch premium when the path is new or
-			// different from the last record (§5.4 amortization).
-			if len(ps.rev) == 0 || !samePath(ps.rev[len(ps.rev)-1].Hops, rev.Hops) {
-				a.pr.Charge(fullMeasureCost - 10)
-			}
-			ps.rev = a.appendRecord(ps.rev, PathRecord{At: now, Hops: rev.Hops, Reached: true})
-			a.PathsRefreshed++
+	if ps.reverse == nil {
+		return
+	}
+	if rev, ok := ps.reverse.Trace(); ok {
+		// Reverse-traceroute hops are discovered via IP options, not ICMP
+		// echo, so they do not feed the ping-responsiveness DB. Charge the
+		// from-scratch premium when the path is new or different from the
+		// last record (§5.4 amortization).
+		rec := PathRecord{At: now, Hops: rev.Hops, Reached: true}
+		if n := len(ps.rev); n == 0 || !rec.Repeats(&ps.rev[n-1]) {
+			a.pr.Charge(fullMeasureCost - 10)
 		}
+		ps.rev = a.appendRecord(ps.rev, rec)
+		a.PathsRefreshed++
 	}
 }
 
@@ -253,18 +266,6 @@ func (a *Atlas) recordHops(hops []probe.Hop) {
 	}
 }
 
-func samePath(a, b []probe.Hop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Star != b[i].Star || a[i].Router != b[i].Router {
-			return false
-		}
-	}
-	return true
-}
-
 // Forward returns the recorded vp→target measurements, oldest first.
 func (a *Atlas) Forward(vp topo.RouterID, target netip.Addr) []PathRecord {
 	if ps := a.pair(vp, target); ps != nil {
@@ -284,18 +285,19 @@ func (a *Atlas) Reverse(vp topo.RouterID, target netip.Addr) []PathRecord {
 // HistoricalHops returns the union of routers seen on any recorded path
 // (both directions) between vp and target, deduplicated, in first-seen
 // order across records from newest to oldest. These are the candidate
-// failure locations isolation probes.
+// failure locations isolation probes. A run of records sharing one stored
+// path is read once.
 func (a *Atlas) HistoricalHops(vp topo.RouterID, target netip.Addr) []probe.Hop {
 	var out []probe.Hop
-	seen := make(map[topo.RouterID]bool)
 	add := func(recs []PathRecord) {
 		for i := len(recs) - 1; i >= 0; i-- {
+			if i < len(recs)-1 && recs[i+1].Repeats(&recs[i]) {
+				continue
+			}
 			for _, h := range recs[i].Hops {
-				if h.Star || seen[h.Router] {
-					continue
+				if !h.Star && !slices.ContainsFunc(out, func(o probe.Hop) bool { return o.Router == h.Router }) {
+					out = append(out, h)
 				}
-				seen[h.Router] = true
-				out = append(out, h)
 			}
 		}
 	}

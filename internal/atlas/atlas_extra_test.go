@@ -2,6 +2,7 @@ package atlas
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -51,24 +52,29 @@ func TestTargetRouterResolution(t *testing.T) {
 	}
 }
 
+// TestSamePathDisambiguation: a record repeats another only when the two
+// share one stored path — what a held probe hands back for an unchanged
+// path. A prefix of the path, or an equal copy stored apart, is not a
+// repeat.
 func TestSamePathDisambiguation(t *testing.T) {
 	n, a := setup(t)
 	vp := n.Hub(nettest.VP1AS)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	a.RefreshAll()
-	base := a.Reverse(vp, target)
-	if len(base) != 1 {
+	a.RefreshAll()
+	recs := a.Reverse(vp, target)
+	if len(recs) != 2 {
 		t.Fatal("setup")
 	}
-	// A refresh after a route change records a different path and
-	// charges the from-scratch premium again.
-	n.Top.AS(nettest.TransitB).MaxOwnASOccurs = 1 // no-op, keeps topology as is
-	if !samePath(base[0].Hops, base[0].Hops) {
-		t.Fatal("identical paths must compare equal")
+	if !recs[1].Repeats(&recs[0]) || !recs[0].Repeats(&recs[0]) {
+		t.Fatal("an unchanged path must repeat")
 	}
-	other := append([]PathRecord(nil), base...)
-	if samePath(base[0].Hops, other[0].Hops[:len(other[0].Hops)-1]) {
+	prefix := PathRecord{Hops: recs[0].Hops[:len(recs[0].Hops)-1]}
+	if prefix.Repeats(&recs[0]) {
 		t.Fatal("different lengths must differ")
+	}
+	if apart := (PathRecord{Hops: slices.Clone(recs[0].Hops)}); apart.Repeats(&recs[0]) {
+		t.Fatal("a path stored apart repeats nothing")
 	}
 }
 

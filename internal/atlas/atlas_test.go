@@ -1,10 +1,15 @@
 package atlas
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"lifeguard/internal/bgp"
+	"lifeguard/internal/dataplane"
 	"lifeguard/internal/nettest"
+	"lifeguard/internal/probe"
 	"lifeguard/internal/topo"
 )
 
@@ -190,4 +195,106 @@ func TestRefreshRate(t *testing.T) {
 	if rate := a.RefreshRatePerMinute(); rate < 0.9*want || rate > 1.3*want {
 		t.Fatalf("refresh rate = %v paths/min, want ~%v", rate, want)
 	}
+}
+
+// TestUnchangedPathStoredOnce: a refresh that finds a path unchanged stores
+// a record sharing the hops array of the one before it, a changed path gets
+// an array of its own, and HistoricalHops — which reads a run of shared
+// records once — returns, after every refresh, the brute-force union over
+// every record, in first-seen order from the newest record back, forward
+// then reverse.
+func TestUnchangedPathStoredOnce(t *testing.T) {
+	n := nettest.Fig2(t)
+	a := New(n.Top, n.Prober, n.Clk)
+	vp := n.Hub(nettest.E)
+	target := n.Top.Router(n.Hub(nettest.O)).Addr
+	a.AddVP(vp)
+	a.AddTarget(target)
+	last := func(recs []PathRecord) (cur, prev *PathRecord) {
+		return &recs[len(recs)-1], &recs[len(recs)-2]
+	}
+	refresh := func(when string) {
+		t.Helper()
+		a.RefreshAll()
+		n.Clk.RunFor(time.Minute)
+		fwd, rev := a.Forward(vp, target), a.Reverse(vp, target)
+		var want []probe.Hop
+		seen := map[topo.RouterID]bool{}
+		for _, recs := range [][]PathRecord{fwd, rev} {
+			for i := range recs {
+				if i > 0 && recs[i].Repeats(&recs[i-1]) != slices.Equal(recs[i].Hops, recs[i-1].Hops) {
+					t.Fatalf("%s: records %d and %d must share one array exactly when they list the same hops", when, i-1, i)
+				}
+			}
+			for i := len(recs) - 1; i >= 0; i-- {
+				for _, h := range recs[i].Hops {
+					if !h.Star && !seen[h.Router] {
+						seen[h.Router] = true
+						want = append(want, h)
+					}
+				}
+			}
+		}
+		if got := a.HistoricalHops(vp, target); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: HistoricalHops\ngot  %+v\nwant %+v", when, got, want)
+		}
+	}
+	announce := func(asn topo.ASN, pattern topo.Path) {
+		t.Helper()
+		n.Eng.Announce(asn, topo.Block(asn), bgp.OriginConfig{Pattern: pattern})
+		n.Converge(t)
+	}
+	poisonA := func(asn topo.ASN) { announce(asn, topo.Path{asn, nettest.A, asn}) }
+	changed := func(recs []PathRecord) bool {
+		cur, prev := last(recs)
+		return !slices.Equal(cur.Hops, prev.Hops)
+	}
+
+	refresh("first measurement")
+	refresh("unchanged")
+	for _, recs := range [][]PathRecord{a.Forward(vp, target), a.Reverse(vp, target)} {
+		if cur, prev := last(recs); !cur.Repeats(prev) {
+			t.Fatalf("an unchanged path was stored twice: %+v and %+v", prev.Hops, cur.Hops)
+		}
+	}
+
+	// E's forward path moves onto D-C-B while B's hub drops everything:
+	// the trace shows D's and C's routers, B's up to its hub and then
+	// silence, as many hops as the path through A shows when both go
+	// again. D's and C's routers are on no other record.
+	id := n.Plane.AddFailure(dataplane.BlackholeRouter(n.Hub(nettest.B)))
+	poisonA(nettest.O)
+	refresh("poisoned A, C blackholed")
+	if fwd := a.Forward(vp, target); !changed(fwd) || !slices.Contains(fwd[len(fwd)-1].ASPath(), nettest.D) {
+		t.Fatalf("forward path did not move onto D: %v", fwd[len(fwd)-1].ASPath())
+	}
+	n.Plane.RemoveFailure(id)
+	announce(nettest.O, nil)
+	refresh("back through A")
+	if cur, prev := last(a.Forward(vp, target)); !changed(a.Forward(vp, target)) || len(cur.Hops) != len(prev.Hops) {
+		t.Fatalf("want a path as long as the last one, through other routers: %+v then %+v", prev.Hops, cur.Hops)
+	}
+
+	// Poisoning A on O's block moves the forward path alone; poisoning it
+	// on E's block moves the reverse path too. Then both poisons go and a
+	// blackhole cuts the forward trace short.
+	poisonA(nettest.O)
+	refresh("poisoned A for O")
+	if !changed(a.Forward(vp, target)) || changed(a.Reverse(vp, target)) {
+		t.Fatal("poisoning A for O's block must move the forward path and only it")
+	}
+	poisonA(nettest.E)
+	refresh("poisoned A for E")
+	if !changed(a.Reverse(vp, target)) {
+		t.Fatal("poisoning A for E's block must move the reverse path")
+	}
+	announce(nettest.O, nil)
+	announce(nettest.E, nil)
+	refresh("unpoisoned")
+	refresh("unpoisoned, unchanged")
+	id = n.Plane.AddFailure(dataplane.BlackholeASTowards(nettest.B, topo.Block(nettest.O)))
+	refresh("B blackholed")
+	refresh("B blackholed, unchanged")
+	n.Plane.RemoveFailure(id)
+	refresh("healed")
 }

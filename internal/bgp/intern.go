@@ -1,10 +1,6 @@
 package bgp
 
-import (
-	"sync"
-
-	"lifeguard/internal/topo"
-)
+import "lifeguard/internal/topo"
 
 // AS-path and community interning. At Internet scale the same AS path is
 // offered to a speaker by many neighbors and stored by thousands of
@@ -18,8 +14,8 @@ import (
 // Handles are used strictly for equality ("is this the same path I already
 // advertised / already store?"), never for ordering or output, so the
 // numeric handle values — which depend on interning order — can never leak
-// into a run's results. The event loop interns from one goroutine; the
-// RWMutex keeps PathArenaSize, a public read, safe to call from another.
+// into a run's results. Like the rest of the engine, the arena belongs to
+// the goroutine that runs the event loop, and has no lock.
 
 // pathID is a handle into the engine arena's path table. 0 means "no path"
 // (a withdrawal); the empty path (an originated route) interns like any
@@ -32,7 +28,6 @@ type commID uint32
 
 // arena is the engine-global intern table for AS paths and community sets.
 type arena struct {
-	mu       sync.RWMutex
 	paths    []topo.Path // paths[id-1] is the canonical slice for id
 	pathIdx  map[string]pathID
 	comms    [][]Community
@@ -69,7 +64,7 @@ func (a *arena) internPath(p topo.Path) pathID {
 	}
 	var scratch [64]byte
 	key := pathKey(scratch[:0], p)
-	if id, ok := a.probePath(key); ok {
+	if id, ok := a.pathIdx[string(key)]; ok {
 		return id
 	}
 	return a.addPath(key, p)
@@ -84,26 +79,14 @@ func (a *arena) internPrepended(self topo.ASN, tail pathID) pathID {
 	t := a.path(tail)
 	var scratch [64]byte
 	key := pathKey(asnKey(scratch[:0], self), t)
-	if id, ok := a.probePath(key); ok {
+	if id, ok := a.pathIdx[string(key)]; ok {
 		return id
 	}
 	return a.addPath(key, t.Prepend(self))
 }
 
-func (a *arena) probePath(key []byte) (pathID, bool) {
-	a.mu.RLock()
-	id, ok := a.pathIdx[string(key)]
-	a.mu.RUnlock()
-	return id, ok
-}
-
-// addPath interns p under key unless a racing caller already has.
+// addPath interns p under key, which the arena does not hold yet.
 func (a *arena) addPath(key []byte, p topo.Path) pathID {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if id, ok := a.pathIdx[string(key)]; ok {
-		return id
-	}
 	a.paths = append(a.paths, p)
 	id := pathID(len(a.paths))
 	a.pathIdx[string(key)] = id
@@ -116,10 +99,7 @@ func (a *arena) path(id pathID) topo.Path {
 	if id == 0 {
 		return nil
 	}
-	a.mu.RLock()
-	p := a.paths[id-1]
-	a.mu.RUnlock()
-	return p
+	return a.paths[id-1]
 }
 
 // internComms returns the canonical id for cs (order-sensitive, matching
@@ -133,19 +113,11 @@ func (a *arena) internComms(cs []Community) commID {
 	for _, c := range cs {
 		key = append(key, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
 	}
-	a.mu.RLock()
-	id, ok := a.commsIdx[string(key)]
-	a.mu.RUnlock()
-	if ok {
-		return id
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if id, ok := a.commsIdx[string(key)]; ok {
 		return id
 	}
 	a.comms = append(a.comms, cs)
-	id = commID(len(a.comms))
+	id := commID(len(a.comms))
 	a.commsIdx[string(key)] = id
 	return id
 }
@@ -155,17 +127,10 @@ func (a *arena) communities(id commID) []Community {
 	if id == 0 {
 		return nil
 	}
-	a.mu.RLock()
-	cs := a.comms[id-1]
-	a.mu.RUnlock()
-	return cs
+	return a.comms[id-1]
 }
 
 // PathArenaSize reports how many distinct AS paths the engine has interned —
 // the denominator of the memory win the arena buys (total adj-RIB-in entries
 // divided by this is the sharing factor).
-func (e *Engine) PathArenaSize() int {
-	e.arena.mu.RLock()
-	defer e.arena.mu.RUnlock()
-	return len(e.arena.paths)
-}
+func (e *Engine) PathArenaSize() int { return len(e.arena.paths) }

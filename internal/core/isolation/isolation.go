@@ -209,7 +209,7 @@ func (iso *Isolator) Isolate(vp topo.RouterID, target netip.Addr) *Report {
 	// far side of the reachability horizon.
 	switch rep.Direction {
 	case Reverse:
-		iso.blameReverse(rep, vp, target, helper)
+		iso.blameReverse(rep, vp, target)
 	default:
 		iso.blameForward(rep, vp, target, &tr)
 	}
@@ -259,7 +259,7 @@ const (
 // other vantage point — §4.1.2 distinguishes hops that "cannot reach S but
 // respond to other vantage points" (cut off) from hops silent to everyone
 // (dark, possibly the broken element itself).
-func (iso *Isolator) classify(h probe.Hop, vp topo.RouterID, helper topo.RouterID, hasHelper bool) hopState {
+func (iso *Isolator) classify(h probe.Hop, vp topo.RouterID) hopState {
 	if h.Star {
 		return hopUnknown
 	}
@@ -279,8 +279,6 @@ func (iso *Isolator) classify(h probe.Hop, vp topo.RouterID, helper topo.RouterI
 			break
 		}
 	}
-	_ = helper
-	_ = hasHelper
 	return state
 }
 
@@ -288,14 +286,14 @@ func (iso *Isolator) classify(h probe.Hop, vp topo.RouterID, helper topo.RouterI
 // recent historical reverse path (target→vp), find the farthest hop H that
 // still reaches vp and blame the first hop H′ past it that cannot; repeat
 // over older paths when the newest is inconclusive.
-func (iso *Isolator) blameReverse(rep *Report, vp topo.RouterID, target netip.Addr, helper topo.RouterID) {
+func (iso *Isolator) blameReverse(rep *Report, vp topo.RouterID, target netip.Addr) {
 	// Step 3 — test atlas paths in the failing direction: ping every hop
 	// that ever appeared on a path between vp and target (both
 	// directions), from vp and, on failure, from the other vantage
 	// points. This builds the reachability-horizon map.
 	states := make(map[topo.RouterID]hopState)
 	for _, hop := range iso.atl.HistoricalHops(vp, target) {
-		states[hop.Router] = iso.classify(hop, vp, helper, true)
+		states[hop.Router] = iso.classify(hop, vp)
 		// "For all hops still pingable from S, LIFEGUARD measures a
 		// reverse traceroute to S" — these corroborate the horizon.
 		if states[hop.Router] == hopReaches {
@@ -313,7 +311,10 @@ func (iso *Isolator) blameReverse(rep *Report, vp topo.RouterID, target netip.Ad
 	if len(recs) > maxHistoricalRecords {
 		recs = recs[:maxHistoricalRecords]
 	}
-	for _, rec := range recs {
+	for i, rec := range recs {
+		if i > 0 && recs[i-1].Repeats(&rec) {
+			continue // the path just found inconclusive, re-confirmed
+		}
 		// rec.Hops runs target→vp: scan from the vp end toward the
 		// target.
 		var hPrime *probe.Hop
@@ -322,7 +323,7 @@ func (iso *Isolator) blameReverse(rep *Report, vp topo.RouterID, target netip.Ad
 			hop := rec.Hops[i]
 			st, seen := states[hop.Router]
 			if !seen {
-				st = iso.classify(hop, vp, helper, true)
+				st = iso.classify(hop, vp)
 				states[hop.Router] = st
 			}
 			switch st {

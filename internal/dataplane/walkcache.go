@@ -64,6 +64,16 @@ import (
 // one event that empties the map (the size cap) advances a generation that
 // every handle compares before trusting its pointer.
 //
+// Held answers. A caller that keeps an answer it derived from Flows — a
+// ping is one or two walks and a responder's decision — may hand it out
+// again without asking them, as long as asking would be a hit with the same
+// Result: every Flow it used was Settled when it made the answer (its slot
+// held, live, a walk that passed no lossy rule) and the plane's Stamp still
+// reads as it did then. The Stamp is RIBVersion, the count of rule changes
+// and the generation; while it holds, no entry is re-checked, killed or
+// dropped. Each packet of the repeat is counted with Flow.Repeat, as the
+// hit it would have been.
+//
 // TTL is not part of the key. step spends TTL before it applies a router's
 // rules and the injecting router spends none, so a packet with TTL k sees
 // exactly the first k+1 hops of the unbounded walk and expires at hop k if
@@ -291,6 +301,30 @@ func (f *Flow) ForwardN(n int64) [ForwardLoop + 1]int64 {
 		}
 	}
 	return fates
+}
+
+// Stamp is a reading of what every cached walk depends on outside its own
+// slot: the RIB version, the rule changes and the cache's generation (see
+// "Held answers").
+type Stamp struct{ rib, rules, gen uint64 }
+
+// Stamp reads the plane's Stamp.
+func (pl *Plane) Stamp() Stamp { return Stamp{pl.rib.RIBVersion(), pl.rules, pl.gen} }
+
+// Settled reports whether the flow's slot holds its last answer as a live
+// walk that passed no lossy rule: until the plane's Stamp moves, Forward at
+// the last call's TTL would be a hit with the same Result.
+func (f *Flow) Settled() bool {
+	return f.e != nil && f.gen == f.pl.gen && f.e.live && len(f.e.losses) == 0
+}
+
+// Repeat counts one more packet of a Settled flow's header that met res's
+// fate, the Result its last Forward returned, as that Forward would under
+// an unmoved Stamp: one sequence number, one hit, one packet forwarded and,
+// unless delivered, one dropped.
+func (f *Flow) Repeat(res *Result) {
+	f.pl.seq++
+	f.pl.note(res, walkHit, 1)
 }
 
 // walk reports the fate of the flow's header at the given TTL: by walking

@@ -51,10 +51,9 @@ type pair struct {
 	src    netip.Addr // zero: use the vp router's own address
 	target netip.Addr
 	pinger probe.Pinger
-	// resp is the target's row in respOf's responsiveness database, looked
-	// up when the target answers and Monitor.Atlas is not respOf.
-	resp   *atlas.Responsiveness
-	respOf *atlas.Atlas
+	// notedIn is the atlas whose responsiveness database has recorded the
+	// target answering; noting it there again would change nothing.
+	notedIn *atlas.Atlas
 
 	consecFails int
 	firstFail   time.Duration
@@ -191,11 +190,9 @@ func (m *Monitor) roundFor(p *pair) {
 			break // no need to burn the second ping of the pair
 		}
 	}
-	if m.Atlas != nil && responded {
-		if p.respOf != m.Atlas {
-			p.resp, p.respOf = m.Atlas.Responsiveness(p.target), m.Atlas
-		}
-		p.resp.Note(m.clk.Now())
+	if m.Atlas != nil && responded && p.notedIn != m.Atlas {
+		m.Atlas.Responsiveness(p.target).Note()
+		p.notedIn = m.Atlas
 	}
 	if ok {
 		if p.current != nil {

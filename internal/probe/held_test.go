@@ -1,12 +1,14 @@
 package probe
 
 import (
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"testing"
 
 	"lifeguard/internal/bgp"
 	"lifeguard/internal/dataplane"
+	"lifeguard/internal/obs"
 	"lifeguard/internal/topo"
 )
 
@@ -176,4 +178,264 @@ func TestReplyFlowIsHeldPerRouterAndSource(t *testing.T) {
 			t.Fatalf("reply from router %d sourced %v: arrived = %v, want %v", step.from, step.src, got, step.want)
 		}
 	}
+}
+
+// A held probe answers from what it last measured while the plane's Stamp
+// holds (see Pinger.Ping), and a Tracer or ReverseTracer hands back the
+// hops slice it found last while the path is unchanged. heldFuzz holds a
+// set of each on one plane and asks the one-shot primitive on a twin plane
+// over the same engine and topology, so every route change, rule change
+// and router flag reaches both; after every operation of a byte-stream
+// program it compares the reports, the packets charged and every metric of
+// both planes and probers.
+type heldFuzz struct {
+	*heldWorld
+	reg, twinReg *obs.Registry
+	pings        []heldPing
+	traces       []heldTrace
+	reverses     []heldReverse
+	lifts        []func()
+	// repeats counts held pings asked while their report could repeat, so
+	// the seeded test can tell the memo was exercised.
+	repeats int
+}
+
+type heldPing struct {
+	pg      Pinger
+	src     topo.RouterID
+	srcAddr netip.Addr // valid: the ping is PingerFromAddr's
+	dst     netip.Addr
+}
+
+type heldTrace struct {
+	tr  Tracer
+	src topo.RouterID
+	dst netip.Addr
+}
+
+type heldReverse struct {
+	rt       ReverseTracer
+	from, to topo.RouterID
+}
+
+func newHeldFuzz(t *testing.T) *heldFuzz {
+	w := &heldFuzz{heldWorld: newHeldWorld(t), reg: obs.New(), twinReg: obs.New()}
+	w.pl.Instrument(w.reg)
+	w.pr.Instrument(w.reg)
+	w.twinPl.Instrument(w.twinReg)
+	w.twin.Instrument(w.twinReg)
+	hub := func(asn topo.ASN) topo.RouterID { return w.top.AS(asn).Routers[0] }
+	addr := func(asn topo.ASN) netip.Addr { return w.top.Router(hub(asn)).Addr }
+	dsts := []netip.Addr{addr(4), topo.ProductionAddr(4), addr(3), addr(5), addr(1)}
+	for _, src := range []topo.RouterID{w.vp1, w.vp5, hub(3)} {
+		for _, dst := range dsts {
+			w.pings = append(w.pings, heldPing{pg: w.pr.Pinger(src, dst), src: src, dst: dst})
+		}
+		w.traces = append(w.traces, heldTrace{w.pr.Tracer(src, topo.ProductionAddr(4)), src, topo.ProductionAddr(4)})
+	}
+	// Pings from the unused half of a production prefix, as a sentinel
+	// sends them: the replies route toward AS1's /24, not its router.
+	for _, dst := range dsts[:2] {
+		src := topo.ProductionAddr(1)
+		w.pings = append(w.pings, heldPing{pg: w.pr.PingerFromAddr(w.vp5, src, dst), src: w.vp5, srcAddr: src, dst: dst})
+	}
+	w.traces = append(w.traces, heldTrace{w.pr.Tracer(w.vp1, addr(5)), w.vp1, addr(5)})
+	for _, r := range [][2]topo.RouterID{{hub(4), w.vp1}, {hub(5), w.vp1}, {hub(3), w.vp5}, {hub(4), w.vp5}} {
+		w.reverses = append(w.reverses, heldReverse{w.pr.ReverseTracer(r[0], r[1]), r[0], r[1]})
+	}
+	return w
+}
+
+// ping asks the i-th held ping and its one-shot twin.
+func (w *heldFuzz) ping(t *testing.T, i int) {
+	t.Helper()
+	h := &w.pings[i]
+	if h.pg.held && h.pg.stamp == w.pl.Stamp() {
+		w.repeats++
+	}
+	var want PingReport
+	if h.srcAddr.IsValid() {
+		want = w.twin.PingFromAddr(h.src, h.srcAddr, h.dst)
+	} else {
+		want = w.twin.Ping(h.src, h.dst)
+	}
+	if got := h.pg.Ping(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ping %d (%d→%v):\nheld     %+v\none-shot %+v", i, h.src, h.dst, got, want)
+	}
+}
+
+// same fails unless both sides have charged as many packets and every
+// metric of the held side's plane and prober equals its twin's.
+func (w *heldFuzz) same(t *testing.T, after string) {
+	t.Helper()
+	if w.pr.Sent != w.twin.Sent {
+		t.Fatalf("after %s: held side charged %d packets, one-shot side %d", after, w.pr.Sent, w.twin.Sent)
+	}
+	got, want := w.reg.Snapshot().Metrics, w.twinReg.Snapshot().Metrics
+	if !reflect.DeepEqual(got, want) {
+		for i := range min(len(got), len(want)) {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("after %s: held side %+v, one-shot side %+v", after, got[i], want[i])
+			}
+		}
+		t.Fatalf("after %s: %d series on the held side, %d on the one-shot side", after, len(got), len(want))
+	}
+}
+
+// run interprets data as a program, one opcode byte and its operands at a
+// time; a program that runs dry reads zeros. The seeded test and the fuzz
+// target share it.
+func (w *heldFuzz) run(t *testing.T, data []byte) {
+	t.Helper()
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	pick := func(n int) int { return next() % n }
+	as := func() topo.ASN { return topo.ASN(1 + pick(5)) }
+	router := func() *topo.Router { return w.top.Router(w.top.AS(as()).Routers[0]) }
+	for len(data) > 0 {
+		var did string
+		switch op := pick(12); op {
+		case 0, 1, 2:
+			did = "a ping"
+			w.ping(t, pick(len(w.pings)))
+		case 3:
+			// The round: every held ping once, as a monitor asks them.
+			did = "a round"
+			for i := range w.pings {
+				w.ping(t, i)
+			}
+		case 4:
+			did = "a traceroute"
+			h := &w.traces[pick(len(w.traces))]
+			got, want := h.tr.Trace(), w.twin.Traceroute(h.src, h.dst)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("traceroute %d→%v:\nheld     %+v\none-shot %+v", h.src, h.dst, got, want)
+			}
+		case 5:
+			did = "a reverse traceroute"
+			h := &w.reverses[pick(len(w.reverses))]
+			got, gotOK := h.rt.Trace()
+			want, wantOK := w.twin.ReverseTraceroute(h.from, h.to)
+			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("reverse traceroute %d→%d:\nheld     %v %+v\none-shot %v %+v", h.from, h.to, gotOK, got, wantOK, want)
+			}
+		case 6:
+			// AS4's production /24 announced plainly or poisoning a
+			// transit AS, or drawn away by a hijacker; or VP1's router
+			// addresses drawn to AS5 by a more-specific. Then converged,
+			// or left a few events into its convergence.
+			did = "an announcement"
+			vp1Net := netip.PrefixFrom(w.top.Router(w.vp1).Addr, 24)
+			switch k := pick(7); k {
+			case 0, 1, 2:
+				cfg := bgp.OriginConfig{}
+				if k > 0 {
+					cfg.Pattern = topo.Path{4, topo.ASN(1 + k), 4}
+				}
+				w.eng.Announce(4, topo.ProductionPrefix(4), cfg)
+			case 3:
+				w.eng.Announce([]topo.ASN{3, 5}[pick(2)], topo.ProductionPrefix(4), bgp.OriginConfig{})
+			case 4:
+				w.eng.Withdraw([]topo.ASN{3, 5}[pick(2)], topo.ProductionPrefix(4))
+			case 5:
+				w.eng.Announce(5, vp1Net, bgp.OriginConfig{})
+			case 6:
+				w.eng.Withdraw(5, vp1Net)
+			}
+			if n := pick(4); n > 0 {
+				for range n {
+					w.clk.Step()
+				}
+			} else if !w.eng.Converge(1_000_000) {
+				t.Fatal("no convergence")
+			}
+		case 7:
+			did = "convergence"
+			if !w.eng.Converge(1_000_000) {
+				t.Fatal("no convergence")
+			}
+		case 8:
+			did = "a blackhole"
+			a, b := as(), as()
+			r := []dataplane.Rule{
+				dataplane.BlackholeAS(a),
+				dataplane.BlackholeASTowards(a, topo.Block(b)),
+				dataplane.DropASLink(a, b),
+				{AtAS: a, SrcWithin: topo.ProductionPrefix(1)},
+			}[pick(4)]
+			w.lifts = append(w.lifts, w.rule(r))
+		case 9:
+			did = "a lossy AS"
+			w.lifts = append(w.lifts, w.rule(dataplane.LossyAS(as(), float64(1+pick(9))/10, uint64(next()))))
+		case 10:
+			did = "a rule lifted"
+			if len(w.lifts) > 0 {
+				i := pick(len(w.lifts))
+				w.lifts[i]()
+				w.lifts = append(w.lifts[:i], w.lifts[i+1:]...)
+			}
+		case 11:
+			// A router turns silent or answers again, or its rate limit
+			// changes (0: none).
+			r := router()
+			if pick(2) == 0 {
+				did = "a responsiveness flip"
+				r.Responsive = !r.Responsive
+			} else {
+				did = "a rate limit"
+				r.RateLimitPerRound = pick(3)
+			}
+		}
+		w.same(t, did)
+	}
+}
+
+// TestHeldProbesMatchOneShot replays seeded random programs and checks that
+// they made held pings repeat their reports.
+func TestHeldProbesMatchOneShot(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		w := newHeldFuzz(t)
+		data := make([]byte, 4000)
+		rand.New(rand.NewSource(seed)).Read(data)
+		w.run(t, data)
+		if w.repeats == 0 {
+			t.Fatalf("seed %d: no held ping was asked while it could repeat", seed)
+		}
+	}
+}
+
+// FuzzHeldProbes hands the same interpreter to the fuzzer.
+func FuzzHeldProbes(f *testing.F) {
+	// The round three times: the second and third repeat.
+	f.Add([]byte{3, 3, 3})
+	// A blackhole toward AS1 at AS3 between two rounds, then lifted.
+	f.Add([]byte{3, 8, 3, 2, 1, 3, 10, 0, 3})
+	// A lossy AS2 under a round asked twice.
+	f.Add([]byte{3, 9, 2, 4, 7, 3, 3, 10, 0, 3})
+	// AS4's hub rate-limited to one answer a minute, pinged four times.
+	f.Add([]byte{3, 11, 3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	// The target turns silent under a held ping and answers again.
+	f.Add([]byte{0, 0, 11, 3, 0, 0, 0, 11, 3, 0, 0, 0})
+	// The production /24 hijacked by AS3, then by AS5 instead: the trace
+	// from VP1 finds as many hops, ending at another router.
+	f.Add([]byte{4, 0, 6, 3, 0, 0, 4, 0, 6, 4, 0, 0, 6, 3, 1, 0, 4, 0})
+	// A poison of AS3 under traces from every vantage point.
+	f.Add([]byte{4, 0, 4, 1, 4, 2, 6, 2, 0, 4, 0, 4, 1, 4, 2})
+	// VP1's router addresses drawn to AS5: the reverse path from AS4 ends
+	// at another router after as many hops; then the more-specific goes.
+	f.Add([]byte{5, 0, 6, 5, 0, 5, 0, 6, 6, 0, 5, 0})
+	// Mid-convergence rounds.
+	f.Add([]byte{3, 6, 1, 2, 3, 3, 7, 3})
+	seeded := make([]byte, 600)
+	rand.New(rand.NewSource(33)).Read(seeded)
+	f.Add(seeded)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		newHeldFuzz(t).run(t, data)
+	})
 }
