@@ -87,8 +87,9 @@ type Atlas struct {
 
 	pairs map[pairKey]*pairState
 
-	// resp records whether an address has ever answered a probe.
-	resp map[netip.Addr]*Responsiveness
+	// resp is the responsiveness database: the addresses that have ever
+	// answered a probe.
+	resp map[netip.Addr]struct{}
 
 	// PathsRefreshed counts reverse-path refreshes performed, for the
 	// §5.4 throughput measurement.
@@ -98,20 +99,12 @@ type Atlas struct {
 	started bool
 }
 
-// Responsiveness is one address's row in the responsiveness database.
-type Responsiveness struct {
-	ever bool
-}
-
-// Note records that the address answered a probe.
-func (r *Responsiveness) Note() { r.ever = true }
-
 // New returns an empty atlas.
 func New(top *topo.Topology, pr *probe.Prober, clk *simclock.Scheduler) *Atlas {
 	return &Atlas{
 		top: top, pr: pr, clk: clk,
 		pairs: make(map[pairKey]*pairState),
-		resp:  make(map[netip.Addr]*Responsiveness),
+		resp:  make(map[netip.Addr]struct{}),
 	}
 }
 
@@ -127,45 +120,15 @@ func (a *Atlas) VPs() []topo.RouterID { return a.vps }
 // Targets returns the monitored destinations.
 func (a *Atlas) Targets() []netip.Addr { return a.targets }
 
-// targetRouter resolves the router that stands for a target address.
-func (a *Atlas) targetRouter(addr netip.Addr) (topo.RouterID, bool) {
-	if r, ok := a.top.RouterByAddr(addr); ok {
-		return r.ID, true
-	}
-	owner, ok := topo.OwnerOf(addr)
-	if !ok {
-		return 0, false
-	}
-	as := a.top.AS(owner)
-	if as == nil || len(as.Routers) == 0 {
-		return 0, false
-	}
-	return as.Routers[0], true
-}
-
-// Responsiveness returns addr's row in the responsiveness database, adding
-// an empty one (never answered) on first sight.
-func (a *Atlas) Responsiveness(addr netip.Addr) *Responsiveness {
-	r := a.resp[addr]
-	if r == nil {
-		r = new(Responsiveness)
-		a.resp[addr] = r
-	}
-	return r
-}
-
-// NoteResponsive records an externally-observed probe outcome for addr.
-func (a *Atlas) NoteResponsive(addr netip.Addr, ok bool) {
-	if r := a.Responsiveness(addr); ok {
-		r.Note()
-	}
-}
+// NoteResponsive records that addr answered a probe. Only answers are
+// recorded: a later silence never erases one.
+func (a *Atlas) NoteResponsive(addr netip.Addr) { a.resp[addr] = struct{}{} }
 
 // EverResponsive reports whether addr has ever answered a probe. Isolation
 // uses it to exclude configured-silent routers from blame (§4.1.2).
 func (a *Atlas) EverResponsive(addr netip.Addr) bool {
-	r := a.resp[addr]
-	return r != nil && r.ever
+	_, ok := a.resp[addr]
+	return ok
 }
 
 // pair returns the record of (vp, target), nil if it was never refreshed.
@@ -181,7 +144,7 @@ func (a *Atlas) RefreshPair(vp topo.RouterID, target netip.Addr) {
 	ps := a.pair(vp, target)
 	if ps == nil {
 		ps = &pairState{tracer: a.pr.Tracer(vp, target)}
-		if tr, ok := a.targetRouter(target); ok {
+		if tr, ok := a.top.RouterFor(target); ok {
 			rt := a.pr.ReverseTracer(tr, vp)
 			ps.reverse = &rt
 		}
@@ -261,7 +224,7 @@ func (a *Atlas) appendRecord(h []PathRecord, rec PathRecord) []PathRecord {
 func (a *Atlas) recordHops(hops []probe.Hop) {
 	for _, h := range hops {
 		if !h.Star {
-			a.NoteResponsive(h.Addr, true)
+			a.NoteResponsive(h.Addr)
 		}
 	}
 }

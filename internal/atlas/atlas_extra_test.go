@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"slices"
 	"testing"
-	"time"
 
 	"lifeguard/internal/nettest"
 	"lifeguard/internal/topo"
@@ -35,19 +34,19 @@ func TestTargetRouterResolution(t *testing.T) {
 	n, a := setup(t)
 	// Router address resolves to that router.
 	r3 := n.Hub(nettest.TransitB)
-	if got, ok := a.targetRouter(n.Top.Router(r3).Addr); !ok || got != r3 {
-		t.Fatalf("targetRouter(router addr) = %v, %v", got, ok)
+	if got, ok := a.top.RouterFor(n.Top.Router(r3).Addr); !ok || got != r3 {
+		t.Fatalf("RouterFor(router addr) = %v, %v", got, ok)
 	}
 	// Prefix-hosted address resolves to the owner's hub.
-	if got, ok := a.targetRouter(topo.ProductionAddr(nettest.TargetAS)); !ok || got != n.Hub(nettest.TargetAS) {
-		t.Fatalf("targetRouter(production) = %v, %v", got, ok)
+	if got, ok := a.top.RouterFor(topo.ProductionAddr(nettest.TargetAS)); !ok || got != n.Hub(nettest.TargetAS) {
+		t.Fatalf("RouterFor(production) = %v, %v", got, ok)
 	}
 	// Addresses outside any block fail.
-	if _, ok := a.targetRouter(netip.MustParseAddr("203.0.113.9")); ok {
+	if _, ok := a.top.RouterFor(netip.MustParseAddr("203.0.113.9")); ok {
 		t.Fatal("foreign address resolved")
 	}
 	// Addresses in a block whose AS doesn't exist fail.
-	if _, ok := a.targetRouter(topo.ProductionAddr(9999)); ok {
+	if _, ok := a.top.RouterFor(topo.ProductionAddr(9999)); ok {
 		t.Fatal("nonexistent AS resolved")
 	}
 }
@@ -95,20 +94,23 @@ func TestRefreshRateZeroAtStart(t *testing.T) {
 	}
 }
 
+// TestNoteResponsiveNegativeObservation: the database holds answers only.
+// An address nothing has heard is not responsive, and once it has answered,
+// a later refresh that finds it silent does not erase the answer.
 func TestNoteResponsiveNegativeObservation(t *testing.T) {
 	n, a := setup(t)
-	addr := n.Top.Router(n.Hub(nettest.TransitA)).Addr
-	a.NoteResponsive(addr, false) // a failed probe proves nothing
+	hub := n.Hub(nettest.TransitA)
+	addr := n.Top.Router(hub).Addr
 	if a.EverResponsive(addr) {
-		t.Fatal("negative observation must not set ever-responsive")
+		t.Fatal("an address never heard must not be ever-responsive")
 	}
-	a.NoteResponsive(addr, true)
+	a.NoteResponsive(addr)
 	if !a.EverResponsive(addr) {
 		t.Fatal("positive observation lost")
 	}
-	a.NoteResponsive(addr, false) // later silence must not erase history
+	n.Top.Router(hub).Responsive = false
+	a.RefreshAll() // later silence must not erase history
 	if !a.EverResponsive(addr) {
 		t.Fatal("ever-responsive must be sticky")
 	}
-	_ = time.Second
 }

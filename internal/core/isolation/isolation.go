@@ -198,7 +198,7 @@ func (iso *Isolator) Isolate(vp topo.RouterID, target netip.Addr) *Report {
 		wd := iso.pr.SpoofedTraceroute(vp, target, helper)
 		rep.WorkingPath = wd.Hops
 	case Forward:
-		if tr, ok := iso.targetRouter(target); ok {
+		if tr, ok := iso.top.RouterFor(target); ok {
 			if rt, ok := iso.pr.ReverseTraceroute(tr, vp); ok {
 				rep.WorkingPath = rt.Hops
 			}
@@ -228,21 +228,6 @@ func (iso *Isolator) findHelper(vp topo.RouterID, target netip.Addr) (topo.Route
 		}
 	}
 	return 0, false
-}
-
-func (iso *Isolator) targetRouter(target netip.Addr) (topo.RouterID, bool) {
-	if r, ok := iso.top.RouterByAddr(target); ok {
-		return r.ID, true
-	}
-	owner, ok := topo.OwnerOf(target)
-	if !ok {
-		return 0, false
-	}
-	as := iso.top.AS(owner)
-	if as == nil || len(as.Routers) == 0 {
-		return 0, false
-	}
-	return as.Routers[0], true
 }
 
 // hopState classifies a historical hop during horizon probing.

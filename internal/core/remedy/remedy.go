@@ -56,43 +56,10 @@ func (a Action) String() string {
 	}
 }
 
-// SentinelMode selects among the §7.2 sentinel designs.
-type SentinelMode int
-
-// Sentinel designs (§4.2, §7.2).
-const (
-	// SentinelLessSpecific announces a covering less-specific with an
-	// unused sub-prefix: captives keep a backup route, and probes from
-	// the unused half detect repair. The paper's deployed design.
-	SentinelLessSpecific SentinelMode = iota
-	// SentinelNonAdjacent uses an unused prefix that does not cover
-	// production: repair detection works, but captives get no backup.
-	SentinelNonAdjacent
-	// SentinelPingPoisoned has no spare address space at all: a covering
-	// less-specific (fully in use) is announced, and repair is detected
-	// by pinging hosts inside the poisoned AS — their replies route via
-	// the unpoisoned less-specific, exercising the failed element.
-	SentinelPingPoisoned
-)
-
-// String names the mode.
-func (m SentinelMode) String() string {
-	switch m {
-	case SentinelNonAdjacent:
-		return "non-adjacent"
-	case SentinelPingPoisoned:
-		return "ping-poisoned"
-	default:
-		return "less-specific"
-	}
-}
-
 // Config describes the origin deployment.
 type Config struct {
 	// Origin is the AS LIFEGUARD speaks for.
 	Origin topo.ASN
-	// Mode selects the sentinel design. Default SentinelLessSpecific.
-	Mode SentinelMode
 	// MinOutageAge gates poisoning: outages younger than this are likely
 	// to resolve on their own (Fig. 5 analysis). Default 5 minutes.
 	MinOutageAge time.Duration
@@ -135,10 +102,6 @@ type Controller struct {
 	pr  *probe.Prober
 	clk *simclock.Scheduler
 	cfg Config
-
-	// production and sentinel are the prefixes the controller manages, from
-	// the topo address plan for the origin and the sentinel mode.
-	production, sentinel netip.Prefix
 
 	// OnUnpoison, if set, fires when a repair is reverted.
 	OnUnpoison func(*Repair)
@@ -197,23 +160,17 @@ func New(eng *bgp.Engine, pr *probe.Prober, clk *simclock.Scheduler, cfg Config)
 	if eng.Topology().AS(cfg.Origin) == nil {
 		panic(fmt.Sprintf("remedy: unknown origin AS %d", cfg.Origin))
 	}
-	c := &Controller{eng: eng, pr: pr, clk: clk, cfg: cfg,
-		production: topo.ProductionPrefix(cfg.Origin),
-		sentinel:   topo.SentinelPrefix(cfg.Origin),
-	}
-	if cfg.Mode == SentinelNonAdjacent {
-		c.sentinel = topo.NonAdjacentSentinelPrefix(cfg.Origin)
-	}
-	return c
+	return &Controller{eng: eng, pr: pr, clk: clk, cfg: cfg}
 }
 
 // Config returns the effective configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
 // Prefixes returns the production and sentinel prefixes the controller
-// announces.
+// announces: the origin's production /24 and the covering /23 of the topo
+// address plan.
 func (c *Controller) Prefixes() (production, sentinel netip.Prefix) {
-	return c.production, c.sentinel
+	return topo.ProductionPrefix(c.cfg.Origin), topo.SentinelPrefix(c.cfg.Origin)
 }
 
 // Active returns the in-progress repair, or nil.
@@ -240,8 +197,9 @@ func (c *Controller) poisonPattern(avoid topo.ASN) topo.Path {
 // AnnounceBaseline (re)announces the production prefix with the prepended
 // baseline and the sentinel with the same unpoisoned pattern.
 func (c *Controller) AnnounceBaseline() {
-	c.eng.Announce(c.cfg.Origin, c.production, bgp.OriginConfig{Pattern: c.baseline()})
-	c.eng.Announce(c.cfg.Origin, c.sentinel, bgp.OriginConfig{Pattern: c.baseline()})
+	production, sentinel := c.Prefixes()
+	c.eng.Announce(c.cfg.Origin, production, bgp.OriginConfig{Pattern: c.baseline()})
+	c.eng.Announce(c.cfg.Origin, sentinel, bgp.OriginConfig{Pattern: c.baseline()})
 }
 
 // DecideAndRepair applies the §4.2 policy to an isolation report: poison
@@ -280,7 +238,7 @@ func (c *Controller) Poison(asn topo.ASN, victim netip.Addr) *Repair {
 	r := &Repair{Avoided: asn, Victim: victim, Started: c.clk.Now()}
 	c.active = r
 	c.obs.poisons.Inc()
-	c.eng.Announce(c.cfg.Origin, c.production, bgp.OriginConfig{Pattern: c.poisonPattern(asn)})
+	c.eng.Announce(c.cfg.Origin, topo.ProductionPrefix(c.cfg.Origin), bgp.OriginConfig{Pattern: c.poisonPattern(asn)})
 	c.armSentinel()
 	return r
 }
@@ -299,7 +257,7 @@ func (c *Controller) PoisonSelective(asn topo.ASN, keepVia topo.ASN, victim neti
 			per[p] = c.poisonPattern(asn)
 		}
 	}
-	c.eng.Announce(c.cfg.Origin, c.production, bgp.OriginConfig{
+	c.eng.Announce(c.cfg.Origin, topo.ProductionPrefix(c.cfg.Origin), bgp.OriginConfig{
 		Pattern:     c.baseline(),
 		PerNeighbor: per,
 	})
@@ -351,12 +309,14 @@ func (c *Controller) Resume() {
 	}
 }
 
-// armSentinel schedules periodic sentinel checks while a repair is active.
-// Suspended controllers don't arm; Resume re-arms for them.
+// armSentinel schedules periodic sentinel checks while a repair is active,
+// replacing any tick chain already running, so a re-poison does not leave
+// two. Suspended controllers don't arm; Resume re-arms for them.
 func (c *Controller) armSentinel() {
 	if c.suspended {
 		return
 	}
+	c.clk.Cancel(c.ticker)
 	var tick func()
 	tick = func() {
 		if c.active == nil {
@@ -371,43 +331,21 @@ func (c *Controller) armSentinel() {
 	c.ticker = c.clk.After(c.cfg.SentinelInterval, tick)
 }
 
-// CheckSentinel tests whether the avoided path has healed, per the
-// configured §7.2 sentinel design. In every mode the reply traffic routes
-// via the unpoisoned sentinel announcement — through the avoided AS when
-// that is the preferred path — so success means the underlying failure is
-// gone (§4.2).
+// CheckSentinel tests whether the avoided path has healed: one ping from the
+// sentinel's unused half to the victim, whose reply routes via the
+// unpoisoned sentinel announcement — through the avoided AS when that is the
+// preferred path — so success means the underlying failure is gone (§4.2).
 func (c *Controller) CheckSentinel() bool {
 	if c.active == nil {
 		return false
 	}
 	c.active.SentinelChecks++
-	healed := c.sentinelHealed()
+	hub := c.eng.Topology().AS(c.cfg.Origin).Routers[0]
+	healed := c.pr.PingFromAddr(hub, topo.SentinelProbeAddr(c.cfg.Origin), c.active.Victim).OK
 	if healed {
 		c.obs.sentinelHealed.Inc()
 	} else {
 		c.obs.sentinelChecks.Inc()
 	}
 	return healed
-}
-
-// sentinelHealed issues one sentinel probe per the configured mode.
-func (c *Controller) sentinelHealed() bool {
-	hub := c.eng.Topology().AS(c.cfg.Origin).Routers[0]
-	switch c.cfg.Mode {
-	case SentinelNonAdjacent:
-		src := topo.NonAdjacentProbeAddr(c.cfg.Origin)
-		return c.pr.PingFromAddr(hub, src, c.active.Victim).OK
-	case SentinelPingPoisoned:
-		// No spare space: ping a host inside the poisoned AS from the
-		// production prefix; its reply follows the less-specific route.
-		as := c.eng.Topology().AS(c.active.Avoided)
-		if as == nil || len(as.Routers) == 0 {
-			return false
-		}
-		dst := c.eng.Topology().Router(as.Routers[0]).Addr
-		return c.pr.PingFromAddr(hub, topo.ProductionAddr(c.cfg.Origin), dst).OK
-	default:
-		src := topo.SentinelProbeAddr(c.cfg.Origin)
-		return c.pr.PingFromAddr(hub, src, c.active.Victim).OK
-	}
 }

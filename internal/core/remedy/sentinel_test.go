@@ -10,12 +10,12 @@ import (
 	"lifeguard/internal/topo"
 )
 
-// sentinelLifecycle drives poison → persistent failure → heal → unpoison
-// under a given sentinel mode and returns the controller mid-failure hooks.
-func sentinelLifecycle(t *testing.T, mode remedy.SentinelMode) {
-	t.Helper()
+// TestSentinelLessSpecificLifecycle drives poison → persistent failure →
+// heal → unpoison: the sentinel holds the poison while the failure stands
+// and withdraws it once the avoided path heals.
+func TestSentinelLessSpecificLifecycle(t *testing.T) {
 	n := nettest.Fig2(t)
-	c := remedy.New(n.Eng, n.Prober, n.Clk, remedy.Config{Origin: nettest.O, Mode: mode})
+	c := remedy.New(n.Eng, n.Prober, n.Clk, remedy.Config{Origin: nettest.O})
 	c.AnnounceBaseline()
 	n.Converge(t)
 
@@ -27,67 +27,41 @@ func sentinelLifecycle(t *testing.T, mode remedy.SentinelMode) {
 	// Failure persists: several sentinel intervals pass, poison stays.
 	n.Clk.RunFor(10 * time.Minute)
 	if c.Active() == nil {
-		t.Fatalf("mode %v: unpoisoned while the failure persists", mode)
+		t.Fatal("unpoisoned while the failure persists")
 	}
 	if c.Active().SentinelChecks == 0 {
-		t.Fatalf("mode %v: sentinel never probed", mode)
+		t.Fatal("sentinel never probed")
 	}
 
 	n.Plane.RemoveFailure(fid)
 	n.Clk.RunFor(5 * time.Minute)
 	if c.Active() != nil {
-		t.Fatalf("mode %v: poison not withdrawn after healing", mode)
+		t.Fatal("poison not withdrawn after healing")
 	}
 }
 
-func TestSentinelLessSpecificLifecycle(t *testing.T) {
-	sentinelLifecycle(t, remedy.SentinelLessSpecific)
-}
-
-func TestSentinelNonAdjacentLifecycle(t *testing.T) {
-	sentinelLifecycle(t, remedy.SentinelNonAdjacent)
-}
-
-func TestSentinelPingPoisonedLifecycle(t *testing.T) {
-	sentinelLifecycle(t, remedy.SentinelPingPoisoned)
-}
-
-// TestNonAdjacentSentinelSacrificesBackup shows the §7.2 trade-off: with a
-// non-adjacent sentinel, repair detection still works, but captives behind
-// the poisoned AS lose the production prefix with no covering backup.
-func TestNonAdjacentSentinelSacrificesBackup(t *testing.T) {
+// TestRepoisonKeepsOneSentinelTicker: poisoning an active controller again
+// replaces its sentinel tick chain rather than adding a second, so checks
+// keep one SentinelInterval apart.
+func TestRepoisonKeepsOneSentinelTicker(t *testing.T) {
 	n := nettest.Fig2(t)
-	c := remedy.New(n.Eng, n.Prober, n.Clk, remedy.Config{
-		Origin: nettest.O, Mode: remedy.SentinelNonAdjacent,
-	})
+	c := remedy.New(n.Eng, n.Prober, n.Clk, remedy.Config{Origin: nettest.O})
 	c.AnnounceBaseline()
 	n.Converge(t)
-	// A live failure keeps the sentinel check from un-poisoning before the
-	// poison has converged.
 	n.Plane.AddFailure(dataplane.BlackholeASTowards(nettest.A, topo.Block(nettest.O)))
-	c.Poison(nettest.A, n.Top.Router(n.Hub(nettest.E)).Addr)
-	n.Converge(t)
+	victim := n.Top.Router(n.Hub(nettest.E)).Addr
+	c.Poison(nettest.A, victim)
+	r := c.Poison(nettest.A, victim)
 
-	prod, sentinel := c.Prefixes()
-	if sentinel != topo.NonAdjacentSentinelPrefix(nettest.O) {
-		t.Fatalf("sentinel %v, want the non-adjacent prefix %v", sentinel, topo.NonAdjacentSentinelPrefix(nettest.O))
-	}
-	// Captive F: no production route and — unlike the less-specific
-	// design — no covering backup either.
-	if _, ok := n.Eng.BestRoute(nettest.F, prod); ok {
-		t.Fatal("F should lose the production route")
-	}
-	if _, ok := n.Eng.BestRoute(nettest.F, topo.SentinelPrefix(nettest.O)); ok {
-		t.Fatal("no covering /23 should exist in non-adjacent mode")
-	}
-	// The non-adjacent prefix itself is announced and reaches F.
-	if _, ok := n.Eng.BestRoute(nettest.F, topo.NonAdjacentSentinelPrefix(nettest.O)); !ok {
-		t.Fatal("non-adjacent sentinel should be announced")
+	const d = 10 * time.Minute
+	n.Clk.RunFor(d)
+	if want := int(d / c.Config().SentinelInterval); r.SentinelChecks != want {
+		t.Fatalf("%d sentinel checks in %v, want %d: one every %v", r.SentinelChecks, d, want, c.Config().SentinelInterval)
 	}
 }
 
-// TestLessSpecificSentinelKeepsBackup is the §7.2 contrast: the deployed
-// design leaves captives a usable covering route.
+// TestLessSpecificSentinelKeepsBackup: the covering sentinel leaves
+// captives a usable route while the production prefix is poisoned.
 func TestLessSpecificSentinelKeepsBackup(t *testing.T) {
 	n := nettest.Fig2(t)
 	c := remedy.New(n.Eng, n.Prober, n.Clk, remedy.Config{Origin: nettest.O})
@@ -110,16 +84,4 @@ func TestLessSpecificSentinelKeepsBackup(t *testing.T) {
 		t.Fatalf("F -> production via sentinel: %v", res.Reason)
 	}
 	_ = r
-}
-
-func TestSentinelModeString(t *testing.T) {
-	for m, want := range map[remedy.SentinelMode]string{
-		remedy.SentinelLessSpecific: "less-specific",
-		remedy.SentinelNonAdjacent:  "non-adjacent",
-		remedy.SentinelPingPoisoned: "ping-poisoned",
-	} {
-		if m.String() != want {
-			t.Fatalf("%d -> %q", m, m.String())
-		}
-	}
 }

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"net/netip"
 	"reflect"
 	"slices"
 	"testing"
@@ -353,17 +354,19 @@ func TestMoreSpecificReshapesTheMatch(t *testing.T) {
 	const O, C, D = topo.ASN(10), topo.ASN(40), topo.ASN(50)
 	top, e, pl := fig2Net(t)
 	from := hub(top, D)
-	pkt := Packet{Src: top.Router(from).Addr, Dst: topo.NonAdjacentProbeAddr(O)}
+	// An unused /24 in O's block, outside its production and sentinel.
+	more := netip.MustParsePrefix("1.10.242.0/24")
+	pkt := Packet{Src: top.Router(from).Addr, Dst: netip.MustParseAddr("1.10.242.1")}
 	if res := ask(t, pl, from, pkt, walkMiss, "cold"); res.LastAS != O {
 		t.Fatalf("by the block: %v, want delivered at O", &res)
 	}
-	e.Announce(C, topo.NonAdjacentSentinelPrefix(O), bgp.OriginConfig{})
+	e.Announce(C, more, bgp.OriginConfig{})
 	settle(t, e)
 	if res := ask(t, pl, from, pkt, walkMiss, "more-specific at C"); res.LastAS != C || !res.Delivered() {
 		t.Fatalf("with C originating a more-specific: %v, want delivered at C", &res)
 	}
 	ask(t, pl, from, pkt, walkHit, "asked again")
-	e.Withdraw(C, topo.NonAdjacentSentinelPrefix(O))
+	e.Withdraw(C, more)
 	settle(t, e)
 	if res := ask(t, pl, from, pkt, walkMiss, "more-specific withdrawn"); res.LastAS != O {
 		t.Fatalf("by the block again: %v, want delivered at O", &res)

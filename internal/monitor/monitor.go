@@ -191,7 +191,7 @@ func (m *Monitor) roundFor(p *pair) {
 		}
 	}
 	if m.Atlas != nil && responded && p.notedIn != m.Atlas {
-		m.Atlas.Responsiveness(p.target).Note()
+		m.Atlas.NoteResponsive(p.target)
 		p.notedIn = m.Atlas
 	}
 	if ok {

@@ -156,8 +156,8 @@ func TestPartialOutageOnlyAffectedVP(t *testing.T) {
 
 // TestRoundsFeedTheResponsivenessDB: a pair whose target answers notes it in
 // the atlas the monitor points at — the one it points at now, although the
-// pair holds the target's row rather than looking it up every round — and a
-// target that cannot be reached notes nothing.
+// pair remembers the atlas it noted the target in rather than noting it every
+// round — and a target that cannot be reached notes nothing.
 func TestRoundsFeedTheResponsivenessDB(t *testing.T) {
 	n, m := setup(t)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr

@@ -74,22 +74,6 @@ func SentinelProbeAddr(asn ASN) netip.Addr {
 	return netip.AddrFrom4([4]byte{b[0], b[1], 241, 1})
 }
 
-// NonAdjacentSentinelPrefix returns an unused /24 that does NOT cover the
-// production prefix — the §7.2 alternative sentinel for ASes that have
-// spare address space but no covering less-specific. It can detect repair
-// but provides no backup route for captives.
-func NonAdjacentSentinelPrefix(asn ASN) netip.Prefix {
-	b := Block(asn).Addr().As4()
-	return netip.PrefixFrom(netip.AddrFrom4([4]byte{b[0], b[1], 242, 0}), 24)
-}
-
-// NonAdjacentProbeAddr returns a host address inside the non-adjacent
-// sentinel prefix.
-func NonAdjacentProbeAddr(asn ASN) netip.Addr {
-	b := Block(asn).Addr().As4()
-	return netip.AddrFrom4([4]byte{b[0], b[1], 242, 1})
-}
-
 // OwnerOf returns the AS whose /16 block contains addr, and false if the
 // address is outside every block this plan can produce.
 func OwnerOf(addr netip.Addr) (ASN, bool) {

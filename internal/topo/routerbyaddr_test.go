@@ -37,11 +37,13 @@ func TestRouterByAddrIsTheAddressPlan(t *testing.T) {
 			{},
 		}
 		for _, asn := range top.ASNs() {
+			b := topo.Block(asn).Addr().As4()
 			none = append(none,
-				topo.ProductionAddr(asn), topo.SentinelProbeAddr(asn), topo.NonAdjacentProbeAddr(asn),
+				topo.ProductionAddr(asn), topo.SentinelProbeAddr(asn),
+				netip.AddrFrom4([4]byte{b[0], b[1], 242, 1}),   // an unused /24 past the sentinel
 				topo.RouterAddr(asn, len(top.AS(asn).Routers)), // one past the AS's last router
 				topo.RouterAddr(asn, 240*256-1),
-				netip.AddrFrom4([4]byte{topo.Block(asn).Addr().As4()[0], topo.Block(asn).Addr().As4()[1], 255, 255}),
+				netip.AddrFrom4([4]byte{b[0], b[1], 255, 255}),
 			)
 		}
 		for _, a := range none {

@@ -242,6 +242,25 @@ func (t *Topology) RouterByAddr(a netip.Addr) (*Router, bool) {
 	return &t.routers[as.Routers[idx]], true
 }
 
+// RouterFor resolves the router that stands for a target address: the
+// router whose interface it is, else the first router (the hub) of the AS
+// whose block holds it. It fails for an address outside every block and
+// for a block whose AS does not exist.
+func (t *Topology) RouterFor(a netip.Addr) (RouterID, bool) {
+	if r, ok := t.RouterByAddr(a); ok {
+		return r.ID, true
+	}
+	asn, ok := OwnerOf(a)
+	if !ok {
+		return 0, false
+	}
+	as := t.ases[asn]
+	if as == nil || len(as.Routers) == 0 {
+		return 0, false
+	}
+	return as.Routers[0], true
+}
+
 // Rel reports the relationship of neighbor as seen from asn.
 func (t *Topology) Rel(asn, neighbor ASN) Rel {
 	return t.rels[asn][neighbor]
