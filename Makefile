@@ -44,9 +44,11 @@ lint: lglint
 # to hold Forward and Flow.ForwardN to the aliasing contracts (cached
 # intra-AS paths and cached walks are shared, read-only) under the
 # detector, and the prober and atlas because they are what reads those
-# shared Results.
+# shared Results. internal/obs is here for its scrape-while-simulating
+# contract: the HTTP exporter reads the registry and journal while a rig
+# runs and adds tenants, as lifeguardd does.
 race:
-	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./cmd/lgchaos/... ./internal/dataplane/... ./internal/probe/... ./internal/atlas/...
+	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./cmd/lgchaos/... ./internal/dataplane/... ./internal/probe/... ./internal/atlas/... ./internal/obs/...
 
 # debug-test reruns the simulation-bearing packages with the simclockdebug
 # ownership assertion compiled in: any scheduler touched from two

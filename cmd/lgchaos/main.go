@@ -86,6 +86,8 @@ func main() {
 		badFlag("-faults must be at least 1, got %d", *faults)
 	case *trials < 1:
 		badFlag("-trials must be at least 1, got %d", *trials)
+	case *transit < 1:
+		badFlag("-transit must be at least 1, got %d", *transit)
 	case *stub < 2:
 		// Every trial probes reachability between, or stages a hijack
 		// across, the first two stubs.
@@ -216,7 +218,7 @@ func runTrial(opts options, seed int64, reg *obs.Registry) (trialOut, error) {
 		{From: net.Hub(s1), To: net.RouterAddr(net.Hub(s0))},
 	}
 
-	rep, err := net.RunChaos(script, lifeguard.ChaosOptions{Obs: reg, Reach: reach})
+	rep, err := lifeguard.NewRig(net).RunChaos(script, lifeguard.ChaosOptions{Obs: reg, Reach: reach})
 	if err != nil {
 		return trialOut{}, fmt.Errorf("trial seed %d: %w", seed, err)
 	}
@@ -246,10 +248,14 @@ func runHijackTrial(opts options, seed int64, reg *obs.Registry) (trialOut, erro
 	}
 	owner, rogue := net.Gen.Stubs[0], net.Gen.Stubs[1]
 
-	ses := lifeguard.NewSession(net, lifeguard.SessionConfig{
+	rig := lifeguard.NewRig(net)
+	ses, err := rig.AddSession(lifeguard.SessionConfig{
 		Config: lifeguard.Config{Origin: owner},
 		Hijack: lifeguard.HijackConfig{Enable: true, CollectorPeers: net.Gen.Transit},
 	})
+	if err != nil {
+		return trialOut{}, fmt.Errorf("hijack trial seed %d: %w", seed, err)
+	}
 	ses.Start()
 	net.Clk.RunFor(time.Minute)
 
@@ -262,7 +268,7 @@ func runHijackTrial(opts options, seed int64, reg *obs.Registry) (trialOut, erro
 	if err != nil {
 		return trialOut{}, fmt.Errorf("hijack trial seed %d: %w", seed, err)
 	}
-	rep, err := net.RunChaos(script, lifeguard.ChaosOptions{Obs: reg})
+	rep, err := rig.RunChaos(script, lifeguard.ChaosOptions{Obs: reg})
 	if err != nil {
 		return trialOut{}, fmt.Errorf("hijack trial seed %d: %w", seed, err)
 	}

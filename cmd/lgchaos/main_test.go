@@ -222,6 +222,8 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{[]string{"-trials", "0"}, "-trials"},
 		{[]string{"-stub", "1", "-transit", "1"}, "-stub"},
 		{[]string{"-hijack", "-stub", "1"}, "-stub"},
+		{[]string{"-transit", "-3"}, "-transit"},
+		{[]string{"-transit", "0"}, "-transit"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			var stderr bytes.Buffer

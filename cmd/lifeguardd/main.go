@@ -79,6 +79,14 @@ exit codes:
 		badFlag("-failures must not be negative, got %d", *failures)
 	case *tenants < 1:
 		badFlag("-tenants must be at least 1, got %d", *tenants)
+	case *transits < 1:
+		badFlag("-transits must be at least 1, got %d", *transits)
+	case *stubs < *tenants+6:
+		// Six stubs are the targets' and the helper vantage points' ASes;
+		// each tenant's origin takes one more.
+		badFlag("-stubs must be at least -tenants + 6 = %d, got %d", *tenants+6, *stubs)
+	case *journal < 0:
+		badFlag("-journal must not be negative, got %d", *journal)
 	}
 	if err := run(*seed, *hours, *failures, *tenants, *transits, *stubs, *httpAddr, *journal); err != nil {
 		fmt.Fprintln(os.Stderr, "lifeguardd:", err)
@@ -110,9 +118,6 @@ func run(seed int64, hours float64, failures, tenants, transits, stubs int, http
 	}, lifeguard.NetworkOptions{Obs: reg, Journal: j})
 	if err != nil {
 		return err
-	}
-	if max := len(n.Gen.Stubs) - 6; tenants > max {
-		return fmt.Errorf("%d tenants need more stubs (have %d, can host %d)", tenants, len(n.Gen.Stubs), max)
 	}
 	fmt.Printf("internet: %d ASes (%d tier-1, %d transit, %d stub), %d routers\n",
 		n.Top.NumASes(), len(n.Gen.Tier1s), len(n.Gen.Transit), len(n.Gen.Stubs),

@@ -174,6 +174,12 @@ func TestFlagValuesNeverPanic(t *testing.T) {
 		{[]string{"-hours", "0"}, 2, "-hours"},
 		{[]string{"-failures", "-1"}, 2, "-failures"},
 		{[]string{"-tenants", "0"}, 2, "-tenants"},
+		{[]string{"-stubs", "0"}, 2, "-stubs"},
+		{[]string{"-stubs", "3"}, 2, "-stubs"},
+		{[]string{"-tenants", "3", "-stubs", "8"}, 2, "-stubs"},
+		{[]string{"-transits", "-2"}, 2, "-transits"},
+		{[]string{"-transits", "0"}, 2, "-transits"},
+		{[]string{"-journal", "-5"}, 2, "-journal"},
 		{[]string{"-tenants", "2", "-hours", "1", "-failures", "1000"}, 0, ""},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

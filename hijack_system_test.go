@@ -46,7 +46,7 @@ func fig2HijackNetwork(t *testing.T) *lifeguard.Network {
 // stage must land in the journal with its measured sim-time latency.
 func TestEndToEndHijackPipeline(t *testing.T) {
 	n := fig2HijackNetwork(t)
-	ses := lifeguard.NewSession(n, lifeguard.SessionConfig{
+	rig, ses := soloRig(t, n, lifeguard.SessionConfig{
 		Config: lifeguard.Config{Origin: asO},
 		Hijack: lifeguard.HijackConfig{
 			Enable:         true,
@@ -61,7 +61,7 @@ func TestEndToEndHijackPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := n.RunChaos(script, lifeguard.ChaosOptions{})
+	rep, err := rig.RunChaos(script, lifeguard.ChaosOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

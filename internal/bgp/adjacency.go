@@ -19,8 +19,8 @@ import (
 // table. The topology relationship itself is untouched.
 //
 // Note this affects only the control plane; callers modelling a physical
-// link cut should also install the matching data-plane rules (the facade's
-// Network.FailAdjacency does both).
+// link cut should also install the matching data-plane rules (the chaos
+// linkdown fault does both).
 func (e *Engine) SetAdjacencyDown(a, b topo.ASN, down bool) {
 	if !e.top.Adjacent(a, b) {
 		panic(fmt.Sprintf("bgp: SetAdjacencyDown(%d, %d): not adjacent", a, b))

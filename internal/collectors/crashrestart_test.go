@@ -41,10 +41,13 @@ func TestWithdrawalsThroughCrashRestartWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		col := collectors.New(n.Eng, asA, asB)
-		ses := lifeguard.NewSession(n, lifeguard.SessionConfig{
+		ses, err := lifeguard.NewRig(n).AddSession(lifeguard.SessionConfig{
 			Config:            lifeguard.Config{Origin: asO},
 			NoGracefulRestart: noGraceful,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		ses.Start()
 		n.Clk.RunFor(1 * time.Minute)
 		n.Converge()

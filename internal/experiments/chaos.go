@@ -101,7 +101,7 @@ func chaosTrial(seed int64, intensity float64, reg *obs.Registry) chaosPart {
 	n, rng := world(seed, topogen.Config{NumTransit: 15, NumStub: 30}, 3, bgp.Config{}, reg)
 	stubs := sample(rng, n.Gen.Stubs, 2)
 	ses, reach := watchStubs(n, stubs, true)
-	rep, err := n.RunChaos(chaosScript(n, stubs, seed, intensity), chaos.Options{Obs: reg, Reach: reach})
+	rep, err := lifeguard.NewRig(n).RunChaos(chaosScript(n, stubs, seed, intensity), chaos.Options{Obs: reg, Reach: reach})
 	if err != nil {
 		panic(fmt.Sprintf("chaos experiment: %v", err))
 	}

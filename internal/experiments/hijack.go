@@ -90,13 +90,16 @@ func hijackTrial(seed int64, distance int, reg *obs.Registry) hjPart {
 		return part
 	}
 
-	ses := lifeguard.NewSession(n, lifeguard.SessionConfig{
+	ses, err := lifeguard.NewRig(n).AddSession(lifeguard.SessionConfig{
 		Config: lifeguard.Config{Origin: owner},
 		Hijack: lifeguard.HijackConfig{
 			Enable:         true,
 			CollectorPeers: n.Gen.Transit,
 		},
 	})
+	if err != nil {
+		panic(fmt.Sprintf("hijack experiment: %v", err))
+	}
 	ses.Start()
 	n.Clk.RunFor(2 * time.Minute)
 

@@ -90,7 +90,7 @@ func trafficTrial(seed int64, repair bool, reg *obs.Registry) trafficPart {
 	}
 	n.Clk.After(trafficEpoch, epoch)
 
-	rep, err := n.RunChaos(trafficScript(n, vantages), chaos.Options{Obs: reg, Reach: reach})
+	rep, err := lifeguard.NewRig(n).RunChaos(trafficScript(n, vantages), chaos.Options{Obs: reg, Reach: reach})
 	if err != nil {
 		panic(fmt.Sprintf("traffic experiment: %v", err))
 	}

@@ -81,7 +81,7 @@ var journalScenarios = []struct {
 	}},
 	{"hijack", func(t *testing.T) *lifeguard.Network {
 		n := fig2HijackNetwork(t)
-		ses := lifeguard.NewSession(n, lifeguard.SessionConfig{
+		rig, ses := soloRig(t, n, lifeguard.SessionConfig{
 			Config: lifeguard.Config{Origin: asO},
 			Hijack: lifeguard.HijackConfig{
 				Enable:         true,
@@ -94,7 +94,7 @@ var journalScenarios = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := n.RunChaos(script, lifeguard.ChaosOptions{}); err != nil {
+		if _, err := rig.RunChaos(script, lifeguard.ChaosOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		ses.Restart()

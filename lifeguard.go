@@ -60,32 +60,20 @@ type (
 	FailureID = dataplane.FailureID
 	// BGPConfig tunes protocol dynamics (MRAI, jitter, dampening).
 	BGPConfig = bgp.Config
-	// ObsRegistry is the deterministic metrics registry (internal/obs).
-	ObsRegistry = obs.Registry
-	// ObsJournal is the sim-time event journal (internal/obs).
-	ObsJournal = obs.Journal
 	// OriginConfig controls how an AS announces one of its prefixes
 	// (patterns, per-neighbor poisons, withholding, communities).
 	OriginConfig = bgp.OriginConfig
 	// ChaosScript is a scripted fault timeline (internal/chaos).
 	ChaosScript = chaos.Script
-	// ChaosStep is one scripted fault or invariant barrier.
-	ChaosStep = chaos.Step
-	// ChaosFault is one reversible injected failure.
-	ChaosFault = chaos.Fault
 	// ChaosOptions tunes a chaos run (reach probes, obs).
 	ChaosOptions = chaos.Options
 	// ChaosReport summarizes a finished chaos run.
 	ChaosReport = chaos.Report
-	// ChaosViolation is one invariant breach found at a barrier.
-	ChaosViolation = chaos.Violation
 	// ChaosGenConfig parameterizes the seeded chaos script generator.
 	ChaosGenConfig = chaos.GenConfig
 	// ChaosReachProbe is a data-plane reachability assertion checked at
 	// all-healed chaos barriers.
 	ChaosReachProbe = chaos.ReachProbe
-	// ChaosFaultDoc documents one fault keyword of the script vocabulary.
-	ChaosFaultDoc = chaos.FaultDoc
 )
 
 // NewTopologyBuilder returns an empty topology builder.
@@ -99,8 +87,6 @@ var (
 	SentinelPrefix = topo.SentinelPrefix
 	// ProductionAddr returns a host address inside the production prefix.
 	ProductionAddr = topo.ProductionAddr
-	// SentinelProbeAddr returns a host address in the sentinel's unused half.
-	SentinelProbeAddr = topo.SentinelProbeAddr
 	// Block returns an AS's /16 address block.
 	Block = topo.Block
 )
@@ -126,8 +112,6 @@ var (
 	BlackholeASTowards = dataplane.BlackholeASTowards
 	// DropASLink drops traffic crossing a directed AS-level link.
 	DropASLink = dataplane.DropASLink
-	// BlackholeRouter drops all traffic through one router.
-	BlackholeRouter = dataplane.BlackholeRouter
 )
 
 // Network bundles a simulated internetwork: topology, virtual clock, BGP
@@ -240,58 +224,3 @@ func (n *Network) HealFailure(id FailureID) bool { return n.Plane.RemoveFailure(
 
 // Converge drains the BGP control plane (bounded); it reports success.
 func (n *Network) Converge() bool { return n.Eng.Converge(bgp.MaxConvergeSteps) }
-
-// ChaosTarget exposes the network to the chaos fault-injection engine.
-func (n *Network) ChaosTarget() *chaos.Target {
-	return &chaos.Target{
-		Top: n.Top, Clk: n.Clk, Eng: n.Eng, Plane: n.Plane,
-		Journal: n.Journal,
-	}
-}
-
-// RunChaos executes a fault timeline against the network and returns its
-// report. Deterministic: the same network seed and script yield the same
-// report bytes. See internal/chaos for the script language and invariants.
-func (n *Network) RunChaos(s *ChaosScript, opts ChaosOptions) (*ChaosReport, error) {
-	r, err := chaos.NewRunner(n.ChaosTarget(), s, opts)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run()
-}
-
-// FailAdjacency cuts the link between adjacent ASes a and b completely:
-// the BGP session drops (both sides withdraw, the Internet re-converges —
-// a *visible* failure, unlike InjectFailure's silent ones) and the data
-// plane stops carrying packets across it in either direction.
-func (n *Network) FailAdjacency(a, b ASN) [2]FailureID {
-	n.Eng.SetAdjacencyDown(a, b, true)
-	return [2]FailureID{
-		n.Plane.AddFailure(dataplane.DropASLink(a, b)),
-		n.Plane.AddFailure(dataplane.DropASLink(b, a)),
-	}
-}
-
-// HealAdjacency restores a link cut by FailAdjacency. It verifies the ids
-// are live and actually the a–b link-cut pair — the two directed drop rules
-// FailAdjacency installed, in either order — and reports false without
-// touching anything on a mismatch (no partial heal), consistent with
-// HealFailure's contract.
-func (n *Network) HealAdjacency(a, b ASN, ids [2]FailureID) bool {
-	matches := func(r FailureRule, from, to ASN) bool {
-		return r == dataplane.DropASLink(from, to)
-	}
-	r0, ok0 := n.Plane.Failure(ids[0])
-	r1, ok1 := n.Plane.Failure(ids[1])
-	if !ok0 || !ok1 {
-		return false
-	}
-	if !(matches(r0, a, b) && matches(r1, b, a)) &&
-		!(matches(r0, b, a) && matches(r1, a, b)) {
-		return false
-	}
-	n.Plane.RemoveFailure(ids[0])
-	n.Plane.RemoveFailure(ids[1])
-	n.Eng.SetAdjacencyDown(a, b, false)
-	return true
-}

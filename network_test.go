@@ -107,59 +107,6 @@ func TestInjectAndHealFailureRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHealAdjacencyValidatesIDs pins the satellite contract: HealAdjacency
-// only heals when handed the exact pair of directed drop rules that
-// FailAdjacency installed for that adjacency, and a mismatch changes
-// nothing (no partial heal).
-func TestHealAdjacencyValidatesIDs(t *testing.T) {
-	n := fig2Network(t)
-	ids := n.FailAdjacency(asB, asA)
-	unrelated := n.InjectFailure(lifeguard.BlackholeAS(asC))
-	active := n.Plane.ActiveFailures()
-
-	bad := [][2]lifeguard.FailureID{
-		{ids[0], unrelated},        // second id is not a link rule
-		{unrelated, ids[1]},        // first id is not a link rule
-		{ids[0], ids[0]},           // same direction twice
-		{ids[0] + 1000, ids[1]},    // first id unknown
-		{ids[0], ids[1] + 1000},    // second id unknown
-		{unrelated, unrelated + 1}, // neither belongs to the adjacency
-	}
-	for _, pair := range bad {
-		if n.HealAdjacency(asB, asA, pair) {
-			t.Fatalf("HealAdjacency accepted mismatched ids %v", pair)
-		}
-		if got := n.Plane.ActiveFailures(); got != active {
-			t.Fatalf("partial heal: %d active failures after rejected ids %v, want %d",
-				got, pair, active)
-		}
-		if !n.Eng.AdjacencyDown(topo.ASN(asB), topo.ASN(asA)) {
-			t.Fatalf("session restored by rejected ids %v", pair)
-		}
-	}
-	// Right ids against the wrong adjacency must also be rejected.
-	if n.HealAdjacency(asB, asC, ids) {
-		t.Fatal("HealAdjacency healed the wrong adjacency")
-	}
-
-	// The matching pair heals — in either order.
-	//lint:ignore lglint/failureid the heal above targeted the wrong adjacency and was rejected, so ids are still live
-	if !n.HealAdjacency(asB, asA, [2]lifeguard.FailureID{ids[1], ids[0]}) {
-		t.Fatal("HealAdjacency rejected the correct (swapped) pair")
-	}
-	if n.Eng.AdjacencyDown(topo.ASN(asB), topo.ASN(asA)) {
-		t.Fatal("session still down after heal")
-	}
-	if got := n.Plane.ActiveFailures(); got != active-2 {
-		t.Fatalf("%d active failures after heal, want %d", got, active-2)
-	}
-	// Healing twice fails: the ids died with the first heal.
-	//lint:ignore lglint/failureid deliberately probing that the first heal killed the ids
-	if n.HealAdjacency(asB, asA, ids) {
-		t.Fatal("HealAdjacency healed twice with the same ids")
-	}
-}
-
 // TestUnidirectionalForwardFailureEndToEnd commits the PAPER.md §4 scenario
 // end to end through the public API: the forward direction across the B–A
 // adjacency dies (packets crossing B→A vanish) while A→B keeps working.

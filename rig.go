@@ -15,7 +15,7 @@ import (
 // tenant's own event history and metrics partition are byte-identical to
 // what a dedicated single-session run would have produced.
 //
-// The Rig also owns the chaos hooks: its ChaosTarget carries the
+// The Rig also owns the chaos hooks: RunChaos hands the chaos engine the
 // control-plane interface that lets the crashcontrol fault crash and
 // restore individual tenants' sessions while the internetwork keeps
 // running.
@@ -108,36 +108,36 @@ func (r *Rig) Stop() {
 	}
 }
 
-// HasControl implements chaos.ControlPlane: crashcontrol faults validate
-// against the set of hosted sessions.
-func (r *Rig) HasControl(origin topo.ASN) bool { return r.byOrigin[origin] != nil }
+// rigControl is the chaos.ControlPlane over a rig's sessions: crashcontrol
+// faults validate against, crash and restore the hosted tenants. It is
+// not the rig's own API; a caller crashes a tenant through its Session.
+type rigControl struct{ r *Rig }
 
-// CrashControl implements chaos.ControlPlane.
-func (r *Rig) CrashControl(origin topo.ASN) {
-	if s := r.byOrigin[origin]; s != nil {
+func (c rigControl) HasControl(origin topo.ASN) bool { return c.r.byOrigin[origin] != nil }
+
+func (c rigControl) CrashControl(origin topo.ASN) {
+	if s := c.r.byOrigin[origin]; s != nil {
 		s.CrashControl()
 	}
 }
 
-// RestoreControl implements chaos.ControlPlane.
-func (r *Rig) RestoreControl(origin topo.ASN) {
-	if s := r.byOrigin[origin]; s != nil {
+func (c rigControl) RestoreControl(origin topo.ASN) {
+	if s := c.r.byOrigin[origin]; s != nil {
 		s.RestoreControl()
 	}
 }
 
-// ChaosTarget exposes the rig to the chaos engine, control hooks included
-// — unlike Network.ChaosTarget, scripts may use crashcontrol.
-func (r *Rig) ChaosTarget() *chaos.Target {
-	t := r.Net.ChaosTarget()
-	t.Control = r
-	return t
-}
-
-// RunChaos executes a fault timeline against the rig, with the sessions'
-// control planes in scope for crashcontrol faults.
+// RunChaos executes a fault timeline against the rig's network, with the
+// sessions' control planes in scope for crashcontrol faults. It is the one
+// chaos entry point: deterministic, so the same network seed, sessions and
+// script yield the same report bytes. See internal/chaos for the script
+// language and invariants.
 func (r *Rig) RunChaos(s *ChaosScript, opts ChaosOptions) (*ChaosReport, error) {
-	runner, err := chaos.NewRunner(r.ChaosTarget(), s, opts)
+	n := r.Net
+	runner, err := chaos.NewRunner(&chaos.Target{
+		Top: n.Top, Clk: n.Clk, Eng: n.Eng, Plane: n.Plane,
+		Journal: n.Journal, Control: rigControl{r},
+	}, s, opts)
 	if err != nil {
 		return nil, err
 	}

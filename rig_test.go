@@ -55,6 +55,17 @@ func fig2RigNetwork(t *testing.T) *lifeguard.Network {
 	return n
 }
 
+// soloRig hosts cfg as the one tenant of a new rig over n.
+func soloRig(t *testing.T, n *lifeguard.Network, cfg lifeguard.SessionConfig) (*lifeguard.Rig, *lifeguard.Session) {
+	t.Helper()
+	rig := lifeguard.NewRig(n)
+	s, err := rig.AddSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rig, s
+}
+
 // renderHistory flattens a session's event history to comparable bytes.
 func renderHistory(s *lifeguard.Session) string {
 	var b strings.Builder
@@ -348,7 +359,7 @@ func TestGracefulRestartForwardsThroughControlCrash(t *testing.T) {
 func TestFailsafeTimingBoundedAndJournaled(t *testing.T) {
 	n := fig2RigNetwork(t)
 	target := n.RouterAddr(n.Hub(asE))
-	s := lifeguard.NewSession(n, lifeguard.SessionConfig{Config: lifeguard.Config{
+	_, s := soloRig(t, n, lifeguard.SessionConfig{Config: lifeguard.Config{
 		Origin:  asO,
 		VPs:     []lifeguard.RouterID{n.Hub(asO), n.Hub(asC)},
 		Targets: []netip.Addr{target},
@@ -490,5 +501,52 @@ func TestRigHitlessReload(t *testing.T) {
 	repairs := s1.EventsOfKind(lifeguard.EventRepair)
 	if len(repairs) == 0 || repairs[0].Action != remedy.Poisoned {
 		t.Fatalf("tenant 1 pipeline broken after reload: %+v", repairs)
+	}
+}
+
+// TestAddSessionRejections: AddSession turns an unknown origin, a second
+// session for an origin and a taken tenant label into errors, not panics,
+// and a rejected call leaves the rig's sessions and every AS's
+// announcements as they were.
+func TestAddSessionRejections(t *testing.T) {
+	n := fig2RigNetwork(t)
+	rig, first := soloRig(t, n, lifeguard.SessionConfig{Config: lifeguard.Config{Origin: asO}, Tenant: "blue"})
+	first.Start()
+	n.Clk.RunFor(time.Minute)
+	origins := func() string {
+		var b strings.Builder
+		for _, asn := range n.Top.ASNs() {
+			fmt.Fprintf(&b, "%d %+v\n", asn, n.Eng.Origins(asn))
+		}
+		return b.String()
+	}
+	announced := origins()
+
+	for _, tc := range []struct {
+		name    string
+		cfg     lifeguard.SessionConfig
+		wantMsg string
+	}{
+		{"unknown origin", lifeguard.SessionConfig{Config: lifeguard.Config{Origin: 999}}, "unknown origin AS 999"},
+		{"second session for an origin", lifeguard.SessionConfig{Config: lifeguard.Config{Origin: asO}, Tenant: "red"}, "already has a session"},
+		{"duplicate tenant", lifeguard.SessionConfig{Config: lifeguard.Config{Origin: asF}, Tenant: "blue"}, `tenant "blue" already exists`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			owner := rig.Session(tc.cfg.Origin)
+			s, err := rig.AddSession(tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("AddSession(%+v) = %v, %v; want an error containing %q", tc.cfg, s, err, tc.wantMsg)
+			}
+			if got := rig.Sessions(); len(got) != 1 || got[0] != first {
+				t.Fatalf("rejected AddSession changed the sessions: %v", got)
+			}
+			if rig.Session(tc.cfg.Origin) != owner {
+				t.Fatalf("rejected AddSession changed origin AS %d's session", tc.cfg.Origin)
+			}
+			n.Clk.RunFor(time.Minute)
+			if got := origins(); got != announced {
+				t.Fatalf("rejected AddSession changed the announcements:\n%s\nwant:\n%s", got, announced)
+			}
+		})
 	}
 }

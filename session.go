@@ -88,7 +88,8 @@ type SessionConfig struct {
 // control-plane lifecycle (Start/Stop/CrashControl/RestoreControl/Restart)
 // is decoupled from the data plane: the tenant's announced routes — and so
 // the forwarding of its traffic — survive a control crash when graceful
-// restart is on.
+// restart is on. Once Rig.RemoveSession has removed it, every lifecycle
+// call is a no-op.
 type Session struct {
 	Net      *Network
 	Atlas    *atlas.Atlas
@@ -118,7 +119,8 @@ type Session struct {
 
 	started bool
 	crashed bool
-	// removed is set by Rig.RemoveSession: pending repair decisions drop.
+	// removed is set by Rig.RemoveSession: pending repair decisions drop
+	// and lifecycle calls do nothing.
 	removed bool
 
 	// Graceful-restart state: announcements captured at a non-graceful
@@ -310,16 +312,6 @@ func (s *Session) wireHijack() {
 	}
 }
 
-// NewSession wires a standalone session over a network — the single-tenant
-// form of Rig.AddSession, useful for tests that want session semantics
-// (tenant scoping, lifecycle, failsafe) without a Rig.
-func NewSession(n *Network, cfg SessionConfig) *Session {
-	if cfg.Tenant == "" {
-		cfg.Tenant = fmt.Sprintf("AS%d", cfg.Origin)
-	}
-	return newSession(n, cfg)
-}
-
 // NewSystem wires the single-tenant form: one unlabelled session welded to
 // one Network, with unscoped metrics and the historical "system" journal
 // subsystem that the experiments' and CLIs' recorded outputs carry. Call
@@ -350,7 +342,7 @@ func (s *Session) InFailsafe() bool { return s.failsafe }
 // re-announced only when no repair is active — a poison installed before
 // the Stop stays installed, its sentinel still ticking.
 func (s *Session) Start() {
-	if s.started {
+	if s.started || s.removed {
 		return
 	}
 	s.started = true
@@ -391,7 +383,7 @@ func (s *Session) Stop() {
 // failsafe watchdog deliberately survives the crash: it is the mechanism
 // that detects the resulting monitor loss and journals the FAILSAFE entry.
 func (s *Session) CrashControl() {
-	if s.crashed {
+	if s.crashed || s.removed {
 		return
 	}
 	s.crashed = true
@@ -421,7 +413,7 @@ func (s *Session) CrashControl() {
 // Monitoring and repair resume only if the session was administratively
 // started; the first completed round clears any FAILSAFE state.
 func (s *Session) RestoreControl() {
-	if !s.crashed {
+	if !s.crashed || s.removed {
 		return
 	}
 	s.crashed = false

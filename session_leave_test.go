@@ -84,6 +84,50 @@ func TestRemovedSessionStaysGone(t *testing.T) {
 	}
 }
 
+// TestRemovedSessionIgnoresLifecycle: every lifecycle call on a removed
+// session is a no-op. Nothing is logged, probed or announced, the withdrawn
+// production prefix stays withdrawn, and nothing is left on the clock.
+func TestRemovedSessionIgnoresLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		crashed bool // crash the control plane before the removal
+		call    func(*lifeguard.Session)
+	}{
+		{"Start", false, (*lifeguard.Session).Start},
+		{"Stop", false, (*lifeguard.Session).Stop},
+		{"CrashControl", false, (*lifeguard.Session).CrashControl},
+		{"RestoreControl", true, (*lifeguard.Session).RestoreControl},
+		{"Restart", false, (*lifeguard.Session).Restart},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, s := outageThenLeave(t, func(rig *lifeguard.Rig, s *lifeguard.Session) {
+				if tc.crashed {
+					s.CrashControl()
+				}
+				rig.RemoveSession(asO)
+			})
+			logged, sent, updates := len(s.History), n.Prober.Sent, n.Eng.UpdatesSentBy(asO)
+			tc.call(s)
+			n.Clk.RunFor(10 * time.Minute)
+			if len(s.History) != logged {
+				t.Fatalf("removed session logged: %+v", s.History[logged:])
+			}
+			if n.Prober.Sent != sent {
+				t.Fatalf("removed session sent %d probes", n.Prober.Sent-sent)
+			}
+			if got := n.Eng.UpdatesSentBy(asO); got != updates {
+				t.Fatalf("removed tenant's AS sent %d updates", got-updates)
+			}
+			if r, ok := n.Eng.BestRoute(asB, lifeguard.ProductionPrefix(asO)); ok {
+				t.Fatalf("removed tenant's production prefix routed again: B routes %+v", r)
+			}
+			if pending := n.Clk.Len(); pending != 0 {
+				t.Fatalf("%d events scheduled after a removed session's %s", pending, tc.name)
+			}
+		})
+	}
+}
+
 // TestRemovedHijackTenantWithdrawsCounters: removing a tenant whose hijack
 // plane is mid-mitigation withdraws its counter-announcements with its
 // other prefixes.

@@ -18,12 +18,7 @@ type (
 	TrafficGenerator = traffic.Generator
 	// TrafficEpochReport is one epoch's served/lost accounting.
 	TrafficEpochReport = traffic.EpochReport
-	// TrafficSummary totals an epoch series.
-	TrafficSummary = traffic.Summary
 )
-
-// SummarizeTraffic totals an epoch series; re-exported from internal/traffic.
-var SummarizeTraffic = traffic.Summarize
 
 // AttachTraffic wires a flow-population generator to the session's rig and
 // tenant: packets forward on the shared data plane, metrics land in the

@@ -28,7 +28,7 @@ func TestSessionAttachTraffic(t *testing.T) {
 		n.RouterAddr(n.Hub(n.Gen.Stubs[5])),
 		n.RouterAddr(n.Hub(n.Gen.Stubs[6])),
 	}
-	s := lifeguard.NewSession(n, lifeguard.SessionConfig{Config: lifeguard.Config{
+	_, s := soloRig(t, n, lifeguard.SessionConfig{Config: lifeguard.Config{
 		Origin:  origin,
 		VPs:     []lifeguard.RouterID{n.Hub(origin)},
 		Targets: targets,
@@ -115,7 +115,7 @@ func TestSessionAttachTraffic(t *testing.T) {
 // the address plan cannot default a vantage.
 func TestSessionAttachTrafficValidates(t *testing.T) {
 	n := fig2RigNetwork(t)
-	s := lifeguard.NewSession(n, lifeguard.SessionConfig{Config: lifeguard.Config{
+	_, s := soloRig(t, n, lifeguard.SessionConfig{Config: lifeguard.Config{
 		Origin:  asO,
 		VPs:     []lifeguard.RouterID{n.Hub(asO)},
 		Targets: []lifeguard.Addr{lifeguard.ProductionAddr(asE)},

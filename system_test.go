@@ -10,6 +10,21 @@ import (
 	"lifeguard/internal/core/remedy"
 )
 
+// cutLink makes the chaos linkdown fault's calls: the a–b BGP session drops
+// (both sides withdraw, the Internet re-converges — a visible failure,
+// unlike InjectFailure's silent ones) and the data plane stops carrying
+// packets across the link in either direction. The returned func heals it.
+func cutLink(n *lifeguard.Network, a, b lifeguard.ASN) (heal func()) {
+	n.Eng.SetAdjacencyDown(a, b, true)
+	ab := n.InjectFailure(lifeguard.DropASLink(a, b))
+	ba := n.InjectFailure(lifeguard.DropASLink(b, a))
+	return func() {
+		n.HealFailure(ab)
+		n.HealFailure(ba)
+		n.Eng.SetAdjacencyDown(a, b, false)
+	}
+}
+
 // TestVisibleFailureSelfHealsWithoutPoisoning exercises the §4.2 decision
 // policy end to end: a *visible* failure (BGP session cut) causes a brief
 // convergence outage that BGP repairs on its own — LIFEGUARD detects it but
@@ -27,7 +42,7 @@ func TestVisibleFailureSelfHealsWithoutPoisoning(t *testing.T) {
 
 	// Cut the A–E session: E (and B's side of the world) must reconverge
 	// onto the D–C path by itself.
-	ids := n.FailAdjacency(asA, asE)
+	heal := cutLink(n, asA, asE)
 	n.Clk.RunFor(30 * time.Minute)
 
 	// The network healed itself: traffic flows again...
@@ -44,7 +59,7 @@ func TestVisibleFailureSelfHealsWithoutPoisoning(t *testing.T) {
 	}
 
 	// Restore the session; the world returns to the original routes.
-	n.HealAdjacency(asA, asE, ids)
+	heal()
 	if !n.Converge() {
 		t.Fatal("no convergence after restore")
 	}
@@ -74,7 +89,7 @@ func TestVisibleFailureOutageIsShort(t *testing.T) {
 	n.Clk.RunFor(2 * time.Minute)
 
 	// Visible failure: cut and leave it cut; BGP routes around it.
-	n.FailAdjacency(asA, asE)
+	cutLink(n, asA, asE)
 	n.Clk.RunFor(30 * time.Minute)
 	var visibleDown time.Duration
 	for _, e := range sys.EventsOfKind(lifeguard.EventOutage) {
