@@ -8,15 +8,7 @@
 //	lgchaos -script failures.chaos           # scripted timeline
 //	lgchaos -trials 4 -parallel 4            # independent seeds, in parallel
 //	lgchaos -obs metrics.json                # metrics snapshot side-file
-//	lgchaos -hijack                          # scripted hijack vs the defended session
 //	lgchaos -list-faults                     # print the fault vocabulary
-//
-// -hijack replaces the generated timeline with the hijack-plane smoke: a
-// scripted sub-prefix hijack is injected against an owner whose Session
-// runs the detection+mitigation pipeline, and the report carries the
-// detect→mitigate→clear stages with their sim-time latencies. A missing
-// pipeline stage counts as a violation, so the exit status covers the
-// defense as well as the invariants.
 //
 // Reports go to stdout; timing and progress chatter go to stderr, so
 // stdout is byte-identical for a fixed configuration at every -parallel
@@ -30,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/netip"
 	"os"
 	"time"
 
@@ -58,7 +49,6 @@ type options struct {
 	obsPath   string // write merged metrics snapshot JSON here; "" disables obs
 	transit   int
 	stub      int
-	hijack    bool // run the hijack-plane smoke instead of a fault timeline
 }
 
 func main() {
@@ -72,7 +62,6 @@ func main() {
 		obsPath    = flag.String("obs", "", "write the merged metrics snapshot (JSON) to this file; empty disables instrumentation")
 		transit    = flag.Int("transit", defaultTransit, "transit ASes in each generated internetwork")
 		stub       = flag.Int("stub", defaultStub, "stub ASes in each generated internetwork")
-		hijack     = flag.Bool("hijack", false, "run the hijack-plane smoke: scripted sub-prefix hijack vs a defended session")
 		listFaults = flag.Bool("list-faults", false, "print the chaos script's fault vocabulary and exit")
 	)
 	flag.Parse()
@@ -89,15 +78,14 @@ func main() {
 	case *transit < 1:
 		badFlag("-transit must be at least 1, got %d", *transit)
 	case *stub < 2:
-		// Every trial probes reachability between, or stages a hijack
-		// across, the first two stubs.
+		// Every trial probes reachability between the first two stubs.
 		badFlag("-stub must be at least 2, got %d", *stub)
 	}
 
 	opts := options{
 		seed: *seed, intensity: *intensity, faults: *faults,
 		trials: *trials, parallel: *parallel, obsPath: *obsPath,
-		transit: *transit, stub: *stub, hijack: *hijack,
+		transit: *transit, stub: *stub,
 	}
 	if *scriptPath != "" {
 		buf, err := os.ReadFile(*scriptPath)
@@ -159,9 +147,6 @@ func writeReports(ctx context.Context, out, errw io.Writer, opts options) (int, 
 	}
 
 	outs, err := runner.Map(ctx, opts.trials, cfg, dst, func(_ context.Context, i int, reg *obs.Registry) (trialOut, error) {
-		if opts.hijack {
-			return runHijackTrial(opts, opts.seed+int64(i), reg)
-		}
 		return runTrial(opts, opts.seed+int64(i), reg)
 	})
 	if err != nil {
@@ -229,82 +214,6 @@ func runTrial(opts options, seed int64, reg *obs.Registry) (trialOut, error) {
 	}
 	text += rep.String() + "\n"
 	return trialOut{text: text, violations: len(rep.Violations)}, nil
-}
-
-// runHijackTrial drives the hijack-plane smoke: one generated
-// internetwork whose first stub runs a Session with detection and
-// auto-mitigation enabled, a scripted sub-prefix hijack by another stub
-// injected through the chaos runner, and a deterministic report of the
-// detect→mitigate→clear pipeline in sim-time. Each missing stage counts
-// as a violation so the exit status covers the defense, not just the
-// runner's invariants.
-func runHijackTrial(opts options, seed int64, reg *obs.Registry) (trialOut, error) {
-	net, err := lifeguard.GenerateInternet(
-		lifeguard.InternetConfig{Seed: seed, NumTransit: opts.transit, NumStub: opts.stub},
-		lifeguard.NetworkOptions{Obs: reg},
-	)
-	if err != nil {
-		return trialOut{}, fmt.Errorf("hijack trial seed %d: %w", seed, err)
-	}
-	owner, rogue := net.Gen.Stubs[0], net.Gen.Stubs[1]
-
-	rig := lifeguard.NewRig(net)
-	ses, err := rig.AddSession(lifeguard.SessionConfig{
-		Config: lifeguard.Config{Origin: owner},
-		Hijack: lifeguard.HijackConfig{Enable: true, CollectorPeers: net.Gen.Transit},
-	})
-	if err != nil {
-		return trialOut{}, fmt.Errorf("hijack trial seed %d: %w", seed, err)
-	}
-	ses.Start()
-	net.Clk.RunFor(time.Minute)
-
-	// The contested more-specific sits inside the owner's block but away
-	// from the production/sentinel /24s, so it classifies as sub-prefix.
-	b := lifeguard.Block(owner).Addr().As4()
-	sub := netip.PrefixFrom(netip.AddrFrom4([4]byte{b[0], b[1], 128, 0}), 24)
-	script, err := lifeguard.ParseChaosScript(
-		fmt.Sprintf("at 1m for 20m subhijack %d %s\nat 30m check\n", rogue, sub))
-	if err != nil {
-		return trialOut{}, fmt.Errorf("hijack trial seed %d: %w", seed, err)
-	}
-	rep, err := rig.RunChaos(script, lifeguard.ChaosOptions{Obs: reg})
-	if err != nil {
-		return trialOut{}, fmt.Errorf("hijack trial seed %d: %w", seed, err)
-	}
-
-	text := fmt.Sprintf("## hijack trial seed=%d\nowner=AS%d rogue=AS%d prefix=%s\nscript:\n",
-		seed, owner, rogue, sub)
-	for _, line := range splitLines(script.String()) {
-		text += "  " + line + "\n"
-	}
-	text += rep.String() + "\npipeline:\n"
-	violations := len(rep.Violations)
-
-	if det := ses.EventsOfKind(lifeguard.EventHijackDetected); len(det) == 1 {
-		a := det[0].Alarm
-		text += fmt.Sprintf("  detected  %v of %s by AS%d latency=%v\n", a.Class, a.Prefix, a.Rogue, a.Latency)
-	} else {
-		violations++
-		text += fmt.Sprintf("  VIOLATION: %d detection events, want 1\n", len(det))
-	}
-	if mit := ses.EventsOfKind(lifeguard.EventHijackMitigated); len(mit) == 1 {
-		m := mit[0].Mitigation
-		text += fmt.Sprintf("  mitigated announced=%v poisoned=AS%d latency=%v recovered=%d/%d\n",
-			m.Announced, m.Poisoned, m.Latency, m.Recovered, m.Vantages)
-	} else {
-		violations++
-		text += fmt.Sprintf("  VIOLATION: %d mitigation events, want 1\n", len(mit))
-	}
-	if len(ses.EventsOfKind(lifeguard.EventHijackCleared)) == 1 &&
-		len(ses.Hijack.Active()) == 0 && len(ses.Remedy.Counters()) == 0 {
-		text += "  cleared   alarm down, counter-announcements withdrawn\n"
-	} else {
-		violations++
-		text += "  VIOLATION: alarm or counter-announcements outlived the attack\n"
-	}
-	ses.Stop()
-	return trialOut{text: text, violations: violations}, nil
 }
 
 // writeFaultList prints the chaos script vocabulary, one keyword per line,

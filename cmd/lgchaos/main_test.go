@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,39 +143,9 @@ func TestUnhealedFaultSurfacesViolations(t *testing.T) {
 	}
 }
 
-// TestHijackModeByteIdenticalAcrossParallelism extends the determinism
-// contract to the hijack-plane smoke: every trial must carry a complete
-// detect→mitigate→clear pipeline (a miss counts as a violation), and the
-// report bytes must not depend on -parallel.
-func TestHijackModeByteIdenticalAcrossParallelism(t *testing.T) {
-	render := func(parallel int) []byte {
-		t.Helper()
-		var out, chatter bytes.Buffer
-		opts := options{seed: 1, trials: 2, parallel: parallel, hijack: true}
-		v, err := writeReports(context.Background(), &out, &chatter, opts)
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
-		}
-		if v != 0 {
-			t.Fatalf("parallel=%d: %d violations in the hijack smoke:\n%s", parallel, v, out.Bytes())
-		}
-		return out.Bytes()
-	}
-
-	want := render(1)
-	for _, stage := range []string{"detected  sub-prefix", "mitigated announced=", "cleared   alarm down"} {
-		if got := bytes.Count(want, []byte(stage)); got != 2 {
-			t.Fatalf("%q appears %d times, want once per trial:\n%s", stage, got, want)
-		}
-	}
-	if got := render(4); !bytes.Equal(got, want) {
-		t.Errorf("hijack report differs between -parallel 1 and -parallel 4:\n--- parallel ---\n%s\n--- sequential ---\n%s", got, want)
-	}
-}
-
 // TestListFaults pins the -list-faults contract: one line per fault
 // keyword, sorted by keyword, stable across invocations, and covering the
-// hijack vocabulary this subsystem added.
+// control-plane crash the session facade adds.
 func TestListFaults(t *testing.T) {
 	var a, b bytes.Buffer
 	writeFaultList(&a)
@@ -194,14 +165,8 @@ func TestListFaults(t *testing.T) {
 		}
 		kinds = append(kinds, kind)
 	}
-	for _, want := range []string{"hijack", "subhijack", "forgedorigin", "crashcontrol"} {
-		found := false
-		for _, k := range kinds {
-			found = found || k == want
-		}
-		if !found {
-			t.Fatalf("fault list is missing %q:\n%s", want, a.String())
-		}
+	if !slices.Contains(kinds, "crashcontrol") {
+		t.Fatalf("fault list is missing %q:\n%s", "crashcontrol", a.String())
 	}
 }
 
@@ -221,7 +186,6 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{[]string{"-faults", "0"}, "-faults"},
 		{[]string{"-trials", "0"}, "-trials"},
 		{[]string{"-stub", "1", "-transit", "1"}, "-stub"},
-		{[]string{"-hijack", "-stub", "1"}, "-stub"},
 		{[]string{"-transit", "-3"}, "-transit"},
 		{[]string{"-transit", "0"}, "-transit"},
 	} {

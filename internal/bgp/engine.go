@@ -200,34 +200,6 @@ func (e *Engine) AnnounceErr(asn topo.ASN, prefix netip.Prefix, cfg OriginConfig
 	return nil
 }
 
-// AnnounceForged installs an origin configuration whose advertised pattern
-// claims a different origin — path[len-1] is the forged origin, while
-// path[0] must still be asn itself (neighbors drop updates whose first hop
-// is not the sender). This is the adversarial hook the chaos hijack faults
-// build on: a rogue AS forging the victim's origin so origin-based filters
-// and detectors see an apparently legitimate announcement one hop longer.
-// Everything downstream of installation (export policy, MRAI, interning)
-// is the ordinary Announce machinery; only the §3.1.1 origin-convention
-// check is bypassed. Withdraw reverts it like any other origin.
-func (e *Engine) AnnounceForged(asn topo.ASN, prefix netip.Prefix, path topo.Path) error {
-	s := e.speakers[asn]
-	if s == nil {
-		return fmt.Errorf("bgp: AnnounceForged from unknown AS %d", asn)
-	}
-	if err := validatePrefix(prefix); err != nil {
-		return err
-	}
-	if len(path) == 0 {
-		return fmt.Errorf("bgp: AnnounceForged needs a non-empty path")
-	}
-	if path[0] != asn {
-		return fmt.Errorf("bgp: forged path %v must still start with the announcing AS %d", path, asn)
-	}
-	cfg := OriginConfig{Pattern: path}.sanitized()
-	s.announce(prefix, cfg)
-	return nil
-}
-
 // validatePrefix enforces the RIB keying contract: announced prefixes are
 // masked IPv4 prefixes. Anything else would be unreachable (IPv6 has no
 // routers in the address plan) or would alias its masked form in lookups

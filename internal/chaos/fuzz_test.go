@@ -25,11 +25,11 @@ at 1m for 2m blackhole 30 10.10.0.0/16
 at 10m oneway 20 10
 at 12m check
 `,
-		`at 1m for 10m hijack 70 1.10.0.0/16
+		`at 1m for 10m blackhole 70 1.10.0.0/16
 at 12m check
-at 15m for 10m subhijack 70 1.10.240.0/24
-at 30m for 10m forgedorigin 70 50 1.50.0.0/16`,
-		"at 1m subhijack 70 1.10.240.0/24",
+at 15m for 10m blackhole 70 1.10.240.0/24
+at 30m for 10m blackhole 50 1.50.0.0/16`,
+		"at 1m blackhole 70 1.10.240.0/24",
 		"at 5s check # same instant as a fault\nat 5s crash 1\nat -3s check",
 		"at 10s for 1m loss 1 1e-320 18446744073709551615",
 		"at 10s for 1m loss 1 NaN 3",

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lifeguard/internal/dataplane"
-	"lifeguard/internal/hijack"
 	"lifeguard/internal/obs"
 	"lifeguard/internal/topo"
 )
@@ -16,9 +15,8 @@ import (
 type Invariant string
 
 // The checked invariants. Loop and RIB checks run at every barrier;
-// baseline, reachability, and origin authenticity only when no fault is
-// active (a healthy network must look healthy); unhealed runs at the final
-// barrier.
+// baseline and reachability only when no fault is active (a healthy
+// network must look healthy); unhealed runs at the final barrier.
 const (
 	// InvForwardLoop: no AS-level forwarding loop in any LPM walk.
 	InvForwardLoop Invariant = "forward-loop"
@@ -35,11 +33,6 @@ const (
 	InvReachability Invariant = "sentinel-unreachable"
 	// InvUnhealed: no fault is still active when the run ends.
 	InvUnhealed Invariant = "unhealed-fault"
-	// InvOriginAuth: with all faults healed, every best route's origin is
-	// the AS that owned the covering prefix before chaos began — no
-	// lingering hijacked state (a rogue origin, or a forged path claiming
-	// the true origin) survives in any loc-RIB.
-	InvOriginAuth Invariant = "origin-hijacked"
 )
 
 // Violation is one invariant breach, stamped with the barrier's virtual
@@ -70,49 +63,6 @@ type checker struct {
 	reach      []ReachProbe
 	baseline   uint64
 	violations []Violation
-
-	// owners is the pre-chaos prefix-ownership table for the origin-
-	// authenticity check, snapshotted at arm time. A prefix originated by
-	// more than one AS then (anycast-style) has no single owner and is out
-	// of the check; a covering owner vouches for its more-specifics, so an
-	// owner's own de-aggregated halves — the hijack responder's mitigation
-	// — count as authentic.
-	owners *hijack.Table
-}
-
-// checkOriginAuth asserts origin authenticity over every loc-RIB: the AS a
-// best route says originated the prefix must be the arm-time owner. Run
-// only at zero-active-fault barriers — while a hijack fault is live the
-// whole point is that this property is broken.
-func (c *checker) checkOriginAuth() {
-	if c.owners == nil {
-		return
-	}
-	for _, asn := range c.tgt.Top.ASNs() {
-		sp := c.tgt.Eng.Speaker(asn)
-		for _, p := range sp.KnownPrefixes() {
-			r, ok := sp.Best(p)
-			if !ok {
-				continue
-			}
-			owner, _, ok := c.owners.Owner(p)
-			if !ok {
-				continue
-			}
-			claimed := asn // originated routes claim the holder itself
-			if !r.Originated {
-				var okO bool
-				if claimed, okO = r.Path.Origin(); !okO {
-					continue // empty non-originated path: checkRIB's problem
-				}
-			}
-			if claimed != owner {
-				c.report(InvOriginAuth,
-					fmt.Sprintf("AS%d best route for %v claims origin AS%d, owner is AS%d (path %v)",
-						asn, p, claimed, owner, r.Path))
-			}
-		}
-	}
 }
 
 // fingerprint hashes every AS's loc-RIB — (asn, prefix, path) in the

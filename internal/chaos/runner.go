@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lifeguard/internal/bgp"
-	"lifeguard/internal/hijack"
 	"lifeguard/internal/obs"
 )
 
@@ -127,7 +126,6 @@ func (r *Runner) Run() (*Report, error) {
 		return nil, fmt.Errorf("chaos: control plane did not converge while arming")
 	}
 	r.chk.baseline = r.chk.fingerprint()
-	r.chk.owners = hijack.TableFromEngine(r.tgt.Eng)
 	rep.BaselineFingerprint = r.chk.baseline
 	r.tgt.journal("arm", obs.F("fingerprint", fmt.Sprintf("%016x", r.chk.baseline)))
 
@@ -198,9 +196,9 @@ func (r *Runner) Run() (*Report, error) {
 }
 
 // barrier drains the control plane and runs the invariant suite. Loop and
-// RIB checks always run; baseline, reachability, and origin authenticity
-// only when the network should be healthy (zero active faults); the
-// unhealed check only at the final barrier.
+// RIB checks always run; baseline and reachability only when the network
+// should be healthy (zero active faults); the unhealed check only at the
+// final barrier.
 func (r *Runner) barrier(final bool) {
 	r.barriers++
 	r.mBarrier.Inc()
@@ -226,14 +224,6 @@ func (r *Runner) barrier(final bool) {
 	if len(r.active) == 0 {
 		r.chk.checkBaseline()
 		r.chk.checkReach()
-	}
-	// Origin authenticity also runs at the final barrier even with faults
-	// still active: an unhealed hijack is exactly the "hijacked state
-	// outlives the run" condition the invariant exists to name (other
-	// unhealed fault kinds reroute or drop but never forge origins, so
-	// they cannot trip it).
-	if len(r.active) == 0 || final {
-		r.chk.checkOriginAuth()
 	}
 	r.tgt.journal("barrier",
 		obs.F("final", final),

@@ -47,17 +47,6 @@ var vocabulary = []faultKind{
 			}
 			return &UpdateDelay{A: a, B: b, Delay: d}, nil
 		}},
-	{FaultDoc{"forgedorigin", "forgedorigin <rogueAS> <victimAS> <prefix>", "rogue announces victim's prefix with forged path [rogue victim] (origin looks legitimate)"},
-		func(args []string) (Fault, error) {
-			rogue, victim, err := twoASNs(args)
-			if err != nil {
-				return nil, err
-			}
-			p, err := parsePrefix(args[2])
-			return &ForgedOrigin{Rogue: rogue, Victim: victim, Prefix: p}, err
-		}},
-	{FaultDoc{"hijack", "hijack <rogueAS> <prefix>", "rogue originates someone else's exact prefix (partial capture by decision process)"},
-		asPrefix(func(a topo.ASN, p netip.Prefix) Fault { return &OriginHijack{Rogue: a, Prefix: p} })},
 	{FaultDoc{"linkdown", "linkdown <asA> <asB>", "cut the A-B adjacency: BGP session down and data plane dropped both ways"},
 		twoAS(func(a, b topo.ASN) Fault { return &LinkDown{A: a, B: b} })},
 	{FaultDoc{"loss", "loss <as> <prob> <seed>", "AS drops each forwarded packet with probability prob (deterministic per-packet hash of seed)"},
@@ -83,8 +72,6 @@ var vocabulary = []faultKind{
 		twoAS(func(a, b topo.ASN) Fault { return &OneWayLoss{From: a, To: b} })},
 	{FaultDoc{"sessionreset", "sessionreset <asA> <asB>", "fail only the BGP session between A and B; the data plane keeps forwarding"},
 		twoAS(func(a, b topo.ASN) Fault { return &SessionReset{A: a, B: b} })},
-	{FaultDoc{"subhijack", "subhijack <rogueAS> <moreSpecificPrefix>", "rogue originates a more-specific of someone else's prefix (LPM diverts all acceptors)"},
-		asPrefix(func(a topo.ASN, p netip.Prefix) Fault { return &SubPrefixHijack{Rogue: a, Prefix: p} })},
 }
 
 // Vocabulary enumerates every fault kind the parser accepts, sorted by

@@ -86,28 +86,6 @@ func (c *Collector) observe(bc bgp.BestChange) {
 	c.entriesRecorded.Inc()
 }
 
-// RecordedPrefixes returns every prefix any peer has ever emitted an update
-// for, in sorted order. This is the hijack detector's iteration domain: a
-// sub-prefix hijack shows up as a *new* prefix in the collector streams, so
-// the detector cannot work from a fixed prefix list.
-func (c *Collector) RecordedPrefixes() []netip.Prefix {
-	seen := make(map[netip.Prefix]bool)
-	for k := range c.streams {
-		seen[k.prefix] = true
-	}
-	out := make([]netip.Prefix, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr() != out[j].Addr() {
-			return out[i].Addr().Less(out[j].Addr())
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
-	return out
-}
-
 // Updates returns the full update stream from peer for prefix.
 func (c *Collector) Updates(peer topo.ASN, prefix netip.Prefix) []Entry {
 	return c.streams[key{peer: peer, prefix: prefix}]

@@ -41,6 +41,30 @@ func TestHarvestASes(t *testing.T) {
 	}
 }
 
+// TestHarvestASesSkipsRoutelessPeer: a peer that never had a route to the
+// prefix has an empty stream and contributes nothing to the harvest.
+func TestHarvestASesSkipsRoutelessPeer(t *testing.T) {
+	n := nettest.Fig2(t)
+	c := New(n.Eng, nettest.E, nettest.F)
+	prod := topo.ProductionPrefix(nettest.O)
+	// F's only link is to A; with it down F never hears the prefix.
+	n.Eng.SetAdjacencyDown(nettest.F, nettest.A, true)
+	n.Eng.Originate(nettest.O, prod)
+	n.Converge(t)
+	if got := c.Updates(nettest.F, prod); len(got) != 0 {
+		t.Fatalf("routeless F recorded updates: %v", got)
+	}
+	if got := c.CurrentPath(nettest.F, prod); got != nil {
+		t.Fatalf("routeless F current path = %v, want nil", got)
+	}
+	got := c.HarvestASes(prod, nettest.O)
+	// E's path: A B O; F adds nothing. Harvest = {A, B}.
+	want := []topo.ASN{nettest.B, nettest.A}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("harvest = %v, want %v", got, want)
+	}
+}
+
 func TestConvergenceReportClassifiesPeers(t *testing.T) {
 	n := nettest.Fig2(t)
 	c := New(n.Eng, nettest.E, nettest.C)

@@ -108,10 +108,6 @@ type Controller struct {
 
 	active *Repair
 
-	// counters tracks the hijack responder's counter-announcements (see
-	// counter.go); nil until the first CounterAnnounce.
-	counters map[netip.Prefix]*CounterAnnouncement
-
 	ticker    simclock.EventID
 	suspended bool
 
@@ -121,14 +117,11 @@ type Controller struct {
 // controllerObs holds the repair engine's metric handles; all-nil means
 // uninstrumented.
 type controllerObs struct {
-	poisons            *obs.Counter
-	selectivePoisons   *obs.Counter
-	unpoisons          *obs.Counter
-	sentinelChecks     *obs.Counter
-	sentinelHealed     *obs.Counter
-	counterPlain       *obs.Counter
-	counterPoisoned    *obs.Counter
-	counterWithdrawals *obs.Counter
+	poisons          *obs.Counter
+	selectivePoisons *obs.Counter
+	unpoisons        *obs.Counter
+	sentinelChecks   *obs.Counter
+	sentinelHealed   *obs.Counter
 }
 
 // Instrument registers the repair engine's metrics with reg. A nil
@@ -145,13 +138,6 @@ func (c *Controller) Instrument(reg *obs.Registry) {
 	c.obs.unpoisons = reg.Counter("lifeguard_remedy_unpoisons_total")
 	c.obs.sentinelChecks = reg.Counter("lifeguard_remedy_sentinel_checks_total", obs.L("outcome", "pending"))
 	c.obs.sentinelHealed = reg.Counter("lifeguard_remedy_sentinel_checks_total", obs.L("outcome", "healed"))
-	reg.Describe("lifeguard_remedy_counter_announcements_total",
-		"hijack counter-announcements installed, by kind (plain or poisoned)")
-	reg.Describe("lifeguard_remedy_counter_withdrawals_total",
-		"hijack counter-announcements withdrawn after the attack cleared")
-	c.obs.counterPlain = reg.Counter("lifeguard_remedy_counter_announcements_total", obs.L("kind", "plain"))
-	c.obs.counterPoisoned = reg.Counter("lifeguard_remedy_counter_announcements_total", obs.L("kind", "poisoned"))
-	c.obs.counterWithdrawals = reg.Counter("lifeguard_remedy_counter_withdrawals_total")
 }
 
 // New returns a controller; call AnnounceBaseline before relying on it.

@@ -77,7 +77,7 @@ func newWalkWorld(t testing.TB, cfg topogen.Config) *walkWorld {
 	}
 	w.addrs = append(w.addrs,
 		topo.RouterAddr(topo.MaxASN, 0),    // in the plan, owned by nobody: no route
-		netip.Addr{},                       // unset source, as hijack probes send
+		netip.Addr{},                       // unset source: a Packet with zero Src
 		netip.MustParseAddr("2001:db8::1"), // never routed; bypasses the cache
 	)
 	return w

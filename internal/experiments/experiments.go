@@ -141,7 +141,6 @@ func All() []Experiment {
 		{"baselines", "traditional route-control techniques vs remote failures (§2.3)", single(baselines)},
 		{"chaos", "scripted fault timelines vs the repair loop, by intensity", sweep(chaosIntensities, chaosTrial, reduceChaos)},
 		{"multitenant", "per-tenant repair pipelines on a shared rig, by tenant count", sweep(multitenantCounts, multitenantTrial, reduceMultitenant)},
-		{"hijack", "hijack detection and auto-mitigation vs rogue placement", sweep(hijackDistances, hijackTrial, reduceHijack)},
 		{"traffic", "user-seconds lost through outage→repair, with and without LIFEGUARD", trafficScenario},
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -220,30 +219,6 @@ func TestMultitenantShape(t *testing.T) {
 	}
 }
 
-func TestHijackShape(t *testing.T) {
-	r := runID(t, "hijack", 1)
-	for _, d := range hijackDistances {
-		key := func(s string) string { return fmt.Sprintf("%s_d%d", s, d) }
-		if _, ok := r.Values[key("detect_s")]; !ok {
-			// No stub at this distance on this seed — the row is absent
-			// entirely, which reduceHijack reports by omission.
-			continue
-		}
-		// Detection is bounded by the scan interval (10s) plus the attack's
-		// propagation; mitigation adds a verify poll on top of it.
-		inRange(t, r, key("detect_s"), 0.1, 60)
-		inRange(t, r, key("mitigate_s"), 0.1, 120)
-		// The sub-prefix wins longest-prefix match everywhere, and the
-		// counter-announcement claws it back the same way.
-		inRange(t, r, key("reach_attack"), 0, 0.1)
-		inRange(t, r, key("reach_mitigated"), 0.9, 1.0)
-		inRange(t, r, key("cleared"), 1, 1)
-	}
-	if len(r.Tables) == 0 || r.Tables[0].NumRows() == 0 {
-		t.Fatal("no placement level produced a row")
-	}
-}
-
 func TestAllRunnableAndRendered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep is covered by individual shape tests")
@@ -273,8 +248,8 @@ func TestByID(t *testing.T) {
 	if _, ok := ByID("traffic"); !ok {
 		t.Fatal("traffic missing")
 	}
-	if len(All()) != 16 {
-		t.Fatalf("expected 16 experiments, got %d", len(All()))
+	if len(All()) != 15 {
+		t.Fatalf("expected 15 experiments, got %d", len(All()))
 	}
 }
 

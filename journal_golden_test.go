@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lifeguard"
+	"lifeguard/internal/obs"
 )
 
 // sessionJournal renders every record a session wrote to n's journal —
@@ -31,8 +32,8 @@ func sessionJournal(n *lifeguard.Network) string {
 // journalScenarios drive sessions through every EventKind between them:
 // an unlabelled system through detect → isolate → poison → recover →
 // unpoison; a tenant through the same with a non-graceful restart and a
-// monitor loss (FAILSAFE) mid-outage; and a hijack-enabled tenant through
-// a sub-prefix hijack and a graceful restart.
+// monitor loss (FAILSAFE) mid-outage; and a tenant through a quiet chaos
+// run and a graceful restart.
 var journalScenarios = []struct {
 	name string
 	run  func(t *testing.T) *lifeguard.Network
@@ -79,18 +80,20 @@ var journalScenarios = []struct {
 		n.Clk.RunFor(10 * time.Minute)
 		return n
 	}},
-	{"hijack", func(t *testing.T) *lifeguard.Network {
-		n := fig2HijackNetwork(t)
+	{"restart", func(t *testing.T) *lifeguard.Network {
+		// Default BGP timers, unlike fig2RigNetwork: the golden's
+		// instants were recorded with them.
+		n := fig2NetworkWith(t, lifeguard.NetworkOptions{
+			Seed:    11,
+			Obs:     obs.New(),
+			Journal: obs.NewJournal(1 << 14),
+		})
 		rig, ses := soloRig(t, n, lifeguard.SessionConfig{
 			Config: lifeguard.Config{Origin: asO},
-			Hijack: lifeguard.HijackConfig{
-				Enable:         true,
-				CollectorPeers: []lifeguard.ASN{asA, asB, asE},
-			},
 		})
 		ses.Start()
 		n.Clk.RunFor(time.Minute)
-		script, err := lifeguard.ParseChaosScript("at 1m for 20m subhijack 70 1.10.128.0/24\nat 30m check")
+		script, err := lifeguard.ParseChaosScript("at 30m check")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +108,7 @@ var journalScenarios = []struct {
 
 // TestSessionJournalGolden pins every journal record the scenarios' sessions
 // write, byte for byte, against testdata/session_journal.golden, and checks
-// the scenarios between them reach all twelve event kinds.
+// the scenarios between them reach all nine event kinds.
 func TestSessionJournalGolden(t *testing.T) {
 	var got strings.Builder
 	for _, sc := range journalScenarios {
@@ -119,7 +122,7 @@ func TestSessionJournalGolden(t *testing.T) {
 			kinds[f[2]] = true
 		}
 	}
-	for k := lifeguard.EventOutage; k <= lifeguard.EventHijackCleared; k++ {
+	for k := lifeguard.EventOutage; k <= lifeguard.EventFailsafeExit; k++ {
 		if !kinds[k.String()] {
 			t.Errorf("no scenario journals a %q record", k)
 		}

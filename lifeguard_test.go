@@ -25,6 +25,12 @@ const (
 
 func fig2Network(t *testing.T) *lifeguard.Network {
 	t.Helper()
+	return fig2NetworkWith(t, lifeguard.NetworkOptions{Seed: 11})
+}
+
+// fig2NetworkWith assembles the Fig. 2 internetwork with opts.
+func fig2NetworkWith(t *testing.T, opts lifeguard.NetworkOptions) *lifeguard.Network {
+	t.Helper()
 	b := lifeguard.NewTopologyBuilder()
 	for _, asn := range []lifeguard.ASN{asO, asB, asA, asC, asD, asE, asF} {
 		b.AddAS(asn, "")
@@ -38,7 +44,7 @@ func fig2Network(t *testing.T) *lifeguard.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := lifeguard.AssembleNetwork(top, lifeguard.NetworkOptions{Seed: 11})
+	n, err := lifeguard.AssembleNetwork(top, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,10 +58,9 @@ func (r *Rig) AddSession(cfg SessionConfig) (*Session, error) {
 }
 
 // RemoveSession stops origin's session, drops its pending repair decisions,
-// reverts any active repair, and withdraws the tenant's counter-announcements
-// and its production and sentinel prefixes, leaving every other session
-// untouched — the hitless removal half of config reload. It reports
-// whether a session was removed.
+// reverts any active repair, and withdraws the tenant's production and
+// sentinel prefixes, leaving every other session untouched — the hitless
+// removal half of config reload. It reports whether a session was removed.
 func (r *Rig) RemoveSession(origin ASN) bool {
 	s, ok := r.byOrigin[origin]
 	if !ok {
@@ -70,7 +69,6 @@ func (r *Rig) RemoveSession(origin ASN) bool {
 	s.Stop()
 	s.removed = true
 	s.Remedy.Unpoison()
-	s.Remedy.WithdrawAllCounters()
 	production, sentinel := s.Remedy.Prefixes()
 	r.Net.Eng.Withdraw(origin, production)
 	r.Net.Eng.Withdraw(origin, sentinel)

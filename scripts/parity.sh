@@ -29,7 +29,6 @@ cmds=(
 	"lgexp-seeds3       | lgexp -seed 1 -seeds 3"
 	"lgexp-obs          | lgexp -seed 1 -obs @OBS@"
 	"lgchaos-obs        | lgchaos -trials 4 -parallel 4 -obs @OBS@"
-	"lgchaos-hijack     | lgchaos -hijack -trials 2"
 	"lgchaos-faults     | lgchaos -list-faults"
 	"lifeguardd         | lifeguardd -hours 6 -failures 4 -tenants 2"
 	"quickstart         | quickstart"

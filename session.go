@@ -7,10 +7,8 @@ import (
 
 	"lifeguard/internal/atlas"
 	"lifeguard/internal/bgp"
-	"lifeguard/internal/collectors"
 	"lifeguard/internal/core/isolation"
 	"lifeguard/internal/core/remedy"
-	"lifeguard/internal/hijack"
 	"lifeguard/internal/monitor"
 	"lifeguard/internal/obs"
 	"lifeguard/internal/simclock"
@@ -26,19 +24,6 @@ import (
 // reachability data is worse than not poisoning) and exits on the first
 // completed round after the monitor returns.
 const FailsafeMaxDelay = 3*30*time.Second + 5*time.Second
-
-// HijackConfig enables the ARTEMIS-style hijack plane for a session: a
-// route-collector view feeding a detector, and an auto-responder that
-// counter-announces and verifies recovery from the origin's providers.
-type HijackConfig struct {
-	// Enable turns the hijack plane on. Off (the zero value), a session
-	// behaves exactly as before this subsystem existed.
-	Enable bool
-	// CollectorPeers are the ASes whose best-route streams the detector
-	// consumes — the RouteViews/RIS peer set. Default: the origin's
-	// providers.
-	CollectorPeers []ASN
-}
 
 // Config is the part of a session's configuration that predates tenants:
 // what to monitor, from where, and how the subsystems are tuned.
@@ -63,10 +48,6 @@ type Config struct {
 // SessionConfig parameterizes one tenant's Session over a shared Rig.
 type SessionConfig struct {
 	Config
-
-	// Hijack enables and tunes the session's hijack detection/mitigation
-	// plane.
-	Hijack HijackConfig
 
 	// Tenant labels the session's obs partition and journal records.
 	// Defaults to "AS<origin>". NewSystem leaves it empty: metrics stay
@@ -96,12 +77,6 @@ type Session struct {
 	Monitor  *monitor.Monitor
 	Isolator *isolation.Isolator
 	Remedy   *remedy.Controller
-
-	// Collector, Hijack and HijackResponder form the session's hijack
-	// plane; all nil unless SessionConfig.Hijack.Enable was set.
-	Collector       *collectors.Collector
-	Hijack          *hijack.Detector
-	HijackResponder *hijack.Responder
 
 	// Traffic is the session's flow-population generator; nil until
 	// AttachTraffic wires one.
@@ -150,9 +125,6 @@ const (
 	EventControlRestore
 	EventFailsafeEnter
 	EventFailsafeExit
-	EventHijackDetected
-	EventHijackMitigated
-	EventHijackCleared
 )
 
 // String names the event kind. Unknown values render as "eventkind(N)" —
@@ -178,12 +150,6 @@ func (k EventKind) String() string {
 		return "failsafe-enter"
 	case EventFailsafeExit:
 		return "failsafe-exit"
-	case EventHijackDetected:
-		return "hijack-detected"
-	case EventHijackMitigated:
-		return "hijack-mitigated"
-	case EventHijackCleared:
-		return "hijack-cleared"
 	default:
 		return fmt.Sprintf("eventkind(%d)", int(k))
 	}
@@ -207,10 +173,6 @@ type Event struct {
 	// Avoided is set for EventRepair/EventUnpoison when a poison was
 	// involved.
 	Avoided ASN
-	// Alarm is set for the hijack events (EventHijackDetected, -Mitigated,
-	// -Cleared); Mitigation additionally for EventHijackMitigated.
-	Alarm      *hijack.Alarm
-	Mitigation *hijack.Mitigation
 }
 
 // newSession wires a session over the network without starting it.
@@ -265,51 +227,7 @@ func newSession(n *Network, cfg SessionConfig) *Session {
 		s.log(Event{At: n.Clk.Now(), Kind: EventUnpoison, Target: r.Victim, Avoided: r.Avoided})
 	}
 
-	if cfg.Hijack.Enable {
-		s.wireHijack()
-	}
 	return s
-}
-
-// wireHijack assembles the session's hijack plane: collector streams from
-// the configured peers, a detector checking them against an ownership table
-// snapshotted from the engine's pre-attack origins, and a responder
-// announcing through the session's remedy controller. The
-// detector's journal hook is installed before the responder chains onto
-// OnAlarm, so every alarm is journaled before mitigation reacts to it.
-func (s *Session) wireHijack() {
-	n := s.Net
-	peers := s.cfg.Hijack.CollectorPeers
-	if len(peers) == 0 {
-		peers = n.Top.Providers(s.cfg.Origin)
-	}
-	s.Collector = collectors.New(n.Eng, peers...)
-	s.Collector.Instrument(s.Obs)
-
-	s.Hijack = hijack.NewDetector(s.Collector, n.Top, n.Clk, hijack.TableFromEngine(n.Eng))
-	s.Hijack.Instrument(s.Obs)
-	s.Hijack.OnAlarm = func(a *hijack.Alarm) {
-		s.log(Event{At: n.Clk.Now(), Kind: EventHijackDetected, Alarm: a},
-			obs.F("class", a.Class), obs.F("prefix", a.Prefix),
-			obs.F("rogue", a.Rogue), obs.F("owner", a.Owner),
-			obs.F("latency", a.Latency))
-	}
-	s.Hijack.OnClear = func(a *hijack.Alarm) {
-		s.log(Event{At: n.Clk.Now(), Kind: EventHijackCleared, Alarm: a},
-			obs.F("class", a.Class), obs.F("prefix", a.Prefix),
-			obs.F("rogue", a.Rogue),
-			obs.F("active_for", a.ClearedAt-a.DetectedAt))
-	}
-
-	s.HijackResponder = hijack.NewResponder(s.Hijack, s.Remedy, n.Plane, s.cfg.Origin)
-	s.HijackResponder.Instrument(s.Obs)
-	s.HijackResponder.OnMitigated = func(m *hijack.Mitigation) {
-		s.log(Event{At: n.Clk.Now(), Kind: EventHijackMitigated, Alarm: m.Alarm, Mitigation: m},
-			obs.F("class", m.Alarm.Class), obs.F("prefix", m.Alarm.Prefix),
-			obs.F("announced", len(m.Announced)), obs.F("poisoned", m.Poisoned),
-			obs.F("fallback", m.Fallback), obs.F("latency", m.Latency),
-			obs.F("recovered", m.Recovered), obs.F("vantages", m.Vantages))
-	}
 }
 
 // NewSystem wires the single-tenant form: one unlabelled session welded to
@@ -351,9 +269,6 @@ func (s *Session) Start() {
 	}
 	s.Atlas.Start()
 	s.Monitor.Start()
-	if s.Hijack != nil {
-		s.Hijack.Start()
-	}
 }
 
 // Stop halts monitoring, atlas refresh, and the failsafe watchdog — an
@@ -367,9 +282,6 @@ func (s *Session) Stop() {
 	s.started = false
 	s.Monitor.Stop()
 	s.Atlas.Stop()
-	if s.Hijack != nil {
-		s.Hijack.Stop()
-	}
 	s.Net.Clk.Cancel(s.watchdog)
 }
 
@@ -389,12 +301,6 @@ func (s *Session) CrashControl() {
 	s.crashed = true
 	s.Monitor.Stop()
 	s.Atlas.Stop()
-	if s.Hijack != nil {
-		// Detection pauses with the rest of the control plane; alarms
-		// raised before the crash stay raised and clear on the first scan
-		// after the restore.
-		s.Hijack.Stop()
-	}
 	s.Remedy.Suspend()
 	if s.cfg.NoGracefulRestart {
 		s.savedOrigins = s.Net.Eng.Origins(s.cfg.Origin)
@@ -434,9 +340,6 @@ func (s *Session) RestoreControl() {
 	if s.started {
 		s.Atlas.Start()
 		s.Monitor.Start()
-		if s.Hijack != nil {
-			s.Hijack.Start()
-		}
 	}
 }
 
@@ -493,8 +396,7 @@ func (s *Session) log(e Event, extra ...obs.Field) {
 			fields = append(fields, obs.F("tenant", s.cfg.Tenant))
 		}
 		// The record is rendered from the fields the event has. Lifecycle
-		// and hijack events have no target; hijack records bring their own
-		// fields from the wiring site.
+		// events have no target; they bring their own fields.
 		if e.Target.IsValid() {
 			fields = append(fields, obs.F("vp", e.VP), obs.F("target", e.Target))
 		}

@@ -127,42 +127,3 @@ func TestRemovedSessionIgnoresLifecycle(t *testing.T) {
 		})
 	}
 }
-
-// TestRemovedHijackTenantWithdrawsCounters: removing a tenant whose hijack
-// plane is mid-mitigation withdraws its counter-announcements with its
-// other prefixes.
-func TestRemovedHijackTenantWithdrawsCounters(t *testing.T) {
-	n := fig2HijackNetwork(t)
-	rig := lifeguard.NewRig(n)
-	s, err := rig.AddSession(lifeguard.SessionConfig{
-		Config: lifeguard.Config{Origin: asO},
-		Hijack: lifeguard.HijackConfig{
-			Enable:         true,
-			CollectorPeers: []lifeguard.ASN{asA, asB, asE},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.Start()
-	n.Clk.RunFor(time.Minute)
-	n.Eng.Announce(asF, netip.MustParsePrefix("1.10.128.0/24"), lifeguard.OriginConfig{})
-	n.Clk.RunFor(5 * time.Minute)
-	counters := s.Remedy.Counters()
-	if len(counters) == 0 {
-		t.Fatal("no counter-announcements mounted against the hijack")
-	}
-
-	rig.RemoveSession(asO)
-	n.Converge()
-	if got := s.Remedy.Counters(); len(got) != 0 {
-		t.Fatalf("removed tenant still tracks %d counter-announcements", len(got))
-	}
-	for _, o := range n.Eng.Origins(asO) {
-		for _, ca := range counters {
-			if o.Prefix == ca.Prefix {
-				t.Fatalf("removed tenant still originates its counter-announcement %v", o.Prefix)
-			}
-		}
-	}
-}

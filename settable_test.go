@@ -17,7 +17,7 @@ import (
 // named *Config or *Options in the module's non-test Go files outside
 // benchmark/ and testdata/. A change to the count is a design decision, so it is made
 // here and in DESIGN.md together.
-const settableCount = 57
+const settableCount = 54
 
 // settableValues names them, so a failing count says which value moved.
 var settableValues = []string{
@@ -26,15 +26,12 @@ var settableValues = []string{
 	"lifeguard.Config.Remedy",
 	"lifeguard.Config.Targets",
 	"lifeguard.Config.VPs",
-	"lifeguard.HijackConfig.CollectorPeers",
-	"lifeguard.HijackConfig.Enable",
 	"lifeguard.NetworkOptions.BGP",
 	"lifeguard.NetworkOptions.Journal",
 	"lifeguard.NetworkOptions.Obs",
 	"lifeguard.NetworkOptions.OriginateBlocks",
 	"lifeguard.NetworkOptions.Seed",
 	"lifeguard.NetworkOptions.SkipConverge",
-	"lifeguard.SessionConfig.Hijack",
 	"lifeguard.SessionConfig.NoGracefulRestart",
 	"lifeguard.SessionConfig.Tenant",
 	"lifeguard/internal/bgp.Config.Dampening",

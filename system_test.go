@@ -265,8 +265,6 @@ func TestEventKindStringRoundTrip(t *testing.T) {
 		lifeguard.EventUnpoison, lifeguard.EventRecovered,
 		lifeguard.EventControlCrash, lifeguard.EventControlRestore,
 		lifeguard.EventFailsafeEnter, lifeguard.EventFailsafeExit,
-		lifeguard.EventHijackDetected, lifeguard.EventHijackMitigated,
-		lifeguard.EventHijackCleared,
 	}
 	seen := make(map[string]lifeguard.EventKind, len(all))
 	for _, k := range all {
@@ -280,8 +278,8 @@ func TestEventKindStringRoundTrip(t *testing.T) {
 		seen[s] = k
 	}
 	// The contiguous enum ends exactly where the named kinds do.
-	if next := lifeguard.EventHijackCleared + 1; next.String() != "eventkind(12)" {
-		t.Fatalf("first unknown kind renders %q, want eventkind(12)", next.String())
+	if next := lifeguard.EventFailsafeExit + 1; next.String() != "eventkind(9)" {
+		t.Fatalf("first unknown kind renders %q, want eventkind(9)", next.String())
 	}
 	for _, k := range []lifeguard.EventKind{99, -3} {
 		want := "eventkind(" + intString(int(k)) + ")"
