@@ -52,7 +52,7 @@ func exported(r *Route, self uint32) Path {
 	return out
 }
 
-// blockExport consults the neighbor relationship for community actions; it
+// blockExport consults the neighbor relationship for a per-relationship block; it
 // never involves RelCustomer or a route's Rel field, so the valley-free
 // rule is out of its scope.
 func blockExport(relToNeighbor Rel) bool {

@@ -6,8 +6,8 @@
 // customer (the relationship to the receiving neighbor == RelCustomer).
 // Each clause guards a different leak — the first stops an AS from giving
 // free transit between its providers/peers, the second stops customer
-// routes from taking valleys — and the engine's exportTo spells them as one
-// conjoined condition. The realistic regression is an edit that keeps one
+// routes from taking valleys — and the engine's mayExport spells them as one
+// return of both clauses. The realistic regression is an edit that keeps one
 // comparison and loses the other: the result still compiles, still routes
 // most of the time, and silently breaks the poisoning experiments that
 // depend on export policy (§2.2, §3.1). That half-guarded state is what
@@ -26,7 +26,7 @@
 //     the receiving neighbor).
 //
 // Export-named helpers that never touch relationship state (pure path
-// manipulation like Route.exported, or community-action checks that name
+// manipulation like Route.exported, or a per-relationship block that names
 // only RelPeer/RelProvider) are not valley-free policy and are skipped.
 package valleyfree
 

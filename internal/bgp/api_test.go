@@ -8,9 +8,10 @@ import (
 )
 
 // TestAnnounceErrContract pins the error cases of the non-panicking API:
-// unknown AS, unusable prefixes (the loc-RIB keys by masked IPv4 form), and
+// unknown AS, unusable prefixes (the loc-RIB keys by masked IPv4 form),
 // patterns violating the §3.1.1 origin conventions — for Pattern and for
-// every PerNeighbor override. A failed call installs nothing.
+// every PerNeighbor override — and a nil PerNeighbor path, which the
+// OriginConfig doc calls invalid. A failed call installs nothing.
 func TestAnnounceErrContract(t *testing.T) {
 	e, _ := newEngine(t, lineTopo(t))
 	good := topo.ProductionPrefix(1)
@@ -30,6 +31,8 @@ func TestAnnounceErrContract(t *testing.T) {
 		{"bad pattern", 1, good, OriginConfig{Pattern: topo.Path{2, 1}}},
 		{"bad per-neighbor pattern", 1, good,
 			OriginConfig{PerNeighbor: map[topo.ASN]topo.Path{2: {1, 2}}}},
+		{"nil per-neighbor path", 1, good,
+			OriginConfig{PerNeighbor: map[topo.ASN]topo.Path{2: nil}}},
 	}
 	for _, c := range cases {
 		if err := e.AnnounceErr(c.asn, c.prefix, c.cfg); err == nil {
@@ -95,15 +98,13 @@ func TestAnnounceConfigSanitized(t *testing.T) {
 	e, _ := newEngine(t, lineTopo(t))
 	p := topo.ProductionPrefix(1)
 	cfg := OriginConfig{
-		Pattern:     topo.Path{1, 9, 1},
-		Withhold:    map[topo.ASN]bool{},
-		Communities: []Community{42},
+		Pattern:  topo.Path{1, 9, 1},
+		Withhold: map[topo.ASN]bool{},
 	}
 	e.Announce(1, p, cfg)
 	// Corrupt everything the caller still holds.
 	cfg.Pattern[1] = 77
 	cfg.Withhold[2] = true
-	cfg.Communities[0] = 7
 	converge(t, e)
 	r, ok := e.BestRoute(2, p)
 	if !ok {
@@ -111,8 +112,5 @@ func TestAnnounceConfigSanitized(t *testing.T) {
 	}
 	if !r.Path.Equal(topo.Path{1, 9, 1}) {
 		t.Fatalf("exported path %v, want the pre-mutation pattern [1 9 1]", r.Path)
-	}
-	if len(r.Communities) != 1 || r.Communities[0] != 42 {
-		t.Fatalf("exported communities %v, want the pre-mutation [42]", r.Communities)
 	}
 }

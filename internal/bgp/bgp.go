@@ -1,10 +1,12 @@
 // Package bgp implements the interdomain routing substrate: a discrete-event
 // path-vector protocol engine with the pieces LIFEGUARD's remediation relies
-// on — per-neighbor adj-RIB-in, the standard decision process over
-// Gao–Rexford local preferences, valley-free export filtering, AS-path loop
-// prevention (which poisoning exploits), MRAI batching (which shapes
-// convergence time and path exploration), prepending, selective per-neighbor
-// advertisement, and community propagation.
+// on — per-neighbor adj-RIB-in, a strict Gao–Rexford decision process
+// (relationship local-pref, then shorter AS path, then lowest neighbor ASN),
+// valley-free export filtering, AS-path loop prevention (which poisoning
+// exploits), MRAI batching (which shapes convergence time and path
+// exploration), prepending, and selective per-neighbor advertisement. The AS
+// path is the one attribute a route carries: LIFEGUARD's every lever is the
+// path, so no other attribute is modelled (EXPERIMENTS.md, Deviations).
 //
 // One speaker models one AS. Router-level detail lives in the data plane;
 // route selection is AS-granular, matching how the paper reasons about
@@ -19,9 +21,6 @@ import (
 	"lifeguard/internal/topo"
 )
 
-// Community is an opaque BGP community value attached by the origin.
-type Community uint32
-
 // LocalPref values derived from the business relationship of the neighbor a
 // route was learned from (Gao–Rexford economics: prefer routes you are paid
 // to carry).
@@ -30,7 +29,6 @@ const (
 	prefCustomer   = 300
 	prefPeer       = 200
 	prefProvider   = 100
-	prefBackup     = 50 // routes demoted by an ActionLowerPref community
 )
 
 // Route is the public form of one adj-RIB-in or loc-RIB entry. The engine
@@ -48,10 +46,8 @@ type Route struct {
 	From topo.ASN
 	// Rel is the relationship of From as seen by the receiving AS at
 	// import time (RelNone for originated routes).
-	Rel         topo.Rel
-	LocalPref   int
-	MED         int
-	Communities []Community
+	Rel       topo.Rel
+	LocalPref int
 	// Originated marks locally-originated routes.
 	Originated bool
 }
@@ -81,23 +77,12 @@ type OriginConfig struct {
 	// Withhold suppresses the announcement to the listed neighbors
 	// entirely (selective advertising, §2.3).
 	Withhold map[topo.ASN]bool
-	// Communities are attached to the announcement and propagate until
-	// an AS with StripCommunities drops them.
-	Communities []Community
-	// PerNeighborCommunities overrides Communities for specific
-	// neighbors — how an operator tags an action community on just one
-	// session ("treat my route via you as backup").
-	PerNeighborCommunities map[topo.ASN][]Community
-	// MED is advertised to all neighbors (meaningful only to multi-link
-	// neighbors; carried for completeness).
-	MED int
 }
 
 // sanitized returns a deep copy of c. Announce applies it at the API
 // boundary, so the engine's internals (export, lastAdv dedup, deliveries)
-// can alias the config's paths and community slices freely without a caller
-// mutating them underneath — and the hot flush path needs no per-message
-// defensive clones.
+// can alias the config's paths freely without a caller mutating them
+// underneath — and the hot flush path needs no per-message defensive clones.
 func (c OriginConfig) sanitized() OriginConfig {
 	c.Pattern = c.Pattern.Clone()
 	if c.PerNeighbor != nil {
@@ -113,14 +98,6 @@ func (c OriginConfig) sanitized() OriginConfig {
 			m[n] = v
 		}
 		c.Withhold = m
-	}
-	c.Communities = append([]Community(nil), c.Communities...)
-	if c.PerNeighborCommunities != nil {
-		m := make(map[topo.ASN][]Community, len(c.PerNeighborCommunities))
-		for n, cs := range c.PerNeighborCommunities {
-			m[n] = append([]Community(nil), cs...)
-		}
-		c.PerNeighborCommunities = m
 	}
 	return c
 }
@@ -180,19 +157,14 @@ func (c Config) withDefaults() Config {
 }
 
 // update is the wire message between speakers. A nil path is a withdrawal.
-// The sender resolves the interned handles at flush time and ships both
-// forms: the slices feed import policy (loop checks walk the path), the
-// handles land in the receiver's compact adj-RIB-in without re-interning.
+// The sender resolves the path's interned handle at flush time and ships both
+// forms: the slice feeds import policy (loop checks walk the path), the
+// handle lands in the receiver's compact adj-RIB-in without re-interning.
 // The prefix travels as its table id; prefix itself is set only on an update
 // injected from outside a flush (id 0), which receive interns.
 type update struct {
-	prefix      netip.Prefix
-	path        topo.Path
-	communities []Community
-	// The four 32-bit fields pack into 16 bytes: the update, and the
-	// inflight slot around it, stays the size it was without id.
-	id  prefixID
-	med int32
-	pid pathID
-	cid commID
+	prefix netip.Prefix
+	path   topo.Path
+	id     prefixID
+	pid    pathID
 }

@@ -384,27 +384,6 @@ func TestSelectivePoisoningFig3(t *testing.T) {
 	}
 }
 
-func TestCommunityPropagationAndStripping(t *testing.T) {
-	top := lineTopo(t) // 1 -> 2 -> 3 -> 4 customer chain
-	top.AS(3).StripCommunities = true
-	e, _ := newEngine(t, top)
-	p := topo.ProductionPrefix(1)
-	e.Announce(1, p, OriginConfig{Communities: []Community{0xFFFF0001}})
-	converge(t, e)
-	r2, _ := e.BestRoute(2, p)
-	if len(r2.Communities) != 1 || r2.Communities[0] != 0xFFFF0001 {
-		t.Fatalf("AS2 communities = %v", r2.Communities)
-	}
-	r3, _ := e.BestRoute(3, p)
-	if len(r3.Communities) != 1 {
-		t.Fatalf("AS3 should still see the community: %v", r3.Communities)
-	}
-	r4, _ := e.BestRoute(4, p)
-	if len(r4.Communities) != 0 {
-		t.Fatalf("AS4 should not see the community (3 strips): %v", r4.Communities)
-	}
-}
-
 func TestWithdrawPropagates(t *testing.T) {
 	e, _ := newEngine(t, lineTopo(t))
 	p := topo.ProductionPrefix(1)

@@ -174,7 +174,8 @@ func (e *Engine) Announce(asn topo.ASN, prefix netip.Prefix, cfg OriginConfig) {
 
 // AnnounceErr is Announce with an error contract instead of panics. It
 // rejects an unknown AS, a pattern violating the §3.1.1 origin conventions
-// (for Pattern and every PerNeighbor override), and a prefix that is not a
+// (for Pattern and every PerNeighbor override), a nil PerNeighbor path
+// (Withhold is the one way to withhold), and a prefix that is not a
 // masked IPv4 prefix (the address plan is IPv4-only, and the loc-RIB and
 // LPM index key by the masked form). On error nothing is installed and no
 // update propagates. The config is deep-copied before installation, so the
@@ -191,6 +192,9 @@ func (e *Engine) AnnounceErr(asn topo.ASN, prefix netip.Prefix, cfg OriginConfig
 		return err
 	}
 	for n, p := range cfg.PerNeighbor {
+		if p == nil {
+			return fmt.Errorf("bgp: per-neighbor %d: nil path (use Withhold to withhold)", n)
+		}
 		if err := validatePattern(asn, p); err != nil {
 			return fmt.Errorf("per-neighbor %d: %w", n, err)
 		}

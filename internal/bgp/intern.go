@@ -2,10 +2,10 @@ package bgp
 
 import "lifeguard/internal/topo"
 
-// AS-path and community interning. At Internet scale the same AS path is
-// offered to a speaker by many neighbors and stored by thousands of
-// speakers; materializing a []ASN per adj-RIB-in entry multiplies the
-// dominant memory term by the mean path length. The engine instead keeps
+// AS-path interning. At Internet scale the same AS path is offered to a
+// speaker by many neighbors and stored by thousands of speakers;
+// materializing a []ASN per adj-RIB-in entry multiplies the dominant memory
+// term by the mean path length. The engine instead keeps
 // one global arena of canonical paths and hands out 32-bit handles: RIB
 // entries store handles, and topo.Path values are materialized only at API
 // boundaries (Best/AdjIn/BestChange) or when a message needs the slice for
@@ -22,23 +22,14 @@ import "lifeguard/internal/topo"
 // other and gets a nonzero id.
 type pathID uint32
 
-// commID is a handle into the arena's community-set table. 0 means "no
-// communities" (nil or empty).
-type commID uint32
-
-// arena is the engine-global intern table for AS paths and community sets.
+// arena is the engine-global intern table for AS paths.
 type arena struct {
-	paths    []topo.Path // paths[id-1] is the canonical slice for id
-	pathIdx  map[string]pathID
-	comms    [][]Community
-	commsIdx map[string]commID
+	paths   []topo.Path // paths[id-1] is the canonical slice for id
+	pathIdx map[string]pathID
 }
 
 func newArena() *arena {
-	return &arena{
-		pathIdx:  make(map[string]pathID),
-		commsIdx: make(map[string]commID),
-	}
+	return &arena{pathIdx: make(map[string]pathID)}
 }
 
 // pathKey appends p to buf at 4 bytes per hop; topo.ASN is 32-bit, so the key
@@ -100,34 +91,6 @@ func (a *arena) path(id pathID) topo.Path {
 		return nil
 	}
 	return a.paths[id-1]
-}
-
-// internComms returns the canonical id for cs (order-sensitive, matching
-// the element-wise equality updates always used). Empty sets are id 0.
-func (a *arena) internComms(cs []Community) commID {
-	if len(cs) == 0 {
-		return 0
-	}
-	var scratch [32]byte
-	key := scratch[:0]
-	for _, c := range cs {
-		key = append(key, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
-	}
-	if id, ok := a.commsIdx[string(key)]; ok {
-		return id
-	}
-	a.comms = append(a.comms, cs)
-	id := commID(len(a.comms))
-	a.commsIdx[string(key)] = id
-	return id
-}
-
-// communities materializes the canonical set for id (read-only; nil for 0).
-func (a *arena) communities(id commID) []Community {
-	if id == 0 {
-		return nil
-	}
-	return a.comms[id-1]
 }
 
 // PathArenaSize reports how many distinct AS paths the engine has interned —

@@ -3,7 +3,6 @@ package bgp
 import (
 	"math/rand"
 	"net/netip"
-	"slices"
 	"testing"
 
 	"lifeguard/internal/simclock"
@@ -19,14 +18,6 @@ import (
 // scan of the public AdjIn by the decision order as written in the package
 // doc, the test's own record of who originates what, and — at quiescence —
 // what each neighbor must have sent.
-
-// Communities the stream attaches. ribLowerPref and ribNoPeers are action
-// communities at the first two transit ASes; plain means nothing to anyone.
-const (
-	ribLowerPref Community = 100 + iota
-	ribNoPeers
-	ribPlain
-)
 
 type ribKey struct {
 	asn topo.ASN
@@ -54,7 +45,6 @@ type ribWorld struct {
 	// origins is the test's record of installed origin configs.
 	origins map[ribKey]OriginConfig
 	down    map[topo.ASPair]bool
-	actions map[topo.ASN]map[Community]CommunityAction
 
 	// held is, per (speaker, prefix), the pointer the last check read and a
 	// deep copy of what it pointed at then; fwd what the data plane saw of
@@ -96,15 +86,6 @@ func newRIBWorld(t testing.TB, cfg topogen.Config) *ribWorld {
 		w.owners = append(w.owners, o)
 		w.pfxs = append(w.pfxs, topo.ProductionPrefix(o))
 		w.addrs = append(w.addrs, topo.ProductionAddr(o))
-	}
-	w.actions = map[topo.ASN]map[Community]CommunityAction{
-		gen.Transit[0]: {ribLowerPref: ActionLowerPref},
-		gen.Transit[1]: {ribNoPeers: ActionNoExportToPeers},
-	}
-	for asn, byComm := range w.actions {
-		for c, a := range byComm {
-			w.eng.SetCommunityAction(asn, c, a)
-		}
 	}
 	w.fwdVer = make([]uint64, len(w.asns))
 	w.dstVer = make([]uint64, len(w.addrs))
@@ -158,14 +139,13 @@ func (w *ribWorld) run(t testing.TB, data []byte) {
 			}
 			w.announce(o, p, cfg)
 		case op == 4:
-			// Communities, for everyone or for one provider: the loc-RIB
-			// slot changes at every AS they reach while the path stays.
-			sets := [][]Community{{ribLowerPref}, {ribNoPeers}, {ribPlain}, {ribPlain, ribLowerPref}, nil}
-			cfg := OriginConfig{Communities: sets[pick(len(sets))]}
-			if provs := top.Providers(o); pick(2) == 0 {
-				cfg.PerNeighborCommunities = map[topo.ASN][]Community{provs[pick(len(provs))]: sets[pick(len(sets))]}
-			}
-			w.announce(o, p, cfg)
+			// §2.3's prepending baseline, as -exp baselines announces it:
+			// the route via one provider is made longer, not withheld.
+			provs := top.Providers(o)
+			w.announce(o, p, OriginConfig{
+				Pattern:     topo.Path{o, o, o},
+				PerNeighbor: map[topo.ASN]topo.Path{provs[pick(len(provs))]: {o, o, o, o, o, o, o}},
+			})
 		case op == 5:
 			w.withdraw(o, p)
 		case op == 6:
@@ -196,7 +176,7 @@ func (w *ribWorld) run(t testing.TB, data []byte) {
 }
 
 // winner scans adjIn by the decision order: higher local-pref, shorter AS
-// path, lower MED, lowest neighbor ASN.
+// path, lowest neighbor ASN.
 func winner(adjIn map[topo.ASN]*Route) *Route {
 	var win *Route
 	for _, r := range adjIn {
@@ -211,10 +191,6 @@ func winner(adjIn map[topo.ASN]*Route) *Route {
 			if len(r.Path) < len(win.Path) {
 				win = r
 			}
-		case r.MED != win.MED:
-			if r.MED < win.MED {
-				win = r
-			}
 		case r.From < win.From:
 			win = r
 		}
@@ -222,18 +198,15 @@ func winner(adjIn map[topo.ASN]*Route) *Route {
 	return win
 }
 
-// sameFields compares two routes field by field; nil and empty community
-// sets are one.
+// sameFields compares two routes field by field.
 func sameFields(a, b *Route) bool {
 	return a.Prefix == b.Prefix && a.Path.Equal(b.Path) && a.From == b.From && a.Rel == b.Rel &&
-		a.LocalPref == b.LocalPref && a.MED == b.MED && slices.Equal(a.Communities, b.Communities) &&
-		a.Originated == b.Originated
+		a.LocalPref == b.LocalPref && a.Originated == b.Originated
 }
 
 func snapshot(r *Route) Route {
 	c := *r
 	c.Path = r.Path.Clone()
-	c.Communities = slices.Clone(r.Communities)
 	return c
 }
 
@@ -262,8 +235,8 @@ func (w *ribWorld) check(t testing.TB) {
 			// The selected route is the origin's where one is installed,
 			// else the decision order's pick of the offers.
 			var want *Route
-			if cfg, ok := w.origins[k]; ok {
-				want = &Route{Prefix: p, From: asn, LocalPref: prefOriginated, Communities: cfg.Communities, Originated: true}
+			if _, ok := w.origins[k]; ok {
+				want = &Route{Prefix: p, From: asn, LocalPref: prefOriginated, Originated: true}
 			} else {
 				want = winner(adjIn)
 			}
@@ -366,20 +339,10 @@ func (w *ribWorld) checkOffers(t testing.TB, asn topo.ASN, p netip.Prefix, adjIn
 	}
 }
 
-// action is the first action community of comms that asn defines.
-func (w *ribWorld) action(asn topo.ASN, comms []Community) CommunityAction {
-	for _, c := range comms {
-		if a, ok := w.actions[asn][c]; ok {
-			return a
-		}
-	}
-	return 0
-}
-
 // offer is the adj-RIB-in entry that from's selected route for p leaves at
 // its neighbor to once nothing is in flight; nil when from sends nothing or
-// to keeps nothing. It is the policy as the package doc and §2.3/§7.1 state
-// it, written against the public API alone.
+// to keeps nothing. It is the policy as the package doc and §7.1 state it,
+// written against the public API alone.
 func (w *ribWorld) offer(from, to topo.ASN, p netip.Prefix) *Route {
 	top := w.gen.Top
 	if w.down[topo.MakeASPair(from, to)] {
@@ -391,40 +354,21 @@ func (w *ribWorld) offer(from, to topo.ASN, p netip.Prefix) *Route {
 		if cfg.Withhold[to] {
 			return nil
 		}
-		out.Path, out.Communities = topo.Path{from}, cfg.Communities
+		out.Path = topo.Path{from}
 		if per, ok := cfg.PerNeighbor[to]; ok {
 			out.Path = per
 		} else if cfg.Pattern != nil {
 			out.Path = cfg.Pattern
-		}
-		if per, ok := cfg.PerNeighborCommunities[to]; ok {
-			out.Communities = per
 		}
 	} else {
 		b, ok := w.eng.BestRoute(from, p)
 		if !ok || b.From == to { // nothing to send; split horizon
 			return nil
 		}
-		relTo := top.Rel(from, to)
-		if relTo != topo.RelCustomer && b.Rel != topo.RelCustomer {
+		if top.Rel(from, to) != topo.RelCustomer && b.Rel != topo.RelCustomer {
 			return nil // valley-free: peer and provider routes go to customers only
 		}
-		switch w.action(from, b.Communities) {
-		case ActionNoExport:
-			return nil
-		case ActionNoExportToPeers:
-			if relTo == topo.RelPeer {
-				return nil
-			}
-		case ActionNoExportToProviders:
-			if relTo == topo.RelProvider {
-				return nil
-			}
-		}
 		out.Path = b.Path.Prepend(from)
-		if !top.AS(from).StripCommunities {
-			out.Communities = b.Communities
-		}
 	}
 	// Import at the receiver: loop prevention and the §7.1 filter.
 	as := top.AS(to)
@@ -439,17 +383,16 @@ func (w *ribWorld) offer(from, to topo.ASN, p netip.Prefix) *Route {
 		}
 	}
 	out.LocalPref = map[topo.Rel]int{topo.RelCustomer: prefCustomer, topo.RelPeer: prefPeer, topo.RelProvider: prefProvider}[out.Rel]
-	if w.action(to, out.Communities) == ActionLowerPref {
-		out.LocalPref = prefBackup
-	}
 	return out
 }
 
 // TestLocRIBMatchesOracle runs seeded op streams on three graphs. The
-// mutations this must fail under, and did (CHANGES.md, PR 23): decide not
-// clearing the remembered *Route; decide carrying exp over to the new winner;
+// mutations this must fail under, and did (CHANGES.md): decide not clearing
+// the remembered *Route; decide carrying exp over to the new winner;
 // adjSlab.carve without the capacity bound, so two prefixes share storage;
-// sameForwarding calling an originated and a learned slot alike.
+// sameForwarding calling an originated and a learned slot alike; sameRoute
+// ignoring the path; hasNews skipping exportIs; entryBetter without the path
+// length; advRecord.differs ignoring a path change.
 func TestLocRIBMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{5, 23, 71} {
 		w := newRIBWorld(t, topogen.Config{Seed: seed, NumTier1: 3, NumTransit: 8, NumStub: 14, TransitPeerProb: 0.2})

@@ -10,10 +10,10 @@ import (
 // are tables of pointer-free values the collector never scans.
 //
 // The adj-RIB-in is delta-encoded: per (prefix, neighbor) only the
-// selection-relevant scalars and the interned path / community handles are
-// stored (24 bytes), sorted by neighbor in a short array per prefix, and the
-// arrays themselves are carved from per-speaker slab chunks (adjSlab) instead
-// of being one tiny heap object each.
+// selection-relevant scalars and the interned path handle are stored (16
+// bytes), sorted by neighbor in a short array per prefix, and the arrays
+// themselves are carved from per-speaker slab chunks (adjSlab) instead of
+// being one tiny heap object each.
 //
 // The loc-RIB is a dense []locEntry indexed by prefix id: the winning
 // adjEntry by value, the interned handle of the path it is exported with, and
@@ -29,9 +29,7 @@ type adjEntry struct {
 	rel   topo.Rel
 	plen  uint16 // AS-path length, the decision process's second comparator
 	lpref int32
-	med   int32
 	path  pathID
-	comms commID
 }
 
 // locKind says what a loc-RIB slot holds.
@@ -44,8 +42,8 @@ const (
 )
 
 // locEntry is one loc-RIB slot. For an originated route ent carries what the
-// public Route reports — nbr is the speaker itself, lpref prefOriginated,
-// comms the origin config's set — and path stays 0 (the empty path).
+// public Route reports — nbr is the speaker itself, lpref prefOriginated —
+// and path stays 0 (the empty path).
 type locEntry struct {
 	ent adjEntry
 	// exp is the interned handle of ent.path prepended with the speaker's
@@ -55,12 +53,11 @@ type locEntry struct {
 	kind locKind
 }
 
-// sameRoute reports whether two slots hold the same selected route: the kind
-// and the three handles that identify one. Paths and community sets are
-// interned, so equal handles are equal contents.
+// sameRoute reports whether two slots hold the same selected route: the kind,
+// the neighbor and the path handle that identify one. Paths are interned, so
+// equal handles are equal contents.
 func (a *locEntry) sameRoute(b *locEntry) bool {
-	return a.kind == b.kind && a.ent.nbr == b.ent.nbr &&
-		a.ent.path == b.ent.path && a.ent.comms == b.ent.comms
+	return a.kind == b.kind && a.ent.nbr == b.ent.nbr && a.ent.path == b.ent.path
 }
 
 // sameForwarding reports whether a packet meeting slot a fares as one meeting
@@ -169,18 +166,15 @@ func (sl *adjSlab) carve(n int) []adjEntry {
 	return out
 }
 
-// entryBetter is the BGP decision process over compact entries: higher
-// local-pref, then shorter AS path, then lower MED, then lowest neighbor ASN
-// as the deterministic tiebreak.
+// entryBetter is the BGP decision process over compact entries, strict
+// Gao–Rexford: higher relationship local-pref, then shorter AS path, then
+// lowest neighbor ASN as the deterministic tiebreak.
 func entryBetter(a, b *adjEntry) bool {
 	if a.lpref != b.lpref {
 		return a.lpref > b.lpref
 	}
 	if a.plen != b.plen {
 		return a.plen < b.plen
-	}
-	if a.med != b.med {
-		return a.med < b.med
 	}
 	return a.nbr < b.nbr
 }

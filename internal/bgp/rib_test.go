@@ -77,7 +77,7 @@ func TestPrefixRIBArraysDoNotShare(t *testing.T) {
 			rb.remove(idx)
 			delete(want[i], nbr)
 		} else {
-			ent := adjEntry{nbr: nbr, path: pathID(step + 1), comms: commID(i)}
+			ent := adjEntry{nbr: nbr, path: pathID(step + 1), lpref: int32(i)}
 			rb.insert(ent, &slab)
 			want[i][nbr] = ent
 		}

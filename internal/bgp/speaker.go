@@ -47,8 +47,6 @@ type Speaker struct {
 	out []outState
 	// damp tracks RFC 2439 flap state per (neighbor, prefix).
 	damp map[dampKey]*dampState
-	// commActions maps this AS's action communities (§2.3) to behaviour.
-	commActions map[Community]CommunityAction
 
 	neighbors []topo.ASN // sorted, cached
 	// nbrRel, peers and peerIdx cache, per neighbor index, the relationship
@@ -62,8 +60,8 @@ type Speaker struct {
 }
 
 // originEntry pairs an origin policy with the cached plain [self] pattern
-// and the interned handles of every path / community set the policy can
-// announce — so per-flush exports allocate and intern nothing.
+// and the interned handle of every path the policy can announce — so
+// per-flush exports allocate and intern nothing.
 type originEntry struct {
 	cfg   OriginConfig
 	plain topo.Path // the [self] path announced when cfg.Pattern is nil
@@ -71,30 +69,25 @@ type originEntry struct {
 	plainID   pathID
 	patternID pathID // 0 when cfg.Pattern is nil
 	perNbrID  map[topo.ASN]pathID
-	commsID   commID
-	perNbrCID map[topo.ASN]commID
 }
 
-// export is one computed announcement: the wire slices plus their interned
-// handles (pid 0 never reaches deliver — ok=false withdraws instead).
+// export is one computed announcement: the wire path plus its interned
+// handle (pid 0 never reaches deliver — ok=false withdraws instead).
 type export struct {
-	path  topo.Path
-	comms []Community
-	med   int32
-	pid   pathID
-	cid   commID
+	path topo.Path
+	pid  pathID
 }
 
 // pattern returns the effective path (with handle) announced to neighbor n;
-// ok=false when nothing is. A nil per-neighbor path is a withdrawal on the
-// wire, so it counts as withheld: an export never carries path handle 0.
+// ok=false when nothing is. AnnounceErr rejects a nil per-neighbor path, so
+// an export never carries path handle 0.
 func (ent *originEntry) pattern(n topo.ASN) (topo.Path, pathID, bool) {
 	c := &ent.cfg
 	if c.Withhold[n] {
 		return nil, 0, false
 	}
 	if p, ok := c.PerNeighbor[n]; ok {
-		return p, ent.perNbrID[n], p != nil
+		return p, ent.perNbrID[n], true
 	}
 	if c.Pattern != nil {
 		return c.Pattern, ent.patternID, true
@@ -103,11 +96,10 @@ func (ent *originEntry) pattern(n topo.ASN) (topo.Path, pathID, bool) {
 }
 
 // advRecord remembers what was last advertised to a neighbor for a prefix —
-// two interned handles instead of a path and community slice. pid 0 means
-// nothing is advertised (an export never carries path handle 0).
+// an interned path handle instead of a path. pid 0 means nothing is
+// advertised (an export never carries path handle 0).
 type advRecord struct {
 	pid pathID
-	cid commID
 }
 
 // differs reports whether export ex (ok=false: no announcement) is news to a
@@ -116,7 +108,7 @@ func (r advRecord) differs(ex export, ok bool) bool {
 	if !ok {
 		return r.pid != 0
 	}
-	return r != advRecord{pid: ex.pid, cid: ex.cid}
+	return r.pid != ex.pid
 }
 
 // outState is one neighbor session's send-side state. lastDelivery (the
@@ -252,8 +244,8 @@ func (s *Speaker) Best(p netip.Prefix) (*Route, bool) {
 
 // AdjIn returns the per-neighbor routes known for p, materialized from the
 // compact store. The returned map and routes are the caller's to keep; the
-// path and community slices alias the engine's canonical interned copies
-// and must be treated as read-only.
+// paths alias the engine's canonical interned copies and must be treated as
+// read-only.
 func (s *Speaker) AdjIn(p netip.Prefix) map[topo.ASN]*Route {
 	var entries []adjEntry
 	if id, ok := s.e.prefixes.lookup(p); ok && int(id) < len(s.adjIn) {
@@ -270,13 +262,11 @@ func (s *Speaker) AdjIn(p netip.Prefix) map[topo.ASN]*Route {
 // materialize builds the full Route for a compact entry.
 func (s *Speaker) materialize(p netip.Prefix, ent *adjEntry) *Route {
 	return &Route{
-		Prefix:      p,
-		Path:        s.e.arena.path(ent.path),
-		From:        ent.nbr,
-		Rel:         ent.rel,
-		LocalPref:   int(ent.lpref),
-		MED:         int(ent.med),
-		Communities: s.e.arena.communities(ent.comms),
+		Prefix:    p,
+		Path:      s.e.arena.path(ent.path),
+		From:      ent.nbr,
+		Rel:       ent.rel,
+		LocalPref: int(ent.lpref),
 	}
 }
 
@@ -309,13 +299,6 @@ func (s *Speaker) announce(prefix netip.Prefix, cfg OriginConfig) {
 		ent.perNbrID = make(map[topo.ASN]pathID, len(cfg.PerNeighbor))
 		for n, p := range cfg.PerNeighbor {
 			ent.perNbrID[n] = a.internPath(p)
-		}
-	}
-	ent.commsID = a.internComms(cfg.Communities)
-	if len(cfg.PerNeighborCommunities) > 0 {
-		ent.perNbrCID = make(map[topo.ASN]commID, len(cfg.PerNeighborCommunities))
-		for n, cs := range cfg.PerNeighborCommunities {
-			ent.perNbrCID[n] = a.internComms(cs)
 		}
 	}
 	if int(id) >= len(s.origin) {
@@ -373,36 +356,25 @@ func (s *Speaker) receive(ri int, u update) {
 		rb.remove(idx)
 	} else {
 		rel := s.nbrRel[ri]
-		lpref := localPref(rel)
-		if s.communityAction(u.communities) == ActionLowerPref {
-			lpref = prefBackup
-		}
-		// Flush always ships interned handles alongside the slices; an update
-		// injected without them (only tests do) is interned here, on defensive
-		// copies since the arena aliases what it is handed.
-		pid, cid := u.pid, u.cid
+		// Flush always ships the interned handle alongside the path; an
+		// update injected without it (only tests do) is interned here, on a
+		// defensive copy since the arena aliases what it is handed.
+		pid := u.pid
 		if pid == 0 {
 			pid = s.e.arena.internPath(u.path.Clone())
-		}
-		if cid == 0 && len(u.communities) > 0 {
-			cid = s.e.arena.internComms(append([]Community(nil), u.communities...))
 		}
 		ent := adjEntry{
 			nbr:   from,
 			rel:   rel,
 			plen:  uint16(len(u.path)),
-			lpref: int32(lpref),
-			med:   u.med,
+			lpref: int32(localPref(rel)),
 			path:  pid,
-			comms: cid,
 		}
 		if idx >= 0 {
 			old := &rb.entries[idx]
-			if old.path == ent.path && old.comms == ent.comms {
+			if old.path == ent.path {
 				// Duplicate re-advertisement: RFC 2439 §4.4.3 counts only
 				// updates that *change* an existing route, so no penalty.
-				// (MED-only changes are invisible here, as they were under
-				// the materialized representation's routesEqual.)
 				return
 			}
 			// A replacement announcement for a known route is a flap; the
@@ -461,10 +433,10 @@ func (s *Speaker) decide(id prefixID) bool {
 	s.e.obs.decisionRuns.Inc()
 	old := s.bestAt(id)
 	var nw locEntry
-	if ent := s.originAt(id); ent != nil {
+	if s.originAt(id) != nil {
 		// Originated routes carry prefOriginated, above every imported
 		// local-pref tier: they always win.
-		nw = locEntry{kind: locOriginated, ent: adjEntry{nbr: s.asn, lpref: prefOriginated, comms: ent.commsID}}
+		nw = locEntry{kind: locOriginated, ent: adjEntry{nbr: s.asn, lpref: prefOriginated}}
 	} else if int(id) < len(s.adjIn) {
 		entries := s.adjIn[id].entries
 		win := -1
@@ -545,7 +517,7 @@ func (s *Speaker) hasNews(i int, id prefixID) bool {
 	if !s.mayExport(i, &b) {
 		return last.pid != 0
 	}
-	return last.pid == 0 || last.cid != s.exportComms(&b) || !s.exportIs(&b, last.pid)
+	return last.pid == 0 || !s.exportIs(&b, last.pid)
 }
 
 // exportIs reports whether learned slot b is exported with the interned path
@@ -641,40 +613,25 @@ func (s *Speaker) flush(i int) int {
 		if int(id) >= len(st.lastAdv) {
 			st.lastAdv = growTo(st.lastAdv, s.e.prefixes.size())
 		}
-		st.lastAdv[id] = advRecord{pid: ex.pid, cid: ex.cid}
-		s.e.deliver(s, i, update{
-			id:          id,
-			path:        ex.path,
-			communities: ex.comms,
-			med:         ex.med,
-			pid:         ex.pid,
-			cid:         ex.cid,
-		})
+		st.lastAdv[id] = advRecord{pid: ex.pid}
+		s.e.deliver(s, i, update{id: id, path: ex.path, pid: ex.pid})
 	}
 	st.pending.reset()
 	return sent
 }
 
 // exportTo computes the announcement of prefix id to the i-th neighbor,
-// applying origin patterns, valley-free export policy, split horizon, and
-// community stripping. ok=false means "no announcement" (neighbor should
-// hold no route from us).
+// applying origin patterns, valley-free export policy and split horizon.
+// ok=false means "no announcement" (neighbor should hold no route from us).
 func (s *Speaker) exportTo(i int, id prefixID) (export, bool) {
 	if ent := s.originAt(id); ent != nil {
-		n := s.neighbors[i]
-		cfg := &ent.cfg
-		pat, pid, announce := ent.pattern(n)
+		pat, pid, announce := ent.pattern(s.neighbors[i])
 		if !announce {
 			return export{}, false
 		}
-		cs, cid := cfg.Communities, ent.commsID
-		if per, ok := cfg.PerNeighborCommunities[n]; ok {
-			cs, cid = per, ent.perNbrCID[n]
-		}
-		// The config was deep-copied at the Announce boundary and paths
-		// and community slices are immutable from there on, so the
-		// per-flush defensive clones are gone from this hot path.
-		return export{path: pat, comms: cs, med: int32(cfg.MED), pid: pid, cid: cid}, true
+		// The config was deep-copied at the Announce boundary and its paths
+		// are immutable from there on, so exports alias them without a per-flush clone.
+		return export{path: pat, pid: pid}, true
 	}
 	if int(id) >= len(s.best) || !s.mayExport(i, &s.best[id]) {
 		return export{}, false
@@ -685,35 +642,16 @@ func (s *Speaker) exportTo(i int, id prefixID) (export, bool) {
 		// round-trip serves all exports of this route.
 		b.exp = s.e.arena.internPrepended(s.asn, b.ent.path)
 	}
-	cid := s.exportComms(b)
-	return export{path: s.e.arena.path(b.exp), comms: s.e.arena.communities(cid), med: 0, pid: b.exp, cid: cid}, true
+	return export{path: s.e.arena.path(b.exp), pid: b.exp}, true
 }
 
-// mayExport applies split horizon, valley-free export policy and this AS's
-// action communities to learned slot b (locNone: no route) toward neighbor i.
+// mayExport applies split horizon and valley-free export policy to learned
+// slot b (locNone: no route) toward neighbor i.
 func (s *Speaker) mayExport(i int, b *locEntry) bool {
 	if b.kind == locNone || b.ent.nbr == s.neighbors[i] {
 		return false
 	}
 	// Valley-free export: routes learned from peers or providers are
 	// exported only to customers.
-	relToN := s.nbrRel[i]
-	if relToN != topo.RelCustomer && b.ent.rel != topo.RelCustomer {
-		return false
-	}
-	// Action communities this AS defines (§2.3) can further restrict
-	// export; an AS that defines none does not read the arena to learn so.
-	if len(s.commActions) == 0 {
-		return true
-	}
-	return !blockExport(s.communityAction(s.e.arena.communities(b.ent.comms)), relToN)
-}
-
-// exportComms returns the handle of the community set learned slot b is
-// exported with.
-func (s *Speaker) exportComms(b *locEntry) commID {
-	if s.as.StripCommunities {
-		return 0
-	}
-	return b.ent.comms
+	return s.nbrRel[i] == topo.RelCustomer || b.ent.rel == topo.RelCustomer
 }

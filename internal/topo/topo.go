@@ -81,10 +81,6 @@ type AS struct {
 	// AS's peers (§7.1).
 	FilterPeersFromCustomers bool
 
-	// StripCommunities models transit networks that do not propagate BGP
-	// community values they receive (§2.3 observes Tier-1s doing this).
-	StripCommunities bool
-
 	// Routers lists the routers belonging to this AS.
 	Routers []RouterID
 }

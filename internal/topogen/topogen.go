@@ -274,15 +274,11 @@ func synth(cfg Config) (*topo.Builder, *Result, *rand.Rand, topo.ASN, error) {
 	return b, res, rng, next, nil
 }
 
-// finish validates the builder and marks the Tier-1s community-stripping
-// (the paper's §2.3 observation).
+// finish validates the builder and stores the topology in res.
 func finish(b *topo.Builder, res *Result) (*Result, error) {
 	top, err := b.Build()
 	if err != nil {
 		return nil, err
-	}
-	for _, t1 := range res.Tier1s {
-		top.AS(t1).StripCommunities = true
 	}
 	res.Top = top
 	return res, nil

@@ -1,9 +1,11 @@
 package topogen
 
 import (
+	"slices"
 	"testing"
 
 	"lifeguard/internal/bgp"
+	"lifeguard/internal/nettest"
 	"lifeguard/internal/simclock"
 	"lifeguard/internal/splice"
 	"lifeguard/internal/topo"
@@ -22,7 +24,7 @@ func TestGenerateCountsAndTiers(t *testing.T) {
 	}
 	for _, asn := range res.Tier1s {
 		as := res.Top.AS(asn)
-		if as.Tier != 1 || !as.StripCommunities {
+		if as.Tier != 1 {
 			t.Fatalf("tier1 %d misconfigured: %+v", asn, as)
 		}
 		if len(res.Top.Providers(asn)) != 0 {
@@ -147,4 +149,76 @@ func TestMultihomingFractionRoughlyMatches(t *testing.T) {
 	if f < 0.40 || f > 0.70 {
 		t.Fatalf("multihomed stub fraction = %.2f, want ~0.55", f)
 	}
+}
+
+// TestProviderHierarchyAcyclic: no AS is, through a chain of providers, its
+// own provider — in either generator, at the sizes the repository builds
+// (the loc-RIB oracle's 25 ASes, -exp baselines' 110, the default 195, and
+// 1k with and without Large), nor in the hand-built Fig. 2 and Fig. 4
+// worlds. A solver that orders ASes customer-before-provider relies on it;
+// Build does not check it.
+func TestProviderHierarchyAcyclic(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"25", Config{Seed: 5, NumTier1: 3, NumTransit: 8, NumStub: 14, TransitPeerProb: 0.2}},
+		{"110", Config{Seed: 1, NumTransit: 25, NumStub: 80, TransitPeerProb: 0.10, StubMultihomeProb: 0.65}},
+		{"195", Config{Seed: 1}},
+		{"1k", Config{Seed: 1, NumTransit: 200, NumStub: 795}},
+		{"1k-large", Config{Seed: 1, NumTransit: 200, NumStub: 795, Large: true}},
+	}
+	for _, c := range cases {
+		res, err := Generate(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if cyc := providerCycle(res.Top); cyc != nil {
+			t.Errorf("%s: provider cycle %v", c.name, cyc)
+		}
+	}
+	for name, top := range map[string]*topo.Topology{"Fig2": nettest.Fig2(t).Top, "Fig4": nettest.Fig4(t).Top} {
+		if cyc := providerCycle(top); cyc != nil {
+			t.Errorf("%s: provider cycle %v", name, cyc)
+		}
+	}
+}
+
+// providerCycle returns a cycle in the customer→provider graph, each AS a
+// customer of the next and the last a customer of the first, or nil when
+// there is none: a depth-first search that meets an AS still on its stack.
+func providerCycle(top *topo.Topology) topo.Path {
+	const (
+		unseen = iota
+		onStack
+		done
+	)
+	state := make(map[topo.ASN]int, top.NumASes())
+	var stack topo.Path
+	var visit func(asn topo.ASN) topo.Path
+	visit = func(asn topo.ASN) topo.Path {
+		state[asn] = onStack
+		stack = append(stack, asn)
+		for _, p := range top.Providers(asn) {
+			switch state[p] {
+			case onStack:
+				return stack[slices.Index(stack, p):].Clone()
+			case unseen:
+				if cyc := visit(p); cyc != nil {
+					return cyc
+				}
+			}
+		}
+		stack = stack[:len(stack)-1]
+		state[asn] = done
+		return nil
+	}
+	for _, asn := range top.ASNs() {
+		if state[asn] == unseen {
+			if cyc := visit(asn); cyc != nil {
+				return cyc
+			}
+		}
+	}
+	return nil
 }

@@ -61,7 +61,7 @@ type (
 	// BGPConfig tunes protocol dynamics (MRAI, jitter, dampening).
 	BGPConfig = bgp.Config
 	// OriginConfig controls how an AS announces one of its prefixes
-	// (patterns, per-neighbor poisons, withholding, communities).
+	// (patterns, per-neighbor poisons and prepends, withholding).
 	OriginConfig = bgp.OriginConfig
 	// ChaosScript is a scripted fault timeline (internal/chaos).
 	ChaosScript = chaos.Script
