@@ -11,7 +11,6 @@ package atlas
 import (
 	"net/netip"
 	"slices"
-	"sort"
 	"time"
 
 	"lifeguard/internal/probe"
@@ -91,10 +90,6 @@ type Atlas struct {
 	// answered a probe.
 	resp map[netip.Addr]struct{}
 
-	// PathsRefreshed counts reverse-path refreshes performed, for the
-	// §5.4 throughput measurement.
-	PathsRefreshed int
-
 	ticker  simclock.EventID
 	started bool
 }
@@ -171,7 +166,6 @@ func (a *Atlas) RefreshPair(vp topo.RouterID, target netip.Addr) {
 			a.pr.Charge(fullMeasureCost - 10)
 		}
 		ps.rev = a.appendRecord(ps.rev, rec)
-		a.PathsRefreshed++
 	}
 }
 
@@ -282,22 +276,5 @@ func (a *Atlas) LatestReverseBefore(vp topo.RouterID, target netip.Addr, cutoff 
 			out = append(out, recs[i])
 		}
 	}
-	return out
-}
-
-// RefreshRatePerMinute reports average reverse-path refreshes per virtual
-// minute since the atlas started measuring.
-func (a *Atlas) RefreshRatePerMinute() float64 {
-	mins := a.clk.Now().Minutes()
-	if mins <= 0 {
-		return 0
-	}
-	return float64(a.PathsRefreshed) / mins
-}
-
-// SortedTargets returns targets in deterministic address order (test aid).
-func (a *Atlas) SortedTargets() []netip.Addr {
-	out := append([]netip.Addr(nil), a.targets...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }

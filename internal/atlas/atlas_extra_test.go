@@ -19,17 +19,6 @@ func TestVPsAndTargetsAccessors(t *testing.T) {
 	}
 }
 
-func TestSortedTargets(t *testing.T) {
-	n, a := setup(t)
-	// Add a second, lower-addressed target out of order.
-	low := n.Top.Router(n.Hub(nettest.TransitA)).Addr
-	a.AddTarget(low)
-	got := a.SortedTargets()
-	if len(got) != 2 || !got[0].Less(got[1]) {
-		t.Fatalf("SortedTargets = %v", got)
-	}
-}
-
 func TestTargetRouterResolution(t *testing.T) {
 	n, a := setup(t)
 	// Router address resolves to that router.
@@ -74,23 +63,6 @@ func TestSamePathDisambiguation(t *testing.T) {
 	}
 	if apart := (PathRecord{Hops: slices.Clone(recs[0].Hops)}); apart.Repeats(&recs[0]) {
 		t.Fatal("a path stored apart repeats nothing")
-	}
-}
-
-func TestRefreshRateZeroAtStart(t *testing.T) {
-	n := nettest.Fig4(t)
-	// A fresh scheduler (clock at 0) yields rate 0, no division by zero.
-	// Note nettest's clock has advanced during convergence, so build the
-	// atlas against a brand-new scheduler via the zero-time branch.
-	a := New(n.Top, n.Prober, n.Clk)
-	if n.Clk.Now() > 0 {
-		if got := a.RefreshRatePerMinute(); got != 0 {
-			t.Fatalf("no refreshes yet, rate = %v", got)
-		}
-		return
-	}
-	if got := a.RefreshRatePerMinute(); got != 0 {
-		t.Fatalf("rate at t=0 = %v", got)
 	}
 }
 

@@ -135,16 +135,18 @@ func TestAmortizedRefreshCost(t *testing.T) {
 
 func TestPeriodicRefreshAndStop(t *testing.T) {
 	n, a := setup(t)
+	vp := n.Hub(nettest.VP1AS)
+	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	start := n.Clk.Now()
 	a.Start()
 	n.Clk.RunUntil(start + 3*refreshInterval + refreshInterval/2)
-	if a.PathsRefreshed != 4 { // start + 0, 1, 2, 3 intervals
-		t.Fatalf("PathsRefreshed = %d, want 4", a.PathsRefreshed)
+	if got := len(a.Reverse(vp, target)); got != 4 { // start + 0, 1, 2, 3 intervals
+		t.Fatalf("%d rounds, want 4", got)
 	}
 	a.Stop()
 	n.Clk.RunFor(10 * refreshInterval)
-	if a.PathsRefreshed != 4 {
-		t.Fatalf("refresh continued after Stop: %d", a.PathsRefreshed)
+	if got := len(a.Reverse(vp, target)); got != 4 {
+		t.Fatalf("refresh continued after Stop: %d rounds", got)
 	}
 }
 
@@ -169,16 +171,16 @@ func TestLatestReverseBefore(t *testing.T) {
 
 func TestReverseRefreshFailsDuringFailure(t *testing.T) {
 	n, a := setup(t)
+	vp := n.Hub(nettest.VP1AS)
+	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	a.RefreshAll()
 	n.ReverseFailure()
-	before := a.PathsRefreshed
+	before := len(a.Reverse(vp, target))
 	a.RefreshAll()
-	if a.PathsRefreshed != before {
+	if len(a.Reverse(vp, target)) != before {
 		t.Fatal("reverse refresh should fail during reverse-path failure")
 	}
 	// Forward record is still appended (with stars past the horizon).
-	vp := n.Hub(nettest.VP1AS)
-	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
 	fwd := a.Forward(vp, target)
 	lastRec := fwd[len(fwd)-1]
 	if lastRec.Reached {
@@ -186,14 +188,23 @@ func TestReverseRefreshFailsDuringFailure(t *testing.T) {
 	}
 }
 
+// TestRefreshRate: once started, the atlas refreshes a pair every
+// refreshInterval from Start on, not from t = 0.
 func TestRefreshRate(t *testing.T) {
 	n, a := setup(t)
+	vp := n.Hub(nettest.VP1AS)
+	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
+	start := n.Clk.Now()
 	a.Start()
-	n.Clk.RunUntil(10 * refreshInterval)
-	// One pair refreshed every refreshInterval.
-	want := 1 / refreshInterval.Minutes()
-	if rate := a.RefreshRatePerMinute(); rate < 0.9*want || rate > 1.3*want {
-		t.Fatalf("refresh rate = %v paths/min, want ~%v", rate, want)
+	n.Clk.RunUntil(start + 10*refreshInterval)
+	recs := a.Reverse(vp, target)
+	if len(recs) != 11 {
+		t.Fatalf("%d refreshes in 10 intervals from Start, want 11", len(recs))
+	}
+	for i, r := range recs {
+		if want := start + time.Duration(i)*refreshInterval; r.At != want {
+			t.Fatalf("refresh %d at %v, want %v", i, r.At, want)
+		}
 	}
 }
 

@@ -224,11 +224,9 @@ type Plane struct {
 	// core is single-goroutine, like the engine it consults.
 	pathCache map[[2]topo.RouterID][]topo.RouterID
 	// walks memoizes whole forwarding walks (see walkcache.go); gen counts
-	// the times it was emptied, which is when a Flow's entry goes stale, and
-	// rules the rule changes (both are read into a Stamp).
+	// the times it was emptied, which is when a Flow's entry goes stale.
 	walks map[walkKey]*walkEntry
 	gen   uint64
-	rules uint64
 
 	obs planeObs
 }
@@ -301,14 +299,13 @@ func New(top *topo.Topology, rib RIB) *Plane {
 	return pl
 }
 
-// touchRule counts a rule change and kills the cached walks that installing
-// or removing r can change: those whose header r's DstWithin/SrcWithin
-// admit and that crossed an AS in r's scope — AtAS, the AS of AtRouter, both
-// ends of an AS link and of a router link. An AS or router the topology
-// does not have can match no hop and is skipped. Every live entry is in
-// pl.walks (see walkcache.go), so the scan reaches the ones Flows hold too.
+// touchRule kills the cached walks that installing or removing r can
+// change: those whose header r's DstWithin/SrcWithin admit and that crossed
+// an AS in r's scope — AtAS, the AS of AtRouter, both ends of an AS link and
+// of a router link. An AS or router the topology does not have can match no
+// hop and is skipped. Every live entry is in pl.walks (see walkcache.go), so
+// the scan reaches the ones Flows hold too.
 func (pl *Plane) touchRule(r *Rule) {
-	pl.rules++
 	scope := make([]int32, 0, 6)
 	for _, asn := range [...]topo.ASN{r.AtAS, r.FromAS, r.ToAS} {
 		if i, ok := slices.BinarySearch(pl.top.ASNs(), asn); ok {

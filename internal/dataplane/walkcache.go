@@ -65,14 +65,16 @@ import (
 // every handle compares before trusting its pointer.
 //
 // Held answers. A caller that keeps an answer it derived from Flows — a
-// ping is one or two walks and a responder's decision — may hand it out
-// again without asking them, as long as asking would be a hit with the same
-// Result: every Flow it used was Settled when it made the answer (its slot
-// held, live, a walk that passed no lossy rule) and the plane's Stamp still
-// reads as it did then. The Stamp is RIBVersion, the count of rule changes
-// and the generation; while it holds, no entry is re-checked, killed or
-// dropped. Each packet of the repeat is counted with Flow.Repeat, as the
-// hit it would have been.
+// ping is one or two walks and a responder's decision, a traceroute one
+// walk per TTL and the replies — may hand it out again without asking them,
+// as long as asking would be a hit with the same Result. Flow.Stands says
+// so for one flow, from its own slot alone: the slot is the one the flow
+// last answered from and nobody has re-walked it since (the entry counts
+// its walks, the flow the count it last saw), the generation holds, the
+// walk passed no lossy rule, and current, called as the walk calls it,
+// finds it standing. A BGP update or a rule elsewhere therefore leaves a
+// held answer alone unless it reaches a slot the answer read. Each packet
+// of the repeat is counted with Flow.Repeat, as the hit it would have been.
 //
 // TTL is not part of the key. step spends TTL before it applies a router's
 // rules and the injecting router spends none, so a packet with TTL k sees
@@ -117,14 +119,16 @@ type lossPoint struct {
 
 // walkEntry is one header's slot: the Result at max(TTL, DefaultTTL), the
 // lossy rules it passed, a stamp per AS run of its Hops, the destination's
-// version, and the RIBVersion at which those last held. live is false for a
-// slot not walked yet and for a walk a rule change killed.
+// version, the RIBVersion at which those last held, and how many times the
+// slot was walked. live is false for a slot not walked yet and for a walk a
+// rule change killed.
 type walkEntry struct {
 	full    Result
 	losses  []lossPoint
 	stamps  []asStamp
 	dstVer  uint64
 	checked uint64
+	walks   uint64
 	live    bool
 }
 
@@ -258,6 +262,7 @@ type Flow struct {
 	pl       *Plane
 	e        *walkEntry // the header's slot, nil until first asked for
 	gen      uint64     // pl.gen when e was resolved
+	seen     uint64     // e.walks when the flow last answered from e
 	src, dst netip.Addr
 	from     topo.RouterID
 	keyed    bool // both addresses IPv4: the header has a slot
@@ -303,25 +308,21 @@ func (f *Flow) ForwardN(n int64) [ForwardLoop + 1]int64 {
 	return fates
 }
 
-// Stamp is a reading of what every cached walk depends on outside its own
-// slot: the RIB version, the rule changes and the cache's generation (see
-// "Held answers").
-type Stamp struct{ rib, rules, gen uint64 }
-
-// Stamp reads the plane's Stamp.
-func (pl *Plane) Stamp() Stamp { return Stamp{pl.rib.RIBVersion(), pl.rules, pl.gen} }
-
-// Settled reports whether the flow's slot holds its last answer as a live
-// walk that passed no lossy rule: until the plane's Stamp moves, Forward at
-// the last call's TTL would be a hit with the same Result.
-func (f *Flow) Settled() bool {
-	return f.e != nil && f.gen == f.pl.gen && f.e.live && len(f.e.losses) == 0
+// Stands reports whether Forward at the TTL of the flow's last answer would
+// be a hit with the same Result: the slot it answered from is still its
+// slot, nobody has re-walked it since, it passed no lossy rule, and it is
+// current. It checks the slot as a walk would, so calling it costs the
+// cache's counters nothing a walk would not count.
+func (f *Flow) Stands() bool {
+	e := f.e
+	return e != nil && f.gen == f.pl.gen && e.walks == f.seen && len(e.losses) == 0 &&
+		f.pl.current(e, f.dst, f.pl.rib.RIBVersion())
 }
 
-// Repeat counts one more packet of a Settled flow's header that met res's
-// fate, the Result its last Forward returned, as that Forward would under
-// an unmoved Stamp: one sequence number, one hit, one packet forwarded and,
-// unless delivered, one dropped.
+// Repeat counts one more packet of a standing flow's header that met res's
+// fate, the Result its last Forward returned, as that Forward would count
+// it: one sequence number, one hit, one packet forwarded and, unless
+// delivered, one dropped.
 func (f *Flow) Repeat(res *Result) {
 	f.pl.seq++
 	f.pl.note(res, walkHit, 1)
@@ -350,6 +351,7 @@ func (f *Flow) walk(ttl int) (Result, walkOutcome) {
 		if res, ok := e.full.atTTL(ttl); ok {
 			pl.seq++
 			e.draw(&res, ttl, pl.seq)
+			f.seen = e.walks
 			return res, walkHit
 		}
 	} else if e.stamps != nil {
@@ -364,7 +366,9 @@ func (f *Flow) walk(ttl int) (Result, walkOutcome) {
 	e.stamps = pl.stampRuns(e.stamps[:0], full.Hops)
 	e.dstVer = pl.rib.DstVersion(f.dst)
 	e.checked = epoch
+	e.walks++
 	e.live = true
+	f.seen = e.walks
 	res, _ := full.atTTL(ttl)
 	e.draw(&res, ttl, pl.seq)
 	return res, walkMiss

@@ -256,14 +256,24 @@ func scalability(seed int64, reg *obs.Registry) *Result {
 
 	// Steady-state refresh cost: probes per reverse path, amortized.
 	n.Prober.ResetSent()
-	before := rig.atl.PathsRefreshed
+	start := n.Clk.Now()
 	rounds := 3
 	for i := 0; i < rounds; i++ {
 		rig.atl.RefreshAll()
 		n.Clk.RunFor(15 * time.Minute)
 	}
 	probes := n.Prober.ResetSent()
-	refreshed := rig.atl.PathsRefreshed - before
+	// A reverse path refreshed is a reverse record made since start.
+	refreshed := 0
+	for _, vp := range rig.atl.VPs() {
+		for _, target := range rig.atl.Targets() {
+			for _, rec := range rig.atl.Reverse(vp, target) {
+				if rec.At >= start {
+					refreshed++
+				}
+			}
+		}
+	}
 	probesPerPath := float64(probes) / float64(refreshed)
 	// Throughput at the paper's implied packet budget: 225 paths/min at
 	// ~10 option probes plus ~2 traceroutes (~11 packets each) per path

@@ -22,6 +22,7 @@ type heldWorld struct {
 	*fig4
 	twinPl *dataplane.Plane
 	twin   *Prober
+	rules  uint64 // rule changes, which no plane counts
 }
 
 func newHeldWorld(t *testing.T) *heldWorld {
@@ -33,7 +34,9 @@ func newHeldWorld(t *testing.T) *heldWorld {
 // rule installs r on both planes and returns what lifts it again.
 func (w *heldWorld) rule(r dataplane.Rule) (lift func()) {
 	id, twinID := w.pl.AddFailure(r), w.twinPl.AddFailure(r)
+	w.rules++
 	return func() {
+		w.rules++
 		w.pl.RemoveFailure(id)
 		w.twinPl.RemoveFailure(twinID)
 	}
@@ -180,14 +183,14 @@ func TestReplyFlowIsHeldPerRouterAndSource(t *testing.T) {
 	}
 }
 
-// A held probe answers from what it last measured while the plane's Stamp
-// holds (see Pinger.Ping), and a Tracer or ReverseTracer hands back the
-// hops slice it found last while the path is unchanged. heldFuzz holds a
-// set of each on one plane and asks the one-shot primitive on a twin plane
-// over the same engine and topology, so every route change, rule change
-// and router flag reaches both; after every operation of a byte-stream
-// program it compares the reports, the packets charged and every metric of
-// both planes and probers.
+// A held probe answers from what it last measured while the walk-cache
+// slots it read Stand (see Pinger.Ping and Tracer.Trace), and a Tracer or
+// ReverseTracer hands back the hops slice it found last while the path is
+// unchanged. heldFuzz holds a set of each on one plane and asks the
+// one-shot primitive on a twin plane over the same engine and topology, so
+// every route change, rule change and router flag reaches both; after every
+// operation of a byte-stream program it compares the reports, the packets
+// charged and every metric of both planes and probers.
 type heldFuzz struct {
 	*heldWorld
 	reg, twinReg *obs.Registry
@@ -195,22 +198,29 @@ type heldFuzz struct {
 	traces       []heldTrace
 	reverses     []heldReverse
 	lifts        []func()
-	// repeats counts held pings asked while their report could repeat, so
-	// the seeded test can tell the memo was exercised.
-	repeats int
+	// repeats counts, for pings [0] and traces [1], the asks a repeat
+	// answered, and rescued those of them that followed a route or rule
+	// change since the probe's last ask — changes that left its slots
+	// alone — so the seeded test can tell the hold was exercised.
+	repeats, rescued [2]int
 }
+
+// reading is what the plane's routes and rules were when a probe was asked.
+type reading struct{ rib, rules uint64 }
 
 type heldPing struct {
 	pg      Pinger
 	src     topo.RouterID
 	srcAddr netip.Addr // valid: the ping is PingerFromAddr's
 	dst     netip.Addr
+	at      reading
 }
 
 type heldTrace struct {
 	tr  Tracer
 	src topo.RouterID
 	dst netip.Addr
+	at  reading
 }
 
 type heldReverse struct {
@@ -231,7 +241,7 @@ func newHeldFuzz(t *testing.T) *heldFuzz {
 		for _, dst := range dsts {
 			w.pings = append(w.pings, heldPing{pg: w.pr.Pinger(src, dst), src: src, dst: dst})
 		}
-		w.traces = append(w.traces, heldTrace{w.pr.Tracer(src, topo.ProductionAddr(4)), src, topo.ProductionAddr(4)})
+		w.traces = append(w.traces, heldTrace{tr: w.pr.Tracer(src, topo.ProductionAddr(4)), src: src, dst: topo.ProductionAddr(4)})
 	}
 	// Pings from the unused half of a production prefix, as a sentinel
 	// sends them: the replies route toward AS1's /24, not its router.
@@ -239,28 +249,60 @@ func newHeldFuzz(t *testing.T) *heldFuzz {
 		src := topo.ProductionAddr(1)
 		w.pings = append(w.pings, heldPing{pg: w.pr.PingerFromAddr(w.vp5, src, dst), src: w.vp5, srcAddr: src, dst: dst})
 	}
-	w.traces = append(w.traces, heldTrace{w.pr.Tracer(w.vp1, addr(5)), w.vp1, addr(5)})
+	w.traces = append(w.traces, heldTrace{tr: w.pr.Tracer(w.vp1, addr(5)), src: w.vp1, dst: addr(5)})
 	for _, r := range [][2]topo.RouterID{{hub(4), w.vp1}, {hub(5), w.vp1}, {hub(3), w.vp5}, {hub(4), w.vp5}} {
 		w.reverses = append(w.reverses, heldReverse{w.pr.ReverseTracer(r[0], r[1]), r[0], r[1]})
 	}
 	return w
 }
 
+// reading reads the plane's routes and rules.
+func (w *heldFuzz) reading() reading { return reading{w.eng.RIBVersion(), w.rules} }
+
+// count tallies an ask of a probe of kind k (0: ping, 1: trace) last asked
+// at *at, which a repeat answers when repeats, and notes the reading.
+func (w *heldFuzz) count(k int, at *reading, repeats bool) {
+	now := w.reading()
+	if repeats {
+		w.repeats[k]++
+		if *at != now {
+			w.rescued[k]++
+		}
+	}
+	*at = now
+}
+
+// oneShotPing is the one-shot ping over the i-th held ping's header on the
+// given prober.
+func (w *heldFuzz) oneShotPing(p *Prober, i int) PingReport {
+	h := &w.pings[i]
+	if h.srcAddr.IsValid() {
+		return p.PingFromAddr(h.src, h.srcAddr, h.dst)
+	}
+	return p.Ping(h.src, h.dst)
+}
+
 // ping asks the i-th held ping and its one-shot twin.
 func (w *heldFuzz) ping(t *testing.T, i int) {
 	t.Helper()
 	h := &w.pings[i]
-	if h.pg.held && h.pg.stamp == w.pl.Stamp() {
-		w.repeats++
-	}
-	var want PingReport
-	if h.srcAddr.IsValid() {
-		want = w.twin.PingFromAddr(h.src, h.srcAddr, h.dst)
-	} else {
-		want = w.twin.Ping(h.src, h.dst)
-	}
+	// stands costs what the walk it may spare would cost, and asking it
+	// twice costs what asking once does.
+	w.count(0, &h.at, h.pg.stands())
+	want := w.oneShotPing(w.twin, i)
 	if got := h.pg.Ping(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ping %d (%d→%v):\nheld     %+v\none-shot %+v", i, h.src, h.dst, got, want)
+	}
+}
+
+// trace asks the i-th held traceroute and its one-shot twin.
+func (w *heldFuzz) trace(t *testing.T, i int) {
+	t.Helper()
+	h := &w.traces[i]
+	w.count(1, &h.at, h.tr.stands())
+	got, want := h.tr.Trace(), w.twin.Traceroute(h.src, h.dst)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("traceroute %d→%v:\nheld     %+v\none-shot %+v", h.src, h.dst, got, want)
 	}
 }
 
@@ -300,7 +342,7 @@ func (w *heldFuzz) run(t *testing.T, data []byte) {
 	router := func() *topo.Router { return w.top.Router(w.top.AS(as()).Routers[0]) }
 	for len(data) > 0 {
 		var did string
-		switch op := pick(12); op {
+		switch op := pick(13); op {
 		case 0, 1, 2:
 			did = "a ping"
 			w.ping(t, pick(len(w.pings)))
@@ -311,11 +353,16 @@ func (w *heldFuzz) run(t *testing.T, data []byte) {
 				w.ping(t, i)
 			}
 		case 4:
-			did = "a traceroute"
-			h := &w.traces[pick(len(w.traces))]
-			got, want := h.tr.Trace(), w.twin.Traceroute(h.src, h.dst)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("traceroute %d→%v:\nheld     %+v\none-shot %+v", h.src, h.dst, got, want)
+			// A traceroute, or every held one once, as the atlas
+			// refreshes them.
+			if i := pick(len(w.traces) + 1); i < len(w.traces) {
+				did = "a traceroute"
+				w.trace(t, i)
+			} else {
+				did = "an atlas round"
+				for i := range w.traces {
+					w.trace(t, i)
+				}
 			}
 		case 5:
 			did = "a reverse traceroute"
@@ -391,21 +438,45 @@ func (w *heldFuzz) run(t *testing.T, data []byte) {
 				did = "a rate limit"
 				r.RateLimitPerRound = pick(3)
 			}
+		case 12:
+			// A one-shot probe over a held probe's header, on the held
+			// side's prober too: it walks the held probe's slot with
+			// another Flow, re-walking it if it went stale.
+			if i := pick(len(w.pings) + len(w.traces)); i < len(w.pings) {
+				did = "a one-shot ping over a held one"
+				if got, want := w.oneShotPing(w.pr, i), w.oneShotPing(w.twin, i); !reflect.DeepEqual(got, want) {
+					t.Fatalf("one-shot ping %d:\nheld side %+v\ntwin      %+v", i, got, want)
+				}
+			} else {
+				did = "a one-shot traceroute over a held one"
+				h := &w.traces[i-len(w.pings)]
+				if got, want := w.pr.Traceroute(h.src, h.dst), w.twin.Traceroute(h.src, h.dst); !reflect.DeepEqual(got, want) {
+					t.Fatalf("one-shot traceroute %d→%v:\nheld side %+v\ntwin      %+v", h.src, h.dst, got, want)
+				}
+			}
 		}
 		w.same(t, did)
 	}
 }
 
 // TestHeldProbesMatchOneShot replays seeded random programs and checks that
-// they made held pings repeat their reports.
+// they made held pings and held traces repeat, some of each across a route
+// or rule change that left the slots they read alone.
 func TestHeldProbesMatchOneShot(t *testing.T) {
+	var repeats, rescued [2]int
 	for seed := int64(1); seed <= 8; seed++ {
 		w := newHeldFuzz(t)
 		data := make([]byte, 4000)
 		rand.New(rand.NewSource(seed)).Read(data)
 		w.run(t, data)
-		if w.repeats == 0 {
-			t.Fatalf("seed %d: no held ping was asked while it could repeat", seed)
+		for k := range repeats {
+			repeats[k] += w.repeats[k]
+			rescued[k] += w.rescued[k]
+		}
+	}
+	for k, kind := range []string{"ping", "trace"} {
+		if rescued[k] == 0 {
+			t.Errorf("%d held %ss repeated, none across a route or rule change", repeats[k], kind)
 		}
 	}
 }
@@ -422,6 +493,9 @@ func FuzzHeldProbes(f *testing.F) {
 	f.Add([]byte{3, 11, 3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	// The target turns silent under a held ping and answers again.
 	f.Add([]byte{0, 0, 11, 3, 0, 0, 0, 11, 3, 0, 0, 0})
+	// AS2's hub, a hop of the trace from VP1, turns silent under it, then
+	// answers again.
+	f.Add([]byte{4, 0, 11, 1, 0, 4, 0, 11, 1, 0, 4, 0})
 	// The production /24 hijacked by AS3, then by AS5 instead: the trace
 	// from VP1 finds as many hops, ending at another router.
 	f.Add([]byte{4, 0, 6, 3, 0, 0, 4, 0, 6, 4, 0, 0, 6, 3, 1, 0, 4, 0})
@@ -432,6 +506,13 @@ func FuzzHeldProbes(f *testing.F) {
 	f.Add([]byte{5, 0, 6, 5, 0, 5, 0, 6, 6, 0, 5, 0})
 	// Mid-convergence rounds.
 	f.Add([]byte{3, 6, 1, 2, 3, 3, 7, 3})
+	// A poison of AS2 on AS4's production /24 between two rounds and two
+	// atlas rounds: the pings and traces to router addresses repeat.
+	f.Add([]byte{3, 4, 4, 6, 1, 0, 3, 4, 4})
+	// VP1's router addresses drawn to AS5, then a one-shot ping (and a
+	// one-shot traceroute) over the first held ping's (trace's) header
+	// re-walks the reply slots the held one read; it must not repeat.
+	f.Add([]byte{0, 0, 4, 0, 6, 5, 0, 12, 0, 12, 17, 0, 0, 4, 0})
 	seeded := make([]byte, 600)
 	rand.New(rand.NewSource(33)).Read(seeded)
 	f.Add(seeded)
