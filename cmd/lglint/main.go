@@ -1,13 +1,12 @@
-// Command lglint is the repository's vet tool: nine custom analyzers that
+// Command lglint is the repository's vet tool: eight custom analyzers that
 // enforce LIFEGUARD's determinism and concurrency invariants at compile
-// time, complementing the runtime checks in determinism_test.go and
-// internal/bgp/invariants_test.go.
+// time, complementing the runtime checks in determinism_test.go.
 //
 // It speaks the standard `go vet -vettool` protocol, so it runs under the
 // build cache with full type information:
 //
 //	go build -o bin/lglint ./cmd/lglint
-//	go vet -vettool=bin/lglint ./...     # all nine analyzers
+//	go vet -vettool=bin/lglint ./...     # all eight analyzers
 //	go vet -vettool=bin/lglint -maporder ./...   # just one
 //
 // or simply `make lint`, which also runs the standard vet passes.
@@ -18,7 +17,6 @@
 //	seededrand     no global math/rand or crypto/rand (inject *rand.Rand)
 //	maporder       no order-sensitive output from map iteration
 //	lockcopyplus   no lock-bearing structs moved by value in signatures
-//	valleyfree     export policy must guard both sides of the valley-free rule
 //
 // Cross-package analyzers (facts flow along the import DAG):
 //
@@ -45,7 +43,6 @@ import (
 	"lifeguard/internal/analysis/obsregistry"
 	"lifeguard/internal/analysis/seededrand"
 	"lifeguard/internal/analysis/simclockcheck"
-	"lifeguard/internal/analysis/valleyfree"
 )
 
 func main() {
@@ -54,7 +51,6 @@ func main() {
 		seededrand.Analyzer,
 		maporder.Analyzer,
 		lockcopyplus.Analyzer,
-		valleyfree.Analyzer,
 		errcontract.Analyzer,
 		failureid.Analyzer,
 		obsregistry.Analyzer,

@@ -52,9 +52,9 @@ func (d *dampState) decayedPenalty(now time.Duration) float64 {
 	return d.penalty * math.Exp2(-float64(dt)/float64(halfLife))
 }
 
-// noteFlap records a flap and reports whether the pair is now suppressed.
-// It also handles reuse scheduling via the returned projected reuse delay
-// (0 when not suppressed).
+// noteFlap records a flap of the pair k: its penalty decays to now and gains
+// flapPenalty, up to maxPenalty. A pair that reaches suppressAt is suppressed
+// and its reuse check scheduled for when the penalty will be down to reuseAt.
 func (s *Speaker) noteFlap(k dampKey) {
 	now := s.e.clk.Now()
 	st := s.damp[k]

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"lifeguard/internal/bgp/refsolve"
 	"lifeguard/internal/simclock"
 	"lifeguard/internal/topo"
 	"lifeguard/internal/topogen"
@@ -15,9 +16,9 @@ import (
 // shape, withdrawals, session failures and partial convergence against a
 // seeded topogen graph, and after every op each (speaker, prefix) is checked
 // against an oracle that knows nothing of slots, handles, slabs or memos: a
-// scan of the public AdjIn by the decision order as written in the package
-// doc, the test's own record of who originates what, and — at quiescence —
-// what each neighbor must have sent.
+// scan of the public AdjIn by refsolve's decision order (Winner), the test's
+// own record of who originates what, and — at quiescence — what each
+// neighbor must have sent (refsolve.Offer).
 
 type ribKey struct {
 	asn topo.ASN
@@ -175,33 +176,17 @@ func (w *ribWorld) run(t testing.TB, data []byte) {
 	}
 }
 
-// winner scans adjIn by the decision order: higher local-pref, shorter AS
-// path, lowest neighbor ASN.
-func winner(adjIn map[topo.ASN]*Route) *Route {
-	var win *Route
-	for _, r := range adjIn {
-		switch {
-		case win == nil:
-			win = r
-		case r.LocalPref != win.LocalPref:
-			if r.LocalPref > win.LocalPref {
-				win = r
-			}
-		case len(r.Path) != len(win.Path):
-			if len(r.Path) < len(win.Path) {
-				win = r
-			}
-		case r.From < win.From:
-			win = r
-		}
+// ref is r as refsolve writes it, without the prefix; nil for no route.
+func ref(r *Route) *refsolve.Route {
+	if r == nil {
+		return nil
 	}
-	return win
+	return &refsolve.Route{Path: r.Path, From: r.From, Rel: r.Rel, LocalPref: r.LocalPref, Originated: r.Originated}
 }
 
 // sameFields compares two routes field by field.
 func sameFields(a, b *Route) bool {
-	return a.Prefix == b.Prefix && a.Path.Equal(b.Path) && a.From == b.From && a.Rel == b.Rel &&
-		a.LocalPref == b.LocalPref && a.Originated == b.Originated
+	return a.Prefix == b.Prefix && ref(a).Equal(ref(b))
 }
 
 func snapshot(r *Route) Route {
@@ -234,18 +219,22 @@ func (w *ribWorld) check(t testing.TB) {
 
 			// The selected route is the origin's where one is installed,
 			// else the decision order's pick of the offers.
-			var want *Route
+			var want *refsolve.Route
 			if _, ok := w.origins[k]; ok {
-				want = &Route{Prefix: p, From: asn, LocalPref: prefOriginated, Originated: true}
+				want = refsolve.Originated(asn)
 			} else {
-				want = winner(adjIn)
+				var offers []*refsolve.Route
+				for _, nb := range w.gen.Top.Neighbors(asn) {
+					offers = append(offers, ref(adjIn[nb]))
+				}
+				want = refsolve.Winner(offers)
 			}
 			got, ok := s.Best(p)
 			if ok != (want != nil) || ok != (got != nil) {
 				t.Fatalf("AS%d %v: Best reports %v (%v), oracle selects %v", asn, p, ok, got, want)
 			}
-			if ok && !sameFields(got, want) {
-				t.Fatalf("AS%d %v: Best is\n%+v, oracle selects\n%+v", asn, p, *got, *want)
+			if ok && (got.Prefix != p || !ref(got).Equal(want)) {
+				t.Fatalf("AS%d %v: Best is\n%+v, oracle selects\n%v", asn, p, *got, want)
 			}
 
 			// One route, one pointer, by every way of asking.
@@ -268,8 +257,8 @@ func (w *ribWorld) check(t testing.TB) {
 				switch {
 				case got == nil:
 					w.losses++
-				case got == h.ptr && !sameFields(want, &h.copy):
-					t.Fatalf("AS%d %v: route changed to\n%+v but Best still returns the pointer that read\n%+v", asn, p, *want, h.copy)
+				case got == h.ptr && !want.Equal(ref(&h.copy)):
+					t.Fatalf("AS%d %v: route changed to\n%v but Best still returns the pointer that read\n%+v", asn, p, want, h.copy)
 				case got != h.ptr:
 					w.changes++
 					if got.Originated != h.copy.Originated {
@@ -318,72 +307,30 @@ func (w *ribWorld) check(t testing.TB) {
 
 // checkOffers holds, at quiescence, asn's adj-RIB-in for p to what its
 // neighbors' selected routes imply: from each neighbor exactly the offer
-// that neighbor's export policy sends and asn's import policy keeps, and
-// nothing from anyone else.
+// refsolve.Offer says that neighbor's export policy sends and asn's import
+// policy keeps, and nothing from anyone else.
 func (w *ribWorld) checkOffers(t testing.TB, asn topo.ASN, p netip.Prefix, adjIn map[topo.ASN]*Route) {
 	t.Helper()
 	nbrs := w.gen.Top.Neighbors(asn)
 	for _, from := range nbrs {
-		want, got := w.offer(from, asn, p), adjIn[from]
+		var o *refsolve.Origin
+		if cfg, ok := w.origins[ribKey{from, p}]; ok {
+			o = (*refsolve.Origin)(&cfg)
+		}
+		b, _ := w.eng.BestRoute(from, p)
+		want, got := refsolve.Offer(w.gen.Top, w.down, from, asn, o, ref(b)), adjIn[from]
 		switch {
 		case want == nil && got != nil:
 			t.Fatalf("AS%d %v: holds %+v, which AS%d does not send or AS%d does not accept", asn, p, *got, from, asn)
 		case want != nil && got == nil:
-			t.Fatalf("AS%d %v: holds nothing from AS%d, which sends\n%+v", asn, p, from, *want)
-		case want != nil && !sameFields(got, want):
-			t.Fatalf("AS%d %v: offer from AS%d is\n%+v, its sender's route implies\n%+v", asn, p, from, *got, *want)
+			t.Fatalf("AS%d %v: holds nothing from AS%d, which sends\n%v", asn, p, from, want)
+		case want != nil && (got.Prefix != p || !ref(got).Equal(want)):
+			t.Fatalf("AS%d %v: offer from AS%d is\n%+v, its sender's route implies\n%v", asn, p, from, *got, want)
 		}
 	}
 	if len(adjIn) > len(nbrs) {
 		t.Fatalf("AS%d %v: %d offers from %d neighbors", asn, p, len(adjIn), len(nbrs))
 	}
-}
-
-// offer is the adj-RIB-in entry that from's selected route for p leaves at
-// its neighbor to once nothing is in flight; nil when from sends nothing or
-// to keeps nothing. It is the policy as the package doc and §7.1 state it,
-// written against the public API alone.
-func (w *ribWorld) offer(from, to topo.ASN, p netip.Prefix) *Route {
-	top := w.gen.Top
-	if w.down[topo.MakeASPair(from, to)] {
-		return nil
-	}
-	out := &Route{Prefix: p, From: from, Rel: top.Rel(to, from)}
-	if cfg, ok := w.origins[ribKey{from, p}]; ok {
-		// An origin sends what its config says, to everyone it names.
-		if cfg.Withhold[to] {
-			return nil
-		}
-		out.Path = topo.Path{from}
-		if per, ok := cfg.PerNeighbor[to]; ok {
-			out.Path = per
-		} else if cfg.Pattern != nil {
-			out.Path = cfg.Pattern
-		}
-	} else {
-		b, ok := w.eng.BestRoute(from, p)
-		if !ok || b.From == to { // nothing to send; split horizon
-			return nil
-		}
-		if top.Rel(from, to) != topo.RelCustomer && b.Rel != topo.RelCustomer {
-			return nil // valley-free: peer and provider routes go to customers only
-		}
-		out.Path = b.Path.Prepend(from)
-	}
-	// Import at the receiver: loop prevention and the §7.1 filter.
-	as := top.AS(to)
-	if as.MaxOwnASOccurs > 0 && out.Path.Count(to) >= as.MaxOwnASOccurs {
-		return nil
-	}
-	if as.FilterPeersFromCustomers && out.Rel == topo.RelCustomer {
-		for _, hop := range out.Path {
-			if top.Rel(to, hop) == topo.RelPeer {
-				return nil
-			}
-		}
-	}
-	out.LocalPref = map[topo.Rel]int{topo.RelCustomer: prefCustomer, topo.RelPeer: prefPeer, topo.RelProvider: prefProvider}[out.Rel]
-	return out
 }
 
 // TestLocRIBMatchesOracle runs seeded op streams on three graphs. The

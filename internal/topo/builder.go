@@ -140,6 +140,9 @@ func (b *Builder) Build() (*Topology, error) {
 	}
 	sortASNs(t.asList)
 	t.indexByRel()
+	if err := t.checkProviderHierarchy(); err != nil {
+		return nil, err
+	}
 	for _, l := range t.links {
 		ra, rb := &t.routers[l.A], &t.routers[l.B]
 		t.routerAdj[l.A] = append(t.routerAdj[l.A], l.B)
@@ -176,6 +179,33 @@ func (b *Builder) Build() (*Topology, error) {
 		}
 	}
 	return t, nil
+}
+
+// checkProviderHierarchy rejects a customer→provider cycle, on which routing
+// need not have one stable state (internal/bgp/refsolve). Kahn's algorithm
+// peels ASes whose providers are all peeled; one left over is on a cycle or
+// below one.
+func (t *Topology) checkProviderHierarchy() error {
+	left := make(map[ASN]int, len(t.asList)) // providers not yet peeled
+	var peeled []ASN
+	for _, asn := range t.asList {
+		if left[asn] = len(t.Providers(asn)); left[asn] == 0 {
+			peeled = append(peeled, asn)
+		}
+	}
+	for i := 0; i < len(peeled); i++ {
+		for _, c := range t.Customers(peeled[i]) {
+			if left[c]--; left[c] == 0 {
+				peeled = append(peeled, c)
+			}
+		}
+	}
+	for _, asn := range t.asList {
+		if left[asn] > 0 {
+			return fmt.Errorf("topo: customer→provider cycle at or above AS %d", asn)
+		}
+	}
+	return nil
 }
 
 func (t *Topology) checkIntraConnected(asn ASN) error {
