@@ -77,9 +77,13 @@ daemon-smoke:
 
 # A quick fuzz pass over the walk cache (random forwards, runs of one
 # header through Flow.ForwardN, announcements and rule changes against the
-# uncached walk), the held probes (held pings, traces and reverse traces
-# against the one-shot primitives on a twin plane, under route, rule and
-# router-flag changes), the scheduler (random op
+# uncached walk), the control plane (random op streams of announcements,
+# withdrawals, session changes and partial convergence on a world with the
+# §7.1 import quirks, every route held to the decision order over AdjIn and
+# at every quiescent point to refsolve's stable state), the held probes
+# (held pings, traces and reverse traces against the one-shot primitives
+# on a twin plane, under route, rule and router-flag changes), the
+# scheduler (random op
 # programs, with delays from 1 ms to 48 h and on either side of 2^k ns,
 # holding the radix heap to the container/heap reference model), the
 # chaos script parser (no panics; accepted scripts round-trip) and the
@@ -88,6 +92,7 @@ daemon-smoke:
 # 2·departures + non-empty vantages); CI runs this on every push.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzWalkCache -fuzztime=20s ./internal/dataplane/
+	$(GO) test -run '^$$' -fuzz=FuzzConverge -fuzztime=10s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz=FuzzHeldProbes -fuzztime=10s ./internal/probe/
 	$(GO) test -run '^$$' -fuzz=FuzzScheduler -fuzztime=15s ./internal/simclock/
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/chaos/

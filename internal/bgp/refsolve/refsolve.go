@@ -143,10 +143,12 @@ func Decide(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]
 // AS without a route is absent. In each synchronous round every AS decides
 // from its neighbors' previous choices. Customer routes settle within the
 // hierarchy's depth in rounds, peer routes one round later, provider routes
-// within the depth again, so Solve gives up after 2n+2 rounds on n ASes.
+// within the depth again, and one more round finds nothing to change, so
+// Solve gives up after 2n+2 rounds on n ASes.
 func Solve(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin) (map[topo.ASN]*Route, error) {
 	best := map[topo.ASN]*Route{}
-	for round := 0; round <= 2*top.NumASes()+2; round++ {
+	rounds := 2*top.NumASes() + 2
+	for round := 0; round < rounds; round++ {
 		next := make(map[topo.ASN]*Route, len(best))
 		changed := false
 		for _, asn := range top.ASNs() {
@@ -161,5 +163,5 @@ func Solve(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]O
 		}
 		best = next
 	}
-	return nil, fmt.Errorf("refsolve: no fixed point after %d rounds on %d ASes", 2*top.NumASes()+2, top.NumASes())
+	return nil, fmt.Errorf("refsolve: no fixed point after %d rounds on %d ASes", rounds, top.NumASes())
 }

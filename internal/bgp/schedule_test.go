@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"lifeguard/internal/bgp/refsolve"
 	"lifeguard/internal/simclock"
 	"lifeguard/internal/topo"
 	"lifeguard/internal/topogen"
@@ -378,15 +379,17 @@ func TestDstVersionMovesWithForwardingAnywhere(t *testing.T) {
 
 // TestQuiescentStateIndependentOfSchedule: Gao–Rexford policies with the
 // deterministic tie-break have a unique stable state, so whatever order the
-// seed and jitter deliver updates in, churn must end on the same best paths.
-// The update counts must differ somewhere, or the schedules never did.
+// seed and jitter deliver updates in, churn must end on the same best paths,
+// and on refsolve's. The update counts must differ somewhere, or the
+// schedules never did.
 func TestQuiescentStateIndependentOfSchedule(t *testing.T) {
 	gen := hundredASTopo(t)
 	var want string
+	var e *Engine
 	sent := map[int]bool{}
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, jitter := range []float64{0, -1, 0.9} {
-			e := New(gen.Top, simclock.New(), Config{Seed: seed, PropJitter: jitter})
+			e = New(gen.Top, simclock.New(), Config{Seed: seed, PropJitter: jitter})
 			churn(t, e, gen)
 			got := bestPaths(e)
 			if want == "" {
@@ -400,6 +403,34 @@ func TestQuiescentStateIndependentOfSchedule(t *testing.T) {
 	}
 	if len(sent) < 2 {
 		t.Fatalf("every run sent the same number of updates (%v): the schedules did not differ", sent)
+	}
+
+	// The schedules could all agree on a wrong state: hold it to refsolve
+	// for the four prefixes churn leaves behind, every session up.
+	origins := map[netip.Prefix]map[topo.ASN]refsolve.Origin{}
+	for _, asn := range gen.Top.ASNs() {
+		for _, o := range e.Origins(asn) {
+			if origins[o.Prefix] == nil {
+				origins[o.Prefix] = map[topo.ASN]refsolve.Origin{}
+			}
+			origins[o.Prefix][asn] = refsolve.Origin(o.Config)
+		}
+	}
+	for _, o := range gen.Stubs[:4] {
+		p := topo.ProductionPrefix(o)
+		sol, err := refsolve.Solve(gen.Top, nil, origins[p])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, asn := range gen.Top.ASNs() {
+			var got *refsolve.Route
+			if r, ok := e.BestRoute(asn, p); ok {
+				got = &refsolve.Route{Path: r.Path, From: r.From, Rel: r.Rel, LocalPref: r.LocalPref, Originated: r.Originated}
+			}
+			if !got.Equal(sol[asn]) {
+				t.Fatalf("AS%d %v: every schedule ends on %+v, refsolve's stable state is %+v", asn, p, got, sol[asn])
+			}
+		}
 	}
 }
 
