@@ -1,15 +1,14 @@
-# LIFEGUARD reproduction — build, test, and static-analysis entry points.
+# LIFEGUARD reproduction — build, test, and lint entry points.
 #
-# `make lint` is the gate CI enforces: gofmt, the standard go vet passes
-# plus the repo's own lglint analyzer suite (determinism & concurrency invariants;
-# see internal/analysis and DESIGN.md §"Static analysis & invariants").
+# `make lint` is the gate CI enforces: gofmt and the standard go vet
+# passes. The repository's determinism rules are checked at run time by
+# tests (DESIGN.md §"Static analysis & invariants").
 
 GO      ?= go
 GOFMT   ?= gofmt
 BIN     := bin
-LGLINT  := $(BIN)/lglint
 
-.PHONY: all build test lint race debug-test daemon-smoke fuzz-smoke bench-all bench-gate parity lglint lglint-bin clean
+.PHONY: all build test lint race debug-test daemon-smoke fuzz-smoke bench-all bench-gate parity clean
 
 all: build test lint
 
@@ -19,22 +18,11 @@ build:
 test:
 	$(GO) test ./...
 
-# lglint builds the vet tool; lglint-bin additionally prints its path so
-# scripts can do: go vet -vettool=$$(make -s lglint-bin) ./...
-lglint:
-	@$(GO) build -o $(LGLINT) ./cmd/lglint
-
-lglint-bin: lglint
-	@echo $(LGLINT)
-
-# lint first fails on any tracked Go file gofmt would rewrite. Testdata is
-# left out on purpose: analyzer fixtures pin diagnostics to columns, and
-# reformatting would move them.
-lint: lglint
-	@out=$$(git ls-files -z '*.go' ':!:*/testdata/*' | xargs -0 $(GOFMT) -l); \
+# lint first fails on any tracked Go file gofmt would rewrite.
+lint:
+	@out=$$(git ls-files -z '*.go' | xargs -0 $(GOFMT) -l); \
 	test -z "$$out" || { echo "gofmt -l: unformatted Go files:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(LGLINT) ./...
 
 # The packages with real concurrency: internal/bgp (an engine, its path
 # arena included, has no locks and belongs to one goroutine, so parallel

@@ -137,7 +137,6 @@ func writeReports(ctx context.Context, out, errw io.Writer, opts options) (int, 
 
 	// The simulation runs on virtual time; this stopwatch only tells the
 	// operator how long the real machine took.
-	//lint:ignore lglint/simclockcheck wall-clock progress report for the operator; no result depends on it
 	start := time.Now()
 	fmt.Fprintf(errw, "lgchaos: %d trials on %d workers\n", opts.trials, cfg.Workers())
 
@@ -166,7 +165,6 @@ func writeReports(ctx context.Context, out, errw io.Writer, opts options) (int, 
 		fmt.Fprintf(errw, "lgchaos: wrote metrics snapshot to %s\n", opts.obsPath)
 	}
 
-	//lint:ignore lglint/simclockcheck wall-clock progress report for the operator; no result depends on it
 	fmt.Fprintf(errw, "lgchaos: completed in %v\n", time.Since(start).Round(time.Millisecond))
 	return violations, nil
 }

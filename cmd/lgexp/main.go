@@ -135,7 +135,6 @@ func writeReports(ctx context.Context, out, errw io.Writer, opts options) error 
 
 	// Experiments run entirely on the virtual clock; this stopwatch only
 	// tells the operator how long the real machine took.
-	//lint:ignore lglint/simclockcheck wall-clock progress report for the operator; no result depends on it
 	start := time.Now()
 	fmt.Fprintf(errw, "lgexp: %d experiments x %d seeds = %d trials on %d workers\n",
 		len(todo), opts.seeds, experiments.SuiteTrialCount(todo, opts.seeds), cfg.Workers())
@@ -173,7 +172,6 @@ func writeReports(ctx context.Context, out, errw io.Writer, opts options) error 
 		fmt.Fprintf(errw, "lgexp: wrote metrics snapshot to %s\n", opts.obsPath)
 	}
 
-	//lint:ignore lglint/simclockcheck wall-clock progress report for the operator; no result depends on it
 	fmt.Fprintf(errw, "lgexp: suite completed in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

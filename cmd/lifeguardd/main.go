@@ -132,7 +132,6 @@ func run(seed int64, hours float64, failures, tenants, transits, stubs int, http
 		select {
 		case err := <-errc:
 			return fmt.Errorf("http server: %w", err)
-		//lint:ignore lglint/simclockcheck real-time startup grace for the HTTP listener; no simulation result depends on it
 		case <-time.After(100 * time.Millisecond):
 		}
 		fmt.Fprintf(os.Stderr, "lifeguardd: serving metrics on %s\n", httpAddr)

@@ -79,7 +79,6 @@ func TestSignalShutdownContract(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reading daemon stdout: %v", err)
 				}
-			//lint:ignore lglint/simclockcheck watchdog on a real child process; the simulation under test has its own clock
 			case <-time.After(30 * time.Second):
 				t.Fatal("daemon did not shut down within 30s of the signal")
 			}
@@ -129,10 +128,8 @@ func TestHitlessReloadSignal(t *testing.T) {
 	r := bufio.NewReader(io.TeeReader(stdout, &buf))
 	waitFor := func(substr string, n int) {
 		t.Helper()
-		//lint:ignore lglint/simclockcheck deadline for output from a real child process, not simulated time
 		deadline := time.Now().Add(30 * time.Second)
 		for strings.Count(buf.String(), substr) < n {
-			//lint:ignore lglint/simclockcheck see deadline above — wall-clock supervision of a subprocess
 			if time.Now().After(deadline) {
 				t.Fatalf("daemon never printed %q ×%d\nstdout: %s\nstderr: %s", substr, n, buf.String(), stderr.String())
 			}

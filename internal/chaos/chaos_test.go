@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -185,36 +187,44 @@ at 18m check
 }
 
 // TestRunnerCatchesUnhealedFault is the negative test of the acceptance
-// criteria: a fault deliberately left active must surface as an
-// unhealed-fault violation at the final barrier.
+// criteria: faults deliberately left active must surface as unhealed-fault
+// violations at the final barrier, one per fault, in sorted order. The
+// runner keeps active faults in a map, so twenty runs would all have to
+// draw one order by chance for an unsorted report to pass.
 func TestRunnerCatchesUnhealedFault(t *testing.T) {
-	tgt, _ := fig2Target(t)
-	s, err := Parse("at 10s oneway 30 20\n")
-	if err != nil {
-		t.Fatal(err)
+	faults := []string{"oneway 20 10", "oneway 30 20", "oneway 40 20", "oneway 50 40", "oneway 60 30"}
+	var text strings.Builder
+	var want []string
+	for _, f := range faults {
+		fmt.Fprintf(&text, "at 10s %s\n", f)
+		want = append(want, fmt.Sprintf("fault %q still active at end of run", f))
 	}
-	r, err := NewRunner(tgt, s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Failed() {
-		t.Fatal("unhealed fault not flagged")
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if v.Invariant == InvUnhealed && strings.Contains(v.Detail, "oneway 30 20") {
-			found = true
+	for run := 0; run < 20; run++ {
+		tgt, _ := fig2Target(t)
+		s, err := Parse(text.String())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if v.Invariant == InvBaseline || v.Invariant == InvReachability {
-			t.Fatalf("healthy-state invariant %v ran with a fault active", v.Invariant)
+		r, err := NewRunner(tgt, s, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("no unhealed-fault violation in:\n%s", rep)
+		rep, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, v := range rep.Violations {
+			if v.Invariant == InvUnhealed {
+				got = append(got, v.Detail)
+			}
+			if v.Invariant == InvBaseline || v.Invariant == InvReachability {
+				t.Fatalf("healthy-state invariant %v ran with a fault active", v.Invariant)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: unhealed-fault violations\n%s\nwant\n%s", run, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 

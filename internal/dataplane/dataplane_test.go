@@ -112,7 +112,6 @@ func TestRemoveFailureRestores(t *testing.T) {
 	if !pl.RemoveFailure(id) {
 		t.Fatal("RemoveFailure = false")
 	}
-	//lint:ignore lglint/failureid deliberately probing that removal invalidated the ID
 	if pl.RemoveFailure(id) {
 		t.Fatal("double remove should be false")
 	}

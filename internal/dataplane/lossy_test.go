@@ -21,7 +21,6 @@ func TestFailureIDsNeverReused(t *testing.T) {
 	if !pl.RemoveFailure(a) {
 		t.Fatal("RemoveFailure(a) = false, want true")
 	}
-	//lint:ignore lglint/failureid deliberately probing that the first removal killed the ID
 	if pl.RemoveFailure(a) {
 		t.Fatal("double RemoveFailure(a) = true, want false")
 	}
@@ -47,7 +46,6 @@ func TestFailureIDsNeverReused(t *testing.T) {
 		if pl.RemoveFailure(stale) {
 			t.Fatalf("stale id %d removable after ClearFailures", stale)
 		}
-		//lint:ignore lglint/failureid deliberately probing that the stale ID no longer resolves
 		if _, ok := pl.Failure(stale); ok {
 			t.Fatalf("stale id %d still resolves to a rule", stale)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -40,13 +41,41 @@ func runSeq(tb testing.TB, e Experiment, seed int64) *Result {
 
 // TestRunSuiteMatchesSequential asserts the determinism contract for the
 // flat experiments×seeds pool lgexp runs: every (experiment, seed) cell
-// must match an isolated sequential run.
+// must match an isolated sequential run, and the suite's registry must
+// equal every trial's own registry merged in trial order. traffic rides
+// along for its gauge, which a trial Sets: written straight into a shared
+// registry, the last trial to finish would win instead of the merge's sum.
 func TestRunSuiteMatchesSequential(t *testing.T) {
-	exps := cheapExperiments(t)
+	traffic, ok := ByID("traffic")
+	if !ok {
+		t.Fatal("experiment \"traffic\" missing")
+	}
+	exps := append(cheapExperiments(t), traffic)
 	const baseSeed, seeds = 1, 2
-	results, err := RunSuite(context.Background(), exps, baseSeed, seeds, runner.Config{Parallelism: 8}, nil)
+	reg := obs.New()
+	results, err := RunSuite(context.Background(), exps, baseSeed, seeds, runner.Config{Parallelism: 8}, reg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := obs.New()
+	for _, e := range exps {
+		for s := 0; s < seeds; s++ {
+			for i := 0; i < e.scenario.trials; i++ {
+				trial := obs.New()
+				e.scenario.run(baseSeed+int64(s), i, trial)
+				want.Merge(trial)
+			}
+		}
+	}
+	var got, merged bytes.Buffer
+	if err := reg.Snapshot().WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Snapshot().WriteJSON(&merged); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != merged.String() {
+		t.Errorf("suite registry differs from the per-trial registries merged in trial order")
 	}
 	if len(results) != len(exps) {
 		t.Fatalf("got %d experiment rows, want %d", len(results), len(exps))

@@ -2,9 +2,9 @@
 // an HTTP mux exposing a Registry and Journal to operators. It is the one
 // obs component allowed to touch real time (scrape timestamps, uptime) —
 // it runs on the serving goroutine, never inside the simulation, and
-// nothing in the simulation reads from it. The package is allowlisted in
-// lglint's simclockcheck for exactly that reason; the obs core it exports
-// stays subject to the check (and to internal/obs's own wall-clock test).
+// nothing in the simulation reads from it. The repository's wall-clock
+// check (TestNoWallClock at the module root) exempts this package for
+// exactly that reason; the obs core it exports stays subject to it.
 //
 // Endpoints:
 //

@@ -99,18 +99,27 @@ func runEpochs(t *testing.T, r *rig, g *Generator, epoch func(*Generator) EpochR
 	return eps
 }
 
+// TestGeneratorDeterminism: two runs of one rig give equal epoch reports and
+// equal, non-empty journals, so no host-dependent value reaches the epoch
+// record.
 func TestGeneratorDeterminism(t *testing.T) {
 	var runs [2][]EpochReport
+	var events [2][]obs.Event
 	for i := range runs {
 		r := newRig(t)
-		g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane}, popConfig(r))
+		j := obs.NewJournal(0)
+		g, err := New(Deps{Top: r.res.Top, Clk: r.clk, Plane: r.plane, Journal: j}, popConfig(r))
 		if err != nil {
 			t.Fatal(err)
 		}
 		runs[i] = runEpochs(t, r, g, (*Generator).RunEpoch)
+		events[i] = j.Events()
 	}
 	if !reflect.DeepEqual(runs[0], runs[1]) {
 		t.Fatalf("two identical runs diverged:\n%+v\n%+v", runs[0], runs[1])
+	}
+	if len(events[0]) == 0 || !reflect.DeepEqual(events[0], events[1]) {
+		t.Fatalf("journals of two identical runs differ:\n%+v\n%+v", events[0], events[1])
 	}
 }
 
