@@ -1,14 +1,16 @@
 # LIFEGUARD reproduction — build, test, and lint entry points.
 #
 # `make lint` is the gate CI enforces: gofmt and the standard go vet
-# passes. The repository's determinism rules are checked at run time by
-# tests (DESIGN.md §"Static analysis & invariants").
+# passes. The repository's determinism rules are checked by tests: the
+# replay tests at run time, and the root TestNoWallClock scan (no host
+# clock, and no goroutine outside cmd/lifeguardd and internal/obs/obshttp)
+# over the source (DESIGN.md §"Static analysis & invariants").
 
 GO      ?= go
 GOFMT   ?= gofmt
 BIN     := bin
 
-.PHONY: all build test lint race debug-test daemon-smoke fuzz-smoke bench-all bench-gate parity clean
+.PHONY: all build test lint race daemon-smoke fuzz-smoke bench-all bench-gate parity clean
 
 all: build test lint
 
@@ -24,25 +26,13 @@ lint:
 	test -z "$$out" || { echo "gofmt -l: unformatted Go files:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 
-# The packages with real concurrency: internal/bgp (an engine, its path
-# arena included, has no locks and belongs to one goroutine, so parallel
-# trials must share none), the monitoring pipeline, and the parallel trial
-# runner (plus the experiments and lgchaos trials that fan out on it and
-# merge their per-trial registries through it). The dataplane rides along
-# to hold Forward and Flow.ForwardN to the aliasing contracts (cached
-# intra-AS paths and cached walks are shared, read-only) under the
-# detector, and the prober and atlas because they are what reads those
-# shared Results. internal/obs is here for its scrape-while-simulating
-# contract: the HTTP exporter reads the registry and journal while a rig
-# runs and adds tenants, as lifeguardd does.
+# The only code that starts goroutines (TestNoWallClock holds every other
+# package to none, and no test calls t.Parallel): internal/obs for its
+# scrape-while-simulating contract — the HTTP exporter reads the registry
+# and journal while a rig runs and adds tenants — and lifeguardd, whose
+# signal handler and HTTP server run beside the simulation loop.
 race:
-	$(GO) test -race ./internal/bgp/... ./internal/monitor/... ./internal/runner/... ./internal/experiments/... ./cmd/lgchaos/... ./internal/dataplane/... ./internal/probe/... ./internal/atlas/... ./internal/obs/...
-
-# debug-test reruns the simulation-bearing packages with the simclockdebug
-# ownership assertion compiled in: any scheduler touched from two
-# goroutines panics instead of silently corrupting a run.
-debug-test:
-	$(GO) test -tags simclockdebug ./internal/simclock/... ./internal/runner/... ./internal/experiments/...
+	$(GO) test -race ./internal/obs/... ./cmd/lifeguardd/...
 
 # daemon-smoke proves the long-running service contract end to end: a
 # multi-tenant lifeguardd with the metrics endpoint up must answer

@@ -11,13 +11,11 @@ package lifeguard_test
 // The textual reports come from `go run ./cmd/lgexp`.
 
 import (
-	"context"
 	"testing"
 	"time"
 
 	"lifeguard"
 	"lifeguard/internal/experiments"
-	"lifeguard/internal/runner"
 )
 
 // benchExperiment runs one experiment per iteration and reports the given
@@ -31,7 +29,7 @@ func benchExperiment(b *testing.B, id string, metricKeys ...string) {
 	var last *experiments.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSuite(context.Background(), []experiments.Experiment{e}, int64(i+1), 1, runner.Config{Parallelism: 1}, nil)
+		res, err := experiments.RunSuite([]experiments.Experiment{e}, int64(i+1), 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,19 +6,18 @@
 //	lgchaos                                  # one generated timeline
 //	lgchaos -seed 7 -intensity 2 -faults 8   # denser generated timeline
 //	lgchaos -script failures.chaos           # scripted timeline
-//	lgchaos -trials 4 -parallel 4            # independent seeds, in parallel
+//	lgchaos -trials 4                        # independent consecutive seeds
 //	lgchaos -obs metrics.json                # metrics snapshot side-file
 //	lgchaos -list-faults                     # print the fault vocabulary
 //
 // Reports go to stdout; timing and progress chatter go to stderr, so
-// stdout is byte-identical for a fixed configuration at every -parallel
-// level (diff it to audit the determinism contract). The exit status is 0
-// when every trial upheld every invariant, 3 when violations were found,
-// 1 on a runtime error and 2 on a flag value no run can use.
+// stdout is byte-identical for a fixed configuration (diff it to audit the
+// determinism contract). The exit status is 0 when every trial upheld every
+// invariant, 3 when violations were found, 1 on a runtime error and 2 on a
+// flag value no run can use.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -45,7 +44,6 @@ type options struct {
 	intensity float64
 	faults    int
 	trials    int
-	parallel  int
 	obsPath   string // write merged metrics snapshot JSON here; "" disables obs
 	transit   int
 	stub      int
@@ -58,7 +56,6 @@ func main() {
 		intensity  = flag.Float64("intensity", 1, "fault density multiplier for generated timelines")
 		faults     = flag.Int("faults", 5, "faults per generated timeline")
 		trials     = flag.Int("trials", 1, "independent trials on consecutive seeds")
-		parallel   = flag.Int("parallel", 0, "trial workers (0 = GOMAXPROCS, 1 = sequential)")
 		obsPath    = flag.String("obs", "", "write the merged metrics snapshot (JSON) to this file; empty disables instrumentation")
 		transit    = flag.Int("transit", defaultTransit, "transit ASes in each generated internetwork")
 		stub       = flag.Int("stub", defaultStub, "stub ASes in each generated internetwork")
@@ -84,7 +81,7 @@ func main() {
 
 	opts := options{
 		seed: *seed, intensity: *intensity, faults: *faults,
-		trials: *trials, parallel: *parallel, obsPath: *obsPath,
+		trials: *trials, obsPath: *obsPath,
 		transit: *transit, stub: *stub,
 	}
 	if *scriptPath != "" {
@@ -96,7 +93,7 @@ func main() {
 		opts.script = string(buf)
 	}
 
-	violations, err := writeReports(context.Background(), os.Stdout, os.Stderr, opts)
+	violations, err := writeReports(os.Stdout, os.Stderr, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lgchaos: %v\n", err)
 		os.Exit(1)
@@ -119,33 +116,29 @@ type trialOut struct {
 	violations int
 }
 
-// writeReports runs the trials on the runner pool and renders each report
-// to out in seed order, returning the total violation count. Chatter goes
-// to errw only: for a fixed configuration the bytes written to out are
-// identical at every parallelism level, and identical with -obs on or off.
-func writeReports(ctx context.Context, out, errw io.Writer, opts options) (int, error) {
-	if opts.trials < 1 {
-		opts.trials = 1
-	}
+// writeReports runs the trials and renders each report to out in seed
+// order, returning the total violation count. Chatter goes to errw only:
+// for a fixed configuration the bytes written to out are identical run to
+// run, and identical with -obs on or off.
+func writeReports(out, errw io.Writer, opts options) (int, error) {
 	if opts.transit == 0 {
 		opts.transit = defaultTransit
 	}
 	if opts.stub == 0 {
 		opts.stub = defaultStub
 	}
-	cfg := runner.Config{Parallelism: opts.parallel}
 
 	// The simulation runs on virtual time; this stopwatch only tells the
 	// operator how long the real machine took.
 	start := time.Now()
-	fmt.Fprintf(errw, "lgchaos: %d trials on %d workers\n", opts.trials, cfg.Workers())
+	fmt.Fprintf(errw, "lgchaos: %d trials\n", opts.trials)
 
 	var dst *obs.Registry
 	if opts.obsPath != "" {
 		dst = obs.New()
 	}
 
-	outs, err := runner.Map(ctx, opts.trials, cfg, dst, func(_ context.Context, i int, reg *obs.Registry) (trialOut, error) {
+	outs, err := runner.Map(opts.trials, dst, func(i int, reg *obs.Registry) (trialOut, error) {
 		return runTrial(opts, opts.seed+int64(i), reg)
 	})
 	if err != nil {
@@ -238,8 +231,8 @@ func splitLines(s string) []string {
 }
 
 // writeSnapshot dumps the merged registry as JSON. runner.Map merges the
-// per-trial registries in trial-index order, so for a fixed configuration
-// the file is byte-identical at every -parallel level.
+// per-trial registries in trial order, so for a fixed configuration the
+// file is byte-identical run to run.
 func writeSnapshot(path string, reg *obs.Registry) error {
 	f, err := os.Create(path)
 	if err != nil {

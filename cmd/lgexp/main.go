@@ -6,15 +6,14 @@
 //	lgexp -exp fig6          # one experiment
 //	lgexp -list              # what exists
 //	lgexp -seed 7 -exp accuracy
-//	lgexp -seeds 5 -parallel 8   # 5-seed variance report on 8 workers
+//	lgexp -seeds 5           # 5-seed variance report
 //
 // Reports go to stdout; timing and progress chatter go to stderr, so
-// stdout is byte-identical for a fixed seed at every -parallel level
-// (diff it to audit the determinism contract).
+// stdout is byte-identical for a fixed seed (diff it to audit the
+// determinism contract).
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -34,10 +33,8 @@ type options struct {
 	ids       []string // empty: all paper artifacts (or ablations)
 	ablations bool
 	seed      int64
-	seeds     int
-	parallel  int           // runner workers; <=0 means GOMAXPROCS
-	timeout   time.Duration // per-trial wall-clock watchdog; 0 disables
-	obsPath   string        // write merged metrics snapshot JSON here; "" disables obs
+	seeds     int    // at least 1; main rejects anything less
+	obsPath   string // write merged metrics snapshot JSON here; "" disables obs
 }
 
 func main() {
@@ -47,8 +44,6 @@ func main() {
 		ablations = flag.Bool("ablations", false, "run the design-choice ablations instead")
 		seed      = flag.Int64("seed", 1, "workload/topology seed")
 		seeds     = flag.Int("seeds", 1, "average headline values over this many consecutive seeds")
-		parallel  = flag.Int("parallel", 0, "trial workers (0 = GOMAXPROCS, 1 = sequential)")
-		timeout   = flag.Duration("timeout", 0, "per-trial wall-clock timeout (0 = none)")
 		obsPath   = flag.String("obs", "", "write the merged metrics snapshot (JSON) to this file; empty disables instrumentation")
 	)
 	flag.Parse()
@@ -62,13 +57,15 @@ func main() {
 		}
 		return
 	}
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "lgexp: -seeds must be at least 1, got %d\n", *seeds)
+		os.Exit(2)
+	}
 
 	opts := options{
 		ablations: *ablations,
 		seed:      *seed,
 		seeds:     *seeds,
-		parallel:  *parallel,
-		timeout:   *timeout,
 		obsPath:   *obsPath,
 	}
 	if *exp != "" {
@@ -77,7 +74,7 @@ func main() {
 		}
 	}
 
-	err := writeReports(context.Background(), os.Stdout, os.Stderr, opts)
+	err := writeReports(os.Stdout, os.Stderr, opts)
 	if err == nil {
 		return
 	}
@@ -119,35 +116,29 @@ func selectExperiments(opts options) ([]experiments.Experiment, error) {
 	return todo, nil
 }
 
-// writeReports runs the selected experiments across seeds on the runner
-// pool and renders each report to out. Chatter (timings, worker count)
-// goes to errw only: for a fixed configuration the bytes written to out
-// are identical at every parallelism level.
-func writeReports(ctx context.Context, out, errw io.Writer, opts options) error {
+// writeReports runs the selected experiments across seeds and renders each
+// report to out. Chatter (timings, trial count) goes to errw only: for a
+// fixed configuration the bytes written to out are identical run to run.
+func writeReports(out, errw io.Writer, opts options) error {
 	todo, err := selectExperiments(opts)
 	if err != nil {
 		return err
 	}
-	if opts.seeds < 1 {
-		opts.seeds = 1
-	}
-	cfg := runner.Config{Parallelism: opts.parallel, Timeout: opts.timeout}
 
 	// Experiments run entirely on the virtual clock; this stopwatch only
 	// tells the operator how long the real machine took.
 	start := time.Now()
-	fmt.Fprintf(errw, "lgexp: %d experiments x %d seeds = %d trials on %d workers\n",
-		len(todo), opts.seeds, experiments.SuiteTrialCount(todo, opts.seeds), cfg.Workers())
+	fmt.Fprintf(errw, "lgexp: %d experiments x %d seeds = %d trials\n",
+		len(todo), opts.seeds, experiments.SuiteTrialCount(todo, opts.seeds))
 
 	// Metrics go to a side file, never stdout: the report stream stays
-	// byte-identical whether or not instrumentation is on (-obs set), and
-	// across every -parallel level.
+	// byte-identical whether or not instrumentation is on (-obs set).
 	var reg *obs.Registry
 	if opts.obsPath != "" {
 		reg = obs.New()
 	}
 
-	results, err := experiments.RunSuite(ctx, todo, opts.seed, opts.seeds, cfg, reg)
+	results, err := experiments.RunSuite(todo, opts.seed, opts.seeds, reg)
 	if err != nil {
 		return err
 	}
@@ -177,8 +168,8 @@ func writeReports(ctx context.Context, out, errw io.Writer, opts options) error 
 }
 
 // writeSnapshot dumps the merged registry as JSON. Per-trial registries are
-// merged in trial-index order, so for a fixed configuration the file is
-// byte-identical at every -parallel level.
+// merged in trial order, so for a fixed configuration the file is
+// byte-identical run to run.
 func writeSnapshot(path string, reg *obs.Registry) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -153,8 +153,8 @@ func ablationPrecheck(seed int64, reg *obs.Registry) *Result {
 var ablationPeriods = []time.Duration{5 * time.Minute, 15 * time.Minute, 45 * time.Minute, 90 * time.Minute}
 
 // dampeningPart is one cycle period's partial result. Each trial builds
-// its own dampening-enabled internetwork, so the periods sweep in
-// parallel without sharing engine state.
+// its own dampening-enabled internetwork, so no period's run shares
+// engine state with another's.
 type dampeningPart struct {
 	period                         time.Duration
 	cycles                         int

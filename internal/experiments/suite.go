@@ -1,25 +1,17 @@
 package experiments
 
 import (
-	"context"
-
 	"lifeguard/internal/obs"
 	"lifeguard/internal/runner"
 )
 
 // RunSuite is the one experiment driver: it runs several experiments across
-// consecutive seeds as one flat trial pool, the unit of parallelism lgexp
-// uses.
-// The returned results are indexed [experiment][seed offset], reduced in
-// deterministic order regardless of how the pool interleaved the trials, so
-// every report is byte-identical to a Parallelism 1 run. A failing trial
-// (panic, timeout, error) aborts the suite with the runner's typed error.
+// consecutive seeds (at least one) as one flat list of trials, in order.
+// The returned results are indexed [experiment][seed offset]. A failing
+// trial (panic or error) aborts the suite with the runner's typed error.
 // reg, when non-nil, accumulates every trial's metrics, merged by runner.Map
-// in trial-index order.
-func RunSuite(ctx context.Context, exps []Experiment, baseSeed int64, seeds int, cfg runner.Config, reg *obs.Registry) ([][]*Result, error) {
-	if seeds < 1 {
-		seeds = 1
-	}
+// in trial order.
+func RunSuite(exps []Experiment, baseSeed int64, seeds int, reg *obs.Registry) ([][]*Result, error) {
 	type unit struct {
 		sc    scenario
 		seed  int64
@@ -34,7 +26,7 @@ func RunSuite(ctx context.Context, exps []Experiment, baseSeed int64, seeds int,
 		}
 	}
 
-	parts, err := runner.Map(ctx, len(units), cfg, reg, func(_ context.Context, i int, reg *obs.Registry) (any, error) {
+	parts, err := runner.Map(len(units), reg, func(i int, reg *obs.Registry) (any, error) {
 		u := units[i]
 		return u.sc.run(u.seed, u.trial, reg), nil
 	})
@@ -53,12 +45,11 @@ func RunSuite(ctx context.Context, exps []Experiment, baseSeed int64, seeds int,
 	return out, nil
 }
 
-// SuiteTrialCount reports how many independent trials RunSuite would
-// schedule — the suite's effective parallelism ceiling.
+// SuiteTrialCount reports how many independent trials RunSuite would run.
 func SuiteTrialCount(exps []Experiment, seeds int) int {
 	n := 0
 	for _, e := range exps {
 		n += e.scenario.trials
 	}
-	return n * max(seeds, 1)
+	return n * seeds
 }

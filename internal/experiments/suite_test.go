@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"testing"
 
@@ -28,11 +27,10 @@ func cheapExperiments(t *testing.T) []Experiment {
 	return exps
 }
 
-// runSeq regenerates one experiment for one seed on the runner's sequential
-// reference path.
+// runSeq regenerates one experiment for one seed on its own.
 func runSeq(tb testing.TB, e Experiment, seed int64) *Result {
 	tb.Helper()
-	res, err := RunSuite(context.Background(), []Experiment{e}, seed, 1, runner.Config{Parallelism: 1}, nil)
+	res, err := RunSuite([]Experiment{e}, seed, 1, nil)
 	if err != nil {
 		tb.Fatalf("%s seed %d: %v", e.ID, seed, err)
 	}
@@ -40,11 +38,11 @@ func runSeq(tb testing.TB, e Experiment, seed int64) *Result {
 }
 
 // TestRunSuiteMatchesSequential asserts the determinism contract for the
-// flat experiments×seeds pool lgexp runs: every (experiment, seed) cell
-// must match an isolated sequential run, and the suite's registry must
-// equal every trial's own registry merged in trial order. traffic rides
-// along for its gauge, which a trial Sets: written straight into a shared
-// registry, the last trial to finish would win instead of the merge's sum.
+// flat experiments×seeds trial list lgexp runs: every (experiment, seed)
+// cell must match an isolated run, and the suite's registry must equal
+// every trial's own registry merged in trial order. traffic rides along for
+// its gauge, which a trial Sets: written straight into a shared registry,
+// each trial would overwrite the last instead of adding to the merge's sum.
 func TestRunSuiteMatchesSequential(t *testing.T) {
 	traffic, ok := ByID("traffic")
 	if !ok {
@@ -53,7 +51,7 @@ func TestRunSuiteMatchesSequential(t *testing.T) {
 	exps := append(cheapExperiments(t), traffic)
 	const baseSeed, seeds = 1, 2
 	reg := obs.New()
-	results, err := RunSuite(context.Background(), exps, baseSeed, seeds, runner.Config{Parallelism: 8}, reg)
+	results, err := RunSuite(exps, baseSeed, seeds, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +101,7 @@ func TestSuiteTrialCount(t *testing.T) {
 }
 
 // TestRunSuitePropagatesTrialPanic asserts a panicking trial surfaces as a
-// runner.TrialError instead of crashing or hanging the pool.
+// runner.TrialError instead of crashing the suite.
 func TestRunSuitePropagatesTrialPanic(t *testing.T) {
 	e := Experiment{
 		ID:    "boom",
@@ -117,7 +115,7 @@ func TestRunSuitePropagatesTrialPanic(t *testing.T) {
 			},
 			func([]int) *Result { return newResult("boom", "unreachable") }),
 	}
-	_, err := RunSuite(context.Background(), []Experiment{e}, 1, 1, runner.Config{Parallelism: 4}, nil)
+	_, err := RunSuite([]Experiment{e}, 1, 1, nil)
 	if err == nil {
 		t.Fatal("expected error from panicking trial")
 	}

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"lifeguard/internal/obs"
-	"lifeguard/internal/runner"
 )
 
 // runObserved regenerates experiment id at seed 1 with a registry and
@@ -20,7 +18,7 @@ func runObserved(t *testing.T, id string) (*Result, func(name string, labels ...
 		t.Fatalf("no experiment %q", id)
 	}
 	reg := obs.New()
-	res, err := RunSuite(context.Background(), []Experiment{e}, 1, 1, runner.Config{Parallelism: 1}, reg)
+	res, err := RunSuite([]Experiment{e}, 1, 1, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

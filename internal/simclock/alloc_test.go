@@ -1,5 +1,3 @@
-//go:build !simclockdebug
-
 package simclock
 
 import (
@@ -10,9 +8,7 @@ import (
 
 // TestSteadyStateSchedulesWithoutAllocating pins the point of storing events
 // by value: once the heap's backing array has grown to the queue's size,
-// scheduling and running an event allocates nothing, in either form. (Not
-// under simclockdebug: its owner check reads the goroutine id off a stack
-// dump, which allocates.)
+// scheduling and running an event allocates nothing, in either form.
 func TestSteadyStateSchedulesWithoutAllocating(t *testing.T) {
 	s := New()
 	call, plain := func(uint64) {}, func() {}
@@ -44,9 +40,7 @@ func TestSteadyStateSchedulesWithoutAllocating(t *testing.T) {
 // hold at hour 24 and at hour 48. Between the two the total grows by one
 // bucket, b[48], which opens when the clock crosses 2^47 ns (39.1 h) — one
 // per doubling of virtual time, 64 at most — and by the odd slot of a low
-// bucket whose events first fall within a few µs of each other. (Not
-// under simclockdebug: its owner check makes nine million events take
-// minutes.)
+// bucket whose events first fall within a few µs of each other.
 func TestBucketCapacityFlat(t *testing.T) {
 	const queueLen = 356
 	s := New()

@@ -40,11 +40,8 @@ func (ev *event) fire() {
 
 // Scheduler is a discrete-event scheduler. The zero value is ready to use.
 // It is not safe for concurrent use; simulations are single-threaded by
-// design so that runs are reproducible. Builds tagged simclockdebug
-// additionally pin each scheduler to the first goroutine that uses it and
-// panic on cross-goroutine use (see owner_debug.go) — accidental scheduler
-// sharing between parallel trial workers fails immediately instead of
-// corrupting results silently.
+// design so that runs are reproducible, and no code that runs one starts a
+// goroutine (the root TestNoWallClock scan enforces that).
 type Scheduler struct {
 	now time.Duration
 	// The queue is a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, 1990),
@@ -61,7 +58,6 @@ type Scheduler struct {
 	n     int
 
 	nextSeq uint64
-	owner   ownerGuard
 }
 
 // New returns a scheduler whose clock starts at zero virtual time.
@@ -79,7 +75,6 @@ func (s *Scheduler) Len() int { return s.n }
 // deadline without running the event past it. It moves nothing: a base
 // moved past now would put a later At(now) below it.
 func (s *Scheduler) NextAt() (time.Duration, bool) {
-	s.owner.check()
 	switch {
 	case s.mask == 0:
 		return 0, false
@@ -119,7 +114,6 @@ func (s *Scheduler) AfterCall(d time.Duration, fn func(uint64), arg uint64) Even
 // bucket. The stamp is the largest issued so far, so every bucket stays in
 // seq order.
 func (s *Scheduler) schedule(ev event) EventID {
-	s.owner.check()
 	if ev.fn == nil && ev.plain == nil {
 		panic("simclock: nil event callback")
 	}
@@ -208,7 +202,6 @@ func (s *Scheduler) emptied(k int) {
 // are ticker stops and watchdog re-arms, a few per simulated minute, and in
 // exchange no event pays for an id index it will almost never need.
 func (s *Scheduler) Cancel(id EventID) bool {
-	s.owner.check()
 	for m := s.mask; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros64(m)
 		lo, evs := 0, s.b[k]
@@ -235,7 +228,6 @@ func (s *Scheduler) Cancel(id EventID) bool {
 // Step runs the earliest pending event, advancing the clock to its time.
 // It reports whether an event was run.
 func (s *Scheduler) Step() bool {
-	s.owner.check()
 	if !s.settle(math.MaxInt64) {
 		return false
 	}
@@ -252,7 +244,6 @@ func (s *Scheduler) Run() {
 // RunUntil executes all events scheduled at or before t, then advances the
 // clock to exactly t (even if no event was pending at t).
 func (s *Scheduler) RunUntil(t time.Duration) {
-	s.owner.check()
 	for s.settle(t) {
 		s.pop()
 	}

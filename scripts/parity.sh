@@ -28,7 +28,7 @@ cmds=(
 	"lgexp-ablations    | lgexp -ablations -seed 1"
 	"lgexp-seeds3       | lgexp -seed 1 -seeds 3"
 	"lgexp-obs          | lgexp -seed 1 -obs @OBS@"
-	"lgchaos-obs        | lgchaos -trials 4 -parallel 4 -obs @OBS@"
+	"lgchaos-obs        | lgchaos -trials 4 -obs @OBS@"
 	"lgchaos-faults     | lgchaos -list-faults"
 	"lifeguardd         | lifeguardd -hours 6 -failures 4 -tenants 2"
 	"quickstart         | quickstart"

@@ -17,7 +17,7 @@ import (
 // named *Config or *Options in the module's non-test Go files outside
 // benchmark/ and testdata/. A change to the count is a design decision, so it is made
 // here and in DESIGN.md together.
-const settableCount = 51
+const settableCount = 49
 
 // settableValues names them, so a failing count says which value moved.
 var settableValues = []string{
@@ -56,8 +56,6 @@ var settableValues = []string{
 	"lifeguard/internal/outage.Config.MinDuration",
 	"lifeguard/internal/outage.Config.N",
 	"lifeguard/internal/outage.Config.Seed",
-	"lifeguard/internal/runner.Config.Parallelism",
-	"lifeguard/internal/runner.Config.Timeout",
 	"lifeguard/internal/topogen.Config.Large",
 	"lifeguard/internal/topogen.Config.NumStub",
 	"lifeguard/internal/topogen.Config.NumTier1",

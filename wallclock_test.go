@@ -16,17 +16,24 @@ import (
 // code may read the host clock. A result read from the host clock depends on
 // the host's speed, so everything else must run on internal/simclock.
 var wallClockExempt = []string{
-	// The trial runner's per-trial timeout is a watchdog against hung
-	// simulations; trials stay on the virtual clock and never see it.
-	"internal/runner",
 	// The HTTP exporter's /healthz uptime and request timestamps are
 	// readings about the host process, served to operators.
 	"internal/obs/obshttp",
 	// Command mains report wall-clock progress on stderr and supervise
 	// real listeners and child processes.
 	"cmd",
-	// The benchmark measures host time by design; it is its own module.
-	"benchmark",
+}
+
+// goroutineExempt lists the directories whose code may start a goroutine.
+// A simulation belongs to one goroutine (a simclock.Scheduler is not safe
+// for concurrent use, and a second goroutine would interleave its events by
+// host scheduling), so everything else runs on its caller's goroutine.
+var goroutineExempt = []string{
+	// The daemon serves HTTP beside the simulation loop; the server reads
+	// the registry and journal, never a scheduler.
+	"cmd/lifeguardd",
+	// The HTTP exporter's server, which reads the same.
+	"internal/obs/obshttp",
 }
 
 // wallClockFuncs are the time package's wall-clock entry points. Pure
@@ -38,21 +45,16 @@ var wallClockFuncs = map[string]bool{
 }
 
 // TestNoWallClock is the repository's one wall-clock check. It parses every
-// non-test Go file outside wallClockExempt and testdata directories and
-// fails on any call of a wall-clock function of package time. Most such
-// calls also break a determinism test, but one class only a static check
-// sees: a wall-clock budget around a simulated loop changes the output only
-// on a host slow enough to hit it.
+// non-test Go file of the module outside testdata directories and fails on
+// any call of a wall-clock function of package time outside wallClockExempt,
+// and on any go statement outside goroutineExempt. Most such calls also
+// break a determinism test, but one class only a static check sees: a
+// wall-clock budget around a simulated loop changes the output only on a
+// host slow enough to hit it. A goroutine that touches a scheduler is the
+// other: it changes the output only when the host interleaves it badly.
 func TestNoWallClock(t *testing.T) {
-	for _, dir := range wallClockExempt {
-		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-			t.Errorf("exempt path %q is not a directory of this module; drop it from wallClockExempt", dir)
-		}
-	}
-	exempt := make(map[string]bool, len(wallClockExempt))
-	for _, dir := range wallClockExempt {
-		exempt[dir] = true
-	}
+	exemptWallClock := exemptDirs(t, "wallClockExempt", wallClockExempt)
+	exemptGoroutine := exemptDirs(t, "goroutineExempt", goroutineExempt)
 	fset := token.NewFileSet()
 	scanned := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -60,8 +62,13 @@ func TestNoWallClock(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || exempt[filepath.ToSlash(path)]) {
+			if path == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // another module (benchmark/)
+			}
+			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
 				return filepath.SkipDir
 			}
 			return nil
@@ -74,17 +81,20 @@ func TestNoWallClock(t *testing.T) {
 			return err
 		}
 		scanned++
+		dir := filepath.ToSlash(filepath.Dir(path))
 		name := timeImportName(f)
-		if name == "" {
-			return nil
-		}
+		checkClock := name != "" && !exemptWallClock(dir)
+		checkGo := !exemptGoroutine(dir)
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == name && wallClockFuncs[sel.Sel.Name] {
-				t.Errorf("%s: wall-clock call time.%s; simulator code must use internal/simclock", fset.Position(sel.Pos()), sel.Sel.Name)
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); checkClock && ok && id.Name == name && wallClockFuncs[n.Sel.Name] {
+					t.Errorf("%s: wall-clock call time.%s; simulator code must use internal/simclock", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			case *ast.GoStmt:
+				if checkGo {
+					t.Errorf("%s: go statement; only %v may start goroutines", fset.Position(n.Pos()), goroutineExempt)
+				}
 			}
 			return true
 		})
@@ -95,6 +105,25 @@ func TestNoWallClock(t *testing.T) {
 	}
 	if scanned == 0 {
 		t.Fatal("no Go sources scanned; the test must run from the module root")
+	}
+}
+
+// exemptDirs checks that every entry of the list named list is a directory
+// of this module and returns whether a directory lies under one of them.
+func exemptDirs(t *testing.T, list string, dirs []string) func(dir string) bool {
+	t.Helper()
+	for _, dir := range dirs {
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			t.Errorf("exempt path %q is not a directory of this module; drop it from %s", dir, list)
+		}
+	}
+	return func(dir string) bool {
+		for _, e := range dirs {
+			if dir == e || strings.HasPrefix(dir, e+"/") {
+				return true
+			}
+		}
+		return false
 	}
 }
 
