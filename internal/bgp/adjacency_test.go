@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"testing"
+	"time"
 
 	"lifeguard/internal/simclock"
 	"lifeguard/internal/topo"
@@ -171,7 +172,9 @@ func TestSessionFailureIsVisibleUnlikeSilentFailure(t *testing.T) {
 
 // TestUpdateInFlightDiesWithItsSession: an update already on the wire when
 // its session fails must not be applied on arrival — the receiver has just
-// dropped everything it learned over that session.
+// dropped everything it learned over that session. The dead delivery is the
+// last event, but the control plane goes quiet only when the MRAI interval
+// AS1's flush started has run out.
 func TestUpdateInFlightDiesWithItsSession(t *testing.T) {
 	e, clk := newEngine(t, lineTopo(t))
 	p := topo.ProductionPrefix(1)
@@ -181,11 +184,16 @@ func TestUpdateInFlightDiesWithItsSession(t *testing.T) {
 			t.Fatal("AS1 never flushed")
 		}
 	}
+	sent := clk.Now()
 	if _, ok := e.BestRoute(2, p); ok || e.Quiescent() {
 		t.Fatal("want AS1's update still in flight")
 	}
 	e.SetAdjacencyDown(1, 2, true)
 	converge(t, e)
+	shortest := time.Duration(float64(e.cfg.MRAI) * (1 - e.cfg.MRAIJitter))
+	if clk.Now() < sent+shortest {
+		t.Errorf("quiet at %v, %v after the flush: before its MRAI interval (at least %v) ran out", clk.Now(), clk.Now()-sent, shortest)
+	}
 	if r, ok := e.BestRoute(2, p); ok {
 		t.Fatalf("AS2 installed %v from a session that was down when it arrived", r)
 	}

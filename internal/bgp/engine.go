@@ -33,21 +33,28 @@ type Engine struct {
 	// OnBestChange, if set, observes every loc-RIB change engine-wide.
 	OnBestChange func(BestChange)
 
-	// pendingEvents counts scheduled BGP events (message deliveries and
-	// armed phase/MRAI timers); zero means the control plane is quiescent.
-	// Idle ticks are remembered, not scheduled, and are not counted.
+	// pendingEvents counts scheduled BGP events (message deliveries, armed
+	// timers and the horizon); zero means the control plane is quiescent.
+	// Idle ticks and post-send MRAI intervals are remembered, not
+	// scheduled, and are not counted.
 	pendingEvents int
+	// mraiUntil is the latest instant to which any session's post-send MRAI
+	// interval runs (see flushAndArm). While it lies ahead of the last BGP
+	// event, one horizon event stands at it (see afterEvent), so the control
+	// plane goes quiet when the last of those intervals ends.
+	mraiUntil time.Duration
 
-	// Protocol events carry no closure: an update in flight is
-	// parked in the inflight slab and its delivery event carries the slot; a
-	// timer event carries (speaker idx, neighbor idx). fireDeliver and
-	// fireTimer are the two callbacks, bound once in New. A slot is taken in
+	// Protocol events carry no closure: an update in flight is parked in
+	// the inflight slab and its delivery event carries the slot; a timer
+	// event carries (speaker idx, neighbor idx). fireDeliver, fireTimer and
+	// fireHorizon are the callbacks, bound once in New. A slot is taken in
 	// deliver and returned to inflightFree when its event fires — delivery
 	// events are never cancelled, so every slot comes back.
 	inflight     []inflightUpdate
 	inflightFree []uint32
 	fireDeliver  func(slot uint64)
 	fireTimer    func(packed uint64)
+	fireHorizon  func(uint64)
 
 	// updatesSent counts announcements+withdrawals sent per AS — the raw
 	// material for the Table 2 update-load analysis — densely indexed by
@@ -90,6 +97,7 @@ func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
 	}
 	e.fireDeliver = e.deliverArrived
 	e.fireTimer = e.timerExpired
+	e.fireHorizon = e.horizonReached
 	for _, asn := range e.asns {
 		s := e.speakers[asn]
 		s.peers = make([]*Speaker, len(s.neighbors))
@@ -349,8 +357,8 @@ func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
 // plan never routes) report no route. The Route returned is the one BestRoute
 // returns for the matched prefix, pointer for pointer. Like BestRoute, Lookup
 // may write — the first call after a route changed builds and remembers that
-// Route — so it too belongs to the goroutine that owns the scheduler (the
-// scheduler's owner guard is the contract; the engine takes no lock).
+// Route — so it too belongs to the goroutine that owns the scheduler; the
+// engine takes no lock.
 func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 	s := e.speakers[asn]
 	if s == nil {
@@ -409,10 +417,12 @@ func (e *Engine) ASPathTo(asn topo.ASN, addr netip.Addr) topo.Path {
 	return r.Path.Clone()
 }
 
-// Quiescent reports whether no BGP message is in flight and no timer that
-// will flush is armed. A remembered idle tick (Speaker.idleKick) is neither:
-// it stands for a timer with nothing to send, so Converge returns at the
-// last event that could still change a route, not up to one MRAI later.
+// Quiescent reports whether no BGP message is in flight, no timer that will
+// flush is armed and no session's post-send MRAI interval is still running.
+// A remembered idle tick (Speaker.idleKick) is none of these: it stands for
+// a timer with nothing to send, so Converge does not wait for it. The MRAI
+// intervals are waited out through the horizon event (afterEvent), so
+// Converge returns when the last of them ends.
 func (e *Engine) Quiescent() bool { return e.pendingEvents == 0 }
 
 // Converge steps the scheduler until the control plane is quiescent or the
@@ -481,10 +491,10 @@ func (e *Engine) deliverArrived(slot uint64) {
 	e.inflight[slot] = inflightUpdate{}
 	e.inflightFree = append(e.inflightFree, uint32(slot))
 	e.pendingEvents--
-	if m.dst.out[m.ri].down {
-		return // the session died while the message was in flight
+	if !m.dst.out[m.ri].down { // else the session died while it was in flight
+		m.dst.receive(int(m.ri), m.u)
 	}
-	m.dst.receive(int(m.ri), m.u)
+	e.afterEvent()
 }
 
 // phase draws the distance to the next tick of a free-running MRAI timer: a
@@ -494,20 +504,35 @@ func (e *Engine) phase() time.Duration {
 	return time.Duration(e.rng.Float64() * float64(e.cfg.MRAI))
 }
 
-// schedMRAI arms s's neighbor-i timer one jittered MRAI interval out.
-func (e *Engine) schedMRAI(s *Speaker, i int) {
-	e.schedTimer(s, i, e.jitter(e.cfg.MRAI, e.cfg.MRAIJitter))
-}
-
 func (e *Engine) schedTimer(s *Speaker, i int, d time.Duration) {
 	e.pendingEvents++
 	e.clk.AfterCall(d, e.fireTimer, uint64(s.idx)<<32|uint64(i))
 }
 
-// timerExpired is the phase/MRAI timer event.
+// timerExpired is the timer event.
 func (e *Engine) timerExpired(packed uint64) {
 	e.pendingEvents--
 	e.byIdx[packed>>32].timerFired(int(uint32(packed)))
+	e.afterEvent()
+}
+
+// afterEvent ends every BGP event. When the event left nothing in flight and
+// no timer armed while a post-send MRAI interval is still running, it arms
+// the horizon at mraiUntil and counts it, so Quiescent stays false until the
+// last interval ends. Every path out of a BGP event must call it: the event
+// that leaves nothing pending may be any of them.
+func (e *Engine) afterEvent() {
+	if e.pendingEvents == 0 && e.clk.Now() < e.mraiUntil {
+		e.pendingEvents++
+		e.clk.AtCall(e.mraiUntil, e.fireHorizon, 0)
+	}
+}
+
+// horizonReached is the horizon event. A flush after it was armed may have
+// pushed mraiUntil further out; afterEvent then arms it again.
+func (e *Engine) horizonReached(uint64) {
+	e.pendingEvents--
+	e.afterEvent()
 }
 
 // schedReuse arms a dampening reuse check d from now. Reuse timers are

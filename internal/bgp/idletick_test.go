@@ -88,9 +88,10 @@ func TestNewsRidesRememberedTick(t *testing.T) {
 			}
 			now := clk.Now()
 			idle, deferred := e.obs.idleTicks.Value(), e.obs.mraiDeferrals.Value()
-			// X→M is kicked too, and deferred if its timer is running.
+			// X→M is kicked too, and deferred if its timer is running: armed,
+			// or the MRAI interval after its flush still ahead.
 			wantDeferred := deferred
-			if toM.timerArmed {
+			if toM.timerArmed || toM.quietUntil > now {
 				wantDeferred++
 			}
 			if tc.inside {

@@ -11,6 +11,15 @@ import "lifeguard/internal/topo"
 // boundaries (Best/AdjIn/BestChange) or when a message needs the slice for
 // import policy.
 //
+// The arena is a table of cons cells: a non-empty path is keyed by its first
+// hop and the handle of the rest, one uint64, and the empty path is interned
+// when the arena is made. A speaker exporting a learned route prepends itself
+// to a path it already holds by handle, so finding that export is one integer
+// lookup, and a path that enters whole (an origin pattern) is folded in from
+// its end, one suffix at a time. Equal contents get equal handles whichever
+// way they enter: by induction on length, the rests are equal handles, so the
+// keys are equal.
+//
 // Handles are used strictly for equality ("is this the same path I already
 // advertised / already store?"), never for ordering or output, so the
 // numeric handle values — which depend on interning order — can never leak
@@ -18,69 +27,69 @@ import "lifeguard/internal/topo"
 // the goroutine that runs the event loop, and has no lock.
 
 // pathID is a handle into the engine arena's path table. 0 means "no path"
-// (a withdrawal); the empty path (an originated route) interns like any
-// other and gets a nonzero id.
+// (a withdrawal); the empty path (an originated route) is emptyPath.
 type pathID uint32
+
+// emptyPath is the handle of the empty path, the innermost rest of every
+// path; newArena interns it first.
+const emptyPath pathID = 1
 
 // arena is the engine-global intern table for AS paths.
 type arena struct {
-	paths   []topo.Path // paths[id-1] is the canonical slice for id
-	pathIdx map[string]pathID
+	paths []topo.Path // paths[id-1] is the canonical slice for id
+	// cons maps consKey(first hop, handle of the rest) to the path's handle.
+	cons map[uint64]pathID
 }
 
 func newArena() *arena {
-	return &arena{pathIdx: make(map[string]pathID)}
+	return &arena{paths: []topo.Path{{}}, cons: make(map[uint64]pathID)}
 }
 
-// pathKey appends p to buf at 4 bytes per hop; topo.ASN is 32-bit, so the key
-// must carry the full width or distinct paths above 65535 would alias.
-func pathKey(buf []byte, p topo.Path) []byte {
-	for _, a := range p {
-		buf = asnKey(buf, a)
-	}
-	return buf
+// consKey is the key of the path whose first hop is head and whose rest has
+// handle tail. Both halves are 32 bits wide, so no two paths share a key.
+func consKey(head topo.ASN, tail pathID) uint64 {
+	return uint64(head)<<32 | uint64(tail)
 }
 
-func asnKey(buf []byte, a topo.ASN) []byte {
-	return append(buf, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-}
-
-// internPath returns the canonical id for p, interning it on first sight.
-// p must be immutable from the caller's side (the arena aliases it); every
-// interned path in this engine is either a sanitized origin pattern or a
-// freshly-built export path, both of which never mutate.
+// internPath returns the canonical id for p, interning it and each of its
+// suffixes on first sight. p must be immutable from the caller's side (the
+// arena aliases its suffixes); every interned path in this engine is either
+// a sanitized origin pattern or a freshly-built export path, both of which
+// never mutate.
 func (a *arena) internPath(p topo.Path) pathID {
 	if p == nil {
 		return 0
 	}
-	var scratch [64]byte
-	key := pathKey(scratch[:0], p)
-	if id, ok := a.pathIdx[string(key)]; ok {
-		return id
+	id := emptyPath
+	for i := len(p) - 1; i >= 0; i-- {
+		k := consKey(p[i], id)
+		next, ok := a.cons[k]
+		if !ok {
+			next = a.add(k, p[i:])
+		}
+		id = next
 	}
-	return a.addPath(key, p)
+	return id
 }
 
 // internPrepended returns the canonical id for path(tail) prepended with
-// self — the path a speaker exports a learned route with. The key is built
-// from the two parts; the path itself only if the arena has never seen it.
-// Most exports are of a path seen before (every unpoison, every step back
-// of a path exploration), and those allocate nothing.
+// self — the path a speaker exports a learned route with. The path itself
+// is built only if the arena has never seen it. Most exports are of a path
+// seen before (every unpoison, every step back of a path exploration), and
+// those allocate nothing.
 func (a *arena) internPrepended(self topo.ASN, tail pathID) pathID {
-	t := a.path(tail)
-	var scratch [64]byte
-	key := pathKey(asnKey(scratch[:0], self), t)
-	if id, ok := a.pathIdx[string(key)]; ok {
+	k := consKey(self, tail)
+	if id, ok := a.cons[k]; ok {
 		return id
 	}
-	return a.addPath(key, t.Prepend(self))
+	return a.add(k, a.path(tail).Prepend(self))
 }
 
-// addPath interns p under key, which the arena does not hold yet.
-func (a *arena) addPath(key []byte, p topo.Path) pathID {
+// add interns p under key k, which the arena does not hold yet.
+func (a *arena) add(k uint64, p topo.Path) pathID {
 	a.paths = append(a.paths, p)
 	id := pathID(len(a.paths))
-	a.pathIdx[string(key)] = id
+	a.cons[k] = id
 	return id
 }
 

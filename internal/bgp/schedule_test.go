@@ -436,7 +436,11 @@ func TestQuiescentStateIndependentOfSchedule(t *testing.T) {
 
 // TestPathInterning checks the arena is actually shared: across a ~100-AS
 // topology with several origins, the number of distinct interned paths must
-// be far below the number of adj-RIB-in entries.
+// be far below the number of adj-RIB-in entries. It then checks the keys on a
+// fresh arena: ASNs that agree in their low 16 bits still make different
+// paths, and equal contents get one handle whether they enter whole (an
+// origin pattern, internPath) or as a hop prepended to a held path (an
+// export, internPrepended).
 func TestPathInterning(t *testing.T) {
 	gen := hundredASTopo(t)
 	e := New(gen.Top, simclock.New(), Config{Seed: 2})
@@ -453,6 +457,34 @@ func TestPathInterning(t *testing.T) {
 	}
 	if arena*2 > entries {
 		t.Fatalf("interning ineffective: %d distinct paths for %d entries", arena, entries)
+	}
+
+	wide := newArena()
+	const hi, lo = topo.ASN(0x1_fde9), topo.ASN(0x2_fde9) // low 16 bits 65001
+	for _, pair := range [][2]topo.Path{
+		{{hi, 7}, {lo, 7}}, // differ in the first hop
+		{{7, hi}, {7, lo}}, // differ in the rest
+	} {
+		if x, y := wide.internPath(pair[0]), wide.internPath(pair[1]); x == y {
+			t.Errorf("%v and %v share handle %d", pair[0], pair[1], x)
+		}
+	}
+	// The same contents through both doors, in either order.
+	for _, whole := range []topo.Path{{2, 3, 3, 3}, {5, 4, hi, 4}, {6}} {
+		self, tail := whole[0], whole[1:]
+		a := newArena()
+		exported := a.internPrepended(self, a.internPath(tail))
+		if got := a.internPath(whole); got != exported {
+			t.Errorf("%v: handle %d as an export, then %d as a pattern", whole, exported, got)
+		}
+		if got := a.path(exported); !got.Equal(whole) {
+			t.Errorf("%v: handle %d holds %v", whole, exported, got)
+		}
+		b := newArena()
+		pattern := b.internPath(whole)
+		if got := b.internPrepended(self, b.internPath(tail)); got != pattern {
+			t.Errorf("%v: handle %d as a pattern, then %d as an export", whole, pattern, got)
+		}
 	}
 }
 

@@ -119,13 +119,15 @@ type outState struct {
 	// pending is the set of prefix ids queued for the next flush: the ones
 	// that had news for this neighbor when they were marked (see hasNews).
 	pending idSet
-	// timerArmed says a phase or MRAI timer event is in the scheduler and
-	// will flush; it is the only representation of a timer that will.
+	// timerArmed says a timer event for this session is in the scheduler and
+	// will flush.
 	timerArmed bool
 	// quietUntil is the session's remembered tick: the instant of the phase
-	// timer drawn for a kick that had nothing to send (see idleKick). No
-	// event stands behind it. While it lies ahead the session behaves as if
-	// that timer were armed; once passed it means nothing.
+	// timer drawn for a kick that had nothing to send (see idleKick), or the
+	// end of the MRAI interval that follows a flush that sent (see
+	// flushAndArm). No event stands behind it. While it lies ahead the
+	// session behaves as if that timer were armed; once passed it means
+	// nothing.
 	quietUntil time.Duration
 	// lastAdv is indexed by prefix id and grows on the first advertisement
 	// past its end; a session that never advertises keeps it nil.
@@ -234,8 +236,7 @@ func (s *Speaker) ASN() topo.ASN { return s.asn }
 // Best returns the selected route for an exact prefix. Two calls with no
 // change to that route between them return the same pointer. Like Lookup it
 // may write (it remembers the Route it builds), so it belongs to the
-// goroutine that owns the engine's scheduler, whose owner guard is the
-// contract.
+// goroutine that owns the engine's scheduler.
 func (s *Speaker) Best(p netip.Prefix) (*Route, bool) {
 	id, _ := s.e.prefixes.lookup(p)
 	r := s.route(id)
@@ -537,8 +538,8 @@ func (s *Speaker) exportIs(b *locEntry, pid pathID) bool {
 // freshly-kicked session flushes at the timer's next tick, a uniform phase
 // away — this is what spreads update propagation over tens of seconds per
 // hop and gives realistic global convergence times. A remembered tick still
-// ahead (idleKick) is that timer already running: the flush is scheduled at
-// its instant, not at a fresh draw.
+// ahead (idleKick, or the MRAI interval after a flush) is that timer already
+// running: the flush is scheduled at its instant, not at a fresh draw.
 func (s *Speaker) kick(i int) {
 	st := &s.out[i]
 	if st.timerArmed {
@@ -571,7 +572,7 @@ func (s *Speaker) idleKick(i int) {
 	s.e.obs.idleTicks.Inc()
 }
 
-// timerFired handles an expired phase or MRAI timer for neighbor i.
+// timerFired handles an expired timer for neighbor i.
 func (s *Speaker) timerFired(i int) {
 	st := &s.out[i]
 	st.timerArmed = false
@@ -580,12 +581,20 @@ func (s *Speaker) timerFired(i int) {
 	}
 }
 
+// flushAndArm flushes toward neighbor i and, if that sent anything, starts
+// the session's MRAI interval: one jittered MRAI, drawn right after the
+// flush's own draws. The interval's end is remembered in quietUntil, like an
+// idle tick, and not scheduled — news inside it rides that instant (kick),
+// and an interval that ends with nothing queued did nothing. The engine's
+// horizon waits for the latest of them (afterEvent).
 func (s *Speaker) flushAndArm(i int) {
 	if s.flush(i) == 0 {
 		return
 	}
-	s.out[i].timerArmed = true
-	s.e.schedMRAI(s, i)
+	e := s.e
+	until := e.clk.Now() + e.jitter(e.cfg.MRAI, e.cfg.MRAIJitter)
+	s.out[i].quietUntil = until
+	e.mraiUntil = max(e.mraiUntil, until)
 }
 
 // flush sends the pending prefixes to neighbor i, deduplicating against
