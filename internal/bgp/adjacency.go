@@ -46,7 +46,9 @@ func (s *Speaker) setNeighborDown(n topo.ASN, down bool) {
 		// and our send state toward n resets (no withdrawals cross a
 		// dead session).
 		st.pending.reset()
-		clear(st.lastAdv)
+		for k := i; k < len(s.adv); k += len(s.out) {
+			s.adv[k] = advRecord{}
+		}
 		// Re-decide in prefix order, not id order, so the resulting update
 		// schedule does not depend on when each prefix was first announced.
 		for _, id := range s.e.prefixes.order {

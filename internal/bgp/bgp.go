@@ -80,7 +80,7 @@ type OriginConfig struct {
 }
 
 // sanitized returns a deep copy of c. Announce applies it at the API
-// boundary, so the engine's internals (export, lastAdv dedup, deliveries)
+// boundary, so the engine's internals (export, adj-RIB-out dedup, deliveries)
 // can alias the config's paths freely without a caller mutating them
 // underneath — and the hot flush path needs no per-message defensive clones.
 func (c OriginConfig) sanitized() OriginConfig {

@@ -51,7 +51,19 @@ const (
 // chain is the op string that announces every prefix, converges, then takes
 // each step on prefix 0 with every operand 0 and converges after it.
 func chain(steps ...byte) []byte {
-	ops := []byte{opPlain, 1, 0, 0, opPlain, 2, 0, 0, opPlain, 0, 0, 0, opConverge, 0, 0, 0}
+	return then([]byte{opPlain, 1, 0, 0, opPlain, 2, 0, 0, opPlain, 0, 0, 0, opConverge, 0, 0, 0}, steps)
+}
+
+// lateChain is chain with prefix 0 first announced only after the other two
+// have converged, so every speaker's id-indexed tables grow past prefixes it
+// has already advertised.
+func lateChain(steps ...byte) []byte {
+	return then([]byte{opPlain, 1, 0, 0, opPlain, 2, 0, 0, opConverge, 0, 0, 0, opPlain, 0, 0, 0, opConverge, 0, 0, 0}, steps)
+}
+
+// then appends each step on prefix 0, with every operand 0, and a converge
+// after it.
+func then(ops, steps []byte) []byte {
 	for _, s := range steps {
 		ops = append(ops, s, 0, 0, 0, opConverge, 0, 0, 0)
 	}
@@ -69,6 +81,7 @@ var chains = []struct {
 	{"TestInvariantWithdrawLeavesNoState", chain(opPoison, opWithdraw)},
 	{"TestInvariantPoisonUnpoisonRoundTrip", chain(opPrepended, opPoison, opPrepended, opSelective, opWithhold, opPlain)},
 	{"TestInvariantForwardingMatchesControlPlane", chain(opLink, opPoison, opLink, opPrepended)},
+	{"TestInvariantLatePrefixSurvivesSessionFlap", lateChain(opLink, opLink)},
 	{"plain", chain()},
 }
 
@@ -718,6 +731,11 @@ func TestInvariantPoisonUnpoisonRoundTrip(t *testing.T) { matchSolve(t, chains[4
 // TestInvariantForwardingMatchesControlPlane: the walk cache follows
 // announcement and link changes interleaved in the other order.
 func TestInvariantForwardingMatchesControlPlane(t *testing.T) { matchSolve(t, chains[5].ops) }
+
+// TestInvariantLatePrefixSurvivesSessionFlap: a prefix first announced after
+// the others have converged, then a session failing and returning: every
+// route, adj-RIB-in and forwarded path still matches refsolve's.
+func TestInvariantLatePrefixSurvivesSessionFlap(t *testing.T) { matchSolve(t, chains[6].ops) }
 
 // FuzzConverge hands the same interpreter to the fuzzer, on a world with
 // the quirks small enough to rebuild per input.

@@ -40,7 +40,7 @@ func stepUntil(t *testing.T, clk *simclock.Scheduler, cond func() bool) time.Dur
 // advertised reports whether s holds an advertisement of id toward its
 // neighbor n.
 func advertised(s *Speaker, n topo.ASN, id prefixID) bool {
-	return s.out[s.nbrIndex(n)].advertised(id).pid != 0
+	return s.advertised(s.nbrIndex(n), id).pid != 0
 }
 
 // TestNewsRidesRememberedTick: X learns a route from N and has nothing to

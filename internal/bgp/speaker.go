@@ -45,6 +45,12 @@ type Speaker struct {
 	// (dense — the per-AS maps this replaces cost a map header per
 	// neighbor pair engine-wide).
 	out []outState
+	// adv is the adj-RIB-out: what each session last advertised for each
+	// prefix, id-major — session i's record for id is adv[int(id)*len(out)+i]
+	// — so a changed route finds every session's record in one row. It grows
+	// by whole rows to the prefix table's size on the first write past its
+	// end; a speaker that never advertises keeps it nil.
+	adv []advRecord
 	// damp tracks RFC 2439 flap state per (neighbor, prefix).
 	damp map[dampKey]*dampState
 
@@ -128,19 +134,16 @@ type outState struct {
 	// flushAndArm). No event stands behind it. While it lies ahead the
 	// session behaves as if that timer were armed; once passed it means
 	// nothing.
-	quietUntil time.Duration
-	// lastAdv is indexed by prefix id and grows on the first advertisement
-	// past its end; a session that never advertises keeps it nil.
-	lastAdv      []advRecord
+	quietUntil   time.Duration
 	lastDelivery time.Duration
 	extra        time.Duration
 	down         bool
 }
 
-// advertised returns what the session last advertised for id.
-func (st *outState) advertised(id prefixID) advRecord {
-	if int(id) < len(st.lastAdv) {
-		return st.lastAdv[id]
+// advertised returns what session i last advertised for id.
+func (s *Speaker) advertised(i int, id prefixID) advRecord {
+	if k := int(id)*len(s.out) + i; k < len(s.adv) {
+		return s.adv[k]
 	}
 	return advRecord{}
 }
@@ -509,7 +512,7 @@ func (s *Speaker) hasNews(i int, id prefixID) bool {
 	if st.down {
 		return false
 	}
-	last := st.advertised(id)
+	last := s.advertised(i, id)
 	if s.originAt(id) != nil {
 		ex, ok := s.exportTo(i, id) // every handle was interned at Announce
 		return last.differs(ex, ok)
@@ -610,19 +613,20 @@ func (s *Speaker) flush(i int) int {
 	sent := 0
 	for _, id := range ids {
 		ex, ok := s.exportTo(i, id)
-		if !st.advertised(id).differs(ex, ok) {
+		if !s.advertised(i, id).differs(ex, ok) {
 			continue
 		}
 		sent++
+		k := int(id)*len(s.out) + i
 		if !ok {
-			st.lastAdv[id] = advRecord{}
+			s.adv[k] = advRecord{} // differs: something was advertised, so k is in range
 			s.e.deliver(s, i, update{id: id})
 			continue
 		}
-		if int(id) >= len(st.lastAdv) {
-			st.lastAdv = growTo(st.lastAdv, s.e.prefixes.size())
+		if k >= len(s.adv) {
+			s.adv = growTo(s.adv, s.e.prefixes.size()*len(s.out))
 		}
-		st.lastAdv[id] = advRecord{pid: ex.pid}
+		s.adv[k] = advRecord{pid: ex.pid}
 		s.e.deliver(s, i, update{id: id, path: ex.path, pid: ex.pid})
 	}
 	st.pending.reset()
