@@ -24,10 +24,19 @@ func TestScriptFileMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Any adjacent AS pair works; take a stub and its first provider.
+	// Any adjacent AS pair works; take a stub and its first provider. The
+	// barriers inside each window check the control plane with a session
+	// down, with one again, and with the provider's origins withdrawn.
 	s := net.Gen.Stubs[0]
 	p := net.Top.Providers(s)[0]
-	script := fmt.Sprintf("at 10s for 2m linkdown %d %d\nat 10m check\n", s, p)
+	script := fmt.Sprintf(`at 10s for 2m linkdown %[1]d %[2]d
+at 1m check
+at 3m for 2m sessionreset %[1]d %[2]d
+at 4m check
+at 6m for 2m crash %[2]d
+at 7m check
+at 10m check
+`, s, p)
 
 	var out, chatter bytes.Buffer
 	opts := options{script: script, seed: 9, trials: 1}

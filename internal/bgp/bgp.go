@@ -160,11 +160,9 @@ func (c Config) withDefaults() Config {
 // The sender resolves the path's interned handle at flush time and ships both
 // forms: the slice feeds import policy (loop checks walk the path), the
 // handle lands in the receiver's compact adj-RIB-in without re-interning.
-// The prefix travels as its table id; prefix itself is set only on an update
-// injected from outside a flush (id 0), which receive interns.
+// The prefix travels as its table id.
 type update struct {
-	prefix netip.Prefix
-	path   topo.Path
-	id     prefixID
-	pid    pathID
+	path topo.Path
+	id   prefixID
+	pid  pathID
 }

@@ -139,7 +139,7 @@ func TestDuplicateReadvertisementNotPenalized(t *testing.T) {
 	e, _ := dampNet(t)
 	prefix := topo.ProductionPrefix(1)
 	s := e.Speaker(2)
-	adv := func(p topo.Path) { s.receive(s.nbrIndex(1), update{prefix: prefix, path: p}) }
+	adv := func(p topo.Path) { s.receive(s.nbrIndex(1), update{id: s.e.intern(prefix), path: p}) }
 
 	adv(topo.Path{1}) // first announcement ever: not a flap
 	if got := s.Penalty(1, prefix); got != 0 {
@@ -158,12 +158,12 @@ func TestDuplicateReadvertisementNotPenalized(t *testing.T) {
 	if got := s.Penalty(1, prefix); got != p1 {
 		t.Fatalf("duplicate after change penalized: %v, want %v", got, p1)
 	}
-	s.receive(s.nbrIndex(1), update{prefix: prefix}) // withdrawing a known route: one flap
+	s.receive(s.nbrIndex(1), update{id: s.e.intern(prefix)}) // withdrawing a known route: one flap
 	p2 := s.Penalty(1, prefix)
 	if p2 <= p1 {
 		t.Fatalf("withdrawal not penalized: %v, want > %v", p2, p1)
 	}
-	s.receive(s.nbrIndex(1), update{prefix: prefix}) // withdrawing nothing: not a flap
+	s.receive(s.nbrIndex(1), update{id: s.e.intern(prefix)}) // withdrawing nothing: not a flap
 	if got := s.Penalty(1, prefix); got != p2 {
 		t.Fatalf("redundant withdrawal penalized: %v, want %v", got, p2)
 	}

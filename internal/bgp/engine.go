@@ -116,8 +116,20 @@ func (e *Engine) Topology() *topo.Topology { return e.top }
 // Clock returns the scheduler driving the engine.
 func (e *Engine) Clock() *simclock.Scheduler { return e.clk }
 
+// Dampening reports whether the engine runs route-flap dampening.
+func (e *Engine) Dampening() bool { return e.cfg.Dampening }
+
 // Speaker returns the speaker for asn, or nil if the AS does not exist.
 func (e *Engine) Speaker(asn topo.ASN) *Speaker { return e.speakers[asn] }
+
+// Prefixes returns every prefix the engine has seen, sorted.
+func (e *Engine) Prefixes() []netip.Prefix {
+	out := make([]netip.Prefix, 0, len(e.prefixes.order))
+	for _, id := range e.prefixes.order {
+		out = append(out, e.prefixes.pfx[id])
+	}
+	return out
+}
 
 // UpdatesSentBy reports how many updates (announcements + withdrawals) asn
 // has sent; 0 for an unknown AS.

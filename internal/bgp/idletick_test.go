@@ -66,7 +66,7 @@ func TestNewsRidesRememberedTick(t *testing.T) {
 			toN, toM := &x.out[x.nbrIndex(N)], &x.out[x.nbrIndex(M)]
 			clk.RunUntil(10 * time.Second) // an instant other than zero
 
-			x.receive(x.nbrIndex(N), update{prefix: p, path: topo.Path{N, N, N}})
+			x.receive(x.nbrIndex(N), update{id: x.e.intern(p), path: topo.Path{N, N, N}})
 			id, _ := e.prefixes.lookup(p)
 			start, quiet := clk.Now(), toN.quietUntil
 			if toN.timerArmed || len(toN.pending.ids) != 0 {
@@ -97,7 +97,7 @@ func TestNewsRidesRememberedTick(t *testing.T) {
 			if tc.inside {
 				wantDeferred++
 			}
-			x.receive(x.nbrIndex(M), update{prefix: p, path: topo.Path{M}})
+			x.receive(x.nbrIndex(M), update{id: x.e.intern(p), path: topo.Path{M}})
 			if r, _ := x.Best(p); r == nil || r.From != M {
 				t.Fatalf("X did not switch to M's route: %v", r)
 			}
@@ -132,7 +132,7 @@ func TestQuiescentIgnoresIdleTicks(t *testing.T) {
 	clk.RunUntil(10 * time.Second)
 	p := topo.ProductionPrefix(1)
 	s4 := e.Speaker(4)
-	s4.receive(s4.nbrIndex(3), update{prefix: p, path: topo.Path{3, 2, 1}})
+	s4.receive(s4.nbrIndex(3), update{id: s4.e.intern(p), path: topo.Path{3, 2, 1}})
 	if _, ok := e.BestRoute(4, p); !ok {
 		t.Fatal("AS4 did not select the route")
 	}
@@ -166,12 +166,12 @@ func TestWithdrawalStillCrossesAnIdleSession(t *testing.T) {
 	}
 	// A route from AS4 gives AS3 nothing to send back to AS4.
 	to4 := &s3.out[s3.nbrIndex(4)]
-	s3.receive(s3.nbrIndex(4), update{prefix: q, path: topo.Path{4}})
+	s3.receive(s3.nbrIndex(4), update{id: s3.e.intern(q), path: topo.Path{4}})
 	quiet := to4.quietUntil
 	if to4.timerArmed || quiet <= clk.Now() {
 		t.Fatalf("AS3→AS4 is not idling: armed=%v tick %v at %v", to4.timerArmed, quiet, clk.Now())
 	}
-	s3.receive(s3.nbrIndex(2), update{prefix: p}) // AS2 withdraws
+	s3.receive(s3.nbrIndex(2), update{id: s3.e.intern(p)}) // AS2 withdraws
 	if sent := stepUntil(t, clk, func() bool { return !advertised(s3, 4, id) }); sent != quiet {
 		t.Errorf("withdrawal left at %v, want the remembered tick %v", sent, quiet)
 	}

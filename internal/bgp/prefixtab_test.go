@@ -96,17 +96,17 @@ func TestDownSessionDropsPendingMarks(t *testing.T) {
 
 	e.SetAdjacencyDown(2, 4, false)
 	converge(t, e)
-	for _, p := range e.Speaker(2).KnownPrefixes() {
+	for _, p := range prefixes {
 		if _, ok := e.Speaker(4).AdjIn(p)[2]; !ok {
 			t.Errorf("AS2 did not re-advertise %v to AS4 after the session returned", p)
 		}
 	}
 }
 
-// TestInjectedUpdateSharesInternedSlot: an update injected without a prefix
-// id (as dampening_test and external bridges send) is interned on arrival and
-// lands in the slot flush-built updates for the same prefix use — in both
-// orders: injected onto an announced prefix, and announced after injection.
+// TestInjectedUpdateSharesInternedSlot: an update a test injects, with the
+// id Engine.intern gave its prefix, lands in the slot flush-built updates for
+// the same prefix use — in both orders: injected onto an announced prefix,
+// and announced after injection.
 func TestInjectedUpdateSharesInternedSlot(t *testing.T) {
 	e, _ := newEngine(t, lineTopo(t))
 	p := topo.ProductionPrefix(1)
@@ -115,7 +115,7 @@ func TestInjectedUpdateSharesInternedSlot(t *testing.T) {
 	s2 := e.Speaker(2)
 	size := e.prefixes.size()
 
-	s2.receive(s2.nbrIndex(1), update{prefix: p, path: topo.Path{1, 1, 1}})
+	s2.receive(s2.nbrIndex(1), update{id: s2.e.intern(p), path: topo.Path{1, 1, 1}})
 	if got := e.prefixes.size(); got != size {
 		t.Fatalf("injected update for a known prefix grew the table: %d -> %d", size, got)
 	}
@@ -125,7 +125,7 @@ func TestInjectedUpdateSharesInternedSlot(t *testing.T) {
 	}
 
 	q := topo.SentinelPrefix(1)
-	s2.receive(s2.nbrIndex(1), update{prefix: q, path: topo.Path{1}})
+	s2.receive(s2.nbrIndex(1), update{id: s2.e.intern(q), path: topo.Path{1}})
 	id, ok := e.prefixes.lookup(q)
 	if !ok {
 		t.Fatal("injected update for a new prefix was not interned")

@@ -36,9 +36,10 @@ func bestPaths(e *Engine) string {
 	var b strings.Builder
 	for _, asn := range e.top.ASNs() {
 		s := e.Speaker(asn)
-		for _, p := range s.KnownPrefixes() {
-			r, _ := s.Best(p)
-			fmt.Fprintf(&b, "AS%d %v via %v\n", asn, p, r.Path)
+		for _, p := range e.Prefixes() {
+			if r, ok := s.Best(p); ok {
+				fmt.Fprintf(&b, "AS%d %v via %v\n", asn, p, r.Path)
+			}
 		}
 	}
 	return b.String()

@@ -274,18 +274,6 @@ func (s *Speaker) materialize(p netip.Prefix, ent *adjEntry) *Route {
 	}
 }
 
-// KnownPrefixes returns the prefixes with a selected route, sorted.
-func (s *Speaker) KnownPrefixes() []netip.Prefix {
-	t := s.e.prefixes
-	out := make([]netip.Prefix, 0, s.nBest)
-	for _, id := range t.order {
-		if s.bestAt(id).kind != locNone {
-			out = append(out, t.pfx[id])
-		}
-	}
-	return out
-}
-
 // announce installs an origin config (already sanitized by the engine) and
 // propagates resulting changes.
 func (s *Speaker) announce(prefix netip.Prefix, cfg OriginConfig) {
@@ -334,12 +322,7 @@ func (s *Speaker) receive(ri int, u update) {
 	if u.path == nil {
 		s.e.obs.withdrawalsReceived.Inc()
 	}
-	// Flush always ships the prefix id; an update injected without one (only
-	// tests do) carries the prefix itself and is interned here.
 	id := u.id
-	if id == 0 {
-		id = s.e.intern(u.prefix)
-	}
 	var rb *prefixRIB
 	idx := -1
 	if int(id) < len(s.adjIn) {

@@ -4,8 +4,8 @@
 // faults (link cuts, unidirectional loss, probabilistic packet loss, BGP
 // session resets, router crash/restart, control-plane slowdowns) injected
 // and healed at scripted virtual times, with an invariant checker run at
-// barriers (no forwarding loops, RIB consistency, sentinel reachability,
-// and "all faults healed ⇒ the control plane converges back to baseline").
+// barriers (no forwarding loops, every route the one refsolve computes,
+// sentinel reachability, and "all faults healed ⇒ back to baseline").
 //
 // Everything is deterministic under the repo-wide contracts: faults fire at
 // virtual times on the shared simclock.Scheduler, the stochastic script
@@ -67,6 +67,8 @@ func (t *Target) validate() error {
 		return fmt.Errorf("chaos: target has no BGP engine")
 	case t.Plane == nil:
 		return fmt.Errorf("chaos: target has no data plane")
+	case t.Eng.Dampening():
+		return fmt.Errorf("chaos: target runs route-flap dampening, which refsolve does not model")
 	}
 	return nil
 }

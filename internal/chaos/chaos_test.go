@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"lifeguard/internal/bgp"
 	"lifeguard/internal/dataplane"
 	"lifeguard/internal/nettest"
 	"lifeguard/internal/obs"
@@ -221,6 +222,9 @@ func TestRunnerCatchesUnhealedFault(t *testing.T) {
 			if v.Invariant == InvBaseline || v.Invariant == InvReachability {
 				t.Fatalf("healthy-state invariant %v ran with a fault active", v.Invariant)
 			}
+			if v.Invariant == InvOracle {
+				t.Fatalf("data-plane faults tripped the oracle:\n%s", rep)
+			}
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("run %d: unhealed-fault violations\n%s\nwant\n%s", run, strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -228,38 +232,69 @@ func TestRunnerCatchesUnhealedFault(t *testing.T) {
 	}
 }
 
-// TestRunnerCatchesBaselineDivergence: routing state mutated behind the
-// runner's back (an origination the script knows nothing about) must trip
-// the baseline invariant once all scripted faults are healed.
+// TestRunnerCatchesBaselineDivergence: routing inputs changed behind the
+// runner's back — an origination or a session down that the script knows
+// nothing about — must trip the baseline invariant once all scripted faults
+// are healed, while every route still matches the oracle over the changed
+// inputs.
 func TestRunnerCatchesBaselineDivergence(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stray func(*Target)
+	}{
+		{"originate", func(tgt *Target) { tgt.Eng.Originate(nettest.F, topo.ProductionPrefix(nettest.F)) }},
+		{"session-down", func(tgt *Target) { tgt.Eng.SetAdjacencyDown(nettest.A, nettest.E, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tgt, _ := fig2Target(t)
+			tgt.Clk.After(30*time.Second, func() { tc.stray(tgt) })
+			s := &Script{Steps: []Step{
+				{At: 10 * time.Second, Fault: &SessionReset{A: nettest.C, B: nettest.D}, For: 20 * time.Second},
+				{At: time.Minute, Check: true},
+			}}
+			r, err := NewRunner(tgt, s, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, v := range rep.Violations {
+				found = found || v.Invariant == InvBaseline
+				if v.Invariant == InvOracle {
+					t.Fatalf("oracle fired on a converged engine:\n%s", rep)
+				}
+			}
+			if !found {
+				t.Fatalf("baseline divergence not flagged:\n%s", rep)
+			}
+		})
+	}
+}
+
+// TestOracleCatchesStaleRoutes: told that nobody originates F's block, the
+// oracle must flag the route every AS still holds to it — a prefix that is
+// held but not originated is checked too.
+func TestOracleCatchesStaleRoutes(t *testing.T) {
 	tgt, _ := fig2Target(t)
-	tgt.Clk.After(30*time.Second, func() {
-		tgt.Eng.Originate(nettest.F, topo.ProductionPrefix(nettest.F))
-	})
-	s := &Script{Steps: []Step{
-		{At: 10 * time.Second, Fault: &SessionReset{A: nettest.C, B: nettest.D}, For: 20 * time.Second},
-		{At: time.Minute, Check: true},
-	}}
-	r, err := NewRunner(tgt, s, Options{})
-	if err != nil {
-		t.Fatal(err)
+	chk := &checker{tgt: tgt}
+	in := chk.gather()
+	chk.checkOracle(in)
+	if len(chk.violations) != 0 {
+		t.Fatalf("oracle fired on the converged Fig. 2 world: %v", chk.violations)
 	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range rep.Violations {
-		found = found || v.Invariant == InvBaseline
-	}
-	if !found {
-		t.Fatalf("baseline divergence not flagged:\n%s", rep)
+	delete(in.origins, topo.Block(nettest.F))
+	chk.checkOracle(in)
+	if got, want := len(chk.violations), tgt.Top.NumASes(); got != want {
+		t.Fatalf("%d oracle violations, want one per AS (%d): %v", got, want, chk.violations)
 	}
 }
 
 // TestRunnerCatchesSilentBlackhole: a silent data-plane failure installed
-// outside the script leaves the control plane (and so the baseline
-// fingerprint) untouched — only the reachability probe can see it.
+// outside the script leaves the control plane (and so the oracle and the
+// baseline) untouched — only the reachability probe can see it.
 func TestRunnerCatchesSilentBlackhole(t *testing.T) {
 	tgt, n := fig2Target(t)
 	tgt.Clk.After(30*time.Second, func() {
@@ -278,16 +313,16 @@ func TestRunnerCatchesSilentBlackhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reach, baseline bool
+	var reach, control bool
 	for _, v := range rep.Violations {
 		reach = reach || v.Invariant == InvReachability
-		baseline = baseline || v.Invariant == InvBaseline
+		control = control || v.Invariant == InvBaseline || v.Invariant == InvOracle
 	}
 	if !reach {
 		t.Fatalf("silent blackhole not caught by reachability probe:\n%s", rep)
 	}
-	if baseline {
-		t.Fatal("silent data-plane failure tripped the control-plane baseline")
+	if control {
+		t.Fatalf("silent data-plane failure tripped a control-plane check:\n%s", rep)
 	}
 }
 
@@ -334,17 +369,25 @@ func TestRunnerDeterministic(t *testing.T) {
 
 func TestValidateRejectsBadScript(t *testing.T) {
 	tgt, _ := fig2Target(t)
+	// refsolve does not model route-flap dampening, so no script may run
+	// against a dampened engine.
+	dampened := *tgt
+	dampened.Eng = bgp.New(tgt.Top, tgt.Clk, bgp.Config{Dampening: true})
 	nan := math.NaN()
-	for _, s := range []*Script{
-		{Steps: []Step{{At: 0, Fault: &LinkDown{A: nettest.O, B: nettest.E}}}},    // not adjacent
-		{Steps: []Step{{At: 0, Fault: &RouterCrash{AS: 99}}}},                     // unknown AS
-		{Steps: []Step{{At: 0, Fault: &PacketLoss{AS: nettest.B, Prob: 1.5}}}},    // bad prob
-		{Steps: []Step{{At: 0, Fault: &PacketLoss{AS: nettest.B, Prob: nan}}}},    // no prob at all
-		{Steps: []Step{{At: 0, Fault: &UpdateDelay{A: nettest.B, B: nettest.A}}}}, // zero delay
-		{Steps: []Step{{At: 0}}}, // neither fault nor check
+	for _, c := range []struct {
+		tgt *Target
+		s   *Script
+	}{
+		{tgt, &Script{Steps: []Step{{At: 0, Fault: &LinkDown{A: nettest.O, B: nettest.E}}}}},    // not adjacent
+		{tgt, &Script{Steps: []Step{{At: 0, Fault: &RouterCrash{AS: 99}}}}},                     // unknown AS
+		{tgt, &Script{Steps: []Step{{At: 0, Fault: &PacketLoss{AS: nettest.B, Prob: 1.5}}}}},    // bad prob
+		{tgt, &Script{Steps: []Step{{At: 0, Fault: &PacketLoss{AS: nettest.B, Prob: nan}}}}},    // no prob at all
+		{tgt, &Script{Steps: []Step{{At: 0, Fault: &UpdateDelay{A: nettest.B, B: nettest.A}}}}}, // zero delay
+		{tgt, &Script{Steps: []Step{{At: 0}}}},                                                  // neither fault nor check
+		{&dampened, &Script{Steps: []Step{{At: 0, Check: true}}}},                               // dampened target
 	} {
-		if _, err := NewRunner(tgt, s, Options{}); err == nil {
-			t.Errorf("NewRunner accepted invalid script %+v", s.Steps)
+		if _, err := NewRunner(c.tgt, c.s, Options{}); err == nil {
+			t.Errorf("NewRunner accepted invalid script %+v", c.s.Steps)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package chaos
 
 import (
 	"fmt"
-	"hash/fnv"
+	"maps"
 	"net/netip"
+	"reflect"
 	"time"
 
+	"lifeguard/internal/bgp/refsolve"
 	"lifeguard/internal/dataplane"
 	"lifeguard/internal/obs"
 	"lifeguard/internal/topo"
@@ -14,19 +16,22 @@ import (
 // Invariant names one checked property.
 type Invariant string
 
-// The checked invariants. Loop and RIB checks run at every barrier;
-// baseline and reachability only when no fault is active (a healthy
-// network must look healthy); unhealed runs at the final barrier.
+// The checked invariants. Loop and oracle checks run at every barrier, the
+// oracle also at arm; baseline and reachability only when no fault is
+// active (a healthy network must look healthy); unhealed runs at the final
+// barrier.
 const (
 	// InvForwardLoop: no AS-level forwarding loop in any LPM walk.
 	InvForwardLoop Invariant = "forward-loop"
-	// InvRIBConsistency: every selected route's next hop is an adjacent
-	// AS with a live session, and no path routes through its own AS.
-	InvRIBConsistency Invariant = "rib-consistency"
+	// InvOracle: every AS holds, for every prefix the engine has seen, the
+	// route refsolve.Solve gives over the engine's originations and down
+	// sessions (exact once the control plane has drained).
+	InvOracle Invariant = "oracle-mismatch"
 	// InvConvergence: the control plane drains within the barrier budget.
 	InvConvergence Invariant = "convergence"
-	// InvBaseline: with all faults healed, every loc-RIB returns to the
-	// pre-chaos baseline (fingerprint match).
+	// InvBaseline: with all faults healed, the originations and down
+	// sessions equal those at arm. With InvOracle holding at arm and at
+	// the barrier, every loc-RIB then equals its pre-chaos state.
 	InvBaseline Invariant = "baseline-divergence"
 	// InvReachability: with all faults healed, every configured probe
 	// pair delivers.
@@ -61,27 +66,35 @@ type ReachProbe struct {
 type checker struct {
 	tgt        *Target
 	reach      []ReachProbe
-	baseline   uint64
+	armed      inputs
 	violations []Violation
 }
 
-// fingerprint hashes every AS's loc-RIB — (asn, prefix, path) in the
-// deterministic (ASNs, sorted prefixes) order — into one FNV-1a word.
-// Identical routing state ⇒ identical fingerprint, and the repo's map-order
-// discipline makes the converse reliable in practice.
-func (c *checker) fingerprint() uint64 {
-	h := fnv.New64a()
-	for _, asn := range c.tgt.Top.ASNs() {
-		sp := c.tgt.Eng.Speaker(asn)
-		for _, p := range sp.KnownPrefixes() {
-			r, ok := sp.Best(p)
-			if !ok {
-				continue
+// inputs is everything refsolve.Solve reads from the engine: who originates
+// each prefix and how, and which sessions are down.
+type inputs struct {
+	origins map[netip.Prefix]map[topo.ASN]refsolve.Origin
+	down    map[topo.ASPair]bool
+}
+
+// gather reads the routing inputs from the target's engine.
+func (c *checker) gather() inputs {
+	top, eng := c.tgt.Top, c.tgt.Eng
+	in := inputs{origins: map[netip.Prefix]map[topo.ASN]refsolve.Origin{}, down: map[topo.ASPair]bool{}}
+	for _, asn := range top.ASNs() {
+		for _, o := range eng.Origins(asn) {
+			if in.origins[o.Prefix] == nil {
+				in.origins[o.Prefix] = map[topo.ASN]refsolve.Origin{}
 			}
-			fmt.Fprintf(h, "%d|%v|%v\n", asn, p, r.Path)
+			in.origins[o.Prefix][asn] = refsolve.Origin(o.Config)
+		}
+		for _, nb := range top.Neighbors(asn) {
+			if eng.AdjacencyDown(asn, nb) {
+				in.down[topo.MakeASPair(asn, nb)] = true
+			}
 		}
 	}
-	return h.Sum64()
+	return in
 }
 
 // report records a violation and journals it.
@@ -127,49 +140,41 @@ func (c *checker) checkLoops() {
 	}
 }
 
-// checkRIB verifies structural loc-RIB sanity for every AS: selected routes
-// must point at adjacent neighbors over live sessions, and no route's path
-// may contain the AS holding it (BGP loop prevention).
-func (c *checker) checkRIB() {
-	top := c.tgt.Top
-	for _, asn := range top.ASNs() {
-		sp := c.tgt.Eng.Speaker(asn)
-		for _, p := range sp.KnownPrefixes() {
-			r, ok := sp.Best(p)
-			if !ok {
-				continue
+// checkOracle holds every AS's route for every prefix the engine has seen
+// to refsolve.Solve over in, so a stale route to a prefix nobody originates
+// fails too. It reads loc-RIBs only: forwarding a packet would move the data
+// plane's counters and walk cache.
+func (c *checker) checkOracle(in inputs) {
+	top, eng := c.tgt.Top, c.tgt.Eng
+	for _, p := range eng.Prefixes() {
+		sol, err := refsolve.Solve(top, in.down, in.origins[p])
+		if err != nil {
+			c.report(InvOracle, fmt.Sprintf("%v: %v", p, err))
+			continue
+		}
+		for _, asn := range top.ASNs() {
+			var got *refsolve.Route
+			if r, ok := eng.Speaker(asn).Best(p); ok {
+				got = &refsolve.Route{Path: r.Path, From: r.From, Rel: r.Rel, LocalPref: r.LocalPref, Originated: r.Originated}
 			}
-			if r.Originated {
-				continue
-			}
-			nh, ok := r.NextHop()
-			if !ok {
-				c.report(InvRIBConsistency,
-					fmt.Sprintf("AS%d route for %v has empty path but is not originated", asn, p))
-				continue
-			}
-			if !top.Adjacent(asn, nh) {
-				c.report(InvRIBConsistency,
-					fmt.Sprintf("AS%d route for %v has non-adjacent next hop AS%d", asn, p, nh))
-			}
-			if c.tgt.Eng.AdjacencyDown(asn, nh) {
-				c.report(InvRIBConsistency,
-					fmt.Sprintf("AS%d route for %v uses down session to AS%d", asn, p, nh))
-			}
-			if r.Path.Contains(asn) {
-				c.report(InvRIBConsistency,
-					fmt.Sprintf("AS%d route for %v loops through itself: %v", asn, p, r.Path))
+			if !got.Equal(sol[asn]) {
+				c.report(InvOracle, fmt.Sprintf("AS%d %v: engine %+v, refsolve %+v", asn, p, got, sol[asn]))
 			}
 		}
 	}
 }
 
-// checkBaseline compares the current loc-RIB fingerprint to the pre-chaos
-// one. Only meaningful with zero active faults.
-func (c *checker) checkBaseline() {
-	if fp := c.fingerprint(); fp != c.baseline {
-		c.report(InvBaseline,
-			fmt.Sprintf("loc-RIB fingerprint %016x differs from baseline %016x", fp, c.baseline))
+// checkBaseline compares the routing inputs with those at arm: one
+// violation per prefix whose originations differ, one if the down sessions
+// do. Only meaningful with zero active faults.
+func (c *checker) checkBaseline(in inputs) {
+	for _, p := range c.tgt.Eng.Prefixes() {
+		if now, then := in.origins[p], c.armed.origins[p]; !reflect.DeepEqual(now, then) {
+			c.report(InvBaseline, fmt.Sprintf("%v originated as %v, at arm as %v", p, now, then))
+		}
+	}
+	if !maps.Equal(in.down, c.armed.down) {
+		c.report(InvBaseline, fmt.Sprintf("sessions down %v, at arm %v", in.down, c.armed.down))
 	}
 }
 

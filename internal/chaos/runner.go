@@ -51,8 +51,6 @@ type Report struct {
 	Barriers int
 	// Start and End bound the run in virtual time.
 	Start, End time.Duration
-	// BaselineFingerprint is the pre-chaos loc-RIB hash.
-	BaselineFingerprint uint64
 	// Violations holds every invariant breach in detection order.
 	Violations []Violation
 }
@@ -74,7 +72,6 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "chaos: %d faults, %d scripted checks\n", r.Faults, r.Checks)
 	fmt.Fprintf(&b, "  injected %d, healed %d, barriers %d\n", r.Injected, r.Healed, r.Barriers)
 	fmt.Fprintf(&b, "  virtual time %v .. %v\n", r.Start, r.End)
-	fmt.Fprintf(&b, "  baseline fingerprint %016x\n", r.BaselineFingerprint)
 	fmt.Fprintf(&b, "  violations: %d\n", len(r.Violations))
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "    [%v] %v: %s\n", v.At, v.Invariant, v.Detail)
@@ -121,13 +118,13 @@ type event struct {
 func (r *Runner) Run() (*Report, error) {
 	rep := &Report{Start: r.tgt.Clk.Now()}
 
-	// Arm: the baseline fingerprint is taken over a drained control plane.
+	// Arm: the baseline inputs are taken over a drained control plane.
 	if !r.tgt.Eng.Converge(bgp.MaxConvergeSteps) {
 		return nil, fmt.Errorf("chaos: control plane did not converge while arming")
 	}
-	r.chk.baseline = r.chk.fingerprint()
-	rep.BaselineFingerprint = r.chk.baseline
-	r.tgt.journal("arm", obs.F("fingerprint", fmt.Sprintf("%016x", r.chk.baseline)))
+	r.chk.armed = r.chk.gather()
+	r.chk.checkOracle(r.chk.armed)
+	r.tgt.journal("arm")
 
 	// Script times are relative to the run start (arming may itself have
 	// advanced the clock while draining).
@@ -196,7 +193,7 @@ func (r *Runner) Run() (*Report, error) {
 }
 
 // barrier drains the control plane and runs the invariant suite. Loop and
-// RIB checks always run; baseline and reachability only when the network
+// oracle checks always run; baseline and reachability only when the network
 // should be healthy (zero active faults); the unhealed check only at the
 // final barrier.
 func (r *Runner) barrier(final bool) {
@@ -208,7 +205,8 @@ func (r *Runner) barrier(final bool) {
 			fmt.Sprintf("control plane still busy after %d steps", bgp.MaxConvergeSteps))
 	}
 	r.chk.checkLoops()
-	r.chk.checkRIB()
+	in := r.chk.gather()
+	r.chk.checkOracle(in)
 	if final {
 		// Deterministic order: report unhealed faults sorted by their
 		// canonical string, not map order.
@@ -222,7 +220,7 @@ func (r *Runner) barrier(final bool) {
 		}
 	}
 	if len(r.active) == 0 {
-		r.chk.checkBaseline()
+		r.chk.checkBaseline(in)
 		r.chk.checkReach()
 	}
 	r.tgt.journal("barrier",
