@@ -46,18 +46,14 @@ func (s *Speaker) setNeighborDown(n topo.ASN, down bool) {
 		// and our send state toward n resets (no withdrawals cross a
 		// dead session).
 		st.pending.reset()
-		for k := i; k < len(s.adv); k += len(s.out) {
-			s.adv[k] = advRecord{}
+		for k := i; k < len(s.rows); k += len(s.out) {
+			s.rows[k].adv = advRecord{}
 		}
 		// Re-decide in prefix order, not id order, so the resulting update
 		// schedule does not depend on when each prefix was first announced.
 		for _, id := range s.e.prefixes.order {
-			if int(id) >= len(s.adjIn) {
-				continue
-			}
-			rb := &s.adjIn[id]
-			if idx := rb.find(n); idx >= 0 {
-				rb.remove(idx)
+			if k := int(id)*len(s.out) + i; k < len(s.rows) && s.rows[k].in != 0 {
+				s.rows[k].in, s.rows[k].plen = 0, 0
 				if s.decide(id) {
 					s.markAllPending(id)
 				}

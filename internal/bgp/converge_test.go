@@ -678,8 +678,8 @@ func matchSolve(t *testing.T, ops []byte) {
 // TestLocRIBMatchesOracle runs seeded op streams on three graphs with the
 // quirks. The mutations this must fail under, and did (CHANGES.md): decide
 // not clearing the remembered *Route; decide carrying exp over to the new
-// winner; adjSlab.carve without the capacity bound, so two prefixes share
-// storage; sameForwarding calling an originated and a learned slot alike;
+// winner; row's stride one short of the session count, so two prefixes
+// share slots; sameForwarding calling an originated and a learned slot alike;
 // sameRoute ignoring the path; hasNews skipping exportIs; entryBetter
 // without the path length; advRecord.differs ignoring a path change.
 func TestLocRIBMatchesOracle(t *testing.T) {

@@ -151,14 +151,17 @@ func (e *Engine) TotalUpdatesSent() int {
 }
 
 // RIBSizes reports the aggregate routing-state footprint: selected loc-RIB
-// routes and compact adj-RIB-in entries across every speaker. The scale
-// benchmarks divide memory by these to normalize across topology sizes.
+// routes and accepted offers (filled adj-RIB-in slots) across every speaker.
+// The scale benchmarks divide memory by these to normalize across topology
+// sizes.
 func (e *Engine) RIBSizes() (locRIB, adjEntries int) {
 	for _, asn := range e.asns {
 		s := e.speakers[asn]
 		locRIB += s.nBest
-		for i := range s.adjIn {
-			adjEntries += len(s.adjIn[i].entries)
+		for k := range s.rows {
+			if s.rows[k].in != 0 {
+				adjEntries++
+			}
 		}
 	}
 	return locRIB, adjEntries

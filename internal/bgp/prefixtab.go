@@ -6,11 +6,12 @@ import (
 	"sort"
 )
 
-// Prefix interning. Every per-speaker, per-prefix structure — adj-RIB-in,
-// loc-RIB, origin policies, the adj-RIB-out (one row of session records per
-// id) and the per-session pending sets — is a slice indexed by a dense
-// prefix id, so the per-update path never hashes a 32-byte netip.Prefix. One
-// table per engine maps prefix ↔ id and ranks the ids in (addr, bits) order.
+// Prefix interning. Every per-speaker, per-prefix structure — the
+// session-slot table (both adj-RIBs, one row of session slots per id), the
+// loc-RIB, origin policies and the per-session pending sets — is a slice
+// indexed by a dense prefix id, so the per-update path never hashes a
+// 32-byte netip.Prefix. One table per engine maps prefix ↔ id and ranks the
+// ids in (addr, bits) order.
 //
 // Ids depend on interning order and are used only as indices and for
 // equality; whatever drives decisions or output is first ordered by rank,
@@ -18,11 +19,11 @@ import (
 // its pending prefixes in exactly the order the map-keyed engine's sorted
 // scan did, and every rng draw and output follows.
 //
-// Growth rule: the table grows at Announce, and in receive for an update
-// injected without an id. Interning a prefix may renumber the ranks of
-// existing ids but never their relative order. Speakers grow their own
-// slices lazily to the table's size on first write past the end (the
-// adj-RIB-out by whole rows, so no existing index moves).
+// Growth rule: the table grows only where a prefix is interned — at
+// Announce, and where a test injects an update. Interning a prefix may
+// renumber the ranks of existing ids but never their relative order.
+// Speakers grow their own slices lazily to the table's size on first write
+// past the end (the slot table by whole rows, so no existing index moves).
 
 // prefixID is a handle into the engine's prefix table. 0 means "not
 // interned"; slot 0 of every id-indexed slice stays empty.

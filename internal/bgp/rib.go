@@ -1,19 +1,20 @@
 package bgp
 
-import (
-	"sort"
+import "lifeguard/internal/topo"
 
-	"lifeguard/internal/topo"
-)
-
-// Compact RIBs. Neither the adj-RIB-in nor the loc-RIB holds a *Route: both
+// Compact RIBs. Neither the adj-RIBs nor the loc-RIB holds a *Route: both
 // are tables of pointer-free values the collector never scans.
 //
-// The adj-RIB-in is delta-encoded: per (prefix, neighbor) only the
-// selection-relevant scalars and the interned path handle are stored (16
-// bytes), sorted by neighbor in a short array per prefix, and the arrays
-// themselves are carved from per-speaker slab chunks (adjSlab) instead of
-// being one tiny heap object each.
+// Both adj-RIBs live in one table of session slots per speaker
+// (Speaker.rows), id-major: session i's slot for prefix id is at
+// int(id)*len(out)+i, so a prefix's row holds, for every session, the offer
+// accepted over it (the interned path handle and its length, 0 for none) and
+// what it was last sent (advRecord). The neighbor, relationship and local
+// preference of an offer are the session's, so they are not stored: the
+// decision process rebuilds each adjEntry from the slot and the session's
+// cached neighbor and relationship (Speaker.offer). An update finds its slot
+// by index, with no search, insert or shift, and the export check after it
+// reads the same row.
 //
 // The loc-RIB is a dense []locEntry indexed by prefix id: the winning
 // adjEntry by value, the interned handle of the path it is exported with, and
@@ -23,7 +24,15 @@ import (
 // for a caller that asks (Speaker.route), and remembered until the slot next
 // changes; AdjIn likewise rebuilds full Routes only when asked.
 
-// adjEntry is one neighbor's offered route for a prefix.
+// slot is one session's cell of a prefix's row: 12 bytes, no pointer.
+type slot struct {
+	in   pathID    // the offer accepted over the session; 0 means none
+	adv  advRecord // what the session was last sent
+	plen uint16    // len of in's path, the decision process's second comparator
+}
+
+// adjEntry is one neighbor's offered route for a prefix: the decision
+// process's view of a filled slot, and the winner a loc-RIB slot keeps.
 type adjEntry struct {
 	nbr   topo.ASN
 	rel   topo.Rel
@@ -67,103 +76,6 @@ func (a *locEntry) sameRoute(b *locEntry) bool {
 // it starts with its sender).
 func (a *locEntry) sameForwarding(b *locEntry) bool {
 	return a.kind == b.kind && a.ent.nbr == b.ent.nbr
-}
-
-// prefixRIB holds a prefix's offers, sorted by neighbor ASN.
-type prefixRIB struct {
-	entries []adjEntry
-}
-
-// scanBelow is the length under which searchNbr scans: the arrays hold 1.6
-// entries on average, where a loop beats sort.Search's closure call per
-// probe (3–4 % of a fill).
-const scanBelow = 8
-
-// searchNbr returns the index of the first entry whose neighbor is >= nbr
-// (len(entries) when there is none), as sort.Search does.
-func searchNbr(entries []adjEntry, nbr topo.ASN) int {
-	if len(entries) >= scanBelow {
-		return sort.Search(len(entries), func(i int) bool { return entries[i].nbr >= nbr })
-	}
-	for i := range entries {
-		if entries[i].nbr >= nbr {
-			return i
-		}
-	}
-	return len(entries)
-}
-
-// find returns the index of nbr's entry, or -1.
-func (rb *prefixRIB) find(nbr topo.ASN) int {
-	i := searchNbr(rb.entries, nbr)
-	if i < len(rb.entries) && rb.entries[i].nbr == nbr {
-		return i
-	}
-	return -1
-}
-
-// insert adds a new entry, keeping neighbor order. The caller has already
-// established no entry for ent.nbr exists. A full array moves to a larger
-// one carved from slab (see adjSlab.grow); the old one is left behind in its
-// chunk.
-func (rb *prefixRIB) insert(ent adjEntry, slab *adjSlab) {
-	i := searchNbr(rb.entries, ent.nbr)
-	if len(rb.entries) == cap(rb.entries) {
-		rb.entries = slab.grow(rb.entries)
-	}
-	rb.entries = append(rb.entries, adjEntry{})
-	copy(rb.entries[i+1:], rb.entries[i:])
-	rb.entries[i] = ent
-}
-
-// remove drops the entry at index i; the array keeps its capacity.
-func (rb *prefixRIB) remove(i int) {
-	rb.entries = append(rb.entries[:i], rb.entries[i+1:]...)
-}
-
-// slabChunk is how many entries an adjSlab allocates at a time. A stub's
-// last chunk is half empty on average, so the chunk is sized to keep that
-// waste (768 bytes a speaker) out of sight of the resident set.
-const slabChunk = 64
-
-// adjSlab carves adj-RIB-in entry arrays for one speaker out of shared
-// chunks: one heap object per slabChunk entries instead of one or two per
-// (speaker, prefix). Arrays are never returned; a prefixRIB keeps the one it
-// has (remove keeps capacity) and abandons it only to grow.
-type adjSlab struct {
-	free []adjEntry // the unused tail of the current chunk
-	// first is the capacity a prefix's first array gets, most the capacity
-	// none needs to exceed: the speaker's provider count (a provider offers
-	// its customers a route for every prefix it can reach, so that many
-	// offers is what a stub ends up with and the least a transit AS does)
-	// and its neighbor count.
-	first, most int
-}
-
-// grow returns an array holding entries with room for more: first entries
-// for a prefix's first array, twice the capacity after that, never more than
-// most.
-func (sl *adjSlab) grow(entries []adjEntry) []adjEntry {
-	n := sl.first
-	if c := cap(entries); c > 0 {
-		n = min(2*c, sl.most)
-	}
-	return append(sl.carve(n), entries...)
-}
-
-// carve returns an empty array of capacity n. The three-index slice caps it
-// at n, so an append past its end reallocates instead of running into the
-// next array in the chunk.
-func (sl *adjSlab) carve(n int) []adjEntry {
-	if n > slabChunk/2 {
-		return make([]adjEntry, 0, n)
-	}
-	if len(sl.free) < n {
-		sl.free = make([]adjEntry, slabChunk)
-	}
-	out := sl.free[:0:n]
-	sl.free = sl.free[n:]
-	return out
 }
 
 // entryBetter is the BGP decision process over compact entries, strict

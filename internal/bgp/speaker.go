@@ -19,15 +19,16 @@ type Speaker struct {
 	// the index into the engine's dense per-AS slices.
 	idx int
 
-	// adjIn holds the latest accepted offer per prefix per neighbor, in
-	// compact delta-encoded form (see rib.go): handles and selection
-	// scalars only, sorted by neighbor, in arrays carved from slab. Like
-	// best it is indexed by prefix id (see prefixtab.go); the two grow
-	// together, lazily (growRIB).
-	adjIn []prefixRIB
-	slab  adjSlab
+	// rows is the session-slot table, both adj-RIBs in one (see rib.go):
+	// session i's slot for prefix id is rows[int(id)*len(out)+i], holding
+	// the offer accepted over the session and what it was last sent. It
+	// grows by whole rows to the prefix table's size on the first write past
+	// its end (growRows), so no slot ever moves; a speaker nothing reaches
+	// keeps it nil.
+	rows []slot
 	// best is the loc-RIB: one pointer-free slot per prefix id (see rib.go),
-	// kind locNone where no route is selected. nBest counts the others.
+	// kind locNone where no route is selected. nBest counts the others. It
+	// grows on the first route installed past its end.
 	best  []locEntry
 	nBest int
 	// routes remembers the *Route built from a slot for a caller of
@@ -45,12 +46,6 @@ type Speaker struct {
 	// (dense — the per-AS maps this replaces cost a map header per
 	// neighbor pair engine-wide).
 	out []outState
-	// adv is the adj-RIB-out: what each session last advertised for each
-	// prefix, id-major — session i's record for id is adv[int(id)*len(out)+i]
-	// — so a changed route finds every session's record in one row. It grows
-	// by whole rows to the prefix table's size on the first write past its
-	// end; a speaker that never advertises keeps it nil.
-	adv []advRecord
 	// damp tracks RFC 2439 flap state per (neighbor, prefix).
 	damp map[dampKey]*dampState
 
@@ -142,10 +137,37 @@ type outState struct {
 
 // advertised returns what session i last advertised for id.
 func (s *Speaker) advertised(i int, id prefixID) advRecord {
-	if k := int(id)*len(s.out) + i; k < len(s.adv) {
-		return s.adv[k]
+	if k := int(id)*len(s.out) + i; k < len(s.rows) {
+		return s.rows[k].adv
 	}
 	return advRecord{}
+}
+
+// row returns id's slots, one per session; nil when the table has not grown
+// that far.
+func (s *Speaker) row(id prefixID) []slot {
+	n := len(s.out)
+	if k := int(id) * n; k < len(s.rows) {
+		return s.rows[k : k+n : k+n]
+	}
+	return nil
+}
+
+// growRows extends the slot table by whole rows to the prefix table's size.
+func (s *Speaker) growRows() {
+	s.rows = growTo(s.rows, s.e.prefixes.size()*len(s.out))
+}
+
+// offer rebuilds the adjEntry that session i's filled slot sl stands for.
+func (s *Speaker) offer(i int, sl *slot) adjEntry {
+	rel := s.nbrRel[i]
+	return adjEntry{
+		nbr:   s.neighbors[i],
+		rel:   rel,
+		plen:  sl.plen,
+		lpref: int32(localPref(rel)),
+		path:  sl.in,
+	}
 }
 
 // newSpeaker builds asn's speaker; New fills peers once every speaker exists.
@@ -160,22 +182,10 @@ func newSpeaker(e *Engine, asn topo.ASN, idx int) *Speaker {
 	}
 	s.out = make([]outState, len(s.neighbors))
 	s.nbrRel = make([]topo.Rel, len(s.neighbors))
-	providers := 0
 	for i, n := range s.neighbors {
 		s.nbrRel[i] = e.top.Rel(asn, n)
-		if s.nbrRel[i] == topo.RelProvider {
-			providers++
-		}
 	}
-	s.slab = adjSlab{first: max(1, providers), most: max(1, len(s.neighbors))}
 	return s
-}
-
-// growRIB extends adjIn and best to the prefix table's current size.
-func (s *Speaker) growRIB() {
-	n := s.e.prefixes.size()
-	s.adjIn = growTo(s.adjIn, n)
-	s.best = growTo(s.best, n)
 }
 
 // bestAt returns the loc-RIB slot for id; the zero slot (locNone) when the
@@ -251,14 +261,16 @@ func (s *Speaker) Best(p netip.Prefix) (*Route, bool) {
 // paths alias the engine's canonical interned copies and must be treated as
 // read-only.
 func (s *Speaker) AdjIn(p netip.Prefix) map[topo.ASN]*Route {
-	var entries []adjEntry
-	if id, ok := s.e.prefixes.lookup(p); ok && int(id) < len(s.adjIn) {
-		entries = s.adjIn[id].entries
+	var row []slot
+	if id, ok := s.e.prefixes.lookup(p); ok {
+		row = s.row(id)
 	}
-	out := make(map[topo.ASN]*Route, len(entries))
-	for i := range entries {
-		ent := &entries[i]
-		out[ent.nbr] = s.materialize(p, ent)
+	out := make(map[topo.ASN]*Route)
+	for i := range row {
+		if row[i].in != 0 {
+			ent := s.offer(i, &row[i])
+			out[ent.nbr] = s.materialize(p, &ent)
+		}
 	}
 	return out
 }
@@ -314,8 +326,8 @@ func (s *Speaker) withdrawOrigin(prefix netip.Prefix) {
 }
 
 // receive applies one update arriving on the session with neighbor ri: it
-// folds the update into the adj-RIB-in and, when the stored offer changed,
-// runs the decision process and queues the result for export.
+// folds the update into the session's slot and, when the stored offer
+// changed, runs the decision process and queues the result for export.
 func (s *Speaker) receive(ri int, u update) {
 	from := s.neighbors[ri]
 	s.e.obs.updatesReceived.Inc()
@@ -323,16 +335,15 @@ func (s *Speaker) receive(ri int, u update) {
 		s.e.obs.withdrawalsReceived.Inc()
 	}
 	id := u.id
-	var rb *prefixRIB
-	idx := -1
-	if int(id) < len(s.adjIn) {
-		rb = &s.adjIn[id]
-		idx = rb.find(from)
+	k := int(id)*len(s.out) + ri
+	var old pathID
+	if k < len(s.rows) {
+		old = s.rows[k].in
 	}
 	if u.path == nil || !s.importOK(from, u.path) {
 		// Withdrawal, or a route rejected by import policy: either way
 		// the neighbor no longer offers a usable route.
-		if idx < 0 {
+		if old == 0 {
 			return
 		}
 		// Losing a known route is a genuine change, so it counts as a
@@ -340,9 +351,8 @@ func (s *Speaker) receive(ri int, u update) {
 		if s.e.cfg.Dampening {
 			s.noteFlap(dampKey{from: from, id: id})
 		}
-		rb.remove(idx)
+		s.rows[k].in, s.rows[k].plen = 0, 0
 	} else {
-		rel := s.nbrRel[ri]
 		// Flush always ships the interned handle alongside the path; an
 		// update injected without it (only tests do) is interned here, on a
 		// defensive copy since the arena aliases what it is handed.
@@ -350,33 +360,20 @@ func (s *Speaker) receive(ri int, u update) {
 		if pid == 0 {
 			pid = s.e.arena.internPath(u.path.Clone())
 		}
-		ent := adjEntry{
-			nbr:   from,
-			rel:   rel,
-			plen:  uint16(len(u.path)),
-			lpref: int32(localPref(rel)),
-			path:  pid,
+		if old == pid {
+			// Duplicate re-advertisement: RFC 2439 §4.4.3 counts only
+			// updates that *change* an existing route, so no penalty.
+			return
 		}
-		if idx >= 0 {
-			old := &rb.entries[idx]
-			if old.path == ent.path {
-				// Duplicate re-advertisement: RFC 2439 §4.4.3 counts only
-				// updates that *change* an existing route, so no penalty.
-				return
-			}
-			// A replacement announcement for a known route is a flap; the
-			// first announcement from this neighbor is not.
-			if s.e.cfg.Dampening {
-				s.noteFlap(dampKey{from: from, id: id})
-			}
-			*old = ent
-		} else {
-			if rb == nil {
-				s.growRIB()
-				rb = &s.adjIn[id]
-			}
-			rb.insert(ent, &s.slab)
+		// A replacement announcement for a known route is a flap; the
+		// first announcement from this neighbor is not.
+		if old != 0 && s.e.cfg.Dampening {
+			s.noteFlap(dampKey{from: from, id: id})
 		}
+		if k >= len(s.rows) {
+			s.growRows()
+		}
+		s.rows[k].in, s.rows[k].plen = pid, uint16(len(u.path))
 	}
 	if s.decide(id) {
 		s.markAllPending(id)
@@ -424,20 +421,21 @@ func (s *Speaker) decide(id prefixID) bool {
 		// Originated routes carry prefOriginated, above every imported
 		// local-pref tier: they always win.
 		nw = locEntry{kind: locOriginated, ent: adjEntry{nbr: s.asn, lpref: prefOriginated}}
-	} else if int(id) < len(s.adjIn) {
-		entries := s.adjIn[id].entries
-		win := -1
-		for i := range entries {
-			ent := &entries[i]
+	} else {
+		// entryBetter ends on the neighbor ASN, a total order, so the scan
+		// order never picks the winner.
+		row := s.row(id)
+		for i := range row {
+			if row[i].in == 0 {
+				continue
+			}
+			ent := s.offer(i, &row[i])
 			if s.e.cfg.Dampening && s.suppressed(ent.nbr, id) {
 				continue
 			}
-			if win < 0 || entryBetter(ent, &entries[win]) {
-				win = i
+			if nw.kind == locNone || entryBetter(&ent, &nw.ent) {
+				nw = locEntry{kind: locLearned, ent: ent}
 			}
-		}
-		if win >= 0 {
-			nw = locEntry{kind: locLearned, ent: entries[win]}
 		}
 	}
 	if old.sameRoute(&nw) {
@@ -449,7 +447,8 @@ func (s *Speaker) decide(id prefixID) bool {
 		s.e.prefixes.fwd[id]++
 	}
 	if int(id) >= len(s.best) {
-		s.growRIB() // only to install a route: old is locNone, nw is not
+		// Only to install a route: old is locNone, nw is not.
+		s.best = growTo(s.best, s.e.prefixes.size())
 	}
 	s.best[id] = nw
 	if int(id) < len(s.routes) {
@@ -602,14 +601,14 @@ func (s *Speaker) flush(i int) int {
 		sent++
 		k := int(id)*len(s.out) + i
 		if !ok {
-			s.adv[k] = advRecord{} // differs: something was advertised, so k is in range
+			s.rows[k].adv = advRecord{} // differs: something was advertised, so k is in range
 			s.e.deliver(s, i, update{id: id})
 			continue
 		}
-		if k >= len(s.adv) {
-			s.adv = growTo(s.adv, s.e.prefixes.size()*len(s.out))
+		if k >= len(s.rows) {
+			s.growRows()
 		}
-		s.adv[k] = advRecord{pid: ex.pid}
+		s.rows[k].adv = advRecord{pid: ex.pid}
 		s.e.deliver(s, i, update{id: id, path: ex.path, pid: ex.pid})
 	}
 	st.pending.reset()

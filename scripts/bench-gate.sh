@@ -50,11 +50,15 @@ cd "$(dirname "$0")/.."
 # a percent. converge's allocs_per_op was re-recorded again (0.532723
 # before) when the adj-RIB-out became one id-major table per speaker: one
 # growable array per speaker where each advertising session had grown its
-# own, −4.55 %, inside the bound by less than half a point.
+# own, −4.55 %, inside the bound by less than half a point. converge's
+# allocs_per_op was re-recorded once more (0.508483 before) when both
+# adj-RIBs became one table of session slots per speaker: the per-prefix
+# adj-RIB-in arrays and the slab chunks they were carved from are gone,
+# −6.2 %.
 #
 #        workload  sim_latency_s      updates_per_op      allocs_per_op
 expect=("repair    382.1728918139953  1427.4567307692307  397.90"
-        "converge  246.383297183625   1.946382            0.508483"
+        "converge  246.383297183625   1.946382            0.477083"
         "churn     198.1138306302584  3498.65             2021.93"
         "traffic   43.503350000000005 0.0000540981811412644 -")
 
