@@ -239,42 +239,43 @@ func (a *Atlas) Reverse(vp topo.RouterID, target netip.Addr) []PathRecord {
 	return nil
 }
 
-// HistoricalHops returns the union of routers seen on any recorded path
-// (both directions) between vp and target, deduplicated, in first-seen
-// order across records from newest to oldest. These are the candidate
-// failure locations isolation probes. A run of records sharing one stored
-// path is read once.
-func (a *Atlas) HistoricalHops(vp topo.RouterID, target netip.Addr) []probe.Hop {
-	var out []probe.Hop
-	add := func(recs []PathRecord) {
+// AppendHistoricalHops appends to dst the union of routers seen on any
+// recorded path (both directions) between vp and target, deduplicated, in
+// first-seen order across records from newest to oldest. These are the
+// candidate failure locations isolation probes. A run of records sharing one
+// stored path is read once. A caller that passes its previous result as
+// dst[:0] reuses its array.
+func (a *Atlas) AppendHistoricalHops(dst []probe.Hop, vp topo.RouterID, target netip.Addr) []probe.Hop {
+	ps := a.pair(vp, target)
+	if ps == nil {
+		return dst
+	}
+	start := len(dst)
+	for _, recs := range [2][]PathRecord{ps.fwd, ps.rev} {
 		for i := len(recs) - 1; i >= 0; i-- {
 			if i < len(recs)-1 && recs[i+1].Repeats(&recs[i]) {
 				continue
 			}
 			for _, h := range recs[i].Hops {
-				if !h.Star && !slices.ContainsFunc(out, func(o probe.Hop) bool { return o.Router == h.Router }) {
-					out = append(out, h)
+				if !h.Star && !slices.ContainsFunc(dst[start:], func(o probe.Hop) bool { return o.Router == h.Router }) {
+					dst = append(dst, h)
 				}
 			}
 		}
 	}
-	if ps := a.pair(vp, target); ps != nil {
-		add(ps.fwd)
-		add(ps.rev)
-	}
-	return out
+	return dst
 }
 
-// LatestReverseBefore returns the most recent reverse record strictly older
-// than cutoff, plus all older ones (newest first), for the §4.1.2 expanding
-// suspect-set analysis.
+// LatestReverseBefore returns the reverse records strictly older than
+// cutoff, oldest first, for the §4.1.2 expanding suspect-set analysis: the
+// most recent of them is the last. Records are appended in clock order, so
+// they are a prefix of the stored history, and the slice returned is that
+// prefix itself, not a copy: read it, never write through it.
 func (a *Atlas) LatestReverseBefore(vp topo.RouterID, target netip.Addr, cutoff time.Duration) []PathRecord {
 	recs := a.Reverse(vp, target)
-	var out []PathRecord
-	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].At < cutoff {
-			out = append(out, recs[i])
-		}
+	n := len(recs)
+	for n > 0 && recs[n-1].At >= cutoff {
+		n--
 	}
-	return out
+	return recs[:n:n]
 }

@@ -70,9 +70,15 @@ func TestHistoricalHopsUnion(t *testing.T) {
 	a.RefreshAll()
 	vp := n.Hub(nettest.VP1AS)
 	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
-	hops := a.HistoricalHops(vp, target)
+	hops := a.AppendHistoricalHops(nil, vp, target)
 	if len(hops) == 0 {
 		t.Fatal("no historical hops")
+	}
+	// Appending past hops already in dst deduplicates only what this call
+	// appends: the union again, whole, after the first copy.
+	twice := a.AppendHistoricalHops(slices.Clone(hops), vp, target)
+	if !slices.Equal(twice[:len(hops)], hops) || !slices.Equal(twice[len(hops):], hops) {
+		t.Fatalf("appended to itself: %+v, want the union twice: %+v", twice, hops)
 	}
 	seen := map[topo.RouterID]int{}
 	for _, h := range hops {
@@ -150,6 +156,9 @@ func TestPeriodicRefreshAndStop(t *testing.T) {
 	}
 }
 
+// TestLatestReverseBefore: the records strictly older than the cutoff,
+// oldest first, as a sub-slice of the stored history that an append cannot
+// write through.
 func TestLatestReverseBefore(t *testing.T) {
 	n, a := setup(t)
 	vp := n.Hub(nettest.VP1AS)
@@ -159,13 +168,35 @@ func TestLatestReverseBefore(t *testing.T) {
 	n.Clk.RunFor(10 * time.Minute)
 	a.RefreshAll() // at base+10m
 	n.Clk.RunFor(10 * time.Minute)
-	recs := a.LatestReverseBefore(vp, target, base+5*time.Minute)
-	if len(recs) != 1 || recs[0].At != base {
-		t.Fatalf("records before base+5m = %+v", recs)
+	all := a.Reverse(vp, target)
+	for _, tc := range []struct {
+		cutoff time.Duration
+		want   int
+	}{
+		{base, 0}, // strictly older: a record at the cutoff is not before it
+		{base + 5*time.Minute, 1},
+		{base + 10*time.Minute, 1},
+		{base + 15*time.Minute, 2},
+	} {
+		recs := a.LatestReverseBefore(vp, target, tc.cutoff)
+		if len(recs) != tc.want {
+			t.Fatalf("before %v: %d records, want %d: %+v", tc.cutoff-base, len(recs), tc.want, recs)
+		}
+		if len(recs) == 0 {
+			continue
+		}
+		if &recs[0] != &all[0] {
+			t.Fatalf("before %v: a copy, want the stored history itself", tc.cutoff-base)
+		}
+		if cap(recs) != len(recs) {
+			t.Fatalf("before %v: cap %d past len %d, an append would overwrite history", tc.cutoff-base, cap(recs), len(recs))
+		}
 	}
-	recs = a.LatestReverseBefore(vp, target, base+15*time.Minute)
-	if len(recs) != 2 || recs[0].At != base+10*time.Minute {
-		t.Fatalf("records before base+15m not newest-first: %+v", recs)
+	if recs := a.LatestReverseBefore(vp, target, base+15*time.Minute); recs[0].At != base || recs[1].At != base+10*time.Minute {
+		t.Fatalf("records before base+15m not oldest-first: %+v", recs)
+	}
+	if recs := a.LatestReverseBefore(n.Hub(nettest.VP5AS), target, base+15*time.Minute); recs != nil {
+		t.Fatalf("a pair never refreshed has records: %+v", recs)
 	}
 }
 
@@ -210,7 +241,7 @@ func TestRefreshRate(t *testing.T) {
 
 // TestUnchangedPathStoredOnce: a refresh that finds a path unchanged stores
 // a record sharing the hops array of the one before it, a changed path gets
-// an array of its own, and HistoricalHops — which reads a run of shared
+// an array of its own, and AppendHistoricalHops — which reads a run of shared
 // records once — returns, after every refresh, the brute-force union over
 // every record, in first-seen order from the newest record back, forward
 // then reverse.
@@ -221,6 +252,7 @@ func TestUnchangedPathStoredOnce(t *testing.T) {
 	target := n.Top.Router(n.Hub(nettest.O)).Addr
 	a.AddVP(vp)
 	a.AddTarget(target)
+	var buf []probe.Hop // reused across refreshes, as isolation reuses it
 	last := func(recs []PathRecord) (cur, prev *PathRecord) {
 		return &recs[len(recs)-1], &recs[len(recs)-2]
 	}
@@ -246,8 +278,9 @@ func TestUnchangedPathStoredOnce(t *testing.T) {
 				}
 			}
 		}
-		if got := a.HistoricalHops(vp, target); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: HistoricalHops\ngot  %+v\nwant %+v", when, got, want)
+		buf = a.AppendHistoricalHops(buf[:0], vp, target)
+		if !reflect.DeepEqual(buf, want) {
+			t.Fatalf("%s: AppendHistoricalHops\ngot  %+v\nwant %+v", when, buf, want)
 		}
 	}
 	announce := func(asn topo.ASN, pattern topo.Path) {

@@ -298,6 +298,12 @@ func (w *world) do(t testing.TB, op [4]byte) string {
 // ends with a check at quiescence.
 func (w *world) run(t testing.TB, data []byte) {
 	t.Helper()
+	w.drive(t, data, w.check)
+}
+
+// drive is run with check in place of the full check.
+func (w *world) drive(t testing.TB, data []byte, check func(testing.TB)) {
+	t.Helper()
 	for len(data) > 0 || !w.eng.Quiescent() {
 		var op [4]byte
 		if len(data) == 0 {
@@ -306,7 +312,27 @@ func (w *world) run(t testing.TB, data []byte) {
 		data = data[copy(op[:], data):]
 		if did := w.do(t, op); did != "" {
 			w.ops = append(w.ops, did)
-			w.check(t)
+			check(t)
+		}
+	}
+}
+
+// checkNextHop holds NextHop, at every AS for one address per prefix, to
+// the Route Lookup finds: ok exactly when there is one, local exactly when
+// it is Originated, and next its first hop otherwise.
+func (w *world) checkNextHop(t testing.TB) {
+	t.Helper()
+	for _, addr := range w.addrs {
+		for _, asn := range w.asns {
+			r, ok := w.eng.Lookup(asn, addr)
+			next, local, ok2 := w.eng.NextHop(asn, addr)
+			want := topo.ASN(0)
+			if ok && !r.Originated {
+				want = r.Path[0]
+			}
+			if ok2 != ok || ok && (local != r.Originated || next != want) {
+				w.fatalf(t, "AS%d %v: NextHop = %d, local %v, ok %v; Lookup = %v, %v", asn, addr, next, local, ok2, r, ok)
+			}
 		}
 	}
 }
@@ -621,10 +647,22 @@ func multihomed(top *topo.Topology, stubs []topo.ASN, k int) []topo.ASN {
 	return append(multi, single...)[:min(k, len(stubs))]
 }
 
-// matchSolve runs ops on fresh engines over the paper's Fig. 2 worlds,
-// random provider trees with peering, and topogen worlds of 200 and 1k
-// ASes, some with the §7.1 import quirks.
+// matchSolve runs ops on fresh engines over solveWorlds.
 func matchSolve(t *testing.T, ops []byte) {
+	checks, routes := 0, 0
+	worlds := solveWorlds(t)
+	for _, w := range worlds {
+		w.run(t, ops)
+		checks += w.quiet
+		routes += w.solves * len(w.asns)
+	}
+	t.Logf("%d worlds, %d checks at quiescence, %d (AS, prefix) routes and forwarded paths identical", len(worlds), checks, routes)
+}
+
+// solveWorlds builds fresh engines over the paper's Fig. 2 worlds, random
+// provider trees with peering, and topogen worlds of 200 and 1k ASes, some
+// with the §7.1 import quirks.
+func solveWorlds(t *testing.T) []*world {
 	// Fig. 2 poisons A, its busiest transit; the unpoisonable variant
 	// poisons F, which keeps what names it.
 	unpoisonable := newWorld(t, "Fig. 2, F unpoisonable", nettest.Fig2Unpoisonable(t).Top, 1, []topo.ASN{nettest.O, nettest.C})
@@ -665,14 +703,7 @@ func matchSolve(t *testing.T, ops []byte) {
 		}
 		worlds = append(worlds, newWorld(t, g.name, gen.Top, 1, multihomed(gen.Top, gen.Stubs, 3)))
 	}
-
-	checks, routes := 0, 0
-	for _, w := range worlds {
-		w.run(t, ops)
-		checks += w.quiet
-		routes += w.solves * len(w.asns)
-	}
-	t.Logf("%d worlds, %d checks at quiescence, %d (AS, prefix) routes and forwarded paths identical", len(worlds), checks, routes)
+	return worlds
 }
 
 // TestLocRIBMatchesOracle runs seeded op streams on three graphs with the
@@ -700,6 +731,28 @@ func TestLocRIBMatchesOracle(t *testing.T) {
 		}
 		t.Logf("seed %d: %d quiet checks (%d solves), %d busy, %d changes, %d losses, %d origin flips",
 			seed, w.quiet, w.solves, w.busy, w.changes, w.losses, w.originFlips)
+	}
+}
+
+// TestNextHopMatchesLookup holds the data plane's per-hop primitive to
+// Lookup (checkNextHop) after every op: every named chain on solveWorlds,
+// then TestLocRIBMatchesOracle's seeded streams, whose checks also land
+// mid-propagation. The mutations this must fail under, and did
+// (CHANGES.md): a learned route reported as local; no route reported as
+// ok; an exact-match lookup in place of the longest-prefix walk.
+func TestNextHopMatchesLookup(t *testing.T) {
+	for _, c := range chains {
+		for _, w := range solveWorlds(t) {
+			w.drive(t, c.ops, w.checkNextHop)
+		}
+	}
+	for _, seed := range []int64{5, 23, 71} {
+		gen := generate(t, topogen.Config{Seed: seed, NumTier1: 3, NumTransit: 8, NumStub: 14, TransitPeerProb: 0.2})
+		quirks(gen.Top)
+		w := newWorld(t, fmt.Sprintf("seed %d", seed), gen.Top, seed, gen.Stubs[:4])
+		data := make([]byte, 6000)
+		rand.New(rand.NewSource(seed)).Read(data)
+		w.drive(t, data, w.checkNextHop)
 	}
 }
 

@@ -366,8 +366,8 @@ func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
 // Lookup performs longest-prefix match for addr in asn's loc-RIB: one bounded
 // walk down the engine's trie over every interned prefix (see lpm.go), keeping
 // the deepest prefix asn holds a route for, so a miss or hit costs, but for
-// the first read of a route since it changed, no allocation — this is the data
-// plane's per-forwarding-hop primitive. The full IPv4 length range /0../32
+// the first read of a route since it changed, no allocation. The data plane
+// reads the same match through NextHop, which builds no Route. The full IPv4 length range /0../32
 // matches, default routes included; non-IPv4 addresses (which the address
 // plan never routes) report no route. The Route returned is the one BestRoute
 // returns for the matched prefix, pointer for pointer. Like BestRoute, Lookup
@@ -385,6 +385,31 @@ func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 	}
 	r := s.route(e.prefixes.cover.longest(key, s.best))
 	return r, r != nil
+}
+
+// NextHop is Lookup reduced to what a forwarding hop reads of the matched
+// route, read straight from its loc-RIB slot: local for an originated route
+// (deliver here), otherwise next, the neighbor it was learned from — the
+// route's Path[0], since import accepts a path only if it starts with its
+// sender. ok is false where Lookup finds no route. No Route is built, so
+// NextHop never allocates, and it only reads.
+func (e *Engine) NextHop(asn topo.ASN, addr netip.Addr) (next topo.ASN, local, ok bool) {
+	s := e.speakers[asn]
+	if s == nil {
+		return 0, false, false
+	}
+	key, ok := v4Key(addr)
+	if !ok {
+		return 0, false, false
+	}
+	switch le := s.bestAt(e.prefixes.cover.longest(key, s.best)); le.kind {
+	case locNone:
+		return 0, false, false
+	case locOriginated:
+		return 0, true, true
+	default:
+		return le.ent.nbr, false, true
+	}
 }
 
 // RIBVersion advances by one for every loc-RIB change at any speaker

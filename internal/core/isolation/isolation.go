@@ -73,10 +73,6 @@ type Report struct {
 	// WorkingPath is the measured path in the working direction, if any.
 	WorkingPath []probe.Hop
 
-	// HorizonPaths are the measured current reverse paths from hops that
-	// still reach the vantage point, corroborating the horizon (§4.1.2).
-	HorizonPaths [][]probe.Hop
-
 	// ProbesUsed counts probe packets consumed by this isolation;
 	// EstimatedDuration converts that to wall time (§5.4 reports ~280
 	// probes and ~140s for reverse outages).
@@ -101,6 +97,12 @@ type Isolator struct {
 	pr  *probe.Prober
 	atl *atlas.Atlas
 	clk *simclock.Scheduler
+
+	// states and hops are blameReverse's horizon map and its historical
+	// hops, kept from call to call so that a run reuses their storage;
+	// each run starts by emptying them.
+	states map[topo.RouterID]hopState
+	hops   []probe.Hop
 
 	obs isolatorObs
 }
@@ -137,7 +139,7 @@ func (iso *Isolator) Instrument(reg *obs.Registry) {
 
 // New returns an isolator. Vantage points are taken from the atlas.
 func New(top *topo.Topology, pr *probe.Prober, atl *atlas.Atlas, clk *simclock.Scheduler) *Isolator {
-	return &Isolator{top: top, pr: pr, atl: atl, clk: clk}
+	return &Isolator{top: top, pr: pr, atl: atl, clk: clk, states: make(map[topo.RouterID]hopState)}
 }
 
 // Isolate diagnoses the outage between vp and target. It issues probes but
@@ -276,28 +278,29 @@ func (iso *Isolator) blameReverse(rep *Report, vp topo.RouterID, target netip.Ad
 	// that ever appeared on a path between vp and target (both
 	// directions), from vp and, on failure, from the other vantage
 	// points. This builds the reachability-horizon map.
-	states := make(map[topo.RouterID]hopState)
-	for _, hop := range iso.atl.HistoricalHops(vp, target) {
-		states[hop.Router] = iso.classify(hop, vp)
+	states := iso.states
+	clear(states)
+	iso.hops = iso.atl.AppendHistoricalHops(iso.hops[:0], vp, target)
+	for _, hop := range iso.hops {
+		st := iso.classify(hop, vp)
+		states[hop.Router] = st
 		// "For all hops still pingable from S, LIFEGUARD measures a
-		// reverse traceroute to S" — these corroborate the horizon.
-		if states[hop.Router] == hopReaches {
-			if rt, ok := iso.pr.ReverseTraceroute(hop.Router, vp); ok {
-				rep.HorizonPaths = append(rep.HorizonPaths, rt.Hops)
-			}
+		// reverse traceroute to S" — these corroborate the horizon. The
+		// blame below reads only the states, so the paths are not kept.
+		if st == hopReaches {
+			iso.pr.ReverseProbe(hop.Router, vp)
 		}
 	}
 
 	// Step 4 — prune: on the most recent pre-failure reverse path, H is
 	// the farthest hop that still reaches vp; blame the first hop H′
-	// past it that cannot. Older paths expand the suspect set when the
-	// newest is inconclusive.
+	// past it that cannot. Older paths — the newest
+	// maxHistoricalRecords records in all — expand the suspect set when
+	// the newest is inconclusive.
 	recs := iso.atl.LatestReverseBefore(vp, target, iso.clk.Now())
-	if len(recs) > maxHistoricalRecords {
-		recs = recs[:maxHistoricalRecords]
-	}
-	for i, rec := range recs {
-		if i > 0 && recs[i-1].Repeats(&rec) {
+	for i := len(recs) - 1; i >= 0 && i >= len(recs)-maxHistoricalRecords; i-- {
+		rec := &recs[i]
+		if i < len(recs)-1 && recs[i+1].Repeats(rec) {
 			continue // the path just found inconclusive, re-confirmed
 		}
 		// rec.Hops runs target→vp: scan from the vp end toward the

@@ -187,3 +187,107 @@ func TestIsolationDeterministic(t *testing.T) {
 		t.Fatal("isolation nondeterministic")
 	}
 }
+
+// staleHistory isolates a reverse failure whose newest reverse path cannot
+// settle the blame, so that the §4.1.2 analysis must try older records.
+// VP1 and VP5 sit behind transit A; the target's AS T is multihomed to A's
+// customers B and C. The atlas first records cPaths refreshes while T's
+// session to B is down (both directions cross C), then bPaths with it up
+// (both cross B), each refresh re-confirming the last path. Throughout,
+// forward probes die on the links into T, so T's router is never seen to
+// answer a ping and its silence proves nothing. Then the target's replies
+// to VP1 are dropped in B — the router's own replies still pass, so every
+// hop of the B path reaches VP1 — and C goes dark.
+func staleHistory(t *testing.T, cPaths, bPaths int) *isolation.Report {
+	t.Helper()
+	const (
+		vp1, a, b, tgt, vp5, c topo.ASN = 1, 2, 3, 4, 5, 6
+	)
+	bld := topo.NewBuilder()
+	for asn := vp1; asn <= c; asn++ {
+		bld.AddAS(asn, "")
+		bld.AddRouter(asn, "")
+	}
+	for _, r := range [][2]topo.ASN{{vp1, a}, {vp5, a}, {b, a}, {c, a}, {tgt, b}, {tgt, c}} {
+		bld.Provider(r[0], r[1])
+		bld.ConnectAS(r[0], r[1])
+	}
+	top, err := bld.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := nettest.FromTopology(t, top, 9)
+	target := topo.ProductionAddr(tgt)
+	atl := atlas.New(n.Top, n.Prober, n.Clk)
+	atl.AddVP(n.Hub(vp1))
+	atl.AddVP(n.Hub(vp5))
+	atl.AddTarget(target)
+	var fwdDrops []dataplane.FailureID
+	for _, via := range []topo.ASN{b, c} {
+		fwdDrops = append(fwdDrops, n.Plane.AddFailure(dataplane.Rule{FromAS: via, ToAS: tgt, DstWithin: topo.ProductionPrefix(tgt)}))
+	}
+	refresh := func(k int) {
+		for i := 0; i < k; i++ {
+			atl.RefreshAll()
+			n.Clk.RunFor(15 * time.Minute)
+		}
+	}
+	n.Eng.SetAdjacencyDown(tgt, b, true)
+	n.Converge(t)
+	refresh(cPaths)
+	n.Eng.SetAdjacencyDown(tgt, b, false)
+	n.Converge(t)
+	refresh(bPaths)
+	if recs := atl.Reverse(n.Hub(vp1), target); len(recs) != cPaths+bPaths || !recs[len(recs)-1].Repeats(&recs[len(recs)-2]) {
+		t.Fatalf("%d reverse records, want %d ending in a repeat", len(recs), cPaths+bPaths)
+	}
+
+	for _, id := range fwdDrops {
+		n.Plane.RemoveFailure(id)
+	}
+	n.Plane.AddFailure(dataplane.Rule{AtAS: b, SrcWithin: topo.ProductionPrefix(tgt), DstWithin: topo.Block(vp1)})
+	n.Plane.AddFailure(dataplane.BlackholeAS(c))
+	rep := isolation.New(n.Top, n.Prober, atl, n.Clk).Isolate(n.Hub(vp1), target)
+	if rep.Direction != isolation.Reverse {
+		t.Fatalf("direction = %v, want reverse", rep.Direction)
+	}
+	return rep
+}
+
+// TestOlderReversePathsWithinFive holds the suspect-set expansion to the
+// five newest pre-failure records, repeats counted, each distinct path read
+// once. The newest path (through B) is inconclusive; with two C records
+// among the newest six, the five newest reach the older C path, whose dark
+// hop is blamed, and with one they do not and nothing is blamed. Both
+// verdicts are what isolation gave while it copied the records out newest
+// first. The mutations this must fail under, and did (CHANGES.md): the cap
+// counting only non-repeats; the records walked oldest first.
+func TestOlderReversePathsWithinFive(t *testing.T) {
+	if rep := staleHistory(t, 2, 4); rep.Blamed != 6 || rep.BlamedLink == nil || *rep.BlamedLink != [2]topo.ASN{6, 2} {
+		t.Errorf("2 C then 4 B records: blamed AS%d, link %v; want AS6 failing toward AS2", rep.Blamed, rep.BlamedLink)
+	}
+	if rep := staleHistory(t, 1, 5); rep.Blamed != 0 {
+		t.Errorf("1 C then 5 B records: blamed AS%d; the C path is the sixth newest and must not be read", rep.Blamed)
+	}
+}
+
+// TestReverseIsolationAllocations budgets a steady-state reverse-failure
+// isolation, its buffers grown by the run before, at 4 objects: the Report,
+// the two it keeps (the working path's hops and the blamed link) and the
+// hops of the plain traceroute whose blame it reads. The pings, the
+// horizon's reverse traceroutes, the atlas reads and the horizon map
+// allocate nothing.
+func TestReverseIsolationAllocations(t *testing.T) {
+	r := setup(t)
+	r.n.ReverseFailure()
+	r.iso.Isolate(r.vp, r.target)
+	allocs := testing.AllocsPerRun(50, func() {
+		if rep := r.iso.Isolate(r.vp, r.target); rep.Blamed != nettest.TransitB {
+			t.Fatalf("blamed AS%d", rep.Blamed)
+		}
+	})
+	const budget = 4
+	if allocs > budget {
+		t.Fatalf("a reverse-failure isolation allocates %v objects, budget %d", allocs, budget)
+	}
+}

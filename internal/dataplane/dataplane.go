@@ -14,23 +14,25 @@ import (
 	"net/netip"
 	"slices"
 
-	"lifeguard/internal/bgp"
 	"lifeguard/internal/obs"
 	"lifeguard/internal/topo"
 )
 
 // RIB is the routing state the data plane consults; *bgp.Engine satisfies it.
 type RIB interface {
-	Lookup(asn topo.ASN, addr netip.Addr) (*bgp.Route, bool)
-	// RIBVersion advances whenever any Lookup result may have changed.
+	// NextHop is the longest-prefix match for addr at asn, reduced to what
+	// forwarding reads of the matched route: deliver here (local), or send
+	// to the neighbor AS next. ok is false when asn has no route.
+	NextHop(asn topo.ASN, addr netip.Addr) (next topo.ASN, local, ok bool)
+	// RIBVersion advances whenever any NextHop result may have changed.
 	RIBVersion() uint64
-	// FwdVersion advances whenever a Lookup at the i-th AS of
-	// Topology.ASNs() may forward a packet differently: a change of which
-	// route matches an address, of its next-hop AS or of Originated.
+	// FwdVersion advances whenever NextHop at the i-th AS of
+	// Topology.ASNs() may answer differently: a change of which route
+	// matches an address, of its next-hop AS or of local.
 	FwdVersion(i int) uint64
-	// DstVersion advances whenever a Lookup of addr may forward a packet
-	// differently at any AS. A cached walk toward addr is valid while
-	// either FwdVersion holds still at every AS the walk crossed or
+	// DstVersion advances whenever NextHop for addr may answer differently
+	// at any AS. A cached walk toward addr is valid while either
+	// FwdVersion holds still at every AS the walk crossed or
 	// DstVersion(addr) holds still (see walkcache.go).
 	DstVersion(addr netip.Addr) uint64
 }
@@ -559,12 +561,12 @@ func (pl *Plane) walkFrom(from topo.RouterID, pkt Packet, losses *[]lossPoint) R
 			return res
 		}
 		curAS := pl.top.Router(cur).AS
-		route, ok := pl.rib.Lookup(curAS, pkt.Dst)
+		nextAS, local, ok := pl.rib.NextHop(curAS, pkt.Dst)
 		if !ok {
 			res.Reason = NoRoute
 			return res
 		}
-		if route.Originated {
+		if local {
 			// Local delivery: walk to the destination router, or to
 			// the AS hub standing in for prefix-hosted addresses.
 			target := pl.hostRouter(curAS, pkt.Dst)
@@ -577,7 +579,6 @@ func (pl *Plane) walkFrom(from topo.RouterID, pkt Packet, losses *[]lossPoint) R
 			res.Reason = Delivered
 			return res
 		}
-		nextAS, _ := route.NextHop()
 		borders := pl.top.BorderRouters(curAS, nextAS)
 		if len(borders) == 0 {
 			panic(fmt.Sprintf("dataplane: AS %d routes to non-adjacent AS %d", curAS, nextAS))

@@ -18,7 +18,7 @@ import (
 // Validity contract. A cached walk is redone only when something it read
 // changed. It read two things, and each has its own door.
 //
-// Routes. A walk reads Lookup(AS, Dst) at the ASes it crosses, so it is
+// Routes. A walk reads NextHop(AS, Dst) at the ASes it crosses, so it is
 // stale only if some AS it crossed forwards Dst differently. Two counters
 // bound that from either side, and an entry records both when it is stored:
 // one stamp per AS run of its Hops (RIB.FwdVersion: that AS changed how it

@@ -363,13 +363,13 @@ func FuzzWalkCache(f *testing.F) {
 // loopRIB routes every destination around a two-AS cycle, the forwarding
 // loop a real RIB only shows mid-convergence: no walk ever ends for a
 // reason other than running out of TTL.
-type loopRIB struct{ a, b *bgp.Route }
+type loopRIB struct{ a, b topo.ASN }
 
-func (r loopRIB) Lookup(asn topo.ASN, _ netip.Addr) (*bgp.Route, bool) {
-	if asn == 1 {
-		return r.a, true
+func (r loopRIB) NextHop(asn topo.ASN, _ netip.Addr) (topo.ASN, bool, bool) {
+	if asn == r.a {
+		return r.b, false, true
 	}
-	return r.b, true
+	return r.a, false, true
 }
 
 func (loopRIB) RIBVersion() uint64           { return 0 }
@@ -468,9 +468,46 @@ func TestTTLPrefixOfFullWalk(t *testing.T) {
 
 	t.Run("forwarding loop", func(t *testing.T) {
 		ltop, _, _ := lineNet(t)
-		rib := loopRIB{a: &bgp.Route{Path: topo.Path{2, 3}}, b: &bgp.Route{Path: topo.Path{1, 3}}}
+		rib := loopRIB{a: 1, b: 2}
 		src := hub(ltop, 1)
 		check(t, New(ltop, rib), New(ltop, rib), src,
 			Packet{Src: ltop.Router(src).Addr, Dst: ltop.Router(hub(ltop, 3)).Addr}, TTLExpired)
 	})
+}
+
+// staleRIB is an engine whose version counters all move at every
+// RIBVersion read, so every walk the plane stored is stale when next asked
+// for and is walked again.
+type staleRIB struct {
+	*bgp.Engine
+	v uint64
+}
+
+func (r *staleRIB) RIBVersion() uint64           { r.v++; return r.v }
+func (r *staleRIB) FwdVersion(int) uint64        { return r.v }
+func (r *staleRIB) DstVersion(netip.Addr) uint64 { return r.v }
+
+// TestWalkMissAllocations pins what a walk-cache miss costs the heap: one
+// object, the array of the hops the stored walk keeps. The route reads
+// (RIB.NextHop), the match context and the slot's stamps allocate nothing.
+func TestWalkMissAllocations(t *testing.T) {
+	w := newWalkWorld(t, topogen.Config{Seed: 7, NumTransit: 12, NumStub: 48})
+	pl := New(w.gen.Top, &staleRIB{Engine: w.eng})
+	pl.Instrument(obs.New())
+	from := w.gen.Top.AS(w.gen.Stubs[0]).Routers[0]
+	pkt := Packet{Src: w.gen.Top.Router(from).Addr, Dst: topo.ProductionAddr(w.gen.Stubs[9])}
+	res := pl.Forward(from, pkt) // stores the slot
+	if !res.Delivered() || len(res.Hops) < 4 || len(res.Hops) > 16 {
+		t.Fatalf("want a multi-hop delivered walk inside the first hop block, got %v", &res)
+	}
+	e := pl.walks[walkKey{from: from, dst: v4(pkt.Dst), src: v4(pkt.Src)}]
+	before := e.walks
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, func() { pl.Forward(from, pkt) })
+	if walked := e.walks - before; walked != runs+1 {
+		t.Fatalf("%d of %d Forwards walked: the test needs every one to miss", walked, runs+1)
+	}
+	if allocs != 1 {
+		t.Fatalf("a walk-cache miss allocates %v objects, want 1 (the hop array)", allocs)
+	}
 }

@@ -22,13 +22,16 @@ import (
 // classic three phases: uphill from the origin through providers, one
 // optional peer hop, then downhill through customers.
 func Reach(top *topo.Topology, origin topo.ASN, avoid map[topo.ASN]bool) map[topo.ASN]bool {
-	reached := make(map[topo.ASN]bool)
 	if avoid[origin] {
-		return reached
+		return map[topo.ASN]bool{}
 	}
+	// Every AS enters the set and each queue at most once, so sizing all
+	// three for every AS up front means none of them ever grows.
+	n := top.NumASes()
+	reached := make(map[topo.ASN]bool, n)
 
 	// Phase 1 — uphill: ASes with a customer route to origin.
-	up := []topo.ASN{origin}
+	up := append(make([]topo.ASN, 0, n), origin)
 	reached[origin] = true
 	for len(up) > 0 {
 		cur := up[0]
@@ -44,13 +47,12 @@ func Reach(top *topo.Topology, origin topo.ASN, avoid map[topo.ASN]bool) map[top
 	// Phase 2 — one peer edge off any uphill AS. The result is a set, so
 	// expansion order cannot change it, but keep the walk in ASN order
 	// anyway: determinism by construction beats determinism by argument.
-	var frontier []topo.ASN
+	frontier := make([]topo.ASN, 0, len(reached))
 	for asn := range reached {
 		frontier = append(frontier, asn)
 	}
 	slices.Sort(frontier)
-	var down []topo.ASN
-	down = append(down, frontier...)
+	down := append(make([]topo.ASN, 0, n), frontier...)
 	for _, u := range frontier {
 		for _, p := range top.Peers(u) {
 			if !reached[p] && !avoid[p] {

@@ -54,10 +54,16 @@ cd "$(dirname "$0")/.."
 # allocs_per_op was re-recorded once more (0.508483 before) when both
 # adj-RIBs became one table of session slots per speaker: the per-prefix
 # adj-RIB-in arrays and the slab chunks they were carved from are gone,
-# −6.2 %.
+# −6.2 %. repair's allocs_per_op was re-recorded (397.90 before, −51 %)
+# when the repair pipeline stopped building values nobody reads: the data
+# plane reads a next hop where it built a *bgp.Route per lookup after a
+# route change, isolation reads the atlas records in place and reuses its
+# horizon map and hop buffer, the horizon's reverse traceroutes keep no
+# hops, a pending repair is one value where it was a closure chain, and
+# splice.Reach sizes its set and queues once.
 #
 #        workload  sim_latency_s      updates_per_op      allocs_per_op
-expect=("repair    382.1728918139953  1427.4567307692307  397.90"
+expect=("repair    382.1728918139953  1427.4567307692307  196.05"
         "converge  246.383297183625   1.946382            0.477083"
         "churn     198.1138306302584  3498.65             2021.93"
         "traffic   43.503350000000005 0.0000540981811412644 -")

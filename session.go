@@ -431,36 +431,50 @@ func (s *Session) handleOutage(o *monitor.Outage) {
 	if t := o.Start + minAge; t > decideAt {
 		decideAt = t
 	}
-	var decide func()
-	waiting := false // an AlreadyActive verdict has been logged for this outage
-	decide = func() {
-		if s.removed || !s.Monitor.Down(o.VP, o.Target) {
-			return // removed, or healed while we waited
-		}
-		if !s.repairsAllowed() {
-			// Stopped, control crashed or failsafe tripped: the repair
-			// is deferred, not dropped — retry a round later, so the
-			// pipeline resumes once the session is running again.
-			s.Net.Clk.After(s.Monitor.Interval(), decide)
-			return
-		}
-		action := s.Remedy.DecideAndRepair(rep, o.Start)
-		if !(waiting && action == remedy.AlreadyActive) {
-			s.log(Event{
-				At: s.Net.Clk.Now(), Kind: EventRepair, VP: o.VP, Target: o.Target,
-				Outage: o, Report: rep, Action: action, Avoided: rep.Blamed,
-			})
-		}
-		if action == remedy.AlreadyActive {
-			// Another pair's poison is up (one repair at a time). If this
-			// outage outlives it, it still needs its own decision: ask
-			// again a round later, from the stored report, logging the
-			// wait once.
-			waiting = true
-			s.Net.Clk.After(s.Monitor.Interval(), decide)
-		}
+	p := &pendingRepair{s: s, o: o, rep: rep}
+	p.decide = p.run
+	s.Net.Clk.At(decideAt, p.decide)
+}
+
+// pendingRepair is one isolated outage waiting for its poison decision:
+// the outage, its report, and whether an AlreadyActive verdict has been
+// logged for it. decide is run bound once, so every re-arm reuses it.
+type pendingRepair struct {
+	s       *Session
+	o       *monitor.Outage
+	rep     *isolation.Report
+	waiting bool
+	decide  func()
+}
+
+// run decides the repair, or re-arms itself a monitor round later when the
+// decision has to wait.
+func (p *pendingRepair) run() {
+	s, o, rep := p.s, p.o, p.rep
+	if s.removed || !s.Monitor.Down(o.VP, o.Target) {
+		return // removed, or healed while we waited
 	}
-	s.Net.Clk.At(decideAt, decide)
+	if !s.repairsAllowed() {
+		// Stopped, control crashed or failsafe tripped: the repair is
+		// deferred, not dropped — retry a round later, so the pipeline
+		// resumes once the session is running again.
+		s.Net.Clk.After(s.Monitor.Interval(), p.decide)
+		return
+	}
+	action := s.Remedy.DecideAndRepair(rep, o.Start)
+	if !(p.waiting && action == remedy.AlreadyActive) {
+		s.log(Event{
+			At: s.Net.Clk.Now(), Kind: EventRepair, VP: o.VP, Target: o.Target,
+			Outage: o, Report: rep, Action: action, Avoided: rep.Blamed,
+		})
+	}
+	if action == remedy.AlreadyActive {
+		// Another pair's poison is up (one repair at a time). If this
+		// outage outlives it, it still needs its own decision: ask again
+		// a round later, from the stored report, logging the wait once.
+		p.waiting = true
+		s.Net.Clk.After(s.Monitor.Interval(), p.decide)
+	}
 }
 
 // EventsOfKind filters the history.
