@@ -4,8 +4,9 @@
 // faults (link cuts, unidirectional loss, probabilistic packet loss, BGP
 // session resets, router crash/restart, control-plane slowdowns) injected
 // and healed at scripted virtual times, with an invariant checker run at
-// barriers (no forwarding loops, every route the one refsolve computes,
-// sentinel reachability, and "all faults healed ⇒ back to baseline").
+// barriers (every AS forwards, longest match included, on the route
+// refsolve computes; sentinel reachability; "all faults healed ⇒ back to
+// baseline").
 //
 // Everything is deterministic under the repo-wide contracts: faults fire at
 // virtual times on the shared simclock.Scheduler, the stochastic script

@@ -3,6 +3,8 @@ package chaos
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"net/netip"
 	"slices"
 	"strings"
 	"testing"
@@ -274,21 +276,85 @@ func TestRunnerCatchesBaselineDivergence(t *testing.T) {
 	}
 }
 
-// TestOracleCatchesStaleRoutes: told that nobody originates F's block, the
-// oracle must flag the route every AS still holds to it — a prefix that is
-// held but not originated is checked too.
+// TestOracleCatchesStaleRoutes: told that F no longer originates one of its
+// prefixes, the oracle must flag the route every AS still forwards on — a
+// prefix that is held but not originated is checked too. F's production /24
+// sits inside its sentinel /23, so each AS must fall back to the /23 (only
+// the lookup comparison names it); a /23 its two /24s cover whole is still
+// compared through Best.
 func TestOracleCatchesStaleRoutes(t *testing.T) {
-	tgt, _ := fig2Target(t)
-	chk := &checker{tgt: tgt}
-	in := chk.gather()
-	chk.checkOracle(in)
-	if len(chk.violations) != 0 {
-		t.Fatalf("oracle fired on the converged Fig. 2 world: %v", chk.violations)
+	sentinel, production := topo.SentinelPrefix(nettest.F), topo.ProductionPrefix(nettest.F)
+	other := netip.PrefixFrom(topo.SentinelProbeAddr(nettest.F), 24).Masked()
+	for _, tc := range []struct {
+		name          string
+		originate     []netip.Prefix // besides every AS's block
+		stale, answer netip.Prefix   // refsolve's route is answer's, or none
+	}{
+		{"block", nil, topo.Block(nettest.F), topo.Block(nettest.F)},
+		{"production inside sentinel", []netip.Prefix{sentinel, production}, production, sentinel},
+		{"sentinel covered whole", []netip.Prefix{sentinel, production, other}, sentinel, sentinel},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tgt, n := fig2Target(t)
+			for _, p := range tc.originate {
+				tgt.Eng.Originate(nettest.F, p)
+			}
+			n.Converge(t)
+			chk := &checker{tgt: tgt}
+			in := chk.gather()
+			chk.checkOracle(in)
+			if len(chk.violations) != 0 {
+				t.Fatalf("oracle fired on the converged Fig. 2 world: %v", chk.violations)
+			}
+			delete(in.origins, tc.stale)
+			chk.checkOracle(in)
+			if got, want := len(chk.violations), tgt.Top.NumASes(); got != want {
+				t.Fatalf("%d oracle violations, want one per AS (%d): %v", got, want, chk.violations)
+			}
+			engine, refsolve := fmt.Sprintf("%v: engine &{Prefix:%[1]v ", tc.stale), fmt.Sprintf("}, refsolve %v &{", tc.answer)
+			if tc.answer == tc.stale {
+				refsolve = fmt.Sprintf("}, refsolve %v <nil>", tc.answer)
+			}
+			for _, v := range chk.violations {
+				if !strings.Contains(v.Detail, engine) || !strings.Contains(v.Detail, refsolve) {
+					t.Errorf("violation %q does not name %q and %q", v.Detail, engine, refsolve)
+				}
+			}
+		})
 	}
-	delete(in.origins, topo.Block(nettest.F))
-	chk.checkOracle(in)
-	if got, want := len(chk.violations), tgt.Top.NumASes(); got != want {
-		t.Fatalf("%d oracle violations, want one per AS (%d): %v", got, want, chk.violations)
+}
+
+// TestExclusiveMatchesScan holds exclusive to a scan of every address of p
+// over seeded random prefix sets inside one /24, and to the /0 that two /1s
+// cover whole (the step past 128.0.0.0/1 must not wrap to 0.0.0.0).
+func TestExclusiveMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	base := netip.MustParsePrefix("10.1.2.0/24")
+	for trial := 0; trial < 500; trial++ {
+		pfxs := []netip.Prefix{base}
+		for k := rng.Intn(12); k > 0; k-- {
+			addr := base.Addr().As4()
+			addr[3] = byte(rng.Intn(256))
+			pfxs = append(pfxs, netip.PrefixFrom(netip.AddrFrom4(addr), 24+rng.Intn(9)).Masked())
+		}
+		for _, p := range pfxs {
+			want, wantOK := netip.Addr{}, false
+			for a := p.Addr(); p.Contains(a) && !wantOK; a = a.Next() {
+				wantOK = !slices.ContainsFunc(pfxs, func(q netip.Prefix) bool { return q.Bits() > p.Bits() && q.Contains(a) })
+				want = a
+			}
+			if got, ok := exclusive(p, pfxs); ok != wantOK || ok && got != want {
+				t.Fatalf("exclusive(%v, %v) = %v, %v; the scan finds %v, %v", p, pfxs, got, ok, want, wantOK)
+			}
+		}
+	}
+	all := netip.MustParsePrefix("0.0.0.0/0")
+	halves := []netip.Prefix{all, netip.MustParsePrefix("0.0.0.0/1"), netip.MustParsePrefix("128.0.0.0/1")}
+	if got, ok := exclusive(all, halves); ok {
+		t.Fatalf("exclusive(%v, %v) = %v, want none", all, halves, got)
+	}
+	if got, ok := exclusive(all, halves[:2]); !ok || got != netip.MustParsePrefix("128.0.0.0/1").Addr() {
+		t.Fatalf("exclusive(%v, %v) = %v, %v; want 128.0.0.0", all, halves[:2], got, ok)
 	}
 }
 

@@ -1,12 +1,15 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"net/netip"
 	"reflect"
+	"slices"
 	"time"
 
+	"lifeguard/internal/bgp"
 	"lifeguard/internal/bgp/refsolve"
 	"lifeguard/internal/dataplane"
 	"lifeguard/internal/obs"
@@ -16,16 +19,14 @@ import (
 // Invariant names one checked property.
 type Invariant string
 
-// The checked invariants. Loop and oracle checks run at every barrier, the
-// oracle also at arm; baseline and reachability only when no fault is
-// active (a healthy network must look healthy); unhealed runs at the final
-// barrier.
+// The checked invariants. The oracle runs at arm and at every barrier;
+// baseline and reachability only when no fault is active (a healthy network
+// must look healthy); unhealed runs at the final barrier.
 const (
-	// InvForwardLoop: no AS-level forwarding loop in any LPM walk.
-	InvForwardLoop Invariant = "forward-loop"
-	// InvOracle: every AS holds, for every prefix the engine has seen, the
-	// route refsolve.Solve gives over the engine's originations and down
-	// sessions (exact once the control plane has drained).
+	// InvOracle: every AS forwards, for every prefix the engine has seen, on
+	// the route refsolve.Solve gives over the engine's originations and down
+	// sessions, longest match included (exact once the control plane has
+	// drained).
 	InvOracle Invariant = "oracle-mismatch"
 	// InvConvergence: the control plane drains within the barrier budget.
 	InvConvergence Invariant = "convergence"
@@ -104,64 +105,68 @@ func (c *checker) report(inv Invariant, detail string) {
 	c.tgt.journal("violation", obs.F("invariant", inv), obs.F("detail", detail))
 }
 
-// checkLoops walks the AS-level forwarding graph from every AS toward every
-// other AS's hub address and reports any cycle. The walk follows
-// Engine.Lookup next hops — the same LPM state the data plane uses — so a
-// cycle here is a packet that would ping-pong until TTL death.
-func (c *checker) checkLoops() {
-	top := c.tgt.Top
-	asns := top.ASNs()
-	for _, dst := range asns {
-		addr := top.Router(top.AS(dst).Routers[0]).Addr
-		for _, src := range asns {
-			if src == dst {
-				continue
+// checkOracle holds every AS to refsolve.Solve over in, for every prefix
+// the engine has seen, and compares what the AS forwards on: Engine.Lookup
+// at the prefix's lowest address no more-specific covers must return the
+// solution's route of the longest covering prefix the AS has one for (a
+// prefix covered whole goes through Best). No packet is forwarded.
+func (c *checker) checkOracle(in inputs) {
+	top, eng := c.tgt.Top, c.tgt.Eng
+	pfxs := eng.Prefixes()
+	sols := make(map[netip.Prefix]map[topo.ASN]*refsolve.Route, len(pfxs))
+	for _, p := range pfxs {
+		sol, err := refsolve.Solve(top, in.down, in.origins[p])
+		if err != nil {
+			c.report(InvOracle, fmt.Sprintf("%v: %v", p, err))
+		}
+		sols[p] = sol
+	}
+	for _, p := range pfxs {
+		chain := slices.DeleteFunc(slices.Clone(pfxs), func(q netip.Prefix) bool { return q.Bits() > p.Bits() || !q.Contains(p.Addr()) })
+		slices.SortFunc(chain, func(a, b netip.Prefix) int { return b.Bits() - a.Bits() }) // p first
+		addr, lookup := exclusive(p, pfxs)
+		for _, asn := range top.ASNs() {
+			var r *bgp.Route
+			want := p
+			if lookup {
+				r, _ = eng.Lookup(asn, addr)
+				for _, want = range chain {
+					if sols[want] == nil || sols[want][asn] != nil {
+						break
+					}
+				}
+			} else {
+				r, _ = eng.Speaker(asn).Best(p)
 			}
-			seen := map[topo.ASN]bool{src: true}
-			cur := src
-			for {
-				r, ok := c.tgt.Eng.Lookup(cur, addr)
-				if !ok {
-					break // no route: a drop, not a loop
-				}
-				nh, ok := r.NextHop()
-				if !ok {
-					break // originated: delivered
-				}
-				if seen[nh] {
-					c.report(InvForwardLoop,
-						fmt.Sprintf("AS%d toward AS%d (%v) revisits AS%d", src, dst, addr, nh))
-					break
-				}
-				seen[nh] = true
-				cur = nh
+			var got *refsolve.Route
+			if r != nil {
+				got = &refsolve.Route{Path: r.Path, From: r.From, Rel: r.Rel, LocalPref: r.LocalPref, Originated: r.Originated}
+			}
+			if sols[want] != nil && (!got.Equal(sols[want][asn]) || got != nil && r.Prefix != want) {
+				c.report(InvOracle, fmt.Sprintf("AS%d %v: engine %+v, refsolve %v %+v", asn, p, r, want, sols[want][asn]))
 			}
 		}
 	}
 }
 
-// checkOracle holds every AS's route for every prefix the engine has seen
-// to refsolve.Solve over in, so a stale route to a prefix nobody originates
-// fails too. It reads loc-RIBs only: forwarding a packet would move the data
-// plane's counters and walk cache.
-func (c *checker) checkOracle(in inputs) {
-	top, eng := c.tgt.Top, c.tgt.Eng
-	for _, p := range eng.Prefixes() {
-		sol, err := refsolve.Solve(top, in.down, in.origins[p])
-		if err != nil {
-			c.report(InvOracle, fmt.Sprintf("%v: %v", p, err))
-			continue
-		}
-		for _, asn := range top.ASNs() {
-			var got *refsolve.Route
-			if r, ok := eng.Speaker(asn).Best(p); ok {
-				got = &refsolve.Route{Path: r.Path, From: r.From, Rel: r.Rel, LocalPref: r.LocalPref, Originated: r.Originated}
-			}
-			if !got.Equal(sol[asn]) {
-				c.report(InvOracle, fmt.Sprintf("AS%d %v: engine %+v, refsolve %+v", asn, p, got, sol[asn]))
+// exclusive returns the lowest address of the IPv4 prefix p that no prefix
+// of pfxs longer than p covers, and false if those cover p whole.
+func exclusive(p netip.Prefix, pfxs []netip.Prefix) (netip.Addr, bool) {
+	span := func(q netip.Prefix) (lo, end uint64) {
+		b := q.Addr().As4()
+		lo = uint64(binary.BigEndian.Uint32(b[:]))
+		return lo, lo + 1<<(32-q.Bits())
+	}
+	a, end := span(p)
+	for moved := true; moved && a < end; {
+		moved = false
+		for _, q := range pfxs {
+			if lo, hi := span(q); q.Bits() > p.Bits() && lo <= a && a < hi {
+				a, moved = hi, true
 			}
 		}
 	}
+	return netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}), a < end
 }
 
 // checkBaseline compares the routing inputs with those at arm: one

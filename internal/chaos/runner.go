@@ -35,7 +35,6 @@ type Runner struct {
 	barriers int
 
 	mInject, mHeal, mBarrier *obs.Counter
-	mViolation               func(Invariant) *obs.Counter
 }
 
 // Report summarizes a finished run. Its String form is deterministic —
@@ -94,16 +93,13 @@ func NewRunner(tgt *Target, script *Script, opts Options) (*Runner, error) {
 	r.mInject = opts.Obs.Counter("lifeguard_chaos_faults_injected_total")
 	r.mHeal = opts.Obs.Counter("lifeguard_chaos_faults_healed_total")
 	r.mBarrier = opts.Obs.Counter("lifeguard_chaos_barriers_total")
-	r.mViolation = func(inv Invariant) *obs.Counter {
-		return opts.Obs.Counter("lifeguard_chaos_violations_total", obs.L("invariant", string(inv)))
-	}
 	return r, nil
 }
 
 // event is one runner action on the flattened timeline.
 type event struct {
 	at   time.Duration
-	kind int // 0 inject, 1 heal, 2 check — also the same-time tiebreak
+	kind int // 0 heal, 1 inject, 2 check — also the same-time tiebreak
 	f    Fault
 }
 
@@ -137,9 +133,9 @@ func (r *Runner) Run() (*Report, error) {
 			continue
 		}
 		rep.Faults++
-		timeline = append(timeline, event{at: start + st.At, kind: 0, f: st.Fault})
+		timeline = append(timeline, event{at: start + st.At, kind: 1, f: st.Fault})
 		if st.For > 0 {
-			timeline = append(timeline, event{at: start + st.At + st.For, kind: 1, f: st.Fault})
+			timeline = append(timeline, event{at: start + st.At + st.For, kind: 0, f: st.Fault})
 		}
 	}
 	// Heals before injects before checks at the same instant, original
@@ -150,8 +146,7 @@ func (r *Runner) Run() (*Report, error) {
 		if timeline[i].at != timeline[j].at {
 			return timeline[i].at < timeline[j].at
 		}
-		order := func(k int) int { return [3]int{1, 0, 2}[k] }
-		return order(timeline[i].kind) < order(timeline[j].kind)
+		return timeline[i].kind < timeline[j].kind
 	})
 
 	for _, ev := range timeline {
@@ -159,13 +154,13 @@ func (r *Runner) Run() (*Report, error) {
 			r.tgt.Clk.RunUntil(ev.at)
 		}
 		switch ev.kind {
-		case 0:
+		case 1:
 			ev.f.Inject(r.tgt)
 			r.active[ev.f] = true
 			r.injected++
 			r.mInject.Inc()
 			r.tgt.journal("inject", obs.F("fault", ev.f))
-		case 1:
+		case 0:
 			ev.f.Heal(r.tgt)
 			delete(r.active, ev.f)
 			r.healed++
@@ -184,7 +179,7 @@ func (r *Runner) Run() (*Report, error) {
 	rep.End = r.tgt.Clk.Now()
 	rep.Violations = r.chk.violations
 	for _, v := range rep.Violations {
-		r.mViolation(v.Invariant).Inc()
+		r.opts.Obs.Counter("lifeguard_chaos_violations_total", obs.L("invariant", string(v.Invariant))).Inc()
 	}
 	r.tgt.journal("finish",
 		obs.F("injected", rep.Injected), obs.F("healed", rep.Healed),
@@ -192,10 +187,10 @@ func (r *Runner) Run() (*Report, error) {
 	return rep, nil
 }
 
-// barrier drains the control plane and runs the invariant suite. Loop and
-// oracle checks always run; baseline and reachability only when the network
-// should be healthy (zero active faults); the unhealed check only at the
-// final barrier.
+// barrier drains the control plane and runs the invariant suite. The oracle
+// always runs; baseline and reachability only when the network should be
+// healthy (zero active faults); the unhealed check only at the final
+// barrier.
 func (r *Runner) barrier(final bool) {
 	r.barriers++
 	r.mBarrier.Inc()
@@ -204,7 +199,6 @@ func (r *Runner) barrier(final bool) {
 		r.chk.report(InvConvergence,
 			fmt.Sprintf("control plane still busy after %d steps", bgp.MaxConvergeSteps))
 	}
-	r.chk.checkLoops()
 	in := r.chk.gather()
 	r.chk.checkOracle(in)
 	if final {

@@ -23,9 +23,10 @@ import (
 // deployment (a multihomed origin watching remote targets), schedules
 // outage-calibrated faults on the monitored reverse paths, lets a
 // lifeguard.Session race them with poisoning repairs, and runs the
-// chaos invariant checker over the whole timeline: any forwarding loop,
-// route that differs from refsolve's stable state, or failure to converge
-// back to baseline is a violation, and the experiment demands zero.
+// chaos invariant checker over the whole timeline: any route an AS forwards
+// on that differs from refsolve's stable state (longest match included), or
+// failure to converge back to baseline, is a violation, and the experiment
+// demands zero.
 
 // chaosIntensities are the fault-density multipliers swept (1.0 keeps the
 // §2.1-calibrated 5-minute mean interarrival; 2.0 packs faults twice as
