@@ -58,7 +58,10 @@ daemon-smoke:
 # uncached walk), the control plane (random op streams of announcements,
 # withdrawals, session changes and partial convergence on a world with the
 # §7.1 import quirks, every route held to the decision order over AdjIn and
-# at every quiescent point to refsolve's stable state), the held probes
+# at every quiescent point to refsolve's stable state), the reference
+# solver (random shuffled-ASN provider trees and announcements, poisons,
+# prepends, withholds, second origins and down sessions: refsolve's two
+# sweeps held to the round iteration they replaced), the held probes
 # (held pings, traces and reverse traces against the one-shot primitives
 # on a twin plane, under route, rule and router-flag changes), the
 # scheduler (random op
@@ -71,13 +74,14 @@ daemon-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzWalkCache -fuzztime=20s ./internal/dataplane/
 	$(GO) test -run '^$$' -fuzz=FuzzConverge -fuzztime=10s ./internal/bgp/
+	$(GO) test -run '^$$' -fuzz=FuzzSolve -fuzztime=10s ./internal/bgp/refsolve/
 	$(GO) test -run '^$$' -fuzz=FuzzHeldProbes -fuzztime=10s ./internal/probe/
 	$(GO) test -run '^$$' -fuzz=FuzzScheduler -fuzztime=15s ./internal/simclock/
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz=FuzzChurn -fuzztime=5s ./internal/traffic/
 
 # bench-all is a 1x pass over every Go benchmark in the repo (-short skips
-# the 10k-AS ConvergenceScale case); CI runs it on every push so that a
+# the 10k-AS ConvergenceScale and Solve cases); CI runs it on every push so that a
 # benchmark that stops compiling or panics is seen. Performance is judged by the paired
 # harness in benchmark/ (bash benchmark/run.sh --workload <w>; see
 # BENCHMARK.json), not by these.

@@ -205,14 +205,14 @@ func (a *Atlas) Stop() {
 	}
 }
 
-// appendRecord adds rec to one direction's history, dropping the oldest
-// records beyond maxHistory.
+// appendRecord adds rec to one direction's history. A full history drops
+// its oldest record in place, so the array is allocated only while the
+// history grows.
 func (a *Atlas) appendRecord(h []PathRecord, rec PathRecord) []PathRecord {
-	h = append(h, rec)
-	if len(h) > maxHistory {
-		h = h[len(h)-maxHistory:]
+	if len(h) == maxHistory {
+		h = append(h[:0], h[1:]...)
 	}
-	return h
+	return append(h, rec)
 }
 
 func (a *Atlas) recordHops(hops []probe.Hop) {
@@ -223,7 +223,8 @@ func (a *Atlas) recordHops(hops []probe.Hop) {
 	}
 }
 
-// Forward returns the recorded vp→target measurements, oldest first.
+// Forward returns the recorded vp→target measurements, oldest first, valid
+// until the pair's next refresh: read them, never write through the slice.
 func (a *Atlas) Forward(vp topo.RouterID, target netip.Addr) []PathRecord {
 	if ps := a.pair(vp, target); ps != nil {
 		return ps.fwd
@@ -231,7 +232,8 @@ func (a *Atlas) Forward(vp topo.RouterID, target netip.Addr) []PathRecord {
 	return nil
 }
 
-// Reverse returns the recorded target→vp measurements, oldest first.
+// Reverse returns the recorded target→vp measurements, oldest first, valid
+// until the pair's next refresh: read them, never write through the slice.
 func (a *Atlas) Reverse(vp topo.RouterID, target netip.Addr) []PathRecord {
 	if ps := a.pair(vp, target); ps != nil {
 		return ps.rev
@@ -269,8 +271,8 @@ func (a *Atlas) AppendHistoricalHops(dst []probe.Hop, vp topo.RouterID, target n
 // LatestReverseBefore returns the reverse records strictly older than
 // cutoff, oldest first, for the §4.1.2 expanding suspect-set analysis: the
 // most recent of them is the last. Records are appended in clock order, so
-// they are a prefix of the stored history, and the slice returned is that
-// prefix itself, not a copy: read it, never write through it.
+// they are the stored history's prefix, returned as is (valid until the
+// pair's next refresh): read it, never write through it.
 func (a *Atlas) LatestReverseBefore(vp topo.RouterID, target netip.Addr, cutoff time.Duration) []PathRecord {
 	recs := a.Reverse(vp, target)
 	n := len(recs)

@@ -124,6 +124,32 @@ func TestMaxHistoryBound(t *testing.T) {
 	}
 }
 
+// TestFullHistoryRefreshAllocatesNothing: once a pair's history is full,
+// a refresh drops the oldest record in place; adding a record allocates
+// nothing and the history keeps its array.
+func TestFullHistoryRefreshAllocatesNothing(t *testing.T) {
+	n, a := setup(t)
+	for i := 0; i < maxHistory; i++ {
+		a.RefreshAll()
+		n.Clk.RunFor(time.Minute)
+	}
+	vp := n.Hub(nettest.VP1AS)
+	target := n.Top.Router(n.Hub(nettest.TargetAS)).Addr
+	ps := a.pair(vp, target)
+	fwd, rev := &ps.fwd[0], &ps.rev[0]
+	for i := 0; i < 3*maxHistory; i++ {
+		a.RefreshAll()
+		n.Clk.RunFor(time.Minute)
+	}
+	if &ps.fwd[0] != fwd || &ps.rev[0] != rev {
+		t.Fatal("a refresh of a full history moved it to a new array")
+	}
+	h, rec := ps.fwd, ps.fwd[len(ps.fwd)-1]
+	if allocs := testing.AllocsPerRun(100, func() { h = a.appendRecord(h, rec) }); allocs != 0 {
+		t.Fatalf("adding a record to a full history: %v allocations, want 0", allocs)
+	}
+}
+
 // TestAmortizedRefreshCost: a path measured for the first time costs the
 // from-scratch fullMeasureCost; re-confirming it unchanged costs only the
 // prober's amortized 10, and the traceroute is the same either way.

@@ -158,10 +158,7 @@ func newWorld(t testing.TB, name string, top *topo.Topology, seed int64, owners 
 	w.dstVer = make([]uint64, len(w.addrs))
 
 	o := owners[0]
-	plain, err := refsolve.Solve(top, nil, map[topo.ASN]refsolve.Origin{o: {}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := refsolve.Solve(top, nil, map[topo.ASN]refsolve.Origin{o: {}})
 	uses, far := map[topo.ASN]int{}, o
 	for _, asn := range w.asns {
 		w.nbrs[asn] = top.Neighbors(asn)
@@ -538,10 +535,7 @@ func (w *world) exact(t testing.TB, i int, engine map[topo.ASN]*refsolve.Route) 
 	p := w.pfxs[i]
 	sol := w.sols[p]
 	if sol == nil {
-		var err error
-		if sol, err = refsolve.Solve(w.top, w.down, w.origins[p]); err != nil {
-			w.fatalf(t, "%v: %v", p, err)
-		}
+		sol = refsolve.Solve(w.top, w.down, w.origins[p])
 		w.sols[p] = sol
 	}
 	w.solves++

@@ -1,9 +1,9 @@
 // Package refsolve is the control plane's reference solver: the policy the
 // bgp package documents, written once more with no interning, slabs, MRAI
-// or clock, and iterated to its fixed point one prefix at a time. Offer is
-// export and import over one session (origin config, split horizon,
-// valley-free export, loop prevention, FilterPeersFromCustomers), Winner
-// the decision order, Solve the fixpoint.
+// or clock, and solved one prefix at a time. Offer is export and import over
+// one session (origin config, split horizon, valley-free export, loop
+// prevention, FilterPeersFromCustomers), Winner the decision order, Decide
+// one AS's choice, Solve the stable state.
 //
 // The ranking is strict (one offer per neighbor, ties broken by neighbor
 // ASN), export is valley-free and topo.Builder.Build rejects a
@@ -19,11 +19,7 @@
 // can reach the reference.
 package refsolve
 
-import (
-	"fmt"
-
-	"lifeguard/internal/topo"
-)
+import "lifeguard/internal/topo"
 
 // Local preference of an originated route and by the relationship a route
 // was learned over.
@@ -140,28 +136,26 @@ func Decide(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]
 
 // Solve returns the route every AS selects for one prefix once nothing is in
 // flight, given the sessions down and who originates the prefix and how; an
-// AS without a route is absent. In each synchronous round every AS decides
-// from its neighbors' previous choices. Customer routes settle within the
-// hierarchy's depth in rounds, peer routes one round later, provider routes
-// within the depth again, and one more round finds nothing to change, so
-// Solve gives up after 2n+2 rounds on n ASes.
-func Solve(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin) (map[topo.ASN]*Route, error) {
-	best := map[topo.ASN]*Route{}
-	rounds := 2*top.NumASes() + 2
-	for round := 0; round < rounds; round++ {
-		next := make(map[topo.ASN]*Route, len(best))
-		changed := false
-		for _, asn := range top.ASNs() {
-			r := Decide(top, down, origins, asn, best)
-			changed = changed || !r.Equal(best[asn])
-			if r != nil {
-				next[asn] = r
-			}
+// AS without a route is absent. It is Decide run once per AS from the bottom
+// of the provider hierarchy up, then once more from the top down. An AS's
+// customer route depends only on its customers' customer routes, and
+// customer routes are all it exports to providers and peers, so the first
+// sweep settles every customer route. Its peer route then depends only on
+// its peers' customer routes and its provider route on its providers' final
+// routes, so the second sweep settles the rest.
+func Solve(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin) map[topo.ASN]*Route {
+	best := make(map[topo.ASN]*Route, top.NumASes())
+	decide := func(asn topo.ASN) {
+		if r := Decide(top, down, origins, asn, best); r != nil {
+			best[asn] = r
 		}
-		if !changed {
-			return best, nil
-		}
-		best = next
 	}
-	return nil, fmt.Errorf("refsolve: no fixed point after %d rounds on %d ASes", rounds, top.NumASes())
+	order := top.Hierarchy()
+	for i := len(order) - 1; i >= 0; i-- {
+		decide(order[i])
+	}
+	for _, asn := range order {
+		decide(asn)
+	}
+	return best
 }

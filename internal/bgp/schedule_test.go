@@ -419,10 +419,7 @@ func TestQuiescentStateIndependentOfSchedule(t *testing.T) {
 	}
 	for _, o := range gen.Stubs[:4] {
 		p := topo.ProductionPrefix(o)
-		sol, err := refsolve.Solve(gen.Top, nil, origins[p])
-		if err != nil {
-			t.Fatal(err)
-		}
+		sol := refsolve.Solve(gen.Top, nil, origins[p])
 		for _, asn := range gen.Top.ASNs() {
 			var got *refsolve.Route
 			if r, ok := e.BestRoute(asn, p); ok {

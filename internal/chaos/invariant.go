@@ -115,11 +115,7 @@ func (c *checker) checkOracle(in inputs) {
 	pfxs := eng.Prefixes()
 	sols := make(map[netip.Prefix]map[topo.ASN]*refsolve.Route, len(pfxs))
 	for _, p := range pfxs {
-		sol, err := refsolve.Solve(top, in.down, in.origins[p])
-		if err != nil {
-			c.report(InvOracle, fmt.Sprintf("%v: %v", p, err))
-		}
-		sols[p] = sol
+		sols[p] = refsolve.Solve(top, in.down, in.origins[p])
 	}
 	for _, p := range pfxs {
 		chain := slices.DeleteFunc(slices.Clone(pfxs), func(q netip.Prefix) bool { return q.Bits() > p.Bits() || !q.Contains(p.Addr()) })
@@ -131,7 +127,7 @@ func (c *checker) checkOracle(in inputs) {
 			if lookup {
 				r, _ = eng.Lookup(asn, addr)
 				for _, want = range chain {
-					if sols[want] == nil || sols[want][asn] != nil {
+					if sols[want][asn] != nil {
 						break
 					}
 				}
@@ -142,7 +138,7 @@ func (c *checker) checkOracle(in inputs) {
 			if r != nil {
 				got = &refsolve.Route{Path: r.Path, From: r.From, Rel: r.Rel, LocalPref: r.LocalPref, Originated: r.Originated}
 			}
-			if sols[want] != nil && (!got.Equal(sols[want][asn]) || got != nil && r.Prefix != want) {
+			if !got.Equal(sols[want][asn]) || got != nil && r.Prefix != want {
 				c.report(InvOracle, fmt.Sprintf("AS%d %v: engine %+v, refsolve %v %+v", asn, p, r, want, sols[want][asn]))
 			}
 		}

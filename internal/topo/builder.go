@@ -182,12 +182,12 @@ func (b *Builder) Build() (*Topology, error) {
 }
 
 // checkProviderHierarchy rejects a customer→provider cycle, on which routing
-// need not have one stable state (internal/bgp/refsolve). Kahn's algorithm
-// peels ASes whose providers are all peeled; one left over is on a cycle or
-// below one.
+// need not have one stable state (internal/bgp/refsolve), and keeps the
+// order it finds as t.hierarchy. Kahn's algorithm peels ASes whose providers
+// are all peeled; one left over is on a cycle or below one.
 func (t *Topology) checkProviderHierarchy() error {
 	left := make(map[ASN]int, len(t.asList)) // providers not yet peeled
-	var peeled []ASN
+	peeled := make([]ASN, 0, len(t.asList))
 	for _, asn := range t.asList {
 		if left[asn] = len(t.Providers(asn)); left[asn] == 0 {
 			peeled = append(peeled, asn)
@@ -205,6 +205,7 @@ func (t *Topology) checkProviderHierarchy() error {
 			return fmt.Errorf("topo: customer→provider cycle at or above AS %d", asn)
 		}
 	}
+	t.hierarchy = peeled
 	return nil
 }
 

@@ -187,10 +187,11 @@ func (p Path) String() string {
 // Topology is the immutable internetwork a simulation runs over. Build one
 // with a Builder. Mutable per-run state (RIBs, failures) lives elsewhere.
 type Topology struct {
-	ases    map[ASN]*AS
-	asList  []ASN // sorted, for deterministic iteration
-	routers []Router
-	links   []Link
+	ases      map[ASN]*AS
+	asList    []ASN // sorted, for deterministic iteration
+	hierarchy []ASN // each AS after all of its providers (Hierarchy)
+	routers   []Router
+	links     []Link
 
 	rels map[ASN]map[ASN]Rel
 	// byRel[asn][rel-1] lists asn's neighbors with that relationship, sorted
@@ -211,6 +212,10 @@ func (t *Topology) AS(asn ASN) *AS { return t.ases[asn] }
 
 // ASNs returns all ASNs in ascending order.
 func (t *Topology) ASNs() []ASN { return t.asList }
+
+// Hierarchy returns every ASN once, each after all of its providers, as
+// Build peeled them: the topology's own list, to read and not to modify.
+func (t *Topology) Hierarchy() []ASN { return t.hierarchy }
 
 // NumASes reports the number of ASes.
 func (t *Topology) NumASes() int { return len(t.asList) }
