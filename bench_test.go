@@ -149,11 +149,11 @@ func BenchmarkEndToEndRepair(b *testing.B) {
 		failAt := n.Clk.Now()
 		n.InjectFailure(lifeguard.BlackholeASTowards(asA, lifeguard.Block(asO)))
 		n.Clk.RunFor(25 * time.Minute)
-		recs := sys.EventsOfKind(lifeguard.EventRecovered)
-		if len(recs) == 0 {
+		outages := sys.Outages()
+		if len(outages) == 0 || outages[0].End == 0 {
 			b.Fatal("no recovery")
 		}
-		totalRepair += recs[0].At - failAt
+		totalRepair += outages[0].End - failAt
 	}
 	b.ReportMetric(totalRepair.Minutes()/float64(b.N), "repair_minutes_virtual")
 }

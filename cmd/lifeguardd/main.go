@@ -240,6 +240,7 @@ func run(seed int64, hours float64, failures, tenants, transits, stubs int, http
 
 	end := time.Duration(hours * float64(time.Hour))
 	interrupted := false
+	logged := map[lifeguard.EventKind]int{}
 loop:
 	for n.Clk.Now() < end {
 		select {
@@ -274,21 +275,16 @@ loop:
 		for _, v := range views {
 			for _, e := range v.s.History[v.logged:] {
 				printEvent(v, e)
+				logged[e.Kind]++
 			}
 			v.logged = len(v.s.History)
 		}
 	}
 	rig.Stop()
 
-	var outs, reps, unps, recs int
-	for _, v := range views {
-		outs += len(v.s.EventsOfKind(lifeguard.EventOutage))
-		reps += len(v.s.EventsOfKind(lifeguard.EventRepair))
-		unps += len(v.s.EventsOfKind(lifeguard.EventUnpoison))
-		recs += len(v.s.EventsOfKind(lifeguard.EventRecovered))
-	}
 	fmt.Printf("\nsummary: %d tenants, %d outages, %d repairs, %d unpoisons, %d recoveries over %.1f virtual hours",
-		len(views), outs, reps, unps, recs, n.Clk.Now().Hours())
+		len(views), logged[lifeguard.EventOutage], logged[lifeguard.EventRepair],
+		logged[lifeguard.EventUnpoison], logged[lifeguard.EventRecovered], n.Clk.Now().Hours())
 	if interrupted {
 		fmt.Printf(" (interrupted)")
 	}

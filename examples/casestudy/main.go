@@ -73,13 +73,13 @@ func main() {
 	fid := n.InjectFailure(lifeguard.BlackholeASTowards(UUNET, lifeguard.Block(Wisconsin)))
 	n.Clk.RunFor(20 * time.Minute)
 
-	for _, e := range sys.EventsOfKind(lifeguard.EventIsolated) {
+	for _, o := range sys.Outages() {
 		fmt.Printf("isolation: %v failure; reachability horizon puts the break in AS%d (UUNET)\n",
-			e.Report.Direction, e.Report.Blamed)
-		fmt.Printf("           traceroute alone would have blamed AS%d\n", e.Report.TracerouteBlame)
-	}
-	for _, e := range sys.EventsOfKind(lifeguard.EventRepair) {
-		fmt.Printf("repair:    %v at t=%v\n", e.Action, e.At.Round(time.Second))
+			o.Report.Direction, o.Report.Blamed)
+		fmt.Printf("           traceroute alone would have blamed AS%d\n", o.Report.TracerouteBlame)
+		if o.Decided != 0 {
+			fmt.Printf("repair:    %v at t=%v\n", o.Action, o.Decided.Round(time.Second))
+		}
 	}
 	route(n, "while poisoned")
 	if a := sys.Remedy.Active(); a != nil {

@@ -67,12 +67,12 @@ func main() {
 	fid := n.InjectFailure(lifeguard.BlackholeASTowards(A, lifeguard.Block(O)))
 	n.Clk.RunFor(15 * time.Minute)
 
-	for _, e := range sys.EventsOfKind(lifeguard.EventIsolated) {
+	for _, o := range sys.Outages() {
 		fmt.Printf("isolated: %v failure in AS%d (plain traceroute would blame AS%d)\n",
-			e.Report.Direction, e.Report.Blamed, e.Report.TracerouteBlame)
-	}
-	for _, e := range sys.EventsOfKind(lifeguard.EventRepair) {
-		fmt.Printf("repair:   %v — production prefix now announced as O-A-O\n", e.Action)
+			o.Report.Direction, o.Report.Blamed, o.Report.TracerouteBlame)
+		if o.Decided != 0 {
+			fmt.Printf("repair:   %v — production prefix now announced as O-A-O\n", o.Action)
+		}
 	}
 	show(n, "while poisoned", E)
 
@@ -83,11 +83,13 @@ func main() {
 	n.Converge()
 	show(n, "after unpoison", E)
 
+	logged := map[lifeguard.EventKind]int{}
+	for _, e := range sys.History {
+		logged[e.Kind]++
+	}
 	fmt.Printf("\nevent log: %d outages, %d repairs, %d unpoisons, %d recoveries\n",
-		len(sys.EventsOfKind(lifeguard.EventOutage)),
-		len(sys.EventsOfKind(lifeguard.EventRepair)),
-		len(sys.EventsOfKind(lifeguard.EventUnpoison)),
-		len(sys.EventsOfKind(lifeguard.EventRecovered)))
+		logged[lifeguard.EventOutage], logged[lifeguard.EventRepair],
+		logged[lifeguard.EventUnpoison], logged[lifeguard.EventRecovered])
 }
 
 // show prints how asn currently routes to O's production prefix.

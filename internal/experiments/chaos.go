@@ -86,12 +86,12 @@ func watchStubs(n *lifeguard.Network, stubs []topo.ASN, repair bool) (*lifeguard
 }
 
 // poisonsInstalled counts the poisons ses's repair loop announced. A
-// watchStubs session poisons only through DecideAndRepair, whose every
-// verdict the session logs.
+// watchStubs session poisons only through its outages' decisions, each of
+// which keeps the poison it installed.
 func poisonsInstalled(ses *lifeguard.Session) int {
 	n := 0
-	for _, e := range ses.History {
-		if e.Kind == lifeguard.EventRepair && e.Action == remedy.Poisoned {
+	for _, o := range ses.Outages() {
+		if o.Repair != nil {
 			n++
 		}
 	}
@@ -111,25 +111,17 @@ func chaosTrial(seed int64, intensity float64, reg *obs.Registry) chaosPart {
 		intensity:  intensity,
 		faults:     rep.Faults,
 		violations: len(rep.Violations),
+		poisons:    poisonsInstalled(ses),
 	}
-	// One pass over the session's history, outages in declaration order.
-	// A recovery logged while the victim's own poison was still up means
-	// the repair beat the scripted heal.
-	var poisoned netip.Addr
-	for _, e := range ses.History {
-		switch {
-		case e.Kind == lifeguard.EventOutage:
-			part.episodes++
-			if o := e.Outage; o.End > 0 {
-				part.recovered++
-				part.ttrSum += (o.End - o.Start).Seconds()
-			}
-		case e.Kind == lifeguard.EventRepair && e.Action == remedy.Poisoned:
-			part.poisons++
-			poisoned = e.Target
-		case e.Kind == lifeguard.EventUnpoison:
-			poisoned = netip.Addr{}
-		case e.Kind == lifeguard.EventRecovered && e.Target == poisoned:
+	// A recovery while the target's own poison was still up means the
+	// repair beat the scripted heal.
+	for _, o := range ses.Outages() {
+		part.episodes++
+		if o.End > 0 {
+			part.recovered++
+			part.ttrSum += (o.End - o.Start).Seconds()
+		}
+		if o.PoisonUp {
 			part.repaired++
 		}
 	}

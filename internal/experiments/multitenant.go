@@ -124,23 +124,28 @@ func multitenantTrial(seed int64, count int, reg *obs.Registry) mtPart {
 
 	part := mtPart{tenants: count, placed: len(scenarios)}
 	for _, s := range sessions {
-		outages := s.EventsOfKind(lifeguard.EventOutage)
+		outages := s.Outages()
 		if len(outages) == 0 {
 			continue
 		}
 		part.detected++
-		for _, e := range s.EventsOfKind(lifeguard.EventRepair) {
-			if e.Action == remedy.Poisoned {
-				part.poisoned++
-				part.ttrSum += (e.At - outages[0].At).Seconds()
-				break
+		var first *remedy.Repair
+		recovered := false
+		for _, o := range outages {
+			if r := o.Repair; r != nil && (first == nil || r.Started < first.Started) {
+				first = r
+			}
+			recovered = recovered || o.End != 0
+		}
+		if first != nil {
+			part.poisoned++
+			part.ttrSum += (first.Started - outages[0].Detected).Seconds()
+			if first.Ended != 0 { // one repair at a time: any unpoison ends the first
+				part.unpoison++
 			}
 		}
-		if len(s.EventsOfKind(lifeguard.EventRecovered)) > 0 {
+		if recovered {
 			part.recovered++
-		}
-		if len(s.EventsOfKind(lifeguard.EventUnpoison)) > 0 {
-			part.unpoison++
 		}
 	}
 	return part

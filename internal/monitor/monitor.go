@@ -41,6 +41,8 @@ type Outage struct {
 	// Start is when the first failed round was sent; End is when a round
 	// succeeded again (zero while ongoing).
 	Start, End time.Duration
+	// Seq numbers the monitor's declarations, from 0 in declaration order.
+	Seq int
 }
 
 // pair is one watched (vantage point, source, target), the ping it sends
@@ -76,7 +78,8 @@ type Monitor struct {
 	// heartbeat a failsafe watchdog uses to detect monitor loss.
 	OnRound func()
 
-	pairs []*pair
+	pairs    []*pair
+	declared int
 
 	ticker  simclock.EventID
 	started bool
@@ -211,22 +214,12 @@ func (m *Monitor) roundFor(p *pair) {
 	}
 	p.consecFails++
 	if p.consecFails == failThreshold && p.current == nil {
-		o := &Outage{VP: p.vp, Target: p.target, Start: p.firstFail}
+		o := &Outage{VP: p.vp, Target: p.target, Start: p.firstFail, Seq: m.declared}
+		m.declared++
 		p.current = o
 		m.obs.outages.Inc()
 		if m.OnOutage != nil {
 			m.OnOutage(o)
 		}
 	}
-}
-
-// Down reports whether any monitored pair between vp and target (whatever
-// its source address) is currently in a declared outage.
-func (m *Monitor) Down(vp topo.RouterID, target netip.Addr) bool {
-	for _, p := range m.pairs {
-		if p.vp == vp && p.target == target && p.current != nil {
-			return true
-		}
-	}
-	return false
 }

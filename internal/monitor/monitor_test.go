@@ -54,9 +54,6 @@ func TestOutageDeclaredAfterThreshold(t *testing.T) {
 	if o.Start < failAt {
 		t.Fatalf("outage start %v before failure %v", o.Start, failAt)
 	}
-	if !m.Down(o.VP, o.Target) {
-		t.Fatal("Down should report true")
-	}
 	if o.End != 0 {
 		t.Fatalf("open outage has an end: %+v", o)
 	}
@@ -90,9 +87,6 @@ func TestRecoveryEndsOutage(t *testing.T) {
 	d := o.End - o.Start
 	if d < 15*time.Minute || d > 25*time.Minute {
 		t.Fatalf("duration = %v", d)
-	}
-	if m.Down(o.VP, o.Target) {
-		t.Fatal("pair still marked down after recovery")
 	}
 }
 
@@ -148,9 +142,6 @@ func TestPartialOutageOnlyAffectedVP(t *testing.T) {
 	}
 	if (*declared)[0].VP != n.Hub(nettest.VP1AS) {
 		t.Fatal("wrong VP blamed")
-	}
-	if m.Down(n.Hub(nettest.VP5AS), target) {
-		t.Fatal("VP5 should be unaffected — this is a partial outage")
 	}
 }
 

@@ -23,6 +23,16 @@ const (
 	asF lifeguard.ASN = 70
 )
 
+// logged counts s's history events of kind k.
+func logged(s *lifeguard.Session, k lifeguard.EventKind) (n int) {
+	for _, e := range s.History {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
 func fig2Network(t *testing.T) *lifeguard.Network {
 	t.Helper()
 	return fig2NetworkWith(t, lifeguard.NetworkOptions{Seed: 11})
@@ -71,34 +81,29 @@ func TestEndToEndRepairLifecycle(t *testing.T) {
 	n.Clk.RunFor(20 * time.Minute)
 
 	// Outage detected and isolated to A, reverse direction.
-	outages := sys.EventsOfKind(lifeguard.EventOutage)
+	outages := sys.Outages()
 	if len(outages) == 0 {
 		t.Fatal("no outage detected")
 	}
-	isolated := sys.EventsOfKind(lifeguard.EventIsolated)
-	if len(isolated) == 0 {
-		t.Fatal("no isolation ran")
-	}
-	rep := isolated[0].Report
-	if rep.Blamed != topo.ASN(asA) || rep.Direction != isolation.Reverse {
+	o := outages[0]
+	if rep := o.Report; rep.Blamed != topo.ASN(asA) || rep.Direction != isolation.Reverse {
 		t.Fatalf("isolated %d/%v, want A/reverse", rep.Blamed, rep.Direction)
 	}
 
 	// Repair: poisoned, and not before the outage aged past the threshold.
-	repairs := sys.EventsOfKind(lifeguard.EventRepair)
-	if len(repairs) == 0 {
+	if o.Decided == 0 {
 		t.Fatal("no repair decision")
 	}
-	if repairs[0].Action != remedy.Poisoned {
-		t.Fatalf("repair action = %v, want poisoned", repairs[0].Action)
+	if o.Action != remedy.Poisoned || o.Reason != lifeguard.ReasonPoisoned {
+		t.Fatalf("repair action = %v (%v), want poisoned", o.Action, o.Reason)
 	}
-	if repairs[0].At < failAt+5*time.Minute {
+	if o.Decided < failAt+5*time.Minute {
 		t.Fatalf("poisoned at %v, before the 5-minute maturity threshold (fail at %v)",
-			repairs[0].At, failAt)
+			o.Decided, failAt)
 	}
 
 	// Traffic recovered while the underlying failure persists.
-	if len(sys.EventsOfKind(lifeguard.EventRecovered)) == 0 {
+	if o.End == 0 || !o.PoisonUp {
 		t.Fatal("monitored traffic did not recover after poisoning")
 	}
 	if sys.Remedy.Active() == nil {
@@ -116,7 +121,7 @@ func TestEndToEndRepairLifecycle(t *testing.T) {
 	if sys.Remedy.Active() != nil {
 		t.Fatal("poison not withdrawn after healing")
 	}
-	if len(sys.EventsOfKind(lifeguard.EventUnpoison)) != 1 {
+	if logged(sys, lifeguard.EventUnpoison) != 1 || o.Repair.Ended == 0 {
 		t.Fatal("missing unpoison event")
 	}
 	n.Converge()
@@ -140,10 +145,10 @@ func TestObserverModeNeverPoisons(t *testing.T) {
 	n.Clk.RunFor(time.Minute)
 	n.InjectFailure(lifeguard.BlackholeASTowards(asA, lifeguard.Block(asO)))
 	n.Clk.RunFor(20 * time.Minute)
-	if len(sys.EventsOfKind(lifeguard.EventOutage)) == 0 {
+	if len(sys.Outages()) == 0 {
 		t.Fatal("observer should still detect outages")
 	}
-	if len(sys.EventsOfKind(lifeguard.EventRepair)) != 0 {
+	if logged(sys, lifeguard.EventRepair) != 0 {
 		t.Fatal("observer mode must not repair")
 	}
 	if sys.Remedy.Active() != nil {
@@ -195,17 +200,18 @@ search:
 	n.InjectFailure(lifeguard.BlackholeASTowards(blameAS, lifeguard.Block(origin)))
 	n.Clk.RunFor(30 * time.Minute)
 
-	repairs := sys.EventsOfKind(lifeguard.EventRepair)
-	if len(repairs) == 0 {
+	outages := sys.Outages()
+	if len(outages) == 0 || outages[0].Decided == 0 {
 		t.Fatal("no repair on generated internet")
 	}
-	if repairs[0].Action != remedy.Poisoned {
-		t.Fatalf("action = %v (blamed %d, injected %d)", repairs[0].Action, repairs[0].Avoided, blameAS)
+	o := outages[0]
+	if o.Action != remedy.Poisoned {
+		t.Fatalf("action = %v (blamed %d, injected %d)", o.Action, o.Report.Blamed, blameAS)
 	}
-	if repairs[0].Avoided != topo.ASN(blameAS) {
-		t.Fatalf("poisoned %d, injected failure at %d", repairs[0].Avoided, blameAS)
+	if o.Repair.Avoided != topo.ASN(blameAS) {
+		t.Fatalf("poisoned %d, injected failure at %d", o.Repair.Avoided, blameAS)
 	}
-	if len(sys.EventsOfKind(lifeguard.EventRecovered)) == 0 {
+	if o.End == 0 {
 		t.Fatal("traffic did not recover")
 	}
 }

@@ -139,14 +139,11 @@ func TestUnidirectionalForwardFailureEndToEnd(t *testing.T) {
 	}
 	n.Clk.RunFor(20 * time.Minute)
 
-	if len(sys.EventsOfKind(lifeguard.EventOutage)) == 0 {
+	outages := sys.Outages()
+	if len(outages) == 0 {
 		t.Fatal("monitor did not detect the forward-only failure")
 	}
-	isolated := sys.EventsOfKind(lifeguard.EventIsolated)
-	if len(isolated) == 0 {
-		t.Fatal("no isolation ran")
-	}
-	rep := isolated[0].Report
+	rep := outages[0].Report
 	if rep.Direction != isolation.Forward {
 		t.Fatalf("direction = %v, want forward (B→A dead, A→B alive)", rep.Direction)
 	}

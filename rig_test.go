@@ -298,16 +298,15 @@ func TestGracefulRestartForwardsThroughControlCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if len(s.EventsOfKind(lifeguard.EventControlCrash)) != 1 ||
-				len(s.EventsOfKind(lifeguard.EventControlRestore)) != 1 {
+			if logged(s, lifeguard.EventControlCrash) != 1 || logged(s, lifeguard.EventControlRestore) != 1 {
 				t.Fatal("crashcontrol did not drive the session's crash/restore lifecycle")
 			}
 			if s.Crashed() {
 				t.Fatal("session still crashed after the heal")
 			}
-			outages := s.EventsOfKind(lifeguard.EventOutage)
-			if len(outages) == 0 || outages[0].At >= crashAt {
-				t.Fatalf("outage not declared before the crash (events %v, crash at %v)", outages, crashAt)
+			outages := s.Outages()
+			if len(outages) == 0 || outages[0].Detected >= crashAt {
+				t.Fatalf("outage not declared before the crash (history %+v, crash at %v)", s.History, crashAt)
 			}
 
 			windowDrops := dropsAtRestore - dropsAtCrash
@@ -333,17 +332,17 @@ func TestGracefulRestartForwardsThroughControlCrash(t *testing.T) {
 			// After restore the pipeline resumes: the outage matures and
 			// the session poisons, then monitored traffic recovers.
 			n.Clk.RunFor(8 * time.Minute)
-			repairs := s.EventsOfKind(lifeguard.EventRepair)
-			if len(repairs) == 0 {
+			o := outages[0]
+			if o.Decided == 0 {
 				t.Fatal("no repair decision after control restore")
 			}
-			if repairs[0].Action != remedy.Poisoned {
-				t.Fatalf("repair action = %v, want poisoned", repairs[0].Action)
+			if o.Action != remedy.Poisoned {
+				t.Fatalf("repair action = %v, want poisoned", o.Action)
 			}
-			if repairs[0].At <= restoreAt {
-				t.Fatalf("repair at %v, before control restore at %v", repairs[0].At, restoreAt)
+			if o.Decided <= restoreAt {
+				t.Fatalf("repair at %v, before control restore at %v", o.Decided, restoreAt)
 			}
-			if len(s.EventsOfKind(lifeguard.EventRecovered)) == 0 {
+			if o.End == 0 {
 				t.Fatal("monitored traffic did not recover after the restart-spanning repair")
 			}
 		})
@@ -368,7 +367,7 @@ func TestFailsafeTimingBoundedAndJournaled(t *testing.T) {
 	n.Clk.RunFor(2 * time.Minute)
 	n.InjectFailure(lifeguard.BlackholeASTowards(asA, lifeguard.Block(asO)))
 	n.Clk.RunFor(2*time.Minute + 30*time.Second)
-	if len(s.EventsOfKind(lifeguard.EventOutage)) == 0 {
+	if len(s.Outages()) == 0 {
 		t.Fatal("outage not declared before the monitor loss")
 	}
 
@@ -383,7 +382,12 @@ func TestFailsafeTimingBoundedAndJournaled(t *testing.T) {
 	if want := 3*s.Monitor.Interval() + 5*time.Second; maxDelay != want {
 		t.Fatalf("FailsafeMaxDelay = %v, want three monitor rounds + 5s = %v", maxDelay, want)
 	}
-	enters := s.EventsOfKind(lifeguard.EventFailsafeEnter)
+	var enters []lifeguard.Event
+	for _, e := range s.History {
+		if e.Kind == lifeguard.EventFailsafeEnter {
+			enters = append(enters, e)
+		}
+	}
 	if len(enters) != 1 {
 		t.Fatalf("%d FAILSAFE entries, want 1", len(enters))
 	}
@@ -395,8 +399,8 @@ func TestFailsafeTimingBoundedAndJournaled(t *testing.T) {
 	if !s.InFailsafe() {
 		t.Fatal("session not in FAILSAFE while the monitor is dead")
 	}
-	if got := s.EventsOfKind(lifeguard.EventRepair); len(got) != 0 {
-		t.Fatalf("repair decided while in FAILSAFE: %+v", got)
+	if o := s.Outages()[0]; o.Decided != 0 || o.Reason != lifeguard.ReasonDeferred {
+		t.Fatalf("repair decided while in FAILSAFE: %+v", o)
 	}
 	found := false
 	for _, e := range n.Journal.Events() {
@@ -424,16 +428,16 @@ func TestFailsafeTimingBoundedAndJournaled(t *testing.T) {
 	if s.InFailsafe() {
 		t.Fatal("first completed round did not clear FAILSAFE")
 	}
-	if len(s.EventsOfKind(lifeguard.EventFailsafeExit)) != 1 {
+	if logged(s, lifeguard.EventFailsafeExit) != 1 {
 		t.Fatal("missing FAILSAFE exit event")
 	}
 	n.Clk.RunFor(2 * time.Minute)
-	repairs := s.EventsOfKind(lifeguard.EventRepair)
-	if len(repairs) == 0 {
+	o := s.Outages()[0]
+	if o.Decided == 0 {
 		t.Fatal("deferred repair never resumed after FAILSAFE exit")
 	}
-	if repairs[0].Action != remedy.Poisoned {
-		t.Fatalf("resumed repair action = %v, want poisoned", repairs[0].Action)
+	if o.Action != remedy.Poisoned {
+		t.Fatalf("resumed repair action = %v, want poisoned", o.Action)
 	}
 }
 
@@ -457,7 +461,7 @@ func TestRigHitlessReload(t *testing.T) {
 	// An ongoing outage for tenant 1...
 	n.InjectFailure(lifeguard.BlackholeASTowards(asA, lifeguard.Block(asO)))
 	n.Clk.RunFor(3 * time.Minute)
-	if len(s1.EventsOfKind(lifeguard.EventOutage)) == 0 {
+	if len(s1.Outages()) == 0 {
 		t.Fatal("tenant 1 outage not declared")
 	}
 
@@ -471,17 +475,17 @@ func TestRigHitlessReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Start()
-	outages1 := len(s1.EventsOfKind(lifeguard.EventOutage))
+	outages1 := len(s1.Outages())
 	// One more minute keeps us inside tenant 1's 5-minute poison
 	// maturity: the outage must still be open, untouched by the reload.
 	n.Clk.RunFor(time.Minute)
-	if !s1.Monitor.Down(n.Hub(asO), target) {
+	if s1.Outages()[0].End != 0 {
 		t.Fatal("tenant 1 outage state lost across the reload")
 	}
-	if len(s1.EventsOfKind(lifeguard.EventOutage)) != outages1 {
+	if len(s1.Outages()) != outages1 {
 		t.Fatal("tenant 1 outage history perturbed by the reload")
 	}
-	if len(s2.EventsOfKind(lifeguard.EventOutage)) != 0 {
+	if len(s2.Outages()) != 0 {
 		t.Fatalf("tenant 2 sees phantom outages: %+v", s2.History)
 	}
 
@@ -498,9 +502,8 @@ func TestRigHitlessReload(t *testing.T) {
 	}
 	// Tenant 1 keeps running: its repair pipeline completes as usual.
 	n.Clk.RunFor(10 * time.Minute)
-	repairs := s1.EventsOfKind(lifeguard.EventRepair)
-	if len(repairs) == 0 || repairs[0].Action != remedy.Poisoned {
-		t.Fatalf("tenant 1 pipeline broken after reload: %+v", repairs)
+	if o := s1.Outages()[0]; o.Action != remedy.Poisoned {
+		t.Fatalf("tenant 1 pipeline broken after reload: %+v", o)
 	}
 }
 

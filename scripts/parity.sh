@@ -5,8 +5,10 @@
 # Builds lgexp, lgchaos, lifeguardd and the three examples twice — from REV
 # and from the working tree — runs the same commands with each build, and
 # compares every stdout and every -obs snapshot byte for byte. It prints one
-# verdict line per command and exits 1 on any difference. A change that
-# claims to preserve behaviour passes it against its parent commit.
+# verdict line per command, followed for a command that differs by the first
+# 40 lines of `diff -u` per differing output, and exits 1 on any difference.
+# A change that claims to preserve behaviour passes it against its parent
+# commit.
 #
 # REV is exported with `git archive` into a temporary directory, which is
 # removed on exit; nothing is registered in the repository's .git, so an
@@ -70,5 +72,9 @@ for c in "${cmds[@]}"; do
 		fail=1
 	fi
 	printf 'parity: %-16s %s\n' "$verdict" "${cmd//@OBS@/<file>}"
+	for ext in "${differs[@]}"; do
+		diff -u --label "$rev/$name.$ext" --label "working-tree/$name.$ext" \
+			"$tmp/base/$name.$ext" "$tmp/head/$name.$ext" | head -n 40 || true
+	done
 done
 exit $fail

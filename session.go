@@ -86,6 +86,7 @@ type Session struct {
 
 	// History records everything the session did.
 	History []Event
+	outages []*OutageRecord // one per monitor declaration, indexed by Seq
 
 	// Obs is the session's metrics partition: a child view of the
 	// network's registry scoped by tenant, the network registry itself for
@@ -108,6 +109,8 @@ type Session struct {
 	lastRound    time.Duration
 	watchdog     simclock.EventID
 	watchdogFire func(uint64)
+	decideFire   func(uint64) // fireDecision, bound the same way
+	skipped      [numReasons]*obs.Counter
 }
 
 // EventKind classifies Session history entries.
@@ -161,11 +164,7 @@ type Event struct {
 	Kind   EventKind
 	VP     RouterID
 	Target netip.Addr
-	// Outage is the monitor outage the event belongs to, set for
-	// EventOutage, EventIsolated, EventRepair and EventRecovered. Events of
-	// one outage carry the same pointer; its End is set on recovery.
-	Outage *monitor.Outage
-	// Report is set for EventIsolated.
+	// Report is set for EventIsolated and EventRepair.
 	Report *isolation.Report
 	// Action is set for EventRepair (it may be a refusal such as
 	// NoAlternate).
@@ -174,6 +173,54 @@ type Event struct {
 	// involved.
 	Avoided ASN
 }
+
+// OutageRecord is one detected outage's pass through the §4.2 pipeline,
+// minted at detection and kept by the session (Session.Outages).
+type OutageRecord struct {
+	*monitor.Outage // VP, Target, Start, and End once recovered
+	Report          *isolation.Report
+	// Declared, first decision armed for, last verdict logged; 0 if not yet.
+	Detected, Armed, Decided time.Duration
+	Rearms                   int            // decisions asked again a round later
+	Action                   remedy.Action  // the last verdict logged
+	Repair                   *remedy.Repair // its poison; Ended is the unpoison
+	PoisonUp                 bool           // the target's poison was up at End
+	Reason                   Reason
+	counted                  uint16 // reasons counted in lifeguard_repair_skipped_total
+}
+
+// Reason says where an outage left the repair pipeline, or where it waits.
+// Reasons from ReasonAutoRepairOff on count once per outage in
+// lifeguard_repair_skipped_total{reason}. remedy.TooYoung has none: the
+// decision is armed no earlier than Start + MinOutageAge.
+type Reason uint8
+
+const (
+	ReasonPending Reason = iota
+	ReasonPoisoned
+	ReasonAutoRepairOff
+	ReasonHealedInIsolation
+	ReasonRemoved
+	ReasonHealedWhileWaiting
+	ReasonDeferred
+	ReasonNoFailure
+	ReasonNotPoisonable
+	ReasonNoAlternate
+	ReasonAlreadyActive
+	numReasons
+)
+
+var reasonNames = [numReasons]string{"pending", "poisoned", "auto-repair-off",
+	"healed-during-isolation", "removed", "healed-while-waiting", "deferred",
+	"no-failure", "not-poisonable", "no-alternate", "already-active"}
+
+// verdictReason is the reason for each verdict DecideAndRepair returns.
+var verdictReason = [...]Reason{remedy.NoFailure: ReasonNoFailure,
+	remedy.NotPoisonable: ReasonNotPoisonable, remedy.NoAlternate: ReasonNoAlternate,
+	remedy.Poisoned: ReasonPoisoned, remedy.AlreadyActive: ReasonAlreadyActive}
+
+// String names the reason as its metric label does.
+func (r Reason) String() string { return reasonNames[r] }
 
 // newSession wires a session over the network without starting it.
 func newSession(n *Network, cfg SessionConfig) *Session {
@@ -217,12 +264,21 @@ func newSession(n *Network, cfg SessionConfig) *Session {
 	s.Isolator.Instrument(s.Obs)
 	s.Remedy.Instrument(s.Obs)
 
+	s.Obs.Describe("lifeguard_repair_skipped_total",
+		"outages the session did not poison, once per outage per reason")
+	for why := ReasonAutoRepairOff; why < numReasons; why++ {
+		s.skipped[why] = s.Obs.Counter("lifeguard_repair_skipped_total", obs.L("reason", why.String()))
+	}
+
 	s.Monitor.OnOutage = s.handleOutage
 	s.Monitor.OnRecovery = func(o *monitor.Outage) {
-		s.log(Event{At: n.Clk.Now(), Kind: EventRecovered, VP: o.VP, Target: o.Target, Outage: o})
+		a := s.Remedy.Active()
+		s.outages[o.Seq].PoisonUp = a != nil && a.Victim == o.Target
+		s.log(Event{At: n.Clk.Now(), Kind: EventRecovered, VP: o.VP, Target: o.Target})
 	}
 	s.Monitor.OnRound = s.onRound
 	s.watchdogFire = s.fireWatchdog
+	s.decideFire = s.fireDecision
 	s.Remedy.OnUnpoison = func(r *remedy.Repair) {
 		s.log(Event{At: n.Clk.Now(), Kind: EventUnpoison, Target: r.Victim, Avoided: r.Avoided})
 	}
@@ -351,13 +407,6 @@ func (s *Session) Restart() {
 	s.RestoreControl()
 }
 
-// repairsAllowed gates poison decisions on a running session and on
-// control-plane health: a stopped session acts on nothing, and a crashed
-// control plane or a tripped failsafe means the reachability picture is
-// stale, and acting on stale data is the failure mode the watchdog exists
-// to prevent.
-func (s *Session) repairsAllowed() bool { return s.started && !s.crashed && !s.failsafe }
-
 // onRound is the monitor's heartbeat: every completed round re-arms the
 // failsafe watchdog and clears FAILSAFE if it was entered.
 func (s *Session) onRound() {
@@ -411,79 +460,79 @@ func (s *Session) log(e Event, extra ...obs.Field) {
 	}
 }
 
-// handleOutage runs the paper's §4.2 pipeline: isolate now, then decide to
-// poison once the measurements would have completed and the outage has aged
-// past the threshold.
+// handleOutage runs the paper's §4.2 pipeline: mint the outage's record,
+// isolate now, then decide.
 func (s *Session) handleOutage(o *monitor.Outage) {
 	now := s.Net.Clk.Now()
-	s.log(Event{At: now, Kind: EventOutage, VP: o.VP, Target: o.Target, Outage: o})
-
+	s.log(Event{At: now, Kind: EventOutage, VP: o.VP, Target: o.Target})
 	rep := s.Isolator.Isolate(o.VP, o.Target)
-	s.log(Event{At: now, Kind: EventIsolated, VP: o.VP, Target: o.Target, Outage: o, Report: rep})
-	if rep.Healed || s.cfg.DisableAutoRepair {
-		return
-	}
-
-	// The poison decision happens after isolation would have finished
-	// and no earlier than the minimum outage age.
-	decideAt := now + rep.EstimatedDuration
-	minAge := s.Remedy.Config().MinOutageAge
-	if t := o.Start + minAge; t > decideAt {
-		decideAt = t
-	}
-	p := &pendingRepair{s: s, o: o, rep: rep}
-	p.decide = p.run
-	s.Net.Clk.At(decideAt, p.decide)
+	s.outages = append(s.outages, &OutageRecord{Outage: o, Report: rep, Detected: now})
+	s.log(Event{At: now, Kind: EventIsolated, VP: o.VP, Target: o.Target, Report: rep})
+	s.fireDecision(uint64(o.Seq))
 }
 
-// pendingRepair is one isolated outage waiting for its poison decision:
-// the outage, its report, and whether an AlreadyActive verdict has been
-// logged for it. decide is run bound once, so every re-arm reuses it.
-type pendingRepair struct {
-	s       *Session
-	o       *monitor.Outage
-	rep     *isolation.Report
-	waiting bool
-	decide  func()
+// fireDecision runs outage i's decision and acts on its reason: it arms
+// the decision, asks again a monitor round later, or counts why the outage
+// goes unpoisoned, once per outage per reason.
+func (s *Session) fireDecision(i uint64) {
+	r := s.outages[i]
+	why := r.decide(s)
+	switch why {
+	case ReasonPending:
+		// After isolation would have finished, and no earlier than the
+		// minimum outage age.
+		r.Armed = max(r.Detected+r.Report.EstimatedDuration, r.Start+s.Remedy.Config().MinOutageAge)
+		s.Net.Clk.AtCall(r.Armed, s.decideFire, i)
+		return
+	case ReasonDeferred, ReasonAlreadyActive:
+		r.Rearms++
+		s.Net.Clk.AfterCall(s.Monitor.Interval(), s.decideFire, i)
+	}
+	r.Reason = why
+	if bit := uint16(1) << why; r.counted&bit == 0 {
+		r.counted |= bit
+		s.skipped[why].Inc()
+	}
 }
 
-// run decides the repair, or re-arms itself a monitor round later when the
-// decision has to wait.
-func (p *pendingRepair) run() {
-	s, o, rep := p.s, p.o, p.rep
-	if s.removed || !s.Monitor.Down(o.VP, o.Target) {
-		return // removed, or healed while we waited
+// decide is the poison decision; every branch says why the outage was, or
+// was not, poisoned, or that it is yet to be decided.
+func (r *OutageRecord) decide(s *Session) Reason {
+	switch {
+	case r.Report.Healed:
+		return ReasonHealedInIsolation
+	case s.cfg.DisableAutoRepair:
+		return ReasonAutoRepairOff
+	case r.Armed == 0:
+		return ReasonPending
+	case s.removed:
+		return ReasonRemoved
+	case r.End != 0:
+		return ReasonHealedWhileWaiting
+	case !s.started || s.crashed || s.failsafe:
+		// A stopped session acts on nothing, and after a control crash or
+		// in failsafe the reachability picture is stale. Deferred, not
+		// dropped: the pipeline resumes once the session runs again.
+		return ReasonDeferred
 	}
-	if !s.repairsAllowed() {
-		// Stopped, control crashed or failsafe tripped: the repair is
-		// deferred, not dropped — retry a round later, so the pipeline
-		// resumes once the session is running again.
-		s.Net.Clk.After(s.Monitor.Interval(), p.decide)
-		return
-	}
-	action := s.Remedy.DecideAndRepair(rep, o.Start)
-	if !(p.waiting && action == remedy.AlreadyActive) {
+	now := s.Net.Clk.Now()
+	action := s.Remedy.DecideAndRepair(r.Report, r.Start)
+	// Behind another pair's poison (one repair at a time) the outage is
+	// asked again every round from its stored report; the wait is logged
+	// once.
+	if action != remedy.AlreadyActive || r.Decided == 0 {
+		r.Decided, r.Action = now, action
 		s.log(Event{
-			At: s.Net.Clk.Now(), Kind: EventRepair, VP: o.VP, Target: o.Target,
-			Outage: o, Report: rep, Action: action, Avoided: rep.Blamed,
+			At: now, Kind: EventRepair, VP: r.VP, Target: r.Target,
+			Report: r.Report, Action: action, Avoided: r.Report.Blamed,
 		})
 	}
-	if action == remedy.AlreadyActive {
-		// Another pair's poison is up (one repair at a time). If this
-		// outage outlives it, it still needs its own decision: ask again
-		// a round later, from the stored report, logging the wait once.
-		p.waiting = true
-		s.Net.Clk.After(s.Monitor.Interval(), p.decide)
+	if action == remedy.Poisoned {
+		r.Repair = s.Remedy.Active()
 	}
+	return verdictReason[action]
 }
 
-// EventsOfKind filters the history.
-func (s *Session) EventsOfKind(k EventKind) []Event {
-	var out []Event
-	for _, e := range s.History {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+// Outages returns the session's outage records in detection order. The
+// slice is the session's own.
+func (s *Session) Outages() []*OutageRecord { return s.outages }

@@ -31,7 +31,7 @@ func outageThenLeave(t *testing.T, leave func(*lifeguard.Rig, *lifeguard.Session
 	n.Clk.RunFor(time.Minute)
 	n.InjectFailure(lifeguard.BlackholeASTowards(asA, lifeguard.Block(asO)))
 	n.Clk.RunFor(3 * time.Minute)
-	if len(s.EventsOfKind(lifeguard.EventOutage)) == 0 || len(s.EventsOfKind(lifeguard.EventRepair)) != 0 {
+	if len(s.Outages()) == 0 || logged(s, lifeguard.EventRepair) != 0 {
 		t.Fatalf("want a declared, undecided outage before leaving; history %+v", s.History)
 	}
 
@@ -61,9 +61,9 @@ func TestStoppedSessionDefersRepairUntilStarted(t *testing.T) {
 
 	s.Start()
 	n.Clk.RunFor(2 * time.Minute)
-	repairs := s.EventsOfKind(lifeguard.EventRepair)
-	if len(repairs) != 1 || repairs[0].Action != remedy.Poisoned {
-		t.Fatalf("restarted session's repairs = %+v, want one poison", repairs)
+	o := s.Outages()[0]
+	if logged(s, lifeguard.EventRepair) != 1 || o.Action != remedy.Poisoned {
+		t.Fatalf("restarted session's outage = %+v, want one poison", o)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"lifeguard"
 	"lifeguard/internal/core/remedy"
+	"lifeguard/internal/obs"
 )
 
 // cutLink makes the chaos linkdown fault's calls: the a–b BGP session drops
@@ -45,17 +46,18 @@ func TestVisibleFailureSelfHealsWithoutPoisoning(t *testing.T) {
 	heal := cutLink(n, asA, asE)
 	n.Clk.RunFor(30 * time.Minute)
 
-	// The network healed itself: traffic flows again...
-	if sys.Monitor.Down(n.Hub(asO), target) {
-		t.Fatal("pair still down after BGP reconvergence")
+	// The network healed itself: traffic flows again, and LIFEGUARD never
+	// decided a repair, let alone poisoned.
+	for _, o := range sys.Outages() {
+		if o.End == 0 {
+			t.Fatal("pair still down after BGP reconvergence")
+		}
+		if o.Decided != 0 {
+			t.Fatalf("unexpected repair decision %v for a visible failure", o.Action)
+		}
 	}
-	// ...and LIFEGUARD never poisoned (no repair events with a poison,
-	// and nothing active).
 	if sys.Remedy.Active() != nil {
 		t.Fatalf("poisoned a self-healing failure: %+v", sys.Remedy.Active())
-	}
-	for _, e := range sys.EventsOfKind(lifeguard.EventRepair) {
-		t.Fatalf("unexpected repair decision %v for a visible failure", e.Action)
 	}
 
 	// Restore the session; the world returns to the original routes.
@@ -92,11 +94,11 @@ func TestVisibleFailureOutageIsShort(t *testing.T) {
 	cutLink(n, asA, asE)
 	n.Clk.RunFor(30 * time.Minute)
 	var visibleDown time.Duration
-	for _, e := range sys.EventsOfKind(lifeguard.EventOutage) {
-		if e.Outage.End == 0 {
+	for _, o := range sys.Outages() {
+		if o.End == 0 {
 			t.Fatal("visible failure did not self-heal")
 		}
-		visibleDown += e.Outage.End - e.Outage.Start
+		visibleDown += o.End - o.Start
 	}
 	if visibleDown > 10*time.Minute {
 		t.Fatalf("convergence outage lasted %v — should be minutes at most", visibleDown)
@@ -104,16 +106,16 @@ func TestVisibleFailureOutageIsShort(t *testing.T) {
 
 	// Silent failure: inject and wait the same 30 minutes; without
 	// LIFEGUARD it never heals.
-	seen := len(sys.EventsOfKind(lifeguard.EventOutage))
+	seen := len(sys.Outages())
 	n.InjectFailure(lifeguard.BlackholeASTowards(asD, lifeguard.Block(asO)))
 	n.Clk.RunFor(30 * time.Minute)
-	silent := sys.EventsOfKind(lifeguard.EventOutage)[seen:]
+	silent := sys.Outages()[seen:]
 	if len(silent) == 0 {
 		t.Fatal("silent failure not detected")
 	}
-	for _, e := range silent {
-		if e.Outage.End != 0 {
-			t.Fatalf("silent failure 'healed' without intervention: %+v", e.Outage)
+	for _, o := range silent {
+		if o.End != 0 {
+			t.Fatalf("silent failure 'healed' without intervention: %+v", o.Outage)
 		}
 	}
 }
@@ -153,7 +155,7 @@ func TestStopStartLifecycle(t *testing.T) {
 	n.Clk.RunFor(time.Minute)
 	n.InjectFailure(lifeguard.BlackholeASTowards(asA, lifeguard.Block(asO)))
 	n.Clk.RunFor(15 * time.Minute)
-	if len(sys.EventsOfKind(lifeguard.EventRepair)) == 0 {
+	if logged(sys, lifeguard.EventRepair) == 0 {
 		t.Fatal("no repair after Stop/Start cycle")
 	}
 	if sys.Remedy.Active() == nil {
@@ -174,60 +176,77 @@ func TestStopStartLifecycle(t *testing.T) {
 	}
 }
 
-// TestOutageBehindAnotherPoisonIsDecidedAgain pins the one-repair-at-a-time
-// hand-over: two Fig. 2 diamonds hang off the origin's provider, and both
-// near-side transits blackhole the reverse path at once. The first pair to
-// decide poisons its transit; the second is told AlreadyActive. When the
-// first failure heals and its poison is withdrawn, the second pair — still
-// down behind its own failure — must get its own poison rather than be
-// dropped after that single decision.
-func TestOutageBehindAnotherPoisonIsDecidedAgain(t *testing.T) {
-	const (
-		o, b           lifeguard.ASN = 10, 20
-		a1, c1, d1, e1 lifeguard.ASN = 31, 41, 51, 61
-		a2, c2, d2, e2 lifeguard.ASN = 32, 42, 52, 62
-	)
+// The two-diamond world: Fig. 2's diamond twice below the origin's one
+// provider B, one copy per target.
+const (
+	dA1, dC1, dD1, dE1 lifeguard.ASN = 31, 41, 51, 61
+	dA2, dC2, dD2, dE2 lifeguard.ASN = 32, 42, 52, 62
+)
+
+// twoDiamonds assembles the two-diamond world, with metrics.
+func twoDiamonds(t *testing.T) *lifeguard.Network {
+	t.Helper()
 	tb := lifeguard.NewTopologyBuilder()
-	for _, asn := range []lifeguard.ASN{o, b, a1, c1, d1, e1, a2, c2, d2, e2} {
+	for _, asn := range []lifeguard.ASN{asO, asB, dA1, dC1, dD1, dE1, dA2, dC2, dD2, dE2} {
 		tb.AddAS(asn, "")
 		tb.AddRouter(asn, "")
 	}
 	for _, r := range [][2]lifeguard.ASN{
-		{o, b},
-		{b, a1}, {b, c1}, {c1, d1}, {a1, e1}, {d1, e1},
-		{b, a2}, {b, c2}, {c2, d2}, {a2, e2}, {d2, e2},
+		{asO, asB},
+		{asB, dA1}, {asB, dC1}, {dC1, dD1}, {dA1, dE1}, {dD1, dE1},
+		{asB, dA2}, {asB, dC2}, {dC2, dD2}, {dA2, dE2}, {dD2, dE2},
 	} {
 		tb.Provider(r[0], r[1])
 		tb.ConnectAS(r[0], r[1])
 	}
 	// The peering lets the helper vantage point in C1 reach E2.
-	tb.Peer(e1, e2)
-	tb.ConnectAS(e1, e2)
+	tb.Peer(dE1, dE2)
+	tb.ConnectAS(dE1, dE2)
 	top, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := lifeguard.AssembleNetwork(top, lifeguard.NetworkOptions{Seed: 11})
+	n, err := lifeguard.AssembleNetwork(top, lifeguard.NetworkOptions{Seed: 11, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, t2 := n.RouterAddr(n.Hub(e1)), n.RouterAddr(n.Hub(e2))
+	return n
+}
+
+// TestOutageBehindAnotherPoisonIsDecidedAgain pins the one-repair-at-a-time
+// hand-over: in the two-diamond world both near-side transits blackhole the
+// reverse path at once. The first pair to decide poisons its transit; the
+// second is told AlreadyActive. When the first failure heals and its poison
+// is withdrawn, the second pair — still down behind its own failure — must
+// get its own poison rather than be dropped after that single decision.
+func TestOutageBehindAnotherPoisonIsDecidedAgain(t *testing.T) {
+	n := twoDiamonds(t)
+	t1, t2 := n.RouterAddr(n.Hub(dE1)), n.RouterAddr(n.Hub(dE2))
 	sys := lifeguard.NewSystem(n, lifeguard.Config{
-		Origin:  o,
-		VPs:     []lifeguard.RouterID{n.Hub(o), n.Hub(c1)},
+		Origin:  asO,
+		VPs:     []lifeguard.RouterID{n.Hub(asO), n.Hub(dC1)},
 		Targets: []netip.Addr{t1, t2},
 	})
 	sys.Start()
 	n.Clk.RunFor(3 * time.Minute)
 
-	f1 := n.InjectFailure(lifeguard.BlackholeASTowards(a1, lifeguard.Block(o)))
-	n.InjectFailure(lifeguard.BlackholeASTowards(a2, lifeguard.Block(o)))
+	f1 := n.InjectFailure(lifeguard.BlackholeASTowards(dA1, lifeguard.Block(asO)))
+	n.InjectFailure(lifeguard.BlackholeASTowards(dA2, lifeguard.Block(asO)))
 	n.Clk.RunFor(20 * time.Minute)
 
-	if r := sys.Remedy.Active(); r == nil || r.Avoided != a1 {
-		t.Fatalf("active repair = %+v, want the first target's poison of AS%d", r, a1)
+	if r := sys.Remedy.Active(); r == nil || r.Avoided != dA1 {
+		t.Fatalf("active repair = %+v, want the first target's poison of AS%d", r, dA1)
 	}
-	if !sys.Monitor.Down(n.Hub(o), t2) {
+	// down reports whether the second pair is in an outage.
+	down := func() bool {
+		for _, o := range sys.Outages() {
+			if o.VP == n.Hub(asO) && o.Target == t2 && o.End == 0 {
+				return true
+			}
+		}
+		return false
+	}
+	if !down() {
 		t.Fatal("second pair should still be down behind its own failure")
 	}
 
@@ -237,8 +256,8 @@ func TestOutageBehindAnotherPoisonIsDecidedAgain(t *testing.T) {
 	n.Clk.RunFor(20 * time.Minute)
 
 	var actions []remedy.Action
-	for _, e := range sys.EventsOfKind(lifeguard.EventRepair) {
-		if e.Target == t2 {
+	for _, e := range sys.History {
+		if e.Kind == lifeguard.EventRepair && e.Target == t2 {
 			actions = append(actions, e.Action)
 		}
 	}
@@ -246,10 +265,10 @@ func TestOutageBehindAnotherPoisonIsDecidedAgain(t *testing.T) {
 	if len(actions) != 2 || actions[0] != remedy.AlreadyActive || actions[1] != remedy.Poisoned {
 		t.Fatalf("second pair's repair decisions = %v, want [already-active poisoned]", actions)
 	}
-	if r := sys.Remedy.Active(); r == nil || r.Avoided != a2 {
-		t.Fatalf("active repair = %+v, want a poison of AS%d", r, a2)
+	if r := sys.Remedy.Active(); r == nil || r.Avoided != dA2 {
+		t.Fatalf("active repair = %+v, want a poison of AS%d", r, dA2)
 	}
-	if sys.Monitor.Down(n.Hub(o), t2) {
+	if down() {
 		t.Fatal("second pair did not recover once its own poison went in")
 	}
 }
