@@ -165,9 +165,12 @@ func (iso *Isolator) Isolate(vp topo.RouterID, target netip.Addr) *Report {
 		return rep
 	}
 
-	// Baseline: what does plain traceroute say?
+	// Baseline: what does plain traceroute say? Only its last responsive
+	// hop is kept: the report's hops are the prober's, reused by its next
+	// plain traceroute.
 	tr := iso.pr.Traceroute(vp, target)
-	if last, ok := tr.LastResponsive(); ok {
+	last, lastOK := tr.LastResponsive()
+	if lastOK {
 		rep.TracerouteBlame = last.AS
 	}
 
@@ -213,7 +216,9 @@ func (iso *Isolator) Isolate(vp topo.RouterID, target netip.Addr) *Report {
 	case Reverse:
 		iso.blameReverse(rep, vp, target)
 	default:
-		iso.blameForward(rep, vp, target, &tr)
+		if lastOK { // else not even the first hop answered; cannot localize
+			iso.blameForward(rep, vp, target, last)
+		}
 	}
 	return rep
 }
@@ -339,13 +344,9 @@ func (iso *Isolator) blameReverse(rep *Report, vp topo.RouterID, target netip.Ad
 }
 
 // blameForward handles forward and bidirectional failures: the fault lies
-// just past the last responsive traceroute hop; historical forward paths
-// through that hop tell us which AS comes next.
-func (iso *Isolator) blameForward(rep *Report, vp topo.RouterID, target netip.Addr, tr *probe.TracerouteReport) {
-	last, ok := tr.LastResponsive()
-	if !ok {
-		return // not even the first hop answered; cannot localize
-	}
+// just past last, the last responsive traceroute hop; historical forward
+// paths through that hop tell us which AS comes next.
+func (iso *Isolator) blameForward(rep *Report, vp topo.RouterID, target netip.Addr, last probe.Hop) {
 	recs := iso.atl.Forward(vp, target)
 	for i := len(recs) - 1; i >= 0; i-- {
 		hops := recs[i].Hops

@@ -95,7 +95,9 @@ type Hop struct {
 //
 // Aliasing contract (mirrors intraPath): Hops may share its backing array
 // with the plane's walk cache and with other Results for the same header,
-// so callers read it and never write through it.
+// so callers read it and never write through it. Its length is its
+// capacity, so an append reallocates. The hops never change under a caller:
+// re-walking a header stores the new walk in fresh space.
 type Result struct {
 	Reason DropReason
 	Hops   []Hop
@@ -229,6 +231,10 @@ type Plane struct {
 	// the times it was emptied, which is when a Flow's entry goes stale.
 	walks map[walkKey]*walkEntry
 	gen   uint64
+	// hopBuf is the scratch every walk records its hops in; slab is the
+	// chunk stored walks' hops are carved from (see Plane.keep).
+	hopBuf []Hop
+	slab   []Hop
 
 	obs planeObs
 }
@@ -509,34 +515,42 @@ func (pl *Plane) Forward(from topo.RouterID, pkt Packet) Result {
 }
 
 // forward is the uncached hop-by-hop walk, the reference every cached
-// answer must equal.
+// answer must equal. Its Hops are its own.
 func (pl *Plane) forward(from topo.RouterID, pkt Packet) Result {
-	return pl.walkFrom(from, pkt, nil)
+	res := pl.walkFrom(from, pkt, nil)
+	res.Hops = append(make([]Hop, 0, len(res.Hops)), res.Hops...)
+	return res
 }
 
 // walkFrom is forward, except that with losses set it passes the lossy rules
-// it meets and appends them to *losses in hop order.
+// it meets and appends them to *losses in hop order, and that its Hops are
+// pl.hopBuf: the plane's scratch, overwritten by the next walk, so a caller
+// copies out what it keeps.
 func (pl *Plane) walkFrom(from topo.RouterID, pkt Packet, losses *[]lossPoint) Result {
-	ttl := pkt.TTL
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
 	pl.seq++
 	c := &matchCtx{pkt: pkt, seq: pl.seq, losses: losses}
 	if owner, ok := topo.OwnerOf(pkt.Dst); ok {
 		c.dstAS = owner
 	}
+	pl.hopBuf = pl.hopBuf[:0]
+	why := pl.hops(c, from)
+	h := pl.hopBuf[len(pl.hopBuf)-1] // the injecting router is always recorded
+	return Result{Reason: why, Hops: pl.hopBuf, LastAS: h.AS, LastRouter: h.Router}
+}
 
-	// One up-front block sized for typical inter-domain walks keeps hop
-	// recording to a single allocation for almost every packet.
-	res := Result{Hops: make([]Hop, 0, 16)}
+// hops walks c's packet from router "from", appending every router it
+// visits to pl.hopBuf, and reports why it stopped.
+func (pl *Plane) hops(c *matchCtx, from topo.RouterID) DropReason {
+	ttl := c.pkt.TTL
+	if ttl <= 0 {
+		ttl = DefaultTTL
+	}
 	cur := from
 	first := true
 	step := func(r topo.RouterID) DropReason {
 		// Record the hop, spend TTL, apply router-scoped rules.
 		rt := pl.top.Router(r)
-		res.Hops = append(res.Hops, Hop{Router: r, AS: rt.AS, Addr: rt.Addr})
-		res.LastAS, res.LastRouter = rt.AS, r
+		pl.hopBuf = append(pl.hopBuf, Hop{Router: r, AS: rt.AS, Addr: rt.Addr})
 		if !first {
 			ttl--
 			if ttl <= 0 {
@@ -544,40 +558,35 @@ func (pl *Plane) walkFrom(from topo.RouterID, pkt Packet, losses *[]lossPoint) R
 			}
 		}
 		first = false
-		if pl.dropAtRouter(c, r, len(res.Hops)-1) {
+		if pl.dropAtRouter(c, r, len(pl.hopBuf)-1) {
 			return Blackhole
 		}
 		return Delivered
 	}
 
 	if rsn := step(cur); rsn != Delivered {
-		res.Reason = rsn
-		return res
+		return rsn
 	}
 
 	for {
-		if len(res.Hops) > 4*DefaultTTL {
-			res.Reason = ForwardLoop
-			return res
+		if len(pl.hopBuf) > 4*DefaultTTL {
+			return ForwardLoop
 		}
 		curAS := pl.top.Router(cur).AS
-		nextAS, local, ok := pl.rib.NextHop(curAS, pkt.Dst)
+		nextAS, local, ok := pl.rib.NextHop(curAS, c.pkt.Dst)
 		if !ok {
-			res.Reason = NoRoute
-			return res
+			return NoRoute
 		}
 		if local {
 			// Local delivery: walk to the destination router, or to
 			// the AS hub standing in for prefix-hosted addresses.
-			target := pl.hostRouter(curAS, pkt.Dst)
+			target := pl.hostRouter(curAS, c.pkt.Dst)
 			for _, r := range pl.intraPath(cur, target) {
 				if rsn := step(r); rsn != Delivered {
-					res.Reason = rsn
-					return res
+					return rsn
 				}
 			}
-			res.Reason = Delivered
-			return res
+			return Delivered
 		}
 		borders := pl.top.BorderRouters(curAS, nextAS)
 		if len(borders) == 0 {
@@ -586,17 +595,14 @@ func (pl *Plane) walkFrom(from topo.RouterID, pkt Packet, losses *[]lossPoint) R
 		egress, ingress := borders[0][0], borders[0][1]
 		for _, r := range pl.intraPath(cur, egress) {
 			if rsn := step(r); rsn != Delivered {
-				res.Reason = rsn
-				return res
+				return rsn
 			}
 		}
-		if pl.dropAtCrossing(c, egress, ingress, len(res.Hops)-1) {
-			res.Reason = Blackhole
-			return res
+		if pl.dropAtCrossing(c, egress, ingress, len(pl.hopBuf)-1) {
+			return Blackhole
 		}
 		if rsn := step(ingress); rsn != Delivered {
-			res.Reason = rsn
-			return res
+			return rsn
 		}
 		cur = ingress
 	}

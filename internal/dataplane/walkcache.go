@@ -3,7 +3,6 @@ package dataplane
 import (
 	"encoding/binary"
 	"net/netip"
-	"slices"
 
 	"lifeguard/internal/topo"
 )
@@ -89,10 +88,26 @@ import (
 // drop, unless TTL stops it first. Non-IPv4 headers (which the address plan
 // never routes) bypass the cache. pl.seq advances exactly as on a walk.
 
-// walkCacheCap bounds the cache; reaching it drops every entry. An entry
-// with its 16-hop array is ~0.7 KB, so the bound is ~12 MB — several times
-// the distinct headers of the largest workload in the tree.
+// walkCacheCap bounds the cache; reaching it drops every entry (and the
+// slab chunk being filled, so that new entries do not share a chunk with the
+// dropped ones). It is several times the distinct headers of the largest
+// workload in the tree.
 const walkCacheCap = 1 << 14
+
+// slabHops is the size of a slab chunk, in hops (8 KB). A stored walk's hops
+// are carved out of the current chunk (see Plane.keep), so a miss allocates
+// a chunk once every slabHops/len(Hops) misses instead of an array each
+// time. A chunk stays alive while any slice of it does — a live entry, or a
+// Result a caller kept — so the worst case is one chunk per live entry:
+// walkCacheCap × 8 KB = 128 MB, with every entry the last one left in its
+// chunk. A re-walk writes new space, so a chunk is let go once every walk
+// carved from it has been redone or dropped and no caller holds one.
+//
+// The size trades that worst case against objects per miss: with walks of
+// about 10 hops, repair's allocs_per_op is 65.8 at 1 024 hops (512 MB worst
+// case), 68.5 at 256 and 72.2 at 128 (64 MB), beside 183.3 with an array
+// per miss.
+const slabHops = 256
 
 // walkKey is a walk's input with TTL folded out. IPv4 addresses are keyed
 // as uint32: hashing two netip.Addr values cost more than the lookups the
@@ -220,6 +235,21 @@ func (e *walkEntry) draw(res *Result, k int, seq uint64) {
 	}
 }
 
+// keep copies hops, a walk's pl.hopBuf, into the slab and returns the copy,
+// carved with its capacity equal to its length: an append through any
+// Result handed out from it reallocates instead of writing over the next
+// walk's hops. A chunk is never written twice, so a Result keeps its hops
+// when its header is re-walked.
+func (pl *Plane) keep(hops []Hop) []Hop {
+	n := len(hops)
+	if cap(pl.slab)-len(pl.slab) < n {
+		pl.slab = make([]Hop, 0, max(slabHops, n))
+	}
+	l := len(pl.slab)
+	pl.slab = append(pl.slab, hops...)
+	return pl.slab[l : l+n : l+n]
+}
+
 // entry returns key's slot, making an empty one (and room for it, by
 // dropping every entry at walkCacheCap) when the header has none.
 func (pl *Plane) entry(key walkKey) *walkEntry {
@@ -227,6 +257,7 @@ func (pl *Plane) entry(key walkKey) *walkEntry {
 	if e == nil {
 		if len(pl.walks) >= walkCacheCap {
 			clear(pl.walks)
+			pl.slab = nil
 			pl.gen++
 			pl.obs.cacheFull.Inc()
 		}
@@ -359,9 +390,7 @@ func (f *Flow) walk(ttl int) (Result, walkOutcome) {
 	}
 	e.losses = e.losses[:0]
 	full := pl.walkFrom(f.from, Packet{Src: f.src, Dst: f.dst, TTL: max(ttl, DefaultTTL)}, &e.losses)
-	// Clip so that an append through any handed-out Result reallocates
-	// instead of scribbling on the shared array.
-	full.Hops = slices.Clip(full.Hops)
+	full.Hops = pl.keep(full.Hops)
 	e.full = full
 	e.stamps = pl.stampRuns(e.stamps[:0], full.Hops)
 	e.dstVer = pl.rib.DstVersion(f.dst)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"lifeguard/internal/bgp"
@@ -487,27 +488,41 @@ func (r *staleRIB) RIBVersion() uint64           { r.v++; return r.v }
 func (r *staleRIB) FwdVersion(int) uint64        { return r.v }
 func (r *staleRIB) DstVersion(netip.Addr) uint64 { return r.v }
 
-// TestWalkMissAllocations pins what a walk-cache miss costs the heap: one
-// object, the array of the hops the stored walk keeps. The route reads
-// (RIB.NextHop), the match context and the slot's stamps allocate nothing.
+// TestWalkMissAllocations pins what a walk-cache miss costs the heap: its
+// share of a slab chunk. A miss copies its hops into the current chunk and
+// allocates a new one only when they do not fit, so over four chunks' worth
+// of misses of L hops the plane allocates four chunks, one object per
+// ⌊slabHops/L⌋ misses. The route reads (RIB.NextHop), the match context,
+// the scratch hop buffer and the slot's stamps allocate nothing.
 func TestWalkMissAllocations(t *testing.T) {
 	w := newWalkWorld(t, topogen.Config{Seed: 7, NumTransit: 12, NumStub: 48})
 	pl := New(w.gen.Top, &staleRIB{Engine: w.eng})
 	pl.Instrument(obs.New())
 	from := w.gen.Top.AS(w.gen.Stubs[0]).Routers[0]
 	pkt := Packet{Src: w.gen.Top.Router(from).Addr, Dst: topo.ProductionAddr(w.gen.Stubs[9])}
-	res := pl.Forward(from, pkt) // stores the slot
-	if !res.Delivered() || len(res.Hops) < 4 || len(res.Hops) > 16 {
-		t.Fatalf("want a multi-hop delivered walk inside the first hop block, got %v", &res)
+	res := pl.Forward(from, pkt) // stores the slot, the first walk of a fresh chunk
+	if !res.Delivered() || len(res.Hops) < 4 {
+		t.Fatalf("want a multi-hop delivered walk, got %v", &res)
 	}
+	perChunk := slabHops / len(res.Hops)
+	misses := 4 * perChunk
 	e := pl.walks[walkKey{from: from, dst: v4(pkt.Dst), src: v4(pkt.Src)}]
 	before := e.walks
-	const runs = 200
-	allocs := testing.AllocsPerRun(runs, func() { pl.Forward(from, pkt) })
-	if walked := e.walks - before; walked != runs+1 {
-		t.Fatalf("%d of %d Forwards walked: the test needs every one to miss", walked, runs+1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range misses {
+		pl.Forward(from, pkt)
 	}
-	if allocs != 1 {
-		t.Fatalf("a walk-cache miss allocates %v objects, want 1 (the hop array)", allocs)
+	runtime.ReadMemStats(&m1)
+	if walked := e.walks - before; walked != uint64(misses) {
+		t.Fatalf("%d of %d Forwards walked: the test needs every one to miss", walked, misses)
+	}
+	// The first chunk has room for perChunk-1 of the misses, so the rest
+	// fill three chunks and start a fourth. Fewer than three means the
+	// hops were not copied anywhere.
+	if objects := m1.Mallocs - m0.Mallocs; objects > 4 || objects < 3 {
+		t.Fatalf("%d misses of %d hops allocated %d objects, want 4 (one %d-hop chunk per %d misses)",
+			misses, len(res.Hops), objects, slabHops, perChunk)
 	}
 }

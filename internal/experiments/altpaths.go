@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"lifeguard"
@@ -60,7 +61,7 @@ func altPaths(seed int64, reg *obs.Registry) *Result {
 			if !tr.ReachedDst {
 				continue
 			}
-			hp := splice.HopPath(tr.Hops)
+			hp := splice.HopPath(slices.Clone(tr.Hops)) // the prober's buffer: kept, so copied
 			obs.AddASPath(hp.ASPath())
 			fromSite[s] = append(fromSite[s], hp)
 			toSite[d] = append(toSite[d], hp)

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"slices"
 	"testing"
 
 	"lifeguard/internal/bgp"
@@ -278,5 +279,27 @@ func TestProbeAccounting(t *testing.T) {
 	rep := f.pr.Traceroute(f.vp1, f.top.Router(f.dst).Addr)
 	if f.pr.Sent != len(rep.Hops) || len(rep.Hops) < 4 { // one probe per TTL
 		t.Fatalf("traceroute cost = %d for %d hops", f.pr.Sent, len(rep.Hops))
+	}
+}
+
+// TestOneShotTraceHops pins who owns a one-shot traceroute's hops: a plain
+// Traceroute hands back the prober's buffer, which its next plain one
+// overwrites, and allocates nothing once the buffer has grown; a
+// SpoofedTraceroute's hops are its own and outlive every later trace.
+func TestOneShotTraceHops(t *testing.T) {
+	f := buildFig4(t)
+	dst := f.top.Router(f.dst).Addr
+	spoofed := f.pr.SpoofedTraceroute(f.vp1, dst, f.vp5)
+	kept := append([]Hop(nil), spoofed.Hops...)
+	plain := f.pr.Traceroute(f.vp1, dst)
+	again := f.pr.Traceroute(f.vp5, f.top.Router(f.vp1).Addr)
+	if &plain.Hops[0] != &again.Hops[0] {
+		t.Fatal("two plain traceroutes handed back hops in different arrays; the contract is the prober's buffer")
+	}
+	if !slices.Equal(spoofed.Hops, kept) {
+		t.Fatalf("a spoofed traceroute's hops changed under a later trace: %+v, was %+v", spoofed.Hops, kept)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { f.pr.Traceroute(f.vp1, dst) }); allocs != 0 {
+		t.Fatalf("a plain traceroute allocates %v objects, want 0", allocs)
 	}
 }

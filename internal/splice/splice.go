@@ -15,74 +15,68 @@ import (
 // Reach computes the set of ASes that have at least one valley-free
 // (Gao–Rexford exportable) route to origin, never traversing an AS in
 // avoid. The origin itself is included unless avoided.
-//
-// The computation mirrors route export: customer-learned (or originated)
-// routes propagate to providers, peers, and customers; peer- or
-// provider-learned routes propagate only to customers. That yields the
-// classic three phases: uphill from the origin through providers, one
-// optional peer hop, then downhill through customers.
 func Reach(top *topo.Topology, origin topo.ASN, avoid map[topo.ASN]bool) map[topo.ASN]bool {
-	if avoid[origin] {
-		return map[topo.ASN]bool{}
-	}
-	// Every AS enters the set and each queue at most once, so sizing all
-	// three for every AS up front means none of them ever grows.
-	n := top.NumASes()
-	reached := make(map[topo.ASN]bool, n)
-
-	// Phase 1 — uphill: ASes with a customer route to origin.
-	up := append(make([]topo.ASN, 0, n), origin)
-	reached[origin] = true
-	for len(up) > 0 {
-		cur := up[0]
-		up = up[1:]
-		for _, p := range top.Providers(cur) {
-			if !reached[p] && !avoid[p] {
-				reached[p] = true
-				up = append(up, p)
-			}
-		}
-	}
-
-	// Phase 2 — one peer edge off any uphill AS. The result is a set, so
-	// expansion order cannot change it, but keep the walk in ASN order
-	// anyway: determinism by construction beats determinism by argument.
-	frontier := make([]topo.ASN, 0, len(reached))
-	for asn := range reached {
-		frontier = append(frontier, asn)
-	}
-	slices.Sort(frontier)
-	down := append(make([]topo.ASN, 0, n), frontier...)
-	for _, u := range frontier {
-		for _, p := range top.Peers(u) {
-			if !reached[p] && !avoid[p] {
-				reached[p] = true
-				down = append(down, p)
-			}
-		}
-	}
-
-	// Phase 3 — downhill to customers from everything reached so far.
-	for len(down) > 0 {
-		cur := down[0]
-		down = down[1:]
-		for _, c := range top.Customers(cur) {
-			if !reached[c] && !avoid[c] {
-				reached[c] = true
-				down = append(down, c)
-			}
-		}
+	q := reach(top, origin, avoid, 0, false)
+	reached := make(map[topo.ASN]bool, len(q))
+	for _, a := range q {
+		reached[a] = true
 	}
 	return reached
 }
 
 // CanReach reports whether src has a valley-free route to origin avoiding
-// the given ASes.
+// the given ASes: whether Reach(top, origin, avoid) holds src, without
+// building the set and stopping as soon as src is reached.
 func CanReach(top *topo.Topology, src, origin topo.ASN, avoid map[topo.ASN]bool) bool {
-	if avoid[src] {
-		return false
+	q := reach(top, origin, avoid, src, true)
+	return len(q) > 0 && q[len(q)-1] == src
+}
+
+// reach returns, in the order it reaches them, the ASes of Reach, or with
+// stop set those up to and including src, if it is among them.
+//
+// The computation mirrors route export: customer-learned (or originated)
+// routes propagate to providers, peers, and customers; peer- or
+// provider-learned routes propagate only to customers. That yields the
+// classic three phases: uphill from the origin through providers, one
+// optional peer hop, then downhill through customers. Every AS enters the
+// queue at most once, marked by its position in top.ASNs(), so the queue
+// and the marks are sized once.
+func reach(top *topo.Topology, origin topo.ASN, avoid map[topo.ASN]bool, src topo.ASN, stop bool) []topo.ASN {
+	if avoid[origin] {
+		return nil
 	}
-	return Reach(top, origin, avoid)[src]
+	asns := top.ASNs()
+	if _, ok := slices.BinarySearch(asns, origin); !ok {
+		return []topo.ASN{origin} // no neighbours: it reaches only itself
+	}
+	seen := make([]bool, len(asns))
+	queue := make([]topo.ASN, 0, len(asns))
+	done := false
+	visit := func(a topo.ASN) {
+		if i, _ := slices.BinarySearch(asns, a); !done && !seen[i] && !avoid[a] {
+			seen[i] = true
+			queue = append(queue, a)
+			done = stop && a == src
+		}
+	}
+	visit(origin)
+	for i := 0; i < len(queue) && !done; i++ { // uphill
+		for _, p := range top.Providers(queue[i]) {
+			visit(p)
+		}
+	}
+	for i, up := 0, len(queue); i < up && !done; i++ { // one peer edge off any uphill AS
+		for _, p := range top.Peers(queue[i]) {
+			visit(p)
+		}
+	}
+	for i := 0; i < len(queue) && !done; i++ { // downhill from everything reached
+		for _, c := range top.Customers(queue[i]) {
+			visit(c)
+		}
+	}
+	return queue
 }
 
 // Avoid1 is a convenience constructor for a single-AS avoid set.

@@ -9,6 +9,7 @@ import (
 	"lifeguard/internal/probe"
 	"lifeguard/internal/simclock"
 	"lifeguard/internal/topo"
+	"lifeguard/internal/topogen"
 )
 
 // randTopo builds a random AS-level internet: a provider tree rooted at AS 1
@@ -270,5 +271,46 @@ func TestObservedIndexing(t *testing.T) {
 	}
 	if !obs.HasPair(3, 4) || obs.HasPair(4, 3) {
 		t.Fatal("pairs are directional")
+	}
+}
+
+// TestCanReachMatchesReach holds CanReach, which stops at src and builds no
+// set, to the set it stands for: over random worlds and topogen ones,
+// random origins and avoid sets (empty, one AS, several, the origin
+// itself), for every AS and one the topology does not have, CanReach(src)
+// is Reach(origin)[src].
+func TestCanReachMatchesReach(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	var worlds []*topo.Topology
+	for range 20 {
+		worlds = append(worlds, randTopo(t, rng, 5+rng.Intn(60)))
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		gen, err := topogen.Generate(topogen.Config{Seed: seed, NumTransit: 10, NumStub: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds = append(worlds, gen.Top)
+	}
+	for wi, top := range worlds {
+		asns := top.ASNs()
+		for k := range 12 {
+			origin := asns[rng.Intn(len(asns))]
+			avoid := map[topo.ASN]bool{}
+			switch {
+			case k%6 == 0:
+				avoid[origin] = true
+			case k%6 > 1:
+				for range k % 6 {
+					avoid[asns[rng.Intn(len(asns))]] = true
+				}
+			}
+			reach := Reach(top, origin, avoid)
+			for _, src := range append(asns[:len(asns):len(asns)], asns[len(asns)-1]+1) {
+				if got, want := CanReach(top, src, origin, avoid), reach[src]; got != want {
+					t.Fatalf("world %d, origin %d, avoid %v: CanReach(%d) = %v, Reach holds it: %v", wi, origin, avoid, src, got, want)
+				}
+			}
+		}
 	}
 }

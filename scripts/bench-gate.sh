@@ -64,10 +64,16 @@ cd "$(dirname "$0")/.."
 # (196.05 before; 189.27 just before this, an atlas fix having moved it
 # inside the bound) when the pending decision became the outage's own
 # record, armed with AtCall against a callback bound once per session: one
-# object per outage where there were two, about six per op.
+# object per outage where there were two, about six per op. It was
+# re-recorded once more (183.31 before, −63 %) when a walk-cache miss
+# stopped allocating a 16-hop array of its own: a walk records its hops in
+# one plane-owned buffer and a miss copies them into an exactly sized slice
+# of an 8 KB slab chunk, one chunk per about 25 misses; with it, a
+# plain one-shot traceroute hands back a prober-owned hop buffer, and
+# splice.CanReach stops at its source without building Reach's set.
 #
 #        workload  sim_latency_s      updates_per_op      allocs_per_op
-expect=("repair    382.1728918139953  1427.4567307692307  183.31"
+expect=("repair    382.1728918139953  1427.4567307692307  68.51"
         "converge  246.383297183625   1.946382            0.477083"
         "churn     198.1138306302584  3498.65             2021.93"
         "traffic   43.503350000000005 0.0000540981811412644 -")
