@@ -10,7 +10,7 @@ GO      ?= go
 GOFMT   ?= gofmt
 BIN     := bin
 
-.PHONY: all build test lint race daemon-smoke fuzz-smoke bench-all bench-gate parity clean
+.PHONY: all build test lint race daemon-smoke fuzz-smoke mutants bench-all bench-gate parity clean
 
 all: build test lint
 
@@ -79,6 +79,21 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzScheduler -fuzztime=15s ./internal/simclock/
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz=FuzzChurn -fuzztime=5s ./internal/traffic/
+
+# mutants re-runs the committed mutation-kill set: every diff under
+# <pkg>/testdata/mutants/ (the engine's decision, import and export, the
+# session-slot table and the MRAI horizon; the scheduler against its
+# container/heap model; lossy rules, held probes and slab-carved hops on the
+# walk cache; isolation's history reads; refsolve's sweeps and the
+# hierarchy order; the chaos oracle and fault heals; the outage record's
+# skip reasons; and one seeded violation per determinism class of DESIGN.md
+# §7). On a copy of the tree it first runs every header clean, then applies
+# each mutant alone and requires every test it names to fail, or its chaos
+# command to count violations of the named invariant; a diff that no longer
+# applies or a mutant that does not compile is an error. CI runs this on
+# every push; scripts/mutants.sh <path.diff>... runs a few.
+mutants:
+	bash scripts/mutants.sh
 
 # bench-all is a 1x pass over every Go benchmark in the repo (-short skips
 # the 10k-AS ConvergenceScale and Solve cases); CI runs it on every push so that a

@@ -701,12 +701,13 @@ func solveWorlds(t *testing.T) []*world {
 }
 
 // TestLocRIBMatchesOracle runs seeded op streams on three graphs with the
-// quirks. The mutations this must fail under, and did (CHANGES.md): decide
-// not clearing the remembered *Route; decide carrying exp over to the new
-// winner; row's stride one short of the session count, so two prefixes
-// share slots; sameForwarding calling an originated and a learned slot alike;
-// sameRoute ignoring the path; hasNews skipping exportIs; entryBetter
-// without the path length; advRecord.differs ignoring a path change.
+// quirks. The mutations this must fail under (testdata/mutants/, make
+// mutants): decide not clearing the remembered *Route; decide carrying exp
+// over to the new winner; row's stride one short of the session count, so
+// two prefixes share slots; sameForwarding calling an originated and a
+// learned slot alike; sameRoute ignoring the path; hasNews skipping
+// exportIs; entryBetter without the path length; advRecord.differs ignoring
+// a path change.
 func TestLocRIBMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{5, 23, 71} {
 		gen := generate(t, topogen.Config{Seed: seed, NumTier1: 3, NumTransit: 8, NumStub: 14, TransitPeerProb: 0.2})
@@ -731,8 +732,8 @@ func TestLocRIBMatchesOracle(t *testing.T) {
 // TestNextHopMatchesLookup holds the data plane's per-hop primitive to
 // Lookup (checkNextHop) after every op: every named chain on solveWorlds,
 // then TestLocRIBMatchesOracle's seeded streams, whose checks also land
-// mid-propagation. The mutations this must fail under, and did
-// (CHANGES.md): a learned route reported as local; no route reported as
+// mid-propagation. The mutations this must fail under (testdata/mutants/,
+// make mutants): a learned route reported as local; no route reported as
 // ok; an exact-match lookup in place of the longest-prefix walk.
 func TestNextHopMatchesLookup(t *testing.T) {
 	for _, c := range chains {

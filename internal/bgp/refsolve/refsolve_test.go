@@ -155,8 +155,8 @@ func matchIteration(t testing.TB, name string, top *topo.Topology, down map[topo
 
 // TestSolveMatchesIteration holds Solve to iterate on random trees with
 // peering, shuffled ASNs on three in four and the quirks on every other, and
-// on topogen worlds of 200 and 1k ASes. The mutations this must fail under,
-// and did (CHANGES.md): either sweep dropped; both sweeps bottom up; both
+// on topogen worlds of 200 and 1k ASes. The mutations this must fail under
+// (testdata/mutants/ here and in internal/topo, make mutants): either sweep dropped; both sweeps bottom up; both
 // top down; Hierarchy returning ASNs.
 func TestSolveMatchesIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))

@@ -20,7 +20,8 @@ import (
 // adj-RIB-in half exactly what the neighbor last advertised to H when import
 // accepts it (nothing otherwise).
 //
-// The mutations this must fail under, and did (CHANGES.md): receive writing
+// The mutations this must fail under (testdata/mutants/, make mutants):
+// receive writing
 // slot ri+1; session down clearing only the adj-RIB-out half; decide
 // skipping the row's last slot; offer taking the relationship from slot 0;
 // growRows growing to the table size instead of size times sessions; row's

@@ -260,8 +260,9 @@ func staleHistory(t *testing.T, cPaths, bPaths int) *isolation.Report {
 // among the newest six, the five newest reach the older C path, whose dark
 // hop is blamed, and with one they do not and nothing is blamed. Both
 // verdicts are what isolation gave while it copied the records out newest
-// first. The mutations this must fail under, and did (CHANGES.md): the cap
-// counting only non-repeats; the records walked oldest first.
+// first. The mutations this must fail under (testdata/mutants/, make
+// mutants): the cap counting only non-repeats; the records walked oldest
+// first.
 func TestOlderReversePathsWithinFive(t *testing.T) {
 	if rep := staleHistory(t, 2, 4); rep.Blamed != 6 || rep.BlamedLink == nil || *rep.BlamedLink != [2]topo.ASN{6, 2} {
 		t.Errorf("2 C then 4 B records: blamed AS%d, link %v; want AS6 failing toward AS2", rep.Blamed, rep.BlamedLink)

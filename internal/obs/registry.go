@@ -9,8 +9,8 @@
 //     per operation and allocates nothing), snapshots render in sorted
 //     series-key order, and per-trial registries merge by addition in
 //     trial-index order — the same mergeable-accumulator discipline as
-//     internal/metrics — so the merged snapshot is byte-identical at
-//     every parallelism level.
+//     internal/metrics — so the merged snapshot depends on the trials
+//     alone and is byte-identical run to run.
 //  2. No package-global mutable state. Everything hangs off an explicit
 //     *Registry; two rigs in one process never share a counter.
 //  3. Stdlib only, and no wall-clock reads: the journal is stamped with
