@@ -10,7 +10,11 @@
 //
 // Reports go to stdout; timing and progress chatter go to stderr, so
 // stdout is byte-identical for a fixed seed (diff it to audit the
-// determinism contract).
+// determinism contract). The exit status is 0 when the run completed and
+// every experiment that checks invariants (chaos, traffic) counted none
+// violated, 3 when one did (the reports and the -obs snapshot are written
+// first), 1 on a runtime error and 2 on an unknown experiment or a flag
+// value no run can use.
 package main
 
 import (
@@ -74,8 +78,12 @@ func main() {
 		}
 	}
 
-	err := writeReports(os.Stdout, os.Stderr, opts)
+	violations, err := writeReports(os.Stdout, os.Stderr, opts)
 	if err == nil {
+		if violations > 0 {
+			fmt.Fprintf(os.Stderr, "lgexp: %d invariant violations\n", violations)
+			os.Exit(3)
+		}
 		return
 	}
 	var unknown *unknownExperimentError
@@ -117,12 +125,13 @@ func selectExperiments(opts options) ([]experiments.Experiment, error) {
 }
 
 // writeReports runs the selected experiments across seeds and renders each
-// report to out. Chatter (timings, trial count) goes to errw only: for a
-// fixed configuration the bytes written to out are identical run to run.
-func writeReports(out, errw io.Writer, opts options) error {
+// report to out, returning the invariant violations the trials counted.
+// Chatter (timings, trial count) goes to errw only: for a fixed
+// configuration the bytes written to out are identical run to run.
+func writeReports(out, errw io.Writer, opts options) (int, error) {
 	todo, err := selectExperiments(opts)
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	// Experiments run entirely on the virtual clock; this stopwatch only
@@ -140,7 +149,7 @@ func writeReports(out, errw io.Writer, opts options) error {
 
 	results, err := experiments.RunSuite(todo, opts.seed, opts.seeds, reg)
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	for ei := range todo {
@@ -158,13 +167,25 @@ func writeReports(out, errw io.Writer, opts options) error {
 
 	if opts.obsPath != "" {
 		if err := writeSnapshot(opts.obsPath, reg); err != nil {
-			return err
+			return 0, err
 		}
 		fmt.Fprintf(errw, "lgexp: wrote metrics snapshot to %s\n", opts.obsPath)
 	}
 
 	fmt.Fprintf(errw, "lgexp: suite completed in %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
+	return countViolations(results), nil
+}
+
+// countViolations sums the invariant violations every trial counted: the
+// "violations_total" value of the experiments that run the chaos checker.
+func countViolations(results [][]*experiments.Result) int {
+	n := 0
+	for _, trials := range results {
+		for _, r := range trials {
+			n += int(r.Values["violations_total"])
+		}
+	}
+	return n
 }
 
 // writeSnapshot dumps the merged registry as JSON. Per-trial registries are

@@ -21,7 +21,7 @@ func TestEveryExperimentDeterministic(t *testing.T) {
 		t.Helper()
 		var out, chatter bytes.Buffer
 		opts := options{ids: []string{id}, seed: 1, seeds: 2, obsPath: obsPath}
-		if err := writeReports(&out, &chatter, opts); err != nil {
+		if _, err := writeReports(&out, &chatter, opts); err != nil {
 			t.Fatalf("obs=%q: %v", obsPath, err)
 		}
 		return out.Bytes()
@@ -53,7 +53,7 @@ func TestSingleSeedReportMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, chatter bytes.Buffer
-	if err := writeReports(&out, &chatter, options{ids: []string{"tab2"}, seed: 3, seeds: 1}); err != nil {
+	if _, err := writeReports(&out, &chatter, options{ids: []string{"tab2"}, seed: 3, seeds: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if want := res[0][0].String() + "\n"; out.String() != want {
@@ -81,7 +81,7 @@ func TestReportsByteIdenticalWithObsOnOff(t *testing.T) {
 		var out, chatter bytes.Buffer
 		opts := base
 		opts.obsPath = obsPath
-		if err := writeReports(&out, &chatter, opts); err != nil {
+		if _, err := writeReports(&out, &chatter, opts); err != nil {
 			t.Fatalf("obs=%q: %v", obsPath, err)
 		}
 		return out.Bytes()
@@ -116,16 +116,13 @@ func TestReportsByteIdenticalWithObsOnOff(t *testing.T) {
 // and one line naming the problem.
 func TestUnknownExperimentRejected(t *testing.T) {
 	var out, chatter bytes.Buffer
-	err := writeReports(&out, &chatter, options{ids: []string{"nope"}, seeds: 1})
+	_, err := writeReports(&out, &chatter, options{ids: []string{"nope"}, seeds: 1})
 	var unknown *unknownExperimentError
 	if !errors.As(err, &unknown) {
 		t.Fatalf("err = %v, want *unknownExperimentError", err)
 	}
 
-	bin := filepath.Join(t.TempDir(), "lgexp")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t)
 	for _, tc := range []struct {
 		args    []string
 		wantMsg string
@@ -144,5 +141,43 @@ func TestUnknownExperimentRejected(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.wantMsg) || stdout.Len() != 0 {
 			t.Errorf("%v: stderr %q does not name %s, or a report was written", tc.args, stderr.String(), tc.wantMsg)
 		}
+	}
+}
+
+// build compiles lgexp into a temporary directory.
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "lgexp")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestViolationsSetExitStatus: the invariant violations lgexp exits 3 on
+// are every trial's, summed over experiments and seeds, and a run whose
+// trials count none exits 0 with its reports and -obs snapshot written.
+func TestViolationsSetExitStatus(t *testing.T) {
+	withCount := func(v float64) *experiments.Result {
+		return &experiments.Result{Values: map[string]float64{"violations_total": v}}
+	}
+	results := [][]*experiments.Result{
+		{withCount(2), withCount(0)},
+		{{Values: map[string]float64{"faults_total": 8}}, withCount(1)},
+	}
+	if got := countViolations(results); got != 3 {
+		t.Fatalf("countViolations = %d, want 3", got)
+	}
+
+	snap := filepath.Join(t.TempDir(), "metrics.json")
+	cmd := exec.Command(build(t), "-exp", "chaos,traffic", "-obs", snap)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if got := cmd.ProcessState.ExitCode(); got != 0 {
+		t.Fatalf("clean chaos run: exit %d (%v), want 0\nstderr: %s", got, err, stderr.String())
+	}
+	if _, err := os.Stat(snap); err != nil || stdout.Len() == 0 || strings.Contains(stderr.String(), "violations") {
+		t.Fatalf("clean chaos run: snapshot %v, %d bytes of report, stderr %q", err, stdout.Len(), stderr.String())
 	}
 }

@@ -361,6 +361,21 @@ func TestUnchangedPathStoredOnce(t *testing.T) {
 	announce(nettest.O, nil)
 	announce(nettest.E, nil)
 	refresh("unpoisoned")
+	// The poisons lifted, the forward path is the one it was before them,
+	// and the held tracer hands back the slice it stored that path in.
+	fwd := a.Forward(vp, target)
+	cur := &fwd[len(fwd)-1]
+	for i := len(fwd) - 2; i >= 0; i-- {
+		if slices.Equal(fwd[i].Hops, cur.Hops) {
+			if !cur.Repeats(&fwd[i]) {
+				t.Fatalf("a path that flipped back was stored anew: record %d and the last list the same hops in two arrays", i)
+			}
+			break
+		}
+		if i == 0 {
+			t.Fatal("unpoisoned: the forward path is none it was before")
+		}
+	}
 	refresh("unpoisoned, unchanged")
 	id = n.Plane.AddFailure(dataplane.BlackholeASTowards(nettest.B, topo.Block(nettest.O)))
 	refresh("B blackholed")

@@ -34,7 +34,10 @@ const (
 // Route is the public form of one adj-RIB-in or loc-RIB entry. The engine
 // stores neither as a Route (see rib.go): one is built for the caller that
 // asks and is immutable from then on — a pointer held across a routing
-// change keeps describing the route as it was.
+// change keeps describing the route as it was. A loc-RIB Route is
+// remembered per slot, with the one its last rebuild displaced: reads
+// between changes return one pointer, and a slot that flips back to that
+// displaced route (an unpoison, a heal) returns its pointer again.
 type Route struct {
 	Prefix netip.Prefix
 	// Path is the AS path as received: Path[0] is the neighbor that sent

@@ -365,14 +365,15 @@ func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
 
 // Lookup performs longest-prefix match for addr in asn's loc-RIB: one bounded
 // walk down the engine's trie over every interned prefix (see lpm.go), keeping
-// the deepest prefix asn holds a route for, so a miss or hit costs, but for
-// the first read of a route since it changed, no allocation. The data plane
+// the deepest prefix asn holds a route for, so a miss or hit costs no
+// allocation but for the first read of a route since it changed to one it
+// did not hold just before (see Speaker.route). The data plane
 // reads the same match through NextHop, which builds no Route. The full IPv4 length range /0../32
 // matches, default routes included; non-IPv4 addresses (which the address
 // plan never routes) report no route. The Route returned is the one BestRoute
 // returns for the matched prefix, pointer for pointer. Like BestRoute, Lookup
-// may write — the first call after a route changed builds and remembers that
-// Route — so it too belongs to the goroutine that owns the scheduler; the
+// may write — the first call after a route changed remembers its Route,
+// built or handed back — so it too belongs to the goroutine that owns the scheduler; the
 // engine takes no lock.
 func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 	s := e.speakers[asn]

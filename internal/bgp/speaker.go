@@ -33,9 +33,14 @@ type Speaker struct {
 	nBest int
 	// routes remembers the *Route built from a slot for a caller of
 	// Best/BestRoute/Lookup (see route), so two reads between changes return
-	// one pointer; decide clears a slot's when it rewrites the slot. It
-	// grows on first read, so a speaker nobody reads keeps it nil.
+	// one pointer; a read checks that it still describes the slot. It grows
+	// on first read, so a speaker nobody reads keeps it nil. spare holds,
+	// per slot, the Route that the last rebuild displaced, handed back when
+	// the slot flips back to it (an unpoison, a heal); it grows on the first
+	// read that finds routes stale, so a speaker read once per route keeps
+	// it nil.
 	routes []*Route
+	spare  []*Route
 	// origin holds locally-originated prefixes: the (sanitized) announcement
 	// policy plus the originated loc-RIB route, built once per Announce so
 	// decide does not reallocate it on every update. Indexed by prefix id;
@@ -198,8 +203,10 @@ func (s *Speaker) bestAt(id prefixID) locEntry {
 }
 
 // route returns the selected route for id as a *Route, nil when there is
-// none: built from the slot on the first call after the slot changed,
-// remembered for the calls that follow.
+// none. The Route remembered for the slot is returned while it describes the
+// slot; when it does not, the spare is swapped in if it does, and otherwise
+// a new Route is built. Either way the displaced one becomes the spare, so
+// a route that flips back and forth is built once per side.
 func (s *Speaker) route(id prefixID) *Route {
 	le := s.bestAt(id)
 	if le.kind == locNone {
@@ -208,15 +215,42 @@ func (s *Speaker) route(id prefixID) *Route {
 	if int(id) >= len(s.routes) {
 		s.routes = growTo(s.routes, s.e.prefixes.size())
 	}
-	r := s.routes[id]
-	if r == nil {
-		r = s.materialize(s.e.prefixes.pfx[id], &le.ent)
-		if le.kind == locOriginated {
-			r.Path, r.Originated = topo.Path{}, true
+	old := s.routes[id]
+	if old != nil {
+		if s.describes(old, &le) {
+			return old
 		}
-		s.routes[id] = r
+		if int(id) >= len(s.spare) {
+			s.spare = growTo(s.spare, s.e.prefixes.size())
+		}
+		if r := s.spare[id]; r != nil && s.describes(r, &le) {
+			s.routes[id], s.spare[id] = r, old
+			return r
+		}
+	}
+	r := s.materialize(s.e.prefixes.pfx[id], &le.ent)
+	if le.kind == locOriginated {
+		r.Path, r.Originated = topo.Path{}, true
+	}
+	s.routes[id] = r
+	if old != nil {
+		s.spare[id] = old
 	}
 	return r
+}
+
+// describes reports whether r is the Route slot le builds, by sameRoute's
+// identity: the kind, the neighbor and the path handle, whose canonical
+// slice r.Path is for a learned slot. Rel and LocalPref follow from the
+// neighbor's session, and an originated Route is the same every time, so
+// nothing else can differ.
+func (s *Speaker) describes(r *Route, le *locEntry) bool {
+	if le.kind == locOriginated {
+		return r.Originated
+	}
+	p := s.e.arena.path(le.ent.path)
+	return !r.Originated && r.From == le.ent.nbr &&
+		len(r.Path) == len(p) && (len(p) == 0 || &r.Path[0] == &p[0])
 }
 
 // originAt returns the origin entry for id, nil when s does not originate it.
@@ -247,7 +281,8 @@ func (s *Speaker) neighborDown(n topo.ASN) bool {
 func (s *Speaker) ASN() topo.ASN { return s.asn }
 
 // Best returns the selected route for an exact prefix. Two calls with no
-// change to that route between them return the same pointer. Like Lookup it
+// change to that route between them return the same pointer, and so do two
+// calls around a change and its undoing (see route). Like Lookup it
 // may write (it remembers the Route it builds), so it belongs to the
 // goroutine that owns the engine's scheduler.
 func (s *Speaker) Best(p netip.Prefix) (*Route, bool) {
@@ -451,9 +486,6 @@ func (s *Speaker) decide(id prefixID) bool {
 		s.best = growTo(s.best, s.e.prefixes.size())
 	}
 	s.best[id] = nw
-	if int(id) < len(s.routes) {
-		s.routes[id] = nil
-	}
 	switch {
 	case nw.kind == locNone:
 		s.nBest--

@@ -370,10 +370,11 @@ func (t *TracerouteReport) ASPath() topo.Path {
 // the flow of the probes (one header at every TTL) and, per TTL, the flow of
 // that position's replies, so the atlas pays for them once per pair. It
 // also keeps the hops it last found and hands back that slice while a trace
-// finds the same ones, so an unchanged path is stored once, and the step
-// each TTL took, so that a trace nothing has changed under repeats whole
-// (see Trace). Traceroute and SpoofedTraceroute are a Tracer made, asked
-// once and dropped.
+// finds the same ones, so an unchanged path is stored once; the slice the
+// last change displaced, handed back when the path flips back to it; and
+// the step each TTL took, so that a trace nothing has changed under repeats
+// whole (see Trace). Traceroute and SpoofedTraceroute are a Tracer made,
+// asked once and dropped.
 type Tracer struct {
 	p             *Prober
 	prim          primitive
@@ -382,8 +383,11 @@ type Tracer struct {
 	fwd           dataplane.Flow
 	replies       []replyFlow // replies[ttl-1]: the replies to the TTL-ttl probe
 	steps         []traceStep // steps[ttl-1]: what the last trace's TTL-ttl probe met
-	last          []Hop
-	reached       bool
+	// last is the hops the last trace found; prev is the slice last
+	// displaced when the hops last changed, handed back if they change
+	// back (a poison lifted, a failure healed).
+	last, prev []Hop
+	reached    bool
 }
 
 // traceStep is one TTL of a trace: the probe's fate, the responder asked
@@ -447,7 +451,8 @@ func (p *Prober) traceOnce(prim primitive, src topo.RouterID, dst netip.Addr, re
 }
 
 // Trace runs the traceroute once. Its Hops are the previous trace's slice
-// when it found the same hops: read-only, like every Hops a probe returns.
+// when it found the same hops, and the slice the last change displaced when
+// it found those: read-only, like every Hops a probe returns.
 //
 // While every responder of the last trace would decide as it did and the
 // probes' flow and every reply flow the last trace used Stand, Trace
@@ -470,12 +475,17 @@ func (tr *Tracer) Trace() TracerouteReport {
 		return TracerouteReport{Hops: tr.last, ReachedDst: tr.reached}
 	}
 	// The hops are gathered on the stack, where a trace to maxTTL fits,
-	// and copied out once at their final number, unless they are the last.
+	// and copied out once at their final number, unless they are the last
+	// or the ones before them.
 	var buf [maxTTL]Hop
 	tr.steps = tr.steps[:0]
 	hops, reached := tr.trace(buf[:0])
-	if !slices.Equal(hops, tr.last) {
-		tr.last = make([]Hop, len(hops))
+	switch {
+	case slices.Equal(hops, tr.last):
+	case tr.prev != nil && slices.Equal(hops, tr.prev):
+		tr.last, tr.prev = tr.prev, tr.last
+	default:
+		tr.last, tr.prev = make([]Hop, len(hops)), tr.last
 		copy(tr.last, hops)
 	}
 	tr.reached = reached

@@ -13,8 +13,9 @@
 # the objects and bytes allocated in the windows, which add to 100 % by
 # construction. runtime holds the allocator and the collector (and the
 # assembly routines pprof names without a package); lifeguard/benchmark is
-# the benchmark's own harness. Left out are the profiler's own allocations
-# and the checks a window runs off the stopwatch (see byPackage).
+# the benchmark's own harness. Left out are the profiler's own allocations,
+# the heap sampler's own CPU and the checks a window runs off the stopwatch
+# (see byPackage).
 # Everything is seeded (seed 1), so allocation shares repeat run to run up
 # to sampling; CPU shares move with the host.
 #
@@ -100,7 +101,10 @@ PROFILE_WORKLOAD=$wl PROFILE_SECONDS=$secs PROFILE_DIR=$tmp \
 # sample's value goes to the package of its leaf frame (pprof's flat), a
 # function's package being its name, type parameters and the "type:.eq."
 # of generated functions cut off, up to the first dot after the last slash.
-# Left out: what the profiler itself allocates, and the window's own
+# Left out: what the profiler itself allocates; the heap sampler's CPU, the
+# stack walk runtime.profilealloc makes at every sampled allocation (a
+# tenth of churn's and repair's samples at MemProfileRate 512, billed to
+# runtime, which an unprofiled run never pays); and the window's own
 # unclocked checks — a ribDigest or runtime.GC that window calls directly,
 # which the benchmark's stopwatch does not time either.
 byPackage() {
@@ -108,7 +112,7 @@ byPackage() {
 		function flush(   i, n, s, d, pkg) {
 			if (nf == 0) return
 			for (i = 1; i <= nf; i++) {
-				if (fr[i] ~ /^runtime\/pprof\./) drop = 1
+				if (fr[i] ~ /^runtime\/pprof\./ || fr[i] == "runtime.profilealloc") drop = 1
 				if (i < nf && fr[i] ~ /^(lifeguard\/benchmark\.ribDigest|runtime\.GC)$/ &&
 					fr[i+1] ~ /^lifeguard\/benchmark\.\(\*[a-zA-Z]+\)\.window$/) drop = 1
 			}
@@ -128,6 +132,13 @@ byPackage() {
 		END { flush(); for (p in sum) printf "%s %.1f\n", p, 100 * sum[p] / total }'
 }
 
+# Kept before the table prints, so that a reader that closes the pipe
+# early (| head) does not lose them.
+if [[ -n "${PROFILE_KEEP:-}" ]]; then
+	mkdir -p "$PROFILE_KEEP"
+	cp "$tmp"/*.prof "$PROFILE_KEEP"/
+fi
+
 byPackage -unit=ms "$tmp/cpu.prof" >"$tmp/cpu.txt"
 byPackage -sample_index=alloc_objects -base "$tmp/allocs.base.prof" "$tmp/allocs.prof" >"$tmp/objects.txt"
 byPackage -sample_index=alloc_space -unit=B -base "$tmp/allocs.base.prof" "$tmp/allocs.prof" >"$tmp/space.txt"
@@ -141,8 +152,3 @@ awk 'FILENAME ~ /cpu\.txt$/ { c[$1] = $2 } FILENAME ~ /objects\.txt$/ { o[$1] = 
 	"$tmp/cpu.txt" "$tmp/objects.txt" "$tmp/space.txt" |
 	sort -t "$(printf '\t')" -k2,2gr -k3,3gr |
 	awk -F '\t' '$2 + $3 + $4 >= 0.1 { printf "| `%s` | %s | %s | %s |\n", $1, $2, $3, $4 }'
-
-if [[ -n "${PROFILE_KEEP:-}" ]]; then
-	mkdir -p "$PROFILE_KEEP"
-	cp "$tmp"/*.prof "$PROFILE_KEEP"/
-fi
