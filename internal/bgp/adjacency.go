@@ -70,7 +70,7 @@ func (s *Speaker) setNeighborDown(n topo.ASN, down bool) {
 			st.pending.add(prefixID(id), size)
 		}
 	}
-	if len(st.pending.ids) > 0 {
+	if st.pending.n > 0 {
 		s.kick(i)
 	} else {
 		s.idleKick(i)

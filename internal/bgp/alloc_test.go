@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"runtime"
 	"testing"
 
 	"lifeguard/internal/obs"
@@ -16,10 +17,7 @@ import (
 // scheduler events it stepped through.
 func warmedPoisonCycle(t *testing.T) (*Engine, func() (events int)) {
 	t.Helper()
-	gen, err := topogen.Generate(topogen.Config{Seed: 1, NumTransit: 25, NumStub: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := cycleGraph(t)
 	clk := simclock.New()
 	e := New(gen.Top, clk, Config{Seed: 1})
 	events := 0
@@ -55,6 +53,16 @@ func warmedPoisonCycle(t *testing.T) (*Engine, func() (events int)) {
 	}
 	cycle()
 	return e, cycle
+}
+
+// cycleGraph is warmedPoisonCycle's 25-transit, 80-stub graph.
+func cycleGraph(t *testing.T) *topogen.Result {
+	t.Helper()
+	gen, err := topogen.Generate(topogen.Config{Seed: 1, NumTransit: 25, NumStub: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
 }
 
 // TestPoisonCycleAllocations pins the classic loop's per-update cost in heap
@@ -155,4 +163,102 @@ func TestInflightSlabBounded(t *testing.T) {
 		t.Fatalf("at most %d updates in flight at once: the cycles exercised nothing", peak)
 	}
 	t.Logf("slab %d slots after the fill, %d after 60 cycles; peak in flight %d", filled, len(e.inflight), peak)
+}
+
+// fill originates every stub's production prefix on a fresh engine over gen
+// and converges, reporting the heap objects the origination and convergence
+// allocated (New is outside the count) and the loc-RIB routes installed.
+func fill(t *testing.T, gen *topogen.Result) (e *Engine, objects uint64, routes int) {
+	t.Helper()
+	clk := simclock.New()
+	e = New(gen.Top, clk, Config{Seed: 1})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, o := range gen.Stubs {
+		e.Originate(o, topo.ProductionPrefix(o))
+	}
+	for !e.Quiescent() {
+		if !clk.Step() {
+			t.Fatal("no convergence")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	routes, _ = e.RIBSizes()
+	return e, after.Mallocs - before.Mallocs, routes
+}
+
+// TestFillAllocations pins a fill from empty's cost in heap objects per
+// loc-RIB route installed. A new export path is carved from the arena's
+// 8 KB slab chunks and a flush reads its pending set into one engine-owned
+// buffer, so what is left grows with the tables, not with the updates:
+// 1 260 objects for the 8 800 routes of this graph (110 ASes × 80
+// prefixes), 0.14 each. It measured 0.50 (4 387 objects) while every new
+// export path was an array of its own, and 0.53 (4 663) while each flush
+// collected its pending set into a fresh slice. The ceiling is the measured
+// value with 40 % of headroom, 0.14 × 1.4 ≈ 0.2, still well under both.
+func TestFillAllocations(t *testing.T) {
+	gen := cycleGraph(t)
+	const ceiling = 0.2
+	least := ^uint64(0)
+	var routes int
+	for range 3 { // the fewest of three: a stray allocation elsewhere only adds
+		var objects uint64
+		_, objects, routes = fill(t, gen)
+		least = min(least, objects)
+	}
+	if routes < 1000 {
+		t.Fatalf("fill installed only %d routes: not a table", routes)
+	}
+	if per := float64(least) / float64(routes); per > ceiling {
+		t.Errorf("fill: %d objects for %d routes = %.2f per route, want <= %.2f", least, routes, per, ceiling)
+	} else {
+		t.Logf("fill: %d objects for %d routes = %.2f per route", least, routes, per)
+	}
+}
+
+// TestArenaPathsDoNotAlias appends to every path the engine hands out after
+// a fill — each speaker's best routes, through BestRoute and Lookup, and
+// every session's export path — and requires every interned path to read as
+// it did before. Export paths share 8 KB slab chunks, so an append through
+// one that is not capped at its length would write over the next path.
+func TestArenaPathsDoNotAlias(t *testing.T) {
+	gen := cycleGraph(t)
+	e, _, _ := fill(t, gen)
+	var handed []topo.Path
+	for _, asn := range e.asns {
+		s := e.speakers[asn]
+		for _, o := range gen.Stubs {
+			pfx := topo.ProductionPrefix(o)
+			if r, ok := e.BestRoute(asn, pfx); ok {
+				handed = append(handed, r.Path)
+			}
+			if r, ok := e.Lookup(asn, pfx.Addr()); ok {
+				handed = append(handed, r.Path)
+			}
+			id, _ := e.prefixes.lookup(pfx)
+			for i := range s.out {
+				if ex, ok := s.exportTo(i, id); ok {
+					handed = append(handed, ex.path)
+				}
+			}
+		}
+	}
+	want := make([]topo.Path, len(e.arena.paths))
+	for i, p := range e.arena.paths {
+		want[i] = p.Clone()
+	}
+	for _, p := range handed {
+		_ = append(p, 0xdead, 0xbeef)
+	}
+	bad := 0
+	for i, p := range e.arena.paths {
+		if !p.Equal(want[i]) {
+			if bad++; bad <= 5 {
+				t.Errorf("interned path %d reads %v after the appends, was %v", i+1, p, want[i])
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d interned paths changed under %d appends", bad, len(want), len(handed))
+	}
 }

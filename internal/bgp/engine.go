@@ -55,6 +55,9 @@ type Engine struct {
 	fireDeliver  func(slot uint64)
 	fireTimer    func(packed uint64)
 	fireHorizon  func(uint64)
+	// flushIDs is the buffer every flush reads its pending set into: flush
+	// never nests (deliveries are scheduled), so one serves every session.
+	flushIDs []prefixID
 
 	// updatesSent counts announcements+withdrawals sent per AS — the raw
 	// material for the Table 2 update-load analysis — densely indexed by

@@ -69,8 +69,8 @@ func TestNewsRidesRememberedTick(t *testing.T) {
 			x.receive(x.nbrIndex(N), update{id: x.e.intern(p), path: topo.Path{N, N, N}})
 			id, _ := e.prefixes.lookup(p)
 			start, quiet := clk.Now(), toN.quietUntil
-			if toN.timerArmed || len(toN.pending.ids) != 0 {
-				t.Fatalf("X→N has nothing to send but armed=%v pending=%v", toN.timerArmed, toN.pending.ids)
+			if toN.timerArmed || toN.pending.n != 0 {
+				t.Fatalf("X→N has nothing to send but armed=%v pending=%v", toN.timerArmed, toN.pending.n)
 			}
 			if quiet <= start || quiet >= start+e.cfg.MRAI {
 				t.Fatalf("X→N remembered tick %v: want a phase inside (%v, %v)", quiet, start, start+e.cfg.MRAI)
@@ -101,8 +101,8 @@ func TestNewsRidesRememberedTick(t *testing.T) {
 			if r, _ := x.Best(p); r == nil || r.From != M {
 				t.Fatalf("X did not switch to M's route: %v", r)
 			}
-			if !toN.timerArmed || len(toN.pending.ids) != 1 {
-				t.Fatalf("X→N has news but armed=%v pending=%v", toN.timerArmed, toN.pending.ids)
+			if !toN.timerArmed || toN.pending.n != 1 {
+				t.Fatalf("X→N has news but armed=%v pending=%v", toN.timerArmed, toN.pending.n)
 			}
 			if got := e.obs.mraiDeferrals.Value(); got != wantDeferred {
 				t.Errorf("deferrals %d, want %d", got, wantDeferred)
@@ -207,8 +207,8 @@ func TestRestoreAdvertisesTheTableOrOnlyTicks(t *testing.T) {
 	for _, pair := range [][2]topo.ASN{{2, 4}, {4, 2}} {
 		s, n := e.Speaker(pair[0]), pair[1]
 		st := &s.out[s.nbrIndex(n)]
-		if !st.timerArmed || len(st.pending.ids) != 2 {
-			t.Errorf("AS%d→AS%d after restore: armed=%v pending=%v, want two prefixes queued", s.asn, n, st.timerArmed, st.pending.ids)
+		if !st.timerArmed || st.pending.n != 2 {
+			t.Errorf("AS%d→AS%d after restore: armed=%v pending=%v, want two prefixes queued", s.asn, n, st.timerArmed, st.pending.n)
 		}
 	}
 	converge(t, e)

@@ -18,7 +18,8 @@ import "lifeguard/internal/topo"
 // lookup, and a path that enters whole (an origin pattern) is folded in from
 // its end, one suffix at a time. Equal contents get equal handles whichever
 // way they enter: by induction on length, the rests are equal handles, so the
-// keys are equal.
+// keys are equal. A new export path is carved from the arena's slab chunk
+// rather than allocated on its own (see internPrepended).
 //
 // Handles are used strictly for equality ("is this the same path I already
 // advertised / already store?"), never for ordering or output, so the
@@ -34,11 +35,16 @@ type pathID uint32
 // path; newArena interns it first.
 const emptyPath pathID = 1
 
+// slabHops is the size of a slab chunk, in hops (8 KB). The arena never
+// forgets a path, so a chunk is never freed or written twice.
+const slabHops = 2048
+
 // arena is the engine-global intern table for AS paths.
 type arena struct {
 	paths []topo.Path // paths[id-1] is the canonical slice for id
 	// cons maps consKey(first hop, handle of the rest) to the path's handle.
 	cons map[uint64]pathID
+	slab []topo.ASN // the chunk new export paths are carved from
 }
 
 func newArena() *arena {
@@ -76,13 +82,22 @@ func (a *arena) internPath(p topo.Path) pathID {
 // self — the path a speaker exports a learned route with. The path itself
 // is built only if the arena has never seen it. Most exports are of a path
 // seen before (every unpoison, every step back of a path exploration), and
-// those allocate nothing.
+// those allocate nothing. A new one is carved from the slab with its
+// capacity equal to its length: an append through a Route.Path or an
+// update's path reallocates instead of writing over the next path.
 func (a *arena) internPrepended(self topo.ASN, tail pathID) pathID {
 	k := consKey(self, tail)
 	if id, ok := a.cons[k]; ok {
 		return id
 	}
-	return a.add(k, a.path(tail).Prepend(self))
+	t := a.path(tail)
+	n := len(t) + 1
+	if cap(a.slab)-len(a.slab) < n {
+		a.slab = make([]topo.ASN, 0, max(slabHops, n))
+	}
+	l := len(a.slab)
+	a.slab = append(append(a.slab, self), t...)
+	return a.add(k, a.slab[l:l+n:l+n])
 }
 
 // add interns p under key k, which the arena does not hold yet.

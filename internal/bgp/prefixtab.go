@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math/bits"
 	"net/netip"
 	"slices"
 	"sort"
@@ -104,38 +105,43 @@ func (t *prefixTable) sortByRank(ids []prefixID) {
 	slices.SortFunc(ids, func(a, b prefixID) int { return int(rank[a]) - int(rank[b]) })
 }
 
-// idSet is an insertion-ordered set of prefix ids: the list plus a dedupe
-// bitset. It backs the per-session pending set.
+// idSet is a set of prefix ids: a bitset plus its count. It backs the
+// per-session pending set, which flush reads back in rank order (drain), so
+// the order ids were added in never shows.
 type idSet struct {
-	ids  []prefixID
 	mark []uint64
+	n    int
 }
 
-// add inserts id; n is the prefix table's size, which the bitset grows to
+// add inserts id; size is the prefix table's size, which the bitset grows to
 // when id lies past its end.
-func (s *idSet) add(id prefixID, n int) {
+func (s *idSet) add(id prefixID, size int) {
 	w := int(id >> 6)
 	if w >= len(s.mark) {
-		s.mark = growTo(s.mark, (n+63)>>6)
+		s.mark = growTo(s.mark, (size+63)>>6)
 	}
 	bit := uint64(1) << (id & 63)
-	if s.mark[w]&bit != 0 {
-		return
+	if s.mark[w]&bit == 0 {
+		s.mark[w] |= bit
+		s.n++
 	}
-	s.mark[w] |= bit
-	s.ids = append(s.ids, id)
 }
 
-// reset empties the set. The marks go with the list: a mark left behind
-// would silently swallow the id's next add. A burst-sized list is released
-// rather than kept as a husk per session for the rest of the run.
+// drain appends the set's ids to buf in id order, empties the set and
+// returns buf.
+func (s *idSet) drain(buf []prefixID) []prefixID {
+	for w := 0; s.n > 0; w++ {
+		for m := s.mark[w]; m != 0; m &= m - 1 {
+			buf = append(buf, prefixID(w<<6|bits.TrailingZeros64(m)))
+			s.n--
+		}
+		s.mark[w] = 0
+	}
+	return buf
+}
+
+// reset empties the set.
 func (s *idSet) reset() {
-	for _, id := range s.ids {
-		s.mark[id>>6] &^= 1 << (id & 63)
-	}
-	if cap(s.ids) > 64 {
-		s.ids = nil
-	} else {
-		s.ids = s.ids[:0]
-	}
+	clear(s.mark)
+	s.n = 0
 }

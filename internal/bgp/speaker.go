@@ -593,7 +593,7 @@ func (s *Speaker) idleKick(i int) {
 func (s *Speaker) timerFired(i int) {
 	st := &s.out[i]
 	st.timerArmed = false
-	if len(st.pending.ids) > 0 {
+	if st.pending.n > 0 {
 		s.flushAndArm(i)
 	}
 }
@@ -618,11 +618,10 @@ func (s *Speaker) flushAndArm(i int) {
 // what was last advertised; it returns the number of messages sent.
 func (s *Speaker) flush(i int) int {
 	st := &s.out[i]
-	// A down session has nothing pending: losing it reset the list, and
+	// A down session has nothing pending: losing it reset the set, and
 	// hasNews queues nothing toward it until it returns.
-	// Flush never nests (deliveries are scheduled, not synchronous), so the
-	// pending list is sorted and walked in place and emptied afterwards.
-	ids := st.pending.ids
+	ids := st.pending.drain(s.e.flushIDs[:0])
+	s.e.flushIDs = ids
 	s.e.prefixes.sortByRank(ids)
 	sent := 0
 	for _, id := range ids {
@@ -643,7 +642,6 @@ func (s *Speaker) flush(i int) int {
 		s.rows[k].adv = advRecord{pid: ex.pid}
 		s.e.deliver(s, i, update{id: id, path: ex.path, pid: ex.pid})
 	}
-	st.pending.reset()
 	return sent
 }
 

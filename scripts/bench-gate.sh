@@ -80,11 +80,18 @@ cd "$(dirname "$0")/.."
 # (68.51 before, −16 %): a held traceroute hands back the hops slice its
 # last change displaced when the path flips back, so the atlas's refresh
 # after an unpoison or a heal copies no hops.
+# converge's allocs_per_op was re-recorded (0.477083 before, −89 %) when
+# the path arena began to carve a new export path from an 8 KB slab chunk
+# it owns, where each was an array of its own, and a flush began to read
+# its session's pending set, now a bitset and its count, into one
+# engine-owned buffer, where each session kept an id list that a burst
+# re-grew. churn's was re-recorded with it (443.38 before, −21 %): the
+# novel paths a poison's exploration interns come out of the same slab.
 #
 #        workload  sim_latency_s      updates_per_op      allocs_per_op
 expect=("repair    382.1728918139953  1427.4567307692307  57.69"
-        "converge  246.383297183625   1.946382            0.477083"
-        "churn     198.1138306302584  3498.65             443.38"
+        "converge  246.383297183625   1.946382            0.052771"
+        "churn     198.1138306302584  3498.65             348.225"
         "traffic   43.503350000000005 0.0000540981811412644 -")
 
 field() { # field <json> <metric>: the metric's value, as printed
