@@ -86,12 +86,15 @@ fuzz-smoke:
 # container/heap model; lossy rules, held probes and slab-carved hops on the
 # walk cache; isolation's history reads; refsolve's sweeps and the
 # hierarchy order; the chaos oracle and fault heals; the outage record's
-# skip reasons; and one seeded violation per determinism class of DESIGN.md
-# §7). On a copy of the tree it first runs every header clean, then applies
-# each mutant alone and requires every test it names to fail, or its chaos
-# command to count violations of the named invariant; a diff that no longer
-# applies or a mutant that does not compile is an error. CI runs this on
-# every push; scripts/mutants.sh <path.diff>... runs a few.
+# skip reasons; the Prometheus rendering and /metrics; and one seeded
+# violation per determinism class of DESIGN.md §7). On a copy of the tree
+# it first runs every header clean, then applies each mutant alone and
+# requires every test it names to fail, or its chaos command to count
+# violations of the named invariant; a diff that no longer applies or a
+# mutant that does not compile is an error. It fails first
+# when testdata/mutants/matrix.tsv, the kill matrix, does not list exactly
+# the committed mutants (re-run scripts/mutants.sh -matrix). CI runs this
+# on every push; scripts/mutants.sh <path.diff>... runs a few.
 mutants:
 	bash scripts/mutants.sh
 

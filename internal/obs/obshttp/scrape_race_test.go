@@ -20,8 +20,10 @@ import (
 // concurrency contract the way lifeguardd uses them: the test goroutine
 // runs a two-tenant rig through an outage and adds a third tenant mid-run
 // (a new child registry, new series, new journal records) while another
-// goroutine scrapes /metrics and /debug/vars in a loop. Every scrape must
-// parse. The test means most under the race detector (make race).
+// goroutine scrapes /metrics and /debug/vars in a loop. No scrape may end
+// in the handler's "# error:" line, every snapshot taken beside them must
+// be consistent, and once the rig stops /metrics must be the registry's
+// own rendering. The test means most under the race detector (make race).
 func TestScrapeWhileSimulating(t *testing.T) {
 	reg := obs.New()
 	journal := obs.NewJournal(64)
@@ -68,12 +70,14 @@ func TestScrapeWhileSimulating(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if path == "/metrics" {
-					if _, err := parseProm(body); err != nil {
-						t.Errorf("/metrics does not parse mid-run: %v", err)
-						return
-					}
+				if path == "/metrics" && strings.Contains("\n"+body, "\n# error:") {
+					t.Errorf("/metrics failed mid-run:\n%s", body)
+					return
 				}
+			}
+			if err := consistent(reg.Snapshot()); err != nil {
+				t.Errorf("snapshot mid-run: %v", err)
+				return
 			}
 			scrapes++
 			select {
@@ -124,6 +128,30 @@ func TestScrapeWhileSimulating(t *testing.T) {
 	if label := fmt.Sprintf(`tenant="AS%d"`, stubs[7]); !strings.Contains(body, label) {
 		t.Errorf("/metrics has no series labelled %s after the mid-run AddSession", label)
 	}
+	if body != rendering(t, reg) {
+		t.Errorf("/metrics after the run is not the registry's rendering")
+	}
+}
+
+// consistent checks what a snapshot must hold however the simulation's
+// writes interleave with it: no counter below zero, and each histogram's
+// cumulative buckets non-decreasing and at most its count, which /metrics
+// renders as the +Inf bucket.
+func consistent(s obs.Snapshot) error {
+	for _, m := range s.Metrics {
+		if m.Kind == "counter" && m.Value < 0 {
+			return fmt.Errorf("counter %s%v is %d", m.Name, m.Labels, m.Value)
+		}
+		cum := int64(0)
+		for _, b := range m.Buckets {
+			if b.Cumulative < cum || b.Cumulative > m.Count {
+				return fmt.Errorf("histogram %s%v: bucket le=%g holds %d after %d, count %d",
+					m.Name, m.Labels, b.UpperBound, b.Cumulative, cum, m.Count)
+			}
+			cum = b.Cumulative
+		}
+	}
+	return nil
 }
 
 // fetch GETs url and returns its body; unlike get it may run off the test

@@ -21,13 +21,21 @@ func testRegistry() *Registry {
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
+	r := testRegistry()
+	// In snapshot order the series of "…_routes" are split by
+	// "…_routes_max": one family each, even so.
+	r.Gauge("lifeguard_bgp_locrib_routes_max").Set(50)
+	r.Gauge("lifeguard_bgp_locrib_routes", L("table", "adj")).Set(7)
 	var b bytes.Buffer
-	if err := testRegistry().Snapshot().WritePrometheus(&b); err != nil {
+	if err := r.Snapshot().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
 		`# TYPE lifeguard_bgp_locrib_routes gauge`,
 		`lifeguard_bgp_locrib_routes 42`,
+		`lifeguard_bgp_locrib_routes{table="adj"} 7`,
+		`# TYPE lifeguard_bgp_locrib_routes_max gauge`,
+		`lifeguard_bgp_locrib_routes_max 50`,
 		`# HELP lifeguard_bgp_updates_total BGP updates\nprocessed`,
 		`# TYPE lifeguard_bgp_updates_total counter`,
 		`lifeguard_bgp_updates_total{dir="in"} 3`,

@@ -1,11 +1,20 @@
 package simclock
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// quickConfig draws every run's inputs from one seed, so a mutant either
+// fails these properties or passes them on every run (the kill matrix is
+// reproduced byte for byte). FuzzScheduler and the 2 000 seeded programs
+// of TestSchedulerMatchesReference explore further.
+func quickConfig() *quick.Config {
+	return &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
+}
 
 // Property: for any schedule of events, firing order is exactly
 // (time ascending, insertion order among equal times), and the clock never
@@ -45,7 +54,7 @@ func TestFiringOrderProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickConfig()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,7 +90,7 @@ func TestCancellationProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickConfig()); err != nil {
 		t.Fatal(err)
 	}
 }

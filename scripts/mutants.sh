@@ -25,10 +25,33 @@
 #   does not compile            a build the mutant breaks; never a kill
 #   survived                    a named test passes, or a chaos count is 0
 #
-# Usage: scripts/mutants.sh [mutant.diff ...]   (default: every mutant)
+# The default run also fails, before it runs anything, when the mutant
+# column of the kill matrix differs from the committed mutants: "matrix
+# out of date: re-run `scripts/mutants.sh -matrix`".
+#
+# -matrix measures each test by what it kills and writes the result to
+# testdata/mutants/matrix.tsv. For each mutant it runs one -test.v pass
+# of every package its `# kill` lines name, of its own package and of the
+# root package, and reads the top-level "--- FAIL:" and "--- PASS:"
+# lines; a test with neither (a panic or a timeout ended the binary
+# first) is run alone, and a failure or timeout there is a kill too. Each
+# package runs clean first and must pass whole; its "--- PASS" tests are
+# the ones measured. One sorted row per (mutant, package): the mutant's
+# path, the package, and the tests that fail under the mutant ("-" for
+# none), tab-separated. It ends with the tests, per package, that are no
+# mutant's only killer. With mutants named, only their rows are
+# re-measured.
+#
+# Usage: scripts/mutants.sh [-matrix] [mutant.diff ...]   (default: every mutant)
 # Exits 1 on any error, 2 on a malformed mutant.
 set -uo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
+matrix=testdata/mutants/matrix.tsv
+task=kill
+if [[ ${1:-} == -matrix ]]; then
+	task=matrix
+	shift
+fi
 mutants=()
 for m in "$@"; do
 	m=$(realpath -m "$m")
@@ -37,11 +60,18 @@ done
 cd "$root"
 export GOTOOLCHAIN=local GOPROXY=off GOWORK=off
 
+mapfile -t committed < <(git ls-files --cached --others --exclude-standard \
+	'testdata/mutants/*.diff' '*/testdata/mutants/*.diff' | sort -u)
 if [[ $# -eq 0 ]]; then
-	mapfile -t mutants < <(git ls-files --cached --others --exclude-standard \
-		'testdata/mutants/*.diff' '*/testdata/mutants/*.diff' | sort -u)
+	mutants=("${committed[@]}")
 fi
 [[ ${#mutants[@]} -gt 0 ]] || { echo "mutants: no mutants found"; exit 2; }
+if [[ $task == kill && $# -eq 0 ]] &&
+	! diff -q <(printf '%s\n' "${committed[@]}") \
+		<(grep -v '^#' "$matrix" 2>/dev/null | cut -f1 | sort -u) >/dev/null; then
+	echo "matrix out of date: re-run \`scripts/mutants.sh -matrix\`"
+	exit 1
+fi
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/mutants.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
@@ -74,6 +104,11 @@ violations() {
 		END { print n + 0 }' "$1"
 }
 
+# build PKG BIN compiles the package's test binary from the copy.
+build() {
+	(cd "$work" && go test -c -ldflags="-s -w" -o "$2" "$1" 2>&1)
+}
+
 # run HEADER MODE runs one header in the copy; MODE is clean or mutant.
 # It prints one line per error and returns 1 if there was any.
 run() {
@@ -84,7 +119,7 @@ run() {
 		bin=$tmp/bin/${pkg//\//_}.test
 		if [[ $mode == clean && -x $bin ]]; then
 			: # the clean binary of an earlier header
-		elif ! out=$(cd "$work" && go test -c -ldflags="-s -w" -o "$bin" "$pkg" 2>&1); then
+		elif ! out=$(build "$pkg" "$bin"); then
 			echo "does not compile: $pkg"
 			echo "$out" | head -5 | sed 's/^/    /'
 			return 1
@@ -148,6 +183,121 @@ done
 
 fail=0
 start=$(now)
+
+if [[ $task == matrix ]]; then
+	# pkgs FILE prints the packages the mutant's kill lines name, its own
+	# package (the one whose testdata holds it) and the root.
+	pkgs() {
+		local own=${1%testdata/mutants/*}
+		{
+			echo .
+			echo "./${own%/}"
+			headers "$1" | awk '$1 == "kill" { print $2 }'
+		} | sed 's|^\./$|.|' | LC_ALL=C sort -u
+	}
+	# suite PKG BIN runs the package's whole test binary once, verbose.
+	suite() (
+		cd "$work/$1" && timeout 300 "$2" -test.count=1 -test.v -test.timeout=240s 2>&1
+	)
+	# killers PKG BIN prints the package's measured tests that fail under
+	# the applied mutant, sorted on one line, or "-".
+	killers() {
+		local -A seen=()
+		local st name k=()
+		while read -r st name; do
+			seen[$name]=$st
+		done < <(suite "$1" "$2" | sed -n 's/^--- \(PASS\|FAIL\|SKIP\): \([^ ]*\) .*/\1 \2/p')
+		for name in ${tests[$1]}; do
+			case ${seen[$name]:-} in
+			FAIL) k+=("$name") ;;
+			PASS | SKIP) ;;
+			*) # the binary ended before this test reported: run it alone
+				(cd "$work/$1" && timeout 300 "$2" -test.run "^$name\$" -test.count=1 \
+					-test.timeout=240s >/dev/null 2>&1) || k+=("$name") ;;
+			esac
+		done
+		if [[ ${#k[@]} -eq 0 ]]; then
+			echo -
+		else
+			printf '%s\n' "${k[@]}" | LC_ALL=C sort | paste -sd ' '
+		fi
+	}
+
+	declare -A tests=()
+	mapfile -t all < <(for m in "${mutants[@]}"; do pkgs "$m"; done | LC_ALL=C sort -u)
+	for p in "${all[@]}"; do
+		t0=$(now)
+		bin=$tmp/bin/matrix-${p//[.\/]/_}.test
+		if ! out=$(build "$p" "$bin") ||
+			! out=$(suite "$p" "$bin"); then
+			printf 'ERROR  %6s  %s\n  clean run fails\n' "$(since "$t0")" "$p"
+			echo "$out" | grep -m5 -e '--- FAIL' -e 'panic:' -e '_test.go:' -e '\.go:' | sed 's/^/    /'
+			exit 1
+		fi
+		tests[$p]=$(sed -n 's/^--- PASS: \([^ ]*\) .*/\1/p' <<<"$out" | LC_ALL=C sort | paste -sd ' ')
+		printf 'clean  %6s  %s: %d tests\n' "$(since "$t0")" "$p" "$(wc -w <<<"${tests[$p]}")"
+	done
+
+	: >"$tmp/rows"
+	for m in "${mutants[@]}"; do
+		abs=$(realpath "$m")
+		if ! (cd "$work" && git apply "$abs" 2>/dev/null); then
+			printf 'ERROR  %s\n  stale mutant: re-state it (git apply fails)\n' "$m"
+			fail=1
+			continue
+		fi
+		for p in $(pkgs "$m"); do
+			t0=$(now)
+			bin=$tmp/bin/matrix-${p//[.\/]/_}.test
+			if ! out=$(build "$p" "$bin"); then
+				printf 'ERROR  %6s  %s %s\n  does not compile\n' "$(since "$t0")" "$m" "$p"
+				fail=1
+				continue
+			fi
+			k=$(killers "$p" "$bin")
+			printf '%s\t%s\t%s\n' "$m" "$p" "$k" >>"$tmp/rows"
+			printf 'row    %6s  %s %s: %s\n' "$(since "$t0")" "$m" "$p" "$k"
+		done
+		if ! (cd "$work" && git apply -R "$abs"); then
+			echo "mutants: $m: git apply -R failed; the copy is no longer clean"
+			exit 1
+		fi
+	done
+	if [[ $fail -ne 0 ]]; then
+		echo "mutants: $matrix not written"
+		exit 1
+	fi
+
+	# Rows of mutants not re-measured stay, when mutants were named.
+	if [[ $# -gt 0 && -f $matrix ]]; then
+		grep -v '^#' "$matrix" | awk -F'\t' 'NR == FNR { named[$0]; next } !($1 in named)' \
+			<(printf '%s\n' "${mutants[@]}") - >>"$tmp/rows"
+	fi
+	{
+		printf '# mutant\tpackage\ttests that fail under it (scripts/mutants.sh -matrix)\n'
+		LC_ALL=C sort "$tmp/rows"
+	} >"$matrix"
+
+	# A test is a mutant's only killer when no other test, in any package,
+	# fails under it.
+	only=$(awk -F'\t' '!/^#/ && $3 != "-" {
+			n = split($3, t, " ")
+			for (i = 1; i <= n; i++) { k[$1] = $2 ":" t[i]; c[$1]++ }
+		}
+		END { for (m in c) if (c[m] == 1) print k[m] }' "$matrix" | LC_ALL=C sort -u)
+	for p in "${all[@]}"; do
+		none=()
+		for t in ${tests[$p]}; do
+			grep -qxF "$p:$t" <<<"$only" || none+=("$t")
+		done
+		echo "only killer of no mutant in $p (${#none[@]} of $(wc -w <<<"${tests[$p]}")): ${none[*]}"
+	done
+	killed=$(awk -F'\t' '!/^#/ && $3 != "-" { print $1 }' "$matrix" | sort -u | wc -l)
+	total=$(grep -vc '^#' "$matrix" | tr -d ' ')
+	echo "mutants: $matrix: $total rows; $killed of ${#committed[@]} mutants fail some test; $(since "$start")"
+	exit 0
+fi
+
 mapfile -t clean < <(for m in "${mutants[@]}"; do
 	headers "$m" | while read -r kind rest; do
 		if [[ $kind == kill ]]; then
