@@ -25,13 +25,13 @@ func (e *Engine) SetAdjacencyDown(a, b topo.ASN, down bool) {
 	if !e.top.Adjacent(a, b) {
 		panic(fmt.Sprintf("bgp: SetAdjacencyDown(%d, %d): not adjacent", a, b))
 	}
-	e.speakers[a].setNeighborDown(b, down)
-	e.speakers[b].setNeighborDown(a, down)
+	e.Speaker(a).setNeighborDown(b, down)
+	e.Speaker(b).setNeighborDown(a, down)
 }
 
 // AdjacencyDown reports whether the session between a and b is failed.
 func (e *Engine) AdjacencyDown(a, b topo.ASN) bool {
-	return e.speakers[a].neighborDown(b)
+	return e.Speaker(a).neighborDown(b)
 }
 
 func (s *Speaker) setNeighborDown(n topo.ASN, down bool) {

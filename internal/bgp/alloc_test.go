@@ -225,8 +225,8 @@ func TestArenaPathsDoNotAlias(t *testing.T) {
 	gen := cycleGraph(t)
 	e, _, _ := fill(t, gen)
 	var handed []topo.Path
-	for _, asn := range e.asns {
-		s := e.speakers[asn]
+	for _, asn := range e.top.ASNs() {
+		s := e.Speaker(asn)
 		for _, o := range gen.Stubs {
 			pfx := topo.ProductionPrefix(o)
 			if r, ok := e.BestRoute(asn, pfx); ok {

@@ -103,7 +103,12 @@ type world struct {
 	eng   *bgp.Engine
 	plane *dataplane.Plane
 	asns  []topo.ASN
-	nbrs  map[topo.ASN][]topo.ASN // top.Neighbors, which sorts on every call
+	// budget is the events a converge op may take before the world counts
+	// as never settling: 10 per session end and prefix. The most any op of
+	// the seed corpus and the named chains needs is 1.21 (Fig. 2, 34 events
+	// over 14 session ends and 2 prefixes), so the margin is 8×; an op that
+	// never settles fails in milliseconds, not after bgp.MaxConvergeSteps.
+	budget int
 	// owners[i] originates pfxs[i] and addrs[i] is an address inside it: the
 	// prefixes are disjoint, so Lookup(addrs[i]) can only resolve pfxs[i].
 	owners []topo.ASN
@@ -144,7 +149,6 @@ func newWorld(t testing.TB, name string, top *topo.Topology, seed int64, owners 
 	eng := bgp.New(top, simclock.New(), bgp.Config{Seed: seed})
 	w := &world{
 		name: name, top: top, eng: eng, plane: dataplane.New(top, eng), asns: top.ASNs(), owners: owners,
-		nbrs:    map[topo.ASN][]topo.ASN{},
 		origins: map[netip.Prefix]map[topo.ASN]refsolve.Origin{},
 		down:    map[topo.ASPair]bool{},
 		sols:    map[netip.Prefix]map[topo.ASN]*refsolve.Route{},
@@ -161,7 +165,7 @@ func newWorld(t testing.TB, name string, top *topo.Topology, seed int64, owners 
 	plain := refsolve.Solve(top, nil, map[topo.ASN]refsolve.Origin{o: {}})
 	uses, far := map[topo.ASN]int{}, o
 	for _, asn := range w.asns {
-		w.nbrs[asn] = top.Neighbors(asn)
+		w.budget += 10 * len(top.Neighbors(asn)) * len(owners)
 		if len(top.Customers(asn)) > 0 {
 			w.transits = append(w.transits, asn)
 		}
@@ -201,16 +205,16 @@ func (w *world) aimed(o topo.ASN) []topo.ASN {
 	if ps := w.top.Providers(o); len(ps) > 0 {
 		return ps
 	}
-	return w.nbrs[o]
+	return w.top.Neighbors(o)
 }
 
 // links is the pool of asn's sessions that fail: its neighbors, the next
 // hop of its plain route first.
 func (w *world) links(asn topo.ASN) []topo.ASN {
 	if r := w.plain[asn]; r != nil && !r.Originated {
-		return first(w.nbrs[asn], r.From)
+		return first(w.top.Neighbors(asn), r.From)
 	}
-	return w.nbrs[asn]
+	return w.top.Neighbors(asn)
 }
 
 func (w *world) announce(asn topo.ASN, p netip.Prefix, cfg bgp.OriginConfig) {
@@ -283,8 +287,8 @@ func (w *world) do(t testing.TB, op [4]byte) string {
 		w.eng.Converge(n)
 		return fmt.Sprintf("%d events", n)
 	case code >= opConverge:
-		if !w.eng.Converge(bgp.MaxConvergeSteps) {
-			w.fatalf(t, "converge: not quiescent after %d steps", bgp.MaxConvergeSteps)
+		if !w.eng.Converge(w.budget) {
+			w.fatalf(t, "converge: not quiescent after %d steps", w.budget)
 		}
 		return "converge"
 	}
@@ -380,7 +384,7 @@ func (w *world) check(t testing.TB) {
 				want = refsolve.Originated(asn)
 			} else {
 				var offers []*refsolve.Route
-				for _, nb := range w.nbrs[asn] {
+				for _, nb := range w.top.Neighbors(asn) {
 					offers = append(offers, ref(adjIn[nb]))
 				}
 				want = refsolve.Winner(offers)
@@ -480,7 +484,7 @@ func (w *world) check(t testing.TB) {
 func (w *world) checkOffers(t testing.TB, asn topo.ASN, p netip.Prefix, adjIn map[topo.ASN]*bgp.Route, bests map[topo.ASN]*refsolve.Route) {
 	t.Helper()
 	sent := 0
-	for _, from := range w.nbrs[asn] {
+	for _, from := range w.top.Neighbors(asn) {
 		var o *refsolve.Origin
 		if cfg, ok := w.origins[p][from]; ok {
 			o = &cfg

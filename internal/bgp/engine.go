@@ -21,12 +21,9 @@ type Engine struct {
 	// prefixes interns every prefix the engine has seen; per-speaker RIB
 	// state is indexed by its ids (see prefixtab.go).
 	prefixes *prefixTable
-	// asns is the sorted ASN table; a speaker's idx indexes it and every
-	// dense per-AS slice below.
-	asns     []topo.ASN
-	speakers map[topo.ASN]*Speaker
-	// byIdx is speakers in asns order: a timer event names its speaker by
-	// idx and resolves it here.
+	// byIdx holds the speakers by topology index (topo.Topology.Index),
+	// which is also a speaker's idx and indexes every dense per-AS slice
+	// below: a timer event names its speaker by idx and resolves it here.
 	byIdx []*Speaker
 	obs   engineObs
 
@@ -87,27 +84,23 @@ func New(top *topo.Topology, clk *simclock.Scheduler, cfg Config) *Engine {
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		arena:       newArena(),
 		prefixes:    newPrefixTable(),
-		asns:        top.ASNs(),
-		speakers:    make(map[topo.ASN]*Speaker, top.NumASes()),
 		obs:         newEngineObs(cfg.Obs),
 		updatesSent: make([]int64, top.NumASes()),
 		fwdVersion:  make([]uint64, top.NumASes()),
 	}
-	e.byIdx = make([]*Speaker, len(e.asns))
-	for i, asn := range e.asns {
+	e.byIdx = make([]*Speaker, top.NumASes())
+	for i, asn := range top.ASNs() {
 		e.byIdx[i] = newSpeaker(e, asn, i)
-		e.speakers[asn] = e.byIdx[i]
 	}
 	e.fireDeliver = e.deliverArrived
 	e.fireTimer = e.timerExpired
 	e.fireHorizon = e.horizonReached
-	for _, asn := range e.asns {
-		s := e.speakers[asn]
+	for _, s := range e.byIdx {
 		s.peers = make([]*Speaker, len(s.neighbors))
 		s.peerIdx = make([]int32, len(s.neighbors))
 		for i, n := range s.neighbors {
-			s.peers[i] = e.speakers[n]
-			s.peerIdx[i] = int32(s.peers[i].nbrIndex(asn))
+			s.peers[i] = e.Speaker(n)
+			s.peerIdx[i] = int32(s.peers[i].nbrIndex(s.asn))
 		}
 	}
 	return e
@@ -123,7 +116,12 @@ func (e *Engine) Clock() *simclock.Scheduler { return e.clk }
 func (e *Engine) Dampening() bool { return e.cfg.Dampening }
 
 // Speaker returns the speaker for asn, or nil if the AS does not exist.
-func (e *Engine) Speaker(asn topo.ASN) *Speaker { return e.speakers[asn] }
+func (e *Engine) Speaker(asn topo.ASN) *Speaker {
+	if i, ok := e.top.Index(asn); ok {
+		return e.byIdx[i]
+	}
+	return nil
+}
 
 // Prefixes returns every prefix the engine has seen, sorted.
 func (e *Engine) Prefixes() []netip.Prefix {
@@ -137,11 +135,10 @@ func (e *Engine) Prefixes() []netip.Prefix {
 // UpdatesSentBy reports how many updates (announcements + withdrawals) asn
 // has sent; 0 for an unknown AS.
 func (e *Engine) UpdatesSentBy(asn topo.ASN) int {
-	s := e.speakers[asn]
-	if s == nil {
-		return 0
+	if i, ok := e.top.Index(asn); ok {
+		return int(e.updatesSent[i])
 	}
-	return int(e.updatesSent[s.idx])
+	return 0
 }
 
 // TotalUpdatesSent reports the engine-wide update count.
@@ -158,8 +155,7 @@ func (e *Engine) TotalUpdatesSent() int {
 // The scale benchmarks divide memory by these to normalize across topology
 // sizes.
 func (e *Engine) RIBSizes() (locRIB, adjEntries int) {
-	for _, asn := range e.asns {
-		s := e.speakers[asn]
+	for _, s := range e.byIdx {
 		locRIB += s.nBest
 		for k := range s.rows {
 			if s.rows[k].in != 0 {
@@ -207,7 +203,7 @@ func (e *Engine) Announce(asn topo.ASN, prefix netip.Prefix, cfg OriginConfig) {
 // update propagates. The config is deep-copied before installation, so the
 // caller may reuse or mutate it afterwards.
 func (e *Engine) AnnounceErr(asn topo.ASN, prefix netip.Prefix, cfg OriginConfig) error {
-	s := e.speakers[asn]
+	s := e.Speaker(asn)
 	if s == nil {
 		return fmt.Errorf("bgp: Announce from unknown AS %d", asn)
 	}
@@ -273,7 +269,7 @@ func (e *Engine) Withdraw(asn topo.ASN, prefix netip.Prefix) {
 // WithdrawErr is Withdraw with an error contract instead of panics: an
 // unknown AS is an error; withdrawing a non-originated prefix is a no-op.
 func (e *Engine) WithdrawErr(asn topo.ASN, prefix netip.Prefix) error {
-	s := e.speakers[asn]
+	s := e.Speaker(asn)
 	if s == nil {
 		return fmt.Errorf("bgp: Withdraw from unknown AS %d", asn)
 	}
@@ -293,7 +289,7 @@ type OriginAnnouncement struct {
 // router-crash faults use it to capture the announcement set before a
 // withdraw-all and replay it verbatim on restart; nil for an unknown AS.
 func (e *Engine) Origins(asn topo.ASN) []OriginAnnouncement {
-	s := e.speakers[asn]
+	s := e.Speaker(asn)
 	if s == nil {
 		return nil
 	}
@@ -335,7 +331,7 @@ func (e *Engine) SetLinkExtraDelay(a, b topo.ASN, d time.Duration) {
 	if !e.top.Adjacent(a, b) {
 		panic(fmt.Sprintf("bgp: SetLinkExtraDelay(%d, %d): not adjacent", a, b))
 	}
-	sa, sb := e.speakers[a], e.speakers[b]
+	sa, sb := e.Speaker(a), e.Speaker(b)
 	sa.out[sa.nbrIndex(b)].extra = d
 	sb.out[sb.nbrIndex(a)].extra = d
 }
@@ -343,15 +339,10 @@ func (e *Engine) SetLinkExtraDelay(a, b topo.ASN, d time.Duration) {
 // LinkExtraDelay returns the extra control-plane delay currently installed
 // on the a→b direction (zero when none, or when the ASes are not adjacent).
 func (e *Engine) LinkExtraDelay(a, b topo.ASN) time.Duration {
-	s := e.speakers[a]
-	if s == nil {
-		return 0
+	if i := e.top.NeighborIndex(a, b); i >= 0 {
+		return e.Speaker(a).out[i].extra
 	}
-	i := s.nbrIndex(b)
-	if i < 0 {
-		return 0
-	}
-	return s.out[i].extra
+	return 0
 }
 
 // BestRoute returns asn's selected route for an exact prefix: Speaker.Best,
@@ -359,7 +350,7 @@ func (e *Engine) LinkExtraDelay(a, b topo.ASN) time.Duration {
 // the goroutine that owns the scheduler, because the read may remember the
 // Route it builds.
 func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
-	s := e.speakers[asn]
+	s := e.Speaker(asn)
 	if s == nil {
 		return nil, false
 	}
@@ -379,7 +370,7 @@ func (e *Engine) BestRoute(asn topo.ASN, prefix netip.Prefix) (*Route, bool) {
 // built or handed back — so it too belongs to the goroutine that owns the scheduler; the
 // engine takes no lock.
 func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
-	s := e.speakers[asn]
+	s := e.Speaker(asn)
 	if s == nil {
 		return nil, false
 	}
@@ -398,7 +389,7 @@ func (e *Engine) Lookup(asn topo.ASN, addr netip.Addr) (*Route, bool) {
 // sender. ok is false where Lookup finds no route. No Route is built, so
 // NextHop never allocates, and it only reads.
 func (e *Engine) NextHop(asn topo.ASN, addr netip.Addr) (next topo.ASN, local, ok bool) {
-	s := e.speakers[asn]
+	s := e.Speaker(asn)
 	if s == nil {
 		return 0, false, false
 	}
@@ -423,8 +414,8 @@ func (e *Engine) NextHop(asn topo.ASN, addr netip.Addr) (next topo.ASN, local, o
 // while it holds.
 func (e *Engine) RIBVersion() uint64 { return e.ribVersion }
 
-// FwdVersion counts the loc-RIB changes at the i-th AS of Topology.ASNs()
-// that changed how that AS forwards: a prefix gaining or losing its route
+// FwdVersion counts the loc-RIB changes at the AS of topology Index i that
+// changed how that AS forwards: a prefix gaining or losing its route
 // (which reshapes the longest-prefix match), or a route changing its
 // next-hop AS or whether it is Originated. It stays put through the far more
 // common change that rewrites only the path attribute behind the same next

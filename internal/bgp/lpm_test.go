@@ -218,7 +218,7 @@ func TestLookupFallsThroughWhatThisASLacks(t *testing.T) {
 		e.Announce(1, sentinel, OriginConfig{})
 		e.Announce(1, prod, OriginConfig{Pattern: topo.Path{1, 1, 1}})
 		converge(t, e)
-		for _, asn := range e.asns {
+		for _, asn := range e.top.ASNs() {
 			expect(t, e, asn, addr, prod)
 		}
 		// Poisoning 2 takes the /24 from 2 and its captive 3, nobody else.
@@ -256,12 +256,12 @@ func TestLookupFallsThroughWhatThisASLacks(t *testing.T) {
 		if _, ok := e.prefixes.lookup(prod); !ok {
 			t.Fatal("the prefix table un-interned a prefix")
 		}
-		for _, asn := range e.asns {
+		for _, asn := range e.top.ASNs() {
 			expect(t, e, asn, addr, sentinel)
 		}
 		e.Withdraw(1, sentinel)
 		converge(t, e)
-		for _, asn := range e.asns {
+		for _, asn := range e.top.ASNs() {
 			expect(t, e, asn, addr, none)
 		}
 	})

@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"net/netip"
-	"sort"
 	"time"
 
 	"lifeguard/internal/topo"
@@ -54,7 +53,7 @@ type Speaker struct {
 	// damp tracks RFC 2439 flap state per (neighbor, prefix).
 	damp map[dampKey]*dampState
 
-	neighbors []topo.ASN // sorted, cached
+	neighbors []topo.ASN // the topology's row: ascending
 	// nbrRel, peers and peerIdx cache, per neighbor index, the relationship
 	// of the neighbor as seen from here, its speaker, and this AS's index in
 	// that speaker's neighbor list: the topology is immutable after Build,
@@ -261,14 +260,8 @@ func (s *Speaker) originAt(id prefixID) *originEntry {
 	return nil
 }
 
-// nbrIndex returns n's position in the sorted neighbor list, or -1.
-func (s *Speaker) nbrIndex(n topo.ASN) int {
-	i := sort.Search(len(s.neighbors), func(i int) bool { return s.neighbors[i] >= n })
-	if i < len(s.neighbors) && s.neighbors[i] == n {
-		return i
-	}
-	return -1
-}
+// nbrIndex returns n's position in neighbors, or -1.
+func (s *Speaker) nbrIndex(n topo.ASN) int { return s.e.top.NeighborIndex(s.asn, n) }
 
 // neighborDown reports whether the session to n is failed (false when n is
 // not a neighbor at all).

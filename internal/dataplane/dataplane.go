@@ -26,9 +26,9 @@ type RIB interface {
 	NextHop(asn topo.ASN, addr netip.Addr) (next topo.ASN, local, ok bool)
 	// RIBVersion advances whenever any NextHop result may have changed.
 	RIBVersion() uint64
-	// FwdVersion advances whenever NextHop at the i-th AS of
-	// Topology.ASNs() may answer differently: a change of which route
-	// matches an address, of its next-hop AS or of local.
+	// FwdVersion advances whenever NextHop at the AS of topology Index i
+	// may answer differently: a change of which route matches an address,
+	// of its next-hop AS or of local.
 	FwdVersion(i int) uint64
 	// DstVersion advances whenever NextHop for addr may answer differently
 	// at any AS. A cached walk toward addr is valid while either
@@ -214,9 +214,6 @@ type Plane struct {
 	// rather than paying a map iterator on every hop.
 	failures []activeRule
 	nextID   FailureID
-	// routerAS maps a router to its AS's position in top.ASNs(), the dense
-	// index shared with the RIB's FwdVersion.
-	routerAS []int32
 	// seq numbers every packet injected via Forward; probabilistic rules
 	// hash it so their verdicts are per-packet, order-independent pure
 	// functions (see Rule.DropProb).
@@ -292,19 +289,12 @@ func (pl *Plane) Instrument(reg *obs.Registry) {
 
 // New returns a data plane over the topology, consulting rib at each AS.
 func New(top *topo.Topology, rib RIB) *Plane {
-	pl := &Plane{
+	return &Plane{
 		top:       top,
 		rib:       rib,
-		routerAS:  make([]int32, top.NumRouters()),
 		pathCache: make(map[[2]topo.RouterID][]topo.RouterID),
 		walks:     make(map[walkKey]*walkEntry),
 	}
-	for i, asn := range top.ASNs() {
-		for _, r := range top.AS(asn).Routers {
-			pl.routerAS[r] = int32(i)
-		}
-	}
-	return pl
 }
 
 // touchRule kills the cached walks that installing or removing r can
@@ -314,18 +304,19 @@ func New(top *topo.Topology, rib RIB) *Plane {
 // hop and is skipped. Every live entry is in pl.walks (see walkcache.go), so
 // the scan reaches the ones Flows hold too.
 func (pl *Plane) touchRule(r *Rule) {
-	scope := make([]int32, 0, 6)
-	for _, asn := range [...]topo.ASN{r.AtAS, r.FromAS, r.ToAS} {
-		if i, ok := slices.BinarySearch(pl.top.ASNs(), asn); ok {
-			scope = append(scope, int32(i))
-		}
-	}
+	ases := append(make([]topo.ASN, 0, 6), r.AtAS, r.FromAS, r.ToAS)
 	for _, rt := range [...]struct {
 		set bool
 		id  topo.RouterID
 	}{{r.HasRouter, r.AtRouter}, {r.HasLink, r.FromRouter}, {r.HasLink, r.ToRouter}} {
-		if rt.set && int(rt.id) < len(pl.routerAS) {
-			scope = append(scope, pl.routerAS[rt.id])
+		if rt.set && int(rt.id) < pl.top.NumRouters() {
+			ases = append(ases, pl.top.Router(rt.id).AS)
+		}
+	}
+	scope := make([]int32, 0, 6)
+	for _, asn := range ases {
+		if i, ok := pl.top.Index(asn); ok {
+			scope = append(scope, int32(i))
 		}
 	}
 	if len(scope) == 0 {

@@ -117,8 +117,8 @@ type walkKey struct {
 	dst, src uint32
 }
 
-// asStamp is RIB.FwdVersion of one AS (by dense index, see Plane.routerAS)
-// as a walk through it found it.
+// asStamp is RIB.FwdVersion of one AS (by topology Index) as a walk through
+// it found it.
 type asStamp struct {
 	as int32
 	v  uint64
@@ -159,11 +159,10 @@ const (
 
 // stampRuns appends to buf the current stamp of every AS run of hops.
 func (pl *Plane) stampRuns(buf []asStamp, hops []Hop) []asStamp {
-	prev := int32(-1)
 	for i := range hops {
-		if as := pl.routerAS[hops[i].Router]; as != prev {
-			buf = append(buf, asStamp{as: as, v: pl.rib.FwdVersion(int(as))})
-			prev = as
+		if i == 0 || hops[i].AS != hops[i-1].AS {
+			as, _ := pl.top.Index(hops[i].AS)
+			buf = append(buf, asStamp{as: int32(as), v: pl.rib.FwdVersion(as)})
 		}
 	}
 	return buf

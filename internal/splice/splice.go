@@ -6,8 +6,6 @@
 package splice
 
 import (
-	"slices"
-
 	"lifeguard/internal/probe"
 	"lifeguard/internal/topo"
 )
@@ -40,21 +38,20 @@ func CanReach(top *topo.Topology, src, origin topo.ASN, avoid map[topo.ASN]bool)
 // provider-learned routes propagate only to customers. That yields the
 // classic three phases: uphill from the origin through providers, one
 // optional peer hop, then downhill through customers. Every AS enters the
-// queue at most once, marked by its position in top.ASNs(), so the queue
-// and the marks are sized once.
+// queue at most once, marked by its topology Index, so the queue and the
+// marks are sized once.
 func reach(top *topo.Topology, origin topo.ASN, avoid map[topo.ASN]bool, src topo.ASN, stop bool) []topo.ASN {
 	if avoid[origin] {
 		return nil
 	}
-	asns := top.ASNs()
-	if _, ok := slices.BinarySearch(asns, origin); !ok {
+	if _, ok := top.Index(origin); !ok {
 		return []topo.ASN{origin} // no neighbours: it reaches only itself
 	}
-	seen := make([]bool, len(asns))
-	queue := make([]topo.ASN, 0, len(asns))
+	seen := make([]bool, top.NumASes())
+	queue := make([]topo.ASN, 0, top.NumASes())
 	done := false
 	visit := func(a topo.ASN) {
-		if i, _ := slices.BinarySearch(asns, a); !done && !seen[i] && !avoid[a] {
+		if i, _ := top.Index(a); !done && !seen[i] && !avoid[a] {
 			seen[i] = true
 			queue = append(queue, a)
 			done = stop && a == src

@@ -1,8 +1,9 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder assembles a Topology. Methods panic on impossible inputs (unknown
@@ -14,15 +15,15 @@ type Builder struct {
 	ases    map[ASN]*AS
 	asOrder []ASN
 	routers []Router
-	links   []Link
-	rels    map[ASN]map[ASN]Rel
+	links   [][2]RouterID
+	rels    map[ASPair]Rel // Hi's relationship as seen from Lo
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{
 		ases: make(map[ASN]*AS),
-		rels: make(map[ASN]map[ASN]Rel),
+		rels: make(map[ASPair]Rel),
 	}
 }
 
@@ -74,13 +75,13 @@ func (b *Builder) ConnectRouters(x, y RouterID) {
 	if x == y {
 		panic("topo: self-link")
 	}
-	b.links = append(b.links, Link{A: x, B: y})
+	b.links = append(b.links, [2]RouterID{x, y})
 }
 
 // Related reports whether a relationship between a and c has been declared.
-func (b *Builder) Related(a, c ASN) bool { return b.rels[a][c] != RelNone }
+func (b *Builder) Related(a, c ASN) bool { return b.rels[MakeASPair(a, c)] != RelNone }
 
-// Relate records that provider sells transit to customer.
+// Provider records that provider sells transit to customer.
 func (b *Builder) Provider(customer, provider ASN) { b.relate(customer, provider, RelProvider) }
 
 // Peer records a settlement-free peering between a and b.
@@ -95,17 +96,14 @@ func (b *Builder) relate(a, c ASN, rel Rel) {
 			panic(fmt.Sprintf("topo: relate unknown AS %d", asn))
 		}
 	}
-	if b.rels[a] == nil {
-		b.rels[a] = make(map[ASN]Rel)
+	p := MakeASPair(a, c)
+	if p.Lo != a {
+		rel = rel.Invert()
 	}
-	if b.rels[c] == nil {
-		b.rels[c] = make(map[ASN]Rel)
+	if old := b.rels[p]; old != RelNone && old != rel {
+		panic(fmt.Sprintf("topo: conflicting relationship %d-%d: %v vs %v", p.Lo, p.Hi, old, rel))
 	}
-	if old := b.rels[a][c]; old != RelNone && old != rel {
-		panic(fmt.Sprintf("topo: conflicting relationship %d-%d: %v vs %v", a, c, old, rel))
-	}
-	b.rels[a][c] = rel
-	b.rels[c][a] = rel.Invert()
+	b.rels[p] = rel
 }
 
 // ConnectAS is a convenience that creates one border router on each side
@@ -128,52 +126,82 @@ func (b *Builder) ConnectAS(a, c ASN) (RouterID, RouterID) {
 
 // Build validates and freezes the topology.
 func (b *Builder) Build() (*Topology, error) {
+	n := len(b.asOrder)
 	t := &Topology{
-		ases:          b.ases,
-		asList:        append([]ASN(nil), b.asOrder...),
-		routers:       b.routers,
-		links:         b.links,
-		rels:          b.rels,
-		routerAdj:     make(map[RouterID][]RouterID),
-		asBorder:      make(map[ASPair][]Link),
-		borderRouters: make(map[[2]ASN][][2]RouterID),
+		high:      map[ASN]int32{},
+		asList:    slices.Clone(b.asOrder),
+		ases:      make([]*AS, n+1),
+		routers:   b.routers,
+		routerAdj: make([][]RouterID, len(b.routers)),
+		off:       make([]int32, n+2),
+		roles:     make([][3][]ASN, n+1),
 	}
-	sortASNs(t.asList)
-	t.indexByRel()
+	slices.Sort(t.asList)
+	for i, asn := range t.asList {
+		if t.ases[i+1] = b.ases[asn]; asn > MaxASN {
+			t.high[asn] = int32(i + 1)
+		} else {
+			t.low = append(t.low, make([]int32, int(asn)+1-len(t.low))...)
+			t.low[asn] = int32(i + 1)
+		}
+	}
+	// Each relationship is an edge in both rows. Sorted by (AS, relationship,
+	// neighbor) the edges are the role lists in turn; by (AS, neighbor), the
+	// rows.
+	type edge struct {
+		from, to ASN
+		rel      Rel
+	}
+	edges := make([]edge, 0, 2*len(b.rels))
+	for p, rel := range b.rels {
+		edges = append(edges, edge{p.Lo, p.Hi, rel}, edge{p.Hi, p.Lo, rel.Invert()})
+	}
+	slices.SortFunc(edges, func(x, y edge) int {
+		return cmp.Or(cmp.Compare(x.from, y.from), cmp.Compare(x.rel, y.rel), cmp.Compare(x.to, y.to))
+	})
+	roles := make([]ASN, len(edges))
+	for k, e := range edges {
+		s := t.slot(e.from)
+		t.off[s+1]++
+		roles[k] = e.to
+		r := &t.roles[s][e.rel-1] // grows by one edge, clipped
+		*r = roles[k-len(*r) : k+1 : k+1]
+	}
+	slices.SortFunc(edges, func(x, y edge) int { return cmp.Or(cmp.Compare(x.from, y.from), cmp.Compare(x.to, y.to)) })
+	t.nbrs, t.rels, t.borders = make([]ASN, len(edges)), make([]Rel, len(edges)+1), make([][][2]RouterID, len(edges)+1)
+	for k, e := range edges {
+		t.nbrs[k], t.rels[k] = e.to, e.rel
+	}
+	for s := range n + 1 {
+		t.off[s+1] += t.off[s]
+	}
 	if err := t.checkProviderHierarchy(); err != nil {
 		return nil, err
 	}
-	for _, l := range t.links {
-		ra, rb := &t.routers[l.A], &t.routers[l.B]
-		t.routerAdj[l.A] = append(t.routerAdj[l.A], l.B)
-		t.routerAdj[l.B] = append(t.routerAdj[l.B], l.A)
-		if ra.AS != rb.AS {
-			pair := MakeASPair(ra.AS, rb.AS)
-			t.asBorder[pair] = append(t.asBorder[pair], l)
-			ab, ba := [2]ASN{ra.AS, rb.AS}, [2]ASN{rb.AS, ra.AS}
-			t.borderRouters[ab] = append(t.borderRouters[ab], [2]RouterID{l.A, l.B})
-			t.borderRouters[ba] = append(t.borderRouters[ba], [2]RouterID{l.B, l.A})
-			if t.rels[ra.AS][rb.AS] == RelNone {
-				return nil, fmt.Errorf("topo: inter-AS link %d-%d without relationship %d-%d",
-					l.A, l.B, ra.AS, rb.AS)
+	for _, l := range b.links {
+		x, y := l[0], l[1]
+		t.routerAdj[x] = append(t.routerAdj[x], y)
+		t.routerAdj[y] = append(t.routerAdj[y], x)
+		if ax, ay := t.routers[x].AS, t.routers[y].AS; ax != ay {
+			xy, yx := t.edge(ax, ay), t.edge(ay, ax)
+			if t.rels[xy] == RelNone {
+				return nil, fmt.Errorf("topo: inter-AS link %d-%d without relationship %d-%d", x, y, ax, ay)
 			}
+			t.borders[xy] = append(t.borders[xy], l)
+			t.borders[yx] = append(t.borders[yx], [2]RouterID{y, x})
 		}
 	}
-	// Every AS relationship must be realized by at least one border link
-	// if both ASes have routers; ASes may also be modelled at pure AS
-	// level (no routers), which is fine for control-plane-only studies.
-	for a, m := range t.rels {
-		for c := range m {
-			if len(t.ases[a].Routers) > 0 && len(t.ases[c].Routers) > 0 {
-				if len(t.asBorder[MakeASPair(a, c)]) == 0 {
-					return nil, fmt.Errorf("topo: relationship %d-%d has no border link", a, c)
-				}
+	for s, asn := range t.asList {
+		// Every AS relationship must be realized by at least one border
+		// link if both ASes have routers; ASes may also be modelled at pure
+		// AS level (no routers), which is fine for control-plane-only
+		// studies. An AS with routers must have an internally connected
+		// router graph, otherwise the data plane cannot cross it.
+		for k := t.off[s+1]; k < t.off[s+2]; k++ {
+			if len(t.borders[k]) == 0 && len(t.ases[s+1].Routers) > 0 && len(t.AS(t.nbrs[k]).Routers) > 0 {
+				return nil, fmt.Errorf("topo: relationship %d-%d has no border link", asn, t.nbrs[k])
 			}
 		}
-	}
-	// Each AS with routers must have an internally connected router graph,
-	// otherwise the data plane cannot cross it.
-	for _, asn := range t.asList {
 		if err := t.checkIntraConnected(asn); err != nil {
 			return nil, err
 		}
@@ -186,22 +214,23 @@ func (b *Builder) Build() (*Topology, error) {
 // order it finds as t.hierarchy. Kahn's algorithm peels ASes whose providers
 // are all peeled; one left over is on a cycle or below one.
 func (t *Topology) checkProviderHierarchy() error {
-	left := make(map[ASN]int, len(t.asList)) // providers not yet peeled
+	left := make([]int, len(t.asList)+1) // by slot: providers not yet peeled
 	peeled := make([]ASN, 0, len(t.asList))
-	for _, asn := range t.asList {
-		if left[asn] = len(t.Providers(asn)); left[asn] == 0 {
+	for s, asn := range t.asList {
+		if left[s+1] = len(t.Providers(asn)); left[s+1] == 0 {
 			peeled = append(peeled, asn)
 		}
 	}
 	for i := 0; i < len(peeled); i++ {
 		for _, c := range t.Customers(peeled[i]) {
-			if left[c]--; left[c] == 0 {
+			s := t.slot(c)
+			if left[s]--; left[s] == 0 {
 				peeled = append(peeled, c)
 			}
 		}
 	}
-	for _, asn := range t.asList {
-		if left[asn] > 0 {
+	for s, asn := range t.asList {
+		if left[s+1] > 0 {
 			return fmt.Errorf("topo: customer→provider cycle at or above AS %d", asn)
 		}
 	}
@@ -210,7 +239,7 @@ func (t *Topology) checkProviderHierarchy() error {
 }
 
 func (t *Topology) checkIntraConnected(asn ASN) error {
-	rs := t.ases[asn].Routers
+	rs := t.AS(asn).Routers
 	if len(rs) <= 1 {
 		return nil
 	}
@@ -231,8 +260,4 @@ func (t *Topology) checkIntraConnected(asn ASN) error {
 			asn, len(seen), len(rs))
 	}
 	return nil
-}
-
-func sortASNs(s []ASN) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

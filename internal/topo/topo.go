@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 )
 
 // ASN identifies an autonomous system. The simulator supports 32-bit ASNs
@@ -104,12 +103,6 @@ type Router struct {
 	RateLimitPerRound int
 }
 
-// Link is an undirected adjacency between two routers. A link whose
-// endpoints are in different ASes realizes an AS-level adjacency.
-type Link struct {
-	A, B RouterID
-}
-
 // ASPair is a canonically-ordered pair of ASNs, used as a map key for
 // AS-level adjacencies.
 type ASPair struct{ Lo, Hi ASN }
@@ -186,29 +179,53 @@ func (p Path) String() string {
 
 // Topology is the immutable internetwork a simulation runs over. Build one
 // with a Builder. Mutable per-run state (RIBs, failures) lives elsewhere.
+//
+// Every AS has a dense index, its position in ASNs() (Index), and the AS
+// graph is stored in compressed rows by it. The per-AS tables below are
+// read at the AS's slot, Index+1; slot 0 stands for every AS the topology
+// lacks: no record, no roles, an empty row. The AS in slot s has edges
+// off[s] to off[s+1] of nbrs, rels and borders, its neighbors ascending.
 type Topology struct {
-	ases      map[ASN]*AS
-	asList    []ASN // sorted, for deterministic iteration
+	// low is indexed by ASN and holds the slots of the ASNs up to MaxASN,
+	// those the address plan gives a block; high, the one map keyed by ASN,
+	// holds the rest. Both read 0 for an AS the topology lacks. Rel is
+	// refsolve's inner loop, and a table lookup is a fraction of a map's.
+	low       []int32
+	high      map[ASN]int32
+	asList    []ASN // ascending, Index's inverse
+	ases      []*AS // by slot
 	hierarchy []ASN // each AS after all of its providers (Hierarchy)
 	routers   []Router
-	links     []Link
+	routerAdj [][]RouterID // by router ID
 
-	rels map[ASN]map[ASN]Rel
-	// byRel[asn][rel-1] lists asn's neighbors with that relationship, sorted
-	// (see indexByRel): splice.Reach asks per visited AS.
-	byRel map[ASN]*[3][]ASN
-
-	// routerAdj is the undirected router-level adjacency list.
-	routerAdj map[RouterID][]RouterID
-	// asBorder[pair] lists the router-level links realizing an AS adjacency.
-	asBorder map[ASPair][]Link
-	// borderRouters[{a, b}] is asBorder oriented from a's side, built once
-	// so the data plane's per-AS-hop lookup allocates nothing.
-	borderRouters map[[2]ASN][][2]RouterID
+	off  []int32 // by slot, and one more
+	nbrs []ASN
+	// rels and borders hold one edge more than nbrs: the last, RelNone and
+	// no border routers, is what edge returns for ASes that are not adjacent.
+	rels    []Rel
+	borders [][][2]RouterID // (local, remote) router pairs, in link creation order
+	// roles[s] is slot s's row split by relationship (Rel-1), each part
+	// ascending and clipped to its length, an empty part nil.
+	roles [][3][]ASN
 }
 
 // AS returns the AS record for asn, or nil if unknown.
-func (t *Topology) AS(asn ASN) *AS { return t.ases[asn] }
+func (t *Topology) AS(asn ASN) *AS { return t.ases[t.slot(asn)] }
+
+// slot returns asn's slot, 0 for an AS the topology lacks.
+func (t *Topology) slot(asn ASN) int32 {
+	if int(asn) < len(t.low) {
+		return t.low[asn]
+	}
+	return t.high[asn]
+}
+
+// Index returns asn's position in ASNs(), the dense index every per-AS table
+// is laid out by, and false for an AS the topology does not have.
+func (t *Topology) Index(asn ASN) (int, bool) {
+	s := t.slot(asn)
+	return int(s) - 1, s > 0
+}
 
 // ASNs returns all ASNs in ascending order.
 func (t *Topology) ASNs() []ASN { return t.asList }
@@ -234,7 +251,7 @@ func (t *Topology) RouterByAddr(a netip.Addr) (*Router, bool) {
 	if !ok {
 		return nil, false
 	}
-	as := t.ases[asn]
+	as := t.AS(asn)
 	b := a.As4()
 	idx := int(b[2])<<8 | int(b[3])
 	if as == nil || idx >= len(as.Routers) {
@@ -255,100 +272,75 @@ func (t *Topology) RouterFor(a netip.Addr) (RouterID, bool) {
 	if !ok {
 		return 0, false
 	}
-	as := t.ases[asn]
+	as := t.AS(asn)
 	if as == nil || len(as.Routers) == 0 {
 		return 0, false
 	}
 	return as.Routers[0], true
 }
 
-// Rel reports the relationship of neighbor as seen from asn.
+// row returns asn's span of the edge arrays, empty for an unknown AS.
+func (t *Topology) row(asn ASN) (lo, hi int32) {
+	s := t.slot(asn)
+	return t.off[s], t.off[s+1]
+}
+
+// edge returns b's position in a's row of the edge arrays, or the last
+// edge of rels and borders, the sentinel, when the two are not adjacent.
+func (t *Topology) edge(a, b ASN) int32 {
+	lo, end := t.row(a)
+	if j, ok := slices.BinarySearch(t.nbrs[lo:end], b); ok {
+		return lo + int32(j)
+	}
+	return int32(len(t.nbrs))
+}
+
+// Rel reports the relationship of neighbor as seen from asn. Past a few
+// entries it searches the shorter of the two rows: Rel is refsolve's inner
+// loop, and a tier-1's row is long where a stub's is short.
 func (t *Topology) Rel(asn, neighbor ASN) Rel {
-	return t.rels[asn][neighbor]
-}
-
-// Neighbors returns asn's neighbor ASNs in ascending order.
-func (t *Topology) Neighbors(asn ASN) []ASN {
-	m := t.rels[asn]
-	out := make([]ASN, 0, len(m))
-	for n := range m {
-		out = append(out, n)
+	if n := len(t.Neighbors(asn)); n > 8 && len(t.Neighbors(neighbor)) < n {
+		return t.rels[t.edge(neighbor, asn)].Invert()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Customers returns asn's customer ASNs in ascending order. Like Providers
-// and Peers it returns the topology's own list, computed at Build: read it,
-// or append to it (which copies), but do not reorder or overwrite it in
-// place.
-func (t *Topology) Customers(asn ASN) []ASN { return t.neighborsWithRel(asn, RelCustomer) }
-
-// Providers returns asn's provider ASNs in ascending order.
-func (t *Topology) Providers(asn ASN) []ASN { return t.neighborsWithRel(asn, RelProvider) }
-
-// Peers returns asn's peer ASNs in ascending order.
-func (t *Topology) Peers(asn ASN) []ASN { return t.neighborsWithRel(asn, RelPeer) }
-
-func (t *Topology) neighborsWithRel(asn ASN, want Rel) []ASN {
-	if l := t.byRel[asn]; l != nil {
-		return l[want-1]
-	}
-	return nil
-}
-
-// indexByRel computes, once, what Customers, Providers and Peers return: per
-// AS its neighbors partitioned by relationship, each part in ascending order.
-// The three parts of an AS share one array and are clipped to their length,
-// so a caller's append to one reallocates instead of writing into the next;
-// an empty part is nil.
-func (t *Topology) indexByRel() {
-	t.byRel = make(map[ASN]*[3][]ASN, len(t.rels))
-	for asn := range t.rels {
-		nbrs := t.Neighbors(asn)
-		parts, store := new([3][]ASN), make([]ASN, 0, len(nbrs))
-		for rel := RelCustomer; rel <= RelProvider; rel++ {
-			from := len(store)
-			for _, n := range nbrs {
-				if t.rels[asn][n] == rel {
-					store = append(store, n)
-				}
-			}
-			if len(store) > from {
-				parts[rel-1] = slices.Clip(store[from:])
-			}
-		}
-		t.byRel[asn] = parts
-	}
+	return t.rels[t.edge(asn, neighbor)]
 }
 
 // Adjacent reports whether two ASes have a relationship.
-func (t *Topology) Adjacent(a, b ASN) bool { return t.rels[a][b] != RelNone }
+func (t *Topology) Adjacent(a, b ASN) bool { return t.Rel(a, b) != RelNone }
 
-// BorderLinks returns the router-level links that realize the AS adjacency
-// (a, b), in creation order.
-func (t *Topology) BorderLinks(a, b ASN) []Link {
-	return t.asBorder[MakeASPair(a, b)]
+// Neighbors returns asn's neighbor ASNs in ascending order. Like Customers,
+// Providers and Peers it returns the topology's own row, clipped to its
+// length: read it, or append to it (which copies), but do not reorder or
+// overwrite it in place.
+func (t *Topology) Neighbors(asn ASN) []ASN {
+	lo, hi := t.row(asn)
+	return t.nbrs[lo:hi:hi]
 }
+
+// NeighborIndex returns b's position in Neighbors(a), or -1 if the two are
+// not adjacent.
+func (t *Topology) NeighborIndex(a, b ASN) int {
+	if j, ok := slices.BinarySearch(t.Neighbors(a), b); ok {
+		return j
+	}
+	return -1
+}
+
+// Customers returns asn's customer ASNs in ascending order.
+func (t *Topology) Customers(asn ASN) []ASN { return t.role(asn, RelCustomer) }
+
+// Providers returns asn's provider ASNs in ascending order.
+func (t *Topology) Providers(asn ASN) []ASN { return t.role(asn, RelProvider) }
+
+// Peers returns asn's peer ASNs in ascending order.
+func (t *Topology) Peers(asn ASN) []ASN { return t.role(asn, RelPeer) }
+
+func (t *Topology) role(asn ASN, r Rel) []ASN { return t.roles[t.slot(asn)][r-1] }
 
 // RouterNeighbors returns the routers adjacent to id.
 func (t *Topology) RouterNeighbors(id RouterID) []RouterID { return t.routerAdj[id] }
 
-// IntraASNeighbors returns the routers adjacent to id within the same AS.
-func (t *Topology) IntraASNeighbors(id RouterID) []RouterID {
-	self := t.routers[id].AS
-	var out []RouterID
-	for _, n := range t.routerAdj[id] {
-		if t.routers[n].AS == self {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // BorderRouters returns, for AS a, the router pairs (local, remote) that
 // connect a to neighbor b, in link creation order. The slice is shared:
 // callers must not modify it.
-func (t *Topology) BorderRouters(a, b ASN) [][2]RouterID {
-	return t.borderRouters[[2]ASN{a, b}]
-}
+func (t *Topology) BorderRouters(a, b ASN) [][2]RouterID { return t.borders[t.edge(a, b)] }

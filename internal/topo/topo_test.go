@@ -57,10 +57,10 @@ func TestNeighborsAndRoleLists(t *testing.T) {
 	}
 }
 
-// TestRoleListsSurviveAppend holds Customers/Providers/Peers to their
-// contract now that they return the topology's own lists: a caller that
-// appends to one call's result must not change what the next call — for the
-// same relationship or the one stored after it — returns.
+// TestRoleListsSurviveAppend holds Neighbors/Customers/Providers/Peers to
+// their contract now that they return the topology's own rows: a caller that
+// appends to one call's result must not change what any later call returns,
+// for the same AS or the one stored after it.
 func TestRoleListsSurviveAppend(t *testing.T) {
 	b := NewBuilder()
 	for asn := ASN(1); asn <= 6; asn++ {
@@ -75,8 +75,14 @@ func TestRoleListsSurviveAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lists := map[string]func(ASN) []ASN{"Customers": top.Customers, "Peers": top.Peers, "Providers": top.Providers}
-	want := map[string][]ASN{"Customers": {2, 3}, "Peers": {4, 5}, "Providers": {6}}
+	lists := map[string]func(ASN) []ASN{"Neighbors": top.Neighbors, "Customers": top.Customers, "Peers": top.Peers, "Providers": top.Providers}
+	want := map[string][]ASN{"Neighbors": {2, 3, 4, 5, 6}, "Customers": {2, 3}, "Peers": {4, 5}, "Providers": {6}}
+	before := map[string][][]ASN{} // every list of every AS
+	for name, l := range lists {
+		for _, asn := range top.ASNs() {
+			before[name] = append(before[name], slices.Clone(l(asn)))
+		}
+	}
 	for name, list := range lists {
 		got := list(1)
 		if !slices.Equal(got, want[name]) {
@@ -84,8 +90,10 @@ func TestRoleListsSurviveAppend(t *testing.T) {
 		}
 		_ = append(got, 99)
 		for other, l := range lists {
-			if again := l(1); !slices.Equal(again, want[other]) {
-				t.Errorf("after append to %s(1): %s(1) = %v, want %v", name, other, again, want[other])
+			for i, asn := range top.ASNs() {
+				if again := l(asn); !slices.Equal(again, before[other][i]) {
+					t.Errorf("after append to %s(1): %s(%d) = %v, want %v", name, other, asn, again, before[other][i])
+				}
 			}
 		}
 	}
@@ -94,23 +102,86 @@ func TestRoleListsSurviveAppend(t *testing.T) {
 	}
 }
 
+// TestIndexOverGappedASNs holds the dense index on a world whose ASNs are
+// neither consecutive nor added in order, one of them above MaxASN: Index
+// inverts ASNs(), an AS the topology lacks is reported absent, both rows of
+// every edge agree on its relationship, and reading the index allocates
+// nothing.
+func TestIndexOverGappedASNs(t *testing.T) {
+	b := NewBuilder()
+	for _, asn := range []ASN{7018, 3, 174, 4_200_000_000, 65000, 40, 3356} {
+		b.AddAS(asn, "")
+	}
+	b.Peer(174, 3356)
+	b.Peer(3356, 7018)
+	b.Provider(3, 174)
+	b.Provider(40, 174)
+	b.Provider(40, 3356)
+	b.Provider(65000, 7018)
+	b.Provider(65000, 40)
+	b.Provider(4_200_000_000, 3356)               // above MaxASN: no address block, but it routes
+	for asn := ASN(1000); asn < 1100; asn += 10 { // a row long enough to search the other side
+		b.AddAS(asn, "")
+		b.Provider(asn, 174)
+	}
+	top, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, asn := range top.ASNs() {
+		if j, ok := top.Index(asn); !ok || j != i {
+			t.Errorf("Index(%d) = %d, %v; want %d, true", asn, j, ok, i)
+		}
+	}
+	for _, asn := range []ASN{0, 4, 175, 1001, 3357, 65001, 1 << 31} {
+		if i, ok := top.Index(asn); ok {
+			t.Errorf("Index(%d) = %d, true for an AS the topology lacks", asn, i)
+		}
+	}
+	edges := 0
+	for _, a := range top.ASNs() {
+		for j, n := range top.Neighbors(a) {
+			if r := top.Rel(a, n); r == RelNone || r != top.Rel(n, a).Invert() {
+				t.Errorf("Rel(%d, %d) = %v, Rel(%d, %d) = %v", a, n, r, n, a, top.Rel(n, a))
+			}
+			if k := top.NeighborIndex(a, n); k != j {
+				t.Errorf("NeighborIndex(%d, %d) = %d, want %d", a, n, k, j)
+			}
+			edges++
+		}
+	}
+	if edges != 2*18 || top.Rel(40, 3356) != RelProvider || top.Rel(3, 40) != RelNone || top.NeighborIndex(3, 40) != -1 {
+		t.Errorf("%d edge ends, want 36; Rel(40, 3356) = %v, Rel(3, 40) = %v, NeighborIndex(3, 40) = %d",
+			edges, top.Rel(40, 3356), top.Rel(3, 40), top.NeighborIndex(3, 40))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, a := range top.ASNs() {
+			top.Index(a)
+			for _, n := range top.Neighbors(a) {
+				top.Rel(a, n)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Index, Neighbors and Rel allocate %v objects per sweep, want 0", allocs)
+	}
+}
+
 func TestBorderLinks(t *testing.T) {
 	top := build3(t)
-	bl := top.BorderLinks(1, 2)
-	if len(bl) != 1 {
-		t.Fatalf("BorderLinks(1,2) = %v", bl)
-	}
 	br := top.BorderRouters(1, 2)
 	if len(br) != 1 {
-		t.Fatal("BorderRouters(1,2) empty")
+		t.Fatalf("BorderRouters(1,2) = %v", br)
 	}
 	if top.Router(br[0][0]).AS != 1 || top.Router(br[0][1]).AS != 2 {
 		t.Fatalf("BorderRouters order wrong: %v", br)
 	}
 	// Symmetric call flips the pair.
-	br2 := top.BorderRouters(2, 1)
-	if top.Router(br2[0][0]).AS != 2 {
-		t.Fatalf("BorderRouters(2,1) local side wrong: %v", br2)
+	if br2 := top.BorderRouters(2, 1); len(br2) != 1 || br2[0] != [2]RouterID{br[0][1], br[0][0]} {
+		t.Fatalf("BorderRouters(2,1) = %v, want %v flipped", br2, br)
+	}
+	if br := top.BorderRouters(1, 3); br != nil {
+		t.Fatalf("BorderRouters(1,3) = %v for ASes that are not adjacent", br)
 	}
 }
 
@@ -280,8 +351,8 @@ func TestConnectASCreatesIntraLinks(t *testing.T) {
 		t.Fatalf("AS2 routers = %d, want 3", len(as2.Routers))
 	}
 	hub := as2.Routers[0]
-	if n := top.IntraASNeighbors(hub); len(n) != 2 {
-		t.Fatalf("hub intra neighbors = %v", n)
+	if n := top.RouterNeighbors(hub); !slices.Equal(n, as2.Routers[1:]) {
+		t.Fatalf("hub neighbors = %v, want %v", n, as2.Routers[1:])
 	}
 }
 
