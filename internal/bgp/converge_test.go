@@ -108,6 +108,9 @@ type world struct {
 	// the seed corpus and the named chains needs is 1.21 (Fig. 2, 34 events
 	// over 14 session ends and 2 prefixes), so the margin is 8×; an op that
 	// never settles fails in milliseconds, not after bgp.MaxConvergeSteps.
+	// A fuzzed stream can pile up more toggles before one converge than any
+	// of these, so re-run a fuzz failure with bgp.MaxConvergeSteps here
+	// before taking it for a world that never settles.
 	budget int
 	// owners[i] originates pfxs[i] and addrs[i] is an address inside it: the
 	// prefixes are disjoint, so Lookup(addrs[i]) can only resolve pfxs[i].
@@ -288,7 +291,7 @@ func (w *world) do(t testing.TB, op [4]byte) string {
 		return fmt.Sprintf("%d events", n)
 	case code >= opConverge:
 		if !w.eng.Converge(w.budget) {
-			w.fatalf(t, "converge: not quiescent after %d steps", w.budget)
+			w.fatalf(t, "converge: not quiescent after %d steps, the world's budget", w.budget)
 		}
 		return "converge"
 	}

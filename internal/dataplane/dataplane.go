@@ -304,18 +304,18 @@ func New(top *topo.Topology, rib RIB) *Plane {
 // hop and is skipped. Every live entry is in pl.walks (see walkcache.go), so
 // the scan reaches the ones Flows hold too.
 func (pl *Plane) touchRule(r *Rule) {
-	ases := append(make([]topo.ASN, 0, 6), r.AtAS, r.FromAS, r.ToAS)
+	scope := make([]int32, 0, 6)
+	for _, asn := range [...]topo.ASN{r.AtAS, r.FromAS, r.ToAS} {
+		if i, ok := pl.top.Index(asn); ok {
+			scope = append(scope, int32(i))
+		}
+	}
 	for _, rt := range [...]struct {
 		set bool
 		id  topo.RouterID
 	}{{r.HasRouter, r.AtRouter}, {r.HasLink, r.FromRouter}, {r.HasLink, r.ToRouter}} {
 		if rt.set && int(rt.id) < pl.top.NumRouters() {
-			ases = append(ases, pl.top.Router(rt.id).AS)
-		}
-	}
-	scope := make([]int32, 0, 6)
-	for _, asn := range ases {
-		if i, ok := pl.top.Index(asn); ok {
+			i, _ := pl.top.Index(pl.top.Router(rt.id).AS)
 			scope = append(scope, int32(i))
 		}
 	}

@@ -295,15 +295,8 @@ func (t *Topology) edge(a, b ASN) int32 {
 	return int32(len(t.nbrs))
 }
 
-// Rel reports the relationship of neighbor as seen from asn. Past a few
-// entries it searches the shorter of the two rows: Rel is refsolve's inner
-// loop, and a tier-1's row is long where a stub's is short.
-func (t *Topology) Rel(asn, neighbor ASN) Rel {
-	if n := len(t.Neighbors(asn)); n > 8 && len(t.Neighbors(neighbor)) < n {
-		return t.rels[t.edge(neighbor, asn)].Invert()
-	}
-	return t.rels[t.edge(asn, neighbor)]
-}
+// Rel reports the relationship of neighbor as seen from asn.
+func (t *Topology) Rel(asn, neighbor ASN) Rel { return t.rels[t.edge(asn, neighbor)] }
 
 // Adjacent reports whether two ASes have a relationship.
 func (t *Topology) Adjacent(a, b ASN) bool { return t.Rel(a, b) != RelNone }

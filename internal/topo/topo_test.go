@@ -119,11 +119,7 @@ func TestIndexOverGappedASNs(t *testing.T) {
 	b.Provider(40, 3356)
 	b.Provider(65000, 7018)
 	b.Provider(65000, 40)
-	b.Provider(4_200_000_000, 3356)               // above MaxASN: no address block, but it routes
-	for asn := ASN(1000); asn < 1100; asn += 10 { // a row long enough to search the other side
-		b.AddAS(asn, "")
-		b.Provider(asn, 174)
-	}
+	b.Provider(4_200_000_000, 3356) // above MaxASN: no address block, but it routes
 	top, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +146,8 @@ func TestIndexOverGappedASNs(t *testing.T) {
 			edges++
 		}
 	}
-	if edges != 2*18 || top.Rel(40, 3356) != RelProvider || top.Rel(3, 40) != RelNone || top.NeighborIndex(3, 40) != -1 {
-		t.Errorf("%d edge ends, want 36; Rel(40, 3356) = %v, Rel(3, 40) = %v, NeighborIndex(3, 40) = %d",
+	if edges != 2*8 || top.Rel(40, 3356) != RelProvider || top.Rel(3, 40) != RelNone || top.NeighborIndex(3, 40) != -1 {
+		t.Errorf("%d edge ends, want 16; Rel(40, 3356) = %v, Rel(3, 40) = %v, NeighborIndex(3, 40) = %d",
 			edges, top.Rel(40, 3356), top.Rel(3, 40), top.NeighborIndex(3, 40))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
