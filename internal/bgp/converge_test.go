@@ -122,16 +122,13 @@ type world struct {
 	// poisoned AS, or a failing session's end), first the one the most plain
 	// routes cross that is not owners[0]'s neighbor; seconds is every AS, the
 	// farthest from owners[0] first.
-	plain    map[topo.ASN]*refsolve.Route
+	plain    []*refsolve.Route // by Index
 	transits []topo.ASN
 	seconds  []topo.ASN
 
 	origins map[netip.Prefix]map[topo.ASN]refsolve.Origin
 	down    map[topo.ASPair]bool
 	ops     []string // what ran, for a failure to print
-	// sols is Solve's answer per prefix, dropped when the prefix's origins
-	// or any session change.
-	sols map[netip.Prefix]map[topo.ASN]*refsolve.Route
 
 	// held[i][j] is what the last check read of pfxs[i] at asns[j]; ribVer,
 	// fwdVer and dstVer are the engine's counters then.
@@ -154,7 +151,6 @@ func newWorld(t testing.TB, name string, top *topo.Topology, seed int64, owners 
 		name: name, top: top, eng: eng, plane: dataplane.New(top, eng), asns: top.ASNs(), owners: owners,
 		origins: map[netip.Prefix]map[topo.ASN]refsolve.Origin{},
 		down:    map[topo.ASPair]bool{},
-		sols:    map[netip.Prefix]map[topo.ASN]*refsolve.Route{},
 	}
 	for _, o := range owners {
 		w.pfxs = append(w.pfxs, topo.ProductionPrefix(o))
@@ -166,20 +162,20 @@ func newWorld(t testing.TB, name string, top *topo.Topology, seed int64, owners 
 
 	o := owners[0]
 	plain := refsolve.Solve(top, nil, map[topo.ASN]refsolve.Origin{o: {}})
-	uses, far := map[topo.ASN]int{}, o
-	for _, asn := range w.asns {
+	uses, far, farthest := map[topo.ASN]int{}, o, 0
+	for i, asn := range w.asns {
 		w.budget += 10 * len(top.Neighbors(asn)) * len(owners)
 		if len(top.Customers(asn)) > 0 {
 			w.transits = append(w.transits, asn)
 		}
-		if r := plain[asn]; r != nil {
+		if r := plain[i]; r != nil {
 			for _, hop := range r.Path {
 				if hop != o && !top.Adjacent(o, hop) {
 					uses[hop]++
 				}
 			}
-			if len(r.Path) > len(plain[far].Path) {
-				far = asn
+			if len(r.Path) > farthest {
+				far, farthest = asn, len(r.Path)
 			}
 		}
 	}
@@ -214,8 +210,8 @@ func (w *world) aimed(o topo.ASN) []topo.ASN {
 // links is the pool of asn's sessions that fail: its neighbors, the next
 // hop of its plain route first.
 func (w *world) links(asn topo.ASN) []topo.ASN {
-	if r := w.plain[asn]; r != nil && !r.Originated {
-		return first(w.top.Neighbors(asn), r.From)
+	if i, _ := w.top.Index(asn); w.plain[i] != nil && !w.plain[i].Originated {
+		return first(w.top.Neighbors(asn), w.plain[i].From)
 	}
 	return w.top.Neighbors(asn)
 }
@@ -226,13 +222,11 @@ func (w *world) announce(asn topo.ASN, p netip.Prefix, cfg bgp.OriginConfig) {
 		w.origins[p] = map[topo.ASN]refsolve.Origin{}
 	}
 	w.origins[p][asn] = refsolve.Origin(cfg)
-	delete(w.sols, p)
 }
 
 func (w *world) withdraw(asn topo.ASN, p netip.Prefix) {
 	w.eng.Withdraw(asn, p)
 	delete(w.origins[p], asn)
-	delete(w.sols, p)
 }
 
 // do applies one op and says what it did; "" if an operand's pool is empty.
@@ -274,7 +268,6 @@ func (w *world) do(t testing.TB, op [4]byte) string {
 		pair := topo.MakeASPair(a, end)
 		w.down[pair] = !w.down[pair]
 		w.eng.SetAdjacencyDown(pair.Lo, pair.Hi, w.down[pair])
-		clear(w.sols)
 		return fmt.Sprintf("link %d-%d down %v", pair.Lo, pair.Hi, w.down[pair])
 	case code == opSecond:
 		who := pick(w.seconds, op[2])
@@ -374,7 +367,7 @@ func (w *world) check(t testing.TB) {
 		dstMoved := false
 		// At quiescence, every AS's offers and selected route.
 		var adjIns []map[topo.ASN]*bgp.Route
-		bests := map[topo.ASN]*refsolve.Route{}
+		bests := make([]*refsolve.Route, len(w.asns))
 		for si, asn := range w.asns {
 			s := e.Speaker(asn)
 			adjIn := s.AdjIn(p)
@@ -449,9 +442,7 @@ func (w *world) check(t testing.TB) {
 
 			if quiet {
 				adjIns = append(adjIns, adjIn)
-				if got != nil {
-					bests[asn] = ref(got)
-				}
+				bests[si] = ref(got)
 			}
 		}
 		if quiet {
@@ -484,23 +475,20 @@ func (w *world) check(t testing.TB) {
 // neighbors' selected routes, bests, imply: from each neighbor exactly the
 // offer refsolve.Offer says that neighbor's export policy sends and asn's
 // import policy keeps, and nothing from anyone else.
-func (w *world) checkOffers(t testing.TB, asn topo.ASN, p netip.Prefix, adjIn map[topo.ASN]*bgp.Route, bests map[topo.ASN]*refsolve.Route) {
+func (w *world) checkOffers(t testing.TB, asn topo.ASN, p netip.Prefix, adjIn map[topo.ASN]*bgp.Route, bests []*refsolve.Route) {
 	t.Helper()
 	sent := 0
 	for _, from := range w.top.Neighbors(asn) {
-		var o *refsolve.Origin
-		if cfg, ok := w.origins[p][from]; ok {
-			o = &cfg
-		}
-		want, got := refsolve.Offer(w.top, w.down, from, asn, o, bests[from]), adjIn[from]
-		switch {
-		case want == nil && got != nil:
+		i, _ := w.top.Index(from)
+		want, got := refsolve.Offer(w.top, w.down, w.origins[p], from, asn, bests[i], nil), adjIn[from]
+		switch sends := want.LocalPref > 0; {
+		case !sends && got != nil:
 			w.fatalf(t, "AS%d %v: holds %+v, which AS%d does not send or AS%d does not accept", asn, p, *got, from, asn)
-		case want != nil && got == nil:
+		case sends && got == nil:
 			w.fatalf(t, "AS%d %v: holds nothing from AS%d, which sends\n%v", asn, p, from, want)
-		case want != nil && (got.Prefix != p || !ref(got).Equal(want)):
+		case sends && (got.Prefix != p || !ref(got).Equal(&want)):
 			w.fatalf(t, "AS%d %v: offer from AS%d is\n%+v, its sender's route implies\n%v", asn, p, from, *got, want)
-		case want != nil:
+		case sends:
 			sent++
 		}
 	}
@@ -522,12 +510,12 @@ func show(r *refsolve.Route) string {
 
 // walk is the AS path a packet from asn follows under the routes in sol:
 // asn, then the route's path up to the first AS that originates the prefix.
-func walk(sol map[topo.ASN]*refsolve.Route, asn topo.ASN) topo.Path {
+func walk(top *topo.Topology, sol []*refsolve.Route, asn topo.ASN) topo.Path {
 	out := topo.Path{asn}
-	if r := sol[asn]; r != nil {
-		for _, hop := range r.Path {
+	if i, _ := top.Index(asn); sol[i] != nil {
+		for _, hop := range sol[i].Path {
 			out = append(out, hop)
-			if sol[hop] != nil && sol[hop].Originated {
+			if j, _ := top.Index(hop); sol[j] != nil && sol[j].Originated {
 				break
 			}
 		}
@@ -537,23 +525,19 @@ func walk(sol map[topo.ASN]*refsolve.Route, asn topo.ASN) topo.Path {
 
 // exact holds every AS's selected route for pfxs[i], engine, and the AS path
 // a packet from its hub takes through the walk cache, to refsolve.Solve.
-func (w *world) exact(t testing.TB, i int, engine map[topo.ASN]*refsolve.Route) {
+func (w *world) exact(t testing.TB, i int, engine []*refsolve.Route) {
 	t.Helper()
 	p := w.pfxs[i]
-	sol := w.sols[p]
-	if sol == nil {
-		sol = refsolve.Solve(w.top, w.down, w.origins[p])
-		w.sols[p] = sol
-	}
+	sol := refsolve.Solve(w.top, w.down, w.origins[p])
 	w.solves++
 	var diff []string
-	for _, asn := range w.asns {
-		if got := engine[asn]; !got.Equal(sol[asn]) {
-			diff = append(diff, fmt.Sprintf("AS%d: engine %s, refsolve %s", asn, show(got), show(sol[asn])))
+	for si, asn := range w.asns {
+		if got := engine[si]; !got.Equal(sol[si]) {
+			diff = append(diff, fmt.Sprintf("AS%d: engine %s, refsolve %s", asn, show(got), show(sol[si])))
 		}
 		hub := w.top.AS(asn).Routers[0]
 		res := w.plane.Forward(hub, dataplane.Packet{Src: w.top.Router(hub).Addr, Dst: w.addrs[i]})
-		if want := walk(sol, asn); res.Delivered() != (sol[asn] != nil) || !res.ASPath().Equal(want) {
+		if want := walk(w.top, sol, asn); res.Delivered() != (sol[si] != nil) || !res.ASPath().Equal(want) {
 			diff = append(diff, fmt.Sprintf("AS%d: data plane %v along %v, refsolve's path %v", asn, res.Reason, res.ASPath(), want))
 		}
 	}
@@ -566,10 +550,10 @@ func (w *world) exact(t testing.TB, i int, engine map[topo.ASN]*refsolve.Route) 
 // decides from its neighbors' engine routes. The fixed point is unique, so
 // an engine that differs from Solve's answer has such an AS unless only the
 // data plane is wrong.
-func (w *world) firstDecision(p netip.Prefix, engine map[topo.ASN]*refsolve.Route) string {
-	for _, asn := range w.asns {
-		if want := refsolve.Decide(w.top, w.down, w.origins[p], asn, engine); !want.Equal(engine[asn]) {
-			return fmt.Sprintf("first decision that differs: AS%d holds %s; its neighbors' routes decide %s", asn, show(engine[asn]), show(want))
+func (w *world) firstDecision(p netip.Prefix, engine []*refsolve.Route) string {
+	for si, asn := range w.asns {
+		if want := refsolve.Decide(w.top, w.down, w.origins[p], asn, engine); !want.Equal(engine[si]) {
+			return fmt.Sprintf("first decision that differs: AS%d holds %s; its neighbors' routes decide %s", asn, show(engine[si]), show(want))
 		}
 	}
 	return "every AS's route is what its neighbors' routes decide: only the data plane differs"

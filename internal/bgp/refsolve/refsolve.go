@@ -21,14 +21,9 @@ package refsolve
 
 import "lifeguard/internal/topo"
 
-// Local preference of an originated route and by the relationship a route
-// was learned over.
-const (
-	prefOriginated = 1000
-	prefCustomer   = 300
-	prefPeer       = 200
-	prefProvider   = 100
-)
+// localPref is a route's local preference by the relationship it was
+// learned over, RelNone for an originated route.
+var localPref = [...]int{topo.RelNone: 1000, topo.RelCustomer: 300, topo.RelPeer: 200, topo.RelProvider: 100}
 
 // Route is one adj-RIB-in offer or selected route: bgp.Route's fields but
 // the prefix.
@@ -59,50 +54,52 @@ type Origin struct {
 
 // Originated is the route an AS selects for a prefix it originates.
 func Originated(asn topo.ASN) *Route {
-	return &Route{From: asn, LocalPref: prefOriginated, Originated: true}
+	return &Route{From: asn, LocalPref: localPref[topo.RelNone], Originated: true}
 }
 
 // Offer is the adj-RIB-in entry that from leaves at its neighbor to once
-// nothing is in flight, where from originates the prefix by o, or, if o is
-// nil, selected best (nil: no route). It is nil when the session is down in
-// down, from sends nothing, or to keeps nothing.
-func Offer(top *topo.Topology, down map[topo.ASPair]bool, from, to topo.ASN, o *Origin, best *Route) *Route {
-	out := &Route{From: from, Rel: top.Rel(to, from)}
-	switch {
-	case down[topo.MakeASPair(from, to)], o != nil && o.Withhold[to]:
-		return nil
-	case o != nil:
-		out.Path = topo.Path{from}
-		if per, ok := o.PerNeighbor[to]; ok {
-			out.Path = per
-		} else if o.Pattern != nil {
-			out.Path = o.Pattern
-		}
+// nothing is in flight: its announcement if origins has from, else its
+// selected best (nil: no route), with the path appended to buf. It is the
+// zero Route, no route, when the session is down in down, from sends
+// nothing, or to keeps nothing.
+func Offer(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin, from, to topo.ASN, best *Route, buf topo.Path) Route {
+	o, originates := origins[from]
+	switch per, ok := o.PerNeighbor[to]; {
+	case down[topo.MakeASPair(from, to)], o.Withhold[to]:
+		return Route{}
+	case ok:
+		buf = append(buf, per...)
+	case originates && o.Pattern != nil:
+		buf = append(buf, o.Pattern...)
+	case originates:
+		buf = append(buf, from)
 	case best == nil || best.From == to: // nothing to send; split horizon
-		return nil
+		return Route{}
 	case top.Rel(from, to) != topo.RelCustomer && best.Rel != topo.RelCustomer:
-		return nil // valley-free: peer and provider routes go to customers only
+		return Route{} // valley-free: peer and provider routes go to customers only
 	default:
-		out.Path = best.Path.Prepend(from)
+		buf = append(append(buf, from), best.Path...)
 	}
 	// Import at the receiver: loop prevention and the §7.1 filter.
+	out := Route{Path: buf, From: from, Rel: top.Rel(to, from)}
 	as := top.AS(to)
 	if as.MaxOwnASOccurs > 0 && out.Path.Count(to) >= as.MaxOwnASOccurs {
-		return nil
+		return Route{}
 	}
 	if as.FilterPeersFromCustomers && out.Rel == topo.RelCustomer {
 		for _, hop := range out.Path {
 			if top.Rel(to, hop) == topo.RelPeer {
-				return nil
+				return Route{}
 			}
 		}
 	}
-	out.LocalPref = [...]int{topo.RelCustomer: prefCustomer, topo.RelPeer: prefPeer, topo.RelProvider: prefProvider}[out.Rel]
+	out.LocalPref = localPref[out.Rel]
 	return out
 }
 
 // Winner is the offer the decision order ranks first — higher local-pref,
 // shorter AS path, lower neighbor ASN — skipping nils; nil if there is none.
+// The zero Route ranks below every offer.
 func Winner(offers []*Route) *Route {
 	var win *Route
 	for _, r := range offers {
@@ -114,41 +111,43 @@ func Winner(offers []*Route) *Route {
 	return win
 }
 
-// Decide is the route asn selects when its neighbors hold best (an AS
-// missing from best has no route) and origins says who originates the
-// prefix and how.
-func Decide(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin, asn topo.ASN, best map[topo.ASN]*Route) *Route {
+// Decide is the route asn selects when its neighbors hold best, by Index (a
+// nil entry is no route), and origins says who originates the prefix and
+// how. It ranks each offer as it is built, in the buffer the winner so far
+// does not hold, and copies out the winner's path alone.
+func Decide(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin, asn topo.ASN, best []*Route) *Route {
 	if _, ok := origins[asn]; ok {
 		return Originated(asn)
 	}
-	var offers []*Route
-	for _, rel := range [][]topo.ASN{top.Customers(asn), top.Peers(asn), top.Providers(asn)} {
-		for _, nb := range rel {
-			if o, ok := origins[nb]; ok {
-				offers = append(offers, Offer(top, down, nb, asn, &o, nil))
-			} else {
-				offers = append(offers, Offer(top, down, nb, asn, nil, best[nb]))
-			}
+	var bufs [2][32]topo.ASN
+	var win, r Route
+	w := 0 // the buffer win's path is in
+	for _, nb := range top.Neighbors(asn) {
+		i, _ := top.Index(nb)
+		if r = Offer(top, down, origins, nb, asn, best[i], bufs[1-w][:0]); Winner([]*Route{&win, &r}) == &r {
+			win, w = r, 1-w
 		}
 	}
-	return Winner(offers)
+	if win.LocalPref == 0 {
+		return nil
+	}
+	return &Route{Path: win.Path.Clone(), From: win.From, Rel: win.Rel, LocalPref: win.LocalPref}
 }
 
 // Solve returns the route every AS selects for one prefix once nothing is in
-// flight, given the sessions down and who originates the prefix and how; an
-// AS without a route is absent. It is Decide run once per AS from the bottom
+// flight, by Index (nil: no route), given the sessions down and who
+// originates the prefix and how. It is Decide run once per AS from the bottom
 // of the provider hierarchy up, then once more from the top down. An AS's
 // customer route depends only on its customers' customer routes, and
 // customer routes are all it exports to providers and peers, so the first
 // sweep settles every customer route. Its peer route then depends only on
 // its peers' customer routes and its provider route on its providers' final
 // routes, so the second sweep settles the rest.
-func Solve(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin) map[topo.ASN]*Route {
-	best := make(map[topo.ASN]*Route, top.NumASes())
+func Solve(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin) []*Route {
+	best := make([]*Route, top.NumASes())
 	decide := func(asn topo.ASN) {
-		if r := Decide(top, down, origins, asn, best); r != nil {
-			best[asn] = r
-		}
+		i, _ := top.Index(asn)
+		best[i] = Decide(top, down, origins, asn, best)
 	}
 	order := top.Hierarchy()
 	for i := len(order) - 1; i >= 0; i-- {

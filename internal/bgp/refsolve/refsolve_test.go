@@ -16,18 +16,15 @@ import (
 // peer routes one round later, provider routes within the depth again, and
 // one more round finds nothing to change, so it gives up after 2n+2 rounds
 // on n ASes.
-func iterate(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin) (map[topo.ASN]*Route, error) {
-	best := map[topo.ASN]*Route{}
+func iterate(top *topo.Topology, down map[topo.ASPair]bool, origins map[topo.ASN]Origin) ([]*Route, error) {
+	best := make([]*Route, top.NumASes())
 	rounds := 2*top.NumASes() + 2
 	for round := 0; round < rounds; round++ {
-		next := make(map[topo.ASN]*Route, len(best))
+		next := make([]*Route, len(best))
 		changed := false
-		for _, asn := range top.ASNs() {
-			r := Decide(top, down, origins, asn, best)
-			changed = changed || !r.Equal(best[asn])
-			if r != nil {
-				next[asn] = r
-			}
+		for i, asn := range top.ASNs() {
+			next[i] = Decide(top, down, origins, asn, best)
+			changed = changed || !next[i].Equal(best[i])
 		}
 		if !changed {
 			return best, nil
@@ -143,12 +140,9 @@ func matchIteration(t testing.TB, name string, top *topo.Topology, down map[topo
 		t.Fatalf("%s: %v", name, err)
 	}
 	got := Solve(top, down, origins)
-	if len(got) != len(want) {
-		t.Errorf("%s: Solve routes %d ASes, the iteration %d", name, len(got), len(want))
-	}
-	for _, asn := range top.ASNs() {
-		if !got[asn].Equal(want[asn]) {
-			t.Fatalf("%s (origins %v, down %v): AS%d: Solve %+v, iteration %+v", name, origins, down, asn, got[asn], want[asn])
+	for i, asn := range top.ASNs() {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s (origins %v, down %v): AS%d: Solve %+v, iteration %+v", name, origins, down, asn, got[i], want[i])
 		}
 	}
 }
@@ -157,7 +151,8 @@ func matchIteration(t testing.TB, name string, top *topo.Topology, down map[topo
 // peering, shuffled ASNs on three in four and the quirks on every other, and
 // on topogen worlds of 200 and 1k ASes. The mutations this must fail under
 // (testdata/mutants/ here and in internal/topo, make mutants): either sweep dropped; both sweeps bottom up; both
-// top down; Hierarchy returning ASNs.
+// top down; Hierarchy returning ASNs; Decide building each offer over the
+// winner's path.
 func TestSolveMatchesIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for trial := 0; trial < 40; trial++ {
@@ -223,18 +218,48 @@ func FuzzSolve(f *testing.F) {
 	})
 }
 
-// BenchmarkSolve solves one stub's prefix at a time on topogen worlds of
-// 200, 1k and (without -short) 10k ASes, beside splice.Reach from the same
-// stub: the reachability the experiments ask of the same graph.
+// solveWorlds are the topogen worlds of 200, 1k and 10k ASes that
+// BenchmarkSolve and TestSolveAllocations solve on.
+var solveWorlds = []struct {
+	name string
+	cfg  topogen.Config
+}{
+	{"ases=200", topogen.Config{Seed: 3, NumTransit: 45}},
+	{"ases=1k", topogen.Config{Seed: 1, NumTransit: 200, NumStub: 795}},
+	{"ases=10k", topogen.Config{Seed: 1, NumTransit: 2000, NumStub: 8000, Large: true}},
+}
+
+// TestSolveAllocations holds one Solve to at most 2.2 objects per AS with a
+// route, on the 200- and 1k-AS worlds: each route and its path, and the
+// result slice. Decide allocates nothing for an offer it discards.
+func TestSolveAllocations(t *testing.T) {
+	const ceiling = 2.2
+	for _, w := range solveWorlds[:2] {
+		gen, err := topogen.Generate(w.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		origins := map[topo.ASN]Origin{gen.Stubs[0]: {}}
+		routed := 0
+		for _, r := range Solve(gen.Top, nil, origins) {
+			if r != nil {
+				routed++
+			}
+		}
+		objects := testing.AllocsPerRun(5, func() { Solve(gen.Top, nil, origins) })
+		if per := objects / float64(routed); per > ceiling {
+			t.Errorf("%s: %.0f objects for %d ASes with a route = %.2f per AS, want <= %.2f", w.name, objects, routed, per, ceiling)
+		} else {
+			t.Logf("%s: %.0f objects for %d ASes with a route = %.2f per AS", w.name, objects, routed, per)
+		}
+	}
+}
+
+// BenchmarkSolve solves one stub's prefix at a time on solveWorlds (the 10k
+// one without -short), beside splice.Reach from the same stub: the
+// reachability the experiments ask of the same graph.
 func BenchmarkSolve(b *testing.B) {
-	for _, w := range []struct {
-		name string
-		cfg  topogen.Config
-	}{
-		{"ases=200", topogen.Config{Seed: 3, NumTransit: 45}},
-		{"ases=1k", topogen.Config{Seed: 1, NumTransit: 200, NumStub: 795}},
-		{"ases=10k", topogen.Config{Seed: 1, NumTransit: 2000, NumStub: 8000, Large: true}},
-	} {
+	for _, w := range solveWorlds {
 		b.Run(w.name, func(b *testing.B) {
 			if w.cfg.Large && testing.Short() {
 				b.Skip("about a second per run")

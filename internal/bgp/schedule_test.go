@@ -420,13 +420,13 @@ func TestQuiescentStateIndependentOfSchedule(t *testing.T) {
 	for _, o := range gen.Stubs[:4] {
 		p := topo.ProductionPrefix(o)
 		sol := refsolve.Solve(gen.Top, nil, origins[p])
-		for _, asn := range gen.Top.ASNs() {
+		for i, asn := range gen.Top.ASNs() {
 			var got *refsolve.Route
 			if r, ok := e.BestRoute(asn, p); ok {
 				got = &refsolve.Route{Path: r.Path, From: r.From, Rel: r.Rel, LocalPref: r.LocalPref, Originated: r.Originated}
 			}
-			if !got.Equal(sol[asn]) {
-				t.Fatalf("AS%d %v: every schedule ends on %+v, refsolve's stable state is %+v", asn, p, got, sol[asn])
+			if !got.Equal(sol[i]) {
+				t.Fatalf("AS%d %v: every schedule ends on %+v, refsolve's stable state is %+v", asn, p, got, sol[i])
 			}
 		}
 	}

@@ -113,7 +113,7 @@ func (c *checker) report(inv Invariant, detail string) {
 func (c *checker) checkOracle(in inputs) {
 	top, eng := c.tgt.Top, c.tgt.Eng
 	pfxs := eng.Prefixes()
-	sols := make(map[netip.Prefix]map[topo.ASN]*refsolve.Route, len(pfxs))
+	sols := make(map[netip.Prefix][]*refsolve.Route, len(pfxs))
 	for _, p := range pfxs {
 		sols[p] = refsolve.Solve(top, in.down, in.origins[p])
 	}
@@ -121,13 +121,13 @@ func (c *checker) checkOracle(in inputs) {
 		chain := slices.DeleteFunc(slices.Clone(pfxs), func(q netip.Prefix) bool { return q.Bits() > p.Bits() || !q.Contains(p.Addr()) })
 		slices.SortFunc(chain, func(a, b netip.Prefix) int { return b.Bits() - a.Bits() }) // p first
 		addr, lookup := exclusive(p, pfxs)
-		for _, asn := range top.ASNs() {
+		for i, asn := range top.ASNs() {
 			var r *bgp.Route
 			want := p
 			if lookup {
 				r, _ = eng.Lookup(asn, addr)
 				for _, want = range chain {
-					if sols[want][asn] != nil {
+					if sols[want][i] != nil {
 						break
 					}
 				}
@@ -138,8 +138,8 @@ func (c *checker) checkOracle(in inputs) {
 			if r != nil {
 				got = &refsolve.Route{Path: r.Path, From: r.From, Rel: r.Rel, LocalPref: r.LocalPref, Originated: r.Originated}
 			}
-			if !got.Equal(sols[want][asn]) || got != nil && r.Prefix != want {
-				c.report(InvOracle, fmt.Sprintf("AS%d %v: engine %+v, refsolve %v %+v", asn, p, r, want, sols[want][asn]))
+			if !got.Equal(sols[want][i]) || got != nil && r.Prefix != want {
+				c.report(InvOracle, fmt.Sprintf("AS%d %v: engine %+v, refsolve %v %+v", asn, p, r, want, sols[want][i]))
 			}
 		}
 	}
